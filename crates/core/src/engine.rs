@@ -18,10 +18,10 @@ use crate::config::{EngineConfig, EngineStats, MaterializationMode, MemoryLimit}
 use crate::durable::{Durability, DurableOp};
 use crate::status::{JsState, LoggedMod, StatusMap};
 use crate::types::{EngineError, JoinId, JsId, WriteKind};
-use crate::updater::{OutputHint, UpdaterEntry, UpdaterIndex};
+use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
 use bytes::Bytes;
-use pequod_join::{JoinSpec, Operator};
-use pequod_store::{IntervalId, Key, KeyRange, LruTracker, RangeSet, Store, StoreStats, Value};
+use pequod_join::{JoinSpec, Operator, SlotSet};
+use pequod_store::{Key, KeyRange, LruTracker, RangeSet, Store, StoreStats, Value};
 use pequod_telemetry::{OpKind, RateHandle, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -369,7 +369,7 @@ impl Engine {
         self.joins.push(Arc::new(spec));
         self.status.push(StatusMap::new());
         if self.config.materialization == MaterializationMode::Full {
-            let out_range = self.joins[id.0 as usize].output_range();
+            let out_range = self.joins[id.0 as usize].output_range().clone();
             let mut missing = Vec::new();
             self.validate_join(id.0 as usize, &out_range, &mut missing);
         }
@@ -407,7 +407,7 @@ impl Engine {
             spec_of(a)
                 .sources
                 .iter()
-                .any(|s| s.pattern.key_space().overlaps(&outr))
+                .any(|s| s.pattern.key_space().overlaps(outr))
         };
         // DFS cycle detection over the small join graph.
         fn dfs(
@@ -593,155 +593,130 @@ impl Engine {
         if self.updaters.table_is_quiet(&key) {
             return;
         }
-        // Snapshot the applicable updaters: dispatch may mutate the index.
-        let node_ids = self.updaters.stab(&key);
-        if node_ids.is_empty() {
+        // Snapshot the applicable updaters by handle: dispatch may mutate
+        // the index, and an entry removed meanwhile is simply skipped.
+        // Each entry's captured slots are copied here, in one pass, not
+        // between the output writes: the copies read cold memory, and
+        // back to back those misses overlap.
+        let work: Vec<(UpdaterHandle, SlotSet)> = (self.updaters.stab(&key).into_iter())
+            .filter_map(|h| Some((h, self.updaters.get(h)?.slots.clone())))
+            .collect();
+        if work.is_empty() {
             return;
         }
-        let mut work: Vec<(IntervalId, UpdaterEntry)> = Vec::new();
-        for id in node_ids {
-            if let Some(entries) = self.updaters.entries(id) {
-                for e in entries {
-                    work.push((id, e.clone()));
-                }
-            }
-        }
         self.recorder.observe_fanout(work.len() as u64);
-        for (node, entry) in work {
-            self.dispatch(node, entry, &key, old.as_ref(), value.as_ref(), kind);
+        for (h, slots) in work {
+            self.dispatch(h, slots, &key, old.as_ref(), value.as_ref(), kind);
         }
     }
 
     fn dispatch(
         &mut self,
-        node: IntervalId,
-        entry: UpdaterEntry,
+        h: UpdaterHandle,
+        mut slots: SlotSet,
         key: &Key,
         old: Option<&Value>,
         new: Option<&Value>,
         kind: WriteKind,
     ) {
-        let jidx = entry.join.0 as usize;
+        let Some(e) = self.updaters.get(h) else {
+            return;
+        };
+        let (jidx, source_idx, jsid) = (e.join.0 as usize, e.source_idx, e.js);
         let spec = self.joins[jidx].clone();
-        let Some(js) = self.status[jidx].get(entry.js) else {
+        let Some(js) = self.status[jidx].get(jsid) else {
             // Stale updater for a torn-down range: drop it.
-            self.updaters
-                .remove_entries(node, |e| e.join == entry.join && e.js == entry.js);
+            self.updaters.remove(h);
             return;
         };
         if js.state == JsState::Invalid {
             return; // will be recomputed wholesale at next read
         }
         self.stats.updater_fires += 1;
-        let op = spec.sources[entry.source_idx].op;
-        match op {
-            Operator::Check => {
-                let m = LoggedMod {
-                    source_idx: entry.source_idx,
-                    key: key.clone(),
-                    kind,
-                };
-                let lazy = self.config.lazy_checks
-                    && self.config.materialization != MaterializationMode::Full;
-                if lazy {
-                    let limit = self.config.pending_log_limit;
-                    let Some(js) = self.status[jidx].get_mut(entry.js) else {
-                        return;
-                    };
-                    js.pending.push(m);
-                    self.stats.mods_logged += 1;
-                    if js.pending.len() > limit {
-                        self.complete_invalidate(jidx, entry.js);
-                    }
-                } else {
-                    self.apply_logged_mod(jidx, entry.js, &m);
-                }
-            }
-            Operator::Copy => {
-                let mut slots = entry.slots.clone();
-                if !spec.sources[entry.source_idx]
-                    .pattern
-                    .match_key(key, &mut slots)
-                {
+        let op = spec.sources[source_idx].op;
+        if op == Operator::Check {
+            let m = LoggedMod {
+                source_idx,
+                key: key.clone(),
+                kind,
+            };
+            let lazy =
+                self.config.lazy_checks && self.config.materialization != MaterializationMode::Full;
+            if lazy {
+                let limit = self.config.pending_log_limit;
+                let Some(js) = self.status[jidx].get_mut(jsid) else {
                     return;
+                };
+                js.pending.push(m);
+                self.stats.mods_logged += 1;
+                if js.pending.len() > limit {
+                    self.complete_invalidate(jidx, jsid);
                 }
-                match spec.output.expand(&slots) {
-                    Some(out_key) => {
-                        let Some(range) = self.status[jidx].get(entry.js).map(|js| js.range())
-                        else {
-                            return;
-                        };
-                        if !range.contains(&out_key) {
-                            return;
+            } else {
+                self.apply_logged_mod(jidx, jsid, &m);
+            }
+            return;
+        }
+        // Eager sources: the output key this write maintains is the
+        // entry's captured slots extended by the written key. `None`
+        // means the source alone does not determine it.
+        if !spec.sources[source_idx].pattern.match_key(key, &mut slots) {
+            return;
+        }
+        let target = spec.output.expand(&slots);
+        if target.as_ref().is_some_and(|k| !js.contains(k)) {
+            return;
+        }
+        match op {
+            Operator::Copy => match target {
+                Some(out_key) => {
+                    self.stats.eager_updates += 1;
+                    match kind {
+                        WriteKind::Insert | WriteKind::Update => {
+                            let Some(v) = new.cloned() else { return };
+                            let (v, shared) = if self.config.value_sharing {
+                                (v, true)
+                            } else {
+                                (Bytes::copy_from_slice(&v), false)
+                            };
+                            self.write(out_key, Some(v), shared);
                         }
-                        self.stats.eager_updates += 1;
-                        match kind {
-                            WriteKind::Insert | WriteKind::Update => {
-                                let Some(v) = new.cloned() else { return };
-                                let (v, shared) = if self.config.value_sharing {
-                                    (v, true)
-                                } else {
-                                    (Bytes::copy_from_slice(&v), false)
-                                };
-                                self.write(out_key, Some(v), shared);
-                            }
-                            WriteKind::Remove => self.write(out_key, None, false),
-                        }
-                    }
-                    None => {
-                        // The copy source alone does not determine the
-                        // output key (copy listed before a check, as in the
-                        // celebrity join): fall back to the general
-                        // re-derivation path.
-                        let m = LoggedMod {
-                            source_idx: entry.source_idx,
-                            key: key.clone(),
-                            kind,
-                        };
-                        self.apply_logged_mod(jidx, entry.js, &m);
+                        WriteKind::Remove => self.write(out_key, None, false),
                     }
                 }
-            }
-            Operator::Count | Operator::Sum => {
-                self.dispatch_numeric_agg(node, entry, &spec, op, key, old, new, kind)
-            }
-            Operator::Min | Operator::Max => {
-                self.dispatch_extremum(entry, &spec, op, key, old, new, kind)
-            }
+                None => {
+                    // The copy source alone does not determine the output
+                    // key (copy listed before a check, as in the celebrity
+                    // join): fall back to the general re-derivation path.
+                    let m = LoggedMod {
+                        source_idx,
+                        key: key.clone(),
+                        kind,
+                    };
+                    self.apply_logged_mod(jidx, jsid, &m);
+                }
+            },
+            // An aggregate whose group key is underdetermined recomputes
+            // lazily.
+            _ => match target {
+                Some(out_key) if matches!(op, Operator::Count | Operator::Sum) => {
+                    self.dispatch_numeric_agg(h, out_key, op, old, new, kind)
+                }
+                Some(out_key) => self.dispatch_extremum(jidx, jsid, out_key, op, old, new, kind),
+                None => self.complete_invalidate(jidx, jsid),
+            },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dispatch_numeric_agg(
         &mut self,
-        node: IntervalId,
-        entry: UpdaterEntry,
-        spec: &JoinSpec,
+        h: UpdaterHandle,
+        out_key: Key,
         op: Operator,
-        key: &Key,
         old: Option<&Value>,
         new: Option<&Value>,
         kind: WriteKind,
     ) {
-        let jidx = entry.join.0 as usize;
-        let mut slots = entry.slots.clone();
-        if !spec.sources[entry.source_idx]
-            .pattern
-            .match_key(key, &mut slots)
-        {
-            return;
-        }
-        let Some(out_key) = spec.output.expand(&slots) else {
-            // Aggregate group key underdetermined: recompute lazily.
-            self.complete_invalidate(jidx, entry.js);
-            return;
-        };
-        let Some(range) = self.status[jidx].get(entry.js).map(|js| js.range()) else {
-            return;
-        };
-        if !range.contains(&out_key) {
-            return;
-        }
         // `WriteKind` guarantees the sides an op needs (Insert has a new
         // value, Remove an old one); an absent side contributes 0.
         let old_n = old.map(|v| parse_num(v)).unwrap_or(0);
@@ -762,9 +737,9 @@ impl Engine {
         // Output hint (§4.2): skip the store lookup when this updater
         // wrote the same output key last time.
         let hinted = if self.config.output_hints {
-            entry
-                .hint
-                .as_ref()
+            self.updaters
+                .get(h)
+                .and_then(|e| e.hint.as_ref())
                 .filter(|h| h.out_key == out_key)
                 .map(|h| h.num)
         } else {
@@ -785,7 +760,7 @@ impl Engine {
             self.write(out_key.clone(), Some(fmt_num(newv)), false);
         }
         if self.config.output_hints {
-            if let Some(e) = self.updaters.find_entry_mut(node, &entry) {
+            if let Some(e) = self.updaters.get_mut(h) {
                 e.hint = if remove_group {
                     None
                 } else {
@@ -798,32 +773,14 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn dispatch_extremum(
         &mut self,
-        entry: UpdaterEntry,
-        spec: &JoinSpec,
+        jidx: usize,
+        jsid: JsId,
+        out_key: Key,
         op: Operator,
-        key: &Key,
         old: Option<&Value>,
         new: Option<&Value>,
         kind: WriteKind,
     ) {
-        let jidx = entry.join.0 as usize;
-        let mut slots = entry.slots.clone();
-        if !spec.sources[entry.source_idx]
-            .pattern
-            .match_key(key, &mut slots)
-        {
-            return;
-        }
-        let Some(out_key) = spec.output.expand(&slots) else {
-            self.complete_invalidate(jidx, entry.js);
-            return;
-        };
-        let Some(range) = self.status[jidx].get(entry.js).map(|js| js.range()) else {
-            return;
-        };
-        if !range.contains(&out_key) {
-            return;
-        }
         let better = |candidate: &Value, cur: &Value| -> bool {
             match op {
                 Operator::Min => candidate < cur,
@@ -856,14 +813,14 @@ impl Engine {
                             self.write(out_key, Some(n.clone()), false);
                         } else if o == c {
                             // The extremum may have been retracted.
-                            self.complete_invalidate(jidx, entry.js);
+                            self.complete_invalidate(jidx, jsid);
                         }
                     }
                 }
             }
             WriteKind::Remove => {
                 if cur.as_ref() == old {
-                    self.complete_invalidate(jidx, entry.js);
+                    self.complete_invalidate(jidx, jsid);
                 }
             }
         }
@@ -881,9 +838,8 @@ impl Engine {
         }
         js.state = JsState::Invalid;
         js.pending.clear();
-        let nodes = std::mem::take(&mut js.updaters);
-        self.updaters
-            .remove_for_js(&nodes, JoinId(jidx as u32), jsid);
+        let owned = std::mem::take(&mut js.updaters);
+        self.updaters.remove_all(&owned);
         self.stats.complete_invalidations += 1;
     }
 }

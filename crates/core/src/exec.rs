@@ -321,23 +321,7 @@ impl Engine {
             self.write(k, Some(v), shared);
         }
         let jsid = self.status[jidx].insert(gap.clone(), self.clock);
-        for pe in plan {
-            let node = self.updaters.install(
-                pe.range,
-                UpdaterEntry {
-                    join: JoinId(jidx as u32),
-                    source_idx: pe.source_idx,
-                    slots: pe.slots,
-                    js: jsid,
-                    hint: None,
-                },
-            );
-            if let Some(js) = self.status[jidx].get_mut(jsid) {
-                if !js.updaters.contains(&node) {
-                    js.updaters.push(node);
-                }
-            }
-        }
+        self.install_plan(jidx, jsid, plan);
         self.stats.ranges_materialized += 1;
         self.lru.touch(EvictUnit::Js(jidx as u32, jsid));
     }
@@ -349,23 +333,56 @@ impl Engine {
         let Some(js) = self.status[jidx].remove(jsid) else {
             return;
         };
-        self.updaters
-            .remove_for_js(&js.updaters, JoinId(jidx as u32), jsid);
+        self.updaters.remove_all(&js.updaters);
         self.lru.remove(&EvictUnit::Js(jidx as u32, jsid));
         if remove_outputs {
             let spec = self.joins[jidx].clone();
-            let mut doomed = Vec::new();
-            self.store.scan(&js.range(), |k, _| {
-                let mut s = spec.slots.empty_set();
-                if spec.output.match_key(k, &mut s) {
-                    doomed.push(k.clone());
-                }
-                true
-            });
-            for k in doomed {
-                self.write(k, None, false);
-            }
+            self.remove_matching_outputs(&spec, &js.range(), spec.slots.empty_set());
         }
+    }
+
+    /// Removes, through the normal write path, every stored key of
+    /// `range` that the join's output pattern matches consistently with
+    /// `slots`. One slot set serves the whole scan: each key's bindings
+    /// are undone before the next is tried.
+    fn remove_matching_outputs(&mut self, spec: &JoinSpec, range: &KeyRange, mut slots: SlotSet) {
+        let mut doomed = Vec::new();
+        let mut undo = Vec::with_capacity(4);
+        self.store.scan(range, |k, _| {
+            if spec.output.match_key_undo(k, &mut slots, &mut undo) {
+                doomed.push(k.clone());
+                for id in undo.drain(..) {
+                    slots.unbind(id);
+                }
+            }
+            true
+        });
+        for k in doomed {
+            self.write(k, None, false);
+        }
+    }
+
+    /// Installs the updaters planned by one execution for status range
+    /// `jsid`, which comes to own them. Registrations the range already
+    /// held are dropped: re-execution under an existing range can plan a
+    /// source range it watches already, while one execution never plans
+    /// the same registration twice (and a fresh range holds none).
+    fn install_plan(&mut self, jidx: usize, jsid: JsId, plan: Vec<PlanEntry>) {
+        let Some(js) = self.status[jidx].get_mut(jsid) else {
+            return;
+        };
+        let mut installed = Vec::with_capacity(plan.len());
+        for pe in plan {
+            let entry = UpdaterEntry {
+                join: JoinId(jidx as u32),
+                source_idx: pe.source_idx,
+                slots: pe.slots,
+                js: jsid,
+                hint: None,
+            };
+            installed.extend(self.updaters.install(pe.range, entry, &js.updaters));
+        }
+        js.updaters.extend(installed);
     }
 
     // ------------------------------------------------------------------
@@ -613,53 +630,20 @@ impl Engine {
                     };
                     self.write(k, Some(v), shared);
                 }
-                for pe in plan {
-                    let node = self.updaters.install(
-                        pe.range,
-                        UpdaterEntry {
-                            join: JoinId(jidx as u32),
-                            source_idx: pe.source_idx,
-                            slots: pe.slots,
-                            js: jsid,
-                            hint: None,
-                        },
-                    );
-                    if let Some(js) = self.status[jidx].get_mut(jsid) {
-                        if !js.updaters.contains(&node) {
-                            js.updaters.push(node);
-                        }
-                    }
-                }
+                self.install_plan(jidx, jsid, plan);
             }
             WriteKind::Remove => {
                 // Remove the outputs this tuple supported: output keys in
                 // the range consistent with the tuple's slot bindings.
                 let target = containing_range(&spec.output, &spec.output, &slots, &extent)
                     .intersect(&extent);
-                let mut doomed = Vec::new();
-                self.store.scan(&target, |k, _| {
-                    let mut s = slots.clone();
-                    if spec.output.match_key(k, &mut s) {
-                        doomed.push(k.clone());
-                    }
-                    true
-                });
-                for k in doomed {
-                    self.write(k, None, false);
-                }
+                self.remove_matching_outputs(&spec, &target, slots.clone());
                 // Drop updaters installed beneath the removed tuple so
                 // future source writes stop resurrecting these outputs.
-                if let Some(js) = self.status[jidx].get(jsid) {
-                    let nodes = js.updaters.clone();
-                    let join = JoinId(jidx as u32);
-                    for node in nodes {
-                        self.updaters.remove_entries(node, |e| {
-                            e.join == join && e.js == jsid && e.source_idx > m.source_idx && {
-                                let mut merged = e.slots.clone();
-                                merged.merge(&slots)
-                            }
-                        });
-                    }
+                if let Some(js) = self.status[jidx].get_mut(jsid) {
+                    self.updaters.remove_where(&mut js.updaters, |e| {
+                        e.source_idx > m.source_idx && e.slots.clone().merge(&slots)
+                    });
                 }
             }
         }
@@ -806,11 +790,9 @@ impl Engine {
                 // Source-side dependents: computed ranges maintained from
                 // this base data must recompute once it is gone.
                 let mut dependents: Vec<(usize, JsId)> = Vec::new();
-                for node in self.updaters.overlapping(&range) {
-                    if let Some(entries) = self.updaters.entries(node) {
-                        for e in entries {
-                            dependents.push((e.join.0 as usize, e.js));
-                        }
+                for h in self.updaters.overlapping(&range) {
+                    if let Some(e) = self.updaters.get(h) {
+                        dependents.push((e.join.0 as usize, e.js));
                     }
                 }
                 for (jidx, jsid) in dependents {

@@ -30,13 +30,16 @@
 //!    leaving it untracked until the next read re-registers it.
 //! 3. **Status map indexes** — id index and range disjointness
 //!    ([`StatusMap::audit`](crate::status::StatusMap::audit)).
-//! 4. **Updater index counters** — entry/node/per-table counts vs a
-//!    tree walk ([`UpdaterIndex::audit`](crate::updater::UpdaterIndex::audit)).
-//! 5. **Subscription symmetry** — every updater entry points at a
-//!    live *valid* range that lists its node (else teardown would leak
-//!    the entry), and invalidated ranges hold no updaters and no
-//!    pending log. The reverse direction is intentionally weaker: the
-//!    node list may be a superset, because entry removal is lazy.
+//! 4. **Updater index bookkeeping** — each node's recorded length vs
+//!    its chain links, the entry slab vs its free list, and the
+//!    entry/node/per-table counters vs a tree walk
+//!    ([`UpdaterIndex::audit`](crate::updater::UpdaterIndex::audit)).
+//! 5. **Subscription symmetry**, both directions — every live updater
+//!    entry maintains a live *valid* range that lists its handle (else
+//!    teardown would leak the entry); every handle a range lists is
+//!    live, belongs to that `(join, range)`, and is listed exactly once
+//!    (the list is an ownership record, not a hint); and invalidated
+//!    ranges hold no updaters and no pending log.
 //! 6. **Remote residency / home-shard routing** — every cached row of
 //!    a remote-marked table that this engine is not the authority for
 //!    lies inside a tracked resident range (untracked cached rows
@@ -50,7 +53,8 @@
 use crate::engine::{Engine, EvictUnit};
 use crate::status::JsState;
 use crate::types::JsId;
-use pequod_store::{IntervalId, KeyRange};
+use crate::updater::UpdaterHandle;
+use pequod_store::KeyRange;
 use std::collections::HashMap;
 
 impl Engine {
@@ -140,47 +144,18 @@ impl Engine {
         }
     }
 
-    /// Join subscription symmetry (check 5 above).
+    /// Join subscription symmetry (check 5 above), both directions.
     fn check_updater_symmetry(&self, v: &mut Vec<String>) {
-        // One walk of the interval index: node id -> (join, js) refs.
-        let mut node_refs: HashMap<IntervalId, Vec<(usize, JsId)>> = HashMap::new();
-        self.updaters.for_each(|id, _range, e| {
-            node_refs
-                .entry(id)
-                .or_default()
-                .push((e.join.0 as usize, e.js));
-        });
-        for (node, refs) in &node_refs {
-            for (jidx, jsid) in refs {
-                let Some(js) = self.status.get(*jidx).and_then(|s| s.get(*jsid)) else {
-                    v.push(format!(
-                        "updaters: node {node:?} maintains join range {jidx}/{jsid:?}, \
-                         which does not exist"
-                    ));
-                    continue;
-                };
-                if js.state != JsState::Valid {
-                    v.push(format!(
-                        "updaters: node {node:?} maintains join range {jidx}/{jsid:?}, \
-                         which is {:?}",
-                        js.state
-                    ));
-                }
-                if !js.updaters.contains(node) {
-                    v.push(format!(
-                        "updaters: node {node:?} maintains join range {jidx}/{jsid:?}, \
-                         but the range does not list it (teardown would leak the node)"
-                    ));
-                }
-            }
-        }
+        // Range -> entry: every listed handle is live and belongs to the
+        // range listing it; no handle is listed twice.
+        let mut owner: HashMap<UpdaterHandle, (usize, JsId)> = HashMap::new();
         for (jidx, smap) in self.status.iter().enumerate() {
             for js in smap.iter() {
                 if js.state == JsState::Invalid {
                     if !js.updaters.is_empty() {
                         v.push(format!(
                             "join {jidx} status: invalidated range {:?} still lists {} \
-                             updater node(s)",
+                             updater entry(ies)",
                             js.id,
                             js.updaters.len()
                         ));
@@ -193,18 +168,55 @@ impl Engine {
                             js.pending.len()
                         ));
                     }
-                    continue;
                 }
-                // The reverse direction is deliberately not checked:
-                // `js.updaters` is a teardown hint, not an ownership
-                // record. Entry removal is lazy (`apply_logged_mod`
-                // drops entries beneath a removed check tuple, and
-                // `dispatch` drops entries of torn-down ranges) and
-                // never prunes the node list, so a valid range may
-                // list nodes that no longer hold a matching entry —
-                // teardown's `remove_for_js` on such a node is a no-op.
+                for &h in &js.updaters {
+                    match self.updaters.get(h) {
+                        None => v.push(format!(
+                            "join {jidx} status: range {:?} lists stale updater handle {h:?}",
+                            js.id
+                        )),
+                        Some(e) if e.join.0 as usize != jidx || e.js != js.id => v.push(format!(
+                            "join {jidx} status: range {:?} lists {h:?}, which maintains \
+                             join range {}/{:?}",
+                            js.id, e.join.0, e.js
+                        )),
+                        Some(_) => {}
+                    }
+                    if let Some((j2, js2)) = owner.insert(h, (jidx, js.id)) {
+                        v.push(format!(
+                            "join {jidx} status: range {:?} lists {h:?}, already listed by \
+                             {j2}/{js2:?}",
+                            js.id
+                        ));
+                    }
+                }
             }
         }
+        // Entry -> range: every live entry maintains a live valid range
+        // that lists it (else teardown would leak the entry).
+        self.updaters.for_each(|h, _range, e| {
+            let (jidx, jsid) = (e.join.0 as usize, e.js);
+            let Some(js) = self.status.get(jidx).and_then(|s| s.get(jsid)) else {
+                v.push(format!(
+                    "updaters: entry {h:?} maintains join range {jidx}/{jsid:?}, \
+                     which does not exist"
+                ));
+                return;
+            };
+            if js.state != JsState::Valid {
+                v.push(format!(
+                    "updaters: entry {h:?} maintains join range {jidx}/{jsid:?}, \
+                     which is {:?}",
+                    js.state
+                ));
+            }
+            if owner.get(&h) != Some(&(jidx, jsid)) {
+                v.push(format!(
+                    "updaters: entry {h:?} maintains join range {jidx}/{jsid:?}, \
+                     but the range does not list it (teardown would leak the entry)"
+                ));
+            }
+        });
     }
 
     /// Remote-table residency / home-shard routing (check 6 above).
@@ -311,6 +323,70 @@ mod tests {
         assert!(
             v.iter().any(|m| m.contains("which does not exist")),
             "orphaned updater entries must be reported: {v:?}"
+        );
+    }
+
+    #[test]
+    fn stale_handle_after_slot_reuse_is_reported() {
+        let mut e = materialized_engine();
+        let id = e.status[0].iter().next().expect("one range").id;
+        let h = e.status[0].get(id).expect("range is live").updaters[0];
+        // Free the entry behind the range's back and let another entry
+        // take over its slab cell: the listed handle must not resolve to
+        // the newcomer.
+        let gone = e.updaters.remove(h).expect("handle was live");
+        let reused = e
+            .updaters
+            .install(KeyRange::prefix("q|"), gone, &[])
+            .expect("fresh registration");
+        e.status[0]
+            .get_mut(id)
+            .expect("range is live")
+            .updaters
+            .push(reused);
+        let v = e.check_invariants();
+        assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
+        assert!(
+            v[0].contains("lists stale updater handle"),
+            "unexpected message: {}",
+            v[0]
+        );
+    }
+
+    #[test]
+    fn foreign_handle_is_reported() {
+        let mut e = materialized_engine();
+        e.put("s|cat|bob", "1");
+        assert_eq!(e.scan(&KeyRange::prefix("t|cat|")).pairs.len(), 1);
+        let ids: Vec<_> = e.status[0].iter().map(|js| js.id).collect();
+        let stolen = e.status[0].get(ids[0]).expect("live").updaters[0];
+        e.status[0]
+            .get_mut(ids[1])
+            .expect("live")
+            .updaters
+            .push(stolen);
+        let v = e.check_invariants();
+        assert!(
+            v.iter().any(|m| m.contains("which maintains"))
+                && v.iter().any(|m| m.contains("already listed by")),
+            "a handle listed by a range it does not maintain must be reported: {v:?}"
+        );
+    }
+
+    #[test]
+    fn node_length_disagreeing_with_chain_is_reported() {
+        let mut e = materialized_engine();
+        let id = e.status[0].iter().next().expect("one range").id;
+        let h = e.status[0].get(id).expect("range is live").updaters[0];
+        e.updaters.debug_skew_node_len(h, 1);
+        let v = e.check_invariants();
+        assert!(
+            !v.is_empty() && v.iter().all(|m| m.starts_with("updaters:")),
+            "a skewed node length must surface as updater-index violations: {v:?}"
+        );
+        assert!(
+            v.iter().any(|m| m.contains("chain does not close")),
+            "unexpected messages: {v:?}"
         );
     }
 

@@ -7,13 +7,14 @@
 //! cover restricted to that join and simplify interleaved joins, whose
 //! outputs share tables but never keys.
 //!
-//! Each materialized range records the updaters installed for it (so
-//! invalidation can tear them down), a log of pending check-source
-//! modifications for lazy maintenance, and its computation tick for
-//! `snapshot T` expiry.
+//! Each materialized range owns the updater entries installed for it
+//! (exact handles, so invalidation tears down just those), a log of
+//! pending check-source modifications for lazy maintenance, and its
+//! computation tick for `snapshot T` expiry.
 
 use crate::types::{JsId, WriteKind};
-use pequod_store::{IntervalId, Key, KeyRange, UpperBound};
+use crate::updater::UpdaterHandle;
+use pequod_store::{Key, KeyRange, UpperBound};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -52,8 +53,9 @@ pub struct JsRange {
     pub state: JsState,
     /// Engine tick at which the range was computed (snapshot expiry).
     pub computed_at: u64,
-    /// Interval-tree nodes holding updaters installed for this range.
-    pub updaters: Vec<IntervalId>,
+    /// Exactly the live updater entries installed for this range: the
+    /// range owns them, and teardown removes them through these handles.
+    pub updaters: Vec<UpdaterHandle>,
     /// Pending lazily-applied source modifications.
     pub pending: Vec<LoggedMod>,
 }
@@ -65,6 +67,11 @@ impl JsRange {
             first: self.first.clone(),
             end: self.end.clone(),
         }
+    }
+
+    /// True if `key` lies inside the output range covered.
+    pub fn contains(&self, key: &Key) -> bool {
+        *key >= self.first && self.end.admits(key)
     }
 
     /// True if a snapshot range computed at `computed_at` with lifetime
@@ -188,7 +195,7 @@ impl StatusMap {
             .ranges
             .range::<Key, _>((Bound::Unbounded, Bound::Included(key)))
             .next_back()?;
-        js.range().contains(key).then_some(js.id)
+        js.contains(key).then_some(js.id)
     }
 
     /// Classifies `clip` into covered ranges and gaps, in key order.

@@ -13,7 +13,7 @@
 
 use crate::types::{JoinId, JsId};
 use pequod_join::SlotSet;
-use pequod_store::{IntervalId, IntervalTree, Key, KeyRange, UpperBound};
+use pequod_store::{IntervalId, IntervalTree, Key, KeyRange};
 use std::collections::HashMap;
 
 /// An output hint (§4.2): the last aggregate output maintained through
@@ -44,11 +44,61 @@ pub struct UpdaterEntry {
     pub hint: Option<OutputHint>,
 }
 
+/// An exact reference to one installed [`UpdaterEntry`]: a slot of the
+/// index's entry slab plus the generation the slot had when the entry
+/// was installed. The owning join status range keeps the handles of its
+/// own entries (`JsRange::updaters`), so tearing the range down removes
+/// exactly those entries in O(1) each, however many other ranges watch
+/// the same source range. A handle whose entry was removed is *stale*:
+/// every lookup through it returns `None`, even after the slot has been
+/// reused for another entry, because reuse bumps the generation.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct UpdaterHandle {
+    slot: u32,
+    gen: u32,
+}
+
+/// End-of-chain / empty marker for slab indices.
+const NIL: u32 = u32::MAX;
+
+/// One cell of the entry slab. Live cells of one node form a circular
+/// doubly-linked chain in installation order (`head.prev` is the tail).
+#[derive(Default)]
+struct Slot {
+    /// Bumped on every removal, so stale handles never resolve.
+    gen: u32,
+    prev: u32,
+    next: u32,
+    /// Index into `UpdaterIndex::nodes` of the node this entry sits on.
+    node: u32,
+    /// `None` while the cell is on the free list.
+    entry: Option<UpdaterEntry>,
+}
+
+/// One distinct source range: its tree node and the chain of entries
+/// coalesced onto it. A vacant cell has `len == 0`.
+struct Node {
+    tree_id: IntervalId,
+    head: u32,
+    len: u32,
+}
+
 /// The engine-wide updater index.
+///
+/// The interval tree holds one node per distinct source range; the
+/// entries live in one engine-wide slab and are chained per node, so a
+/// node costs the same whether it carries one entry or thousands, and
+/// installing onto or removing from a known node never walks the tree
+/// or the node's other entries.
 #[derive(Default)]
 pub struct UpdaterIndex {
-    tree: IntervalTree<Vec<UpdaterEntry>>,
-    by_range: HashMap<(Key, Option<Key>), IntervalId>,
+    /// Payload: index into `nodes`.
+    tree: IntervalTree<u32>,
+    nodes: Vec<Node>,
+    free_nodes: Vec<u32>,
+    slots: Vec<Slot>,
+    free_slots: Vec<u32>,
+    by_range: HashMap<KeyRange, u32>,
     entries: usize,
     /// Live node count per table prefix: lets the write path skip the
     /// stabbing query entirely for tables that no join watches (output
@@ -72,45 +122,79 @@ impl UpdaterIndex {
         self.entries
     }
 
-    fn range_key(range: &KeyRange) -> (Key, Option<Key>) {
-        (
-            range.first.clone(),
-            match &range.end {
-                UpperBound::Excluded(e) => Some(e.clone()),
-                UpperBound::Unbounded => None,
-            },
-        )
-    }
-
     /// Installs an updater for `range`, coalescing with an existing node
-    /// covering exactly the same range. Identical duplicate entries are
-    /// dropped. Returns the tree node id.
-    pub fn install(&mut self, range: KeyRange, entry: UpdaterEntry) -> IntervalId {
-        let rk = Self::range_key(&range);
-        if let Some(&id) = self.by_range.get(&rk) {
-            match self.tree.get_mut(id) {
-                Some(list) => {
-                    if !list.contains(&entry) {
-                        list.push(entry);
-                        self.entries += 1;
-                    }
-                    return id;
+    /// covering exactly the same range, and returns its handle.
+    ///
+    /// `siblings` are the handles the owning status range already holds
+    /// (none for a freshly created range). A registration identical to
+    /// one of them (same node, join, source, status range and slots) is
+    /// dropped and `None` returned; entries of other ranges are never
+    /// examined.
+    pub fn install(
+        &mut self,
+        range: KeyRange,
+        entry: UpdaterEntry,
+        siblings: &[UpdaterHandle],
+    ) -> Option<UpdaterHandle> {
+        let node = match self.by_range.get(&range) {
+            Some(&node) => {
+                let same = |e: &UpdaterEntry| {
+                    e.join == entry.join
+                        && e.source_idx == entry.source_idx
+                        && e.js == entry.js
+                        && e.slots == entry.slots
+                };
+                let on_node = |h: &UpdaterHandle| self.slot(*h).filter(|s| s.node == node);
+                if siblings
+                    .iter()
+                    .filter_map(on_node)
+                    .any(|s| s.entry.as_ref().is_some_and(same))
+                {
+                    return None;
                 }
-                // A stale coalescing entry pointing at a dropped node:
-                // heal it and fall through to a fresh insert.
-                None => {
-                    self.by_range.remove(&rk);
-                }
+                node
             }
+            None => {
+                *self
+                    .per_table
+                    .entry(range.first.table_prefix())
+                    .or_insert(0) += 1;
+                let node = self.free_nodes.pop().unwrap_or(self.nodes.len() as u32);
+                let cell = Node {
+                    tree_id: self.tree.insert(range.clone(), node),
+                    head: NIL,
+                    len: 0,
+                };
+                match self.nodes.get_mut(node as usize) {
+                    Some(n) => *n = cell,
+                    None => self.nodes.push(cell),
+                }
+                self.by_range.insert(range, node);
+                node
+            }
+        };
+        let slot = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
+        if slot as usize == self.slots.len() {
+            self.slots.push(Slot::default());
         }
-        *self
-            .per_table
-            .entry(range.first.table_prefix())
-            .or_insert(0) += 1;
-        let id = self.tree.insert(range, vec![entry]);
-        self.by_range.insert(rk, id);
+        // Append at the tail of the node's circular chain.
+        let n = &mut self.nodes[node as usize];
+        let (prev, next) = if n.len == 0 {
+            n.head = slot;
+            (slot, slot)
+        } else {
+            (self.slots[n.head as usize].prev, n.head)
+        };
+        n.len += 1;
+        self.slots[prev as usize].next = slot;
+        self.slots[next as usize].prev = slot;
+        let s = &mut self.slots[slot as usize];
+        s.prev = prev;
+        s.next = next;
+        s.node = node;
+        s.entry = Some(entry);
         self.entries += 1;
-        id
+        Some(UpdaterHandle { slot, gen: s.gen })
     }
 
     /// True if no updater watches any range of `key`'s table. Ranges are
@@ -122,85 +206,130 @@ impl UpdaterIndex {
             .is_none_or(|&n| n == 0)
     }
 
-    /// Node ids whose range contains `key`.
-    pub fn stab(&self, key: &Key) -> Vec<IntervalId> {
-        self.tree.stab_ids(key)
+    fn slot(&self, h: UpdaterHandle) -> Option<&Slot> {
+        self.slots.get(h.slot as usize).filter(|s| s.gen == h.gen)
     }
 
-    /// Node ids whose range overlaps `range`.
-    pub fn overlapping(&self, range: &KeyRange) -> Vec<IntervalId> {
-        self.tree.overlapping_ids(range)
+    /// The entry behind a handle; `None` if the handle is stale.
+    pub fn get(&self, h: UpdaterHandle) -> Option<&UpdaterEntry> {
+        self.slot(h)?.entry.as_ref()
     }
 
-    /// The entries of a node.
-    pub fn entries(&mut self, id: IntervalId) -> Option<&Vec<UpdaterEntry>> {
-        self.tree.get_mut(id).map(|v| &*v)
+    /// Mutable access to the entry behind a handle (output hints).
+    pub fn get_mut(&mut self, h: UpdaterHandle) -> Option<&mut UpdaterEntry> {
+        self.slots
+            .get_mut(h.slot as usize)
+            .filter(|s| s.gen == h.gen)?
+            .entry
+            .as_mut()
     }
 
-    /// Mutable access to one entry of a node.
-    pub fn entry_mut(&mut self, id: IntervalId, idx: usize) -> Option<&mut UpdaterEntry> {
-        self.tree.get_mut(id)?.get_mut(idx)
+    /// Appends the handles of every entry chained on `node`, in
+    /// installation order.
+    fn push_chain(&self, node: u32, out: &mut Vec<UpdaterHandle>) {
+        let n = &self.nodes[node as usize];
+        let mut cur = n.head;
+        for _ in 0..n.len {
+            let s = &self.slots[cur as usize];
+            out.push(UpdaterHandle {
+                slot: cur,
+                gen: s.gen,
+            });
+            cur = s.next;
+        }
     }
 
-    /// Finds the entry with the same identity (join, source, slots, js)
-    /// as `proto`, ignoring its hint. Used to write hints back after a
-    /// dispatch that worked on a snapshot of the entry.
-    pub fn find_entry_mut(
-        &mut self,
-        id: IntervalId,
-        proto: &UpdaterEntry,
-    ) -> Option<&mut UpdaterEntry> {
-        self.tree.get_mut(id)?.iter_mut().find(|e| {
-            e.join == proto.join
-                && e.source_idx == proto.source_idx
-                && e.js == proto.js
-                && e.slots == proto.slots
-        })
+    /// Handles of every entry whose source range contains `key`.
+    pub fn stab(&self, key: &Key) -> Vec<UpdaterHandle> {
+        let mut out = Vec::new();
+        self.tree
+            .stab(key, |_, _, &node| self.push_chain(node, &mut out));
+        out
     }
 
-    /// Removes entries matching `pred` from a node, dropping the node
-    /// when it empties. Returns the number removed.
-    pub fn remove_entries(
-        &mut self,
-        id: IntervalId,
-        mut pred: impl FnMut(&UpdaterEntry) -> bool,
-    ) -> usize {
-        let Some(list) = self.tree.get_mut(id) else {
-            return 0;
-        };
-        let before = list.len();
-        list.retain(|e| !pred(e));
-        let removed = before - list.len();
-        self.entries -= removed;
-        if list.is_empty() {
-            if let Some((range, _)) = self.tree.remove(id) {
-                self.by_range.remove(&Self::range_key(&range));
+    /// Handles of every entry whose source range overlaps `range`.
+    pub fn overlapping(&self, range: &KeyRange) -> Vec<UpdaterHandle> {
+        let mut out = Vec::new();
+        self.tree
+            .overlapping(range, |_, _, &node| self.push_chain(node, &mut out));
+        out
+    }
+
+    /// Removes the entry behind `h` in O(1), dropping its node when the
+    /// chain empties. Returns the entry; `None` if the handle is stale.
+    pub fn remove(&mut self, h: UpdaterHandle) -> Option<UpdaterEntry> {
+        let s = self
+            .slots
+            .get_mut(h.slot as usize)
+            .filter(|s| s.gen == h.gen)?;
+        let entry = s.entry.take()?;
+        s.gen = s.gen.wrapping_add(1);
+        let (prev, next, node) = (s.prev, s.next, s.node);
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+        self.free_slots.push(h.slot);
+        self.entries -= 1;
+        let n = &mut self.nodes[node as usize];
+        n.len -= 1;
+        if n.len > 0 {
+            if n.head == h.slot {
+                n.head = next;
+            }
+        } else {
+            n.head = NIL;
+            self.free_nodes.push(node);
+            if let Some((range, _)) = self.tree.remove(n.tree_id) {
+                self.by_range.remove(&range);
                 if let Some(n) = self.per_table.get_mut(&range.first.table_prefix()) {
                     *n -= 1;
                 }
             }
         }
-        removed
+        Some(entry)
     }
 
-    /// Removes every entry belonging to the given join's status range
-    /// `js` from the given nodes (used when tearing down an invalidated
-    /// range). Status-range ids are scoped per join, so the join id must
-    /// participate in the match: coalesced nodes hold entries from many
-    /// joins whose `JsId`s can collide.
-    pub fn remove_for_js(&mut self, node_ids: &[IntervalId], join: JoinId, js: JsId) -> usize {
+    /// Removes every entry in `handles` (a status range's own list, when
+    /// the range is torn down or invalidated). Returns the number
+    /// removed; stale handles are skipped.
+    pub fn remove_all(&mut self, handles: &[UpdaterHandle]) -> usize {
+        handles
+            .iter()
+            .filter(|&&h| self.remove(h).is_some())
+            .count()
+    }
+
+    /// Removes the entries of `handles` that match `pred` and drops
+    /// their handles (and any stale ones) from the list, which stays an
+    /// exact record of the owner's live entries. Returns the number of
+    /// entries removed.
+    pub fn remove_where(
+        &mut self,
+        handles: &mut Vec<UpdaterHandle>,
+        mut pred: impl FnMut(&UpdaterEntry) -> bool,
+    ) -> usize {
         let mut removed = 0;
-        for &id in node_ids {
-            removed += self.remove_entries(id, |e| e.join == join && e.js == js);
-        }
+        handles.retain(|&h| match self.get(h) {
+            Some(e) if pred(e) => {
+                removed += usize::from(self.remove(h).is_some());
+                false
+            }
+            Some(_) => true,
+            None => false,
+        });
         removed
     }
 
-    /// Visits every `(node, entry)` pair for bookkeeping or debugging.
-    pub fn for_each(&self, mut f: impl FnMut(IntervalId, &KeyRange, &UpdaterEntry)) {
-        self.tree.for_each(|id, range, list| {
-            for e in list {
-                f(id, range, e);
+    /// Visits every `(handle, source range, entry)` triple for
+    /// bookkeeping or debugging.
+    pub fn for_each(&self, mut f: impl FnMut(UpdaterHandle, &KeyRange, &UpdaterEntry)) {
+        let mut chain = Vec::new();
+        self.tree.for_each(|_, range, &node| {
+            chain.clear();
+            self.push_chain(node, &mut chain);
+            for &h in &chain {
+                if let Some(e) = self.get(h) {
+                    f(h, range, e);
+                }
             }
         });
     }
@@ -211,60 +340,113 @@ impl UpdaterIndex {
         self.node_count() * 96 + self.entry_count() * 64
     }
 
-    /// Exhaustive consistency check of the index's O(1) counters and
-    /// coalescing/per-table maps against a full walk of the tree, used
+    /// Test-only hook: skews the recorded chain length of the node
+    /// holding `h` so tests can prove the audit notices a length that
+    /// disagrees with its links. Not part of the public API.
+    #[doc(hidden)]
+    pub fn debug_skew_node_len(&mut self, h: UpdaterHandle, delta: u32) {
+        if let Some(node) = self.slot(h).map(|s| s.node) {
+            self.nodes[node as usize].len += delta;
+        }
+    }
+
+    /// Exhaustive consistency check of the index's O(1) bookkeeping
+    /// against a full walk: every node's recorded length against its
+    /// chain links, the entry slab's live cells and free list, the
+    /// entry/node counters, and the coalescing and per-table maps. Used
     /// by the paranoid invariant checker (`Engine::check_invariants`).
     /// Returns one message per problem; empty means consistent.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut entries = 0usize;
+        let mut chained = 0usize;
         let mut nodes = 0usize;
         let mut per_table: HashMap<Key, usize> = HashMap::new();
-        self.tree.for_each(|id, range, list| {
+        self.tree.for_each(|id, range, &node| {
             nodes += 1;
-            entries += list.len();
-            if list.is_empty() {
+            *per_table.entry(range.first.table_prefix()).or_insert(0) += 1;
+            if self.by_range.get(range) != Some(&node) {
                 problems.push(format!(
-                    "updater node {id:?} ({range:?}) is empty but was not dropped"
+                    "coalescing map does not point {range:?} at its node {node}"
                 ));
             }
-            *per_table.entry(range.first.table_prefix()).or_insert(0) += 1;
-            match self.by_range.get(&Self::range_key(range)) {
-                Some(&mapped) if mapped == id => {}
-                Some(&mapped) => problems.push(format!(
-                    "coalescing map points {range:?} at {mapped:?}, not its node {id:?}"
-                )),
-                None => problems.push(format!(
-                    "updater node {id:?} ({range:?}) missing from coalescing map"
-                )),
+            let Some(n) = self.nodes.get(node as usize).filter(|n| n.tree_id == id) else {
+                problems.push(format!("tree node {id:?} has no node cell {node}"));
+                return;
+            };
+            // Walk the chain for `len` steps: it must stay on live cells
+            // of this node, link back consistently, and close exactly
+            // there (an empty node should have been dropped).
+            let (mut cur, mut walked) = (n.head, 0);
+            while walked < n.len && (walked == 0 || cur != n.head) {
+                let cell = self.slots.get(cur as usize);
+                let Some(s) = cell.filter(|s| s.entry.is_some() && s.node == node) else {
+                    problems.push(format!(
+                        "node {node} chain reaches cell {cur}, which is not a live cell of it"
+                    ));
+                    return;
+                };
+                if self.slots.get(s.next as usize).map(|x| x.prev) != Some(cur) {
+                    problems.push(format!("cell {cur} on node {node} has broken links"));
+                    return;
+                }
+                walked += 1;
+                cur = s.next;
+            }
+            chained += walked as usize;
+            if n.len == 0 || walked != n.len || cur != n.head {
+                problems.push(format!(
+                    "node {node} ({range:?}) records length {} but its chain does not close \
+                     there ({walked} walked)",
+                    n.len
+                ));
             }
         });
-        if entries != self.entries {
+        let live = self.slots.iter().filter(|s| s.entry.is_some()).count();
+        if chained != self.entries || live != self.entries {
             problems.push(format!(
-                "updater entry counter is {} but the tree holds {entries}",
+                "updater entry counter is {} but chains hold {chained} and the slab {live}",
                 self.entries
             ));
         }
-        if self.by_range.len() != nodes {
+        let mut free = self.free_slots.clone();
+        free.sort_unstable();
+        free.dedup();
+        let vacant = |i: &u32| {
+            self.slots
+                .get(*i as usize)
+                .is_some_and(|s| s.entry.is_none())
+        };
+        if free.len() != self.free_slots.len()
+            || free.len() + live != self.slots.len()
+            || !free.iter().all(vacant)
+        {
             problems.push(format!(
-                "coalescing map has {} ranges but the tree holds {nodes} nodes",
+                "entry free list ({} cells) is not exactly the slab's {} vacant cells",
+                self.free_slots.len(),
+                self.slots.len() - live
+            ));
+        }
+        let vacant_nodes = self.nodes.iter().filter(|n| n.len == 0).count();
+        if self.nodes.len() - vacant_nodes != nodes
+            || self.free_nodes.len() != vacant_nodes
+            || self.by_range.len() != nodes
+        {
+            problems.push(format!(
+                "tree holds {nodes} nodes but the node slab has {} live / {} free-listed \
+                 cells and the coalescing map {} ranges",
+                self.nodes.len() - vacant_nodes,
+                self.free_nodes.len(),
                 self.by_range.len()
             ));
         }
-        for (table, &n) in &self.per_table {
-            let actual = per_table.get(table).copied().unwrap_or(0);
-            if actual != n {
-                problems.push(format!(
-                    "per-table counter for {table:?} is {n} but {actual} node(s) exist"
-                ));
-            }
-        }
-        for (table, &n) in &per_table {
-            if n > 0 && !self.per_table.contains_key(table) {
-                problems.push(format!(
-                    "table {table:?} has {n} updater node(s) but no per-table counter"
-                ));
-            }
+        let counted: HashMap<&Key, usize> = (self.per_table.iter())
+            .filter(|(_, &n)| n > 0)
+            .map(|(t, &n)| (t, n))
+            .collect();
+        if counted != per_table.iter().map(|(t, &n)| (t, n)).collect() {
+            problems.push(format!(
+                "per-table counters {counted:?} disagree with the tree's {per_table:?}"
+            ));
         }
         problems
     }
@@ -292,64 +474,98 @@ mod tests {
     #[test]
     fn coalesces_same_range() {
         let mut idx = UpdaterIndex::new();
-        let a = idx.install(r("p|bob|", "p|bob}"), entry(1));
-        let b = idx.install(r("p|bob|", "p|bob}"), entry(2));
-        assert_eq!(a, b);
+        let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
+        let b = idx.install(r("p|bob|", "p|bob}"), entry(2), &[]).unwrap();
+        assert_ne!(a, b);
         assert_eq!(idx.node_count(), 1);
         assert_eq!(idx.entry_count(), 2);
-        // identical duplicate dropped
-        idx.install(r("p|bob|", "p|bob}"), entry(2));
+        // identical duplicate of one of the owner's entries is dropped
+        assert_eq!(idx.install(r("p|bob|", "p|bob}"), entry(2), &[b]), None);
         assert_eq!(idx.entry_count(), 2);
+        // another range's identical-looking entry is not a sibling
+        assert!(idx.install(r("p|bob|", "p|bob}"), entry(3), &[b]).is_some());
         // different range gets its own node
-        idx.install(r("p|liz|", "p|liz}"), entry(1));
+        idx.install(r("p|liz|", "p|liz}"), entry(1), &[a]).unwrap();
         assert_eq!(idx.node_count(), 2);
+        assert_eq!(idx.audit(), Vec::<String>::new());
     }
 
     #[test]
-    fn stab_finds_nodes() {
+    fn stab_finds_entries_in_install_order() {
         let mut idx = UpdaterIndex::new();
-        let a = idx.install(r("p|bob|", "p|bob}"), entry(1));
-        idx.install(r("p|liz|", "p|liz}"), entry(2));
-        let hits = idx.stab(&Key::from("p|bob|100"));
-        assert_eq!(hits, vec![a]);
+        let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
+        idx.install(r("p|liz|", "p|liz}"), entry(2), &[]).unwrap();
+        let c = idx.install(r("p|bob|", "p|bob}"), entry(3), &[]).unwrap();
+        assert_eq!(idx.stab(&Key::from("p|bob|100")), vec![a, c]);
+        assert_eq!(idx.overlapping(&r("p|a", "p|c")), vec![a, c]);
         assert!(idx.stab(&Key::from("p|zed|1")).is_empty());
+        assert_eq!(idx.get(c).unwrap().js, JsId(3));
     }
 
     #[test]
-    fn remove_for_js_drops_empty_nodes() {
+    fn remove_drops_empty_nodes_and_stales_handles() {
         let mut idx = UpdaterIndex::new();
-        let a = idx.install(r("p|bob|", "p|bob}"), entry(1));
-        idx.install(r("p|bob|", "p|bob}"), entry(2));
-        assert_eq!(idx.remove_for_js(&[a], JoinId(0), JsId(1)), 1);
+        let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
+        let b = idx.install(r("p|bob|", "p|bob}"), entry(2), &[]).unwrap();
+        assert_eq!(idx.remove(a).unwrap().js, JsId(1));
         assert_eq!(idx.node_count(), 1);
-        // same JsId under a different join must not match
-        assert_eq!(idx.remove_for_js(&[a], JoinId(9), JsId(2)), 0);
-        assert_eq!(idx.remove_for_js(&[a], JoinId(0), JsId(2)), 1);
+        assert_eq!(idx.stab(&Key::from("p|bob|5")), vec![b]);
+        // stale handle: a no-op, even once its cell is reused
+        assert!(idx.remove(a).is_none());
+        let c = idx.install(r("p|liz|", "p|liz}"), entry(3), &[]).unwrap();
+        assert!(idx.get(a).is_none() && idx.get(c).is_some());
+        assert_eq!(idx.remove_all(&[a, b, c]), 2);
         assert_eq!(idx.node_count(), 0);
         assert_eq!(idx.entry_count(), 0);
-        // node gone: stale id is a no-op
-        assert_eq!(idx.remove_for_js(&[a], JoinId(0), JsId(2)), 0);
+        assert!(idx.table_is_quiet(&Key::from("p|bob|5")));
+        assert_eq!(idx.audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn remove_where_keeps_the_list_exact() {
+        let mut idx = UpdaterIndex::new();
+        let mut own: Vec<UpdaterHandle> = (1..=4)
+            .map(|js| idx.install(r("p|bob|", "p|bob}"), entry(js), &[]).unwrap())
+            .collect();
+        idx.remove(own[3]);
+        assert_eq!(idx.remove_where(&mut own, |e| e.js.0 % 2 == 1), 2);
+        assert_eq!(own.len(), 1);
+        assert_eq!(idx.get(own[0]).unwrap().js, JsId(2));
+        assert_eq!(idx.entry_count(), 1);
+        assert_eq!(idx.audit(), Vec::<String>::new());
     }
 
     #[test]
     fn reinstall_after_teardown_works() {
         let mut idx = UpdaterIndex::new();
-        let a = idx.install(r("p|bob|", "p|bob}"), entry(1));
-        idx.remove_for_js(&[a], JoinId(0), JsId(1));
-        let b = idx.install(r("p|bob|", "p|bob}"), entry(3));
+        let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
+        idx.remove(a);
+        let b = idx.install(r("p|bob|", "p|bob}"), entry(3), &[]).unwrap();
         assert_ne!(a, b);
         assert_eq!(idx.stab(&Key::from("p|bob|5")), vec![b]);
     }
 
     #[test]
-    fn entry_mut_updates_hint() {
+    fn get_mut_updates_hint() {
         let mut idx = UpdaterIndex::new();
-        let a = idx.install(r("v|", "v}"), entry(1));
-        let e = idx.entry_mut(a, 0).unwrap();
-        e.hint = Some(OutputHint {
+        let a = idx.install(r("v|", "v}"), entry(1), &[]).unwrap();
+        idx.get_mut(a).unwrap().hint = Some(OutputHint {
             out_key: Key::from("karma|ann"),
             num: 7,
         });
-        assert_eq!(idx.entries(a).unwrap()[0].hint.as_ref().unwrap().num, 7);
+        assert_eq!(idx.get(a).unwrap().hint.as_ref().unwrap().num, 7);
+    }
+
+    #[test]
+    fn audit_reports_a_length_that_disagrees_with_the_chain() {
+        let mut idx = UpdaterIndex::new();
+        let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
+        idx.install(r("p|bob|", "p|bob}"), entry(2), &[]).unwrap();
+        idx.debug_skew_node_len(a, 1);
+        let v = idx.audit();
+        assert!(
+            v.iter().any(|m| m.contains("chain does not close")),
+            "skewed node length must be reported: {v:?}"
+        );
     }
 }

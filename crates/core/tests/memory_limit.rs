@@ -48,6 +48,68 @@ fn watermarks_give_hysteresis() {
     assert!(e.engine_stats().peak_memory_bytes > 0);
 }
 
+/// Many timelines share one celebrity's source range, so their
+/// updaters coalesce onto a single interval-tree node. Materializing and
+/// evicting them over and over must leave no entry behind, keep every
+/// cross-structure invariant, and answer exactly like an uncapped engine.
+#[test]
+fn celebrity_timelines_evict_and_recompute_cleanly() {
+    let limit = MemoryLimit::new(48 * 1024);
+    let mut capped = timeline_engine(Some(limit));
+    let mut free = timeline_engine(None);
+    let users = 160u32;
+    for e in [&mut capped, &mut free] {
+        for u in 0..users {
+            e.put(format!("s|u{u:03}|celeb"), "1");
+            e.put(format!("s|u{u:03}|p{:02}", u % 7), "1");
+        }
+        for t in 0..12u64 {
+            e.put(
+                format!("p|celeb|{t:010}"),
+                "a celebrity tweet of some length",
+            );
+            e.put(format!("p|p{:02}|{t:010}", t % 7), "a friend's tweet");
+        }
+    }
+    let mut next_time = 100u64;
+    for round in 0..3u32 {
+        for i in 0..users {
+            // A stride walk revisits timelines long after they were
+            // evicted; every third read follows a fresh post or an
+            // unfollow/refollow, so eager and lazy maintenance both run
+            // against the coalesced node.
+            let u = (i * 7 + round * 13) % users;
+            if i % 3 == 0 {
+                next_time += 1;
+                for e in [&mut capped, &mut free] {
+                    e.put(format!("p|celeb|{next_time:010}"), "breaking news");
+                }
+            }
+            if i % 11 == 0 {
+                for e in [&mut capped, &mut free] {
+                    e.remove(&Key::from(format!("s|u{u:03}|celeb")));
+                    e.put(format!("s|u{u:03}|celeb"), "1");
+                }
+            }
+            let range = KeyRange::prefix(format!("t|u{u:03}|"));
+            assert_eq!(capped.scan(&range).pairs, free.scan(&range).pairs);
+            assert!(capped.memory_bytes() <= limit.high_bytes);
+        }
+        assert_eq!(capped.check_invariants(), Vec::<String>::new());
+    }
+    assert!(capped.engine_stats().js_evictions > users as u64);
+    assert_eq!(free.engine_stats().js_evictions, 0);
+    // Every capped range is recomputable: dropping them all leaves no
+    // updater behind, while the uncapped engine still holds one entry
+    // set per timeline on the shared node.
+    capped.evict_to(0);
+    assert_eq!(capped.materialized_ranges(), 0);
+    assert_eq!(capped.updater_entries(), 0);
+    assert_eq!(capped.check_invariants(), Vec::<String>::new());
+    assert!(free.updater_entries() >= 2 * users as usize);
+    assert_eq!(free.check_invariants(), Vec::<String>::new());
+}
+
 #[test]
 fn set_mem_limit_suspends_and_restores() {
     let limit = MemoryLimit::new(4 * 1024);

@@ -20,6 +20,7 @@ use crate::slots::{SlotId, SlotSet, SlotTable};
 use bytes::Bytes;
 use pequod_store::{Key, KeyRange, UpperBound};
 use std::fmt;
+use std::ops::Range;
 
 /// One element of a pattern.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -180,12 +181,10 @@ impl Pattern {
         }
     }
 
-    /// Matches `key` against the pattern, unifying slot values into
-    /// `slots`. On success every slot of the pattern is bound and the
-    /// whole key was consumed. On failure `slots` may be partially
-    /// modified; callers should clone first if that matters.
-    pub fn match_key(&self, key: &Key, slots: &mut SlotSet) -> bool {
-        let bytes = key.as_bytes();
+    /// Walks `bytes` token by token, handing each slot's extent to
+    /// `bind`. True if every literal matched, every `bind` succeeded and
+    /// the whole key was consumed.
+    fn match_with(&self, bytes: &[u8], mut bind: impl FnMut(SlotId, Range<usize>) -> bool) -> bool {
         let mut pos = 0;
         for (ti, tok) in self.tokens.iter().enumerate() {
             match tok {
@@ -212,7 +211,7 @@ impl Pattern {
                             None => bytes.len() - pos,
                         },
                     };
-                    if !slots.unify(*id, &bytes[pos..pos + extent]) {
+                    if !bind(*id, pos..pos + extent) {
                         return false;
                     }
                     pos += extent;
@@ -220,6 +219,16 @@ impl Pattern {
             }
         }
         pos == bytes.len()
+    }
+
+    /// Matches `key` against the pattern, unifying slot values into
+    /// `slots` as zero-copy slices of the key's buffer. On success every
+    /// slot of the pattern is bound and the whole key was consumed. On
+    /// failure `slots` may be partially modified; callers should clone
+    /// first if that matters.
+    pub fn match_key(&self, key: &Key, slots: &mut SlotSet) -> bool {
+        let buf = key.bytes();
+        self.match_with(buf, |id, at| slots.unify(id, buf, at))
     }
 
     /// The first literal token after token index `ti`, skipping nothing
@@ -238,58 +247,21 @@ impl Pattern {
     /// new bindings are rolled back before returning.
     pub fn match_key_undo(&self, key: &Key, slots: &mut SlotSet, undo: &mut Vec<SlotId>) -> bool {
         let checkpoint = undo.len();
-        let bytes = key.as_bytes();
-        let mut pos = 0;
-        let mut ok = true;
-        for (ti, tok) in self.tokens.iter().enumerate() {
-            match tok {
-                Token::Lit(l) => {
-                    if !bytes[pos..].starts_with(l) {
-                        ok = false;
-                        break;
-                    }
-                    pos += l.len();
-                }
-                Token::Slot { id, width } => {
-                    let extent = match width {
-                        Some(w) => {
-                            if bytes.len() - pos < *w {
-                                ok = false;
-                                break;
-                            }
-                            *w
-                        }
-                        None => match self.next_lit(ti) {
-                            Some(delim) => match find(&bytes[pos..], delim) {
-                                Some(off) => off,
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            },
-                            None => bytes.len() - pos,
-                        },
-                    };
-                    let was_bound = slots.is_bound(*id);
-                    if !slots.unify(*id, &bytes[pos..pos + extent]) {
-                        ok = false;
-                        break;
-                    }
-                    if !was_bound {
-                        undo.push(*id);
-                    }
-                    pos += extent;
-                }
+        let buf = key.bytes();
+        let ok = self.match_with(buf, |id, at| {
+            let was_bound = slots.is_bound(id);
+            let ok = slots.unify(id, buf, at);
+            if ok && !was_bound {
+                undo.push(id);
             }
-        }
-        if ok && pos == bytes.len() {
-            true
-        } else {
+            ok
+        });
+        if !ok {
             for id in undo.drain(checkpoint..) {
                 slots.unbind(id);
             }
-            false
         }
+        ok
     }
 
     /// Expands the pattern into a key using `slots`; `None` if any slot
@@ -380,7 +352,7 @@ impl Pattern {
                             None => return,
                         },
                     };
-                    if !slots.unify(*id, &shared[pos..pos + extent]) {
+                    if !slots.unify(*id, range.first.bytes(), pos..pos + extent) {
                         return;
                     }
                     pos += extent;
@@ -397,25 +369,21 @@ impl fmt::Display for Pattern {
 }
 
 /// The longest prefix `p` of `range.first` with `range ⊆ [p, prefix_end(p))`.
-pub(crate) fn shared_prefix(range: &KeyRange) -> Vec<u8> {
+pub(crate) fn shared_prefix(range: &KeyRange) -> &[u8] {
     let first = range.first.as_bytes();
     match &range.end {
-        UpperBound::Unbounded => Vec::new(),
+        UpperBound::Unbounded => &[],
         UpperBound::Excluded(end) => {
             // prefix_end(p) shrinks as p grows, so scan from the longest
             // prefix down to the empty one.
             for len in (1..=first.len()).rev() {
-                let p = Key::from(&first[..len]);
-                match p.prefix_end() {
-                    Some(pe) => {
-                        if *end <= pe {
-                            return first[..len].to_vec();
-                        }
-                    }
-                    None => return first[..len].to_vec(), // all-0xff prefix: unbounded span
+                match Key::from(&first[..len]).prefix_end() {
+                    Some(pe) if *end <= pe => return &first[..len],
+                    Some(_) => {}
+                    None => return &first[..len], // all-0xff prefix: unbounded span
                 }
             }
-            Vec::new()
+            &[]
         }
     }
 }
@@ -533,6 +501,64 @@ mod tests {
         assert_eq!(s.get(t.lookup("b").unwrap()).unwrap().as_ref(), b"de");
         assert!(!p.match_key(&Key::from("x|abcd"), &mut t.empty_set())); // too short
         assert!(!p.match_key(&Key::from("x|abcdef"), &mut t.empty_set())); // too long
+    }
+
+    /// Slots bound as slices of the matched key's buffer must be
+    /// indistinguishable from copied ones — same equality, same expansion
+    /// — including fixed-width slots and a key that is itself a slice of
+    /// a larger network frame; and they must share the key's allocation.
+    #[test]
+    fn sliced_bindings_equal_copied_ones() {
+        let mut t = SlotTable::new();
+        let p = Pattern::parse("t|<user>|<time:10>|<poster>", &mut t).unwrap();
+        let frame =
+            Bytes::from_static(b"\x02\x2a\0\0\0\0\0\0\0t|ann|0000000100|bob\x05\0\0\0hello");
+        let key = Key::from(frame.slice(9..29));
+        assert_eq!(key, Key::from("t|ann|0000000100|bob"));
+
+        let mut copied = t.empty_set();
+        for (name, value) in [("user", "ann"), ("time", "0000000100"), ("poster", "bob")] {
+            copied.bind(
+                t.lookup(name).unwrap(),
+                Bytes::copy_from_slice(value.as_bytes()),
+            );
+        }
+        let mut sliced = t.empty_set();
+        assert!(p.match_key(&key, &mut sliced));
+        let mut undone = t.empty_set();
+        let mut undo = Vec::new();
+        assert!(p.match_key_undo(&key, &mut undone, &mut undo));
+        assert_eq!(undo.len(), 3);
+
+        assert_eq!(sliced, copied);
+        assert_eq!(undone, copied);
+        assert_eq!(p.expand(&sliced), p.expand(&copied));
+        assert_eq!(p.expand(&sliced).unwrap(), key);
+        // A pre-bound copied value unifies with the sliced bytes and
+        // stays as it was; a conflicting one still rejects the key.
+        let mut pre = t.empty_set();
+        pre.bind(t.lookup("time").unwrap(), Bytes::from_static(b"0000000100"));
+        assert!(p.match_key(&key, &mut pre));
+        assert_eq!(pre, copied);
+        let mut wrong = t.empty_set();
+        wrong.bind(t.lookup("time").unwrap(), Bytes::from_static(b"0000000101"));
+        assert!(!p.match_key(&key, &mut wrong));
+        // Zero-copy: every bound value points into the frame.
+        let span = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        for id in p.slots() {
+            assert!(span.contains(&(sliced.get(id).unwrap().as_ptr() as usize)));
+        }
+        // Range-derived bindings slice the range's first key the same way.
+        let mut derived = t.empty_set();
+        p.derive_slots(
+            &KeyRange::prefix(Key::from(frame.slice(9..15))),
+            &mut derived,
+        );
+        assert_eq!(
+            derived.get(t.lookup("user").unwrap()),
+            copied.get(t.lookup("user").unwrap())
+        );
+        assert_eq!(derived.bound_count(), 1);
     }
 
     #[test]

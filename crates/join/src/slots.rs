@@ -9,6 +9,7 @@
 
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a slot within one join's slot table.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -95,14 +96,17 @@ impl SlotSet {
         self.values[idx] = Some(value);
     }
 
-    /// Attempts to bind `id` to `value`; if already bound, succeeds only
-    /// when the existing value matches (the join's consistency rule:
-    /// "slots common to multiple source keys have consistent values").
-    pub fn unify(&mut self, id: SlotId, value: &[u8]) -> bool {
+    /// Attempts to bind `id` to the bytes `buf[at]`; if already bound,
+    /// succeeds only when the existing value matches (the join's
+    /// consistency rule: "slots common to multiple source keys have
+    /// consistent values"). A new binding is a zero-copy slice sharing
+    /// `buf`'s allocation — `buf` is the matched key's own buffer, so
+    /// binding a slot never allocates.
+    pub fn unify(&mut self, id: SlotId, buf: &Bytes, at: Range<usize>) -> bool {
         match self.get(id) {
-            Some(existing) => existing.as_ref() == value,
+            Some(existing) => existing[..] == buf[at],
             None => {
-                self.bind(id, Bytes::copy_from_slice(value));
+                self.bind(id, buf.slice(at));
                 true
             }
         }
@@ -124,7 +128,7 @@ impl SlotSet {
     pub fn merge(&mut self, other: &SlotSet) -> bool {
         for (i, v) in other.values.iter().enumerate() {
             if let Some(v) = v {
-                if !self.unify(SlotId(i as u16), v) {
+                if !self.unify(SlotId(i as u16), v, 0..v.len()) {
                     return false;
                 }
             }
@@ -200,9 +204,10 @@ mod tests {
         let mut t = SlotTable::new();
         let user = t.intern("user");
         let mut s = t.empty_set();
-        assert!(s.unify(user, b"ann"));
-        assert!(s.unify(user, b"ann")); // same value fine
-        assert!(!s.unify(user, b"bob")); // conflict
+        let key = Bytes::from_static(b"s|ann|bob");
+        assert!(s.unify(user, &key, 2..5));
+        assert!(s.unify(user, &Bytes::from_static(b"ann"), 0..3)); // same value fine
+        assert!(!s.unify(user, &key, 6..9)); // conflict
         assert_eq!(s.get(user).map(|b| b.as_ref()), Some(&b"ann"[..]));
     }
 

@@ -21,6 +21,7 @@
 
 use crate::pattern::{Pattern, PatternError};
 use crate::slots::{SlotId, SlotTable};
+use pequod_store::KeyRange;
 use std::fmt;
 use std::time::Duration;
 
@@ -121,6 +122,9 @@ pub struct JoinSpec {
     pub slots: SlotTable,
     /// Non-fatal validation warnings (e.g. potentially ambiguous copies).
     pub warnings: Vec<String>,
+    /// `output.key_space()`, computed once at parse time: every scan and
+    /// every source probe clips against it.
+    out_range: KeyRange,
 }
 
 /// Errors from parsing or validating a join specification.
@@ -224,6 +228,7 @@ impl JoinSpec {
         }
 
         let mut spec = JoinSpec {
+            out_range: output.key_space(),
             output,
             sources,
             maintenance,
@@ -257,8 +262,8 @@ impl JoinSpec {
     }
 
     /// The key range the join's outputs occupy.
-    pub fn output_range(&self) -> pequod_store::KeyRange {
-        self.output.key_space()
+    pub fn output_range(&self) -> &KeyRange {
+        &self.out_range
     }
 
     fn validate(&mut self) -> Result<(), JoinError> {
@@ -311,9 +316,8 @@ impl JoinSpec {
         }
 
         // Self-recursion: a source range overlapping the output range.
-        let out_range = self.output.key_space();
         for s in &self.sources {
-            if s.pattern.key_space().overlaps(&out_range) {
+            if s.pattern.key_space().overlaps(&self.out_range) {
                 return Err(JoinError::Recursive(s.pattern.text().to_string()));
             }
         }
@@ -394,7 +398,7 @@ mod tests {
         assert_eq!(j.maintenance, Maintenance::Push);
         assert_eq!(j.value_source(), 1);
         assert!(j.warnings.is_empty());
-        assert_eq!(j.output_range(), pequod_store::KeyRange::prefix("t|"));
+        assert_eq!(j.output_range(), &KeyRange::prefix("t|"));
     }
 
     #[test]

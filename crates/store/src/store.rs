@@ -286,29 +286,20 @@ impl Store {
             .next_back()
             .map(|(p, _)| p.clone())
             .unwrap_or_else(|| range.first.clone());
-        let prefixes: Vec<Key> = self
-            .tables
-            .range::<Key, _>((Bound::Included(&start), Bound::Unbounded))
-            .map(|(p, _)| p.clone())
-            .collect();
+        // Walk the table index lazily, stopping at the first table past
+        // the range's end.
         let mut stop = false;
-        for prefix in prefixes {
-            if stop {
+        for (prefix, table) in self
+            .tables
+            .range_mut::<Key, _>((Bound::Included(&start), Bound::Unbounded))
+        {
+            if stop || (!range.end.admits(prefix) && *prefix > range.first) {
                 break;
             }
-            if !range.end.admits(&prefix) && prefix > range.first {
-                break;
-            }
-            if let Some(table) = self.tables.get_mut(&prefix) {
-                table.scan(range, |k, v| {
-                    if f(k, v) {
-                        true
-                    } else {
-                        stop = true;
-                        false
-                    }
-                });
-            }
+            table.scan(range, |k, v| {
+                stop = !f(k, v);
+                !stop
+            });
         }
     }
 
