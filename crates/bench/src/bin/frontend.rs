@@ -1,18 +1,16 @@
-//! Front-end bench: what the event-driven reactor buys over the
-//! blocking thread-per-connection server.
+//! Front-end bench: serving capacity of the event-driven front-end
+//! across connection counts and pipeline depths.
 //!
 //! Two sweeps, both driven by [`Swarm`] (a single-threaded pipelined
 //! many-connection client over the same `epoll` wrapper the server
-//! uses), against both network models on a fresh single [`Engine`]:
+//! uses), against a [`FrontendServer`] on a fresh single [`Engine`]:
 //!
 //! 1. **Open-connection sweep** — 100 → 5000 concurrent pipelined
 //!    connections (scaled by `--scale`, capped by the process fd
-//!    limit), a fixed total frame budget split across them. The
-//!    thread-per-connection server pays one OS thread per socket; the
-//!    reactor pays one.
+//!    limit), a fixed total frame budget split across them.
 //! 2. **Pipeline-depth sweep** — a fixed connection count with 1 → 64
 //!    unacked frames per connection, measuring what request batching
-//!    in flight is worth on each model.
+//!    in flight is worth.
 //!
 //! Traffic is an even put/get mix over a small keyspace (`id` = frame
 //! sequence). Any server-side error reply fails the run.
@@ -22,19 +20,17 @@
 //! ```
 //!
 //! CI's `frontend-smoke` job publishes `BENCH_frontend_smoke.json` per
-//! push, so reactor-vs-threads capacity is recorded per commit.
+//! push, so serving capacity is recorded per commit.
 
 use pequod_bench::{arg_value, print_table, Scale};
 use pequod_core::{Engine, EngineConfig};
-use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpServer};
+use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig};
 use pequod_store::{Key, Value};
-use std::net::SocketAddr;
 use std::time::Instant;
 
 /// One measured run.
 struct Row {
     sweep: &'static str,
-    model: &'static str,
     conns: usize,
     depth: usize,
     frames: u64,
@@ -65,37 +61,16 @@ fn fd_limit() -> usize {
         .unwrap_or(65_536)
 }
 
-/// A server of the given model around a fresh engine; returns its
-/// address and a shutdown closure.
-#[allow(clippy::type_complexity)]
-fn spawn(model: &str) -> (SocketAddr, Box<dyn FnOnce()>) {
-    let engine = Engine::new(EngineConfig::default());
-    match model {
-        "reactor" => {
-            let mut s = FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default())
-                .expect("spawn reactor front-end");
-            let addr = s.addr();
-            (addr, Box::new(move || s.shutdown()))
-        }
-        "threads" => {
-            let mut s = TcpServer::spawn("127.0.0.1:0", engine).expect("spawn threads front-end");
-            let addr = s.addr();
-            (addr, Box::new(move || s.shutdown()))
-        }
-        other => panic!("unknown model {other}"),
-    }
-}
-
 /// Runs one swarm of `conns × frames_per_conn` put/get frames against
-/// a fresh server of `model`.
-fn run_one(
-    sweep: &'static str,
-    model: &'static str,
-    conns: usize,
-    depth: usize,
-    frames_per_conn: usize,
-) -> Row {
-    let (addr, stop) = spawn(model);
+/// a fresh server.
+fn run_one(sweep: &'static str, conns: usize, depth: usize, frames_per_conn: usize) -> Row {
+    let mut server = FrontendServer::spawn(
+        "127.0.0.1:0",
+        Engine::new(EngineConfig::default()),
+        FrontendConfig::default(),
+    )
+    .expect("spawn front-end");
+    let addr = server.addr();
     let swarm = Swarm::new(SwarmConfig {
         conns,
         depth,
@@ -124,16 +99,15 @@ fn run_one(
             },
             |_, _| {},
         )
-        .unwrap_or_else(|e| panic!("{model} swarm ({conns} conns, depth {depth}): {e}"));
+        .unwrap_or_else(|e| panic!("swarm ({conns} conns, depth {depth}): {e}"));
     let secs = t0.elapsed().as_secs_f64();
-    stop();
+    server.shutdown();
     assert_eq!(
         report.reply_errors, 0,
-        "{model} returned error replies under load"
+        "server returned error replies under load"
     );
     Row {
         sweep,
-        model,
         conns,
         depth,
         frames: report.frames_sent,
@@ -161,31 +135,26 @@ fn main() {
     conn_levels.dedup();
     for &conns in &conn_levels {
         let per_conn = ((total_frames as usize) / conns).max(4);
-        for model in ["reactor", "threads"] {
-            rows.push(run_one("conns", model, conns, 8, per_conn));
-        }
+        rows.push(run_one("conns", conns, 8, per_conn));
     }
 
     // --- Sweep 2: pipeline depth --------------------------------------
     let depth_conns = (scale.count(64) as usize).clamp(4, conn_cap);
     let depth_frames = (scale.count(40_000) as usize / depth_conns).max(8);
     for depth in [1usize, 4, 16, 64] {
-        for model in ["reactor", "threads"] {
-            rows.push(run_one("depth", model, depth_conns, depth, depth_frames));
-        }
+        rows.push(run_one("depth", depth_conns, depth, depth_frames));
     }
 
     print_table(
-        "Front-end smoke — reactor vs thread-per-connection",
+        "Front-end smoke — connections × pipeline depth",
         &[
-            "sweep", "model", "conns", "depth", "frames", "ops/s", "p50 µs", "p99 µs",
+            "sweep", "conns", "depth", "frames", "ops/s", "p50 µs", "p99 µs",
         ],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r.sweep.to_string(),
-                    r.model.to_string(),
                     r.conns.to_string(),
                     r.depth.to_string(),
                     r.frames.to_string(),
@@ -204,11 +173,10 @@ fn main() {
         for (i, r) in rows.iter().enumerate() {
             let sep = if i + 1 < rows.len() { "," } else { "" };
             json.push_str(&format!(
-                "  {{\"sweep\": \"{}\", \"model\": \"{}\", \"conns\": {}, \"depth\": {}, \
+                "  {{\"sweep\": \"{}\", \"conns\": {}, \"depth\": {}, \
                  \"frames\": {}, \"replies\": {}, \"seconds\": {:.6}, \
                  \"ops_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}{sep}\n",
                 r.sweep,
-                r.model,
                 r.conns,
                 r.depth,
                 r.frames,

@@ -1,22 +1,23 @@
-//! The event-driven network frontend: the [`Reactor`] readiness loop
+//! The event-driven network frontend: the `Reactor` readiness loop
 //! plus a backend dispatcher, serving the client protocol on TCP and
 //! (optionally) a unix-domain socket through identical code.
 //!
-//! Two backends, mirroring the blocking [`TcpServer`](crate::TcpServer):
+//! This module owns one decision: **where a client frame executes**.
 //!
-//! * **Single engine** — a fixed worker pool shares one
-//!   `Arc<Mutex<Engine>>`. The reactor thread never touches the engine,
-//!   so a heavy scan on a worker cannot stall accepts, timeouts, or
-//!   other connections' I/O.
-//! * **Sharded engine** — no worker pool at all: the dispatcher routes
-//!   commands straight onto the engine's per-shard submission queues
-//!   through one shared [`ShardSubmitter`], replacing the blocking
-//!   server's handle-per-connection design. Batch frames are split into
-//!   same-class runs exactly like
+//! * **Single engine** — on the reactor thread. The dispatcher takes
+//!   the engine lock once per frame, runs the whole frame (every
+//!   request of a `Batch`) and hands the replies straight back to the
+//!   reactor: no queue, no second thread, no wake-up. The lock is
+//!   uncontended while serving; it exists so tests and shutdown can
+//!   reach the engine through [`FrontendServer::engine`].
+//! * **Sharded engine** — on the owning shard's thread. The dispatcher
+//!   routes commands straight onto the engine's per-shard submission
+//!   queues through one shared [`ShardSubmitter`]. Batch frames are
+//!   split into same-class runs exactly like
 //!   [`ShardedHandle::execute_batch`](pequod_core::ShardedHandle) — a
 //!   run's replies must all arrive before the next run is submitted, so
-//!   read-your-writes ordering matches the blocking path and answers
-//!   are byte-identical.
+//!   read-your-writes holds within a frame and answers are
+//!   byte-identical to the single engine's.
 //!
 //! Per connection, frames are answered strictly in arrival order; see
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
@@ -24,10 +25,8 @@
 
 use crate::message::Message;
 use crate::reactor::{Dispatch, Injected, Reactor, ReactorConfig};
-use crate::tcp::{handle_client_message, response_to_message};
 use pequod_core::{
-    fold_join_replies, fold_stats_replies, same_run_class, Command, Engine, Response,
-    ShardSubmitter, ShardedEngine,
+    fold_join_replies, same_run_class, Command, Engine, Response, ShardSubmitter, ShardedEngine,
 };
 use pequod_store::Key;
 use pequod_telemetry::{Snapshot, SnapshotFn};
@@ -136,10 +135,6 @@ fn mirror_frontend_stats(stats: &FrontendStats, snap: &mut Snapshot) {
 /// tests shrink the timeouts and caps to exercise them quickly.
 #[derive(Clone, Debug)]
 pub struct FrontendConfig {
-    /// Worker threads for the single-engine backend (`0` = auto:
-    /// available parallelism clamped to `2..=8`). The sharded backend
-    /// uses the engine's own shard threads instead.
-    pub workers: usize,
     /// Per-connection cap on buffered reply bytes; above it the
     /// connection's reads pause (backpressure) and dispatch of its
     /// further pipelined frames waits.
@@ -164,7 +159,6 @@ pub struct FrontendConfig {
 impl Default for FrontendConfig {
     fn default() -> FrontendConfig {
         FrontendConfig {
-            workers: 0,
             max_write_buffer: 256 * 1024,
             max_pipeline: 128,
             idle_timeout_ms: None,
@@ -181,12 +175,6 @@ enum Backend {
     Sharded(Arc<ShardedEngine>),
 }
 
-/// One frame for the single-engine worker pool.
-struct WorkItem {
-    token: u64,
-    msg: Message,
-}
-
 /// Pushes one injection and wakes the reactor.
 fn inject(q: &Mutex<VecDeque<Injected>>, wake: &UnixStream, inj: Injected) {
     match q.lock() {
@@ -201,51 +189,107 @@ fn wake_reactor(wake: &UnixStream) {
     let _ = (&*wake).write(&[1u8]);
 }
 
-/// Single-engine dispatch: frames go to the worker pool, completions
-/// come back through the injection queue.
+/// The reply to anything that is not client traffic.
+const UNSUPPORTED: &str = "unsupported on client connection";
+
+/// Appends `msg`'s requests to `out` in wire order with every `Batch`
+/// flattened, nested ones too (the codec bounds the nesting depth):
+/// one frame in, one reply per request out, on either backend.
+fn flatten(msg: Message, out: &mut Vec<Message>) {
+    match msg {
+        Message::Batch { msgs } => {
+            for m in msgs {
+                flatten(m, out);
+            }
+        }
+        other => out.push(other),
+    }
+}
+
+/// Formats one unified-client [`Response`] as the wire reply for
+/// request `id`; `key` is the key a `Get` reply echoes.
+fn response_to_message(id: u64, key: Option<Key>, response: Response) -> Message {
+    match response {
+        Response::Value(v) => Message::reply(
+            id,
+            v.and_then(|v| key.map(|k| (k, v))).into_iter().collect(),
+        ),
+        Response::Pairs(pairs) => Message::reply(id, pairs),
+        Response::Count(n) => Message::count_reply(id, n),
+        Response::Ok => Message::reply(id, vec![]),
+        Response::Stats(_) => Message::reply(id, vec![]),
+        Response::Error(e) => Message::error(id, e),
+    }
+}
+
+/// Executes one request (never a `Batch`) against the engine.
+fn execute(engine: &mut Engine, msg: Message) -> Message {
+    // This engine serves local data only: a read that ran into
+    // non-resident base data has nobody to fetch it.
+    let checked = |id, complete: bool, reply: Message| {
+        if complete {
+            reply
+        } else {
+            Message::error(id, "missing base data (no backing store attached)")
+        }
+    };
+    match msg {
+        Message::Count { id, range } => {
+            let res = engine.count_result(&range);
+            checked(
+                id,
+                res.is_complete(),
+                Message::count_reply(id, res.count as u64),
+            )
+        }
+        Message::Get { id, key } => {
+            let res = engine.get_result(&key);
+            checked(id, res.is_complete(), Message::reply(id, res.pairs))
+        }
+        Message::Scan { id, range } => {
+            let res = engine.scan(&range);
+            checked(id, res.is_complete(), Message::reply(id, res.pairs))
+        }
+        Message::Put { id, key, value } => {
+            engine.put(key, value);
+            Message::reply(id, vec![])
+        }
+        Message::Remove { id, key } => {
+            engine.remove(&key);
+            Message::reply(id, vec![])
+        }
+        Message::AddJoin { id, text } => match engine.add_joins_text(&text) {
+            Ok(_) => Message::reply(id, vec![]),
+            Err(e) => Message::error(id, e.to_string()),
+        },
+        // Server-to-server traffic is not accepted on the client port.
+        other => Message::error(other.id().unwrap_or(0), UNSUPPORTED),
+    }
+}
+
+/// Single-engine dispatch: the frame executes here, on the reactor
+/// thread, under one acquisition of the engine lock.
 struct SingleDispatch {
-    work_tx: Sender<WorkItem>,
-    /// Answers [`Message::Metrics`] on the reactor thread — the
-    /// provider reads only atomics, never the engine lock.
+    engine: Arc<Mutex<Engine>>,
+    /// Answers [`Message::Metrics`] from atomics alone, without the
+    /// engine lock.
     provider: SnapshotFn,
 }
 
 impl Dispatch for SingleDispatch {
-    fn begin(&mut self, token: u64, msg: Message) -> Option<Vec<Message>> {
+    fn begin(&mut self, _token: u64, msg: Message) -> Option<Vec<Message>> {
         if let Message::Metrics { id, flight } = msg {
             return Some(vec![Message::metrics_reply(id, &(self.provider)(flight))]);
         }
-        match self.work_tx.send(WorkItem { token, msg }) {
-            Ok(()) => None,
-            // Workers are gone (shutdown in progress): nothing will
-            // answer; clear the in-flight mark so teardown can drain.
-            Err(_) => Some(Vec::new()),
-        }
-    }
-
-    fn on_shard_reply(&mut self, _id: u64, _resp: Response) -> Option<(u64, Vec<Message>)> {
-        None
-    }
-
-    fn forget(&mut self, _token: u64) {}
-}
-
-fn single_worker_loop(
-    rx: Arc<Mutex<Receiver<WorkItem>>>,
-    engine: Arc<Mutex<Engine>>,
-    injected: Arc<Mutex<VecDeque<Injected>>>,
-    wake: UnixStream,
-) {
-    loop {
-        let item = match rx.lock() {
-            Ok(g) => g.recv(),
-            Err(p) => p.into_inner().recv(),
-        };
-        let Ok(WorkItem { token, msg }) = item else {
-            break; // channel closed: the reactor is gone
-        };
-        let replies = handle_client_message(&engine, msg);
-        inject(&injected, &wake, Injected::Done(token, replies));
+        let mut requests = Vec::new();
+        flatten(msg, &mut requests);
+        let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
+        Some(
+            requests
+                .into_iter()
+                .map(|m| execute(&mut engine, m))
+                .collect(),
+        )
     }
 }
 
@@ -255,8 +299,6 @@ enum SlotKind {
     Single,
     /// Broadcast join install: every shard answers.
     Join,
-    /// Broadcast stats: every shard answers, counters are summed.
-    Stats,
 }
 
 /// One sub-request of a frame on the sharded backend.
@@ -375,14 +417,12 @@ impl Dispatch for ShardedDispatch {
     fn begin(&mut self, token: u64, msg: Message) -> Option<Vec<Message>> {
         // Top-level telemetry requests are answered inline, exactly
         // like the single-engine path (inside a Batch they fall through
-        // to "unsupported", matching every other serving surface).
+        // to "unsupported" there too).
         if let Message::Metrics { id, flight } = msg {
             return Some(vec![Message::metrics_reply(id, &(self.provider)(flight))]);
         }
-        let msgs = match msg {
-            Message::Batch { msgs } => msgs,
-            other => vec![other],
-        };
+        let mut msgs = Vec::new();
+        flatten(msg, &mut msgs);
         let mut job = Job {
             token,
             slots: Vec::with_capacity(msgs.len()),
@@ -391,7 +431,7 @@ impl Dispatch for ShardedDispatch {
             live_ids: Vec::new(),
         };
         // Build slots in wire order, splitting commands into
-        // same-class runs (identical to the blocking handle).
+        // same-class runs (identical to `ShardedHandle`).
         let mut current: Vec<usize> = Vec::new();
         let mut last_cmd: Option<Command> = None;
         for m in msgs {
@@ -403,7 +443,7 @@ impl Dispatch for ShardedDispatch {
                 Message::Remove { id, key } => (id, None, Command::Remove(key)),
                 Message::AddJoin { id, text } => (id, None, Command::AddJoin(text)),
                 // Server-to-server traffic is not accepted on the
-                // client port (same answer as the blocking server).
+                // client port (same answer as the single engine).
                 other => {
                     job.slots.push(SlotState {
                         wire_id: 0,
@@ -412,10 +452,7 @@ impl Dispatch for ShardedDispatch {
                         kind: SlotKind::Single,
                         expect: 0,
                         acc: Vec::new(),
-                        reply: Some(Message::error(
-                            other.id().unwrap_or(0),
-                            "unsupported on client connection",
-                        )),
+                        reply: Some(Message::error(other.id().unwrap_or(0), UNSUPPORTED)),
                     });
                     continue;
                 }
@@ -427,7 +464,6 @@ impl Dispatch for ShardedDispatch {
             }
             let kind = match &cmd {
                 Command::AddJoin(_) => SlotKind::Join,
-                Command::Stats => SlotKind::Stats,
                 _ => SlotKind::Single,
             };
             last_cmd = Some(cmd.clone());
@@ -481,8 +517,8 @@ impl Dispatch for ShardedDispatch {
             if slot.acc.len() < slot.expect {
                 return None;
             }
-            // Slot resolved: fold and format exactly like the blocking
-            // server so answers are byte-identical.
+            // Slot resolved: fold, then format with the single engine's
+            // formatter so answers are byte-identical.
             let shards = slot.expect;
             let acc = std::mem::take(&mut slot.acc);
             let folded = match slot.kind {
@@ -491,7 +527,6 @@ impl Dispatch for ShardedDispatch {
                     .next_back()
                     .unwrap_or_else(|| Response::Error("no reply from shard".into())),
                 SlotKind::Join => fold_join_replies(acc, shards),
-                SlotKind::Stats => fold_stats_replies(acc, shards),
             };
             slot.reply = Some(response_to_message(slot.wire_id, slot.key.take(), folded));
         }
@@ -567,8 +602,9 @@ fn ticker_loop(
     }
 }
 
-/// A running event-driven server: the reactor thread, its backend
-/// threads, and a deterministic [`shutdown`](FrontendServer::shutdown).
+/// A running event-driven server: the reactor thread, the ticker, the
+/// shard-reply collector when sharded, and a deterministic
+/// [`shutdown`](FrontendServer::shutdown).
 ///
 /// ```no_run
 /// use pequod_core::{Engine, EngineConfig};
@@ -589,14 +625,14 @@ pub struct FrontendServer {
     stopped: Arc<AtomicBool>,
     stats: Arc<FrontendStats>,
     reactor_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     collector: Option<JoinHandle<()>>,
     ticker: Option<JoinHandle<()>>,
 }
 
 impl FrontendServer {
-    /// Serves one single-threaded [`Engine`] (behind a mutex shared by
-    /// the worker pool) on `addr`; port 0 binds an ephemeral port.
+    /// Serves one single-threaded [`Engine`] on `addr`, executing
+    /// every frame on the reactor thread; port 0 binds an ephemeral
+    /// port.
     pub fn spawn(
         addr: impl ToSocketAddrs,
         engine: Engine,
@@ -606,7 +642,7 @@ impl FrontendServer {
     }
 
     /// Serves a [`ShardedEngine`] on `addr` through its per-shard
-    /// submission queues (no per-connection handles, no worker pool).
+    /// submission queues: frames execute on the shard threads.
     pub fn spawn_sharded(
         addr: impl ToSocketAddrs,
         sharded: ShardedEngine,
@@ -664,34 +700,12 @@ impl FrontendServer {
                 }
             }
         };
-        let mut workers = Vec::new();
         let mut collector = None;
         let dispatch: Box<dyn Dispatch> = match &backend {
-            Backend::Single(engine) => {
-                let (tx, rx) = channel::<WorkItem>();
-                let rx = Arc::new(Mutex::new(rx));
-                let n = if cfg.workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(2)
-                        .clamp(2, 8)
-                } else {
-                    cfg.workers
-                };
-                for _ in 0..n {
-                    let rx = rx.clone();
-                    let engine = engine.clone();
-                    let injected = injected.clone();
-                    let wake = wake_tx.try_clone()?;
-                    workers.push(std::thread::spawn(move || {
-                        single_worker_loop(rx, engine, injected, wake);
-                    }));
-                }
-                Box::new(SingleDispatch {
-                    work_tx: tx,
-                    provider: provider.clone(),
-                })
-            }
+            Backend::Single(engine) => Box::new(SingleDispatch {
+                engine: engine.clone(),
+                provider: provider.clone(),
+            }),
             Backend::Sharded(sharded) => {
                 let (tx, rx) = channel::<(u64, Response)>();
                 let injected_c = injected.clone();
@@ -744,7 +758,6 @@ impl FrontendServer {
             stopped,
             stats,
             reactor_thread,
-            workers,
             collector,
             ticker,
         })
@@ -801,12 +814,8 @@ impl FrontendServer {
         self.stopped.store(true, Ordering::Relaxed);
         inject(&self.injected, &self.wake_tx, Injected::Stop);
         let _ = reactor.join();
-        // The reactor dropped its dispatcher: the worker channel and
-        // the shard reply channel are now closing, so these joins
-        // terminate.
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // The reactor dropped its dispatcher, which closes the shard
+        // reply channel, so the collector's join terminates.
         if let Some(c) = self.collector.take() {
             let _ = c.join();
         }

@@ -21,11 +21,12 @@
 //! * [`ClusterClient`] — the unified `pequod_core::Client` surface over
 //!   a cluster: commands are routed by the partition function and
 //!   pipelined as one batched frame per destination server.
-//! * [`TcpServer`] / [`TcpClient`] — a real blocking TCP transport for a
-//!   single node over loopback or LAN, serving either one
-//!   single-threaded engine or a multi-core
-//!   [`pequod_core::ShardedEngine`]
-//!   ([`TcpServer::spawn_sharded`]).
+//! * [`FrontendServer`] / [`TcpClient`] — a real socket transport for a
+//!   single node over loopback or LAN: an event-driven server (one
+//!   epoll thread; TCP plus an optional unix-domain socket) in front of
+//!   either one single-threaded engine, executed on that same thread,
+//!   or a multi-core [`pequod_core::ShardedEngine`]
+//!   ([`FrontendServer::spawn_sharded`]), and a blocking client.
 //!
 //! The [`partition`] module re-exports `pequod_core::partition`: the
 //! same key-routing functions place data on server processes here and
@@ -56,7 +57,7 @@ pub use reactor::Poller;
 pub use server::{Endpoint, NodeStats, ServerNode};
 pub use sim::{FaultStats, LinkFaults, SimCluster, SimConfig, SimNet, TrafficStats};
 pub use swarm::{Swarm, SwarmConfig, SwarmReport};
-pub use tcp::{ClientError, RetryPolicy, TcpClient, TcpServer};
+pub use tcp::{ClientError, RetryPolicy, TcpClient};
 
 #[cfg(test)]
 mod tests {
@@ -244,7 +245,8 @@ mod tests {
     fn tcp_round_trip() {
         let mut engine = Engine::new(EngineConfig::default());
         engine.add_join_text(TIMELINE).unwrap();
-        let server = TcpServer::spawn("127.0.0.1:0", engine).unwrap();
+        let server =
+            FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
         let mut client = TcpClient::connect(server.addr()).unwrap();
 
         client.put("s|ann|bob", "1").unwrap();
@@ -281,7 +283,9 @@ mod tests {
         });
         let mut sharded = ShardedEngine::new(2, EngineConfig::default(), part, &["p|", "s|"]);
         sharded.add_join(TIMELINE).unwrap();
-        let server = TcpServer::spawn_sharded("127.0.0.1:0", sharded).unwrap();
+        let server =
+            FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default())
+                .unwrap();
         assert!(server.engine().is_none());
         assert!(server.sharded().is_some());
         let mut client = TcpClient::connect(server.addr()).unwrap();
@@ -312,7 +316,9 @@ mod tests {
             servers: 4,
         });
         let sharded = ShardedEngine::new(4, EngineConfig::default(), part, &["k|"]);
-        let server = TcpServer::spawn_sharded("127.0.0.1:0", sharded).unwrap();
+        let server =
+            FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default())
+                .unwrap();
         let addr = server.addr();
         let writers: Vec<_> = (0..4)
             .map(|i| {
@@ -338,7 +344,8 @@ mod tests {
     #[test]
     fn tcp_multiple_clients() {
         let engine = Engine::new(EngineConfig::default());
-        let server = TcpServer::spawn("127.0.0.1:0", engine).unwrap();
+        let server =
+            FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
         let addr = server.addr();
         let writers: Vec<_> = (0..4)
             .map(|i| {

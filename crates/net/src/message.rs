@@ -298,9 +298,8 @@ impl Message {
 
     /// The reply to a [`Message::Metrics`] request: the snapshot's
     /// flattened `(key, value)` pairs as a reply pair list. Every
-    /// serving surface (blocking TCP, event-driven frontend, cluster
-    /// node) answers through this one encoder so the wire shape cannot
-    /// diverge.
+    /// serving surface (event-driven frontend, cluster node) answers
+    /// through this one encoder so the wire shape cannot diverge.
     pub fn metrics_reply(id: u64, snapshot: &pequod_telemetry::Snapshot) -> Message {
         Message::reply(
             id,

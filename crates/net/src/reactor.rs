@@ -2,17 +2,23 @@
 //!
 //! [`Poller`] is a minimal hand-rolled `epoll(7)` wrapper (the tree's
 //! only socket-facing FFI): register file descriptors under integer
-//! tokens, wait for readiness. On top of it, [`Reactor`] runs the
+//! tokens, wait for readiness. On top of it, `Reactor` runs the
 //! serving loop of [`FrontendServer`](crate::frontend::FrontendServer):
 //!
 //! * one thread owns every connection — sockets, incremental frame
 //!   decoders, bounded write queues — and never blocks on a socket;
-//! * decoded frames are handed to a [`Dispatch`] backend (worker pool
-//!   or per-shard submission queues, see [`crate::frontend`]) and the
-//!   replies come back through an injection queue plus a wakeup pipe;
+//! * decoded frames are handed to a `Dispatch` backend (see
+//!   [`crate::frontend`]): the single engine executes the frame right
+//!   there, on this thread, and returns the replies; the sharded engine
+//!   submits it to the per-shard queues and its replies come back
+//!   through an injection queue plus a wakeup pipe;
 //! * per connection, frames are answered strictly in arrival order:
 //!   at most one frame is dispatched at a time and further pipelined
 //!   frames wait in a bounded pending queue;
+//! * connections take turns: one turn dispatches at most the pending
+//!   queue (`max_pipeline` frames), and a connection with more work
+//!   buffered goes to the back of a run queue instead of holding the
+//!   thread;
 //! * backpressure: when a connection's write queue or pending queue is
 //!   full, the reactor drops its read interest — the kernel socket
 //!   buffer fills, the client's sends stall, and memory stays bounded.
@@ -98,7 +104,7 @@ pub struct PollEvent {
 }
 
 /// A level-triggered `epoll(7)` instance: the readiness primitive
-/// behind [`Reactor`], also reusable client-side (the `frontend` bench
+/// behind `Reactor`, also reusable client-side (the `frontend` bench
 /// and the stress suite drive thousands of pipelined client sockets
 /// with one).
 pub struct Poller {
@@ -256,12 +262,9 @@ impl Socket {
     }
 }
 
-/// Work injected into the reactor from other threads (dispatch
-/// completions, shard replies, ticks, shutdown), paired with a byte on
-/// the wakeup pipe.
+/// Work injected into the reactor from other threads (shard replies,
+/// ticks, shutdown), paired with a byte on the wakeup pipe.
 pub(crate) enum Injected {
-    /// A dispatched frame completed: write these replies to `token`.
-    Done(u64, Vec<Message>),
     /// One shard's reply to a submitted command (sharded backend).
     Shard(u64, Response),
     /// Logical time advanced one tick.
@@ -270,21 +273,27 @@ pub(crate) enum Injected {
     Stop,
 }
 
-/// The backend half the reactor dispatches decoded frames into.
-/// Implementations must never block the calling (reactor) thread.
+/// The backend half the reactor dispatches decoded frames into. Every
+/// call runs on the reactor thread, so whatever time a call takes is
+/// time no socket is served: the sharded backend only enqueues, the
+/// single engine runs the frame to completion (a cold recompute or a
+/// durability snapshot included — the paper's single-threaded server
+/// makes the same trade).
 pub(crate) trait Dispatch: Send {
     /// Begins executing one frame for connection `token`. Returns
     /// `Some(replies)` if the frame completed synchronously; otherwise
-    /// the completion arrives later as [`Injected::Done`] (directly or
-    /// via [`Injected::Shard`] replies fed back to `on_shard_reply`).
+    /// the completion arrives later through [`Injected::Shard`] replies
+    /// fed back to `on_shard_reply`.
     fn begin(&mut self, token: u64, msg: Message) -> Option<Vec<Message>>;
 
     /// Feeds one shard reply back in; returns a completed frame when
     /// this reply was the last one it waited on.
-    fn on_shard_reply(&mut self, id: u64, resp: Response) -> Option<(u64, Vec<Message>)>;
+    fn on_shard_reply(&mut self, _id: u64, _resp: Response) -> Option<(u64, Vec<Message>)> {
+        None
+    }
 
     /// Drops any state held for a closed connection.
-    fn forget(&mut self, token: u64);
+    fn forget(&mut self, _token: u64) {}
 }
 
 /// Limits and timeouts, in reactor units (bytes, frames, ticks).
@@ -312,6 +321,8 @@ struct Conn {
     pending: VecDeque<Message>,
     /// A frame is at the dispatcher; its replies have not arrived.
     inflight: bool,
+    /// On the run queue, waiting for another turn.
+    queued: bool,
     /// Started when the in-flight frame was dispatched; observed into
     /// the dispatch-latency histogram when its replies are queued.
     dispatch_timer: Timer,
@@ -351,6 +362,14 @@ impl Conn {
 
     fn wants_write(&self) -> bool {
         !self.wq.is_empty()
+    }
+
+    /// The dispatch gate: one frame at the dispatcher at a time (replies
+    /// stay in arrival order), and none while the write queue is over
+    /// its cap, so a slow reader cannot balloon it past one response
+    /// beyond the cap.
+    fn can_dispatch(&self, cfg: &ReactorConfig) -> bool {
+        !self.inflight && self.wq_bytes < cfg.max_write_buffer
     }
 
     /// Nothing left to serve or flush.
@@ -468,6 +487,10 @@ pub(crate) struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
+    /// The run queue: connections whose last turn left dispatchable
+    /// frames behind. Served one turn each per loop iteration, after
+    /// that iteration's readiness events.
+    ready: Vec<usize>,
     injected: Arc<Mutex<VecDeque<Injected>>>,
     wake_rx: UnixStream,
     dispatch: Box<dyn Dispatch>,
@@ -502,6 +525,7 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             next_gen: 1,
+            ready: Vec::new(),
             injected,
             wake_rx,
             dispatch,
@@ -516,7 +540,10 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(512);
         'serve: loop {
-            if self.poller.wait(&mut events, -1).is_err() {
+            // With connections waiting for a turn, only collect what is
+            // already ready; otherwise sleep until something is.
+            let timeout_ms = if self.ready.is_empty() { -1 } else { 0 };
+            if self.poller.wait(&mut events, timeout_ms).is_err() {
                 break;
             }
             for ev in events.iter().copied() {
@@ -529,7 +556,6 @@ impl Reactor {
             }
             for inj in take_injected(&self.injected) {
                 match inj {
-                    Injected::Done(token, replies) => self.finish_frame(token, replies),
                     Injected::Shard(id, resp) => {
                         if let Some((token, replies)) = self.dispatch.on_shard_reply(id, resp) {
                             self.finish_frame(token, replies);
@@ -538,6 +564,12 @@ impl Reactor {
                     Injected::Tick => self.on_tick(),
                     Injected::Stop => break 'serve,
                 }
+            }
+            for idx in std::mem::take(&mut self.ready) {
+                if let Some(conn) = self.conns[idx].as_mut() {
+                    conn.queued = false;
+                }
+                self.pump(idx);
             }
         }
         self.teardown();
@@ -621,6 +653,7 @@ impl Reactor {
             decoder: FrameDecoder::new(),
             pending: VecDeque::new(),
             inflight: false,
+            queued: false,
             dispatch_timer: Timer::disabled(),
             wq: VecDeque::new(),
             wq_pos: 0,
@@ -716,82 +749,32 @@ impl Reactor {
         self.pump(idx);
     }
 
-    /// The per-connection scheduler: refill the pending queue from
-    /// buffered bytes, dispatch the next frame, flush, sync poller
+    /// One turn of the per-connection scheduler: dispatch the pending
+    /// queue, flush, refill the queue from buffered bytes, sync poller
     /// interests with the backpressure gate, close drained connections.
     fn pump(&mut self, idx: usize) {
-        // Each pass: refill the pending queue from buffered bytes,
-        // dispatch until the pipeline gate closes, flush. A flush can
-        // empty the write queue after the gate already closed, with
-        // nothing else left to re-trigger this connection (the peer may
-        // have pipelined everything up front) — so passes repeat until
-        // one makes no more progress.
         loop {
-            // Bytes may be sitting in the decoder from before the
-            // pipeline cap paused parsing; a completed frame makes room
-            // again.
-            {
-                let Reactor {
-                    conns, cfg, stats, ..
-                } = self;
-                match conns[idx].as_mut() {
-                    Some(conn) => parse_frames(conn, cfg, stats),
-                    None => return,
-                }
-            }
-            // Dispatch pipelined frames one at a time (replies stay in
-            // arrival order), pausing while the write queue is over cap
-            // so a slow reader cannot balloon it past one response
-            // beyond the cap.
-            loop {
-                let (token, msg) = {
-                    let Reactor { conns, cfg, .. } = self;
-                    let Some(conn) = conns[idx].as_mut() else {
-                        return;
-                    };
-                    if conn.inflight || conn.wq_bytes >= cfg.max_write_buffer {
-                        break;
-                    }
-                    match conn.pending.pop_front() {
-                        Some(m) => {
-                            conn.inflight = true;
-                            conn.dispatch_timer = cfg.recorder.timer();
-                            cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
-                            (conn.token, m)
-                        }
-                        None => break,
-                    }
-                };
-                match self.dispatch.begin(token, msg) {
-                    Some(replies) => self.queue_replies(idx, replies),
-                    None => break, // completion arrives by injection
-                }
-            }
-            // Opportunistic flush so small replies go out without
-            // waiting for a writability event.
-            let outcome = {
-                let Reactor { conns, stats, .. } = self;
-                match conns[idx].as_mut() {
-                    Some(conn) => conn_flush(conn, stats),
-                    None => return,
-                }
-            };
-            if matches!(outcome, IoOutcome::Close) {
-                self.close_conn(idx);
-                return;
-            }
-            // Another pass only if the flush reopened the dispatch gate
-            // while frames are still waiting; each such pass dispatches
-            // at least one frame, so this terminates.
-            let again = {
+            let (token, msg) = {
                 let Reactor { conns, cfg, .. } = self;
                 let Some(conn) = conns[idx].as_mut() else {
                     return;
                 };
-                !conn.inflight && conn.wq_bytes < cfg.max_write_buffer && !conn.pending.is_empty()
+                if !conn.can_dispatch(cfg) {
+                    break;
+                }
+                match conn.pending.pop_front() {
+                    Some(m) => {
+                        conn.inflight = true;
+                        conn.dispatch_timer = cfg.recorder.timer();
+                        cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
+                        (conn.token, m)
+                    }
+                    None => break,
+                }
             };
-            if !again {
-                break;
+            match self.dispatch.begin(token, msg) {
+                Some(replies) => self.queue_replies(idx, replies),
+                None => break, // completion arrives by injection
             }
         }
         enum Action {
@@ -801,11 +784,34 @@ impl Reactor {
         }
         let action = {
             let Reactor {
-                conns, cfg, stats, ..
+                conns,
+                cfg,
+                stats,
+                ready,
+                ..
             } = self;
             let Some(conn) = conns[idx].as_mut() else {
                 return;
             };
+            // Opportunistic flush so small replies go out without
+            // waiting for a writability event.
+            if matches!(conn_flush(conn, stats), IoOutcome::Close) {
+                self.close_conn(idx);
+                return;
+            }
+            // Dispatching made room in the pending queue: top it up
+            // from bytes the pipeline cap left in the decoder (reads
+            // top it up too, so it is as full as it can be whenever a
+            // turn starts). The turn can then end with frames still
+            // dispatchable — more were buffered than one turn takes, or
+            // the flush reopened the gate after the peer had already
+            // sent everything. No socket event would bring this
+            // connection back, so the run queue does.
+            parse_frames(conn, cfg, stats);
+            if !conn.queued && conn.can_dispatch(cfg) && !conn.pending.is_empty() {
+                conn.queued = true;
+                ready.push(idx);
+            }
             if (conn.saw_eof || conn.close_after_flush) && conn.drained() {
                 Action::Close
             } else {
@@ -912,9 +918,9 @@ impl Reactor {
     }
 
     /// Deterministic stop: refuse new connections, make one best-effort
-    /// flush of queued replies, close every connection. Frames still at
-    /// the dispatcher produce no reply (their connections are gone) —
-    /// the drain-or-refuse contract shared with the blocking server.
+    /// flush of queued replies, close every connection. Frames still
+    /// pending or at the dispatcher produce no reply (their connections
+    /// are gone).
     fn teardown(&mut self) {
         if let Some(l) = self.tcp.take() {
             let _ = self.poller.deregister(l.as_raw_fd());

@@ -1,401 +1,17 @@
-//! A blocking TCP transport for a single Pequod node.
+//! A blocking TCP client for a Pequod server.
 //!
-//! Thread-per-connection over `std::net` with the length-prefixed frame
-//! codec (the framing discipline of the Tokio guide, without the async
-//! runtime). Two backends:
-//!
-//! * [`TcpServer::spawn`] — one single-threaded [`Engine`] behind one
-//!   mutex, matching the paper's one-process-per-core deployment where
-//!   each process owns a partition of the store.
-//! * [`TcpServer::spawn_sharded`] — a
-//!   [`pequod_core::ShardedEngine`]: every connection
-//!   gets its own [`pequod_core::ShardedHandle`], so independent
-//!   connections execute on all shards concurrently and one node's
-//!   throughput scales with cores.
+//! [`TcpClient`] speaks the length-prefixed frame codec over `std::net`
+//! (the framing discipline of the Tokio guide, without the async
+//! runtime), one request in flight at a time, with bounded retry under
+//! a [`RetryPolicy`]. The serving side is
+//! [`FrontendServer`](crate::FrontendServer).
 
 use crate::codec::{decode_frame, encode_frame, CodecError};
 use crate::message::Message;
 use bytes::BytesMut;
-use pequod_core::{Client, Command, Engine, Response, ShardedEngine, ShardedHandle};
 use pequod_store::{Key, KeyRange, Value};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
-use std::thread::JoinHandle;
-
-/// The serving backend behind a [`TcpServer`].
-enum TcpBackend {
-    /// One single-threaded engine behind a mutex; connections take the
-    /// lock per message.
-    Single(Arc<Mutex<Engine>>),
-    /// A sharded multi-core engine; each connection clones a handle.
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl Clone for TcpBackend {
-    fn clone(&self) -> TcpBackend {
-        match self {
-            TcpBackend::Single(e) => TcpBackend::Single(e.clone()),
-            TcpBackend::Sharded(s) => TcpBackend::Sharded(s.clone()),
-        }
-    }
-}
-
-/// Live connections: a duplicated stream (to sever on shutdown) plus
-/// the serve thread's handle (to join). Registered by the accept loop,
-/// drained by [`TcpServer::shutdown`].
-type ConnRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
-
-/// A running TCP server.
-pub struct TcpServer {
-    addr: SocketAddr,
-    backend: TcpBackend,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    conns: ConnRegistry,
-}
-
-impl TcpServer {
-    /// Starts serving `engine` on `addr` (use port 0 for an ephemeral
-    /// port). The engine must serve local data only; queries that report
-    /// missing base data return an error to the client.
-    pub fn spawn(addr: impl ToSocketAddrs, engine: Engine) -> std::io::Result<TcpServer> {
-        Self::spawn_backend(addr, TcpBackend::Single(Arc::new(Mutex::new(engine))))
-    }
-
-    /// Starts serving a [`ShardedEngine`] on `addr`. Each accepted
-    /// connection gets its own [`ShardedHandle`], so concurrent clients
-    /// run on all shards in parallel instead of serializing on one
-    /// engine mutex.
-    pub fn spawn_sharded(
-        addr: impl ToSocketAddrs,
-        sharded: ShardedEngine,
-    ) -> std::io::Result<TcpServer> {
-        Self::spawn_backend(addr, TcpBackend::Sharded(Arc::new(sharded)))
-    }
-
-    fn spawn_backend(addr: impl ToSocketAddrs, backend: TcpBackend) -> std::io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept_backend = backend.clone();
-        let accept_stop = stop.clone();
-        let accept_conns = conns.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Register before serving: a connection we could not
-                // sever on shutdown must not be served at all, else
-                // `shutdown()` could return with it still live.
-                let Ok(peer) = stream.try_clone() else {
-                    continue;
-                };
-                let handle = match &accept_backend {
-                    TcpBackend::Single(engine) => {
-                        let engine = engine.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(stream, engine);
-                        })
-                    }
-                    TcpBackend::Sharded(sharded) => {
-                        let handle = sharded.client_handle();
-                        let sharded = sharded.clone();
-                        std::thread::spawn(move || {
-                            let _ = serve_sharded_connection(stream, handle, sharded);
-                        })
-                    }
-                };
-                let mut reg = match accept_conns.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                reg.retain(|(_, h)| !h.is_finished());
-                reg.push((peer, handle));
-            }
-        });
-        Ok(TcpServer {
-            addr,
-            backend,
-            stop,
-            accept_thread: Some(accept_thread),
-            conns,
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Shared access to the single-engine backend (e.g. to inspect
-    /// stats); `None` when the server fronts a [`ShardedEngine`].
-    pub fn engine(&self) -> Option<Arc<Mutex<Engine>>> {
-        match &self.backend {
-            TcpBackend::Single(e) => Some(e.clone()),
-            TcpBackend::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded backend, when serving one (per-shard stats).
-    pub fn sharded(&self) -> Option<Arc<ShardedEngine>> {
-        match &self.backend {
-            TcpBackend::Single(_) => None,
-            TcpBackend::Sharded(s) => Some(s.clone()),
-        }
-    }
-
-    /// Stops the server deterministically: no connection — including
-    /// one accepted concurrently with this call — is serviced after it
-    /// returns. The accept loop is joined first (a racing connection is
-    /// either registered or refused), then every live connection is
-    /// severed and its serve thread joined.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Poke the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // The accept loop has exited, so the registry is complete.
-        let held: Vec<(TcpStream, JoinHandle<()>)> = {
-            let mut reg = match self.conns.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            reg.drain(..).collect()
-        };
-        for (stream, handle) in held {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            let _ = handle.join();
-        }
-    }
-
-    /// Graceful shutdown: stop accepting, then take a final durability
-    /// snapshot and fsync on the backend (a no-op without attached
-    /// persistence). The SIGTERM path of `pequod-server`.
-    pub fn shutdown_finalize(&mut self) {
-        self.shutdown();
-        match &self.backend {
-            TcpBackend::Single(engine) => {
-                if let Ok(mut e) = engine.lock() {
-                    e.finalize_durability();
-                }
-            }
-            TcpBackend::Sharded(s) => s.finalize_durability(),
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The shared framing loop: read bytes, decode complete frames, hand
-/// each message to `handle_message`, write its replies back. Both
-/// backends serve connections through this one loop, so framing fixes
-/// cannot diverge between them.
-fn serve_frames(
-    mut stream: TcpStream,
-    mut handle_message: impl FnMut(Message) -> Vec<Message>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut buf = BytesMut::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        // Drain complete frames.
-        loop {
-            match decode_frame(&mut buf) {
-                Ok(Some(msg)) => {
-                    for reply in handle_message(msg) {
-                        stream.write_all(&encode_frame(&reply))?;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-                }
-            }
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(()); // peer closed
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn serve_connection(stream: TcpStream, engine: Arc<Mutex<Engine>>) -> std::io::Result<()> {
-    serve_frames(stream, move |msg| match msg {
-        // Telemetry is answered here, outside the generic handler, so
-        // the snapshot happens under one short lock acquisition.
-        Message::Metrics { id, flight } => {
-            let snapshot = engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .recorder()
-                .snapshot(flight);
-            vec![Message::metrics_reply(id, &snapshot)]
-        }
-        other => handle_client_message(&engine, other),
-    })
-}
-
-fn serve_sharded_connection(
-    stream: TcpStream,
-    mut handle: ShardedHandle,
-    sharded: Arc<ShardedEngine>,
-) -> std::io::Result<()> {
-    serve_frames(stream, move |msg| match msg {
-        Message::Metrics { id, flight } => {
-            let snapshot = sharded.telemetry_snapshot(flight);
-            vec![Message::metrics_reply(id, &snapshot)]
-        }
-        other => handle_sharded_message(&mut handle, other),
-    })
-}
-
-/// Translates one wire message into unified-client commands and back.
-/// A `Batch` frame becomes one pipelined `execute_batch` call, so the
-/// sharded engine fans the whole frame out across shards at once.
-fn handle_sharded_message(handle: &mut ShardedHandle, msg: Message) -> Vec<Message> {
-    let msgs = match msg {
-        Message::Batch { msgs } => msgs,
-        other => vec![other],
-    };
-    let mut ids: Vec<u64> = Vec::with_capacity(msgs.len());
-    let mut keys: Vec<Option<Key>> = Vec::with_capacity(msgs.len());
-    let mut commands: Vec<Command> = Vec::with_capacity(msgs.len());
-    let mut replies: Vec<Message> = Vec::new();
-    for m in msgs {
-        let (id, key, command) = match m {
-            Message::Get { id, key } => (id, Some(key.clone()), Command::Get(key)),
-            Message::Scan { id, range } => (id, None, Command::Scan(range)),
-            Message::Count { id, range } => (id, None, Command::Count(range)),
-            Message::Put { id, key, value } => (id, None, Command::Put(key, value)),
-            Message::Remove { id, key } => (id, None, Command::Remove(key)),
-            Message::AddJoin { id, text } => (id, None, Command::AddJoin(text)),
-            // Server-to-server traffic is not accepted on the client
-            // port; inter-shard traffic stays on in-process channels.
-            other => {
-                replies.push(Message::error(
-                    other.id().unwrap_or(0),
-                    "unsupported on client connection",
-                ));
-                continue;
-            }
-        };
-        ids.push(id);
-        keys.push(key);
-        commands.push(command);
-    }
-    for ((id, key), response) in ids
-        .into_iter()
-        .zip(keys)
-        .zip(handle.execute_batch(commands))
-    {
-        replies.push(response_to_message(id, key, response));
-    }
-    replies
-}
-
-/// Formats one unified-client [`Response`] as the wire reply for
-/// request `id`; `key` is the key a `Get` reply echoes. Shared with the
-/// event-driven frontend so both servers answer byte-identically.
-pub(crate) fn response_to_message(id: u64, key: Option<Key>, response: Response) -> Message {
-    match response {
-        Response::Value(v) => Message::reply(
-            id,
-            v.and_then(|v| key.map(|k| (k, v))).into_iter().collect(),
-        ),
-        Response::Pairs(pairs) => Message::reply(id, pairs),
-        Response::Count(n) => Message::count_reply(id, n),
-        Response::Ok => Message::reply(id, vec![]),
-        Response::Stats(_) => Message::reply(id, vec![]),
-        Response::Error(e) => Message::error(id, e),
-    }
-}
-
-/// Serves one wire message against a mutex-shared single engine; shared
-/// with the event-driven frontend's worker pool.
-pub(crate) fn handle_client_message(engine: &Mutex<Engine>, msg: Message) -> Vec<Message> {
-    let reply = match msg {
-        Message::Batch { msgs } => {
-            // One frame in, one reply per pipelined request out.
-            return msgs
-                .into_iter()
-                .flat_map(|m| handle_client_message(engine, m))
-                .collect();
-        }
-        Message::Count { id, range } => {
-            let res = engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .count_result(&range);
-            if res.is_complete() {
-                Message::count_reply(id, res.count as u64)
-            } else {
-                Message::error(id, "missing base data (no backing store attached)")
-            }
-        }
-        Message::Get { id, key } => {
-            let res = engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get_result(&key);
-            if res.is_complete() {
-                Message::reply(id, res.pairs)
-            } else {
-                Message::error(id, "missing base data (no backing store attached)")
-            }
-        }
-        Message::Scan { id, range } => {
-            let res = engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .scan(&range);
-            if res.is_complete() {
-                Message::reply(id, res.pairs)
-            } else {
-                Message::error(id, "missing base data (no backing store attached)")
-            }
-        }
-        Message::Put { id, key, value } => {
-            engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .put(key, value);
-            Message::reply(id, vec![])
-        }
-        Message::Remove { id, key } => {
-            engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&key);
-            Message::reply(id, vec![])
-        }
-        Message::AddJoin { id, text } => {
-            let result = engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .add_joins_text(&text);
-            match result {
-                Ok(_) => Message::reply(id, vec![]),
-                Err(e) => Message::error(id, e.to_string()),
-            }
-        }
-        // Server-to-server traffic is not accepted on the client port.
-        other => Message::error(other.id().unwrap_or(0), "unsupported on client connection"),
-    };
-    vec![reply]
-}
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 /// Client-side errors.
 #[derive(Debug)]

@@ -1,8 +1,9 @@
 //! Stress and robustness suite for the event-driven frontend: thousands
 //! of concurrent pipelined connections, mid-frame disconnects, slow
 //! readers driving backpressure, garbage and oversized frames, idle and
-//! stall timeouts, and deterministic shutdown (the drain-or-refuse
-//! regression for both servers).
+//! stall timeouts, deterministic shutdown, and what executing frames on
+//! the reactor thread must not cost: a connection stuck behind its
+//! write cap starving the others.
 //!
 //! Everything here is deterministic: request streams derive from
 //! (connection, sequence) counters, and assertions about timeouts poll
@@ -12,9 +13,7 @@
 
 use pequod_core::{Engine, EngineConfig, ShardedEngine};
 use pequod_net::codec::{encode_frame, FrameDecoder};
-use pequod_net::{
-    FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient, TcpServer,
-};
+use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient};
 use pequod_store::{Key, KeyRange, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -44,6 +43,29 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     cond()
+}
+
+/// Reads error-free replies with ids `1..=count`, in that order; a
+/// close or a read timeout before the last one fails the test.
+fn expect_replies_in_order(sock: &mut TcpStream, count: u64) {
+    let mut dec = FrameDecoder::new();
+    let mut chunk = [0u8; 16 * 1024];
+    let mut next_id = 1u64;
+    while next_id <= count {
+        match dec.next_frame().unwrap() {
+            Some(Message::Reply { id, error, .. }) => {
+                assert!(error.is_none(), "reply {id}: {error:?}");
+                assert_eq!(id, next_id, "replies reordered");
+                next_id += 1;
+            }
+            Some(other) => panic!("unexpected frame {other:?}"),
+            None => {
+                let n = sock.read(&mut chunk).expect("replies stalled");
+                assert!(n > 0, "server closed before reply {next_id} of {count}");
+                dec.extend(&chunk[..n]);
+            }
+        }
+    }
 }
 
 /// The acceptance-criteria test: 5000 concurrent connections, each
@@ -239,24 +261,7 @@ fn slow_reader_triggers_backpressure_and_loses_nothing() {
         "no backpressure pause recorded"
     );
     // Resume reading: every reply arrives, in order.
-    let mut dec = FrameDecoder::new();
-    let mut chunk = [0u8; 16 * 1024];
-    let mut next_id = 1u64;
-    while next_id <= 49 {
-        match dec.next_frame().unwrap() {
-            Some(Message::Reply { id, error, .. }) => {
-                assert!(error.is_none());
-                assert_eq!(id, next_id, "replies reordered under backpressure");
-                next_id += 1;
-            }
-            Some(other) => panic!("unexpected frame {other:?}"),
-            None => {
-                let n = sock.read(&mut chunk).unwrap();
-                assert!(n > 0, "server closed a merely-slow reader");
-                dec.extend(&chunk[..n]);
-            }
-        }
-    }
+    expect_replies_in_order(&mut sock, 49);
     server.shutdown();
 }
 
@@ -373,56 +378,131 @@ fn stall_timeout_closes_stuck_readers() {
     server.shutdown();
 }
 
-/// Regression for the accept-loop shutdown race: a connection that was
-/// live when `shutdown()` was called must not be serviced after it
-/// returns — on the blocking server (where the race lived) and on the
-/// reactor alike.
+/// A burst far deeper than `max_pipeline`, delivered in one write, is
+/// served to the end: the frames buffered past one turn's worth must
+/// not wait for a socket event that will never come.
 #[test]
-fn threads_shutdown_severs_live_connections() {
-    let mut server = TcpServer::spawn("127.0.0.1:0", Engine::new(EngineConfig::default())).unwrap();
-    let addr = server.addr();
-    let mut sock = TcpStream::connect(addr).unwrap();
-    sock.set_nodelay(true).unwrap();
-    // Prove the connection is being serviced.
-    sock.write_all(&encode_frame(&Message::Put {
-        id: 1,
-        key: k("p|pre|0000000001"),
-        value: v(b"x".to_vec()),
-    }))
-    .unwrap();
-    let mut chunk = [0u8; 4096];
-    let mut dec = FrameDecoder::new();
-    loop {
-        if dec.next_frame().unwrap().is_some() {
-            break;
-        }
-        let n = sock.read(&mut chunk).unwrap();
-        assert!(n > 0);
-        dec.extend(&chunk[..n]);
+fn burst_deeper_than_the_pipeline_cap_is_fully_served() {
+    let mut server = single_server(FrontendConfig {
+        max_pipeline: 4,
+        ..FrontendConfig::default()
+    });
+    const FRAMES: u64 = 300;
+    let mut burst = Vec::new();
+    for id in 1..=FRAMES {
+        burst.extend_from_slice(&encode_frame(&Message::Put {
+            id,
+            key: k(&format!("p|burst|{id:010}")),
+            value: v(b"x".to_vec()),
+        }));
     }
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    sock.write_all(&burst).unwrap();
+    expect_replies_in_order(&mut sock, FRAMES);
     server.shutdown();
-    // Before the fix the serve thread survived shutdown() and this
-    // request would be answered.
-    let _ = sock.write_all(&encode_frame(&Message::Get {
-        id: 2,
-        key: k("p|pre|0000000001"),
-    }));
-    let _ = sock.flush();
-    let answered = loop {
-        match dec.next_frame() {
-            Ok(Some(_)) => break true,
-            Ok(None) => {}
-            Err(_) => break false,
-        }
-        match sock.read(&mut chunk) {
-            Ok(0) | Err(_) => break false,
-            Ok(n) => dec.extend(&chunk[..n]),
-        }
-    };
-    assert!(!answered, "connection serviced after shutdown() returned");
 }
 
-/// The reactor's shutdown has the same contract.
+/// How many threads of this process carry `name`.
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// Frames execute on the reactor thread, with no worker pool behind it.
+/// That must not let one connection hold the thread: with A stuck
+/// behind its write cap (a deep pipeline of large scans, never read),
+/// B's requests and a wire `Metrics` are still answered, and
+/// `shutdown()` returns without serving A's backlog.
+#[test]
+fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
+    // The server's threads are unnamed, and Linux copies a thread's
+    // name to the threads it creates: spawning from a thread of a known
+    // name makes the server's own threads countable, whatever other
+    // tests are running.
+    const SPAWNER: &str = "census-spawner";
+    let mut server = std::thread::Builder::new()
+        .name(SPAWNER.into())
+        .spawn(|| {
+            single_server(FrontendConfig {
+                max_write_buffer: 2048,
+                stall_timeout_ms: None,
+                ..FrontendConfig::default()
+            })
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(
+        threads_named(SPAWNER),
+        2,
+        "a single-engine server runs the reactor and the ticker, nothing else"
+    );
+    let addr = server.addr();
+    let mut b = TcpClient::connect(addr).unwrap();
+    for i in 0..64 {
+        b.put(format!("p|big|{i:010}"), vec![b'z'; 4096]).unwrap();
+    }
+    // A: 96 pipelined scans of 256 KiB each, far more than the socket
+    // buffers hold, and not one byte read.
+    const SCANS: u64 = 96;
+    let mut a = TcpStream::connect(addr).unwrap();
+    for id in 1..=SCANS {
+        a.write_all(&encode_frame(&Message::Scan {
+            id,
+            range: KeyRange::prefix("p|big|"),
+        }))
+        .unwrap();
+    }
+    assert!(
+        wait_for(10, || server.stats().backpressure_pauses > 0),
+        "connection A never hit its write cap"
+    );
+    assert_eq!(
+        b.get("p|big|0000000001").unwrap().map(|v| v.len()),
+        Some(4096),
+        "connection B starved behind A"
+    );
+    let metrics = b.metrics(false).unwrap();
+    assert!(
+        metrics
+            .iter()
+            .any(|(k, v)| k == "pequod_backpressure_pauses_total" && v != "0"),
+        "wire Metrics not answered with the live counters: {metrics:?}"
+    );
+    server.shutdown();
+    assert_eq!(
+        threads_named(SPAWNER),
+        0,
+        "a server thread outlived shutdown"
+    );
+    // A receives what had already reached the kernel, then the close.
+    a.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut dec = FrameDecoder::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut answered = 0u64;
+    loop {
+        while let Some(reply) = dec.next_frame().unwrap() {
+            answered += 1;
+            assert_eq!(reply.id(), Some(answered), "replies reordered");
+        }
+        match a.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => dec.extend(&chunk[..n]),
+        }
+    }
+    assert!(
+        answered < SCANS,
+        "shutdown served A's whole backlog ({answered} replies)"
+    );
+}
+
+/// `shutdown()` contract: once it returns, the server answers nothing,
+/// new connections included.
 #[test]
 fn reactor_shutdown_severs_live_connections() {
     let mut server = single_server(FrontendConfig::default());

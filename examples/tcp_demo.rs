@@ -5,11 +5,15 @@
 //! Run with `cargo run --example tcp_demo`.
 
 use pequod::core::Engine;
-use pequod::net::{TcpClient, TcpServer};
+use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
 use pequod::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = TcpServer::spawn("127.0.0.1:0", Engine::new_default())?;
+    let server = FrontendServer::spawn(
+        "127.0.0.1:0",
+        Engine::new_default(),
+        FrontendConfig::default(),
+    )?;
     println!("pequod server listening on {}", server.addr());
 
     let mut client = TcpClient::connect(server.addr())?;

@@ -6,28 +6,26 @@
 //!               [--shards N] [--shard-table PREFIX] [--shard-component C]
 //!               [--data-dir DIR] [--snapshot-every N]
 //!               [--fsync never|always|every:N] [--paranoid]
-//!               [--net-model reactor|threads] [--unix-socket PATH]
-//!               [--metrics-addr HOST:PORT]
+//!               [--unix-socket PATH] [--metrics-addr HOST:PORT]
 //!               [--cluster nodes.toml --node-id N]
 //! ```
 //!
 //! Speaks the length-prefixed binary protocol of `pequod-net`; use
 //! `pequod::net::TcpClient` (or the `tcp_demo` example) as a client.
 //!
-//! `--net-model` picks the serving front-end: `reactor` (default) is
-//! the event-driven epoll front-end with pipelining, bounded write
-//! buffers, and slow-client timeouts (see `docs/NETWORKING.md`);
-//! `threads` is the legacy blocking thread-per-connection server.
-//! `--unix-socket PATH` additionally serves the same protocol on a
-//! unix-domain socket (reactor model only).
+//! Clients are served by one event-driven epoll thread with
+//! pipelining, bounded write buffers, and slow-client timeouts (see
+//! `docs/NETWORKING.md`); a single engine executes requests on that
+//! same thread. `--unix-socket PATH` additionally serves the same
+//! protocol on a unix-domain socket.
 //!
 //! With `--shards N` (N > 1) the node serves a
 //! [`pequod::core::ShardedEngine`]: N single-threaded engine shards,
 //! keys routed by hashing key component `--shard-component` (default 1,
 //! the user/author component), with every `--shard-table` prefix
 //! (default `p|` and `s|`) partitioned across shards and kept fresh by
-//! in-process subscriptions. Each TCP connection gets its own shard
-//! handle, so concurrent clients use every core.
+//! in-process subscriptions. Requests execute on the shard that owns
+//! their key, so concurrent clients use every core.
 //!
 //! `--mem-limit-mb N` serves memory-bounded (§2.5): the node evicts
 //! least-recently-used computed ranges (and cached replicas) to keep
@@ -73,7 +71,7 @@ use pequod::core::partition::ComponentHashPartition;
 use pequod::core::{Client, Engine, EngineConfig, MemoryLimit, ShardedEngine};
 use pequod::persist::{FsyncPolicy, PersistOptions};
 use pequod::store::StoreConfig;
-use pequod::telemetry::{MetricsServer, Recorder, SnapshotFn};
+use pequod::telemetry::{MetricsServer, Recorder};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -124,7 +122,6 @@ fn main() {
     let mut cluster_file: Option<String> = None;
     let mut node_id: Option<u32> = None;
     let mut listen_set = false;
-    let mut net_model = "reactor".to_string();
     let mut unix_socket: Option<PathBuf> = None;
     let mut metrics_addr: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -192,9 +189,6 @@ fn main() {
                     .unwrap_or_else(|| panic!("bad --fsync {policy:?} (never|always|every:N)"));
             }
             "--paranoid" => paranoid = true,
-            "--net-model" => {
-                net_model = args.next().expect("--net-model needs reactor|threads");
-            }
             "--unix-socket" => {
                 unix_socket = Some(PathBuf::from(
                     args.next().expect("--unix-socket needs a path"),
@@ -221,8 +215,7 @@ fn main() {
                      [--shards N] [--shard-table PREFIX]... [--shard-component C] \
                      [--data-dir DIR] [--snapshot-every N] \
                      [--fsync never|always|every:N] [--paranoid] \
-                     [--net-model reactor|threads] [--unix-socket PATH] \
-                     [--metrics-addr HOST:PORT] \
+                     [--unix-socket PATH] [--metrics-addr HOST:PORT] \
                      [--cluster nodes.toml --node-id N]"
                 );
                 return;
@@ -323,23 +316,11 @@ fn main() {
         }
         return;
     }
-    let reactor_model = match net_model.as_str() {
-        "reactor" => true,
-        "threads" => false,
-        other => {
-            eprintln!("unknown --net-model {other:?} (reactor|threads)");
-            std::process::exit(2);
-        }
-    };
-    if unix_socket.is_some() && !reactor_model {
-        eprintln!("--unix-socket requires --net-model reactor");
-        std::process::exit(2);
-    }
     let frontend_cfg = pequod::net::FrontendConfig {
         unix_path: unix_socket.clone(),
         ..Default::default()
     };
-    let server = if shards > 1 {
+    let mut server = if shards > 1 {
         if shard_tables.is_empty() {
             shard_tables = vec!["p|".to_string(), "s|".to_string()];
         }
@@ -390,12 +371,7 @@ fn main() {
         eprintln!(
             "serving {shards} shards (tables {shard_tables:?} hashed on component {shard_component})"
         );
-        if reactor_model {
-            pequod::net::FrontendServer::spawn_sharded(&*listen, sharded, frontend_cfg)
-                .map(FrontServer::Reactor)
-        } else {
-            pequod::net::TcpServer::spawn_sharded(&*listen, sharded).map(FrontServer::Threads)
-        }
+        pequod::net::FrontendServer::spawn_sharded(&*listen, sharded, frontend_cfg)
     } else {
         let mut engine = Engine::new(config);
         if metrics_addr.is_some() {
@@ -423,22 +399,12 @@ fn main() {
             }
         }
         install(&mut engine);
-        if reactor_model {
-            pequod::net::FrontendServer::spawn(&*listen, engine, frontend_cfg)
-                .map(FrontServer::Reactor)
-        } else {
-            pequod::net::TcpServer::spawn(&*listen, engine).map(FrontServer::Threads)
-        }
+        pequod::net::FrontendServer::spawn(&*listen, engine, frontend_cfg)
     }
     .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
-    let mut server = server;
-    eprintln!(
-        "serving with the {net_model} network model{}",
-        match &unix_socket {
-            Some(p) => format!(", unix socket {}", p.display()),
-            None => String::new(),
-        }
-    );
+    if let Some(p) = &unix_socket {
+        eprintln!("also serving on unix socket {}", p.display());
+    }
     let metrics = metrics_addr.as_deref().map(|addr| {
         let ms = MetricsServer::spawn(addr, server.telemetry())
             .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
@@ -453,53 +419,5 @@ fn main() {
     server.shutdown_finalize();
     if let Some(ms) = metrics {
         ms.stop();
-    }
-}
-
-/// Either serving front-end behind one shutdown surface.
-enum FrontServer {
-    /// Legacy blocking thread-per-connection server.
-    Threads(pequod::net::TcpServer),
-    /// Event-driven epoll front-end.
-    Reactor(pequod::net::FrontendServer),
-}
-
-impl FrontServer {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            FrontServer::Threads(s) => s.addr(),
-            FrontServer::Reactor(s) => s.addr(),
-        }
-    }
-
-    fn shutdown_finalize(&mut self) {
-        match self {
-            FrontServer::Threads(s) => s.shutdown_finalize(),
-            FrontServer::Reactor(s) => s.shutdown_finalize(),
-        }
-    }
-
-    /// A snapshot provider for the metrics listener. The reactor hands
-    /// out its own (backend recorder plus front-end counters); the
-    /// threads model snapshots the backend recorder(s) directly.
-    fn telemetry(&self) -> SnapshotFn {
-        match self {
-            FrontServer::Reactor(s) => s.telemetry(),
-            FrontServer::Threads(s) => {
-                if let Some(sharded) = s.sharded() {
-                    return Arc::new(move |flight| sharded.telemetry_snapshot(flight));
-                }
-                let recorder = s
-                    .engine()
-                    .map(|e| {
-                        e.lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .recorder()
-                            .clone()
-                    })
-                    .unwrap_or_default();
-                Arc::new(move |flight| recorder.snapshot(flight))
-            }
-        }
     }
 }

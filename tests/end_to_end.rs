@@ -7,7 +7,8 @@ use pequod::core::partition::ComponentHashPartition;
 use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, ShardedEngine};
 use pequod::db::WriteAround;
 use pequod::net::{
-    ServerId, ServerNode, SimCluster, SimConfig, TablePartition, TcpClient, TcpServer,
+    FrontendConfig, FrontendServer, ServerId, ServerNode, SimCluster, SimConfig, TablePartition,
+    TcpClient,
 };
 use pequod::prelude::*;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
@@ -144,7 +145,7 @@ fn tcp_server_serves_newp_pages() {
     engine
         .add_joins_text(pequod::workloads::newp::NEWP_PAGE_JOINS)
         .unwrap();
-    let server = TcpServer::spawn("127.0.0.1:0", engine).unwrap();
+    let server = FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
     let mut c = TcpClient::connect(server.addr()).unwrap();
     c.put("article|n1|0001", "body").unwrap();
     c.put("comment|n1|0001|c1|n2", "hi").unwrap();
@@ -189,11 +190,13 @@ fn tcp_servers_serve_memory_bounded() {
         reads
     };
 
-    let unbounded = TcpServer::spawn("127.0.0.1:0", Engine::new_default()).unwrap();
+    let spawn =
+        |engine| FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
+    let unbounded = spawn(Engine::new_default());
     let want = drive(&mut TcpClient::connect(unbounded.addr()).unwrap());
 
     let capped_cfg = EngineConfig::default().with_mem_limit(limit);
-    let capped = TcpServer::spawn("127.0.0.1:0", Engine::new(capped_cfg.clone())).unwrap();
+    let capped = spawn(Engine::new(capped_cfg.clone()));
     let got = drive(&mut TcpClient::connect(capped.addr()).unwrap());
     assert_eq!(got, want, "capped TCP node diverged from unbounded");
     {
@@ -212,7 +215,8 @@ fn tcp_servers_serve_memory_bounded() {
         servers: 2,
     });
     let sharded = ShardedEngine::new(2, capped_cfg, part, &["p|", "s|"]);
-    let sharded_srv = TcpServer::spawn_sharded("127.0.0.1:0", sharded).unwrap();
+    let sharded_srv =
+        FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default()).unwrap();
     let got = drive(&mut TcpClient::connect(sharded_srv.addr()).unwrap());
     assert_eq!(got, want, "capped sharded TCP node diverged from unbounded");
     let mut handle = sharded_srv

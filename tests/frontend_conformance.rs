@@ -1,10 +1,11 @@
 //! Protocol-surface conformance: the same wire script, sent pipelined,
-//! must produce byte-identical reply streams over every serving surface
-//! — the event-driven reactor on TCP, the reactor's unix-domain socket,
-//! and the legacy blocking thread-per-connection server — for both the
-//! single-engine and the sharded backend. A second set of scenarios
-//! checks that a `Batch` frame answers exactly like the same requests
-//! sent one frame at a time.
+//! must produce the reply stream of an in-process reference — an
+//! [`Engine`] driven by the same script, its answers framed here with
+//! `Message::reply` / `count_reply` / `error` — over every serving
+//! surface: the event-driven front-end on TCP and on its unix-domain
+//! socket, for both the single-engine and the sharded backend. A second
+//! set of scenarios checks that a `Batch` frame (nested ones included)
+//! answers exactly like the same requests sent one frame at a time.
 //!
 //! Replies are compared by count plus an FNV-1a digest of their
 //! re-encoded frames (the codec is canonical, so this is the wire-byte
@@ -15,7 +16,7 @@
 use pequod::core::partition::ComponentHashPartition;
 use pequod::core::{Engine, EngineConfig, ShardedEngine};
 use pequod::net::codec::{encode_frame, FrameDecoder};
-use pequod::net::{FrontendConfig, FrontendServer, Message, TcpServer};
+use pequod::net::{FrontendConfig, FrontendServer, Message};
 use pequod::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -37,10 +38,50 @@ fn v(s: &str) -> Value {
     Value::from(s.as_bytes().to_vec())
 }
 
-/// The conformance script: joins, writes, computed reads, counts,
-/// removals, batches that split into multiple same-class runs on the
-/// sharded backend, and one unsupported (server-to-server) message.
+/// Replies to [`base_script`] — count and digest — as the thread-per-
+/// connection server answered it at the commit that deleted it (single
+/// and sharded alike). The reference must still produce exactly this.
+const BASE_SCRIPT_REPLIES: (usize, u64) = (17, 0xcccb_247b_0d87_0b37);
+
+/// The conformance script: [`base_script`] plus a frame of batches
+/// nested inside a batch, which every backend flattens in wire order.
 fn script() -> Vec<Message> {
+    let mut frames = base_script();
+    frames.push(Message::Batch {
+        msgs: vec![
+            Message::Put {
+                id: 17,
+                key: k("p|bob|0000000300"),
+                value: v("nested"),
+            },
+            Message::Batch {
+                msgs: vec![
+                    Message::Scan {
+                        id: 18,
+                        range: KeyRange::prefix("t|ann|"),
+                    },
+                    Message::Batch {
+                        msgs: vec![Message::Remove {
+                            id: 19,
+                            key: k("p|bob|0000000300"),
+                        }],
+                    },
+                    Message::Hello { node: 4 },
+                ],
+            },
+            Message::Count {
+                id: 20,
+                range: KeyRange::prefix("t|ann|"),
+            },
+        ],
+    });
+    frames
+}
+
+/// Joins, writes, computed reads, counts, removals, batches that split
+/// into multiple same-class runs on the sharded backend, and one
+/// unsupported (server-to-server) message.
+fn base_script() -> Vec<Message> {
     vec![
         Message::AddJoin {
             id: 1,
@@ -130,33 +171,76 @@ fn script() -> Vec<Message> {
 /// The same script with every `Batch` flattened to individual frames
 /// (same wire ids, so replies must be byte-identical).
 fn flattened(frames: &[Message]) -> Vec<Message> {
-    let mut out = Vec::new();
-    for f in frames {
-        match f {
-            Message::Batch { msgs } => out.extend(msgs.iter().cloned()),
+    fn flatten(msg: &Message, out: &mut Vec<Message>) {
+        match msg {
+            Message::Batch { msgs } => msgs.iter().for_each(|m| flatten(m, out)),
             other => out.push(other.clone()),
         }
     }
+    let mut out = Vec::new();
+    frames.iter().for_each(|f| flatten(f, &mut out));
     out
 }
 
-fn expected_replies(msg: &Message) -> usize {
-    match msg {
-        Message::Batch { msgs } => msgs.len(),
-        _ => 1,
-    }
+/// What a server must answer to `msg`, from an engine run in-process.
+fn reference_replies(engine: &mut Engine, msg: &Message, out: &mut Vec<Message>) {
+    let reply = match msg {
+        Message::Batch { msgs } => {
+            msgs.iter().for_each(|m| reference_replies(engine, m, out));
+            return;
+        }
+        Message::Get { id, key } => Message::reply(*id, engine.get_result(key).pairs),
+        Message::Scan { id, range } => Message::reply(*id, engine.scan(range).pairs),
+        Message::Count { id, range } => Message::count_reply(*id, engine.count(range) as u64),
+        Message::Put { id, key, value } => {
+            engine.put(key.clone(), value.clone());
+            Message::reply(*id, vec![])
+        }
+        Message::Remove { id, key } => {
+            engine.remove(key);
+            Message::reply(*id, vec![])
+        }
+        Message::AddJoin { id, text } => match engine.add_joins_text(text) {
+            Ok(_) => Message::reply(*id, vec![]),
+            Err(e) => Message::error(*id, e.to_string()),
+        },
+        other => Message::error(other.id().unwrap_or(0), "unsupported on client connection"),
+    };
+    out.push(reply);
 }
+
+/// Count and digest of the reference's reply stream for `frames`.
+fn reference(frames: &[Message]) -> (usize, u64) {
+    let mut engine = fresh_engine();
+    let mut replies = Vec::new();
+    for f in frames {
+        reference_replies(&mut engine, f, &mut replies);
+    }
+    let fnv = replies.iter().fold(FNV_OFFSET, fnv_frame);
+    (replies.len(), fnv)
+}
+
+/// Folds one reply's wire bytes into a running FNV-1a digest.
+fn fnv_frame(fnv: u64, reply: &Message) -> u64 {
+    encode_frame(reply)
+        .iter()
+        .fold(fnv, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// A surface that answers fewer replies than the reference fails the
+/// read instead of hanging the suite.
+const REPLY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(20);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Sends the whole script pipelined, then reads every reply frame;
-/// returns (reply count, FNV-1a digest of the reply byte stream).
-fn run_script<S: Read + Write>(sock: &mut S, frames: &[Message]) -> (usize, u64) {
+/// Sends the whole script pipelined, then reads `expected` reply
+/// frames; returns (reply count, FNV-1a digest of the reply byte
+/// stream).
+fn run_script<S: Read + Write>(sock: &mut S, frames: &[Message], expected: usize) -> (usize, u64) {
     for f in frames {
         sock.write_all(&encode_frame(f)).unwrap();
     }
-    let expected: usize = frames.iter().map(expected_replies).sum();
     let mut dec = FrameDecoder::new();
     let mut chunk = [0u8; 16 * 1024];
     let mut count = 0usize;
@@ -165,10 +249,7 @@ fn run_script<S: Read + Write>(sock: &mut S, frames: &[Message]) -> (usize, u64)
         match dec.next_frame().unwrap() {
             Some(m) => {
                 count += 1;
-                for &b in encode_frame(&m).iter() {
-                    fnv ^= u64::from(b);
-                    fnv = fnv.wrapping_mul(FNV_PRIME);
-                }
+                fnv = fnv_frame(fnv, &m);
             }
             None => {
                 let n = sock.read(&mut chunk).unwrap();
@@ -200,82 +281,73 @@ fn unix_sock_path() -> PathBuf {
 }
 
 /// Every serving surface for one backend kind, each on a fresh
-/// instance (the script mutates state, so surfaces cannot share).
-fn surface_digests(sharded: bool, frames: &[Message]) -> Vec<(&'static str, (usize, u64))> {
-    let mut out = Vec::new();
-    // Legacy blocking thread-per-connection server.
-    {
-        let mut server = if sharded {
-            TcpServer::spawn_sharded("127.0.0.1:0", fresh_sharded()).unwrap()
-        } else {
-            TcpServer::spawn("127.0.0.1:0", fresh_engine()).unwrap()
-        };
-        let mut sock = TcpStream::connect(server.addr()).unwrap();
-        sock.set_nodelay(true).unwrap();
-        out.push(("threads-tcp", run_script(&mut sock, frames)));
-        drop(sock);
-        server.shutdown();
-    }
-    // Event-driven reactor, TCP surface.
-    {
-        let mut server = if sharded {
-            FrontendServer::spawn_sharded("127.0.0.1:0", fresh_sharded(), FrontendConfig::default())
-                .unwrap()
-        } else {
-            FrontendServer::spawn("127.0.0.1:0", fresh_engine(), FrontendConfig::default()).unwrap()
-        };
-        let mut sock = TcpStream::connect(server.addr()).unwrap();
-        sock.set_nodelay(true).unwrap();
-        out.push(("reactor-tcp", run_script(&mut sock, frames)));
-        drop(sock);
-        server.shutdown();
-    }
-    // Event-driven reactor, unix-domain socket surface.
-    {
-        let path = unix_sock_path();
-        let cfg = FrontendConfig {
-            unix_path: Some(path.clone()),
-            ..FrontendConfig::default()
-        };
-        let mut server = if sharded {
+/// instance (the script mutates state, so surfaces cannot share),
+/// checked against the in-process reference. Returns the reference's
+/// (count, digest).
+fn assert_surfaces_match_reference(sharded: bool, frames: &[Message]) -> (usize, u64) {
+    let want = reference(frames);
+    let spawn = |cfg: FrontendConfig| {
+        if sharded {
             FrontendServer::spawn_sharded("127.0.0.1:0", fresh_sharded(), cfg).unwrap()
         } else {
             FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg).unwrap()
-        };
+        }
+    };
+    let check = |surface: &str, got: (usize, u64)| {
+        println!(
+            "sharded={sharded} {surface}: {} replies, digest {:#018x} (reference {:#018x})",
+            got.0, got.1, want.1
+        );
+        assert_eq!(
+            got, want,
+            "{surface} (sharded={sharded}) answered differently from the reference"
+        );
+    };
+    // TCP surface.
+    {
+        let mut server = spawn(FrontendConfig::default());
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        check("reactor-tcp", run_script(&mut sock, frames, want.0));
+        drop(sock);
+        server.shutdown();
+    }
+    // Unix-domain socket surface.
+    {
+        let path = unix_sock_path();
+        let mut server = spawn(FrontendConfig {
+            unix_path: Some(path.clone()),
+            ..FrontendConfig::default()
+        });
         let mut sock = UnixStream::connect(&path).unwrap();
-        out.push(("reactor-unix", run_script(&mut sock, frames)));
+        sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        check("reactor-unix", run_script(&mut sock, frames, want.0));
         drop(sock);
         server.shutdown();
         assert!(!path.exists(), "unix socket file not removed on shutdown");
     }
-    out
+    want
 }
 
-fn assert_all_equal(results: &[(&'static str, (usize, u64))]) {
-    let (name0, first) = &results[0];
-    for (name, r) in &results[1..] {
-        assert_eq!(
-            r, first,
-            "surface {name} answered differently from {name0}: \
-             {r:?} vs {first:?}"
-        );
-    }
+/// The reference itself is pinned: on the part of the script that
+/// predates it, it answers byte for byte what the deleted blocking
+/// server answered.
+#[test]
+fn reference_reproduces_the_recorded_reply_stream() {
+    assert_eq!(reference(&base_script()), BASE_SCRIPT_REPLIES);
 }
 
 #[test]
-fn all_surfaces_answer_byte_identically_single_engine() {
-    let frames = script();
-    let results = surface_digests(false, &frames);
-    assert_eq!(results[0].1 .0, 17, "script yields 17 replies");
-    assert_all_equal(&results);
+fn all_surfaces_match_the_reference_single_engine() {
+    let want = assert_surfaces_match_reference(false, &script());
+    assert_eq!(want.0, 22, "script yields 22 replies");
 }
 
 #[test]
-fn all_surfaces_answer_byte_identically_sharded() {
-    let frames = script();
-    let results = surface_digests(true, &frames);
-    assert_eq!(results[0].1 .0, 17, "script yields 17 replies");
-    assert_all_equal(&results);
+fn all_surfaces_match_the_reference_sharded() {
+    let want = assert_surfaces_match_reference(true, &script());
+    assert_eq!(want.0, 22, "script yields 22 replies");
 }
 
 #[test]
@@ -283,12 +355,9 @@ fn batch_equals_one_at_a_time_on_every_surface() {
     let batched = script();
     let flat = flattened(&batched);
     for sharded in [false, true] {
-        let batched_results = surface_digests(sharded, &batched);
-        let flat_results = surface_digests(sharded, &flat);
-        assert_all_equal(&batched_results);
-        assert_all_equal(&flat_results);
         assert_eq!(
-            batched_results[0].1, flat_results[0].1,
+            assert_surfaces_match_reference(sharded, &batched),
+            assert_surfaces_match_reference(sharded, &flat),
             "batched and one-at-a-time reply streams diverge (sharded={sharded})"
         );
     }

@@ -27,7 +27,6 @@ const ALLOWED_FIELDS: &[&str] = &[
     // identity
     "backend",
     "mode",
-    "model",
     "phase",
     "sweep",
     // core throughput triple
