@@ -112,7 +112,14 @@ impl ClusterServer {
             peer_tx.insert(peer, ptx);
             let peer_addr = peer_addr.to_string();
             let dial_stop = stop.clone();
-            std::thread::spawn(move || dial_peer(node_id, &peer_addr, prx, dial_stop));
+            // A restarted peer arms its failover timer when it boots and
+            // disarms it on our first heartbeat, which travels on this
+            // link: retry well inside that window, or the peer promotes
+            // itself over a live primary and rejoins by snapshot.
+            let max_backoff_ms = (cfg.timing.failover_ms / 4).max(10);
+            std::thread::spawn(move || {
+                dial_peer(node_id, &peer_addr, max_backoff_ms, prx, dial_stop)
+            });
         }
 
         // Accept thread: classify connections by their first frame.
@@ -264,14 +271,20 @@ impl Drop for ClusterServer {
 /// while the link is down are dropped once the queue is drained into a
 /// dead socket — the replication protocol re-converges via heartbeats
 /// and catch-up subscriptions, so lossy links are safe.
-fn dial_peer(me: u32, addr: &str, rx: Receiver<Message>, stop: Arc<AtomicBool>) {
+fn dial_peer(
+    me: u32,
+    addr: &str,
+    max_backoff_ms: u64,
+    rx: Receiver<Message>,
+    stop: Arc<AtomicBool>,
+) {
     let mut sleep_ms = 10u64;
     'outer: while !stop.load(Ordering::Relaxed) {
         let stream = match TcpStream::connect(addr) {
             Ok(s) => s,
             Err(_) => {
                 std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-                sleep_ms = (sleep_ms * 2).min(640);
+                sleep_ms = (sleep_ms * 2).min(max_backoff_ms);
                 // Drop whatever queued while the peer was unreachable:
                 // unbounded buffering would just replay stale traffic.
                 while rx.try_recv().is_ok() {}

@@ -21,14 +21,17 @@ use crate::types::{EngineError, JoinId, JsId, WriteKind};
 use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
 use bytes::Bytes;
 use pequod_join::{JoinSpec, Operator, SlotSet};
-use pequod_store::{Key, KeyRange, LruTracker, RangeSet, Store, StoreStats, Value};
+use pequod_store::{Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, Value};
 use pequod_telemetry::{OpKind, RateHandle, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An evictable unit: a materialized join range or a remote/DB-backed
-/// table's cached base data (§2.5).
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// table's cached base data (§2.5). The LRU list stores these; the
+/// handle to a unit's list cell lives with the unit itself
+/// ([`JsRange::lru`](crate::status::JsRange), `RemoteTable::lru`), so a
+/// touch never searches for it.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EvictUnit {
     /// A join status range (computed data).
     Js(u32, JsId),
@@ -37,14 +40,35 @@ pub enum EvictUnit {
 }
 
 /// Estimated bookkeeping bytes per materialized join status range, used
-/// by [`Engine::memory_bytes`]. A `JsRange` carries two range-bound
-/// keys (2 × 24-byte handles plus ~16 bytes of shared key text), the
-/// state/clock words (~16), and its updater-node list plus the LRU
-/// tracker's two map entries for the range (~16 together) — about 96
-/// bytes on a 64-bit target. Pending logged modifications and the
-/// updater entries themselves are accounted separately
-/// (`UpdaterIndex::approx_bytes`).
+/// by [`Engine::memory_bytes`]. This is the *logical* estimate eviction
+/// decisions are made against — two range-bound keys, the state/clock
+/// words, the updater-handle list and the range's LRU cell, about 96
+/// bytes — and it is deliberately held constant across layout changes so
+/// that a given workload evicts the same ranges at the same moments;
+/// `docs/MEMORY.md` lists what a range occupies physically. Pending
+/// logged modifications and the updater entries themselves are
+/// accounted separately (`UpdaterIndex::approx_bytes`).
 pub const JS_RANGE_OVERHEAD_BYTES: usize = 96;
+
+/// A remote or database-backed table's residency bookkeeping.
+#[derive(Default)]
+pub(crate) struct RemoteTable {
+    /// The ranges of the table whose data is cached here.
+    pub(crate) resident: RangeSet,
+    /// The table's cell in the LRU list once a read has registered it;
+    /// stale after base-data eviction popped it, until the next read.
+    pub(crate) lru: Option<LruHandle>,
+}
+
+/// One `(join, source)` pair's view of the key being written, computed
+/// at most once per write however many updater entries share the pair.
+struct SourceMatch {
+    jidx: usize,
+    source_idx: usize,
+    /// The slots the source pattern binds from the key; `None` if the
+    /// key does not have the pattern's shape.
+    from_key: Option<SlotSet>,
+}
 
 /// Decides whether this engine is the *authority* for a base key (the
 /// deployment's partition homes the key here). Authoritative rows are
@@ -57,8 +81,8 @@ pub struct Engine {
     pub(crate) joins: Vec<Arc<JoinSpec>>,
     pub(crate) status: Vec<StatusMap>,
     pub(crate) updaters: UpdaterIndex,
-    /// Remote or database-backed tables: prefix → resident ranges.
-    pub(crate) remote: HashMap<Key, RangeSet>,
+    /// Remote or database-backed tables, by table prefix.
+    pub(crate) remote: HashMap<Key, RemoteTable>,
     pub(crate) lru: LruTracker<EvictUnit>,
     pub(crate) config: EngineConfig,
     pub(crate) clock: u64,
@@ -76,6 +100,27 @@ pub struct Engine {
     /// Cached per-table rate handles so the hot path never takes the
     /// recorder's registration mutex.
     pub(crate) rate_handles: HashMap<Key, RateHandle>,
+}
+
+/// Marks a remote table's cached base data as just used, registering it
+/// with the LRU list if no live cell tracks it (first read, or first
+/// read since eviction popped it).
+fn touch_base(lru: &mut LruTracker<EvictUnit>, prefix: &[u8], table: &mut RemoteTable) {
+    if !table.lru.is_some_and(|h| lru.touch(h)) {
+        table.lru = Some(lru.insert(EvictUnit::Base(Key::from(prefix))));
+    }
+}
+
+/// [`Engine::is_durable_base`] over the two fields it reads, so a store
+/// scan (which borrows the store mutably) can apply it per pair.
+fn durable_base(joins: &[Arc<JoinSpec>], authority: &Option<BaseAuthority>, key: &Key) -> bool {
+    if joins.iter().any(|j| j.output_range().contains(key)) {
+        return false;
+    }
+    match authority {
+        Some(authority) => authority(key),
+        None => true,
+    }
 }
 
 impl Engine {
@@ -123,10 +168,13 @@ impl Engine {
     /// The cached per-table rate handle for `key`'s table, registering
     /// it on first sight. No-op handles when the recorder is disabled.
     pub(crate) fn rate_for(&mut self, key: &Key) -> &RateHandle {
-        let table = key.table_prefix();
-        self.rate_handles
-            .entry(table.clone())
-            .or_insert_with(|| self.recorder.rate_handle(&table.to_string()))
+        let table = key.table_prefix_bytes();
+        if !self.rate_handles.contains_key(table) {
+            let table = key.table_prefix();
+            let handle = self.recorder.rate_handle(&table.to_string());
+            self.rate_handles.insert(table, handle);
+        }
+        &self.rate_handles[table]
     }
 
     /// Operation counters.
@@ -288,13 +336,7 @@ impl Engine {
     /// re-derived, never persisted) and this engine is its authority
     /// (replicas are the authority's log's responsibility).
     pub fn is_durable_base(&self, key: &Key) -> bool {
-        if self.joins.iter().any(|j| j.output_range().contains(key)) {
-            return false;
-        }
-        match &self.base_authority {
-            Some(authority) => authority(key),
-            None => true,
-        }
+        durable_base(&self.joins, &self.base_authority, key)
     }
 
     /// The engine's durable state: installed join texts (installation
@@ -305,15 +347,16 @@ impl Engine {
     /// rebuilds on demand after recovery.
     pub fn durable_state(&mut self) -> (Vec<String>, Vec<(Key, Value)>) {
         let joins: Vec<String> = self.joins.iter().map(|j| j.to_string()).collect();
-        let mut all = Vec::with_capacity(self.store.len());
+        // Filter inside the scan: computed and replica pairs (on a warm
+        // Twip server, nearly all of them) are never cloned.
+        let (specs, authority) = (&self.joins, &self.base_authority);
+        let mut pairs = Vec::new();
         self.store.scan(&KeyRange::all(), |k, v| {
-            all.push((k.clone(), v.clone()));
+            if durable_base(specs, authority, k) {
+                pairs.push((k.clone(), v.clone()));
+            }
             true
         });
-        let pairs = all
-            .into_iter()
-            .filter(|(k, _)| self.is_durable_base(k))
-            .collect();
         (joins, pairs)
     }
 
@@ -457,10 +500,10 @@ impl Engine {
     /// Marks a range of a remote table as resident without writing data
     /// (used when a fetch returned an empty range: absence is knowledge).
     pub fn mark_resident(&mut self, range: &KeyRange) {
-        let table = range.first.table_prefix();
-        if let Some(rs) = self.remote.get_mut(&table) {
-            rs.add(range);
-            self.lru.touch(EvictUnit::Base(table));
+        let prefix = range.first.table_prefix_bytes();
+        if let Some(table) = self.remote.get_mut(prefix) {
+            table.resident.add(range);
+            touch_base(&mut self.lru, prefix, table);
         }
     }
 
@@ -492,8 +535,8 @@ impl Engine {
         {
             return true;
         }
-        match self.remote.get(&key.table_prefix()) {
-            Some(resident) => resident.contains(key),
+        match self.remote.get(key.table_prefix_bytes()) {
+            Some(table) => table.resident.contains(key),
             None => true,
         }
     }
@@ -501,34 +544,32 @@ impl Engine {
     /// Every resident range of every remote-marked table (diagnostics
     /// and the sharded invariant audit).
     pub fn all_resident_ranges(&self) -> Vec<KeyRange> {
-        self.remote.values().flat_map(|rs| rs.iter()).collect()
+        (self.remote.values())
+            .flat_map(|t| t.resident.iter())
+            .collect()
     }
 
     /// The resident ranges of a remote table (diagnostics).
     pub fn resident_ranges(&self, prefix: &Key) -> Vec<KeyRange> {
         self.remote
             .get(prefix)
-            .map(|rs| rs.iter().collect())
+            .map(|t| t.resident.iter().collect())
             .unwrap_or_default()
     }
 
     pub(crate) fn check_residency(&mut self, range: &KeyRange, missing: &mut Vec<KeyRange>) {
-        let mut touched = Vec::new();
-        for (prefix, resident) in &self.remote {
+        for (prefix, table) in &mut self.remote {
             let table_range = KeyRange::prefix(prefix.clone());
             let clip = table_range.intersect(range);
             if clip.is_empty() {
                 continue;
             }
-            touched.push(prefix.clone());
-            for gap in resident.uncovered(&clip) {
+            touch_base(&mut self.lru, prefix.as_bytes(), table);
+            for gap in table.resident.uncovered(&clip) {
                 if !missing.iter().any(|m| m.contains_range(&gap)) {
                     missing.push(gap);
                 }
             }
-        }
-        for prefix in touched {
-            self.lru.touch(EvictUnit::Base(prefix));
         }
     }
 
@@ -593,27 +634,26 @@ impl Engine {
         if self.updaters.table_is_quiet(&key) {
             return;
         }
-        // Snapshot the applicable updaters by handle: dispatch may mutate
-        // the index, and an entry removed meanwhile is simply skipped.
-        // Each entry's captured slots are copied here, in one pass, not
-        // between the output writes: the copies read cold memory, and
-        // back to back those misses overlap.
-        let work: Vec<(UpdaterHandle, SlotSet)> = (self.updaters.stab(&key).into_iter())
-            .filter_map(|h| Some((h, self.updaters.get(h)?.slots.clone())))
-            .collect();
+        // Stab once, keeping handles only: dispatch may mutate the index,
+        // and an entry freed meanwhile no longer resolves through its
+        // handle and is skipped. Entries are read in place, never copied.
+        // All scratch state lives in this frame, because dispatch
+        // re-enters `write` for the output keys of chained joins.
+        let work = self.updaters.stab(&key);
         if work.is_empty() {
             return;
         }
         self.recorder.observe_fanout(work.len() as u64);
-        for (h, slots) in work {
-            self.dispatch(h, slots, &key, old.as_ref(), value.as_ref(), kind);
+        let mut matched: Vec<SourceMatch> = Vec::new();
+        for h in work {
+            self.dispatch(h, &mut matched, &key, old.as_ref(), value.as_ref(), kind);
         }
     }
 
     fn dispatch(
         &mut self,
         h: UpdaterHandle,
-        mut slots: SlotSet,
+        matched: &mut Vec<SourceMatch>,
         key: &Key,
         old: Option<&Value>,
         new: Option<&Value>,
@@ -623,7 +663,6 @@ impl Engine {
             return;
         };
         let (jidx, source_idx, jsid) = (e.join.0 as usize, e.source_idx, e.js);
-        let spec = self.joins[jidx].clone();
         let Some(js) = self.status[jidx].get(jsid) else {
             // Stale updater for a torn-down range: drop it.
             self.updaters.remove(h);
@@ -633,6 +672,7 @@ impl Engine {
             return; // will be recomputed wholesale at next read
         }
         self.stats.updater_fires += 1;
+        let spec = &self.joins[jidx];
         let op = spec.sources[source_idx].op;
         if op == Operator::Check {
             let m = LoggedMod {
@@ -658,12 +698,38 @@ impl Engine {
             return;
         }
         // Eager sources: the output key this write maintains is the
-        // entry's captured slots extended by the written key. `None`
-        // means the source alone does not determine it.
-        if !spec.sources[source_idx].pattern.match_key(key, &mut slots) {
+        // entry's captured slots united with the written key's. The key
+        // is matched against the source pattern once per (join, source);
+        // each entry then only checks its own slots for consistency with
+        // that match and expands the output key from the two slot sets
+        // by reference. `None` means the source alone does not determine
+        // the output key.
+        let seen = |m: &SourceMatch| (m.jidx, m.source_idx) == (jidx, source_idx);
+        let at = match matched.iter().position(seen) {
+            Some(at) => at,
+            None => {
+                let mut from_key = spec.slots.empty_set();
+                let fits = spec.sources[source_idx]
+                    .pattern
+                    .match_key(key, &mut from_key);
+                matched.push(SourceMatch {
+                    jidx,
+                    source_idx,
+                    from_key: fits.then_some(from_key),
+                });
+                matched.len() - 1
+            }
+        };
+        let Some(from_key) = &matched[at].from_key else {
+            return;
+        };
+        if !e.slots.consistent_with(from_key) {
             return;
         }
-        let target = spec.output.expand(&slots);
+        let target = spec.output.expand_with(|id| {
+            let v = e.slots.get(id).or_else(|| from_key.get(id))?;
+            Some(&v[..])
+        });
         if target.as_ref().is_some_and(|k| !js.contains(k)) {
             return;
         }
@@ -841,5 +907,60 @@ impl Engine {
         let owned = std::mem::take(&mut js.updaters);
         self.updaters.remove_all(&owned);
         self.stats.complete_invalidations += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `durable_state` filters while it scans; what it returns must be
+    /// exactly the stored pairs that pass `is_durable_base`, in key
+    /// order — base rows this engine is the authority for, and neither
+    /// computed rows nor replicas.
+    #[test]
+    fn durable_state_is_the_authoritative_base_rows_only() {
+        let mut e = Engine::new_default();
+        let join = "t|<user>|<time:10>|<poster> = \
+                    check s|<user>|<poster> copy p|<poster>|<time:10>";
+        e.add_join_text(join).unwrap();
+        // This engine homes everything except the replicated `r|` table.
+        e.set_base_authority(|k| !k.starts_with(b"r|"));
+        e.mark_remote_table("r|");
+        e.put("s|ann|bob", "1");
+        e.put("s|ann|liz", "1");
+        e.put(
+            "p|bob|0000000100",
+            "a tweet long enough to be a shared, refcounted value",
+        );
+        e.put("p|liz|0000000101", "hi");
+        e.install_base(
+            &KeyRange::prefix("r|"),
+            vec![(Key::from("r|x"), Value::from_static(b"replica"))],
+        );
+        assert_eq!(e.scan(&KeyRange::prefix("t|ann|")).pairs.len(), 2);
+
+        let mut stored = Vec::new();
+        e.store()
+            .for_each(|k, v| stored.push((k.clone(), v.clone())));
+        assert!(stored.iter().any(|(k, _)| k.starts_with(b"t|")));
+        assert!(stored.iter().any(|(k, _)| k.starts_with(b"r|")));
+        let want: Vec<(Key, Value)> = (stored.into_iter())
+            .filter(|(k, _)| e.is_durable_base(k))
+            .collect();
+
+        let (joins, pairs) = e.durable_state();
+        assert_eq!(joins, vec![e.join(JoinId(0)).to_string()]);
+        assert_eq!(pairs, want);
+        let keys: Vec<String> = pairs.iter().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(
+            keys,
+            [
+                "p|bob|0000000100",
+                "p|liz|0000000101",
+                "s|ann|bob",
+                "s|ann|liz"
+            ]
+        );
     }
 }

@@ -57,8 +57,7 @@ impl Engine {
         // Joins overlapping the scan.
         let mut overlay: Option<BTreeMap<Key, Value>> = None;
         for jidx in 0..self.joins.len() {
-            let spec = self.joins[jidx].clone();
-            let clip = spec.output_range().intersect(range);
+            let clip = self.joins[jidx].output_range().intersect(range);
             if clip.is_empty() {
                 continue;
             }
@@ -144,8 +143,7 @@ impl Engine {
         // an overlay, so count distinct keys across overlay and store.
         let mut overlay: Option<BTreeSet<Key>> = None;
         for jidx in 0..self.joins.len() {
-            let spec = self.joins[jidx].clone();
-            let clip = spec.output_range().intersect(range);
+            let clip = self.joins[jidx].output_range().intersect(range);
             if clip.is_empty() {
                 continue;
             }
@@ -199,85 +197,65 @@ impl Engine {
     // Validation (Figure 5)
     // ------------------------------------------------------------------
 
-    /// Ensures the join's output is materialized and valid over `clip`.
+    /// Ensures the join's output is materialized and valid over `clip`,
+    /// which the caller has already clipped to the join's output range.
     pub(crate) fn validate_join(
         &mut self,
         jidx: usize,
         clip: &KeyRange,
         missing: &mut Vec<KeyRange>,
     ) {
-        if self.config.materialization == MaterializationMode::None {
+        if self.is_pull(jidx) || clip.is_empty() {
             return;
         }
-        let spec = self.joins[jidx].clone();
-        if matches!(spec.maintenance, Maintenance::Pull) {
-            return;
+        // Almost every warm read lies inside one materialized range:
+        // answer that with a single ordered lookup, no segment list.
+        if let Some(jsid) = self.status[jidx].sole_cover(clip) {
+            return self.refresh_jsrange(jidx, jsid, missing);
         }
-        let clip = spec.output_range().intersect(clip);
-        if clip.is_empty() {
-            return;
-        }
-        for seg in self.status[jidx].segments(&clip) {
+        for seg in self.status[jidx].segments(clip) {
             match seg {
-                Segment::Covered(jsid) => self.refresh_jsrange(jidx, jsid, &spec, missing),
+                Segment::Covered(jsid) => self.refresh_jsrange(jidx, jsid, missing),
                 Segment::Gap(gap) => self.materialize_gap(jidx, &gap, missing),
             }
         }
     }
 
-    fn refresh_jsrange(
-        &mut self,
-        jidx: usize,
-        jsid: JsId,
-        spec: &Arc<JoinSpec>,
-        missing: &mut Vec<KeyRange>,
-    ) {
+    fn refresh_jsrange(&mut self, jidx: usize, jsid: JsId, missing: &mut Vec<KeyRange>) {
         let Some(js) = self.status[jidx].get(jsid) else {
             return;
         };
-        let extent = js.range();
         // Snapshot expiry: recompute from scratch (§3.4).
-        if let Maintenance::Snapshot(ttl) = spec.maintenance {
-            if js.snapshot_expired(ttl, self.clock) {
-                self.teardown_jsrange(jidx, jsid, true);
-                self.materialize_gap(jidx, &extent, missing);
-                return;
+        let expired = matches!(self.joins[jidx].maintenance, Maintenance::Snapshot(ttl)
+            if js.snapshot_expired(ttl, self.clock));
+        if !expired && js.state == JsState::Valid && !js.pending.is_empty() {
+            // Apply the pending log (lazy maintenance, §3.2).
+            let pending = match self.status[jidx].get_mut(jsid) {
+                Some(js) => std::mem::take(&mut js.pending),
+                None => return,
+            };
+            for m in pending {
+                self.stats.mods_applied += 1;
+                self.apply_logged_mod(jidx, jsid, &m);
+                // Application may have completely invalidated the range.
+                match self.status[jidx].get(jsid) {
+                    Some(js) if js.state == JsState::Valid => {}
+                    _ => break,
+                }
             }
         }
-        match js.state {
-            JsState::Invalid => {
-                self.teardown_jsrange(jidx, jsid, true);
-                self.materialize_gap(jidx, &extent, missing);
-            }
-            JsState::Valid => {
-                // Apply the pending log (lazy maintenance, §3.2).
-                let pending = match self.status[jidx].get_mut(jsid) {
-                    Some(js) => std::mem::take(&mut js.pending),
-                    None => return,
-                };
-                for m in pending {
-                    self.stats.mods_applied += 1;
-                    self.apply_logged_mod(jidx, jsid, &m);
-                    // Application may have completely invalidated the range.
-                    match self.status[jidx].get(jsid) {
-                        Some(js) if js.state == JsState::Valid => {}
-                        _ => break,
-                    }
-                }
-                match self.status[jidx].get(jsid) {
-                    Some(js) if js.state == JsState::Invalid => {
-                        self.teardown_jsrange(jidx, jsid, true);
-                        self.materialize_gap(jidx, &extent, missing);
-                    }
-                    Some(_) => {
-                        // The materialized range answered as-is: a
-                        // cache hit in the paper's §8 sense.
-                        self.recorder.lru_hit();
-                        self.lru.touch(EvictUnit::Js(jidx as u32, jsid))
-                    }
-                    None => {}
-                }
-            }
+        let Some(js) = self.status[jidx].get(jsid) else {
+            return;
+        };
+        if expired || js.state == JsState::Invalid {
+            let extent = js.range();
+            self.teardown_jsrange(jidx, jsid, true);
+            self.materialize_gap(jidx, &extent, missing);
+        } else {
+            // The materialized range answered as-is: a cache hit in the
+            // paper's §8 sense.
+            self.recorder.lru_hit();
+            self.lru.touch(js.lru);
         }
     }
 
@@ -320,10 +298,12 @@ impl Engine {
             };
             self.write(k, Some(v), shared);
         }
-        let jsid = self.status[jidx].insert(gap.clone(), self.clock);
+        let lru = &mut self.lru;
+        let jsid = self.status[jidx].insert(gap.clone(), self.clock, |id| {
+            lru.insert(EvictUnit::Js(jidx as u32, id))
+        });
         self.install_plan(jidx, jsid, plan);
         self.stats.ranges_materialized += 1;
-        self.lru.touch(EvictUnit::Js(jidx as u32, jsid));
     }
 
     /// Removes a status range, its updaters, and (optionally) its
@@ -334,7 +314,7 @@ impl Engine {
             return;
         };
         self.updaters.remove_all(&js.updaters);
-        self.lru.remove(&EvictUnit::Js(jidx as u32, jsid));
+        self.lru.remove(js.lru);
         if remove_outputs {
             let spec = self.joins[jidx].clone();
             self.remove_matching_outputs(&spec, &js.range(), spec.slots.empty_set());
@@ -527,8 +507,7 @@ impl Engine {
             if j2 == cur_jidx {
                 continue;
             }
-            let spec2 = self.joins[j2].clone();
-            let clip2 = spec2.output_range().intersect(crange);
+            let clip2 = self.joins[j2].output_range().intersect(crange);
             if clip2.is_empty() {
                 continue;
             }
@@ -642,7 +621,7 @@ impl Engine {
                 // future source writes stop resurrecting these outputs.
                 if let Some(js) = self.status[jidx].get_mut(jsid) {
                     self.updaters.remove_where(&mut js.updaters, |e| {
-                        e.source_idx > m.source_idx && e.slots.clone().merge(&slots)
+                        e.source_idx > m.source_idx && e.slots.consistent_with(&slots)
                     });
                 }
             }
@@ -764,7 +743,7 @@ impl Engine {
                 self.stats.js_evictions += 1;
                 self.recorder.evicted_js(|| match extent {
                     Some(r) => format!("join {jidx} range {r:?}"),
-                    None => format!("join {jidx} js {}", jsid.0),
+                    None => format!("join {jidx} js {jsid:?}"),
                 });
                 true
             }
@@ -826,8 +805,8 @@ impl Engine {
                 for k in &doomed {
                     self.store.remove(k);
                 }
-                if let Some(rs) = self.remote.get_mut(&prefix) {
-                    rs.clear();
+                if let Some(table) = self.remote.get_mut(&prefix) {
+                    table.resident.clear();
                 }
                 self.stats.base_evictions += 1;
                 self.recorder

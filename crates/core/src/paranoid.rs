@@ -22,13 +22,18 @@
 //! 1. **Store bookkeeping** — pair counts, key/value byte counters,
 //!    and the subtable index agree with a full walk
 //!    ([`Store::audit`](pequod_store::Store::audit)).
-//! 2. **LRU agreement** — the tracker's ordering and index maps agree
-//!    ([`LruTracker::audit`](pequod_store::LruTracker::audit)), every
-//!    tracked unit refers to live state, and every materialized join
-//!    range is tracked (else it could never be evicted). Base units
-//!    are forward-only: eviction may skip an all-authoritative table,
-//!    leaving it untracked until the next read re-registers it.
-//! 3. **Status map indexes** — id index and range disjointness
+//! 2. **LRU agreement** — the tracker's list links agree in both
+//!    directions and with its slab and free list
+//!    ([`LruTracker::audit`](pequod_store::LruTracker::audit)); every
+//!    list cell tracks a live unit whose own handle is that cell; and
+//!    every materialized join range's handle resolves back to that
+//!    range (else it could never be evicted). Base units are
+//!    forward-only: eviction may skip an all-authoritative table,
+//!    leaving its handle stale until the next read re-registers it —
+//!    but a remote table's handle that does resolve must resolve to
+//!    that table.
+//! 3. **Status map indexes** — the range slab against the ordered index
+//!    and the free list, id generations, and range disjointness
 //!    ([`StatusMap::audit`](crate::status::StatusMap::audit)).
 //! 4. **Updater index bookkeeping** — each node's recorded length vs
 //!    its chain links, the entry slab vs its free list, and the
@@ -108,38 +113,57 @@ impl Engine {
         );
     }
 
-    /// LRU ↔ residency agreement (check 2 above).
+    /// LRU ↔ residency agreement (check 2 above): list cells and their
+    /// owners point at each other.
     fn check_lru_residency(&self, v: &mut Vec<String>) {
-        for unit in self.lru.iter() {
+        for (h, unit) in self.lru.iter() {
             match unit {
                 EvictUnit::Js(jidx, jsid) => {
-                    let live = self
-                        .status
-                        .get(*jidx as usize)
-                        .is_some_and(|smap| smap.get(*jsid).is_some());
-                    if !live {
+                    let owner = (self.status.get(*jidx as usize))
+                        .and_then(|smap| smap.get(*jsid))
+                        .map(|js| js.lru);
+                    if owner.is_none() {
                         v.push(format!(
                             "lru: tracks join range {jidx}/{jsid:?} that no status map holds"
                         ));
-                    }
-                }
-                EvictUnit::Base(prefix) => {
-                    if !self.remote.contains_key(prefix) {
+                    } else if owner != Some(h) {
                         v.push(format!(
-                            "lru: tracks base unit {prefix:?} but the table is not marked remote"
+                            "lru: cell {h:?} tracks join range {jidx}/{jsid:?}, whose own \
+                             handle is {owner:?}"
                         ));
                     }
                 }
+                EvictUnit::Base(prefix) => match self.remote.get(prefix) {
+                    None => v.push(format!(
+                        "lru: tracks base unit {prefix:?} but the table is not marked remote"
+                    )),
+                    Some(table) if table.lru != Some(h) => v.push(format!(
+                        "lru: cell {h:?} tracks base unit {prefix:?}, whose own handle is {:?}",
+                        table.lru
+                    )),
+                    Some(_) => {}
+                },
             }
         }
         for (jidx, smap) in self.status.iter().enumerate() {
             for js in smap.iter() {
-                if !self.lru.contains(&EvictUnit::Js(jidx as u32, js.id)) {
+                if self.lru.get(js.lru) != Some(&EvictUnit::Js(jidx as u32, js.id)) {
                     v.push(format!(
                         "lru: materialized range {jidx}/{:?} is untracked and could never be evicted",
                         js.id
                     ));
                 }
+            }
+        }
+        // A remote table's handle may be absent or stale (forward-only,
+        // see the module docs), but if it resolves it must resolve to
+        // that table.
+        for (prefix, table) in &self.remote {
+            let tracked = table.lru.and_then(|h| self.lru.get(h));
+            if tracked.is_some_and(|unit| *unit != EvictUnit::Base(prefix.clone())) {
+                v.push(format!(
+                    "lru: remote table {prefix:?} holds a handle that resolves to {tracked:?}"
+                ));
             }
         }
     }
@@ -221,7 +245,8 @@ impl Engine {
 
     /// Remote-table residency / home-shard routing (check 6 above).
     fn check_remote_residency(&self, v: &mut Vec<String>) {
-        for (prefix, resident) in &self.remote {
+        for (prefix, remote) in &self.remote {
+            let resident = &remote.resident;
             let table_range = KeyRange::prefix(prefix.clone());
             for (tprefix, table) in self.store.tables() {
                 if !table_range.contains(tprefix) {
@@ -273,8 +298,8 @@ mod tests {
     #[test]
     fn desynced_lru_index_is_reported() {
         let mut e = materialized_engine();
-        let unit = e.lru.iter().next().cloned().expect("lru tracks the range");
-        e.lru.debug_desync(&unit);
+        let (h, _) = e.lru.iter().next().expect("lru tracks the range");
+        e.lru.debug_desync(h);
         let v = e.check_invariants();
         assert!(
             v.iter().any(|m| m.starts_with("lru:")),
@@ -283,15 +308,39 @@ mod tests {
     }
 
     #[test]
+    fn skewed_status_generation_is_reported() {
+        let mut e = materialized_engine();
+        let id = e.status[0].iter().next().expect("one range").id;
+        e.status[0].debug_skew_generation(id);
+        let v = e.check_invariants();
+        assert!(
+            v.iter()
+                .any(|m| m.starts_with("join 0 status:") && m.contains("resolves to no live range")),
+            "a status cell out of step with the ordered index must be reported: {v:?}"
+        );
+    }
+
+    #[test]
+    fn lru_cell_its_owner_does_not_point_at_is_reported() {
+        let mut e = materialized_engine();
+        let id = e.status[0].iter().next().expect("one range").id;
+        e.lru.insert(EvictUnit::Js(0, id));
+        let v = e.check_invariants();
+        assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
+        assert!(
+            v[0].contains("whose own handle is"),
+            "unexpected message: {}",
+            v[0]
+        );
+    }
+
+    #[test]
     fn untracked_materialized_range_is_reported() {
         let mut e = materialized_engine();
-        let unit = e
-            .lru
-            .iter()
-            .find(|u| matches!(u, EvictUnit::Js(..)))
-            .cloned()
+        let (h, _) = (e.lru.iter())
+            .find(|(_, u)| matches!(u, EvictUnit::Js(..)))
             .expect("a materialized range is lru-tracked");
-        e.lru.remove(&unit);
+        e.lru.remove(h);
         let v = e.check_invariants();
         assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
         assert!(

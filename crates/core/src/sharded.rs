@@ -484,7 +484,7 @@ impl ShardWorker {
             .remote
             .iter()
             .filter(|(prefix, _)| KeyRange::prefix((*prefix).clone()).overlaps(range))
-            .map(|(prefix, resident)| (prefix.clone(), resident.clone()))
+            .map(|(prefix, table)| (prefix.clone(), table.resident.clone()))
             .collect();
         let mut pairs = loop {
             let res = self.engine.scan(range);
@@ -496,7 +496,9 @@ impl ShardWorker {
             }
         };
         for (prefix, resident) in snapshot {
-            self.engine.remote.insert(prefix, resident);
+            if let Some(table) = self.engine.remote.get_mut(&prefix) {
+                table.resident = resident;
+            }
         }
         self.engine.set_mem_limit(saved_limit);
         pairs.retain(|(k, _)| self.home_shard(k) == self.shard);

@@ -8,14 +8,20 @@
 //! outputs share tables but never keys.
 //!
 //! Each materialized range owns the updater entries installed for it
-//! (exact handles, so invalidation tears down just those), a log of
-//! pending check-source modifications for lazy maintenance, and its
-//! computation tick for `snapshot T` expiry.
+//! (exact handles, so invalidation tears down just those), its handle
+//! in the engine's LRU list, a log of pending check-source
+//! modifications for lazy maintenance, and its computation tick for
+//! `snapshot T` expiry.
+//!
+//! Ranges live in a slab addressed by [`JsId`] — the write path resolves
+//! an updater entry's target range with one indexed load — and one
+//! ordered index over range starts serves the range queries of the read
+//! path (`covering`, `overlapping`, `segments`).
 
 use crate::types::{JsId, WriteKind};
 use crate::updater::UpdaterHandle;
-use pequod_store::{Key, KeyRange, UpperBound};
-use std::collections::{BTreeMap, HashMap};
+use pequod_store::{Key, KeyRange, LruHandle, UpperBound};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Validity of a materialized range.
@@ -53,6 +59,9 @@ pub struct JsRange {
     pub state: JsState,
     /// Engine tick at which the range was computed (snapshot expiry).
     pub computed_at: u64,
+    /// This range's place in the engine's LRU list: a read that hits the
+    /// range touches it through this handle, teardown removes it.
+    pub lru: LruHandle,
     /// Exactly the live updater entries installed for this range: the
     /// range owns them, and teardown removes them through these handles.
     pub updaters: Vec<UpdaterHandle>,
@@ -74,6 +83,11 @@ impl JsRange {
         *key >= self.first && self.end.admits(key)
     }
 
+    /// True if the output range covered shares a key with `range`.
+    pub fn overlaps(&self, range: &KeyRange) -> bool {
+        !range.is_empty() && self.end.admits(&range.first) && range.end.admits(&self.first)
+    }
+
     /// True if a snapshot range computed at `computed_at` with lifetime
     /// `ttl` has expired at `now`.
     pub fn snapshot_expired(&self, ttl: u64, now: u64) -> bool {
@@ -91,13 +105,23 @@ pub enum Segment {
     Gap(KeyRange),
 }
 
+/// One slab cell; `range` is `None` while the cell is on the free list.
+#[derive(Debug, Default)]
+struct Cell {
+    /// Bumped on every removal, so stale ids never resolve.
+    gen: u32,
+    range: Option<JsRange>,
+}
+
 /// The status ranges of one join: a set of disjoint materialized output
 /// ranges.
 #[derive(Default, Debug)]
 pub struct StatusMap {
-    ranges: BTreeMap<Key, JsRange>,
-    by_id: HashMap<JsId, Key>,
-    next: u64,
+    cells: Vec<Cell>,
+    free: Vec<u32>,
+    /// Range start → id, for range queries only; lookups by id never
+    /// touch it.
+    order: BTreeMap<Key, JsId>,
 }
 
 impl StatusMap {
@@ -108,56 +132,91 @@ impl StatusMap {
 
     /// Number of materialized ranges.
     pub fn len(&self) -> usize {
-        self.ranges.len()
+        self.order.len()
     }
 
     /// True if nothing is materialized.
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.order.is_empty()
     }
 
     /// Inserts a new valid range; the caller guarantees it is disjoint
     /// from existing ranges (it comes from a [`Segment::Gap`]).
-    pub fn insert(&mut self, range: KeyRange, computed_at: u64) -> JsId {
+    /// `track` registers the new id with the engine's LRU list and
+    /// returns the handle the range keeps.
+    pub fn insert(
+        &mut self,
+        range: KeyRange,
+        computed_at: u64,
+        track: impl FnOnce(JsId) -> LruHandle,
+    ) -> JsId {
         debug_assert!(!range.is_empty());
         debug_assert!(
             self.overlapping(&range).is_empty(),
             "status ranges must stay disjoint"
         );
-        let id = JsId(self.next);
-        self.next += 1;
-        self.by_id.insert(id, range.first.clone());
-        self.ranges.insert(
-            range.first.clone(),
-            JsRange {
-                id,
-                first: range.first,
-                end: range.end,
-                state: JsState::Valid,
-                computed_at,
-                updaters: Vec::new(),
-                pending: Vec::new(),
-            },
-        );
+        let slot = self.free.pop().unwrap_or(self.cells.len() as u32);
+        if slot as usize == self.cells.len() {
+            self.cells.push(Cell::default());
+        }
+        let cell = &mut self.cells[slot as usize];
+        let id = JsId {
+            slot,
+            gen: cell.gen,
+        };
+        self.order.insert(range.first.clone(), id);
+        cell.range = Some(JsRange {
+            id,
+            first: range.first,
+            end: range.end,
+            state: JsState::Valid,
+            computed_at,
+            lru: track(id),
+            updaters: Vec::new(),
+            pending: Vec::new(),
+        });
         id
     }
 
-    /// Looks up a range by id.
+    /// Looks up a range by id: one indexed load. `None` if the id is
+    /// stale.
+    #[inline]
     pub fn get(&self, id: JsId) -> Option<&JsRange> {
-        let first = self.by_id.get(&id)?;
-        self.ranges.get(first)
+        let cell = self.cells.get(id.slot as usize)?;
+        (cell.gen == id.gen)
+            .then_some(cell.range.as_ref())
+            .flatten()
     }
 
     /// Mutable lookup by id.
+    #[inline]
     pub fn get_mut(&mut self, id: JsId) -> Option<&mut JsRange> {
-        let first = self.by_id.get(&id)?;
-        self.ranges.get_mut(first)
+        let cell = self.cells.get_mut(id.slot as usize)?;
+        (cell.gen == id.gen)
+            .then_some(cell.range.as_mut())
+            .flatten()
     }
 
     /// Removes a range by id.
     pub fn remove(&mut self, id: JsId) -> Option<JsRange> {
-        let first = self.by_id.remove(&id)?;
-        self.ranges.remove(&first)
+        let cell = self.cells.get_mut(id.slot as usize)?;
+        if cell.gen != id.gen {
+            return None;
+        }
+        let js = cell.range.take()?;
+        cell.gen = cell.gen.wrapping_add(1);
+        self.free.push(id.slot);
+        self.order.remove(&js.first);
+        Some(js)
+    }
+
+    /// The last range starting at or before `key`, if any.
+    fn at_or_before(&self, key: &Key) -> Option<&JsRange> {
+        let (_, &id) = self
+            .order
+            .range::<Key, _>((Bound::Unbounded, Bound::Included(key)))
+            .next_back()?;
+        self.get(id)
     }
 
     /// The ids of ranges overlapping `range`.
@@ -166,36 +225,38 @@ impl StatusMap {
             return vec![];
         }
         let mut out = Vec::new();
-        if let Some((_, js)) = self
-            .ranges
-            .range::<Key, _>((Bound::Unbounded, Bound::Excluded(&range.first)))
-            .next_back()
-        {
-            if js.range().overlaps(range) {
+        let mut from = Bound::Included(&range.first);
+        if let Some(js) = self.at_or_before(&range.first) {
+            if js.overlaps(range) {
                 out.push(js.id);
             }
+            from = Bound::Excluded(&js.first);
         }
-        for (first, js) in self
-            .ranges
-            .range::<Key, _>((Bound::Included(&range.first), Bound::Unbounded))
-        {
+        for (first, &id) in self.order.range::<Key, _>((from, Bound::Unbounded)) {
             if !range.end.admits(first) {
                 break;
             }
-            if js.range().overlaps(range) {
-                out.push(js.id);
-            }
+            out.push(id);
         }
         out
     }
 
     /// The range containing `key`, if any.
     pub fn covering(&self, key: &Key) -> Option<JsId> {
-        let (_, js) = self
-            .ranges
-            .range::<Key, _>((Bound::Unbounded, Bound::Included(key)))
-            .next_back()?;
+        let js = self.at_or_before(key)?;
         js.contains(key).then_some(js.id)
+    }
+
+    /// The one range covering all of `clip`, if there is one: the answer
+    /// to almost every warm read, found with a single ordered lookup.
+    /// `Some(id)` exactly when [`StatusMap::segments`] would return
+    /// `[Covered(id)]`.
+    pub fn sole_cover(&self, clip: &KeyRange) -> Option<JsId> {
+        if clip.is_empty() {
+            return None;
+        }
+        let js = self.at_or_before(&clip.first)?;
+        (js.end.admits(&clip.first) && clip.end <= js.end).then_some(js.id)
     }
 
     /// Classifies `clip` into covered ranges and gaps, in key order.
@@ -231,39 +292,73 @@ impl StatusMap {
 
     /// Iterates all ranges in key order.
     pub fn iter(&self) -> impl Iterator<Item = &JsRange> {
-        self.ranges.values()
+        self.order.values().filter_map(|&id| self.get(id))
     }
 
-    /// Exhaustive consistency check of the map's internal indexes, used
-    /// by the paranoid invariant checker (`Engine::check_invariants`).
-    /// Returns one message per problem; empty means consistent.
+    /// Exhaustive consistency check of the slab against the ordered
+    /// index and the free list, used by the paranoid invariant checker
+    /// (`Engine::check_invariants`): every indexed start resolves to a
+    /// live cell holding a range that starts there and records that id
+    /// at the cell's current generation; no live cell is unindexed; the
+    /// free list is exactly the vacant cells; ranges are non-empty and
+    /// disjoint. Returns one message per problem; empty means
+    /// consistent.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        if self.by_id.len() != self.ranges.len() {
+        let live = self.cells.iter().filter(|c| c.range.is_some()).count();
+        if live != self.order.len() {
             problems.push(format!(
-                "status id-index has {} entries but {} ranges exist",
-                self.by_id.len(),
-                self.ranges.len()
+                "status slab holds {live} ranges but the ordered index {}",
+                self.order.len()
+            ));
+        }
+        for (slot, cell) in self.cells.iter().enumerate() {
+            let Some(js) = &cell.range else { continue };
+            let want = JsId {
+                slot: slot as u32,
+                gen: cell.gen,
+            };
+            if js.id != want {
+                problems.push(format!(
+                    "status cell {slot} at generation {} holds a range recording id {:?}",
+                    cell.gen, js.id
+                ));
+            }
+        }
+        let mut free = self.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        let vacant = |i: &u32| {
+            self.cells
+                .get(*i as usize)
+                .is_some_and(|c| c.range.is_none())
+        };
+        if free.len() != self.free.len()
+            || free.len() + live != self.cells.len()
+            || !free.iter().all(vacant)
+        {
+            problems.push(format!(
+                "status free list ({} cells) is not exactly the slab's {} vacant cells",
+                self.free.len(),
+                self.cells.len() - live
             ));
         }
         let mut prev: Option<&JsRange> = None;
-        for (first, js) in &self.ranges {
+        for (first, &id) in &self.order {
+            let Some(js) = self.get(id) else {
+                problems.push(format!(
+                    "status index maps {first:?} to {id:?}, which resolves to no live range"
+                ));
+                continue;
+            };
             if &js.first != first {
                 problems.push(format!(
-                    "status range keyed at {first:?} records first = {:?}",
+                    "status range indexed at {first:?} records first = {:?}",
                     js.first
                 ));
             }
             if js.range().is_empty() {
                 problems.push(format!("status range {:?} is empty", js.id));
-            }
-            match self.by_id.get(&js.id) {
-                Some(k) if k == first => {}
-                Some(k) => problems.push(format!(
-                    "status id {:?} maps to {k:?}, not its range start {first:?}",
-                    js.id
-                )),
-                None => problems.push(format!("status id {:?} missing from id-index", js.id)),
             }
             if let Some(p) = prev {
                 if p.end.admits(&js.first) {
@@ -278,36 +373,119 @@ impl StatusMap {
         }
         problems
     }
+
+    /// Test-only hook: bumps the generation of `id`'s cell behind the
+    /// ordered index's back (as a removal that forgot the index would),
+    /// so tests can prove the audit notices. Not part of the public API.
+    #[doc(hidden)]
+    pub fn debug_skew_generation(&mut self, id: JsId) {
+        if let Some(cell) = self.cells.get_mut(id.slot as usize) {
+            cell.gen = cell.gen.wrapping_add(1);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use pequod_store::LruTracker;
+
     fn r(a: &str, b: &str) -> KeyRange {
         KeyRange::new(a, b)
     }
 
+    /// A map plus the LRU list its ranges register with.
+    struct Tracked {
+        m: StatusMap,
+        lru: LruTracker<JsId>,
+    }
+
+    impl Tracked {
+        fn new() -> Tracked {
+            Tracked {
+                m: StatusMap::new(),
+                lru: LruTracker::new(),
+            }
+        }
+
+        fn insert(&mut self, range: KeyRange, at: u64) -> JsId {
+            self.m.insert(range, at, |id| self.lru.insert(id))
+        }
+    }
+
     #[test]
     fn insert_and_lookup() {
-        let mut m = StatusMap::new();
-        let a = m.insert(r("b", "f"), 0);
-        let b = m.insert(r("m", "p"), 1);
+        let mut t = Tracked::new();
+        let a = t.insert(r("b", "f"), 0);
+        let b = t.insert(r("m", "p"), 1);
         assert_ne!(a, b);
-        assert_eq!(m.get(a).unwrap().range(), r("b", "f"));
-        assert_eq!(m.covering(&Key::from("c")), Some(a));
-        assert_eq!(m.covering(&Key::from("g")), None);
-        assert_eq!(m.covering(&Key::from("m")), Some(b));
-        assert!(m.remove(a).is_some());
-        assert_eq!(m.covering(&Key::from("c")), None);
+        assert_eq!(t.m.get(a).unwrap().range(), r("b", "f"));
+        assert_eq!(t.m.covering(&Key::from("c")), Some(a));
+        assert_eq!(t.m.covering(&Key::from("g")), None);
+        assert_eq!(t.m.covering(&Key::from("m")), Some(b));
+        assert_eq!(t.lru.get(t.m.get(b).unwrap().lru), Some(&b));
+        assert!(t.m.remove(a).is_some());
+        assert_eq!(t.m.covering(&Key::from("c")), None);
+        assert!(t.m.audit().is_empty());
+    }
+
+    #[test]
+    fn stale_id_never_resolves_to_a_reused_cell() {
+        let mut t = Tracked::new();
+        let a = t.insert(r("b", "f"), 0);
+        assert!(t.m.remove(a).is_some());
+        let b = t.insert(r("m", "p"), 1);
+        assert_eq!((a.slot, a.gen + 1), (b.slot, b.gen), "the cell is reused");
+        assert!(t.m.get(a).is_none() && t.m.get_mut(a).is_none());
+        assert!(t.m.remove(a).is_none());
+        assert_eq!(t.m.get(b).unwrap().range(), r("m", "p"));
+        assert!(t.m.audit().is_empty());
+    }
+
+    #[test]
+    fn sole_cover_is_the_single_segment_case() {
+        let mut t = Tracked::new();
+        let a = t.insert(r("b", "f"), 0);
+        let z = t.insert(KeyRange::with_bound("x", UpperBound::Unbounded), 0);
+        for (clip, want) in [
+            (r("b", "f"), Some(a)),
+            (r("c", "e"), Some(a)),
+            (r("c", "g"), None),
+            (r("a", "c"), None),
+            (r("f", "g"), None),
+            (r("e", "c"), None),
+            (r("y", "z"), Some(z)),
+            (KeyRange::with_bound("y", UpperBound::Unbounded), Some(z)),
+            (KeyRange::with_bound("c", UpperBound::Unbounded), None),
+        ] {
+            assert_eq!(t.m.sole_cover(&clip), want, "{clip:?}");
+            let one = want.map(|id| vec![Segment::Covered(id)]);
+            assert_eq!(
+                one.is_some_and(|s| s == t.m.segments(&clip)),
+                want.is_some()
+            );
+        }
+    }
+
+    #[test]
+    fn skewed_generation_is_audited() {
+        let mut t = Tracked::new();
+        let a = t.insert(r("b", "f"), 0);
+        t.m.debug_skew_generation(a);
+        let v = t.m.audit();
+        assert!(
+            v.iter().any(|m| m.contains("resolves to no live range")),
+            "{v:?}"
+        );
     }
 
     #[test]
     fn segments_classify_gaps_and_covers() {
-        let mut m = StatusMap::new();
-        let a = m.insert(r("d", "f"), 0);
-        let b = m.insert(r("h", "k"), 0);
-        let segs = m.segments(&r("b", "z"));
+        let mut t = Tracked::new();
+        let a = t.insert(r("d", "f"), 0);
+        let b = t.insert(r("h", "k"), 0);
+        let segs = t.m.segments(&r("b", "z"));
         assert_eq!(
             segs,
             vec![
@@ -322,36 +500,37 @@ mod tests {
 
     #[test]
     fn segments_with_partial_overlap_at_start() {
-        let mut m = StatusMap::new();
-        let a = m.insert(r("b", "f"), 0);
+        let mut t = Tracked::new();
+        let a = t.insert(r("b", "f"), 0);
         // clip starts inside the covered range
-        let segs = m.segments(&r("d", "h"));
+        let segs = t.m.segments(&r("d", "h"));
         assert_eq!(segs, vec![Segment::Covered(a), Segment::Gap(r("f", "h"))]);
         // clip entirely inside
-        let segs = m.segments(&r("c", "e"));
+        let segs = t.m.segments(&r("c", "e"));
         assert_eq!(segs, vec![Segment::Covered(a)]);
     }
 
     #[test]
     fn segments_of_empty_map_is_one_gap() {
-        let m = StatusMap::new();
-        assert_eq!(m.segments(&r("a", "b")), vec![Segment::Gap(r("a", "b"))]);
-        assert!(m.segments(&r("b", "a")).is_empty());
+        let t = Tracked::new();
+        assert_eq!(t.m.segments(&r("a", "b")), vec![Segment::Gap(r("a", "b"))]);
+        assert!(t.m.segments(&r("b", "a")).is_empty());
     }
 
     #[test]
     fn unbounded_cover_short_circuits() {
-        let mut m = StatusMap::new();
-        let a = m.insert(KeyRange::with_bound("m", UpperBound::Unbounded), 0);
-        let segs = m.segments(&KeyRange::with_bound("a", UpperBound::Unbounded));
+        let mut t = Tracked::new();
+        let a = t.insert(KeyRange::with_bound("m", UpperBound::Unbounded), 0);
+        let segs =
+            t.m.segments(&KeyRange::with_bound("a", UpperBound::Unbounded));
         assert_eq!(segs, vec![Segment::Gap(r("a", "m")), Segment::Covered(a)]);
     }
 
     #[test]
     fn snapshot_expiry() {
-        let mut m = StatusMap::new();
-        let a = m.insert(r("a", "b"), 100);
-        let js = m.get(a).unwrap();
+        let mut t = Tracked::new();
+        let a = t.insert(r("a", "b"), 100);
+        let js = t.m.get(a).unwrap();
         assert!(!js.snapshot_expired(30, 129));
         assert!(js.snapshot_expired(30, 130));
     }

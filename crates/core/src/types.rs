@@ -8,9 +8,19 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct JoinId(pub u32);
 
-/// Identifies a join status range within one join's status map.
+/// Identifies a join status range within one join's status map: a cell
+/// of the map's slab plus the generation the cell had when the range was
+/// inserted. Lookup is one indexed load; an id kept past its range's
+/// removal is *stale* and never resolves, even once the cell is reused
+/// for another range, because removal bumps the generation (the same
+/// scheme as [`UpdaterHandle`](crate::updater::UpdaterHandle)).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct JsId(pub u64);
+pub struct JsId {
+    /// Index of the range's cell in the status map's slab.
+    pub slot: u32,
+    /// Generation of that cell when the range was inserted.
+    pub gen: u32,
+}
 
 /// The kind of store modification delivered to an updater (§3.2: "the
 /// type of change (insert new key, update existing key, or remove

@@ -155,10 +155,12 @@ impl UpdaterIndex {
                 node
             }
             None => {
-                *self
-                    .per_table
-                    .entry(range.first.table_prefix())
-                    .or_insert(0) += 1;
+                match self.per_table.get_mut(range.first.table_prefix_bytes()) {
+                    Some(n) => *n += 1,
+                    None => {
+                        self.per_table.insert(range.first.table_prefix(), 1);
+                    }
+                }
                 let node = self.free_nodes.pop().unwrap_or(self.nodes.len() as u32);
                 let cell = Node {
                     tree_id: self.tree.insert(range.clone(), node),
@@ -202,7 +204,7 @@ impl UpdaterIndex {
     /// span tables (they come from single-table patterns).
     pub fn table_is_quiet(&self, key: &Key) -> bool {
         self.per_table
-            .get(&key.table_prefix())
+            .get(key.table_prefix_bytes())
             .is_none_or(|&n| n == 0)
     }
 
@@ -228,6 +230,7 @@ impl UpdaterIndex {
     /// installation order.
     fn push_chain(&self, node: u32, out: &mut Vec<UpdaterHandle>) {
         let n = &self.nodes[node as usize];
+        out.reserve(n.len as usize);
         let mut cur = n.head;
         for _ in 0..n.len {
             let s = &self.slots[cur as usize];
@@ -280,7 +283,7 @@ impl UpdaterIndex {
             self.free_nodes.push(node);
             if let Some((range, _)) = self.tree.remove(n.tree_id) {
                 self.by_range.remove(&range);
-                if let Some(n) = self.per_table.get_mut(&range.first.table_prefix()) {
+                if let Some(n) = self.per_table.get_mut(range.first.table_prefix_bytes()) {
                     *n -= 1;
                 }
             }
@@ -457,12 +460,12 @@ mod tests {
     use super::*;
     use pequod_join::SlotTable;
 
-    fn entry(js: u64) -> UpdaterEntry {
+    fn entry(js: u32) -> UpdaterEntry {
         UpdaterEntry {
             join: JoinId(0),
             source_idx: 1,
             slots: SlotTable::new().empty_set(),
-            js: JsId(js),
+            js: JsId { slot: js, gen: 0 },
             hint: None,
         }
     }
@@ -499,7 +502,7 @@ mod tests {
         assert_eq!(idx.stab(&Key::from("p|bob|100")), vec![a, c]);
         assert_eq!(idx.overlapping(&r("p|a", "p|c")), vec![a, c]);
         assert!(idx.stab(&Key::from("p|zed|1")).is_empty());
-        assert_eq!(idx.get(c).unwrap().js, JsId(3));
+        assert_eq!(idx.get(c).unwrap().js.slot, 3);
     }
 
     #[test]
@@ -507,7 +510,7 @@ mod tests {
         let mut idx = UpdaterIndex::new();
         let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
         let b = idx.install(r("p|bob|", "p|bob}"), entry(2), &[]).unwrap();
-        assert_eq!(idx.remove(a).unwrap().js, JsId(1));
+        assert_eq!(idx.remove(a).unwrap().js.slot, 1);
         assert_eq!(idx.node_count(), 1);
         assert_eq!(idx.stab(&Key::from("p|bob|5")), vec![b]);
         // stale handle: a no-op, even once its cell is reused
@@ -528,9 +531,9 @@ mod tests {
             .map(|js| idx.install(r("p|bob|", "p|bob}"), entry(js), &[]).unwrap())
             .collect();
         idx.remove(own[3]);
-        assert_eq!(idx.remove_where(&mut own, |e| e.js.0 % 2 == 1), 2);
+        assert_eq!(idx.remove_where(&mut own, |e| e.js.slot % 2 == 1), 2);
         assert_eq!(own.len(), 1);
-        assert_eq!(idx.get(own[0]).unwrap().js, JsId(2));
+        assert_eq!(idx.get(own[0]).unwrap().js.slot, 2);
         assert_eq!(idx.entry_count(), 1);
         assert_eq!(idx.audit(), Vec::<String>::new());
     }

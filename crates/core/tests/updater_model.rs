@@ -107,7 +107,10 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 let entry = UpdaterEntry {
                     // Two owners per join, so JsIds collide across joins.
                     join: JoinId((owner % 2) as u32),
-                    js: JsId((owner / 2) as u64),
+                    js: JsId {
+                        slot: (owner / 2) as u32,
+                        gen: 0,
+                    },
                     source_idx,
                     slots: slots(variant),
                     hint: None,
@@ -198,10 +201,10 @@ proptest! {
 fn stab_visits_a_coalesced_node_in_install_order() {
     let mut idx = UpdaterIndex::new();
     let mut owned = Vec::new();
-    for js in 0..50u64 {
+    for js in 0..50u32 {
         let entry = UpdaterEntry {
             join: JoinId(0),
-            js: JsId(js),
+            js: JsId { slot: js, gen: 0 },
             source_idx: 1,
             slots: slots(3),
             hint: None,
@@ -212,12 +215,12 @@ fn stab_visits_a_coalesced_node_in_install_order() {
     for i in [25usize, 0, 49] {
         idx.remove(owned[i]).unwrap();
     }
-    let order: Vec<u64> = idx
+    let order: Vec<u32> = idx
         .stab(&Key::from("p|a|1"))
         .into_iter()
-        .map(|h| idx.get(h).unwrap().js.0)
+        .map(|h| idx.get(h).unwrap().js.slot)
         .collect();
-    let want: Vec<u64> = (1..49).filter(|&js| js != 25).collect();
+    let want: Vec<u32> = (1..49).filter(|&js| js != 25).collect();
     assert_eq!(order, want);
     assert_eq!(idx.node_count(), 1);
     assert_eq!(idx.audit(), Vec::<String>::new());

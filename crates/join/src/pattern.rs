@@ -222,7 +222,8 @@ impl Pattern {
     }
 
     /// Matches `key` against the pattern, unifying slot values into
-    /// `slots` as zero-copy slices of the key's buffer. On success every
+    /// `slots` as slices of the key's buffer (no allocation: short values
+    /// are held in place, long ones share the buffer). On success every
     /// slot of the pattern is bound and the whole key was consumed. On
     /// failure `slots` may be partially modified; callers should clone
     /// first if that matters.
@@ -267,22 +268,28 @@ impl Pattern {
     /// Expands the pattern into a key using `slots`; `None` if any slot
     /// is unbound or a fixed-width slot's value has the wrong length.
     pub fn expand(&self, slots: &SlotSet) -> Option<Key> {
-        let mut out = Vec::new();
-        for tok in &self.tokens {
-            match tok {
-                Token::Lit(l) => out.extend_from_slice(l),
-                Token::Slot { id, width } => {
-                    let v = slots.get(*id)?;
-                    if let Some(w) = width {
-                        if v.len() != *w {
-                            return None;
-                        }
-                    }
-                    out.extend_from_slice(v);
-                }
+        self.expand_with(|id| slots.get(id).map(|v| &v[..]))
+    }
+
+    /// [`Pattern::expand`] over any source of slot values, borrowed: the
+    /// write path expands from an updater entry's slots united with the
+    /// written key's without building the union. The slots are checked
+    /// first; the key is then sized and written by [`Key::concat`], so a
+    /// short one never allocates.
+    pub fn expand_with<'v>(&'v self, value_of: impl Fn(SlotId) -> Option<&'v [u8]>) -> Option<Key> {
+        let fits = |tok: &Token| match tok {
+            Token::Lit(_) => true,
+            Token::Slot { id, width } => {
+                value_of(*id).is_some_and(|v| width.is_none_or(|w| v.len() == w))
             }
+        };
+        if !self.tokens.iter().all(fits) {
+            return None;
         }
-        Some(Key::from(out))
+        Some(Key::concat(self.tokens.iter().map(|tok| match tok {
+            Token::Lit(l) => &l[..],
+            Token::Slot { id, .. } => value_of(*id).unwrap_or_default(),
+        })))
     }
 
     /// Emits the longest key prefix determined by `slots`: literals and
@@ -290,17 +297,16 @@ impl Pattern {
     /// the prefix and the token index of the first unbound slot (or
     /// `tokens.len()` if fully determined).
     pub fn determined_prefix(&self, slots: &SlotSet) -> (Vec<u8>, usize) {
-        let mut out = Vec::new();
-        for (ti, tok) in self.tokens.iter().enumerate() {
+        fn part<'a>(tok: &'a Token, slots: &'a SlotSet) -> Option<&'a [u8]> {
             match tok {
-                Token::Lit(l) => out.extend_from_slice(l),
-                Token::Slot { id, .. } => match slots.get(*id) {
-                    Some(v) => out.extend_from_slice(v),
-                    None => return (out, ti),
-                },
+                Token::Lit(l) => Some(l),
+                Token::Slot { id, .. } => slots.get(*id).map(|v| &v[..]),
             }
         }
-        (out, self.tokens.len())
+        let determined = || self.tokens.iter().map_while(|t| part(t, slots));
+        let mut out = Vec::with_capacity(determined().map(<[u8]>::len).sum());
+        determined().for_each(|p| out.extend_from_slice(p));
+        (out, determined().count())
     }
 
     /// The minimal range containing every key the pattern can produce
@@ -506,7 +512,9 @@ mod tests {
     /// Slots bound as slices of the matched key's buffer must be
     /// indistinguishable from copied ones — same equality, same expansion
     /// — including fixed-width slots and a key that is itself a slice of
-    /// a larger network frame; and they must share the key's allocation.
+    /// a larger network frame. That binding a slot performs no allocation
+    /// is asserted where an allocator can be counted:
+    /// `crates/core/tests/alloc_budget.rs`.
     #[test]
     fn sliced_bindings_equal_copied_ones() {
         let mut t = SlotTable::new();
@@ -543,11 +551,19 @@ mod tests {
         let mut wrong = t.empty_set();
         wrong.bind(t.lookup("time").unwrap(), Bytes::from_static(b"0000000101"));
         assert!(!p.match_key(&key, &mut wrong));
-        // Zero-copy: every bound value points into the frame.
-        let span = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-        for id in p.slots() {
-            assert!(span.contains(&(sliced.get(id).unwrap().as_ptr() as usize)));
-        }
+        // The same holds for a key too long to be held in place, whose
+        // long slot value stays a window into the key's buffer.
+        let wide = "w".repeat(40);
+        let long_key = Key::from(format!("t|{wide}|0000000100|bob"));
+        let mut long = t.empty_set();
+        assert!(p.match_key(&long_key, &mut long));
+        assert_eq!(
+            long.get(t.lookup("user").unwrap()).unwrap(),
+            wide.as_bytes()
+        );
+        assert_eq!(p.expand(&long).unwrap(), long_key);
+        let span = long_key.as_bytes().as_ptr_range();
+        assert!(span.contains(&long.get(t.lookup("user").unwrap()).unwrap().as_ptr()));
         // Range-derived bindings slice the range's first key the same way.
         let mut derived = t.empty_set();
         p.derive_slots(

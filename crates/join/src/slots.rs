@@ -99,9 +99,10 @@ impl SlotSet {
     /// Attempts to bind `id` to the bytes `buf[at]`; if already bound,
     /// succeeds only when the existing value matches (the join's
     /// consistency rule: "slots common to multiple source keys have
-    /// consistent values"). A new binding is a zero-copy slice sharing
-    /// `buf`'s allocation — `buf` is the matched key's own buffer, so
-    /// binding a slot never allocates.
+    /// consistent values"). A new binding is `buf.slice(at)` — held in
+    /// place when short, a window sharing `buf`'s allocation otherwise;
+    /// `buf` is the matched key's own buffer, so binding a slot never
+    /// allocates.
     pub fn unify(&mut self, id: SlotId, buf: &Bytes, at: Range<usize>) -> bool {
         match self.get(id) {
             Some(existing) => existing[..] == buf[at],
@@ -122,6 +123,16 @@ impl SlotSet {
     /// Number of bound slots.
     pub fn bound_count(&self) -> usize {
         self.values.iter().filter(|v| v.is_some()).count()
+    }
+
+    /// True if no slot is bound to different values in the two sets: the
+    /// join's consistency rule, checked by reference (what
+    /// [`SlotSet::merge`] on a copy would answer).
+    pub fn consistent_with(&self, other: &SlotSet) -> bool {
+        self.values
+            .iter()
+            .zip(&other.values)
+            .all(|pair| !matches!(pair, (Some(a), Some(b)) if a != b))
     }
 
     /// Merges another slot set into this one; returns false on conflict.
@@ -224,6 +235,8 @@ mod tests {
         assert_eq!(a.bound_count(), 2);
         let mut c = t.empty_set();
         c.bind(user, Bytes::from_static(b"bob"));
+        assert!(!a.consistent_with(&c) && !c.consistent_with(&a));
+        assert!(a.consistent_with(&b) && a.consistent_with(&t.empty_set()));
         assert!(!a.merge(&c));
     }
 

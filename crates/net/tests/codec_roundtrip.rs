@@ -17,7 +17,12 @@ use proptest::strategy::BoxedStrategy;
 
 fn bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
     // Fully binary: delimiter bytes, NULs, and high bytes included.
-    proptest::collection::vec(0u8..=255u8, 0..12)
+    // Short strings, plus lengths on either side of the 30-byte boundary
+    // between `Bytes`' in-place and shared representations.
+    prop_oneof![
+        proptest::collection::vec(0u8..=255u8, 0..12),
+        proptest::collection::vec(0u8..=255u8, 29..32),
+    ]
 }
 
 fn key_strategy() -> impl Strategy<Value = Key> {
@@ -158,6 +163,57 @@ fn message_strategy(depth: u8) -> BoxedStrategy<Message> {
             .prop_map(|msgs| Message::Batch { msgs }),
     ]
     .boxed()
+}
+
+/// Keys and values of exactly 29, 30 and 31 bytes — the last in-place
+/// lengths and the first shared one — round-trip in every position a
+/// byte string can take, as bodies and as frames.
+#[test]
+fn byte_strings_around_the_inline_boundary_roundtrip() {
+    let text = |len: usize, salt: u8| -> Vec<u8> { (0..len).map(|i| i as u8 ^ salt).collect() };
+    for klen in [29usize, 30, 31] {
+        for vlen in [29usize, 30, 31] {
+            let key = Key::from(text(klen, 0x5a));
+            let value = Value::from(text(vlen, 0xa5));
+            let range = KeyRange::new(key.clone(), Key::from(text(klen, 0xff)));
+            let msgs = [
+                Message::Put {
+                    id: 7,
+                    key: key.clone(),
+                    value: value.clone(),
+                },
+                Message::Scan {
+                    id: 8,
+                    range: range.clone(),
+                },
+                Message::Reply {
+                    id: 8,
+                    pairs: vec![(key.clone(), value.clone()); 3],
+                    error: None,
+                },
+                Message::Notify {
+                    key: key.clone(),
+                    value: Some(value.clone()),
+                },
+                Message::SubscribeReply {
+                    id: 9,
+                    range,
+                    pairs: vec![(key.clone(), value.clone())],
+                },
+            ];
+            let mut dec = FrameDecoder::new();
+            for msg in &msgs {
+                let mut body = BytesMut::new();
+                encode(msg, &mut body);
+                assert_eq!(decode(&body).as_ref(), Ok(msg), "key {klen} value {vlen}");
+                dec.extend(&encode_frame(msg));
+            }
+            for msg in &msgs {
+                assert_eq!(dec.next_frame().unwrap().as_ref(), Some(msg));
+            }
+            assert_eq!(dec.buffered(), 0);
+        }
+    }
 }
 
 proptest! {

@@ -3,7 +3,10 @@
 //! Pequod keys are opaque byte strings ordered lexicographically. By
 //! convention applications structure keys as `|`-separated components
 //! (`t|ann|100|bob`), and the store's table layer splits on the first
-//! component. Keys are cheaply cloneable (refcounted via [`bytes::Bytes`]).
+//! component. Keys are cheaply cloneable ([`bytes::Bytes`]: stored in
+//! place up to 30 bytes — every Twip key — and refcounted beyond that),
+//! and every constructor here sizes its output up front, so building a
+//! short key never touches the allocator.
 //!
 //! Two ordering helpers recur throughout Pequod:
 //!
@@ -23,7 +26,7 @@ use std::fmt;
 /// The component separator used by convention in Pequod keys.
 pub const SEP: u8 = b'|';
 
-/// An ordered, refcounted byte-string key.
+/// An ordered byte-string key in a 32-byte handle.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(Bytes);
 
@@ -68,12 +71,34 @@ impl Key {
         self.0.starts_with(prefix)
     }
 
+    /// Concatenates `parts` into a key. The length is summed in a first
+    /// pass over the (cheaply cloneable) iterator and the bytes copied in
+    /// a second: short keys are assembled on the stack and stored in
+    /// place; only long ones allocate, once, at their final size.
+    pub fn concat<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Key {
+        const STACK: usize = 64;
+        let len = parts.clone().map(<[u8]>::len).sum();
+        let fill = |mut out: &mut [u8]| {
+            for p in parts {
+                let (head, rest) = out.split_at_mut(p.len());
+                head.copy_from_slice(p);
+                out = rest;
+            }
+        };
+        if len <= STACK {
+            let mut buf = [0u8; STACK];
+            fill(&mut buf[..len]);
+            Key(Bytes::copy_from_slice(&buf[..len]))
+        } else {
+            let mut v = vec![0u8; len];
+            fill(&mut v);
+            Key(Bytes::from(v))
+        }
+    }
+
     /// The smallest key strictly greater than `self`: `self` + `0x00`.
     pub fn successor(&self) -> Key {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(0);
-        Key(Bytes::from(v))
+        Key::join(&[&self.0, &[0]])
     }
 
     /// The exclusive upper bound of all keys that start with `self`, or
@@ -90,38 +115,54 @@ impl Key {
         if end == 0 {
             return None;
         }
-        let mut v = Vec::with_capacity(end);
-        v.extend_from_slice(&b[..end]);
-        if let Some(last) = v.last_mut() {
-            *last += 1;
-        }
-        Some(Key(Bytes::from(v)))
+        Some(Key::join(&[&b[..end - 1], &[b[end - 1] + 1]]))
+    }
+
+    /// True if this key is `prefix`'s [`Key::prefix_end`], decided by
+    /// comparing bytes (no bound key is built).
+    pub fn is_prefix_end_of(&self, prefix: &[u8]) -> bool {
+        let stem = match prefix.iter().rposition(|&b| b != 0xff) {
+            Some(last) => &prefix[..=last],
+            None => return false,
+        };
+        let (last, head) = (stem.len() - 1, &self.0[..]);
+        head.len() == stem.len() && head[..last] == stem[..last] && head[last] == stem[last] + 1
     }
 
     /// Splits the key at its first `|` separator, returning the table name
     /// (everything up to and including the separator). Keys without a
     /// separator form their own table.
     pub fn table_prefix(&self) -> Key {
-        match self.0.iter().position(|&b| b == SEP) {
-            Some(i) => Key(self.0.slice(..=i)),
-            None => self.clone(),
-        }
+        Key::from(self.table_prefix_bytes())
+    }
+
+    /// [`Key::table_prefix`] as a borrowed slice of this key: what the
+    /// store and the updater index route by (`Key: Borrow<[u8]>`), so a
+    /// point operation builds no prefix key.
+    #[inline]
+    pub fn table_prefix_bytes(&self) -> &[u8] {
+        self.component_prefix_bytes(1)
     }
 
     /// Returns the prefix of the key spanning the first `n` `|`-separated
     /// components, including the trailing separator when one follows.
     /// Returns the whole key if it has `n` or fewer components.
     pub fn component_prefix(&self, n: usize) -> Key {
+        Key::from(self.component_prefix_bytes(n))
+    }
+
+    /// [`Key::component_prefix`] as a borrowed slice of this key.
+    pub fn component_prefix_bytes(&self, n: usize) -> &[u8] {
         let mut seen = 0usize;
         for (i, &b) in self.0.iter().enumerate() {
             if b == SEP {
                 seen += 1;
                 if seen == n {
-                    return Key(self.0.slice(..=i));
+                    return &self.0[..=i];
                 }
             }
         }
-        self.clone()
+        &self.0
     }
 
     /// Number of `|`-separated components in the key.
@@ -140,12 +181,7 @@ impl Key {
 
     /// Concatenates two byte strings into a key.
     pub fn join(parts: &[&[u8]]) -> Key {
-        let len = parts.iter().map(|p| p.len()).sum();
-        let mut v = Vec::with_capacity(len);
-        for p in parts {
-            v.extend_from_slice(p);
-        }
-        Key(Bytes::from(v))
+        Key::concat(parts.iter().copied())
     }
 
     /// Longest common prefix length with another key.
@@ -234,6 +270,24 @@ mod tests {
     }
 
     #[test]
+    fn handle_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 32);
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
+    }
+
+    #[test]
+    fn concat_sizes_short_and_long_keys_alike() {
+        for len in [0usize, 1, 30, 31, 64, 65, 200] {
+            let want: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let (a, b) = want.split_at(len / 3);
+            assert_eq!(Key::join(&[a, b, &[]]).as_bytes(), &want[..]);
+        }
+        let long = Key::from(vec![b'x'; 70]);
+        assert_eq!(long.successor().len(), 71);
+        assert_eq!(long.prefix_end().unwrap().as_bytes()[69], b'y');
+    }
+
+    #[test]
     fn successor_is_tight() {
         let k = Key::from("t|ann");
         let s = k.successor();
@@ -269,10 +323,30 @@ mod tests {
     }
 
     #[test]
+    fn is_prefix_end_of_agrees_with_prefix_end() {
+        let prefixes: [&[u8]; 6] = [b"t|ann|", b"a\xff\xff", b"\xff\xff", b"", b"t|", b"a\xfe"];
+        let probes: [&[u8]; 7] = [b"t|ann}", b"b", b"t}", b"a\xff", b"", b"t|ann|", b"t|ann}x"];
+        for p in prefixes {
+            let end = Key::from(p).prefix_end();
+            for probe in probes {
+                let probe = Key::from(probe);
+                assert_eq!(
+                    probe.is_prefix_end_of(p),
+                    end.as_ref() == Some(&probe),
+                    "{probe:?} vs prefix {:?}",
+                    Key::from(p)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn table_prefix_splits_on_first_separator() {
         assert_eq!(Key::from("t|ann|100").table_prefix(), Key::from("t|"));
         assert_eq!(Key::from("solo").table_prefix(), Key::from("solo"));
         assert_eq!(Key::from("").table_prefix(), Key::empty());
+        assert_eq!(Key::from("t|ann|100").table_prefix_bytes(), b"t|");
+        assert_eq!(Key::from("solo").table_prefix_bytes(), b"solo");
     }
 
     #[test]
@@ -282,6 +356,7 @@ mod tests {
         assert_eq!(k.component_prefix(2), Key::from("t|ann|"));
         assert_eq!(k.component_prefix(3), Key::from("t|ann|100|"));
         assert_eq!(k.component_prefix(9), k);
+        assert_eq!(k.component_prefix_bytes(2), b"t|ann|");
         assert_eq!(k.component_count(), 4);
     }
 

@@ -3,8 +3,9 @@
 //! Pequod (NSDI '14) is built on a single-process ordered store with
 //! string keys and values. This crate provides:
 //!
-//! * [`Key`] — refcounted byte-string keys with the ordering helpers the
-//!   cache-join machinery depends on (`successor`, `prefix_end`).
+//! * [`Key`] — byte-string keys (in place up to 30 bytes, refcounted
+//!   beyond) with the ordering helpers the cache-join machinery depends
+//!   on (`successor`, `prefix_end`).
 //! * [`KeyRange`] / [`UpperBound`] — half-open key ranges; every scan,
 //!   join status range, updater and subscription is one of these.
 //! * [`Store`] / [`Table`] — the layered tree structure of §4.1: a table
@@ -13,7 +14,7 @@
 //! * [`IntervalTree`] — the augmented search tree holding updaters,
 //!   supporting stabbing queries on store writes (§3.2).
 //! * [`LruTracker`] — least-recently-used ordering for evictable ranges
-//!   (§2.5).
+//!   (§2.5), addressed by the [`LruHandle`] each range keeps.
 //!
 //! The store is deliberately single-threaded and event-driven, like the
 //! paper's C++ server: one `Store` belongs to one engine; concurrency
@@ -39,7 +40,7 @@ mod table;
 
 pub use interval_tree::{IntervalId, IntervalTree};
 pub use key::{Key, SEP};
-pub use lru::LruTracker;
+pub use lru::{LruHandle, LruTracker};
 pub use range::{KeyRange, UpperBound};
 pub use range_set::RangeSet;
 pub use store::{Store, StoreConfig, StoreStats};
@@ -47,10 +48,10 @@ pub use table::{Table, TableStats, Value};
 
 /// Compile-time thread-safety contract: everything an engine owns can
 /// move to a shard worker thread, and the shared-payload types (`Key`,
-/// `Value` are refcounted via `Arc`) can additionally be read from many
-/// threads. If a change to the store breaks one of these bounds, this
-/// fails to compile rather than surfacing as a distant trait error in
-/// `pequod_core::sharded`.
+/// `Value`: held in place when short, refcounted via `Arc` beyond) can
+/// additionally be read from many threads. If a change to the store
+/// breaks one of these bounds, this fails to compile rather than
+/// surfacing as a distant trait error in `pequod_core::sharded`.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -69,7 +70,7 @@ mod proptests {
     use super::*;
     use bytes::Bytes;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn key_strat() -> impl Strategy<Value = Key> {
         // Small alphabet concentrates collisions and boundary cases.
@@ -174,6 +175,54 @@ mod proptests {
                 .collect();
             prop_assert_eq!(got, want);
             prop_assert_eq!(store.len(), model.len());
+        }
+
+        /// The LRU list against a `VecDeque` (front = coldest): inserts,
+        /// touches, removals and pops through live and stale handles,
+        /// with freed cells reused by later inserts.
+        #[test]
+        fn lru_matches_vecdeque(
+            ops in proptest::collection::vec((0..5u8, 0..64usize), 1..150)
+        ) {
+            let mut lru = LruTracker::new();
+            let mut model: VecDeque<(LruHandle, usize)> = VecDeque::new();
+            let mut issued: Vec<LruHandle> = Vec::new();
+            for (op, n) in ops {
+                let pick = issued.get(n % issued.len().max(1)).copied();
+                let at = pick.and_then(|h| model.iter().position(|(m, _)| *m == h));
+                match (op, pick) {
+                    (0 | 1, _) => {
+                        let unit = issued.len();
+                        let h = lru.insert(unit);
+                        prop_assert!(!issued.contains(&h), "handle {:?} was issued before", h);
+                        issued.push(h);
+                        model.push_back((h, unit));
+                    }
+                    (2, Some(h)) => {
+                        prop_assert_eq!(lru.touch(h), at.is_some());
+                        if let Some(entry) = at.and_then(|at| model.remove(at)) {
+                            model.push_back(entry);
+                        }
+                    }
+                    (3, Some(h)) => {
+                        let want = at.and_then(|at| model.remove(at)).map(|(_, unit)| unit);
+                        prop_assert_eq!(lru.remove(h), want);
+                    }
+                    _ => {
+                        prop_assert_eq!(lru.pop_lru(), model.pop_front().map(|(_, unit)| unit));
+                    }
+                }
+                prop_assert_eq!(lru.len(), model.len());
+                prop_assert_eq!(lru.is_empty(), model.is_empty());
+                prop_assert_eq!(lru.peek_lru(), model.front().map(|(_, unit)| unit));
+                let order: Vec<(LruHandle, usize)> = lru.iter().map(|(h, u)| (h, *u)).collect();
+                prop_assert_eq!(order, Vec::from(model.clone()));
+                for &h in &issued {
+                    let want = model.iter().find(|(m, _)| *m == h).map(|(_, unit)| unit);
+                    prop_assert_eq!(lru.get(h), want, "handle {:?}", h);
+                }
+                prop_assert_eq!(lru.audit(), Vec::<String>::new());
+            }
         }
 
         #[test]

@@ -34,10 +34,10 @@ impl StoreConfig {
         self
     }
 
-    fn depth_for(&self, table_prefix: &Key) -> Option<usize> {
+    fn depth_for(&self, table_prefix: &[u8]) -> Option<usize> {
         self.subtable_depths
             .iter()
-            .find(|(p, _)| p == table_prefix)
+            .find(|(p, _)| p.as_bytes() == table_prefix)
             .map(|(_, d)| *d)
     }
 }
@@ -166,7 +166,7 @@ impl Store {
                 keys += 1;
                 key_bytes += k.len();
                 logical += v.len();
-                if &k.table_prefix() != prefix {
+                if k.table_prefix_bytes() != prefix.as_bytes() {
                     problems.push(format!(
                         "key {k:?} filed under table {prefix:?} but belongs to {:?}",
                         k.table_prefix()
@@ -203,16 +203,6 @@ impl Store {
         self.stats.keys = self.stats.keys.saturating_add_signed(delta);
     }
 
-    fn table_mut(&mut self, table_prefix: Key) -> &mut Table {
-        let config = &self.config;
-        self.tables.entry(table_prefix.clone()).or_insert_with(|| {
-            match config.depth_for(&table_prefix) {
-                Some(d) => Table::new_split(d),
-                None => Table::new_flat(),
-            }
-        })
-    }
-
     /// Inserts or replaces a pair. `shared` marks the value as a
     /// refcounted copy of a buffer stored elsewhere (the `copy` operator's
     /// value sharing, §4.3); shared bytes are excluded from the resident
@@ -221,7 +211,21 @@ impl Store {
         self.stats.puts += 1;
         let key_len = key.len();
         let value_len = value.len();
-        let old = self.table_mut(key.table_prefix()).put(key, value);
+        // Tables are routed by a borrowed slice of the key; only a
+        // table's first pair builds its prefix key.
+        let old = match self.tables.get_mut(key.table_prefix_bytes()) {
+            Some(table) => table.put(key, value),
+            None => {
+                let prefix = key.table_prefix();
+                let mut table = match self.config.depth_for(prefix.as_bytes()) {
+                    Some(d) => Table::new_split(d),
+                    None => Table::new_flat(),
+                };
+                table.put(key, value);
+                self.tables.insert(prefix, table);
+                None
+            }
+        };
         match &old {
             Some(prev) => {
                 self.stats.logical_value_bytes =
@@ -249,18 +253,18 @@ impl Store {
     /// Looks up a key.
     pub fn get(&mut self, key: &Key) -> Option<&Value> {
         self.stats.gets += 1;
-        self.tables.get_mut(&key.table_prefix())?.get(key)
+        self.tables.get_mut(key.table_prefix_bytes())?.get(key)
     }
 
     /// Looks up a key without touching statistics.
     pub fn peek(&self, key: &Key) -> Option<&Value> {
-        self.tables.get(&key.table_prefix())?.peek(key)
+        self.tables.get(key.table_prefix_bytes())?.peek(key)
     }
 
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &Key) -> Option<Value> {
         self.stats.removes += 1;
-        let removed = self.tables.get_mut(&key.table_prefix())?.remove(key);
+        let removed = self.tables.get_mut(key.table_prefix_bytes())?.remove(key);
         if let Some(v) = &removed {
             self.stats.keys -= 1;
             self.stats.key_bytes -= key.len();

@@ -59,7 +59,7 @@ pub struct Table {
 
 /// Estimated index overhead of one subtable prefix: the prefix key
 /// stored twice (hash + ordered index) plus map-entry overhead.
-fn index_entry_bytes(prefix: &Key) -> usize {
+fn index_entry_bytes(prefix: &[u8]) -> usize {
     2 * prefix.len() + 48
 }
 
@@ -188,7 +188,7 @@ impl Table {
                         problems.push(format!("empty subtable {prefix:?} was not dropped"));
                     }
                     for k in sub.keys() {
-                        if &k.component_prefix(*depth) != prefix {
+                        if k.component_prefix_bytes(*depth) != prefix.as_bytes() {
                             problems.push(format!(
                                 "key {k:?} filed under subtable {prefix:?} but routes to {:?}",
                                 k.component_prefix(*depth)
@@ -196,7 +196,7 @@ impl Table {
                         }
                     }
                 }
-                let want: usize = order.iter().map(index_entry_bytes).sum();
+                let want: usize = order.iter().map(|p| index_entry_bytes(p.as_bytes())).sum();
                 if want != self.index_bytes {
                     problems.push(format!(
                         "index-byte counter says {} but the subtable index costs {want}",
@@ -213,14 +213,16 @@ impl Table {
         let old = match &mut self.repr {
             Repr::Flat(map) => map.insert(key, value),
             Repr::Split { depth, subs, order } => {
-                let prefix = key.component_prefix(*depth);
                 self.stats.hash_hits += 1;
-                match subs.get_mut(&prefix) {
+                // Subtables are routed by a borrowed slice of the key;
+                // only a subtable's first pair builds its prefix key.
+                match subs.get_mut(key.component_prefix_bytes(*depth)) {
                     Some(sub) => sub.insert(key, value),
                     None => {
+                        let prefix = key.component_prefix(*depth);
                         let mut sub = BTreeMap::new();
                         sub.insert(key, value);
-                        self.index_bytes += index_entry_bytes(&prefix);
+                        self.index_bytes += index_entry_bytes(prefix.as_bytes());
                         order.insert(prefix.clone());
                         subs.insert(prefix, sub);
                         None
@@ -240,7 +242,7 @@ impl Table {
             Repr::Flat(map) => map.get(key),
             Repr::Split { depth, subs, .. } => {
                 self.stats.hash_hits += 1;
-                subs.get(&key.component_prefix(*depth))?.get(key)
+                subs.get(key.component_prefix_bytes(*depth))?.get(key)
             }
         }
     }
@@ -249,7 +251,9 @@ impl Table {
     pub fn peek(&self, key: &Key) -> Option<&Value> {
         match &self.repr {
             Repr::Flat(map) => map.get(key),
-            Repr::Split { depth, subs, .. } => subs.get(&key.component_prefix(*depth))?.get(key),
+            Repr::Split { depth, subs, .. } => {
+                subs.get(key.component_prefix_bytes(*depth))?.get(key)
+            }
         }
     }
 
@@ -258,14 +262,14 @@ impl Table {
         let removed = match &mut self.repr {
             Repr::Flat(map) => map.remove(key),
             Repr::Split { depth, subs, order } => {
-                let prefix = key.component_prefix(*depth);
+                let prefix = key.component_prefix_bytes(*depth);
                 self.stats.hash_hits += 1;
-                let sub = subs.get_mut(&prefix)?;
+                let sub = subs.get_mut(prefix)?;
                 let removed = sub.remove(key);
                 if removed.is_some() && sub.is_empty() {
-                    self.index_bytes -= index_entry_bytes(&prefix);
-                    subs.remove(&prefix);
-                    order.remove(&prefix);
+                    self.index_bytes -= index_entry_bytes(prefix);
+                    subs.remove(prefix);
+                    order.remove(prefix);
                 }
                 removed
             }
@@ -295,27 +299,23 @@ impl Table {
                 // Valid only when the routing prefix contains the full
                 // `depth` separators — a shorter prefix (e.g. `t|` at depth
                 // 2) is an ancestor of many subtables, not one of them.
-                let start_prefix = range.first.component_prefix(*depth);
+                let start_prefix = range.first.component_prefix_bytes(*depth);
                 let full_depth = start_prefix
-                    .as_bytes()
                     .iter()
                     .filter(|&&b| b == crate::key::SEP)
                     .count()
                     == *depth;
+                // The range stays inside `start_prefix`'s span when the
+                // end key also routes to it, or equals the span's upper
+                // bound.
                 let single = full_depth
-                    && match range.end.as_key() {
-                        Some(end) => {
-                            // The range stays inside `start_prefix`'s span
-                            // when the end key also routes to it, or equals
-                            // the span's upper bound.
-                            end.component_prefix(*depth) == start_prefix
-                                || Some(end) == start_prefix.prefix_end().as_ref()
-                        }
-                        None => false,
-                    };
+                    && range.end.as_key().is_some_and(|end| {
+                        end.component_prefix_bytes(*depth) == start_prefix
+                            || end.is_prefix_end_of(start_prefix)
+                    });
                 if single {
                     self.stats.single_subtable_scans += 1;
-                    if let Some(sub) = subs.get(&start_prefix) {
+                    if let Some(sub) = subs.get(start_prefix) {
                         for (k, v) in Self::btree_range(sub, range) {
                             if !f(k, v) {
                                 return;
@@ -330,9 +330,8 @@ impl Table {
                 let start = order
                     .range::<Key, _>((Bound::Unbounded, Bound::Included(&range.first)))
                     .next_back()
-                    .cloned()
-                    .unwrap_or_else(|| range.first.clone());
-                for prefix in order.range::<Key, _>((Bound::Included(&start), Bound::Unbounded)) {
+                    .unwrap_or(&range.first);
+                for prefix in order.range::<Key, _>((Bound::Included(start), Bound::Unbounded)) {
                     if !range.end.admits(prefix) && *prefix > range.first {
                         break;
                     }
@@ -352,12 +351,11 @@ impl Table {
         map: &'a BTreeMap<Key, Value>,
         range: &KeyRange,
     ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
-        let lower = Bound::Included(range.first.clone());
         let upper = match range.end.as_key() {
-            Some(k) => Bound::Excluded(k.clone()),
+            Some(k) => Bound::Excluded(k),
             None => Bound::Unbounded,
         };
-        map.range((lower, upper))
+        map.range::<Key, _>((Bound::Included(&range.first), upper))
     }
 
     /// Collects all pairs in `range`.

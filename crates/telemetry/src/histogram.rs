@@ -121,7 +121,7 @@ impl Histogram {
 /// An owned copy of a [`Histogram`], mergeable across shards.
 #[derive(Clone, Copy, Debug)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (see [`bucket_of`] for the banding).
+    /// Per-bucket sample counts (see `bucket_of` for the banding).
     pub buckets: [u64; BUCKETS],
     /// Total samples.
     pub count: u64,

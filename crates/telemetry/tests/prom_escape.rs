@@ -26,9 +26,7 @@ fn assert_line_well_formed(line: &str) {
     if line.is_empty() || line.starts_with('#') {
         return;
     }
-    let name_end = line
-        .find(['{', ' '])
-        .unwrap_or(line.len());
+    let name_end = line.find(['{', ' ']).unwrap_or(line.len());
     let name = &line[..name_end];
     assert!(!name.is_empty(), "empty metric name in {line:?}");
     for (i, c) in name.chars().enumerate() {
