@@ -41,6 +41,24 @@ impl Engine {
     /// overlapping cache joins first. Returns the pairs plus any base
     /// ranges that must be fetched for a complete answer (§3.3).
     pub fn scan(&mut self, range: &KeyRange) -> ScanResult {
+        let mut pairs = Vec::new();
+        let missing = self.scan_with(range, |k, v| pairs.push((k.clone(), v.clone())));
+        ScanResult { pairs, missing }
+    }
+
+    /// The streaming form of [`Engine::scan`], and its implementation:
+    /// validates now, visits lazily. Every overlapping join is executed
+    /// or validated first; then `visit` sees each pair of the range by
+    /// reference, in key order, straight out of the store (or out of the
+    /// merged overlay when a pull join overlaps) — nothing is cloned on
+    /// the caller's behalf. Returns the base ranges that must be fetched
+    /// for a complete answer; pairs are visited even when it is
+    /// non-empty, as `scan` returns them.
+    pub fn scan_with(
+        &mut self,
+        range: &KeyRange,
+        mut visit: impl FnMut(&Key, &Value),
+    ) -> Vec<KeyRange> {
         self.stats.scans += 1;
         let timer = self.recorder.timer();
         if self.recorder.is_enabled() {
@@ -48,7 +66,7 @@ impl Engine {
         }
         let mut missing = Vec::new();
         if range.is_empty() {
-            return ScanResult::default();
+            return missing;
         }
         // Base data requested directly from a remote table?
         if !self.remote.is_empty() {
@@ -70,33 +88,29 @@ impl Engine {
                 self.validate_join(jidx, &clip, &mut missing);
             }
         }
-        let pairs = match overlay {
-            // Fast path: everything is materialized in the store; collect
+        match overlay {
+            // Fast path: everything is materialized in the store; visit
             // in order without a merge map.
-            None => {
-                let mut pairs = Vec::new();
-                self.store.scan(range, |k, v| {
-                    pairs.push((k.clone(), v.clone()));
-                    true
-                });
-                pairs
-            }
+            None => self.store.scan(range, |k, v| {
+                visit(k, v);
+                true
+            }),
             Some(mut map) => {
                 self.store.scan(range, |k, v| {
                     map.entry(k.clone()).or_insert_with(|| v.clone());
                     true
                 });
-                map.into_iter().collect()
+                map.iter().for_each(|(k, v)| visit(k, v));
             }
-        };
-        // Enforce the memory cap only after the answer is collected:
-        // reads materialize join ranges, so a capped engine may be over
-        // the high watermark right here, but the response must never
+        }
+        // Enforce the memory cap only after the last visit: reads
+        // materialize join ranges, so a capped engine may be over the
+        // high watermark right here, but the response must never
         // observe a half-evicted store.
         self.maintain_memory();
         self.paranoid_check();
         self.recorder.observe_op(OpKind::Scan, &timer);
-        ScanResult { pairs, missing }
+        missing
     }
 
     /// Point read returning just the value. The key may be computed by a

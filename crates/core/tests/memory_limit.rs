@@ -48,6 +48,50 @@ fn watermarks_give_hysteresis() {
     assert!(e.engine_stats().peak_memory_bytes > 0);
 }
 
+/// `scan_with` is `scan` without the collection: on a capped engine
+/// (every read over the high watermark, so every read evicts) it visits
+/// exactly the pairs `scan` returns, in order, and exactly those of an
+/// uncapped engine — eviction runs after the last visit, never under
+/// it. Under `--features paranoid` each of these reads also re-checks
+/// every engine invariant.
+#[test]
+fn scan_with_visits_scans_pairs_under_a_memory_cap() {
+    let limit = MemoryLimit::new(8 * 1024);
+    let mut streamed = timeline_engine(Some(limit));
+    let mut collected = timeline_engine(Some(limit));
+    let mut free = timeline_engine(None);
+    for e in [&mut streamed, &mut collected, &mut free] {
+        for u in 0..60u32 {
+            e.put(format!("s|u{u:03}|bob"), "1");
+        }
+        for t in 0..30u64 {
+            e.put(format!("p|bob|{t:010}"), "a tweet that takes up some room");
+        }
+    }
+    for round in 0..2 {
+        for u in 0..60u32 {
+            let range = KeyRange::prefix(format!("t|u{u:03}|"));
+            let mut seen = Vec::new();
+            let missing = streamed.scan_with(&range, |k, v| seen.push((k.clone(), v.clone())));
+            let want = collected.scan(&range);
+            assert!(missing.is_empty() && want.is_complete());
+            assert_eq!(seen, want.pairs, "round {round} user {u}");
+            assert_eq!(seen, free.scan(&range).pairs, "round {round} user {u}");
+            assert_eq!(seen.len(), 30);
+            assert!(streamed.memory_bytes() <= limit.high_bytes);
+        }
+    }
+    let (a, b) = (streamed.engine_stats(), collected.engine_stats());
+    assert!(a.js_evictions > 0);
+    assert_eq!(a.js_evictions, b.js_evictions);
+    assert_eq!(a.join_execs, b.join_execs);
+    // An empty range visits nothing and reports nothing.
+    let empty = KeyRange::new("t|z", "t|a");
+    assert!(streamed
+        .scan_with(&empty, |_, _| panic!("visited an empty range"))
+        .is_empty());
+}
+
 /// Many timelines share one celebrity's source range, so their
 /// updaters coalesce onto a single interval-tree node. Materializing and
 /// evicting them over and over must leave no entry behind, keep every

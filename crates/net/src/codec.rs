@@ -72,12 +72,36 @@ const TAG_METRICS: u8 = 23;
 /// clients send one level.
 const MAX_BATCH_DEPTH: u8 = 4;
 
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
+// Length prefixes are back-patched: four zero bytes are reserved, the
+// body is encoded behind them, and the length is written once it is
+// known — no intermediate buffer at any nesting depth. That is why the
+// encoder wants `AsMut<[u8]>` (`Vec<u8>`, `BytesMut`) on top of `BufMut`.
+
+/// Reserves a `u32-le` slot at the end of `buf`; returns its offset.
+fn reserve_u32(buf: &mut (impl BufMut + AsMut<[u8]>)) -> usize {
+    let at = buf.as_mut().len();
+    buf.put_u32_le(0);
+    at
+}
+
+/// Writes `v` into the slot [`reserve_u32`] left at `at`.
+fn patch_u32(buf: &mut impl AsMut<[u8]>, at: usize, v: usize) {
+    buf.as_mut()[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes());
+}
+
+/// Writes the byte count of everything appended after the slot at `at`
+/// into that slot.
+fn patch_len(buf: &mut impl AsMut<[u8]>, at: usize) {
+    let len = buf.as_mut().len() - at - 4;
+    patch_u32(buf, at, len);
+}
+
+fn put_bytes(buf: &mut impl BufMut, b: &[u8]) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn put_opt_bytes(buf: &mut BytesMut, b: Option<&[u8]>) {
+fn put_opt_bytes(buf: &mut impl BufMut, b: Option<&[u8]>) {
     match b {
         Some(b) => {
             buf.put_u8(1);
@@ -87,12 +111,12 @@ fn put_opt_bytes(buf: &mut BytesMut, b: Option<&[u8]>) {
     }
 }
 
-fn put_range(buf: &mut BytesMut, range: &KeyRange) {
+fn put_range(buf: &mut impl BufMut, range: &KeyRange) {
     put_bytes(buf, range.first.as_bytes());
     put_opt_bytes(buf, range_end_key(range).map(|k| k.as_bytes()));
 }
 
-fn put_pairs(buf: &mut BytesMut, pairs: &[(Key, Value)]) {
+fn put_pairs(buf: &mut impl BufMut, pairs: &[(Key, Value)]) {
     buf.put_u32_le(pairs.len() as u32);
     for (k, v) in pairs {
         put_bytes(buf, k.as_bytes());
@@ -101,7 +125,7 @@ fn put_pairs(buf: &mut BytesMut, pairs: &[(Key, Value)]) {
 }
 
 /// Encodes a message body (without the frame length prefix).
-pub fn encode(msg: &Message, buf: &mut BytesMut) {
+pub fn encode(msg: &Message, buf: &mut (impl BufMut + AsMut<[u8]>)) {
     match msg {
         Message::Get { id, key } => {
             buf.put_u8(TAG_GET);
@@ -164,9 +188,9 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
             buf.put_u8(TAG_BATCH);
             buf.put_u32_le(msgs.len() as u32);
             for m in msgs {
-                let mut body = BytesMut::new();
-                encode(m, &mut body);
-                put_bytes(buf, &body);
+                let at = reserve_u32(buf);
+                encode(m, buf);
+                patch_len(buf, at);
             }
         }
         Message::Hello { node } => {
@@ -279,14 +303,68 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
     }
 }
 
+/// Appends `msg` to `out` as one length-prefixed frame, encoding in
+/// place: bytes already in `out` are left untouched.
+pub fn encode_frame_into(msg: &Message, out: &mut Vec<u8>) {
+    let at = reserve_u32(out);
+    encode(msg, out);
+    patch_len(out, at);
+}
+
 /// Encodes a message as one length-prefixed frame.
 pub fn encode_frame(msg: &Message) -> Bytes {
-    let mut body = BytesMut::new();
-    encode(msg, &mut body);
-    let mut frame = BytesMut::with_capacity(4 + body.len());
-    frame.put_u32_le(body.len() as u32);
-    frame.put_slice(&body);
-    frame.freeze()
+    // Room for a typical request or small reply without regrowing.
+    let mut frame = Vec::with_capacity(64);
+    encode_frame_into(msg, &mut frame);
+    Bytes::from(frame)
+}
+
+/// A `Reply` frame written pair by pair straight into an output buffer:
+/// the streaming counterpart of `encode_frame_into(&Message::reply(id,
+/// pairs), out)`, byte for byte, for a producer that visits its pairs
+/// instead of collecting them. The pair count and the frame length are
+/// back-patched by [`ReplyFrame::finish`].
+pub struct ReplyFrame<'a> {
+    out: &'a mut Vec<u8>,
+    start: usize,
+    count_at: usize,
+    pairs: usize,
+}
+
+impl<'a> ReplyFrame<'a> {
+    /// Opens a reply to request `id` at the end of `out`.
+    pub fn begin(out: &'a mut Vec<u8>, id: u64) -> ReplyFrame<'a> {
+        let start = reserve_u32(out);
+        out.put_u8(TAG_REPLY);
+        out.put_u64_le(id);
+        let count_at = reserve_u32(out);
+        ReplyFrame {
+            out,
+            start,
+            count_at,
+            pairs: 0,
+        }
+    }
+
+    /// Appends one result pair.
+    pub fn pair(&mut self, key: &Key, value: &Value) {
+        put_bytes(self.out, key.as_bytes());
+        put_bytes(self.out, value);
+        self.pairs += 1;
+    }
+
+    /// Completes the frame (no error field).
+    pub fn finish(self) {
+        put_opt_bytes(self.out, None);
+        patch_u32(self.out, self.count_at, self.pairs);
+        patch_len(self.out, self.start);
+    }
+
+    /// Drops the frame: `out` is exactly as it was before
+    /// [`ReplyFrame::begin`].
+    pub fn abandon(self) {
+        self.out.truncate(self.start);
+    }
 }
 
 struct Reader<'a> {
@@ -315,7 +393,8 @@ impl<'a> Reader<'a> {
         Ok(self.buf.get_u64_le())
     }
 
-    fn bytes(&mut self) -> Result<Bytes, CodecError> {
+    /// A length-prefixed field, borrowed from the body.
+    fn raw(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.u32()? as usize;
         if n > MAX_FRAME {
             return Err(CodecError::Oversized(n));
@@ -323,9 +402,13 @@ impl<'a> Reader<'a> {
         if self.buf.remaining() < n {
             return Err(CodecError::Truncated);
         }
-        let out = Bytes::copy_from_slice(&self.buf[..n]);
-        self.buf.advance(n);
-        Ok(out)
+        let (field, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(field)
+    }
+
+    fn bytes(&mut self) -> Result<Bytes, CodecError> {
+        self.raw().map(Bytes::copy_from_slice)
     }
 
     fn key(&mut self) -> Result<Key, CodecError> {
@@ -360,7 +443,7 @@ impl<'a> Reader<'a> {
     }
 
     fn string(&mut self) -> Result<String, CodecError> {
-        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| CodecError::BadUtf8)
+        String::from_utf8(self.raw()?.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
 }
 
@@ -397,9 +480,9 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
         TAG_REPLY => Message::Reply {
             id: r.u64()?,
             pairs: r.pairs()?,
-            error: match r.opt_bytes()? {
-                Some(b) => Some(String::from_utf8(b.to_vec()).map_err(|_| CodecError::BadUtf8)?),
-                None => None,
+            error: match r.u8()? {
+                0 => None,
+                _ => Some(r.string()?),
             },
         },
         TAG_SUBSCRIBE => Message::Subscribe {
@@ -430,8 +513,7 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
             }
             let mut msgs = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                let body = r.bytes()?;
-                msgs.push(decode_at(&body, depth + 1)?);
+                msgs.push(decode_at(r.raw()?, depth + 1)?);
             }
             Message::Batch { msgs }
         }
@@ -512,8 +594,10 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
     Ok(msg)
 }
 
-/// Tries to split one complete frame off the front of `buf`, returning
-/// its decoded message. Returns `Ok(None)` if more bytes are needed.
+/// Tries to take one complete frame off the front of `buf`, returning
+/// its decoded message. Returns `Ok(None)` if more bytes are needed. The
+/// body is decoded where it lies and the buffer advanced past it once,
+/// decodable or not.
 pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Message>, CodecError> {
     if buf.len() < 4 {
         return Ok(None);
@@ -525,9 +609,9 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Message>, CodecError> {
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    buf.advance(4);
-    let body = buf.split_to(len);
-    decode(&body).map(Some)
+    let msg = decode(&buf[4..4 + len]);
+    buf.advance(4 + len);
+    msg.map(Some)
 }
 
 /// An incremental frame decoder: feed it bytes as they arrive off a

@@ -6,10 +6,13 @@
 //!
 //! * **Single engine** — on the reactor thread. The dispatcher takes
 //!   the engine lock once per frame, runs the whole frame (every
-//!   request of a `Batch`) and hands the replies straight back to the
-//!   reactor: no queue, no second thread, no wake-up. The lock is
-//!   uncontended while serving; it exists so tests and shutdown can
-//!   reach the engine through [`FrontendServer::engine`].
+//!   request of a `Batch`) and encodes each answer into the
+//!   connection's output buffer as it is produced — a `Scan` or `Get`
+//!   streams its pairs from the store into the reply frame — so there
+//!   is no queue, no second thread, no wake-up and no `Message` per
+//!   reply. The lock is uncontended while serving; it exists so tests
+//!   and shutdown can reach the engine through
+//!   [`FrontendServer::engine`].
 //! * **Sharded engine** — on the owning shard's thread. The dispatcher
 //!   routes commands straight onto the engine's per-shard submission
 //!   queues through one shared [`ShardSubmitter`]. Batch frames are
@@ -23,12 +26,13 @@
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
 //! backpressure, and timeout rules.
 
+use crate::codec::{encode_frame_into, ReplyFrame};
 use crate::message::Message;
 use crate::reactor::{Dispatch, Injected, Reactor, ReactorConfig};
 use pequod_core::{
     fold_join_replies, same_run_class, Command, Engine, Response, ShardSubmitter, ShardedEngine,
 };
-use pequod_store::Key;
+use pequod_store::{Key, KeyRange};
 use pequod_telemetry::{Snapshot, SnapshotFn};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -192,9 +196,14 @@ fn wake_reactor(wake: &UnixStream) {
 /// The reply to anything that is not client traffic.
 const UNSUPPORTED: &str = "unsupported on client connection";
 
+/// The reply to a read that ran into non-resident base data: this
+/// engine serves local data only and has nobody to fetch it from.
+const MISSING_BASE_DATA: &str = "missing base data (no backing store attached)";
+
 /// Appends `msg`'s requests to `out` in wire order with every `Batch`
-/// flattened, nested ones too (the codec bounds the nesting depth):
-/// one frame in, one reply per request out, on either backend.
+/// flattened, nested ones too (the codec bounds the nesting depth): the
+/// sharded backend's slot table. One frame in, one reply per request
+/// out, as on the single engine.
 fn flatten(msg: Message, out: &mut Vec<Message>) {
     match msg {
         Message::Batch { msgs } => {
@@ -222,53 +231,63 @@ fn response_to_message(id: u64, key: Option<Key>, response: Response) -> Message
     }
 }
 
-/// Executes one request (never a `Batch`) against the engine.
-fn execute(engine: &mut Engine, msg: Message) -> Message {
-    // This engine serves local data only: a read that ran into
-    // non-resident base data has nobody to fetch it.
-    let checked = |id, complete: bool, reply: Message| {
-        if complete {
-            reply
-        } else {
-            Message::error(id, "missing base data (no backing store attached)")
-        }
-    };
-    match msg {
-        Message::Count { id, range } => {
-            let res = engine.count_result(&range);
-            checked(
-                id,
-                res.is_complete(),
-                Message::count_reply(id, res.count as u64),
-            )
-        }
-        Message::Get { id, key } => {
-            let res = engine.get_result(&key);
-            checked(id, res.is_complete(), Message::reply(id, res.pairs))
-        }
-        Message::Scan { id, range } => {
-            let res = engine.scan(&range);
-            checked(id, res.is_complete(), Message::reply(id, res.pairs))
-        }
-        Message::Put { id, key, value } => {
-            engine.put(key, value);
-            Message::reply(id, vec![])
-        }
-        Message::Remove { id, key } => {
-            engine.remove(&key);
-            Message::reply(id, vec![])
-        }
-        Message::AddJoin { id, text } => match engine.add_joins_text(&text) {
-            Ok(_) => Message::reply(id, vec![]),
-            Err(e) => Message::error(id, e.to_string()),
-        },
-        // Server-to-server traffic is not accepted on the client port.
-        other => Message::error(other.id().unwrap_or(0), UNSUPPORTED),
+/// Answers a `Scan` (or a `Get`, as the scan of one key) by streaming
+/// the pairs out of the engine into a reply frame at the end of `out`.
+/// If the read turns out incomplete, the frame begun is dropped and an
+/// error frame takes its place.
+fn stream_read(engine: &mut Engine, id: u64, range: &KeyRange, out: &mut Vec<u8>) {
+    let mut frame = ReplyFrame::begin(out, id);
+    let missing = engine.scan_with(range, |k, v| frame.pair(k, v));
+    if missing.is_empty() {
+        frame.finish();
+    } else {
+        frame.abandon();
+        encode_frame_into(&Message::error(id, MISSING_BASE_DATA), out);
     }
 }
 
+/// Executes one frame against the engine, appending one reply frame per
+/// request to `out` in wire order (a `Batch` is its requests in order,
+/// nested ones too: the codec bounds the nesting depth). Returns how
+/// many replies that was.
+fn execute(engine: &mut Engine, msg: Message, out: &mut Vec<u8>) -> usize {
+    match msg {
+        Message::Batch { msgs } => {
+            return msgs.into_iter().map(|m| execute(engine, m, out)).sum();
+        }
+        Message::Scan { id, range } => stream_read(engine, id, &range, out),
+        Message::Get { id, key } => stream_read(engine, id, &KeyRange::single(key), out),
+        Message::Count { id, range } => {
+            let res = engine.count_result(&range);
+            let reply = if res.is_complete() {
+                Message::count_reply(id, res.count as u64)
+            } else {
+                Message::error(id, MISSING_BASE_DATA)
+            };
+            encode_frame_into(&reply, out);
+        }
+        Message::Put { id, key, value } => {
+            engine.put(key, value);
+            ReplyFrame::begin(out, id).finish();
+        }
+        Message::Remove { id, key } => {
+            engine.remove(&key);
+            ReplyFrame::begin(out, id).finish();
+        }
+        Message::AddJoin { id, text } => match engine.add_joins_text(&text) {
+            Ok(_) => ReplyFrame::begin(out, id).finish(),
+            Err(e) => encode_frame_into(&Message::error(id, e.to_string()), out),
+        },
+        // Server-to-server traffic is not accepted on the client port.
+        other => encode_frame_into(&Message::error(other.id().unwrap_or(0), UNSUPPORTED), out),
+    }
+    1
+}
+
 /// Single-engine dispatch: the frame executes here, on the reactor
-/// thread, under one acquisition of the engine lock.
+/// thread, under one acquisition of the engine lock. Encoding into
+/// `out` under the lock is memory traffic, not socket I/O; the guard is
+/// gone before the reactor flushes.
 struct SingleDispatch {
     engine: Arc<Mutex<Engine>>,
     /// Answers [`Message::Metrics`] from atomics alone, without the
@@ -277,19 +296,13 @@ struct SingleDispatch {
 }
 
 impl Dispatch for SingleDispatch {
-    fn begin(&mut self, _token: u64, msg: Message) -> Option<Vec<Message>> {
+    fn begin(&mut self, _token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize> {
         if let Message::Metrics { id, flight } = msg {
-            return Some(vec![Message::metrics_reply(id, &(self.provider)(flight))]);
+            encode_frame_into(&Message::metrics_reply(id, &(self.provider)(flight)), out);
+            return Some(1);
         }
-        let mut requests = Vec::new();
-        flatten(msg, &mut requests);
         let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
-        Some(
-            requests
-                .into_iter()
-                .map(|m| execute(&mut engine, m))
-                .collect(),
-        )
+        Some(execute(&mut engine, msg, out))
     }
 }
 
@@ -414,12 +427,13 @@ impl ShardedDispatch {
 }
 
 impl Dispatch for ShardedDispatch {
-    fn begin(&mut self, token: u64, msg: Message) -> Option<Vec<Message>> {
+    fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize> {
         // Top-level telemetry requests are answered inline, exactly
         // like the single-engine path (inside a Batch they fall through
         // to "unsupported" there too).
         if let Message::Metrics { id, flight } = msg {
-            return Some(vec![Message::metrics_reply(id, &(self.provider)(flight))]);
+            encode_frame_into(&Message::metrics_reply(id, &(self.provider)(flight)), out);
+            return Some(1);
         }
         let mut msgs = Vec::new();
         flatten(msg, &mut msgs);
@@ -497,7 +511,9 @@ impl Dispatch for ShardedDispatch {
             );
         }
         if job.outstanding == 0 {
-            return Some(Self::finish(job));
+            let replies = Self::finish(job);
+            replies.iter().for_each(|r| encode_frame_into(r, out));
+            return Some(replies.len());
         }
         self.jobs.insert(token, job);
         None
@@ -846,5 +862,182 @@ impl FrontendServer {
 impl Drop for FrontendServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::encode_frame;
+    use pequod_core::config::MaterializationMode;
+    use pequod_core::EngineConfig;
+    use pequod_store::Value;
+
+    const TIMELINE: &str =
+        "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+    /// A small Twip engine; `pull` computes timelines on every read
+    /// (the overlay path), otherwise they are materialised.
+    fn twip(pull: bool) -> Engine {
+        let mut engine = Engine::new(EngineConfig {
+            materialization: if pull {
+                MaterializationMode::None
+            } else {
+                EngineConfig::default().materialization
+            },
+            ..EngineConfig::default()
+        });
+        engine.add_joins_text(TIMELINE).unwrap();
+        for poster in ["bob", "cat", "dan"] {
+            engine.put(format!("s|ann|{poster}"), "1");
+            for t in 0..20u64 {
+                engine.put(
+                    format!("p|{poster}|{t:010}"),
+                    format!(
+                        "{poster} says {t}, at some length: {}",
+                        "x".repeat(t as usize)
+                    ),
+                );
+            }
+        }
+        engine
+    }
+
+    /// What the collecting path would have put on the wire.
+    fn collected(engine: &mut Engine, id: u64, range: &KeyRange) -> Vec<u8> {
+        encode_frame(&Message::reply(id, engine.scan(range).pairs)).to_vec()
+    }
+
+    #[test]
+    fn streamed_reads_are_byte_identical_to_collected_replies() {
+        for pull in [false, true] {
+            let ranges = [
+                KeyRange::prefix("t|ann|"), // computed, whole timeline
+                KeyRange::new("t|ann|0000000005", "t|ann|0000000012"),
+                KeyRange::prefix("p|bob|"),    // base data
+                KeyRange::prefix("t|nobody|"), // computed, empty
+                KeyRange::prefix("q|"),        // no such table
+                KeyRange::new("t|z", "t|a"),   // empty range
+                KeyRange::prefix("p|"),        // spans tables
+            ];
+            // Cold on the first pass, warm on the second.
+            let (mut streamed, mut reference) = (twip(pull), twip(pull));
+            for pass in 0..2 {
+                for (i, range) in ranges.iter().enumerate() {
+                    let id = (pass * 100 + i) as u64;
+                    let mut out = b"earlier replies".to_vec();
+                    let n = execute(
+                        &mut streamed,
+                        Message::Scan {
+                            id,
+                            range: range.clone(),
+                        },
+                        &mut out,
+                    );
+                    assert_eq!(n, 1);
+                    let mut want = b"earlier replies".to_vec();
+                    want.extend_from_slice(&collected(&mut reference, id, range));
+                    assert_eq!(out, want, "pull={pull} pass={pass} range {range:?}");
+                }
+            }
+            // A Get is the scan of one key, found or not.
+            for key in [
+                "t|ann|0000000003|bob",
+                "p|cat|0000000019",
+                "p|cat|0000000020",
+            ] {
+                let mut out = Vec::new();
+                execute(
+                    &mut streamed,
+                    Message::Get {
+                        id: 7,
+                        key: Key::from(key),
+                    },
+                    &mut out,
+                );
+                let pairs = reference.get_result(&Key::from(key)).pairs;
+                assert_eq!(pairs.len(), usize::from(!key.ends_with("20")), "{key}");
+                assert_eq!(out, encode_frame(&Message::reply(7, pairs)).to_vec());
+            }
+        }
+    }
+
+    #[test]
+    fn writes_and_batches_answer_like_their_messages() {
+        let mut engine = twip(false);
+        let mut out = Vec::new();
+        let frame = Message::Batch {
+            msgs: vec![
+                Message::Put {
+                    id: 1,
+                    key: Key::from("p|bob|0000000100"),
+                    value: Value::from_static(b"new"),
+                },
+                Message::Batch {
+                    msgs: vec![
+                        Message::Count {
+                            id: 2,
+                            range: KeyRange::prefix("t|ann|"),
+                        },
+                        Message::Remove {
+                            id: 3,
+                            key: Key::from("p|bob|0000000100"),
+                        },
+                    ],
+                },
+                Message::AddJoin {
+                    id: 4,
+                    text: "not a join".into(),
+                },
+                Message::Hello { node: 9 },
+            ],
+        };
+        assert_eq!(execute(&mut engine, frame, &mut out), 5);
+        let mut want = Vec::new();
+        want.extend_from_slice(&encode_frame(&Message::reply(1, vec![])));
+        want.extend_from_slice(&encode_frame(&Message::count_reply(2, 61)));
+        want.extend_from_slice(&encode_frame(&Message::reply(3, vec![])));
+        let err = twip(false).add_joins_text("not a join").unwrap_err();
+        want.extend_from_slice(&encode_frame(&Message::error(4, err.to_string())));
+        want.extend_from_slice(&encode_frame(&Message::error(0, UNSUPPORTED)));
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn incomplete_read_leaves_exactly_one_error_frame() {
+        let mut engine = Engine::new(EngineConfig::default());
+        engine.mark_remote_table("p|");
+        // bob's posts are resident, the rest of the table is not: the
+        // scan visits bob's pairs and then reports the gaps around them.
+        engine.install_base(
+            &KeyRange::prefix("p|bob|"),
+            (0..10u64)
+                .map(|t| {
+                    (
+                        Key::from(format!("p|bob|{t:010}")),
+                        Value::from_static(b"resident"),
+                    )
+                })
+                .collect(),
+        );
+        let range = KeyRange::prefix("p|");
+        let mut visited = 0;
+        assert!(!engine.scan_with(&range, |_, _| visited += 1).is_empty());
+        assert_eq!(visited, 10, "pairs were appended before the gap was known");
+        for msg in [
+            Message::Scan { id: 5, range },
+            Message::Get {
+                id: 5,
+                key: Key::from("p|cat|0000000001"),
+            },
+        ] {
+            let prefix = encode_frame(&Message::reply(4, vec![])).to_vec();
+            let mut out = prefix.clone();
+            execute(&mut engine, msg, &mut out);
+            let error = encode_frame(&Message::error(5, MISSING_BASE_DATA));
+            assert_eq!(out.len(), prefix.len() + error.len());
+            assert_eq!(&out[..prefix.len()], &prefix[..]);
+            assert_eq!(&out[prefix.len()..], &error[..]);
+        }
     }
 }

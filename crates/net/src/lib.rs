@@ -42,6 +42,7 @@ pub mod client;
 pub mod codec;
 pub mod frontend;
 pub mod message;
+mod outbuf;
 pub mod partition;
 pub mod reactor;
 pub mod server;

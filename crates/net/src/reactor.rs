@@ -6,12 +6,18 @@
 //! serving loop of [`FrontendServer`](crate::frontend::FrontendServer):
 //!
 //! * one thread owns every connection — sockets, incremental frame
-//!   decoders, bounded write queues — and never blocks on a socket;
+//!   decoders, bounded output buffers — and never blocks on a socket;
 //! * decoded frames are handed to a `Dispatch` backend (see
-//!   [`crate::frontend`]): the single engine executes the frame right
-//!   there, on this thread, and returns the replies; the sharded engine
-//!   submits it to the per-shard queues and its replies come back
-//!   through an injection queue plus a wakeup pipe;
+//!   [`crate::frontend`]) together with the connection's output buffer:
+//!   the single engine executes the frame right there, on this thread,
+//!   encoding each answer into the buffer as it is produced; the
+//!   sharded engine submits it to the per-shard queues and its replies
+//!   come back through an injection queue plus a wakeup pipe, and are
+//!   encoded into the same buffer;
+//! * a reply is bytes in its connection's output buffer from the moment
+//!   it exists, and a turn ends in one `write(2)` of everything the
+//!   turn produced: per readiness event a connection costs one `read`,
+//!   one `write`, and its share of the `epoll_wait`;
 //! * per connection, frames are answered strictly in arrival order:
 //!   at most one frame is dispatched at a time and further pipelined
 //!   frames wait in a bounded pending queue;
@@ -19,12 +25,12 @@
 //!   queue (`max_pipeline` frames), and a connection with more work
 //!   buffered goes to the back of a run queue instead of holding the
 //!   thread;
-//! * backpressure: when a connection's write queue or pending queue is
-//!   full, the reactor drops its read interest — the kernel socket
-//!   buffer fills, the client's sends stall, and memory stays bounded.
-//!   Dispatch also pauses while the write queue is over its cap, so a
-//!   slow reader pipelining huge scans cannot balloon the queue past
-//!   one response beyond the cap;
+//! * backpressure: when a connection's unsent output or pending queue
+//!   is at its cap, the reactor drops its read interest — the kernel
+//!   socket buffer fills, the client's sends stall, and memory stays
+//!   bounded. Dispatch also pauses while the unsent output is over its
+//!   cap, so a slow reader pipelining huge scans cannot balloon the
+//!   buffer past one response beyond the cap;
 //! * time is logical: a ticker thread injects ticks every `tick_ms`,
 //!   and idle/write-stall limits are counted in ticks (no wall-clock
 //!   reads on the serving path, per `cargo xtask audit`).
@@ -33,10 +39,10 @@
 //! connection is flushed and closed: after a framing error the byte
 //! stream has no further meaning.
 
-use crate::codec::{encode_frame, FrameDecoder};
+use crate::codec::{encode_frame_into, FrameDecoder};
 use crate::frontend::FrontendStats;
 use crate::message::Message;
-use bytes::Bytes;
+use crate::outbuf::OutBuf;
 use pequod_core::Response;
 use pequod_telemetry::{Recorder, Timer};
 use std::collections::VecDeque;
@@ -280,11 +286,14 @@ pub(crate) enum Injected {
 /// durability snapshot included — the paper's single-threaded server
 /// makes the same trade).
 pub(crate) trait Dispatch: Send {
-    /// Begins executing one frame for connection `token`. Returns
-    /// `Some(replies)` if the frame completed synchronously; otherwise
-    /// the completion arrives later through [`Injected::Shard`] replies
-    /// fed back to `on_shard_reply`.
-    fn begin(&mut self, token: u64, msg: Message) -> Option<Vec<Message>>;
+    /// Begins executing one frame for connection `token`; `out` is the
+    /// connection's output buffer, the reply sink. A frame that
+    /// completes synchronously has appended one encoded reply frame per
+    /// request to `out`, in wire order, and returns `Some(how many)`.
+    /// Otherwise nothing was appended and the completion arrives later
+    /// through [`Injected::Shard`] replies fed back to `on_shard_reply`.
+    /// Bytes already in `out` are another frame's replies: append only.
+    fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize>;
 
     /// Feeds one shard reply back in; returns a completed frame when
     /// this reply was the last one it waited on.
@@ -327,22 +336,19 @@ struct Conn {
     /// the dispatch-latency histogram when its replies are queued.
     dispatch_timer: Timer,
     /// Encoded reply frames not yet written out.
-    wq: VecDeque<Bytes>,
-    /// Write offset into `wq[0]`.
-    wq_pos: usize,
-    wq_bytes: usize,
+    out: OutBuf,
     /// Interests currently registered with the poller.
     reg_read: bool,
     reg_write: bool,
     /// The peer sent EOF; serve what was pipelined, then close.
     saw_eof: bool,
-    /// Flush the write queue, then close (codec error path).
+    /// Flush the output buffer, then close (codec error path).
     close_after_flush: bool,
     /// Set once a framing error is queued: no further bytes parse.
     poisoned: bool,
     /// Ticks since the last observed activity.
     idle_ticks: u64,
-    /// Ticks the write queue has been non-empty with no progress.
+    /// Ticks the output buffer has been non-empty with no progress.
     stall_ticks: u64,
     /// Any read progress since the last tick.
     read_since_tick: bool,
@@ -357,29 +363,32 @@ impl Conn {
         !self.saw_eof
             && !self.poisoned
             && self.pending.len() < cfg.max_pipeline
-            && self.wq_bytes < cfg.max_write_buffer
+            && self.out.len() < cfg.max_write_buffer
     }
 
     fn wants_write(&self) -> bool {
-        !self.wq.is_empty()
+        !self.out.is_empty()
     }
 
     /// The dispatch gate: one frame at the dispatcher at a time (replies
-    /// stay in arrival order), and none while the write queue is over
+    /// stay in arrival order), and none while the unsent output is over
     /// its cap, so a slow reader cannot balloon it past one response
     /// beyond the cap.
     fn can_dispatch(&self, cfg: &ReactorConfig) -> bool {
-        !self.inflight && self.wq_bytes < cfg.max_write_buffer
+        !self.inflight && self.out.len() < cfg.max_write_buffer
     }
 
     /// Nothing left to serve or flush.
     fn drained(&self) -> bool {
-        self.wq.is_empty() && !self.inflight && self.pending.is_empty()
+        self.out.is_empty() && !self.inflight && self.pending.is_empty()
     }
 
-    fn queue_frame(&mut self, frame: Bytes) {
-        self.wq_bytes += frame.len();
-        self.wq.push_back(frame);
+    /// The in-flight frame's replies are in `out`: clear the mark and
+    /// record how long the dispatch took.
+    fn dispatched(&mut self, cfg: &ReactorConfig) {
+        self.inflight = false;
+        let timer = std::mem::replace(&mut self.dispatch_timer, Timer::disabled());
+        cfg.recorder.observe_dispatch(&timer);
     }
 }
 
@@ -405,7 +414,7 @@ fn parse_frames(conn: &mut Conn, cfg: &ReactorConfig, stats: &FrontendStats) {
             Err(e) => {
                 conn.poisoned = true;
                 conn.close_after_flush = true;
-                conn.queue_frame(encode_frame(&Message::error(0, format!("codec: {e}"))));
+                encode_frame_into(&Message::error(0, format!("codec: {e}")), conn.out.sink());
                 stats.codec_errors.fetch_add(1, Ordering::Relaxed);
                 break;
             }
@@ -413,8 +422,13 @@ fn parse_frames(conn: &mut Conn, cfg: &ReactorConfig, stats: &FrontendStats) {
     }
 }
 
-/// Reads until the socket would block, the peer closes, or backpressure
-/// pauses the connection; decodes as it goes.
+/// Reads until the socket has no more to give, the peer closes, or
+/// backpressure pauses the connection; decodes as it goes. A read that
+/// does not fill `rdbuf` emptied the socket, so the pass ends there
+/// instead of asking again just to hear `EAGAIN`: the poller is
+/// level-triggered and reports the socket again if more has arrived
+/// since — a peer's EOF included, which is read (as 0 bytes) on that
+/// next event.
 fn conn_read(
     conn: &mut Conn,
     cfg: &ReactorConfig,
@@ -435,6 +449,9 @@ fn conn_read(
                 conn.read_since_tick = true;
                 stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 parse_frames(conn, cfg, stats);
+                if n < rdbuf.len() {
+                    return IoOutcome::Keep;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return IoOutcome::Keep,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -443,30 +460,27 @@ fn conn_read(
     }
 }
 
-/// Flushes the write queue until empty or the socket would block.
+/// Writes the unsent output: one `write(2)` when the socket takes it
+/// all. A short write means the kernel's send buffer is full, so the
+/// pass ends there and the writability event resumes it.
 fn conn_flush(conn: &mut Conn, stats: &FrontendStats) -> IoOutcome {
-    loop {
-        let Some(front) = conn.wq.front() else {
-            return IoOutcome::Keep;
-        };
-        let pos = conn.wq_pos;
-        let front_len = front.len();
-        match conn.sock.write_some(&front[pos..]) {
+    while !conn.out.is_empty() {
+        match conn.sock.write_some(conn.out.unsent()) {
             Ok(n) => {
-                conn.wq_pos += n;
-                conn.wq_bytes -= n;
+                let short = n < conn.out.len();
+                conn.out.consume(n);
                 conn.wrote_since_tick = true;
                 stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                if conn.wq_pos >= front_len {
-                    conn.wq.pop_front();
-                    conn.wq_pos = 0;
+                if short {
+                    break;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return IoOutcome::Keep,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return IoOutcome::Close,
         }
     }
+    IoOutcome::Keep
 }
 
 /// Pops everything out of the injection queue (no lock is ever held
@@ -655,9 +669,7 @@ impl Reactor {
             inflight: false,
             queued: false,
             dispatch_timer: Timer::disabled(),
-            wq: VecDeque::new(),
-            wq_pos: 0,
-            wq_bytes: 0,
+            out: OutBuf::default(),
             reg_read: true,
             reg_write: false,
             saw_eof: false,
@@ -724,28 +736,21 @@ impl Reactor {
         self.pump(idx);
     }
 
-    /// Appends reply frames for a completed dispatch and clears the
-    /// in-flight mark.
-    fn queue_replies(&mut self, idx: usize, replies: Vec<Message>) {
-        if let Some(conn) = self.conns[idx].as_mut() {
-            conn.inflight = false;
-            let timer = std::mem::replace(&mut conn.dispatch_timer, Timer::disabled());
-            self.cfg.recorder.observe_dispatch(&timer);
-            for reply in &replies {
-                conn.queue_frame(encode_frame(reply));
-            }
-        }
-        self.stats
-            .replies_out
-            .fetch_add(replies.len() as u64, Ordering::Relaxed);
-    }
-
-    /// A dispatched frame came back from another thread.
+    /// A dispatched frame came back from another thread: its replies
+    /// join the connection's output like any others.
     fn finish_frame(&mut self, token: u64, replies: Vec<Message>) {
         let Some(idx) = self.resolve(token) else {
             return; // connection closed while the frame executed
         };
-        self.queue_replies(idx, replies);
+        if let Some(conn) = self.conns[idx].as_mut() {
+            for reply in &replies {
+                encode_frame_into(reply, conn.out.sink());
+            }
+            conn.dispatched(&self.cfg);
+        }
+        self.stats
+            .replies_out
+            .fetch_add(replies.len() as u64, Ordering::Relaxed);
         self.pump(idx);
     }
 
@@ -753,28 +758,33 @@ impl Reactor {
     /// queue, flush, refill the queue from buffered bytes, sync poller
     /// interests with the backpressure gate, close drained connections.
     fn pump(&mut self, idx: usize) {
-        loop {
-            let (token, msg) = {
-                let Reactor { conns, cfg, .. } = self;
-                let Some(conn) = conns[idx].as_mut() else {
-                    return;
-                };
-                if !conn.can_dispatch(cfg) {
-                    break;
-                }
-                match conn.pending.pop_front() {
-                    Some(m) => {
-                        conn.inflight = true;
-                        conn.dispatch_timer = cfg.recorder.timer();
-                        cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
-                        (conn.token, m)
-                    }
-                    None => break,
-                }
+        {
+            let Reactor {
+                conns,
+                cfg,
+                stats,
+                dispatch,
+                ..
+            } = self;
+            let Some(conn) = conns[idx].as_mut() else {
+                return;
             };
-            match self.dispatch.begin(token, msg) {
-                Some(replies) => self.queue_replies(idx, replies),
-                None => break, // completion arrives by injection
+            while conn.can_dispatch(cfg) {
+                let Some(msg) = conn.pending.pop_front() else {
+                    break;
+                };
+                conn.inflight = true;
+                conn.dispatch_timer = cfg.recorder.timer();
+                cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
+                match dispatch.begin(conn.token, msg, conn.out.sink()) {
+                    Some(replies) => {
+                        conn.dispatched(cfg);
+                        stats
+                            .replies_out
+                            .fetch_add(replies as u64, Ordering::Relaxed);
+                    }
+                    None => break, // completion arrives by injection
+                }
             }
         }
         enum Action {
@@ -793,8 +803,8 @@ impl Reactor {
             let Some(conn) = conns[idx].as_mut() else {
                 return;
             };
-            // Opportunistic flush so small replies go out without
-            // waiting for a writability event.
+            // The turn's one write: everything it produced goes out
+            // now, without waiting for a writability event.
             if matches!(conn_flush(conn, stats), IoOutcome::Close) {
                 self.close_conn(idx);
                 return;
@@ -822,9 +832,9 @@ impl Reactor {
                         stats.backpressure_pauses.fetch_add(1, Ordering::Relaxed);
                         cfg.recorder.flight("backpressure", || {
                             format!(
-                                "conn {} reads paused (wq {} bytes, {} pending)",
+                                "conn {} reads paused ({} bytes unsent, {} pending)",
                                 conn.token,
-                                conn.wq_bytes,
+                                conn.out.len(),
                                 conn.pending.len()
                             )
                         });

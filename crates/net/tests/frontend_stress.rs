@@ -1,6 +1,8 @@
 //! Stress and robustness suite for the event-driven frontend: thousands
 //! of concurrent pipelined connections, mid-frame disconnects, slow
-//! readers driving backpressure, garbage and oversized frames, idle and
+//! readers driving backpressure, half-closes racing the read pass,
+//! frames larger than the read buffer, garbage and oversized frames,
+//! idle and
 //! stall timeouts, deterministic shutdown, and what executing frames on
 //! the reactor thread must not cost: a connection stuck behind its
 //! write cap starving the others.
@@ -222,6 +224,60 @@ fn mid_frame_disconnects_leave_server_serving() {
     );
     let stats = server.stats();
     assert!(stats.accepted >= 101);
+    server.shutdown();
+}
+
+/// A peer that writes its requests and half-closes at once still gets
+/// every reply and then a clean close. The server's read pass ends on
+/// the short read that carried the frames, before it has seen the EOF
+/// behind them; the EOF must still be noticed on the next readiness
+/// report, or the connection would sit open forever.
+#[test]
+fn half_close_right_after_a_frame_still_gets_replies_and_a_clean_close() {
+    let mut server = single_server(FrontendConfig::default());
+    for frames in [1u64, 8] {
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut burst = Vec::new();
+        for id in 1..=frames {
+            burst.extend_from_slice(&encode_frame(&Message::Put {
+                id,
+                key: k(&format!("p|half|{id:010}")),
+                value: v(b"closed".to_vec()),
+            }));
+        }
+        sock.write_all(&burst).unwrap();
+        sock.shutdown(std::net::Shutdown::Write).unwrap();
+        expect_replies_in_order(&mut sock, frames);
+        let mut rest = [0u8; 64];
+        assert_eq!(
+            sock.read(&mut rest).expect("no close after the replies"),
+            0,
+            "bytes after the last reply"
+        );
+    }
+    assert!(
+        wait_for(10, || server.stats().active == 0),
+        "half-closed connections left open"
+    );
+    server.shutdown();
+}
+
+/// One request frame several times the size of the reactor's read
+/// buffer arrives whole: full reads keep the read pass going, the short
+/// one that ends it loses nothing.
+#[test]
+fn a_frame_larger_than_the_read_buffer_arrives_whole() {
+    let mut server = single_server(FrontendConfig::default());
+    let big: Vec<u8> = (0..200 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let mut client = TcpClient::connect(server.addr()).unwrap();
+    client.put("p|big|0000000001", big.clone()).unwrap();
+    assert_eq!(
+        client.get("p|big|0000000001").unwrap(),
+        Some(Value::from(big))
+    );
+    assert_eq!(server.stats().frames_in, 2);
     server.shutdown();
 }
 

@@ -5,7 +5,10 @@
 //! surface: the event-driven front-end on TCP and on its unix-domain
 //! socket, for both the single-engine and the sharded backend. A second
 //! set of scenarios checks that a `Batch` frame (nested ones included)
-//! answers exactly like the same requests sent one frame at a time.
+//! answers exactly like the same requests sent one frame at a time, and
+//! a last one reads the reply stream one byte at a time through a tiny
+//! receive buffer, so the server's one write per turn is cut short at
+//! every offset the stream has.
 //!
 //! Replies are compared by count plus an FNV-1a digest of their
 //! re-encoded frames (the codec is canonical, so this is the wire-byte
@@ -209,13 +212,19 @@ fn reference_replies(engine: &mut Engine, msg: &Message, out: &mut Vec<Message>)
     out.push(reply);
 }
 
-/// Count and digest of the reference's reply stream for `frames`.
-fn reference(frames: &[Message]) -> (usize, u64) {
+/// The reference's replies to `frames`, in wire order.
+fn reference_stream(frames: &[Message]) -> Vec<Message> {
     let mut engine = fresh_engine();
     let mut replies = Vec::new();
     for f in frames {
         reference_replies(&mut engine, f, &mut replies);
     }
+    replies
+}
+
+/// Count and digest of the reference's reply stream for `frames`.
+fn reference(frames: &[Message]) -> (usize, u64) {
+    let replies = reference_stream(frames);
     let fnv = replies.iter().fold(FNV_OFFSET, fnv_frame);
     (replies.len(), fnv)
 }
@@ -360,5 +369,132 @@ fn batch_equals_one_at_a_time_on_every_surface() {
             assert_surfaces_match_reference(sharded, &flat),
             "batched and one-at-a-time reply streams diverge (sharded={sharded})"
         );
+    }
+}
+
+/// Shrinks a socket's kernel receive buffer (`SO_RCVBUF`, which std
+/// does not expose) to the smallest the kernel allows.
+#[allow(unsafe_code)]
+fn shrink_receive_buffer(sock: &TcpStream) {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_void};
+    const SOL_SOCKET: c_int = 1;
+    const SO_RCVBUF: c_int = 8;
+    // SAFETY: libc's setsockopt(2) prototype; `fd` is a socket this
+    // test owns and `value` outlives the call at the length passed.
+    extern "C" {
+        fn setsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *const c_void,
+            len: u32,
+        ) -> c_int;
+    }
+    let value: c_int = 1;
+    // SAFETY: see the declaration above.
+    let rc = unsafe {
+        setsockopt(
+            sock.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVBUF,
+            (&value as *const c_int).cast(),
+            std::mem::size_of::<c_int>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF) failed");
+}
+
+/// The script, then enough pipelined timeline scans over kilobyte posts
+/// that the replies run to hundreds of kilobytes — far more than a
+/// throttled connection's socket buffers hold.
+fn bulky_script() -> Vec<Message> {
+    let mut frames = script();
+    frames.push(Message::Batch {
+        msgs: (0..48u64)
+            .map(|t| Message::Put {
+                id: 100 + t,
+                key: k(&format!("p|bob|{:010}", 1000 + t)),
+                value: Value::from(vec![b'a' + (t % 26) as u8; 1024]),
+            })
+            .collect(),
+    });
+    for id in 200..208 {
+        frames.push(Message::Scan {
+            id,
+            range: KeyRange::prefix("t|ann|"),
+        });
+        frames.push(Message::Get {
+            id: id + 100,
+            key: k("p|bob|0000001007"),
+        });
+    }
+    frames
+}
+
+/// Sends `frames` pipelined, then reads the reply stream one byte per
+/// `read(2)` and requires exactly the reference's reply frames: nothing
+/// dropped, doubled or reordered.
+fn trickle<S: Read + Write>(sock: &mut S, frames: &[Message]) -> usize {
+    let want: Vec<u8> = reference_stream(frames)
+        .iter()
+        .flat_map(|reply| encode_frame(reply).to_vec())
+        .collect();
+    for f in frames {
+        sock.write_all(&encode_frame(f)).unwrap();
+    }
+    let mut got = vec![0u8; want.len()];
+    for at in 0..got.len() {
+        let n = sock.read(&mut got[at..at + 1]).unwrap();
+        assert_eq!(n, 1, "closed at byte {at} of {}", want.len());
+    }
+    assert!(got == want, "reply bytes differ from the reference");
+    want.len()
+}
+
+/// A reader that takes one byte at a time. Over TCP, through the
+/// smallest receive buffer the kernel grants, it gets the conformance
+/// script's replies byte for byte. Over the unix socket — whose send
+/// buffer, unlike loopback TCP's, does not grow to megabytes — the
+/// bulky script's replies overrun the socket, so the server's one write
+/// per turn is accepted in part, at offsets that fall anywhere in a
+/// frame, and the unsent remainder must go out intact and in order
+/// behind it, with the backpressure gate (8 KiB here) pausing and
+/// resuming dispatch all the while.
+#[test]
+fn trickle_reader_receives_the_reply_stream_byte_for_byte() {
+    let cfg = FrontendConfig {
+        max_write_buffer: 8 * 1024,
+        ..FrontendConfig::default()
+    };
+    {
+        let mut server = FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg.clone()).unwrap();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        shrink_receive_buffer(&sock);
+        sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        trickle(&mut sock, &script());
+        drop(sock);
+        server.shutdown();
+    }
+    {
+        let path = unix_sock_path();
+        let mut server = FrontendServer::spawn(
+            "127.0.0.1:0",
+            fresh_engine(),
+            FrontendConfig {
+                unix_path: Some(path.clone()),
+                ..cfg
+            },
+        )
+        .unwrap();
+        let mut sock = UnixStream::connect(&path).unwrap();
+        sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
+        let bytes = trickle(&mut sock, &bulky_script());
+        assert!(
+            server.stats().backpressure_pauses > 0,
+            "{bytes} reply bytes never filled the socket, so no write was cut short"
+        );
+        drop(sock);
+        server.shutdown();
     }
 }
