@@ -290,7 +290,7 @@ impl Engine {
         let want_updaters = matches!(spec.maintenance, Maintenance::Push);
         let mut plan: Vec<PlanEntry> = Vec::new();
         let mut local_missing = Vec::new();
-        let outs = self.exec_join(
+        let mut outs = self.exec_join(
             jidx,
             gap,
             None,
@@ -302,6 +302,11 @@ impl Engine {
             return;
         }
         let is_copy = spec.value_op() == Operator::Copy;
+        // The nested loops emit a copy join's outputs outer-source-major
+        // (a timeline comes out poster by poster); the store's subtables
+        // append cheaply and insert dearly, so write in key order. Stable:
+        // a key produced twice keeps its last value.
+        outs.sort_by(|(a, _), (b, _)| a.cmp(b));
         for (k, v) in outs {
             let (v, shared) = if is_copy && self.config.value_sharing {
                 (v, true)
@@ -338,7 +343,9 @@ impl Engine {
     /// Removes, through the normal write path, every stored key of
     /// `range` that the join's output pattern matches consistently with
     /// `slots`. One slot set serves the whole scan: each key's bindings
-    /// are undone before the next is tried.
+    /// are undone before the next is tried. Removals are written
+    /// newest-first, so a subtable being emptied pops from its tail
+    /// instead of shifting every remaining pair down.
     fn remove_matching_outputs(&mut self, spec: &JoinSpec, range: &KeyRange, mut slots: SlotSet) {
         let mut doomed = Vec::new();
         let mut undo = Vec::with_capacity(4);
@@ -351,7 +358,7 @@ impl Engine {
             }
             true
         });
-        for k in doomed {
+        for k in doomed.into_iter().rev() {
             self.write(k, None, false);
         }
     }

@@ -20,7 +20,10 @@
 //! The checks:
 //!
 //! 1. **Store bookkeeping** — pair counts, key/value byte counters,
-//!    and the subtable index agree with a full walk
+//!    and the subtable index agree with a full walk, and every
+//!    subtable's sorted blocks are well formed: none empty or over
+//!    capacity, keys strictly ascending within and across blocks, each
+//!    fence key equal to its block's first key
 //!    ([`Store::audit`](pequod_store::Store::audit)).
 //! 2. **LRU agreement** — the tracker's list links agree in both
 //!    directions and with its slab and free list
@@ -274,15 +277,17 @@ impl Engine {
 mod tests {
     use crate::config::EngineConfig;
     use crate::engine::{Engine, EvictUnit};
-    use pequod_store::KeyRange;
+    use pequod_store::{Key, KeyRange, StoreConfig};
 
     const TIMELINE: &str =
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
 
-    /// An engine with one materialized timeline range, verified
-    /// consistent before any test mutates it.
+    /// An engine with one materialized timeline range (timelines laid
+    /// out as subtables, as the server's are), verified consistent
+    /// before any test mutates it.
     fn materialized_engine() -> Engine {
-        let mut e = Engine::new(EngineConfig::default());
+        let store = StoreConfig::flat().with_subtable("t|", 2);
+        let mut e = Engine::new(EngineConfig::with_store(store));
         e.add_join_text(TIMELINE).unwrap();
         e.put("s|ann|bob", "1");
         e.put("p|bob|0000000100", "hello");
@@ -358,6 +363,20 @@ mod tests {
         assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
         assert!(
             v[0].starts_with("store:") && v[0].contains("key counter"),
+            "unexpected message: {}",
+            v[0]
+        );
+    }
+
+    #[test]
+    fn misfiled_fence_key_is_reported() {
+        let mut e = materialized_engine();
+        e.store
+            .debug_misfile_fence(&Key::from("t|ann|0000000100|bob"));
+        let v = e.check_invariants();
+        assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
+        assert!(
+            v[0].starts_with("store:") && v[0].contains("has fence"),
             "unexpected message: {}",
             v[0]
         );

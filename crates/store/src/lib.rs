@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocks;
 mod interval_tree;
 mod key;
 mod lru;
@@ -285,6 +286,104 @@ mod proptests {
             let mut want: Vec<_> = naive.iter().filter(|(_, r)| r.overlaps(&qrange)).map(|(i, _)| *i).collect();
             want.sort();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 8 }))]
+
+        /// A split table against a `BTreeMap`, with enough pairs in few
+        /// enough subtables that blocks fill, split, merge and empty:
+        /// ascending runs, mid-inserts, replaces, removals from either
+        /// end down to nothing (the subtable must leave the index), point
+        /// gets, and early-exit scans whose bounds sit on and around the
+        /// multiples of 16 and 32 where blocks begin.
+        #[test]
+        fn subtable_blocks_match_btreemap(
+            ops in proptest::collection::vec(
+                (0..10u8, 0..4u8, any::<u16>(), any::<u16>()),
+                if cfg!(miri) { 200..201 } else { 2000..2400 }
+            )
+        ) {
+            let key = |sub: u8, time: usize| Key::from(format!("a|s{sub}|{time:06}"));
+            let mut table = Table::new_split(2);
+            let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+            let mut stamp = 0u32;
+            // The highest time each subtable was ever given.
+            let mut newest = [0usize; 4];
+            for (op, sub, a, b) in ops {
+                let (a, b) = (usize::from(a), usize::from(b));
+                let held: Vec<Key> = model.range(key(sub, 0)..key(sub + 1, 0))
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                let newest = &mut newest[usize::from(sub)];
+                // Times are even when appended, so odd ones fall between.
+                let mut puts: Vec<Key> = Vec::new();
+                let mut removes: Vec<Key> = Vec::new();
+                match op {
+                    0 | 1 => puts.extend((0..=a % 40).map(|_| {
+                        *newest += 2;
+                        key(sub, *newest)
+                    })),
+                    2 => puts.push(key(sub, (a % (*newest + 2)) | 1)),
+                    3 => puts.extend(held.get(a % held.len().max(1)).cloned()),
+                    4 => removes.extend(held.iter().rev().take(1 + a % 24).cloned()),
+                    5 => removes.extend(held.iter().take(1 + a % 24).cloned()),
+                    6 if a % 8 == 0 => removes.extend(held.iter().rev().cloned()),
+                    6 if a % 8 == 1 => removes.extend(held.iter().cloned()),
+                    6 => removes.push(key(sub, a % (*newest + 2))),
+                    7 => {
+                        let probe = key(sub, a % (*newest + 2));
+                        prop_assert_eq!(table.get(&probe), model.get(&probe));
+                        prop_assert_eq!(table.peek(&probe), model.get(&probe));
+                    }
+                    _ => {
+                        // Bounds: a stored key near a block boundary or the
+                        // gap just past it; sometimes another subtable's.
+                        let edge = |n: usize| match held.get((n % (held.len() / 16 + 2)) * 16 + n % 3) {
+                            Some(k) if n.is_multiple_of(2) => k.clone(),
+                            Some(k) => k.successor(),
+                            None => key(sub, *newest + 1),
+                        };
+                        let range = match op {
+                            8 => KeyRange::new(edge(a), edge(b)),
+                            _ if b % 4 == 0 => KeyRange::with_bound(edge(a), UpperBound::Unbounded),
+                            _ => KeyRange::new(edge(a), key((sub + 1 + (b % 3) as u8) % 5, b)),
+                        };
+                        let limit = 1 + b % 70;
+                        let mut got = Vec::new();
+                        table.scan(&range, |k, v| {
+                            got.push((k.clone(), v.clone()));
+                            got.len() < limit
+                        });
+                        let want: Vec<(Key, Value)> = model
+                            .iter()
+                            .filter(|(k, _)| range.contains(k))
+                            .take(limit)
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect();
+                        prop_assert_eq!(got, want, "{:?} limit {}", range, limit);
+                    }
+                }
+                for k in puts {
+                    stamp += 1;
+                    let v = Bytes::from(stamp.to_string().into_bytes());
+                    prop_assert_eq!(table.put(k.clone(), v.clone()), model.insert(k, v));
+                }
+                for k in removes {
+                    prop_assert_eq!(table.remove(&k), model.remove(&k));
+                }
+                prop_assert_eq!(table.audit(), Vec::<String>::new());
+                prop_assert_eq!(table.len(), model.len());
+                let mut expected = model.iter();
+                let mut same = true;
+                table.for_each(|k, v| same &= expected.next() == Some((k, v)));
+                prop_assert!(same && expected.next().is_none(), "a full walk differs from the model");
+                let subtables = (0..4u8)
+                    .filter(|&s| model.range(key(s, 0)..key(s + 1, 0)).next().is_some())
+                    .count();
+                prop_assert_eq!(table.subtable_count(), subtables);
+            }
         }
     }
 }
