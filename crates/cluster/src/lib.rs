@@ -15,9 +15,11 @@
 //!   [`pequod_net::SimNet`] with seeded fault injection, used by the
 //!   protocol conformance tests.
 //! - [`ClusterServer`] / [`ClusterClient`] (`server.rs`, `client.rs`)
-//!   — the TCP deployment: one event-loop thread per node, dialer
-//!   threads with bounded backoff, and a client that learns
-//!   `NotPrimary` redirects and scatter-gathers scans.
+//!   — the TCP deployment: the node hosted on `pequod_net`'s reactor
+//!   thread (a [`pequod_net::Dispatch`]; client connections and peer
+//!   links are both reactor connections), one dialer thread per peer
+//!   with bounded backoff, and a client that learns `NotPrimary`
+//!   redirects and scatter-gathers scans.
 //!
 //! See `docs/REPLICATION.md` for the protocol walk-through and the
 //! guarantees per fsync policy.

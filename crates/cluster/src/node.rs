@@ -1116,8 +1116,15 @@ impl ClusterNode {
         }
         self.persist_epoch(slot);
         if was_primary && new_primary != self.id {
-            // Deposed mid-flight: unacked writes go back to the client.
+            // Deposed mid-flight: unacked writes go back to the client,
+            // and so does a migration only a primary can finish.
             self.fail_pending(slot, "primary deposed; retry", out);
+            let st = &mut self.slots[slot as usize];
+            if let Some(mig) = st.migration.take() {
+                st.learner = None;
+                st.flip_armed = false;
+                out.push((mig.client, Message::error(mig.id, "primary deposed; retry")));
+            }
         }
         if dropped == Some(self.id) {
             // Deliberately removed (migration source): delete our copy

@@ -1,77 +1,217 @@
 //! The TCP deployment driver: one [`ClusterServer`] per cluster node.
 //!
-//! One event-loop thread owns the [`ClusterNode`] state machine and all
-//! client write-halves; everything else feeds it events:
+//! There is no serving loop here. The node's [`ClusterNode`] state
+//! machine is hosted by the same reactor thread that serves a
+//! stand-alone engine ([`FrontendServer::spawn_dispatch`]): this file is
+//! the [`Dispatch`] that maps connections onto [`ClusterPeer`]s and the
+//! node's outbox onto connections, plus the dialer threads.
 //!
-//! - an accept thread hands new connections to reader threads;
-//! - each reader thread decodes frames and forwards them — the first
-//!   frame decides whether the connection is a peer link (it opens with
-//!   [`Message::Hello`]) or a client;
-//! - a ticker thread advances the node's *logical* clock by fixed
-//!   sleeps (no wall-clock reads on the serving path);
-//! - per-peer dialer threads own the outbound node links: connect with
-//!   jittered backoff, identify with `Hello`, then stream whatever the
-//!   event loop queues. All of this node's traffic to a given peer uses
-//!   its own dialed link, so per-direction FIFO holds and replication
-//!   frames never reorder in transit.
+//! - **Classification.** A connection whose first frame is
+//!   [`Message::Hello`] is a peer link from that node; any other first
+//!   frame makes it a client, whose `ClusterPeer::Client` id is its
+//!   (generation-checked) reactor token.
+//! - **Client frames** stay in flight until the node has produced one
+//!   frame per id-bearing request in them: reads and redirects are
+//!   encoded straight into the connection's buffer, a replicated
+//!   write's acknowledgment arrives later — from a follower's
+//!   `NotifyAck` on a peer link, or from `tick` — through
+//!   [`Dispatch::deliver`]. Per connection, frames are therefore
+//!   answered in arrival order, under the reactor's usual pipelining,
+//!   backpressure and stall-timeout rules.
+//! - **Node-to-node traffic** to peer `p` always leaves on this node's
+//!   own dialed link to `p`, so per-direction FIFO holds and
+//!   replication frames never reorder in transit; `p`'s traffic to us
+//!   arrives on the link `p` dialed. While our link to `p` is down its
+//!   frames are dropped: heartbeats and catch-up subscriptions
+//!   re-converge the replicas, and buffering would only replay stale
+//!   traffic.
+//! - **Dialers**, one small thread per peer, do the only blocking work:
+//!   `connect` with doubling backoff, then hand the connected socket to
+//!   the reactor ([`Conns::adopt`]) and park until it reports the link
+//!   closed. An adopted link is an ordinary reactor connection; its
+//!   output is bounded by the write-stall timeout, not by
+//!   `max_write_buffer` — a catch-up legitimately queues a slot's worth
+//!   of `SnapshotChunk`s (see [`Conns::send`]).
+//! - **Time** is the reactor's tick, 5 ms of logical time each (`TICK_MS`).
 //!
-//! Shutdown comes in two flavors: [`ClusterServer::halt`] drains and
-//! finalizes durability (final snapshot + fsync — the graceful SIGTERM
-//! path), while [`ClusterServer::halt_abrupt`] just stops, modelling a
-//! crash for failover benchmarks.
+//! The node sits behind a mutex so [`ClusterServer::telemetry`] and the
+//! halts can reach it; the lock is uncontended while serving and is
+//! released before the reactor touches a socket.
+//!
+//! Shutdown comes in two flavors: [`ClusterServer::halt`] stops serving
+//! and finalizes durability (final snapshot + fsync — the graceful
+//! SIGTERM path), while [`ClusterServer::halt_abrupt`] just stops,
+//! modelling a crash for failover benchmarks.
 
 use crate::config::ClusterConfig;
 use crate::node::{ClusterNode, ClusterPeer};
-use bytes::BytesMut;
 use pequod_core::Engine;
-use pequod_net::codec::{decode_frame, encode_frame};
-use pequod_net::Message;
-use pequod_telemetry::{Snapshot, SnapshotFn};
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use pequod_net::codec::encode_frame_into;
+use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, Message, Waker};
+use pequod_telemetry::SnapshotFn;
+use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// Logical-clock granularity of the ticker thread, ms.
+/// Logical-clock granularity: the reactor's tick, ms.
 const TICK_MS: u64 = 5;
 
-enum Event {
-    /// A new client connection's write half.
-    ClientConn(u64, TcpStream),
-    /// A frame from a client connection.
-    ClientFrame(u64, Message),
-    /// A client connection closed.
-    ClientGone(u64),
-    /// A frame from an identified peer link.
-    PeerFrame(u32, Message),
-    /// Logical clock advanced to this many ms since start.
-    Tick(u64),
-    /// A telemetry snapshot request (`flight`, reply channel) from the
-    /// scrape listener; answered by the event loop, which owns the node.
-    Telemetry(bool, Sender<Snapshot>),
-    /// Stop serving; finalize durability if asked, then confirm.
-    Stop(bool, Sender<()>),
+/// The node, for one call into it. Every update leaves it consistent,
+/// so a panicked holder's guard is recovered rather than propagated.
+fn locked(node: &Mutex<ClusterNode>) -> MutexGuard<'_, ClusterNode> {
+    node.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Accepted connections: a duplicated stream (to sever on halt) plus
-/// the reader thread's handle (to join), so `halt()` is deterministic —
-/// no reader services traffic after it returns.
-type ReaderRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
+/// This node's dialed link to one peer.
+struct Link {
+    /// The link's reactor token; `None` while it is down.
+    token: Option<u64>,
+    /// Tells the peer's dialer the link is down: dial again.
+    redial: Sender<()>,
+}
+
+/// Hosts one [`ClusterNode`] on the reactor thread.
+struct ClusterDispatch {
+    node: Arc<Mutex<ClusterNode>>,
+    node_id: u32,
+    /// Answers a client's top-level [`Message::Metrics`]: the node's
+    /// snapshot plus the reactor's serving counters.
+    provider: SnapshotFn,
+    /// Who each accepted connection is, decided by its first frame.
+    peers: HashMap<u64, ClusterPeer>,
+    links: HashMap<u32, Link>,
+    /// Sockets the dialers connected, for the reactor to adopt.
+    dialed: Receiver<(u32, TcpStream)>,
+    /// Client frames in flight: token → (replies still owed, in all).
+    owed: HashMap<u64, (usize, usize)>,
+    /// The node's output for connections other than the one being
+    /// served, in order, until the next `deliver`.
+    late: VecDeque<(ClusterPeer, Message)>,
+}
+
+impl Dispatch for ClusterDispatch {
+    fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize> {
+        let client = ClusterPeer::Client(token);
+        let from = *self.peers.entry(token).or_insert(match msg {
+            Message::Hello { node } => ClusterPeer::Node(node),
+            _ => client,
+        });
+        if let (true, Message::Metrics { id, flight }) = (from == client, &msg) {
+            let snapshot = (self.provider)(*flight);
+            encode_frame_into(&Message::metrics_reply(*id, &snapshot), out);
+            return Some(1);
+        }
+        // The node owes a client one frame per id-bearing request.
+        // Nothing is written back on a peer link: the node's answers to
+        // a peer travel on our own dialed link to it, like all the rest.
+        let mut expected = 0;
+        if from == client {
+            msg.for_each_id(&mut |_| expected += 1);
+        }
+        let outbox = locked(&self.node).handle(from, msg);
+        let mut replied = 0;
+        for (to, frame) in outbox {
+            if to == client {
+                encode_frame_into(&frame, out);
+                replied += 1;
+            } else {
+                self.late.push_back((to, frame));
+            }
+        }
+        if replied < expected {
+            self.owed.insert(token, (expected - replied, expected));
+            return None;
+        }
+        Some(replied)
+    }
+
+    fn deliver(&mut self, conns: &mut Conns) {
+        while let Ok((peer, stream)) = self.dialed.try_recv() {
+            let Some(link) = self.links.get_mut(&peer) else {
+                continue;
+            };
+            link.token = conns.adopt(stream);
+            if let Some(token) = link.token {
+                conns.send(token, &Message::Hello { node: self.node_id });
+            } else {
+                let _ = link.redial.send(());
+            }
+        }
+        while let Some((to, frame)) = self.late.pop_front() {
+            let token = match to {
+                ClusterPeer::Client(token) => Some(token),
+                ClusterPeer::Node(peer) => self.links.get(&peer).and_then(|link| link.token),
+            };
+            // A peer whose link is down: dropped (see the module docs).
+            let Some(token) = token else { continue };
+            conns.send(token, &frame);
+            if let Some((left, total)) = self.owed.get_mut(&token) {
+                *left -= 1;
+                if *left == 0 {
+                    conns.complete(token, *total);
+                    self.owed.remove(&token);
+                }
+            }
+        }
+    }
+
+    fn tick(&mut self, now_ms: u64) {
+        let outbox = locked(&self.node).tick(now_ms);
+        self.late.extend(outbox);
+    }
+
+    fn forget(&mut self, token: u64) {
+        self.peers.remove(&token);
+        self.owed.remove(&token);
+        // One of our dialed links: its dialer tries again.
+        if let Some(link) = self.links.values_mut().find(|l| l.token == Some(token)) {
+            link.token = None;
+            let _ = link.redial.send(());
+        }
+    }
+}
+
+/// Keeps one outbound link to `peer` up: connect (doubling backoff up to
+/// `max_backoff_ms`), hand the socket to the reactor, sleep until the
+/// reactor says the link closed, again. Returns once the dispatcher —
+/// the other end of both channels — is gone.
+fn dial_peer(
+    peer: u32,
+    addr: &str,
+    max_backoff_ms: u64,
+    redial: Receiver<()>,
+    dialed: Sender<(u32, TcpStream)>,
+    waker: Waker,
+) {
+    let mut backoff_ms = 10u64;
+    loop {
+        if let Ok(stream) = TcpStream::connect(addr) {
+            backoff_ms = 10;
+            let _ = dialed.send((peer, stream));
+            waker.wake();
+            if redial.recv().is_err() {
+                return;
+            }
+        } else {
+            let wait = redial.recv_timeout(Duration::from_millis(backoff_ms));
+            if wait == Err(RecvTimeoutError::Disconnected) {
+                return;
+            }
+            backoff_ms = (backoff_ms * 2).min(max_backoff_ms);
+        }
+    }
+}
 
 /// A running replicated node.
 pub struct ClusterServer {
-    addr: SocketAddr,
     node_id: u32,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
-    listener_addr: SocketAddr,
-    loop_thread: Option<JoinHandle<()>>,
-    accept_thread: Option<JoinHandle<()>>,
-    ticker_thread: Option<JoinHandle<()>>,
-    readers: ReaderRegistry,
+    node: Arc<Mutex<ClusterNode>>,
+    frontend: FrontendServer,
+    dialers: Vec<JoinHandle<()>>,
+    halted: bool,
 }
 
 impl ClusterServer {
@@ -85,107 +225,87 @@ impl ClusterServer {
         engine: Engine,
         addr_override: Option<&str>,
     ) -> std::io::Result<ClusterServer> {
-        let bind_addr = match addr_override {
-            Some(a) => a.to_string(),
-            None => cfg
-                .addr_of(node_id)
-                .ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "unknown node id")
-                })?
-                .to_string(),
+        let frontend = FrontendConfig::default();
+        ClusterServer::spawn_with(cfg, node_id, engine, addr_override, frontend)
+    }
+
+    /// [`spawn`](ClusterServer::spawn) with the serving edge's settings
+    /// (buffer caps, timeouts, the unix-domain socket) given; the tick is
+    /// the cluster's own.
+    pub fn spawn_with(
+        cfg: ClusterConfig,
+        node_id: u32,
+        engine: Engine,
+        addr_override: Option<&str>,
+        frontend: FrontendConfig,
+    ) -> std::io::Result<ClusterServer> {
+        let unknown = || std::io::Error::new(std::io::ErrorKind::InvalidInput, "unknown node id");
+        let bind_addr = addr_override
+            .or_else(|| cfg.addr_of(node_id))
+            .ok_or_else(unknown)?
+            .to_string();
+        // A restarted peer arms its failover timer when it boots and
+        // disarms it on our first heartbeat, which travels on our dialed
+        // link: retry well inside that window, or the peer promotes
+        // itself over a live primary and rejoins by snapshot.
+        let max_backoff_ms = (cfg.timing.failover_ms / 4).max(10);
+        let peer_addrs: Vec<(u32, String)> = (0..cfg.nodes.len() as u32)
+            .filter(|peer| *peer != node_id)
+            .filter_map(|peer| Some((peer, cfg.addr_of(peer)?.to_string())))
+            .collect();
+        let recorder = engine.recorder().clone();
+        let node = Arc::new(Mutex::new(ClusterNode::new(node_id, cfg, engine)));
+        let snapshot: SnapshotFn = {
+            let node = node.clone();
+            Arc::new(move |flight| locked(&node).telemetry_snapshot(flight))
         };
-        let listener = TcpListener::bind(&bind_addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = channel::<Event>();
-
-        // Dialer threads: one outbound link per peer.
-        let mut peer_tx: HashMap<u32, Sender<Message>> = HashMap::new();
-        for peer in 0..cfg.nodes.len() as u32 {
-            if peer == node_id {
-                continue;
+        let frontend = FrontendConfig {
+            tick_ms: TICK_MS,
+            ..frontend
+        };
+        let mut dialers = Vec::new();
+        let build = |provider, waker: Waker| -> Box<dyn Dispatch> {
+            let (dialed_tx, dialed) = channel();
+            let mut links = HashMap::new();
+            for (peer, addr) in peer_addrs {
+                let (redial, redial_rx) = channel();
+                links.insert(
+                    peer,
+                    Link {
+                        token: None,
+                        redial,
+                    },
+                );
+                let (dialed_tx, waker) = (dialed_tx.clone(), waker.clone());
+                dialers.push(std::thread::spawn(move || {
+                    dial_peer(peer, &addr, max_backoff_ms, redial_rx, dialed_tx, waker)
+                }));
             }
-            let Some(peer_addr) = cfg.addr_of(peer) else {
-                continue;
-            };
-            let (ptx, prx) = channel::<Message>();
-            peer_tx.insert(peer, ptx);
-            let peer_addr = peer_addr.to_string();
-            let dial_stop = stop.clone();
-            // A restarted peer arms its failover timer when it boots and
-            // disarms it on our first heartbeat, which travels on this
-            // link: retry well inside that window, or the peer promotes
-            // itself over a live primary and rejoins by snapshot.
-            let max_backoff_ms = (cfg.timing.failover_ms / 4).max(10);
-            std::thread::spawn(move || {
-                dial_peer(node_id, &peer_addr, max_backoff_ms, prx, dial_stop)
-            });
-        }
-
-        // Accept thread: classify connections by their first frame.
-        let readers: ReaderRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept_tx = tx.clone();
-        let accept_stop = stop.clone();
-        let accept_readers = readers.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut next_client: u64 = 1;
-            for conn in listener.incoming() {
-                if accept_stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Register before serving: a connection that cannot be
-                // severed on halt must not be served at all.
-                let Ok(sever) = stream.try_clone() else {
-                    continue;
-                };
-                let id = next_client;
-                next_client += 1;
-                let reader_tx = accept_tx.clone();
-                let handle = std::thread::spawn(move || read_connection(id, stream, reader_tx));
-                let mut reg = match accept_readers.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                reg.retain(|(_, h)| !h.is_finished());
-                reg.push((sever, handle));
-            }
-        });
-
-        // Ticker thread: logical time from accumulated sleeps.
-        let tick_tx = tx.clone();
-        let tick_stop = stop.clone();
-        let ticker_thread = std::thread::spawn(move || {
-            let mut now = 0u64;
-            while !tick_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(TICK_MS));
-                now += TICK_MS;
-                if tick_tx.send(Event::Tick(now)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        // The event loop owns the state machine.
-        let node = ClusterNode::new(node_id, cfg, engine);
-        let loop_thread = std::thread::spawn(move || event_loop(node, rx, peer_tx));
-
+            Box::new(ClusterDispatch {
+                node: node.clone(),
+                node_id,
+                provider,
+                peers: HashMap::new(),
+                links,
+                dialed,
+                owed: HashMap::new(),
+                late: VecDeque::new(),
+            })
+        };
+        let frontend =
+            FrontendServer::spawn_dispatch(&*bind_addr, frontend, recorder, snapshot, build)?;
         Ok(ClusterServer {
-            addr,
             node_id,
-            tx,
-            stop,
-            listener_addr: addr,
-            loop_thread: Some(loop_thread),
-            accept_thread: Some(accept_thread),
-            ticker_thread: Some(ticker_thread),
-            readers,
+            node,
+            frontend,
+            dialers,
+            halted: false,
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.frontend.addr()
     }
 
     /// This node's id.
@@ -195,227 +315,45 @@ impl ClusterServer {
 
     /// A telemetry provider answering with
     /// [`ClusterNode::telemetry_snapshot`] (engine metrics plus
-    /// replication counters and lag gauges). Each call round-trips
-    /// through the event loop, which owns the node; after `halt` it
-    /// returns an empty snapshot.
+    /// replication counters and lag gauges) and the reactor's serving
+    /// counters — the snapshot a wire `Metrics` request gets. It reads
+    /// the node under its mutex, and keeps answering after `halt`.
     pub fn telemetry(&self) -> SnapshotFn {
-        let tx = self.tx.clone();
-        Arc::new(move |flight| {
-            let (rtx, rrx) = channel::<Snapshot>();
-            if tx.send(Event::Telemetry(flight, rtx)).is_ok() {
-                if let Ok(snap) = rrx.recv() {
-                    return snap;
-                }
-            }
-            Snapshot::default()
-        })
+        self.frontend.telemetry()
     }
 
-    /// Graceful shutdown: stop accepting, drain the event queue, take a
-    /// final durability snapshot and fsync, then stop. Idempotent.
+    /// Graceful shutdown: stop serving (in-flight frames are abandoned,
+    /// every thread is joined), then take a final durability snapshot
+    /// and fsync. Idempotent.
     pub fn halt(&mut self) {
-        self.halt_inner(true);
+        if self.stop() {
+            locked(&self.node).engine.finalize_durability();
+        }
     }
 
     /// Abrupt shutdown (no finalization): models a crash for failover
     /// tests and benchmarks — recovery must come from the WAL.
     pub fn halt_abrupt(&mut self) {
-        self.halt_inner(false);
+        self.stop();
     }
 
-    fn halt_inner(&mut self, finalize: bool) {
-        if self.stop.swap(true, Ordering::Relaxed) {
-            return;
+    /// Stops serving; `false` if an earlier halt already did.
+    fn stop(&mut self) -> bool {
+        if std::mem::replace(&mut self.halted, true) {
+            return false;
         }
-        // Poke the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.listener_addr);
-        let (ack_tx, ack_rx) = channel();
-        if self.tx.send(Event::Stop(finalize, ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
+        // The reactor thread takes the dispatcher with it, which hangs
+        // up on the dialers.
+        self.frontend.shutdown();
+        for dialer in self.dialers.drain(..) {
+            let _ = dialer.join();
         }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // The accept loop has exited, so the registry is complete:
-        // sever every accepted connection and join its reader, so no
-        // connection — even one accepted concurrently with the halt —
-        // is serviced after this returns.
-        let held: Vec<(TcpStream, JoinHandle<()>)> = {
-            let mut reg = match self.readers.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            reg.drain(..).collect()
-        };
-        for (stream, handle) in held {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            let _ = handle.join();
-        }
-        if let Some(t) = self.ticker_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.loop_thread.take() {
-            let _ = t.join();
-        }
+        true
     }
 }
 
 impl Drop for ClusterServer {
     fn drop(&mut self) {
         self.halt();
-    }
-}
-
-/// Outbound link to one peer: connect (with backoff), identify with
-/// `Hello`, stream queued frames; reconnect on failure. Frames queued
-/// while the link is down are dropped once the queue is drained into a
-/// dead socket — the replication protocol re-converges via heartbeats
-/// and catch-up subscriptions, so lossy links are safe.
-fn dial_peer(
-    me: u32,
-    addr: &str,
-    max_backoff_ms: u64,
-    rx: Receiver<Message>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut sleep_ms = 10u64;
-    'outer: while !stop.load(Ordering::Relaxed) {
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-                sleep_ms = (sleep_ms * 2).min(max_backoff_ms);
-                // Drop whatever queued while the peer was unreachable:
-                // unbounded buffering would just replay stale traffic.
-                while rx.try_recv().is_ok() {}
-                continue;
-            }
-        };
-        sleep_ms = 10;
-        let mut stream = stream;
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        if stream
-            .write_all(&encode_frame(&Message::Hello { node: me }))
-            .is_err()
-        {
-            continue;
-        }
-        loop {
-            let Ok(msg) = rx.recv() else { break 'outer };
-            if stream.write_all(&encode_frame(&msg)).is_err() {
-                continue 'outer;
-            }
-        }
-    }
-}
-
-/// Reads frames off one accepted connection. The first frame decides
-/// the connection's identity: `Hello` makes it a peer link, anything
-/// else a client connection (whose write half is handed to the event
-/// loop before its first message).
-fn read_connection(client_id: u64, mut stream: TcpStream, tx: Sender<Event>) {
-    let _ = stream.set_nodelay(true);
-    let mut buf = BytesMut::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    let mut identity: Option<ClusterPeer> = None;
-    loop {
-        loop {
-            match decode_frame(&mut buf) {
-                Ok(Some(msg)) => {
-                    let event = match identity {
-                        None => match msg {
-                            Message::Hello { node } => {
-                                identity = Some(ClusterPeer::Node(node));
-                                continue;
-                            }
-                            other => {
-                                identity = Some(ClusterPeer::Client(client_id));
-                                let Ok(write_half) = stream.try_clone() else {
-                                    return;
-                                };
-                                if tx.send(Event::ClientConn(client_id, write_half)).is_err() {
-                                    return;
-                                }
-                                Event::ClientFrame(client_id, other)
-                            }
-                        },
-                        Some(ClusterPeer::Node(n)) => Event::PeerFrame(n, msg),
-                        Some(ClusterPeer::Client(c)) => Event::ClientFrame(c, msg),
-                    };
-                    if tx.send(event).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    if identity == Some(ClusterPeer::Client(client_id)) {
-                        let _ = tx.send(Event::ClientGone(client_id));
-                    }
-                    return;
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => {
-                if identity == Some(ClusterPeer::Client(client_id)) {
-                    let _ = tx.send(Event::ClientGone(client_id));
-                }
-                return;
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-}
-
-/// The single-threaded heart: applies every event to the state machine
-/// and routes its outbox — client replies onto the owned write halves,
-/// node traffic onto the dialer queues.
-fn event_loop(mut node: ClusterNode, rx: Receiver<Event>, peer_tx: HashMap<u32, Sender<Message>>) {
-    let mut clients: HashMap<u64, TcpStream> = HashMap::new();
-    while let Ok(event) = rx.recv() {
-        let outbox = match event {
-            Event::ClientConn(id, stream) => {
-                clients.insert(id, stream);
-                continue;
-            }
-            Event::ClientGone(id) => {
-                clients.remove(&id);
-                continue;
-            }
-            Event::ClientFrame(id, msg) => node.handle(ClusterPeer::Client(id), msg),
-            Event::PeerFrame(n, msg) => node.handle(ClusterPeer::Node(n), msg),
-            Event::Tick(now) => node.tick(now),
-            Event::Telemetry(flight, reply) => {
-                let _ = reply.send(node.telemetry_snapshot(flight));
-                continue;
-            }
-            Event::Stop(finalize, ack) => {
-                if finalize {
-                    node.engine.finalize_durability();
-                }
-                let _ = ack.send(());
-                break;
-            }
-        };
-        for (to, msg) in outbox {
-            match to {
-                ClusterPeer::Client(c) => {
-                    let gone = match clients.get_mut(&c) {
-                        Some(stream) => stream.write_all(&encode_frame(&msg)).is_err(),
-                        None => false,
-                    };
-                    if gone {
-                        clients.remove(&c);
-                    }
-                }
-                ClusterPeer::Node(n) => {
-                    if let Some(ptx) = peer_tx.get(&n) {
-                        let _ = ptx.send(msg);
-                    }
-                }
-            }
-        }
     }
 }

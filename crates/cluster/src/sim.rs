@@ -12,6 +12,7 @@ use crate::node::{ClusterNode, ClusterPeer};
 use pequod_core::Engine;
 use pequod_net::{Message, SimNet};
 use pequod_store::{Key, Value};
+use std::collections::HashMap;
 
 /// Simulated endpoints below this are cluster nodes; at or above it,
 /// clients (client `c` lives at endpoint `CLIENT_BASE + c`).
@@ -40,22 +41,16 @@ pub struct SimHarness {
     now: u64,
     next_id: u64,
     replies: Vec<(u64, Message)>,
+    /// See [`SimHarness::reply_ledger`].
+    ledger: HashMap<(u32, u64, u64), (u32, u32)>,
 }
 
 impl SimHarness {
     /// A cluster of `cfg.nodes.len()` fresh nodes over a fabric with
     /// the given fault seed and per-hop latency.
     pub fn new(cfg: &ClusterConfig, seed: u64, latency: u64) -> SimHarness {
-        let nodes = (0..cfg.nodes.len() as u32)
-            .map(|id| Some(ClusterNode::new(id, cfg.clone(), Engine::new_default())))
-            .collect();
-        SimHarness {
-            net: SimNet::new(seed, latency),
-            nodes,
-            now: 0,
-            next_id: 1,
-            replies: Vec::new(),
-        }
+        let engines = cfg.nodes.iter().map(|_| Engine::new_default()).collect();
+        SimHarness::with_engines(cfg, engines, seed, latency)
     }
 
     /// A cluster over caller-built engines (e.g. durability-attached
@@ -77,6 +72,7 @@ impl SimHarness {
             now: 0,
             next_id: 1,
             replies: Vec::new(),
+            ledger: HashMap::new(),
         }
     }
 
@@ -104,6 +100,7 @@ impl SimHarness {
     /// test can salvage its durable state.
     pub fn kill(&mut self, id: u32) -> Option<ClusterNode> {
         self.net.set_down(id, true);
+        self.ledger.retain(|(node, _, _), _| *node != id);
         self.nodes.get_mut(id as usize).and_then(Option::take)
     }
 
@@ -116,8 +113,21 @@ impl SimHarness {
         }
     }
 
+    /// The contract a transport's in-flight gate relies on, as data:
+    /// per `(node, client, request id)`, how many times the request
+    /// reached that (still live) node and how many frames carrying its
+    /// id the node has sent back. Once traffic quiesces the two are
+    /// equal for every entry — each delivered request is answered
+    /// exactly once, by a `Reply` or a `NotPrimary`.
+    pub fn reply_ledger(&self) -> &HashMap<(u32, u64, u64), (u32, u32)> {
+        &self.ledger
+    }
+
     fn route(&mut self, from: u32, outbox: Vec<(ClusterPeer, Message)>) {
         for (to, msg) in outbox {
+            if let (ClusterPeer::Client(c), Some(id)) = (to, msg.id()) {
+                self.ledger.entry((from, c, id)).or_default().1 += 1;
+            }
             self.net.send(self.now, from, endpoint(to), msg);
         }
     }
@@ -134,7 +144,15 @@ impl SimHarness {
                     continue;
                 }
                 let out = match self.nodes.get_mut(to as usize) {
-                    Some(Some(node)) => node.handle(peer(from), msg),
+                    Some(Some(node)) => {
+                        if let ClusterPeer::Client(c) = peer(from) {
+                            let ledger = &mut self.ledger;
+                            msg.for_each_id(&mut |id| {
+                                ledger.entry((to, c, id)).or_default().0 += 1;
+                            });
+                        }
+                        node.handle(peer(from), msg)
+                    }
                     _ => Vec::new(),
                 };
                 self.route(to, out);

@@ -73,6 +73,20 @@ fn assert_replicas_converged(sim: &mut SimHarness, cfg: &ClusterConfig) -> usize
     total
 }
 
+/// The contract the TCP driver's in-flight gate rests on: every
+/// id-bearing client request that reached a live node was answered by
+/// that node exactly once — never zero times (the connection would
+/// wait for ever), never twice. Call once traffic has quiesced.
+fn assert_each_request_answered_once(sim: &SimHarness) {
+    for ((node, client, id), (asked, answered)) in sim.reply_ledger() {
+        assert_eq!(
+            asked, answered,
+            "node {node}: request {id} of client {client} delivered {asked}x, answered {answered}x"
+        );
+    }
+    assert!(!sim.reply_ledger().is_empty());
+}
+
 #[test]
 fn writes_replicate_to_followers_byte_identically() {
     let cfg = ClusterConfig::new(3, 2);
@@ -87,6 +101,7 @@ fn writes_replicate_to_followers_byte_identically() {
     // Spot-check a read through the client path.
     let v = sim.get_value(2, "p|u07|post", 1_000);
     assert_eq!(v.as_deref(), Some(&b"body-7"[..]));
+    assert_each_request_answered_once(&sim);
 }
 
 #[test]
@@ -110,6 +125,7 @@ fn lossy_duplicating_reordering_links_still_converge() {
             sim.net.stats.dropped + sim.net.stats.duplicated + sim.net.stats.reordered > 0,
             "seed {seed}: the fault injector actually fired"
         );
+        assert_each_request_answered_once(&sim);
     }
 }
 
@@ -146,6 +162,7 @@ fn killed_primary_fails_over_and_loses_no_acked_write() {
             "acked write {key} lost in failover"
         );
     }
+    assert_each_request_answered_once(&sim);
 }
 
 #[test]
@@ -168,6 +185,7 @@ fn killed_node_rejoins_and_is_readmitted() {
     assert_eq!(total, 20);
     let readmitted: u64 = (0..3).map(|n| sim.node(n).stats.readmissions).sum();
     assert!(readmitted > 0, "the returned node was re-admitted");
+    assert_each_request_answered_once(&sim);
 }
 
 #[test]
@@ -245,6 +263,50 @@ fn live_migration_preserves_every_row() {
     assert_eq!(sim.node(primary).stats.migrations, 1);
     let total = assert_replicas_converged(&mut sim, &cfg);
     assert!(total >= 40);
+    assert_each_request_answered_once(&sim);
+}
+
+/// A primary partitioned away mid-migration is deposed by its follower
+/// and, once the partition heals, learns it: the admin that asked for
+/// the migration is owed an answer all the same.
+#[test]
+fn deposed_primary_answers_the_migration_it_was_running() {
+    let cfg = ClusterConfig::new(4, 2);
+    let mut sim = SimHarness::new(&cfg, 5, 1);
+    sim.run_for(100);
+    for i in 0..20 {
+        sim.put_acked(1, format!("p|u{i:02}|post"), "row", 5_000);
+    }
+    let slot = 0u32;
+    let replicas = cfg.initial_replicas(slot);
+    let (primary, follower) = (replicas[0], replicas[1]);
+    let spare = (0..4).find(|n| !replicas.contains(n)).unwrap();
+    // The learner is unreachable, so the migration stays in flight.
+    sim.net.set_down(spare, true);
+    let id = sim.client_send(
+        9,
+        primary,
+        Message::Migrate {
+            id: 0,
+            slot,
+            from: follower,
+            to: spare,
+        },
+    );
+    sim.run_for(10);
+    sim.net.set_down(primary, true);
+    sim.run_for(3 * cfg.timing.failover_ms);
+    assert_eq!(sim.node(follower).primary_of(slot), follower);
+    sim.net.set_down(primary, false);
+    sim.net.set_down(spare, false);
+    sim.run_for(2_000);
+    assert_eq!(sim.node(primary).primary_of(slot), follower, "deposed");
+    let answers: Vec<Message> = sim.take_replies(9);
+    assert!(
+        matches!(answers[..], [Message::Reply { id: rid, error: Some(_), .. }] if rid == id),
+        "the deposed primary owes the admin one error reply: {answers:?}"
+    );
+    assert_each_request_answered_once(&sim);
 }
 
 #[test]
@@ -292,5 +354,6 @@ fn restarted_follower_catches_up_with_delta_only() {
         st.notifies_applied >= 8,
         "the missed writes arrived as a window replay"
     );
+    assert_each_request_answered_once(&sim);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -3,6 +3,11 @@
 //! (optionally) a unix-domain socket through identical code.
 //!
 //! This module owns one decision: **where a client frame executes**.
+//! Whatever the backend, the frame is handed to a
+//! [`Dispatch`] on the reactor thread; the
+//! two backends here, and the cluster node `pequod_cluster` hosts
+//! through [`FrontendServer::spawn_dispatch`], differ in what `begin`
+//! does with it.
 //!
 //! * **Single engine** — on the reactor thread. The dispatcher takes
 //!   the engine lock once per frame, runs the whole frame (every
@@ -20,7 +25,8 @@
 //!   [`ShardedHandle::execute_batch`](pequod_core::ShardedHandle) — a
 //!   run's replies must all arrive before the next run is submitted, so
 //!   read-your-writes holds within a frame and answers are
-//!   byte-identical to the single engine's.
+//!   byte-identical to the single engine's. Shard replies come back
+//!   through the dispatcher's `deliver` hook.
 //!
 //! Per connection, frames are answered strictly in arrival order; see
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
@@ -28,18 +34,17 @@
 
 use crate::codec::{encode_frame_into, ReplyFrame};
 use crate::message::Message;
-use crate::reactor::{Dispatch, Injected, Reactor, ReactorConfig};
+use crate::reactor::{Conns, Dispatch, Reactor, ReactorConfig, Signals, Waker};
 use pequod_core::{
     fold_join_replies, same_run_class, Command, Engine, Response, ShardSubmitter, ShardedEngine,
 };
 use pequod_store::{Key, KeyRange};
-use pequod_telemetry::{Snapshot, SnapshotFn};
+use pequod_telemetry::{Recorder, Snapshot, SnapshotFn};
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -51,7 +56,8 @@ use std::thread::JoinHandle;
 pub struct FrontendStats {
     /// Connections accepted over the server's lifetime (both surfaces).
     pub accepted: AtomicU64,
-    /// Currently open connections.
+    /// Currently open connections (a cluster node's dialed peer links
+    /// included).
     pub active: AtomicU64,
     /// Request frames decoded.
     pub frames_in: AtomicU64,
@@ -171,26 +177,6 @@ impl Default for FrontendConfig {
             unix_path: None,
         }
     }
-}
-
-/// The serving backend behind a [`FrontendServer`].
-enum Backend {
-    Single(Arc<Mutex<Engine>>),
-    Sharded(Arc<ShardedEngine>),
-}
-
-/// Pushes one injection and wakes the reactor.
-fn inject(q: &Mutex<VecDeque<Injected>>, wake: &UnixStream, inj: Injected) {
-    match q.lock() {
-        Ok(mut g) => g.push_back(inj),
-        Err(p) => p.into_inner().push_back(inj),
-    }
-    wake_reactor(wake);
-}
-
-/// One byte on the wakeup pipe; the payload is meaningless.
-fn wake_reactor(wake: &UnixStream) {
-    let _ = (&*wake).write(&[1u8]);
 }
 
 /// The reply to anything that is not client traffic.
@@ -382,12 +368,17 @@ fn submit_run(
     submitted
 }
 
+/// Shard replies the collector thread has moved off the submission
+/// channel, waiting for the dispatcher's next `deliver`.
+type ShardReplies = Arc<Mutex<Vec<(u64, Response)>>>;
+
 /// Sharded dispatch: the run-at-a-time state machine over the engine's
 /// per-shard submission queues. All calls happen on the reactor thread;
-/// shard replies are fed back in via [`Injected::Shard`].
+/// shard replies are picked up in `deliver`.
 struct ShardedDispatch {
     submitter: ShardSubmitter,
     reply_tx: Sender<(u64, Response)>,
+    replies: ShardReplies,
     /// Answers [`Message::Metrics`] without touching the shard queues.
     provider: SnapshotFn,
     /// Connection token → its one in-progress frame (the reactor
@@ -399,21 +390,6 @@ struct ShardedDispatch {
 }
 
 impl ShardedDispatch {
-    fn new(
-        submitter: ShardSubmitter,
-        reply_tx: Sender<(u64, Response)>,
-        provider: SnapshotFn,
-    ) -> ShardedDispatch {
-        ShardedDispatch {
-            submitter,
-            reply_tx,
-            provider,
-            jobs: HashMap::new(),
-            id_map: HashMap::new(),
-            next_id: 1,
-        }
-    }
-
     /// Collects a finished job's replies in wire order.
     fn finish(job: Job) -> Vec<Message> {
         job.slots
@@ -423,6 +399,61 @@ impl ShardedDispatch {
                     .unwrap_or_else(|| Message::error(s.wire_id, "no reply from shard"))
             })
             .collect()
+    }
+
+    /// Feeds one shard reply back in; returns a completed frame when
+    /// this reply was the last one it waited on.
+    fn absorb(&mut self, id: u64, resp: Response) -> Option<(u64, Vec<Message>)> {
+        let Some(&(token, si)) = self.id_map.get(&id) else {
+            return None; // reply for a disconnected client
+        };
+        let Some(job) = self.jobs.get_mut(&token) else {
+            self.id_map.remove(&id);
+            return None;
+        };
+        {
+            let slot = &mut job.slots[si];
+            slot.acc.push(resp);
+            if slot.acc.len() < slot.expect {
+                return None;
+            }
+            // Slot resolved: fold, then format with the single engine's
+            // formatter so answers are byte-identical.
+            let shards = slot.expect;
+            let acc = std::mem::take(&mut slot.acc);
+            let folded = match slot.kind {
+                SlotKind::Single => acc
+                    .into_iter()
+                    .next_back()
+                    .unwrap_or_else(|| Response::Error("no reply from shard".into())),
+                SlotKind::Join => fold_join_replies(acc, shards),
+            };
+            slot.reply = Some(response_to_message(slot.wire_id, slot.key.take(), folded));
+        }
+        self.id_map.remove(&id);
+        job.outstanding -= 1;
+        if job.outstanding > 0 {
+            return None;
+        }
+        // Current run complete: submit the next one, if any.
+        while job.outstanding == 0 {
+            let Some(run) = job.runs.pop_front() else {
+                break;
+            };
+            submit_run(
+                &self.submitter,
+                &self.reply_tx,
+                &mut self.id_map,
+                &mut self.next_id,
+                job,
+                run,
+            );
+        }
+        if job.outstanding > 0 {
+            return None;
+        }
+        let job = self.jobs.remove(&token)?;
+        Some((token, Self::finish(job)))
     }
 }
 
@@ -519,57 +550,16 @@ impl Dispatch for ShardedDispatch {
         None
     }
 
-    fn on_shard_reply(&mut self, id: u64, resp: Response) -> Option<(u64, Vec<Message>)> {
-        let Some(&(token, si)) = self.id_map.get(&id) else {
-            return None; // reply for a disconnected client
-        };
-        let Some(job) = self.jobs.get_mut(&token) else {
-            self.id_map.remove(&id);
-            return None;
-        };
-        {
-            let slot = &mut job.slots[si];
-            slot.acc.push(resp);
-            if slot.acc.len() < slot.expect {
-                return None;
+    fn deliver(&mut self, conns: &mut Conns) {
+        let replies = std::mem::take(&mut *self.replies.lock().unwrap_or_else(|p| p.into_inner()));
+        for (id, resp) in replies {
+            if let Some((token, frames)) = self.absorb(id, resp) {
+                for frame in &frames {
+                    conns.send(token, frame);
+                }
+                conns.complete(token, frames.len());
             }
-            // Slot resolved: fold, then format with the single engine's
-            // formatter so answers are byte-identical.
-            let shards = slot.expect;
-            let acc = std::mem::take(&mut slot.acc);
-            let folded = match slot.kind {
-                SlotKind::Single => acc
-                    .into_iter()
-                    .next_back()
-                    .unwrap_or_else(|| Response::Error("no reply from shard".into())),
-                SlotKind::Join => fold_join_replies(acc, shards),
-            };
-            slot.reply = Some(response_to_message(slot.wire_id, slot.key.take(), folded));
         }
-        self.id_map.remove(&id);
-        job.outstanding -= 1;
-        if job.outstanding > 0 {
-            return None;
-        }
-        // Current run complete: submit the next one, if any.
-        while job.outstanding == 0 {
-            let Some(run) = job.runs.pop_front() else {
-                break;
-            };
-            submit_run(
-                &self.submitter,
-                &self.reply_tx,
-                &mut self.id_map,
-                &mut self.next_id,
-                job,
-                run,
-            );
-        }
-        if job.outstanding > 0 {
-            return None;
-        }
-        let job = self.jobs.remove(&token)?;
-        Some((token, Self::finish(job)))
     }
 
     fn forget(&mut self, token: u64) {
@@ -581,40 +571,28 @@ impl Dispatch for ShardedDispatch {
     }
 }
 
-/// Forwards shard replies from the submission channel into the
-/// reactor's injection queue, batching opportunistically so one wakeup
-/// byte covers a burst.
-fn collector_loop(
-    rx: Receiver<(u64, Response)>,
-    injected: Arc<Mutex<VecDeque<Injected>>>,
-    wake: UnixStream,
-) {
+/// Forwards shard replies from the submission channel to where the
+/// dispatcher's `deliver` picks them up, batching opportunistically so
+/// one wakeup byte covers a burst.
+fn collector_loop(rx: Receiver<(u64, Response)>, replies: ShardReplies, waker: Waker) {
     // recv() errs once every sender is dropped: shutdown.
-    while let Ok((id, resp)) = rx.recv() {
-        match injected.lock() {
-            Ok(mut g) => {
-                g.push_back(Injected::Shard(id, resp));
-                while let Ok((id, resp)) = rx.try_recv() {
-                    g.push_back(Injected::Shard(id, resp));
-                }
-            }
-            Err(p) => p.into_inner().push_back(Injected::Shard(id, resp)),
+    while let Ok(first) = rx.recv() {
+        {
+            let mut queue = replies.lock().unwrap_or_else(|p| p.into_inner());
+            queue.push(first);
+            queue.extend(rx.try_iter());
         }
-        wake_reactor(&wake);
+        waker.wake();
     }
 }
 
-/// Injects a tick every `tick_ms` until stopped: the reactor's only
+/// Counts a tick every `tick_ms` until stopped: the reactor's only
 /// clock (no wall-clock reads on the serving path).
-fn ticker_loop(
-    stopped: Arc<AtomicBool>,
-    tick_ms: u64,
-    injected: Arc<Mutex<VecDeque<Injected>>>,
-    wake: UnixStream,
-) {
-    while !stopped.load(Ordering::Relaxed) {
-        std::thread::sleep(std::time::Duration::from_millis(tick_ms.max(1)));
-        inject(&injected, &wake, Injected::Tick);
+fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
+    while !signals.stop.load(Ordering::Relaxed) {
+        std::thread::sleep(std::time::Duration::from_millis(tick_ms));
+        signals.ticks.fetch_add(1, Ordering::Relaxed);
+        waker.wake();
     }
 }
 
@@ -634,11 +612,13 @@ fn ticker_loop(
 pub struct FrontendServer {
     addr: SocketAddr,
     unix_path: Option<PathBuf>,
-    backend: Backend,
+    /// The backend, when it is one of this crate's two (a hosted
+    /// dispatcher's owner keeps its own handle on what it serves).
+    engine: Option<Arc<Mutex<Engine>>>,
+    sharded: Option<Arc<ShardedEngine>>,
     provider: SnapshotFn,
-    injected: Arc<Mutex<VecDeque<Injected>>>,
-    wake_tx: UnixStream,
-    stopped: Arc<AtomicBool>,
+    signals: Arc<Signals>,
+    waker: Waker,
     stats: Arc<FrontendStats>,
     reactor_thread: Option<JoinHandle<()>>,
     collector: Option<JoinHandle<()>>,
@@ -654,7 +634,21 @@ impl FrontendServer {
         engine: Engine,
         cfg: FrontendConfig,
     ) -> std::io::Result<FrontendServer> {
-        Self::spawn_backend(addr, Backend::Single(Arc::new(Mutex::new(engine))), cfg)
+        let recorder = engine.recorder().clone();
+        let engine = Arc::new(Mutex::new(engine));
+        let snapshot: SnapshotFn = {
+            let recorder = recorder.clone();
+            Arc::new(move |flight| recorder.snapshot(flight))
+        };
+        let dispatched = engine.clone();
+        let mut server = Self::spawn_dispatch(addr, cfg, recorder, snapshot, |provider, _| {
+            Box::new(SingleDispatch {
+                engine: dispatched,
+                provider,
+            })
+        })?;
+        server.engine = Some(engine);
+        Ok(server)
     }
 
     /// Serves a [`ShardedEngine`] on `addr` through its per-shard
@@ -664,13 +658,54 @@ impl FrontendServer {
         sharded: ShardedEngine,
         cfg: FrontendConfig,
     ) -> std::io::Result<FrontendServer> {
-        Self::spawn_backend(addr, Backend::Sharded(Arc::new(sharded)), cfg)
+        let sharded = Arc::new(sharded);
+        // Shard 0's recorder takes the reactor's own observations.
+        let recorder = sharded.recorders().first().cloned().unwrap_or_default();
+        let snapshot: SnapshotFn = {
+            let sharded = sharded.clone();
+            Arc::new(move |flight| sharded.telemetry_snapshot(flight))
+        };
+        let submitter = sharded.submitter();
+        let mut collector = None;
+        let mut server = Self::spawn_dispatch(addr, cfg, recorder, snapshot, |provider, waker| {
+            let (tx, rx) = channel::<(u64, Response)>();
+            let replies = ShardReplies::default();
+            let collected = replies.clone();
+            collector = Some(std::thread::spawn(move || {
+                collector_loop(rx, collected, waker);
+            }));
+            Box::new(ShardedDispatch {
+                submitter,
+                reply_tx: tx,
+                replies,
+                provider,
+                jobs: HashMap::new(),
+                id_map: HashMap::new(),
+                next_id: 1,
+            })
+        })?;
+        server.sharded = Some(sharded);
+        server.collector = collector;
+        Ok(server)
     }
 
-    fn spawn_backend(
+    /// Hosts any [`Dispatch`] on `addr` (and `cfg.unix_path`): the
+    /// reactor thread, its ticker, the bounded buffers, timeouts and
+    /// serving counters are the same whatever executes the frames.
+    ///
+    /// `recorder` takes the reactor's observations (dispatch latency,
+    /// queue depth, flight events). `snapshot` is the backend's own
+    /// telemetry; the server's provider — what
+    /// [`telemetry`](FrontendServer::telemetry) returns and what a
+    /// dispatcher should answer a wire [`Message::Metrics`] with — is
+    /// that plus the serving counters, and is handed to `build` together
+    /// with the reactor's [`Waker`].
+    pub fn spawn_dispatch(
         addr: impl ToSocketAddrs,
-        backend: Backend,
         cfg: FrontendConfig,
+        recorder: Recorder,
+        snapshot: SnapshotFn,
+        build: impl FnOnce(SnapshotFn, Waker) -> Box<dyn Dispatch>,
     ) -> std::io::Result<FrontendServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -681,61 +716,20 @@ impl FrontendServer {
             }
             None => None,
         };
-        let injected: Arc<Mutex<VecDeque<Injected>>> = Arc::new(Mutex::new(VecDeque::new()));
+        let signals = Arc::new(Signals::default());
         let (wake_rx, wake_tx) = UnixStream::pair()?;
+        let waker = Waker(Arc::new(wake_tx));
         let stats = Arc::new(FrontendStats::default());
-        // The reactor records through the backend's own recorder (the
-        // engine's, or shard 0's), so one scrape covers engine state
-        // and the serving path together. A backend with telemetry
-        // disabled leaves every hook a no-op.
-        let recorder = match &backend {
-            Backend::Single(engine) => match engine.lock() {
-                Ok(e) => e.recorder().clone(),
-                Err(p) => p.into_inner().recorder().clone(),
-            },
-            Backend::Sharded(s) => s.recorders().first().cloned().unwrap_or_default(),
-        };
+        // One scrape covers the backend and the serving path together.
         let provider: SnapshotFn = {
             let stats = stats.clone();
-            match &backend {
-                Backend::Single(_) => {
-                    let recorder = recorder.clone();
-                    Arc::new(move |flight| {
-                        let mut snap = recorder.snapshot(flight);
-                        mirror_frontend_stats(&stats, &mut snap);
-                        snap
-                    })
-                }
-                Backend::Sharded(s) => {
-                    let sharded = s.clone();
-                    Arc::new(move |flight| {
-                        let mut snap = sharded.telemetry_snapshot(flight);
-                        mirror_frontend_stats(&stats, &mut snap);
-                        snap
-                    })
-                }
-            }
+            Arc::new(move |flight| {
+                let mut snap = snapshot(flight);
+                mirror_frontend_stats(&stats, &mut snap);
+                snap
+            })
         };
-        let mut collector = None;
-        let dispatch: Box<dyn Dispatch> = match &backend {
-            Backend::Single(engine) => Box::new(SingleDispatch {
-                engine: engine.clone(),
-                provider: provider.clone(),
-            }),
-            Backend::Sharded(sharded) => {
-                let (tx, rx) = channel::<(u64, Response)>();
-                let injected_c = injected.clone();
-                let wake = wake_tx.try_clone()?;
-                collector = Some(std::thread::spawn(move || {
-                    collector_loop(rx, injected_c, wake);
-                }));
-                Box::new(ShardedDispatch::new(
-                    sharded.submitter(),
-                    tx,
-                    provider.clone(),
-                ))
-            }
-        };
+        let dispatch = build(provider.clone(), waker.clone());
         let tick_ms = cfg.tick_ms.max(1);
         let to_ticks = |ms: Option<u64>| ms.map(|m| m.div_ceil(tick_ms).max(1));
         let rcfg = ReactorConfig {
@@ -743,38 +737,36 @@ impl FrontendServer {
             max_pipeline: cfg.max_pipeline.max(1),
             idle_timeout_ticks: to_ticks(cfg.idle_timeout_ms),
             stall_timeout_ticks: to_ticks(cfg.stall_timeout_ms),
+            tick_ms,
             recorder,
         };
         let reactor = Reactor::new(
             listener,
             unix,
-            injected.clone(),
+            signals.clone(),
             wake_rx,
             dispatch,
             rcfg,
             stats.clone(),
         )?;
         let reactor_thread = Some(std::thread::spawn(move || reactor.run()));
-        let stopped = Arc::new(AtomicBool::new(false));
         let ticker = {
-            let stopped = stopped.clone();
-            let injected = injected.clone();
-            let wake = wake_tx.try_clone()?;
+            let (signals, waker) = (signals.clone(), waker.clone());
             Some(std::thread::spawn(move || {
-                ticker_loop(stopped, tick_ms, injected, wake);
+                ticker_loop(signals, tick_ms, waker);
             }))
         };
         Ok(FrontendServer {
             addr,
             unix_path: cfg.unix_path,
-            backend,
+            engine: None,
+            sharded: None,
             provider,
-            injected,
-            wake_tx,
-            stopped,
+            signals,
+            waker,
             stats,
             reactor_thread,
-            collector,
+            collector: None,
             ticker,
         })
     }
@@ -805,18 +797,12 @@ impl FrontendServer {
     /// Shared access to the single-engine backend; `None` when serving
     /// a [`ShardedEngine`].
     pub fn engine(&self) -> Option<Arc<Mutex<Engine>>> {
-        match &self.backend {
-            Backend::Single(e) => Some(e.clone()),
-            Backend::Sharded(_) => None,
-        }
+        self.engine.clone()
     }
 
     /// The sharded backend, when serving one.
     pub fn sharded(&self) -> Option<Arc<ShardedEngine>> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(s) => Some(s.clone()),
-        }
+        self.sharded.clone()
     }
 
     /// Deterministic stop: once this returns, no connection will be
@@ -827,8 +813,8 @@ impl FrontendServer {
         let Some(reactor) = self.reactor_thread.take() else {
             return; // already stopped
         };
-        self.stopped.store(true, Ordering::Relaxed);
-        inject(&self.injected, &self.wake_tx, Injected::Stop);
+        self.signals.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
         let _ = reactor.join();
         // The reactor dropped its dispatcher, which closes the shard
         // reply channel, so the collector's join terminates.
@@ -848,13 +834,11 @@ impl FrontendServer {
     /// SIGTERM path of `pequod-server`.
     pub fn shutdown_finalize(&mut self) {
         self.shutdown();
-        match &self.backend {
-            Backend::Single(engine) => {
-                if let Ok(mut e) = engine.lock() {
-                    e.finalize_durability();
-                }
-            }
-            Backend::Sharded(s) => s.finalize_durability(),
+        if let Some(Ok(mut engine)) = self.engine.as_ref().map(|e| e.lock()) {
+            engine.finalize_durability();
+        }
+        if let Some(sharded) = &self.sharded {
+            sharded.finalize_durability();
         }
     }
 }

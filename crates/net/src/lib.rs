@@ -21,12 +21,16 @@
 //! * [`ClusterClient`] — the unified `pequod_core::Client` surface over
 //!   a cluster: commands are routed by the partition function and
 //!   pipelined as one batched frame per destination server.
-//! * [`FrontendServer`] / [`TcpClient`] — a real socket transport for a
-//!   single node over loopback or LAN: an event-driven server (one
-//!   epoll thread; TCP plus an optional unix-domain socket) in front of
-//!   either one single-threaded engine, executed on that same thread,
-//!   or a multi-core [`pequod_core::ShardedEngine`]
-//!   ([`FrontendServer::spawn_sharded`]), and a blocking client.
+//! * [`FrontendServer`] / [`TcpClient`] — the real socket transport:
+//!   the tree's one serving loop (one epoll thread; TCP plus an
+//!   optional unix-domain socket) and a blocking client. Whatever
+//!   answers the frames is a [`Dispatch`] hosted on that thread: one
+//!   single-threaded engine executed right there, a multi-core
+//!   [`pequod_core::ShardedEngine`]
+//!   ([`FrontendServer::spawn_sharded`]), or — through
+//!   [`FrontendServer::spawn_dispatch`] — any other `handle(from, msg)
+//!   → out` state machine, which is how `pequod_cluster` serves a
+//!   replicated node (client connections and node-to-node links alike).
 //!
 //! The [`partition`] module re-exports `pequod_core::partition`: the
 //! same key-routing functions place data on server processes here and
@@ -54,7 +58,7 @@ pub use client::ClusterClient;
 pub use frontend::{FrontendConfig, FrontendServer, FrontendStats, FrontendStatsSnapshot};
 pub use message::Message;
 pub use partition::{ComponentHashPartition, Partition, ServerId, SingleServer, TablePartition};
-pub use reactor::Poller;
+pub use reactor::{Conns, Dispatch, Poller, Waker};
 pub use server::{Endpoint, NodeStats, ServerNode};
 pub use sim::{FaultStats, LinkFaults, SimCluster, SimConfig, SimNet, TrafficStats};
 pub use swarm::{Swarm, SwarmConfig, SwarmReport};

@@ -278,6 +278,16 @@ impl Message {
         }
     }
 
+    /// Calls `f` with the id of every id-bearing message this frame
+    /// carries: its own, or those of a [`Message::Batch`]'s members,
+    /// nested batches included — one per answer a server owes for it.
+    pub fn for_each_id(&self, f: &mut impl FnMut(u64)) {
+        match self {
+            Message::Batch { msgs } => msgs.iter().for_each(|m| m.for_each_id(f)),
+            other => other.id().into_iter().for_each(f),
+        }
+    }
+
     /// A successful reply.
     pub fn reply(id: u64, pairs: Vec<(Key, Value)>) -> Message {
         Message::Reply {

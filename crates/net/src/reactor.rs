@@ -7,13 +7,14 @@
 //!
 //! * one thread owns every connection — sockets, incremental frame
 //!   decoders, bounded output buffers — and never blocks on a socket;
-//! * decoded frames are handed to a `Dispatch` backend (see
-//!   [`crate::frontend`]) together with the connection's output buffer:
-//!   the single engine executes the frame right there, on this thread,
-//!   encoding each answer into the buffer as it is produced; the
-//!   sharded engine submits it to the per-shard queues and its replies
-//!   come back through an injection queue plus a wakeup pipe, and are
-//!   encoded into the same buffer;
+//! * decoded frames are handed to a [`Dispatch`] backend together with
+//!   the connection's output buffer: the single engine executes the
+//!   frame right there, on this thread, encoding each answer into the
+//!   buffer as it is produced; a backend whose answers come later, or
+//!   belong to another connection (the sharded engine's shard replies,
+//!   a cluster node's replication traffic and follower-acked writes),
+//!   hands them over through [`Dispatch::deliver`], once per loop turn,
+//!   and another thread that has something for it rings the [`Waker`];
 //! * a reply is bytes in its connection's output buffer from the moment
 //!   it exists, and a turn ends in one `write(2)` of everything the
 //!   turn produced: per readiness event a connection costs one `read`,
@@ -31,9 +32,10 @@
 //!   bounded. Dispatch also pauses while the unsent output is over its
 //!   cap, so a slow reader pipelining huge scans cannot balloon the
 //!   buffer past one response beyond the cap;
-//! * time is logical: a ticker thread injects ticks every `tick_ms`,
-//!   and idle/write-stall limits are counted in ticks (no wall-clock
-//!   reads on the serving path, per `cargo xtask audit`).
+//! * time is logical: a ticker thread counts a tick every `tick_ms`,
+//!   idle/write-stall limits are counted in ticks, and the dispatcher
+//!   sees the same clock as milliseconds through [`Dispatch::tick`] (no
+//!   wall-clock reads on the serving path, per `cargo xtask audit`).
 //!
 //! Malformed or oversized frames get one error reply, then the
 //! connection is flushed and closed: after a framing error the byte
@@ -43,15 +45,14 @@ use crate::codec::{encode_frame_into, FrameDecoder};
 use crate::frontend::FrontendStats;
 use crate::message::Message;
 use crate::outbuf::OutBuf;
-use pequod_core::Response;
 use pequod_telemetry::{Recorder, Timer};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Raw `epoll(7)` bindings. The kernel ABI is three calls and one
 /// struct; binding them directly keeps the readiness loop free of any
@@ -268,40 +269,81 @@ impl Socket {
     }
 }
 
-/// Work injected into the reactor from other threads (shard replies,
-/// ticks, shutdown), paired with a byte on the wakeup pipe.
-pub(crate) enum Injected {
-    /// One shard's reply to a submitted command (sharded backend).
-    Shard(u64, Response),
-    /// Logical time advanced one tick.
-    Tick,
+/// What the server's other threads ask of the reactor, each request
+/// paired with a ring of the [`Waker`].
+#[derive(Default)]
+pub(crate) struct Signals {
+    /// Ticks of logical time the ticker has counted and the reactor has
+    /// not yet served.
+    pub ticks: AtomicU64,
     /// Tear everything down and exit the loop.
-    Stop,
+    pub stop: AtomicBool,
 }
 
-/// The backend half the reactor dispatches decoded frames into. Every
-/// call runs on the reactor thread, so whatever time a call takes is
-/// time no socket is served: the sharded backend only enqueues, the
-/// single engine runs the frame to completion (a cold recompute or a
-/// durability snapshot included — the paper's single-threaded server
-/// makes the same trade).
-pub(crate) trait Dispatch: Send {
-    /// Begins executing one frame for connection `token`; `out` is the
-    /// connection's output buffer, the reply sink. A frame that
-    /// completes synchronously has appended one encoded reply frame per
-    /// request to `out`, in wire order, and returns `Some(how many)`.
-    /// Otherwise nothing was appended and the completion arrives later
-    /// through [`Injected::Shard`] replies fed back to `on_shard_reply`.
-    /// Bytes already in `out` are another frame's replies: append only.
+/// Rings the reactor out of `epoll_wait` from another thread (one byte
+/// on its wakeup pipe). A thread that leaves work where a dispatcher's
+/// [`Dispatch::deliver`] will find it — a shard reply, a freshly dialed
+/// socket — rings this afterwards; the reactor then runs a loop turn,
+/// and every turn calls `deliver`.
+#[derive(Clone)]
+pub struct Waker(pub(crate) Arc<UnixStream>);
+
+impl Waker {
+    /// Wakes the reactor; the byte's value is meaningless.
+    pub fn wake(&self) {
+        let _ = (&*self.0).write(&[1u8]);
+    }
+}
+
+/// The hosting contract: a `handle(from, msg) → out` state machine
+/// served by the reactor thread. [`FrontendServer::spawn_dispatch`]
+/// hosts any implementation; the single engine, the sharded engine and
+/// a cluster node are the three in the tree.
+///
+/// Every call runs on the reactor thread, so whatever time a call takes
+/// is time no socket is served: the sharded backend only enqueues, the
+/// single engine and a cluster node run the frame to completion (a cold
+/// recompute or a durability snapshot included — the paper's
+/// single-threaded server makes the same trade). A dispatcher that
+/// shares its state with other threads takes its lock inside a call and
+/// releases it before returning: the reactor does socket I/O only
+/// between calls.
+///
+/// [`FrontendServer::spawn_dispatch`]: crate::frontend::FrontendServer::spawn_dispatch
+pub trait Dispatch: Send {
+    /// Begins executing one frame from connection `token`; `out` is that
+    /// connection's output buffer, the reply sink. `begin` may append
+    /// whole encoded frames to the end of `out` (and may truncate back
+    /// to the length it found, abandoning a frame it began); the bytes
+    /// already there are earlier frames' replies.
+    ///
+    /// `Some(n)`: the frame is complete and `n` reply frames were
+    /// appended — `n` is 0 for a frame nobody answers, such as traffic
+    /// on a node-to-node link. `None`: the frame stays in flight.
+    /// Whatever `begin` appended is written out now, the rest arrives
+    /// through [`Conns::send`], and the frame counts as complete only
+    /// when the dispatcher calls [`Conns::complete`] from
+    /// [`deliver`](Dispatch::deliver). Until then no later frame of the
+    /// same connection reaches `begin`: per connection, frames are
+    /// answered in arrival order.
     fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize>;
 
-    /// Feeds one shard reply back in; returns a completed frame when
-    /// this reply was the last one it waited on.
-    fn on_shard_reply(&mut self, _id: u64, _resp: Response) -> Option<(u64, Vec<Message>)> {
-        None
-    }
+    /// Hands over frames for connections other than the one being
+    /// served, or produced later than the `begin` that asked for them.
+    /// Called once after each loop turn's readiness events and ticks,
+    /// and once after its run-queue turns; a dispatcher with nothing
+    /// buffered returns at once.
+    fn deliver(&mut self, _conns: &mut Conns) {}
 
-    /// Drops any state held for a closed connection.
+    /// Logical time reached `now_ms` (milliseconds since the server
+    /// started, advanced one `tick_ms` per tick). Frames a tick produces
+    /// leave through the [`deliver`](Dispatch::deliver) that follows.
+    fn tick(&mut self, _now_ms: u64) {}
+
+    /// Connection `token` is closed. Drop everything keyed by it: its
+    /// in-flight frame (which is never completed), its link or client
+    /// bookkeeping. Tokens are generation-checked, so a frame sent to a
+    /// forgotten token later is refused, never misdelivered.
     fn forget(&mut self, _token: u64) {}
 }
 
@@ -311,6 +353,8 @@ pub(crate) struct ReactorConfig {
     pub max_pipeline: usize,
     pub idle_timeout_ticks: Option<u64>,
     pub stall_timeout_ticks: Option<u64>,
+    /// Milliseconds of logical time per tick.
+    pub tick_ms: u64,
     /// Telemetry sink for dispatch latency, queue depths, and flight
     /// events (backpressure trips, timeout closes). Disabled = no-op.
     pub recorder: Recorder,
@@ -483,173 +527,52 @@ fn conn_flush(conn: &mut Conn, stats: &FrontendStats) -> IoOutcome {
     IoOutcome::Keep
 }
 
-/// Pops everything out of the injection queue (no lock is ever held
-/// across socket work).
-fn take_injected(q: &Mutex<VecDeque<Injected>>) -> Vec<Injected> {
-    match q.lock() {
-        Ok(mut g) => g.drain(..).collect(),
-        Err(p) => p.into_inner().drain(..).collect(),
-    }
-}
-
-/// The serving loop: owns the listeners and every connection; runs on
-/// one dedicated thread until [`Injected::Stop`] arrives.
-pub(crate) struct Reactor {
+/// The reactor's connection table, and a dispatcher's way to reach
+/// connections other than the one being served (see
+/// [`Dispatch::deliver`]): [`send`](Conns::send) a frame to one,
+/// [`complete`](Conns::complete) its in-flight frame,
+/// [`adopt`](Conns::adopt) a socket dialed elsewhere. Every connection
+/// touched gets a turn — a flush, then its next pipelined frames —
+/// before the reactor sleeps again.
+pub struct Conns {
     poller: Poller,
-    tcp: Option<TcpListener>,
-    unix: Option<UnixListener>,
-    conns: Vec<Option<Conn>>,
+    slots: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
     /// The run queue: connections whose last turn left dispatchable
-    /// frames behind. Served one turn each per loop iteration, after
-    /// that iteration's readiness events.
+    /// frames behind, or that a dispatcher touched. Served one turn each
+    /// per loop iteration, after that iteration's readiness events.
     ready: Vec<usize>,
-    injected: Arc<Mutex<VecDeque<Injected>>>,
-    wake_rx: UnixStream,
-    dispatch: Box<dyn Dispatch>,
     cfg: ReactorConfig,
     stats: Arc<FrontendStats>,
-    rdbuf: Box<[u8]>,
 }
 
-impl Reactor {
-    pub(crate) fn new(
-        tcp: TcpListener,
-        unix: Option<UnixListener>,
-        injected: Arc<Mutex<VecDeque<Injected>>>,
-        wake_rx: UnixStream,
-        dispatch: Box<dyn Dispatch>,
-        cfg: ReactorConfig,
-        stats: Arc<FrontendStats>,
-    ) -> std::io::Result<Reactor> {
-        let poller = Poller::new()?;
-        tcp.set_nonblocking(true)?;
-        poller.register(tcp.as_raw_fd(), TOKEN_TCP, true, false)?;
-        if let Some(l) = &unix {
-            l.set_nonblocking(true)?;
-            poller.register(l.as_raw_fd(), TOKEN_UNIX, true, false)?;
-        }
-        wake_rx.set_nonblocking(true)?;
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false)?;
-        Ok(Reactor {
-            poller,
-            tcp: Some(tcp),
-            unix,
-            conns: Vec::new(),
-            free: Vec::new(),
-            next_gen: 1,
-            ready: Vec::new(),
-            injected,
-            wake_rx,
-            dispatch,
-            cfg,
-            stats,
-            rdbuf: vec![0u8; 64 * 1024].into_boxed_slice(),
-        })
+/// The connection `token` names and its slot, if it is still open (and
+/// the slot has not been recycled for a later connection).
+fn live(slots: &mut [Option<Conn>], token: u64) -> Option<(usize, &mut Conn)> {
+    let idx = (token & 0xffff_ffff) as usize;
+    match slots.get_mut(idx) {
+        Some(Some(conn)) if conn.token == token => Some((idx, conn)),
+        _ => None,
     }
+}
 
-    /// Runs until stopped. A loop-level poller failure also exits:
-    /// nothing can be served without readiness notifications.
-    pub(crate) fn run(mut self) {
-        let mut events: Vec<PollEvent> = Vec::with_capacity(512);
-        'serve: loop {
-            // With connections waiting for a turn, only collect what is
-            // already ready; otherwise sleep until something is.
-            let timeout_ms = if self.ready.is_empty() { -1 } else { 0 };
-            if self.poller.wait(&mut events, timeout_ms).is_err() {
-                break;
-            }
-            for ev in events.iter().copied() {
-                match ev.token {
-                    TOKEN_WAKE => self.drain_wake(),
-                    TOKEN_TCP => self.accept_tcp(),
-                    TOKEN_UNIX => self.accept_unix(),
-                    token => self.on_conn_event(token, ev),
-                }
-            }
-            for inj in take_injected(&self.injected) {
-                match inj {
-                    Injected::Shard(id, resp) => {
-                        if let Some((token, replies)) = self.dispatch.on_shard_reply(id, resp) {
-                            self.finish_frame(token, replies);
-                        }
-                    }
-                    Injected::Tick => self.on_tick(),
-                    Injected::Stop => break 'serve,
-                }
-            }
-            for idx in std::mem::take(&mut self.ready) {
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.queued = false;
-                }
-                self.pump(idx);
-            }
-        }
-        self.teardown();
-    }
-
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match self.wake_rx.read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn accept_tcp(&mut self) {
-        loop {
-            let accepted = match &self.tcp {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    self.add_conn(Socket::Tcp(stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient (EMFILE, aborted handshake…): stop for this
-                // readiness round rather than spinning; the listener
-                // stays registered and reports readiness again.
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn accept_unix(&mut self) {
-        loop {
-            let accepted = match &self.unix {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _)) => self.add_conn(Socket::Unix(stream)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn add_conn(&mut self, sock: Socket) {
+impl Conns {
+    /// Registers a connected socket; its token, or `None` if the socket
+    /// could not be made non-blocking or watched (it is dropped).
+    fn add(&mut self, sock: Socket) -> Option<u64> {
         let nonblocking = match &sock {
             Socket::Tcp(s) => s.set_nonblocking(true),
             Socket::Unix(s) => s.set_nonblocking(true),
         };
         if nonblocking.is_err() {
-            return;
+            return None;
         }
         let idx = match self.free.pop() {
             Some(i) => i,
             None => {
-                self.conns.push(None);
-                self.conns.len() - 1
+                self.slots.push(None);
+                self.slots.len() - 1
             }
         };
         // 31-bit generation word keeps conn tokens clear of the
@@ -659,9 +582,9 @@ impl Reactor {
         let token = (gen << 32) | idx as u64;
         if self.poller.register(sock.fd(), token, true, false).is_err() {
             self.free.push(idx);
-            return;
+            return None;
         }
-        self.conns[idx] = Some(Conn {
+        self.slots[idx] = Some(Conn {
             sock,
             token,
             decoder: FrameDecoder::new(),
@@ -680,77 +603,215 @@ impl Reactor {
             read_since_tick: false,
             wrote_since_tick: false,
         });
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
         self.stats.active.fetch_add(1, Ordering::Relaxed);
+        Some(token)
     }
 
-    fn resolve(&self, token: u64) -> Option<usize> {
-        let idx = (token & 0xffff_ffff) as usize;
-        match self.conns.get(idx) {
-            Some(Some(c)) if c.token == token => Some(idx),
-            _ => None,
+    /// Gives connection `idx` a turn before the reactor sleeps again.
+    fn enqueue(&mut self, idx: usize) {
+        if let Some(conn) = self.slots[idx].as_mut() {
+            if !conn.queued {
+                conn.queued = true;
+                self.ready.push(idx);
+            }
+        }
+    }
+
+    /// Appends one frame to connection `token`'s output; `false` if that
+    /// connection is gone (the frame is dropped). Not held to
+    /// `max_write_buffer`: that cap gates what a connection may *ask*
+    /// for, and these frames are owed already — a write acknowledgment,
+    /// or a replication stream that legitimately queues a slot's worth
+    /// of snapshot chunks on a node link. What bounds them is the
+    /// write-stall timeout: a peer that takes nothing for that long is
+    /// closed and its buffer freed.
+    pub fn send(&mut self, token: u64, msg: &Message) -> bool {
+        let Some((idx, conn)) = live(&mut self.slots, token) else {
+            return false;
+        };
+        encode_frame_into(msg, conn.out.sink());
+        self.enqueue(idx);
+        true
+    }
+
+    /// The frame [`Dispatch::begin`] left in flight on `token` is
+    /// complete, `replies` reply frames in all: the connection's next
+    /// pipelined frame may be dispatched.
+    pub fn complete(&mut self, token: u64, replies: usize) {
+        let Some((idx, conn)) = live(&mut self.slots, token) else {
+            return; // closed while the frame executed
+        };
+        conn.dispatched(&self.cfg);
+        self.stats
+            .replies_out
+            .fetch_add(replies as u64, Ordering::Relaxed);
+        self.enqueue(idx);
+    }
+
+    /// Takes over an already-connected outbound socket (a cluster
+    /// node's dialed link to a peer) and returns its token; `None` if it
+    /// could not be registered. From here on it is an ordinary
+    /// connection: frames [`send`](Conns::send)t to it are flushed by
+    /// the reactor, anything the peer writes reaches
+    /// [`Dispatch::begin`], and [`Dispatch::forget`] reports its close.
+    pub fn adopt(&mut self, stream: TcpStream) -> Option<u64> {
+        let _ = stream.set_nodelay(true);
+        self.add(Socket::Tcp(stream))
+    }
+}
+
+/// The serving loop: owns the listeners and every connection; runs on
+/// one dedicated thread until [`Signals::stop`] is raised.
+pub(crate) struct Reactor {
+    conns: Conns,
+    tcp: Option<TcpListener>,
+    unix: Option<UnixListener>,
+    signals: Arc<Signals>,
+    wake_rx: UnixStream,
+    dispatch: Box<dyn Dispatch>,
+    /// Logical milliseconds since start: `tick_ms` per tick.
+    now_ms: u64,
+    rdbuf: Box<[u8]>,
+}
+
+impl Reactor {
+    pub(crate) fn new(
+        tcp: TcpListener,
+        unix: Option<UnixListener>,
+        signals: Arc<Signals>,
+        wake_rx: UnixStream,
+        dispatch: Box<dyn Dispatch>,
+        cfg: ReactorConfig,
+        stats: Arc<FrontendStats>,
+    ) -> std::io::Result<Reactor> {
+        let poller = Poller::new()?;
+        tcp.set_nonblocking(true)?;
+        poller.register(tcp.as_raw_fd(), TOKEN_TCP, true, false)?;
+        if let Some(l) = &unix {
+            l.set_nonblocking(true)?;
+            poller.register(l.as_raw_fd(), TOKEN_UNIX, true, false)?;
+        }
+        wake_rx.set_nonblocking(true)?;
+        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false)?;
+        Ok(Reactor {
+            conns: Conns {
+                poller,
+                slots: Vec::new(),
+                free: Vec::new(),
+                next_gen: 1,
+                ready: Vec::new(),
+                cfg,
+                stats,
+            },
+            tcp: Some(tcp),
+            unix,
+            signals,
+            wake_rx,
+            dispatch,
+            now_ms: 0,
+            rdbuf: vec![0u8; 64 * 1024].into_boxed_slice(),
+        })
+    }
+
+    /// Runs until stopped. A loop-level poller failure also exits:
+    /// nothing can be served without readiness notifications.
+    pub(crate) fn run(mut self) {
+        let mut events: Vec<PollEvent> = Vec::with_capacity(512);
+        loop {
+            // With connections waiting for a turn, only collect what is
+            // already ready; otherwise sleep until something is.
+            let timeout_ms = if self.conns.ready.is_empty() { -1 } else { 0 };
+            if self.conns.poller.wait(&mut events, timeout_ms).is_err() {
+                break;
+            }
+            for ev in events.iter().copied() {
+                match ev.token {
+                    TOKEN_WAKE => self.drain_wake(),
+                    TOKEN_TCP | TOKEN_UNIX => self.accept(ev.token),
+                    token => self.on_conn_event(token, ev),
+                }
+            }
+            if self.signals.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            for _ in 0..self.signals.ticks.swap(0, Ordering::Relaxed) {
+                self.on_tick();
+            }
+            // What the events, the ticks and other threads left for
+            // other connections: each one touched joins the run queue.
+            self.dispatch.deliver(&mut self.conns);
+            for idx in std::mem::take(&mut self.conns.ready) {
+                if let Some(conn) = self.conns.slots[idx].as_mut() {
+                    conn.queued = false;
+                }
+                self.pump(idx);
+            }
+            // And what those turns produced; a connection touched here
+            // is on the run queue, so the next wait does not sleep.
+            self.dispatch.deliver(&mut self.conns);
+        }
+        self.teardown();
+    }
+
+    fn drain_wake(&mut self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match self.wake_rx.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Accepts from the listener behind `token` until it has no more.
+    fn accept(&mut self, token: u64) {
+        loop {
+            let accepted = match (token, &self.tcp, &self.unix) {
+                (TOKEN_TCP, Some(l), _) => l.accept().map(|(stream, _)| {
+                    let _ = stream.set_nodelay(true);
+                    Socket::Tcp(stream)
+                }),
+                (TOKEN_UNIX, _, Some(l)) => l.accept().map(|(stream, _)| Socket::Unix(stream)),
+                _ => return,
+            };
+            match accepted {
+                Ok(sock) => {
+                    if self.conns.add(sock).is_some() {
+                        self.conns.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                // `WouldBlock`: drained. Anything else is transient
+                // (EMFILE, aborted handshake…): stop for this readiness
+                // round rather than spinning; the listener stays
+                // registered and reports readiness again.
+                Err(_) => break,
+            }
         }
     }
 
     fn on_conn_event(&mut self, token: u64, ev: PollEvent) {
-        let Some(idx) = self.resolve(token) else {
+        let Reactor { conns, rdbuf, .. } = self;
+        let Conns {
+            slots, cfg, stats, ..
+        } = conns;
+        let Some((idx, conn)) = live(slots, token) else {
             return; // stale event for a closed/recycled slot
         };
+        let mut outcome = IoOutcome::Keep;
         if ev.readable {
-            let outcome = {
-                let Reactor {
-                    conns,
-                    cfg,
-                    stats,
-                    rdbuf,
-                    ..
-                } = self;
-                match conns[idx].as_mut() {
-                    Some(conn) => conn_read(conn, cfg, stats, rdbuf),
-                    None => return,
-                }
-            };
-            if matches!(outcome, IoOutcome::Close) {
-                self.close_conn(idx);
-                return;
-            }
+            outcome = conn_read(conn, cfg, stats, rdbuf);
         }
-        if ev.writable {
-            let outcome = {
-                let Reactor { conns, stats, .. } = self;
-                match conns[idx].as_mut() {
-                    Some(conn) => conn_flush(conn, stats),
-                    None => return,
-                }
-            };
-            if matches!(outcome, IoOutcome::Close) {
-                self.close_conn(idx);
-                return;
-            }
+        if ev.writable && matches!(outcome, IoOutcome::Keep) {
+            outcome = conn_flush(conn, stats);
         }
-        if ev.error && !ev.readable && !ev.writable {
-            // Pure error/hangup with nothing to transfer: drop it.
+        // A pure error/hangup has nothing to transfer: drop it too.
+        if matches!(outcome, IoOutcome::Close) || (ev.error && !ev.readable && !ev.writable) {
             self.close_conn(idx);
             return;
         }
-        self.pump(idx);
-    }
-
-    /// A dispatched frame came back from another thread: its replies
-    /// join the connection's output like any others.
-    fn finish_frame(&mut self, token: u64, replies: Vec<Message>) {
-        let Some(idx) = self.resolve(token) else {
-            return; // connection closed while the frame executed
-        };
-        if let Some(conn) = self.conns[idx].as_mut() {
-            for reply in &replies {
-                encode_frame_into(reply, conn.out.sink());
-            }
-            conn.dispatched(&self.cfg);
-        }
-        self.stats
-            .replies_out
-            .fetch_add(replies.len() as u64, Ordering::Relaxed);
         self.pump(idx);
     }
 
@@ -760,13 +821,12 @@ impl Reactor {
     fn pump(&mut self, idx: usize) {
         {
             let Reactor {
-                conns,
-                cfg,
-                stats,
-                dispatch,
-                ..
+                conns, dispatch, ..
             } = self;
-            let Some(conn) = conns[idx].as_mut() else {
+            let Conns {
+                slots, cfg, stats, ..
+            } = conns;
+            let Some(conn) = slots[idx].as_mut() else {
                 return;
             };
             while conn.can_dispatch(cfg) {
@@ -783,7 +843,7 @@ impl Reactor {
                             .replies_out
                             .fetch_add(replies as u64, Ordering::Relaxed);
                     }
-                    None => break, // completion arrives by injection
+                    None => break, // completed later, through `deliver`
                 }
             }
         }
@@ -793,14 +853,14 @@ impl Reactor {
             Modify(RawFd, u64, bool, bool),
         }
         let action = {
-            let Reactor {
-                conns,
+            let Conns {
+                slots,
                 cfg,
                 stats,
                 ready,
                 ..
-            } = self;
-            let Some(conn) = conns[idx].as_mut() else {
+            } = &mut self.conns;
+            let Some(conn) = slots[idx].as_mut() else {
                 return;
             };
             // The turn's one write: everything it produced goes out
@@ -851,7 +911,7 @@ impl Reactor {
             Action::None => {}
             Action::Close => self.close_conn(idx),
             Action::Modify(fd, token, r, w) => {
-                if self.poller.modify(fd, token, r, w).is_err() {
+                if self.conns.poller.modify(fd, token, r, w).is_err() {
                     self.close_conn(idx);
                 }
             }
@@ -859,19 +919,16 @@ impl Reactor {
     }
 
     /// Advances logical time: idle and write-stalled connections past
-    /// their limits are closed.
+    /// their limits are closed, then the dispatcher sees the new time.
     fn on_tick(&mut self) {
-        enum Verdict {
-            Keep,
-            Idle,
-            Stalled,
-        }
-        for idx in 0..self.conns.len() {
-            let verdict = {
-                let Reactor { conns, cfg, .. } = self;
-                let Some(conn) = conns[idx].as_mut() else {
-                    continue;
-                };
+        for idx in 0..self.conns.slots.len() {
+            let Conns {
+                slots, cfg, stats, ..
+            } = &mut self.conns;
+            let Some(conn) = slots[idx].as_mut() else {
+                continue;
+            };
+            {
                 if conn.read_since_tick || conn.wrote_since_tick {
                     conn.idle_ticks = 0;
                 } else {
@@ -889,40 +946,29 @@ impl Reactor {
                 // on the engine or with queued work is not.
                 let idle = matches!(cfg.idle_timeout_ticks, Some(t) if conn.idle_ticks >= t)
                     && conn.drained();
-                if stalled {
-                    Verdict::Stalled
+                let (closed, kind, why) = if stalled {
+                    (&stats.stall_closed, "stall_close", "write-stalled")
                 } else if idle {
-                    Verdict::Idle
+                    (&stats.idle_closed, "idle_close", "idle")
                 } else {
-                    Verdict::Keep
-                }
-            };
-            match verdict {
-                Verdict::Keep => {}
-                Verdict::Stalled => {
-                    self.stats.stall_closed.fetch_add(1, Ordering::Relaxed);
-                    self.cfg
-                        .recorder
-                        .flight("stall_close", || format!("conn slot {idx} write-stalled"));
-                    self.close_conn(idx);
-                }
-                Verdict::Idle => {
-                    self.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    self.cfg
-                        .recorder
-                        .flight("idle_close", || format!("conn slot {idx} idle"));
-                    self.close_conn(idx);
-                }
+                    continue;
+                };
+                closed.fetch_add(1, Ordering::Relaxed);
+                cfg.recorder
+                    .flight(kind, || format!("conn slot {idx} {why}"));
             }
+            self.close_conn(idx);
         }
+        self.now_ms += self.conns.cfg.tick_ms;
+        self.dispatch.tick(self.now_ms);
     }
 
     fn close_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.conns[idx].take() {
-            let _ = self.poller.deregister(conn.sock.fd());
+        if let Some(conn) = self.conns.slots[idx].take() {
+            let _ = self.conns.poller.deregister(conn.sock.fd());
             self.dispatch.forget(conn.token);
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
-            self.free.push(idx);
+            self.conns.stats.active.fetch_sub(1, Ordering::Relaxed);
+            self.conns.free.push(idx);
             // The socket closes on drop.
         }
     }
@@ -933,18 +979,14 @@ impl Reactor {
     /// are gone).
     fn teardown(&mut self) {
         if let Some(l) = self.tcp.take() {
-            let _ = self.poller.deregister(l.as_raw_fd());
+            let _ = self.conns.poller.deregister(l.as_raw_fd());
         }
         if let Some(l) = self.unix.take() {
-            let _ = self.poller.deregister(l.as_raw_fd());
+            let _ = self.conns.poller.deregister(l.as_raw_fd());
         }
-        for idx in 0..self.conns.len() {
-            {
-                let Reactor { conns, stats, .. } = self;
-                match conns[idx].as_mut() {
-                    Some(conn) => conn_flush(conn, stats),
-                    None => continue,
-                };
+        for idx in 0..self.conns.slots.len() {
+            if let Some(conn) = self.conns.slots[idx].as_mut() {
+                let _ = conn_flush(conn, &self.conns.stats);
             }
             self.close_conn(idx);
         }

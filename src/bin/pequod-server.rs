@@ -15,9 +15,10 @@
 //!
 //! Clients are served by one event-driven epoll thread with
 //! pipelining, bounded write buffers, and slow-client timeouts (see
-//! `docs/NETWORKING.md`); a single engine executes requests on that
-//! same thread. `--unix-socket PATH` additionally serves the same
-//! protocol on a unix-domain socket.
+//! `docs/NETWORKING.md`); a single engine — stand-alone or a
+//! `--cluster` member — executes requests on that same thread.
+//! `--unix-socket PATH` additionally serves the same protocol on a
+//! unix-domain socket, in every mode.
 //!
 //! With `--shards N` (N > 1) the node serves a
 //! [`pequod::core::ShardedEngine`]: N single-threaded engine shards,
@@ -69,9 +70,10 @@
 use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::partition::ComponentHashPartition;
 use pequod::core::{Client, Engine, EngineConfig, MemoryLimit, ShardedEngine};
+use pequod::net::FrontendServer;
 use pequod::persist::{FsyncPolicy, PersistOptions};
 use pequod::store::StoreConfig;
-use pequod::telemetry::{MetricsServer, Recorder};
+use pequod::telemetry::{MetricsServer, Recorder, SnapshotFn};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -264,7 +266,7 @@ fn main() {
                 .map_or("never".to_string(), |n| n.to_string()),
         );
     }
-    if let Some(path) = &cluster_file {
+    let cluster = cluster_file.as_ref().map(|path| {
         let id = node_id.expect("--cluster requires --node-id");
         assert!(
             shards == 1,
@@ -274,7 +276,18 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read cluster file {path}: {e}"));
         let cluster_cfg =
             ClusterConfig::parse(&text).unwrap_or_else(|e| panic!("bad cluster file {path}: {e}"));
-        let mut engine = Engine::new(config);
+        eprintln!(
+            "replicated cluster node {id} of {} (replication {}, {} slots)",
+            cluster_cfg.nodes.len(),
+            cluster_cfg.replication,
+            cluster_cfg.slots,
+        );
+        (id, cluster_cfg)
+    });
+    // One engine, built one way, for a stand-alone node and a cluster
+    // member alike.
+    let single_engine = || {
+        let mut engine = Engine::new(config.clone());
         if metrics_addr.is_some() {
             // Before `attach` so the persister clones an enabled
             // recorder and WAL latency is captured from record one.
@@ -284,43 +297,41 @@ fn main() {
             let report = pequod::persist::attach(&mut engine, dir, persist_opts)
                 .unwrap_or_else(|e| panic!("cannot recover {}: {e}", dir.display()));
             eprintln!(
-                "recovered generation {}: {} snapshot pairs + {} logged records",
-                report.generation, report.snapshot_pairs, report.wal_records,
+                "recovered generation {}: {} joins, {} snapshot pairs + {} logged records \
+                 ({} torn bytes dropped)",
+                report.generation,
+                report.joins,
+                report.snapshot_pairs,
+                report.wal_records,
+                report.bytes_dropped,
             );
+            if let Some(corruption) = &report.corruption {
+                eprintln!(
+                    "WARNING: log corruption (not a clean crash tail) — {corruption}; \
+                     the damaged log was preserved as wal-*.log.corrupt for salvage"
+                );
+            }
         }
         install(&mut engine);
-        eprintln!(
-            "replicated cluster node {id} of {} (replication {}, {} slots)",
-            cluster_cfg.nodes.len(),
-            cluster_cfg.replication,
-            cluster_cfg.slots,
-        );
-        let addr_override = if listen_set {
-            Some(listen.as_str())
-        } else {
-            None
-        };
-        let mut server = ClusterServer::spawn(cluster_cfg, id, engine, addr_override)
-            .unwrap_or_else(|e| panic!("cannot serve cluster node {id}: {e}"));
-        let metrics = metrics_addr.as_deref().map(|addr| {
-            let ms = MetricsServer::spawn(addr, server.telemetry())
-                .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
-            eprintln!("telemetry: scrape http://{}/metrics", ms.local_addr());
-            ms
-        });
-        eprintln!("pequod-server listening on {}", server.addr());
-        wait_for_sigterm();
-        server.halt();
-        if let Some(ms) = metrics {
-            ms.stop();
-        }
-        return;
-    }
+        engine
+    };
+    // Every mode gets the same serving edge, and ends up as the same
+    // three things: an address, a telemetry provider, and the one way
+    // it stops (drain, final durability snapshot, fsync).
     let frontend_cfg = pequod::net::FrontendConfig {
         unix_path: unix_socket.clone(),
         ..Default::default()
     };
-    let mut server = if shards > 1 {
+    type Serving = (std::net::SocketAddr, SnapshotFn, Box<dyn FnOnce()>);
+    let stand_alone = |server: std::io::Result<FrontendServer>| -> Serving {
+        let mut server = server.unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
+        (
+            server.addr(),
+            server.telemetry(),
+            Box::new(move || server.shutdown_finalize()),
+        )
+    };
+    let (addr, telemetry, stop): Serving = if shards > 1 {
         if shard_tables.is_empty() {
             shard_tables = vec!["p|".to_string(), "s|".to_string()];
         }
@@ -371,52 +382,44 @@ fn main() {
         eprintln!(
             "serving {shards} shards (tables {shard_tables:?} hashed on component {shard_component})"
         );
-        pequod::net::FrontendServer::spawn_sharded(&*listen, sharded, frontend_cfg)
+        stand_alone(FrontendServer::spawn_sharded(
+            &*listen,
+            sharded,
+            frontend_cfg,
+        ))
+    } else if let Some((id, cluster_cfg)) = cluster {
+        let addr_override = listen_set.then_some(listen.as_str());
+        let engine = single_engine();
+        let mut server =
+            ClusterServer::spawn_with(cluster_cfg, id, engine, addr_override, frontend_cfg)
+                .unwrap_or_else(|e| panic!("cannot serve cluster node {id}: {e}"));
+        (
+            server.addr(),
+            server.telemetry(),
+            Box::new(move || server.halt()),
+        )
     } else {
-        let mut engine = Engine::new(config);
-        if metrics_addr.is_some() {
-            // Before `attach` so the persister clones an enabled
-            // recorder and WAL latency is captured from record one.
-            engine.set_recorder(Recorder::enabled());
-        }
-        if let Some(dir) = &data_dir {
-            let report = pequod::persist::attach(&mut engine, dir, persist_opts)
-                .unwrap_or_else(|e| panic!("cannot recover {}: {e}", dir.display()));
-            eprintln!(
-                "recovered generation {}: {} joins, {} snapshot pairs + {} logged records \
-                 ({} torn bytes dropped)",
-                report.generation,
-                report.joins,
-                report.snapshot_pairs,
-                report.wal_records,
-                report.bytes_dropped,
-            );
-            if let Some(corruption) = &report.corruption {
-                eprintln!(
-                    "WARNING: log corruption (not a clean crash tail) — {corruption}; \
-                     the damaged log was preserved as wal-*.log.corrupt for salvage"
-                );
-            }
-        }
-        install(&mut engine);
-        pequod::net::FrontendServer::spawn(&*listen, engine, frontend_cfg)
-    }
-    .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
+        stand_alone(FrontendServer::spawn(
+            &*listen,
+            single_engine(),
+            frontend_cfg,
+        ))
+    };
     if let Some(p) = &unix_socket {
         eprintln!("also serving on unix socket {}", p.display());
     }
     let metrics = metrics_addr.as_deref().map(|addr| {
-        let ms = MetricsServer::spawn(addr, server.telemetry())
+        let ms = MetricsServer::spawn(addr, telemetry)
             .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
         eprintln!("telemetry: scrape http://{}/metrics", ms.local_addr());
         ms
     });
     // Tests parse the address off this line: keep it the tail.
-    eprintln!("pequod-server listening on {}", server.addr());
+    eprintln!("pequod-server listening on {addr}");
     // Serve until SIGTERM, then drain and finalize durability so a
     // rolling restart loses nothing.
     wait_for_sigterm();
-    server.shutdown_finalize();
+    stop();
     if let Some(ms) = metrics {
         ms.stop();
     }

@@ -578,3 +578,66 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
         "every acked write is durable exactly once"
     );
 }
+
+/// `--unix-socket` is the same serving edge in every mode: a
+/// `--cluster` member answers the client protocol on it too.
+#[test]
+fn cluster_node_answers_on_its_unix_socket() {
+    use pequod::net::codec::{encode_frame, FrameDecoder};
+    use pequod::net::Message;
+    use std::io::{Read, Write};
+
+    let tmp = TempDir::new("cluster-unix");
+    let port = free_ports(1)[0];
+    let cluster_file = tmp.0.join("nodes.toml");
+    std::fs::write(
+        &cluster_file,
+        format!("replication = 1\nslots = 4\n[[node]]\nid = 0\naddr = \"127.0.0.1:{port}\"\n"),
+    )
+    .unwrap();
+    let sock_path = tmp.0.join("node.sock");
+    let _server = Server::spawn_raw(&[
+        "--cluster",
+        cluster_file.to_str().unwrap(),
+        "--node-id",
+        "0",
+        "--unix-socket",
+        sock_path.to_str().unwrap(),
+    ]);
+    let mut sock = std::os::unix::net::UnixStream::connect(&sock_path)
+        .expect("a --cluster node serves --unix-socket");
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let key = Key::from("p|ann|0000000001");
+    for msg in [
+        Message::Put {
+            id: 1,
+            key: key.clone(),
+            value: Value::from_static(b"over the unix socket"),
+        },
+        Message::Get {
+            id: 2,
+            key: key.clone(),
+        },
+    ] {
+        sock.write_all(&encode_frame(&msg)).unwrap();
+    }
+    let mut decoder = FrameDecoder::new();
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while replies.len() < 2 {
+        while let Some(reply) = decoder.next_frame().unwrap() {
+            replies.push(reply);
+        }
+        if replies.len() < 2 {
+            let n = sock.read(&mut chunk).expect("reply before the timeout");
+            assert!(n > 0, "node closed the unix connection");
+            decoder.extend(&chunk[..n]);
+        }
+    }
+    assert_eq!(replies[0], Message::reply(1, vec![]));
+    assert_eq!(
+        replies[1],
+        Message::reply(2, vec![(key, Value::from_static(b"over the unix socket"))])
+    );
+}
