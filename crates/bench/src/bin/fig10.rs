@@ -37,6 +37,12 @@ impl Partition for Fig10Partition {
     fn home_of(&self, _key: &Key) -> ServerId {
         self.base
     }
+
+    /// Every range has the one home; without this proof a compute
+    /// server would gather each missing range from all its peers.
+    fn home_of_range(&self, _range: &KeyRange) -> Option<ServerId> {
+        Some(self.base)
+    }
 }
 
 /// Client-side read routing (§2.4): all of user `u`'s timeline checks

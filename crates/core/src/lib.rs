@@ -42,10 +42,13 @@
 //! * [`partition`] — key-routing (home servers, §2.4), shared between
 //!   the distributed tier in `pequod_net` and the in-process sharded
 //!   engine.
-//! * [`sharded`] — [`ShardedEngine`]: N single-threaded engine shards
-//!   (one worker thread each) kept fresh across shards by mirroring the
-//!   server-level Subscribe/Notify protocol over in-process channels,
-//!   so one node scales with cores.
+//! * [`node`] — [`Node`]: one server of a partitioned deployment, the
+//!   §2.4 Subscribe/Notify and §3.3 park/restart state machine as a
+//!   transport-agnostic `handle(from, msg) -> out`. Shard threads and
+//!   the cluster simulator both run it.
+//! * [`sharded`] — [`ShardedEngine`]: N nodes, one worker thread each,
+//!   exchanging their messages over in-process channels, so one process
+//!   scales with cores.
 //! * [`status`] — join status ranges: which output ranges are
 //!   materialized and whether they are valid (§3.2).
 //! * [`updater`] — the interval-tree index of incremental-maintenance
@@ -69,6 +72,7 @@ pub mod config;
 pub mod durable;
 mod engine;
 mod exec;
+pub mod node;
 mod paranoid;
 pub mod partition;
 pub mod sharded;
@@ -80,8 +84,8 @@ pub use client::{BackendStats, Client, Command, Response};
 pub use config::{EngineConfig, EngineStats, MaterializationMode, MemoryLimit};
 pub use durable::{Durability, DurableOp};
 pub use engine::{BaseAuthority, Engine, EvictUnit, JS_RANGE_OVERHEAD_BYTES};
+pub use node::{Endpoint, Node, NodeMsg, NodeStats};
 pub use sharded::{
-    fold_join_replies, fold_stats_replies, same_run_class, ShardStats, ShardSubmitter,
-    ShardedEngine, ShardedHandle,
+    fold_join_replies, fold_stats_replies, split_runs, ShardSubmitter, ShardedEngine, ShardedHandle,
 };
 pub use types::{CountResult, EngineError, JoinId, JsId, ScanResult, WriteKind};

@@ -1,0 +1,756 @@
+//! One Pequod server of a partitioned deployment (§2.4, §3.3): the
+//! Subscribe/Notify state machine, independent of what carries its
+//! messages.
+//!
+//! A [`Node`] owns one single-threaded [`Engine`]. Base tables are
+//! spread over the deployment by a [`Partition`] function, so every
+//! base key has one *home* node. A node that needs base data homed
+//! elsewhere sends `Subscribe` to the home, which answers with the
+//! rows it is the authority for and forwards every later write to them
+//! as a `Notify` — the subscriber keeps an eventually-consistent
+//! replica, and its computed data stays fresh through the engine's
+//! ordinary updaters. A query that runs into missing data parks with a
+//! restart context and runs again when its fetches have landed (§3.3).
+//!
+//! [`Node::handle`] consumes one message and hands back the messages to
+//! send; it never blocks and never does I/O. Two hosts drive it:
+//!
+//! * a [`ShardedEngine`](crate::ShardedEngine) worker thread — receive
+//!   from the mailbox, `handle`, route the output to peer mailboxes or
+//!   to the client's reply channel;
+//! * `pequod_net::SimCluster` — the same calls under a deterministic
+//!   virtual network, which maps each [`NodeMsg`] 1:1 onto the wire
+//!   `Message` so it can count bytes (`pequod_net::ServerNode` is this
+//!   type).
+//!
+//! # What a fetch guarantees
+//!
+//! A missing range the partition can prove single-homed is fetched from
+//! that home. Any other range (a whole table under a hash partition) is
+//! scatter-gathered: subscribed at *every* peer, each of which returns
+//! only the keys it homes. Either way the answers are buffered in one
+//! fetch group and installed in one step when the last arrives, so no
+//! query sees the range half-fetched-but-resident. Peers grant at
+//! different times, so a `Notify` from a peer that has already granted
+//! can arrive while the group still waits on another: it is held with
+//! the group and applied right after the install, in arrival order.
+//! Every write acknowledged by a home after it granted is therefore in
+//! the installed range — none is dropped for arriving early.
+//!
+//! A `Notify` for a range this node has evicted (resident nowhere, no
+//! fetch open) is dropped: applying it would leave a replica row that
+//! nothing refreshes or evicts. The next read refetches the range.
+
+use crate::client::{Command, Response};
+use crate::engine::Engine;
+use crate::partition::{Partition, ServerId};
+use pequod_store::{Key, KeyRange, RangeSet, Value};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+/// Give up on a query after this many fetch-and-restart rounds.
+const MAX_RETRIES: u32 = 16;
+
+/// A message source or destination.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Endpoint {
+    /// An application client, by whatever token its host knows it.
+    Client(u64),
+    /// Another node of the deployment.
+    Server(ServerId),
+}
+
+/// What nodes, and their clients, say to each other.
+#[derive(Clone, Debug, PartialEq)]
+pub enum NodeMsg {
+    /// A client command — or, from a peer, a write forwarded to its
+    /// home.
+    Request {
+        /// Request id, echoed in the reply.
+        id: u64,
+        /// The command.
+        command: Command,
+    },
+    /// The answer to a `Request`.
+    Reply {
+        /// The request this answers.
+        id: u64,
+        /// Its response.
+        response: Response,
+    },
+    /// Peer → home: send `range`'s rows and every later update to them.
+    Subscribe {
+        /// The fetch this belongs to, echoed in the reply.
+        id: u64,
+        /// The base range wanted.
+        range: KeyRange,
+    },
+    /// Home → peer: the rows of `range` the home is the authority for.
+    SubscribeReply {
+        /// The `Subscribe` this answers.
+        id: u64,
+        /// The subscribed range.
+        range: KeyRange,
+        /// Its current contents at this home.
+        pairs: Vec<(Key, Value)>,
+    },
+    /// Home → subscriber: a write to a subscribed range.
+    Notify {
+        /// The written key.
+        key: Key,
+        /// New value, or `None` for a removal.
+        value: Option<Value>,
+    },
+}
+
+/// Per-node counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeStats {
+    /// Requests handled (forwarded and failed ones included).
+    pub commands: u64,
+    /// Queries parked waiting for another node's data.
+    pub parked: u64,
+    /// Subscriptions granted to peers.
+    pub subs_granted: u64,
+    /// Subscription grants received from peers.
+    pub subs_established: u64,
+    /// Notifications sent to subscribers.
+    pub notifies_sent: u64,
+    /// Notifications applied to the engine.
+    pub notifies_applied: u64,
+    /// Writes forwarded to their home node.
+    pub forwards: u64,
+}
+
+/// What a parked query replies with once its range is complete.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum QueryKind {
+    Get,
+    Scan,
+    Count,
+}
+
+/// A query and its restart context (§3.3). `outstanding` holds the
+/// fetch groups it waits on.
+struct Parked {
+    client: Endpoint,
+    id: u64,
+    kind: QueryKind,
+    range: KeyRange,
+    outstanding: HashSet<u64>,
+    retries: u32,
+}
+
+/// One missing range being fetched from one or several peers.
+struct FetchGroup {
+    range: KeyRange,
+    /// Grants still awaited.
+    waiting: usize,
+    pairs: Vec<(Key, Value)>,
+    /// Notifications for `range` that arrived before it was installed.
+    held: Vec<(Key, Option<Value>)>,
+}
+
+/// Who homes what: the partition function over a deployment of `nodes`
+/// nodes (ids `0..nodes`, a partition's `ServerId(s)` meaning node
+/// `s % nodes`).
+#[derive(Clone)]
+struct Placement {
+    partition: Arc<dyn Partition>,
+    nodes: u32,
+}
+
+impl Placement {
+    fn home(&self, key: &Key) -> ServerId {
+        ServerId(self.partition.home_of(key).0 % self.nodes)
+    }
+
+    /// The one node that homes every key of `range`, when that can be
+    /// proven: the range is a single key, or the partition vouches for
+    /// it. `None` means the range may span nodes.
+    fn range_home(&self, range: &KeyRange) -> Option<ServerId> {
+        if *range == KeyRange::single(range.first.clone()) {
+            return Some(self.home(&range.first));
+        }
+        let home = self.partition.home_of_range(range)?;
+        Some(ServerId(home.0 % self.nodes))
+    }
+}
+
+/// One node's contribution to [`audit_deployment`].
+pub struct NodeAudit {
+    node: ServerId,
+    placement: Placement,
+    /// Violations from this node's [`Engine::check_invariants`].
+    violations: Vec<String>,
+    /// Ranges this node serves to each peer.
+    serving: Vec<(KeyRange, ServerId)>,
+    /// Resident ranges of this node's partitioned tables.
+    resident: Vec<KeyRange>,
+}
+
+/// One Pequod server in a partitioned deployment. See the
+/// [module docs](self).
+pub struct Node {
+    /// This node's identity.
+    pub id: ServerId,
+    /// The cache engine.
+    pub engine: Engine,
+    /// Counters.
+    pub stats: NodeStats,
+    placement: Placement,
+    /// Ranges peers replicate from this node.
+    subscribers: Vec<(KeyRange, ServerId)>,
+    parked: Vec<Parked>,
+    /// Open fetches by id.
+    fetches: HashMap<u64, FetchGroup>,
+    /// Forwarded writes awaiting their home's reply: id → origin.
+    relays: HashMap<u64, (Endpoint, u64)>,
+    next_id: u64,
+}
+
+impl Node {
+    /// Creates node `id`. `partitioned_tables` lists the base-table
+    /// prefixes spread over the deployment: the engine treats them as
+    /// remote and resolves residency through `partition`. The host
+    /// says how many nodes there are with [`Node::in_deployment`]; until
+    /// then the node assumes the smallest deployment that contains it.
+    pub fn new(
+        id: ServerId,
+        mut engine: Engine,
+        partition: Arc<dyn Partition>,
+        partitioned_tables: &[&str],
+    ) -> Node {
+        for t in partitioned_tables {
+            engine.mark_remote_table(*t);
+        }
+        Node {
+            id,
+            engine,
+            stats: NodeStats::default(),
+            placement: Placement {
+                partition,
+                nodes: id.0 + 1,
+            },
+            subscribers: Vec::new(),
+            parked: Vec::new(),
+            fetches: HashMap::new(),
+            relays: HashMap::new(),
+            next_id: 1,
+        }
+        .in_deployment(id.0 + 1)
+    }
+
+    /// Places the node in a deployment of `nodes` nodes (ids
+    /// `0..nodes`): the peers a scatter-gather reaches, and the keys
+    /// this node is the authority for. Memory-bounded serving (§2.5)
+    /// may evict replicated base data — its home still has it and the
+    /// next read re-subscribes — but never the authoritative rows,
+    /// which are the only copy.
+    pub fn in_deployment(mut self, nodes: u32) -> Node {
+        assert!(self.id.0 < nodes, "node id outside its deployment");
+        self.placement.nodes = nodes;
+        let (placement, id) = (self.placement.clone(), self.id);
+        self.engine
+            .set_base_authority(move |key| placement.home(key) == id);
+        self
+    }
+
+    /// Number of ranges peers replicate from this node.
+    pub fn subscriber_count(&self) -> usize {
+        self.subscribers.len()
+    }
+
+    /// Number of queries currently parked on missing data.
+    pub fn parked_count(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Drops `peer`'s subscriptions overlapping `range`.
+    pub fn unsubscribe(&mut self, peer: ServerId, range: &KeyRange) {
+        self.subscribers
+            .retain(|(r, s)| !(*s == peer && r.overlaps(range)));
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// Handles one message, appending the messages to send, in sending
+    /// order, to `out` (a buffer the host can reuse from call to call).
+    pub fn handle(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        match msg {
+            NodeMsg::Request { id, command } => self.execute(from, id, command, out),
+            NodeMsg::Reply { id, response } => {
+                // The home's answer to a write this node forwarded.
+                if let Some((origin, id)) = self.relays.remove(&id) {
+                    out.push((origin, NodeMsg::Reply { id, response }));
+                }
+            }
+            NodeMsg::Subscribe { id, range } => {
+                let Endpoint::Server(peer) = from else {
+                    let response = Response::Error("subscribe is server-to-server".into());
+                    return out.push((from, NodeMsg::Reply { id, response }));
+                };
+                let pairs = self.grant(&range);
+                if !self.subscribers.contains(&(range.clone(), peer)) {
+                    self.subscribers.push((range.clone(), peer));
+                    self.stats.subs_granted += 1;
+                }
+                out.push((from, NodeMsg::SubscribeReply { id, range, pairs }));
+            }
+            NodeMsg::SubscribeReply { id, pairs, .. } => self.fetch_landed(id, pairs, out),
+            NodeMsg::Notify { key, value } => {
+                for group in self.fetches.values_mut() {
+                    if group.range.contains(&key) {
+                        group.held.push((key.clone(), value.clone()));
+                    }
+                }
+                if self.engine.holds_key(&key) {
+                    self.apply_notify(key, value);
+                }
+            }
+        }
+    }
+
+    fn execute(
+        &mut self,
+        from: Endpoint,
+        id: u64,
+        command: Command,
+        out: &mut Vec<(Endpoint, NodeMsg)>,
+    ) {
+        self.stats.commands += 1;
+        let query = |kind, range| Parked {
+            client: from,
+            id,
+            kind,
+            range,
+            outstanding: HashSet::new(),
+            retries: 0,
+        };
+        let response = match command {
+            Command::Get(key) => {
+                return self.drive_query(query(QueryKind::Get, KeyRange::single(key)), out)
+            }
+            Command::Scan(range) => return self.drive_query(query(QueryKind::Scan, range), out),
+            Command::Count(range) => return self.drive_query(query(QueryKind::Count, range), out),
+            Command::Put(key, value) => return self.write(from, id, key, Some(value), out),
+            Command::Remove(key) => return self.write(from, id, key, None, out),
+            Command::AddJoin(text) => match self.engine.add_joins_text(&text) {
+                Ok(_) => Response::Ok,
+                Err(e) => Response::Error(e.to_string()),
+            },
+            Command::Stats => Response::Stats(self.engine.backend_stats()),
+        };
+        out.push((from, NodeMsg::Reply { id, response }));
+    }
+
+    /// A write: forwarded to the key's home (whose reply is relayed to
+    /// `from`), or — at home — made resident (this node is its
+    /// authority), applied with normal incremental maintenance, and sent
+    /// to every subscriber. The notifications precede the
+    /// acknowledgment in the output, so on an ordered transport a
+    /// command issued after the ack finds them already delivered.
+    fn write(
+        &mut self,
+        from: Endpoint,
+        id: u64,
+        key: Key,
+        value: Option<Value>,
+        out: &mut Vec<(Endpoint, NodeMsg)>,
+    ) {
+        let home = self.placement.home(&key);
+        if home != self.id {
+            self.stats.forwards += 1;
+            let fid = self.fresh_id();
+            self.relays.insert(fid, (from, id));
+            let command = match value {
+                Some(value) => Command::Put(key, value),
+                None => Command::Remove(key),
+            };
+            out.push((
+                Endpoint::Server(home),
+                NodeMsg::Request { id: fid, command },
+            ));
+            return;
+        }
+        self.engine.mark_resident(&KeyRange::single(key.clone()));
+        match &value {
+            Some(v) => self.engine.put(key.clone(), v.clone()),
+            None => self.engine.remove(&key),
+        }
+        let mut notified: HashSet<ServerId> = HashSet::new();
+        for (range, peer) in &self.subscribers {
+            if range.contains(&key) && notified.insert(*peer) {
+                self.stats.notifies_sent += 1;
+                let (key, value) = (key.clone(), value.clone());
+                out.push((Endpoint::Server(*peer), NodeMsg::Notify { key, value }));
+            }
+        }
+        let response = Response::Ok;
+        out.push((from, NodeMsg::Reply { id, response }));
+    }
+
+    fn apply_notify(&mut self, key: Key, value: Option<Value>) {
+        self.stats.notifies_applied += 1;
+        match value {
+            Some(v) => self.engine.put(key, v),
+            None => self.engine.remove(&key),
+        }
+    }
+
+    /// Runs a query until it completes or parks on fetches. Counts are
+    /// answered here: only the number leaves the node, never the pairs.
+    fn drive_query(&mut self, mut q: Parked, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        let response = loop {
+            let missing = if q.kind == QueryKind::Count {
+                let res = self.engine.count_result(&q.range);
+                if res.is_complete() {
+                    break Response::Count(res.count as u64);
+                }
+                res.missing
+            } else {
+                let res = self.engine.scan(&q.range);
+                if res.is_complete() {
+                    break match q.kind {
+                        QueryKind::Get => {
+                            Response::Value(res.pairs.into_iter().next().map(|(_, v)| v))
+                        }
+                        _ => Response::Pairs(res.pairs),
+                    };
+                }
+                res.missing
+            };
+            q.retries += 1;
+            if q.retries > MAX_RETRIES {
+                break Response::Error("query exceeded fetch retries".into());
+            }
+            for miss in missing {
+                // A provably single-homed range is fetched from its
+                // home; anything else may span nodes and is gathered
+                // from every peer.
+                let targets: Vec<ServerId> = match self.placement.range_home(&miss) {
+                    Some(home) if home == self.id => Vec::new(),
+                    Some(home) => vec![home],
+                    None => (0..self.placement.nodes)
+                        .map(ServerId)
+                        .filter(|peer| *peer != self.id)
+                        .collect(),
+                };
+                if targets.is_empty() {
+                    // This node is the authority: absence is knowledge.
+                    self.engine.mark_resident(&miss);
+                    continue;
+                }
+                let fetch = self.fresh_id();
+                for peer in &targets {
+                    let (id, range) = (fetch, miss.clone());
+                    out.push((Endpoint::Server(*peer), NodeMsg::Subscribe { id, range }));
+                }
+                self.fetches.insert(
+                    fetch,
+                    FetchGroup {
+                        range: miss,
+                        waiting: targets.len(),
+                        pairs: Vec::new(),
+                        held: Vec::new(),
+                    },
+                );
+                q.outstanding.insert(fetch);
+            }
+            if !q.outstanding.is_empty() {
+                self.stats.parked += 1;
+                self.parked.push(q);
+                return;
+            }
+            // Everything missing was local: run again at once.
+        };
+        out.push((q.client, NodeMsg::Reply { id: q.id, response }));
+    }
+
+    /// One peer's grant arrived. The last one of a fetch installs the
+    /// whole range, applies the notifications held for it, and resumes
+    /// the queries that waited.
+    fn fetch_landed(
+        &mut self,
+        fetch: u64,
+        pairs: Vec<(Key, Value)>,
+        out: &mut Vec<(Endpoint, NodeMsg)>,
+    ) {
+        self.stats.subs_established += 1;
+        let Some(group) = self.fetches.get_mut(&fetch) else {
+            return;
+        };
+        group.pairs.extend(pairs);
+        group.waiting -= 1;
+        if group.waiting > 0 {
+            return;
+        }
+        let Some(group) = self.fetches.remove(&fetch) else {
+            return;
+        };
+        // The held writes are part of the install, and the install
+        // never evicts: the parked queries must find the range whole.
+        // The cap is enforced again at the end of their restart.
+        let saved_limit = self.engine.set_mem_limit(None);
+        self.engine.install_base(&group.range, group.pairs);
+        for (key, value) in group.held {
+            self.apply_notify(key, value);
+        }
+        self.engine.set_mem_limit(saved_limit);
+        self.resume_parked(fetch, out);
+    }
+
+    /// Restarts every parked query whose last outstanding fetch was
+    /// `fetch`.
+    fn resume_parked(&mut self, fetch: u64, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        let mut ready = Vec::new();
+        let mut i = 0;
+        while i < self.parked.len() {
+            let waited = self.parked[i].outstanding.remove(&fetch);
+            if waited && self.parked[i].outstanding.is_empty() {
+                ready.push(self.parked.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        for q in ready {
+            self.drive_query(q, out);
+        }
+    }
+
+    /// Serves a subscription: the rows of `range` this node homes (for
+    /// those, local absence is knowledge). The range may span nodes, so
+    /// what the scan below claims resident is transient — residency is
+    /// snapshotted and restored, because granting must not change what
+    /// this node believes about keys it does not own — and automatic
+    /// eviction is suspended meanwhile: it could drop rows the restored
+    /// residency still vouches for.
+    fn grant(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
+        let saved_limit = self.engine.set_mem_limit(None);
+        let snapshot: Vec<(Key, RangeSet)> = (self.engine.remote.iter())
+            .filter(|(prefix, _)| KeyRange::prefix((*prefix).clone()).overlaps(range))
+            .map(|(prefix, table)| (prefix.clone(), table.resident.clone()))
+            .collect();
+        let mut pairs = loop {
+            let res = self.engine.scan(range);
+            if res.is_complete() {
+                break res.pairs;
+            }
+            for miss in res.missing {
+                self.engine.mark_resident(&miss);
+            }
+        };
+        for (prefix, resident) in snapshot {
+            if let Some(table) = self.engine.remote.get_mut(&prefix) {
+                table.resident = resident;
+            }
+        }
+        self.engine.set_mem_limit(saved_limit);
+        pairs.retain(|(k, _)| self.placement.home(k) == self.id);
+        pairs
+    }
+
+    /// This node's part of a deployment audit: the engine's deep
+    /// invariant check plus its subscription state.
+    pub fn audit(&self) -> NodeAudit {
+        NodeAudit {
+            node: self.id,
+            placement: self.placement.clone(),
+            violations: self.engine.check_invariants(),
+            serving: self.subscribers.clone(),
+            resident: self.engine.all_resident_ranges(),
+        }
+    }
+}
+
+/// Checks a quiescent deployment from every node's [`Node::audit`]:
+/// each engine's own invariants, and subscription symmetry — whatever a
+/// node holds resident of a partitioned table, beyond what it homes
+/// itself, must be covered by ranges its peers record as served to it
+/// (the reverse, serving a range the peer has since evicted, is legal:
+/// the peer drops the notifications). Returns one message per
+/// violation.
+pub fn audit_deployment(audits: &[NodeAudit]) -> Vec<String> {
+    let mut v = Vec::new();
+    for a in audits {
+        let node = a.node.0;
+        v.extend(a.violations.iter().map(|m| format!("node {node}: {m}")));
+    }
+    for b in audits {
+        let mut served_to_b = RangeSet::new();
+        for (range, _) in audits
+            .iter()
+            .filter(|a| a.node != b.node)
+            .flat_map(|a| &a.serving)
+            .filter(|(_, peer)| *peer == b.node)
+        {
+            served_to_b.add(range);
+        }
+        // A range this node homes is authoritative data, not a replica,
+        // and needs no peer serving updates to it.
+        let unserved = (b.resident.iter())
+            .flat_map(|r| served_to_b.uncovered(r))
+            .filter(|gap| b.placement.range_home(gap) != Some(b.node));
+        for gap in unserved {
+            v.push(format!(
+                "node {}: resident replicated range {gap:?} is not served by any peer \
+                 (updates to it would never arrive)",
+                b.node.0
+            ));
+        }
+    }
+    v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::ComponentHashPartition;
+
+    const CLIENT: Endpoint = Endpoint::Client(1);
+
+    /// Three nodes under a component-hash partition, and one user homed
+    /// on each.
+    fn three_nodes() -> (Vec<Node>, Vec<String>) {
+        let part = Arc::new(ComponentHashPartition {
+            component: 1,
+            servers: 3,
+        });
+        let nodes = (0..3)
+            .map(|i| {
+                Node::new(ServerId(i), Engine::new_default(), part.clone(), &["p|"])
+                    .in_deployment(3)
+            })
+            .collect();
+        let user_on = |node: u32| {
+            (0..)
+                .map(|i| format!("u{i}"))
+                .find(|u| part.home_of(&Key::from(format!("p|{u}|0"))) == ServerId(node))
+                .unwrap()
+        };
+        (nodes, (0..3).map(user_on).collect())
+    }
+
+    fn handle(node: &mut Node, from: Endpoint, msg: NodeMsg) -> Vec<(Endpoint, NodeMsg)> {
+        let mut out = Vec::new();
+        node.handle(from, msg, &mut out);
+        out
+    }
+
+    fn put(node: &mut Node, key: &str) -> Vec<(Endpoint, NodeMsg)> {
+        let command = Command::Put(Key::from(key), Value::from_static(b"v"));
+        handle(node, CLIENT, NodeMsg::Request { id: 1, command })
+    }
+
+    fn scan(node: &mut Node, id: u64) -> Vec<(Endpoint, NodeMsg)> {
+        let command = Command::Scan(KeyRange::prefix("p|"));
+        handle(node, CLIENT, NodeMsg::Request { id, command })
+    }
+
+    fn keys_of(reply: &[(Endpoint, NodeMsg)], id: u64) -> Vec<String> {
+        match reply {
+            [(
+                CLIENT,
+                NodeMsg::Reply {
+                    id: rid,
+                    response: Response::Pairs(pairs),
+                },
+            )] if *rid == id => pairs.iter().map(|(k, _)| k.to_string()).collect(),
+            other => panic!("expected the pairs of request {id}, got {other:?}"),
+        }
+    }
+
+    /// A write acknowledged by a peer that has already granted its part
+    /// of a scatter-gather, while another peer's grant is still
+    /// outstanding, reaches the subscriber as a `Notify` for a range it
+    /// does not hold yet. It must survive until the range installs.
+    #[test]
+    fn notify_inside_an_open_fetch_is_held_not_dropped() {
+        let (mut nodes, users) = three_nodes();
+        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
+        let old_a = format!("p|{}|0000000001", users[1]);
+        let new_a = format!("p|{}|0000000002", users[1]);
+        let old_b = format!("p|{}|0000000001", users[2]);
+        put(&mut nodes[1], &old_a);
+        put(&mut nodes[2], &old_b);
+
+        // The whole-table scan parks on one fetch subscribed at both peers.
+        let out = scan(&mut nodes[0], 7);
+        let subscribe_to = |peer: ServerId| {
+            let to = Endpoint::Server(peer);
+            let mut sent = out.iter().filter(|(t, _)| *t == to).map(|(_, m)| m.clone());
+            match (sent.next(), sent.next()) {
+                (Some(m @ NodeMsg::Subscribe { .. }), None) => m,
+                other => panic!("expected one Subscribe to {peer:?}, got {other:?}"),
+            }
+        };
+        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
+        assert_eq!(out.len(), 2);
+        assert_eq!(nodes[0].parked_count(), 1);
+
+        // A grants; the reader still waits on B.
+        let mut grant_a = handle(&mut nodes[1], Endpoint::Server(reader), to_a);
+        let (_, grant_a) = grant_a.pop().unwrap();
+        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a).is_empty());
+
+        // A write at A is acknowledged: its notification precedes the ack.
+        let mut acked = put(&mut nodes[1], &new_a);
+        let ack = acked.pop().unwrap();
+        assert!(matches!(
+            ack,
+            (
+                CLIENT,
+                NodeMsg::Reply {
+                    response: Response::Ok,
+                    ..
+                }
+            )
+        ));
+        let (to, notify) = acked.pop().unwrap();
+        assert_eq!(to, Endpoint::Server(reader));
+        assert!(handle(&mut nodes[0], Endpoint::Server(a), notify).is_empty());
+
+        // B grants: the range installs, the held write with it, and the
+        // parked scan answers with all three rows.
+        let mut grant_b = handle(&mut nodes[2], Endpoint::Server(reader), to_b);
+        let (_, grant_b) = grant_b.pop().unwrap();
+        let answered = handle(&mut nodes[0], Endpoint::Server(b), grant_b);
+        let mut want = vec![old_a, new_a, old_b];
+        want.sort();
+        assert_eq!(keys_of(&answered, 7), want);
+        assert_eq!(nodes[0].parked_count(), 0);
+        // So does the scan that follows, now without a fetch.
+        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
+        assert_eq!(nodes[0].stats.notifies_applied, 1);
+
+        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
+        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
+    }
+
+    /// A notification for a range this node no longer holds (evicted,
+    /// no fetch open) is dropped rather than re-cached as an untracked
+    /// row; one for a resident range is applied.
+    #[test]
+    fn notify_outside_every_resident_range_is_dropped() {
+        let (mut nodes, users) = three_nodes();
+        let key = Key::from(format!("p|{}|0000000001", users[1]));
+        let value = Some(Value::from_static(b"v"));
+        let notify = NodeMsg::Notify {
+            key: key.clone(),
+            value,
+        };
+        handle(&mut nodes[0], Endpoint::Server(ServerId(1)), notify.clone());
+        assert_eq!(nodes[0].stats.notifies_applied, 0);
+        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
+        nodes[0]
+            .engine
+            .install_base(&KeyRange::single(key), Vec::new());
+        handle(&mut nodes[0], Endpoint::Server(ServerId(1)), notify);
+        assert_eq!(nodes[0].stats.notifies_applied, 1);
+        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
+    }
+}

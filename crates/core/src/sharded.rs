@@ -5,27 +5,22 @@
 //! process per core and partitioning base tables across them (§2.4);
 //! cross-server joins stay fresh because reading a remote base range
 //! installs a *subscription* at its home server, which forwards later
-//! updates with *notifications*. [`ShardedEngine`] reproduces that
+//! updates with *notifications*. [`ShardedEngine`] hosts that
 //! architecture inside one process:
 //!
-//! * Each shard is a worker thread owning one single-threaded
-//!   [`Engine`] — the engine itself needs no locks, exactly like the
-//!   paper's event-driven server processes.
+//! * Each shard is a worker thread owning one [`Node`] — the very
+//!   §2.4/§3.3 state machine the cluster simulator runs
+//!   ([`crate::node`]): a single-threaded [`Engine`], its subscriber
+//!   list, its parked queries and open fetches. The engine needs no
+//!   locks, exactly like the paper's event-driven server processes.
+//! * The worker is only a transport: receive from the mailbox, call
+//!   [`Node::handle`], route what it returns to peer mailboxes or to
+//!   the client's reply channel. Everything the protocol decides —
+//!   single-home fetch or scatter-gather, atomic install, held
+//!   notifications, write forwarding — is decided in the node.
 //! * The shard for a key is chosen by the same [`Partition`] functions
 //!   the distributed tier uses for whole servers (`pequod_net`
 //!   re-exports them from [`crate::partition`]).
-//! * Cross-shard joins mirror the server-level Subscribe/Notify
-//!   protocol over in-process channels: a query that needs base data
-//!   homed on another shard parks, subscribes to the owning shard, and
-//!   restarts when the data arrives; subsequent writes at the home
-//!   shard are forwarded to subscribers as notifications.
-//! * A range the partition cannot prove single-homed (a whole-table
-//!   scan under a hash partition, say) is scatter-gathered: the
-//!   executing shard subscribes to the range at *every* peer, each
-//!   returns only the keys it is authoritative for, and the pieces are
-//!   installed atomically — so even cross-shard ranges answer exactly
-//!   like a single [`Engine`] (at broadcast cost; the paper's client
-//!   routing keeps the hot paths single-shard).
 //! * A [`MemoryLimit`](crate::config::MemoryLimit) in the config is
 //!   split into even per-shard budgets. Each shard evicts its own LRU
 //!   computed ranges and cached peer replicas (§2.5) — never the rows
@@ -36,49 +31,52 @@
 //! # Consistency
 //!
 //! A batch is split into *runs* of like commands (reads / writes /
-//! joins / stats), identically to `pequod_net::ClusterClient`. Each run
-//! is pipelined to all shards at once; the client waits for every reply
-//! before starting the next run. Because each shard's mailbox is FIFO
-//! and a home shard enqueues notifications to subscribers *before*
-//! acknowledging the write, any command issued after a write's
-//! acknowledgment observes that write — so one client's batch answers
-//! exactly like the same commands issued one at a time against a single
+//! joins / stats) by [`split_runs`], as `pequod_net::ClusterClient`
+//! does. Each run is pipelined to all shards at once; the client waits
+//! for every reply before starting the next run. Each shard's mailbox
+//! is FIFO and a home shard enqueues notifications to subscribers
+//! *before* acknowledging the write, so any command issued after a
+//! write's acknowledgment — by the same client or another — is
+//! processed after that write's notification at every shard that had
+//! been granted the range. One client's batch therefore answers exactly
+//! like the same commands issued one at a time against a single
 //! [`Engine`] (the conformance suite asserts byte-identical responses).
+//!
 //! Concurrent clients (separate [`ShardedHandle`]s) see eventual
-//! consistency across shards, matching the paper's semantics for
-//! concurrent writers.
+//! consistency across shards, as the paper's concurrent writers do,
+//! with one guarantee that holds even while a scatter-gather is open: a
+//! write acknowledged by its home shard after that shard granted a
+//! subscription is never lost to the subscriber. If the subscriber is
+//! still waiting on another peer's grant, the notification is held and
+//! applied when the range installs (see [`crate::node`]), so a read
+//! after the writer's last acknowledgment observes every write.
 
 use crate::client::{BackendStats, Client, Command, Response};
 use crate::config::EngineConfig;
 use crate::engine::Engine;
-use crate::partition::Partition;
-use pequod_store::{Key, KeyRange, RangeSet, Value};
+use crate::node::{audit_deployment, Endpoint, Node, NodeAudit, NodeMsg, NodeStats};
+use crate::partition::{Partition, ServerId};
+use pequod_store::Key;
 use pequod_telemetry::{Recorder, Snapshot};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Give up on a query after this many fetch-and-restart rounds
-/// (mirrors `pequod_net::ServerNode`).
-const MAX_RETRIES: u32 = 16;
-
-/// Thread-safety contract: a whole engine moves onto each worker
-/// thread, messages move between shards, and handles are shared across
-/// client threads (the TCP server hands one to every connection).
+/// Thread-safety contract: a whole node moves onto each worker thread,
+/// messages move between shards, and handles are shared across client
+/// threads (the TCP server hands one to every connection).
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send::<Engine>();
+    assert_send::<Node>();
     assert_send::<ShardMsg>();
     assert_send_sync::<ShardedHandle>();
     assert_send_sync::<ShardSubmitter>();
 };
 
-/// A message delivered to one shard's mailbox. `Run` comes from
-/// clients; the rest mirror the server-to-server subscription protocol
-/// of `pequod_net::Message`.
+/// A message delivered to one shard's mailbox.
 enum ShardMsg {
     /// A run of client commands addressed to this shard; one reply per
     /// command, matched by id.
@@ -86,111 +84,26 @@ enum ShardMsg {
         items: Vec<(u64, Command)>,
         reply: Sender<(u64, Response)>,
     },
-    /// Peer shard `from` wants `range`'s current contents plus future
-    /// updates (Subscribe).
-    Subscribe {
-        id: u64,
-        range: KeyRange,
-        from: usize,
-    },
-    /// The answer to a `Subscribe` this shard sent (SubscribeReply).
-    SubscribeReply {
-        id: u64,
-        range: KeyRange,
-        pairs: Vec<(Key, Value)>,
-    },
-    /// An update to a range this shard subscribed to (Notify).
-    Notify { key: Key, value: Option<Value> },
-    /// Paranoid audit: run the deep invariant checker on this shard's
-    /// engine and report the shard's subscription state for the
-    /// cross-shard symmetry check ([`ShardedEngine::check_invariants`]).
-    CheckInvariants { reply: Sender<ShardAudit> },
-    /// Graceful shutdown: final snapshot + fsync of this shard's
-    /// durability sink ([`Engine::finalize_durability`]).
-    Finalize { reply: Sender<()> },
+    /// Node-to-node traffic from peer shard `from`.
+    Peer { from: ServerId, msg: NodeMsg },
+    /// Runs a closure on the shard's node, on the shard's thread: how
+    /// the owner audits, reads counters and finalizes durability.
+    Visit(Box<dyn FnOnce(&mut Node) + Send>),
     /// Stop the worker thread.
     Shutdown,
 }
 
-/// One shard's contribution to [`ShardedEngine::check_invariants`].
-struct ShardAudit {
-    shard: usize,
-    /// Violations from this shard's `Engine::check_invariants`.
-    violations: Vec<String>,
-    /// Ranges this shard serves to each peer (outgoing replication).
-    serving: Vec<(KeyRange, usize)>,
-    /// Resident replicated ranges on this shard (incoming).
-    resident: Vec<KeyRange>,
-}
-
-/// Per-shard counters, readable while the shard runs.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Client commands executed.
-    pub commands: AtomicU64,
-    /// Queries that parked waiting for another shard's data.
-    pub parked: AtomicU64,
-    /// Subscriptions granted to peer shards.
-    pub subs_granted: AtomicU64,
-    /// Subscriptions this shard established at peers.
-    pub subs_established: AtomicU64,
-    /// Notifications sent to subscribers.
-    pub notifies_sent: AtomicU64,
-    /// Notifications applied from home shards.
-    pub notifies_applied: AtomicU64,
-}
-
-/// What a parked query replies with once its range is complete.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QueryKind {
-    Get,
-    Scan,
-    Count,
-}
-
-/// A query waiting on subscription fetches from peer shards (§3.3:
-/// park with a restart context, resume when the fetches land).
-/// `outstanding` holds [`FetchGroup`] ids.
-struct Parked {
-    id: u64,
-    kind: QueryKind,
-    range: KeyRange,
-    reply: Sender<(u64, Response)>,
-    outstanding: HashSet<u64>,
-    retries: u32,
-}
-
-/// One missing range being fetched, possibly from several peers at
-/// once: a range the partition can prove single-homed is fetched from
-/// that home; a range that may span shards (e.g. a whole table under a
-/// component-hash partition) is scatter-gathered from *every* peer,
-/// each returning only the keys it is authoritative for. The pairs are
-/// buffered and installed in one step when the last reply arrives, so
-/// no other query can observe the range half-fetched-but-resident.
-struct FetchGroup {
-    range: KeyRange,
-    /// Per-peer subscribe ids still outstanding.
-    outstanding: HashSet<u64>,
-    pairs: Vec<(Key, Value)>,
-}
-
-/// One worker: a single-threaded engine plus the subscription state a
-/// `ServerNode` would keep, driven by an in-process mailbox.
+/// One worker: a [`Node`] driven by an in-process mailbox.
 struct ShardWorker {
-    shard: usize,
-    engine: Engine,
-    partition: Arc<dyn Partition>,
+    node: Node,
     peers: Vec<Sender<ShardMsg>>,
     rx: Receiver<ShardMsg>,
-    /// Ranges peer shards replicate from us.
-    subscribers: Vec<(KeyRange, usize)>,
-    parked: Vec<Parked>,
-    /// In-flight fetches by group id.
-    fetch_groups: HashMap<u64, FetchGroup>,
-    /// Subscribe id → owning fetch group.
-    fetch_to_group: HashMap<u64, u64>,
-    next_fetch_id: u64,
-    stats: Arc<ShardStats>,
+    /// Reply channels of runs with unanswered commands, by the client
+    /// token the node knows them under, with the count still owed.
+    clients: HashMap<u64, (Sender<(u64, Response)>, usize)>,
+    next_client: u64,
+    /// The node's output, between `handle` and `route`.
+    out: Vec<(Endpoint, NodeMsg)>,
 }
 
 impl ShardWorker {
@@ -198,325 +111,63 @@ impl ShardWorker {
         while let Ok(msg) = self.rx.recv() {
             match msg {
                 ShardMsg::Run { items, reply } => {
-                    for (id, cmd) in items {
-                        self.stats.commands.fetch_add(1, Ordering::Relaxed);
-                        self.execute(id, cmd, &reply);
+                    let client = self.next_client;
+                    self.next_client += 1;
+                    self.clients.insert(client, (reply, items.len()));
+                    for (id, command) in items {
+                        let request = NodeMsg::Request { id, command };
+                        self.node
+                            .handle(Endpoint::Client(client), request, &mut self.out);
+                        self.route();
                     }
                 }
-                ShardMsg::Subscribe { id, range, from } => {
-                    let pairs = self.serve_subscribe(&range);
-                    if !self
-                        .subscribers
-                        .iter()
-                        .any(|(r, p)| *p == from && r == &range)
-                    {
-                        self.subscribers.push((range.clone(), from));
-                        self.stats.subs_granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = self.peers[from].send(ShardMsg::SubscribeReply { id, range, pairs });
+                ShardMsg::Peer { from, msg } => {
+                    self.node.handle(Endpoint::Server(from), msg, &mut self.out);
+                    self.route();
                 }
-                ShardMsg::SubscribeReply { id, range, pairs } => {
-                    self.stats.subs_established.fetch_add(1, Ordering::Relaxed);
-                    let Some(gid) = self.fetch_to_group.remove(&id) else {
-                        continue; // stale reply for a completed group
-                    };
-                    let Some(group) = self.fetch_groups.get_mut(&gid) else {
-                        continue;
-                    };
-                    debug_assert!(range == group.range, "reply range matches its group");
-                    group.outstanding.remove(&id);
-                    group.pairs.extend(pairs);
-                    if group.outstanding.is_empty() {
-                        if let Some(group) = self.fetch_groups.remove(&gid) {
-                            self.engine.install_base(&group.range, group.pairs);
-                            self.resume_parked(gid);
-                        }
-                    }
-                }
-                ShardMsg::Notify { key, value } => {
-                    // A notify for a range this shard has evicted is
-                    // dropped: applying it would recreate untracked
-                    // replica rows. The next read refetches the range.
-                    if !self.engine.holds_key(&key) {
-                        continue;
-                    }
-                    self.stats.notifies_applied.fetch_add(1, Ordering::Relaxed);
-                    match value {
-                        Some(v) => self.engine.put(key, v),
-                        None => self.engine.remove(&key),
-                    }
-                }
-                ShardMsg::CheckInvariants { reply } => {
-                    // Report replica ranges only: a range this shard
-                    // homes (home writes mark their key resident) is
-                    // authoritative data, not a replica, and needs no
-                    // peer serving updates to it.
-                    let resident = self
-                        .engine
-                        .all_resident_ranges()
-                        .into_iter()
-                        .filter(|r| {
-                            self.partition
-                                .home_of_range(r)
-                                .is_none_or(|s| s.0 as usize % self.peers.len() != self.shard)
-                        })
-                        .collect();
-                    let _ = reply.send(ShardAudit {
-                        shard: self.shard,
-                        violations: self.engine.check_invariants(),
-                        serving: self.subscribers.clone(),
-                        resident,
-                    });
-                }
-                ShardMsg::Finalize { reply } => {
-                    self.engine.finalize_durability();
-                    let _ = reply.send(());
-                }
+                ShardMsg::Visit(visit) => visit(&mut self.node),
                 ShardMsg::Shutdown => break,
             }
         }
     }
 
-    fn home_shard(&self, key: &Key) -> usize {
-        self.partition.home_of(key).0 as usize % self.peers.len()
-    }
-
-    fn execute(&mut self, id: u64, cmd: Command, reply: &Sender<(u64, Response)>) {
-        match cmd {
-            Command::Get(key) => self.start_query(id, QueryKind::Get, KeyRange::single(key), reply),
-            Command::Scan(range) => self.start_query(id, QueryKind::Scan, range, reply),
-            Command::Count(range) => self.start_query(id, QueryKind::Count, range, reply),
-            Command::Put(key, value) => {
-                self.apply_write(key, Some(value));
-                let _ = reply.send((id, Response::Ok));
-            }
-            Command::Remove(key) => {
-                self.apply_write(key, None);
-                let _ = reply.send((id, Response::Ok));
-            }
-            Command::AddJoin(text) => {
-                let resp = match self.engine.add_joins_text(&text) {
-                    Ok(_) => Response::Ok,
-                    Err(e) => Response::Error(e.to_string()),
-                };
-                let _ = reply.send((id, resp));
-            }
-            Command::Stats => {
-                let _ = reply.send((id, Response::Stats(self.engine.backend_stats())));
-            }
-        }
-    }
-
-    /// A home write: make the written key resident (we are its
-    /// authority), apply it with normal incremental maintenance, and
-    /// forward it to every subscriber — *before* the caller's ack, so a
-    /// command ordered after the ack observes the notification.
-    fn apply_write(&mut self, key: Key, value: Option<Value>) {
-        self.engine.mark_resident(&KeyRange::single(key.clone()));
-        match &value {
-            Some(v) => self.engine.put(key.clone(), v.clone()),
-            None => self.engine.remove(&key),
-        }
-        let mut notified: HashSet<usize> = HashSet::new();
-        for (range, peer) in &self.subscribers {
-            if range.contains(&key) && notified.insert(*peer) {
-                self.stats.notifies_sent.fetch_add(1, Ordering::Relaxed);
-                let _ = self.peers[*peer].send(ShardMsg::Notify {
-                    key: key.clone(),
-                    value: value.clone(),
-                });
-            }
-        }
-    }
-
-    fn start_query(
-        &mut self,
-        id: u64,
-        kind: QueryKind,
-        range: KeyRange,
-        reply: &Sender<(u64, Response)>,
-    ) {
-        let parked = Parked {
-            id,
-            kind,
-            range,
-            reply: reply.clone(),
-            outstanding: HashSet::new(),
-            retries: 0,
-        };
-        self.drive_query(parked);
-    }
-
-    /// Runs a query until it completes or parks on subscription fetches.
-    fn drive_query(&mut self, mut q: Parked) {
-        loop {
-            let missing = match q.kind {
-                QueryKind::Count => {
-                    let res = self.engine.count_result(&q.range);
-                    if res.is_complete() {
-                        let _ = q.reply.send((q.id, Response::Count(res.count as u64)));
-                        return;
-                    }
-                    res.missing
+    /// Sends the node's output on its way, in order: peer traffic to
+    /// the peer's mailbox, a reply to the run that asked.
+    fn route(&mut self) {
+        let from = self.node.id;
+        for (to, msg) in self.out.drain(..) {
+            match (to, msg) {
+                (Endpoint::Server(peer), msg) => {
+                    let _ = self.peers[peer.0 as usize].send(ShardMsg::Peer { from, msg });
                 }
-                QueryKind::Get | QueryKind::Scan => {
-                    let res = if q.kind == QueryKind::Get {
-                        self.engine.get_result(&q.range.first)
-                    } else {
-                        self.engine.scan(&q.range)
-                    };
-                    if res.is_complete() {
-                        let resp = match q.kind {
-                            QueryKind::Get => {
-                                Response::Value(res.pairs.into_iter().next().map(|(_, v)| v))
-                            }
-                            _ => Response::Pairs(res.pairs),
-                        };
-                        let _ = q.reply.send((q.id, resp));
-                        return;
-                    }
-                    res.missing
-                }
-            };
-            q.retries += 1;
-            if q.retries > MAX_RETRIES {
-                let _ = q
-                    .reply
-                    .send((q.id, Response::Error("query exceeded fetch retries".into())));
-                return;
-            }
-            let mut sent = false;
-            for miss in missing {
-                // A provably single-homed range is fetched from its
-                // home; anything else (a range that may span shards,
-                // like a whole table under a hash partition) is
-                // scatter-gathered from every peer.
-                let targets: Vec<usize> = match self
-                    .partition
-                    .home_of_range(&miss)
-                    .map(|s| s.0 as usize % self.peers.len())
-                {
-                    Some(home) if home == self.shard => {
-                        // We are the authority: absence is knowledge.
-                        self.engine.mark_resident(&miss);
+                (Endpoint::Client(client), NodeMsg::Reply { id, response }) => {
+                    let Entry::Occupied(mut run) = self.clients.entry(client) else {
                         continue;
+                    };
+                    let (reply, owed) = run.get_mut();
+                    let _ = reply.send((id, response));
+                    *owed -= 1;
+                    if *owed == 0 {
+                        run.remove();
                     }
-                    Some(home) => vec![home],
-                    None => (0..self.peers.len()).filter(|p| *p != self.shard).collect(),
-                };
-                if targets.is_empty() {
-                    self.engine.mark_resident(&miss);
-                    continue;
                 }
-                q.outstanding.insert(self.start_fetch(miss, &targets));
-                sent = true;
-            }
-            if !sent {
-                // Everything missing was local: retry immediately.
-                continue;
-            }
-            self.stats.parked.fetch_add(1, Ordering::Relaxed);
-            self.parked.push(q);
-            return;
-        }
-    }
-
-    /// Opens a [`FetchGroup`] subscribing to `range` at each target
-    /// peer; returns the group id a parked query waits on.
-    fn start_fetch(&mut self, range: KeyRange, targets: &[usize]) -> u64 {
-        let gid = self.next_fetch_id;
-        self.next_fetch_id += 1;
-        let mut outstanding = HashSet::new();
-        for &peer in targets {
-            let fid = self.next_fetch_id;
-            self.next_fetch_id += 1;
-            outstanding.insert(fid);
-            self.fetch_to_group.insert(fid, gid);
-            let _ = self.peers[peer].send(ShardMsg::Subscribe {
-                id: fid,
-                range: range.clone(),
-                from: self.shard,
-            });
-        }
-        self.fetch_groups.insert(
-            gid,
-            FetchGroup {
-                range,
-                outstanding,
-                pairs: Vec::new(),
-            },
-        );
-        gid
-    }
-
-    /// Called when a subscription fetch lands; restarts any query that
-    /// was waiting on it.
-    fn resume_parked(&mut self, fetch_id: u64) {
-        let mut ready = Vec::new();
-        let mut i = 0;
-        while i < self.parked.len() {
-            let waiting = self.parked[i].outstanding.remove(&fetch_id);
-            if waiting && self.parked[i].outstanding.is_empty() {
-                ready.push(self.parked.swap_remove(i));
-            } else {
-                i += 1;
+                // A node sends its clients nothing but replies.
+                (Endpoint::Client(_), _) => {}
             }
         }
-        for q in ready {
-            self.drive_query(q);
-        }
-    }
-
-    /// Serves a subscription request: returns the keys in `range` this
-    /// shard is authoritative for (keys homed here — for those, local
-    /// absence is knowledge). The range may span shards, so residency
-    /// is snapshotted and restored: granting a subscription must not
-    /// change what this shard believes is resident about keys it does
-    /// not own.
-    fn serve_subscribe(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
-        // Suspend automatic eviction while granting: the scan below
-        // deliberately claims transient residency that is snapshotted
-        // and restored, and an eviction in between would drop rows the
-        // restored residency still vouches for.
-        let saved_limit = self.engine.set_mem_limit(None);
-        let snapshot: Vec<(Key, RangeSet)> = self
-            .engine
-            .remote
-            .iter()
-            .filter(|(prefix, _)| KeyRange::prefix((*prefix).clone()).overlaps(range))
-            .map(|(prefix, table)| (prefix.clone(), table.resident.clone()))
-            .collect();
-        let mut pairs = loop {
-            let res = self.engine.scan(range);
-            if res.is_complete() {
-                break res.pairs;
-            }
-            for miss in res.missing {
-                self.engine.mark_resident(&miss);
-            }
-        };
-        for (prefix, resident) in snapshot {
-            if let Some(table) = self.engine.remote.get_mut(&prefix) {
-                table.resident = resident;
-            }
-        }
-        self.engine.set_mem_limit(saved_limit);
-        pairs.retain(|(k, _)| self.home_shard(k) == self.shard);
-        pairs
     }
 }
 
 /// Command classes whose members may share one pipelined run without
-/// changing observable results (identical to the cluster client's run
-/// splitting): reads don't mutate client-visible state, and writes
-/// aren't observed until the next read.
+/// changing observable results: reads don't mutate client-visible
+/// state, and writes aren't observed until the next read.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CommandClass {
     Read,
     Write,
     Join,
-    /// Stats aggregates across all shards, so it must not share a run
-    /// with commands whose effects it would otherwise miss.
+    /// Stats aggregates across the whole deployment, so it must not
+    /// share a run with commands whose effects it would otherwise miss.
     Stats,
 }
 
@@ -529,12 +180,28 @@ fn class_of(command: &Command) -> CommandClass {
     }
 }
 
-/// Whether two commands may share one pipelined run without changing
-/// observable results (the run-splitting rule of
-/// [`ShardedHandle::execute_batch`], exported so the event-driven
-/// network frontend splits batches identically).
-pub fn same_run_class(a: &Command, b: &Command) -> bool {
-    class_of(a) == class_of(b)
+/// Splits a batch, in order, into maximal runs of one command class —
+/// the one run-splitting rule of every multi-engine backend (the
+/// blocking [`ShardedHandle`], the event-driven network frontend, and
+/// `pequod_net::ClusterClient`). A run executes as one pipelined round
+/// per destination and must be fully answered before the next run
+/// starts, so a batch answers exactly like the same commands issued one
+/// at a time. `command_of` names each item's command.
+pub fn split_runs<T>(
+    items: impl IntoIterator<Item = T>,
+    command_of: impl Fn(&T) -> &Command,
+) -> Vec<Vec<T>> {
+    let mut runs: Vec<Vec<T>> = Vec::new();
+    let mut run_class = None;
+    for item in items {
+        let class = Some(class_of(command_of(&item)));
+        match runs.last_mut() {
+            Some(run) if class == run_class => run.push(item),
+            _ => runs.push(vec![item]),
+        }
+        run_class = class;
+    }
+    runs
 }
 
 /// Folds the per-shard replies to a broadcast `AddJoin` into one
@@ -575,16 +242,8 @@ pub fn fold_stats_replies(replies: Vec<Response>, shards: usize) -> Response {
     Response::Stats(total)
 }
 
-/// How many replies one command slot expects, and how to fold them.
-enum Slot {
-    /// One shard answers (reads and writes).
-    Single { id: u64 },
-    /// Broadcast join installation: one reply per shard, folded to
-    /// `Ok` or the first error.
-    Join { id: u64, shards: usize },
-    /// Broadcast stats: per-shard counters, summed.
-    Stats { id: u64, shards: usize },
-}
+/// How a broadcast command's per-shard replies fold into one response.
+type Fold = fn(Vec<Response>, usize) -> Response;
 
 /// A cheap, cloneable connection to a [`ShardedEngine`]. Each handle
 /// routes and pipelines its own batches; handles can be used from
@@ -592,8 +251,7 @@ enum Slot {
 /// connection).
 #[derive(Clone)]
 pub struct ShardedHandle {
-    senders: Arc<Vec<Sender<ShardMsg>>>,
-    partition: Arc<dyn Partition>,
+    shards: ShardSubmitter,
     next_id: u64,
 }
 
@@ -604,84 +262,53 @@ impl ShardedHandle {
         id
     }
 
-    fn home_shard(&self, key: &Key) -> usize {
-        self.partition.home_of(key).0 as usize % self.senders.len()
-    }
-
     /// Executes one same-class run: per-shard pipelined `Run` messages,
     /// then wait for every reply.
     fn execute_run(&mut self, mut commands: Vec<Command>) -> Vec<Response> {
-        let shards = self.senders.len();
+        let shards = self.shards.shards();
+        let (tx, rx) = channel::<(u64, Response)>();
         // Fast path: a run of exactly one shard-addressed command (the
         // common shape — every workload check or post is one command)
         // skips the routing tables below.
-        let single = if commands.len() == 1
-            && !matches!(commands[0], Command::AddJoin(_) | Command::Stats)
-        {
-            commands.pop()
-        } else {
-            None
-        };
-        if let Some(command) = single {
-            let id = self.fresh_id();
-            let shard = match &command {
-                Command::Get(key) | Command::Put(key, _) | Command::Remove(key) => {
-                    self.home_shard(key)
-                }
-                Command::Scan(range) | Command::Count(range) => self.home_shard(&range.first),
-                Command::AddJoin(_) | Command::Stats => unreachable!("excluded above"),
-            };
-            let (tx, rx) = channel();
-            let _ = self.senders[shard].send(ShardMsg::Run {
-                items: vec![(id, command)],
-                reply: tx,
-            });
-            return vec![rx
-                .recv()
-                .map(|(_, resp)| resp)
-                .unwrap_or_else(|_| Response::Error("no reply from shard".into()))];
+        if let [command] = &commands[..] {
+            if let Some(shard) = self.shards.route(command) {
+                let items = vec![(self.fresh_id(), commands.remove(0))];
+                self.shards.submit(shard, items, &tx);
+                drop(tx); // so a dead shard errors the recv instead of hanging it
+                return vec![rx
+                    .recv()
+                    .map(|(_, resp)| resp)
+                    .unwrap_or_else(|_| Response::Error("no reply from shard".into()))];
+            }
         }
-        let (tx, rx) = channel::<(u64, Response)>();
         let mut per_shard: Vec<Vec<(u64, Command)>> = vec![Vec::new(); shards];
-        let mut slots: Vec<Slot> = Vec::with_capacity(commands.len());
+        // One slot per command: its id, and the fold of a broadcast.
+        let mut slots: Vec<(u64, Option<Fold>)> = Vec::with_capacity(commands.len());
         let mut expected = 0usize;
         for command in commands {
             let id = self.fresh_id();
-            let dest = match &command {
-                Command::Get(key) | Command::Put(key, _) | Command::Remove(key) => {
-                    Some(self.home_shard(key))
-                }
-                Command::Scan(range) | Command::Count(range) => Some(self.home_shard(&range.first)),
-                Command::AddJoin(_) | Command::Stats => None,
-            };
-            match dest {
+            match self.shards.route(&command) {
                 Some(shard) => {
                     per_shard[shard].push((id, command));
                     expected += 1;
-                    slots.push(Slot::Single { id });
+                    slots.push((id, None));
                 }
                 None => {
                     // Broadcast: every shard answers under the same id.
-                    let is_stats = matches!(command, Command::Stats);
+                    let fold: Fold = match command {
+                        Command::Stats => fold_stats_replies,
+                        _ => fold_join_replies,
+                    };
+                    slots.push((id, Some(fold)));
                     for q in per_shard.iter_mut() {
                         q.push((id, command.clone()));
                     }
                     expected += shards;
-                    slots.push(if is_stats {
-                        Slot::Stats { id, shards }
-                    } else {
-                        Slot::Join { id, shards }
-                    });
                 }
             }
         }
         for (shard, items) in per_shard.into_iter().enumerate() {
-            if !items.is_empty() {
-                let _ = self.senders[shard].send(ShardMsg::Run {
-                    items,
-                    reply: tx.clone(),
-                });
-            }
+            self.shards.submit(shard, items, &tx);
         }
         drop(tx);
         let mut by_id: HashMap<u64, Vec<Response>> = HashMap::new();
@@ -693,16 +320,12 @@ impl ShardedHandle {
         }
         slots
             .into_iter()
-            .map(|slot| match slot {
-                Slot::Single { id } => by_id
-                    .remove(&id)
-                    .and_then(|mut v| v.pop())
-                    .unwrap_or_else(|| Response::Error("no reply from shard".into())),
-                Slot::Join { id, shards } => {
-                    fold_join_replies(by_id.remove(&id).unwrap_or_default(), shards)
-                }
-                Slot::Stats { id, shards } => {
-                    fold_stats_replies(by_id.remove(&id).unwrap_or_default(), shards)
+            .map(|(id, fold)| {
+                let mut replies = by_id.remove(&id).unwrap_or_default();
+                match fold {
+                    Some(fold) => fold(replies, shards),
+                    None => (replies.pop())
+                        .unwrap_or_else(|| Response::Error("no reply from shard".into())),
                 }
             })
             .collect()
@@ -715,21 +338,10 @@ impl Client for ShardedHandle {
     }
 
     fn execute_batch(&mut self, commands: Vec<Command>) -> Vec<Response> {
-        let mut responses = Vec::with_capacity(commands.len());
-        let mut run: Vec<Command> = Vec::new();
-        let mut run_class = CommandClass::Read;
-        for command in commands {
-            let class = class_of(&command);
-            if !run.is_empty() && class != run_class {
-                responses.extend(self.execute_run(std::mem::take(&mut run)));
-            }
-            run_class = class;
-            run.push(command);
-        }
-        if !run.is_empty() {
-            responses.extend(self.execute_run(run));
-        }
-        responses
+        split_runs(commands, |c| c)
+            .into_iter()
+            .flat_map(|run| self.execute_run(run))
+            .collect()
     }
 }
 
@@ -747,7 +359,7 @@ impl Client for ShardedHandle {
 /// replies across shards arrive in any order. Callers that need
 /// read-your-writes must wait for a run's replies before submitting a
 /// dependent run, exactly like [`ShardedHandle::execute_batch`]'s run
-/// splitting (see [`same_run_class`]).
+/// splitting (see [`split_runs`]).
 #[derive(Clone)]
 pub struct ShardSubmitter {
     senders: Arc<Vec<Sender<ShardMsg>>>,
@@ -797,11 +409,8 @@ impl ShardSubmitter {
     /// [`shards`](Self::shards) replies arrive on `reply`. Fold them
     /// with [`fold_join_replies`] / [`fold_stats_replies`].
     pub fn broadcast(&self, id: u64, command: Command, reply: &Sender<(u64, Response)>) {
-        for sender in self.senders.iter() {
-            let _ = sender.send(ShardMsg::Run {
-                items: vec![(id, command.clone())],
-                reply: reply.clone(),
-            });
+        for shard in 0..self.shards() {
+            self.submit(shard, vec![(id, command.clone())], reply);
         }
     }
 }
@@ -811,7 +420,6 @@ impl ShardSubmitter {
 /// architecture.
 pub struct ShardedEngine {
     handle: ShardedHandle,
-    stats: Vec<Arc<ShardStats>>,
     threads: Vec<JoinHandle<()>>,
     /// Per-shard telemetry handles (clones of the recorders installed
     /// into each shard's engine via the setup hook); empty when
@@ -820,13 +428,12 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Spawns `shards` worker threads, each owning one
+    /// Spawns `shards` worker threads, each owning one [`Node`] over an
     /// [`Engine::new`]`(config)`. Keys are routed to shards by
-    /// `partition` (a [`ServerId`](crate::partition::ServerId) of `s`
-    /// means shard `s % shards`); every table prefix in
-    /// `partitioned_tables` is spread across shards, so each shard
-    /// treats it as remote and fetches missing ranges from the owning
-    /// shard by subscription.
+    /// `partition` (a [`ServerId`] of `s` means shard `s % shards`);
+    /// every table prefix in `partitioned_tables` is spread across
+    /// shards, so each shard treats it as remote and fetches missing
+    /// ranges from the owning shard by subscription.
     ///
     /// A [`MemoryLimit`](crate::config::MemoryLimit) in `config` is the
     /// budget for the whole node: it is split into per-shard budgets
@@ -891,9 +498,6 @@ impl ShardedEngine {
         let channels: Vec<(Sender<ShardMsg>, Receiver<ShardMsg>)> =
             (0..shards).map(|_| channel()).collect();
         let senders: Vec<Sender<ShardMsg>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let stats: Vec<Arc<ShardStats>> = (0..shards)
-            .map(|_| Arc::new(ShardStats::default()))
-            .collect();
         let mut threads: Vec<JoinHandle<()>> = Vec::with_capacity(shards);
         for (shard, (_, rx)) in channels.into_iter().enumerate() {
             // The configured memory limit is the node-wide budget; each
@@ -901,61 +505,51 @@ impl ShardedEngine {
             // lowest-numbered shards, so the shares sum to the cap).
             let mut shard_config = config.clone();
             shard_config.mem_limit = config.mem_limit.map(|limit| limit.split_nth(shards, shard));
-            let mut engine = Engine::new(shard_config);
-            for t in partitioned_tables {
-                engine.mark_remote_table(*t);
-            }
-            let auth_partition = partition.clone();
-            engine.set_base_authority(move |key| {
-                auth_partition.home_of(key).0 as usize % shards == shard
-            });
-            if let Err(e) = setup(shard, &mut engine) {
-                // Unwind the shards already spawned.
-                for tx in &senders {
-                    let _ = tx.send(ShardMsg::Shutdown);
-                }
-                for t in threads {
-                    let _ = t.join();
-                }
-                return Err(format!("shard setup failed: {e}"));
-            }
-            let worker = ShardWorker {
-                shard,
-                engine,
-                partition: partition.clone(),
-                peers: senders.clone(),
-                rx,
-                subscribers: Vec::new(),
-                parked: Vec::new(),
-                fetch_groups: HashMap::new(),
-                fetch_to_group: HashMap::new(),
-                next_fetch_id: 1,
-                stats: stats[shard].clone(),
-            };
-            match std::thread::Builder::new()
-                .name(format!("pequod-shard-{shard}"))
-                .spawn(move || worker.run())
-            {
+            let mut node = Node::new(
+                ServerId(shard as u32),
+                Engine::new(shard_config),
+                partition.clone(),
+                partitioned_tables,
+            )
+            .in_deployment(shards as u32);
+            let spawned = setup(shard, &mut node.engine)
+                .map_err(|e| format!("shard setup failed: {e}"))
+                .and_then(|()| {
+                    let worker = ShardWorker {
+                        node,
+                        peers: senders.clone(),
+                        rx,
+                        clients: HashMap::new(),
+                        next_client: 0,
+                        out: Vec::new(),
+                    };
+                    std::thread::Builder::new()
+                        .name(format!("pequod-shard-{shard}"))
+                        .spawn(move || worker.run())
+                        .map_err(|e| format!("failed to spawn shard worker: {e}"))
+                });
+            match spawned {
                 Ok(t) => threads.push(t),
                 Err(e) => {
-                    // Unwind the shards already spawned, as for a setup error.
+                    // Unwind the shards already spawned.
                     for tx in &senders {
                         let _ = tx.send(ShardMsg::Shutdown);
                     }
                     for t in threads {
                         let _ = t.join();
                     }
-                    return Err(format!("failed to spawn shard worker: {e}"));
+                    return Err(e);
                 }
             }
         }
         Ok(ShardedEngine {
             handle: ShardedHandle {
-                senders: Arc::new(senders),
-                partition,
+                shards: ShardSubmitter {
+                    senders: Arc::new(senders),
+                    partition,
+                },
                 next_id: 1,
             },
-            stats,
             threads,
             recorders: Vec::new(),
         })
@@ -990,67 +584,58 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.handle.senders.len()
+        self.handle.shards.shards()
+    }
+
+    /// Queues `visit` to run on one shard's node, on the shard's thread,
+    /// behind whatever its mailbox already holds; the result arrives on
+    /// the returned channel.
+    fn visit<T: Send + 'static>(
+        &self,
+        shard: usize,
+        visit: impl FnOnce(&mut Node) -> T + Send + 'static,
+    ) -> Receiver<T> {
+        let (tx, rx) = channel();
+        let _ = self.handle.shards.senders[shard].send(ShardMsg::Visit(Box::new(move |node| {
+            let _ = tx.send(visit(node));
+        })));
+        rx
+    }
+
+    /// Runs `visit` on every shard's node, all shards at once; returns
+    /// the results in shard order.
+    fn visit_all<T: Send + 'static>(
+        &self,
+        visit: impl Fn(&mut Node) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let visit = Arc::new(visit);
+        let pending: Vec<Receiver<T>> = (0..self.shards())
+            .map(|shard| {
+                let visit = visit.clone();
+                self.visit(shard, move |node| visit(node))
+            })
+            .collect();
+        (pending.into_iter())
+            .filter_map(|rx| rx.recv().ok())
+            .collect()
     }
 
     /// Graceful shutdown: every shard takes a final snapshot and
     /// fsyncs its durability sink, so a restart recovers from the
     /// snapshots without log replay. Blocks until all shards finish.
     pub fn finalize_durability(&self) {
-        let (tx, rx) = channel();
-        for s in self.handle.senders.iter() {
-            let _ = s.send(ShardMsg::Finalize { reply: tx.clone() });
-        }
-        drop(tx);
-        for _ in rx.iter() {}
+        self.visit_all(|node| node.engine.finalize_durability());
     }
 
-    /// Runs the deep invariant checker ([`Engine::check_invariants`])
-    /// on every shard's engine and cross-checks shard-to-shard
-    /// subscription symmetry: every resident replicated range on a
-    /// shard must be covered by ranges its peers record as served to
-    /// it (the reverse — serving a range a peer has since evicted — is
-    /// legal, the peer just drops the notifies). Returns one message
-    /// per violation; empty means the whole deployment is consistent.
+    /// Audits the whole deployment ([`audit_deployment`]): the deep
+    /// invariant checker ([`Engine::check_invariants`]) on every
+    /// shard's engine, and shard-to-shard subscription symmetry.
+    /// Returns one message per violation; empty means the deployment is
+    /// consistent. Call it on a quiescent engine: a fetch still in
+    /// flight is not a violation, but can look like one.
     pub fn check_invariants(&mut self) -> Vec<String> {
-        let (tx, rx) = channel();
-        for s in self.handle.senders.iter() {
-            let _ = s.send(ShardMsg::CheckInvariants { reply: tx.clone() });
-        }
-        drop(tx);
-        let mut audits: Vec<ShardAudit> = rx.iter().collect();
-        audits.sort_by_key(|a| a.shard);
-        let mut v = Vec::new();
-        for a in &audits {
-            v.extend(
-                a.violations
-                    .iter()
-                    .map(|m| format!("shard {}: {m}", a.shard)),
-            );
-        }
-        for b in &audits {
-            let mut served_to_b = RangeSet::new();
-            for a in &audits {
-                if a.shard == b.shard {
-                    continue;
-                }
-                for (range, peer) in &a.serving {
-                    if *peer == b.shard {
-                        served_to_b.add(range);
-                    }
-                }
-            }
-            for r in &b.resident {
-                if !served_to_b.covers(r) {
-                    v.push(format!(
-                        "shard {}: resident replicated range {r:?} is not served by \
-                         any peer (updates to it would never arrive)",
-                        b.shard
-                    ));
-                }
-            }
-        }
-        v
+        let audits: Vec<NodeAudit> = self.visit_all(|node| node.audit());
+        audit_deployment(&audits)
     }
 
     /// A new independent client handle; handles are cheap to clone and
@@ -1064,15 +649,16 @@ impl ShardedEngine {
     /// A non-blocking [`ShardSubmitter`] over this engine's shard
     /// queues — the event-driven network frontend's submission surface.
     pub fn submitter(&self) -> ShardSubmitter {
-        ShardSubmitter {
-            senders: self.handle.senders.clone(),
-            partition: self.handle.partition.clone(),
-        }
+        self.handle.shards.clone()
     }
 
-    /// Counters of one shard (subscriptions, notifications, parks).
-    pub fn shard_stats(&self, shard: usize) -> &ShardStats {
-        &self.stats[shard]
+    /// Counters of one shard's node (subscriptions, notifications,
+    /// parks), read on the shard's thread behind the commands already
+    /// in its mailbox.
+    pub fn shard_stats(&self, shard: usize) -> NodeStats {
+        self.visit(shard, |node| node.stats)
+            .recv()
+            .unwrap_or_default()
     }
 }
 
@@ -1089,7 +675,7 @@ impl Client for ShardedEngine {
 
 impl Drop for ShardedEngine {
     fn drop(&mut self) {
-        for tx in self.handle.senders.iter() {
+        for tx in self.handle.shards.senders.iter() {
             let _ = tx.send(ShardMsg::Shutdown);
         }
         for t in self.threads.drain(..) {
@@ -1101,7 +687,8 @@ impl Drop for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{ComponentHashPartition, ServerId, TablePartition};
+    use crate::partition::{ComponentHashPartition, TablePartition};
+    use pequod_store::{KeyRange, Value};
 
     const TIMELINE: &str =
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -1154,11 +741,11 @@ mod tests {
         s.put(&Key::from("p|bob|0000000100"), &Value::from_static(b"Hi"));
         assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 1);
         // The p| data came to shard 0 by subscription from shard 1.
-        assert!(s.shard_stats(1).subs_granted.load(Ordering::Relaxed) >= 1);
-        assert!(s.shard_stats(0).subs_established.load(Ordering::Relaxed) >= 1);
+        assert!(s.shard_stats(1).subs_granted >= 1);
+        assert!(s.shard_stats(0).subs_established >= 1);
         s.put(&Key::from("p|bob|0000000120"), &Value::from_static(b"x"));
         assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 2);
-        assert!(s.shard_stats(1).notifies_sent.load(Ordering::Relaxed) >= 1);
+        assert!(s.shard_stats(1).notifies_sent >= 1);
     }
 
     #[test]

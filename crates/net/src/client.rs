@@ -14,8 +14,8 @@
 use crate::message::Message;
 use crate::partition::{Partition, ServerId};
 use crate::sim::SimCluster;
-use pequod_core::{BackendStats, Client, Command, Response};
-use pequod_store::Key;
+use pequod_core::{fold_join_replies, split_runs, BackendStats, Client, Command, Response};
+use pequod_store::{Key, Value};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,15 +25,14 @@ use std::sync::Arc;
 const BATCH_CLIENT: u32 = 0xc11e;
 
 /// What a wire reply should be decoded into.
+#[derive(Clone, Copy)]
 enum WireKind {
     Get,
     Scan,
     Count,
     Write,
     /// A broadcast join installation: one reply expected per server.
-    AddJoin {
-        servers: usize,
-    },
+    AddJoin,
 }
 
 /// One command's pending answer: either a wire reply to await or a
@@ -107,52 +106,20 @@ impl ClusterClient {
     }
 }
 
-/// Command classes whose members may share one pipelined round without
-/// changing observable results: reads don't mutate client-visible
-/// state, and writes aren't observed until the next read. A run of one
-/// class executes as one round-trip per destination; the network runs
-/// to quiescence between runs, so a batch answers exactly like the same
-/// commands issued one at a time.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CommandClass {
-    Read,
-    Write,
-    Join,
-    /// Stats snapshots cluster-wide state locally, so it must not share
-    /// a run with wire commands whose effects it would otherwise miss.
-    Stats,
-}
-
-fn class_of(command: &Command) -> CommandClass {
-    match command {
-        Command::Get(_) | Command::Scan(_) | Command::Count(_) => CommandClass::Read,
-        Command::Put(..) | Command::Remove(_) => CommandClass::Write,
-        Command::AddJoin(_) => CommandClass::Join,
-        Command::Stats => CommandClass::Stats,
-    }
-}
-
 impl Client for ClusterClient {
     fn backend_name(&self) -> &'static str {
         "cluster"
     }
 
+    /// A run of one command class ([`split_runs`]) executes as one
+    /// round-trip per destination, and the network runs to quiescence
+    /// between runs, so a batch answers exactly like the same commands
+    /// issued one at a time.
     fn execute_batch(&mut self, commands: Vec<Command>) -> Vec<Response> {
-        let mut responses = Vec::with_capacity(commands.len());
-        let mut run: Vec<Command> = Vec::new();
-        let mut run_class = CommandClass::Read;
-        for command in commands {
-            let class = class_of(&command);
-            if !run.is_empty() && class != run_class {
-                responses.extend(self.execute_run(std::mem::take(&mut run)));
-            }
-            run_class = class;
-            run.push(command);
-        }
-        if !run.is_empty() {
-            responses.extend(self.execute_run(run));
-        }
-        responses
+        split_runs(commands, |c| c)
+            .into_iter()
+            .flat_map(|run| self.execute_run(run))
+            .collect()
     }
 }
 
@@ -164,86 +131,34 @@ impl ClusterClient {
         let mut batches: BTreeMap<ServerId, Vec<Message>> = BTreeMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(commands.len());
         for command in commands {
-            match command {
-                Command::Get(key) => {
-                    let id = self.fresh_id();
-                    let home = self.read_home(&key);
-                    batches
-                        .entry(home)
-                        .or_default()
-                        .push(Message::Get { id, key });
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::Get,
-                    });
+            let (kind, home) = match &command {
+                Command::Get(key) => (WireKind::Get, Some(self.read_home(key))),
+                Command::Scan(range) => (WireKind::Scan, Some(self.read_home(&range.first))),
+                Command::Count(range) => (WireKind::Count, Some(self.read_home(&range.first))),
+                Command::Put(key, _) | Command::Remove(key) => {
+                    (WireKind::Write, Some(self.partition.home_of(key)))
                 }
-                Command::Scan(range) => {
-                    let id = self.fresh_id();
-                    let home = self.read_home(&range.first);
-                    batches
-                        .entry(home)
-                        .or_default()
-                        .push(Message::Scan { id, range });
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::Scan,
-                    });
+                // Joins are installed on every server; all replies
+                // share one id and are collected together.
+                Command::AddJoin(_) => (WireKind::AddJoin, None),
+                Command::Stats => {
+                    slots.push(Slot::Local(Response::Stats(self.local_stats())));
+                    continue;
                 }
-                Command::Count(range) => {
-                    let id = self.fresh_id();
-                    let home = self.read_home(&range.first);
-                    batches
-                        .entry(home)
-                        .or_default()
-                        .push(Message::Count { id, range });
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::Count,
-                    });
+            };
+            let id = self.fresh_id();
+            slots.push(Slot::Wire { id, kind });
+            match home {
+                Some(home) => {
+                    let request = Message::request(id, command);
+                    batches.entry(home).or_default().extend(request);
                 }
-                Command::Put(key, value) => {
-                    let id = self.fresh_id();
-                    let home = self.partition.home_of(&key);
-                    batches
-                        .entry(home)
-                        .or_default()
-                        .push(Message::Put { id, key, value });
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::Write,
-                    });
-                }
-                Command::Remove(key) => {
-                    let id = self.fresh_id();
-                    let home = self.partition.home_of(&key);
-                    batches
-                        .entry(home)
-                        .or_default()
-                        .push(Message::Remove { id, key });
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::Write,
-                    });
-                }
-                Command::AddJoin(text) => {
-                    // Joins are installed on every server; all replies
-                    // share one id and are collected together.
-                    let id = self.fresh_id();
-                    for s in 0..servers {
-                        batches
-                            .entry(ServerId(s as u32))
-                            .or_default()
-                            .push(Message::AddJoin {
-                                id,
-                                text: text.clone(),
-                            });
+                None => {
+                    for home in (0..servers as u32).map(ServerId) {
+                        let request = Message::request(id, command.clone());
+                        batches.entry(home).or_default().extend(request);
                     }
-                    slots.push(Slot::Wire {
-                        id,
-                        kind: WireKind::AddJoin { servers },
-                    });
                 }
-                Command::Stats => slots.push(Slot::Local(Response::Stats(self.local_stats()))),
             }
         }
 
@@ -264,20 +179,26 @@ impl ClusterClient {
         // Collect replies by id. Replies addressed to other client ids
         // (e.g. the simulator's synchronous API) stay queued for their
         // owners.
-        let mut by_id: HashMap<u64, Vec<Message>> = HashMap::new();
+        let mut by_id: HashMap<u64, Vec<ReplyParts>> = HashMap::new();
         for msg in self.cluster.take_replies_for(BATCH_CLIENT) {
-            if let Some(id) = msg.id() {
-                by_id.entry(id).or_default().push(msg);
+            if let Message::Reply { id, pairs, error } = msg {
+                by_id.entry(id).or_default().push((pairs, error));
             }
         }
-
         slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::Local(r) => r,
                 Slot::Wire { id, kind } => {
-                    let replies = by_id.remove(&id).unwrap_or_default();
-                    decode_replies(kind, replies)
+                    let mut replies: Vec<Response> = (by_id.remove(&id).unwrap_or_default())
+                        .into_iter()
+                        .map(|reply| decode_reply(kind, reply))
+                        .collect();
+                    match kind {
+                        WireKind::AddJoin => fold_join_replies(replies, servers),
+                        _ => (replies.pop())
+                            .unwrap_or_else(|| Response::Error("no reply from cluster".into())),
+                    }
                 }
             })
             .collect()
@@ -285,31 +206,11 @@ impl ClusterClient {
 }
 
 /// The (pairs, error) payload of one `Message::Reply`.
-type ReplyParts = (Vec<(Key, pequod_store::Value)>, Option<String>);
+type ReplyParts = (Vec<(Key, Value)>, Option<String>);
 
-fn decode_replies(kind: WireKind, replies: Vec<Message>) -> Response {
-    let mut parts: Vec<ReplyParts> = replies
-        .into_iter()
-        .filter_map(|m| match m {
-            Message::Reply { pairs, error, .. } => Some((pairs, error)),
-            _ => None,
-        })
-        .collect();
-    if let WireKind::AddJoin { servers } = kind {
-        if parts.len() < servers {
-            return Response::Error(format!(
-                "addjoin: {} of {servers} servers replied",
-                parts.len()
-            ));
-        }
-        if let Some((_, Some(e))) = parts.iter().find(|(_, e)| e.is_some()) {
-            return Response::Error(e.clone());
-        }
-        return Response::Ok;
-    }
-    let Some((pairs, error)) = parts.pop() else {
-        return Response::Error("no reply from cluster".into());
-    };
+/// Decodes the payload of one `Message::Reply` as the answer to a
+/// request of the given kind.
+fn decode_reply(kind: WireKind, (pairs, error): ReplyParts) -> Response {
     if let Some(e) = error {
         return Response::Error(e);
     }
@@ -320,8 +221,7 @@ fn decode_replies(kind: WireKind, replies: Vec<Message>) -> Response {
             Some(n) => Response::Count(n),
             None => Response::Error("malformed count reply".into()),
         },
-        WireKind::Write => Response::Ok,
-        WireKind::AddJoin { .. } => unreachable!("handled above"),
+        WireKind::Write | WireKind::AddJoin => Response::Ok,
     }
 }
 

@@ -36,7 +36,7 @@ use crate::codec::{encode_frame_into, ReplyFrame};
 use crate::message::Message;
 use crate::reactor::{Conns, Dispatch, Reactor, ReactorConfig, Signals, Waker};
 use pequod_core::{
-    fold_join_replies, same_run_class, Command, Engine, Response, ShardSubmitter, ShardedEngine,
+    fold_join_replies, split_runs, Command, Engine, Response, ShardSubmitter, ShardedEngine,
 };
 use pequod_store::{Key, KeyRange};
 use pequod_telemetry::{Recorder, Snapshot, SnapshotFn};
@@ -201,22 +201,6 @@ fn flatten(msg: Message, out: &mut Vec<Message>) {
     }
 }
 
-/// Formats one unified-client [`Response`] as the wire reply for
-/// request `id`; `key` is the key a `Get` reply echoes.
-fn response_to_message(id: u64, key: Option<Key>, response: Response) -> Message {
-    match response {
-        Response::Value(v) => Message::reply(
-            id,
-            v.and_then(|v| key.map(|k| (k, v))).into_iter().collect(),
-        ),
-        Response::Pairs(pairs) => Message::reply(id, pairs),
-        Response::Count(n) => Message::count_reply(id, n),
-        Response::Ok => Message::reply(id, vec![]),
-        Response::Stats(_) => Message::reply(id, vec![]),
-        Response::Error(e) => Message::error(id, e),
-    }
-}
-
 /// Answers a `Scan` (or a `Get`, as the scan of one key) by streaming
 /// the pairs out of the engine into a reply frame at the end of `out`.
 /// If the read turns out incomplete, the frame begun is dropped and an
@@ -292,35 +276,25 @@ impl Dispatch for SingleDispatch {
     }
 }
 
-/// How a sharded slot folds its replies.
-enum SlotKind {
-    /// One shard answers.
-    Single,
-    /// Broadcast join install: every shard answers.
-    Join,
-}
-
 /// One sub-request of a frame on the sharded backend.
 struct SlotState {
     wire_id: u64,
     /// The key a `Get` reply echoes.
     key: Option<Key>,
-    /// The command, until its run is submitted.
-    cmd: Option<Command>,
-    kind: SlotKind,
-    /// Replies still expected for the current submission.
+    /// Replies expected for its submission: one, or one per shard for a
+    /// broadcast join install.
     expect: usize,
     acc: Vec<Response>,
     reply: Option<Message>,
 }
 
 /// One in-progress frame on the sharded backend: slots in wire order,
-/// remaining same-class runs, and the count of unresolved submissions
-/// in the current run.
+/// remaining same-class runs (slot index and command), and the count of
+/// unresolved submissions in the current run.
 struct Job {
     token: u64,
     slots: Vec<SlotState>,
-    runs: VecDeque<Vec<usize>>,
+    runs: VecDeque<Vec<(usize, Command)>>,
     outstanding: usize,
     /// Submission ids of the current run, for cleanup on disconnect.
     live_ids: Vec<u64>,
@@ -334,17 +308,14 @@ fn submit_run(
     id_map: &mut HashMap<u64, (u64, usize)>,
     next_id: &mut u64,
     job: &mut Job,
-    run: Vec<usize>,
+    run: Vec<(usize, Command)>,
 ) -> usize {
     let shards = submitter.shards();
     let mut per_shard: Vec<Vec<(u64, Command)>> = vec![Vec::new(); shards];
     let mut submitted = 0usize;
     job.live_ids.clear();
-    for si in run {
+    for (si, cmd) in run {
         let slot = &mut job.slots[si];
-        let Some(cmd) = slot.cmd.take() else {
-            continue;
-        };
         let sid = *next_id;
         *next_id += 1;
         id_map.insert(sid, (job.token, si));
@@ -419,16 +390,17 @@ impl ShardedDispatch {
             }
             // Slot resolved: fold, then format with the single engine's
             // formatter so answers are byte-identical.
-            let shards = slot.expect;
-            let acc = std::mem::take(&mut slot.acc);
-            let folded = match slot.kind {
-                SlotKind::Single => acc
-                    .into_iter()
-                    .next_back()
-                    .unwrap_or_else(|| Response::Error("no reply from shard".into())),
-                SlotKind::Join => fold_join_replies(acc, shards),
+            let mut acc = std::mem::take(&mut slot.acc);
+            let folded = if slot.expect > 1 {
+                fold_join_replies(acc, slot.expect)
+            } else {
+                (acc.pop()).unwrap_or_else(|| Response::Error("no reply from shard".into()))
             };
-            slot.reply = Some(response_to_message(slot.wire_id, slot.key.take(), folded));
+            slot.reply = Some(Message::from_response(
+                slot.wire_id,
+                slot.key.take(),
+                folded,
+            ));
         }
         self.id_map.remove(&id);
         job.outstanding -= 1;
@@ -436,10 +408,7 @@ impl ShardedDispatch {
             return None;
         }
         // Current run complete: submit the next one, if any.
-        while job.outstanding == 0 {
-            let Some(run) = job.runs.pop_front() else {
-                break;
-            };
+        if let Some(run) = job.runs.pop_front() {
             submit_run(
                 &self.submitter,
                 &self.reply_tx,
@@ -475,63 +444,36 @@ impl Dispatch for ShardedDispatch {
             outstanding: 0,
             live_ids: Vec::new(),
         };
-        // Build slots in wire order, splitting commands into
-        // same-class runs (identical to `ShardedHandle`).
-        let mut current: Vec<usize> = Vec::new();
-        let mut last_cmd: Option<Command> = None;
+        // Slots in wire order; the commands among them split into
+        // same-class runs, as every multi-engine backend splits them.
+        let mut commands: Vec<(usize, Command)> = Vec::new();
         for m in msgs {
-            let (wire_id, key, cmd) = match m {
-                Message::Get { id, key } => (id, Some(key.clone()), Command::Get(key)),
-                Message::Scan { id, range } => (id, None, Command::Scan(range)),
-                Message::Count { id, range } => (id, None, Command::Count(range)),
-                Message::Put { id, key, value } => (id, None, Command::Put(key, value)),
-                Message::Remove { id, key } => (id, None, Command::Remove(key)),
-                Message::AddJoin { id, text } => (id, None, Command::AddJoin(text)),
+            let key = match &m {
+                Message::Get { key, .. } => Some(key.clone()),
+                _ => None,
+            };
+            let (wire_id, reply) = match m.into_request() {
+                Ok((id, cmd)) => {
+                    commands.push((job.slots.len(), cmd));
+                    (id, None)
+                }
                 // Server-to-server traffic is not accepted on the
                 // client port (same answer as the single engine).
-                other => {
-                    job.slots.push(SlotState {
-                        wire_id: 0,
-                        key: None,
-                        cmd: None,
-                        kind: SlotKind::Single,
-                        expect: 0,
-                        acc: Vec::new(),
-                        reply: Some(Message::error(other.id().unwrap_or(0), UNSUPPORTED)),
-                    });
-                    continue;
+                Err(other) => {
+                    let error = Message::error(other.id().unwrap_or(0), UNSUPPORTED);
+                    (0, Some(error))
                 }
             };
-            if let Some(prev) = &last_cmd {
-                if !same_run_class(prev, &cmd) && !current.is_empty() {
-                    job.runs.push_back(std::mem::take(&mut current));
-                }
-            }
-            let kind = match &cmd {
-                Command::AddJoin(_) => SlotKind::Join,
-                _ => SlotKind::Single,
-            };
-            last_cmd = Some(cmd.clone());
-            current.push(job.slots.len());
             job.slots.push(SlotState {
                 wire_id,
                 key,
-                cmd: Some(cmd),
-                kind,
                 expect: 0,
                 acc: Vec::new(),
-                reply: None,
+                reply,
             });
         }
-        if !current.is_empty() {
-            job.runs.push_back(current);
-        }
-        // Submit runs until one actually lands on a shard (a run can be
-        // empty of submittable commands only if all were pre-resolved).
-        while job.outstanding == 0 {
-            let Some(run) = job.runs.pop_front() else {
-                break;
-            };
+        job.runs = split_runs(commands, |(_, cmd)| cmd).into();
+        if let Some(run) = job.runs.pop_front() {
             submit_run(
                 &self.submitter,
                 &self.reply_tx,

@@ -7,17 +7,23 @@
 //! eventually-consistent replica and keeps its computed data fresh
 //! through the normal updater machinery.
 //!
+//! That server is not implemented here: it is [`pequod_core::Node`], one
+//! transport-agnostic `handle(from, msg) -> out` state machine that
+//! `pequod_core::ShardedEngine` runs on shard threads and this crate
+//! runs on a simulated network. What this crate adds is the wire and
+//! what carries it.
+//!
 //! Components:
 //!
 //! * [`Message`] — the RPC vocabulary (client ops + server-to-server
 //!   subscription traffic).
 //! * [`codec`] — a hand-rolled binary wire format with length-prefixed
 //!   framing.
-//! * [`ServerNode`] — one transport-agnostic server: consumes a message,
-//!   returns messages to send; parks queries on missing data and
-//!   restarts them when fetches complete (§3.3).
-//! * [`SimCluster`] — a deterministic in-process network for experiments
-//!   (latency, notify jitter, per-class byte accounting).
+//! * [`ServerNode`] — `pequod_core::Node` under this tier's name; the
+//!   [`server`] module maps its messages 1:1 onto [`Message`].
+//! * [`SimCluster`] — a deterministic in-process network hosting
+//!   `ServerNode`s for experiments (latency, notify jitter, per-class
+//!   byte accounting, a deployment-wide invariant audit).
 //! * [`ClusterClient`] — the unified `pequod_core::Client` surface over
 //!   a cluster: commands are routed by the partition function and
 //!   pipelined as one batched frame per destination server.

@@ -6,6 +6,7 @@
 //! installs a subscription at its home server, and the home server
 //! forwards subsequent updates.
 
+use pequod_core::{Command, Response};
 use pequod_store::{Key, KeyRange, UpperBound, Value};
 
 /// A wire message.
@@ -285,6 +286,50 @@ impl Message {
         match self {
             Message::Batch { msgs } => msgs.iter().for_each(|m| m.for_each_id(f)),
             other => other.id().into_iter().for_each(f),
+        }
+    }
+
+    /// The wire form of a client command under request `id`; `None` for
+    /// [`Command::Stats`], which has no wire message.
+    pub fn request(id: u64, command: Command) -> Option<Message> {
+        Some(match command {
+            Command::Get(key) => Message::Get { id, key },
+            Command::Scan(range) => Message::Scan { id, range },
+            Command::Count(range) => Message::Count { id, range },
+            Command::Put(key, value) => Message::Put { id, key, value },
+            Command::Remove(key) => Message::Remove { id, key },
+            Command::AddJoin(text) => Message::AddJoin { id, text },
+            Command::Stats => return None,
+        })
+    }
+
+    /// The inverse of [`Message::request`]: the request id and command
+    /// of a client request, or the message back if it is not one.
+    pub fn into_request(self) -> Result<(u64, Command), Message> {
+        Ok(match self {
+            Message::Get { id, key } => (id, Command::Get(key)),
+            Message::Scan { id, range } => (id, Command::Scan(range)),
+            Message::Count { id, range } => (id, Command::Count(range)),
+            Message::Put { id, key, value } => (id, Command::Put(key, value)),
+            Message::Remove { id, key } => (id, Command::Remove(key)),
+            Message::AddJoin { id, text } => (id, Command::AddJoin(text)),
+            other => return Err(other),
+        })
+    }
+
+    /// The wire reply carrying `response` to request `id`; `key` is the
+    /// key a `Get` reply echoes. Every surface that answers from a
+    /// [`Response`] formats it here, so their bytes cannot diverge.
+    pub fn from_response(id: u64, key: Option<Key>, response: Response) -> Message {
+        match response {
+            Response::Value(v) => Message::reply(
+                id,
+                v.and_then(|v| key.map(|k| (k, v))).into_iter().collect(),
+            ),
+            Response::Pairs(pairs) => Message::reply(id, pairs),
+            Response::Count(n) => Message::count_reply(id, n),
+            Response::Ok | Response::Stats(_) => Message::reply(id, vec![]),
+            Response::Error(e) => Message::error(id, e),
         }
     }
 

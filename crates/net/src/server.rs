@@ -1,375 +1,86 @@
-//! A distributed Pequod server node (§2.4).
+//! A distributed Pequod server node (§2.4) on the wire.
 //!
-//! Each node owns one single-threaded [`Engine`]. Base tables are
-//! partitioned across nodes by a [`Partition`] function; when a node
-//! needs base data homed elsewhere it sends `Subscribe` to the home
-//! server, which returns the data and forwards future updates with
-//! `Notify` — establishing an eventually-consistent replica. Queries
-//! that hit missing data park with a restart context and resume when
-//! their fetches complete (§3.3).
+//! The node itself — engine, subscriber list, parked queries, fetch
+//! groups, the whole Subscribe/Notify and park/restart state machine —
+//! is [`pequod_core::Node`], the same type a
+//! [`ShardedEngine`](pequod_core::ShardedEngine) worker thread drives;
+//! [`ServerNode`] is that type under the name this tier has always used
+//! for it. It speaks [`NodeMsg`] (`Command`/`Response` plus
+//! Subscribe/SubscribeReply/Notify). This module is only the 1:1
+//! mapping between that vocabulary and the wire [`Message`], which
+//! [`SimCluster`](crate::SimCluster) needs because it counts encoded
+//! bytes per message class.
 //!
-//! Nodes are transport-agnostic: [`ServerNode::handle`] consumes one
-//! message and returns the messages to send, so the same node runs under
-//! the deterministic simulator (`sim`) or a real socket loop (`tcp`).
+//! [`Message::Unsubscribe`] is handled ([`pequod_core::Node::unsubscribe`])
+//! but no node sends it: a subscriber that evicts a range keeps
+//! receiving, and dropping, its notifications. Sending it on eviction
+//! would change behaviour and is left for its own change.
 
 use crate::message::Message;
-use crate::partition::{Partition, ServerId};
-use pequod_core::Engine;
-use pequod_store::{Key, KeyRange, Value};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use pequod_core::{Command, NodeMsg, Response};
+use pequod_store::KeyRange;
 
-/// A message source or destination.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Endpoint {
-    /// An application client.
-    Client(u32),
-    /// Another server.
-    Server(ServerId),
-}
+pub use pequod_core::{Endpoint, Node as ServerNode, NodeStats};
 
-/// Per-node counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NodeStats {
-    /// Client requests served (including error replies).
-    pub requests: u64,
-    /// Queries parked waiting for remote data.
-    pub parked: u64,
-    /// Subscriptions granted to other servers.
-    pub subs_granted: u64,
-    /// Subscriptions this node established at other servers.
-    pub subs_established: u64,
-    /// Notify messages sent to subscribers.
-    pub notifies_sent: u64,
-    /// Notify messages applied from home servers.
-    pub notifies_applied: u64,
-    /// Put/Remove requests forwarded to their home server.
-    pub forwards: u64,
-}
-
-struct Parked {
-    client: Endpoint,
-    request_id: u64,
-    range: KeyRange,
-    /// True for a `Count` request: the answer ships as a count reply
-    /// instead of the materialized pairs.
-    count: bool,
-    outstanding: HashSet<u64>,
-    retries: u32,
-}
-
-const MAX_RETRIES: u32 = 16;
-
-/// One Pequod server in a distributed deployment.
-pub struct ServerNode {
-    /// This node's identity.
-    pub id: ServerId,
-    /// The cache engine.
-    pub engine: Engine,
-    partition: Arc<dyn Partition>,
-    /// Subscriptions granted: ranges other servers replicate from us.
-    subscribers: Vec<(KeyRange, ServerId)>,
-    parked: Vec<Parked>,
-    /// Forwarded writes awaiting the home server's reply: id → origin.
-    relays: HashMap<u64, (Endpoint, u64)>,
-    next_id: u64,
-    /// Counters.
-    pub stats: NodeStats,
-}
-
-impl ServerNode {
-    /// Creates a node. `partitioned_tables` lists base-table prefixes
-    /// that are spread across the deployment (each server treats them as
-    /// remote and resolves residency through the partition function).
-    pub fn new(
-        id: ServerId,
-        mut engine: Engine,
-        partition: Arc<dyn Partition>,
-        partitioned_tables: &[&str],
-    ) -> ServerNode {
-        for t in partitioned_tables {
-            engine.mark_remote_table(*t);
+/// Delivers one wire message to `node`, appending what the node sends
+/// to `out`.
+pub(crate) fn deliver(
+    node: &mut ServerNode,
+    from: Endpoint,
+    msg: Message,
+    out: &mut Vec<(Endpoint, NodeMsg)>,
+) {
+    let msg = match msg {
+        Message::Batch { msgs } => {
+            return msgs.into_iter().for_each(|m| deliver(node, from, m, out));
         }
-        // Memory-bounded serving (§2.5): eviction at this node may drop
-        // replicated base data (the home server still has it and the
-        // next read re-subscribes), but never rows this node is the
-        // partition's authority for — those are the only copy.
-        let auth_partition = partition.clone();
-        engine.set_base_authority(move |key| auth_partition.home_of(key) == id);
-        ServerNode {
+        // A wire `Get` is the scan of one key: its reply carries the
+        // pair, key included.
+        Message::Get { id, key } => NodeMsg::Request {
             id,
-            engine,
-            partition,
-            subscribers: Vec::new(),
-            parked: Vec::new(),
-            relays: HashMap::new(),
-            next_id: 1,
-            stats: NodeStats::default(),
+            command: Command::Scan(KeyRange::single(key)),
+        },
+        Message::Subscribe { id, range } => NodeMsg::Subscribe { id, range },
+        Message::SubscribeReply { id, range, pairs } => {
+            NodeMsg::SubscribeReply { id, range, pairs }
         }
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Number of ranges other servers replicate from this node.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Number of queries currently parked on missing data.
-    pub fn parked_count(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Handles one message, returning messages to send.
-    pub fn handle(&mut self, from: Endpoint, msg: Message) -> Vec<(Endpoint, Message)> {
-        match msg {
-            Message::Get { id, key } => self.start_query(from, id, KeyRange::single(key), false),
-            Message::Scan { id, range } => self.start_query(from, id, range, false),
-            Message::Count { id, range } => self.start_query(from, id, range, true),
-            Message::Batch { msgs } => {
-                let mut out = Vec::new();
-                for m in msgs {
-                    out.extend(self.handle(from, m));
-                }
-                out
+        Message::Notify { key, value } => NodeMsg::Notify { key, value },
+        Message::Unsubscribe { range } => {
+            if let Endpoint::Server(peer) = from {
+                node.unsubscribe(peer, &range);
             }
-            Message::Put { id, key, value } => self.handle_write(from, id, key, Some(value)),
-            Message::Remove { id, key } => self.handle_write(from, id, key, None),
-            Message::AddJoin { id, text } => {
-                self.stats.requests += 1;
-                let reply = match self.engine.add_joins_text(&text) {
-                    Ok(_) => Message::reply(id, vec![]),
-                    Err(e) => Message::error(id, e.to_string()),
-                };
-                vec![(from, reply)]
-            }
-            Message::Subscribe { id, range } => {
-                let Endpoint::Server(peer) = from else {
-                    return vec![(from, Message::error(id, "subscribe is server-to-server"))];
-                };
-                let pairs = self.local_scan(&range);
-                if !self
-                    .subscribers
-                    .iter()
-                    .any(|(r, s)| *s == peer && r == &range)
-                {
-                    self.subscribers.push((range.clone(), peer));
-                    self.stats.subs_granted += 1;
-                }
-                vec![(from, Message::SubscribeReply { id, range, pairs })]
-            }
-            Message::SubscribeReply { id, range, pairs } => {
-                self.stats.subs_established += 1;
-                self.engine.install_base(&range, pairs);
-                self.resume_parked(id)
-            }
-            Message::Notify { key, value } => {
-                self.stats.notifies_applied += 1;
-                match value {
-                    Some(v) => self.engine.put(key, v),
-                    None => self.engine.remove(&key),
-                }
-                vec![]
-            }
-            Message::Unsubscribe { range } => {
-                if let Endpoint::Server(peer) = from {
-                    self.subscribers
-                        .retain(|(r, s)| !(*s == peer && r.overlaps(&range)));
-                }
-                vec![]
-            }
-            Message::Reply { id, pairs, error } => {
-                // A reply to a write we forwarded: relay to the origin.
-                if let Some((origin, orig_id)) = self.relays.remove(&id) {
-                    vec![(
-                        origin,
-                        Message::Reply {
-                            id: orig_id,
-                            pairs,
-                            error,
-                        },
-                    )]
-                } else {
-                    vec![]
-                }
-            }
-            // Replication traffic belongs to `pequod_cluster`'s node
-            // loop, not the single-authority Subscribe/Notify server.
-            other => match other.id() {
-                Some(id) => vec![(
-                    from,
-                    Message::error(id, "replication message on a non-replicated server"),
-                )],
-                None => vec![],
-            },
+            return;
         }
-    }
+        // The home's answer to a write this node forwarded.
+        Message::Reply { id, error, .. } => NodeMsg::Reply {
+            id,
+            response: error.map_or(Response::Ok, Response::Error),
+        },
+        other => match other.into_request() {
+            Ok((id, command)) => NodeMsg::Request { id, command },
+            // Replication traffic belongs to `pequod_cluster`'s node,
+            // not the single-authority Subscribe/Notify server.
+            Err(other) => {
+                let response =
+                    Response::Error("replication message on a non-replicated server".into());
+                return out.extend(other.id().map(|id| (from, NodeMsg::Reply { id, response })));
+            }
+        },
+    };
+    node.handle(from, msg, out);
+}
 
-    fn handle_write(
-        &mut self,
-        from: Endpoint,
-        id: u64,
-        key: Key,
-        value: Option<Value>,
-    ) -> Vec<(Endpoint, Message)> {
-        self.stats.requests += 1;
-        let home = self.partition.home_of(&key);
-        if home != self.id {
-            // Forward to the home server and relay its reply.
-            self.stats.forwards += 1;
-            let fid = self.fresh_id();
-            self.relays.insert(fid, (from, id));
-            let fwd = match value {
-                Some(v) => Message::Put {
-                    id: fid,
-                    key,
-                    value: v,
-                },
-                None => Message::Remove { id: fid, key },
-            };
-            return vec![(Endpoint::Server(home), fwd)];
+/// The wire form of a message a node sends.
+pub(crate) fn wire(msg: NodeMsg) -> Message {
+    match msg {
+        NodeMsg::Reply { id, response } => Message::from_response(id, None, response),
+        NodeMsg::Subscribe { id, range } => Message::Subscribe { id, range },
+        NodeMsg::SubscribeReply { id, range, pairs } => {
+            Message::SubscribeReply { id, range, pairs }
         }
-        // Home write: make the written range resident (we are the
-        // authority for it), apply, and notify subscribers.
-        self.engine.mark_resident(&KeyRange::single(key.clone()));
-        match &value {
-            Some(v) => self.engine.put(key.clone(), v.clone()),
-            None => self.engine.remove(&key),
-        }
-        let mut out = vec![(from, Message::reply(id, vec![]))];
-        let mut notified: HashSet<ServerId> = HashSet::new();
-        for (range, sid) in &self.subscribers {
-            if range.contains(&key) && notified.insert(*sid) {
-                out.push((
-                    Endpoint::Server(*sid),
-                    Message::Notify {
-                        key: key.clone(),
-                        value: value.clone(),
-                    },
-                ));
-            }
-        }
-        self.stats.notifies_sent += (out.len() - 1) as u64;
-        out
-    }
-
-    fn start_query(
-        &mut self,
-        from: Endpoint,
-        id: u64,
-        range: KeyRange,
-        count: bool,
-    ) -> Vec<(Endpoint, Message)> {
-        self.stats.requests += 1;
-        let parked = Parked {
-            client: from,
-            request_id: id,
-            range,
-            count,
-            outstanding: HashSet::new(),
-            retries: 0,
-        };
-        self.drive_query(parked)
-    }
-
-    /// Runs a query until it completes or parks on remote fetches.
-    fn drive_query(&mut self, mut q: Parked) -> Vec<(Endpoint, Message)> {
-        loop {
-            // Counts are answered server-side: only the number crosses
-            // the wire, never the pairs.
-            let missing = if q.count {
-                let res = self.engine.count_result(&q.range);
-                if res.is_complete() {
-                    return vec![(
-                        q.client,
-                        Message::count_reply(q.request_id, res.count as u64),
-                    )];
-                }
-                res.missing
-            } else {
-                let res = self.engine.scan(&q.range);
-                if res.is_complete() {
-                    return vec![(q.client, Message::reply(q.request_id, res.pairs))];
-                }
-                res.missing
-            };
-            q.retries += 1;
-            if q.retries > MAX_RETRIES {
-                return vec![(
-                    q.client,
-                    Message::error(q.request_id, "query exceeded fetch retries"),
-                )];
-            }
-            let mut out = Vec::new();
-            for miss in missing {
-                let home = self.partition.home_of(&miss.first);
-                if home == self.id {
-                    // We are the authority: absence is knowledge.
-                    self.engine.mark_resident(&miss);
-                } else {
-                    let fid = self.fresh_id();
-                    q.outstanding.insert(fid);
-                    out.push((
-                        Endpoint::Server(home),
-                        Message::Subscribe {
-                            id: fid,
-                            range: miss,
-                        },
-                    ));
-                }
-            }
-            if out.is_empty() {
-                // Everything missing was local: retry immediately.
-                continue;
-            }
-            self.stats.parked += 1;
-            self.parked.push(q);
-            return out;
-        }
-    }
-
-    /// Called when a subscription fetch completes; resumes any parked
-    /// query that was waiting on it.
-    fn resume_parked(&mut self, fetch_id: u64) -> Vec<(Endpoint, Message)> {
-        let mut out = Vec::new();
-        let mut ready = Vec::new();
-        let mut i = 0;
-        while i < self.parked.len() {
-            let waiting = self.parked[i].outstanding.remove(&fetch_id);
-            if waiting && self.parked[i].outstanding.is_empty() {
-                ready.push(self.parked.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for q in ready {
-            out.extend(self.drive_query(q));
-        }
-        out
-    }
-
-    /// Scans a locally-homed range to serve a subscription, resolving
-    /// local residency along the way. Automatic eviction is suspended
-    /// for the duration: the grant must ship a stable snapshot, not one
-    /// with rows dropped mid-scan.
-    fn local_scan(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
-        let saved_limit = self.engine.set_mem_limit(None);
-        let pairs = loop {
-            let res = self.engine.scan(range);
-            if res.is_complete() {
-                break res.pairs;
-            }
-            for miss in res.missing {
-                // We serve subscriptions only for ranges we are home to;
-                // whatever is absent here is absent, period.
-                self.engine.mark_resident(&miss);
-            }
-        };
-        self.engine.set_mem_limit(saved_limit);
-        pairs
+        NodeMsg::Notify { key, value } => Message::Notify { key, value },
+        // Nodes forward writes only, and every write has a wire form.
+        NodeMsg::Request { id, command } => Message::request(id, command)
+            .unwrap_or_else(|| Message::error(id, "command has no wire form")),
     }
 }

@@ -14,7 +14,7 @@
 use crate::codec::encode_frame;
 use crate::message::Message;
 use crate::partition::ServerId;
-use crate::server::{Endpoint, ServerNode};
+use crate::server::{deliver, wire, Endpoint, ServerNode};
 use pequod_store::{Key, KeyRange, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -297,6 +297,8 @@ pub struct SimCluster {
     queue: BinaryHeap<Reverse<Envelope>>,
     payloads: std::collections::HashMap<u64, Message>,
     replies: Vec<(u32, Message)>,
+    /// What the node being stepped sends, before it goes on the wire.
+    outbox: Vec<(Endpoint, pequod_core::NodeMsg)>,
     now: u64,
     seq: u64,
     rng: u64,
@@ -314,12 +316,15 @@ impl SimCluster {
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(n.id, ServerId(i as u32), "node ids must be dense");
         }
+        let size = nodes.len() as u32;
+        let nodes: Vec<ServerNode> = (nodes.into_iter()).map(|n| n.in_deployment(size)).collect();
         let busy = vec![std::time::Duration::ZERO; nodes.len()];
         SimCluster {
             nodes,
             queue: BinaryHeap::new(),
             payloads: std::collections::HashMap::new(),
             replies: Vec::new(),
+            outbox: Vec::new(),
             now: 0,
             seq: 0,
             rng: config.seed | 1,
@@ -361,6 +366,17 @@ impl SimCluster {
     /// Mutable access to a server.
     pub fn node_mut(&mut self, id: ServerId) -> &mut ServerNode {
         &mut self.nodes[id.0 as usize]
+    }
+
+    /// Audits the whole deployment, as
+    /// [`ShardedEngine::check_invariants`](pequod_core::ShardedEngine::check_invariants)
+    /// does for shards: every node's deep engine check plus
+    /// node-to-node subscription symmetry
+    /// ([`pequod_core::node::audit_deployment`]). Call it on a quiet
+    /// network; empty means consistent.
+    pub fn check_invariants(&self) -> Vec<String> {
+        let audits: Vec<_> = self.nodes.iter().map(ServerNode::audit).collect();
+        pequod_core::node::audit_deployment(&audits)
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -410,7 +426,11 @@ impl SimCluster {
 
     /// Injects a client request addressed to a server.
     pub fn request(&mut self, client: u32, server: ServerId, msg: Message) {
-        self.send(Endpoint::Client(client), Endpoint::Server(server), msg);
+        self.send(
+            Endpoint::Client(client.into()),
+            Endpoint::Server(server),
+            msg,
+        );
     }
 
     /// Delivers the next message; returns false when the network is
@@ -427,7 +447,8 @@ impl SimCluster {
         };
         self.traffic.delivered += 1;
         match env.to {
-            Endpoint::Client(c) => self.replies.push((c, msg)),
+            // Client tokens enter through `request` as `u32`s.
+            Endpoint::Client(c) => self.replies.push((c as u32, msg)),
             Endpoint::Server(sid) => {
                 let node = &mut self.nodes[sid.0 as usize];
                 // Keep the engine's logical clock in sync with simulated
@@ -437,11 +458,13 @@ impl SimCluster {
                 // audit: allow(wall-clock) — busy-time accounting measures
                 // real compute per server; simulated time stays in `now`.
                 let start = std::time::Instant::now();
-                let out = node.handle(env.from, msg);
+                let mut out = std::mem::take(&mut self.outbox);
+                deliver(node, env.from, msg, &mut out);
                 self.busy[sid.0 as usize] += start.elapsed();
-                for (to, m) in out {
-                    self.send(Endpoint::Server(sid), to, m);
+                for (to, m) in out.drain(..) {
+                    self.send(Endpoint::Server(sid), to, wire(m));
                 }
+                self.outbox = out;
             }
         }
         true

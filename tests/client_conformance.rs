@@ -9,7 +9,10 @@
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response, ShardedEngine};
 use pequod::db::WriteAround;
-use pequod::net::{ClusterClient, ServerId, ServerNode, SimCluster, SimConfig, TablePartition};
+use pequod::net::{
+    ClusterClient, ComponentHashPartition, Partition, ServerId, ServerNode, SimCluster, SimConfig,
+    TablePartition,
+};
 use pequod::prelude::*;
 use pequod::telemetry::Recorder;
 use std::sync::Arc;
@@ -29,8 +32,41 @@ fn v(s: &str) -> Value {
     Value::from(s.as_bytes().to_vec())
 }
 
-/// A named factory, so each scenario starts from a fresh instance.
+/// A named factory, so each scenario starts from a fresh instance. The
+/// name is the backend's, plus a `-hash` suffix for the deployments
+/// partitioned by user instead of by table.
 type BackendFactory = (&'static str, Box<dyn Fn() -> Box<dyn Client>>);
+
+/// Two nodes split by table: posts homed on node 1, the rest on node
+/// 0, so the scripts cross a partition boundary.
+fn by_table() -> Arc<dyn Partition> {
+    Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)))
+}
+
+/// Two nodes split by user: every table is spread over both, and a
+/// whole-table read has to gather from each.
+fn by_user() -> Arc<dyn Partition> {
+    Arc::new(ComponentHashPartition {
+        component: 1,
+        servers: 2,
+    })
+}
+
+/// A user-partitioned deployment keeps no table on one node, so it has
+/// to be told about every table the scripts touch.
+const HASHED_TABLES: &[&str] = &["p|", "s|", "t|", "acct|", "misc|"];
+
+/// The simulated two-server cluster over `engine()`s.
+fn cluster_of(
+    part: Arc<dyn Partition>,
+    tables: &[&str],
+    engine: impl Fn() -> Engine,
+) -> ClusterClient {
+    let nodes = (0..2)
+        .map(|i| ServerNode::new(ServerId(i), engine(), part.clone(), tables))
+        .collect();
+    ClusterClient::new(SimCluster::new(SimConfig::default(), nodes), part)
+}
 
 fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
     let mut out: Vec<BackendFactory> = vec![
@@ -41,12 +77,12 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
         (
             "sharded",
             Box::new(|| {
-                // Two shards, split like the cluster deployment below:
-                // posts homed on shard 1, the rest on shard 0, so the
-                // script exercises cross-shard subscriptions.
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-                Box::new(ShardedEngine::new(2, EngineConfig::default(), part, TABLES))
-                    as Box<dyn Client>
+                Box::new(ShardedEngine::new(
+                    2,
+                    EngineConfig::default(),
+                    by_table(),
+                    TABLES,
+                )) as Box<dyn Client>
             }),
         ),
         (
@@ -60,25 +96,22 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
         ),
         (
             "cluster",
+            Box::new(|| Box::new(cluster_of(by_table(), TABLES, Engine::new_default)) as _),
+        ),
+        (
+            "sharded-hash",
             Box::new(|| {
-                // Two servers: posts homed on server 1, the rest on 0,
-                // so the script crosses a partition boundary.
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-                let nodes = (0..2)
-                    .map(|i| {
-                        ServerNode::new(
-                            ServerId(i),
-                            Engine::new(EngineConfig::default()),
-                            part.clone(),
-                            TABLES,
-                        )
-                    })
-                    .collect();
-                Box::new(ClusterClient::new(
-                    SimCluster::new(SimConfig::default(), nodes),
-                    part,
+                Box::new(ShardedEngine::new(
+                    2,
+                    EngineConfig::default(),
+                    by_user(),
+                    HASHED_TABLES,
                 )) as Box<dyn Client>
             }),
+        ),
+        (
+            "cluster-hash",
+            Box::new(|| Box::new(cluster_of(by_user(), HASHED_TABLES, Engine::new_default)) as _),
         ),
     ];
     if !join_capable_only {
@@ -134,6 +167,34 @@ fn kv_script() -> Vec<Command> {
         Command::Remove(k("misc|x")),
         Command::Get(k("misc|x")),
     ]
+    .into_iter()
+    .chain(whole_table_reads())
+    .collect()
+}
+
+/// Reads that span every node of a user-partitioned deployment (the
+/// scans of `core::sharded::tests::cross_shard_ranges_agree_with_engine`):
+/// the executing node has to gather all nodes' rows, answer like a
+/// single engine, leave no node's residency poisoned for the sub-range
+/// reads that follow from other nodes, and stay fresh.
+fn whole_table_reads() -> Vec<Command> {
+    let sub_ranges = |firsts: &'static [&'static str]| {
+        (firsts.iter()).map(|c| Command::Count(KeyRange::new(format!("p|{c}"), "p~")))
+    };
+    (0..8)
+        .map(|i| Command::Put(k(&format!("p|user{i}|0000000001")), v("v")))
+        .chain([
+            Command::Count(KeyRange::prefix("p|")),
+            Command::Scan(KeyRange::prefix("p|")),
+        ])
+        .chain(sub_ranges(&["a", "b", "c", "d", "e", "f", "g", "h", "u"]))
+        .chain([
+            Command::Put(k("p|newuser|0000000001"), v("v")),
+            Command::Count(KeyRange::prefix("p|")),
+            Command::Scan(KeyRange::prefix("p|")),
+        ])
+        .chain(sub_ranges(&["a", "b", "c", "d", "n", "u"]))
+        .collect()
 }
 
 /// A script exercising cache joins, for the join-capable backends:
@@ -175,7 +236,7 @@ fn assert_all_agree(script_of: fn() -> Vec<Command>, join_capable_only: bool) {
     let mut reference: Option<(&str, Vec<(usize, Response)>)> = None;
     for (name, make) in backends(join_capable_only) {
         let mut client = make();
-        assert_eq!(client.backend_name(), name);
+        assert_eq!(Some(client.backend_name()), name.split('-').next());
         let got = run_script(&mut *client, script_of());
         match &reference {
             None => reference = Some((name, got)),
@@ -300,68 +361,112 @@ fn pressure_script() -> Vec<Command> {
     script
 }
 
+/// A capped deployment that can also audit itself end to end.
+trait Audited: Client {
+    fn audit(&mut self) -> Vec<String>;
+}
+
+impl Audited for Engine {
+    fn audit(&mut self) -> Vec<String> {
+        self.check_invariants()
+    }
+}
+
+impl Audited for ShardedEngine {
+    fn audit(&mut self) -> Vec<String> {
+        self.check_invariants()
+    }
+}
+
+impl Audited for ClusterClient {
+    fn audit(&mut self) -> Vec<String> {
+        self.cluster().check_invariants()
+    }
+}
+
+/// What follows [`pressure_script`] under a cap: `filler_bytes` of rows
+/// nothing may evict (plain or authoritative base data) push every node
+/// past its budget until all it *can* evict is gone — computed
+/// timelines and, on a multi-node deployment, the replicated base
+/// ranges its peers still serve it — and are removed again. Then a
+/// write to every poster, whose homes notify subscribers that no longer
+/// hold the range.
+fn squeeze_script(filler_bytes: usize) -> Vec<Command> {
+    let value = "x".repeat(1024);
+    let filler = || (0..filler_bytes / 1024 + 1).map(|i| k(&format!("misc|fill{i:04}")));
+    let mut script: Vec<Command> = filler()
+        .map(|key| Command::Put(key, v(&value)))
+        .chain(filler().map(Command::Remove))
+        .collect();
+    for p in 0..8u32 {
+        script.push(Command::Put(
+            k(&format!("p|w{p:03}|9999999999")),
+            v("a tweet posted after the evictions"),
+        ));
+    }
+    script
+}
+
+/// Every timeline and the whole post table, read back after the squeeze.
+fn read_everything() -> Vec<Command> {
+    (0..24u32)
+        .map(|u| Command::Scan(KeyRange::prefix(format!("t|r{u:03}|"))))
+        .chain([Command::Count(KeyRange::prefix("p|"))])
+        .collect()
+}
+
 /// Recompute transparency (§2.5): a memory-capped deployment must
 /// answer the shared script byte-identically to an uncapped engine, on
 /// every join-capable backend that can run capped — the in-process
 /// engine, the sharded engine (per-shard budgets), and the simulated
-/// cluster (per-node budgets). The cap is calibrated to half of the
-/// uncapped engine's footprint on the same script, so eviction provably
-/// fires while the script runs.
+/// cluster (per-node budgets), partitioned by table and by user. The
+/// cap is calibrated to half of the uncapped engine's footprint on the
+/// same script, so eviction provably fires while the script runs.
+///
+/// The squeeze that follows evicts replicated base ranges whose homes
+/// still list the evictor as a subscriber, then writes to them; a
+/// deployment-wide audit comes straight after, because a notification
+/// for an evicted range must not come back as a row no resident range
+/// tracks (the reads that follow would refetch the range and hide it).
 #[test]
 fn capped_backends_answer_like_uncapped_ones() {
     // Reference + calibration: the uncapped engine.
     let mut reference = Engine::new(EngineConfig::default());
     let want = run_script(&mut reference, pressure_script());
     let footprint = Client::stats(&mut reference).memory_bytes as usize;
+    run_script(&mut reference, squeeze_script(footprint));
+    let want_after = run_script(&mut reference, read_everything());
     let limit = MemoryLimit::new(footprint / 2);
+    let capped = move || EngineConfig::default().with_mem_limit(limit);
+    // Cluster nodes are configured explicitly: give each server an even
+    // share of the deployment budget. ShardedEngine splits the node
+    // budget per shard itself.
+    let node_engine = move || Engine::new(EngineConfig::default().with_mem_limit(limit.split(2)));
 
-    let capped: Vec<BackendFactory> = vec![
-        (
-            "engine",
-            Box::new(move || {
-                Box::new(Engine::new(EngineConfig::default().with_mem_limit(limit)))
-                    as Box<dyn Client>
-            }),
-        ),
+    type AuditedFactory = (&'static str, Box<dyn Fn() -> Box<dyn Audited>>);
+    let deployments: Vec<AuditedFactory> = vec![
+        ("engine", Box::new(move || Box::new(Engine::new(capped())))),
         (
             "sharded",
-            Box::new(move || {
-                // ShardedEngine splits the node budget per shard itself.
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-                Box::new(ShardedEngine::new(
-                    2,
-                    EngineConfig::default().with_mem_limit(limit),
-                    part,
-                    TABLES,
-                )) as Box<dyn Client>
-            }),
+            Box::new(move || Box::new(ShardedEngine::new(2, capped(), by_table(), TABLES))),
         ),
         (
             "cluster",
-            Box::new(move || {
-                // Cluster nodes are configured explicitly: give each
-                // server an even share of the deployment budget.
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-                let nodes = (0..2)
-                    .map(|i| {
-                        ServerNode::new(
-                            ServerId(i),
-                            Engine::new(EngineConfig::default().with_mem_limit(limit.split(2))),
-                            part.clone(),
-                            TABLES,
-                        )
-                    })
-                    .collect();
-                Box::new(ClusterClient::new(
-                    SimCluster::new(SimConfig::default(), nodes),
-                    part,
-                )) as Box<dyn Client>
-            }),
+            Box::new(move || Box::new(cluster_of(by_table(), TABLES, node_engine))),
+        ),
+        (
+            "sharded-hash",
+            Box::new(move || Box::new(ShardedEngine::new(2, capped(), by_user(), HASHED_TABLES))),
+        ),
+        (
+            "cluster-hash",
+            Box::new(move || Box::new(cluster_of(by_user(), HASHED_TABLES, node_engine))),
         ),
     ];
-    for (name, make) in capped {
-        let mut client = make();
-        let got = run_script(&mut *client, pressure_script());
+    for (name, make) in deployments {
+        let mut deployment = make();
+        let client: &mut dyn Client = &mut *deployment;
+        let got = run_script(client, pressure_script());
         assert_eq!(
             got, want,
             "capped {name} answered the script differently from the uncapped engine"
@@ -373,6 +478,21 @@ fn capped_backends_answer_like_uncapped_ones() {
             limit.high_bytes,
             footprint
         );
+        let acks = client.execute_batch(squeeze_script(footprint));
+        assert!(acks.iter().all(|r| *r == Response::Ok));
+        assert!(
+            name == "engine" || client.stats().base_evictions > 0,
+            "squeezed {name} never evicted a replicated base range"
+        );
+        let violations = deployment.audit();
+        assert!(violations.is_empty(), "squeezed {name}: {violations:?}");
+        let got = run_script(&mut *deployment, read_everything());
+        assert_eq!(
+            got, want_after,
+            "squeezed {name} answered differently from the uncapped engine"
+        );
+        let violations = deployment.audit();
+        assert!(violations.is_empty(), "capped {name}: {violations:?}");
     }
 }
 
@@ -395,11 +515,10 @@ fn telemetered_backends() -> Vec<BackendFactory> {
         (
             "sharded",
             Box::new(|| {
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
                 let sharded = ShardedEngine::new_with_setup(
                     2,
                     EngineConfig::default(),
-                    part,
+                    by_table(),
                     TABLES,
                     |_, e| {
                         e.set_recorder(Recorder::enabled());
@@ -421,18 +540,7 @@ fn telemetered_backends() -> Vec<BackendFactory> {
         ),
         (
             "cluster",
-            Box::new(|| {
-                let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-                let nodes = (0..2)
-                    .map(|i| {
-                        ServerNode::new(ServerId(i), telemetered_engine(), part.clone(), TABLES)
-                    })
-                    .collect();
-                Box::new(ClusterClient::new(
-                    SimCluster::new(SimConfig::default(), nodes),
-                    part,
-                )) as Box<dyn Client>
-            }),
+            Box::new(|| Box::new(cluster_of(by_table(), TABLES, telemetered_engine)) as _),
         ),
     ]
 }

@@ -6,10 +6,10 @@
 //! acknowledged only after their notifications are enqueued, so a
 //! query issued after the last ack observes every write).
 
-use pequod::core::partition::ComponentHashPartition;
-use pequod::core::{Client, EngineConfig, ShardedEngine};
+use pequod::core::partition::{ComponentHashPartition, Partition};
+use pequod::core::{Client, Command, EngineConfig, Response, ShardedEngine};
 use pequod::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const TIMELINE: &str =
@@ -176,6 +176,86 @@ fn concurrent_join_maintenance_converges() {
     // Deep invariant sweep after a run full of cross-shard
     // subscriptions: materialized timelines, replica residency, and
     // peer-serving symmetry must all agree (docs/CORRECTNESS.md).
+    let violations = engine.check_invariants();
+    assert!(violations.is_empty(), "invariants violated: {violations:?}");
+}
+
+/// A whole-table read under a hash partition is scatter-gathered from
+/// every peer, and the range installs only when the slowest grant has
+/// landed. Writes acked at a peer that already granted — while a peer
+/// preloaded with ≈30k rows is still scanning for its grant — reach the
+/// reader as notifications for a range it does not hold yet. They must
+/// be kept and applied once the range installs: after the writer's last
+/// ack, `count p|` equals every acked write.
+#[test]
+fn writes_acked_during_a_multi_peer_fetch_are_not_lost() {
+    // The grant's cost grows faster than linearly in the preloaded
+    // rows; an unoptimised build gets a smaller table and the same
+    // seconds-wide window.
+    const PRELOAD: u64 = if cfg!(debug_assertions) {
+        6_000
+    } else {
+        30_000
+    };
+    const WRITES: u64 = 5_000;
+    let part = ComponentHashPartition {
+        component: 1,
+        servers: 3,
+    };
+    let home = |user: &str| part.home_of(&Key::from(format!("p|{user}|0")));
+    // `count p|` executes on the shard that homes the bare prefix; the
+    // writer's user and the preloaded user live on the other two.
+    let reader_shard = part.home_of(&Key::from("p|"));
+    let users = || (0..).map(|i| format!("u{i}"));
+    let writer_user = users().find(|u| home(u) != reader_shard).unwrap();
+    let slow_user = users()
+        .find(|u| home(u) != reader_shard && home(u) != home(&writer_user))
+        .unwrap();
+
+    let mut engine = sharded(3);
+    let preload: Vec<Command> = (0..PRELOAD)
+        .map(|t| {
+            Command::Put(
+                Key::from(format!("p|{slow_user}|{t:010}")),
+                Value::from_static(b"old post"),
+            )
+        })
+        .collect();
+    assert!(engine
+        .execute_batch(preload)
+        .iter()
+        .all(|r| *r == Response::Ok));
+
+    // The read starts once the writer is a tenth of the way through, so
+    // the writer's shard grants at once and the rest of the writes are
+    // acked while the preloaded shard is still scanning.
+    let written = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let mut h = engine.client_handle();
+        let written = written.clone();
+        std::thread::spawn(move || {
+            for t in 0..WRITES {
+                h.put(
+                    &Key::from(format!("p|{writer_user}|{t:010}")),
+                    &Value::from_static(b"new post"),
+                );
+                written.store(t + 1, Ordering::Release);
+            }
+        })
+    };
+    while written.load(Ordering::Acquire) < WRITES / 10 {
+        std::thread::yield_now();
+    }
+    let mut reader = engine.client_handle();
+    let during = reader.count(&KeyRange::prefix("p|"));
+    writer.join().unwrap();
+
+    assert!(during >= PRELOAD, "the read lost preloaded rows: {during}");
+    assert_eq!(
+        reader.count(&KeyRange::prefix("p|")),
+        PRELOAD + WRITES,
+        "writes acked while the whole-table fetch was open never arrived"
+    );
     let violations = engine.check_invariants();
     assert!(violations.is_empty(), "invariants violated: {violations:?}");
 }
