@@ -21,53 +21,36 @@ pub enum MaterializationMode {
 /// A memory budget for one engine (§2.5): automatic LRU eviction keeps
 /// the estimated resident footprint under a hard cap.
 ///
-/// Eviction uses two watermarks. The **high** watermark is the cap:
-/// whenever maintenance finds the footprint above it, least-recently-used
-/// evictable units (materialized join ranges, cached base data) are
-/// dropped. Eviction then continues down to the **low** watermark, so one
-/// more write does not immediately re-trigger it (hysteresis). Evicted
-/// computed data is transparently recomputed on the next read, so a
-/// memory-bounded engine answers every query exactly like an unbounded
-/// one — it just pays recomputation for cold ranges.
+/// There is one number, the cap. Whenever an operation's maintenance
+/// finds the footprint above it, least-recently-used evictable units
+/// (materialized join ranges, cached base data) are dropped until the
+/// footprint is back at or under the cap, and no further: an operation
+/// evicts about what it grew, so the cost of staying bounded is spread
+/// over the operations that cause it instead of landing on one of them in
+/// a lump. Evicted computed data is transparently recomputed on the next
+/// read, so a memory-bounded engine answers every query exactly like an
+/// unbounded one — it just pays recomputation for cold ranges.
 ///
 /// ```
 /// use pequod_core::config::MemoryLimit;
 ///
 /// let limit = MemoryLimit::new(1 << 20); // 1 MiB cap
 /// assert_eq!(limit.high_bytes, 1 << 20);
-/// assert!(limit.low_bytes < limit.high_bytes);
 /// assert_eq!(MemoryLimit::mb(4).high_bytes, 4 << 20);
 /// // A 1 MiB budget split over 4 shards caps each shard at 256 KiB.
 /// assert_eq!(MemoryLimit::mb(1).split(4).high_bytes, (1 << 20) / 4);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemoryLimit {
-    /// The hard cap: eviction triggers when estimated memory exceeds it.
+    /// The hard cap: eviction runs while estimated memory exceeds it.
     pub high_bytes: usize,
-    /// The eviction target: once triggered, evict down to this.
-    pub low_bytes: usize,
 }
 
 impl MemoryLimit {
-    /// A cap with the default hysteresis: the low watermark sits 1/8
-    /// below the cap.
+    /// A cap in bytes.
     pub fn new(cap_bytes: usize) -> MemoryLimit {
         MemoryLimit {
             high_bytes: cap_bytes,
-            low_bytes: cap_bytes - cap_bytes / 8,
-        }
-    }
-
-    /// A cap with an explicit low watermark (`low_bytes` must not
-    /// exceed `cap_bytes`).
-    pub fn with_watermarks(cap_bytes: usize, low_bytes: usize) -> MemoryLimit {
-        assert!(
-            low_bytes <= cap_bytes,
-            "low watermark {low_bytes} above the cap {cap_bytes}"
-        );
-        MemoryLimit {
-            high_bytes: cap_bytes,
-            low_bytes,
         }
     }
 
@@ -77,17 +60,14 @@ impl MemoryLimit {
     }
 
     /// Splits this budget evenly over `n` engines (per-shard budgets in
-    /// a sharded deployment). Each share keeps the same high/low ratio.
+    /// a sharded deployment).
     ///
     /// Every engine gets the *floor* share, so up to `n − 1` bytes of
     /// the budget go unused when it does not divide evenly; use
     /// [`MemoryLimit::split_nth`] to hand the remainder out.
     pub fn split(&self, n: usize) -> MemoryLimit {
         assert!(n > 0, "cannot split a budget over zero engines");
-        MemoryLimit {
-            high_bytes: self.high_bytes / n,
-            low_bytes: self.low_bytes / n,
-        }
+        MemoryLimit::new(self.high_bytes / n)
     }
 
     /// The budget share of engine `index` among `n`, distributing the
@@ -107,11 +87,7 @@ impl MemoryLimit {
     pub fn split_nth(&self, n: usize, index: usize) -> MemoryLimit {
         assert!(n > 0, "cannot split a budget over zero engines");
         assert!(index < n, "engine index {index} out of {n}");
-        let share = |total: usize| total / n + usize::from(index < total % n);
-        MemoryLimit {
-            high_bytes: share(self.high_bytes),
-            low_bytes: share(self.low_bytes),
-        }
+        MemoryLimit::new(self.high_bytes / n + usize::from(index < self.high_bytes % n))
     }
 }
 

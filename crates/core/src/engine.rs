@@ -111,6 +111,31 @@ fn touch_base(lru: &mut LruTracker<EvictUnit>, prefix: &[u8], table: &mut Remote
     }
 }
 
+/// Reports, into `missing`, the parts of `range` that lie in remote
+/// tables and are not resident, and marks the tables it touches as just
+/// used. Over the two fields it changes, so that forward execution can
+/// call it while it reads the store.
+pub(crate) fn check_residency(
+    remote: &mut HashMap<Key, RemoteTable>,
+    lru: &mut LruTracker<EvictUnit>,
+    range: &KeyRange,
+    missing: &mut Vec<KeyRange>,
+) {
+    for (prefix, table) in remote {
+        let table_range = KeyRange::prefix(prefix.clone());
+        let clip = table_range.intersect(range);
+        if clip.is_empty() {
+            continue;
+        }
+        touch_base(lru, prefix.as_bytes(), table);
+        for gap in table.resident.uncovered(&clip) {
+            if !missing.iter().any(|m| m.contains_range(&gap)) {
+                missing.push(gap);
+            }
+        }
+    }
+}
+
 /// [`Engine::is_durable_base`] over the two fields it reads, so a store
 /// scan (which borrows the store mutably) can apply it per pair.
 fn durable_base(joins: &[Arc<JoinSpec>], authority: &Option<BaseAuthority>, key: &Key) -> bool {
@@ -557,22 +582,6 @@ impl Engine {
             .unwrap_or_default()
     }
 
-    pub(crate) fn check_residency(&mut self, range: &KeyRange, missing: &mut Vec<KeyRange>) {
-        for (prefix, table) in &mut self.remote {
-            let table_range = KeyRange::prefix(prefix.clone());
-            let clip = table_range.intersect(range);
-            if clip.is_empty() {
-                continue;
-            }
-            touch_base(&mut self.lru, prefix.as_bytes(), table);
-            for gap in table.resident.uncovered(&clip) {
-                if !missing.iter().any(|m| m.contains_range(&gap)) {
-                    missing.push(gap);
-                }
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Writes (§3.2 incremental maintenance)
     // ------------------------------------------------------------------
@@ -616,11 +625,14 @@ impl Engine {
         self.recorder.observe_op(OpKind::Remove, &timer);
     }
 
-    /// Applies a store modification and dispatches updaters.
+    /// Applies a store modification and dispatches updaters. `shared`
+    /// says whether the value — the one written, or the one a removal
+    /// takes away — is a `copy` output sharing its source's buffer
+    /// (§4.3), which the store never counts as resident.
     pub(crate) fn write(&mut self, key: Key, value: Option<Value>, shared: bool) {
         let old = match &value {
             Some(v) => self.store.put(key.clone(), v.clone(), shared),
-            None => self.store.remove(&key),
+            None => self.store.remove(&key, shared),
         };
         let kind = match (&old, &value) {
             (None, Some(_)) => WriteKind::Insert,
@@ -629,9 +641,24 @@ impl Engine {
             (None, None) => return, // removing an absent key: no-op
         };
         self.stats.writes += 1;
+        self.notify(&key, old.as_ref(), value.as_ref(), kind);
+    }
+
+    /// The notify half of a write: dispatches the updaters whose source
+    /// ranges contain `key`, which the store has already gone from `old`
+    /// to `new`. Every store modification that maintenance must see
+    /// comes through here, one key at a time or a torn-down range's keys
+    /// one after the other.
+    pub(crate) fn notify(
+        &mut self,
+        key: &Key,
+        old: Option<&Value>,
+        new: Option<&Value>,
+        kind: WriteKind,
+    ) {
         // Fast exit: no join watches this table (true for output tables,
         // which receive the bulk of writes).
-        if self.updaters.table_is_quiet(&key) {
+        if self.updaters.table_is_quiet(key) {
             return;
         }
         // Stab once, keeping handles only: dispatch may mutate the index,
@@ -639,14 +666,14 @@ impl Engine {
         // handle and is skipped. Entries are read in place, never copied.
         // All scratch state lives in this frame, because dispatch
         // re-enters `write` for the output keys of chained joins.
-        let work = self.updaters.stab(&key);
+        let work = self.updaters.stab(key);
         if work.is_empty() {
             return;
         }
         self.recorder.observe_fanout(work.len() as u64);
         let mut matched: Vec<SourceMatch> = Vec::new();
         for h in work {
-            self.dispatch(h, &mut matched, &key, old.as_ref(), value.as_ref(), kind);
+            self.dispatch(h, &mut matched, key, old, new, kind);
         }
     }
 
@@ -747,7 +774,7 @@ impl Engine {
                             };
                             self.write(out_key, Some(v), shared);
                         }
-                        WriteKind::Remove => self.write(out_key, None, false),
+                        WriteKind::Remove => self.write(out_key, None, self.config.value_sharing),
                     }
                 }
                 None => {

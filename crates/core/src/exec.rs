@@ -4,15 +4,15 @@
 
 use crate::aggregate::Accumulator;
 use crate::config::MaterializationMode;
-use crate::engine::{Engine, EvictUnit};
+use crate::engine::{check_residency, Engine, EvictUnit, RemoteTable};
 use crate::status::{JsState, LoggedMod, Segment};
 use crate::types::{CountResult, JoinId, JsId, ScanResult, WriteKind};
 use crate::updater::UpdaterEntry;
 use bytes::Bytes;
-use pequod_join::{containing_range, JoinSpec, Maintenance, Operator, SlotSet};
-use pequod_store::{Key, KeyRange, Value};
+use pequod_join::{containing_range, JoinSpec, Maintenance, Operator, SlotId, SlotSet};
+use pequod_store::{Key, KeyRange, LruTracker, Store, Value};
 use pequod_telemetry::OpKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A planned updater installation recorded during forward execution
@@ -69,9 +69,7 @@ impl Engine {
             return missing;
         }
         // Base data requested directly from a remote table?
-        if !self.remote.is_empty() {
-            self.check_residency(range, &mut missing);
-        }
+        check_residency(&mut self.remote, &mut self.lru, range, &mut missing);
         // Joins overlapping the scan.
         let mut overlay: Option<BTreeMap<Key, Value>> = None;
         for jidx in 0..self.joins.len() {
@@ -105,7 +103,7 @@ impl Engine {
         }
         // Enforce the memory cap only after the last visit: reads
         // materialize join ranges, so a capped engine may be over the
-        // high watermark right here, but the response must never
+        // cap right here, but the response must never
         // observe a half-evicted store.
         self.maintain_memory();
         self.paranoid_check();
@@ -150,9 +148,7 @@ impl Engine {
         if range.is_empty() {
             return CountResult::default();
         }
-        if !self.remote.is_empty() {
-            self.check_residency(range, &mut missing);
-        }
+        check_residency(&mut self.remote, &mut self.lru, range, &mut missing);
         // Pull joins are never materialized: their outputs exist only as
         // an overlay, so count distinct keys across overlay and store.
         let mut overlay: Option<BTreeSet<Key>> = None;
@@ -301,22 +297,13 @@ impl Engine {
             missing.extend(local_missing);
             return;
         }
-        let is_copy = spec.value_op() == Operator::Copy;
         // The nested loops emit a copy join's outputs outer-source-major
-        // (a timeline comes out poster by poster); the store's subtables
-        // append cheaply and insert dearly, so write in key order. Stable:
-        // a key produced twice keeps its last value.
+        // (a timeline comes out poster by poster, each poster's run
+        // ascending); the store's subtables append cheaply and insert
+        // dearly, so write in key order. The stable sort merges the runs
+        // it finds, and a key produced twice keeps its last value.
         outs.sort_by(|(a, _), (b, _)| a.cmp(b));
-        for (k, v) in outs {
-            let (v, shared) = if is_copy && self.config.value_sharing {
-                (v, true)
-            } else if is_copy {
-                (Bytes::copy_from_slice(&v), false)
-            } else {
-                (v, false)
-            };
-            self.write(k, Some(v), shared);
-        }
+        self.write_outputs(&spec, outs);
         let lru = &mut self.lru;
         let jsid = self.status[jidx].insert(gap.clone(), self.clock, |id| {
             lru.insert(EvictUnit::Js(jidx as u32, id))
@@ -325,9 +312,36 @@ impl Engine {
         self.stats.ranges_materialized += 1;
     }
 
+    /// Writes outputs a join's execution just produced: into the store
+    /// as one run, then through the notify half of the write path if
+    /// some join watches the output table (a chained join). A `copy`
+    /// join's outputs share their sources' buffers (§4.3) unless value
+    /// sharing is off, in which case each gets a private copy.
+    fn write_outputs(&mut self, spec: &JoinSpec, mut outs: Vec<(Key, Value)>) {
+        let is_copy = spec.value_op() == Operator::Copy;
+        if is_copy && !self.config.value_sharing {
+            for (_, v) in &mut outs {
+                *v = Bytes::copy_from_slice(v);
+            }
+        }
+        let watched = |(k, _): &(Key, Value)| !self.updaters.table_is_quiet(k);
+        let written = outs.first().is_some_and(watched).then(|| outs.clone());
+        self.stats.writes += outs.len() as u64;
+        let shared = is_copy && self.config.value_sharing;
+        let mut replaced = self.store.put_run(outs, shared).into_iter().peekable();
+        for (at, (k, v)) in written.iter().flatten().enumerate() {
+            let old = replaced.next_if(|(i, _)| *i == at).map(|(_, old)| old);
+            let kind = match old {
+                Some(_) => WriteKind::Update,
+                None => WriteKind::Insert,
+            };
+            self.notify(k, old.as_ref(), Some(v), kind);
+        }
+    }
+
     /// Removes a status range, its updaters, and (optionally) its
-    /// outputs from the store. Output removal goes through the normal
-    /// write path so downstream joins observe it.
+    /// outputs from the store. Downstream joins observe the removed
+    /// outputs ([`Engine::remove_matching_outputs`]).
     pub(crate) fn teardown_jsrange(&mut self, jidx: usize, jsid: JsId, remove_outputs: bool) {
         let Some(js) = self.status[jidx].remove(jsid) else {
             return;
@@ -336,30 +350,29 @@ impl Engine {
         self.lru.remove(js.lru);
         if remove_outputs {
             let spec = self.joins[jidx].clone();
-            self.remove_matching_outputs(&spec, &js.range(), spec.slots.empty_set());
+            self.remove_matching_outputs(&spec, &js.range(), &spec.slots.empty_set());
         }
     }
 
-    /// Removes, through the normal write path, every stored key of
-    /// `range` that the join's output pattern matches consistently with
-    /// `slots`. One slot set serves the whole scan: each key's bindings
-    /// are undone before the next is tried. Removals are written
-    /// newest-first, so a subtable being emptied pops from its tail
-    /// instead of shifting every remaining pair down.
-    fn remove_matching_outputs(&mut self, spec: &JoinSpec, range: &KeyRange, mut slots: SlotSet) {
-        let mut doomed = Vec::new();
-        let mut undo = Vec::with_capacity(4);
-        self.store.scan(range, |k, _| {
-            if spec.output.match_key_undo(k, &mut slots, &mut undo) {
-                doomed.push(k.clone());
-                for id in undo.drain(..) {
-                    slots.unbind(id);
-                }
+    /// Removes every stored key of `range` that the join's output
+    /// pattern matches consistently with `slots`, as one range removal.
+    /// A removed pair reaches the notify half of the write path only
+    /// when some join watches the output table (a chained join);
+    /// otherwise nothing about it outlives the pass.
+    fn remove_matching_outputs(&mut self, spec: &JoinSpec, range: &KeyRange, slots: &SlotSet) {
+        let watched = !self.updaters.table_is_quiet(&range.first);
+        let shared = spec.value_op() == Operator::Copy && self.config.value_sharing;
+        let mut removed = Vec::new();
+        let count = self.store.remove_range(range, shared, |k, v| {
+            let ours = spec.output.matches(k, slots);
+            if ours && watched {
+                removed.push((k.clone(), v.clone()));
             }
-            true
+            ours
         });
-        for k in doomed.into_iter().rev() {
-            self.write(k, None, false);
+        self.stats.writes += count as u64;
+        for (k, v) in removed.iter().rev() {
+            self.notify(k, Some(v), None, WriteKind::Remove);
         }
     }
 
@@ -415,17 +428,31 @@ impl Engine {
             }
             None => (None, None),
         };
+        // A source another join writes into is validated, range by
+        // range, before it is read, and validation writes to the store;
+        // so only the sources nested under the last such one can be read
+        // where they lie. In the common join every source is base data.
+        let fed = |level: &usize| {
+            let space = spec.sources[*level].pattern.key_space();
+            let feeds = |(j, other): (usize, &Arc<JoinSpec>)| {
+                j != jidx && other.output_range().overlaps(&space)
+            };
+            Some(*level) != skip && self.joins.iter().enumerate().any(feeds)
+        };
+        let in_place_from = (0..spec.sources.len()).rev().find(fed).map_or(0, |l| l + 1);
         let mut ctx = ExecCtx {
             spec: &spec,
             jidx,
             clip,
             skip,
+            in_place_from,
             out: Vec::new(),
             aggs: BTreeMap::new(),
             plan: Vec::new(),
             want_plan: plan.is_some(),
+            undo: Vec::with_capacity(4),
         };
-        self.exec_level(&mut ctx, 0, &mut slots, value0, missing);
+        self.exec_level(&mut ctx, 0, &mut slots, value0.as_ref(), missing);
         let ExecCtx {
             out,
             aggs,
@@ -444,86 +471,52 @@ impl Engine {
         result
     }
 
+    /// One level of the nested loops for a source that another join may
+    /// write into (or that has such a source nested under it): its range
+    /// is gathered first ([`Engine::collect_source`]), because gathering
+    /// and the levels below may both change the store. From
+    /// `ctx.in_place_from` down, [`BaseData::exec_level`] takes over.
     fn exec_level(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         level: usize,
         slots: &mut SlotSet,
-        captured: Option<Value>,
+        captured: Option<&Value>,
         missing: &mut Vec<KeyRange>,
     ) {
-        if level == ctx.spec.sources.len() {
-            let Some(out_key) = ctx.spec.output.expand(slots) else {
-                return;
+        if level >= ctx.in_place_from {
+            let mut base = BaseData {
+                store: &self.store,
+                remote: &mut self.remote,
+                lru: &mut self.lru,
             };
-            if !ctx.clip.contains(&out_key) {
-                return;
-            }
-            let Some(v) = captured else { return };
-            if ctx.spec.is_aggregate() {
-                let op = ctx.spec.value_op();
-                ctx.aggs
-                    .entry(out_key)
-                    .and_modify(|a| a.fold(&v))
-                    .or_insert_with(|| Accumulator::start(op, &v));
-            } else {
-                ctx.out.push((out_key, v));
-            }
-            return;
+            return base.exec_level(ctx, level, slots, captured, missing);
         }
         if Some(level) == ctx.skip {
-            self.exec_level(ctx, level + 1, slots, captured, missing);
-            return;
+            return self.exec_level(ctx, level + 1, slots, captured, missing);
         }
-        let src = &ctx.spec.sources[level];
-        let crange = containing_range(&src.pattern, &ctx.spec.output, slots, ctx.clip);
-        if crange.is_empty() {
+        let Some(crange) = ctx.source_range(level, slots) else {
             return;
-        }
-        if ctx.want_plan {
-            ctx.plan.push(PlanEntry {
-                source_idx: level,
-                range: crange.clone(),
-                slots: slots.clone(),
+        };
+        for (k, v) in &self.collect_source(ctx.jidx, &crange, missing) {
+            ctx.matching(level, k, v, slots, captured, |ctx, slots, captured| {
+                self.exec_level(ctx, level + 1, slots, captured, missing)
             });
-        }
-        let found = self.collect_source(ctx.jidx, &crange, missing);
-        let value_source = ctx.spec.value_source();
-        // Reuse one slot set across candidates via an undo trail instead
-        // of cloning per key (the nested-loop hot path).
-        let mut undo = Vec::with_capacity(4);
-        for (k, v) in found {
-            undo.clear();
-            if ctx.spec.sources[level]
-                .pattern
-                .match_key_undo(&k, slots, &mut undo)
-            {
-                let cap = if level == value_source {
-                    Some(v)
-                } else {
-                    captured.clone()
-                };
-                self.exec_level(ctx, level + 1, slots, cap, missing);
-                for id in undo.drain(..) {
-                    slots.unbind(id);
-                }
-            }
         }
     }
 
-    /// Gathers the contents of a source range: resident store data plus
-    /// the outputs of any other joins that feed this range (recursive
-    /// query execution, §3.3), reporting missing base data.
+    /// Gathers the contents of a source range other joins write into:
+    /// their outputs over it are brought up to date first (recursive
+    /// query execution, §3.3), then resident store data is copied out
+    /// beside them, reporting missing base data.
     fn collect_source(
         &mut self,
         cur_jidx: usize,
         crange: &KeyRange,
         missing: &mut Vec<KeyRange>,
     ) -> Vec<(Key, Value)> {
-        if !self.remote.is_empty() {
-            self.check_residency(crange, missing);
-        }
-        let mut overlay: Option<BTreeMap<Key, Value>> = None;
+        check_residency(&mut self.remote, &mut self.lru, crange, missing);
+        let mut overlay: BTreeMap<Key, Value> = BTreeMap::new();
         for j2 in 0..self.joins.len() {
             if j2 == cur_jidx {
                 continue;
@@ -533,31 +526,24 @@ impl Engine {
                 continue;
             }
             if self.is_pull(j2) {
-                let map = overlay.get_or_insert_with(BTreeMap::new);
-                for (k, v) in self.exec_join(j2, &clip2, None, None, missing) {
-                    map.insert(k, v);
-                }
+                overlay.extend(self.exec_join(j2, &clip2, None, None, missing));
             } else {
                 self.validate_join(j2, &clip2, missing);
             }
         }
-        match overlay {
-            None => {
-                let mut pairs = Vec::new();
-                self.store.scan(crange, |k, v| {
-                    pairs.push((k.clone(), v.clone()));
-                    true
-                });
-                pairs
-            }
-            Some(mut map) => {
-                self.store.scan(crange, |k, v| {
-                    map.entry(k.clone()).or_insert_with(|| v.clone());
-                    true
-                });
-                map.into_iter().collect()
-            }
+        if overlay.is_empty() {
+            let mut pairs = Vec::new();
+            self.store.visit(crange, |k, v| {
+                pairs.push((k.clone(), v.clone()));
+                true
+            });
+            return pairs;
         }
+        self.store.visit(crange, |k, v| {
+            overlay.entry(k.clone()).or_insert_with(|| v.clone());
+            true
+        });
+        overlay.into_iter().collect()
     }
 
     // ------------------------------------------------------------------
@@ -621,15 +607,7 @@ impl Engine {
                     self.complete_invalidate(jidx, jsid);
                     return;
                 }
-                let is_copy = spec.value_op() == Operator::Copy;
-                for (k, v) in outs {
-                    let (v, shared) = if is_copy && self.config.value_sharing {
-                        (v, true)
-                    } else {
-                        (Bytes::copy_from_slice(&v), false)
-                    };
-                    self.write(k, Some(v), shared);
-                }
+                self.write_outputs(&spec, outs);
                 self.install_plan(jidx, jsid, plan);
             }
             WriteKind::Remove => {
@@ -637,7 +615,7 @@ impl Engine {
                 // the range consistent with the tuple's slot bindings.
                 let target = containing_range(&spec.output, &spec.output, &slots, &extent)
                     .intersect(&extent);
-                self.remove_matching_outputs(&spec, &target, slots.clone());
+                self.remove_matching_outputs(&spec, &target, &slots);
                 // Drop updaters installed beneath the removed tuple so
                 // future source writes stop resurrecting these outputs.
                 if let Some(js) = self.status[jidx].get_mut(jsid) {
@@ -678,8 +656,9 @@ impl Engine {
     }
 
     /// Enforces the configured [`MemoryLimit`](crate::config::MemoryLimit):
-    /// when estimated memory exceeds the high watermark, least-recently-
-    /// used units are evicted down to the low watermark. Returns the
+    /// while estimated memory exceeds the cap, the least-recently-used
+    /// unit is evicted, and no further — an operation evicts about what
+    /// it grew, so no request pays for a wholesale purge. Returns the
     /// number of units evicted (0 when unbounded or under the cap).
     ///
     /// Every public read and write calls this after its answer is
@@ -723,30 +702,26 @@ impl Engine {
         };
         let used = self.memory_bytes();
         self.stats.peak_memory_bytes = self.stats.peak_memory_bytes.max(used as u64);
-        if used <= limit.high_bytes {
-            return 0;
+        self.evict_to(limit.high_bytes)
+    }
+
+    /// Completely invalidates every computed range maintained from the
+    /// data in `range`, which is about to be evicted. Eviction is not
+    /// deletion: a reader told of deletions would retract outputs that
+    /// are still right (a count over an evicted timeline would fall to
+    /// nothing and stay there); an invalidated one recomputes at its
+    /// next read, from the refetched or recomputed source.
+    fn invalidate_readers(&mut self, range: &KeyRange) {
+        if self.updaters.table_is_quiet(&range.first) {
+            return;
         }
-        let mut evicted = 0;
-        loop {
-            let used = self.memory_bytes();
-            if used <= limit.low_bytes {
-                break;
-            }
-            // In the hysteresis band, spare the final (most recently
-            // used) unit: it is typically the range an in-flight parked
-            // query just fetched, and re-evicting it would turn the
-            // restart into a refetch loop.
-            if self.lru.len() <= 1 && used <= limit.high_bytes {
-                break;
-            }
-            let Some(unit) = self.lru.pop_lru() else {
-                break;
-            };
-            if self.evict_one(unit) {
-                evicted += 1;
-            }
+        let readers: Vec<(usize, JsId)> = (self.updaters.overlapping(range).into_iter())
+            .filter_map(|h| self.updaters.get(h))
+            .map(|e| (e.join.0 as usize, e.js))
+            .collect();
+        for (jidx, jsid) in readers {
+            self.complete_invalidate(jidx, jsid);
         }
-        evicted
     }
 
     /// Evicts one unit (already removed from the LRU tracker). Returns
@@ -760,6 +735,9 @@ impl Engine {
                     .get(jidx as usize)
                     .and_then(|m| m.get(jsid))
                     .map(|js| js.range());
+                if let Some(extent) = &extent {
+                    self.invalidate_readers(extent);
+                }
                 self.teardown_jsrange(jidx as usize, jsid, true);
                 self.stats.js_evictions += 1;
                 self.recorder.evicted_js(|| match extent {
@@ -771,33 +749,20 @@ impl Engine {
             EvictUnit::Base(prefix) => {
                 let range = KeyRange::prefix(prefix.clone());
                 // Rows this engine is the authority for are the only
-                // copy and stay put; only replicas are droppable.
+                // copy and stay put; replicas are dropped, silently
+                // (eviction, not deletion).
                 let authority = self.base_authority.clone();
-                let mut doomed = Vec::new();
-                self.store.scan(&range, |k, _| {
-                    if authority.as_ref().is_none_or(|auth| !auth(k)) {
-                        doomed.push(k.clone());
-                    }
-                    true
+                let rows = self.store.remove_range(&range, false, |k, _| {
+                    authority.as_ref().is_none_or(|auth| !auth(k))
                 });
-                if authority.is_some() && doomed.is_empty() {
+                if authority.is_some() && rows == 0 {
                     // Every cached row in this table is ours: there is
                     // nothing to reclaim, and invalidating dependents
                     // would rebuild computed data for zero bytes freed.
                     // Skip the unit; the next read re-registers it.
                     return false;
                 }
-                // Source-side dependents: computed ranges maintained from
-                // this base data must recompute once it is gone.
-                let mut dependents: Vec<(usize, JsId)> = Vec::new();
-                for h in self.updaters.overlapping(&range) {
-                    if let Some(e) = self.updaters.get(h) {
-                        dependents.push((e.join.0 as usize, e.js));
-                    }
-                }
-                for (jidx, jsid) in dependents {
-                    self.complete_invalidate(jidx, jsid);
-                }
+                self.invalidate_readers(&range);
                 // Output-side dependents: if a join *writes into* the
                 // evicted table (a partitioned output table in a sharded
                 // deployment), its materialized ranges lose their rows
@@ -819,22 +784,59 @@ impl Engine {
                         self.complete_invalidate(jidx, jsid);
                     }
                 }
-                // Drop the replica rows silently (eviction, not
-                // deletion) and release the residency bookkeeping; kept
-                // authoritative rows re-prove residency on the next
-                // read without a refetch.
-                for k in &doomed {
-                    self.store.remove(k);
-                }
+                // Release the residency bookkeeping; kept authoritative
+                // rows re-prove residency on the next read without a
+                // refetch.
                 if let Some(table) = self.remote.get_mut(&prefix) {
                     table.resident.clear();
                 }
                 self.stats.base_evictions += 1;
                 self.recorder
-                    .evicted_base(|| format!("table {prefix} ({} rows)", doomed.len()));
+                    .evicted_base(|| format!("table {prefix} ({rows} rows)"));
                 true
             }
         }
+    }
+}
+
+/// The engine as forward execution sees it once only base data is left
+/// to read: the store, shared, so that one source's pairs are visited
+/// where they lie while the sources nested under it are read; and what a
+/// read of replicated base data updates (residency, recency).
+struct BaseData<'a> {
+    store: &'a Store,
+    remote: &'a mut HashMap<Key, RemoteTable>,
+    lru: &'a mut LruTracker<EvictUnit>,
+}
+
+impl BaseData<'_> {
+    /// One level of the nested loops (Figure 3) over base data, ending
+    /// in the output pair once every source has matched.
+    fn exec_level(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        level: usize,
+        slots: &mut SlotSet,
+        captured: Option<&Value>,
+        missing: &mut Vec<KeyRange>,
+    ) {
+        if level == ctx.spec.sources.len() {
+            return ctx.emit(slots, captured);
+        }
+        if Some(level) == ctx.skip {
+            return self.exec_level(ctx, level + 1, slots, captured, missing);
+        }
+        let Some(crange) = ctx.source_range(level, slots) else {
+            return;
+        };
+        check_residency(self.remote, self.lru, &crange, missing);
+        let store = self.store;
+        store.visit(&crange, |k, v| {
+            ctx.matching(level, k, v, slots, captured, |ctx, slots, captured| {
+                self.exec_level(ctx, level + 1, slots, captured, missing)
+            });
+            true
+        });
     }
 }
 
@@ -843,8 +845,81 @@ struct ExecCtx<'a> {
     jidx: usize,
     clip: &'a KeyRange,
     skip: Option<usize>,
+    /// Sources at this level and deeper are base data, read in place.
+    in_place_from: usize,
     out: Vec<(Key, Value)>,
     aggs: BTreeMap<Key, Accumulator>,
     plan: Vec<PlanEntry>,
     want_plan: bool,
+    /// Slots bound by the matches now open, innermost last: one slot set
+    /// serves every candidate key, each match's bindings undone when the
+    /// levels under it return.
+    undo: Vec<SlotId>,
+}
+
+impl ExecCtx<'_> {
+    /// The range of source `level` that can contribute under `slots`
+    /// (`None` if empty), planned as an updater when the caller wants
+    /// the plan (Figure 5).
+    fn source_range(&mut self, level: usize, slots: &SlotSet) -> Option<KeyRange> {
+        let pattern = &self.spec.sources[level].pattern;
+        let crange = containing_range(pattern, &self.spec.output, slots, self.clip);
+        if crange.is_empty() {
+            return None;
+        }
+        if self.want_plan {
+            self.plan.push(PlanEntry {
+                source_idx: level,
+                range: crange.clone(),
+                slots: slots.clone(),
+            });
+        }
+        Some(crange)
+    }
+
+    /// If source `level`'s pattern matches `key` consistently with
+    /// `slots`, runs `nested` under the widened bindings — with `value`
+    /// captured if this is the value source — and undoes them.
+    fn matching(
+        &mut self,
+        level: usize,
+        key: &Key,
+        value: &Value,
+        slots: &mut SlotSet,
+        captured: Option<&Value>,
+        nested: impl FnOnce(&mut Self, &mut SlotSet, Option<&Value>),
+    ) {
+        let mark = self.undo.len();
+        let pattern = &self.spec.sources[level].pattern;
+        if !pattern.match_key_undo(key, slots, &mut self.undo) {
+            return;
+        }
+        let captured = match level == self.spec.value_source() {
+            true => Some(value),
+            false => captured,
+        };
+        nested(self, slots, captured);
+        for id in self.undo.drain(mark..) {
+            slots.unbind(id);
+        }
+    }
+
+    /// Every source matched: the output pair, if it lies in the clip.
+    fn emit(&mut self, slots: &SlotSet, captured: Option<&Value>) {
+        let (Some(out_key), Some(v)) = (self.spec.output.expand(slots), captured) else {
+            return;
+        };
+        if !self.clip.contains(&out_key) {
+            return;
+        }
+        if self.spec.is_aggregate() {
+            let op = self.spec.value_op();
+            self.aggs
+                .entry(out_key)
+                .and_modify(|a| a.fold(v))
+                .or_insert_with(|| Accumulator::start(op, v));
+        } else {
+            self.out.push((out_key, v.clone()));
+        }
+    }
 }

@@ -14,7 +14,7 @@
 use crate::types::{JoinId, JsId};
 use pequod_join::SlotSet;
 use pequod_store::{IntervalId, IntervalTree, Key, KeyRange};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// An output hint (§4.2): the last aggregate output maintained through
 /// this updater, letting the next maintenance event skip the store
@@ -58,29 +58,35 @@ pub struct UpdaterHandle {
     gen: u32,
 }
 
-/// End-of-chain / empty marker for slab indices.
+/// End-of-chain marker for slab indices (never a cell: `slots.get(NIL)`
+/// is `None`).
 const NIL: u32 = u32::MAX;
 
-/// One cell of the entry slab. Live cells of one node form a circular
-/// doubly-linked chain in installation order (`head.prev` is the tail).
-#[derive(Default)]
+/// One cell of the entry slab. Live cells of one node form a
+/// doubly-linked chain, newest first: installing touches the chain's
+/// head and nothing else of it.
 struct Slot {
     /// Bumped on every removal, so stale handles never resolve.
     gen: u32,
     prev: u32,
     next: u32,
-    /// Index into `UpdaterIndex::nodes` of the node this entry sits on.
-    node: u32,
+    /// The tree node (distinct source range) this entry sits on.
+    node: IntervalId,
     /// `None` while the cell is on the free list.
     entry: Option<UpdaterEntry>,
 }
 
-/// One distinct source range: its tree node and the chain of entries
-/// coalesced onto it. A vacant cell has `len == 0`.
-struct Node {
-    tree_id: IntervalId,
+/// The entries coalesced onto one distinct source range: the tree
+/// node's payload. `head` is the newest.
+struct Chain {
     head: u32,
     len: u32,
+}
+
+/// The live-node counter of `table`, if the table was ever watched.
+fn watchers<'a>(per_table: &'a mut [(Key, usize)], table: &[u8]) -> Option<&'a mut usize> {
+    let counted = per_table.iter_mut().find(|(t, _)| t.as_bytes() == table);
+    counted.map(|(_, n)| n)
 }
 
 /// The engine-wide updater index.
@@ -89,21 +95,22 @@ struct Node {
 /// entries live in one engine-wide slab and are chained per node, so a
 /// node costs the same whether it carries one entry or thousands, and
 /// installing onto or removing from a known node never walks the tree
-/// or the node's other entries.
+/// or the node's other entries. A source range nobody watches yet costs
+/// one hash of the range (the coalescing map) and a treap descent to
+/// install, and the same to remove: the tree's nodes are slab cells
+/// named by their ids, so nothing else is looked up or allocated.
 #[derive(Default)]
 pub struct UpdaterIndex {
-    /// Payload: index into `nodes`.
-    tree: IntervalTree<u32>,
-    nodes: Vec<Node>,
-    free_nodes: Vec<u32>,
+    tree: IntervalTree<Chain>,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
-    by_range: HashMap<KeyRange, u32>,
+    by_range: HashMap<KeyRange, IntervalId>,
     entries: usize,
     /// Live node count per table prefix: lets the write path skip the
     /// stabbing query entirely for tables that no join watches (output
-    /// tables see the most writes and almost never carry updaters).
-    per_table: HashMap<Key, usize>,
+    /// tables see the most writes and almost never carry updaters). A
+    /// handful of tables at most, so a list, not a map.
+    per_table: Vec<(Key, usize)>,
 }
 
 impl UpdaterIndex {
@@ -136,15 +143,19 @@ impl UpdaterIndex {
         entry: UpdaterEntry,
         siblings: &[UpdaterHandle],
     ) -> Option<UpdaterHandle> {
-        let node = match self.by_range.get(&range) {
-            Some(&node) => {
+        let node = match self.by_range.entry(range) {
+            Entry::Occupied(known) => {
+                let node = *known.get();
                 let same = |e: &UpdaterEntry| {
                     e.join == entry.join
                         && e.source_idx == entry.source_idx
                         && e.js == entry.js
                         && e.slots == entry.slots
                 };
-                let on_node = |h: &UpdaterHandle| self.slot(*h).filter(|s| s.node == node);
+                let on_node = |h: &UpdaterHandle| {
+                    let cell = self.slots.get(h.slot as usize);
+                    cell.filter(|s| s.gen == h.gen && s.node == node)
+                };
                 if siblings
                     .iter()
                     .filter_map(on_node)
@@ -154,58 +165,49 @@ impl UpdaterIndex {
                 }
                 node
             }
-            None => {
-                match self.per_table.get_mut(range.first.table_prefix_bytes()) {
+            Entry::Vacant(unknown) => {
+                let range = unknown.key();
+                let table = range.first.table_prefix_bytes();
+                match watchers(&mut self.per_table, table) {
                     Some(n) => *n += 1,
-                    None => {
-                        self.per_table.insert(range.first.table_prefix(), 1);
-                    }
+                    None => self.per_table.push((range.first.table_prefix(), 1)),
                 }
-                let node = self.free_nodes.pop().unwrap_or(self.nodes.len() as u32);
-                let cell = Node {
-                    tree_id: self.tree.insert(range.clone(), node),
-                    head: NIL,
-                    len: 0,
-                };
-                match self.nodes.get_mut(node as usize) {
-                    Some(n) => *n = cell,
-                    None => self.nodes.push(cell),
-                }
-                self.by_range.insert(range, node);
-                node
+                let node = self.tree.insert(range.clone(), Chain { head: NIL, len: 0 });
+                *unknown.insert(node)
             }
         };
+        // Push onto the front of the node's chain (the coalescing map
+        // names live nodes only).
+        let chain = self.tree.get_mut(node)?;
         let slot = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
-        if slot as usize == self.slots.len() {
-            self.slots.push(Slot::default());
-        }
-        // Append at the tail of the node's circular chain.
-        let n = &mut self.nodes[node as usize];
-        let (prev, next) = if n.len == 0 {
-            n.head = slot;
-            (slot, slot)
-        } else {
-            (self.slots[n.head as usize].prev, n.head)
+        let next = std::mem::replace(&mut chain.head, slot);
+        chain.len += 1;
+        let cell = Slot {
+            gen: self.slots.get(slot as usize).map_or(0, |s| s.gen),
+            prev: NIL,
+            next,
+            node,
+            entry: Some(entry),
         };
-        n.len += 1;
-        self.slots[prev as usize].next = slot;
-        self.slots[next as usize].prev = slot;
-        let s = &mut self.slots[slot as usize];
-        s.prev = prev;
-        s.next = next;
-        s.node = node;
-        s.entry = Some(entry);
+        let gen = cell.gen;
+        match self.slots.get_mut(slot as usize) {
+            Some(s) => *s = cell,
+            None => self.slots.push(cell),
+        }
+        if let Some(older) = self.slots.get_mut(next as usize) {
+            older.prev = slot;
+        }
         self.entries += 1;
-        Some(UpdaterHandle { slot, gen: s.gen })
+        Some(UpdaterHandle { slot, gen })
     }
 
     /// True if no updater watches any range of `key`'s table. Ranges are
     /// indexed by their start key's table; Pequod source ranges never
     /// span tables (they come from single-table patterns).
     pub fn table_is_quiet(&self, key: &Key) -> bool {
-        self.per_table
-            .get(key.table_prefix_bytes())
-            .is_none_or(|&n| n == 0)
+        let table = key.table_prefix_bytes();
+        let watched = |(t, n): &(Key, usize)| *n > 0 && t.as_bytes() == table;
+        !self.per_table.iter().any(watched)
     }
 
     fn slot(&self, h: UpdaterHandle) -> Option<&Slot> {
@@ -228,25 +230,25 @@ impl UpdaterIndex {
 
     /// Appends the handles of every entry chained on `node`, in
     /// installation order.
-    fn push_chain(&self, node: u32, out: &mut Vec<UpdaterHandle>) {
-        let n = &self.nodes[node as usize];
-        out.reserve(n.len as usize);
-        let mut cur = n.head;
-        for _ in 0..n.len {
-            let s = &self.slots[cur as usize];
+    fn push_chain(&self, chain: &Chain, out: &mut Vec<UpdaterHandle>) {
+        let from = out.len();
+        out.reserve(chain.len as usize);
+        let mut cur = chain.head;
+        while let Some(s) = self.slots.get(cur as usize) {
             out.push(UpdaterHandle {
                 slot: cur,
                 gen: s.gen,
             });
             cur = s.next;
         }
+        out[from..].reverse();
     }
 
     /// Handles of every entry whose source range contains `key`.
     pub fn stab(&self, key: &Key) -> Vec<UpdaterHandle> {
         let mut out = Vec::new();
         self.tree
-            .stab(key, |_, _, &node| self.push_chain(node, &mut out));
+            .stab(key, |_, _, chain| self.push_chain(chain, &mut out));
         out
     }
 
@@ -254,7 +256,7 @@ impl UpdaterIndex {
     pub fn overlapping(&self, range: &KeyRange) -> Vec<UpdaterHandle> {
         let mut out = Vec::new();
         self.tree
-            .overlapping(range, |_, _, &node| self.push_chain(node, &mut out));
+            .overlapping(range, |_, _, chain| self.push_chain(chain, &mut out));
         out
     }
 
@@ -268,22 +270,22 @@ impl UpdaterIndex {
         let entry = s.entry.take()?;
         s.gen = s.gen.wrapping_add(1);
         let (prev, next, node) = (s.prev, s.next, s.node);
-        self.slots[prev as usize].next = next;
-        self.slots[next as usize].prev = prev;
+        if let Some(older) = self.slots.get_mut(next as usize) {
+            older.prev = prev;
+        }
         self.free_slots.push(h.slot);
         self.entries -= 1;
-        let n = &mut self.nodes[node as usize];
-        n.len -= 1;
-        if n.len > 0 {
-            if n.head == h.slot {
-                n.head = next;
-            }
-        } else {
-            n.head = NIL;
-            self.free_nodes.push(node);
-            if let Some((range, _)) = self.tree.remove(n.tree_id) {
+        // A live entry sits on a live node.
+        let chain = self.tree.get_mut(node)?;
+        chain.len -= 1;
+        match self.slots.get_mut(prev as usize) {
+            Some(newer) => newer.next = next,
+            None => chain.head = next,
+        }
+        if chain.len == 0 {
+            if let Some((range, _)) = self.tree.remove(node) {
                 self.by_range.remove(&range);
-                if let Some(n) = self.per_table.get_mut(range.first.table_prefix_bytes()) {
+                if let Some(n) = watchers(&mut self.per_table, range.first.table_prefix_bytes()) {
                     *n -= 1;
                 }
             }
@@ -326,9 +328,9 @@ impl UpdaterIndex {
     /// bookkeeping or debugging.
     pub fn for_each(&self, mut f: impl FnMut(UpdaterHandle, &KeyRange, &UpdaterEntry)) {
         let mut chain = Vec::new();
-        self.tree.for_each(|_, range, &node| {
+        self.tree.for_each(|_, range, on_node| {
             chain.clear();
-            self.push_chain(node, &mut chain);
+            self.push_chain(on_node, &mut chain);
             for &h in &chain {
                 if let Some(e) = self.get(h) {
                     f(h, range, e);
@@ -348,57 +350,58 @@ impl UpdaterIndex {
     /// disagrees with its links. Not part of the public API.
     #[doc(hidden)]
     pub fn debug_skew_node_len(&mut self, h: UpdaterHandle, delta: u32) {
-        if let Some(node) = self.slot(h).map(|s| s.node) {
-            self.nodes[node as usize].len += delta;
+        if let Some(chain) = self
+            .slot(h)
+            .map(|s| s.node)
+            .and_then(|n| self.tree.get_mut(n))
+        {
+            chain.len += delta;
         }
     }
 
     /// Exhaustive consistency check of the index's O(1) bookkeeping
-    /// against a full walk: every node's recorded length against its
-    /// chain links, the entry slab's live cells and free list, the
-    /// entry/node counters, and the coalescing and per-table maps. Used
+    /// against a full walk: the tree's own shape, every node's recorded
+    /// length against its chain links, the entry slab's live cells and
+    /// free list, the entry counter, and the coalescing map and
+    /// per-table counters. Used
     /// by the paranoid invariant checker (`Engine::check_invariants`).
     /// Returns one message per problem; empty means consistent.
     pub fn audit(&self) -> Vec<String> {
-        let mut problems = Vec::new();
+        let mut problems = self.tree.audit();
         let mut chained = 0usize;
         let mut nodes = 0usize;
         let mut per_table: HashMap<Key, usize> = HashMap::new();
-        self.tree.for_each(|id, range, &node| {
+        self.tree.for_each(|node, range, n| {
             nodes += 1;
             *per_table.entry(range.first.table_prefix()).or_insert(0) += 1;
             if self.by_range.get(range) != Some(&node) {
                 problems.push(format!(
-                    "coalescing map does not point {range:?} at its node {node}"
+                    "coalescing map does not point {range:?} at its node {node:?}"
                 ));
             }
-            let Some(n) = self.nodes.get(node as usize).filter(|n| n.tree_id == id) else {
-                problems.push(format!("tree node {id:?} has no node cell {node}"));
-                return;
-            };
             // Walk the chain for `len` steps: it must stay on live cells
-            // of this node, link back consistently, and close exactly
+            // of this node, link back consistently, and end exactly
             // there (an empty node should have been dropped).
-            let (mut cur, mut walked) = (n.head, 0);
-            while walked < n.len && (walked == 0 || cur != n.head) {
+            let (mut cur, mut prev, mut walked) = (n.head, NIL, 0);
+            while walked < n.len && cur != NIL {
                 let cell = self.slots.get(cur as usize);
                 let Some(s) = cell.filter(|s| s.entry.is_some() && s.node == node) else {
                     problems.push(format!(
-                        "node {node} chain reaches cell {cur}, which is not a live cell of it"
+                        "node {node:?} chain reaches cell {cur}, which is not a live cell of it"
                     ));
                     return;
                 };
-                if self.slots.get(s.next as usize).map(|x| x.prev) != Some(cur) {
-                    problems.push(format!("cell {cur} on node {node} has broken links"));
+                if s.prev != prev {
+                    problems.push(format!("cell {cur} on node {node:?} has broken links"));
                     return;
                 }
                 walked += 1;
-                cur = s.next;
+                (prev, cur) = (cur, s.next);
             }
             chained += walked as usize;
-            if n.len == 0 || walked != n.len || cur != n.head {
+            if n.len == 0 || walked != n.len || cur != NIL {
                 problems.push(format!(
-                    "node {node} ({range:?}) records length {} but its chain does not close \
+                    "node {node:?} ({range:?}) records length {} but its chain does not close \
                      there ({walked} walked)",
                     n.len
                 ));
@@ -429,22 +432,15 @@ impl UpdaterIndex {
                 self.slots.len() - live
             ));
         }
-        let vacant_nodes = self.nodes.iter().filter(|n| n.len == 0).count();
-        if self.nodes.len() - vacant_nodes != nodes
-            || self.free_nodes.len() != vacant_nodes
-            || self.by_range.len() != nodes
-        {
+        if self.by_range.len() != nodes {
             problems.push(format!(
-                "tree holds {nodes} nodes but the node slab has {} live / {} free-listed \
-                 cells and the coalescing map {} ranges",
-                self.nodes.len() - vacant_nodes,
-                self.free_nodes.len(),
+                "tree holds {nodes} nodes but the coalescing map {} ranges",
                 self.by_range.len()
             ));
         }
         let counted: HashMap<&Key, usize> = (self.per_table.iter())
-            .filter(|(_, &n)| n > 0)
-            .map(|(t, &n)| (t, n))
+            .filter(|(_, n)| *n > 0)
+            .map(|(t, n)| (t, *n))
             .collect();
         if counted != per_table.iter().map(|(t, &n)| (t, n)).collect() {
             problems.push(format!(

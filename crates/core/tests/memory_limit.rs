@@ -1,4 +1,4 @@
-//! Memory-limit mechanics at the engine level: watermark hysteresis,
+//! Memory-limit mechanics at the engine level: pay-as-you-go eviction,
 //! limit suspension, authority-aware base eviction, and output-table
 //! eviction invalidating the computed ranges whose rows it drops.
 
@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::config::MemoryLimit;
 use pequod_core::{Engine, EngineConfig};
-use pequod_store::{Key, KeyRange};
+use pequod_store::{Key, KeyRange, StoreConfig};
 
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -22,30 +22,68 @@ fn timeline_engine(limit: Option<MemoryLimit>) -> Engine {
     e
 }
 
+/// Eviction pays as it goes: under a Twip-like thrash — 200 equal
+/// timelines, room for about half of them — no single read or write
+/// evicts more ranges than it takes to cover what that operation itself
+/// added, plus one, and memory is at or under the cap after every one.
+/// (With a low watermark an eighth under the cap, the first read over
+/// the cap evicted a dozen ranges at once, and the next eleven none.)
 #[test]
-fn watermarks_give_hysteresis() {
-    let limit = MemoryLimit::new(8 * 1024);
-    assert!(limit.low_bytes < limit.high_bytes);
+fn an_operation_evicts_what_it_grew_and_no_more() {
+    const USERS: u32 = 200;
+    let tweet = "a tweet that takes up some room";
+    let load = |e: &mut Engine| {
+        for u in 0..USERS {
+            e.put(format!("s|u{u:03}|bob"), "1");
+            e.put(format!("s|u{u:03}|liz"), "1");
+        }
+        for t in 0..15u64 {
+            e.put(format!("p|bob|{t:010}"), tweet);
+            e.put(format!("p|liz|{t:010}"), tweet);
+        }
+    };
+    // What one materialized timeline occupies: the eviction unit.
+    let mut twin = timeline_engine(None);
+    load(&mut twin);
+    let base = twin.memory_bytes();
+    twin.scan(&KeyRange::prefix("t|u000|"));
+    let unit = twin.memory_bytes() - base;
+
+    let limit = MemoryLimit::new(base + 100 * unit);
     let mut e = timeline_engine(Some(limit));
-    for u in 0..60u32 {
-        e.put(format!("s|u{u:03}|bob"), "1");
-    }
-    for t in 0..30u64 {
-        e.put(format!("p|bob|{t:010}"), "a tweet that takes up some room");
-    }
-    // Materialize far more than the cap; every read ends maintained.
-    for u in 0..60u32 {
-        let tl = e.scan(&KeyRange::prefix(format!("t|u{u:03}|")));
-        assert_eq!(tl.pairs.len(), 30);
+    load(&mut e);
+    let mut evicted_by_reads = 0;
+    for round in 0..3u32 {
+        // Every timeline in turn, more of them than fit: each read past
+        // the first hundred materializes one unit and must evict one.
+        for u in (0..USERS).map(|u| (u * 7 + round) % USERS) {
+            let before = e.engine_stats().js_evictions;
+            let tl = e.scan(&KeyRange::prefix(format!("t|u{u:03}|")));
+            assert_eq!(tl.pairs.len(), 30 + round as usize);
+            let evicted = e.engine_stats().js_evictions - before;
+            assert!(evicted <= 2, "one read evicted {evicted} ranges");
+            assert!(e.memory_bytes() <= limit.high_bytes);
+            evicted_by_reads += evicted;
+        }
+        // A post lands in every materialized timeline at once: it may
+        // evict as many ranges as that growth takes up, plus one.
+        let post = format!("p|bob|{:010}", 100 + round);
+        let out_key = format!("t|u000|{:010}|bob", 100 + round);
+        let growth = e.materialized_ranges() * out_key.len() + post.len() + tweet.len();
+        let before = e.engine_stats().js_evictions;
+        e.put(post, tweet);
+        let evicted = (e.engine_stats().js_evictions - before) as usize;
+        assert!(
+            evicted <= growth / unit + 1,
+            "a post that added {growth} bytes evicted {evicted} ranges of {unit}"
+        );
         assert!(e.memory_bytes() <= limit.high_bytes);
     }
-    assert!(e.engine_stats().js_evictions > 0);
-    // Eviction overshoots down to the low watermark, not just under the
-    // cap — the next few writes must not re-trigger it each time.
-    let evictions_before = e.engine_stats().js_evictions;
-    e.put("p|bob|9999999999", "one more");
-    assert_eq!(e.engine_stats().js_evictions, evictions_before);
-    assert!(e.engine_stats().peak_memory_bytes > 0);
+    assert!(
+        evicted_by_reads >= 300,
+        "the thrash must thrash: {evicted_by_reads}"
+    );
+    assert!(e.engine_stats().peak_memory_bytes > limit.high_bytes as u64);
 }
 
 /// `scan_with` is `scan` without the collection: on a capped engine
@@ -262,12 +300,95 @@ fn evicting_an_output_table_invalidates_its_computed_ranges() {
     assert_eq!(got, want, "recomputed timeline diverged after eviction");
 }
 
+fn stored(e: &Engine, table: &str) -> Vec<String> {
+    let mut rows = Vec::new();
+    e.store().for_each(|k, v| {
+        if k.starts_with(table.as_bytes()) {
+            rows.push(format!("{k}={}", String::from_utf8_lossy(v)));
+        }
+    });
+    rows
+}
+
+/// Two joins write interleaved keys into one subtable; evicting one
+/// join's range removes exactly its own rows — the range removal asks
+/// the output pattern about every pair — and both read back whole.
+#[test]
+fn evicting_one_of_two_interleaved_joins_keeps_the_others_rows() {
+    let store = StoreConfig::flat().with_subtable("t|", 2);
+    let mut e = Engine::new(EngineConfig::with_store(store));
+    e.add_join_text(
+        "t|<user>|<time:3>|a|<poster> = check s|<user>|<poster> copy p|<poster>|<time:3>",
+    )
+    .unwrap();
+    e.add_join_text(
+        "t|<user>|<time:3>|b|<poster> = check s|<user>|<poster> copy q|<poster>|<time:3>",
+    )
+    .unwrap();
+    e.put("s|ann|bob", "1");
+    for t in 0..40 {
+        e.put(format!("p|bob|{t:03}"), format!("post {t}"));
+        e.put(format!("q|bob|{t:03}"), format!("quip {t}"));
+    }
+    let timeline = KeyRange::prefix("t|ann|");
+    let whole = e.scan(&timeline).pairs;
+    assert_eq!(whole.len(), 80);
+    assert_eq!(e.materialized_ranges(), 2);
+    // The least recently used unit is the first join's range.
+    assert_eq!(e.evict_to(e.memory_bytes() - 1), 1);
+    assert_eq!(e.check_invariants(), Vec::<String>::new());
+    let left = stored(&e, "t|");
+    assert_eq!(left.len(), 40, "{left:?}");
+    assert!(
+        left.iter().all(|row| row.contains("|b|bob=quip")),
+        "{left:?}"
+    );
+    assert_eq!(e.scan(&timeline).pairs, whole);
+    assert_eq!(e.check_invariants(), Vec::<String>::new());
+}
+
+/// A chained join reads another join's output table. A source row that
+/// really goes away (an unfollow) retracts the chained outputs through
+/// the notify half of the write path; evicting the source range must
+/// *not* — eviction is not deletion — and instead leaves the chained
+/// range to recompute, so a capped engine keeps answering like an
+/// uncapped one. (Until this test, eviction told the chained join of
+/// deletions: the count fell to nothing and stayed there.)
+#[test]
+fn evicting_a_chained_joins_source_recomputes_it_and_a_deletion_retracts_it() {
+    let mut e = timeline_engine(None);
+    e.add_join_text("n|<user> = count t|<user>|<time:10>|<poster>")
+        .unwrap();
+    e.put("s|ann|bob", "1");
+    e.put("s|ann|liz", "1");
+    for t in 0..5u64 {
+        e.put(format!("p|bob|{t:010}"), "a tweet");
+        e.put(format!("p|liz|{t:010}"), "a tweet");
+    }
+    let count = |e: &mut Engine| e.get(&Key::from("n|ann")).map(|v| v.to_vec());
+    assert_eq!(count(&mut e), Some(b"10".to_vec()));
+    assert_eq!(e.materialized_ranges(), 2);
+    // The least recently used unit is the timeline the count reads.
+    assert_eq!(e.evict_to(e.memory_bytes() - 1), 1);
+    assert!(stored(&e, "t|").is_empty());
+    assert_eq!(e.check_invariants(), Vec::<String>::new());
+    assert_eq!(count(&mut e), Some(b"10".to_vec()));
+    assert_eq!(stored(&e, "t|").len(), 10);
+    // A deletion does retract: the unfollow is logged on the timeline
+    // and applied at its next read as a range removal of liz's five
+    // rows, each of which the count is told about.
+    e.remove(&Key::from("s|ann|liz"));
+    assert_eq!(e.scan(&KeyRange::prefix("t|ann|")).pairs.len(), 5);
+    assert_eq!(stored(&e, "n|"), ["n|ann=5"]);
+    assert_eq!(count(&mut e), Some(b"5".to_vec()));
+    assert_eq!(stored(&e, "t|").len(), 5);
+    assert_eq!(e.check_invariants(), Vec::<String>::new());
+}
+
 #[test]
 fn memory_limit_split_shares_evenly() {
-    let limit = MemoryLimit::with_watermarks(1 << 20, 1 << 19);
-    let share = limit.split(4);
-    assert_eq!(share.high_bytes, (1 << 20) / 4);
-    assert_eq!(share.low_bytes, (1 << 19) / 4);
+    let share = MemoryLimit::new(1 << 20).split(4);
+    assert_eq!(share, MemoryLimit::new((1 << 20) / 4));
 }
 
 /// `split` hands every shard the floor share: with an uneven budget the
@@ -288,7 +409,6 @@ fn split_never_overshoots_an_uneven_budget() {
                 node.high_bytes - share.high_bytes * n < n,
                 "cap {cap} over {n} shards wastes a whole share"
             );
-            assert!(share.low_bytes <= share.high_bytes);
         }
     }
 }
@@ -303,25 +423,12 @@ fn split_nth_distributes_the_remainder_exactly() {
             let node = MemoryLimit::new(cap);
             let shares: Vec<MemoryLimit> = (0..n).map(|i| node.split_nth(n, i)).collect();
             let high_sum: usize = shares.iter().map(|s| s.high_bytes).sum();
-            let low_sum: usize = shares.iter().map(|s| s.low_bytes).sum();
             assert_eq!(high_sum, node.high_bytes, "cap {cap} over {n} shards");
-            assert_eq!(
-                low_sum, node.low_bytes,
-                "low {0} over {n} shards",
-                node.low_bytes
-            );
             let floor = node.high_bytes / n;
             for (i, s) in shares.iter().enumerate() {
                 assert!(
                     s.high_bytes == floor || s.high_bytes == floor + 1,
                     "cap {cap} over {n}: shard {i} got {}",
-                    s.high_bytes
-                );
-                assert!(
-                    s.low_bytes <= s.high_bytes,
-                    "cap {cap} over {n}: shard {i} watermarks inverted \
-                     ({} > {})",
-                    s.low_bytes,
                     s.high_bytes
                 );
             }
@@ -334,19 +441,15 @@ fn split_nth_distributes_the_remainder_exactly() {
 }
 
 /// The adversarial corner: a budget smaller than the shard count. Every
-/// byte must still land somewhere, watermarks must stay ordered, and a
-/// front shard gets the data while the back shards legitimately get a
-/// zero budget (the node cap really is that tiny).
+/// byte must still land somewhere, and a front shard gets the data
+/// while the back shards legitimately get a zero budget (the node cap
+/// really is that tiny).
 #[test]
 fn split_nth_survives_budgets_smaller_than_the_shard_count() {
-    let node = MemoryLimit::with_watermarks(3, 2);
+    let node = MemoryLimit::new(3);
     let shares: Vec<MemoryLimit> = (0..5).map(|i| node.split_nth(5, i)).collect();
     assert_eq!(
         shares.iter().map(|s| s.high_bytes).collect::<Vec<_>>(),
         vec![1, 1, 1, 0, 0]
     );
-    assert_eq!(shares.iter().map(|s| s.low_bytes).sum::<usize>(), 2);
-    for s in &shares {
-        assert!(s.low_bytes <= s.high_bytes);
-    }
 }

@@ -10,8 +10,9 @@
 // Test-only crate: shared helpers sit outside #[test] functions, so
 // clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use pequod_core::config::MemoryLimit;
 use pequod_core::{Engine, EngineConfig, MaterializationMode};
-use pequod_store::{Key, KeyRange};
+use pequod_store::{Key, KeyRange, StoreConfig};
 use proptest::prelude::*;
 
 const TIMELINE: &str =
@@ -156,9 +157,19 @@ impl Harness {
 }
 
 fn run_schedule(config: EngineConfig, ops: &[Op]) -> Result<(), TestCaseError> {
+    run_audited_schedule(config, ops, |_| Ok(()))
+}
+
+/// [`run_schedule`] with `audit` run on the engine after every op.
+fn run_audited_schedule(
+    config: EngineConfig,
+    ops: &[Op],
+    audit: impl Fn(&Engine) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
     let mut h = Harness::new(config);
     for op in ops {
         h.apply(op)?;
+        audit(&h.engine)?;
     }
     // Final global audit across every join output.
     h.compare(&KeyRange::prefix("t|"))?;
@@ -210,5 +221,23 @@ proptest! {
             ..EngineConfig::default()
         };
         run_schedule(cfg, &ops)?;
+    }
+
+    /// The evict → recompute cycle under the same op stream: a cap so
+    /// small that every few operations evict a range, timelines laid out
+    /// as subtables (as the servers lay them out), every engine invariant
+    /// re-checked after every operation, every read still equal to the
+    /// from-scratch oracle's.
+    #[test]
+    fn tiny_memory_cap_matches_oracle(
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+        cap in prop_oneof![Just(600usize), Just(1500), Just(3000)],
+    ) {
+        let cfg = EngineConfig::with_store(StoreConfig::flat().with_subtable("t|", 2))
+            .with_mem_limit(MemoryLimit::new(cap));
+        run_audited_schedule(cfg, &ops, |engine| {
+            prop_assert_eq!(engine.check_invariants(), Vec::<String>::new());
+            Ok(())
+        })?;
     }
 }

@@ -39,7 +39,7 @@ pub fn containing_range(
     out_range: &KeyRange,
 ) -> KeyRange {
     let (ps, s_ti) = source.determined_prefix(slots);
-    let ps_key = Key::from(ps.clone());
+    let ps_key = Key::from(&ps[..]);
     if s_ti == source.tokens().len() {
         // Source key fully determined.
         return KeyRange::single(ps_key);
@@ -70,7 +70,7 @@ pub fn containing_range(
         }
     }
     let Some(o_ti) = o_ti else { return base };
-    let po_key = Key::from(po.clone());
+    let po_key = Key::from(&po[..]);
     let po_end = po_key.prefix_end();
 
     let src_toks = &source.tokens()[s_ti..];
@@ -135,12 +135,12 @@ enum Outcome {
 
 /// Transfers bytes of `suffix` through the aligned token sequences,
 /// returning how many bytes carry over to the source bound.
-fn walk(
+fn walk<'a>(
     suffix: &[u8],
-    src: &[Token],
-    out: &[Token],
+    src: &'a [Token],
+    out: &'a [Token],
     mode: Mode,
-    slots: &SlotSet,
+    slots: &'a SlotSet,
 ) -> (usize, Outcome) {
     let mut pos = 0usize;
     let mut i = 0usize;
@@ -152,10 +152,10 @@ fn walk(
             return (pos, Outcome::Diverged);
         };
         // Resolve bound slots to their literal bytes.
-        let lit_of = |tok: &Token| -> Option<Vec<u8>> {
+        let lit_of = |tok: &'a Token| -> Option<&'a [u8]> {
             match tok {
-                Token::Lit(l) => Some(l.to_vec()),
-                Token::Slot { id, .. } => slots.get(*id).map(|v| v.to_vec()),
+                Token::Lit(l) => Some(l),
+                Token::Slot { id, .. } => slots.get(*id).map(|v| &v[..]),
             }
         };
         match (lit_of(st), lit_of(ot)) {

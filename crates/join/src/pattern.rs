@@ -232,6 +232,16 @@ impl Pattern {
         self.match_with(buf, |id, at| slots.unify(id, buf, at))
     }
 
+    /// True if `key` has this pattern's shape and agrees with every
+    /// binding in `slots`. Binds nothing: a slot appears once in a
+    /// pattern, so an unbound one constrains only the key's shape.
+    pub fn matches(&self, key: &Key, slots: &SlotSet) -> bool {
+        let buf = key.as_bytes();
+        self.match_with(buf, |id, at| {
+            slots.get(id).is_none_or(|bound| bound[..] == buf[at])
+        })
+    }
+
     /// The first literal token after token index `ti`, skipping nothing
     /// (variable slots must be followed directly by a literal or the
     /// pattern end, enforced at parse time).
@@ -412,6 +422,36 @@ mod tests {
         let mut t = SlotTable::new();
         let p = Pattern::parse("t|<user>|<time>|<poster>", &mut t).unwrap();
         (p, t)
+    }
+
+    /// `matches` is `match_key` without the bindings: same verdict for
+    /// keys of the right and the wrong shape, under no, some and
+    /// conflicting bindings, and the slot set comes back untouched.
+    #[test]
+    fn matches_agrees_with_match_key_and_binds_nothing() {
+        let mut t = SlotTable::new();
+        let p = Pattern::parse("t|<user>|<time:10>|<poster>", &mut t).unwrap();
+        let user = t.lookup("user").unwrap();
+        let keys = [
+            "t|ann|0000000100|bob",
+            "t|liz|0000000100|bob",
+            "t|ann|100|bob",
+            "t|ann|0000000100",
+            "t|ann|0000000100|bob|x",
+            "p|ann|0000000100|bob",
+            "t|",
+        ];
+        for bound in [None, Some("ann"), Some("an")] {
+            let mut slots = t.empty_set();
+            if let Some(u) = bound {
+                slots.bind(user, Bytes::copy_from_slice(u.as_bytes()));
+            }
+            for key in keys.map(Key::from) {
+                let verdict = p.match_key(&key, &mut slots.clone());
+                assert_eq!(p.matches(&key, &slots), verdict, "{key:?} under {bound:?}");
+            }
+            assert_eq!(slots.bound_count(), usize::from(bound.is_some()));
+        }
     }
 
     #[test]

@@ -724,6 +724,8 @@ impl Reactor {
             if self.conns.poller.wait(&mut events, timeout_ms).is_err() {
                 break;
             }
+            // From here until the next wait no socket is read: the turn.
+            let turn = self.conns.cfg.recorder.timer();
             for ev in events.iter().copied() {
                 match ev.token {
                     TOKEN_WAKE => self.drain_wake(),
@@ -749,6 +751,7 @@ impl Reactor {
             // And what those turns produced; a connection touched here
             // is on the run queue, so the next wait does not sleep.
             self.dispatch.deliver(&mut self.conns);
+            self.conns.cfg.recorder.observe_turn(&turn);
         }
         self.teardown();
     }

@@ -29,6 +29,17 @@
 //!   stays dense too);
 //!   a removal that leaves two neighbours holding half a block between
 //!   them merges them, and an emptied block leaves the directory.
+//! * **Teardown** — [`Blocks::remove_range`] takes a whole range out in
+//!   one pass over the blocks it touches, asking a predicate about each
+//!   pair (two joins may interleave their outputs in one subtable, and
+//!   an evicted range takes only its own): the container itself
+//!   compares keys per block, never per pair, emptied blocks leave the
+//!   directory in one compaction, and only then are the survivors merged.
+//!   Evicting a timeline costs a walk over its blocks, not a search per
+//!   key. The way in is the mirror image: a join's freshly computed
+//!   outputs arrive as one ascending run (`Table::put_run`), so the
+//!   subtable is looked up once and every pair after the first is the
+//!   append above.
 //!
 //! The directory itself is a flat `Vec`, so adding or dropping a block in
 //! the middle moves `len / BLOCK_PAIRS` entries: right for subtables,
@@ -197,6 +208,68 @@ impl Blocks {
             }
         }
         Some(value)
+    }
+
+    /// Removes, in one pass over the blocks `range` touches, every pair
+    /// of the range that `doomed` accepts, and returns how many went.
+    /// `doomed` sees each pair of the range once, in key order, and is
+    /// the caller's only look at a pair before it is dropped. A block
+    /// left empty leaves the directory (all of them in one compaction,
+    /// so tearing a whole subtable down never shifts the directory block
+    /// by block), a block that lost its first pair gets a new fence, and
+    /// survivors sparse enough to share a block are merged as
+    /// [`Blocks::remove`] would have.
+    pub(crate) fn remove_range(
+        &mut self,
+        range: &KeyRange,
+        doomed: &mut impl FnMut(&Key, &Value) -> bool,
+    ) -> usize {
+        let first = self.block_for(&range.first);
+        let before = self.len;
+        let mut emptied = false;
+        let mut end = first;
+        for block in self.dir.iter_mut().skip(first) {
+            if !range.end.admits(&block.fence) {
+                break;
+            }
+            end += 1;
+            // Only the range's first and last blocks can hold pairs
+            // outside it.
+            let lo = match block.fence < range.first {
+                true => block.pairs.partition_point(|(k, _)| *k < range.first),
+                false => 0,
+            };
+            let hi = match block.pairs.last() {
+                Some((last, _)) if !range.end.admits(last) => {
+                    block.pairs.partition_point(|(k, _)| range.end.admits(k))
+                }
+                _ => block.pairs.len(),
+            };
+            let held = block.pairs.len();
+            let mut at = 0;
+            block.pairs.retain(|(k, v)| {
+                let in_range = (lo..hi).contains(&at);
+                at += 1;
+                !(in_range && doomed(k, v))
+            });
+            self.len -= held - block.pairs.len();
+            match block.pairs.first() {
+                None => emptied = true,
+                Some((k, _)) if *k != block.fence => block.fence = k.clone(),
+                Some(_) => {}
+            }
+        }
+        if emptied {
+            let blocks = self.dir.len();
+            self.dir.retain(|block| !block.pairs.is_empty());
+            end -= blocks - self.dir.len();
+        }
+        if self.len < before {
+            for b in (first..end).rev() {
+                self.merge_around(b);
+            }
+        }
+        before - self.len
     }
 
     /// Merges block `b` with a neighbour if the two hold at most half a
@@ -446,6 +519,65 @@ mod tests {
         }
         assert_eq!(blocks.len, 4 * BLOCK_PAIRS / 8);
         assert_eq!(blocks.dir.len(), 1, "sixteen pairs fit half a block");
+    }
+
+    fn remove_all(blocks: &mut Blocks, range: &KeyRange) -> usize {
+        blocks.remove_range(range, &mut |_, _| true)
+    }
+
+    #[test]
+    fn range_removal_drops_whole_blocks_and_refences_the_edges() {
+        let mut blocks = ascending(4 * BLOCK_PAIRS);
+        // From pair 20 (mid-block 0) up to pair 100 (mid-block 3).
+        let range = KeyRange::new(key(2 * 20), key(2 * 100));
+        assert_eq!(remove_all(&mut blocks, &range), 80);
+        let fill: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.len()).collect();
+        assert_eq!(fill, [20, 4 * BLOCK_PAIRS - 100]);
+        assert_eq!(blocks.dir[1].fence, key(2 * 100));
+        assert_eq!(blocks.len, 4 * BLOCK_PAIRS - 80);
+        assert_sound(&blocks);
+        // Exactly one block, and then a range that holds nothing.
+        let mut blocks = ascending(3 * BLOCK_PAIRS);
+        let second = KeyRange::new(key(2 * BLOCK_PAIRS), key(4 * BLOCK_PAIRS));
+        assert_eq!(remove_all(&mut blocks, &second), BLOCK_PAIRS);
+        assert_eq!(blocks.dir.len(), 2);
+        assert_eq!(remove_all(&mut blocks, &second), 0);
+        assert_eq!(remove_all(&mut blocks, &KeyRange::new(key(1), key(2))), 0);
+        assert_sound(&blocks);
+        // Everything: the directory empties.
+        assert_eq!(remove_all(&mut blocks, &KeyRange::all()), 2 * BLOCK_PAIRS);
+        assert!(blocks.is_empty() && blocks.dir.is_empty());
+        assert_eq!(remove_all(&mut blocks, &KeyRange::all()), 0);
+    }
+
+    #[test]
+    fn range_removal_offers_each_pair_of_the_range_once_in_order() {
+        let mut blocks = ascending(2 * BLOCK_PAIRS + 5);
+        let range = KeyRange::new(key(2 * 10 + 1), key(2 * 50 + 1));
+        let mut offered = Vec::new();
+        let removed = blocks.remove_range(&range, &mut |k, _| {
+            offered.push(k.clone());
+            false
+        });
+        assert_eq!(removed, 0);
+        assert_eq!(offered, (11..=50).map(|n| key(2 * n)).collect::<Vec<_>>());
+        assert_eq!(blocks.len, 2 * BLOCK_PAIRS + 5);
+        assert_sound(&blocks);
+    }
+
+    #[test]
+    fn range_removal_under_a_predicate_merges_sparse_survivors() {
+        let mut blocks = ascending(4 * BLOCK_PAIRS);
+        // Keep every eighth pair: four per block, sixteen in all.
+        let mut n = 0;
+        let removed = blocks.remove_range(&KeyRange::all(), &mut |_, _| {
+            n += 1;
+            (n - 1) % 8 != 0
+        });
+        assert_eq!(removed, 4 * BLOCK_PAIRS / 8 * 7);
+        assert_eq!(blocks.dir.len(), 1, "sixteen pairs fit half a block");
+        assert_eq!(keys_of(&blocks).len(), 16);
+        assert_sound(&blocks);
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod proptests {
                         model.insert(key, val);
                     }
                     1 => {
-                        let got = store.remove(&key).map(|v| v.to_vec());
+                        let got = store.remove(&key, false).map(|v| v.to_vec());
                         let want = model.remove(&key);
                         prop_assert_eq!(got, want);
                     }
@@ -164,11 +164,11 @@ mod proptests {
                     }
                 }
             }
-            let got: Vec<(Key, Vec<u8>)> = store
-                .scan_collect(&scan)
-                .into_iter()
-                .map(|(k, v)| (k, v.to_vec()))
-                .collect();
+            let mut got: Vec<(Key, Vec<u8>)> = Vec::new();
+            store.scan(&scan, |k, v| {
+                got.push((k.clone(), v.to_vec()));
+                true
+            });
             let want: Vec<(Key, Vec<u8>)> = model
                 .iter()
                 .filter(|(k, _)| scan.contains(k))
@@ -292,25 +292,33 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 8 }))]
 
-        /// A split table against a `BTreeMap`, with enough pairs in few
-        /// enough subtables that blocks fill, split, merge and empty:
-        /// ascending runs, mid-inserts, replaces, removals from either
-        /// end down to nothing (the subtable must leave the index), point
-        /// gets, and early-exit scans whose bounds sit on and around the
-        /// multiples of 16 and 32 where blocks begin.
+        /// A store — one table split into subtables, one flat — against a
+        /// `BTreeMap`, with enough pairs in few enough subtables that
+        /// blocks fill, split, merge and empty: ascending runs, mid-inserts,
+        /// replaces, removals from either end down to nothing (the
+        /// subtable must leave the index), point gets, early-exit scans
+        /// whose bounds sit on and around the multiples of 16 and 32 where
+        /// blocks begin, and range removals under a per-pair predicate —
+        /// starting and ending mid-block, covering exactly one block, a
+        /// whole subtable, several subtables, the flat table, both tables.
         #[test]
         fn subtable_blocks_match_btreemap(
             ops in proptest::collection::vec(
-                (0..10u8, 0..4u8, any::<u16>(), any::<u16>()),
+                (0..18u8, 0..5u8, any::<u16>(), any::<u16>()),
                 if cfg!(miri) { 200..201 } else { 2000..2400 }
             )
         ) {
-            let key = |sub: u8, time: usize| Key::from(format!("a|s{sub}|{time:06}"));
-            let mut table = Table::new_split(2);
+            // Subtables 0–3 of the split table `a|`; "subtable" 4 is the
+            // flat table `f|`, which sorts after all of them.
+            let key = |sub: u8, time: usize| match sub {
+                0..4 => Key::from(format!("a|s{sub}|{time:06}")),
+                _ => Key::from(format!("f|s{sub}|{time:06}")),
+            };
+            let mut store = Store::new(StoreConfig::flat().with_subtable("a|", 2));
             let mut model: BTreeMap<Key, Value> = BTreeMap::new();
             let mut stamp = 0u32;
             // The highest time each subtable was ever given.
-            let mut newest = [0usize; 4];
+            let mut newest = [0usize; 5];
             for (op, sub, a, b) in ops {
                 let (a, b) = (usize::from(a), usize::from(b));
                 let held: Vec<Key> = model.range(key(sub, 0)..key(sub + 1, 0))
@@ -320,8 +328,15 @@ mod proptests {
                 // Times are even when appended, so odd ones fall between.
                 let mut puts: Vec<Key> = Vec::new();
                 let mut removes: Vec<Key> = Vec::new();
+                // Bounds: a stored key near a block boundary or the gap
+                // just past it.
+                let edge = |n: usize| match held.get((n % (held.len() / 16 + 2)) * 16 + n % 3) {
+                    Some(k) if n.is_multiple_of(2) => k.clone(),
+                    Some(k) => k.successor(),
+                    None => key(sub, *newest + 1),
+                };
                 match op {
-                    0 | 1 => puts.extend((0..=a % 40).map(|_| {
+                    0 | 1 | 13.. => puts.extend((0..=a % 40).map(|_| {
                         *newest += 2;
                         key(sub, *newest)
                     })),
@@ -334,17 +349,11 @@ mod proptests {
                     6 => removes.push(key(sub, a % (*newest + 2))),
                     7 => {
                         let probe = key(sub, a % (*newest + 2));
-                        prop_assert_eq!(table.get(&probe), model.get(&probe));
-                        prop_assert_eq!(table.peek(&probe), model.get(&probe));
+                        prop_assert_eq!(store.get(&probe), model.get(&probe));
+                        prop_assert_eq!(store.peek(&probe), model.get(&probe));
                     }
-                    _ => {
-                        // Bounds: a stored key near a block boundary or the
-                        // gap just past it; sometimes another subtable's.
-                        let edge = |n: usize| match held.get((n % (held.len() / 16 + 2)) * 16 + n % 3) {
-                            Some(k) if n.is_multiple_of(2) => k.clone(),
-                            Some(k) => k.successor(),
-                            None => key(sub, *newest + 1),
-                        };
+                    8..10 => {
+                        // Sometimes into another subtable or the other table.
                         let range = match op {
                             8 => KeyRange::new(edge(a), edge(b)),
                             _ if b % 4 == 0 => KeyRange::with_bound(edge(a), UpperBound::Unbounded),
@@ -352,7 +361,7 @@ mod proptests {
                         };
                         let limit = 1 + b % 70;
                         let mut got = Vec::new();
-                        table.scan(&range, |k, v| {
+                        store.scan(&range, |k, v| {
                             got.push((k.clone(), v.clone()));
                             got.len() < limit
                         });
@@ -364,25 +373,60 @@ mod proptests {
                             .collect();
                         prop_assert_eq!(got, want, "{:?} limit {}", range, limit);
                     }
+                    _ => {
+                        let block = (a % (held.len() / 32 + 1)) * 32;
+                        let range = match (op, held.get(block)) {
+                            // Mid-block to mid-block.
+                            (10, _) => KeyRange::new(edge(a), edge(b)),
+                            // One whole block of an append-only subtable.
+                            (11, Some(first)) if b % 2 == 0 => KeyRange::with_bound(
+                                first.clone(),
+                                held.get(block + 32).map_or(UpperBound::Unbounded, |k| k.clone().into()),
+                            ),
+                            // One whole subtable (or the flat table).
+                            (11, _) => KeyRange::new(key(sub, 0), key(sub + 1, 0)),
+                            // From mid-subtable across the next few, the
+                            // last of them into the other table.
+                            _ => KeyRange::new(edge(a), key((sub + 2 + (b % 3) as u8).min(5), b)),
+                        };
+                        let doomed = |k: &Key| {
+                            b % 3 == 0 || (usize::from(k.as_bytes()[k.len() - 1]) + b) % 3 != 0
+                        };
+                        let mut offered = Vec::new();
+                        let removed = store.remove_range(&range, false, |k, v| {
+                            offered.push((k.clone(), v.clone()));
+                            doomed(k)
+                        });
+                        let in_range: Vec<(Key, Value)> = model
+                            .range(range.first.clone()..)
+                            .take_while(|(k, _)| range.contains(k))
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect();
+                        prop_assert_eq!(&offered, &in_range, "offered once each, in order: {:?}", range);
+                        model.retain(|k, _| !(range.contains(k) && doomed(k)));
+                        let gone = in_range.iter().filter(|(k, _)| doomed(k)).count();
+                        prop_assert_eq!(removed, gone, "{:?}", range);
+                    }
                 }
                 for k in puts {
                     stamp += 1;
                     let v = Bytes::from(stamp.to_string().into_bytes());
-                    prop_assert_eq!(table.put(k.clone(), v.clone()), model.insert(k, v));
+                    prop_assert_eq!(store.put(k.clone(), v.clone(), false), model.insert(k, v));
                 }
                 for k in removes {
-                    prop_assert_eq!(table.remove(&k), model.remove(&k));
+                    prop_assert_eq!(store.remove(&k, false), model.remove(&k));
                 }
-                prop_assert_eq!(table.audit(), Vec::<String>::new());
-                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(store.audit(), Vec::<String>::new());
+                prop_assert_eq!(store.len(), model.len());
                 let mut expected = model.iter();
                 let mut same = true;
-                table.for_each(|k, v| same &= expected.next() == Some((k, v)));
+                store.for_each(|k, v| same &= expected.next() == Some((k, v)));
                 prop_assert!(same && expected.next().is_none(), "a full walk differs from the model");
                 let subtables = (0..4u8)
                     .filter(|&s| model.range(key(s, 0)..key(s + 1, 0)).next().is_some())
                     .count();
-                prop_assert_eq!(table.subtable_count(), subtables);
+                let split = store.tables().find(|(prefix, _)| prefix.as_bytes() == b"a|");
+                prop_assert_eq!(split.map_or(0, |(_, t)| t.subtable_count()), subtables);
             }
         }
     }

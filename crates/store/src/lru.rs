@@ -9,7 +9,7 @@
 //! order. The tracker is the ordering half of memory-bounded serving:
 //! the engine's automatic eviction (`Engine::maintain_memory` in
 //! `pequod-core`, documented in `docs/MEMORY.md`) pops from here until
-//! its footprint is back under the configured watermarks.
+//! its footprint is back under the configured cap.
 //!
 //! The tracker is an intrusive doubly-linked list threaded through a
 //! slab: `insert`, `touch`, `remove` and `pop_lru` are `O(1)` — a few

@@ -70,6 +70,65 @@ impl StoreStats {
     pub fn data_bytes(&self) -> usize {
         self.key_bytes + self.resident_value_bytes
     }
+
+    /// Counts one pair put, over `old` if the key was held already.
+    fn wrote(&mut self, key_len: usize, value_len: usize, old: Option<&Value>, shared: bool) {
+        self.puts += 1;
+        match old {
+            Some(prev) => {
+                self.logical_value_bytes = self.logical_value_bytes - prev.len() + value_len;
+                // Whether the previous value was shared is not recorded;
+                // a replacement is taken to be as shared as what it
+                // replaces, so a shared one leaves the resident count be.
+                if !shared {
+                    self.resident_value_bytes =
+                        self.resident_value_bytes.saturating_sub(prev.len()) + value_len;
+                }
+            }
+            None => {
+                self.keys += 1;
+                self.key_bytes += key_len;
+                self.logical_value_bytes += value_len;
+                if !shared {
+                    self.resident_value_bytes += value_len;
+                }
+            }
+        }
+    }
+
+    /// Takes `pairs` removed pairs out of the counters.
+    fn forget(&mut self, pairs: usize, key_bytes: usize, value_bytes: usize, shared: bool) {
+        self.removes += pairs as u64;
+        self.keys -= pairs;
+        self.key_bytes -= key_bytes;
+        self.logical_value_bytes -= value_bytes;
+        if !shared {
+            self.resident_value_bytes = self.resident_value_bytes.saturating_sub(value_bytes);
+        }
+    }
+}
+
+/// The table owning `prefix`, created flat or split as configured if
+/// this is its first pair.
+fn table_mut<'a>(
+    tables: &'a mut BTreeMap<Key, Table>,
+    config: &StoreConfig,
+    prefix: Key,
+) -> &'a mut Table {
+    let depth = config.depth_for(prefix.as_bytes());
+    tables.entry(prefix).or_insert_with(|| match depth {
+        Some(d) => Table::new_split(d),
+        None => Table::new_flat(),
+    })
+}
+
+/// Where a walk of the table index for `range` starts: the last table
+/// whose prefix is at or below `range.first`, since its span may extend
+/// into the range.
+fn first_table(tables: &BTreeMap<Key, Table>, range: &KeyRange) -> Bound<Key> {
+    let below = (Bound::Unbounded, Bound::Included(&range.first));
+    let start = tables.range::<Key, _>(below).next_back();
+    Bound::Included(start.map_or(&range.first, |(prefix, _)| prefix).clone())
 }
 
 /// The ordered store.
@@ -218,46 +277,39 @@ impl Store {
     /// value sharing, §4.3); shared bytes are excluded from the resident
     /// byte count. Returns the previous value.
     pub fn put(&mut self, key: Key, value: Value, shared: bool) -> Option<Value> {
-        self.stats.puts += 1;
-        let key_len = key.len();
-        let value_len = value.len();
+        let (key_len, value_len) = (key.len(), value.len());
         // Tables are routed by a borrowed slice of the key; only a
         // table's first pair builds its prefix key.
         let old = match self.tables.get_mut(key.table_prefix_bytes()) {
             Some(table) => table.put(key, value),
-            None => {
-                let prefix = key.table_prefix();
-                let mut table = match self.config.depth_for(prefix.as_bytes()) {
-                    Some(d) => Table::new_split(d),
-                    None => Table::new_flat(),
-                };
-                table.put(key, value);
-                self.tables.insert(prefix, table);
-                None
-            }
+            None => table_mut(&mut self.tables, &self.config, key.table_prefix()).put(key, value),
         };
-        match &old {
-            Some(prev) => {
-                self.stats.logical_value_bytes =
-                    self.stats.logical_value_bytes - prev.len() + value_len;
-                // We cannot tell whether the previous value was shared;
-                // assume replacement preserves sharedness of the new value.
-                self.stats.resident_value_bytes =
-                    self.stats.resident_value_bytes.saturating_sub(prev.len());
-                if !shared {
-                    self.stats.resident_value_bytes += value_len;
-                }
-            }
-            None => {
-                self.stats.keys += 1;
-                self.stats.key_bytes += key_len;
-                self.stats.logical_value_bytes += value_len;
-                if !shared {
-                    self.stats.resident_value_bytes += value_len;
-                }
-            }
-        }
+        self.stats.wrote(key_len, value_len, old.as_ref(), shared);
         old
+    }
+
+    /// [`Store::put`] for every pair of `run`, with one table lookup and
+    /// one subtable lookup per stretch of the run that stays in one, not
+    /// one per pair: a join's freshly computed outputs, in key order, go
+    /// in as one append after another. Returns the values the run
+    /// replaced, each with its pair's position in the run.
+    pub fn put_run(&mut self, run: Vec<(Key, Value)>, shared: bool) -> Vec<(usize, Value)> {
+        let mut replaced = Vec::new();
+        let mut at = 0;
+        let mut run = run.into_iter().peekable();
+        while let Some((first, _)) = run.peek() {
+            let prefix = first.table_prefix();
+            let in_table = |(k, _): &(Key, Value)| k.table_prefix_bytes() == prefix.as_bytes();
+            let stretch = std::iter::from_fn(|| run.next_if(in_table));
+            let table = table_mut(&mut self.tables, &self.config, prefix.clone());
+            let stats = &mut self.stats;
+            table.put_run(stretch, |key_len, value_len, old| {
+                stats.wrote(key_len, value_len, old.as_ref(), shared);
+                replaced.extend(old.map(|old| (at, old)));
+                at += 1;
+            });
+        }
+        replaced
     }
 
     /// Looks up a key.
@@ -271,17 +323,49 @@ impl Store {
         self.tables.get(key.table_prefix_bytes())?.peek(key)
     }
 
-    /// Removes a key, returning its value.
-    pub fn remove(&mut self, key: &Key) -> Option<Value> {
-        self.stats.removes += 1;
+    /// Removes a key, returning its value. `shared` is what
+    /// [`Store::put`] was told when the pair was written: a shared
+    /// value's bytes were never counted resident, so they are not
+    /// subtracted either.
+    pub fn remove(&mut self, key: &Key, shared: bool) -> Option<Value> {
         let removed = self.tables.get_mut(key.table_prefix_bytes())?.remove(key);
         if let Some(v) = &removed {
-            self.stats.keys -= 1;
-            self.stats.key_bytes -= key.len();
-            self.stats.logical_value_bytes -= v.len();
-            self.stats.resident_value_bytes =
-                self.stats.resident_value_bytes.saturating_sub(v.len());
+            self.stats.forget(1, key.len(), v.len(), shared);
         }
+        removed
+    }
+
+    /// Removes every pair of `range` that `doomed` accepts — one ordered
+    /// pass over the tables, subtables and blocks the range touches,
+    /// `doomed` seeing each pair of the range once, the counters adjusted
+    /// as pairs go — and returns how many went. This is teardown's
+    /// primitive: an evicted join range drops its outputs through it
+    /// (`doomed` is the join's output pattern), evicted base data its
+    /// replicas (`doomed` is "not ours"). `shared` is as for
+    /// [`Store::remove`] and covers the whole call.
+    pub fn remove_range(
+        &mut self,
+        range: &KeyRange,
+        shared: bool,
+        mut doomed: impl FnMut(&Key, &Value) -> bool,
+    ) -> usize {
+        let (mut key_bytes, mut value_bytes) = (0, 0);
+        let mut removed = 0;
+        let walk = (first_table(&self.tables, range), Bound::Unbounded);
+        for (prefix, table) in self.tables.range_mut(walk) {
+            if !range.end.admits(prefix) {
+                break;
+            }
+            removed += table.remove_range(range, |k, v| {
+                let goes = doomed(k, v);
+                if goes {
+                    key_bytes += k.len();
+                    value_bytes += v.len();
+                }
+                goes
+            });
+        }
+        self.stats.forget(removed, key_bytes, value_bytes, shared);
         removed
     }
 
@@ -292,22 +376,10 @@ impl Store {
             return;
         }
         self.stats.scans += 1;
-        // Start from the last table whose prefix is <= range.first; its
-        // span may extend into the scanned range.
-        let start = self
-            .tables
-            .range::<Key, _>((Bound::Unbounded, Bound::Included(&range.first)))
-            .next_back()
-            .map(|(p, _)| p.clone())
-            .unwrap_or_else(|| range.first.clone());
-        // Walk the table index lazily, stopping at the first table past
-        // the range's end.
         let mut stop = false;
-        for (prefix, table) in self
-            .tables
-            .range_mut::<Key, _>((Bound::Included(&start), Bound::Unbounded))
-        {
-            if stop || (!range.end.admits(prefix) && *prefix > range.first) {
+        let walk = (first_table(&self.tables, range), Bound::Unbounded);
+        for (prefix, table) in self.tables.range_mut(walk) {
+            if stop || !range.end.admits(prefix) {
                 break;
             }
             table.scan(range, |k, v| {
@@ -317,14 +389,22 @@ impl Store {
         }
     }
 
-    /// Collects all pairs in `range`.
-    pub fn scan_collect(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
-        let mut out = Vec::new();
-        self.scan(range, |k, v| {
-            out.push((k.clone(), v.clone()));
-            true
-        });
-        out
+    /// [`Store::scan`] without the operation counters, so it needs no
+    /// `&mut` (as [`Store::peek`] is to [`Store::get`]): a join's forward
+    /// execution reads its sources through this, nested one inside the
+    /// other, straight out of the store.
+    pub fn visit(&self, range: &KeyRange, mut f: impl FnMut(&Key, &Value) -> bool) {
+        let mut stop = false;
+        let walk = (first_table(&self.tables, range), Bound::Unbounded);
+        for (prefix, table) in self.tables.range(walk) {
+            if stop || !range.end.admits(prefix) {
+                break;
+            }
+            table.visit(range, |k, v| {
+                stop = !f(k, v);
+                !stop
+            });
+        }
     }
 
     /// Convenience `put` for string literals in tests and examples.
@@ -340,6 +420,15 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn keys_in(s: &mut Store, range: &KeyRange) -> Vec<String> {
+        let mut keys = Vec::new();
+        s.scan(range, |k, _| {
+            keys.push(k.to_string());
+            true
+        });
+        keys
+    }
 
     fn sample() -> Store {
         let mut s = Store::new(StoreConfig::flat().with_subtable("t|", 2));
@@ -360,11 +449,7 @@ mod tests {
     #[test]
     fn cross_table_scan_is_globally_ordered() {
         let mut s = sample();
-        let keys: Vec<String> = s
-            .scan_collect(&KeyRange::all())
-            .into_iter()
-            .map(|(k, _)| k.to_string())
-            .collect();
+        let keys = keys_in(&mut s, &KeyRange::all());
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -374,11 +459,7 @@ mod tests {
     #[test]
     fn scan_spanning_two_tables() {
         let mut s = sample();
-        let keys: Vec<String> = s
-            .scan_collect(&KeyRange::new("p|liz", "s|ann|c"))
-            .into_iter()
-            .map(|(k, _)| k.to_string())
-            .collect();
+        let keys = keys_in(&mut s, &KeyRange::new("p|liz", "s|ann|c"));
         assert_eq!(keys, vec!["p|liz|124", "s|ann|bob"]);
     }
 
@@ -394,9 +475,76 @@ mod tests {
         s.put(Key::from("b|1"), Bytes::from_static(b"xyz"), true);
         assert_eq!(s.stats().logical_value_bytes, 6);
         assert_eq!(s.stats().resident_value_bytes, 3);
-        s.remove(&Key::from("a|1"));
+        s.remove(&Key::from("a|1"), false);
         assert_eq!(s.stats().keys, 1);
         assert_eq!(s.stats().logical_value_bytes, 3);
+    }
+
+    /// A shared copy's bytes are never counted resident, so taking the
+    /// copy away — by key or by range — or writing over it with another
+    /// shared value must leave the original's bytes counted.
+    #[test]
+    fn removing_a_shared_copy_leaves_the_original_resident() {
+        let tweet = Bytes::from(vec![b'x'; 50]);
+        let mut s = Store::new_flat();
+        s.put(Key::from("p|bob|1"), tweet.clone(), false);
+        s.put(Key::from("t|ann|1|bob"), tweet.clone(), true);
+        assert_eq!(s.stats().resident_value_bytes, 50);
+        s.put(Key::from("t|ann|1|bob"), tweet.clone(), true);
+        assert_eq!(s.stats().resident_value_bytes, 50);
+        assert_eq!(
+            s.remove(&Key::from("t|ann|1|bob"), true),
+            Some(tweet.clone())
+        );
+        assert_eq!(s.stats().resident_value_bytes, 50);
+        s.put(Key::from("t|ann|1|bob"), tweet.clone(), true);
+        assert_eq!(
+            s.remove_range(&KeyRange::prefix("t|"), true, |_, _| true),
+            1
+        );
+        assert_eq!(s.stats().resident_value_bytes, 50);
+        assert_eq!(s.stats().logical_value_bytes, 50);
+        s.remove(&Key::from("p|bob|1"), false);
+        assert_eq!(s.stats().resident_value_bytes, 0);
+        assert_eq!(s.audit(), Vec::<String>::new());
+    }
+
+    /// A run goes in exactly as its pairs would one by one — across
+    /// tables and subtables, new ones created on the way, out of order if
+    /// it must — and reports what it replaced, by position.
+    #[test]
+    fn put_run_is_put_for_every_pair() {
+        let pairs: Vec<(Key, Value)> = [
+            ("t|ann|100|bob", "again"), // replaces sample()'s "Hi"
+            ("t|ann|110|liz", "new"),
+            ("t|bob|100|ann", "new subtable"),
+            ("t|ann|105|bob", "out of order"),
+            ("u|x", "new flat table"),
+            ("p|bob|100", "replaced too"),
+            ("u|x", "twice in one run"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (Key::from(k), Bytes::from_static(v.as_bytes())))
+        .collect();
+        let (mut one_by_one, mut as_run) = (sample(), sample());
+        let mut want = Vec::new();
+        for (at, (k, v)) in pairs.iter().enumerate() {
+            want.extend(
+                one_by_one
+                    .put(k.clone(), v.clone(), false)
+                    .map(|old| (at, old)),
+            );
+        }
+        assert_eq!(as_run.put_run(pairs, false), want);
+        assert_eq!(
+            want.iter().map(|(at, _)| *at).collect::<Vec<_>>(),
+            [0, 5, 6]
+        );
+        let all = KeyRange::all();
+        assert_eq!(keys_in(&mut as_run, &all), keys_in(&mut one_by_one, &all));
+        assert_eq!(as_run.memory_bytes(), one_by_one.memory_bytes());
+        assert_eq!(as_run.stats().puts, one_by_one.stats().puts);
+        assert_eq!(as_run.audit(), Vec::<String>::new());
     }
 
     #[test]
@@ -412,7 +560,7 @@ mod tests {
     #[test]
     fn empty_scan_is_noop() {
         let mut s = sample();
-        assert!(s.scan_collect(&KeyRange::new("z", "a")).is_empty());
-        assert!(s.scan_collect(&KeyRange::new("x|", "y|")).is_empty());
+        assert!(keys_in(&mut s, &KeyRange::new("z", "a")).is_empty());
+        assert!(keys_in(&mut s, &KeyRange::new("x|", "y|")).is_empty());
     }
 }

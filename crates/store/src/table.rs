@@ -29,7 +29,8 @@ use crate::blocks::Blocks;
 use crate::key::Key;
 use crate::range::KeyRange;
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 /// A stored value. Values are refcounted byte strings; the `copy`
@@ -76,6 +77,53 @@ pub struct Table {
 /// stored twice (hash + ordered index) plus map-entry overhead.
 fn index_entry_bytes(prefix: &[u8]) -> usize {
     2 * prefix.len() + 48
+}
+
+/// How a split table served a scan.
+pub(crate) enum Route {
+    /// Entirely from one subtable, found through the hash index.
+    Single,
+    /// By walking the ordered subtable index.
+    Cross,
+}
+
+/// `range` as `BTreeMap::range` bounds.
+fn btree_bounds(range: &KeyRange) -> (Bound<&Key>, Bound<&Key>) {
+    let upper = match range.end.as_key() {
+        Some(k) => Bound::Excluded(k),
+        None => Bound::Unbounded,
+    };
+    (Bound::Included(&range.first), upper)
+}
+
+/// The prefix of the one subtable (of a table split at `depth`) that can
+/// hold keys of `range`, if the range stays inside one. That needs the
+/// start key's routing prefix to contain the full `depth` separators — a
+/// shorter prefix (e.g. `t|` at depth 2) is an ancestor of many
+/// subtables, not one of them — and the end key to route to it too, or
+/// to equal the span's upper bound.
+fn sole_subtable(depth: usize, range: &KeyRange) -> Option<&[u8]> {
+    let prefix = range.first.component_prefix_bytes(depth);
+    let full_depth = prefix.iter().filter(|&&b| b == crate::key::SEP).count() == depth;
+    let end = range.end.as_key()?;
+    let inside = end.component_prefix_bytes(depth) == prefix || end.is_prefix_end_of(prefix);
+    (full_depth && inside).then_some(prefix)
+}
+
+/// The subtable prefixes, in order, whose subtables can hold keys of
+/// `range`. A subtable whose prefix sorts below `range.first` can still
+/// contain keys at or above it, so the walk starts one prefix early.
+fn subtables_touching<'a>(
+    order: &'a BTreeSet<Key>,
+    range: &'a KeyRange,
+) -> impl Iterator<Item = &'a Key> {
+    let start = order
+        .range::<Key, _>((Bound::Unbounded, Bound::Included(&range.first)))
+        .next_back()
+        .unwrap_or(&range.first);
+    order
+        .range::<Key, _>((Bound::Included(start), Bound::Unbounded))
+        .take_while(|prefix| range.end.admits(prefix))
 }
 
 impl Table {
@@ -240,10 +288,10 @@ impl Table {
                     Some(sub) => sub.put(key, value),
                     None => {
                         let prefix = key.component_prefix(*depth);
-                        let mut sub = Blocks::new();
-                        sub.put(key, value);
                         self.index_bytes += index_entry_bytes(prefix.as_bytes());
                         order.insert(prefix.clone());
+                        let mut sub = Blocks::new();
+                        sub.put(key, value);
                         subs.insert(prefix, sub);
                         None
                     }
@@ -254,6 +302,46 @@ impl Table {
             self.len += 1;
         }
         old
+    }
+
+    /// [`Table::put`] for every pair of `run`, telling `wrote` each
+    /// pair's key length, value length and previous value. A split table
+    /// looks a subtable up once per stretch of the run that routes to it,
+    /// not once per pair, so a run in key order (a join's freshly
+    /// computed outputs) lands in its subtable as one append after
+    /// another.
+    pub fn put_run(
+        &mut self,
+        run: impl Iterator<Item = (Key, Value)>,
+        mut wrote: impl FnMut(usize, usize, Option<Value>),
+    ) {
+        let Repr::Split { depth, subs, order } = &mut self.repr else {
+            return run.for_each(|(k, v)| {
+                let (key_len, value_len) = (k.len(), v.len());
+                wrote(key_len, value_len, self.put(k, v));
+            });
+        };
+        let mut run = run.peekable();
+        while let Some((first, _)) = run.peek() {
+            self.stats.hash_hits += 1;
+            let prefix = first.component_prefix(*depth);
+            let sub = match subs.entry(prefix.clone()) {
+                Entry::Occupied(known) => known.into_mut(),
+                Entry::Vacant(unknown) => {
+                    self.index_bytes += index_entry_bytes(prefix.as_bytes());
+                    order.insert(prefix.clone());
+                    unknown.insert(Blocks::new())
+                }
+            };
+            let routed_here =
+                |(k, _): &(Key, Value)| k.component_prefix_bytes(*depth) == prefix.as_bytes();
+            while let Some((k, v)) = run.next_if(routed_here) {
+                let (key_len, value_len) = (k.len(), v.len());
+                let old = sub.put(k, v);
+                self.len += usize::from(old.is_none());
+                wrote(key_len, value_len, old);
+            }
+        }
     }
 
     /// Looks up a key.
@@ -302,72 +390,99 @@ impl Table {
 
     /// Visits pairs in `range` in key order until the visitor returns
     /// `false`.
-    pub fn scan(&mut self, range: &KeyRange, mut f: impl FnMut(&Key, &Value) -> bool) {
-        if range.is_empty() {
-            return;
+    pub fn scan(&mut self, range: &KeyRange, f: impl FnMut(&Key, &Value) -> bool) {
+        match self.visit(range, f) {
+            Some(Route::Single) => self.stats.single_subtable_scans += 1,
+            Some(Route::Cross) => self.stats.cross_subtable_scans += 1,
+            None => {}
         }
-        match &mut self.repr {
+    }
+
+    /// [`Table::scan`] without the operation counters, so it needs no
+    /// `&mut` (as [`Table::peek`] is to [`Table::get`]). Returns how a
+    /// split table served it.
+    pub(crate) fn visit(
+        &self,
+        range: &KeyRange,
+        mut f: impl FnMut(&Key, &Value) -> bool,
+    ) -> Option<Route> {
+        if range.is_empty() {
+            return None;
+        }
+        match &self.repr {
             Repr::Flat(map) => {
-                for (k, v) in Self::btree_range(map, range) {
+                for (k, v) in map.range::<Key, _>(btree_bounds(range)) {
                     if !f(k, v) {
-                        return;
-                    }
-                }
-            }
-            Repr::Split { depth, subs, order } => {
-                // Fast path: the scan falls entirely inside one subtable.
-                // Valid only when the routing prefix contains the full
-                // `depth` separators — a shorter prefix (e.g. `t|` at depth
-                // 2) is an ancestor of many subtables, not one of them.
-                let start_prefix = range.first.component_prefix_bytes(*depth);
-                let full_depth = start_prefix
-                    .iter()
-                    .filter(|&&b| b == crate::key::SEP)
-                    .count()
-                    == *depth;
-                // The range stays inside `start_prefix`'s span when the
-                // end key also routes to it, or equals the span's upper
-                // bound.
-                let single = full_depth
-                    && range.end.as_key().is_some_and(|end| {
-                        end.component_prefix_bytes(*depth) == start_prefix
-                            || end.is_prefix_end_of(start_prefix)
-                    });
-                if single {
-                    self.stats.single_subtable_scans += 1;
-                    if let Some(sub) = subs.get(start_prefix) {
-                        sub.scan(range, &mut f);
-                    }
-                    return;
-                }
-                self.stats.cross_subtable_scans += 1;
-                // A subtable whose prefix sorts below range.first can still
-                // contain keys >= range.first, so start one prefix early.
-                let start = order
-                    .range::<Key, _>((Bound::Unbounded, Bound::Included(&range.first)))
-                    .next_back()
-                    .unwrap_or(&range.first);
-                for prefix in order.range::<Key, _>((Bound::Included(start), Bound::Unbounded)) {
-                    if !range.end.admits(prefix) && *prefix > range.first {
                         break;
                     }
+                }
+                None
+            }
+            Repr::Split { depth, subs, order } => {
+                if let Some(prefix) = sole_subtable(*depth, range) {
+                    if let Some(sub) = subs.get(prefix) {
+                        sub.scan(range, &mut f);
+                    }
+                    return Some(Route::Single);
+                }
+                for prefix in subtables_touching(order, range) {
                     if subs.get(prefix).is_some_and(|sub| !sub.scan(range, &mut f)) {
-                        return;
+                        break;
                     }
                 }
+                Some(Route::Cross)
             }
         }
     }
 
-    fn btree_range<'a>(
-        map: &'a BTreeMap<Key, Value>,
+    /// Removes every pair of `range` that `doomed` accepts and returns
+    /// how many went: one ordered pass, `doomed` seeing each pair of the
+    /// range once. Subtables it empties leave the table.
+    pub fn remove_range(
+        &mut self,
         range: &KeyRange,
-    ) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
-        let upper = match range.end.as_key() {
-            Some(k) => Bound::Excluded(k),
-            None => Bound::Unbounded,
+        mut doomed: impl FnMut(&Key, &Value) -> bool,
+    ) -> usize {
+        if range.is_empty() {
+            return 0;
+        }
+        let removed = match &mut self.repr {
+            Repr::Flat(map) => map
+                .extract_if(btree_bounds(range), |k, v| doomed(k, v))
+                .count(),
+            Repr::Split { depth, subs, order } => {
+                let mut removed = 0;
+                let mut emptied: Vec<Key> = Vec::new();
+                let mut drain = |prefix: &[u8], sub: &mut Blocks| {
+                    removed += sub.remove_range(range, &mut doomed);
+                    if sub.is_empty() {
+                        emptied.push(Key::from(prefix));
+                    }
+                };
+                match sole_subtable(*depth, range) {
+                    Some(prefix) => {
+                        if let Some(sub) = subs.get_mut(prefix) {
+                            drain(prefix, sub);
+                        }
+                    }
+                    None => {
+                        for prefix in subtables_touching(order, range) {
+                            if let Some(sub) = subs.get_mut(prefix) {
+                                drain(prefix.as_bytes(), sub);
+                            }
+                        }
+                    }
+                }
+                for prefix in emptied {
+                    self.index_bytes -= index_entry_bytes(prefix.as_bytes());
+                    subs.remove(&prefix);
+                    order.remove(&prefix);
+                }
+                removed
+            }
         };
-        map.range::<Key, _>((Bound::Included(&range.first), upper))
+        self.len -= removed;
+        removed
     }
 
     /// Test-only hook: files the block holding `key` under the wrong

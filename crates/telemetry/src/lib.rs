@@ -11,7 +11,8 @@
 //! system: per-op counts and latency histograms, join-notify fan-out,
 //! LRU hits/misses/evictions, per-range read/write rate counters (fuel
 //! for future adaptive freshness policies), WAL append/fsync latency,
-//! snapshot bytes, reactor dispatch latency and queue depths — plus a
+//! snapshot bytes, reactor dispatch latency, queue depths and longest
+//! loop turn — plus a
 //! [`Flight`] ring of recent notable events. [`Recorder::snapshot`]
 //! freezes it all into a mergeable [`Snapshot`].
 //!
@@ -171,6 +172,8 @@ struct Inner {
     snapshots: Counter,
     dispatch: Histogram,
     queue_depth: Histogram,
+    /// Longest reactor loop turn since the last snapshot, µs.
+    turn_us_max: AtomicU64,
     flight: Flight,
 }
 
@@ -206,6 +209,7 @@ impl Recorder {
             snapshots: Counter::new(),
             dispatch: Histogram::new(),
             queue_depth: Histogram::new(),
+            turn_us_max: AtomicU64::new(0),
             flight: Flight::new(flight_cap),
         })))
     }
@@ -390,9 +394,23 @@ impl Recorder {
         }
     }
 
+    /// Records one turn of the reactor's loop: from the moment a wait
+    /// for readiness returned until the loop was ready to wait again,
+    /// which is how long no socket was read. Only the longest since the
+    /// last snapshot is kept.
+    #[inline]
+    pub fn observe_turn(&self, timer: &Timer) {
+        let Some(inner) = &self.0 else { return };
+        if let Some(micros) = timer.elapsed_micros() {
+            inner.turn_us_max.fetch_max(micros, Ordering::Relaxed);
+        }
+    }
+
     /// Freezes the full metric schema into a [`Snapshot`]. Disabled
     /// recorders return an empty snapshot. The flight ring is included
-    /// only when `include_flight` is set (dumps can be large).
+    /// only when `include_flight` is set (dumps can be large). Taking a
+    /// snapshot starts `net.reactor.turn_us_max` over: each one reports
+    /// the longest turn since the one before.
     pub fn snapshot(&self, include_flight: bool) -> Snapshot {
         let mut s = Snapshot::default();
         let Some(inner) = &self.0 else { return s };
@@ -452,6 +470,8 @@ impl Recorder {
         s.counter("pequod_snapshots_total", &[], inner.snapshots.get());
         s.histogram("pequod_dispatch_us", &[], inner.dispatch.snapshot());
         s.histogram("pequod_queue_depth", &[], inner.queue_depth.snapshot());
+        let longest_turn = inner.turn_us_max.swap(0, Ordering::Relaxed);
+        s.gauge("net.reactor.turn_us_max", &[], longest_turn);
         s.counter("pequod_flight_events_total", &[], inner.flight.total());
         if include_flight {
             s.flight = inner.flight.dump();
@@ -499,6 +519,34 @@ mod tests {
             Some(Value::Counter(v)) => assert_eq!(*v, 1),
             v => panic!("missing put counter: {v:?}"),
         }
+    }
+
+    fn gauge(s: &Snapshot, name: &str) -> Option<u64> {
+        s.entries
+            .iter()
+            .find(|e| e.name == name)
+            .map(|e| match &e.value {
+                Value::Gauge(v) => *v,
+                other => panic!("{name} is not a gauge: {other:?}"),
+            })
+    }
+
+    #[test]
+    fn longest_turn_is_kept_until_a_snapshot_reads_it() {
+        let r = Recorder::enabled();
+        let long = r.timer();
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        r.observe_turn(&long);
+        r.observe_turn(&r.timer()); // a shorter turn does not lower it
+        let first = gauge(&r.snapshot(false), "net.reactor.turn_us_max");
+        assert!(first.is_some_and(|us| us >= 3_000), "{first:?}");
+        r.observe_turn(&r.timer());
+        let second = gauge(&r.snapshot(false), "net.reactor.turn_us_max");
+        assert!(second.is_some_and(|us| us < 3_000), "{second:?}");
+        // Off means no clock read and nothing recorded.
+        let off = Recorder::disabled();
+        off.observe_turn(&off.timer());
+        assert!(off.snapshot(false).entries.is_empty());
     }
 
     #[test]

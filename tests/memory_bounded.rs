@@ -177,8 +177,8 @@ fn manual_and_automatic_eviction_compose() {
     let before: Vec<_> = (0..50u32)
         .map(|u| engine.scan(&timeline_range(u, 0)).pairs)
         .collect();
-    // Manual eviction below the automatic low watermark.
-    engine.evict_to(limit.low_bytes / 2);
+    // Manual eviction far below what the automatic path stops at.
+    engine.evict_to(limit.high_bytes / 2);
     for (u, want) in before.iter().enumerate() {
         let got = engine.scan(&timeline_range(u as u32, 0)).pairs;
         assert_eq!(&got, want, "user {u} diverged after manual eviction");
