@@ -22,7 +22,7 @@ use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
 use bytes::Bytes;
 use pequod_join::{JoinSpec, Operator, SlotSet};
 use pequod_store::{Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, Value};
-use pequod_telemetry::{OpKind, RateHandle, Recorder};
+use pequod_telemetry::{OpKind, RateHandle, Recorder, Timer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -45,9 +45,11 @@ pub enum EvictUnit {
 /// words, the updater-handle list and the range's LRU cell, about 96
 /// bytes — and it is deliberately held constant across layout changes so
 /// that a given workload evicts the same ranges at the same moments;
-/// `docs/MEMORY.md` lists what a range occupies physically. Pending
-/// logged modifications and the updater entries themselves are
-/// accounted separately (`UpdaterIndex::approx_bytes`).
+/// `docs/MEMORY.md` lists what a range occupies physically. The updater
+/// entries a range owns are accounted separately
+/// (`UpdaterIndex::approx_bytes`); its pending logged modifications are
+/// accounted nowhere — a log is at most `pending_log_limit` short
+/// records and is gone at the range's next read.
 pub const JS_RANGE_OVERHEAD_BYTES: usize = 96;
 
 /// A remote or database-backed table's residency bookkeeping.
@@ -188,6 +190,23 @@ impl Engine {
     /// The engine's telemetry recorder (disabled by default).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// Records one completed public operation and, after it, the levels
+    /// a live server is watched by: the memory estimate a limit is held
+    /// against and the counts it is made of. A disabled recorder makes
+    /// both no-ops.
+    pub(crate) fn observed(&self, kind: OpKind, timer: &Timer) {
+        self.recorder.observe_op(kind, timer);
+        if self.recorder.is_enabled() {
+            self.recorder.set_engine_levels([
+                self.memory_bytes() as u64,
+                self.updaters.entry_count() as u64,
+                self.updaters.node_count() as u64,
+                self.materialized_ranges() as u64,
+                self.store.stats().keys as u64,
+            ]);
+        }
     }
 
     /// The cached per-table rate handle for `key`'s table, registering
@@ -433,6 +452,11 @@ impl Engine {
             return Ok(JoinId(existing as u32));
         }
         self.check_acyclic(&spec)?;
+        // Updater entries name their join and source in sixteen bits.
+        let limit = usize::from(u16::MAX);
+        if self.joins.len() >= limit || spec.sources.len() > limit {
+            return Err(EngineError::TooManyJoins);
+        }
         let id = JoinId(self.joins.len() as u32);
         self.joins.push(Arc::new(spec));
         self.status.push(StatusMap::new());
@@ -445,7 +469,7 @@ impl Engine {
             self.persist_op(&DurableOp::AddJoin(text));
         }
         self.paranoid_check();
-        self.recorder.observe_op(OpKind::AddJoin, &timer);
+        self.observed(OpKind::AddJoin, &timer);
         Ok(id)
     }
 
@@ -606,7 +630,7 @@ impl Engine {
         }
         self.maintain_memory();
         self.paranoid_check();
-        self.recorder.observe_op(OpKind::Put, &timer);
+        self.observed(OpKind::Put, &timer);
     }
 
     /// Removes a key, running incremental maintenance. Logged to the
@@ -622,7 +646,7 @@ impl Engine {
         }
         self.maintain_memory();
         self.paranoid_check();
-        self.recorder.observe_op(OpKind::Remove, &timer);
+        self.observed(OpKind::Remove, &timer);
     }
 
     /// Applies a store modification and dispatches updaters. `shared`
@@ -689,7 +713,7 @@ impl Engine {
         let Some(e) = self.updaters.get(h) else {
             return;
         };
-        let (jidx, source_idx, jsid) = (e.join.0 as usize, e.source_idx, e.js);
+        let (jidx, source_idx, jsid) = (e.join as usize, e.source_idx as usize, e.js);
         let Some(js) = self.status[jidx].get(jsid) else {
             // Stale updater for a torn-down range: drop it.
             self.updaters.remove(h);
@@ -707,8 +731,11 @@ impl Engine {
                 key: key.clone(),
                 kind,
             };
-            let lazy =
-                self.config.lazy_checks && self.config.materialization != MaterializationMode::Full;
+            // Logging waits for the range's next read; a join reading the
+            // range's outputs causes none, so with one watching, apply now.
+            let lazy = self.config.lazy_checks
+                && self.config.materialization != MaterializationMode::Full
+                && self.updaters.table_is_quiet(&js.first);
             if lazy {
                 let limit = self.config.pending_log_limit;
                 let Some(js) = self.status[jidx].get_mut(jsid) else {
@@ -719,7 +746,8 @@ impl Engine {
                 if js.pending.len() > limit {
                     self.complete_invalidate(jidx, jsid);
                 }
-            } else {
+            } else if self.apply_pending(jidx, jsid) {
+                // What was logged while the table was quiet went first.
                 self.apply_logged_mod(jidx, jsid, &m);
             }
             return;
@@ -753,10 +781,9 @@ impl Engine {
         if !e.slots.consistent_with(from_key) {
             return;
         }
-        let target = spec.output.expand_with(|id| {
-            let v = e.slots.get(id).or_else(|| from_key.get(id))?;
-            Some(&v[..])
-        });
+        let target = spec
+            .output
+            .expand_with(|id| e.slots.get(id).or_else(|| Some(&from_key.get(id)?[..])));
         if target.as_ref().is_some_and(|k| !js.contains(k)) {
             return;
         }
@@ -830,11 +857,8 @@ impl Engine {
         // Output hint (§4.2): skip the store lookup when this updater
         // wrote the same output key last time.
         let hinted = if self.config.output_hints {
-            self.updaters
-                .get(h)
-                .and_then(|e| e.hint.as_ref())
-                .filter(|h| h.out_key == out_key)
-                .map(|h| h.num)
+            let hint = self.updaters.hint(h);
+            hint.filter(|h| h.out_key == out_key).map(|h| h.num)
         } else {
             None
         };
@@ -853,13 +877,8 @@ impl Engine {
             self.write(out_key.clone(), Some(fmt_num(newv)), false);
         }
         if self.config.output_hints {
-            if let Some(e) = self.updaters.get_mut(h) {
-                e.hint = if remove_group {
-                    None
-                } else {
-                    Some(OutputHint { out_key, num: newv })
-                };
-            }
+            let hint = (!remove_group).then_some(OutputHint { out_key, num: newv });
+            self.updaters.set_hint(h, hint);
         }
     }
 

@@ -6,10 +6,10 @@ use crate::aggregate::Accumulator;
 use crate::config::MaterializationMode;
 use crate::engine::{check_residency, Engine, EvictUnit, RemoteTable};
 use crate::status::{JsState, LoggedMod, Segment};
-use crate::types::{CountResult, JoinId, JsId, ScanResult, WriteKind};
+use crate::types::{CountResult, JsId, ScanResult, WriteKind};
 use crate::updater::UpdaterEntry;
 use bytes::Bytes;
-use pequod_join::{containing_range, JoinSpec, Maintenance, Operator, SlotId, SlotSet};
+use pequod_join::{containing_range, Bindings, JoinSpec, Maintenance, Operator, SlotId, SlotSet};
 use pequod_store::{Key, KeyRange, LruTracker, Store, Value};
 use pequod_telemetry::OpKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -18,9 +18,9 @@ use std::sync::Arc;
 /// A planned updater installation recorded during forward execution
 /// (Figure 5: "add updater from [ks−, ks+) to js").
 pub(crate) struct PlanEntry {
-    source_idx: usize,
+    source_idx: u16,
     range: KeyRange,
-    slots: SlotSet,
+    slots: Bindings,
 }
 
 /// Pre-bound context for targeted re-execution: skip the given source
@@ -107,7 +107,7 @@ impl Engine {
         // observe a half-evicted store.
         self.maintain_memory();
         self.paranoid_check();
-        self.recorder.observe_op(OpKind::Scan, &timer);
+        self.observed(OpKind::Scan, &timer);
         missing
     }
 
@@ -188,7 +188,7 @@ impl Engine {
         };
         self.maintain_memory();
         self.paranoid_check();
-        self.recorder.observe_op(OpKind::Count, &timer);
+        self.observed(OpKind::Count, &timer);
         CountResult { count, missing }
     }
 
@@ -238,21 +238,8 @@ impl Engine {
         // Snapshot expiry: recompute from scratch (§3.4).
         let expired = matches!(self.joins[jidx].maintenance, Maintenance::Snapshot(ttl)
             if js.snapshot_expired(ttl, self.clock));
-        if !expired && js.state == JsState::Valid && !js.pending.is_empty() {
-            // Apply the pending log (lazy maintenance, §3.2).
-            let pending = match self.status[jidx].get_mut(jsid) {
-                Some(js) => std::mem::take(&mut js.pending),
-                None => return,
-            };
-            for m in pending {
-                self.stats.mods_applied += 1;
-                self.apply_logged_mod(jidx, jsid, &m);
-                // Application may have completely invalidated the range.
-                match self.status[jidx].get(jsid) {
-                    Some(js) if js.state == JsState::Valid => {}
-                    _ => break,
-                }
-            }
+        if !expired {
+            self.apply_pending(jidx, jsid);
         }
         let Some(js) = self.status[jidx].get(jsid) else {
             return;
@@ -388,11 +375,10 @@ impl Engine {
         let mut installed = Vec::with_capacity(plan.len());
         for pe in plan {
             let entry = UpdaterEntry {
-                join: JoinId(jidx as u32),
+                join: jidx as u16,
                 source_idx: pe.source_idx,
                 slots: pe.slots,
                 js: jsid,
-                hint: None,
             };
             installed.extend(self.updaters.install(pe.range, entry, &js.updaters));
         }
@@ -550,6 +536,26 @@ impl Engine {
     // Lazy maintenance: applying logged modifications (§3.2)
     // ------------------------------------------------------------------
 
+    /// Applies a valid range's pending log in the order it was written
+    /// and says whether the range is still valid afterwards: applying a
+    /// modification may completely invalidate it, which also drops the
+    /// rest of the log.
+    pub(crate) fn apply_pending(&mut self, jidx: usize, jsid: JsId) -> bool {
+        let pending = match self.status[jidx].get_mut(jsid) {
+            Some(js) if js.state == JsState::Valid => std::mem::take(&mut js.pending),
+            _ => return false,
+        };
+        for m in pending {
+            self.stats.mods_applied += 1;
+            self.apply_logged_mod(jidx, jsid, &m);
+            let js = self.status[jidx].get(jsid);
+            if js.is_none_or(|js| js.state != JsState::Valid) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Applies one source modification to a materialized range: a
     /// targeted re-execution with the modified key's slots pre-bound
     /// (insert) or a targeted removal of the outputs it supported
@@ -620,7 +626,7 @@ impl Engine {
                 // future source writes stop resurrecting these outputs.
                 if let Some(js) = self.status[jidx].get_mut(jsid) {
                     self.updaters.remove_where(&mut js.updaters, |e| {
-                        e.source_idx > m.source_idx && e.slots.consistent_with(&slots)
+                        usize::from(e.source_idx) > m.source_idx && e.slots.consistent_with(&slots)
                     });
                 }
             }
@@ -717,7 +723,7 @@ impl Engine {
         }
         let readers: Vec<(usize, JsId)> = (self.updaters.overlapping(range).into_iter())
             .filter_map(|h| self.updaters.get(h))
-            .map(|e| (e.join.0 as usize, e.js))
+            .map(|e| (e.join as usize, e.js))
             .collect();
         for (jidx, jsid) in readers {
             self.complete_invalidate(jidx, jsid);
@@ -869,9 +875,9 @@ impl ExecCtx<'_> {
         }
         if self.want_plan {
             self.plan.push(PlanEntry {
-                source_idx: level,
+                source_idx: level as u16,
                 range: crange.clone(),
-                slots: slots.clone(),
+                slots: Bindings::pack(slots),
             });
         }
         Some(crange)

@@ -202,10 +202,10 @@ impl Engine {
                             "join {jidx} status: range {:?} lists stale updater handle {h:?}",
                             js.id
                         )),
-                        Some(e) if e.join.0 as usize != jidx || e.js != js.id => v.push(format!(
+                        Some(e) if e.join as usize != jidx || e.js != js.id => v.push(format!(
                             "join {jidx} status: range {:?} lists {h:?}, which maintains \
                              join range {}/{:?}",
-                            js.id, e.join.0, e.js
+                            js.id, e.join, e.js
                         )),
                         Some(_) => {}
                     }
@@ -222,7 +222,7 @@ impl Engine {
         // Entry -> range: every live entry maintains a live valid range
         // that lists it (else teardown would leak the entry).
         self.updaters.for_each(|h, _range, e| {
-            let (jidx, jsid) = (e.join.0 as usize, e.js);
+            let (jidx, jsid) = (e.join as usize, e.js);
             let Some(js) = self.status.get(jidx).and_then(|s| s.get(jsid)) else {
                 v.push(format!(
                     "updaters: entry {h:?} maintains join range {jidx}/{jsid:?}, \
@@ -370,16 +370,18 @@ mod tests {
 
     #[test]
     fn misfiled_fence_key_is_reported() {
-        let mut e = materialized_engine();
-        e.store
-            .debug_misfile_fence(&Key::from("t|ann|0000000100|bob"));
-        let v = e.check_invariants();
-        assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
-        assert!(
-            v[0].starts_with("store:") && v[0].contains("has fence"),
-            "unexpected message: {}",
-            v[0]
-        );
+        // In a subtable, and in the flat subscription table.
+        for key in ["t|ann|0000000100|bob", "s|ann|bob"] {
+            let mut e = materialized_engine();
+            e.store.debug_misfile_fence(&Key::from(key));
+            let v = e.check_invariants();
+            assert_eq!(v.len(), 1, "exactly one violation expected: {v:?}");
+            assert!(
+                v[0].starts_with("store:") && v[0].contains("has fence"),
+                "unexpected message: {}",
+                v[0]
+            );
+        }
     }
 
     #[test]

@@ -93,6 +93,9 @@ pub enum EngineError {
     /// Installing the join would create a cycle with existing joins
     /// ("users should not install circular cache joins", §3).
     CircularJoin(String),
+    /// The engine already holds as many joins, or the join names as many
+    /// sources, as an updater entry's sixteen-bit indices can address.
+    TooManyJoins,
 }
 
 impl fmt::Display for EngineError {
@@ -100,6 +103,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Join(e) => write!(f, "{e}"),
             EngineError::CircularJoin(s) => write!(f, "circular cache joins: {s}"),
+            EngineError::TooManyJoins => write!(f, "too many joins or join sources"),
         }
     }
 }

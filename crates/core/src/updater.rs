@@ -11,14 +11,16 @@
 //! tree by appending information about the new updater to the existing
 //! one").
 
-use crate::types::{JoinId, JsId};
-use pequod_join::SlotSet;
+use crate::types::JsId;
+use pequod_join::Bindings;
 use pequod_store::{IntervalId, IntervalTree, Key, KeyRange};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// An output hint (§4.2): the last aggregate output maintained through
-/// this updater, letting the next maintenance event skip the store
-/// lookup of the current aggregate value.
+/// one updater, letting the next maintenance event skip the store
+/// lookup of the current aggregate value. Hints live beside the entries
+/// ([`UpdaterIndex::set_hint`]), not in them: only `count` and `sum`
+/// sources ever have one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputHint {
     /// The output key last written.
@@ -27,21 +29,21 @@ pub struct OutputHint {
     pub num: i64,
 }
 
-/// One maintenance registration: join + source + context slot set +
-/// target join status range.
+/// One maintenance registration: join + source + context slot bindings +
+/// target join status range. An entry owns no allocation unless its
+/// bindings outgrow their handle (see [`Bindings`]), so a follower
+/// chained onto a poster's source range costs one slab cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UpdaterEntry {
-    /// The join being maintained.
-    pub join: JoinId,
+    /// Index of the join being maintained ([`JoinId`](crate::JoinId)'s
+    /// number; `Engine::add_join` keeps it within sixteen bits).
+    pub join: u16,
     /// Which source of that join this updater watches.
-    pub source_idx: usize,
+    pub source_idx: u16,
     /// Slot bindings captured when the updater was installed.
-    pub slots: SlotSet,
+    pub slots: Bindings,
     /// The join status range kept up to date.
     pub js: JsId,
-    /// Cached aggregate output (None for copy/check sources or when
-    /// output hints are disabled).
-    pub hint: Option<OutputHint>,
 }
 
 /// An exact reference to one installed [`UpdaterEntry`]: a slot of the
@@ -106,6 +108,8 @@ pub struct UpdaterIndex {
     free_slots: Vec<u32>,
     by_range: HashMap<KeyRange, IntervalId>,
     entries: usize,
+    /// Output hints of the entries that have one, dropped with them.
+    hints: HashMap<UpdaterHandle, OutputHint>,
     /// Live node count per table prefix: lets the write path skip the
     /// stabbing query entirely for tables that no join watches (output
     /// tables see the most writes and almost never carry updaters). A
@@ -146,12 +150,6 @@ impl UpdaterIndex {
         let node = match self.by_range.entry(range) {
             Entry::Occupied(known) => {
                 let node = *known.get();
-                let same = |e: &UpdaterEntry| {
-                    e.join == entry.join
-                        && e.source_idx == entry.source_idx
-                        && e.js == entry.js
-                        && e.slots == entry.slots
-                };
                 let on_node = |h: &UpdaterHandle| {
                     let cell = self.slots.get(h.slot as usize);
                     cell.filter(|s| s.gen == h.gen && s.node == node)
@@ -159,7 +157,7 @@ impl UpdaterIndex {
                 if siblings
                     .iter()
                     .filter_map(on_node)
-                    .any(|s| s.entry.as_ref().is_some_and(same))
+                    .any(|s| s.entry.as_ref() == Some(&entry))
                 {
                     return None;
                 }
@@ -219,13 +217,18 @@ impl UpdaterIndex {
         self.slot(h)?.entry.as_ref()
     }
 
-    /// Mutable access to the entry behind a handle (output hints).
-    pub fn get_mut(&mut self, h: UpdaterHandle) -> Option<&mut UpdaterEntry> {
-        self.slots
-            .get_mut(h.slot as usize)
-            .filter(|s| s.gen == h.gen)?
-            .entry
-            .as_mut()
+    /// The output hint kept for the entry behind `h`, if any.
+    pub fn hint(&self, h: UpdaterHandle) -> Option<&OutputHint> {
+        self.hints.get(&h)
+    }
+
+    /// Keeps (or with `None` drops) the output hint of the entry behind
+    /// `h`; a stale handle keeps nothing.
+    pub fn set_hint(&mut self, h: UpdaterHandle, hint: Option<OutputHint>) {
+        match hint {
+            Some(hint) if self.get(h).is_some() => self.hints.insert(h, hint),
+            _ => self.hints.remove(&h),
+        };
     }
 
     /// Appends the handles of every entry chained on `node`, in
@@ -275,6 +278,9 @@ impl UpdaterIndex {
         }
         self.free_slots.push(h.slot);
         self.entries -= 1;
+        if !self.hints.is_empty() {
+            self.hints.remove(&h);
+        }
         // A live entry sits on a live node.
         let chain = self.tree.get_mut(node)?;
         chain.len -= 1;
@@ -432,6 +438,9 @@ impl UpdaterIndex {
                 self.slots.len() - live
             ));
         }
+        if let Some(h) = self.hints.keys().find(|&&h| self.get(h).is_none()) {
+            problems.push(format!("an output hint outlived its entry {h:?}"));
+        }
         if self.by_range.len() != nodes {
             problems.push(format!(
                 "tree holds {nodes} nodes but the coalescing map {} ranges",
@@ -454,16 +463,21 @@ impl UpdaterIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pequod_join::SlotTable;
 
     fn entry(js: u32) -> UpdaterEntry {
         UpdaterEntry {
-            join: JoinId(0),
+            join: 0,
             source_idx: 1,
-            slots: SlotTable::new().empty_set(),
+            slots: Bindings::default(),
             js: JsId { slot: js, gen: 0 },
-            hint: None,
         }
+    }
+
+    /// The point of the layout: links, node, join, source, status range
+    /// and the bindings' handle, with nothing on the heap behind them.
+    #[test]
+    fn an_entry_is_one_small_cell() {
+        assert!(std::mem::size_of::<Slot>() <= 72);
     }
 
     fn r(a: &str, b: &str) -> KeyRange {
@@ -545,14 +559,28 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_updates_hint() {
+    fn a_hint_never_outlives_its_entry() {
+        let hint = |num| OutputHint {
+            out_key: Key::from("karma|ann"),
+            num,
+        };
         let mut idx = UpdaterIndex::new();
         let a = idx.install(r("v|", "v}"), entry(1), &[]).unwrap();
-        idx.get_mut(a).unwrap().hint = Some(OutputHint {
-            out_key: Key::from("karma|ann"),
-            num: 7,
-        });
-        assert_eq!(idx.get(a).unwrap().hint.as_ref().unwrap().num, 7);
+        assert_eq!(idx.hint(a), None);
+        idx.set_hint(a, Some(hint(7)));
+        idx.set_hint(a, Some(hint(8)));
+        assert_eq!(idx.hint(a).map(|h| h.num), Some(8));
+        idx.remove(a);
+        assert!(idx.hints.is_empty(), "removal drops the hint");
+        // The same cell, reused: nothing of the old entry shows through.
+        let b = idx.install(r("v|", "v}"), entry(1), &[]).unwrap();
+        assert_eq!((a.slot, idx.hint(a), idx.hint(b)), (b.slot, None, None));
+        // A stale handle keeps nothing, and a hint can be dropped.
+        idx.set_hint(a, Some(hint(9)));
+        idx.set_hint(b, Some(hint(9)));
+        idx.set_hint(b, None);
+        assert!(idx.hints.is_empty());
+        assert_eq!(idx.audit(), Vec::<String>::new());
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! of the store's subtable blocks: an appended timeline pair is two
 //! 32-byte handles and should cost little more than those 64 bytes.
 //!
+//! The same counters hold what a cold login leaves behind — a status
+//! range, its updater entries, their handles — and what a bulk-loaded
+//! row of a flat table costs, so that neither grows back a heap node per
+//! record.
+//!
 //! Both counts repeat exactly for a given input. The counters are per
 //! thread, so the tests in this binary can run in parallel without
 //! seeing each other's allocations.
@@ -19,8 +24,9 @@
 // clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use bytes::Bytes;
-use pequod_core::{Engine, EngineConfig};
-use pequod_join::{Pattern, SlotTable};
+use pequod_core::updater::{UpdaterEntry, UpdaterIndex};
+use pequod_core::{Engine, EngineConfig, JsId};
+use pequod_join::{Bindings, Pattern, SlotId, SlotTable};
 use pequod_store::{Key, KeyRange, StoreConfig, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,10 +115,8 @@ fn timeline_since(u: u32, since: u64) -> KeyRange {
     )
 }
 
-/// A 500-user Twip engine laid out like the benchmark's server, every
-/// timeline materialized, so posts fan out eagerly and checks are warm.
-/// Returns the engine and the next unused timestamp.
-fn warmed_twip() -> (Engine, u64) {
+/// An empty Twip engine laid out like the benchmark's server.
+fn twip() -> Engine {
     let store = StoreConfig::flat()
         .with_subtable("t|", 2)
         .with_subtable("p|", 2);
@@ -122,11 +126,26 @@ fn warmed_twip() -> (Engine, u64) {
     config.paranoid = false;
     let mut engine = Engine::new(config);
     engine.add_join_text(TIMELINE).unwrap();
-    for u in 0..USERS {
-        for k in 1..=FOLLOWS {
-            let poster = (u + k * 23) % USERS;
-            engine.put(format!("s|{}|{}", user(u), user(poster)), "1");
-        }
+    engine
+}
+
+/// Every user's subscriptions, in key order.
+fn subscriptions() -> Vec<Key> {
+    let mut rows: Vec<Key> = (0..USERS)
+        .flat_map(|u| (1..=FOLLOWS).map(move |k| (u, (u + k * 23) % USERS)))
+        .map(|(u, poster)| Key::from(format!("s|{}|{}", user(u), user(poster))))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A 500-user Twip engine, every timeline materialized, so posts fan out
+/// eagerly and checks are warm. Returns the engine and the next unused
+/// timestamp.
+fn warmed_twip() -> (Engine, u64) {
+    let mut engine = twip();
+    for row in subscriptions() {
+        engine.put(row, "1");
     }
     let mut time = 1_000;
     for poster in 0..USERS {
@@ -257,4 +276,138 @@ fn binding_a_slot_performs_no_allocation() {
             assert_eq!(allocations, 0, "expanding {key:?}");
         }
     }
+}
+
+/// The subscription table is flat — one ordered container for all
+/// 10,000 rows — and a row is two 32-byte handles: loaded in key order,
+/// the rows sit in full blocks, and what stays allocated per row is those
+/// 64 bytes plus a thirty-second of a block's directory entry. (A B-tree
+/// loaded in key order leaves every leaf half empty: 122 bytes a row.)
+#[test]
+fn a_bulk_loaded_flat_row_costs_at_most_72_bytes() {
+    let mut engine = twip();
+    let rows = subscriptions();
+    let (bytes, ()) = live_bytes_in(|| {
+        for row in &rows {
+            engine.put(row.clone(), "1");
+        }
+    });
+    assert_eq!(engine.store().audit(), Vec::<String>::new());
+    let per_row = bytes as f64 / rows.len() as f64;
+    assert!(
+        per_row <= 72.0,
+        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 72)",
+        rows.len()
+    );
+}
+
+/// A login with nothing to show — no one has posted — leaves behind only
+/// bookkeeping: a status range, one updater entry per source range it
+/// read (the user's subscriptions, then each poster's posts), the
+/// handles, and an index node for each source range no earlier login
+/// watched. Per entry that was once ≈320 bytes and 4.4 allocations, one
+/// of them a copy of the slot set for the plan; now the plan and the
+/// entry share one packed string that lives in the entry's own cell.
+#[test]
+fn a_cold_login_leaves_little_behind_and_copies_no_slot_set() {
+    let mut engine = twip();
+    for row in subscriptions() {
+        engine.put(row, "1");
+    }
+    let logins: Vec<KeyRange> = (0..USERS).map(|u| timeline_since(u, 0)).collect();
+    let (allocations, (bytes, ())) = allocations_in(|| {
+        live_bytes_in(|| {
+            for range in &logins {
+                assert!(engine.scan(range).pairs.is_empty());
+            }
+        })
+    });
+    let entries = engine.updater_entries();
+    assert_eq!(entries, (USERS * (FOLLOWS + 1)) as usize);
+    // Measured 160.5 and 3.44. The bytes include the slab's unused
+    // half-doubling (10,500 cells in room for 16,384) and the ranges and
+    // nodes; the allocations are forward execution's, three or so per
+    // source range, which is where the next one should come out.
+    let (per_entry, calls) = (
+        bytes as f64 / entries as f64,
+        allocations as f64 / entries as f64,
+    );
+    assert!(
+        per_entry <= 200.0,
+        "{bytes} bytes stayed live after {entries} entries = {per_entry:.1} each (budget 200)"
+    );
+    assert!(
+        calls <= 4.0,
+        "{allocations} allocations for {entries} entries = {calls:.2} each (budget 4)"
+    );
+}
+
+/// The entry itself, as `install_plan` makes it: bindings packed from
+/// the execution's slot set, installed on a source range other logins
+/// watch already, its handle kept by the owner. With the 32 entries
+/// watching beforehand, 511 owners of 32 fill the slab's last doubling
+/// exactly, so the figure is the cell and the handle — not how far a
+/// doubling overshot — and the allocations are one handle list per owner
+/// plus the slab's doublings.
+#[test]
+fn an_installed_updater_entry_costs_at_most_96_bytes() {
+    const OWNERS: u32 = 511;
+    const EACH: u32 = 32;
+    let mut table = SlotTable::new();
+    let mut slots = table.empty_set();
+    for name in ["user", "time", "poster"] {
+        table.intern(name);
+    }
+    let posts = |poster: u32| KeyRange::prefix(format!("p|{}|", user(poster)));
+    let mut index = UpdaterIndex::new();
+    let entry = |slots: Bindings, owner: u32| UpdaterEntry {
+        join: 0,
+        source_idx: 1,
+        slots,
+        js: JsId {
+            slot: owner,
+            gen: 0,
+        },
+    };
+    // Someone watches every poster already.
+    for poster in 0..EACH {
+        let watched = index.install(posts(poster), entry(Bindings::default(), OWNERS), &[]);
+        assert!(watched.is_some());
+    }
+    let ranges: Vec<KeyRange> = (0..EACH).map(posts).collect();
+    let names: Vec<Bytes> = (0..OWNERS.max(EACH))
+        .map(|u| Bytes::from(user(u).into_bytes()))
+        .collect();
+    let mut owned = Vec::with_capacity(OWNERS as usize);
+    let (allocations, (bytes, ())) = allocations_in(|| {
+        live_bytes_in(|| {
+            for owner in 0..OWNERS {
+                slots.bind(SlotId(0), names[owner as usize].clone());
+                let mut handles = Vec::with_capacity(ranges.len());
+                for (poster, range) in ranges.iter().enumerate() {
+                    slots.bind(SlotId(2), names[poster].clone());
+                    let planned = entry(Bindings::pack(&slots), owner);
+                    handles.extend(index.install(range.clone(), planned, &handles));
+                }
+                owned.push(handles);
+            }
+        })
+    });
+    let entries = (OWNERS * EACH) as usize;
+    assert_eq!(index.entry_count(), entries + EACH as usize);
+    assert_eq!(index.node_count(), EACH as usize);
+    // Measured 80.0 and 0.03: a 72-byte cell and an 8-byte handle. The
+    // entry that kept its slot set on the heap cost 216 and 1.03.
+    let (per_entry, calls) = (
+        bytes as f64 / entries as f64,
+        allocations as f64 / entries as f64,
+    );
+    assert!(
+        per_entry <= 96.0,
+        "{bytes} bytes stayed live after {entries} entries = {per_entry:.1} each (budget 96)"
+    );
+    assert!(
+        calls <= 0.2,
+        "{allocations} allocations for {entries} installs = {calls:.2} each (budget 0.2)"
+    );
 }

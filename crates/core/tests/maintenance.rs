@@ -121,6 +121,70 @@ fn chained_push_joins_propagate() {
     assert_eq!(keys(&mut e, "byposter|stella|").len(), 1);
 }
 
+/// A check-source write is normally only logged on the range it
+/// disturbs and applied at that range's next read (§3.2). A join that
+/// reads the range's *outputs* never causes such a read, so when one is
+/// watching, the modification must be applied at once or the reader
+/// stays stale until someone happens to read the source.
+#[test]
+fn a_chained_reader_sees_a_check_source_write_without_a_read_of_its_source() {
+    let mut e = Engine::new_default();
+    e.add_join_text(TIMELINE).unwrap();
+    e.add_join_text("n|<user> = count t|<user>|<time:10>|<poster>")
+        .unwrap();
+    let count = |e: &mut Engine| e.get(&Key::from("n|ann")).map(|v| v.to_vec());
+    e.put("s|ann|bob", "1");
+    e.put("p|bob|0000000100", "Hi");
+    e.put("p|liz|0000000110", "hello");
+    assert_eq!(keys(&mut e, "t|ann|").len(), 1);
+    assert_eq!(count(&mut e), Some(b"1".to_vec()));
+    // Subscribe, then read only the count.
+    e.put("s|ann|liz", "1");
+    assert_eq!(count(&mut e), Some(b"2".to_vec()));
+    assert_eq!(keys(&mut e, "t|ann|").len(), 2);
+    // And the other way.
+    e.remove(&Key::from("s|ann|bob"));
+    assert_eq!(count(&mut e), Some(b"1".to_vec()));
+    assert_eq!(keys(&mut e, "t|ann|"), ["t|ann|0000000110|liz"]);
+    // An unwatched timeline is still maintained lazily.
+    let mut lone = Engine::new_default();
+    lone.add_join_text(TIMELINE).unwrap();
+    lone.put("s|ann|bob", "1");
+    keys(&mut lone, "t|ann|");
+    lone.put("s|ann|liz", "1");
+    assert_eq!(lone.engine_stats().mods_logged, 1);
+    assert_eq!(lone.engine_stats().mods_applied, 0);
+}
+
+/// A range may hold modifications logged while nothing watched its
+/// table. Once a join does, the next check-source write is applied at
+/// once — after that log, not ahead of it: a removal that overtook the
+/// insert it undoes would find nothing to remove, and the insert,
+/// replayed later, would put the tuple back for good.
+#[test]
+fn a_check_source_write_applied_at_once_goes_after_the_ranges_log() {
+    let mut e = Engine::new_default();
+    e.add_join_text(TIMELINE).unwrap();
+    e.add_join_text("m|<user>|<time:10>|<poster> = copy t|<user>|<time:10>|<poster>")
+        .unwrap();
+    e.put("s|ann|bob", "1");
+    e.put("p|bob|0000000100", "Hi");
+    e.put("p|liz|0000000110", "hello");
+    assert_eq!(keys(&mut e, "t|ann|").len(), 1);
+    // Logged: no join watches `t|` yet.
+    e.put("s|ann|liz", "1");
+    assert_eq!(e.engine_stats().mods_logged, 1);
+    // Someone else's mirror: `t|` is watched now, `t|ann|` is not read.
+    assert!(keys(&mut e, "m|cat|").is_empty());
+    e.remove(&Key::from("s|ann|liz"));
+    assert_eq!(e.engine_stats().mods_applied, 1, "the log went first");
+    assert_eq!(keys(&mut e, "t|ann|"), ["t|ann|0000000100|bob"]);
+    // And no updater was left on liz's posts.
+    e.put("p|liz|0000000120", "again");
+    assert_eq!(keys(&mut e, "t|ann|"), ["t|ann|0000000100|bob"]);
+    assert_eq!(keys(&mut e, "m|ann|"), ["m|ann|0000000100|bob"]);
+}
+
 #[test]
 fn full_materialization_precomputes_everything() {
     let cfg = EngineConfig {

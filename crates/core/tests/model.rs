@@ -18,6 +18,12 @@ use proptest::prelude::*;
 const TIMELINE: &str =
     "t|<user>|<time:3>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:3>";
 const KARMA: &str = "karma|<author> = count vote|<author>|<id>|<voter>";
+/// Chained over the timeline join: its source is computed, and lazily
+/// maintained, data.
+const LENGTH: &str = "n|<user> = count t|<user>|<time:3>|<poster>";
+/// Also chained, but read one user at a time: a `m|ann|` scan reads
+/// `t|ann|` and no other timeline, so the others keep their logs.
+const MIRROR: &str = "m|<user>|<time:3>|<poster> = copy t|<user>|<time:3>|<poster>";
 
 const USERS: [&str; 4] = ["ann", "bob", "cat", "liz"];
 
@@ -32,9 +38,12 @@ enum Op {
     Vote(u8, u8, u8),
     Unvote(u8, u8, u8),
     ReadKarma,
+    ReadLengths,
+    CheckMirror(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Every op but the reads through the chained joins.
+fn unchained_op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..4u8, 0..4u8).prop_map(|(a, b)| Op::Follow(a, b)),
         (0..4u8, 0..4u8).prop_map(|(a, b)| Op::Unfollow(a, b)),
@@ -48,6 +57,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// All eleven ops, each as likely as any other.
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0..11u8, unchained_op_strategy(), 0..4u8).prop_map(|(pick, op, user)| match pick {
+        0 => Op::ReadLengths,
+        1 => Op::CheckMirror(user),
+        _ => op,
+    })
+}
+
 struct Harness {
     engine: Engine,
     /// Base writes replayed into oracle engines.
@@ -59,6 +77,8 @@ impl Harness {
         let mut engine = Engine::new(config);
         engine.add_join_text(TIMELINE).unwrap();
         engine.add_join_text(KARMA).unwrap();
+        engine.add_join_text(LENGTH).unwrap();
+        engine.add_join_text(MIRROR).unwrap();
         Harness {
             engine,
             base: Vec::new(),
@@ -83,6 +103,8 @@ impl Harness {
         let mut e = Engine::new(cfg);
         e.add_join_text(TIMELINE).unwrap();
         e.add_join_text(KARMA).unwrap();
+        e.add_join_text(LENGTH).unwrap();
+        e.add_join_text(MIRROR).unwrap();
         let mut last: std::collections::BTreeMap<String, Option<String>> = Default::default();
         for (k, v) in &self.base {
             last.insert(k.clone(), v.clone());
@@ -151,6 +173,11 @@ impl Harness {
                 None,
             ),
             Op::ReadKarma => self.compare(&KeyRange::prefix("karma|"))?,
+            Op::ReadLengths => self.compare(&KeyRange::prefix("n|"))?,
+            Op::CheckMirror(u) => {
+                let prefix = format!("m|{}|", USERS[u as usize]);
+                self.compare(&KeyRange::prefix(prefix))?;
+            }
         }
         Ok(())
     }
@@ -174,6 +201,8 @@ fn run_audited_schedule(
     // Final global audit across every join output.
     h.compare(&KeyRange::prefix("t|"))?;
     h.compare(&KeyRange::prefix("karma|"))?;
+    h.compare(&KeyRange::prefix("n|"))?;
+    h.compare(&KeyRange::prefix("m|"))?;
     Ok(())
 }
 
@@ -221,6 +250,19 @@ proptest! {
             ..EngineConfig::default()
         };
         run_schedule(cfg, &ops)?;
+    }
+
+    /// Timelines gather check-source logs while nothing reads their
+    /// outputs; then one user's mirror is read, which leaves the other
+    /// timelines' logs in place, and the writes go on.
+    #[test]
+    fn a_late_chained_reader_matches_oracle(
+        quiet in proptest::collection::vec(unchained_op_strategy(), 4..40),
+        reader in 0..4u8,
+        watched in proptest::collection::vec(unchained_op_strategy(), 4..40),
+    ) {
+        let ops = [quiet, vec![Op::CheckMirror(reader)], watched].concat();
+        run_schedule(EngineConfig::default(), &ops)?;
     }
 
     /// The evict → recompute cycle under the same op stream: a cap so

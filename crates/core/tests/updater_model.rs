@@ -10,8 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use bytes::Bytes;
 use pequod_core::updater::{UpdaterEntry, UpdaterHandle, UpdaterIndex};
-use pequod_core::{JoinId, JsId};
-use pequod_join::{SlotId, SlotSet, SlotTable};
+use pequod_core::JsId;
+use pequod_join::{Bindings, SlotId, SlotTable};
 use pequod_store::{Key, KeyRange};
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ fn ranges() -> Vec<KeyRange> {
 
 const PROBES: [&str; 6] = ["p|a|3", "p|a|7", "p|b|1", "p|c", "s|a|b", "q|x"];
 
-fn slots(variant: u8) -> SlotSet {
+fn slots(variant: u8) -> Bindings {
     let mut table = SlotTable::new();
     table.intern("user");
     table.intern("poster");
@@ -40,7 +40,7 @@ fn slots(variant: u8) -> SlotSet {
     if variant & 2 != 0 {
         s.bind(SlotId(1), Bytes::from_static(b"bob"));
     }
-    s
+    Bindings::pack(&s)
 }
 
 #[derive(Clone, Debug)]
@@ -106,14 +106,13 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
             } => {
                 let entry = UpdaterEntry {
                     // Two owners per join, so JsIds collide across joins.
-                    join: JoinId((owner % 2) as u32),
+                    join: (owner % 2) as u16,
                     js: JsId {
                         slot: (owner / 2) as u32,
                         gen: 0,
                     },
-                    source_idx,
+                    source_idx: source_idx as u16,
                     slots: slots(variant),
-                    hint: None,
                 };
                 let candidate = ModelEntry {
                     owner,
@@ -137,9 +136,13 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 model.retain(|m| m.owner != owner);
             }
             Op::RemoveWhere { owner, source_idx } => {
-                let doomed = |m: &ModelEntry| m.owner == owner && m.entry.source_idx == source_idx;
+                let doomed = |m: &ModelEntry| {
+                    m.owner == owner && usize::from(m.entry.source_idx) == source_idx
+                };
                 let expect = model.iter().filter(|m| doomed(m)).count();
-                let removed = idx.remove_where(&mut owned[owner], |e| e.source_idx == source_idx);
+                let removed = idx.remove_where(&mut owned[owner], |e| {
+                    usize::from(e.source_idx) == source_idx
+                });
                 prop_assert_eq!(removed, expect);
                 model.retain(|m| !doomed(m));
             }
@@ -203,11 +206,10 @@ fn stab_visits_a_coalesced_node_in_install_order() {
     let mut owned = Vec::new();
     for js in 0..50u32 {
         let entry = UpdaterEntry {
-            join: JoinId(0),
+            join: 0,
             js: JsId { slot: js, gen: 0 },
             source_idx: 1,
             slots: slots(3),
-            hint: None,
         };
         owned.push(idx.install(KeyRange::prefix("p|a|"), entry, &[]).unwrap());
     }

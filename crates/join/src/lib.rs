@@ -13,7 +13,8 @@
 //! * [`Pattern`] — key patterns with delimiter- and fixed-width slots,
 //!   key matching, expansion, and slot derivation from scan ranges;
 //! * [`SlotTable`] / [`SlotSet`] — interned slot names and partial slot
-//!   assignments (§3.1's "slot sets");
+//!   assignments (§3.1's "slot sets"), and [`Bindings`], a slot set
+//!   packed into the one byte string an installed updater keeps;
 //! * [`containing_range`] — the minimal source range that can affect a
 //!   requested output range (§3.1's "containing ranges");
 //! * [`JoinSpec`] — the parsed and validated join grammar of Figure 2,
@@ -34,7 +35,7 @@ pub mod spec;
 
 pub use containing::containing_range;
 pub use pattern::{Pattern, PatternError, Token};
-pub use slots::{SlotId, SlotSet, SlotTable};
+pub use slots::{Bindings, SlotId, SlotSet, SlotTable};
 pub use spec::{parse_joins, JoinError, JoinSpec, Maintenance, Operator, Source};
 
 #[cfg(test)]
@@ -158,6 +159,73 @@ mod proptests {
                 let mut bound = derived.clone();
                 prop_assert!(pat.match_key(&probe, &mut bound), "derived bindings conflicted with in-range key");
             }
+        }
+    }
+
+    /// A slot's value: usually one of a few short strings, so that two
+    /// sets often agree; sometimes empty, or on either side of the
+    /// length a `Bytes` handle holds in place, or past one length byte.
+    fn slot_value() -> impl Strategy<Value = Option<Vec<u8>>> {
+        let sized = |len: usize| (0..3u8).prop_map(move |b| Some(vec![b'a' + b; len]));
+        prop_oneof![
+            Just(None),
+            Just(None),
+            Just(None),
+            sized(3),
+            sized(3),
+            sized(3),
+            sized(0),
+            sized(30),
+            sized(31),
+            sized(300),
+        ]
+    }
+
+    fn slot_set(values: &[Option<Vec<u8>>], spare: usize) -> SlotSet {
+        let mut table = SlotTable::new();
+        for i in 0..values.len() + spare {
+            table.intern(&i.to_string());
+        }
+        let mut set = table.empty_set();
+        for (i, v) in values.iter().enumerate() {
+            if let Some(v) = v {
+                set.bind(SlotId(i as u16), v.clone().into());
+            }
+        }
+        set
+    }
+
+    proptest! {
+        /// Packed bindings against the slot sets they were packed from:
+        /// they read back slot for slot, judge consistency as the slot set
+        /// would, and are equal as bytes exactly when the sets bind the
+        /// same slots to the same values — whatever the sets' capacities.
+        #[test]
+        fn packed_bindings_match_their_slot_set(
+            a in proptest::collection::vec(slot_value(), 0..140),
+            b in proptest::collection::vec(slot_value(), 8..12),
+            spare in 0..3usize,
+        ) {
+            let (set_a, set_b) = (slot_set(&a, 0), slot_set(&b, spare));
+            let (packed_a, packed_b) = (Bindings::pack(&set_a), Bindings::pack(&set_b));
+            for (values, set, packed) in [(&a, &set_a, &packed_a), (&b, &set_b, &packed_b)] {
+                let bound: Vec<(SlotId, &[u8])> = (values.iter().enumerate())
+                    .filter_map(|(i, v)| Some((SlotId(i as u16), &v.as_ref()?[..])))
+                    .collect();
+                prop_assert_eq!(packed.iter().collect::<Vec<_>>(), bound);
+                for i in 0..values.len() + 2 {
+                    let id = SlotId(i as u16);
+                    prop_assert_eq!(packed.get(id), set.get(id).map(|v| &v[..]));
+                }
+                prop_assert_eq!(packed, &Bindings::pack(&slot_set(values, 5)));
+            }
+            prop_assert_eq!(packed_a.consistent_with(&set_b), set_a.consistent_with(&set_b));
+            prop_assert_eq!(packed_b.consistent_with(&set_a), set_b.consistent_with(&set_a));
+            let bound = |v: &[Option<Vec<u8>>]| {
+                v.iter().cloned().enumerate().filter(|(_, v)| v.is_some()).collect::<Vec<_>>()
+            };
+            // `==` is derived: it compares the packed bytes.
+            prop_assert_eq!(packed_a == packed_b, bound(&a) == bound(&b));
         }
     }
 }

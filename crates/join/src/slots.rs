@@ -177,18 +177,129 @@ impl SlotSet {
 
 impl fmt::Debug for SlotSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "slots{{")?;
-        let mut first = true;
-        for (i, v) in self.values.iter().enumerate() {
-            if let Some(v) = v {
-                if !first {
-                    write!(f, ", ")?;
-                }
-                first = false;
-                write!(f, "#{i} -> {:?}", String::from_utf8_lossy(v))?;
-            }
+        let bound = (self.values.iter().enumerate())
+            .filter_map(|(i, v)| Some((SlotId(i as u16), &v.as_ref()?[..])));
+        fmt_bindings(f, bound)
+    }
+}
+
+fn fmt_bindings<'a>(
+    f: &mut fmt::Formatter<'_>,
+    bound: impl Iterator<Item = (SlotId, &'a [u8])>,
+) -> fmt::Result {
+    write!(f, "slots{{")?;
+    for (n, (id, v)) in bound.enumerate() {
+        let sep = if n == 0 { "" } else { ", " };
+        write!(f, "{sep}#{} -> {:?}", id.0, String::from_utf8_lossy(v))?;
+    }
+    write!(f, "}}")
+}
+
+/// A slot set frozen into one byte string: what an installed updater
+/// remembers of the bindings it was planned under (§3.2's "context").
+///
+/// The bound slots are packed in ascending id order, each as
+/// `id · length · bytes` with both numbers in LEB128, so the encoding is
+/// canonical: two sets bind the same slots to the same values exactly
+/// when their packed bytes are equal, however long the `Vec` behind
+/// either [`SlotSet`] had grown. The string is held in one [`Bytes`]
+/// handle, which keeps up to 30 bytes in place — the timeline join's
+/// `user` and `poster` pack to about 20 — so a stored updater owns no
+/// allocation, and packing one makes none.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct Bindings(Bytes);
+
+/// Bytes `n` takes in LEB128.
+fn varint_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Writes `n` in LEB128 at the front of `out`; returns the rest.
+fn put_varint(out: &mut [u8], mut n: usize) -> &mut [u8] {
+    let mut at = 0;
+    while n >= 0x80 {
+        out[at] = n as u8 | 0x80;
+        n >>= 7;
+        at += 1;
+    }
+    out[at] = n as u8;
+    &mut out[at + 1..]
+}
+
+/// Reads one LEB128 number off the front of `packed`. The bytes are
+/// always [`Bindings::pack`]'s own, so running out mid-number cannot
+/// happen; it reads as the end of the string.
+fn take_varint(packed: &mut &[u8]) -> Option<usize> {
+    let (mut n, mut shift) = (0usize, 0);
+    loop {
+        let (&byte, rest) = packed.split_first()?;
+        *packed = rest;
+        n |= usize::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(n);
         }
-        write!(f, "}}")
+        shift += 7;
+    }
+}
+
+impl Bindings {
+    /// Packs the bound slots of `slots`.
+    pub fn pack(slots: &SlotSet) -> Bindings {
+        let bound =
+            || (slots.values.iter().enumerate()).filter_map(|(i, v)| Some((i, v.as_ref()?)));
+        let len = bound()
+            .map(|(i, v)| varint_len(i) + varint_len(v.len()) + v.len())
+            .sum();
+        // Built on the stack: a short string goes from here into the
+        // handle itself, and only a long one is ever on the heap.
+        let mut short = [0u8; 64];
+        let mut long = Vec::new();
+        let packed = match short.get_mut(..len) {
+            Some(fits) => fits,
+            None => {
+                long.resize(len, 0);
+                &mut long[..]
+            }
+        };
+        let mut rest = &mut *packed;
+        for (i, v) in bound() {
+            rest = put_varint(put_varint(rest, i), v.len());
+            let (value, after) = rest.split_at_mut(v.len());
+            value.copy_from_slice(v);
+            rest = after;
+        }
+        Bindings(Bytes::copy_from_slice(packed))
+    }
+
+    /// The bound slots and their values, in ascending slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
+        let mut rest = &self.0[..];
+        std::iter::from_fn(move || {
+            let id = take_varint(&mut rest)?;
+            let len = take_varint(&mut rest)?;
+            let (value, after) = rest.split_at_checked(len)?;
+            rest = after;
+            Some((SlotId(id as u16), value))
+        })
+    }
+
+    /// The value bound to `id`, if any.
+    pub fn get(&self, id: SlotId) -> Option<&[u8]> {
+        let at_or_past = self.iter().find(|(bound, _)| *bound >= id)?;
+        (at_or_past.0 == id).then_some(at_or_past.1)
+    }
+
+    /// True if no slot is bound to different values here and in `other`
+    /// ([`SlotSet::consistent_with`], read off the packed form).
+    pub fn consistent_with(&self, other: &SlotSet) -> bool {
+        self.iter()
+            .all(|(id, v)| other.get(id).is_none_or(|theirs| theirs[..] == *v))
+    }
+}
+
+impl fmt::Debug for Bindings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt_bindings(f, self.iter())
     }
 }
 
@@ -238,6 +349,29 @@ mod tests {
         assert!(!a.consistent_with(&c) && !c.consistent_with(&a));
         assert!(a.consistent_with(&b) && a.consistent_with(&t.empty_set()));
         assert!(!a.merge(&c));
+    }
+
+    #[test]
+    fn bindings_pack_the_bound_slots_in_order() {
+        let mut t = SlotTable::new();
+        let [user, time, poster] = ["user", "time", "poster"].map(|n| t.intern(n));
+        let mut s = t.empty_set();
+        s.bind(poster, Bytes::from_static(b"u0000002"));
+        s.bind(user, Bytes::from_static(b"u0000001"));
+        let packed = Bindings::pack(&s);
+        assert_eq!(&packed.0[..], b"\x00\x08u0000001\x02\x08u0000002");
+        assert_eq!(packed.get(user), Some(&b"u0000001"[..]));
+        assert_eq!((packed.get(time), packed.get(SlotId(9))), (None, None));
+        assert_eq!(format!("{packed:?}"), format!("{s:?}"));
+        // Consistency reads the other side's slots only where both bind.
+        let mut other = t.empty_set();
+        assert!(packed.consistent_with(&other));
+        other.bind(time, Bytes::from_static(b"0000000100"));
+        other.bind(poster, Bytes::from_static(b"u0000002"));
+        assert!(packed.consistent_with(&other));
+        other.bind(user, Bytes::from_static(b"u0000003"));
+        assert!(!packed.consistent_with(&other));
+        assert_eq!(Bindings::pack(&t.empty_set()), Bindings::default());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use pequod_core::{
     fold_join_replies, split_runs, Command, Engine, Response, ShardSubmitter, ShardedEngine,
 };
 use pequod_store::{Key, KeyRange};
-use pequod_telemetry::{Recorder, Snapshot, SnapshotFn};
+use pequod_telemetry::{process_rss_bytes, Recorder, Snapshot, SnapshotFn};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -668,6 +668,7 @@ impl FrontendServer {
             Arc::new(move |flight| {
                 let mut snap = snapshot(flight);
                 mirror_frontend_stats(&stats, &mut snap);
+                snap.gauge("process.rss_bytes", &[], process_rss_bytes());
                 snap
             })
         };

@@ -557,6 +557,39 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
     );
 }
 
+/// A live server says what it holds and what that costs: the engine's
+/// memory estimate and the counts it is made of, as of the last
+/// operation, beside the process's resident set.
+#[test]
+fn metrics_carry_the_engines_levels_and_the_resident_set() {
+    let mut engine = Engine::new(EngineConfig::default());
+    engine.set_recorder(pequod_telemetry::Recorder::enabled());
+    let mut server =
+        FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
+    let mut client = TcpClient::connect(server.addr()).unwrap();
+    client
+        .add_join("t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>")
+        .unwrap();
+    client.put("s|ann|bob", "1").unwrap();
+    client.put("p|bob|0000000100", "hi").unwrap();
+    assert_eq!(client.scan(KeyRange::prefix("t|ann|")).unwrap().len(), 1);
+    let metrics = client.metrics(false).unwrap();
+    let level = |name: &str| -> u64 {
+        let found = metrics.iter().find(|(k, _)| k == name);
+        let (_, v) = found.unwrap_or_else(|| panic!("no {name} in {metrics:?}"));
+        v.parse().unwrap()
+    };
+    assert_eq!(level("store.keys"), 3);
+    assert_eq!(level("core.status.ranges"), 1);
+    assert_eq!(level("core.updater.entries"), 2);
+    assert_eq!(level("core.updater.nodes"), 2);
+    assert!(level("core.memory.estimate_bytes") > 3 * 64);
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(level("process.rss_bytes") > level("core.memory.estimate_bytes"));
+    }
+    server.shutdown();
+}
+
 /// `shutdown()` contract: once it returns, the server answers nothing,
 /// new connections included.
 #[test]

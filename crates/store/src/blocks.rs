@@ -1,4 +1,4 @@
-//! Dense sorted blocks: the ordered container under every subtable.
+//! Dense sorted blocks: the ordered container under every table.
 //!
 //! A subtable (§4.1) is a small range accessed with locality — one Twip
 //! timeline, one poster's tweets — and almost all of its writes land at
@@ -7,13 +7,14 @@
 //! the wrong shape for that traffic twice over: an append still descends
 //! through two or three nodes, and an append-only B-tree splits each full
 //! 11-pair leaf 6/5 and never refills the left half, so its leaves sit
-//! 6/11 full.
+//! 6/11 full. A flat table (`s|`) is large and written anywhere, but it
+//! too is *loaded* in key order, and pays the same half-empty leaves for
+//! every row it ever holds.
 //!
-//! [`Blocks`] is a two-level structure instead: a directory (`Vec`) of
-//! blocks in key order, each block a sorted `Vec` of at most
-//! [`BLOCK_PAIRS`] pairs, each directory entry carrying a copy of its
-//! block's first key (the *fence*) so that finding a key's block touches
-//! no block.
+//! [`Blocks`] is a directory (`Vec`) of blocks in key order, each block
+//! a sorted `Vec` of at most [`BLOCK_PAIRS`] pairs, each directory entry
+//! carrying a copy of its block's first key (the *fence*) so that finding
+//! a key's block touches no block.
 //!
 //! * **Append** — [`Blocks::put`] first compares against the last key.
 //!   A greater key is pushed onto the tail block; a full tail is left
@@ -40,21 +41,34 @@
 //!   outputs arrive as one ascending run (`Table::put_run`), so the
 //!   subtable is looked up once and every pair after the first is the
 //!   append above.
+//! * **Past one chunk** — adding or dropping a block in the middle of a
+//!   flat directory moves `len / BLOCK_PAIRS` entries, which is nothing
+//!   for a subtable and 3.2 ms at a million rows. So a directory of more
+//!   than [`CHUNK_BLOCKS`] blocks is cut into *chunks* of at most that
+//!   many, each under a copy of its first fence: one more binary search
+//!   on the way in (over the chunks, tail first), and a block added or
+//!   dropped moves one chunk's entries. The upper level follows the
+//!   lower one's rules — a full chunk is left full by a key past its end,
+//!   which starts the next, and otherwise splits into halves sized to
+//!   fit; neighbours holding half a chunk's blocks between them merge; an
+//!   emptied chunk leaves; and a directory back down to one chunk is a
+//!   plain list of blocks again. That list is all a subtable ever has,
+//!   and it is the same three words a one-level directory would be: the
+//!   second level costs a 1-pair subtable no byte and no pointer to
+//!   follow. Every operation is one implementation over "the lists of
+//!   blocks, in order" ([`Blocks::lists`]), whichever form the directory
+//!   has.
 //!
-//! The directory itself is a flat `Vec`, so adding or dropping a block in
-//! the middle moves `len / BLOCK_PAIRS` entries: right for subtables,
-//! wrong for an unbounded table filled in shuffled order, which is why
-//! `Repr::Flat` stays on `BTreeMap`.
+//! # The two constants
 //!
-//! # The one constant
-//!
-//! 2100 timelines behind a `HashMap`, 451k appends of 30-byte keys and
-//! 30-byte values in post order (the `twip.post` shape), then each
-//! timeline's newest tenth scanned, ten inserts per timeline at shuffled
-//! old times, and the same pairs put into a fresh map in one global
-//! shuffle. Scratch harness on a 2-vCPU VM, live heap bytes from a
-//! counting allocator, medians of three invocations of seven runs (the
-//! timings move ±25% between invocations, the bytes not at all):
+//! **Pairs per block.** 2100 timelines behind a `HashMap`, 451k appends
+//! of 30-byte keys and 30-byte values in post order (the `twip.post`
+//! shape), then each timeline's newest tenth scanned, ten inserts per
+//! timeline at shuffled old times, and the same pairs put into a fresh
+//! map in one global shuffle. Scratch harness on a 2-vCPU VM, live heap
+//! bytes from a counting allocator, medians of three invocations of
+//! seven runs (the timings move ±25% between invocations, the bytes not
+//! at all):
 //!
 //! | container | append ns | B/pair | scan ns/pair | mid-insert ns | shuffled fill ns |
 //! |---|---|---|---|---|---|
@@ -70,19 +84,141 @@
 //! 64 bytes apart and up to 2 KiB moved, against a B-tree leaf's 352
 //! bytes of keys — and it grows with the block, so the constant stops
 //! where the bytes stop improving.
+//!
+//! **Blocks per chunk.** One flat table of `s|user|poster` rows (28-byte
+//! keys, forty to a user), loaded in key order; then 20,000 new rows
+//! inserted at shuffled places, each timed; then 100,000 scans of one
+//! user's rows. Same VM, same allocator, a `BTreeMap<Key, Value>` given
+//! the same operations in the same process, turn and turn about; medians
+//! of five runs, shuffled insert in ns (the B-tree's beside it):
+//!
+//! | blocks per chunk | 120k rows | 240k rows | 960k rows |
+//! |---|---|---|---|
+//! | 32 | 1347 (756) | 1921 (911) | 2656 (1364) |
+//! | 64 | 1068 (620) | 1695 (850) | 2449 (1347) |
+//! | **128** | 1031 (631) | 1503 (853) | 2458 (1352) |
+//! | 256 | 1028 (627) | 1624 (884) | 2500 (1332) |
+//! | one level (the prototype) | 994 | 2649 | 23,621 |
+//!
+//! Small chunks make the upper level long and the table tall; large ones
+//! move more entries per block (7 KiB at 128, 14 at 256). 128 is at or
+//! next to the best in every column, is the square root of the block
+//! count somewhere between 240k and 960k rows, and bounds the longest
+//! single move. With it, against the B-tree (five runs, medians):
+//!
+//! | rows | load ns/row | B/row loaded | scan ns, loaded | shuffled insert ns | then B/row | scan ns, after the inserts |
+//! |---|---|---|---|---|---|---|
+//! | 120k | 75 (211) | 65.8 (122.3) | 750 (746) | 1228 (737) | 114.5 (109.5) | 1170 (882) |
+//! | 240k | 75 (208) | 65.8 (122.3) | 947 (1029) | 1637 (929) | 99.2 (115.3) | 1297 (1082) |
+//! | 960k | 76 (233) | 65.8 (122.3) | 2280 (2233) | 2595 (1361) | 72.8 (120.4) | 2452 (1919) |
+//!
+//! Loading is three times faster and half the bytes, and a scan of the
+//! loaded table costs the same. An insert into a table that has just
+//! been loaded is the container's worst moment — every block is full, so
+//! every insert splits one (an allocation, 1 KiB copied, a directory
+//! entry inserted) — and costs 1.7–1.9× the B-tree's, which at the same
+//! moment is at its best, its leaves half empty. The slowest single
+//! insert of a quiet run was ≈50–60 µs for both (the VM's own hiccup;
+//! when the host stalls, either container shows 0.1–3 ms outliers with
+//! nothing larger than a 2 KiB block allocated or moved behind them). The
+//! same asymmetry shows in what follows: 20,000 inserts into 120k rows
+//! split nearly every block in two, and until those halves fill again the
+//! table is *less* dense than the B-tree (114 against 110 bytes a row)
+//! and a scan crosses more of them (+20–33%). Both close as the table
+//! keeps growing.
 
 use crate::key::Key;
 use crate::range::KeyRange;
 use crate::table::Value;
+use std::ops::Range;
 
 /// Most pairs one block holds: 32 pairs of two 32-byte handles, 2 KiB.
 const BLOCK_PAIRS: usize = 32;
+
+/// Most blocks one chunk of the directory holds. This crate's own unit
+/// and model tests build with chunks of four blocks, so that a few
+/// hundred pairs cross every chunk boundary the code has; the 128 that
+/// ships is driven through the same events by `tests/flat_chunks.rs`,
+/// which links the crate as the servers do.
+const CHUNK_BLOCKS: usize = if cfg!(test) { 4 } else { 128 };
 
 struct Block {
     /// A copy of `pairs[0].0`.
     fence: Key,
     /// Sorted, never empty, at most [`BLOCK_PAIRS`] long.
     pairs: Vec<(Key, Value)>,
+}
+
+/// A run of neighbouring blocks: what moves when the directory of a
+/// large container gains or loses a block.
+struct Chunk {
+    /// A copy of `blocks[0].fence`.
+    fence: Key,
+    /// In key order, never empty, at most [`CHUNK_BLOCKS`] long.
+    blocks: Vec<Block>,
+}
+
+/// The directory: one list of blocks until it outgrows a chunk, then a
+/// list of chunks. The first form is every subtable's, and is exactly the
+/// `Vec` a one-level directory would be — the second level costs a small
+/// container neither a byte nor a pointer to follow.
+enum Dir {
+    /// At most [`CHUNK_BLOCKS`] blocks.
+    One(Vec<Block>),
+    /// Two or more chunks. Boxed so that the enum stays the size of the
+    /// `Vec` above.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<Chunk>>),
+}
+
+/// Something filed in key order under a copy of its first key.
+trait Fenced {
+    fn fence(&self) -> &Key;
+    /// What it holds: a block's pairs, a chunk's blocks.
+    fn held(&self) -> usize;
+    /// Takes over what its right-hand neighbour held.
+    fn absorb(&mut self, right: Self);
+}
+
+impl Fenced for Block {
+    fn fence(&self) -> &Key {
+        &self.fence
+    }
+
+    fn held(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn absorb(&mut self, right: Block) {
+        self.pairs.extend(right.pairs);
+    }
+}
+
+impl Fenced for Chunk {
+    fn fence(&self) -> &Key {
+        &self.fence
+    }
+
+    fn held(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn absorb(&mut self, right: Chunk) {
+        self.blocks.extend(right.blocks);
+    }
+}
+
+/// Index of the only entry of `dir` that may hold `key`: the last whose
+/// fence is at or below it, or the first for a key below every fence. The
+/// tail is tried first: reads ask for the newest pairs (a timeline
+/// check), and teardown removes newest-first.
+fn entry_for<T: Fenced>(dir: &[T], key: &Key) -> usize {
+    match dir.last() {
+        Some(tail) if tail.fence() <= key => dir.len() - 1,
+        _ => dir
+            .partition_point(|entry| entry.fence() <= key)
+            .saturating_sub(1),
+    }
 }
 
 impl Block {
@@ -105,10 +241,207 @@ impl Block {
     }
 }
 
+impl Chunk {
+    fn of(blocks: Vec<Block>) -> Chunk {
+        Chunk {
+            fence: blocks[0].fence.clone(),
+            blocks,
+        }
+    }
+}
+
+/// True if `key` sorts above every pair of `blocks`.
+fn past_end(blocks: &[Block], key: &Key) -> bool {
+    let newest = blocks.last().and_then(|tail| tail.pairs.last());
+    newest.is_none_or(|(last, _)| key > last)
+}
+
+/// [`Blocks::put`] within one list of blocks.
+fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value) -> Option<Value> {
+    if past_end(blocks, &key) {
+        match blocks.last_mut() {
+            Some(tail) if tail.pairs.len() < BLOCK_PAIRS => tail.pairs.push((key, value)),
+            _ => blocks.push(Block::starting_with(key, value)),
+        }
+        return None;
+    }
+    let b = entry_for(blocks, &key);
+    let block = &mut blocks[b];
+    let at = match block.find(&key) {
+        Ok(at) => return Some(std::mem::replace(&mut block.pairs[at].1, value)),
+        Err(at) => at,
+    };
+    if block.pairs.len() < BLOCK_PAIRS {
+        block.insert(at, key, value);
+    } else if at == BLOCK_PAIRS {
+        blocks.insert(b + 1, Block::starting_with(key, value));
+    } else {
+        const HALF: usize = BLOCK_PAIRS / 2;
+        let mut upper = Block {
+            fence: block.pairs[HALF].0.clone(),
+            pairs: block.pairs.split_off(HALF),
+        };
+        if at < HALF {
+            block.insert(at, key, value);
+        } else {
+            upper.pairs.reserve_exact(1);
+            upper.insert(at - HALF, key, value);
+        }
+        // Both halves are sized to fit: most never see a second
+        // mid-insert, and one that does doubles again.
+        block.pairs.shrink_to_fit();
+        blocks.insert(b + 1, upper);
+    }
+    None
+}
+
+/// [`Blocks::remove`] within one list of blocks.
+fn remove_in(blocks: &mut Vec<Block>, key: &Key) -> Option<Value> {
+    let b = entry_for(blocks, key);
+    let block = blocks.get_mut(b)?;
+    let at = block.find(key).ok()?;
+    let (_, value) = block.pairs.remove(at);
+    match block.pairs.first() {
+        None => {
+            blocks.remove(b);
+        }
+        Some((first, _)) => {
+            if at == 0 {
+                block.fence = first.clone();
+            }
+            merge_around(blocks, b, BLOCK_PAIRS / 2);
+        }
+    }
+    Some(value)
+}
+
+/// [`Blocks::remove_range`] within one list of blocks.
+fn remove_range_in(
+    blocks: &mut Vec<Block>,
+    range: &KeyRange,
+    doomed: &mut impl FnMut(&Key, &Value) -> bool,
+) -> usize {
+    let first = entry_for(blocks, &range.first);
+    let mut removed = 0;
+    let mut emptied = false;
+    let mut end = first;
+    for block in blocks.iter_mut().skip(first) {
+        if !range.end.admits(&block.fence) {
+            break;
+        }
+        end += 1;
+        // Only the range's first and last blocks can hold pairs
+        // outside it.
+        let lo = match block.fence < range.first {
+            true => block.pairs.partition_point(|(k, _)| *k < range.first),
+            false => 0,
+        };
+        let hi = match block.pairs.last() {
+            Some((last, _)) if !range.end.admits(last) => {
+                block.pairs.partition_point(|(k, _)| range.end.admits(k))
+            }
+            _ => block.pairs.len(),
+        };
+        let held = block.pairs.len();
+        let mut at = 0;
+        block.pairs.retain(|(k, v)| {
+            let in_range = (lo..hi).contains(&at);
+            at += 1;
+            !(in_range && doomed(k, v))
+        });
+        removed += held - block.pairs.len();
+        match block.pairs.first() {
+            None => emptied = true,
+            Some((k, _)) if *k != block.fence => block.fence = k.clone(),
+            Some(_) => {}
+        }
+    }
+    if emptied {
+        end -= drop_emptied(blocks);
+    }
+    if removed > 0 {
+        for b in (first..end).rev() {
+            merge_around(blocks, b, BLOCK_PAIRS / 2);
+        }
+    }
+    removed
+}
+
+/// Merges entry `at` with a neighbour if the two hold at most `most`
+/// between them — half a block's pairs, half a chunk's blocks — so
+/// scattered removals cannot leave a subtable as a string of nearly
+/// empty 2 KiB blocks. Draining from either end never merges: the
+/// drained entry's neighbour is full.
+fn merge_around<T: Fenced>(dir: &mut Vec<T>, at: usize, most: usize) {
+    let sparse = |dir: &[T], left: usize| {
+        dir.get(left + 1)
+            .is_some_and(|right| dir[left].held() + right.held() <= most)
+    };
+    let left = if sparse(dir, at) {
+        at
+    } else if at > 0 && sparse(dir, at - 1) {
+        at - 1
+    } else {
+        return;
+    };
+    let right = dir.remove(left + 1);
+    dir[left].absorb(right);
+}
+
+/// Drops the emptied entries of `dir` in one compaction; returns how
+/// many went.
+fn drop_emptied<T: Fenced>(dir: &mut Vec<T>) -> usize {
+    let held = dir.len();
+    dir.retain(|entry| entry.held() > 0);
+    held - dir.len()
+}
+
+/// How a scan of one list of blocks ended.
+enum Walk {
+    /// At the list's end, the range not yet exhausted.
+    RanOff,
+    /// At the range's end.
+    Done,
+    /// On the visitor's word.
+    Stopped,
+}
+
+/// [`Blocks::scan`] within one list of blocks.
+fn scan_in(blocks: &[Block], range: &KeyRange, f: &mut impl FnMut(&Key, &Value) -> bool) -> Walk {
+    let b = entry_for(blocks, &range.first);
+    let Some(block) = blocks.get(b) else {
+        return Walk::RanOff;
+    };
+    let mut skip = block.pairs.partition_point(|(k, _)| *k < range.first);
+    for (at, block) in blocks.iter().enumerate().skip(b) {
+        // The bound is compared once per block, not once per pair, and
+        // with the next block's fence where there is one: the search has
+        // just read that, the block's own last pair is a cache line away.
+        let pairs = &block.pairs[skip..];
+        let whole = match blocks.get(at + 1) {
+            Some(next) => range.end.admits(&next.fence),
+            None => pairs.last().is_none_or(|(k, _)| range.end.admits(k)),
+        };
+        let pairs = match whole {
+            true => pairs,
+            false => &pairs[..pairs.partition_point(|(k, _)| range.end.admits(k))],
+        };
+        for (k, v) in pairs {
+            if !f(k, v) {
+                return Walk::Stopped;
+            }
+        }
+        if !whole {
+            return Walk::Done;
+        }
+        skip = 0;
+    }
+    Walk::RanOff
+}
+
 /// An ordered map of pairs laid out as dense sorted blocks.
 pub(crate) struct Blocks {
-    dir: Vec<Block>,
-    len: usize,
+    dir: Dir,
 }
 
 impl Blocks {
@@ -116,97 +449,87 @@ impl Blocks {
     /// subtables ever need.
     pub(crate) fn new() -> Blocks {
         Blocks {
-            dir: Vec::with_capacity(1),
-            len: 0,
+            dir: Dir::One(Vec::with_capacity(1)),
         }
     }
 
     /// True if no pairs are held.
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        matches!(&self.dir, Dir::One(blocks) if blocks.is_empty())
     }
 
-    /// Index of the only block that may hold `key`: the last whose fence
-    /// is at or below it, or the first for a key below every fence. The
-    /// tail is tried first: reads ask for the newest pairs (a timeline
-    /// check), and teardown removes newest-first.
-    fn block_for(&self, key: &Key) -> usize {
-        match self.dir.last() {
-            Some(tail) if tail.fence <= *key => self.dir.len() - 1,
-            _ => self
-                .dir
-                .partition_point(|b| b.fence <= *key)
-                .saturating_sub(1),
+    /// The lists of blocks in key order, starting with the only one that
+    /// may hold `from` (with the first, given `None`).
+    fn lists(&self, from: Option<&Key>) -> impl Iterator<Item = &[Block]> {
+        let (one, many) = match &self.dir {
+            Dir::One(blocks) => (Some(&blocks[..]), &[][..]),
+            Dir::Many(chunks) => (None, &chunks[from.map_or(0, |k| entry_for(chunks, k))..]),
+        };
+        (one.into_iter()).chain(many.iter().map(|chunk| &chunk.blocks[..]))
+    }
+
+    /// The only list of blocks that may hold `key`, and its chunk's
+    /// index.
+    fn list_mut(&mut self, key: &Key) -> (usize, &mut Vec<Block>) {
+        match &mut self.dir {
+            Dir::One(blocks) => (0, blocks),
+            Dir::Many(chunks) => {
+                let c = entry_for(chunks, key);
+                (c, &mut chunks[c].blocks)
+            }
         }
     }
 
     /// Inserts or replaces a pair, returning the previous value.
     pub(crate) fn put(&mut self, key: Key, value: Value) -> Option<Value> {
-        let newest = self.dir.last().and_then(|tail| tail.pairs.last());
-        if newest.is_none_or(|(last, _)| key > *last) {
-            self.len += 1;
-            match self.dir.last_mut() {
-                Some(tail) if tail.pairs.len() < BLOCK_PAIRS => tail.pairs.push((key, value)),
-                _ => self.dir.push(Block::starting_with(key, value)),
-            }
-            return None;
-        }
-        let b = self.block_for(&key);
-        let block = &mut self.dir[b];
-        let at = match block.find(&key) {
-            Ok(at) => return Some(std::mem::replace(&mut block.pairs[at].1, value)),
-            Err(at) => at,
-        };
-        self.len += 1;
-        if block.pairs.len() < BLOCK_PAIRS {
-            block.insert(at, key, value);
-        } else if at == BLOCK_PAIRS {
-            self.dir.insert(b + 1, Block::starting_with(key, value));
+        let (c, blocks) = self.list_mut(&key);
+        // A full chunk is left full by a key past its end, which starts
+        // the next one (an ascending load stays dense at this level too);
+        // any other block it gains splits it into two halves sized to fit.
+        let full = blocks.len() == CHUNK_BLOCKS
+            && blocks[CHUNK_BLOCKS - 1].pairs.len() == BLOCK_PAIRS
+            && past_end(blocks, &key);
+        let (old, next) = if full {
+            let fresh = vec![Block::starting_with(key, value)];
+            (None, Some(Chunk::of(fresh)))
         } else {
-            const HALF: usize = BLOCK_PAIRS / 2;
-            let mut upper = Block {
-                fence: block.pairs[HALF].0.clone(),
-                pairs: block.pairs.split_off(HALF),
-            };
-            if at < HALF {
-                block.insert(at, key, value);
-            } else {
-                upper.pairs.reserve_exact(1);
-                upper.insert(at - HALF, key, value);
+            let old = put_in(blocks, key, value);
+            let upper = (blocks.len() > CHUNK_BLOCKS).then(|| {
+                let upper = blocks.split_off(CHUNK_BLOCKS / 2);
+                blocks.shrink_to_fit();
+                Chunk::of(upper)
+            });
+            (old, upper)
+        };
+        match (&mut self.dir, next) {
+            (Dir::One(blocks), Some(next)) => {
+                let first = Chunk::of(std::mem::take(blocks));
+                self.dir = Dir::Many(Box::new(vec![first, next]));
             }
-            // Both halves are sized to fit: most never see a second
-            // mid-insert, and one that does doubles again.
-            block.pairs.shrink_to_fit();
-            self.dir.insert(b + 1, upper);
+            (Dir::Many(chunks), next) => {
+                chunks[c].refence();
+                if let Some(next) = next {
+                    chunks.insert(c + 1, next);
+                }
+            }
+            (Dir::One(_), None) => {}
         }
-        None
+        old
     }
 
     /// Looks up a key.
     pub(crate) fn get(&self, key: &Key) -> Option<&Value> {
-        let block = self.dir.get(self.block_for(key))?;
+        let blocks = self.lists(Some(key)).next()?;
+        let block = blocks.get(entry_for(blocks, key))?;
         let at = block.find(key).ok()?;
         Some(&block.pairs[at].1)
     }
 
     /// Removes a key, returning its value.
     pub(crate) fn remove(&mut self, key: &Key) -> Option<Value> {
-        let b = self.block_for(key);
-        let block = self.dir.get_mut(b)?;
-        let at = block.find(key).ok()?;
-        let (_, value) = block.pairs.remove(at);
-        self.len -= 1;
-        match block.pairs.first() {
-            None => {
-                self.dir.remove(b);
-            }
-            Some((first, _)) => {
-                if at == 0 {
-                    block.fence = first.clone();
-                }
-                self.merge_around(b);
-            }
-        }
+        let (c, blocks) = self.list_mut(key);
+        let value = remove_in(blocks, key)?;
+        self.tidy(c..c + 1);
         Some(value)
     }
 
@@ -218,152 +541,129 @@ impl Blocks {
     /// so tearing a whole subtable down never shifts the directory block
     /// by block), a block that lost its first pair gets a new fence, and
     /// survivors sparse enough to share a block are merged as
-    /// [`Blocks::remove`] would have.
+    /// [`Blocks::remove`] would have; chunks likewise.
     pub(crate) fn remove_range(
         &mut self,
         range: &KeyRange,
         doomed: &mut impl FnMut(&Key, &Value) -> bool,
     ) -> usize {
-        let first = self.block_for(&range.first);
-        let before = self.len;
-        let mut emptied = false;
+        let chunks = match &mut self.dir {
+            Dir::One(blocks) => return remove_range_in(blocks, range, doomed),
+            Dir::Many(chunks) => chunks,
+        };
+        let first = entry_for(chunks, &range.first);
         let mut end = first;
-        for block in self.dir.iter_mut().skip(first) {
-            if !range.end.admits(&block.fence) {
+        let mut removed = 0;
+        for chunk in chunks.iter_mut().skip(first) {
+            if !range.end.admits(&chunk.fence) {
                 break;
             }
             end += 1;
-            // Only the range's first and last blocks can hold pairs
-            // outside it.
-            let lo = match block.fence < range.first {
-                true => block.pairs.partition_point(|(k, _)| *k < range.first),
-                false => 0,
-            };
-            let hi = match block.pairs.last() {
-                Some((last, _)) if !range.end.admits(last) => {
-                    block.pairs.partition_point(|(k, _)| range.end.admits(k))
-                }
-                _ => block.pairs.len(),
-            };
-            let held = block.pairs.len();
-            let mut at = 0;
-            block.pairs.retain(|(k, v)| {
-                let in_range = (lo..hi).contains(&at);
-                at += 1;
-                !(in_range && doomed(k, v))
-            });
-            self.len -= held - block.pairs.len();
-            match block.pairs.first() {
-                None => emptied = true,
-                Some((k, _)) if *k != block.fence => block.fence = k.clone(),
-                Some(_) => {}
-            }
+            removed += remove_range_in(&mut chunk.blocks, range, doomed);
         }
-        if emptied {
-            let blocks = self.dir.len();
-            self.dir.retain(|block| !block.pairs.is_empty());
-            end -= blocks - self.dir.len();
+        if removed > 0 {
+            self.tidy(first..end);
         }
-        if self.len < before {
-            for b in (first..end).rev() {
-                self.merge_around(b);
-            }
-        }
-        before - self.len
+        removed
     }
 
-    /// Merges block `b` with a neighbour if the two hold at most half a
-    /// block between them, so scattered removals cannot leave a subtable
-    /// as a string of nearly empty 2 KiB blocks. Draining from either end
-    /// never merges: the drained block's neighbour is full.
-    fn merge_around(&mut self, b: usize) {
-        let sparse = |dir: &[Block], left: usize| {
-            dir.get(left + 1)
-                .is_some_and(|right| dir[left].pairs.len() + right.pairs.len() <= BLOCK_PAIRS / 2)
-        };
-        let left = if sparse(&self.dir, b) {
-            b
-        } else if b > 0 && sparse(&self.dir, b - 1) {
-            b - 1
-        } else {
+    /// Puts the directory's upper level right after pairs left the
+    /// chunks `touched`: emptied chunks leave it (all in one compaction),
+    /// the others are re-fenced, neighbours holding at most half a
+    /// chunk's blocks between them are merged, and a directory down to
+    /// one chunk goes back to being that chunk's list of blocks.
+    fn tidy(&mut self, touched: Range<usize>) {
+        let Dir::Many(chunks) = &mut self.dir else {
             return;
         };
-        let right = self.dir.remove(left + 1);
-        self.dir[left].pairs.extend(right.pairs);
+        let mut end = touched.end;
+        if chunks[touched.clone()].iter().any(|c| c.blocks.is_empty()) {
+            end -= drop_emptied(chunks);
+        }
+        for c in (touched.start..end).rev() {
+            chunks[c].refence();
+            merge_around(chunks, c, CHUNK_BLOCKS / 2);
+        }
+        if chunks.len() <= 1 {
+            let only = chunks.pop().map(|chunk| chunk.blocks);
+            self.dir = Dir::One(only.unwrap_or_default());
+        }
     }
 
     /// Every pair in key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &(Key, Value)> {
-        self.dir.iter().flat_map(|b| &b.pairs)
+        self.lists(None).flatten().flat_map(|b| &b.pairs)
     }
 
     /// Visits the pairs in `range` in key order until the visitor returns
     /// `false`. Returns `false` if the visitor ended the scan.
     pub(crate) fn scan(&self, range: &KeyRange, f: &mut impl FnMut(&Key, &Value) -> bool) -> bool {
-        let b = self.block_for(&range.first);
-        let Some(block) = self.dir.get(b) else {
-            return true;
-        };
-        let mut skip = block.pairs.partition_point(|(k, _)| *k < range.first);
-        for block in &self.dir[b..] {
-            // The bound is compared once per block, not once per pair.
-            let pairs = &block.pairs[skip..];
-            let ends_here = pairs.last().is_some_and(|(k, _)| !range.end.admits(k));
-            let pairs = match ends_here {
-                true => &pairs[..pairs.partition_point(|(k, _)| range.end.admits(k))],
-                false => pairs,
-            };
-            for (k, v) in pairs {
-                if !f(k, v) {
-                    return false;
-                }
+        for blocks in self.lists(Some(&range.first)) {
+            match scan_in(blocks, range, f) {
+                Walk::RanOff => {}
+                Walk::Done => break,
+                Walk::Stopped => return false,
             }
-            if ends_here {
-                break;
-            }
-            skip = 0;
         }
         true
     }
 
     /// Checks every structural invariant against a full walk: no empty
-    /// block, none over capacity, keys strictly ascending within and
-    /// across blocks, every fence equal to its block's first key, and
-    /// the pair counter. Returns one message per problem.
+    /// block or chunk, none over capacity, keys strictly ascending within
+    /// and across blocks and chunks, every fence equal to its block's or
+    /// chunk's first key, and an upper level only over two chunks or
+    /// more. Returns one message per problem.
     pub(crate) fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut walked = 0usize;
-        let mut prev: Option<&Key> = None;
-        for (b, block) in self.dir.iter().enumerate() {
-            match block.pairs.first() {
-                None => problems.push(format!("block {b} is empty")),
-                Some((first, _)) if *first != block.fence => problems.push(format!(
-                    "block {b} has fence {:?} but starts at {first:?}",
-                    block.fence
-                )),
-                Some(_) => {}
+        if let Dir::Many(chunks) = &self.dir {
+            if chunks.len() < 2 {
+                problems.push(format!("{} chunk(s) under an upper level", chunks.len()));
             }
-            if block.pairs.len() > BLOCK_PAIRS {
-                problems.push(format!(
-                    "block {b} holds {} pairs; capacity is {BLOCK_PAIRS}",
-                    block.pairs.len()
-                ));
-            }
-            for (k, _) in &block.pairs {
-                if prev.is_some_and(|p| p >= k) {
-                    problems.push(format!(
-                        "block {b}: key {k:?} does not ascend past {prev:?}"
-                    ));
+            for (c, chunk) in chunks.iter().enumerate() {
+                match chunk.blocks.first() {
+                    None => problems.push(format!("chunk {c} is empty")),
+                    Some(first) if first.fence != chunk.fence => problems.push(format!(
+                        "chunk {c} has fence {:?} but starts at {:?}",
+                        chunk.fence, first.fence
+                    )),
+                    Some(_) => {}
                 }
-                prev = Some(k);
-                walked += 1;
             }
         }
-        if walked != self.len {
-            problems.push(format!(
-                "pair counter says {} but the blocks hold {walked}",
-                self.len
-            ));
+        let mut prev: Option<&Key> = None;
+        let mut b = 0;
+        for (c, blocks) in self.lists(None).enumerate() {
+            if blocks.len() > CHUNK_BLOCKS {
+                problems.push(format!(
+                    "chunk {c} holds {} blocks; capacity is {CHUNK_BLOCKS}",
+                    blocks.len()
+                ));
+            }
+            for block in blocks {
+                match block.pairs.first() {
+                    None => problems.push(format!("block {b} is empty")),
+                    Some((first, _)) if *first != block.fence => problems.push(format!(
+                        "block {b} has fence {:?} but starts at {first:?}",
+                        block.fence
+                    )),
+                    Some(_) => {}
+                }
+                if block.pairs.len() > BLOCK_PAIRS {
+                    problems.push(format!(
+                        "block {b} holds {} pairs; capacity is {BLOCK_PAIRS}",
+                        block.pairs.len()
+                    ));
+                }
+                for (k, _) in &block.pairs {
+                    if prev.is_some_and(|p| p >= k) {
+                        problems.push(format!(
+                            "block {b}: key {k:?} does not ascend past {prev:?}"
+                        ));
+                    }
+                    prev = Some(k);
+                }
+                b += 1;
+            }
         }
         problems
     }
@@ -371,9 +671,20 @@ impl Blocks {
     /// Test-only hook: files the block holding `key` under the wrong
     /// fence, so tests can prove the auditor notices.
     pub(crate) fn debug_misfile_fence(&mut self, key: &Key) {
-        let b = self.block_for(key);
-        if let Some(block) = self.dir.get_mut(b) {
+        let (_, blocks) = self.list_mut(key);
+        let b = entry_for(blocks, key);
+        if let Some(block) = blocks.get_mut(b) {
             block.fence = block.fence.successor();
+        }
+    }
+}
+
+impl Chunk {
+    /// Renews the fence after the first block's may have moved.
+    fn refence(&mut self) {
+        match self.blocks.first() {
+            Some(first) if first.fence != self.fence => self.fence = first.fence.clone(),
+            _ => {}
         }
     }
 }
@@ -406,6 +717,36 @@ mod tests {
         blocks.iter().map(|(k, _)| k.clone()).collect()
     }
 
+    /// Every block in key order, whatever chunk it is in.
+    fn blocks_of(blocks: &Blocks) -> Vec<&Block> {
+        blocks.lists(None).flatten().collect()
+    }
+
+    /// Pairs held by each block.
+    fn fill(blocks: &Blocks) -> Vec<usize> {
+        blocks_of(blocks).iter().map(|b| b.pairs.len()).collect()
+    }
+
+    /// Blocks held by each chunk.
+    fn shape(blocks: &Blocks) -> Vec<usize> {
+        blocks.lists(None).map(<[Block]>::len).collect()
+    }
+
+    /// The directory's list of blocks while there is only one.
+    fn only_list(blocks: &mut Blocks) -> &mut Vec<Block> {
+        match &mut blocks.dir {
+            Dir::One(list) => list,
+            Dir::Many(_) => panic!("the directory has an upper level"),
+        }
+    }
+
+    fn chunks_of(blocks: &mut Blocks) -> &mut Vec<Chunk> {
+        match &mut blocks.dir {
+            Dir::One(_) => panic!("the directory has no upper level"),
+            Dir::Many(chunks) => chunks,
+        }
+    }
+
     fn scanned(blocks: &Blocks, range: &KeyRange, limit: usize) -> Vec<Key> {
         let mut seen = Vec::new();
         blocks.scan(range, &mut |k, _| {
@@ -422,18 +763,22 @@ mod tests {
     #[test]
     fn appends_fill_every_block_but_the_tail() {
         let blocks = ascending(3 * BLOCK_PAIRS + 5);
-        let fill: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.len()).collect();
-        assert_eq!(fill, [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 5]);
-        assert_eq!(blocks.len, 3 * BLOCK_PAIRS + 5);
+        assert_eq!(fill(&blocks), [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 5]);
+        assert_eq!(blocks.iter().count(), 3 * BLOCK_PAIRS + 5);
         assert_sound(&blocks);
     }
 
     #[test]
     fn a_small_subtable_never_pays_for_a_whole_block() {
-        let blocks = ascending(3);
-        assert_eq!(blocks.dir.len(), 1);
-        assert_eq!(blocks.dir.capacity(), 1);
-        assert!(blocks.dir[0].pairs.capacity() <= 4);
+        let mut blocks = ascending(3);
+        // Nor for the directory's second level: the handle is a `Vec`'s.
+        assert_eq!(
+            std::mem::size_of::<Blocks>(),
+            std::mem::size_of::<Vec<Block>>()
+        );
+        let list = only_list(&mut blocks);
+        assert_eq!((list.len(), list.capacity()), (1, 1));
+        assert!(list[0].pairs.capacity() <= 4);
     }
 
     #[test]
@@ -443,7 +788,7 @@ mod tests {
             assert_eq!(blocks.put(key(2 * n), value(999)), Some(value(n)));
             assert_eq!(blocks.get(&key(2 * n)), Some(&value(999)));
         }
-        assert_eq!(blocks.len, 2 * BLOCK_PAIRS);
+        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS);
         assert_sound(&blocks);
     }
 
@@ -451,16 +796,20 @@ mod tests {
     fn mid_insert_into_a_full_block_splits_it_in_half() {
         let mut blocks = ascending(2 * BLOCK_PAIRS);
         assert!(blocks.put(key(7), value(0)).is_none());
-        let fill: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.len()).collect();
-        assert_eq!(fill, [BLOCK_PAIRS / 2 + 1, BLOCK_PAIRS / 2, BLOCK_PAIRS]);
-        let room: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.capacity()).collect();
-        assert_eq!(room, fill, "both halves are sized to fit");
+        assert_eq!(
+            fill(&blocks),
+            [BLOCK_PAIRS / 2 + 1, BLOCK_PAIRS / 2, BLOCK_PAIRS]
+        );
+        let room: Vec<usize> = (blocks_of(&blocks).iter())
+            .map(|b| b.pairs.capacity())
+            .collect();
+        assert_eq!(room, fill(&blocks), "both halves are sized to fit");
         assert_sound(&blocks);
         // Into the upper half, and at the split point itself.
         let mut blocks = ascending(2 * BLOCK_PAIRS);
         blocks.put(key(BLOCK_PAIRS + 7), value(0));
         blocks.put(key(2 * BLOCK_PAIRS + BLOCK_PAIRS - 1), value(0));
-        assert_eq!(blocks.len, 2 * BLOCK_PAIRS + 2);
+        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS + 2);
         assert_sound(&blocks);
         let mut sorted = keys_of(&blocks);
         sorted.sort();
@@ -472,8 +821,7 @@ mod tests {
         let mut blocks = ascending(2 * BLOCK_PAIRS);
         // Above block 0's last key (2·31), below block 1's fence (2·32).
         assert!(blocks.put(key(2 * BLOCK_PAIRS - 1), value(0)).is_none());
-        let fill: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.len()).collect();
-        assert_eq!(fill, [BLOCK_PAIRS, 1, BLOCK_PAIRS]);
+        assert_eq!(fill(&blocks), [BLOCK_PAIRS, 1, BLOCK_PAIRS]);
         assert_sound(&blocks);
     }
 
@@ -492,7 +840,7 @@ mod tests {
         let mut blocks = ascending(2 * BLOCK_PAIRS + 3);
         for n in (0..2 * BLOCK_PAIRS + 3).rev() {
             assert_eq!(blocks.remove(&key(2 * n)), Some(value(n)));
-            assert_eq!(blocks.dir.len(), n.div_ceil(BLOCK_PAIRS));
+            assert_eq!(fill(&blocks).len(), n.div_ceil(BLOCK_PAIRS));
             assert_sound(&blocks);
         }
         assert!(blocks.is_empty());
@@ -506,7 +854,7 @@ mod tests {
             assert_sound(&blocks);
             assert_eq!(blocks.get(&key(2 * n)), None);
         }
-        assert!(blocks.is_empty() && blocks.dir.is_empty());
+        assert!(blocks.is_empty() && only_list(&mut blocks).is_empty());
     }
 
     #[test]
@@ -517,8 +865,7 @@ mod tests {
             assert!(blocks.remove(&key(2 * n)).is_some());
             assert_sound(&blocks);
         }
-        assert_eq!(blocks.len, 4 * BLOCK_PAIRS / 8);
-        assert_eq!(blocks.dir.len(), 1, "sixteen pairs fit half a block");
+        assert_eq!(fill(&blocks), [16], "sixteen pairs fit half a block");
     }
 
     fn remove_all(blocks: &mut Blocks, range: &KeyRange) -> usize {
@@ -531,22 +878,20 @@ mod tests {
         // From pair 20 (mid-block 0) up to pair 100 (mid-block 3).
         let range = KeyRange::new(key(2 * 20), key(2 * 100));
         assert_eq!(remove_all(&mut blocks, &range), 80);
-        let fill: Vec<usize> = blocks.dir.iter().map(|b| b.pairs.len()).collect();
-        assert_eq!(fill, [20, 4 * BLOCK_PAIRS - 100]);
-        assert_eq!(blocks.dir[1].fence, key(2 * 100));
-        assert_eq!(blocks.len, 4 * BLOCK_PAIRS - 80);
+        assert_eq!(fill(&blocks), [20, 4 * BLOCK_PAIRS - 100]);
+        assert_eq!(blocks_of(&blocks)[1].fence, key(2 * 100));
         assert_sound(&blocks);
         // Exactly one block, and then a range that holds nothing.
         let mut blocks = ascending(3 * BLOCK_PAIRS);
         let second = KeyRange::new(key(2 * BLOCK_PAIRS), key(4 * BLOCK_PAIRS));
         assert_eq!(remove_all(&mut blocks, &second), BLOCK_PAIRS);
-        assert_eq!(blocks.dir.len(), 2);
+        assert_eq!(fill(&blocks).len(), 2);
         assert_eq!(remove_all(&mut blocks, &second), 0);
         assert_eq!(remove_all(&mut blocks, &KeyRange::new(key(1), key(2))), 0);
         assert_sound(&blocks);
         // Everything: the directory empties.
         assert_eq!(remove_all(&mut blocks, &KeyRange::all()), 2 * BLOCK_PAIRS);
-        assert!(blocks.is_empty() && blocks.dir.is_empty());
+        assert!(blocks.is_empty() && only_list(&mut blocks).is_empty());
         assert_eq!(remove_all(&mut blocks, &KeyRange::all()), 0);
     }
 
@@ -561,7 +906,7 @@ mod tests {
         });
         assert_eq!(removed, 0);
         assert_eq!(offered, (11..=50).map(|n| key(2 * n)).collect::<Vec<_>>());
-        assert_eq!(blocks.len, 2 * BLOCK_PAIRS + 5);
+        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS + 5);
         assert_sound(&blocks);
     }
 
@@ -575,8 +920,7 @@ mod tests {
             (n - 1) % 8 != 0
         });
         assert_eq!(removed, 4 * BLOCK_PAIRS / 8 * 7);
-        assert_eq!(blocks.dir.len(), 1, "sixteen pairs fit half a block");
-        assert_eq!(keys_of(&blocks).len(), 16);
+        assert_eq!(fill(&blocks), [16], "sixteen pairs fit half a block");
         assert_sound(&blocks);
     }
 
@@ -603,7 +947,7 @@ mod tests {
         blocks.put(key(7), value(0)); // one split, so block sizes differ
         let all = keys_of(&blocks);
         let mut edges = vec![0usize];
-        for block in &blocks.dir {
+        for block in blocks_of(&blocks) {
             for pair in [block.pairs.first(), block.pairs.last()] {
                 let at = all
                     .iter()
@@ -648,6 +992,127 @@ mod tests {
     }
 
     #[test]
+    fn an_ascending_load_fills_every_chunk_but_the_tail() {
+        const CHUNK: usize = CHUNK_BLOCKS * BLOCK_PAIRS;
+        let mut blocks = ascending(CHUNK);
+        assert_eq!(shape(&blocks), [CHUNK_BLOCKS]);
+        assert_eq!(only_list(&mut blocks).capacity(), CHUNK_BLOCKS);
+        blocks.put(key(2 * CHUNK), value(0));
+        assert_eq!(shape(&blocks), [CHUNK_BLOCKS, 1]);
+        assert_sound(&blocks);
+        let blocks = ascending(3 * CHUNK + 5);
+        assert_eq!(
+            shape(&blocks),
+            [CHUNK_BLOCKS, CHUNK_BLOCKS, CHUNK_BLOCKS, 1]
+        );
+        assert!(fill(&blocks)[..3 * CHUNK_BLOCKS]
+            .iter()
+            .all(|&n| n == BLOCK_PAIRS));
+        assert_eq!(
+            keys_of(&blocks),
+            (0..3 * CHUNK + 5).map(|n| key(2 * n)).collect::<Vec<_>>()
+        );
+        for n in [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4] {
+            assert_eq!(blocks.get(&key(2 * n)), Some(&value(n)));
+            assert_eq!(blocks.get(&key(2 * n + 1)), None);
+        }
+        assert_sound(&blocks);
+    }
+
+    #[test]
+    fn a_block_too_many_splits_its_chunk_in_half() {
+        const CHUNK: usize = CHUNK_BLOCKS * BLOCK_PAIRS;
+        // Into the only chunk, into an inner one, and into the last.
+        for (chunks, at, want) in [
+            (1, 7, vec![CHUNK_BLOCKS / 2, CHUNK_BLOCKS / 2 + 1]),
+            (3, 2 * CHUNK + 7, {
+                let half = [CHUNK_BLOCKS / 2, CHUNK_BLOCKS / 2 + 1];
+                [&[CHUNK_BLOCKS], &half[..], &[CHUNK_BLOCKS]].concat()
+            }),
+            (
+                2,
+                4 * CHUNK - 7,
+                vec![CHUNK_BLOCKS, CHUNK_BLOCKS / 2, CHUNK_BLOCKS / 2 + 1],
+            ),
+        ] {
+            let mut blocks = ascending(chunks * CHUNK);
+            assert!(blocks.put(key(at), value(0)).is_none());
+            assert_eq!(shape(&blocks), want);
+            assert_eq!(blocks.iter().count(), chunks * CHUNK + 1);
+            assert_sound(&blocks);
+        }
+        // A key between two full chunks starts a chunk of its own.
+        let mut blocks = ascending(2 * CHUNK);
+        blocks.put(key(2 * CHUNK - 1), value(0));
+        assert_eq!(shape(&blocks), [CHUNK_BLOCKS, 1, CHUNK_BLOCKS]);
+        assert_sound(&blocks);
+    }
+
+    #[test]
+    fn a_key_below_every_chunk_moves_the_first_chunks_fence() {
+        let mut blocks = Blocks::new();
+        let pairs = 3 * CHUNK_BLOCKS * BLOCK_PAIRS;
+        for n in (1..=pairs).rev() {
+            blocks.put(key(n), value(n));
+        }
+        assert!(shape(&blocks).len() > 2);
+        assert_sound(&blocks);
+        assert_eq!(keys_of(&blocks), (1..=pairs).map(key).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn removals_drop_merge_and_fold_chunks_away() {
+        const CHUNK: usize = CHUNK_BLOCKS * BLOCK_PAIRS;
+        // Oldest first: each chunk is re-fenced as it drains, leaves when
+        // empty, and the last one standing is a plain list again.
+        let mut blocks = ascending(3 * CHUNK);
+        for n in 0..3 * CHUNK {
+            assert_eq!(blocks.remove(&key(2 * n)), Some(value(n)));
+            assert_eq!(
+                shape(&blocks).len(),
+                (3 * CHUNK - n - 1).div_ceil(CHUNK).max(1)
+            );
+            assert_sound(&blocks);
+        }
+        assert!(blocks.is_empty() && only_list(&mut blocks).is_empty());
+        // Scattered: every block keeps one pair in sixteen, so blocks
+        // merge, then chunks do.
+        let mut blocks = ascending(4 * CHUNK);
+        for n in (0..4 * CHUNK).filter(|n| n % 16 != 0) {
+            assert!(blocks.remove(&key(2 * n)).is_some());
+            assert_sound(&blocks);
+        }
+        assert_eq!(blocks.iter().count(), 4 * CHUNK / 16);
+        assert!(shape(&blocks).iter().sum::<usize>() <= 4 * CHUNK / 16 / (BLOCK_PAIRS / 4));
+        assert!(shape(&blocks).len() < 4, "{:?}", shape(&blocks));
+    }
+
+    #[test]
+    fn range_removal_spans_chunks() {
+        const CHUNK: usize = CHUNK_BLOCKS * BLOCK_PAIRS;
+        // From mid-block in the first chunk to mid-block in the fourth.
+        let mut blocks = ascending(4 * CHUNK);
+        let range = KeyRange::new(key(2 * 20), key(2 * (3 * CHUNK + 40)));
+        let mut offered = 0;
+        let removed = blocks.remove_range(&range, &mut |_, _| {
+            offered += 1;
+            true
+        });
+        assert_eq!((removed, offered), (3 * CHUNK + 20, 3 * CHUNK + 20));
+        assert_eq!(blocks.iter().count(), CHUNK - 20);
+        assert_eq!(fill(&blocks)[..2], [20, BLOCK_PAIRS - 40 % BLOCK_PAIRS]);
+        assert_sound(&blocks);
+        // Under a predicate nothing need go, and nothing then moves.
+        let mut blocks = ascending(3 * CHUNK);
+        let before = shape(&blocks);
+        assert_eq!(blocks.remove_range(&KeyRange::all(), &mut |_, _| false), 0);
+        assert_eq!(shape(&blocks), before);
+        // Everything: back to an empty list.
+        assert_eq!(remove_all(&mut blocks, &KeyRange::all()), 3 * CHUNK);
+        assert!(blocks.is_empty() && only_list(&mut blocks).is_empty());
+    }
+
+    #[test]
     fn audit_reports_each_broken_invariant() {
         let mut blocks = ascending(BLOCK_PAIRS + 2);
         blocks.debug_misfile_fence(&key(0));
@@ -656,24 +1121,44 @@ mod tests {
         assert!(problems[0].contains("has fence"), "{problems:?}");
 
         let mut blocks = ascending(BLOCK_PAIRS + 2);
-        blocks.dir[1].pairs.clear();
-        blocks.len -= 2;
+        only_list(&mut blocks)[1].pairs.clear();
         assert!(blocks.audit().iter().any(|m| m.contains("is empty")));
 
         let mut blocks = ascending(BLOCK_PAIRS);
-        blocks.dir[0].pairs.push((key(999), value(0)));
-        blocks.len += 1;
+        only_list(&mut blocks)[0].pairs.push((key(999), value(0)));
         assert!(blocks.audit().iter().any(|m| m.contains("capacity is")));
 
         let mut blocks = ascending(BLOCK_PAIRS + 2);
-        blocks.dir[0].pairs.swap(3, 4);
+        only_list(&mut blocks)[0].pairs.swap(3, 4);
         assert!(blocks.audit().iter().any(|m| m.contains("does not ascend")));
         let mut blocks = ascending(BLOCK_PAIRS + 2);
-        blocks.dir.swap(0, 1);
+        only_list(&mut blocks).swap(0, 1);
         assert!(blocks.audit().iter().any(|m| m.contains("does not ascend")));
+    }
 
-        let mut blocks = ascending(3);
-        blocks.len = 4;
-        assert!(blocks.audit().iter().any(|m| m.contains("pair counter")));
+    #[test]
+    fn audit_reports_each_broken_invariant_of_the_upper_level() {
+        const CHUNK: usize = CHUNK_BLOCKS * BLOCK_PAIRS;
+        let broken = |break_it: fn(&mut Vec<Chunk>), message: &str| {
+            let mut blocks = ascending(2 * CHUNK + 1);
+            assert_sound(&blocks);
+            break_it(chunks_of(&mut blocks));
+            let problems = blocks.audit();
+            assert!(problems.iter().any(|m| m.contains(message)), "{problems:?}");
+        };
+        broken(
+            |chunks| chunks[1].fence = chunks[1].fence.successor(),
+            "chunk 1 has fence",
+        );
+        broken(|chunks| chunks[2].blocks.clear(), "chunk 2 is empty");
+        broken(
+            |chunks| {
+                let moved = chunks.remove(1).blocks;
+                chunks[0].blocks.extend(moved);
+            },
+            "chunk 0 holds",
+        );
+        broken(|chunks| chunks.truncate(1), "under an upper level");
+        broken(|chunks| chunks.swap(0, 1), "does not ascend");
     }
 }

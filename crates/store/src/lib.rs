@@ -294,13 +294,19 @@ mod proptests {
 
         /// A store — one table split into subtables, one flat — against a
         /// `BTreeMap`, with enough pairs in few enough subtables that
-        /// blocks fill, split, merge and empty: ascending runs, mid-inserts,
+        /// blocks fill, split, merge and empty: ascending runs (one pair at
+        /// a time and as one `put_run`), mid-inserts,
         /// replaces, removals from either end down to nothing (the
         /// subtable must leave the index), point gets, early-exit scans
         /// whose bounds sit on and around the multiples of 16 and 32 where
         /// blocks begin, and range removals under a per-pair predicate —
         /// starting and ending mid-block, covering exactly one block, a
         /// whole subtable, several subtables, the flat table, both tables.
+        /// The flat table is the same container grown past one chunk of
+        /// its directory (four blocks, in this crate's tests): it reaches
+        /// six to eight chunks, and in every case a run starts fresh
+        /// chunks, a mid-insert splits one, removals empty, merge and fold
+        /// them away, and range removals span three and more.
         #[test]
         fn subtable_blocks_match_btreemap(
             ops in proptest::collection::vec(
@@ -336,7 +342,9 @@ mod proptests {
                     None => key(sub, *newest + 1),
                 };
                 match op {
-                    0 | 1 | 13.. => puts.extend((0..=a % 40).map(|_| {
+                    // The flat table's runs are longer: its blocks gather
+                    // in chunks of four, and it should hold several.
+                    0 | 1 | 13.. => puts.extend((0..=a % if sub == 4 { 200 } else { 40 }).map(|_| {
                         *newest += 2;
                         key(sub, *newest)
                     })),
@@ -408,10 +416,22 @@ mod proptests {
                         prop_assert_eq!(removed, gone, "{:?}", range);
                     }
                 }
-                for k in puts {
-                    stamp += 1;
-                    let v = Bytes::from(stamp.to_string().into_bytes());
-                    prop_assert_eq!(store.put(k.clone(), v.clone(), false), model.insert(k, v));
+                let puts: Vec<(Key, Value)> = (puts.into_iter())
+                    .map(|k| {
+                        stamp += 1;
+                        (k, Bytes::from(stamp.to_string().into_bytes()))
+                    })
+                    .collect();
+                if op >= 13 {
+                    // As one run, the way a join's outputs arrive.
+                    let replaced: Vec<(usize, Value)> = (puts.iter().enumerate())
+                        .filter_map(|(at, (k, v))| Some((at, model.insert(k.clone(), v.clone())?)))
+                        .collect();
+                    prop_assert_eq!(store.put_run(puts, false), replaced);
+                } else {
+                    for (k, v) in puts {
+                        prop_assert_eq!(store.put(k.clone(), v.clone(), false), model.insert(k, v));
+                    }
                 }
                 for k in removes {
                     prop_assert_eq!(store.remove(&k, false), model.remove(&k));

@@ -262,8 +262,8 @@ impl Store {
         self.stats.keys = self.stats.keys.saturating_add_signed(delta);
     }
 
-    /// Test-only hook: files the subtable block holding `key` under the
-    /// wrong fence key, so tests can prove the paranoid checker notices.
+    /// Test-only hook: files the block holding `key` under the wrong
+    /// fence key, so tests can prove the paranoid checker notices.
     /// Not part of the public API.
     #[doc(hidden)]
     pub fn debug_misfile_fence(&mut self, key: &Key) {

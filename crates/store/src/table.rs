@@ -11,26 +11,29 @@
 //! the Twip benchmark 1.55× at a 1.17× memory cost; `ablations` measures
 //! the same trade-off.
 //!
-//! The two layouts also differ in the container under them. A flat table
-//! is unbounded and filled in whatever order its keys arrive (`s|` rows
-//! come shuffled), so it is one `BTreeMap`. A subtable is small and
-//! written almost only at its end — an eager `copy` update carries the
-//! newest timestamp — so each one is a [`Blocks`]: a directory of fence
-//! keys over dense sorted blocks of at most 32 pairs (2 KiB), where an
-//! append is a compare with the last key and a push, anything else is
-//! two binary searches and a memmove within one block, and a pair costs
-//! ≈70 bytes instead of the ≈120 of a half-full B-tree leaf. The block
-//! size is the container's single constant; `blocks.rs` describes the
-//! structure and shows the 16/32/64 measurements it was chosen from.
-//! Which tables are split is the developer's existing `--subtable`
-//! marking; nothing else selects the container.
+//! Under both layouts the pairs sit in the same container, [`Blocks`]: a
+//! directory of fence keys over dense sorted blocks of at most 32 pairs
+//! (2 KiB), where an append is a compare with the last key and a push,
+//! anything else is two binary searches and a memmove within one block,
+//! and a pair costs ≈66 bytes instead of the ≈120 of a half-full B-tree
+//! leaf. A subtable is one — small, and written almost only at its end
+//! (an eager `copy` update carries the newest timestamp). A flat table is
+//! one too, however large and in whatever order its keys arrive (`s|`
+//! rows are bulk-loaded in key order and then subscribed to at random):
+//! past 128 blocks the directory grows a second level, so a block added
+//! in the middle of a million rows moves one chunk of directory entries,
+//! not all of them. `blocks.rs` describes the structure and shows the
+//! measurements its two constants were chosen from, with a B-tree beside
+//! them. Which tables are split is the developer's existing `--subtable`
+//! marking; it decides how a key is routed to its container, never which
+//! container that is.
 
 use crate::blocks::Blocks;
 use crate::key::Key;
 use crate::range::KeyRange;
 use bytes::Bytes;
 use std::collections::hash_map::{Entry, HashMap};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 
 /// A stored value. Values are refcounted byte strings; the `copy`
@@ -38,8 +41,8 @@ use std::ops::Bound;
 pub type Value = Bytes;
 
 enum Repr {
-    /// One ordered map for the whole table.
-    Flat(BTreeMap<Key, Value>),
+    /// One ordered container for the whole table.
+    Flat(Blocks),
     /// Hash-indexed subtables split at a fixed component depth.
     Split {
         /// Number of key components (counting the table name) that form a
@@ -87,15 +90,6 @@ pub(crate) enum Route {
     Cross,
 }
 
-/// `range` as `BTreeMap::range` bounds.
-fn btree_bounds(range: &KeyRange) -> (Bound<&Key>, Bound<&Key>) {
-    let upper = match range.end.as_key() {
-        Some(k) => Bound::Excluded(k),
-        None => Bound::Unbounded,
-    };
-    (Bound::Included(&range.first), upper)
-}
-
 /// The prefix of the one subtable (of a table split at `depth`) that can
 /// hold keys of `range`, if the range stays inside one. That needs the
 /// start key's routing prefix to contain the full `depth` separators — a
@@ -131,7 +125,7 @@ impl Table {
     pub fn new_flat() -> Table {
         Table {
             len: 0,
-            repr: Repr::Flat(BTreeMap::new()),
+            repr: Repr::Flat(Blocks::new()),
             stats: TableStats::default(),
             index_bytes: 0,
         }
@@ -190,11 +184,7 @@ impl Table {
     /// counters (unlike [`Table::scan`], which is a served read).
     pub fn for_each(&self, mut f: impl FnMut(&Key, &Value)) {
         match &self.repr {
-            Repr::Flat(map) => {
-                for (k, v) in map {
-                    f(k, v);
-                }
-            }
+            Repr::Flat(all) => all.iter().for_each(|(k, v)| f(k, v)),
             Repr::Split { subs, order, .. } => {
                 for prefix in order {
                     if let Some(sub) = subs.get(prefix) {
@@ -208,11 +198,11 @@ impl Table {
     }
 
     /// Exhaustive consistency check of the table's O(1) bookkeeping
-    /// (pair count, subtable index, index-byte counter) and of every
-    /// subtable's block structure (no empty or overfull block, ascending
-    /// keys, fence keys, pair count) against a full walk, used by the
-    /// paranoid invariant checker (`Engine::check_invariants`). Returns
-    /// one message per problem.
+    /// (pair count, subtable index, index-byte counter) and of the block
+    /// structure of the flat table or of every subtable (no empty or
+    /// overfull block or chunk, ascending keys, both levels' fence keys)
+    /// against a full walk, used by the paranoid invariant checker
+    /// (`Engine::check_invariants`). Returns one message per problem.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let mut walked = 0usize;
@@ -224,13 +214,14 @@ impl Table {
             ));
         }
         match &self.repr {
-            Repr::Flat(_) => {
+            Repr::Flat(all) => {
                 if self.index_bytes != 0 {
                     problems.push(format!(
                         "flat table carries {} index bytes; expected 0",
                         self.index_bytes
                     ));
                 }
+                problems.extend(all.audit());
             }
             Repr::Split { depth, subs, order } => {
                 if subs.len() != order.len() {
@@ -279,7 +270,7 @@ impl Table {
     /// Inserts or replaces a pair, returning the previous value.
     pub fn put(&mut self, key: Key, value: Value) -> Option<Value> {
         let old = match &mut self.repr {
-            Repr::Flat(map) => map.insert(key, value),
+            Repr::Flat(all) => all.put(key, value),
             Repr::Split { depth, subs, order } => {
                 self.stats.hash_hits += 1;
                 // Subtables are routed by a borrowed slice of the key;
@@ -347,7 +338,7 @@ impl Table {
     /// Looks up a key.
     pub fn get(&mut self, key: &Key) -> Option<&Value> {
         match &mut self.repr {
-            Repr::Flat(map) => map.get(key),
+            Repr::Flat(all) => all.get(key),
             Repr::Split { depth, subs, .. } => {
                 self.stats.hash_hits += 1;
                 subs.get(key.component_prefix_bytes(*depth))?.get(key)
@@ -358,7 +349,7 @@ impl Table {
     /// Looks up a key without recording stats (no `&mut` required).
     pub fn peek(&self, key: &Key) -> Option<&Value> {
         match &self.repr {
-            Repr::Flat(map) => map.get(key),
+            Repr::Flat(all) => all.get(key),
             Repr::Split { depth, subs, .. } => {
                 subs.get(key.component_prefix_bytes(*depth))?.get(key)
             }
@@ -368,7 +359,7 @@ impl Table {
     /// Removes a key, returning its value.
     pub fn remove(&mut self, key: &Key) -> Option<Value> {
         let removed = match &mut self.repr {
-            Repr::Flat(map) => map.remove(key),
+            Repr::Flat(all) => all.remove(key),
             Repr::Split { depth, subs, order } => {
                 let prefix = key.component_prefix_bytes(*depth);
                 self.stats.hash_hits += 1;
@@ -410,12 +401,8 @@ impl Table {
             return None;
         }
         match &self.repr {
-            Repr::Flat(map) => {
-                for (k, v) in map.range::<Key, _>(btree_bounds(range)) {
-                    if !f(k, v) {
-                        break;
-                    }
-                }
+            Repr::Flat(all) => {
+                all.scan(range, &mut f);
                 None
             }
             Repr::Split { depth, subs, order } => {
@@ -447,9 +434,7 @@ impl Table {
             return 0;
         }
         let removed = match &mut self.repr {
-            Repr::Flat(map) => map
-                .extract_if(btree_bounds(range), |k, v| doomed(k, v))
-                .count(),
+            Repr::Flat(all) => all.remove_range(range, &mut doomed),
             Repr::Split { depth, subs, order } => {
                 let mut removed = 0;
                 let mut emptied: Vec<Key> = Vec::new();
@@ -490,10 +475,12 @@ impl Table {
     /// the public API.
     #[doc(hidden)]
     pub fn debug_misfile_fence(&mut self, key: &Key) {
-        if let Repr::Split { depth, subs, .. } = &mut self.repr {
-            if let Some(sub) = subs.get_mut(key.component_prefix_bytes(*depth)) {
-                sub.debug_misfile_fence(key);
-            }
+        let holder = match &mut self.repr {
+            Repr::Flat(all) => Some(all),
+            Repr::Split { depth, subs, .. } => subs.get_mut(key.component_prefix_bytes(*depth)),
+        };
+        if let Some(blocks) = holder {
+            blocks.debug_misfile_fence(key);
         }
     }
 }

@@ -174,7 +174,35 @@ struct Inner {
     queue_depth: Histogram,
     /// Longest reactor loop turn since the last snapshot, µs.
     turn_us_max: AtomicU64,
+    /// The engine's levels as of its last operation, in the order of
+    /// [`ENGINE_LEVELS`].
+    engine_levels: [AtomicU64; ENGINE_LEVELS.len()],
     flight: Flight,
+}
+
+/// Gauge names of the levels an engine publishes after each operation
+/// ([`Recorder::set_engine_levels`]): its memory estimate — what a
+/// memory limit is compared with — and the counts behind it.
+pub const ENGINE_LEVELS: [&str; 5] = [
+    "core.memory.estimate_bytes",
+    "core.updater.entries",
+    "core.updater.nodes",
+    "core.status.ranges",
+    "store.keys",
+];
+
+/// The process's resident set in bytes, from the `VmRSS:` line of
+/// `/proc/self/status` (which the kernel gives in kB, whatever its page
+/// size); 0 where that file is not to be had. Beside
+/// `core.memory.estimate_bytes` it says what a byte of the estimate
+/// costs in memory.
+pub fn process_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<u64>().ok());
+    kb.unwrap_or(0) * 1024
 }
 
 /// Handle to a shared telemetry block; see the crate docs.
@@ -210,6 +238,7 @@ impl Recorder {
             dispatch: Histogram::new(),
             queue_depth: Histogram::new(),
             turn_us_max: AtomicU64::new(0),
+            engine_levels: std::array::from_fn(|_| AtomicU64::new(0)),
             flight: Flight::new(flight_cap),
         })))
     }
@@ -406,6 +435,16 @@ impl Recorder {
         }
     }
 
+    /// Publishes the engine's levels, in the order of [`ENGINE_LEVELS`];
+    /// each snapshot reports the last ones published.
+    #[inline]
+    pub fn set_engine_levels(&self, levels: [u64; ENGINE_LEVELS.len()]) {
+        let Some(inner) = &self.0 else { return };
+        for (held, level) in inner.engine_levels.iter().zip(levels) {
+            held.store(level, Ordering::Relaxed);
+        }
+    }
+
     /// Freezes the full metric schema into a [`Snapshot`]. Disabled
     /// recorders return an empty snapshot. The flight ring is included
     /// only when `include_flight` is set (dumps can be large). Taking a
@@ -472,6 +511,9 @@ impl Recorder {
         s.histogram("pequod_queue_depth", &[], inner.queue_depth.snapshot());
         let longest_turn = inner.turn_us_max.swap(0, Ordering::Relaxed);
         s.gauge("net.reactor.turn_us_max", &[], longest_turn);
+        for (name, level) in ENGINE_LEVELS.iter().zip(&inner.engine_levels) {
+            s.gauge(name, &[], level.load(Ordering::Relaxed));
+        }
         s.counter("pequod_flight_events_total", &[], inner.flight.total());
         if include_flight {
             s.flight = inner.flight.dump();

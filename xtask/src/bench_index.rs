@@ -15,8 +15,17 @@
 //!   (0.5% tolerance), so a binary cannot quietly report a rate its
 //!   own numbers contradict.
 //!
-//! Run as `cargo xtask bench-index file...`, or with no arguments to
-//! validate every `BENCH_*.json` in the workspace root.
+//! The end-to-end ledger, `BENCH_pqbench.jsonl`, is the other shape:
+//! one `bash pqbench/run.sh --seed S` document per line, tagged with
+//! the revision it measured. Each line must parse and carry `rev` and
+//! `seed`; every workload `BENCHMARK.json` names must be there with all
+//! of its end-to-end metrics in the declared units, `correct`, and with
+//! no more operations failed than attempted — so a row a PR quotes can
+//! be found, and a half-written or hand-edited line cannot hide.
+//!
+//! Run as `cargo xtask bench-index file...` (a `.jsonl` file is checked
+//! as a ledger), or with no arguments to validate every `BENCH_*.json`
+//! and `BENCH_*.jsonl` in the workspace root.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -100,7 +109,17 @@ pub fn run(args: &[String]) -> i32 {
                 continue;
             }
         };
-        match validate_document(&text) {
+        let is_ledger = path.extension().is_some_and(|ext| ext == "jsonl");
+        let checked = if is_ledger {
+            let spec = crate::workspace_root().join("BENCHMARK.json");
+            match std::fs::read_to_string(&spec) {
+                Ok(spec) => validate_ledger(&text, &spec),
+                Err(e) => Err(vec![format!("cannot read {}: {e}", spec.display())]),
+            }
+        } else {
+            validate_document(&text)
+        };
+        match checked {
             Ok(rows) => println!("bench-index: {} ok ({rows} row(s))", path.display()),
             Err(errors) => {
                 for e in &errors {
@@ -119,7 +138,8 @@ pub fn run(args: &[String]) -> i32 {
     }
 }
 
-/// `BENCH_*.json` files in the workspace root, sorted.
+/// `BENCH_*.json` and `BENCH_*.jsonl` files in the workspace root,
+/// sorted.
 fn default_artifacts() -> Vec<PathBuf> {
     let root = crate::workspace_root();
     let mut out = Vec::new();
@@ -127,7 +147,7 @@ fn default_artifacts() -> Vec<PathBuf> {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
+            if name.starts_with("BENCH_") && (name.ends_with(".json") || name.ends_with(".jsonl")) {
                 out.push(entry.path());
             }
         }
@@ -215,6 +235,85 @@ pub fn validate_document(text: &str) -> Result<usize, Vec<String>> {
     }
 }
 
+/// Validates the end-to-end ledger against the benchmark's declaration
+/// (`BENCHMARK.json`'s text); `Ok` carries the document count.
+pub fn validate_ledger(text: &str, benchmark: &str) -> Result<usize, Vec<String>> {
+    let spec = parse_json(benchmark).map_err(|e| vec![format!("BENCHMARK.json: {e}")])?;
+    let named = |list: &str, field: &str| -> Vec<String> {
+        let items = spec.get(list).and_then(Json::as_array).unwrap_or(&[]);
+        (items.iter())
+            .filter_map(|item| Some(item.get(field)?.as_str()?.to_string()))
+            .collect()
+    };
+    let workloads = named("workloads", "name");
+    let metrics: Vec<(String, String)> = (named("end_to_end", "name").into_iter())
+        .zip(named("end_to_end", "unit"))
+        .collect();
+    if workloads.is_empty() || metrics.is_empty() {
+        return Err(vec![
+            "BENCHMARK.json names no workloads or no end-to-end metrics".to_string(),
+        ]);
+    }
+    let mut errors = Vec::new();
+    let mut documents = 0;
+    for (n, line) in text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        let line_no = n + 1;
+        documents += 1;
+        let doc = match parse_json(line) {
+            Ok(doc) => doc,
+            Err(e) => {
+                errors.push(format!("line {line_no}: invalid JSON: {e}"));
+                continue;
+            }
+        };
+        let rev = doc.get("rev").and_then(Json::as_str);
+        if rev.is_none_or(str::is_empty) {
+            errors.push(format!("line {line_no}: no \"rev\" tag"));
+        }
+        if doc.get("seed").and_then(Json::as_f64).is_none() {
+            errors.push(format!("line {line_no}: no \"seed\""));
+        }
+        for workload in &workloads {
+            let at = format!("line {line_no}: {workload}");
+            let Some(result) = doc.get("workloads").and_then(|w| w.get(workload)) else {
+                errors.push(format!("{at}: missing"));
+                continue;
+            };
+            if !matches!(result.get("correct"), Some(Json::Bool(true))) {
+                errors.push(format!("{at}: not \"correct\": true"));
+            }
+            let count = |field: &str| result.get(field).and_then(Json::as_f64);
+            match (count("attempted"), count("failed")) {
+                (Some(attempted), Some(failed)) if (0.0..=attempted).contains(&failed) => {}
+                (attempted, failed) => errors.push(format!(
+                    "{at}: failed ({failed:?}) is not within attempted ({attempted:?})"
+                )),
+            }
+            for (metric, unit) in &metrics {
+                let row = result.get("metrics").and_then(|m| m.get(metric));
+                let value = row.and_then(|r| r.get("value")).and_then(Json::as_f64);
+                let found = row.and_then(|r| r.get("unit")).and_then(Json::as_str);
+                if !value.is_some_and(f64::is_finite) {
+                    errors.push(format!("{at}: no value for {metric}"));
+                } else if found != Some(unit.as_str()) {
+                    errors.push(format!(
+                        "{at}: {metric} is in {found:?}; BENCHMARK.json says {unit:?}"
+                    ));
+                }
+            }
+        }
+    }
+    if errors.is_empty() {
+        Ok(documents)
+    } else {
+        Err(errors)
+    }
+}
+
 /// Minimal JSON value tree. Only what bench artifacts need: objects,
 /// arrays, strings, numbers, booleans, null.
 #[derive(Debug)]
@@ -235,12 +334,24 @@ impl Json {
         }
     }
 
-    /// The string payload (schema checks only need numbers today, but
-    /// phase/backend assertions in tests read strings).
-    #[cfg(test)]
     fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s.as_str()),
+            _ => None,
+        }
+    }
+
+    fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The member `key` of an object.
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(members) => members.get(key),
             _ => None,
         }
     }
@@ -445,6 +556,50 @@ mod tests {
     fn rejects_non_array_top_level() {
         let errs = validate_document(r#"{"ops": 1}"#).unwrap_err();
         assert!(errs[0].contains("array"), "{errs:?}");
+    }
+
+    const BENCHMARK: &str = r#"{
+        "workloads": [{"name": "twip.check"}, {"name": "twip.cold"}],
+        "end_to_end": [{"name": "ops_per_s", "unit": "1/s"}, {"name": "peak_rss_mb", "unit": "MB"}]
+    }"#;
+
+    fn ledger_line(rss_unit: &str, failed: u32) -> String {
+        let result = format!(
+            r#"{{"correct": true, "attempted": 100, "failed": {failed}, "metrics": {{"ops_per_s": {{"value": 9.5, "unit": "1/s"}}, "peak_rss_mb": {{"value": 60.2, "unit": "{rss_unit}"}}}}}}"#
+        );
+        format!(
+            r#"{{"rev": "PR28", "seed": 7, "workloads": {{"twip.check": {result}, "twip.cold": {result}}}}}"#
+        )
+    }
+
+    #[test]
+    fn accepts_a_ledger_of_whole_documents() {
+        let ledger = format!("{}\n{}\n\n", ledger_line("MB", 0), ledger_line("MB", 100));
+        assert_eq!(validate_ledger(&ledger, BENCHMARK), Ok(2));
+    }
+
+    #[test]
+    fn rejects_each_way_a_ledger_line_can_be_wrong() {
+        let good = ledger_line("MB", 0);
+        let broken = |line: String, message: &str| {
+            let ledger = format!("{good}\n{line}\n");
+            let errs = validate_ledger(&ledger, BENCHMARK).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|e| e.starts_with("line 2") && e.contains(message)),
+                "{errs:?}"
+            );
+        };
+        broken(good[..good.len() - 1].to_string(), "invalid JSON");
+        broken(good.replace(r#""rev": "PR28", "#, ""), "\"rev\"");
+        broken(good.replace(r#""seed": 7, "#, ""), "\"seed\"");
+        broken(good.replace("twip.cold", "twip.warm"), "twip.cold: missing");
+        broken(good.replace("true", "false"), "correct");
+        broken(ledger_line("MB", 101), "not within attempted");
+        broken(ledger_line("MiB", 0), "BENCHMARK.json says \"MB\"");
+        broken(good.replace("9.5", "null"), "no value for ops_per_s");
+        let errs = validate_ledger(&good, "{}").unwrap_err();
+        assert!(errs[0].contains("names no workloads"), "{errs:?}");
     }
 
     #[test]
