@@ -172,6 +172,12 @@ pub struct EngineStats {
     pub exec_outputs: u64,
     /// Updater dispatches (store writes that hit at least the tree).
     pub updater_fires: u64,
+    /// Updater fires that maintained nothing: an eager updater whose
+    /// output lay outside its status range, or a logged modification
+    /// that could reach no output of its range. An updater watches its
+    /// source's whole determined prefix, so a write there that the
+    /// range's own part of the source does not cover lands here.
+    pub spurious_fires: u64,
     /// Eager maintenance operations applied (copy/aggregate updates).
     pub eager_updates: u64,
     /// Modifications logged for lazy application (partial invalidation).

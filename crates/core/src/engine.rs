@@ -205,6 +205,7 @@ impl Engine {
                 self.updaters.node_count() as u64,
                 self.materialized_ranges() as u64,
                 self.store.stats().keys as u64,
+                self.stats.spurious_fires,
             ]);
         }
     }
@@ -257,6 +258,12 @@ impl Engine {
     /// Number of live updater entries.
     pub fn updater_entries(&self) -> usize {
         self.updaters.entry_count()
+    }
+
+    /// Number of updater index nodes: the distinct source ranges the
+    /// entries are chained on.
+    pub fn updater_nodes(&self) -> usize {
+        self.updaters.node_count()
     }
 
     /// Number of materialized join status ranges across all joins.
@@ -785,6 +792,9 @@ impl Engine {
             .output
             .expand_with(|id| e.slots.get(id).or_else(|| Some(&from_key.get(id)?[..])));
         if target.as_ref().is_some_and(|k| !js.contains(k)) {
+            // The write lies in the watched source range but maintains
+            // an output outside this status range.
+            self.stats.spurious_fires += 1;
             return;
         }
         match op {
@@ -959,6 +969,43 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TIMELINE: &str =
+        "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+    /// An updater watches its source's whole prefix while its status
+    /// range may hold only part of the output: a post older than a
+    /// partial timeline's start reaches the range's updater and maintains
+    /// nothing. It is counted, exported, and written nowhere.
+    #[test]
+    fn an_old_post_below_a_partial_timeline_is_a_spurious_fire() {
+        let mut e = Engine::new_default();
+        e.set_recorder(Recorder::enabled());
+        e.add_join_text(TIMELINE).unwrap();
+        e.put("s|ann|bob", "1");
+        e.put("p|bob|0000000100", "old");
+        e.put("p|bob|0000000200", "new");
+        let since = KeyRange::new("t|ann|0000000150", "t|ann}");
+        assert_eq!(e.scan(&since).pairs.len(), 1);
+        assert_eq!(e.engine_stats().spurious_fires, 0);
+
+        e.put("p|bob|0000000120", "older still");
+        assert_eq!(e.engine_stats().spurious_fires, 1);
+        assert!(e.store().peek(&Key::from("t|ann|0000000120|bob")).is_none());
+        // A post inside the range is maintained, not spurious.
+        let updates = e.engine_stats().eager_updates;
+        e.put("p|bob|0000000300", "newest");
+        assert_eq!(e.engine_stats().eager_updates, updates + 1);
+        assert_eq!(e.engine_stats().spurious_fires, 1);
+        assert_eq!(e.scan(&since).pairs.len(), 2);
+
+        let exported = e.recorder().snapshot(false).to_pairs();
+        let fires = exported
+            .iter()
+            .find(|(name, _)| name == "core.updater.spurious_fires");
+        assert_eq!(fires.map(|(_, v)| v.as_str()), Some("1"));
+        assert_eq!(e.check_invariants(), Vec::<String>::new());
+    }
 
     /// `durable_state` filters while it scans; what it returns must be
     /// exactly the stored pairs that pass `is_durable_base`, in key

@@ -372,7 +372,8 @@ impl Engine {
         let Some(js) = self.status[jidx].get_mut(jsid) else {
             return;
         };
-        let mut installed = Vec::with_capacity(plan.len());
+        let held = js.updaters.len();
+        js.updaters.reserve(plan.len());
         for pe in plan {
             let entry = UpdaterEntry {
                 join: jidx as u16,
@@ -380,9 +381,9 @@ impl Engine {
                 slots: pe.slots,
                 js: jsid,
             };
-            installed.extend(self.updaters.install(pe.range, entry, &js.updaters));
+            let installed = self.updaters.install(pe.range, entry, &js.updaters[..held]);
+            js.updaters.extend(installed);
         }
-        js.updaters.extend(installed);
     }
 
     // ------------------------------------------------------------------
@@ -436,6 +437,7 @@ impl Engine {
             aggs: BTreeMap::new(),
             plan: Vec::new(),
             want_plan: plan.is_some(),
+            paranoid: self.config.paranoid,
             undo: Vec::with_capacity(4),
         };
         self.exec_level(&mut ctx, 0, &mut slots, value0.as_ref(), missing);
@@ -567,6 +569,22 @@ impl Engine {
             return;
         };
         let extent = js.range();
+        // The outputs this tuple can reach in the range: none if its key
+        // is inconsistent with the range's bindings or, with them,
+        // expands only to keys outside it (an updater watches its
+        // source's whole prefix, the range may hold part of its output).
+        let mut slots = spec.slots.empty_set();
+        spec.output.derive_slots(&extent, &mut slots);
+        let target = (spec.sources[m.source_idx].pattern)
+            .match_key(&m.key, &mut slots)
+            .then(|| {
+                containing_range(&spec.output, &spec.output, &slots, &extent).intersect(&extent)
+            })
+            .filter(|target| !target.is_empty());
+        let Some(target) = target else {
+            self.stats.spurious_fires += 1;
+            return;
+        };
         let vsrc = spec.value_source();
         if spec.is_aggregate() && m.source_idx != vsrc {
             // A check change shifts whole groups in or out of the
@@ -576,14 +594,6 @@ impl Engine {
         }
         if m.kind == WriteKind::Update && m.source_idx != vsrc {
             return; // check values are never read
-        }
-        let mut slots = spec.slots.empty_set();
-        spec.output.derive_slots(&extent, &mut slots);
-        if !spec.sources[m.source_idx]
-            .pattern
-            .match_key(&m.key, &mut slots)
-        {
-            return; // inconsistent with this range: not relevant
         }
         match m.kind {
             WriteKind::Insert | WriteKind::Update => {
@@ -619,8 +629,6 @@ impl Engine {
             WriteKind::Remove => {
                 // Remove the outputs this tuple supported: output keys in
                 // the range consistent with the tuple's slot bindings.
-                let target = containing_range(&spec.output, &spec.output, &slots, &extent)
-                    .intersect(&extent);
                 self.remove_matching_outputs(&spec, &target, &slots);
                 // Drop updaters installed beneath the removed tuple so
                 // future source writes stop resurrecting these outputs.
@@ -857,6 +865,8 @@ struct ExecCtx<'a> {
     aggs: BTreeMap<Key, Accumulator>,
     plan: Vec<PlanEntry>,
     want_plan: bool,
+    /// Check each planned updater range against the range scanned.
+    paranoid: bool,
     /// Slots bound by the matches now open, innermost last: one slot set
     /// serves every candidate key, each match's bindings undone when the
     /// levels under it return.
@@ -865,8 +875,13 @@ struct ExecCtx<'a> {
 
 impl ExecCtx<'_> {
     /// The range of source `level` that can contribute under `slots`
-    /// (`None` if empty), planned as an updater when the caller wants
-    /// the plan (Figure 5).
+    /// (`None` if empty), with an updater planned when the caller wants
+    /// the plan (Figure 5). The updater watches the source's whole
+    /// determined-prefix range, not just the part this clip reads: every
+    /// status range reading a poster's posts then shares that poster's
+    /// one index node, whatever part of its timeline it holds, and a
+    /// write outside the part is dropped at dispatch (a spurious fire)
+    /// rather than costing a node per partial read.
     fn source_range(&mut self, level: usize, slots: &SlotSet) -> Option<KeyRange> {
         let pattern = &self.spec.sources[level].pattern;
         let crange = containing_range(pattern, &self.spec.output, slots, self.clip);
@@ -874,9 +889,16 @@ impl ExecCtx<'_> {
             return None;
         }
         if self.want_plan {
+            let range = pattern.containing_range_basic(slots);
+            // An updater narrower than what was scanned would miss writes
+            // the range depends on: a staleness bug, not a cost.
+            assert!(
+                !self.paranoid || range.contains_range(&crange),
+                "paranoid: updater range {range:?} does not contain the scanned {crange:?}"
+            );
             self.plan.push(PlanEntry {
                 source_idx: level as u16,
-                range: crange.clone(),
+                range,
                 slots: Bindings::pack(slots),
             });
         }

@@ -14,7 +14,8 @@
 //! The same counters hold what a cold login leaves behind — a status
 //! range, its updater entries, their handles — and what a bulk-loaded
 //! row of a flat table costs, so that neither grows back a heap node per
-//! record.
+//! record; and what recomputing an evicted timeline costs, which is the
+//! price of every miss under a memory cap.
 //!
 //! Both counts repeat exactly for a given input. The counters are per
 //! thread, so the tests in this binary can run in parallel without
@@ -410,4 +411,99 @@ fn an_installed_updater_entry_costs_at_most_96_bytes() {
         calls <= 0.2,
         "{allocations} allocations for {entries} installs = {calls:.2} each (budget 0.2)"
     );
+}
+
+/// A Twip engine where each of `users` follows `FOLLOWEES` of `posters`
+/// posters, each of whom has posted three times: a timeline is 72 pairs,
+/// about what the benchmark's capped server recomputes per miss.
+const FOLLOWEES: u32 = 24;
+
+fn followed_twip(users: u32, posters: u32) -> Engine {
+    let mut engine = twip();
+    for u in 0..users {
+        for k in 0..FOLLOWEES {
+            let poster = (u * 7 + k * 13) % posters;
+            engine.put(format!("s|{}|{}", user(u), user(poster)), "1");
+        }
+    }
+    for poster in 0..posters {
+        for n in 0..3u64 {
+            let (k, v) = post(poster, 1_000 + u64::from(poster) * 10 + n);
+            engine.put(k, v);
+        }
+    }
+    engine
+}
+
+/// Recomputing a timeline allocates for what it keeps — its blocks, its
+/// status range's updater handles — and the execution's own growing
+/// buffers, not per source range it plans (the prefix and bound keys of
+/// a containing range are built in place) or per pair it writes (a run's
+/// blocks are allocated once at their final size). Half the timelines
+/// are materialized first, so the posters' index nodes exist, as on a
+/// warm server.
+#[test]
+fn a_cold_timeline_materializes_in_at_most_25_allocations() {
+    const USERS: u32 = 200;
+    let mut engine = followed_twip(USERS, 150);
+    let timeline = |u: u32| KeyRange::prefix(format!("t|{}|", user(u)));
+    for u in 0..USERS / 2 {
+        engine.scan_with(&timeline(u), |_, _| {});
+    }
+    let cold: Vec<KeyRange> = (USERS / 2..USERS).map(timeline).collect();
+    let execs = engine.engine_stats().join_execs;
+    let mut pairs = 0;
+    let (allocations, ()) = allocations_in(|| {
+        for range in &cold {
+            engine.scan_with(range, |_, _| pairs += 1);
+        }
+    });
+    let cold = engine.engine_stats().join_execs - execs;
+    assert_eq!(cold, u64::from(USERS / 2), "one execution per timeline");
+    assert_eq!(pairs, (USERS / 2 * FOLLOWEES * 3) as usize);
+    let per_exec = allocations as f64 / cold as f64;
+    assert!(
+        per_exec <= 25.0,
+        "{allocations} allocations for {cold} cold timelines = {per_exec:.1} each (budget 25)"
+    );
+}
+
+/// A check of an evicted timeline reads only its recent part, but its
+/// updaters watch each followed poster's whole post range — the range a
+/// full timeline of the same posters watches already — so they chain
+/// onto the existing nodes. Only the reader's own subscription range is
+/// new, and a second, older partial read of the same timeline adds
+/// nothing at all.
+#[test]
+fn a_partial_timeline_read_adds_no_node_for_the_posts_it_reads() {
+    let mut engine = followed_twip(1, 150);
+    // User 1 follows the same posters as user 0.
+    for k in 0..FOLLOWEES {
+        let poster = (k * 13) % 150;
+        engine.put(format!("s|{}|{}", user(1), user(poster)), "1");
+    }
+    assert_eq!(
+        engine
+            .scan(&KeyRange::prefix(format!("t|{}|", user(0))))
+            .pairs
+            .len(),
+        72
+    );
+    let nodes = engine.updater_nodes();
+    assert!(nodes > FOLLOWEES as usize);
+    let recent = engine.scan(&timeline_since(1, 1_800));
+    assert!(recent.pairs.len() < 72 && recent.is_complete());
+    assert_eq!(
+        engine.updater_nodes(),
+        nodes + 1,
+        "a partial read adds its subscription range's node and no other"
+    );
+    let older = engine.scan(&timeline_since(1, 1_400));
+    assert!(older.pairs.len() > recent.pairs.len());
+    assert_eq!(
+        engine.updater_nodes(),
+        nodes + 1,
+        "an older partial read adds no node"
+    );
+    assert_eq!(engine.check_invariants(), Vec::<String>::new());
 }

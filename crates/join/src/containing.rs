@@ -25,7 +25,7 @@
 //! that slot values contain no byte `≥` the delimiter (true for
 //! `|`-separated alphanumeric keys).
 
-use crate::pattern::{Pattern, Token};
+use crate::pattern::{part, Pattern, Token};
 use crate::slots::SlotSet;
 use pequod_store::{Key, KeyRange, UpperBound};
 
@@ -39,72 +39,57 @@ pub fn containing_range(
     out_range: &KeyRange,
 ) -> KeyRange {
     let (ps, s_ti) = source.determined_prefix(slots);
-    let ps_key = Key::from(&ps[..]);
     if s_ti == source.tokens().len() {
         // Source key fully determined.
-        return KeyRange::single(ps_key);
+        return KeyRange::single(ps);
     }
-    let base = KeyRange::prefix(ps_key.clone());
+    let base = KeyRange::prefix(ps.clone());
     let Token::Slot { id: s_id, .. } = &source.tokens()[s_ti] else {
         unreachable!("determined_prefix stops only at slots");
     };
 
-    // Locate the first unbound source slot in the output pattern; every
+    // The output's first unbound slot must be that source slot: every
     // output token before it must be determined for the scan bounds to
-    // transfer.
-    let mut po: Vec<u8> = Vec::new();
-    let mut o_ti = None;
-    for (ti, tok) in output.tokens().iter().enumerate() {
-        match tok {
-            Token::Lit(l) => po.extend_from_slice(l),
-            Token::Slot { id, .. } => {
-                if id == s_id {
-                    o_ti = Some(ti);
-                    break;
-                }
-                match slots.get(*id) {
-                    Some(v) => po.extend_from_slice(v),
-                    None => return base, // blocked by an earlier unbound slot
-                }
-            }
-        }
+    // transfer (an earlier unbound slot blocks them).
+    let (po, o_ti) = output.determined_prefix(slots);
+    if !matches!(output.tokens().get(o_ti), Some(Token::Slot { id, .. }) if id == s_id) {
+        return base;
     }
-    let Some(o_ti) = o_ti else { return base };
-    let po_key = Key::from(&po[..]);
-    let po_end = po_key.prefix_end();
+    let po_end = po.prefix_end();
 
     let src_toks = &source.tokens()[s_ti..];
     let out_toks = &output.tokens()[o_ti..];
+    let empty = || KeyRange::new(ps.clone(), ps.clone());
 
     // Lower bound.
     let first = {
         let o1 = &out_range.first;
-        if o1 <= &po_key {
-            ps_key.clone()
-        } else if !o1.starts_with(&po) {
+        if o1 <= &po {
+            ps.clone()
+        } else if !o1.starts_with(po.as_bytes()) {
             // o1 > po but shares no prefix: it lies at or above po's span.
             debug_assert!(po_end.as_ref().is_some_and(|pe| o1 >= pe));
-            return KeyRange::new(ps_key.clone(), ps_key); // empty
+            return empty();
         } else {
             let suffix = &o1.as_bytes()[po.len()..];
             let (consumed, _) = walk(suffix, src_toks, out_toks, Mode::Lower, slots);
-            Key::join(&[&ps, &suffix[..consumed]])
+            Key::join(&[ps.as_bytes(), &suffix[..consumed]])
         }
     };
 
     // Upper bound.
     let end = match &out_range.end {
-        UpperBound::Unbounded => base.end.clone(),
+        UpperBound::Unbounded => base.end,
         UpperBound::Excluded(o2) => {
-            if o2 <= &po_key {
-                return KeyRange::new(ps_key.clone(), ps_key); // empty
-            } else if !o2.starts_with(&po) {
+            if o2 <= &po {
+                return empty();
+            } else if !o2.starts_with(po.as_bytes()) {
                 // o2 lies above po's entire span: no constraint.
-                base.end.clone()
+                base.end
             } else {
                 let suffix = &o2.as_bytes()[po.len()..];
                 let (consumed, outcome) = walk(suffix, src_toks, out_toks, Mode::Upper, slots);
-                let bound = Key::join(&[&ps, &suffix[..consumed]]);
+                let bound = Key::join(&[ps.as_bytes(), &suffix[..consumed]]);
                 match outcome {
                     Outcome::Exhausted => UpperBound::Excluded(bound),
                     Outcome::Diverged => match bound.prefix_end() {
@@ -152,13 +137,7 @@ fn walk<'a>(
             return (pos, Outcome::Diverged);
         };
         // Resolve bound slots to their literal bytes.
-        let lit_of = |tok: &'a Token| -> Option<&'a [u8]> {
-            match tok {
-                Token::Lit(l) => Some(l),
-                Token::Slot { id, .. } => slots.get(*id).map(|v| &v[..]),
-            }
-        };
-        match (lit_of(st), lit_of(ot)) {
+        match (part(st, slots), part(ot, slots)) {
             (Some(a), Some(b)) => {
                 // Both effectively literal: must be identical to transfer.
                 if a != b {

@@ -302,21 +302,14 @@ impl Pattern {
         })))
     }
 
-    /// Emits the longest key prefix determined by `slots`: literals and
-    /// bound slots up to (not including) the first unbound slot. Returns
-    /// the prefix and the token index of the first unbound slot (or
+    /// The longest key prefix determined by `slots`: literals and bound
+    /// slots up to (not including) the first unbound slot, built by
+    /// [`Key::concat`] (in place, no allocation, when short). Returns the
+    /// prefix and the token index of the first unbound slot (or
     /// `tokens.len()` if fully determined).
-    pub fn determined_prefix(&self, slots: &SlotSet) -> (Vec<u8>, usize) {
-        fn part<'a>(tok: &'a Token, slots: &'a SlotSet) -> Option<&'a [u8]> {
-            match tok {
-                Token::Lit(l) => Some(l),
-                Token::Slot { id, .. } => slots.get(*id).map(|v| &v[..]),
-            }
-        }
-        let determined = || self.tokens.iter().map_while(|t| part(t, slots));
-        let mut out = Vec::with_capacity(determined().map(<[u8]>::len).sum());
-        determined().for_each(|p| out.extend_from_slice(p));
-        (out, determined().count())
+    pub fn determined_prefix(&self, slots: &SlotSet) -> (Key, usize) {
+        let determined = self.tokens.iter().map_while(|t| part(t, slots));
+        (Key::concat(determined.clone()), determined.count())
     }
 
     /// The minimal range containing every key the pattern can produce
@@ -325,11 +318,10 @@ impl Pattern {
     /// determined prefix.
     pub fn containing_range_basic(&self, slots: &SlotSet) -> KeyRange {
         let (prefix, ti) = self.determined_prefix(slots);
-        let prefix_key = Key::from(prefix);
         if ti == self.tokens.len() {
-            KeyRange::single(prefix_key)
+            KeyRange::single(prefix)
         } else {
-            KeyRange::prefix(prefix_key)
+            KeyRange::prefix(prefix)
         }
     }
 
@@ -381,6 +373,15 @@ impl Pattern {
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.text)
+    }
+}
+
+/// The bytes `tok` stands for under `slots`: a literal's own, a bound
+/// slot's value; `None` for an unbound slot.
+pub(crate) fn part<'a>(tok: &'a Token, slots: &'a SlotSet) -> Option<&'a [u8]> {
+    match tok {
+        Token::Lit(l) => Some(l),
+        Token::Slot { id, .. } => slots.get(*id).map(|v| &v[..]),
     }
 }
 
@@ -651,7 +652,7 @@ mod tests {
         let mut s = t.empty_set();
         s.bind(t.lookup("user").unwrap(), Bytes::from_static(b"ann"));
         let (prefix, ti) = p.determined_prefix(&s);
-        assert_eq!(prefix, b"t|ann|".to_vec());
+        assert_eq!(prefix, Key::from("t|ann|"));
         assert_eq!(ti, 3); // stopped at <time>
         let basic = p.containing_range_basic(&s);
         assert_eq!(basic, KeyRange::prefix("t|ann|"));

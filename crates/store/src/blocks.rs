@@ -19,9 +19,13 @@
 //! * **Append** — [`Blocks::put`] first compares against the last key.
 //!   A greater key is pushed onto the tail block; a full tail is left
 //!   full and a fresh block started, so an append-only subtable is 100%
-//!   dense except for its tail, and the tail grows geometrically
-//!   (1, 4, 8, 16, 32 pairs), so a 3-pair subtable never pays for a
-//!   whole block.
+//!   dense except for its tail, and the tail grows through geometric
+//!   size classes (1, 4, 8, 16, 32 pairs), so a 3-pair subtable never
+//!   pays for a whole block. A run of appends that knows its length
+//!   ([`Blocks::put_in_run`]) jumps straight to the class it will end in:
+//!   a freshly materialized 76-pair timeline allocates three blocks
+//!   (32, 32, 16), not fifteen growing ones, and its tail is left with
+//!   room for the eager appends that follow.
 //! * **Everything else** — a binary search over the fences (after a look
 //!   at the last one: reads want the newest pairs too), then one in the
 //!   block; an insert or remove moves at most one block's pairs.
@@ -221,12 +225,22 @@ fn entry_for<T: Fenced>(dir: &[T], key: &Key) -> usize {
     }
 }
 
+/// The capacity a tail block holding (or about to hold) `pairs` pairs
+/// is given: the next of 1, 4, 8, 16 and 32.
+fn size_class(pairs: usize) -> usize {
+    match pairs {
+        0 | 1 => 1,
+        n => n.next_power_of_two().clamp(4, BLOCK_PAIRS),
+    }
+}
+
 impl Block {
-    fn starting_with(key: Key, value: Value) -> Block {
-        Block {
-            fence: key.clone(),
-            pairs: vec![(key, value)],
-        }
+    /// A block of one pair, with room for `room` (one and the pairs an
+    /// ascending run will append after it) rounded up to a size class.
+    fn starting_with(key: Key, value: Value, room: usize) -> Block {
+        let mut pairs = Vec::with_capacity(size_class(room));
+        pairs.push((key.clone(), value));
+        Block { fence: key, pairs }
     }
 
     fn find(&self, key: &Key) -> Result<usize, usize> {
@@ -256,12 +270,18 @@ fn past_end(blocks: &[Block], key: &Key) -> bool {
     newest.is_none_or(|(last, _)| key > last)
 }
 
-/// [`Blocks::put`] within one list of blocks.
-fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value) -> Option<Value> {
+/// [`Blocks::put_in_run`] within one list of blocks.
+fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Option<Value> {
     if past_end(blocks, &key) {
         match blocks.last_mut() {
-            Some(tail) if tail.pairs.len() < BLOCK_PAIRS => tail.pairs.push((key, value)),
-            _ => blocks.push(Block::starting_with(key, value)),
+            Some(tail) if tail.pairs.len() < BLOCK_PAIRS => {
+                let held = tail.pairs.len();
+                if held == tail.pairs.capacity() {
+                    tail.pairs.reserve_exact(size_class(held + room) - held);
+                }
+                tail.pairs.push((key, value));
+            }
+            _ => blocks.push(Block::starting_with(key, value, room)),
         }
         return None;
     }
@@ -274,7 +294,7 @@ fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value) -> Option<Value> {
     if block.pairs.len() < BLOCK_PAIRS {
         block.insert(at, key, value);
     } else if at == BLOCK_PAIRS {
-        blocks.insert(b + 1, Block::starting_with(key, value));
+        blocks.insert(b + 1, Block::starting_with(key, value, 1));
     } else {
         const HALF: usize = BLOCK_PAIRS / 2;
         let mut upper = Block {
@@ -482,6 +502,15 @@ impl Blocks {
 
     /// Inserts or replaces a pair, returning the previous value.
     pub(crate) fn put(&mut self, key: Key, value: Value) -> Option<Value> {
+        self.put_in_run(key, value, 1)
+    }
+
+    /// [`Blocks::put`] for a pair of an ascending run with `left` pairs
+    /// still to come, this one included: a block the append starts, or a
+    /// tail it grows, is sized for as many of them as it will hold,
+    /// rounded up to a size class. `left` is a sizing hint only; any
+    /// value gives the same contents.
+    pub(crate) fn put_in_run(&mut self, key: Key, value: Value, left: usize) -> Option<Value> {
         let (c, blocks) = self.list_mut(&key);
         // A full chunk is left full by a key past its end, which starts
         // the next one (an ascending load stays dense at this level too);
@@ -490,10 +519,10 @@ impl Blocks {
             && blocks[CHUNK_BLOCKS - 1].pairs.len() == BLOCK_PAIRS
             && past_end(blocks, &key);
         let (old, next) = if full {
-            let fresh = vec![Block::starting_with(key, value)];
+            let fresh = vec![Block::starting_with(key, value, left)];
             (None, Some(Chunk::of(fresh)))
         } else {
-            let old = put_in(blocks, key, value);
+            let old = put_in(blocks, key, value, left);
             let upper = (blocks.len() > CHUNK_BLOCKS).then(|| {
                 let upper = blocks.split_off(CHUNK_BLOCKS / 2);
                 blocks.shrink_to_fit();
@@ -766,6 +795,42 @@ mod tests {
         assert_eq!(fill(&blocks), [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 5]);
         assert_eq!(blocks.iter().count(), 3 * BLOCK_PAIRS + 5);
         assert_sound(&blocks);
+    }
+
+    /// Appended one by one, a tail block climbs the size classes; told
+    /// the run's length, each block starts at the class it ends in. Both
+    /// hold the same pairs in the same blocks, and the run's tail keeps
+    /// room for the appends after it.
+    #[test]
+    fn a_run_allocates_each_block_once_at_its_size_class() {
+        let capacities = |blocks: &Blocks| -> Vec<usize> {
+            blocks_of(blocks)
+                .iter()
+                .map(|b| b.pairs.capacity())
+                .collect()
+        };
+        for run in [1, 3, 20, 2 * BLOCK_PAIRS + 12] {
+            let one_by_one = ascending(run);
+            let mut as_run = Blocks::new();
+            for n in 0..run {
+                assert!(as_run.put_in_run(key(2 * n), value(n), run - n).is_none());
+            }
+            assert_eq!(keys_of(&as_run), keys_of(&one_by_one));
+            assert_eq!(fill(&as_run), fill(&one_by_one));
+            assert_eq!(capacities(&as_run), capacities(&one_by_one), "run of {run}");
+            assert_sound(&as_run);
+        }
+        let mut tail = Blocks::new();
+        for n in 0..12 {
+            tail.put_in_run(key(2 * n), value(n), 12 - n);
+        }
+        assert_eq!(capacities(&tail), [16]);
+        tail.put(key(100), value(0));
+        assert_eq!(
+            capacities(&tail),
+            [16],
+            "an eager append after the run reallocates nothing"
+        );
     }
 
     #[test]

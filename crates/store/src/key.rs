@@ -71,29 +71,12 @@ impl Key {
         self.0.starts_with(prefix)
     }
 
-    /// Concatenates `parts` into a key. The length is summed in a first
-    /// pass over the (cheaply cloneable) iterator and the bytes copied in
-    /// a second: short keys are assembled on the stack and stored in
-    /// place; only long ones allocate, once, at their final size.
+    /// Concatenates `parts` into a key, written straight into the handle
+    /// when it fits in place ([`Bytes::from_parts`]): short keys never
+    /// touch the allocator, long ones allocate once at their final size.
+    #[inline]
     pub fn concat<'a>(parts: impl Iterator<Item = &'a [u8]> + Clone) -> Key {
-        const STACK: usize = 64;
-        let len = parts.clone().map(<[u8]>::len).sum();
-        let fill = |mut out: &mut [u8]| {
-            for p in parts {
-                let (head, rest) = out.split_at_mut(p.len());
-                head.copy_from_slice(p);
-                out = rest;
-            }
-        };
-        if len <= STACK {
-            let mut buf = [0u8; STACK];
-            fill(&mut buf[..len]);
-            Key(Bytes::copy_from_slice(&buf[..len]))
-        } else {
-            let mut v = vec![0u8; len];
-            fill(&mut v);
-            Key(Bytes::from(v))
-        }
+        Key(Bytes::from_parts(parts))
     }
 
     /// The smallest key strictly greater than `self`: `self` + `0x00`.

@@ -296,14 +296,14 @@ impl Store {
     pub fn put_run(&mut self, run: Vec<(Key, Value)>, shared: bool) -> Vec<(usize, Value)> {
         let mut replaced = Vec::new();
         let mut at = 0;
-        let mut run = run.into_iter().peekable();
-        while let Some((first, _)) = run.peek() {
+        let mut run = run.into_iter();
+        while let Some((first, _)) = run.as_slice().first() {
             let prefix = first.table_prefix();
-            let in_table = |(k, _): &(Key, Value)| k.table_prefix_bytes() == prefix.as_bytes();
-            let stretch = std::iter::from_fn(|| run.next_if(in_table));
-            let table = table_mut(&mut self.tables, &self.config, prefix.clone());
+            let in_table = |(k, _): &&(Key, Value)| k.table_prefix_bytes() == prefix.as_bytes();
+            let stretch = run.as_slice().iter().take_while(in_table).count();
+            let table = table_mut(&mut self.tables, &self.config, prefix);
             let stats = &mut self.stats;
-            table.put_run(stretch, |key_len, value_len, old| {
+            table.put_run(&mut run, stretch, |key_len, value_len, old| {
                 stats.wrote(key_len, value_len, old.as_ref(), shared);
                 replaced.extend(old.map(|old| (at, old)));
                 at += 1;

@@ -295,43 +295,50 @@ impl Table {
         old
     }
 
-    /// [`Table::put`] for every pair of `run`, telling `wrote` each
-    /// pair's key length, value length and previous value. A split table
-    /// looks a subtable up once per stretch of the run that routes to it,
-    /// not once per pair, so a run in key order (a join's freshly
-    /// computed outputs) lands in its subtable as one append after
-    /// another.
+    /// [`Table::put`] for the next `n` pairs of `run`, telling `wrote`
+    /// each pair's key length, value length and previous value. A split
+    /// table looks a subtable up once per stretch of the run that routes
+    /// to it, not once per pair, and tells the subtable how long the
+    /// stretch is, so a run in key order (a join's freshly computed
+    /// outputs) lands in its subtable as one append after another into
+    /// blocks allocated once at the size the stretch calls for.
     pub fn put_run(
         &mut self,
-        run: impl Iterator<Item = (Key, Value)>,
+        run: &mut std::vec::IntoIter<(Key, Value)>,
+        n: usize,
         mut wrote: impl FnMut(usize, usize, Option<Value>),
     ) {
         let Repr::Split { depth, subs, order } = &mut self.repr else {
-            return run.for_each(|(k, v)| {
+            return run.by_ref().take(n).for_each(|(k, v)| {
                 let (key_len, value_len) = (k.len(), v.len());
                 wrote(key_len, value_len, self.put(k, v));
             });
         };
-        let mut run = run.peekable();
-        while let Some((first, _)) = run.peek() {
+        let mut left = n;
+        while let Some((first, _)) = run.as_slice()[..left].first() {
             self.stats.hash_hits += 1;
             let prefix = first.component_prefix(*depth);
+            let routed_here =
+                |(k, _): &&(Key, Value)| k.component_prefix_bytes(*depth) == prefix.as_bytes();
+            let stretch = run.as_slice()[..left]
+                .iter()
+                .take_while(routed_here)
+                .count();
             let sub = match subs.entry(prefix.clone()) {
                 Entry::Occupied(known) => known.into_mut(),
                 Entry::Vacant(unknown) => {
                     self.index_bytes += index_entry_bytes(prefix.as_bytes());
-                    order.insert(prefix.clone());
+                    order.insert(prefix);
                     unknown.insert(Blocks::new())
                 }
             };
-            let routed_here =
-                |(k, _): &(Key, Value)| k.component_prefix_bytes(*depth) == prefix.as_bytes();
-            while let Some((k, v)) = run.next_if(routed_here) {
+            for (at, (k, v)) in run.by_ref().take(stretch).enumerate() {
                 let (key_len, value_len) = (k.len(), v.len());
-                let old = sub.put(k, v);
+                let old = sub.put_in_run(k, v, stretch - at);
                 self.len += usize::from(old.is_none());
                 wrote(key_len, value_len, old);
             }
+            left -= stretch;
         }
     }
 

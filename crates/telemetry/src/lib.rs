@@ -182,13 +182,15 @@ struct Inner {
 
 /// Gauge names of the levels an engine publishes after each operation
 /// ([`Recorder::set_engine_levels`]): its memory estimate — what a
-/// memory limit is compared with — and the counts behind it.
-pub const ENGINE_LEVELS: [&str; 5] = [
+/// memory limit is compared with — and the counts behind it, and how
+/// many updater fires so far maintained nothing.
+pub const ENGINE_LEVELS: [&str; 6] = [
     "core.memory.estimate_bytes",
     "core.updater.entries",
     "core.updater.nodes",
     "core.status.ranges",
     "store.keys",
+    "core.updater.spurious_fires",
 ];
 
 /// The process's resident set in bytes, from the `VmRSS:` line of
