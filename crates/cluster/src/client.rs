@@ -348,86 +348,25 @@ impl ClusterClient {
         Ok(())
     }
 
-    /// Ordered range read, scatter-gathered: every node contributes the
-    /// rows of the slots it is primary for; the shards are merged into
-    /// one sorted result.
-    pub fn scan(&mut self, range: KeyRange) -> Result<Vec<(Key, Value)>, ClusterClientError> {
-        let mut all = Vec::new();
+    /// Asks every node the same question (`make` builds it under a
+    /// fresh id) and hands each successful reply's pairs to `take`.
+    /// Fails only if no node answered, with the last error.
+    fn ask_every_node(
+        &mut self,
+        make: impl Fn(u64) -> Message,
+        mut take: impl FnMut(Vec<(Key, Value)>),
+    ) -> Result<(), ClusterClientError> {
         let mut reached = false;
         let mut last: Option<ClusterClientError> = None;
         for node in 0..self.cfg.nodes.len() as u32 {
             let id = self.fresh_id();
-            let msg = Message::Scan {
-                id,
-                range: range.clone(),
-            };
-            match self.call_node(node, &msg, id) {
+            match self.call_node(node, &make(id), id) {
                 Ok(Message::Reply {
                     pairs, error: None, ..
                 }) => {
                     reached = true;
-                    all.extend(pairs);
+                    take(pairs);
                 }
-                Ok(Message::Reply { error: Some(e), .. }) => {
-                    last = Some(ClusterClientError::Remote(e));
-                }
-                Ok(_) => {}
-                Err(e) => last = Some(ClusterClientError::Io(e)),
-            }
-        }
-        if !reached {
-            return Err(last.unwrap_or(ClusterClientError::Remote("no nodes".into())));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(all)
-    }
-
-    /// Range count, scatter-gathered: each node counts its primary
-    /// slots' rows, the client sums the shards.
-    pub fn count(&mut self, range: KeyRange) -> Result<u64, ClusterClientError> {
-        let mut total = 0u64;
-        let mut reached = false;
-        let mut last: Option<ClusterClientError> = None;
-        for node in 0..self.cfg.nodes.len() as u32 {
-            let id = self.fresh_id();
-            let msg = Message::Count {
-                id,
-                range: range.clone(),
-            };
-            match self.call_node(node, &msg, id) {
-                Ok(Message::Reply {
-                    pairs, error: None, ..
-                }) => {
-                    reached = true;
-                    total += Message::parse_count(&pairs).unwrap_or(0);
-                }
-                Ok(Message::Reply { error: Some(e), .. }) => {
-                    last = Some(ClusterClientError::Remote(e));
-                }
-                Ok(_) => {}
-                Err(e) => last = Some(ClusterClientError::Io(e)),
-            }
-        }
-        if !reached {
-            return Err(last.unwrap_or(ClusterClientError::Remote("no nodes".into())));
-        }
-        Ok(total)
-    }
-
-    /// Installs a cache join on every node (joins must exist wherever a
-    /// slot's data might live).
-    pub fn add_join(&mut self, text: impl Into<String>) -> Result<(), ClusterClientError> {
-        let text = text.into();
-        let mut reached = false;
-        let mut last: Option<ClusterClientError> = None;
-        for node in 0..self.cfg.nodes.len() as u32 {
-            let id = self.fresh_id();
-            let msg = Message::AddJoin {
-                id,
-                text: text.clone(),
-            };
-            match self.call_node(node, &msg, id) {
-                Ok(Message::Reply { error: None, .. }) => reached = true,
                 Ok(Message::Reply { error: Some(e), .. }) => {
                     last = Some(ClusterClientError::Remote(e));
                 }
@@ -439,6 +378,45 @@ impl ClusterClient {
             return Err(last.unwrap_or(ClusterClientError::Remote("no nodes".into())));
         }
         Ok(())
+    }
+
+    /// Ordered range read, scatter-gathered: every node contributes the
+    /// rows of the slots it is primary for; the shards are merged into
+    /// one sorted result.
+    pub fn scan(&mut self, range: KeyRange) -> Result<Vec<(Key, Value)>, ClusterClientError> {
+        let mut all = Vec::new();
+        let scan = |id| Message::Scan {
+            id,
+            range: range.clone(),
+        };
+        self.ask_every_node(scan, |pairs| all.extend(pairs))?;
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(all)
+    }
+
+    /// Range count, scatter-gathered: each node counts its primary
+    /// slots' rows, the client sums the shards.
+    pub fn count(&mut self, range: KeyRange) -> Result<u64, ClusterClientError> {
+        let mut total = 0u64;
+        let count = |id| Message::Count {
+            id,
+            range: range.clone(),
+        };
+        self.ask_every_node(count, |pairs| {
+            total += Message::parse_count(&pairs).unwrap_or(0);
+        })?;
+        Ok(total)
+    }
+
+    /// Installs a cache join on every node (joins must exist wherever a
+    /// slot's data might live).
+    pub fn add_join(&mut self, text: impl Into<String>) -> Result<(), ClusterClientError> {
+        let text = text.into();
+        let add_join = |id| Message::AddJoin {
+            id,
+            text: text.clone(),
+        };
+        self.ask_every_node(add_join, |_| {})
     }
 
     /// Asks a slot's primary to migrate one replica: `from` leaves the

@@ -49,6 +49,10 @@
 //! * [`sharded`] — [`ShardedEngine`]: N nodes, one worker thread each,
 //!   exchanging their messages over in-process channels, so one process
 //!   scales with cores.
+//! * [`fanout`] — [`Fanout`]: the one run planner of every multi-engine
+//!   backend — runs of like commands, ids, routing or broadcast, and the
+//!   fold of the replies — shared by the sharded engine, the network
+//!   frontend and the simulated cluster's client.
 //! * [`status`] — join status ranges: which output ranges are
 //!   materialized and whether they are valid (§3.2).
 //! * [`updater`] — the interval-tree index of incremental-maintenance
@@ -72,6 +76,7 @@ pub mod config;
 pub mod durable;
 mod engine;
 mod exec;
+pub mod fanout;
 pub mod node;
 mod paranoid;
 pub mod partition;
@@ -84,8 +89,7 @@ pub use client::{BackendStats, Client, Command, Response};
 pub use config::{EngineConfig, EngineStats, MaterializationMode, MemoryLimit};
 pub use durable::{Durability, DurableOp};
 pub use engine::{BaseAuthority, Engine, EvictUnit, JS_RANGE_OVERHEAD_BYTES};
+pub use fanout::{split_runs, Fanout, PendingRun, Route};
 pub use node::{Endpoint, Node, NodeMsg, NodeStats};
-pub use sharded::{
-    fold_join_replies, fold_stats_replies, split_runs, ShardSubmitter, ShardedEngine, ShardedHandle,
-};
+pub use sharded::{ReplySink, ShardSubmitter, ShardedEngine, ShardedHandle};
 pub use types::{CountResult, EngineError, JoinId, JsId, ScanResult, WriteKind};

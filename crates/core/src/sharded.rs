@@ -30,13 +30,14 @@
 //!
 //! # Consistency
 //!
-//! A batch is split into *runs* of like commands (reads / writes /
-//! joins / stats) by [`split_runs`], as `pequod_net::ClusterClient`
-//! does. Each run is pipelined to all shards at once; the client waits
-//! for every reply before starting the next run. Each shard's mailbox
-//! is FIFO and a home shard enqueues notifications to subscribers
-//! *before* acknowledging the write, so any command issued after a
-//! write's acknowledgment — by the same client or another — is
+//! A batch is planned by [`Fanout`], the run planner the network
+//! frontend's sharded dispatcher and `pequod_net::ClusterClient` share:
+//! it is split into *runs* of like commands (reads / writes / joins /
+//! stats), and each run is pipelined to all shards at once; the client
+//! waits for every reply before starting the next run. Each shard's
+//! mailbox is FIFO and a home shard enqueues notifications to
+//! subscribers *before* acknowledging the write, so any command issued
+//! after a write's acknowledgment — by the same client or another — is
 //! processed after that write's notification at every shard that had
 //! been granted the range. One client's batch therefore answers exactly
 //! like the same commands issued one at a time against a single
@@ -51,12 +52,12 @@
 //! applied when the range installs (see [`crate::node`]), so a read
 //! after the writer's last acknowledgment observes every write.
 
-use crate::client::{BackendStats, Client, Command, Response};
+use crate::client::{Client, Command, Response};
 use crate::config::EngineConfig;
 use crate::engine::Engine;
+use crate::fanout::{split_runs, Fanout, PendingRun, Route};
 use crate::node::{audit_deployment, Endpoint, Node, NodeAudit, NodeMsg, NodeStats};
 use crate::partition::{Partition, ServerId};
-use pequod_store::Key;
 use pequod_telemetry::{Recorder, Snapshot};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -76,13 +77,19 @@ const _: () = {
     assert_send_sync::<ShardSubmitter>();
 };
 
+/// Where a shard answers the commands of a run: called on the shard's
+/// thread with each command's id and response, once per reply the run
+/// was planned to get; replies from different shards interleave in any
+/// order.
+pub type ReplySink = Arc<dyn Fn(u64, Response) + Send + Sync>;
+
 /// A message delivered to one shard's mailbox.
 enum ShardMsg {
     /// A run of client commands addressed to this shard; one reply per
     /// command, matched by id.
     Run {
         items: Vec<(u64, Command)>,
-        reply: Sender<(u64, Response)>,
+        reply: ReplySink,
     },
     /// Node-to-node traffic from peer shard `from`.
     Peer { from: ServerId, msg: NodeMsg },
@@ -98,9 +105,9 @@ struct ShardWorker {
     node: Node,
     peers: Vec<Sender<ShardMsg>>,
     rx: Receiver<ShardMsg>,
-    /// Reply channels of runs with unanswered commands, by the client
+    /// Reply sinks of runs with unanswered commands, by the client
     /// token the node knows them under, with the count still owed.
-    clients: HashMap<u64, (Sender<(u64, Response)>, usize)>,
+    clients: HashMap<u64, (ReplySink, usize)>,
     next_client: u64,
     /// The node's output, between `handle` and `route`.
     out: Vec<(Endpoint, NodeMsg)>,
@@ -145,7 +152,7 @@ impl ShardWorker {
                         continue;
                     };
                     let (reply, owed) = run.get_mut();
-                    let _ = reply.send((id, response));
+                    reply(id, response);
                     *owed -= 1;
                     if *owed == 0 {
                         run.remove();
@@ -158,93 +165,6 @@ impl ShardWorker {
     }
 }
 
-/// Command classes whose members may share one pipelined run without
-/// changing observable results: reads don't mutate client-visible
-/// state, and writes aren't observed until the next read.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CommandClass {
-    Read,
-    Write,
-    Join,
-    /// Stats aggregates across the whole deployment, so it must not
-    /// share a run with commands whose effects it would otherwise miss.
-    Stats,
-}
-
-fn class_of(command: &Command) -> CommandClass {
-    match command {
-        Command::Get(_) | Command::Scan(_) | Command::Count(_) => CommandClass::Read,
-        Command::Put(..) | Command::Remove(_) => CommandClass::Write,
-        Command::AddJoin(_) => CommandClass::Join,
-        Command::Stats => CommandClass::Stats,
-    }
-}
-
-/// Splits a batch, in order, into maximal runs of one command class —
-/// the one run-splitting rule of every multi-engine backend (the
-/// blocking [`ShardedHandle`], the event-driven network frontend, and
-/// `pequod_net::ClusterClient`). A run executes as one pipelined round
-/// per destination and must be fully answered before the next run
-/// starts, so a batch answers exactly like the same commands issued one
-/// at a time. `command_of` names each item's command.
-pub fn split_runs<T>(
-    items: impl IntoIterator<Item = T>,
-    command_of: impl Fn(&T) -> &Command,
-) -> Vec<Vec<T>> {
-    let mut runs: Vec<Vec<T>> = Vec::new();
-    let mut run_class = None;
-    for item in items {
-        let class = Some(class_of(command_of(&item)));
-        match runs.last_mut() {
-            Some(run) if class == run_class => run.push(item),
-            _ => runs.push(vec![item]),
-        }
-        run_class = class;
-    }
-    runs
-}
-
-/// Folds the per-shard replies to a broadcast `AddJoin` into one
-/// response: `Ok` only if every shard installed the join, otherwise the
-/// first error. Shared by the blocking [`ShardedHandle`] and the
-/// event-driven frontend so both paths answer byte-identically.
-pub fn fold_join_replies(replies: Vec<Response>, shards: usize) -> Response {
-    if replies.len() < shards {
-        return Response::Error(format!(
-            "addjoin: {} of {shards} shards replied",
-            replies.len()
-        ));
-    }
-    match replies
-        .into_iter()
-        .find(|r| matches!(r, Response::Error(_)))
-    {
-        Some(err) => err,
-        None => Response::Ok,
-    }
-}
-
-/// Folds the per-shard replies to a broadcast `Stats` into one summed
-/// [`BackendStats`]. Shared like [`fold_join_replies`].
-pub fn fold_stats_replies(replies: Vec<Response>, shards: usize) -> Response {
-    if replies.len() < shards {
-        return Response::Error(format!(
-            "stats: {} of {shards} shards replied",
-            replies.len()
-        ));
-    }
-    let mut total = BackendStats::default();
-    for r in replies {
-        if let Response::Stats(s) = r {
-            total += s;
-        }
-    }
-    Response::Stats(total)
-}
-
-/// How a broadcast command's per-shard replies fold into one response.
-type Fold = fn(Vec<Response>, usize) -> Response;
-
 /// A cheap, cloneable connection to a [`ShardedEngine`]. Each handle
 /// routes and pipelines its own batches; handles can be used from
 /// different threads concurrently (the TCP server gives one to every
@@ -252,83 +172,26 @@ type Fold = fn(Vec<Response>, usize) -> Response;
 #[derive(Clone)]
 pub struct ShardedHandle {
     shards: ShardSubmitter,
-    next_id: u64,
+    fanout: Fanout,
 }
 
 impl ShardedHandle {
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Executes one same-class run: per-shard pipelined `Run` messages,
-    /// then wait for every reply.
-    fn execute_run(&mut self, mut commands: Vec<Command>) -> Vec<Response> {
-        let shards = self.shards.shards();
-        let (tx, rx) = channel::<(u64, Response)>();
-        // Fast path: a run of exactly one shard-addressed command (the
-        // common shape — every workload check or post is one command)
-        // skips the routing tables below.
-        if let [command] = &commands[..] {
-            if let Some(shard) = self.shards.route(command) {
-                let items = vec![(self.fresh_id(), commands.remove(0))];
-                self.shards.submit(shard, items, &tx);
-                drop(tx); // so a dead shard errors the recv instead of hanging it
-                return vec![rx
-                    .recv()
-                    .map(|(_, resp)| resp)
-                    .unwrap_or_else(|_| Response::Error("no reply from shard".into()))];
-            }
+    /// Executes one same-class run: submit it, then wait for every
+    /// reply.
+    fn execute_run(&mut self, commands: Vec<Command>) -> Vec<Response> {
+        let (tx, rx) = channel();
+        let sink: ReplySink = Arc::new(move |id, response| {
+            let _ = tx.send((id, response));
+        });
+        let mut run = self.shards.submit(&mut self.fanout, commands, &sink);
+        drop(sink); // so a dead shard errors the recv instead of hanging it
+        while !run.is_complete() {
+            let Ok((id, response)) = rx.recv() else {
+                break; // a shard died; its commands answer an error
+            };
+            run.absorb(id, response);
         }
-        let mut per_shard: Vec<Vec<(u64, Command)>> = vec![Vec::new(); shards];
-        // One slot per command: its id, and the fold of a broadcast.
-        let mut slots: Vec<(u64, Option<Fold>)> = Vec::with_capacity(commands.len());
-        let mut expected = 0usize;
-        for command in commands {
-            let id = self.fresh_id();
-            match self.shards.route(&command) {
-                Some(shard) => {
-                    per_shard[shard].push((id, command));
-                    expected += 1;
-                    slots.push((id, None));
-                }
-                None => {
-                    // Broadcast: every shard answers under the same id.
-                    let fold: Fold = match command {
-                        Command::Stats => fold_stats_replies,
-                        _ => fold_join_replies,
-                    };
-                    slots.push((id, Some(fold)));
-                    for q in per_shard.iter_mut() {
-                        q.push((id, command.clone()));
-                    }
-                    expected += shards;
-                }
-            }
-        }
-        for (shard, items) in per_shard.into_iter().enumerate() {
-            self.shards.submit(shard, items, &tx);
-        }
-        drop(tx);
-        let mut by_id: HashMap<u64, Vec<Response>> = HashMap::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok((id, resp)) => by_id.entry(id).or_default().push(resp),
-                Err(_) => break, // a shard died; unanswered slots error below
-            }
-        }
-        slots
-            .into_iter()
-            .map(|(id, fold)| {
-                let mut replies = by_id.remove(&id).unwrap_or_default();
-                match fold {
-                    Some(fold) => fold(replies, shards),
-                    None => (replies.pop())
-                        .unwrap_or_else(|| Response::Error("no reply from shard".into())),
-                }
-            })
-            .collect()
+        run.finish()
     }
 }
 
@@ -348,11 +211,12 @@ impl Client for ShardedHandle {
 /// A non-blocking, cloneable submission surface over the per-shard
 /// command queues. Where a [`ShardedHandle`] parks the calling thread
 /// until every reply arrives, a `ShardSubmitter` only enqueues: replies
-/// come back asynchronously on the caller's channel, tagged with the
-/// caller-chosen id. The event-driven network frontend serves every
-/// connection through one shared submitter instead of cloning a handle
-/// per connection, so accepting ten thousand sockets allocates no
-/// per-connection engine state and never blocks the reactor thread.
+/// come back asynchronously through the caller's [`ReplySink`], tagged
+/// with the ids the caller's [`Fanout`] gave them. The event-driven
+/// network frontend serves every connection through one shared
+/// submitter instead of cloning a handle per connection, so accepting
+/// ten thousand sockets allocates no per-connection engine state and
+/// never blocks the reactor thread.
 ///
 /// Ordering contract: submissions from one thread to one shard are
 /// executed in submission order (each shard is a FIFO mailbox), but
@@ -372,46 +236,40 @@ impl ShardSubmitter {
         self.senders.len()
     }
 
-    /// The shard that executes `command`, or `None` for broadcast
-    /// commands (`AddJoin`, `Stats`) that every shard must see.
-    pub fn route(&self, command: &Command) -> Option<usize> {
-        match command {
-            Command::Get(key) | Command::Put(key, _) | Command::Remove(key) => {
-                Some(self.home_shard(key))
-            }
-            Command::Scan(range) | Command::Count(range) => Some(self.home_shard(&range.first)),
-            Command::AddJoin(_) | Command::Stats => None,
-        }
+    /// A run planner over these shards, for [`submit`](Self::submit).
+    pub fn fanout(&self) -> Fanout {
+        Fanout::new(self.shards(), "shard")
     }
 
-    fn home_shard(&self, key: &Key) -> usize {
-        self.partition.home_of(key).0 as usize % self.senders.len()
+    /// The shard that executes `command`: its key's home. Joins and
+    /// stats go to all.
+    fn route(&self, command: &Command) -> Route {
+        let key = match command {
+            Command::Get(key) | Command::Put(key, _) | Command::Remove(key) => key,
+            Command::Scan(range) | Command::Count(range) => &range.first,
+            Command::AddJoin(_) | Command::Stats => return Route::All,
+        };
+        Route::One(self.partition.home_of(key).0 as usize % self.senders.len())
     }
 
-    /// Enqueues a run of commands on one shard. Exactly one
-    /// `(id, Response)` per item arrives on `reply`, in any order.
+    /// Plans one same-class run with `fanout` (one of this submitter's,
+    /// [`fanout`](Self::fanout)) and enqueues each shard's share as one
+    /// mailbox message. Every reply the returned run expects reaches
+    /// `sink`, on the shard threads, in any order.
     pub fn submit(
         &self,
-        shard: usize,
-        items: Vec<(u64, Command)>,
-        reply: &Sender<(u64, Response)>,
-    ) {
-        if items.is_empty() {
-            return;
+        fanout: &mut Fanout,
+        commands: Vec<Command>,
+        sink: &ReplySink,
+    ) -> PendingRun {
+        let (run, sends) = fanout.plan(commands, |command| self.route(command));
+        for (tx, items) in self.senders.iter().zip(sends) {
+            if !items.is_empty() {
+                let reply = sink.clone();
+                let _ = tx.send(ShardMsg::Run { items, reply });
+            }
         }
-        let _ = self.senders[shard % self.senders.len()].send(ShardMsg::Run {
-            items,
-            reply: reply.clone(),
-        });
-    }
-
-    /// Enqueues a broadcast command on every shard under one id;
-    /// [`shards`](Self::shards) replies arrive on `reply`. Fold them
-    /// with [`fold_join_replies`] / [`fold_stats_replies`].
-    pub fn broadcast(&self, id: u64, command: Command, reply: &Sender<(u64, Response)>) {
-        for shard in 0..self.shards() {
-            self.submit(shard, vec![(id, command.clone())], reply);
-        }
+        run
     }
 }
 
@@ -542,13 +400,14 @@ impl ShardedEngine {
                 }
             }
         }
+        let shards = ShardSubmitter {
+            senders: Arc::new(senders),
+            partition,
+        };
         Ok(ShardedEngine {
             handle: ShardedHandle {
-                shards: ShardSubmitter {
-                    senders: Arc::new(senders),
-                    partition,
-                },
-                next_id: 1,
+                fanout: shards.fanout(),
+                shards,
             },
             threads,
             recorders: Vec::new(),
@@ -641,9 +500,11 @@ impl ShardedEngine {
     /// A new independent client handle; handles are cheap to clone and
     /// may be driven from different threads concurrently.
     pub fn client_handle(&self) -> ShardedHandle {
-        let mut h = self.handle.clone();
-        h.next_id = 1;
-        h
+        let shards = self.handle.shards.clone();
+        ShardedHandle {
+            fanout: shards.fanout(),
+            shards,
+        }
     }
 
     /// A non-blocking [`ShardSubmitter`] over this engine's shard
@@ -688,7 +549,7 @@ impl Drop for ShardedEngine {
 mod tests {
     use super::*;
     use crate::partition::{ComponentHashPartition, TablePartition};
-    use pequod_store::{KeyRange, Value};
+    use pequod_store::{Key, KeyRange, Value};
 
     const TIMELINE: &str =
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";

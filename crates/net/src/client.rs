@@ -1,53 +1,34 @@
 //! The cluster-facing implementation of the unified client API.
 //!
 //! [`ClusterClient`] fronts a [`SimCluster`]: each
-//! [`Client::execute_batch`] call is routed through the deployment's
-//! [`Partition`] function, grouped into **one pipelined [`Message::Batch`]
-//! frame per destination server**, delivered in a single network
-//! round-trip, and matched back to commands by request id. This is the
-//! paper's client library shape: writes go to each base key's home
-//! server, reads for computed data go wherever client routing places
-//! them (e.g. Twip sends all of user *u*'s timeline checks to server
-//! *S(u)*), and independent requests share frames instead of paying a
-//! round-trip each.
+//! [`Client::execute_batch`] call is planned by the run planner every
+//! multi-engine backend shares ([`pequod_core::fanout`]), each command
+//! routed through the deployment's [`Partition`] function, grouped into
+//! **one pipelined [`Message::Batch`] frame per destination server**,
+//! delivered in a single network round-trip, and matched back to its
+//! command by request id. This is the paper's client library shape:
+//! writes go to each base key's home server, reads for computed data go
+//! wherever client routing places them (e.g. Twip sends all of user
+//! *u*'s timeline checks to server *S(u)*), and independent requests
+//! share frames instead of paying a round-trip each.
 
 use crate::message::Message;
 use crate::partition::{Partition, ServerId};
 use crate::sim::SimCluster;
-use pequod_core::{fold_join_replies, split_runs, BackendStats, Client, Command, Response};
-use pequod_store::{Key, Value};
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use pequod_core::{split_runs, BackendStats, Client, Command, Fanout, Response, Route};
+use pequod_store::Key;
 use std::sync::Arc;
 
 /// The client id under which batch traffic is injected (distinct from
 /// the simulator's synchronous convenience API, which uses client 0).
 const BATCH_CLIENT: u32 = 0xc11e;
 
-/// What a wire reply should be decoded into.
-#[derive(Clone, Copy)]
-enum WireKind {
-    Get,
-    Scan,
-    Count,
-    Write,
-    /// A broadcast join installation: one reply expected per server.
-    AddJoin,
-}
-
-/// One command's pending answer: either a wire reply to await or a
-/// locally computed response.
-enum Slot {
-    Wire { id: u64, kind: WireKind },
-    Local(Response),
-}
-
 /// A batched client for a partitioned (simulated) Pequod cluster.
 pub struct ClusterClient {
     cluster: SimCluster,
     partition: Arc<dyn Partition>,
     read_router: Option<Arc<dyn Partition>>,
-    next_id: u64,
+    fanout: Fanout,
 }
 
 impl ClusterClient {
@@ -57,10 +38,10 @@ impl ClusterClient {
     /// routed the same way.
     pub fn new(cluster: SimCluster, partition: Arc<dyn Partition>) -> ClusterClient {
         ClusterClient {
+            fanout: Fanout::new(cluster.len(), "cluster"),
             cluster,
             partition,
             read_router: None,
-            next_id: 1,
         }
     }
 
@@ -81,29 +62,70 @@ impl ClusterClient {
     pub fn cluster_mut(&mut self) -> &mut SimCluster {
         &mut self.cluster
     }
+
+    /// Executes one same-class run: per-destination pipelined frames,
+    /// one network round to quiescence, replies matched by id.
+    fn execute_run(&mut self, commands: Vec<Command>) -> Vec<Response> {
+        // What each command asked, to read its wire reply as the answer.
+        let asked = commands.clone();
+        let ClusterClient {
+            cluster,
+            partition,
+            read_router,
+            fanout,
+        } = self;
+        let home = |key: &Key| partition.home_of(key).0 as usize;
+        let read_home = |key: &Key| match &*read_router {
+            Some(r) => r.home_of(key).0 as usize,
+            None => home(key),
+        };
+        let (mut run, sends) = fanout.plan(commands, |command| match command {
+            Command::Get(key) => Route::One(read_home(key)),
+            Command::Scan(range) | Command::Count(range) => Route::One(read_home(&range.first)),
+            Command::Put(key, _) | Command::Remove(key) => Route::One(home(key)),
+            // Joins are installed on every server.
+            Command::AddJoin(_) => Route::All,
+            Command::Stats => Route::Answered(Response::Stats(local_stats(cluster))),
+        });
+
+        // One pipelined frame per destination, then run the network to
+        // quiescence so parked queries (remote fetches) resolve.
+        for (server, requests) in sends.into_iter().enumerate() {
+            let mut msgs: Vec<Message> = (requests.into_iter())
+                .filter_map(|(id, command)| Message::request(id, command))
+                .collect();
+            let frame = if msgs.len() > 1 {
+                Message::Batch { msgs }
+            } else if let Some(msg) = msgs.pop() {
+                msg
+            } else {
+                continue; // nothing for this destination
+            };
+            cluster.request(BATCH_CLIENT, ServerId(server as u32), frame);
+        }
+        cluster.run_until_quiet();
+
+        // Replies addressed to other client ids (e.g. the simulator's
+        // synchronous API) stay queued for their owners.
+        for reply in cluster.take_replies_for(BATCH_CLIENT) {
+            let Some(slot) = reply.id().and_then(|id| run.slot_of(id)) else {
+                continue;
+            };
+            if let Some((id, response)) = reply.into_response(&asked[slot]) {
+                run.absorb(id, response);
+            }
+        }
+        run.finish()
+    }
 }
 
-impl ClusterClient {
-    fn fresh_id(&mut self) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+/// Every server's counters, summed.
+fn local_stats(cluster: &SimCluster) -> BackendStats {
+    let mut stats = BackendStats::default();
+    for i in 0..cluster.len() {
+        stats += cluster.node(ServerId(i as u32)).engine.backend_stats();
     }
-
-    fn read_home(&self, key: &Key) -> ServerId {
-        match &self.read_router {
-            Some(r) => r.home_of(key),
-            None => self.partition.home_of(key),
-        }
-    }
-
-    fn local_stats(&self) -> BackendStats {
-        let mut stats = BackendStats::default();
-        for i in 0..self.cluster.len() {
-            stats += self.cluster.node(ServerId(i as u32)).engine.backend_stats();
-        }
-        stats
-    }
+    stats
 }
 
 impl Client for ClusterClient {
@@ -120,108 +142,6 @@ impl Client for ClusterClient {
             .into_iter()
             .flat_map(|run| self.execute_run(run))
             .collect()
-    }
-}
-
-impl ClusterClient {
-    /// Executes one same-class run: per-destination pipelined frames,
-    /// one network round to quiescence, replies matched by id.
-    fn execute_run(&mut self, commands: Vec<Command>) -> Vec<Response> {
-        let servers = self.cluster.len();
-        let mut batches: BTreeMap<ServerId, Vec<Message>> = BTreeMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(commands.len());
-        for command in commands {
-            let (kind, home) = match &command {
-                Command::Get(key) => (WireKind::Get, Some(self.read_home(key))),
-                Command::Scan(range) => (WireKind::Scan, Some(self.read_home(&range.first))),
-                Command::Count(range) => (WireKind::Count, Some(self.read_home(&range.first))),
-                Command::Put(key, _) | Command::Remove(key) => {
-                    (WireKind::Write, Some(self.partition.home_of(key)))
-                }
-                // Joins are installed on every server; all replies
-                // share one id and are collected together.
-                Command::AddJoin(_) => (WireKind::AddJoin, None),
-                Command::Stats => {
-                    slots.push(Slot::Local(Response::Stats(self.local_stats())));
-                    continue;
-                }
-            };
-            let id = self.fresh_id();
-            slots.push(Slot::Wire { id, kind });
-            match home {
-                Some(home) => {
-                    let request = Message::request(id, command);
-                    batches.entry(home).or_default().extend(request);
-                }
-                None => {
-                    for home in (0..servers as u32).map(ServerId) {
-                        let request = Message::request(id, command.clone());
-                        batches.entry(home).or_default().extend(request);
-                    }
-                }
-            }
-        }
-
-        // One pipelined frame per destination, then run the network to
-        // quiescence so parked queries (remote fetches) resolve.
-        for (server, mut msgs) in batches {
-            let frame = if msgs.len() > 1 {
-                Message::Batch { msgs }
-            } else if let Some(msg) = msgs.pop() {
-                msg
-            } else {
-                continue; // empty batch: nothing to send this destination
-            };
-            self.cluster.request(BATCH_CLIENT, server, frame);
-        }
-        self.cluster.run_until_quiet();
-
-        // Collect replies by id. Replies addressed to other client ids
-        // (e.g. the simulator's synchronous API) stay queued for their
-        // owners.
-        let mut by_id: HashMap<u64, Vec<ReplyParts>> = HashMap::new();
-        for msg in self.cluster.take_replies_for(BATCH_CLIENT) {
-            if let Message::Reply { id, pairs, error } = msg {
-                by_id.entry(id).or_default().push((pairs, error));
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Local(r) => r,
-                Slot::Wire { id, kind } => {
-                    let mut replies: Vec<Response> = (by_id.remove(&id).unwrap_or_default())
-                        .into_iter()
-                        .map(|reply| decode_reply(kind, reply))
-                        .collect();
-                    match kind {
-                        WireKind::AddJoin => fold_join_replies(replies, servers),
-                        _ => (replies.pop())
-                            .unwrap_or_else(|| Response::Error("no reply from cluster".into())),
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-/// The (pairs, error) payload of one `Message::Reply`.
-type ReplyParts = (Vec<(Key, Value)>, Option<String>);
-
-/// Decodes the payload of one `Message::Reply` as the answer to a
-/// request of the given kind.
-fn decode_reply(kind: WireKind, (pairs, error): ReplyParts) -> Response {
-    if let Some(e) = error {
-        return Response::Error(e);
-    }
-    match kind {
-        WireKind::Get => Response::Value(pairs.into_iter().next().map(|(_, v)| v)),
-        WireKind::Scan => Response::Pairs(pairs),
-        WireKind::Count => match Message::parse_count(&pairs) {
-            Some(n) => Response::Count(n),
-            None => Response::Error("malformed count reply".into()),
-        },
-        WireKind::Write | WireKind::AddJoin => Response::Ok,
     }
 }
 

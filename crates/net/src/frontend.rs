@@ -19,14 +19,18 @@
 //!   and shutdown can reach the engine through
 //!   [`FrontendServer::engine`].
 //! * **Sharded engine** — on the owning shard's thread. The dispatcher
-//!   routes commands straight onto the engine's per-shard submission
-//!   queues through one shared [`ShardSubmitter`]. Batch frames are
-//!   split into same-class runs exactly like
-//!   [`ShardedHandle::execute_batch`](pequod_core::ShardedHandle) — a
-//!   run's replies must all arrive before the next run is submitted, so
-//!   read-your-writes holds within a frame and answers are
-//!   byte-identical to the single engine's. Shard replies come back
-//!   through the dispatcher's `deliver` hook.
+//!   hosts the run planner [`ShardedHandle`](pequod_core::ShardedHandle)
+//!   hosts too ([`pequod_core::fanout`]): a frame's commands split into
+//!   same-class runs, and each run goes onto the engine's per-shard
+//!   queues through one shared [`ShardSubmitter`]. A run's replies must
+//!   all arrive before the next run is submitted, so read-your-writes
+//!   holds within a frame and answers are byte-identical to the single
+//!   engine's. What stays here is the wire: the key a `Get` reply
+//!   echoes, the error for a request that is not client traffic, and
+//!   the encoding. The shards answer through a [`ReplySink`] that
+//!   appends to the dispatcher's reply queue and rings the reactor's
+//!   [`Waker`] when the queue stops being empty; `deliver` drains it.
+//!   No thread sits between the shards and the reactor.
 //!
 //! Per connection, frames are answered strictly in arrival order; see
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
@@ -36,7 +40,8 @@ use crate::codec::{encode_frame_into, ReplyFrame};
 use crate::message::Message;
 use crate::reactor::{Conns, Dispatch, Reactor, ReactorConfig, Signals, Waker};
 use pequod_core::{
-    fold_join_replies, split_runs, Command, Engine, Response, ShardSubmitter, ShardedEngine,
+    split_runs, Command, Engine, Fanout, PendingRun, ReplySink, Response, ShardSubmitter,
+    ShardedEngine,
 };
 use pequod_store::{Key, KeyRange};
 use pequod_telemetry::{process_rss_bytes, Recorder, Snapshot, SnapshotFn};
@@ -45,7 +50,6 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -276,153 +280,103 @@ impl Dispatch for SingleDispatch {
     }
 }
 
-/// One sub-request of a frame on the sharded backend.
-struct SlotState {
-    wire_id: u64,
-    /// The key a `Get` reply echoes.
+/// One request of a frame on the sharded backend, in wire order: its
+/// id and the key a `Get` reply echoes, then its encoded reply.
+struct WireSlot {
+    id: u64,
     key: Option<Key>,
-    /// Replies expected for its submission: one, or one per shard for a
-    /// broadcast join install.
-    expect: usize,
-    acc: Vec<Response>,
     reply: Option<Message>,
 }
 
-/// One in-progress frame on the sharded backend: slots in wire order,
-/// remaining same-class runs (slot index and command), and the count of
-/// unresolved submissions in the current run.
+/// A finished frame's replies, in wire order: every command's slot was
+/// answered when its run finished.
+fn frame_replies(slots: Vec<WireSlot>) -> impl Iterator<Item = Message> {
+    slots.into_iter().filter_map(|s| s.reply)
+}
+
+/// One in-progress frame on the sharded backend: its requests in wire
+/// order, the run at the shards with the slot of each of its commands,
+/// and the runs still to submit.
 struct Job {
-    token: u64,
-    slots: Vec<SlotState>,
+    slots: Vec<WireSlot>,
+    live: Vec<usize>,
+    run: PendingRun,
     runs: VecDeque<Vec<(usize, Command)>>,
-    outstanding: usize,
-    /// Submission ids of the current run, for cleanup on disconnect.
-    live_ids: Vec<u64>,
 }
 
-/// Submits `run`'s commands onto the per-shard queues. Returns how many
-/// submissions were made.
-fn submit_run(
-    submitter: &ShardSubmitter,
-    reply_tx: &Sender<(u64, Response)>,
-    id_map: &mut HashMap<u64, (u64, usize)>,
-    next_id: &mut u64,
-    job: &mut Job,
-    run: Vec<(usize, Command)>,
-) -> usize {
-    let shards = submitter.shards();
-    let mut per_shard: Vec<Vec<(u64, Command)>> = vec![Vec::new(); shards];
-    let mut submitted = 0usize;
-    job.live_ids.clear();
-    for (si, cmd) in run {
-        let slot = &mut job.slots[si];
-        let sid = *next_id;
-        *next_id += 1;
-        id_map.insert(sid, (job.token, si));
-        job.live_ids.push(sid);
-        match submitter.route(&cmd) {
-            Some(shard) => {
-                slot.expect = 1;
-                per_shard[shard].push((sid, cmd));
-            }
-            None => {
-                slot.expect = shards;
-                submitter.broadcast(sid, cmd, reply_tx);
-            }
-        }
-        submitted += 1;
-    }
-    for (shard, items) in per_shard.into_iter().enumerate() {
-        submitter.submit(shard, items, reply_tx);
-    }
-    job.outstanding += submitted;
-    submitted
-}
-
-/// Shard replies the collector thread has moved off the submission
-/// channel, waiting for the dispatcher's next `deliver`.
-type ShardReplies = Arc<Mutex<Vec<(u64, Response)>>>;
+/// Shard replies waiting for the dispatcher's next `deliver`.
+type ReplyQueue = Arc<Mutex<Vec<(u64, Response)>>>;
 
 /// Sharded dispatch: the run-at-a-time state machine over the engine's
 /// per-shard submission queues. All calls happen on the reactor thread;
-/// shard replies are picked up in `deliver`.
+/// the shards answer through `sink` into `replies`, where `deliver`
+/// picks the answers up.
 struct ShardedDispatch {
     submitter: ShardSubmitter,
-    reply_tx: Sender<(u64, Response)>,
-    replies: ShardReplies,
+    fanout: Fanout,
+    sink: ReplySink,
+    replies: ReplyQueue,
     /// Answers [`Message::Metrics`] without touching the shard queues.
     provider: SnapshotFn,
     /// Connection token → its one in-progress frame (the reactor
     /// dispatches at most one frame per connection at a time).
     jobs: HashMap<u64, Job>,
-    /// Submission id → (token, slot index).
-    id_map: HashMap<u64, (u64, usize)>,
-    next_id: u64,
+    /// Id of each command at the shards → its connection's token.
+    owners: HashMap<u64, u64>,
 }
 
 impl ShardedDispatch {
-    /// Collects a finished job's replies in wire order.
-    fn finish(job: Job) -> Vec<Message> {
-        job.slots
-            .into_iter()
-            .map(|s| {
-                s.reply
-                    .unwrap_or_else(|| Message::error(s.wire_id, "no reply from shard"))
-            })
-            .collect()
+    /// Submits run `next` (each command with its slot) of connection
+    /// `token`'s frame and files the frame as in flight.
+    fn submit(
+        &mut self,
+        token: u64,
+        slots: Vec<WireSlot>,
+        next: Vec<(usize, Command)>,
+        runs: VecDeque<Vec<(usize, Command)>>,
+    ) {
+        let (live, commands): (Vec<usize>, Vec<Command>) = next.into_iter().unzip();
+        let run = self
+            .submitter
+            .submit(&mut self.fanout, commands, &self.sink);
+        self.owners.extend(run.ids().map(|id| (id, token)));
+        let job = Job {
+            slots,
+            live,
+            run,
+            runs,
+        };
+        self.jobs.insert(token, job);
     }
 
     /// Feeds one shard reply back in; returns a completed frame when
     /// this reply was the last one it waited on.
-    fn absorb(&mut self, id: u64, resp: Response) -> Option<(u64, Vec<Message>)> {
-        let Some(&(token, si)) = self.id_map.get(&id) else {
-            return None; // reply for a disconnected client
+    fn absorb(&mut self, id: u64, response: Response) -> Option<(u64, Vec<Message>)> {
+        let token = *self.owners.get(&id)?; // `None`: a closed connection's
+        if !self.jobs.get_mut(&token)?.run.absorb(id, response) {
+            return None;
+        }
+        // The run is complete: format its answers with the single
+        // engine's formatter so they are byte-identical, then submit
+        // the next run, if any.
+        let Job {
+            mut slots,
+            live,
+            run,
+            mut runs,
+        } = self.jobs.remove(&token)?;
+        for id in run.ids() {
+            self.owners.remove(&id);
+        }
+        for (si, response) in live.into_iter().zip(run.finish()) {
+            let slot = &mut slots[si];
+            slot.reply = Some(Message::from_response(slot.id, slot.key.take(), response));
+        }
+        let Some(next) = runs.pop_front() else {
+            return Some((token, frame_replies(slots).collect()));
         };
-        let Some(job) = self.jobs.get_mut(&token) else {
-            self.id_map.remove(&id);
-            return None;
-        };
-        {
-            let slot = &mut job.slots[si];
-            slot.acc.push(resp);
-            if slot.acc.len() < slot.expect {
-                return None;
-            }
-            // Slot resolved: fold, then format with the single engine's
-            // formatter so answers are byte-identical.
-            let mut acc = std::mem::take(&mut slot.acc);
-            let folded = if slot.expect > 1 {
-                fold_join_replies(acc, slot.expect)
-            } else {
-                (acc.pop()).unwrap_or_else(|| Response::Error("no reply from shard".into()))
-            };
-            slot.reply = Some(Message::from_response(
-                slot.wire_id,
-                slot.key.take(),
-                folded,
-            ));
-        }
-        self.id_map.remove(&id);
-        job.outstanding -= 1;
-        if job.outstanding > 0 {
-            return None;
-        }
-        // Current run complete: submit the next one, if any.
-        if let Some(run) = job.runs.pop_front() {
-            submit_run(
-                &self.submitter,
-                &self.reply_tx,
-                &mut self.id_map,
-                &mut self.next_id,
-                job,
-                run,
-            );
-        }
-        if job.outstanding > 0 {
-            return None;
-        }
-        let job = self.jobs.remove(&token)?;
-        Some((token, Self::finish(job)))
+        self.submit(token, slots, next, runs);
+        None
     }
 }
 
@@ -437,65 +391,46 @@ impl Dispatch for ShardedDispatch {
         }
         let mut msgs = Vec::new();
         flatten(msg, &mut msgs);
-        let mut job = Job {
-            token,
-            slots: Vec::with_capacity(msgs.len()),
-            runs: VecDeque::new(),
-            outstanding: 0,
-            live_ids: Vec::new(),
-        };
         // Slots in wire order; the commands among them split into
         // same-class runs, as every multi-engine backend splits them.
+        let mut slots = Vec::with_capacity(msgs.len());
         let mut commands: Vec<(usize, Command)> = Vec::new();
         for m in msgs {
             let key = match &m {
                 Message::Get { key, .. } => Some(key.clone()),
                 _ => None,
             };
-            let (wire_id, reply) = match m.into_request() {
-                Ok((id, cmd)) => {
-                    commands.push((job.slots.len(), cmd));
+            let (id, reply) = match m.into_request() {
+                Ok((id, command)) => {
+                    commands.push((slots.len(), command));
                     (id, None)
                 }
                 // Server-to-server traffic is not accepted on the
                 // client port (same answer as the single engine).
-                Err(other) => {
-                    let error = Message::error(other.id().unwrap_or(0), UNSUPPORTED);
-                    (0, Some(error))
-                }
+                Err(other) => (
+                    0,
+                    Some(Message::error(other.id().unwrap_or(0), UNSUPPORTED)),
+                ),
             };
-            job.slots.push(SlotState {
-                wire_id,
-                key,
-                expect: 0,
-                acc: Vec::new(),
-                reply,
-            });
+            slots.push(WireSlot { id, key, reply });
         }
-        job.runs = split_runs(commands, |(_, cmd)| cmd).into();
-        if let Some(run) = job.runs.pop_front() {
-            submit_run(
-                &self.submitter,
-                &self.reply_tx,
-                &mut self.id_map,
-                &mut self.next_id,
-                &mut job,
-                run,
-            );
-        }
-        if job.outstanding == 0 {
-            let replies = Self::finish(job);
-            replies.iter().for_each(|r| encode_frame_into(r, out));
-            return Some(replies.len());
-        }
-        self.jobs.insert(token, job);
+        let mut runs: VecDeque<_> = split_runs(commands, |(_, c)| c).into();
+        let Some(first) = runs.pop_front() else {
+            let mut n = 0;
+            for reply in frame_replies(slots) {
+                encode_frame_into(&reply, out);
+                n += 1;
+            }
+            return Some(n);
+        };
+        self.submit(token, slots, first, runs);
         None
     }
 
     fn deliver(&mut self, conns: &mut Conns) {
         let replies = std::mem::take(&mut *self.replies.lock().unwrap_or_else(|p| p.into_inner()));
-        for (id, resp) in replies {
-            if let Some((token, frames)) = self.absorb(id, resp) {
+        for (id, response) in replies {
+            if let Some((token, frames)) = self.absorb(id, response) {
                 for frame in &frames {
                     conns.send(token, frame);
                 }
@@ -506,25 +441,10 @@ impl Dispatch for ShardedDispatch {
 
     fn forget(&mut self, token: u64) {
         if let Some(job) = self.jobs.remove(&token) {
-            for sid in job.live_ids {
-                self.id_map.remove(&sid);
+            for id in job.run.ids() {
+                self.owners.remove(&id);
             }
         }
-    }
-}
-
-/// Forwards shard replies from the submission channel to where the
-/// dispatcher's `deliver` picks them up, batching opportunistically so
-/// one wakeup byte covers a burst.
-fn collector_loop(rx: Receiver<(u64, Response)>, replies: ShardReplies, waker: Waker) {
-    // recv() errs once every sender is dropped: shutdown.
-    while let Ok(first) = rx.recv() {
-        {
-            let mut queue = replies.lock().unwrap_or_else(|p| p.into_inner());
-            queue.push(first);
-            queue.extend(rx.try_iter());
-        }
-        waker.wake();
     }
 }
 
@@ -538,9 +458,10 @@ fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
     }
 }
 
-/// A running event-driven server: the reactor thread, the ticker, the
-/// shard-reply collector when sharded, and a deterministic
-/// [`shutdown`](FrontendServer::shutdown).
+/// A running event-driven server: the reactor thread, the ticker, and a
+/// deterministic [`shutdown`](FrontendServer::shutdown). Those two are
+/// its only threads, whatever the backend (a sharded engine's shard
+/// threads belong to the engine).
 ///
 /// ```no_run
 /// use pequod_core::{Engine, EngineConfig};
@@ -563,7 +484,6 @@ pub struct FrontendServer {
     waker: Waker,
     stats: Arc<FrontendStats>,
     reactor_thread: Option<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
     ticker: Option<JoinHandle<()>>,
 }
 
@@ -608,26 +528,32 @@ impl FrontendServer {
             Arc::new(move |flight| sharded.telemetry_snapshot(flight))
         };
         let submitter = sharded.submitter();
-        let mut collector = None;
         let mut server = Self::spawn_dispatch(addr, cfg, recorder, snapshot, |provider, waker| {
-            let (tx, rx) = channel::<(u64, Response)>();
-            let replies = ShardReplies::default();
-            let collected = replies.clone();
-            collector = Some(std::thread::spawn(move || {
-                collector_loop(rx, collected, waker);
-            }));
+            let replies = ReplyQueue::default();
+            let queue = replies.clone();
+            // Runs on the shard threads. One wake-up byte per burst: the
+            // reactor's next `deliver` takes the whole queue.
+            let sink: ReplySink = Arc::new(move |id, response| {
+                let first = {
+                    let mut queue = queue.lock().unwrap_or_else(|p| p.into_inner());
+                    queue.push((id, response));
+                    queue.len() == 1
+                };
+                if first {
+                    waker.wake();
+                }
+            });
             Box::new(ShardedDispatch {
+                fanout: submitter.fanout(),
                 submitter,
-                reply_tx: tx,
+                sink,
                 replies,
                 provider,
                 jobs: HashMap::new(),
-                id_map: HashMap::new(),
-                next_id: 1,
+                owners: HashMap::new(),
             })
         })?;
         server.sharded = Some(sharded);
-        server.collector = collector;
         Ok(server)
     }
 
@@ -709,7 +635,6 @@ impl FrontendServer {
             waker,
             stats,
             reactor_thread,
-            collector: None,
             ticker,
         })
     }
@@ -759,11 +684,6 @@ impl FrontendServer {
         self.signals.stop.store(true, Ordering::Relaxed);
         self.waker.wake();
         let _ = reactor.join();
-        // The reactor dropped its dispatcher, which closes the shard
-        // reply channel, so the collector's join terminates.
-        if let Some(c) = self.collector.take() {
-            let _ = c.join();
-        }
         if let Some(t) = self.ticker.take() {
             let _ = t.join();
         }

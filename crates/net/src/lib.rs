@@ -26,14 +26,20 @@
 //!   byte accounting, a deployment-wide invariant audit).
 //! * [`ClusterClient`] — the unified `pequod_core::Client` surface over
 //!   a cluster: commands are routed by the partition function and
-//!   pipelined as one batched frame per destination server.
+//!   pipelined as one batched frame per destination server. Runs, ids,
+//!   routing and the fold of the replies are `pequod_core::fanout`'s,
+//!   the planner `pequod_core::ShardedHandle` and the sharded frontend
+//!   host too; this crate adds only the wire (`Message::request` out,
+//!   `Message::into_response` back).
 //! * [`FrontendServer`] / [`TcpClient`] — the real socket transport:
 //!   the tree's one serving loop (one epoll thread; TCP plus an
 //!   optional unix-domain socket) and a blocking client. Whatever
 //!   answers the frames is a [`Dispatch`] hosted on that thread: one
 //!   single-threaded engine executed right there, a multi-core
 //!   [`pequod_core::ShardedEngine`]
-//!   ([`FrontendServer::spawn_sharded`]), or — through
+//!   ([`FrontendServer::spawn_sharded`], whose shards answer straight
+//!   into the dispatcher's reply queue and wake the reactor — a server
+//!   runs the reactor and the ticker and no other thread), or — through
 //!   [`FrontendServer::spawn_dispatch`] — any other `handle(from, msg)
 //!   → out` state machine, which is how `pequod_cluster` serves a
 //!   replicated node (client connections and node-to-node links alike).

@@ -6,7 +6,7 @@
 //! installs a subscription at its home server, and the home server
 //! forwards subsequent updates.
 
-use pequod_core::{Command, Response};
+use pequod_core::{BackendStats, Command, Response};
 use pequod_store::{Key, KeyRange, UpperBound, Value};
 
 /// A wire message.
@@ -331,6 +331,27 @@ impl Message {
             Response::Ok | Response::Stats(_) => Message::reply(id, vec![]),
             Response::Error(e) => Message::error(id, e),
         }
+    }
+
+    /// The inverse of [`Message::from_response`]: the request id and
+    /// the [`Response`] a `Reply` carries, read as the answer to
+    /// `asked`; `None` if this is not a `Reply`.
+    pub fn into_response(self, asked: &Command) -> Option<(u64, Response)> {
+        let Message::Reply { id, pairs, error } = self else {
+            return None;
+        };
+        let response = match (error, asked) {
+            (Some(e), _) => Response::Error(e),
+            (None, Command::Get(_)) => Response::Value(pairs.into_iter().next().map(|(_, v)| v)),
+            (None, Command::Scan(_)) => Response::Pairs(pairs),
+            (None, Command::Count(_)) => match Message::parse_count(&pairs) {
+                Some(n) => Response::Count(n),
+                None => Response::Error("malformed count reply".into()),
+            },
+            (None, Command::Put(..) | Command::Remove(_) | Command::AddJoin(_)) => Response::Ok,
+            (None, Command::Stats) => Response::Stats(BackendStats::default()),
+        };
+        Some((id, response))
     }
 
     /// A successful reply.

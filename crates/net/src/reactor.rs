@@ -309,6 +309,13 @@ impl Waker {
 /// releases it before returning: the reactor does socket I/O only
 /// between calls.
 ///
+/// Answers produced on other threads need no thread of the
+/// dispatcher's own to bring them over: the producer leaves them where
+/// [`deliver`](Dispatch::deliver) looks and rings the [`Waker`] passed
+/// to [`FrontendServer::spawn_dispatch`]'s `build`. The sharded
+/// backend's shards do exactly that through a reply sink that appends to
+/// the dispatcher's queue and rings once per empty-to-non-empty change.
+///
 /// [`FrontendServer::spawn_dispatch`]: crate::frontend::FrontendServer::spawn_dispatch
 pub trait Dispatch: Send {
     /// Begins executing one frame from connection `token`; `out` is that

@@ -88,25 +88,31 @@ pub struct FaultStats {
     pub delivered: u64,
 }
 
-#[derive(PartialEq, Eq)]
-struct NetEnvelope {
-    at: u64,
-    seq: u64,
-    from: u32,
-    to: u32,
-}
+/// xorshift64*: both simulators' seeded randomness.
+struct Rng(u64);
 
-impl Ord for NetEnvelope {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    /// True with probability `p`.
+    fn chance(&mut self, p: f64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        ((self.next() >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 }
 
-impl PartialOrd for NetEnvelope {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// In-flight messages in delivery order: (arrival time, send sequence)
+/// keys a min-heap, the sequence number keys the payload.
+type Queue = BinaryHeap<Reverse<(u64, u64)>>;
 
 /// A deterministic point-to-point message fabric with fault injection.
 ///
@@ -122,10 +128,10 @@ impl PartialOrd for NetEnvelope {
 /// `now`, `take_due(now)` returns everything that has arrived by `now`
 /// in deterministic (arrival, send-sequence) order.
 pub struct SimNet {
-    queue: BinaryHeap<Reverse<NetEnvelope>>,
-    payloads: std::collections::HashMap<u64, Message>,
+    queue: Queue,
+    payloads: std::collections::HashMap<u64, (u32, u32, Message)>,
     seq: u64,
-    rng: u64,
+    rng: Rng,
     latency: u64,
     default_faults: LinkFaults,
     faults: std::collections::HashMap<(u32, u32), LinkFaults>,
@@ -141,7 +147,7 @@ impl SimNet {
             queue: BinaryHeap::new(),
             payloads: std::collections::HashMap::new(),
             seq: 0,
-            rng: seed | 1,
+            rng: Rng(seed | 1),
             latency,
             default_faults: LinkFaults::default(),
             faults: std::collections::HashMap::new(),
@@ -171,32 +177,10 @@ impl SimNet {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64* (same generator as SimCluster).
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        ((self.next_rand() >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
-
     fn enqueue(&mut self, at: u64, from: u32, to: u32, msg: Message) {
         self.seq += 1;
-        self.payloads.insert(self.seq, msg);
-        self.queue.push(Reverse(NetEnvelope {
-            at,
-            seq: self.seq,
-            from,
-            to,
-        }));
+        self.payloads.insert(self.seq, (from, to, msg));
+        self.queue.push(Reverse((at, self.seq)));
     }
 
     /// Sends a message departing at `now`; it arrives `latency` ticks
@@ -207,16 +191,16 @@ impl SimNet {
             return;
         }
         let faults = *self.faults.get(&(from, to)).unwrap_or(&self.default_faults);
-        if self.chance(faults.drop_chance) {
+        if self.rng.chance(faults.drop_chance) {
             self.stats.dropped += 1;
             return;
         }
         let mut at = now + self.latency;
-        if self.chance(faults.reorder_chance) {
+        if self.rng.chance(faults.reorder_chance) {
             self.stats.reordered += 1;
-            at += 1 + self.next_rand() % faults.reorder_delay.max(1);
+            at += 1 + self.rng.next() % faults.reorder_delay.max(1);
         }
-        if self.chance(faults.dup_chance) {
+        if self.rng.chance(faults.dup_chance) {
             self.stats.duplicated += 1;
             self.enqueue(at, from, to, msg.clone());
         }
@@ -225,7 +209,7 @@ impl SimNet {
 
     /// Arrival time of the earliest in-flight message, if any.
     pub fn next_at(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse(e)| e.at)
+        self.queue.peek().map(|Reverse((at, _))| *at)
     }
 
     /// True when nothing is in flight.
@@ -238,22 +222,20 @@ impl SimNet {
     /// delivery time (they were in flight when it went down).
     pub fn take_due(&mut self, now: u64) -> Vec<(u32, u32, Message)> {
         let mut out = Vec::new();
-        while let Some(Reverse(env)) = self.queue.peek() {
-            if env.at > now {
+        while let Some(&Reverse((at, seq))) = self.queue.peek() {
+            if at > now {
                 break;
             }
-            let Some(Reverse(env)) = self.queue.pop() else {
-                break;
-            };
-            let Some(msg) = self.payloads.remove(&env.seq) else {
+            self.queue.pop();
+            let Some((from, to, msg)) = self.payloads.remove(&seq) else {
                 continue;
             };
-            if self.down.contains(&env.to) || self.down.contains(&env.from) {
+            if self.down.contains(&to) || self.down.contains(&from) {
                 self.stats.dropped += 1;
                 continue;
             }
             self.stats.delivered += 1;
-            out.push((env.from, env.to, msg));
+            out.push((from, to, msg));
         }
         out
     }
@@ -271,37 +253,20 @@ pub struct TrafficStats {
     pub delivered: u64,
 }
 
-#[derive(PartialEq, Eq)]
-struct Envelope {
-    at: u64,
-    seq: u64,
-    from: Endpoint,
-    to: Endpoint,
-}
-
-impl Ord for Envelope {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Envelope {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// The request id of the synchronous convenience API's requests.
+const SYNC_ID: u64 = u64::MAX;
 
 /// The simulated cluster: servers plus a virtual network.
 pub struct SimCluster {
     nodes: Vec<ServerNode>,
-    queue: BinaryHeap<Reverse<Envelope>>,
-    payloads: std::collections::HashMap<u64, Message>,
+    queue: Queue,
+    payloads: std::collections::HashMap<u64, (Endpoint, Endpoint, Message)>,
     replies: Vec<(u32, Message)>,
     /// What the node being stepped sends, before it goes on the wire.
     outbox: Vec<(Endpoint, pequod_core::NodeMsg)>,
     now: u64,
     seq: u64,
-    rng: u64,
+    rng: Rng,
     busy: Vec<std::time::Duration>,
     /// Simulator parameters.
     pub config: SimConfig,
@@ -327,7 +292,7 @@ impl SimCluster {
             outbox: Vec::new(),
             now: 0,
             seq: 0,
-            rng: config.seed | 1,
+            rng: Rng(config.seed | 1),
             busy,
             config,
             traffic: TrafficStats::default(),
@@ -379,23 +344,6 @@ impl SimCluster {
         pequod_core::node::audit_deployment(&audits)
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        ((self.next_rand() >> 11) as f64 / (1u64 << 53) as f64) < p
-    }
-
     fn send(&mut self, from: Endpoint, to: Endpoint, msg: Message) {
         let bytes = encode_frame(&msg).len() as u64;
         let is_sub = matches!(
@@ -411,17 +359,14 @@ impl SimCluster {
             self.traffic.client_bytes += bytes;
         }
         let mut delay = self.config.latency;
-        if matches!(msg, Message::Notify { .. }) && self.chance(self.config.notify_jitter_chance) {
+        if matches!(msg, Message::Notify { .. })
+            && self.rng.chance(self.config.notify_jitter_chance)
+        {
             delay += self.config.notify_jitter;
         }
         self.seq += 1;
-        self.payloads.insert(self.seq, msg);
-        self.queue.push(Reverse(Envelope {
-            at: self.now + delay,
-            seq: self.seq,
-            from,
-            to,
-        }));
+        self.payloads.insert(self.seq, (from, to, msg));
+        self.queue.push(Reverse((self.now + delay, self.seq)));
     }
 
     /// Injects a client request addressed to a server.
@@ -436,17 +381,17 @@ impl SimCluster {
     /// Delivers the next message; returns false when the network is
     /// quiet.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(env)) = self.queue.pop() else {
+        let Some(Reverse((at, seq))) = self.queue.pop() else {
             return false;
         };
-        self.now = self.now.max(env.at);
-        let Some(msg) = self.payloads.remove(&env.seq) else {
+        self.now = self.now.max(at);
+        let Some((from, to, msg)) = self.payloads.remove(&seq) else {
             // A queue entry without a payload would be a simulator bug;
             // skip the phantom envelope rather than crash mid-test.
             return true;
         };
         self.traffic.delivered += 1;
-        match env.to {
+        match to {
             // Client tokens enter through `request` as `u32`s.
             Endpoint::Client(c) => self.replies.push((c as u32, msg)),
             Endpoint::Server(sid) => {
@@ -459,7 +404,7 @@ impl SimCluster {
                 // real compute per server; simulated time stays in `now`.
                 let start = std::time::Instant::now();
                 let mut out = std::mem::take(&mut self.outbox);
-                deliver(node, env.from, msg, &mut out);
+                deliver(node, from, msg, &mut out);
                 self.busy[sid.0 as usize] += start.elapsed();
                 for (to, m) in out.drain(..) {
                     self.send(Endpoint::Server(sid), to, wire(m));
@@ -495,88 +440,62 @@ impl SimCluster {
         out
     }
 
-    // ------------------------------------------------------------------
-    // Synchronous convenience API (runs the network to quiescence)
-    // ------------------------------------------------------------------
+    // The synchronous convenience API: each call runs the network to
+    // quiescence.
 
     /// Synchronous scan against one server.
     pub fn scan(&mut self, server: ServerId, range: KeyRange) -> Vec<(Key, Value)> {
-        self.request(
-            0,
-            server,
-            Message::Scan {
-                id: u64::MAX,
-                range,
-            },
-        );
-        self.run_until_quiet();
-        self.expect_reply(u64::MAX)
+        self.call(server, Message::Scan { id: SYNC_ID, range })
     }
 
     /// Synchronous put against one server (typically the key's home).
     pub fn put(&mut self, server: ServerId, key: impl Into<Key>, value: impl Into<Value>) {
-        self.request(
-            0,
+        let (key, value) = (key.into(), value.into());
+        self.call(
             server,
             Message::Put {
-                id: u64::MAX,
-                key: key.into(),
-                value: value.into(),
+                id: SYNC_ID,
+                key,
+                value,
             },
         );
-        self.run_until_quiet();
-        self.expect_reply(u64::MAX);
     }
 
     /// Synchronous remove against one server.
     pub fn remove(&mut self, server: ServerId, key: impl Into<Key>) {
-        self.request(
-            0,
-            server,
-            Message::Remove {
-                id: u64::MAX,
-                key: key.into(),
-            },
-        );
-        self.run_until_quiet();
-        self.expect_reply(u64::MAX);
+        let key = key.into();
+        self.call(server, Message::Remove { id: SYNC_ID, key });
     }
 
     /// Installs joins on every server.
     pub fn add_joins_everywhere(&mut self, text: &str) {
         for i in 0..self.nodes.len() {
-            self.request(
-                0,
-                ServerId(i as u32),
-                Message::AddJoin {
-                    id: u64::MAX,
-                    text: text.to_string(),
-                },
-            );
-            self.run_until_quiet();
-            self.expect_reply(u64::MAX);
+            let text = text.to_string();
+            self.call(ServerId(i as u32), Message::AddJoin { id: SYNC_ID, text });
         }
     }
 
+    /// Sends `msg` as client 0, runs the network to quiescence and
+    /// returns the reply's pairs.
     #[allow(clippy::expect_used)] // see the audit allow below
-    fn expect_reply(&mut self, id: u64) -> Vec<(Key, Value)> {
+    fn call(&mut self, server: ServerId, msg: Message) -> Vec<(Key, Value)> {
+        self.request(0, server, msg);
+        self.run_until_quiet();
         let mut found = None;
         self.replies.retain(|(_, m)| {
             if let Message::Reply {
-                id: rid,
+                id: SYNC_ID,
                 pairs,
                 error,
             } = m
             {
-                if *rid == id {
-                    if let Some(e) = error {
-                        // audit: allow(no-unwrap) — the synchronous API is a
-                        // test harness convenience; errors abort the test.
-                        panic!("request failed: {e}");
-                    }
-                    found = Some(pairs.clone());
-                    return false;
+                if let Some(e) = error {
+                    // audit: allow(no-unwrap) — the synchronous API is a
+                    // test harness convenience; errors abort the test.
+                    panic!("request failed: {e}");
                 }
+                found = Some(pairs.clone());
+                return false;
             }
             true
         });
