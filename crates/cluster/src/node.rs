@@ -303,7 +303,7 @@ impl ClusterNode {
             }
             slots.push(st);
         }
-        ClusterNode {
+        let mut node = ClusterNode {
             id,
             cfg,
             engine,
@@ -313,7 +313,28 @@ impl ClusterNode {
             booted: false,
             mask,
             stats: ClusterStats::default(),
+        };
+        node.purge_unheld_rows();
+        node
+    }
+
+    /// A node stores a slot's rows only while it holds the slot, so
+    /// that what the engine's authority filter calls durable and what
+    /// the WAL (and the snapshots folded from it) holds agree. A restart
+    /// can recover rows of a slot the node no longer holds — a laggard
+    /// dropped from the replica set before it crashed, a learner whose
+    /// migration the crash cut short. They are deleted here, under a
+    /// momentary authority bit so the removals reach the WAL.
+    fn purge_unheld_rows(&mut self) {
+        let held = self.mask.swap(u64::MAX, Ordering::Relaxed);
+        let (_joins, pairs) = self.engine.durable_state();
+        for (k, _) in pairs {
+            let slot = self.cfg.slot_of(&k);
+            if k.as_bytes().first() != Some(&b'#') && (held >> slot) & 1 == 0 {
+                self.engine.remove(&k);
+            }
         }
+        self.mask.store(held, Ordering::Relaxed);
     }
 
     /// This node's id.

@@ -49,7 +49,10 @@ pub enum DurableOp {
 /// [`Engine::durable_state`](crate::Engine::durable_state)) and calls
 /// [`snapshot`](Durability::snapshot) with it — that is how a log
 /// implementation asks for a compaction point without ever holding a
-/// reference to the engine.
+/// reference to the engine. That copy runs on the serving thread and
+/// grows with the dataset; `pequod_persist`'s sink never asks for it,
+/// and folds its sealed log segments into snapshots in the background
+/// instead.
 pub trait Durability: Send {
     /// Records one acknowledged mutation. Returns `true` to request an
     /// immediate snapshot of the engine's durable state.

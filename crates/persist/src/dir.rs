@@ -89,12 +89,20 @@ impl DataDir {
         Ok(self.generations()?.last().copied().unwrap_or(0))
     }
 
-    /// Deletes every file of generations strictly older than `keep`.
-    pub fn remove_generations_before(&self, keep: u64) -> io::Result<()> {
+    /// Deletes every file of generations strictly older than `keep`,
+    /// telling `removed` about each one as it goes.
+    pub fn remove_generations_before(
+        &self,
+        keep: u64,
+        mut removed: impl FnMut(PathBuf),
+    ) -> io::Result<()> {
         for g in self.generations()? {
             if g < keep {
-                let _ = fs::remove_file(self.wal_path(g));
-                let _ = fs::remove_file(self.snap_path(g));
+                for path in [self.wal_path(g), self.snap_path(g)] {
+                    if fs::remove_file(&path).is_ok() {
+                        removed(path);
+                    }
+                }
             }
         }
         Ok(())
@@ -316,7 +324,10 @@ mod tests {
         fs::write(dir.wal_path(2), b"").unwrap();
         assert_eq!(dir.generations().unwrap(), vec![1, 2]);
         assert_eq!(dir.current_generation().unwrap(), 2);
-        dir.remove_generations_before(2).unwrap();
+        let mut removed = Vec::new();
+        dir.remove_generations_before(2, |p| removed.push(p))
+            .unwrap();
+        assert_eq!(removed, vec![dir.wal_path(1), dir.snap_path(1)]);
         assert_eq!(dir.generations().unwrap(), vec![2]);
     }
 }

@@ -17,9 +17,11 @@
 //!   ([`record`]): a crash mid-write leaves a torn tail that recovery
 //!   detects by CRC-32 and drops, recovering exactly the clean prefix.
 //! * **Snapshots truncate the log** ([`dir`]): every `snapshot_every`
-//!   records the engine's durable state is published atomically as a
-//!   new generation and older generations are deleted, keeping restart
-//!   time proportional to the recent write rate.
+//!   records the live log segment is sealed, and a background thread
+//!   folds the previous snapshot and the sealed segments into the next
+//!   generation, published atomically, then deletes the older ones —
+//!   keeping restart time proportional to the recent write rate
+//!   without ever stopping the serving thread to copy the dataset.
 //! * **Recovery is replay** ([`attach`]): newest valid snapshot, then
 //!   the log tail, through the normal write path; computed ranges
 //!   rebuild lazily on first read.
@@ -42,9 +44,12 @@ pub mod log;
 pub mod record;
 pub mod snapshot;
 
+mod fold;
 mod persister;
 
 pub use dir::{recover, DataDir, Recovered};
+#[doc(hidden)]
+pub use fold::{FoldHook, FoldStep};
 pub use log::{read_log, FsyncPolicy, LogTail, LogWriter};
 pub use persister::{
     attach, open_sharded, replay, PersistOptions, PersistStats, Persister, RecoveryReport,

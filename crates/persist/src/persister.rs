@@ -3,6 +3,7 @@
 //! per-shard directories ([`open_sharded`]).
 
 use crate::dir::{recover, DataDir, Recovered};
+use crate::fold::{FoldHook, Folder};
 use crate::log::{FsyncPolicy, LogWriter};
 use crate::snapshot::{sync_dir, write_snapshot};
 use pequod_core::partition::Partition;
@@ -19,9 +20,10 @@ pub struct PersistOptions {
     /// When log appends are forced to stable storage (see
     /// [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Take a snapshot (and truncate the log) after this many logged
-    /// records; `None` disables automatic snapshots — the log grows
-    /// until the next restart compacts it.
+    /// Seal the log segment after this many records and fold it into
+    /// the next snapshot in the background (truncating the log);
+    /// `None` disables automatic snapshots — the log grows until the
+    /// next restart compacts it.
     pub snapshot_every: Option<u64>,
 }
 
@@ -42,26 +44,41 @@ impl Default for PersistOptions {
 pub struct PersistStats {
     /// Records appended to the log.
     pub records_logged: u64,
-    /// Snapshots taken (compactions).
+    /// Snapshots published from an image the caller handed over
+    /// ([`Persister::compact`]: recovery and finalization).
     pub snapshots_taken: u64,
+    /// Log segments sealed and handed to the folder.
+    pub segments_sealed: u64,
+    /// Background folds that published a snapshot.
+    pub folds: u64,
+    /// Background folds that failed (their segments stay on disk).
+    pub fold_failures: u64,
 }
 
 /// The concrete [`Durability`] sink: appends every captured mutation
-/// to the current generation's write-ahead log and compacts into a new
-/// snapshot generation every `snapshot_every` records.
+/// to the live log segment, and every `snapshot_every` records seals
+/// the segment and hands it to a `pequod-fold` thread that merges it
+/// into the next snapshot generation (see `crate::fold`). The serving
+/// thread never copies the engine's state: [`Durability::log`] always
+/// returns `false`.
 ///
-/// A persistence failure panics: an engine that acknowledged a write
-/// its log silently dropped would be worse than one that crashed —
-/// the crash is exactly what recovery is built to survive.
+/// A failed append or seal-time fsync panics: an engine that
+/// acknowledged a write its log silently dropped would be worse than
+/// one that crashed — the crash is exactly what recovery is built to
+/// survive. A failed fold does not: its segments stay, and recovery
+/// replays them.
 pub struct Persister {
     dir: DataDir,
     writer: LogWriter,
+    /// The generation of the live segment.
+    live: u64,
     opts: PersistOptions,
-    since_snapshot: u64,
+    since_seal: u64,
     stats: PersistStats,
     /// Telemetry sink for append/fsync latency and snapshot volume;
     /// disabled by default (every hook is then a no-op).
     recorder: Recorder,
+    folder: Folder,
 }
 
 impl Persister {
@@ -72,49 +89,125 @@ impl Persister {
     /// would leave every new record unreachable to recovery. Callers
     /// that recovered first should prefer [`attach`], which also sets
     /// aside corrupt (bit-rotted) logs instead of truncating them.
+    ///
+    /// With `snapshot_every` set, the folder thread starts here.
     pub fn create(root: impl AsRef<Path>, opts: PersistOptions) -> io::Result<Persister> {
         let dir = DataDir::open(root)?;
-        let generation = dir.current_generation()?;
-        let (writer, _torn) = LogWriter::open_append_clean(dir.wal_path(generation), opts.fsync)?;
+        let live = dir.current_generation()?;
+        let (writer, _torn) = LogWriter::open_append_clean(dir.wal_path(live), opts.fsync)?;
         sync_dir(dir.root())?;
+        let mut folder = Folder::new(dir.clone());
+        if opts.snapshot_every.is_some() {
+            folder.start()?;
+        }
         Ok(Persister {
             dir,
             writer,
+            live,
             opts,
-            since_snapshot: 0,
+            since_seal: 0,
             stats: PersistStats::default(),
             recorder: Recorder::disabled(),
+            folder,
         })
     }
 
     /// Counters.
     pub fn stats(&self) -> PersistStats {
-        self.stats
+        let (folds, fold_failures) = self.folder.counts();
+        PersistStats {
+            folds,
+            fold_failures,
+            ..self.stats
+        }
     }
 
-    /// Routes WAL append/fsync latency and snapshot volume to
-    /// `recorder`. [`attach`] installs the engine's own recorder so the
-    /// persistence metrics land in the same scrape.
+    /// Routes WAL append/fsync latency, snapshot volume and fold
+    /// failures to `recorder`. [`attach`] installs the engine's own
+    /// recorder so the persistence metrics land in the same scrape.
     pub fn set_recorder(&mut self, recorder: Recorder) {
+        self.folder.set_recorder(recorder.clone());
         self.recorder = recorder;
     }
 
+    /// Seals the live segment now — what [`Durability::log`] does every
+    /// `snapshot_every` records: appends move to a fresh segment, and
+    /// the sealed one is handed to the folder.
+    ///
+    /// If the fresh segment cannot be created (or the folder cannot
+    /// start) the error is reported and the segment stays on disk: the
+    /// next seal folds it along with its own.
+    pub fn seal(&mut self) {
+        self.since_seal = 0;
+        let sealed = self.live;
+        if let Err(e) = self
+            .next_segment()
+            .and_then(|()| self.folder.request(sealed))
+        {
+            eprintln!(
+                "pequod-persist: sealing wal-{sealed}.log failed: {e}; \
+                 it stays on disk until a later seal folds it"
+            );
+            self.recorder
+                .flight("seal_failed", || format!("wal-{sealed}.log: {e}"));
+        }
+    }
+
+    /// Moves appends to a fresh segment, `wal-(g+1).log`.
+    fn next_segment(&mut self) -> io::Result<()> {
+        let next = self.live + 1;
+        let writer = LogWriter::open_append(self.dir.wal_path(next), self.opts.fsync)?;
+        if self.opts.fsync != FsyncPolicy::Never {
+            // The old segment's unsynced tail leaves the fsync window
+            // with it, and the new segment's name must survive power
+            // loss before a record in it is acknowledged.
+            self.sync();
+            sync_dir(self.dir.root())?;
+        }
+        self.writer = writer;
+        self.live = next;
+        self.stats.segments_sealed += 1;
+        Ok(())
+    }
+
+    /// Blocks until the folder has no fold running or pending.
+    pub fn wait_idle(&self) {
+        self.folder.wait_idle();
+    }
+
+    /// Installs a hook called at every step of every fold (crash
+    /// tests).
+    #[doc(hidden)]
+    pub fn set_fold_hook(&mut self, hook: Option<FoldHook>) {
+        self.folder.set_hook(hook);
+    }
+
     /// Publishes `joins`/`pairs` as a new snapshot generation and
-    /// truncates the log: write `snap-(g+1)`, open `wal-(g+1)`, delete
-    /// generation `g`. Crash-safe at every step — recovery always finds
-    /// either the old generation intact or the new snapshot complete.
+    /// truncates the log: wait for the folder to go idle, write
+    /// `snap-(g+1)`, open `wal-(g+1)`, delete every older generation.
+    /// Crash-safe at every step — recovery always finds either the old
+    /// generations intact or the new snapshot complete.
     pub fn compact(&mut self, joins: &[String], pairs: &[(Key, Value)]) -> io::Result<()> {
-        let next = self.dir.current_generation()?.saturating_add(1);
+        self.folder.wait_idle();
+        let next = self.live.saturating_add(1);
         let snap_path = self.dir.snap_path(next);
         write_snapshot(&snap_path, joins, pairs)?;
         self.writer = LogWriter::open_append(self.dir.wal_path(next), self.opts.fsync)?;
+        self.live = next;
         sync_dir(self.dir.root())?;
-        self.dir.remove_generations_before(next)?;
-        self.since_snapshot = 0;
+        self.dir.remove_generations_before(next, |_| {})?;
+        self.since_seal = 0;
         self.stats.snapshots_taken += 1;
         let bytes = std::fs::metadata(&snap_path).map(|m| m.len()).unwrap_or(0);
         self.recorder.snapshot_taken(bytes);
         Ok(())
+    }
+}
+
+impl Drop for Persister {
+    /// Finishes the folds already requested and joins the folder.
+    fn drop(&mut self) {
+        self.folder.stop();
     }
 }
 
@@ -128,11 +221,18 @@ impl Durability for Persister {
             .unwrap_or_else(|e| panic!("pequod-persist: WAL append failed: {e}"));
         self.recorder.wal_append(&timer);
         self.stats.records_logged += 1;
-        self.since_snapshot += 1;
-        matches!(self.opts.snapshot_every, Some(n) if self.since_snapshot >= n)
+        self.since_seal += 1;
+        if matches!(self.opts.snapshot_every, Some(n) if self.since_seal >= n) {
+            self.seal();
+        }
+        false
     }
 
+    /// The engine's finalization image (`Engine::finalize_durability`):
+    /// joins the folder once its pending folds are done, then publishes
+    /// the image. A later seal starts a new folder.
     fn snapshot(&mut self, joins: &[String], pairs: &[(Key, Value)]) {
+        self.folder.stop();
         self.compact(joins, pairs)
             // audit: allow(no-unwrap) — a failed compaction leaves WAL and
             // snapshot generations inconsistent; crashing forces recovery.
@@ -393,36 +493,112 @@ mod tests {
             .all(|(k, _)| !k.as_bytes().starts_with(b"t|")));
     }
 
+    fn every(n: u64) -> PersistOptions {
+        PersistOptions {
+            fsync: FsyncPolicy::Never,
+            snapshot_every: Some(n),
+        }
+    }
+
     #[test]
     fn snapshot_cadence_truncates_the_log() {
         let t = Tmp::new("cadence");
-        let opts = PersistOptions {
-            fsync: FsyncPolicy::Never,
-            snapshot_every: Some(10),
-        };
-        {
-            let mut e = Engine::new_default();
-            attach(&mut e, &t.0, opts).unwrap();
-            for i in 0..35 {
-                e.put(format!("p|u|{i:010}"), "x");
-            }
+        let mut p = Persister::create(&t.0, every(10)).unwrap();
+        p.compact(&[], &[]).unwrap();
+        for i in 0..35 {
+            let op = DurableOp::Put(Key::from(format!("p|u|{i:010}")), Bytes::from_static(b"x"));
+            assert!(!p.log(&op), "the serving thread never snapshots");
         }
+        // The compaction opened generation 1; 35 records / 10 per seal
+        // = 3 seals, folded in the background into one snapshot beside
+        // the live segment.
+        assert_eq!(p.stats().segments_sealed, 3);
+        p.wait_idle();
         let dir = DataDir::open(&t.0).unwrap();
-        // attach compacted to generation 1; 35 records / 10 per
-        // snapshot = 3 more compactions.
-        assert_eq!(dir.current_generation().unwrap(), 4);
         assert_eq!(
             dir.generations().unwrap(),
             vec![4],
-            "old generations must be deleted"
+            "folded generations must be deleted"
         );
-        // And the tail log holds only the records after the last snapshot.
+        assert!(dir.snap_path(4).exists() && dir.wal_path(4).exists());
+        // The live segment holds only the records after the last seal.
         let rec = recover(&t.0).unwrap();
         assert_eq!(rec.pairs.len(), 30);
         assert_eq!(rec.ops.len(), 5);
+        drop(p);
         let mut e = Engine::new_default();
-        attach(&mut e, &t.0, opts).unwrap();
+        attach(&mut e, &t.0, every(10)).unwrap();
         assert_eq!(e.count(&KeyRange::prefix("p|u|")), 35);
+    }
+
+    #[test]
+    fn finalization_joins_the_folder_and_drop_finishes_its_folds() {
+        let t = Tmp::new("join");
+        let pair = |i: u32| (Key::from(format!("p|a|{i:02}")), Bytes::from_static(b"x"));
+        let put = |i: u32| {
+            let (k, v) = pair(i);
+            DurableOp::Put(k, v)
+        };
+        let mut p = Persister::create(&t.0, every(4)).unwrap();
+        assert!(p.folder.running());
+        for i in 0..9 {
+            p.log(&put(i));
+        }
+        // What `Engine::finalize_durability` hands over: the folds run
+        // out, the folder is joined, and the image is published.
+        let pairs: Vec<(Key, Value)> = (0..9).map(pair).collect();
+        p.snapshot(&[], &pairs);
+        assert!(!p.folder.running());
+        let rec = recover(&t.0).unwrap();
+        assert_eq!((rec.pairs.len(), rec.ops.len()), (9, 0));
+        // A later seal starts a folder again, and the drop finishes its
+        // fold before joining it.
+        for i in 9..13 {
+            p.log(&put(i));
+        }
+        assert!(p.folder.running());
+        drop(p);
+        let dir = DataDir::open(&t.0).unwrap();
+        assert_eq!(dir.generations().unwrap().len(), 1, "the drop folded");
+        assert_eq!(recover(&t.0).unwrap().pairs.len(), 13);
+    }
+
+    #[test]
+    fn a_failed_fold_keeps_its_segments_and_the_next_seal_retries() {
+        let t = Tmp::new("foldfail");
+        let recorder = Recorder::enabled();
+        let mut p = Persister::create(&t.0, every(5)).unwrap();
+        p.set_recorder(recorder.clone());
+        p.compact(&[], &[]).unwrap();
+        // Generation 1, as attach leaves it: the first seal folds into
+        // snap-2, whose tmp path is now a directory.
+        let dir = DataDir::open(&t.0).unwrap();
+        let blocker = dir.snap_path(2).with_extension("tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let put =
+            |i: u32| DurableOp::Put(Key::from(format!("p|f|{i:02}")), Bytes::from_static(b"v"));
+        for i in 0..5 {
+            p.log(&put(i));
+        }
+        p.wait_idle();
+        assert_eq!((p.stats().folds, p.stats().fold_failures), (0, 1));
+        assert_eq!(dir.generations().unwrap(), vec![1, 2], "the segments stay");
+        assert_eq!(recover(&t.0).unwrap().ops.len(), 5, "recovery is complete");
+        let flight = recorder.snapshot(true).flight;
+        assert!(
+            flight.iter().any(|ev| ev.kind == "fold_failed"),
+            "{flight:?}"
+        );
+        // The next seal retries, folding both segments at once.
+        std::fs::remove_dir(&blocker).unwrap();
+        for i in 5..10 {
+            p.log(&put(i));
+        }
+        p.wait_idle();
+        assert_eq!((p.stats().folds, p.stats().fold_failures), (1, 1));
+        assert_eq!(dir.generations().unwrap(), vec![3]);
+        let rec = recover(&t.0).unwrap();
+        assert_eq!((rec.pairs.len(), rec.ops.len()), (10, 0));
     }
 
     #[test]

@@ -63,32 +63,37 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+/// Appends `b` as a `u32-le` length and the bytes (the field encoding
+/// records and snapshots share).
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
-/// Appends one framed record (header + body) to `out`.
+/// Appends one framed record (header + body) to `out`. The body is
+/// encoded in place and the header filled in after it.
 pub fn encode_record(op: &DurableOp, out: &mut Vec<u8>) {
-    let mut body = Vec::with_capacity(32);
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
     match op {
         DurableOp::Put(key, value) => {
-            body.push(TAG_PUT);
-            put_bytes(&mut body, key.as_bytes());
-            put_bytes(&mut body, value);
+            out.push(TAG_PUT);
+            put_bytes(out, key.as_bytes());
+            put_bytes(out, value);
         }
         DurableOp::Remove(key) => {
-            body.push(TAG_REMOVE);
-            put_bytes(&mut body, key.as_bytes());
+            out.push(TAG_REMOVE);
+            put_bytes(out, key.as_bytes());
         }
         DurableOp::AddJoin(text) => {
-            body.push(TAG_ADD_JOIN);
-            put_bytes(&mut body, text.as_bytes());
+            out.push(TAG_ADD_JOIN);
+            put_bytes(out, text.as_bytes());
         }
     }
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let body = &out[start + RECORD_HEADER..];
+    let header = [(body.len() as u32).to_le_bytes(), crc32(body).to_le_bytes()];
+    out[start..start + 4].copy_from_slice(&header[0]);
+    out[start + 4..start + RECORD_HEADER].copy_from_slice(&header[1]);
 }
 
 /// Little-endian `u32` from the first 4 bytes of `b`. Callers length-
@@ -134,11 +139,11 @@ fn decode_body(body: &[u8]) -> Result<DurableOp, RecordError> {
     let mut r = Reader { buf: body };
     let op = match r.u8()? {
         TAG_PUT => {
-            let key = Key::from(r.bytes()?.to_vec());
+            let key = Key::from(r.bytes()?);
             let value = bytes::Bytes::copy_from_slice(r.bytes()?);
             DurableOp::Put(key, value)
         }
-        TAG_REMOVE => DurableOp::Remove(Key::from(r.bytes()?.to_vec())),
+        TAG_REMOVE => DurableOp::Remove(Key::from(r.bytes()?)),
         TAG_ADD_JOIN => DurableOp::AddJoin(
             String::from_utf8(r.bytes()?.to_vec()).map_err(|_| RecordError::BadUtf8)?,
         ),
