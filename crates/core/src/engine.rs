@@ -21,7 +21,9 @@ use crate::types::{EngineError, JoinId, JsId, WriteKind};
 use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
 use bytes::Bytes;
 use pequod_join::{JoinSpec, Operator, SlotSet};
-use pequod_store::{Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, Value};
+use pequod_store::{
+    Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, UpperBound, Value,
+};
 use pequod_telemetry::{OpKind, RateHandle, Recorder, Timer};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -117,6 +119,12 @@ fn touch_base(lru: &mut LruTracker<EvictUnit>, prefix: &[u8], table: &mut Remote
 /// tables and are not resident, and marks the tables it touches as just
 /// used. Over the two fields it changes, so that forward execution can
 /// call it while it reads the store.
+///
+/// A gap already inside a reported range is not reported again. The gaps
+/// of one table arrive sorted and disjoint, so they are merged against
+/// the reported ranges that overlap the table, sorted once, in a single
+/// pass: a whole-table read over a table resident in 30k fragments costs
+/// milliseconds, not the seconds a search of `missing` per gap took.
 pub(crate) fn check_residency(
     remote: &mut HashMap<Key, RemoteTable>,
     lru: &mut LruTracker<EvictUnit>,
@@ -130,11 +138,23 @@ pub(crate) fn check_residency(
             continue;
         }
         touch_base(lru, prefix.as_bytes(), table);
+        let mut known: Vec<&KeyRange> = missing.iter().filter(|m| m.overlaps(&clip)).collect();
+        known.sort_unstable_by(|a, b| a.first.cmp(&b.first));
+        let mut known = known.into_iter().peekable();
+        // The furthest end of the reported ranges that start at or below
+        // the gap: the gap is inside one of them exactly when it ends
+        // there or before.
+        let mut reach: Option<&UpperBound> = None;
+        let mut fresh = Vec::new();
         for gap in table.resident.uncovered(&clip) {
-            if !missing.iter().any(|m| m.contains_range(&gap)) {
-                missing.push(gap);
+            while let Some(m) = known.next_if(|m| m.first <= gap.first) {
+                reach = reach.max(Some(&m.end));
+            }
+            if !gap.is_empty() && reach.is_none_or(|end| *end < gap.end) {
+                fresh.push(gap);
             }
         }
+        missing.extend(fresh);
     }
 }
 

@@ -28,7 +28,7 @@ use bytes::Bytes;
 use pequod_core::updater::{UpdaterEntry, UpdaterIndex};
 use pequod_core::{Engine, EngineConfig, JsId};
 use pequod_join::{Bindings, Pattern, SlotId, SlotTable};
-use pequod_store::{Key, KeyRange, StoreConfig, Value};
+use pequod_store::{Key, KeyRange, Store, StoreConfig, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -180,11 +180,12 @@ fn an_eager_update_costs_less_than_one_allocation() {
         400 * u64::from(FOLLOWS),
         "every follower is updated"
     );
-    // Measured 0.40: three per post whatever its fan-out (the stab's
+    // Measured 0.58: three per post whatever its fan-out (the stab's
     // handle list, the source match and its slot set) and, in these 16
     // appends per timeline, one crossing from a full block into a fresh
-    // one (the block, its first doubling, the directory's growth). The
-    // budget is twice that; one allocation per pair would be 1.4.
+    // one (the block's two arrays and their first doublings, the
+    // directory's growth). The budget is 0.8; one allocation per pair
+    // would be 1.4.
     let per_update = allocations as f64 / updates as f64;
     assert!(
         per_update <= 0.8,
@@ -280,12 +281,14 @@ fn binding_a_slot_performs_no_allocation() {
 }
 
 /// The subscription table is flat — one ordered container for all
-/// 10,000 rows — and a row is two 32-byte handles: loaded in key order,
-/// the rows sit in full blocks, and what stays allocated per row is those
-/// 64 bytes plus a thirty-second of a block's directory entry. (A B-tree
-/// loaded in key order leaves every leaf half empty: 122 bytes a row.)
+/// 10,000 rows: loaded in key order, the rows sit in full blocks, and
+/// what stays allocated per row is its 32-byte value handle, a slot of
+/// the 2 or 3 bytes of `s|user|poster` its block's shared prefix leaves
+/// and their length, plus a thirty-second of a block's directory entry:
+/// 46.1 bytes. (65.9 while a row was two whole handles; a B-tree loaded
+/// in key order leaves every leaf half empty: 122 bytes a row.)
 #[test]
-fn a_bulk_loaded_flat_row_costs_at_most_72_bytes() {
+fn a_bulk_loaded_flat_row_costs_at_most_52_bytes() {
     let mut engine = twip();
     let rows = subscriptions();
     let (bytes, ()) = live_bytes_in(|| {
@@ -296,9 +299,69 @@ fn a_bulk_loaded_flat_row_costs_at_most_72_bytes() {
     assert_eq!(engine.store().audit(), Vec::<String>::new());
     let per_row = bytes as f64 / rows.len() as f64;
     assert!(
-        per_row <= 72.0,
-        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 72)",
+        per_row <= 52.0,
+        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 52)",
         rows.len()
+    );
+}
+
+/// A timeline the way eager updates build it, in one subtable and in
+/// time order: 400 pairs of 30-byte keys, every one of them sharing its
+/// first 16 bytes (`t|u0000012|00000`), over one shared tweet buffer. A
+/// block stores the prefix its keys share once and each key's remaining
+/// bytes apart from its value, so a pair is its 32-byte value handle, a
+/// slot of ≈12 key bytes and their length, plus its share of the block
+/// headers: 48.8 bytes (66.2 while a pair was two whole handles).
+#[test]
+fn an_appended_timeline_pair_costs_at_most_54_bytes() {
+    let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
+    // Another timeline first, so that the table itself is not counted.
+    store.put(timeline_since(1, 0).first, Value::from_static(b"1"), false);
+    let tweet = post(0, 0).1;
+    let pairs: Vec<(Key, Value)> = (0..400u32)
+        .map(|i| {
+            let time = 12_345 + 7 * u64::from(i);
+            let key = format!("t|{}|{time:010}|{}", user(12), user(i % 40));
+            (Key::from(key), tweet.clone())
+        })
+        .collect();
+    let (bytes, ()) = live_bytes_in(|| {
+        for (k, v) in &pairs {
+            store.put(k.clone(), v.clone(), false);
+        }
+    });
+    assert_eq!(store.audit(), Vec::<String>::new());
+    let per_pair = bytes as f64 / pairs.len() as f64;
+    assert!(
+        per_pair <= 54.0,
+        "{bytes} bytes stayed live after {} pairs = {per_pair:.1} each (budget 54)",
+        pairs.len()
+    );
+}
+
+/// Most subtables of a cold cache hold a pair or two. What one costs
+/// beside its index entries is its directory of one block and that
+/// block's two allocations, the value and the key bytes, which hold only
+/// the key's length byte: a lone key is all prefix. Measured 300.9
+/// (299.9 while a block held whole pairs; almost all of it is the
+/// subtable index and its growth).
+#[test]
+fn a_one_pair_subtable_costs_at_most_324_bytes() {
+    let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
+    store.put(Key::from("t|"), Value::from_static(b"1"), false);
+    let keys: Vec<Key> = (0..1000)
+        .map(|u| Key::from(format!("t|{}|0000012345|{}", user(u), user(7))))
+        .collect();
+    let (bytes, ()) = live_bytes_in(|| {
+        for k in &keys {
+            store.put(k.clone(), Value::from_static(b"1"), false);
+        }
+    });
+    let per_subtable = bytes as f64 / keys.len() as f64;
+    assert!(
+        per_subtable <= 324.0,
+        "{bytes} bytes stayed live after {} one-pair subtables = {per_subtable:.1} each (budget 324)",
+        keys.len()
     );
 }
 

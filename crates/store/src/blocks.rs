@@ -12,9 +12,31 @@
 //! every row it ever holds.
 //!
 //! [`Blocks`] is a directory (`Vec`) of blocks in key order, each block
-//! a sorted `Vec` of at most [`BLOCK_PAIRS`] pairs, each directory entry
-//! carrying a copy of its block's first key (the *fence*) so that finding
-//! a key's block touches no block.
+//! holding at most [`BLOCK_PAIRS`] pairs, each directory entry carrying a
+//! copy of its block's first key (the *fence*) so that finding a key's
+//! block touches no block.
+//!
+//! * **A block** keeps its keys apart from its values, in two
+//!   allocations. The values are a `Vec` of 32-byte handles. The keys
+//!   share a prefix — always the longest common prefix of the block's
+//!   first and last key, read off the fence — and each is stored as its
+//!   *remainder* past it, in a *slot*: a length byte, then the remainder
+//!   zero-padded to the block's width, the longest remainder it holds.
+//!   Slots are one size, so key `i` is at `i` slots in, with no offsets
+//!   to keep, and an append writes one slot. A Twip timeline key
+//!   `t|u0000012|0000012345|u0000034` in a block whose times share their
+//!   leading digits costs ≈12–15 bytes instead of a 32-byte handle (keys
+//!   of one table are mostly of one length, so the padding is mostly
+//!   none). A probe compares the prefix once and then binary-searches the
+//!   remainders only, never the values; a scan rebuilds each key in
+//!   place on the stack for its visitor, with no allocation.
+//!   A key longer than a handle holds in place ([`IN_PLACE`], 30 bytes) is
+//!   kept as its shared handle after the values instead, so visiting it
+//!   allocates nothing either. The prefix and width change only when the
+//!   first, last or longest key does — an append or front insert that
+//!   shares less of the prefix, a front or back removal, a split or
+//!   merge — and then a block's slots are re-encoded: for an ascending
+//!   timeline, once per new leading time digit in the tail block.
 //!
 //! * **Append** — [`Blocks::put`] first compares against the last key.
 //!   A greater key is pushed onto the tail block; a full tail is left
@@ -22,10 +44,13 @@
 //!   dense except for its tail, and the tail grows through geometric
 //!   size classes (1, 4, 8, 16, 32 pairs), so a 3-pair subtable never
 //!   pays for a whole block. A run of appends that knows its length
-//!   ([`Blocks::put_in_run`]) jumps straight to the class it will end in:
-//!   a freshly materialized 76-pair timeline allocates three blocks
-//!   (32, 32, 16), not fifteen growing ones, and its tail is left with
-//!   room for the eager appends that follow.
+//!   ([`Blocks::put_in_run`]) jumps straight to the class it will end in,
+//!   and a stretch of it past the end is laid out whole blocks at a time
+//!   ([`Blocks::append_run`]: each block's prefix and width read off its
+//!   keys first, each slot written once): a freshly materialized 76-pair
+//!   timeline allocates three blocks (32, 32, 16) of two allocations
+//!   each, re-encodes nothing, and its tail is left with room for the
+//!   eager appends that follow.
 //! * **Everything else** — a binary search over the fences (after a look
 //!   at the last one: reads want the newest pairs too), then one in the
 //!   block; an insert or remove moves at most one block's pairs.
@@ -43,8 +68,8 @@
 //!   Evicting a timeline costs a walk over its blocks, not a search per
 //!   key. The way in is the mirror image: a join's freshly computed
 //!   outputs arrive as one ascending run (`Table::put_run`), so the
-//!   subtable is looked up once and every pair after the first is the
-//!   append above.
+//!   subtable is looked up once and the run is laid out as the append
+//!   above describes.
 //! * **Past one chunk** — adding or dropping a block in the middle of a
 //!   flat directory moves `len / BLOCK_PAIRS` entries, which is nothing
 //!   for a subtable and 3.2 ms at a million rows. So a directory of more
@@ -70,9 +95,9 @@
 //! shape), then each timeline's newest tenth scanned, ten inserts per
 //! timeline at shuffled old times, and the same pairs put into a fresh
 //! map in one global shuffle. Scratch harness on a 2-vCPU VM, live heap
-//! bytes from a counting allocator, medians of three invocations of
-//! seven runs (the timings move ±25% between invocations, the bytes not
-//! at all):
+//! bytes from a counting allocator; when a block held whole pairs
+//! (medians of three invocations of seven runs; the timings move ±25%
+//! between invocations, the bytes not at all):
 //!
 //! | container | append ns | B/pair | scan ns/pair | mid-insert ns | shuffled fill ns |
 //! |---|---|---|---|---|---|
@@ -81,13 +106,26 @@
 //! | **32-pair blocks** | 170 | 68.2 | 81 | 1928 | 1201 |
 //! | 64-pair blocks | 171 | 68.7 | 84 | 2148 | 1249 |
 //!
-//! Bytes bottom out at 32: below it the per-block overhead shows (a
-//! 56-byte directory entry and an allocator header), above it the slack
-//! in every subtable's tail block does. Appends and scans do not tell the
-//! sizes apart. The price of a block is the cold mid-insert — five probes
-//! 64 bytes apart and up to 2 KiB moved, against a B-tree leaf's 352
-//! bytes of keys — and it grows with the block, so the constant stops
-//! where the bytes stop improving.
+//! and since keys are slotted remainders apart from the values (the
+//! three sizes built into one binary and run in turn, fastest of three
+//! rounds; the last column is the bytes a pair keeps after the shuffled
+//! fill):
+//!
+//! | container | append ns | B/pair | scan ns/pair | mid-insert ns | shuffled fill ns | B/pair, shuffled |
+//! |---|---|---|---|---|---|---|
+//! | 16-pair blocks | 222 | 54.8 | 50 | 1969 | 1026 | 75.7 |
+//! | **32-pair blocks** | 196 | 53.6 | 31 | 1715 | 843 | 72.7 |
+//! | 64-pair blocks | 219 | 52.3 | 31 | 2136 | 795 | 69.8 |
+//!
+//! With whole pairs the bytes bottomed out at 32: below it the per-block
+//! overhead showed (a 56-byte directory entry and an allocator header),
+//! above it the slack in every subtable's tail block did. With
+//! remainders a block's header is 88 bytes and two allocations, and 64
+//! pairs keep 1.3 bytes a pair (2%) fewer than 32; the append and the
+//! cold mid-insert — a search over the slots and up to a block's values
+//! and slots moved — cost 12% and 25% more there, and the shuffled fill,
+//! which splits blocks rather than appending, is the only column 64 wins.
+//! The constant stays at 32: the bytes do not say otherwise.
 //!
 //! **Blocks per chunk.** One flat table of `s|user|poster` rows (28-byte
 //! keys, forty to a user), loaded in key order; then 20,000 new rows
@@ -134,10 +172,24 @@
 use crate::key::Key;
 use crate::range::KeyRange;
 use crate::table::Value;
+use std::cmp::Ordering;
 use std::ops::Range;
 
-/// Most pairs one block holds: 32 pairs of two 32-byte handles, 2 KiB.
+/// Most pairs one block holds.
 const BLOCK_PAIRS: usize = 32;
+
+/// Longest key a [`Key`] holds in place (the handle's own limit): a block
+/// rebuilds such a key from its bytes, and keeps a longer one's shared
+/// handle so that visiting it allocates nothing either.
+const IN_PLACE: usize = 30;
+
+/// The length byte of a key longer than [`IN_PLACE`]: its slot holds no
+/// remainder, its handle is kept after the values.
+const LONG: u8 = 0xff;
+
+// A length byte is never mistaken for the flag, and the pairs a range
+// removal drops fit one `u64` mask.
+const _: () = assert!(IN_PLACE < LONG as usize && BLOCK_PAIRS <= 64);
 
 /// Most blocks one chunk of the directory holds. This crate's own unit
 /// and model tests build with chunks of four blocks, so that a few
@@ -146,11 +198,28 @@ const BLOCK_PAIRS: usize = 32;
 /// which links the crate as the servers do.
 const CHUNK_BLOCKS: usize = if cfg!(test) { 4 } else { 128 };
 
+/// At most [`BLOCK_PAIRS`] pairs in key order, keys apart from values,
+/// and each key stored as its remainder past the prefix all of them
+/// share, in a slot as wide as the longest. Two allocations: the key
+/// bytes and the values.
 struct Block {
-    /// A copy of `pairs[0].0`.
+    /// A copy of the first key. Its first `prefix` bytes begin every key.
     fence: Key,
-    /// Sorted, never empty, at most [`BLOCK_PAIRS`] long.
-    pairs: Vec<(Key, Value)>,
+    /// One slot of `width + 1` bytes per key, in key order: the length of
+    /// the key's remainder past the prefix ([`LONG`] for a key too long
+    /// to rebuild in place, whose remainder is behind its handle), then
+    /// the remainder, zero-padded to `width`.
+    keys: Vec<u8>,
+    /// The values in key order, then the long keys' handles in key order.
+    values: Vec<Value>,
+    /// Length of the shared prefix: always the longest common prefix of
+    /// the first and the last key, so it changes only when one of those
+    /// does.
+    prefix: u32,
+    /// Length of the longest in-place remainder (zero if there is none).
+    width: u8,
+    /// Pairs held: never zero, at most [`BLOCK_PAIRS`].
+    len: u8,
 }
 
 /// A run of neighbouring blocks: what moves when the directory of a
@@ -190,11 +259,23 @@ impl Fenced for Block {
     }
 
     fn held(&self) -> usize {
-        self.pairs.len()
+        self.len()
     }
 
-    fn absorb(&mut self, right: Block) {
-        self.pairs.extend(right.pairs);
+    /// Both blocks are re-encoded for the prefix the pair of them shares
+    /// and the wider of their slots, then laid end to end.
+    fn absorb(&mut self, mut right: Block) {
+        let prefix = common_len(self.prefix(), right.prefix());
+        let width = self.width_under(prefix).max(right.width_under(prefix));
+        self.relayout(prefix, width);
+        right.relayout(prefix, width);
+        self.reserve_slots(self.len() + right.len());
+        self.keys.extend_from_slice(&right.keys);
+        let long = self.values.split_off(self.len());
+        self.values.extend(right.values.drain(..right.len()));
+        self.values.extend(long);
+        self.values.append(&mut right.values);
+        self.len += right.len;
     }
 }
 
@@ -234,24 +315,491 @@ fn size_class(pairs: usize) -> usize {
     }
 }
 
+/// Length of the longest common prefix of `a` and `b`.
+fn common_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
 impl Block {
     /// A block of one pair, with room for `room` (one and the pairs an
     /// ascending run will append after it) rounded up to a size class.
+    /// Its one key is all prefix, so its slot is just a length byte; the
+    /// key bytes are given room for the class at half the key's length a
+    /// key, what a remainder past a shared prefix is about.
     fn starting_with(key: Key, value: Value, room: usize) -> Block {
-        let mut pairs = Vec::with_capacity(size_class(room));
-        pairs.push((key.clone(), value));
-        Block { fence: key, pairs }
-    }
-
-    fn find(&self, key: &Key) -> Result<usize, usize> {
-        self.pairs.binary_search_by(|(k, _)| k.cmp(key))
-    }
-
-    fn insert(&mut self, at: usize, key: Key, value: Value) {
-        if at == 0 {
-            self.fence = key.clone();
+        let class = size_class(room);
+        let long = key.len() > IN_PLACE;
+        let mut values = Vec::with_capacity(class + usize::from(long));
+        values.push(value);
+        if long {
+            values.push(key.bytes().clone());
         }
-        self.pairs.insert(at, (key, value));
+        let mut keys = Vec::with_capacity(match class {
+            1 => 1,
+            _ => class * (1 + key.len().min(IN_PLACE) / 2),
+        });
+        keys.push(if long { LONG } else { 0 });
+        Block {
+            prefix: key.len() as u32,
+            width: 0,
+            len: 1,
+            keys,
+            values,
+            fence: key,
+        }
+    }
+
+    /// A block of the next `m` pairs of `run`, which ascend, with room
+    /// for `room` rounded up to a size class: its prefix and width read
+    /// off the keys first, every slot written once. `took` sees each pair.
+    fn built(
+        run: &mut std::vec::IntoIter<(Key, Value)>,
+        m: usize,
+        room: usize,
+        took: &mut impl FnMut(usize, usize),
+    ) -> Block {
+        let pairs = &run.as_slice()[..m];
+        let (first, last) = (&pairs[0].0, &pairs[m - 1].0);
+        let prefix = common_len(first.as_bytes(), last.as_bytes());
+        let in_place = pairs.iter().filter(|(k, _)| k.len() <= IN_PLACE);
+        let width = in_place.map(|(k, _)| k.len() - prefix).max().unwrap_or(0);
+        let class = size_class(room).max(m);
+        let mut keys = Vec::with_capacity(class * (width + 1));
+        let mut values = Vec::with_capacity(class);
+        let mut long = Vec::new();
+        let mut fence = None;
+        for (key, value) in run.by_ref().take(m) {
+            took(key.len(), value.len());
+            let at = keys.len();
+            keys.resize(at + width + 1, 0);
+            match key.len() > IN_PLACE {
+                true => {
+                    keys[at] = LONG;
+                    long.push(key.bytes().clone());
+                }
+                false => {
+                    keys[at] = (key.len() - prefix) as u8;
+                    keys[at + 1..at + 1 + key.len() - prefix]
+                        .copy_from_slice(&key.as_bytes()[prefix..]);
+                }
+            }
+            values.push(value);
+            fence.get_or_insert(key);
+        }
+        values.append(&mut long);
+        Block {
+            fence: fence.unwrap_or_default(),
+            keys,
+            values,
+            prefix: prefix as u32,
+            width: width as u8,
+            len: m as u8,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// The bytes every key begins with.
+    fn prefix(&self) -> &[u8] {
+        &self.fence.as_bytes()[..self.prefix as usize]
+    }
+
+    /// Bytes per slot.
+    fn slot_len(&self) -> usize {
+        usize::from(self.width) + 1
+    }
+
+    /// Key `i`'s slot.
+    #[inline]
+    fn slot(&self, i: usize) -> &[u8] {
+        let s = self.slot_len();
+        &self.keys[i * s..(i + 1) * s]
+    }
+
+    /// How many keys before `i` are long: where `i`'s handle sits among
+    /// theirs, if it is long too. Free when the block holds no handles.
+    fn rank(&self, i: usize) -> usize {
+        match self.values.len() == self.len() {
+            true => 0,
+            false => (0..i).filter(|&j| self.slot(j)[0] == LONG).count(),
+        }
+    }
+
+    /// Key `i`'s bytes past the prefix.
+    #[inline]
+    fn rest(&self, i: usize) -> &[u8] {
+        let slot = self.slot(i);
+        match slot[0] {
+            LONG => self.long_rest(i),
+            n => &slot[1..=usize::from(n)],
+        }
+    }
+
+    /// A long key's bytes past the prefix, read through its handle.
+    #[cold]
+    fn long_rest(&self, i: usize) -> &[u8] {
+        &self.values[self.len() + self.rank(i)][self.prefix as usize..]
+    }
+
+    /// Key `i`, rebuilt in place, or its shared handle if it is long.
+    fn key(&self, i: usize) -> Key {
+        self.pairs(i, i + 1)
+            .next()
+            .map(|(k, _)| k)
+            .unwrap_or_default()
+    }
+
+    /// Pairs `from..to` in key order, each key rebuilt in place on the
+    /// stack (a long one's handle shared): no allocation either way. The
+    /// prefix is copied once, into a template each slot completes — its
+    /// padding zeros are the handle's own.
+    fn pairs(&self, from: usize, to: usize) -> impl Iterator<Item = (Key, &Value)> {
+        let (head, width) = (self.prefix as usize, usize::from(self.width));
+        let mut template = [0u8; IN_PLACE];
+        // Past `IN_PLACE` bytes of prefix every key is long, and no slot
+        // is copied.
+        let copied = head.min(IN_PLACE);
+        template[..copied].copy_from_slice(&self.prefix()[..copied]);
+        let mut long = self.len() + self.rank(from);
+        let s = self.slot_len();
+        (self.keys[from * s..to * s].chunks_exact(s))
+            .zip(&self.values[from..to])
+            .map(move |(slot, value)| {
+                let key = match slot[0] {
+                    LONG => {
+                        long += 1;
+                        Key::from(self.values[long - 1].clone())
+                    }
+                    n => {
+                        let mut bytes = template;
+                        bytes[head..head + width].copy_from_slice(&slot[1..]);
+                        Key::from(&bytes[..head + usize::from(n)])
+                    }
+                };
+                (key, value)
+            })
+    }
+
+    /// `key`'s bytes past the prefix, or, for a key that does not start
+    /// with it, where it sorts: below every key or past them all. The
+    /// prefix is compared once, and only remainders after it.
+    fn strip<'k>(&self, key: &'k [u8]) -> Result<&'k [u8], usize> {
+        let prefix = self.prefix();
+        let head = key.len().min(prefix.len());
+        match key[..head]
+            .cmp(&prefix[..head])
+            .then(head.cmp(&prefix.len()))
+        {
+            Ordering::Less => Err(0),
+            Ordering::Greater => Err(self.len()),
+            Ordering::Equal => Ok(&key[head..]),
+        }
+    }
+
+    /// Where `key` is, or where it would go: a binary search over the
+    /// slots only.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        let rest = self.strip(key)?;
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.rest(mid).cmp(rest) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// How many keys sort below `key`.
+    fn below(&self, key: &Key) -> usize {
+        let (Ok(at) | Err(at)) = self.find(key.as_bytes());
+        at
+    }
+
+    /// True if `key` sorts above the last key.
+    fn past_last(&self, key: &[u8]) -> bool {
+        self.after_last(key).is_some()
+    }
+
+    /// If `key` sorts above the last key, whether it starts with the
+    /// prefix.
+    fn after_last(&self, key: &[u8]) -> Option<bool> {
+        match self.strip(key) {
+            Ok(rest) => (self.rest(self.len() - 1) < rest).then_some(true),
+            Err(at) => (at > 0).then_some(false),
+        }
+    }
+
+    /// Makes room in `keys` for `slots` slots. When it must grow, it grows
+    /// to as many slots as the values have room for.
+    fn reserve_slots(&mut self, slots: usize) {
+        let want = slots * self.slot_len();
+        if want > self.keys.capacity() {
+            let room = self.values.capacity().max(slots) * self.slot_len();
+            self.keys.reserve_exact(room - self.keys.len());
+        }
+    }
+
+    /// The width the slots need under a prefix `to` bytes long, no longer
+    /// than the current one: the current width grown by the bytes the
+    /// prefix loses, or zero if every key is long.
+    fn width_under(&self, to: usize) -> usize {
+        match self.values.len() < 2 * self.len() {
+            true => usize::from(self.width) + self.prefix as usize - to,
+            false => 0,
+        }
+    }
+
+    /// Puts a pair at `at`, first re-encoding the slots if `key` does not
+    /// share all of the prefix or needs a wider slot.
+    fn insert(&mut self, at: usize, key: Key, value: Value) {
+        let long = key.len() > IN_PLACE;
+        let shared = common_len(self.prefix(), key.as_bytes());
+        let rest = match long {
+            true => None,
+            false => Some(&key.as_bytes()[shared..]),
+        };
+        let width = rest.map_or(0, <[u8]>::len).max(self.width_under(shared));
+        self.relayout(shared, width);
+        self.reserve_slots(self.len() + 1);
+        let (s, end) = (self.slot_len(), self.keys.len());
+        self.keys.resize(end + s, 0);
+        self.keys.copy_within(at * s..end, (at + 1) * s);
+        let slot = &mut self.keys[at * s..(at + 1) * s];
+        slot.fill(0);
+        match rest {
+            None => slot[0] = LONG,
+            Some(rest) => {
+                slot[0] = rest.len() as u8;
+                slot[1..=rest.len()].copy_from_slice(rest);
+            }
+        }
+        if long {
+            let handle = self.len() + self.rank(at);
+            self.values.insert(handle, key.bytes().clone());
+        }
+        self.values.insert(at, value);
+        self.len += 1;
+        if at == 0 {
+            self.fence = key;
+        }
+    }
+
+    /// [`Block::insert`] at the end, for a key past the last: the common
+    /// write, and one slot pushed when the key starts with the prefix
+    /// (`prefixed`, as [`Block::after_last`] found) and fits the width.
+    fn push(&mut self, key: Key, value: Value, prefixed: bool) {
+        let (held, head) = (self.len(), self.prefix as usize);
+        if !prefixed || key.len() > IN_PLACE || key.len() - head > usize::from(self.width) {
+            return self.insert(held, key, value);
+        }
+        let rest = &key.as_bytes()[head..];
+        self.reserve_slots(held + 1);
+        let end = self.keys.len();
+        self.keys.resize(end + self.slot_len(), 0);
+        self.keys[end] = rest.len() as u8;
+        self.keys[end + 1..=end + rest.len()].copy_from_slice(rest);
+        match self.values.len() == held {
+            true => self.values.push(value),
+            false => self.values.insert(held, value),
+        }
+        self.len += 1;
+    }
+
+    /// Takes pair `at` out. A block that keeps pairs but lost its first or
+    /// last key, or its widest remainder, renews its fence, prefix and
+    /// width.
+    fn remove(&mut self, at: usize) -> Value {
+        let (held, s, n) = (self.len(), self.slot_len(), self.slot(at)[0]);
+        if n == LONG {
+            self.values.remove(held + self.rank(at));
+        }
+        self.keys.drain(at * s..(at + 1) * s);
+        let value = self.values.remove(at);
+        self.len -= 1;
+        if self.len > 0 && (at == 0 || at == self.len() || n == self.width) {
+            self.renew();
+        }
+        value
+    }
+
+    /// Offers pairs `from..to` to `doomed` in key order, takes out those
+    /// it accepts in one compaction, and returns how many went.
+    fn retain(
+        &mut self,
+        from: usize,
+        to: usize,
+        doomed: &mut impl FnMut(&Key, &Value) -> bool,
+    ) -> usize {
+        let mut gone = 0u64;
+        for (at, (key, value)) in (from..).zip(self.pairs(from, to)) {
+            gone |= u64::from(doomed(&key, value)) << at;
+        }
+        if gone == 0 {
+            return 0;
+        }
+        let (held, s) = (self.len(), self.slot_len());
+        if gone.count_ones() as usize == held {
+            self.len = 0;
+            self.keys.clear();
+            self.values.clear();
+            return held;
+        }
+        let (mut kept, mut long, mut long_gone) = (0, 0, 0u64);
+        for i in 0..held {
+            let dropped = gone >> i & 1 == 1;
+            if self.keys[i * s] == LONG {
+                long_gone |= u64::from(dropped) << long;
+                long += 1;
+            }
+            if !dropped {
+                self.keys.copy_within(i * s..(i + 1) * s, kept * s);
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept * s);
+        let mut at = 0;
+        self.values.retain(|_| {
+            let dropped = match at < held {
+                true => gone >> at,
+                false => long_gone >> (at - held),
+            };
+            at += 1;
+            dropped & 1 == 0
+        });
+        self.len = kept as u8;
+        self.renew();
+        gone.count_ones() as usize
+    }
+
+    /// Splits pairs `at..` off into a block of their own; each half then
+    /// holds the longest prefix and the narrowest slots its own keys
+    /// allow.
+    fn split_off(&mut self, at: usize) -> Block {
+        let (held, s, prefix, width) = (self.len(), self.slot_len(), self.prefix, self.width);
+        let fence = self.key(at);
+        let long = self.rank(at);
+        let keys = self.keys[at * s..].to_vec();
+        self.keys.truncate(at * s);
+        let mut values = self.values.split_off(at);
+        self.values
+            .extend(values.drain(held - at..held - at + long));
+        self.len = at as u8;
+        self.renew();
+        let mut upper = Block {
+            fence,
+            keys,
+            values,
+            prefix,
+            width,
+            len: (held - at) as u8,
+        };
+        upper.renew();
+        upper
+    }
+
+    /// Re-derives the fence, the prefix and the width from the keys after
+    /// the first, the last or the widest may have changed.
+    fn renew(&mut self) {
+        let (last, from) = (self.len() - 1, self.prefix as usize);
+        let prefix = from + common_len(self.rest(0), self.rest(last));
+        // Rebuilt under the old prefix, which every key still starts with.
+        self.fence = self.key(0);
+        let widest = (self.keys.chunks_exact(self.slot_len()))
+            .filter(|slot| slot[0] != LONG)
+            .map(|slot| usize::from(slot[0]))
+            .max();
+        self.relayout(prefix, widest.map_or(0, |w| w + from - prefix));
+    }
+
+    /// Re-encodes every slot for a prefix `to` bytes long and slots
+    /// `width` wide: a shorter prefix's lost bytes (taken from the fence)
+    /// go in front of each in-place remainder, a longer one's gained bytes
+    /// are cut from them. Long keys have no remainder to change.
+    fn relayout(&mut self, to: usize, width: usize) {
+        let (from, old) = (self.prefix as usize, self.slot_len());
+        if (to, width) == (from, old - 1) {
+            return;
+        }
+        let (held, s) = (self.len(), width + 1);
+        let mut slots = [0u8; BLOCK_PAIRS * (IN_PLACE + 1)];
+        let lost = &self.fence.as_bytes()[to.min(from)..from];
+        for (i, slot) in self.keys.chunks_exact(old).enumerate() {
+            let out = &mut slots[i * s..(i + 1) * s];
+            let n = usize::from(slot[0]);
+            match slot[0] {
+                LONG => out[0] = LONG,
+                _ if to <= from => {
+                    out[0] = (n + lost.len()) as u8;
+                    out[1..=lost.len()].copy_from_slice(lost);
+                    out[1 + lost.len()..=lost.len() + n].copy_from_slice(&slot[1..=n]);
+                }
+                _ => {
+                    let cut = to - from;
+                    out[0] = (n - cut) as u8;
+                    out[1..=n - cut].copy_from_slice(&slot[1 + cut..=n]);
+                }
+            }
+        }
+        (self.prefix, self.width) = (to as u32, width as u8);
+        self.keys.clear();
+        self.reserve_slots(held);
+        self.keys.extend_from_slice(&slots[..held * s]);
+    }
+
+    /// Gives up the spare capacity of both allocations.
+    fn shrink(&mut self) {
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
+    /// Problems with the encoding itself, which must be sound before a
+    /// key can be rebuilt: the slot count, each length byte and its
+    /// padding, the handle count, the prefix's length and the width.
+    fn malformed(&self) -> Option<String> {
+        let (held, s) = (self.len(), self.slot_len());
+        if self.keys.len() != held * s {
+            return Some(format!(
+                "{} key bytes are not {held} slots of {s}",
+                self.keys.len()
+            ));
+        }
+        if self.prefix as usize > self.fence.len() {
+            return Some(format!("a {}-byte prefix outruns its fence", self.prefix));
+        }
+        let mut widest = None;
+        for (i, slot) in self.keys.chunks_exact(s).enumerate() {
+            let n = match slot[0] {
+                LONG => 0,
+                n => usize::from(n),
+            };
+            if n > s - 1 || slot[1 + n..].iter().any(|&b| b != 0) {
+                return Some(format!("key {i}'s slot {slot:?} is out of shape"));
+            }
+            if slot[0] != LONG {
+                widest = widest.max(Some(n));
+            }
+        }
+        let long = (self.keys.chunks_exact(s))
+            .filter(|slot| slot[0] == LONG)
+            .count();
+        if self.values.len() != held + long {
+            return Some(format!(
+                "{} handles for {held} keys, {long} long",
+                self.values.len()
+            ));
+        }
+        if widest.unwrap_or(0) != s - 1 {
+            return Some(format!(
+                "slots {s} bytes wide for a widest remainder of {}",
+                widest.unwrap_or(0)
+            ));
+        }
+        None
     }
 }
 
@@ -264,52 +812,58 @@ impl Chunk {
     }
 }
 
-/// True if `key` sorts above every pair of `blocks`.
-fn past_end(blocks: &[Block], key: &Key) -> bool {
-    let newest = blocks.last().and_then(|tail| tail.pairs.last());
-    newest.is_none_or(|(last, _)| key > last)
+/// If `key` sorts above every pair of `blocks`, whether it starts with
+/// the tail's prefix (`false` with no tail). The tail's fence, which sits
+/// in the directory, turns away a key below it before the tail's own
+/// bytes are read.
+fn past_end(blocks: &[Block], key: &Key) -> Option<bool> {
+    match blocks.last() {
+        None => Some(false),
+        Some(tail) if *key > tail.fence => tail.after_last(key.as_bytes()),
+        Some(_) => None,
+    }
 }
 
 /// [`Blocks::put_in_run`] within one list of blocks.
 fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Option<Value> {
-    if past_end(blocks, &key) {
+    if let Some(prefixed) = past_end(blocks, &key) {
         match blocks.last_mut() {
-            Some(tail) if tail.pairs.len() < BLOCK_PAIRS => {
-                let held = tail.pairs.len();
-                if held == tail.pairs.capacity() {
-                    tail.pairs.reserve_exact(size_class(held + room) - held);
+            Some(tail) if tail.len() < BLOCK_PAIRS => {
+                let held = tail.len();
+                if tail.values.len() == tail.values.capacity() {
+                    tail.values.reserve_exact(size_class(held + room) - held);
                 }
-                tail.pairs.push((key, value));
+                tail.push(key, value, prefixed);
             }
-            _ => blocks.push(Block::starting_with(key, value, room)),
+            _ => {
+                let fresh = Block::starting_with(key, value, room);
+                blocks.push(fresh);
+            }
         }
         return None;
     }
     let b = entry_for(blocks, &key);
     let block = &mut blocks[b];
-    let at = match block.find(&key) {
-        Ok(at) => return Some(std::mem::replace(&mut block.pairs[at].1, value)),
+    let at = match block.find(key.as_bytes()) {
+        Ok(at) => return Some(std::mem::replace(&mut block.values[at], value)),
         Err(at) => at,
     };
-    if block.pairs.len() < BLOCK_PAIRS {
+    if block.len() < BLOCK_PAIRS {
         block.insert(at, key, value);
     } else if at == BLOCK_PAIRS {
         blocks.insert(b + 1, Block::starting_with(key, value, 1));
     } else {
         const HALF: usize = BLOCK_PAIRS / 2;
-        let mut upper = Block {
-            fence: block.pairs[HALF].0.clone(),
-            pairs: block.pairs.split_off(HALF),
-        };
+        let mut upper = block.split_off(HALF);
         if at < HALF {
             block.insert(at, key, value);
         } else {
-            upper.pairs.reserve_exact(1);
+            upper.values.reserve_exact(1);
             upper.insert(at - HALF, key, value);
         }
         // Both halves are sized to fit: most never see a second
         // mid-insert, and one that does doubles again.
-        block.pairs.shrink_to_fit();
+        block.shrink();
         blocks.insert(b + 1, upper);
     }
     None
@@ -319,18 +873,13 @@ fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Optio
 fn remove_in(blocks: &mut Vec<Block>, key: &Key) -> Option<Value> {
     let b = entry_for(blocks, key);
     let block = blocks.get_mut(b)?;
-    let at = block.find(key).ok()?;
-    let (_, value) = block.pairs.remove(at);
-    match block.pairs.first() {
-        None => {
+    let at = block.find(key.as_bytes()).ok()?;
+    let value = block.remove(at);
+    match block.len() {
+        0 => {
             blocks.remove(b);
         }
-        Some((first, _)) => {
-            if at == 0 {
-                block.fence = first.clone();
-            }
-            merge_around(blocks, b, BLOCK_PAIRS / 2);
-        }
+        _ => merge_around(blocks, b, BLOCK_PAIRS / 2),
     }
     Some(value)
 }
@@ -353,28 +902,15 @@ fn remove_range_in(
         // Only the range's first and last blocks can hold pairs
         // outside it.
         let lo = match block.fence < range.first {
-            true => block.pairs.partition_point(|(k, _)| *k < range.first),
+            true => block.below(&range.first),
             false => 0,
         };
-        let hi = match block.pairs.last() {
-            Some((last, _)) if !range.end.admits(last) => {
-                block.pairs.partition_point(|(k, _)| range.end.admits(k))
-            }
-            _ => block.pairs.len(),
+        let hi = match range.end.as_key() {
+            Some(bound) if !block.past_last(bound.as_bytes()) => block.below(bound),
+            _ => block.len(),
         };
-        let held = block.pairs.len();
-        let mut at = 0;
-        block.pairs.retain(|(k, v)| {
-            let in_range = (lo..hi).contains(&at);
-            at += 1;
-            !(in_range && doomed(k, v))
-        });
-        removed += held - block.pairs.len();
-        match block.pairs.first() {
-            None => emptied = true,
-            Some((k, _)) if *k != block.fence => block.fence = k.clone(),
-            Some(_) => {}
-        }
+        removed += block.retain(lo, hi, doomed);
+        emptied |= block.len() == 0;
     }
     if emptied {
         end -= drop_emptied(blocks);
@@ -432,26 +968,23 @@ fn scan_in(blocks: &[Block], range: &KeyRange, f: &mut impl FnMut(&Key, &Value) 
     let Some(block) = blocks.get(b) else {
         return Walk::RanOff;
     };
-    let mut skip = block.pairs.partition_point(|(k, _)| *k < range.first);
+    let mut skip = block.below(&range.first);
     for (at, block) in blocks.iter().enumerate().skip(b) {
         // The bound is compared once per block, not once per pair, and
         // with the next block's fence where there is one: the search has
-        // just read that, the block's own last pair is a cache line away.
-        let pairs = &block.pairs[skip..];
-        let whole = match blocks.get(at + 1) {
-            Some(next) => range.end.admits(&next.fence),
-            None => pairs.last().is_none_or(|(k, _)| range.end.admits(k)),
+        // just read that, the block's own last key is a cache line away.
+        let cut = match (range.end.as_key(), blocks.get(at + 1)) {
+            (None, _) => None,
+            (Some(bound), Some(next)) if next.fence < *bound => None,
+            (Some(bound), None) if block.past_last(bound.as_bytes()) => None,
+            (Some(bound), _) => Some(block.below(bound).max(skip)),
         };
-        let pairs = match whole {
-            true => pairs,
-            false => &pairs[..pairs.partition_point(|(k, _)| range.end.admits(k))],
-        };
-        for (k, v) in pairs {
-            if !f(k, v) {
+        for (k, v) in block.pairs(skip, cut.unwrap_or(block.len())) {
+            if !f(&k, v) {
                 return Walk::Stopped;
             }
         }
-        if !whole {
+        if cut.is_some() {
             return Walk::Done;
         }
         skip = 0;
@@ -516,8 +1049,8 @@ impl Blocks {
         // the next one (an ascending load stays dense at this level too);
         // any other block it gains splits it into two halves sized to fit.
         let full = blocks.len() == CHUNK_BLOCKS
-            && blocks[CHUNK_BLOCKS - 1].pairs.len() == BLOCK_PAIRS
-            && past_end(blocks, &key);
+            && blocks[CHUNK_BLOCKS - 1].len() == BLOCK_PAIRS
+            && past_end(blocks, &key).is_some();
         let (old, next) = if full {
             let fresh = vec![Block::starting_with(key, value, left)];
             (None, Some(Chunk::of(fresh)))
@@ -546,12 +1079,46 @@ impl Blocks {
         old
     }
 
+    /// Takes pairs off the front of `run`, an ascending run with `left`
+    /// pairs still to come, while they sort past every key held, and lays
+    /// them out as whole blocks, each built in one pass: no slot is
+    /// written twice and no block regrows. Takes nothing while the tail
+    /// block has room ([`Blocks::put_in_run`] fills it) or the directory
+    /// is a full chunk or more. Returns how many pairs it took; `took`
+    /// sees each one.
+    pub(crate) fn append_run(
+        &mut self,
+        run: &mut std::vec::IntoIter<(Key, Value)>,
+        left: usize,
+        took: &mut impl FnMut(usize, usize),
+    ) -> usize {
+        let Dir::One(blocks) = &mut self.dir else {
+            return 0;
+        };
+        let mut done = 0;
+        while done < left && blocks.len() < CHUNK_BLOCKS {
+            let pairs = &run.as_slice()[..left - done];
+            let tail_full = blocks.last().is_none_or(|tail| tail.len() == BLOCK_PAIRS);
+            if !tail_full || past_end(blocks, &pairs[0].0).is_none() {
+                break;
+            }
+            let m = 1
+                + (pairs.windows(2))
+                    .take(BLOCK_PAIRS - 1)
+                    .take_while(|w| w[0].0 < w[1].0)
+                    .count();
+            blocks.push(Block::built(run, m, left - done, took));
+            done += m;
+        }
+        done
+    }
+
     /// Looks up a key.
     pub(crate) fn get(&self, key: &Key) -> Option<&Value> {
         let blocks = self.lists(Some(key)).next()?;
         let block = blocks.get(entry_for(blocks, key))?;
-        let at = block.find(key).ok()?;
-        Some(&block.pairs[at].1)
+        let at = block.find(key.as_bytes()).ok()?;
+        block.values.get(at)
     }
 
     /// Removes a key, returning its value.
@@ -619,9 +1186,25 @@ impl Blocks {
         }
     }
 
-    /// Every pair in key order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Key, Value)> {
-        self.lists(None).flatten().flat_map(|b| &b.pairs)
+    /// Pairs held, counted block by block (each block's count is checked
+    /// against its encoding by [`Blocks::audit`]).
+    pub(crate) fn len(&self) -> usize {
+        self.lists(None).flatten().map(Block::len).sum()
+    }
+
+    /// The first and the last key, if any: every key sorts between them.
+    pub(crate) fn ends(&self) -> Option<(Key, Key)> {
+        let first = self.lists(None).flatten().next()?;
+        let last = self.lists(None).flatten().last()?;
+        Some((first.key(0), last.key(last.len() - 1)))
+    }
+
+    /// Every pair in key order, each key rebuilt as [`Block::pairs`]
+    /// does.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, &Value)> {
+        self.lists(None)
+            .flatten()
+            .flat_map(|block| block.pairs(0, block.len()))
     }
 
     /// Visits the pairs in `range` in key order until the visitor returns
@@ -641,7 +1224,11 @@ impl Blocks {
     /// block or chunk, none over capacity, keys strictly ascending within
     /// and across blocks and chunks, every fence equal to its block's or
     /// chunk's first key, and an upper level only over two chunks or
-    /// more. Returns one message per problem.
+    /// more; and of each block's encoding, one zero-padded slot per key
+    /// as wide as the longest remainder, one handle per long key, every
+    /// key rebuilt in place exactly when it is at most [`IN_PLACE`] bytes
+    /// long, and a prefix that is the longest its first and last key
+    /// share. Returns one message per problem.
     pub(crate) fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if let Dir::Many(chunks) = &self.dir {
@@ -659,7 +1246,7 @@ impl Blocks {
                 }
             }
         }
-        let mut prev: Option<&Key> = None;
+        let mut prev: Option<Key> = None;
         let mut b = 0;
         for (c, blocks) in self.lists(None).enumerate() {
             if blocks.len() > CHUNK_BLOCKS {
@@ -669,41 +1256,105 @@ impl Blocks {
                 ));
             }
             for block in blocks {
-                match block.pairs.first() {
-                    None => problems.push(format!("block {b} is empty")),
-                    Some((first, _)) if *first != block.fence => problems.push(format!(
-                        "block {b} has fence {:?} but starts at {first:?}",
-                        block.fence
-                    )),
-                    Some(_) => {}
-                }
-                if block.pairs.len() > BLOCK_PAIRS {
+                b += 1;
+                let (b, held) = (b - 1, block.len());
+                if held > BLOCK_PAIRS {
                     problems.push(format!(
-                        "block {b} holds {} pairs; capacity is {BLOCK_PAIRS}",
-                        block.pairs.len()
+                        "block {b} holds {held} pairs; capacity is {BLOCK_PAIRS}"
                     ));
                 }
-                for (k, _) in &block.pairs {
-                    if prev.is_some_and(|p| p >= k) {
+                if held == 0 {
+                    problems.push(format!("block {b} is empty"));
+                    continue;
+                }
+                if let Some(flaw) = block.malformed() {
+                    problems.push(format!("block {b} is malformed: {flaw}"));
+                    continue;
+                }
+                let first = block.key(0);
+                if first != block.fence {
+                    problems.push(format!(
+                        "block {b} has fence {:?} but starts at {first:?}",
+                        block.fence
+                    ));
+                }
+                let shared = common_len(block.rest(0), block.rest(held - 1));
+                if shared > 0 {
+                    problems.push(format!(
+                        "block {b}: its first and last keys share {shared} byte(s) past its {}-byte prefix",
+                        block.prefix
+                    ));
+                }
+                if prev.as_ref().is_some_and(|p| *p >= first) {
+                    problems.push(format!(
+                        "block {b}: key {first:?} does not ascend past {prev:?}"
+                    ));
+                }
+                // Within a block keys compare as remainders: they share
+                // its prefix. A long key's handle must start with it.
+                let (mut long, mut last) = (held, None);
+                for (i, slot) in block.keys.chunks_exact(block.slot_len()).enumerate() {
+                    let rest = match slot[0] {
+                        LONG => {
+                            long += 1;
+                            let handle = &block.values[long - 1];
+                            if handle.len() <= IN_PLACE || !handle.starts_with(block.prefix()) {
+                                problems.push(format!(
+                                    "block {b}: key {handle:?} is held as a long handle under prefix {:?}",
+                                    Key::from(block.prefix())
+                                ));
+                                last = None;
+                                continue;
+                            }
+                            &handle[block.prefix as usize..]
+                        }
+                        n => &slot[1..=usize::from(n)],
+                    };
+                    if slot[0] != LONG && block.prefix as usize + rest.len() > IN_PLACE {
                         problems.push(format!(
-                            "block {b}: key {k:?} does not ascend past {prev:?}"
+                            "block {b}: key {:?} is held in place past {IN_PLACE} bytes",
+                            block.key(i)
                         ));
                     }
-                    prev = Some(k);
+                    if last.is_some_and(|last| last >= rest) {
+                        problems.push(format!(
+                            "block {b}: key {:?} does not ascend past {:?}",
+                            block.key(i),
+                            block.key(i - 1)
+                        ));
+                    }
+                    last = Some(rest);
                 }
-                b += 1;
+                prev = Some(block.key(held - 1));
             }
         }
         problems
     }
 
+    /// The block that may hold `key`, for the test-only hooks below.
+    fn block_mut(&mut self, key: &Key) -> Option<&mut Block> {
+        let (_, blocks) = self.list_mut(key);
+        let b = entry_for(blocks, key);
+        blocks.get_mut(b)
+    }
+
     /// Test-only hook: files the block holding `key` under the wrong
     /// fence, so tests can prove the auditor notices.
     pub(crate) fn debug_misfile_fence(&mut self, key: &Key) {
-        let (_, blocks) = self.list_mut(key);
-        let b = entry_for(blocks, key);
-        if let Some(block) = blocks.get_mut(b) {
+        if let Some(block) = self.block_mut(key) {
             block.fence = block.fence.successor();
+        }
+    }
+
+    /// Test-only hook: re-encodes the block holding `key` under a prefix
+    /// one byte shorter than its keys share. Every key still reads back
+    /// right; only the prefix invariant breaks, so tests can prove the
+    /// auditor notices.
+    #[cfg(test)]
+    pub(crate) fn debug_shorten_prefix(&mut self, key: &Key) {
+        if let Some(block) = self.block_mut(key).filter(|block| block.prefix > 0) {
+            let to = block.prefix as usize - 1;
+            block.relayout(to, block.width_under(to));
         }
     }
 }
@@ -743,7 +1394,7 @@ mod tests {
     }
 
     fn keys_of(blocks: &Blocks) -> Vec<Key> {
-        blocks.iter().map(|(k, _)| k.clone()).collect()
+        blocks.iter().map(|(k, _)| k).collect()
     }
 
     /// Every block in key order, whatever chunk it is in.
@@ -753,7 +1404,7 @@ mod tests {
 
     /// Pairs held by each block.
     fn fill(blocks: &Blocks) -> Vec<usize> {
-        blocks_of(blocks).iter().map(|b| b.pairs.len()).collect()
+        blocks_of(blocks).iter().map(|b| b.len()).collect()
     }
 
     /// Blocks held by each chunk.
@@ -806,7 +1457,7 @@ mod tests {
         let capacities = |blocks: &Blocks| -> Vec<usize> {
             blocks_of(blocks)
                 .iter()
-                .map(|b| b.pairs.capacity())
+                .map(|b| b.values.capacity())
                 .collect()
         };
         for run in [1, 3, 20, 2 * BLOCK_PAIRS + 12] {
@@ -833,6 +1484,44 @@ mod tests {
         );
     }
 
+    /// A run past the end is laid out whole blocks at a time, each at the
+    /// class it ends in, and holds what pair-by-pair appends would; the
+    /// layout stops at a pair that does not ascend, and takes nothing
+    /// while the tail has room or the run starts inside the container.
+    #[test]
+    fn a_run_past_the_end_is_laid_out_in_whole_blocks() {
+        let laid_out = |blocks: &mut Blocks, run: Vec<(Key, Value)>| {
+            let left = run.len();
+            let (mut run, mut seen) = (run.into_iter(), 0);
+            let took = blocks.append_run(&mut run, left, &mut |_, _| seen += 1);
+            assert_eq!(took, seen);
+            took
+        };
+        let pairs = |ns: &[usize]| -> Vec<(Key, Value)> {
+            ns.iter().map(|&n| (key(2 * n), value(n))).collect()
+        };
+        let n = 2 * BLOCK_PAIRS + 12;
+        let mut blocks = ascending(BLOCK_PAIRS);
+        let run: Vec<usize> = (BLOCK_PAIRS..BLOCK_PAIRS + n).collect();
+        assert_eq!(laid_out(&mut blocks, pairs(&run)), n);
+        assert_eq!(keys_of(&blocks), keys_of(&ascending(BLOCK_PAIRS + n)));
+        assert_eq!(fill(&blocks), [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 12]);
+        let room: Vec<usize> = (blocks_of(&blocks).iter())
+            .map(|b| b.values.capacity())
+            .collect();
+        assert_eq!(room, [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 16]);
+        assert_sound(&blocks);
+        // The tail has room: nothing is taken.
+        assert_eq!(laid_out(&mut blocks, pairs(&[500])), 0);
+        // Stops where the run stops ascending, and below the end.
+        let mut blocks = ascending(BLOCK_PAIRS);
+        assert_eq!(laid_out(&mut blocks, pairs(&[40, 41, 41, 42])), 2);
+        assert_eq!(laid_out(&mut blocks, pairs(&[3])), 0);
+        let mut blocks = ascending(BLOCK_PAIRS);
+        assert_eq!(laid_out(&mut blocks, pairs(&[1, 50])), 0);
+        assert_sound(&blocks);
+    }
+
     #[test]
     fn a_small_subtable_never_pays_for_a_whole_block() {
         let mut blocks = ascending(3);
@@ -843,7 +1532,7 @@ mod tests {
         );
         let list = only_list(&mut blocks);
         assert_eq!((list.len(), list.capacity()), (1, 1));
-        assert!(list[0].pairs.capacity() <= 4);
+        assert!(list[0].values.capacity() <= 4);
     }
 
     #[test]
@@ -866,7 +1555,7 @@ mod tests {
             [BLOCK_PAIRS / 2 + 1, BLOCK_PAIRS / 2, BLOCK_PAIRS]
         );
         let room: Vec<usize> = (blocks_of(&blocks).iter())
-            .map(|b| b.pairs.capacity())
+            .map(|b| b.values.capacity())
             .collect();
         assert_eq!(room, fill(&blocks), "both halves are sized to fit");
         assert_sound(&blocks);
@@ -1013,11 +1702,8 @@ mod tests {
         let all = keys_of(&blocks);
         let mut edges = vec![0usize];
         for block in blocks_of(&blocks) {
-            for pair in [block.pairs.first(), block.pairs.last()] {
-                let at = all
-                    .iter()
-                    .position(|k| Some(k) == pair.map(|(k, _)| k))
-                    .unwrap();
+            for edge in [block.key(0), block.key(block.len() - 1)] {
+                let at = all.iter().position(|k| *k == edge).unwrap();
                 edges.extend([at.saturating_sub(1), at, at + 1]);
             }
         }
@@ -1186,19 +1872,219 @@ mod tests {
         assert!(problems[0].contains("has fence"), "{problems:?}");
 
         let mut blocks = ascending(BLOCK_PAIRS + 2);
-        only_list(&mut blocks)[1].pairs.clear();
+        let tail = &mut only_list(&mut blocks)[1];
+        (tail.len, tail.keys, tail.values) = (0, Vec::new(), Vec::new());
         assert!(blocks.audit().iter().any(|m| m.contains("is empty")));
 
         let mut blocks = ascending(BLOCK_PAIRS);
-        only_list(&mut blocks)[0].pairs.push((key(999), value(0)));
+        only_list(&mut blocks)[0].insert(BLOCK_PAIRS, key(999), value(0));
         assert!(blocks.audit().iter().any(|m| m.contains("capacity is")));
 
         let mut blocks = ascending(BLOCK_PAIRS + 2);
-        only_list(&mut blocks)[0].pairs.swap(3, 4);
+        let moved = only_list(&mut blocks)[0].remove(3);
+        only_list(&mut blocks)[0].insert(4, key(6), moved);
         assert!(blocks.audit().iter().any(|m| m.contains("does not ascend")));
         let mut blocks = ascending(BLOCK_PAIRS + 2);
         only_list(&mut blocks).swap(0, 1);
         assert!(blocks.audit().iter().any(|m| m.contains("does not ascend")));
+    }
+
+    fn raw(bytes: &[u8]) -> Key {
+        Key::from(bytes)
+    }
+
+    /// The blocks against a `BTreeMap` holding the same pairs: every key
+    /// read back in order, found by `get`, and every scan from each
+    /// probe to the end agreeing with a filter.
+    fn assert_matches(
+        blocks: &Blocks,
+        model: &std::collections::BTreeMap<Key, Value>,
+        probes: &[Key],
+    ) {
+        assert_sound(blocks);
+        let pairs: Vec<(Key, Value)> = blocks.iter().map(|(k, v)| (k, v.clone())).collect();
+        let want: Vec<(Key, Value)> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(pairs, want);
+        for probe in probes.iter().chain(model.keys()) {
+            assert_eq!(blocks.get(probe), model.get(probe), "get {probe:?}");
+            let range = KeyRange::with_bound(probe.clone(), UpperBound::Unbounded);
+            let want: Vec<Key> = model
+                .range(probe.clone()..)
+                .map(|(k, _)| k.clone())
+                .collect();
+            assert_eq!(
+                scanned(blocks, &range, usize::MAX),
+                want,
+                "scan from {probe:?}"
+            );
+        }
+    }
+
+    /// The prefix is always the longest the first and last key share: a
+    /// lone key is all prefix, an append or front insert that shares less
+    /// shortens it, a key equal to the prefix is held as an empty
+    /// remainder, and taking either end away lengthens it again.
+    #[test]
+    fn the_prefix_follows_the_first_and_last_keys() {
+        let mut blocks = Blocks::new();
+        let prefix = |blocks: &Blocks| blocks_of(blocks)[0].prefix().to_vec();
+        let mut model = std::collections::BTreeMap::new();
+        let steps: [(&[u8], &[u8]); 7] = [
+            (b"t|ann|0000012345|bob", b"t|ann|0000012345|bob"),
+            (b"t|ann|0000012399|bob", b"t|ann|00000123"),
+            (b"t|ann|0000013000|bob", b"t|ann|000001"),
+            (b"t|ann|", b"t|ann|"),
+            (b"t|ann|0000012377|liz", b"t|ann|"),
+            (b"t|ann|\xff", b"t|ann|"),
+            (b"t|ann|\x00", b"t|ann|"),
+        ];
+        for (n, (key, want)) in steps.into_iter().enumerate() {
+            assert!(blocks.put(raw(key), value(n)).is_none());
+            model.insert(raw(key), value(n));
+            assert_eq!(prefix(&blocks), want, "after {:?}", raw(key));
+            assert_matches(&blocks, &model, &[]);
+        }
+        for (key, want) in [
+            (&b"t|ann|"[..], &b"t|ann|"[..]),
+            (b"t|ann|\xff", b"t|ann|"),
+            (b"t|ann|\x00", b"t|ann|000001"),
+            (b"t|ann|0000013000|bob", b"t|ann|00000123"),
+            (b"t|ann|0000012345|bob", b"t|ann|00000123"),
+        ] {
+            assert!(blocks.remove(&raw(key)).is_some());
+            model.remove(&raw(key));
+            assert_eq!(prefix(&blocks), want, "without {:?}", raw(key));
+            assert_matches(&blocks, &model, &[]);
+        }
+    }
+
+    /// Probes that route to a block but share none of its prefix sort
+    /// below or past all of it, whichever way they differ; so do bounds.
+    #[test]
+    fn probes_outside_a_blocks_prefix_sort_below_or_past_it() {
+        let mut blocks = Blocks::new();
+        let mut model = std::collections::BTreeMap::new();
+        for n in 0..2 * BLOCK_PAIRS + 5 {
+            let key = Key::from(format!("m|{:02}|{n:04}", n / BLOCK_PAIRS));
+            blocks.put(key.clone(), value(n));
+            model.insert(key, value(n));
+        }
+        let probes: Vec<Key> = [
+            &b""[..],
+            b"a",
+            b"m",
+            b"m|",
+            b"m|00",
+            b"m|00|",
+            b"m|00|\xff",
+            b"m|01",
+            b"m|01|0031\x00",
+            b"m|0\xff",
+            b"m}",
+            b"\xff",
+        ]
+        .into_iter()
+        .map(raw)
+        .collect();
+        assert_matches(&blocks, &model, &probes);
+        for probe in &probes {
+            assert_eq!(blocks.remove(probe), None);
+        }
+    }
+
+    /// Keys of 29, 30, 31 and 64 bytes — either side of the in-place
+    /// limit — ending in `0x00`, `0xff`, `|` or a letter, put in a shuffled
+    /// order into one container and taken out the same way.
+    #[test]
+    fn keys_either_side_of_the_in_place_limit_share_blocks() {
+        let mut keys = Vec::new();
+        let lasts: &[u8] = if cfg!(miri) {
+            &[0x00, 0xff]
+        } else {
+            &[0x00, 0xff, b'|', b'a']
+        };
+        for len in [29, 30, 31, 64] {
+            for &last in lasts {
+                for stem in [b'k', b'q'] {
+                    let mut key = vec![stem; len - 1];
+                    key.push(last);
+                    keys.push(Key::from(key));
+                }
+            }
+        }
+        let order: Vec<usize> = (0..keys.len()).map(|i| (i * 23 + 7) % keys.len()).collect();
+        let (mut blocks, mut model) = (Blocks::new(), std::collections::BTreeMap::new());
+        for &i in &order {
+            blocks.put(keys[i].clone(), value(i));
+            model.insert(keys[i].clone(), value(i));
+            assert_matches(&blocks, &model, &keys);
+        }
+        for &i in order.iter().rev() {
+            assert_eq!(blocks.remove(&keys[i]), model.remove(&keys[i]));
+            assert_matches(&blocks, &model, &keys);
+        }
+        assert!(blocks.is_empty());
+    }
+
+    /// A full block of two families splits into halves that each hold
+    /// their own, longer prefix; thinned out, the halves merge back under
+    /// the shorter one they share.
+    #[test]
+    fn half_splits_and_merges_re_encode_both_halves() {
+        let family = |f: char, n: usize| Key::from(format!("a|{f}{n:02}"));
+        let (mut blocks, mut model) = (Blocks::new(), std::collections::BTreeMap::new());
+        for (f, n) in (0..BLOCK_PAIRS).map(|i| (if i < BLOCK_PAIRS / 2 { 'x' } else { 'y' }, i)) {
+            blocks.put(family(f, n), value(n));
+            model.insert(family(f, n), value(n));
+        }
+        assert_eq!(blocks_of(&blocks)[0].prefix(), b"a|");
+        let extra = Key::from("a|x05z");
+        blocks.put(extra.clone(), value(0));
+        model.insert(extra, value(0));
+        let prefixes: Vec<&[u8]> = blocks_of(&blocks).iter().map(|b| b.prefix()).collect();
+        assert_eq!(prefixes, [&b"a|x"[..], b"a|y"]);
+        assert_matches(&blocks, &model, &[]);
+        for n in 2..BLOCK_PAIRS - 2 {
+            let f = if n < BLOCK_PAIRS / 2 { 'x' } else { 'y' };
+            assert_eq!(blocks.remove(&family(f, n)), model.remove(&family(f, n)));
+            assert_matches(&blocks, &model, &[]);
+        }
+        assert_eq!(fill(&blocks), [5]);
+        assert_eq!(blocks_of(&blocks)[0].prefix(), b"a|");
+    }
+
+    /// Range removals whose bounds end inside a block's prefix, or are
+    /// a prefix of every key there.
+    #[test]
+    fn range_removal_bounds_may_cut_inside_a_prefix() {
+        for (first, end) in [
+            ("t|ann|00", "t|ann|0001"),
+            ("t|ann|0000", "t|ann|00002"),
+            ("t|ann|000030", "t|ann|00007"),
+            ("t|", "t|ann|"),
+            ("t|ann|00012", "t|b"),
+        ] {
+            let mut blocks = ascending(4 * BLOCK_PAIRS);
+            let mut model: std::collections::BTreeMap<Key, Value> = (0..4 * BLOCK_PAIRS)
+                .map(|n| (key(2 * n), value(n)))
+                .collect();
+            let range = KeyRange::new(first, end);
+            let want = model.keys().filter(|k| range.contains(k)).count();
+            assert_eq!(remove_all(&mut blocks, &range), want, "{range:?}");
+            model.retain(|k, _| !range.contains(k));
+            assert_matches(&blocks, &model, std::slice::from_ref(&range.first));
+        }
+    }
+
+    #[test]
+    fn audit_notices_a_prefix_shorter_than_its_keys_share() {
+        let mut blocks = ascending(BLOCK_PAIRS + 2);
+        let before = keys_of(&blocks);
+        blocks.debug_shorten_prefix(&key(0));
+        assert_eq!(keys_of(&blocks), before, "every key still reads back");
+        let problems = blocks.audit();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("share"), "{problems:?}");
     }
 
     #[test]

@@ -216,6 +216,7 @@ impl From<Vec<u8>> for Key {
 }
 
 impl From<&[u8]> for Key {
+    #[inline]
     fn from(v: &[u8]) -> Key {
         Key(Bytes::copy_from_slice(v))
     }

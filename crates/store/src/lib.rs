@@ -289,8 +289,20 @@ mod proptests {
         }
     }
 
+    /// The block model's case count: one under Miri, else eight, or a
+    /// thirty-second of `PROPTEST_CASES` when a run asks for more (a case
+    /// is two thousand operations, each followed by a full audit).
+    fn model_cases() -> u32 {
+        let asked = std::env::var("PROPTEST_CASES").ok();
+        match asked.and_then(|n| n.parse::<u32>().ok()) {
+            _ if cfg!(miri) => 1,
+            Some(n) => (n / 32).max(8),
+            None => 8,
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 1 } else { 8 }))]
+        #![proptest_config(ProptestConfig::with_cases(model_cases()))]
 
         /// A store — one table split into subtables, one flat — against a
         /// `BTreeMap`, with enough pairs in few enough subtables that
@@ -307,18 +319,43 @@ mod proptests {
         /// six to eight chunks, and in every case a run starts fresh
         /// chunks, a mid-insert splits one, removals empty, merge and fold
         /// them away, and range removals span three and more.
+        ///
+        /// The keys are shaped to reach the seams of a block's encoding:
+        /// a shared prefix that every insert or removal at either end may
+        /// shorten or lengthen, keys that are exactly another's prefix
+        /// (an empty remainder), the bytes `0x00`, `0xff` and `|`, and —
+        /// by the case's `shape` — lengths that straddle the 30 bytes a
+        /// key is held in place up to, and 64-byte keys held as shared
+        /// handles. Probes and bounds include keys that share none of a
+        /// block's prefix, sorting below or past all of it, and bounds cut
+        /// inside a prefix.
         #[test]
         fn subtable_blocks_match_btreemap(
             ops in proptest::collection::vec(
                 (0..18u8, 0..5u8, any::<u16>(), any::<u16>()),
                 if cfg!(miri) { 200..201 } else { 2000..2400 }
-            )
+            ),
+            shape in 0..4usize
         ) {
             // Subtables 0–3 of the split table `a|`; "subtable" 4 is the
-            // flat table `f|`, which sorts after all of them.
-            let key = |sub: u8, time: usize| match sub {
-                0..4 => Key::from(format!("a|s{sub}|{time:06}")),
-                _ => Key::from(format!("f|s{sub}|{time:06}")),
+            // flat table `f|`, which sorts after all of them. Four times
+            // in a row share a stem, padded to 11, 28, 29 or 30 bytes,
+            // and end in nothing, `0x00`, `|q` or `0xff` and a run of `z`
+            // to 64 bytes: in key order, and time order too.
+            let pad = "x".repeat([0, 17, 18, 19][shape]);
+            let key = |sub: u8, time: usize| {
+                let table = if sub < 4 { "a" } else { "f" };
+                let mut k = format!("{table}|s{sub}|{pad}{:06}", time / 4).into_bytes();
+                match time % 4 {
+                    0 => {}
+                    1 => k.push(0),
+                    2 => k.extend_from_slice(b"|q"),
+                    _ => {
+                        k.push(0xff);
+                        k.resize(64, b'z');
+                    }
+                }
+                Key::from(k)
             };
             let mut store = Store::new(StoreConfig::flat().with_subtable("a|", 2));
             let mut model: BTreeMap<Key, Value> = BTreeMap::new();
@@ -334,9 +371,10 @@ mod proptests {
                 // Times are even when appended, so odd ones fall between.
                 let mut puts: Vec<Key> = Vec::new();
                 let mut removes: Vec<Key> = Vec::new();
-                // Bounds: a stored key near a block boundary or the gap
-                // just past it.
+                // Bounds: a stored key near a block boundary, the gap just
+                // past it, or a cut inside its prefix.
                 let edge = |n: usize| match held.get((n % (held.len() / 16 + 2)) * 16 + n % 3) {
+                    Some(k) if n % 4 == 3 => Key::from(&k.as_bytes()[..k.len().saturating_sub(1 + n % 9)]),
                     Some(k) if n.is_multiple_of(2) => k.clone(),
                     Some(k) => k.successor(),
                     None => key(sub, *newest + 1),
@@ -356,7 +394,15 @@ mod proptests {
                     6 if a % 8 == 1 => removes.extend(held.iter().cloned()),
                     6 => removes.push(key(sub, a % (*newest + 2))),
                     7 => {
-                        let probe = key(sub, a % (*newest + 2));
+                        // A stored time, or the subtable's bare stem, below
+                        // every key of its blocks, or the stem and `0xff`,
+                        // past them all.
+                        let stem = Key::from(key(sub, 0).as_bytes().split_last().map_or(&[][..], |(_, s)| s));
+                        let probe = match b % 3 {
+                            0 => key(sub, a % (*newest + 2)),
+                            1 => stem,
+                            _ => Key::join(&[stem.as_bytes(), b"\xff"]),
+                        };
                         prop_assert_eq!(store.get(&probe), model.get(&probe));
                         prop_assert_eq!(store.peek(&probe), model.get(&probe));
                     }

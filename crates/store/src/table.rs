@@ -12,11 +12,13 @@
 //! the same trade-off.
 //!
 //! Under both layouts the pairs sit in the same container, [`Blocks`]: a
-//! directory of fence keys over dense sorted blocks of at most 32 pairs
-//! (2 KiB), where an append is a compare with the last key and a push,
-//! anything else is two binary searches and a memmove within one block,
-//! and a pair costs ≈66 bytes instead of the ≈120 of a half-full B-tree
-//! leaf. A subtable is one — small, and written almost only at its end
+//! directory of fence keys over dense sorted blocks of at most 32 pairs,
+//! each storing its keys apart from its values as remainders past the
+//! prefix they share, in equal slots, where an append is a compare with
+//! the last key and a push, anything else is two binary searches and a
+//! memmove within one block, and a Twip timeline pair costs ≈49 bytes
+//! (≈66 while a pair was two whole handles; ≈120 in a half-full B-tree
+//! leaf). A subtable is one — small, and written almost only at its end
 //! (an eager `copy` update carries the newest timestamp). A flat table is
 //! one too, however large and in whatever order its keys arrive (`s|`
 //! rows are bulk-loaded in key order and then subscribed to at random):
@@ -184,12 +186,12 @@ impl Table {
     /// counters (unlike [`Table::scan`], which is a served read).
     pub fn for_each(&self, mut f: impl FnMut(&Key, &Value)) {
         match &self.repr {
-            Repr::Flat(all) => all.iter().for_each(|(k, v)| f(k, v)),
+            Repr::Flat(all) => all.iter().for_each(|(k, v)| f(&k, v)),
             Repr::Split { subs, order, .. } => {
                 for prefix in order {
                     if let Some(sub) = subs.get(prefix) {
                         for (k, v) in sub.iter() {
-                            f(k, v);
+                            f(&k, v);
                         }
                     }
                 }
@@ -205,8 +207,10 @@ impl Table {
     /// (`Engine::check_invariants`). Returns one message per problem.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut walked = 0usize;
-        self.for_each(|_, _| walked += 1);
+        let walked: usize = match &self.repr {
+            Repr::Flat(all) => all.len(),
+            Repr::Split { subs, .. } => subs.values().map(Blocks::len).sum(),
+        };
         if walked != self.len {
             problems.push(format!(
                 "pair counter says {} but a full walk finds {walked}",
@@ -246,7 +250,13 @@ impl Table {
                     for m in sub.audit() {
                         problems.push(format!("subtable {prefix:?}: {m}"));
                     }
-                    for (k, _) in sub.iter() {
+                    // Every key sorts between these two, so if both start
+                    // with the prefix every key does (and routes by it).
+                    for k in sub
+                        .ends()
+                        .into_iter()
+                        .flat_map(|(first, last)| [first, last])
+                    {
                         if k.component_prefix_bytes(*depth) != prefix.as_bytes() {
                             problems.push(format!(
                                 "key {k:?} filed under subtable {prefix:?} but routes to {:?}",
@@ -300,8 +310,9 @@ impl Table {
     /// table looks a subtable up once per stretch of the run that routes
     /// to it, not once per pair, and tells the subtable how long the
     /// stretch is, so a run in key order (a join's freshly computed
-    /// outputs) lands in its subtable as one append after another into
-    /// blocks allocated once at the size the stretch calls for.
+    /// outputs) lands in its subtable in blocks allocated once at the
+    /// size the stretch calls for: the part past the subtable's end laid
+    /// out whole blocks at a time, the rest put pair by pair.
     pub fn put_run(
         &mut self,
         run: &mut std::vec::IntoIter<(Key, Value)>,
@@ -332,11 +343,21 @@ impl Table {
                     unknown.insert(Blocks::new())
                 }
             };
-            for (at, (k, v)) in run.by_ref().take(stretch).enumerate() {
-                let (key_len, value_len) = (k.len(), v.len());
-                let old = sub.put_in_run(k, v, stretch - at);
-                self.len += usize::from(old.is_none());
-                wrote(key_len, value_len, old);
+            let mut to_come = stretch;
+            while to_come > 0 {
+                let built = sub.append_run(run, to_come, &mut |key_len, value_len| {
+                    wrote(key_len, value_len, None)
+                });
+                self.len += built;
+                to_come -= built;
+                if built == 0 {
+                    let Some((k, v)) = run.next() else { break };
+                    let (key_len, value_len) = (k.len(), v.len());
+                    let old = sub.put_in_run(k, v, to_come);
+                    self.len += usize::from(old.is_none());
+                    wrote(key_len, value_len, old);
+                    to_come -= 1;
+                }
             }
             left -= stretch;
         }

@@ -189,9 +189,8 @@ fn concurrent_join_maintenance_converges() {
 /// ack, `count p|` equals every acked write.
 #[test]
 fn writes_acked_during_a_multi_peer_fetch_are_not_lost() {
-    // The grant's cost grows faster than linearly in the preloaded
-    // rows; an unoptimised build gets a smaller table and the same
-    // seconds-wide window.
+    // The grant's cost grows with the preloaded rows; an unoptimised
+    // build gets a smaller table and a window of about the same width.
     const PRELOAD: u64 = if cfg!(debug_assertions) {
         6_000
     } else {
@@ -247,9 +246,17 @@ fn writes_acked_during_a_multi_peer_fetch_are_not_lost() {
         std::thread::yield_now();
     }
     let mut reader = engine.client_handle();
+    let before = written.load(Ordering::Acquire);
     let during = reader.count(&KeyRange::prefix("p|"));
+    let after = written.load(Ordering::Acquire);
     writer.join().unwrap();
 
+    // The race this test exists for: writes acked while the fetch was
+    // open. Without them it would pass without exercising anything.
+    assert!(
+        after > before,
+        "no write was acked during the fetch ({before} before it, {after} after)"
+    );
     assert!(during >= PRELOAD, "the read lost preloaded rows: {during}");
     assert_eq!(
         reader.count(&KeyRange::prefix("p|")),
