@@ -45,11 +45,10 @@
 #![warn(missing_docs)]
 
 use pequod_baselines::{MemcachedClient, MiniDbClient, RedisClient};
+use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod_core::partition::ComponentHashPartition;
 use pequod_core::{Client, Engine, EngineConfig, ShardedEngine};
 use pequod_db::WriteAround;
-use pequod_net::{
-    ClusterClient, ComponentHashPartition, ServerId, ServerNode, SimCluster, SimConfig,
-};
 use pequod_workloads::{GraphConfig, SocialGraph, TwipStrategy};
 use std::sync::Arc;
 
@@ -126,9 +125,10 @@ pub fn sharded_shards() -> u32 {
 ///   subscriptions.
 /// * `writearound` — an [`Engine`] in front of a database; the listed
 ///   `tables` live in the database.
-/// * `cluster` — a simulated deployment of `CLUSTER_SERVERS` (2)
-///   servers with the listed `tables` partitioned by hashing the second
-///   key component, so one user's data co-locates.
+/// * `cluster` — a simulated replicated cluster of `CLUSTER_SERVERS`
+///   (2) nodes, one replica of each slot, every base table partitioned
+///   by hashing the second key component, so one user's data
+///   co-locates.
 ///
 /// Returns `None` for unknown names (the join-less baselines are built
 /// by [`twip_client`]).
@@ -154,13 +154,13 @@ pub fn pequod_client(name: &str, cfg: EngineConfig, tables: &[&str]) -> Option<B
                 component: 1,
                 servers: CLUSTER_SERVERS,
             });
-            let nodes = (0..CLUSTER_SERVERS)
-                .map(|i| {
-                    ServerNode::new(ServerId(i), Engine::new(cfg.clone()), part.clone(), tables)
-                })
+            let cluster =
+                ClusterConfig::new(CLUSTER_SERVERS, 1).with_partition(part, CLUSTER_SERVERS);
+            let engines = (0..CLUSTER_SERVERS)
+                .map(|_| Engine::new(cfg.clone()))
                 .collect();
-            let cluster = SimCluster::new(SimConfig::default(), nodes);
-            Some(Box::new(ClusterClient::new(cluster, part)))
+            let sim = SimHarness::with_engines(&cluster, engines, 0x5eed, 1);
+            Some(Box::new(ClusterClient::simulated(sim)))
         }
         _ => None,
     }

@@ -1,16 +1,19 @@
 //! Cluster membership and slot assignment.
 //!
 //! A cluster is a fixed list of nodes, a replication factor `R`, and a
-//! partition of the key space into `slots` replication units (ranges).
-//! Keys map to slots by hashing one key component — the same
-//! [`ComponentHashPartition`] the in-process sharded engine and the
-//! Subscribe/Notify tier route by, so colocated joins keep working.
-//! Each slot starts with a deterministic replica set of `R` nodes
-//! (`replicas[0]` is the primary); failover and migration then evolve
-//! the set at runtime under per-slot epochs (see `node.rs`).
+//! partition of the key space into `slots` replication units. Keys map
+//! to slots by a [`Partition`] function — by default the
+//! [`ComponentHashPartition`] the in-process sharded engine routes by,
+//! hashing one key component so that a user's rows share a slot; a
+//! [`TablePartition`](pequod_core::partition::TablePartition) places
+//! whole tables instead. Each slot starts with a deterministic replica
+//! set of `R` nodes (`replicas[0]` is the primary); failover and
+//! migration then evolve the set at runtime under per-slot epochs (see
+//! `node.rs`).
 
-use pequod_net::ComponentHashPartition;
-use pequod_store::Key;
+use pequod_core::partition::{ComponentHashPartition, Partition};
+use pequod_store::{Key, KeyRange};
+use std::sync::Arc;
 
 /// Timing knobs for replication, in milliseconds of the node's logical
 /// clock (the TCP driver advances it from a sleep ticker; the simulator
@@ -51,7 +54,7 @@ pub struct NodeSpec {
 }
 
 /// Static cluster description, typically parsed from `nodes.toml`.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ClusterConfig {
     /// The member nodes; ids must be dense (node `i` at index `i`).
     pub nodes: Vec<NodeSpec>,
@@ -61,9 +64,9 @@ pub struct ClusterConfig {
     /// Number of replication slots (max 64: the engine's authority
     /// predicate tracks slot ownership in one atomic bitmask).
     pub slots: u32,
-    /// Key component hashed to pick a slot (1 = the user/author
-    /// component in the paper's schemas, matching the sharded engine).
-    pub component: usize,
+    /// Which slot a key belongs to: the home `partition` gives it,
+    /// modulo `slots`.
+    pub partition: Arc<dyn Partition>,
     /// Replication window: how many recent ops a primary retains per
     /// slot for delta catch-up before falling back to a snapshot
     /// transfer.
@@ -74,8 +77,9 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A config for `n` nodes with replication factor `r` and default
-    /// tuning (8 slots, component 1). Addresses are empty — fill them
-    /// in (or use [`ClusterConfig::parse`]) before TCP serving.
+    /// tuning (8 slots hashed on key component 1). Addresses are empty —
+    /// fill them in (or use [`ClusterConfig::parse`]) before TCP
+    /// serving.
     pub fn new(n: u32, r: usize) -> ClusterConfig {
         ClusterConfig {
             nodes: (0..n)
@@ -86,10 +90,19 @@ impl ClusterConfig {
                 .collect(),
             replication: r,
             slots: 8,
-            component: 1,
+            partition: hashed(1, 8),
             window: 1024,
             timing: ClusterTiming::default(),
         }
+    }
+
+    /// The same cluster with its keys placed by `partition` into
+    /// `slots` slots: the slot of a key is `partition.home_of(key)`
+    /// modulo `slots`.
+    pub fn with_partition(mut self, partition: Arc<dyn Partition>, slots: u32) -> ClusterConfig {
+        self.partition = partition;
+        self.slots = slots;
+        self
     }
 
     /// Parses the `nodes.toml` cluster file. Accepted subset:
@@ -115,6 +128,7 @@ impl ClusterConfig {
         let mut cfg = ClusterConfig::new(0, 2);
         cfg.nodes.clear();
         let mut in_node = false;
+        let mut component = 1;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -153,7 +167,7 @@ impl ClusterConfig {
                 match key {
                     "replication" => cfg.replication = parse_u64(value)? as usize,
                     "slots" => cfg.slots = parse_u64(value)? as u32,
-                    "component" => cfg.component = parse_u64(value)? as usize,
+                    "component" => component = parse_u64(value)? as usize,
                     "window" => cfg.window = parse_u64(value)? as usize,
                     "heartbeat_ms" => cfg.timing.heartbeat_ms = parse_u64(value)?,
                     "failover_ms" => cfg.timing.failover_ms = parse_u64(value)?,
@@ -163,6 +177,7 @@ impl ClusterConfig {
                 }
             }
         }
+        cfg.partition = hashed(component, cfg.slots);
         cfg.validate()?;
         Ok(cfg)
     }
@@ -190,18 +205,15 @@ impl ClusterConfig {
         Ok(())
     }
 
-    /// The partition function keys are routed by.
-    pub fn partition(&self) -> ComponentHashPartition {
-        ComponentHashPartition {
-            component: self.component,
-            servers: self.slots,
-        }
-    }
-
     /// The slot a key belongs to.
     pub fn slot_of(&self, key: &Key) -> u32 {
-        use pequod_net::Partition;
-        self.partition().home_of(key).0
+        self.partition.home_of(key).0 % self.slots
+    }
+
+    /// The one slot every key of `range` belongs to, when the partition
+    /// can prove there is one.
+    pub fn slot_of_range(&self, range: &KeyRange) -> Option<u32> {
+        Some(self.partition.home_of_range(range)?.0 % self.slots)
     }
 
     /// The boot-time replica set of a slot: `replication` nodes
@@ -218,6 +230,14 @@ impl ClusterConfig {
     pub fn addr_of(&self, node: u32) -> Option<&str> {
         self.nodes.get(node as usize).map(|n| n.addr.as_str())
     }
+}
+
+/// Slots by hashing key component `component` over `slots` homes.
+fn hashed(component: usize, slots: u32) -> Arc<dyn Partition> {
+    Arc::new(ComponentHashPartition {
+        component,
+        servers: slots,
+    })
 }
 
 #[cfg(test)]
@@ -272,5 +292,12 @@ mod tests {
         let b = cfg.slot_of(&Key::from("p|ann|2"));
         assert_eq!(a, b, "same user, same slot");
         assert!(a < cfg.slots);
+        // A table partition places whole tables.
+        let part = pequod_core::partition::TablePartition::new(pequod_core::partition::ServerId(0))
+            .route("p|", pequod_core::partition::ServerId(1));
+        let cfg = cfg.with_partition(Arc::new(part), 2);
+        assert_eq!(cfg.slot_of(&Key::from("p|ann|1")), 1);
+        assert_eq!(cfg.slot_of(&Key::from("s|ann|bob")), 0);
+        assert_eq!(cfg.slot_of_range(&KeyRange::prefix("p|")), Some(1));
     }
 }

@@ -1,25 +1,36 @@
-//! Replicated Pequod deployment: primary/follower slots with epoch
-//! failover, follower catch-up, and live slot migration.
+//! Pequod's deployment across processes: the §2.4 partitioned server,
+//! with primary/follower slots, epoch failover, follower catch-up and
+//! live slot migration around it.
 //!
-//! The single-process engine ([`pequod_core::Engine`]) and the
-//! single-authority distributed tier (`pequod_net`) treat every key as
-//! owned by exactly one server. This crate adds the missing
-//! availability story:
+//! Every process runs one [`pequod_core::Node`] — the same
+//! Subscribe/Notify state machine a `ShardedEngine` shard runs — inside
+//! a [`ClusterNode`] that replicates the slots it holds. A read is
+//! answered wherever it arrives: base data of slots held elsewhere is
+//! subscribed at their primaries, so joins across slots are computed
+//! where they are read and kept fresh by notifications, across
+//! failovers and migrations. With one replica per slot this is the
+//! paper's deployment exactly; more replicas add the availability the
+//! paper leaves out.
 //!
 //! - [`ClusterConfig`] (`config.rs`) — the static cluster description
-//!   (`nodes.toml`): node list, replication factor, slot count, timing.
-//! - [`ClusterNode`] (`node.rs`) — the per-process replication state
-//!   machine. Transport-agnostic: `handle(peer, msg) -> outbox` plus a
+//!   (`nodes.toml`): node list, replication factor, the partition of
+//!   keys into slots, timing.
+//! - [`ClusterNode`] (`node.rs`) — the per-process state machine.
+//!   Transport-agnostic: `handle(peer, msg) -> outbox` plus a
 //!   logical-clock `tick`.
 //! - [`SimHarness`] (`sim.rs`) — a deterministic in-memory cluster over
-//!   [`pequod_net::SimNet`] with seeded fault injection, used by the
-//!   protocol conformance tests.
-//! - [`ClusterServer`] / [`ClusterClient`] (`server.rs`, `client.rs`)
-//!   — the TCP deployment: the node hosted on `pequod_net`'s reactor
-//!   thread (a [`pequod_net::Dispatch`]; client connections and peer
-//!   links are both reactor connections), one dialer thread per peer
-//!   with bounded backoff, and a client that learns `NotPrimary`
-//!   redirects and scatter-gathers scans.
+//!   [`pequod_net::SimNet`] with seeded fault injection, per-class wire
+//!   bytes and per-node busy time, used by the protocol tests, the
+//!   conformance suite and the Figure 10 experiment.
+//! - [`ClusterServer`] (`server.rs`) — the TCP deployment: the node
+//!   hosted on `pequod_net`'s reactor thread (a
+//!   [`pequod_net::Dispatch`]; client connections and peer links are
+//!   both reactor connections) and one dialer thread per peer with
+//!   bounded backoff.
+//! - [`ClusterClient`] (`client.rs`) — the unified
+//!   [`pequod_core::Client`] over a cluster, on sockets or on a
+//!   `SimHarness`: batches planned by `pequod_core::fanout`, writes
+//!   sent to their slot's primary as `NotPrimary` redirects teach it.
 //!
 //! See `docs/REPLICATION.md` for the protocol walk-through and the
 //! guarantees per fsync policy.
@@ -38,3 +49,177 @@ pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
 pub use node::{ClusterNode, ClusterPeer, ClusterStats, NO_CLEAN_ADOPT};
 pub use server::ClusterServer;
 pub use sim::SimHarness;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
+    use pequod_net::Message;
+    use pequod_store::{Key, KeyRange, Value};
+    use std::sync::Arc;
+
+    const TIMELINE: &str =
+        "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+    /// `n` nodes, one replica of each of `n` slots, keys placed by
+    /// `part`, the timeline join on every node.
+    fn cluster(n: u32, part: impl Partition + 'static) -> SimHarness {
+        let cfg = ClusterConfig::new(n, 1).with_partition(Arc::new(part), n);
+        let mut sim = SimHarness::new(&cfg, 0x5eed, 1);
+        for node in 0..n {
+            let text = TIMELINE.to_string();
+            call(&mut sim, node, Message::AddJoin { id: 0, text });
+        }
+        sim
+    }
+
+    /// Base data homed on node 0; timelines computed on node 1.
+    fn two_server_cluster() -> SimHarness {
+        cluster(2, TablePartition::new(ServerId(0)))
+    }
+
+    /// Sends `msg` to `node` as client 0 and returns its reply's pairs.
+    fn call(sim: &mut SimHarness, node: u32, msg: Message) -> Vec<(Key, Value)> {
+        match sim.request(0, node, msg, 1_000) {
+            Message::Reply {
+                pairs, error: None, ..
+            } => pairs,
+            other => panic!("request failed: {other:?}"),
+        }
+    }
+
+    fn put(sim: &mut SimHarness, node: u32, key: impl Into<Key>, value: &str) {
+        let (key, value) = (key.into(), Value::from(value.as_bytes().to_vec()));
+        call(sim, node, Message::Put { id: 0, key, value });
+    }
+
+    fn scan(sim: &mut SimHarness, node: u32, range: KeyRange) -> Vec<(Key, Value)> {
+        call(sim, node, Message::Scan { id: 0, range })
+    }
+
+    #[test]
+    fn remote_timeline_fetches_and_subscribes() {
+        let mut c = two_server_cluster();
+        put(&mut c, 0, "s|ann|bob", "1");
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+
+        // Compute node 1 has nothing; the scan triggers subscriptions.
+        let tl = scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        assert_eq!(tl.len(), 1);
+        assert_eq!(tl[0].0, Key::from("t|ann|0000000100|bob"));
+        assert!(c.node(0).subscriber_count() >= 2);
+        assert!(c.node(1).node_stats().subs_established >= 2);
+    }
+
+    #[test]
+    fn updates_propagate_via_notify() {
+        let mut c = two_server_cluster();
+        put(&mut c, 0, "s|ann|bob", "1");
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+        scan(&mut c, 1, KeyRange::prefix("t|ann|")); // warm + subscribe
+
+        let fetches = c.node(1).node_stats().subs_established;
+        // New post written to the home node flows to the replica.
+        put(&mut c, 0, "p|bob|0000000120", "again");
+        let tl = scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        assert_eq!(tl.len(), 2);
+        assert_eq!(
+            c.node(1).node_stats().subs_established,
+            fetches,
+            "no refetch: updates arrived by notify"
+        );
+        assert!(c.node(1).node_stats().notifies_applied >= 1);
+
+        // Removal propagates too.
+        call(
+            &mut c,
+            0,
+            Message::Remove {
+                id: 0,
+                key: Key::from("p|bob|0000000100"),
+            },
+        );
+        let tl = scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        assert_eq!(tl.len(), 1);
+    }
+
+    /// A write sent to a node that is not its slot's primary is
+    /// redirected there, not applied; sent home, it is read anywhere.
+    #[test]
+    fn writes_forward_to_home_server() {
+        let mut c = two_server_cluster();
+        let key = Key::from("p|bob|0000000100");
+        let value = Value::from_static(b"Hi");
+        let id = c.client_send(0, 1, Message::Put { id: 0, key, value });
+        c.run_for(5);
+        let replies = c.take_replies(0);
+        assert!(
+            matches!(replies[..], [Message::NotPrimary { id: rid, node: 0, .. }] if rid == id),
+            "{replies:?}"
+        );
+        assert_eq!(c.node(1).stats.redirects, 1);
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+        put(&mut c, 0, "s|ann|bob", "1");
+        let tl = scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        assert_eq!(tl.len(), 1);
+    }
+
+    #[test]
+    fn replicas_on_multiple_servers_stay_fresh() {
+        // Three nodes: home + two compute replicas of the same range
+        // (replication-based load balancing, §2.4).
+        let mut c = cluster(3, TablePartition::new(ServerId(0)));
+        put(&mut c, 0, "s|ann|bob", "1");
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+        assert_eq!(scan(&mut c, 1, KeyRange::prefix("t|ann|")).len(), 1);
+        assert_eq!(scan(&mut c, 2, KeyRange::prefix("t|ann|")).len(), 1);
+        // An update fans out to both replicas.
+        put(&mut c, 0, "p|bob|0000000120", "again");
+        assert_eq!(scan(&mut c, 1, KeyRange::prefix("t|ann|")).len(), 2);
+        assert_eq!(scan(&mut c, 2, KeyRange::prefix("t|ann|")).len(), 2);
+    }
+
+    #[test]
+    fn eventual_consistency_under_notify_jitter() {
+        let mut c = two_server_cluster();
+        c.net.set_notify_jitter(0.5, 50);
+        put(&mut c, 0, "s|ann|bob", "1");
+        scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        for t in 0..20u64 {
+            put(&mut c, 0, format!("p|bob|{:010}", 100 + t), "x");
+        }
+        // After quiescence every update has arrived, jitter or not.
+        c.run_until_quiet();
+        assert_eq!(scan(&mut c, 1, KeyRange::prefix("t|ann|")).len(), 20);
+    }
+
+    #[test]
+    fn component_hash_partition_colocates_user_data() {
+        let part = ComponentHashPartition {
+            component: 1,
+            servers: 2,
+        };
+        let mut c = cluster(2, part);
+        // Route each write to its home node, as the client library would.
+        for (k, v) in [("s|ann|bob", "1"), ("p|bob|0000000100", "Hi")] {
+            let home = part.home_of(&Key::from(k));
+            put(&mut c, home.0, k, v);
+        }
+        // Read ann's timeline from her own node.
+        let tserver = part.server_for_component(b"ann");
+        let tl = scan(&mut c, tserver.0, KeyRange::prefix("t|ann|"));
+        assert_eq!(tl.len(), 1);
+    }
+
+    #[test]
+    fn traffic_accounting_separates_classes() {
+        let mut c = two_server_cluster();
+        put(&mut c, 0, "s|ann|bob", "1");
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+        let before = c.net.traffic.subscription_bytes;
+        scan(&mut c, 1, KeyRange::prefix("t|ann|"));
+        assert!(c.net.traffic.subscription_bytes > before);
+        assert!(c.net.traffic.client_bytes > 0);
+        assert!(c.net.stats.delivered > 4);
+    }
+}

@@ -1,4 +1,5 @@
-//! The replication state machine: one [`ClusterNode`] per process.
+//! One process of a replicated deployment: a [`ClusterNode`] is the
+//! §2.4 server, [`pequod_core::Node`], with slot replication around it.
 //!
 //! The node is transport-agnostic — [`ClusterNode::handle`] consumes one
 //! wire message from a peer and returns the messages to send in
@@ -7,19 +8,40 @@
 //! retries, ack timeouts). The TCP driver (`server.rs`) and the
 //! deterministic simulator (`sim.rs`) both drive the same machine.
 //!
+//! # Serving
+//!
+//! Reads, parked queries, fetch groups and Subscribe/Notify are the
+//! `Node`'s: every read is `Node::handle`d, wherever it arrives. The
+//! node's [`Partition`] is the live slot view, so a key is homed here
+//! if this node holds its slot, and at the slot's current primary
+//! otherwise — a read that needs base data of a slot held elsewhere
+//! subscribes at that slot's primary, and a join across slots is
+//! computed where it is read. Every base table is partitioned over the
+//! slots; a join's output table is computed data, placed by where
+//! clients read it. Two rules keep replicas fresh as primaries move:
+//!
+//! - when an epoch change moves a slot's primary, a node that does not
+//!   hold the slot forgets its replicas of the slot's keys and
+//!   unsubscribes, so its next read subscribes again at the new
+//!   primary ([`pequod_core::Node::drop_replicas`]);
+//! - a `Notify` (or a grant) from a node that is not the key's home —
+//!   a deposed primary's late traffic — is dropped by the `Node`.
+//!
 //! # Protocol summary
 //!
 //! The key space is split into `slots` (≤ 64) replication units by the
-//! same component-hash partition the sharded engine routes by. Each
-//! slot has a replica set (`replicas[0]` = primary) and a per-slot
-//! **epoch** bumped by every membership or leadership change:
+//! config's partition. Each slot has a replica set (`replicas[0]` =
+//! primary) and a per-slot **epoch** bumped by every membership or
+//! leadership change:
 //!
-//! - **Writes** go to the primary, which applies them locally (WAL +
-//!   snapshot durability via the engine's authority hook), assigns a
-//!   dense per-slot sequence number, and streams [`Message::NotifySeq`]
-//!   to every follower (and migration learner). The client is acked
-//!   only after *every* follower acked the sequence number — so any
-//!   follower that later promotes has every acked write.
+//! - **Writes** go to the primary, which applies them through its
+//!   `Node` (WAL + snapshot durability via the engine's authority hook;
+//!   a `Notify` to every subscriber of the key), assigns a dense
+//!   per-slot sequence number, and streams [`Message::NotifySeq`] to
+//!   every follower (and migration learner). The client is acked only
+//!   after *every* follower acked the sequence number — so any
+//!   follower that later promotes has every acked write. Any other
+//!   node answers a write with [`Message::NotPrimary`].
 //! - **Catch-up**: a follower that detects a gap (or restarts) sends
 //!   [`Message::ReplicaSubscribe`] with its last applied sequence and
 //!   the epoch that sequence was written under. The primary replays
@@ -41,17 +63,21 @@
 //! Per-slot progress (`applied seq`, `log epoch`) and the epoch view
 //! are persisted *through the store itself* under `#rep|NN` and
 //! `#epoch|NN` meta keys — `#` sorts before every table name, cannot
-//! start a user key, and the engine's authority hook always accepts it,
-//! so replication state rides the existing WAL/snapshot machinery and
+//! start a user key, and the slot view homes it on every node, so
+//! replication state rides the existing WAL/snapshot machinery and
 //! survives restarts for free.
 
 use crate::config::ClusterConfig;
-use pequod_core::Engine;
-use pequod_net::{Message, Partition};
-use pequod_store::{Key, Value};
+use pequod_core::partition::{Partition, ServerId};
+use pequod_core::{
+    BackendStats, Command, Endpoint, Engine, JoinId, Node, NodeMsg, NodeStats, Response,
+};
+use pequod_net::Message;
+use pequod_store::{Key, KeyRange, Value};
 use pequod_telemetry::Snapshot;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `EpochChange::upto_seq` sentinel: "this is a relayed view, not the
@@ -60,6 +86,9 @@ pub const NO_CLEAN_ADOPT: u64 = u64::MAX;
 
 /// Pairs per snapshot chunk frame.
 const SNAP_CHUNK_PAIRS: usize = 4096;
+
+/// The answer to a client command on a `#` meta key.
+const RESERVED: &str = "keys starting with '#' are reserved";
 
 /// Who a message came from / goes to. The transport layer maps client
 /// connection identities and node links onto this.
@@ -180,8 +209,6 @@ struct SlotState {
     flip_armed: bool,
     /// Migration in flight (primary side).
     migration: Option<Migration>,
-    /// This node stores the slot's data (member or learner).
-    holding: bool,
 }
 
 impl SlotState {
@@ -204,7 +231,6 @@ impl SlotState {
             learner_acked: 0,
             flip_armed: false,
             migration: None,
-            holding: false,
         }
     }
 
@@ -217,24 +243,121 @@ impl SlotState {
     }
 }
 
-/// The per-process replication state machine. Owns the serving
-/// [`Engine`]; the transport driver feeds it messages and clock ticks.
+/// Where this node believes each slot lives, shared with its `Node` as
+/// the node's [`Partition`]: a key is homed here if this node holds its
+/// slot, at the slot's primary otherwise, and a `#` meta key always
+/// here. The node's base-authority predicate — hence WAL coverage and
+/// eviction safety — is "homed here", read without locking. The atomics
+/// are written and read only by whoever holds the `ClusterNode` (its
+/// one thread, or the TCP server's mutex), so `Relaxed` publishes
+/// nothing across threads.
+struct SlotView {
+    me: u32,
+    cfg: ClusterConfig,
+    /// Bit `s` set ⇔ this node holds slot `s`.
+    held: AtomicU64,
+    /// Slot `s`'s primary, by this node's epoch view.
+    primaries: Vec<AtomicU32>,
+}
+
+impl SlotView {
+    fn home_of_slot(&self, slot: u32) -> ServerId {
+        if (self.held.load(Ordering::Relaxed) >> slot) & 1 == 1 {
+            return ServerId(self.me);
+        }
+        let primary = self.primaries.get(slot as usize);
+        ServerId(primary.map_or(self.me, |p| p.load(Ordering::Relaxed)))
+    }
+
+    /// A node holding every slot homes every range: nothing to gather.
+    fn holds_every_slot(&self) -> bool {
+        let all = u64::MAX >> (64 - self.cfg.slots);
+        self.held.load(Ordering::Relaxed) & all == all
+    }
+}
+
+impl Partition for SlotView {
+    fn home_of(&self, key: &Key) -> ServerId {
+        if is_meta(key) {
+            return ServerId(self.me);
+        }
+        self.home_of_slot(self.cfg.slot_of(key))
+    }
+
+    fn home_of_range(&self, range: &KeyRange) -> Option<ServerId> {
+        if self.holds_every_slot() {
+            return Some(ServerId(self.me));
+        }
+        Some(self.home_of_slot(self.cfg.slot_of_range(range)?))
+    }
+
+    fn homes(&self) -> Option<Vec<ServerId>> {
+        Some((0..self.cfg.slots).map(|s| self.home_of_slot(s)).collect())
+    }
+}
+
+/// Replication metadata, not user data: `#rep|NN`, `#epoch|NN`.
+fn is_meta(key: &Key) -> bool {
+    key.as_bytes().first() == Some(&b'#')
+}
+
+/// The per-process node: one [`Node`] and the replication of its slots.
+/// The transport driver feeds it messages and clock ticks. It
+/// dereferences to the `Node` — its `engine`, subscriptions and audit.
 pub struct ClusterNode {
     id: u32,
     cfg: ClusterConfig,
-    /// The local serving engine. Public so drivers and tests can reach
-    /// reads, joins, and durability hooks directly.
-    pub engine: Engine,
+    /// The §2.4 server every read, subscription and notification goes
+    /// through.
+    node: Node,
+    view: Arc<SlotView>,
     slots: Vec<SlotState>,
     pending: Vec<PendingWrite>,
     now: u64,
     booted: bool,
-    /// Bit `s` set ⇔ this node holds slot `s` (drives the engine's
-    /// base-authority predicate, hence WAL coverage and eviction
-    /// safety, without locking).
-    mask: Arc<AtomicU64>,
+    /// The `Node`'s output, between its `handle` and the wire.
+    node_out: Vec<(Endpoint, NodeMsg)>,
     /// Replication counters.
     pub stats: ClusterStats,
+}
+
+impl Deref for ClusterNode {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        &self.node
+    }
+}
+
+impl DerefMut for ClusterNode {
+    fn deref_mut(&mut self) -> &mut Node {
+        &mut self.node
+    }
+}
+
+/// The `Node` endpoint of a transport peer.
+fn endpoint(peer: ClusterPeer) -> Endpoint {
+    match peer {
+        ClusterPeer::Client(c) => Endpoint::Client(c),
+        ClusterPeer::Node(n) => Endpoint::Server(ServerId(n)),
+    }
+}
+
+/// The wire form of what a `Node` sends.
+fn wire(msg: NodeMsg) -> Message {
+    match msg {
+        NodeMsg::Reply { id, response } => Message::from_response(id, None, response),
+        NodeMsg::Subscribe { id, range } => Message::Subscribe { id, range },
+        NodeMsg::SubscribeReply { id, range, pairs } => {
+            Message::SubscribeReply { id, range, pairs }
+        }
+        NodeMsg::Notify { key, value } => Message::Notify { key, value },
+        NodeMsg::Unsubscribe { range } => Message::Unsubscribe { range },
+        // A `Node` sends no requests (it forwards nothing); the arm
+        // keeps the map total.
+        NodeMsg::Request { id, command } => Message::request(id, command)
+            .unwrap_or_else(|| Message::error(id, "command has no wire form")),
+    }
 }
 
 fn meta_rep_key(slot: u32) -> Key {
@@ -263,12 +386,11 @@ impl ClusterNode {
     /// every slot this node is a member of starts a catch-up
     /// subscription to fetch what it missed while down.
     pub fn new(id: u32, cfg: ClusterConfig, mut engine: Engine) -> ClusterNode {
-        let mask = Arc::new(AtomicU64::new(0));
-        let auth_mask = Arc::clone(&mask);
-        let partition = cfg.partition();
-        engine.set_base_authority(move |key: &Key| {
-            key.as_bytes().first() == Some(&b'#')
-                || (auth_mask.load(Ordering::Relaxed) >> partition.home_of(key).0) & 1 == 1
+        let view = Arc::new(SlotView {
+            me: id,
+            cfg: cfg.clone(),
+            held: AtomicU64::new(0),
+            primaries: (0..cfg.slots).map(|_| AtomicU32::new(id)).collect(),
         });
         let mut slots = Vec::with_capacity(cfg.slots as usize);
         for s in 0..cfg.slots {
@@ -287,11 +409,11 @@ impl ClusterNode {
                     st.log_epoch = nums[1];
                 }
             }
-            st.holding = st.is_member(id);
-            if st.holding {
-                mask.fetch_or(1 << s, Ordering::Relaxed);
+            if st.is_member(id) {
+                view.held.fetch_or(1 << s, Ordering::Relaxed);
             }
-            if st.holding && st.primary() != id {
+            view.primaries[s as usize].store(st.primary(), Ordering::Relaxed);
+            if st.is_member(id) && st.primary() != id {
                 // Warm restart / boot: ask the primary for the delta we
                 // missed. The primary answers with an empty delta plus a
                 // heartbeat when there is nothing to fetch. The failover
@@ -303,15 +425,18 @@ impl ClusterNode {
             }
             slots.push(st);
         }
+        let nodes = cfg.nodes.len() as u32;
+        let node = Node::new(ServerId(id), engine, view.clone(), &[]).in_deployment(nodes);
         let mut node = ClusterNode {
             id,
             cfg,
-            engine,
+            node,
+            view,
             slots,
             pending: Vec::new(),
             now: 0,
             booted: false,
-            mask,
+            node_out: Vec::new(),
             stats: ClusterStats::default(),
         };
         node.purge_unheld_rows();
@@ -325,21 +450,71 @@ impl ClusterNode {
     /// dropped from the replica set before it crashed, a learner whose
     /// migration the crash cut short. They are deleted here, under a
     /// momentary authority bit so the removals reach the WAL.
+    ///
+    /// The tables of the recovered rows are partitioned here too (see
+    /// [`ClusterNode::partition_table`]).
     fn purge_unheld_rows(&mut self) {
-        let held = self.mask.swap(u64::MAX, Ordering::Relaxed);
-        let (_joins, pairs) = self.engine.durable_state();
+        let held = self.view.held.swap(u64::MAX, Ordering::Relaxed);
+        let (_joins, pairs) = self.node.engine.durable_state();
         for (k, _) in pairs {
-            let slot = self.cfg.slot_of(&k);
-            if k.as_bytes().first() != Some(&b'#') && (held >> slot) & 1 == 0 {
-                self.engine.remove(&k);
+            if is_meta(&k) {
+                continue;
+            }
+            self.partition_table(&k);
+            if (held >> self.cfg.slot_of(&k)) & 1 == 0 {
+                self.node.engine.remove(&k);
             }
         }
-        self.mask.store(held, Ordering::Relaxed);
+        self.view.held.store(held, Ordering::Relaxed);
+        self.partition_join_sources();
+    }
+
+    /// Every base table is partitioned over the slots: the first time
+    /// this node meets a table, its engine learns that the table's rows
+    /// it does not hold live elsewhere. A join's output table is
+    /// computed data, not partitioned.
+    fn partition_table(&mut self, key: &Key) {
+        let engine = &mut self.node.engine;
+        let table = key.table_prefix();
+        if table.is_empty()
+            || is_meta(&table)
+            || engine.is_remote_table(&table)
+            || engine.is_output_table(&table)
+        {
+            return;
+        }
+        engine.mark_remote_table(table);
+    }
+
+    /// Partitions the tables every installed join reads.
+    fn partition_join_sources(&mut self) {
+        let engine = &self.node.engine;
+        let sources: Vec<Key> = (0..engine.join_count() as u32)
+            .flat_map(|j| engine.join(JoinId(j)).sources.iter())
+            .map(|source| source.pattern.key_space().first.table_prefix())
+            .collect();
+        for table in &sources {
+            self.partition_table(table);
+        }
     }
 
     /// This node's id.
     pub fn node_id(&self) -> u32 {
         self.id
+    }
+
+    /// The `Node`'s counters: subscriptions, notifications, parks.
+    pub fn node_stats(&self) -> NodeStats {
+        self.node.stats
+    }
+
+    /// The engine's counters, the `#` replication metadata rows left
+    /// out of the key count.
+    pub fn backend_stats(&mut self) -> BackendStats {
+        let mut stats = self.node.engine.backend_stats();
+        let meta = self.node.engine.count(&KeyRange::prefix("#"));
+        stats.keys = stats.keys.saturating_sub(meta as u64);
+        stats
     }
 
     /// The cluster config this node was built with.
@@ -356,8 +531,7 @@ impl ClusterNode {
     pub fn primary_of(&self, slot: u32) -> u32 {
         self.slots
             .get(slot as usize)
-            .map(|st| st.primary())
-            .unwrap_or(u32::MAX)
+            .map_or(u32::MAX, SlotState::primary)
     }
 
     /// Whether this node is `slot`'s primary (by its own view).
@@ -365,56 +539,73 @@ impl ClusterNode {
         self.primary_of(slot) == self.id
     }
 
-    /// Last applied sequence number for `slot`.
-    pub fn applied(&self, slot: u32) -> u64 {
-        self.slots
-            .get(slot as usize)
-            .map(|st| st.applied)
-            .unwrap_or(0)
-    }
-
     fn slot_of(&self, key: &Key) -> u32 {
         self.cfg.slot_of(key)
     }
 
+    /// Whether this node stores `slot`'s data (as a member or a
+    /// learner).
+    fn holds(&self, slot: u32) -> bool {
+        (self.view.held.load(Ordering::Relaxed) >> slot) & 1 == 1
+    }
+
     fn set_holding(&mut self, slot: u32, holding: bool) {
-        if let Some(st) = self.slots.get_mut(slot as usize) {
-            st.holding = holding;
-        }
         if holding {
-            self.mask.fetch_or(1u64 << slot, Ordering::Relaxed);
+            self.view.held.fetch_or(1u64 << slot, Ordering::Relaxed);
         } else {
-            self.mask.fetch_and(!(1u64 << slot), Ordering::Relaxed);
+            self.view.held.fetch_and(!(1u64 << slot), Ordering::Relaxed);
+        }
+    }
+
+    /// Forgets this node's replicas of `slot`'s keys — every resident
+    /// range that may hold one — and unsubscribes from their homes, so
+    /// the next read subscribes again under the current view.
+    fn forget_slot(&mut self, slot: u32, out: &mut Out) {
+        let cfg = &self.cfg;
+        let of_slot = |range: &KeyRange| cfg.slot_of_range(range).is_none_or(|s| s == slot);
+        self.node.drop_replicas(of_slot, &mut self.node_out);
+        self.flush_node(out);
+    }
+
+    /// Sends what the `Node` produced, in order, in wire form. A client
+    /// never sees the `#` meta rows.
+    fn flush_node(&mut self, out: &mut Out) {
+        for (to, mut msg) in self.node_out.drain(..) {
+            let to = match to {
+                Endpoint::Client(c) => {
+                    if let NodeMsg::Reply {
+                        response: Response::Pairs(pairs),
+                        ..
+                    } = &mut msg
+                    {
+                        pairs.retain(|(k, _)| !is_meta(k));
+                    }
+                    ClusterPeer::Client(c)
+                }
+                Endpoint::Server(n) => ClusterPeer::Node(n.0),
+            };
+            out.push((to, wire(msg)));
         }
     }
 
     fn persist_rep(&mut self, slot: u32) {
-        let (applied, log_epoch) = {
-            let st = &self.slots[slot as usize];
-            (st.applied, st.log_epoch)
-        };
-        self.engine
-            .put(meta_rep_key(slot), ascii(format!("{applied} {log_epoch}")));
+        let st = &self.slots[slot as usize];
+        let value = ascii(format!("{} {}", st.applied, st.log_epoch));
+        self.node.engine.put(meta_rep_key(slot), value);
     }
 
-    fn persist_epoch(&mut self, slot: u32) {
-        let (epoch, replicas) = {
-            let st = &self.slots[slot as usize];
-            (st.epoch, st.replicas.clone())
-        };
-        let list = replicas
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        self.engine
-            .put(meta_epoch_key(slot), ascii(format!("{epoch} {list}")));
-    }
-
-    fn apply_local(&mut self, key: &Key, value: &Option<Value>) {
-        match value {
-            Some(v) => self.engine.put(key.clone(), v.clone()),
-            None => self.engine.remove(key),
+    /// Persists `slot`'s epoch view and publishes its primary to the
+    /// `Node`'s partition. When the primary moved and this node does not
+    /// hold the slot, what the old primary served it is forgotten.
+    fn persist_epoch(&mut self, slot: u32, out: &mut Out) {
+        let st = &self.slots[slot as usize];
+        let replicas: Vec<String> = st.replicas.iter().map(u32::to_string).collect();
+        let value = ascii(format!("{} {}", st.epoch, replicas.join(",")));
+        let (primary, holding) = (st.primary(), self.holds(slot));
+        self.node.engine.put(meta_epoch_key(slot), value);
+        let moved = self.view.primaries[slot as usize].swap(primary, Ordering::Relaxed) != primary;
+        if moved && !holding {
+            self.forget_slot(slot, out);
         }
     }
 
@@ -428,12 +619,28 @@ impl ClusterNode {
         }
     }
 
-    fn broadcast(&self, msg: &Message, out: &mut Out) {
-        for n in 0..self.cfg.nodes.len() as u32 {
-            if n != self.id {
-                out.push((ClusterPeer::Node(n), msg.clone()));
-            }
+    /// Tells every other node `slot`'s new epoch view, as of this
+    /// node's position in it (`dropped` names a member leaving for good).
+    fn announce(&self, slot: u32, dropped: Option<u32>, out: &mut Out) {
+        let msg = self.epoch_change_msg(slot, self.slots[slot as usize].applied, dropped);
+        for n in (0..self.cfg.nodes.len() as u32).filter(|n| *n != self.id) {
+            out.push((ClusterPeer::Node(n), msg.clone()));
         }
+    }
+
+    /// When this follower of `slot` promotes itself if the primary stays
+    /// silent: staggered by its position in the replica set.
+    fn failover_deadline(&self, slot: u32) -> u64 {
+        let replicas = &self.slots[slot as usize].replicas;
+        let pos = replicas.iter().position(|r| *r == self.id).unwrap_or(1);
+        self.now + self.cfg.timing.failover_ms * pos.max(1) as u64
+    }
+
+    /// This node's acknowledgment of its position in `slot`.
+    fn ack(&self, slot: u32) -> Message {
+        let st = &self.slots[slot as usize];
+        let (epoch, seq) = (st.epoch, st.applied);
+        Message::NotifyAck { slot, epoch, seq }
     }
 
     fn epoch_change_msg(&self, slot: u32, upto_seq: u64, dropped: Option<u32>) -> Message {
@@ -451,21 +658,22 @@ impl ClusterNode {
     /// snapshot-transfer accessor; replicas of a slot must agree on
     /// this exactly once traffic quiesces.
     pub fn slot_pairs(&mut self, slot: u32) -> Vec<(Key, Value)> {
-        let (_joins, pairs) = self.engine.durable_state();
+        let (_joins, pairs) = self.node.engine.durable_state();
         pairs
             .into_iter()
             .filter(|(k, _)| k.as_bytes().first() != Some(&b'#') && self.cfg.slot_of(k) == slot)
             .collect()
     }
 
-    fn drop_slot_data(&mut self, slot: u32) {
+    fn drop_slot_data(&mut self, slot: u32, out: &mut Out) {
         // Delete while the authority bit is still set so the removals
         // reach the WAL; then drop authority.
         let doomed: Vec<Key> = self.slot_pairs(slot).into_iter().map(|(k, _)| k).collect();
         for k in &doomed {
-            self.engine.remove(k);
+            self.node.engine.remove(k);
         }
         self.set_holding(slot, false);
+        self.forget_slot(slot, out);
         let st = &mut self.slots[slot as usize];
         st.window.clear();
         st.buffer.clear();
@@ -477,15 +685,15 @@ impl ClusterNode {
     }
 
     fn fail_pending(&mut self, slot: u32, reason: &str, out: &mut Out) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].slot == slot {
-                let p = self.pending.remove(i);
-                out.push((p.client, Message::error(p.id, reason)));
-            } else {
-                i += 1;
-            }
-        }
+        let (failed, kept): (Vec<PendingWrite>, _) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.slot == slot);
+        self.pending = kept;
+        out.extend(
+            failed
+                .into_iter()
+                .map(|p| (p.client, Message::error(p.id, reason))),
+        );
     }
 
     fn maybe_ack_pending(&mut self, slot: u32, out: &mut Out) {
@@ -497,16 +705,16 @@ impl ClusterNode {
                 .min()
                 .unwrap_or(st.applied)
         };
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].slot == slot && self.pending[i].seq <= min_acked {
-                let p = self.pending.remove(i);
-                self.stats.writes_acked += 1;
-                out.push((p.client, Message::reply(p.id, Vec::new())));
-            } else {
-                i += 1;
-            }
-        }
+        let (acked, kept): (Vec<PendingWrite>, _) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.slot == slot && p.seq <= min_acked);
+        self.pending = kept;
+        self.stats.writes_acked += acked.len() as u64;
+        out.extend(
+            acked
+                .into_iter()
+                .map(|p| (p.client, Message::reply(p.id, Vec::new()))),
+        );
     }
 }
 
@@ -518,24 +726,14 @@ impl ClusterNode {
     /// Handles one message from `from`, returning the messages to send.
     pub fn handle(&mut self, from: ClusterPeer, msg: Message) -> Out {
         let mut out = Vec::new();
+        self.dispatch(from, msg, &mut out);
+        out
+    }
+
+    fn dispatch(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
         match msg {
-            Message::Get { id, key } => self.client_read(from, id, key, &mut out),
-            Message::Put { id, key, value } => {
-                self.client_write(from, id, key, Some(value), &mut out)
-            }
-            Message::Remove { id, key } => self.client_write(from, id, key, None, &mut out),
-            Message::Scan { id, range } => {
-                let pairs = self.primary_scan(&range);
-                out.push((from, Message::reply(id, pairs)));
-            }
-            Message::Count { id, range } => {
-                let n = self.primary_scan(&range).len() as u64;
-                out.push((from, Message::count_reply(id, n)));
-            }
-            Message::AddJoin { id, text } => match self.engine.add_joins_text(&text) {
-                Ok(_) => out.push((from, Message::reply(id, Vec::new()))),
-                Err(e) => out.push((from, Message::error(id, e.to_string()))),
-            },
+            Message::Put { id, key, value } => self.client_write(from, id, key, Some(value), out),
+            Message::Remove { id, key } => self.client_write(from, id, key, None, out),
             Message::NodeStatus { id } => {
                 let pairs = self.status_pairs();
                 out.push((from, Message::reply(id, pairs)));
@@ -549,10 +747,10 @@ impl ClusterNode {
                 slot,
                 from: src,
                 to,
-            } => self.start_migration(from, id, slot, src, to, &mut out),
+            } => self.start_migration(from, id, slot, src, to, out),
             Message::Batch { msgs } => {
                 for m in msgs {
-                    out.extend(self.handle(from, m));
+                    self.dispatch(from, m, out);
                 }
             }
             Message::ReplicaSubscribe {
@@ -560,21 +758,21 @@ impl ClusterNode {
                 epoch,
                 log_epoch,
                 from_seq,
-            } => self.on_subscribe(from, slot, epoch, log_epoch, from_seq, &mut out),
+            } => self.on_replica_subscribe(from, slot, epoch, log_epoch, from_seq, out),
             Message::NotifySeq {
                 slot,
                 epoch,
                 seq,
                 key,
                 value,
-            } => self.on_notify_seq(from, slot, epoch, seq, key, value, &mut out),
+            } => self.on_notify_seq(from, slot, epoch, seq, key, value, out),
             Message::NotifyAck {
                 slot,
                 epoch: _,
                 seq,
-            } => self.on_ack(from, slot, seq, &mut out),
+            } => self.on_ack(from, slot, seq, out),
             Message::Heartbeat { slot, epoch, seq } => {
-                self.on_heartbeat(from, slot, epoch, seq, &mut out)
+                self.on_heartbeat(from, slot, epoch, seq, out)
             }
             Message::SnapshotChunk {
                 slot,
@@ -582,29 +780,73 @@ impl ClusterNode {
                 upto_seq,
                 done,
                 pairs,
-            } => self.on_snapshot_chunk(from, slot, epoch, upto_seq, done, pairs, &mut out),
+            } => self.on_snapshot_chunk(from, slot, epoch, upto_seq, done, pairs, out),
             Message::EpochChange {
                 slot,
                 epoch,
                 replicas,
                 upto_seq,
                 dropped,
-            } => self.on_epoch_change(from, slot, epoch, replicas, upto_seq, dropped, &mut out),
+            } => self.on_epoch_change(from, slot, epoch, replicas, upto_seq, dropped, out),
             Message::Hello { .. } => {} // consumed by the transport driver
-            // The single-authority Subscribe/Notify tier and anything
-            // else a confused client sends: error if answerable.
-            other => {
-                if let Some(id) = other.id() {
-                    out.push((from, Message::error(id, "unsupported in cluster mode")));
-                }
-            }
+            other => self.hand_to_node(from, other, out),
         }
-        out
     }
 
     // ------------------------------------------------------------------
-    // Client requests
+    // Client requests and the §2.4 traffic: the `Node`'s
     // ------------------------------------------------------------------
+
+    /// Hands a read, a join, or subscription traffic to the `Node`.
+    fn hand_to_node(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
+        let msg = match msg {
+            Message::Get { id, key } if is_meta(&key) => {
+                out.push((from, Message::error(id, RESERVED)));
+                return;
+            }
+            // A wire `Get` is the scan of one key: its reply carries the
+            // pair, key included.
+            Message::Get { id, key } => {
+                self.partition_table(&key);
+                let command = Command::Scan(KeyRange::single(key));
+                NodeMsg::Request { id, command }
+            }
+            Message::Subscribe { id, range } => NodeMsg::Subscribe { id, range },
+            Message::SubscribeReply { id, range, pairs } => {
+                NodeMsg::SubscribeReply { id, range, pairs }
+            }
+            Message::Notify { key, value } => NodeMsg::Notify { key, value },
+            Message::Unsubscribe { range } => NodeMsg::Unsubscribe { range },
+            // Nodes send each other no requests; a stray answer is dropped.
+            Message::Reply { .. } | Message::NotPrimary { .. } => return,
+            other => match other.into_request() {
+                Ok((id, command)) => {
+                    if let Command::Scan(range) | Command::Count(range) = &command {
+                        self.partition_table(&range.first);
+                    }
+                    NodeMsg::Request { id, command }
+                }
+                Err(other) => {
+                    if let Some(id) = other.id() {
+                        out.push((from, Message::error(id, "not a request")));
+                    }
+                    return;
+                }
+            },
+        };
+        let joined = matches!(
+            msg,
+            NodeMsg::Request {
+                command: Command::AddJoin(_),
+                ..
+            }
+        );
+        self.node.handle(endpoint(from), msg, &mut self.node_out);
+        if joined {
+            self.partition_join_sources();
+        }
+        self.flush_node(out);
+    }
 
     fn redirect(&mut self, from: ClusterPeer, id: u64, slot: u32, node: u32, out: &mut Out) {
         self.stats.redirects += 1;
@@ -620,24 +862,6 @@ impl ClusterNode {
         ));
     }
 
-    fn client_read(&mut self, from: ClusterPeer, id: u64, key: Key, out: &mut Out) {
-        if key.as_bytes().first() == Some(&b'#') {
-            out.push((
-                from,
-                Message::error(id, "keys starting with '#' are reserved"),
-            ));
-            return;
-        }
-        let slot = self.slot_of(&key);
-        let primary = self.primary_of(slot);
-        if primary != self.id {
-            self.redirect(from, id, slot, primary, out);
-            return;
-        }
-        let pairs = self.engine.get_result(&key).pairs;
-        out.push((from, Message::reply(id, pairs)));
-    }
-
     fn client_write(
         &mut self,
         from: ClusterPeer,
@@ -646,11 +870,8 @@ impl ClusterNode {
         value: Option<Value>,
         out: &mut Out,
     ) {
-        if key.as_bytes().first() == Some(&b'#') {
-            out.push((
-                from,
-                Message::error(id, "keys starting with '#' are reserved"),
-            ));
+        if is_meta(&key) {
+            out.push((from, Message::error(id, RESERVED)));
             return;
         }
         let slot = self.slot_of(&key);
@@ -665,7 +886,20 @@ impl ClusterNode {
             self.redirect(from, id, slot, self.id, out);
             return;
         }
-        self.apply_local(&key, &value);
+        // The `Node` applies the write at its home and notifies the
+        // key's subscribers; its own acknowledgment gives way to the
+        // replicated one below.
+        self.partition_table(&key);
+        let command = match &value {
+            Some(v) => Command::Put(key.clone(), v.clone()),
+            None => Command::Remove(key.clone()),
+        };
+        let request = NodeMsg::Request { id, command };
+        self.node
+            .handle(endpoint(from), request, &mut self.node_out);
+        self.node_out
+            .retain(|(to, msg)| !(*to == endpoint(from) && matches!(msg, NodeMsg::Reply { .. })));
+        self.flush_node(out);
         let (seq, epoch, followers, learner) = {
             let st = &mut self.slots[slot as usize];
             st.applied += 1;
@@ -707,25 +941,11 @@ impl ClusterNode {
         }
     }
 
-    /// Scan serving both user keys and join outputs, filtered to the
-    /// slots this node is primary for — so a cluster-wide scatter
-    ///'gather sees each live pair exactly once.
-    fn primary_scan(&mut self, range: &pequod_store::KeyRange) -> Vec<(Key, Value)> {
-        let res = self.engine.scan(range);
-        res.pairs
-            .into_iter()
-            .filter(|(k, _)| {
-                k.as_bytes().first() != Some(&b'#')
-                    && self.primary_of(self.cfg.slot_of(k)) == self.id
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Replication: catch-up serving (primary side)
     // ------------------------------------------------------------------
 
-    fn on_subscribe(
+    fn on_replica_subscribe(
         &mut self,
         from: ClusterPeer,
         slot: u32,
@@ -753,11 +973,9 @@ impl ClusterNode {
                 st.replicas.push(n);
                 st.log_epoch = st.epoch;
             }
-            self.persist_epoch(slot);
+            self.persist_epoch(slot, out);
             self.stats.readmissions += 1;
-            let upto = self.slots[slot as usize].applied;
-            let msg = self.epoch_change_msg(slot, upto, None);
-            self.broadcast(&msg, out);
+            self.announce(slot, None, out);
         }
         {
             let st = &mut self.slots[slot as usize];
@@ -864,14 +1082,14 @@ impl ClusterNode {
     /// A sender with a newer epoch than our view: adopt the epoch and
     /// provisionally treat it as the slot's primary until a full
     /// `EpochChange` corrects the replica list.
-    fn adopt_newer_sender(&mut self, slot: u32, n: u32, epoch: u64) {
+    fn adopt_newer_sender(&mut self, slot: u32, n: u32, epoch: u64, out: &mut Out) {
         let st = &mut self.slots[slot as usize];
         if epoch > st.epoch {
             st.epoch = epoch;
             st.replicas.retain(|r| *r != n);
             st.replicas.insert(0, n);
             self.stats.epoch_changes += 1;
-            self.persist_epoch(slot);
+            self.persist_epoch(slot, out);
         }
     }
 
@@ -888,13 +1106,13 @@ impl ClusterNode {
     ) {
         let ClusterPeer::Node(n) = from else { return };
         if epoch > self.slots[slot as usize].epoch {
-            self.adopt_newer_sender(slot, n, epoch);
+            self.adopt_newer_sender(slot, n, epoch, out);
         }
         let st = &self.slots[slot as usize];
         if st.primary() != n {
             return; // stale primary streaming a divergent suffix
         }
-        if !st.holding {
+        if !self.holds(slot) {
             return; // not a member or learner: snapshot will cover it
         }
         if st.snap.is_some() {
@@ -907,30 +1125,11 @@ impl ClusterNode {
         let applied = st.applied;
         if seq <= applied {
             // Duplicate (delta replay overlap): re-ack our position.
-            let epoch = self.slots[slot as usize].epoch;
-            out.push((
-                from,
-                Message::NotifyAck {
-                    slot,
-                    epoch,
-                    seq: applied,
-                },
-            ));
-            return;
-        }
-        if seq == applied + 1 {
+            out.push((from, self.ack(slot)));
+        } else if seq == applied + 1 {
             self.apply_replicated(slot, seq, epoch, key, value);
-            let st = &mut self.slots[slot as usize];
-            st.catching_up = false;
-            let (e, a) = (st.epoch, st.applied);
-            out.push((
-                from,
-                Message::NotifyAck {
-                    slot,
-                    epoch: e,
-                    seq: a,
-                },
-            ));
+            self.slots[slot as usize].catching_up = false;
+            out.push((from, self.ack(slot)));
         } else {
             // Gap: the missing ops are in the primary's window; ask for
             // a replay (rate-limited by the catching-up flag).
@@ -946,7 +1145,11 @@ impl ClusterNode {
         key: Key,
         value: Option<Value>,
     ) {
-        self.apply_local(&key, &value);
+        self.partition_table(&key);
+        match &value {
+            Some(v) => self.node.engine.put(key.clone(), v.clone()),
+            None => self.node.engine.remove(&key),
+        }
         {
             let st = &mut self.slots[slot as usize];
             st.applied = seq;
@@ -964,13 +1167,20 @@ impl ClusterNode {
         }
         st.catching_up = true;
         st.catchup_at = self.now + self.cfg.timing.resubscribe_ms;
+        self.send_catchup(slot, target, out);
+    }
+
+    /// Asks `target` for what this node misses of `slot`.
+    fn send_catchup(&mut self, slot: u32, target: u32, out: &mut Out) {
+        let st = &self.slots[slot as usize];
+        let (epoch, log_epoch, from_seq) = (st.epoch, st.log_epoch, st.applied);
+        self.stats.catchup_subscribes += 1;
         let msg = Message::ReplicaSubscribe {
             slot,
-            epoch: st.epoch,
-            log_epoch: st.log_epoch,
-            from_seq: st.applied,
+            epoch,
+            log_epoch,
+            from_seq,
         };
-        self.stats.catchup_subscribes += 1;
         out.push((ClusterPeer::Node(target), msg));
     }
 
@@ -1000,34 +1210,26 @@ impl ClusterNode {
             return;
         }
         if epoch > self.slots[slot as usize].epoch {
-            self.adopt_newer_sender(slot, n, epoch);
+            self.adopt_newer_sender(slot, n, epoch, out);
         }
         let st = &self.slots[slot as usize];
         if st.primary() != n {
             return;
         }
         if st.is_member(self.id) {
-            let pos = st.replicas.iter().position(|r| *r == self.id).unwrap_or(1) as u64;
+            let deadline = self.failover_deadline(slot);
             let st = &mut self.slots[slot as usize];
-            st.hb_deadline = self.now + self.cfg.timing.failover_ms * pos.max(1);
+            st.hb_deadline = deadline;
             if seq > st.applied && st.snap.is_none() && !st.catching_up {
                 self.request_catchup(slot, n, out);
             } else if seq <= st.applied && st.snap.is_none() {
                 st.catching_up = false;
             }
         }
-        let st = &self.slots[slot as usize];
-        if st.holding {
+        if self.holds(slot) {
             // Members and learners both re-ack on every beat; this
             // repairs acknowledgments lost to faults.
-            out.push((
-                from,
-                Message::NotifyAck {
-                    slot,
-                    epoch: st.epoch,
-                    seq: st.applied,
-                },
-            ));
+            out.push((from, self.ack(slot)));
         }
     }
 
@@ -1044,7 +1246,7 @@ impl ClusterNode {
     ) {
         let ClusterPeer::Node(n) = from else { return };
         if epoch > self.slots[slot as usize].epoch {
-            self.adopt_newer_sender(slot, n, epoch);
+            self.adopt_newer_sender(slot, n, epoch, out);
         }
         if self.slots[slot as usize].primary() != n {
             return;
@@ -1057,12 +1259,13 @@ impl ClusterNode {
         if self.slots[slot as usize].snap.is_none() {
             // First chunk: clear our (possibly divergent) copy and take
             // authority so the incoming image reaches our own WAL.
-            self.drop_slot_data(slot);
+            self.drop_slot_data(slot, out);
             self.set_holding(slot, true);
             self.slots[slot as usize].snap = Some(SnapInstall { epoch });
         }
         for (k, v) in pairs {
-            self.engine.put(k, v);
+            self.partition_table(&k);
+            self.node.engine.put(k, v);
         }
         if done {
             let buffered = {
@@ -1077,7 +1280,7 @@ impl ClusterNode {
             };
             self.persist_rep(slot);
             self.stats.snap_installs += 1;
-            self.engine.recorder().flight("catchup_install", || {
+            self.node.engine.recorder().flight("catchup_install", || {
                 format!("slot {slot}: snapshot catch-up installed")
             });
             for (seq, ep, k, v) in buffered {
@@ -1088,15 +1291,7 @@ impl ClusterNode {
                 // seq <= applied: covered by the snapshot; a gap beyond
                 // applied+1 is left for the next heartbeat to detect.
             }
-            let st = &self.slots[slot as usize];
-            out.push((
-                from,
-                Message::NotifyAck {
-                    slot,
-                    epoch: st.epoch,
-                    seq: st.applied,
-                },
-            ));
+            out.push((from, self.ack(slot)));
         }
     }
 
@@ -1135,7 +1330,7 @@ impl ClusterNode {
             st.epoch = epoch;
             st.replicas = replicas;
         }
-        self.persist_epoch(slot);
+        self.persist_epoch(slot, out);
         if was_primary && new_primary != self.id {
             // Deposed mid-flight: unacked writes go back to the client,
             // and so does a migration only a primary can finish.
@@ -1150,7 +1345,7 @@ impl ClusterNode {
         if dropped == Some(self.id) {
             // Deliberately removed (migration source): delete our copy
             // and do not ask back in.
-            self.drop_slot_data(slot);
+            self.drop_slot_data(slot, out);
             return;
         }
         let st = &mut self.slots[slot as usize];
@@ -1167,21 +1362,15 @@ impl ClusterNode {
             return;
         }
         if st.is_member(self.id) {
-            let pos = st.replicas.iter().position(|r| *r == self.id).unwrap_or(1) as u64;
-            st.hb_deadline = self.now + self.cfg.timing.failover_ms * pos.max(1);
             st.next_hb = 0;
+            self.slots[slot as usize].hb_deadline = self.failover_deadline(slot);
             self.set_holding(slot, true);
             let st = &mut self.slots[slot as usize];
             if upto_seq != NO_CLEAN_ADOPT && st.applied == upto_seq {
                 // Clean adoption: same position in the same lineage.
                 st.log_epoch = epoch;
                 st.catching_up = false;
-                let ack = Message::NotifyAck {
-                    slot,
-                    epoch,
-                    seq: st.applied,
-                };
-                out.push((ClusterPeer::Node(new_primary), ack));
+                out.push((ClusterPeer::Node(new_primary), self.ack(slot)));
             } else if st.snap.is_none() && !st.catching_up {
                 self.request_catchup(slot, new_primary, out);
             }
@@ -1190,7 +1379,7 @@ impl ClusterNode {
         // Not a member any more. If we still hold data (dropped as a
         // laggard, or a deposed primary), ask the new primary to take
         // us back; catch-up will reconcile our state.
-        if self.slots[slot as usize].holding {
+        if self.holds(slot) {
             self.slots[slot as usize].catching_up = false; // force a fresh subscribe
             self.request_catchup(slot, new_primary, out);
         }
@@ -1262,20 +1451,18 @@ impl ClusterNode {
             st.follower_acked.remove(&mig.from);
             st.follower_acked.insert(mig.to, acked);
         }
-        self.persist_epoch(slot);
+        self.persist_epoch(slot, out);
         self.stats.migrations += 1;
-        self.engine.recorder().flight("migration_flip", || {
+        self.node.engine.recorder().flight("migration_flip", || {
             format!("slot {slot}: authority flipped {} -> {}", mig.from, mig.to)
         });
-        let upto = self.slots[slot as usize].applied;
-        let msg = self.epoch_change_msg(slot, upto, Some(mig.from));
-        self.broadcast(&msg, out);
+        self.announce(slot, Some(mig.from), out);
         out.push((mig.client, Message::reply(mig.id, Vec::new())));
         if mig.from == self.id {
             // We migrated ourselves away: the learner took our replica
             // position (possibly the primacy); drop our copy.
             self.fail_pending(slot, "slot migrated away; retry", out);
-            self.drop_slot_data(slot);
+            self.drop_slot_data(slot, out);
             let st = &mut self.slots[slot as usize];
             st.log_epoch = st.epoch;
             st.follower_acked.clear();
@@ -1299,10 +1486,8 @@ impl ClusterNode {
             st.epoch += 1;
             st.log_epoch = st.epoch;
         }
-        self.persist_epoch(slot);
-        let upto = self.slots[slot as usize].applied;
-        let msg = self.epoch_change_msg(slot, upto, Some(mig.to));
-        self.broadcast(&msg, out);
+        self.persist_epoch(slot, out);
+        self.announce(slot, Some(mig.to), out);
         out.push((mig.client, Message::error(mig.id, "migration timed out")));
     }
 }
@@ -1318,7 +1503,7 @@ impl ClusterNode {
     /// laggard drops, and migration flips.
     pub fn tick(&mut self, now_ms: u64) -> Out {
         let mut out = Vec::new();
-        self.engine.tick(now_ms.saturating_sub(self.now));
+        self.node.engine.tick(now_ms.saturating_sub(self.now));
         self.now = self.now.max(now_ms);
         if !self.booted {
             // First tick: arm failover deadlines relative to the
@@ -1326,11 +1511,10 @@ impl ClusterNode {
             // into a running cluster — promoting instantly over a live
             // primary would let an empty cold node win its slots).
             self.booted = true;
-            for slot in 0..self.cfg.slots as usize {
-                let st = &mut self.slots[slot];
+            for slot in 0..self.cfg.slots {
+                let st = &self.slots[slot as usize];
                 if st.is_member(self.id) && st.primary() != self.id {
-                    let pos = st.replicas.iter().position(|r| *r == self.id).unwrap_or(1) as u64;
-                    st.hb_deadline = self.now + self.cfg.timing.failover_ms * pos.max(1);
+                    self.slots[slot as usize].hb_deadline = self.failover_deadline(slot);
                 }
             }
         }
@@ -1424,18 +1608,17 @@ impl ClusterNode {
             st.migration = None;
             st.flip_armed = false;
         }
-        self.persist_epoch(slot);
+        self.persist_epoch(slot, out);
         self.persist_rep(slot);
         self.stats.promotions += 1;
         let upto = self.slots[i].applied;
-        self.engine.recorder().flight("failover", || {
+        self.node.engine.recorder().flight("failover", || {
             format!(
                 "node {} promoted itself for slot {slot} (epoch {}, applied {upto})",
                 self.id, self.slots[i].epoch
             )
         });
-        let msg = self.epoch_change_msg(slot, upto, None);
-        self.broadcast(&msg, out);
+        self.announce(slot, None, out);
     }
 
     fn retry_catchup(&mut self, slot: u32, out: &mut Out) {
@@ -1458,18 +1641,9 @@ impl ClusterNode {
             }
             t
         };
-        if target == self.id {
-            return;
+        if target != self.id {
+            self.send_catchup(slot, target, out);
         }
-        let st = &self.slots[slot as usize];
-        let msg = Message::ReplicaSubscribe {
-            slot,
-            epoch: st.epoch,
-            log_epoch: st.log_epoch,
-            from_seq: st.applied,
-        };
-        self.stats.catchup_subscribes += 1;
-        out.push((ClusterPeer::Node(target), msg));
     }
 
     fn tick_pending(&mut self, out: &mut Out) {
@@ -1510,14 +1684,12 @@ impl ClusterNode {
                     st.epoch += 1;
                     st.log_epoch = st.epoch;
                 }
-                self.persist_epoch(slot);
+                self.persist_epoch(slot, out);
                 self.stats.follower_drops += laggards.len() as u64;
-                self.engine.recorder().flight("follower_drop", || {
+                self.node.engine.recorder().flight("follower_drop", || {
                     format!("slot {slot}: dropped laggards {laggards:?}")
                 });
-                let upto = self.slots[slot as usize].applied;
-                let msg = self.epoch_change_msg(slot, upto, None);
-                self.broadcast(&msg, out);
+                self.announce(slot, None, out);
             }
             self.maybe_ack_pending(slot, out);
         }
@@ -1532,38 +1704,30 @@ impl ClusterNode {
     /// lag/ack gauges — the content a [`Message::Metrics`] request is
     /// answered with.
     pub fn telemetry_snapshot(&self, include_flight: bool) -> Snapshot {
-        let mut snap = self.engine.recorder().snapshot(include_flight);
+        let mut snap = self.node.engine.recorder().snapshot(include_flight);
         let s = &self.stats;
-        snap.counter("pequod_cluster_writes_applied_total", &[], s.writes_applied);
-        snap.counter("pequod_cluster_writes_acked_total", &[], s.writes_acked);
-        snap.counter("pequod_cluster_redirects_total", &[], s.redirects);
-        snap.counter("pequod_cluster_notifies_sent_total", &[], s.notifies_sent);
-        snap.counter(
-            "pequod_cluster_notifies_applied_total",
-            &[],
-            s.notifies_applied,
-        );
-        snap.counter("pequod_cluster_failovers_total", &[], s.promotions);
-        snap.counter("pequod_cluster_epoch_changes_total", &[], s.epoch_changes);
-        snap.counter("pequod_cluster_follower_drops_total", &[], s.follower_drops);
-        snap.counter("pequod_cluster_readmissions_total", &[], s.readmissions);
-        snap.counter("pequod_cluster_migrations_total", &[], s.migrations);
-        snap.counter(
-            "pequod_cluster_catchup_subscribes_total",
-            &[],
-            s.catchup_subscribes,
-        );
-        snap.counter(
-            "pequod_cluster_catchup_bytes_total",
-            &[("path", "delta")],
-            s.delta_bytes_sent,
-        );
-        snap.counter(
-            "pequod_cluster_catchup_bytes_total",
-            &[("path", "snapshot")],
-            s.snap_bytes_sent,
-        );
-        snap.counter("pequod_cluster_snap_installs_total", &[], s.snap_installs);
+        for (name, v) in [
+            ("writes_applied", s.writes_applied),
+            ("writes_acked", s.writes_acked),
+            ("redirects", s.redirects),
+            ("notifies_sent", s.notifies_sent),
+            ("notifies_applied", s.notifies_applied),
+            ("failovers", s.promotions),
+            ("epoch_changes", s.epoch_changes),
+            ("follower_drops", s.follower_drops),
+            ("readmissions", s.readmissions),
+            ("migrations", s.migrations),
+            ("catchup_subscribes", s.catchup_subscribes),
+            ("snap_installs", s.snap_installs),
+        ] {
+            snap.counter(&format!("pequod_cluster_{name}_total"), &[], v);
+        }
+        for (path, v) in [
+            ("delta", s.delta_bytes_sent),
+            ("snapshot", s.snap_bytes_sent),
+        ] {
+            snap.counter("pequod_cluster_catchup_bytes_total", &[("path", path)], v);
+        }
         snap.gauge(
             "pequod_cluster_acks_outstanding",
             &[],
@@ -1598,70 +1762,51 @@ impl ClusterNode {
     /// view, as ASCII pairs.
     pub fn status_pairs(&mut self) -> Vec<(Key, Value)> {
         let s = self.stats;
-        let mut pairs: Vec<(Key, Value)> = vec![
-            (
-                Key::from("stat|catchup_subscribes"),
-                ascii(s.catchup_subscribes),
-            ),
-            (
-                Key::from("stat|delta_bytes_sent"),
-                ascii(s.delta_bytes_sent),
-            ),
-            (Key::from("stat|delta_ops_sent"), ascii(s.delta_ops_sent)),
-            (Key::from("stat|epoch_changes"), ascii(s.epoch_changes)),
-            (Key::from("stat|follower_drops"), ascii(s.follower_drops)),
-            (Key::from("stat|migrations"), ascii(s.migrations)),
-            (Key::from("stat|node"), ascii(self.id)),
-            (
-                Key::from("stat|notifies_applied"),
-                ascii(s.notifies_applied),
-            ),
-            (Key::from("stat|notifies_sent"), ascii(s.notifies_sent)),
-            (Key::from("stat|promotions"), ascii(s.promotions)),
-            (Key::from("stat|readmissions"), ascii(s.readmissions)),
-            (Key::from("stat|redirects"), ascii(s.redirects)),
-            (Key::from("stat|snap_bytes_in"), ascii(s.snap_bytes_in)),
-            (Key::from("stat|snap_bytes_sent"), ascii(s.snap_bytes_sent)),
-            (Key::from("stat|snap_chunks_in"), ascii(s.snap_chunks_in)),
-            (
-                Key::from("stat|snap_chunks_sent"),
-                ascii(s.snap_chunks_sent),
-            ),
-            (Key::from("stat|snap_installs"), ascii(s.snap_installs)),
-            (Key::from("stat|writes_acked"), ascii(s.writes_acked)),
-            (Key::from("stat|writes_applied"), ascii(s.writes_applied)),
-        ];
+        let mut pairs: Vec<(Key, Value)> = [
+            ("catchup_subscribes", s.catchup_subscribes),
+            ("delta_bytes_sent", s.delta_bytes_sent),
+            ("delta_ops_sent", s.delta_ops_sent),
+            ("epoch_changes", s.epoch_changes),
+            ("follower_drops", s.follower_drops),
+            ("migrations", s.migrations),
+            ("node", u64::from(self.id)),
+            ("notifies_applied", s.notifies_applied),
+            ("notifies_sent", s.notifies_sent),
+            ("promotions", s.promotions),
+            ("readmissions", s.readmissions),
+            ("redirects", s.redirects),
+            ("snap_bytes_in", s.snap_bytes_in),
+            ("snap_bytes_sent", s.snap_bytes_sent),
+            ("snap_chunks_in", s.snap_chunks_in),
+            ("snap_chunks_sent", s.snap_chunks_sent),
+            ("snap_installs", s.snap_installs),
+            ("writes_acked", s.writes_acked),
+            ("writes_applied", s.writes_applied),
+        ]
+        .into_iter()
+        .map(|(name, v)| (Key::from(format!("stat|{name}")), ascii(v)))
+        .collect();
         for slot in 0..self.cfg.slots {
             let st = &self.slots[slot as usize];
             let role = if st.primary() == self.id {
                 "primary"
             } else if st.is_member(self.id) {
                 "follower"
-            } else if st.holding {
+            } else if self.holds(slot) {
                 "learner"
             } else {
                 "none"
             };
-            let replicas = st
-                .replicas
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            pairs.push((
-                Key::from(format!("slot|{slot:02}|applied")),
-                ascii(st.applied),
-            ));
-            pairs.push((Key::from(format!("slot|{slot:02}|epoch")), ascii(st.epoch)));
-            pairs.push((
-                Key::from(format!("slot|{slot:02}|primary")),
-                ascii(st.primary()),
-            ));
-            pairs.push((
-                Key::from(format!("slot|{slot:02}|replicas")),
-                ascii(replicas),
-            ));
-            pairs.push((Key::from(format!("slot|{slot:02}|role")), ascii(role)));
+            let replicas: Vec<String> = st.replicas.iter().map(u32::to_string).collect();
+            for (field, v) in [
+                ("applied", ascii(st.applied)),
+                ("epoch", ascii(st.epoch)),
+                ("primary", ascii(st.primary())),
+                ("replicas", ascii(replicas.join(","))),
+                ("role", ascii(role)),
+            ] {
+                pairs.push((Key::from(format!("slot|{slot:02}|{field}")), v));
+            }
         }
         pairs
     }

@@ -1,18 +1,26 @@
 //! Deterministic in-memory cluster: every node's [`ClusterNode`] state
 //! machine wired through a seeded [`SimNet`] fabric with optional
-//! drop/duplicate/reorder fault injection.
+//! drop/duplicate/reorder/delay fault injection and `Notify` jitter.
 //!
 //! Time is virtual: [`SimHarness::run_for`] advances a millisecond
 //! clock, delivering due messages and ticking every live node each
 //! step, so a multi-second failover scenario runs in microseconds and
-//! replays identically for a given seed.
+//! replays identically for a given seed. The fabric counts wire bytes
+//! per message class ([`SimNet::traffic`]), and the harness the real
+//! CPU time each node spends handling messages
+//! ([`SimHarness::busy_time`]) — all simulated nodes share one core, so
+//! per-node busy time is the stand-in for a node's CPU bottleneck.
+//! [`crate::ClusterClient::simulated`] drives a harness through the
+//! unified client surface.
 
 use crate::config::ClusterConfig;
 use crate::node::{ClusterNode, ClusterPeer};
-use pequod_core::Engine;
+use pequod_core::node::NodeAudit;
+use pequod_core::{BackendStats, Engine};
 use pequod_net::{Message, SimNet};
 use pequod_store::{Key, Value};
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Simulated endpoints below this are cluster nodes; at or above it,
 /// clients (client `c` lives at endpoint `CLIENT_BASE + c`).
@@ -35,9 +43,12 @@ fn peer(endpoint: u32) -> ClusterPeer {
 
 /// A whole simulated cluster plus its virtual clock.
 pub struct SimHarness {
-    /// The message fabric (fault injection knobs live here).
+    /// The message fabric (fault injection knobs and traffic counters
+    /// live here).
     pub net: SimNet,
+    cfg: ClusterConfig,
     nodes: Vec<Option<ClusterNode>>,
+    busy: Vec<Duration>,
     now: u64,
     next_id: u64,
     replies: Vec<(u64, Message)>,
@@ -61,13 +72,15 @@ impl SimHarness {
         seed: u64,
         latency: u64,
     ) -> SimHarness {
-        let nodes = engines
+        let nodes: Vec<Option<ClusterNode>> = engines
             .into_iter()
             .enumerate()
             .map(|(id, e)| Some(ClusterNode::new(id as u32, cfg.clone(), e)))
             .collect();
         SimHarness {
             net: SimNet::new(seed, latency),
+            cfg: cfg.clone(),
+            busy: vec![Duration::ZERO; nodes.len()],
             nodes,
             now: 0,
             next_id: 1,
@@ -79,6 +92,33 @@ impl SimHarness {
     /// Current virtual time, ms.
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// The cluster config the nodes were built with.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.cfg
+    }
+
+    /// Real CPU time node `id` has spent handling messages.
+    pub fn busy_time(&self, id: u32) -> Duration {
+        self.busy.get(id as usize).copied().unwrap_or_default()
+    }
+
+    /// Every live node's engine counters
+    /// ([`ClusterNode::backend_stats`]).
+    pub fn engine_stats(&mut self) -> Vec<BackendStats> {
+        (self.nodes.iter_mut().flatten())
+            .map(ClusterNode::backend_stats)
+            .collect()
+    }
+
+    /// Audits the live nodes as one deployment
+    /// ([`pequod_core::node::audit_deployment`]): every engine's deep
+    /// invariant check plus node-to-node subscription symmetry. Call it
+    /// on a quiet network; empty means consistent.
+    pub fn check_invariants(&self) -> Vec<String> {
+        let audits: Vec<NodeAudit> = self.nodes.iter().flatten().map(|n| n.audit()).collect();
+        pequod_core::node::audit_deployment(&audits)
     }
 
     /// Borrows a live node (panics in tests if it was killed).
@@ -151,7 +191,13 @@ impl SimHarness {
                                 ledger.entry((to, c, id)).or_default().0 += 1;
                             });
                         }
-                        node.handle(peer(from), msg)
+                        // audit: allow(wall-clock) — busy-time accounting
+                        // measures real compute per node; simulated time
+                        // stays in `now`.
+                        let start = std::time::Instant::now();
+                        let out = node.handle(peer(from), msg);
+                        self.busy[to as usize] += start.elapsed();
+                        out
                     }
                     _ => Vec::new(),
                 };
@@ -165,6 +211,21 @@ impl SimHarness {
                 self.route(id as u32, out);
             }
         }
+    }
+
+    /// Runs until nothing is in flight (or, on a cluster whose primaries
+    /// keep heartbeating followers, for at most ten seconds).
+    pub fn run_until_quiet(&mut self) {
+        let until = self.now + 10_000;
+        while !self.net.is_quiet() && self.now < until {
+            self.run_for(1);
+        }
+    }
+
+    /// Sends `msg` from client `c` to node `to` as it is, request ids
+    /// included.
+    pub fn send(&mut self, c: u64, to: u32, msg: Message) {
+        self.net.send(self.now, CLIENT_BASE + c as u32, to, msg);
     }
 
     /// Sends a raw message from client `c` to a node, tagging it with
@@ -195,137 +256,74 @@ impl SimHarness {
         id
     }
 
+    /// Sends `msg` from client `c` to node `to` under a fresh request id
+    /// and runs virtual time until the node answers it; returns the
+    /// answer (a `Reply` or a `NotPrimary`). Panics (test context) after
+    /// `max_ms`.
+    pub fn request(&mut self, c: u64, to: u32, msg: Message, max_ms: u64) -> Message {
+        let id = self.client_send(c, to, msg);
+        let deadline = self.now + max_ms;
+        while self.now < deadline {
+            self.run_for(1);
+            let mut answer = None;
+            self.replies.retain(|(cl, m)| {
+                let mine = *cl == c && m.id() == Some(id) && answer.is_none();
+                if mine {
+                    answer = Some(m.clone());
+                }
+                !mine
+            });
+            if let Some(answer) = answer {
+                return answer;
+            }
+        }
+        unreachable!("request: no answer from node {to} after {max_ms}ms");
+    }
+
     /// Drains replies delivered to client `c`.
     pub fn take_replies(&mut self, c: u64) -> Vec<Message> {
-        let mut mine = Vec::new();
-        self.replies.retain(|(cl, m)| {
-            if *cl == c {
-                mine.push(m.clone());
-                false
-            } else {
-                true
-            }
-        });
-        mine
+        let (mine, others) = std::mem::take(&mut self.replies)
+            .into_iter()
+            .partition(|(cl, _)| *cl == c);
+        self.replies = others;
+        mine.into_iter().map(|(_, m)| m).collect()
     }
 
     /// Writes through the cluster as client `c`, following `NotPrimary`
     /// redirects until the write is acknowledged. Runs virtual time
     /// forward as needed; panics (test context) after `max_ms`.
     pub fn put_acked(&mut self, c: u64, key: impl Into<Key>, value: impl Into<Value>, max_ms: u64) {
-        let key = key.into();
-        let value = value.into();
-        let slot = {
-            let cfg = self.any_cfg();
-            cfg.slot_of(&key)
-        };
-        let mut target = self.first_alive_primary(slot);
-        let deadline = self.now + max_ms;
-        let mut id = self.client_send(
-            c,
-            target,
-            Message::Put {
-                id: 0,
-                key: key.clone(),
-                value: value.clone(),
-            },
-        );
-        let mut sent_at = self.now;
-        loop {
-            self.run_for(1);
-            // Client-side resend: the request or its reply may have
-            // been dropped by a faulty link.
-            if self.now.saturating_sub(sent_at) > 400 {
-                target = self.first_alive_primary(slot);
-                id = self.client_send(
-                    c,
-                    target,
-                    Message::Put {
-                        id: 0,
-                        key: key.clone(),
-                        value: value.clone(),
-                    },
-                );
-                sent_at = self.now;
-            }
-            for reply in self.take_replies(c) {
-                match reply {
-                    Message::Reply {
-                        id: rid,
-                        error: None,
-                        ..
-                    } if rid == id => return,
-                    Message::Reply {
-                        id: rid,
-                        error: Some(_),
-                        ..
-                    } if rid == id => {
-                        // Deposed or draining primary: retry.
-                        id = self.client_send(
-                            c,
-                            target,
-                            Message::Put {
-                                id: 0,
-                                key: key.clone(),
-                                value: value.clone(),
-                            },
-                        );
-                    }
-                    Message::NotPrimary { id: rid, node, .. } if rid == id => {
-                        target = if self.is_alive(node) {
-                            node
-                        } else {
-                            self.first_alive_primary(slot)
-                        };
-                        id = self.client_send(
-                            c,
-                            target,
-                            Message::Put {
-                                id: 0,
-                                key: key.clone(),
-                                value: value.clone(),
-                            },
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            if self.now >= deadline {
-                unreachable!("put_acked: no ack for {key:?} after {max_ms}ms");
-            }
-        }
+        let (key, value) = (key.into(), value.into());
+        let slot = self.cfg.slot_of(&key);
+        self.call_slot(c, slot, Message::Put { id: 0, key, value }, max_ms);
     }
 
     /// Reads `key` through the cluster as client `c`, following
-    /// redirects. Returns the value, or `None` once a primary answers
-    /// "no such key". Panics (test context) after `max_ms`.
+    /// redirects. Returns the value, or `None` once a node answers "no
+    /// such key". Panics (test context) after `max_ms`.
     pub fn get_value(&mut self, c: u64, key: impl Into<Key>, max_ms: u64) -> Option<Value> {
         let key = key.into();
-        let slot = self.any_cfg().slot_of(&key);
-        let mut target = self.first_alive_primary(slot);
+        let slot = self.cfg.slot_of(&key);
+        let pairs = self.call_slot(c, slot, Message::Get { id: 0, key }, max_ms);
+        pairs.into_iter().next().map(|(_, v)| v)
+    }
+
+    /// Sends `msg`, a request on a key of `slot`, as client `c` to the
+    /// slot's primary and runs virtual time until it succeeds: a
+    /// `NotPrimary` or an error (a deposed or draining primary) sends it
+    /// again, to the named primary, and so does silence for 400 ms (the
+    /// request or its reply may have been dropped by a faulty link).
+    /// Returns the reply's pairs; panics (test context) after `max_ms`.
+    fn call_slot(&mut self, c: u64, slot: u32, msg: Message, max_ms: u64) -> Vec<(Key, Value)> {
         let deadline = self.now + max_ms;
-        let mut id = self.client_send(
-            c,
-            target,
-            Message::Get {
-                id: 0,
-                key: key.clone(),
-            },
-        );
+        let mut target = self.first_alive_primary(slot);
+        let mut id = self.client_send(c, target, msg.clone());
         let mut sent_at = self.now;
-        loop {
+        while self.now < deadline {
             self.run_for(1);
-            if self.now.saturating_sub(sent_at) > 400 {
+            let mut again = self.now.saturating_sub(sent_at) > 400;
+            if again {
                 target = self.first_alive_primary(slot);
-                id = self.client_send(
-                    c,
-                    target,
-                    Message::Get {
-                        id: 0,
-                        key: key.clone(),
-                    },
-                );
-                sent_at = self.now;
             }
             for reply in self.take_replies(c) {
                 match reply {
@@ -333,40 +331,24 @@ impl SimHarness {
                         id: rid,
                         pairs,
                         error: None,
-                    } if rid == id => {
-                        return pairs.into_iter().next().map(|(_, v)| v);
-                    }
+                    } if rid == id => return pairs,
+                    Message::Reply { id: rid, .. } if rid == id => again = true,
                     Message::NotPrimary { id: rid, node, .. } if rid == id => {
-                        target = if self.is_alive(node) {
-                            node
-                        } else {
-                            self.first_alive_primary(slot)
+                        again = true;
+                        target = match self.is_alive(node) {
+                            true => node,
+                            false => self.first_alive_primary(slot),
                         };
-                        id = self.client_send(
-                            c,
-                            target,
-                            Message::Get {
-                                id: 0,
-                                key: key.clone(),
-                            },
-                        );
                     }
                     _ => {}
                 }
             }
-            if self.now >= deadline {
-                unreachable!("get_value: no answer for {key:?} after {max_ms}ms");
+            if again {
+                id = self.client_send(c, target, msg.clone());
+                sent_at = self.now;
             }
         }
-    }
-
-    fn any_cfg(&self) -> ClusterConfig {
-        self.nodes
-            .iter()
-            .flatten()
-            .next()
-            .map(|n| n.config().clone())
-            .unwrap_or_else(|| ClusterConfig::new(1, 1))
+        unreachable!("no answer to {msg:?} after {max_ms}ms");
     }
 
     /// The first live node's opinion of `slot`'s primary, falling back

@@ -11,8 +11,9 @@
 //!
 //! * the in-process [`Engine`] (this crate),
 //! * `pequod_db::WriteAround` (database writes, cached reads),
-//! * `pequod_net::ClusterClient` (a partitioned simulated cluster with
-//!   per-destination batch pipelining), and
+//! * `pequod_cluster::ClusterClient` (a partitioned, replicated
+//!   cluster — over sockets or simulated — with per-node batch
+//!   pipelining), and
 //! * the comparison systems in `pequod_baselines`.
 //!
 //! Batching is the point, not an afterthought: a backend that owns a

@@ -625,6 +625,20 @@ impl Engine {
             .collect()
     }
 
+    /// True if every key of `range` (inside one remote table) is
+    /// resident here.
+    pub fn is_resident(&self, range: &KeyRange) -> bool {
+        (self.remote.get(range.first.table_prefix_bytes()))
+            .is_some_and(|t| t.resident.covers(range))
+    }
+
+    /// True if some installed join writes into the table owning
+    /// `prefix`: its rows are computed here, not stored base data.
+    pub fn is_output_table(&self, prefix: &Key) -> bool {
+        let table = KeyRange::prefix(prefix.clone());
+        self.joins.iter().any(|j| j.output_range().overlaps(&table))
+    }
+
     /// The resident ranges of a remote table (diagnostics).
     pub fn resident_ranges(&self, prefix: &Key) -> Vec<KeyRange> {
         self.remote

@@ -761,55 +761,79 @@ impl Engine {
                 true
             }
             EvictUnit::Base(prefix) => {
-                let range = KeyRange::prefix(prefix.clone());
-                // Rows this engine is the authority for are the only
-                // copy and stay put; replicas are dropped, silently
-                // (eviction, not deletion).
-                let authority = self.base_authority.clone();
-                let rows = self.store.remove_range(&range, false, |k, _| {
-                    authority.as_ref().is_none_or(|auth| !auth(k))
-                });
-                if authority.is_some() && rows == 0 {
-                    // Every cached row in this table is ours: there is
-                    // nothing to reclaim, and invalidating dependents
-                    // would rebuild computed data for zero bytes freed.
-                    // Skip the unit; the next read re-registers it.
+                let Some(rows) = self.drop_base(&prefix, true) else {
                     return false;
-                }
-                self.invalidate_readers(&range);
-                // Output-side dependents: if a join *writes into* the
-                // evicted table (a partitioned output table in a sharded
-                // deployment), its materialized ranges lose their rows
-                // below and must recompute too.
-                for jidx in 0..self.joins.len() {
-                    let clip = self.joins[jidx].output_range().intersect(&range);
-                    if clip.is_empty() {
-                        continue;
-                    }
-                    let covered: Vec<JsId> = self.status[jidx]
-                        .segments(&clip)
-                        .into_iter()
-                        .filter_map(|seg| match seg {
-                            Segment::Covered(id) => Some(id),
-                            Segment::Gap(_) => None,
-                        })
-                        .collect();
-                    for jsid in covered {
-                        self.complete_invalidate(jidx, jsid);
-                    }
-                }
-                // Release the residency bookkeeping; kept authoritative
-                // rows re-prove residency on the next read without a
-                // refetch.
-                if let Some(table) = self.remote.get_mut(&prefix) {
-                    table.resident.clear();
-                }
+                };
                 self.stats.base_evictions += 1;
                 self.recorder
                     .evicted_base(|| format!("table {prefix} ({rows} rows)"));
                 true
             }
         }
+    }
+
+    /// Forgets the replicated rows of the remote table `prefix` as
+    /// eviction does — the rows go without being read as deletions, the
+    /// computed ranges built on them recompute at their next read, and
+    /// nothing of the table is resident any more — whether or not any
+    /// replica was cached. A deployment calls this when the table's
+    /// replicas may have gone stale: their home moved (a failover, a
+    /// migration), or this engine stopped being the authority for some
+    /// of its rows. Authoritative rows stay.
+    pub fn forget_replicas(&mut self, prefix: &Key) {
+        self.drop_base(prefix, false);
+        self.paranoid_check();
+    }
+
+    /// Drops the replicated rows of table `prefix`, invalidates their
+    /// readers and clears the table's residency; returns how many rows
+    /// went. With `skip_if_all_ours`, a table whose cached rows are all
+    /// authoritative is left alone (`None`): eviction would free nothing.
+    fn drop_base(&mut self, prefix: &Key, skip_if_all_ours: bool) -> Option<usize> {
+        let range = KeyRange::prefix(prefix.clone());
+        // Rows this engine is the authority for are the only
+        // copy and stay put; replicas are dropped, silently
+        // (eviction, not deletion).
+        let authority = self.base_authority.clone();
+        let rows = self.store.remove_range(&range, false, |k, _| {
+            authority.as_ref().is_none_or(|auth| !auth(k))
+        });
+        if skip_if_all_ours && authority.is_some() && rows == 0 {
+            // Every cached row in this table is ours: there is
+            // nothing to reclaim, and invalidating dependents
+            // would rebuild computed data for zero bytes freed.
+            // Skip the unit; the next read re-registers it.
+            return None;
+        }
+        self.invalidate_readers(&range);
+        // Output-side dependents: if a join *writes into* the
+        // evicted table (a partitioned output table in a sharded
+        // deployment), its materialized ranges lose their rows
+        // below and must recompute too.
+        for jidx in 0..self.joins.len() {
+            let clip = self.joins[jidx].output_range().intersect(&range);
+            if clip.is_empty() {
+                continue;
+            }
+            let covered: Vec<JsId> = self.status[jidx]
+                .segments(&clip)
+                .into_iter()
+                .filter_map(|seg| match seg {
+                    Segment::Covered(id) => Some(id),
+                    Segment::Gap(_) => None,
+                })
+                .collect();
+            for jsid in covered {
+                self.complete_invalidate(jidx, jsid);
+            }
+        }
+        // Release the residency bookkeeping; kept authoritative
+        // rows re-prove residency on the next read without a
+        // refetch.
+        if let Some(table) = self.remote.get_mut(prefix) {
+            table.resident.clear();
+        }
+        Some(rows)
     }
 }
 

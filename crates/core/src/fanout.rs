@@ -6,7 +6,7 @@
 //! and installs joins on every server. This module makes that decision
 //! once, without doing any I/O, for the three hosts that need it: the
 //! blocking [`ShardedHandle`](crate::ShardedHandle), the network
-//! frontend's sharded dispatcher and `pequod_net::ClusterClient`.
+//! frontend's sharded dispatcher and `pequod_cluster::ClusterClient`.
 //!
 //! * [`split_runs`] cuts a batch into maximal runs of one command class.
 //!   A run is one pipelined round; the next starts only once it is fully

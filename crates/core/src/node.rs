@@ -18,17 +18,20 @@
 //! * a [`ShardedEngine`](crate::ShardedEngine) worker thread — receive
 //!   from the mailbox, `handle`, route the output to peer mailboxes or
 //!   to the client's reply channel;
-//! * `pequod_net::SimCluster` — the same calls under a deterministic
-//!   virtual network, which maps each [`NodeMsg`] 1:1 onto the wire
-//!   `Message` so it can count bytes (`pequod_net::ServerNode` is this
-//!   type).
+//! * `pequod_cluster::ClusterNode` — the replicated deployment's node,
+//!   over TCP or its deterministic simulator. It keeps slots, epochs and
+//!   replication around one `Node`, whose partition is the live slot
+//!   view: a key is homed at the node holding its slot, else at the
+//!   slot's primary. It maps each [`NodeMsg`] 1:1 onto the wire
+//!   `Message`.
 //!
 //! # What a fetch guarantees
 //!
 //! A missing range the partition can prove single-homed is fetched from
 //! that home. Any other range (a whole table under a hash partition) is
-//! scatter-gathered: subscribed at *every* peer, each of which returns
-//! only the keys it homes. Either way the answers are buffered in one
+//! scatter-gathered: subscribed at *every* peer that homes some key
+//! ([`Partition::homes`]), each of which returns only the keys it
+//! homes. Either way the answers are buffered in one
 //! fetch group and installed in one step when the last arrives, so no
 //! query sees the range half-fetched-but-resident. Peers grant at
 //! different times, so a `Notify` from a peer that has already granted
@@ -39,7 +42,16 @@
 //!
 //! A `Notify` for a range this node has evicted (resident nowhere, no
 //! fetch open) is dropped: applying it would leave a replica row that
-//! nothing refreshes or evicts. The next read refetches the range.
+//! nothing refreshes or evicts. The next read refetches the range. The
+//! node also tells the home: once an operation has evicted replicated
+//! base data, every subscribed range no longer resident is given up
+//! with an `Unsubscribe`, so the home stops notifying it.
+//!
+//! A `Notify` or a grant is taken only from the key's home. Under a
+//! static partition that is every one of them; where homes move (the
+//! replicated cluster's failover and migration), it keeps a deposed
+//! home's late traffic out, and [`Node::drop_replicas`] forgets what
+//! the old home served so the next read subscribes at the new one.
 
 use crate::client::{Command, Response};
 use crate::engine::Engine;
@@ -63,8 +75,7 @@ pub enum Endpoint {
 /// What nodes, and their clients, say to each other.
 #[derive(Clone, Debug, PartialEq)]
 pub enum NodeMsg {
-    /// A client command — or, from a peer, a write forwarded to its
-    /// home.
+    /// A client command.
     Request {
         /// Request id, echoed in the reply.
         id: u64,
@@ -101,12 +112,18 @@ pub enum NodeMsg {
         /// New value, or `None` for a removal.
         value: Option<Value>,
     },
+    /// Subscriber → home: stop notifying me of `range`; I no longer
+    /// hold it.
+    Unsubscribe {
+        /// The range given up.
+        range: KeyRange,
+    },
 }
 
 /// Per-node counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
-    /// Requests handled (forwarded and failed ones included).
+    /// Requests handled (failed ones included).
     pub commands: u64,
     /// Queries parked waiting for another node's data.
     pub parked: u64,
@@ -118,8 +135,6 @@ pub struct NodeStats {
     pub notifies_sent: u64,
     /// Notifications applied to the engine.
     pub notifies_applied: u64,
-    /// Writes forwarded to their home node.
-    pub forwards: u64,
 }
 
 /// What a parked query replies with once its range is complete.
@@ -144,6 +159,8 @@ struct Parked {
 /// One missing range being fetched from one or several peers.
 struct FetchGroup {
     range: KeyRange,
+    /// The peers subscribed at.
+    peers: Vec<ServerId>,
     /// Grants still awaited.
     waiting: usize,
     pairs: Vec<(Key, Value)>,
@@ -175,6 +192,22 @@ impl Placement {
         let home = self.partition.home_of_range(range)?;
         Some(ServerId(home.0 % self.nodes))
     }
+
+    /// The nodes other than `me` that home some key: whom a range that
+    /// may span nodes is gathered from.
+    fn peers_of(&self, me: ServerId) -> Vec<ServerId> {
+        let mut homes: Vec<ServerId> = match self.partition.homes() {
+            Some(homes) => homes
+                .into_iter()
+                .map(|h| ServerId(h.0 % self.nodes))
+                .collect(),
+            None => (0..self.nodes).map(ServerId).collect(),
+        };
+        homes.sort_unstable();
+        homes.dedup();
+        homes.retain(|home| *home != me);
+        homes
+    }
 }
 
 /// One node's contribution to [`audit_deployment`].
@@ -201,11 +234,14 @@ pub struct Node {
     placement: Placement,
     /// Ranges peers replicate from this node.
     subscribers: Vec<(KeyRange, ServerId)>,
+    /// Ranges this node replicates, and the peers that serve them.
+    subscriptions: Vec<(KeyRange, Vec<ServerId>)>,
+    /// The engine's base-eviction count when `subscriptions` was last
+    /// checked against residency.
+    seen_evictions: u64,
     parked: Vec<Parked>,
     /// Open fetches by id.
     fetches: HashMap<u64, FetchGroup>,
-    /// Forwarded writes awaiting their home's reply: id → origin.
-    relays: HashMap<u64, (Endpoint, u64)>,
     next_id: u64,
 }
 
@@ -233,9 +269,10 @@ impl Node {
                 nodes: id.0 + 1,
             },
             subscribers: Vec::new(),
+            subscriptions: Vec::new(),
+            seen_evictions: 0,
             parked: Vec::new(),
             fetches: HashMap::new(),
-            relays: HashMap::new(),
             next_id: 1,
         }
         .in_deployment(id.0 + 1)
@@ -280,15 +317,22 @@ impl Node {
 
     /// Handles one message, appending the messages to send, in sending
     /// order, to `out` (a buffer the host can reuse from call to call).
+    /// If the engine evicted replicated base data meanwhile, the homes
+    /// of the ranges it no longer holds are sent `Unsubscribe`.
     pub fn handle(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        self.dispatch(from, msg, out);
+        let evictions = self.engine.engine_stats().base_evictions;
+        if evictions != self.seen_evictions {
+            self.seen_evictions = evictions;
+            self.release_unresident(out);
+        }
+    }
+
+    fn dispatch(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
         match msg {
             NodeMsg::Request { id, command } => self.execute(from, id, command, out),
-            NodeMsg::Reply { id, response } => {
-                // The home's answer to a write this node forwarded.
-                if let Some((origin, id)) = self.relays.remove(&id) {
-                    out.push((origin, NodeMsg::Reply { id, response }));
-                }
-            }
+            // Nodes send each other no requests, so no replies either.
+            NodeMsg::Reply { .. } => {}
             NodeMsg::Subscribe { id, range } => {
                 let Endpoint::Server(peer) = from else {
                     let response = Response::Error("subscribe is server-to-server".into());
@@ -301,8 +345,14 @@ impl Node {
                 }
                 out.push((from, NodeMsg::SubscribeReply { id, range, pairs }));
             }
-            NodeMsg::SubscribeReply { id, pairs, .. } => self.fetch_landed(id, pairs, out),
+            NodeMsg::SubscribeReply { id, pairs, .. } => self.fetch_landed(from, id, pairs, out),
             NodeMsg::Notify { key, value } => {
+                // Only the key's home speaks for it: a node that was
+                // its home once (a deposed primary) may still be
+                // notifying.
+                if from != Endpoint::Server(self.placement.home(&key)) {
+                    return;
+                }
                 for group in self.fetches.values_mut() {
                     if group.range.contains(&key) {
                         group.held.push((key.clone(), value.clone()));
@@ -312,6 +362,70 @@ impl Node {
                     self.apply_notify(key, value);
                 }
             }
+            NodeMsg::Unsubscribe { range } => {
+                if let Endpoint::Server(peer) = from {
+                    self.unsubscribe(peer, &range);
+                }
+            }
+        }
+    }
+
+    /// Tells the homes of every subscribed range this node no longer
+    /// holds (evicted, or forgotten by [`Node::drop_replicas`]) to stop
+    /// notifying it.
+    fn release_unresident(&mut self, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        let Node {
+            engine,
+            subscriptions,
+            ..
+        } = self;
+        subscriptions.retain(|(range, peers)| {
+            if engine.is_resident(range) {
+                return true;
+            }
+            for peer in peers {
+                let range = range.clone();
+                out.push((Endpoint::Server(*peer), NodeMsg::Unsubscribe { range }));
+            }
+            false
+        });
+    }
+
+    /// Forgets the replicas of every resident range `moved` names —
+    /// their whole tables' replicated rows, which recompute and refetch
+    /// on their next read — unsubscribes from their homes, and restarts
+    /// the queries waiting on fetches of such ranges. A host calls this
+    /// when the home of some keys changes under the partition, so that
+    /// the next read subscribes again at the new home.
+    pub fn drop_replicas(
+        &mut self,
+        moved: impl Fn(&KeyRange) -> bool,
+        out: &mut Vec<(Endpoint, NodeMsg)>,
+    ) {
+        let mut tables: Vec<Key> = (self.engine.all_resident_ranges().iter())
+            .filter(|r| moved(r))
+            .map(|r| r.first.table_prefix())
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        for table in &tables {
+            self.engine.forget_replicas(table);
+        }
+        self.release_unresident(out);
+        let mut stale: Vec<u64> = (self.fetches.iter())
+            .filter(|(_, group)| moved(&group.range))
+            .map(|(fetch, _)| *fetch)
+            .collect();
+        // In id order, so the restarted queries' traffic repeats run to run.
+        stale.sort_unstable();
+        for fetch in stale {
+            if let Some(group) = self.fetches.remove(&fetch) {
+                for peer in group.peers {
+                    let range = group.range.clone();
+                    out.push((Endpoint::Server(peer), NodeMsg::Unsubscribe { range }));
+                }
+            }
+            self.resume_parked(fetch, out);
         }
     }
 
@@ -348,8 +462,8 @@ impl Node {
         out.push((from, NodeMsg::Reply { id, response }));
     }
 
-    /// A write: forwarded to the key's home (whose reply is relayed to
-    /// `from`), or — at home — made resident (this node is its
+    /// A write, at its key's home (every host routes writes there; one
+    /// elsewhere is refused): made resident (this node is its
     /// authority), applied with normal incremental maintenance, and sent
     /// to every subscriber. The notifications precede the
     /// acknowledgment in the output, so on an ordered transport a
@@ -362,20 +476,9 @@ impl Node {
         value: Option<Value>,
         out: &mut Vec<(Endpoint, NodeMsg)>,
     ) {
-        let home = self.placement.home(&key);
-        if home != self.id {
-            self.stats.forwards += 1;
-            let fid = self.fresh_id();
-            self.relays.insert(fid, (from, id));
-            let command = match value {
-                Some(value) => Command::Put(key, value),
-                None => Command::Remove(key),
-            };
-            out.push((
-                Endpoint::Server(home),
-                NodeMsg::Request { id: fid, command },
-            ));
-            return;
+        if self.placement.home(&key) != self.id {
+            let response = Response::Error("a write goes to its key's home".into());
+            return out.push((from, NodeMsg::Reply { id, response }));
         }
         self.engine.mark_resident(&KeyRange::single(key.clone()));
         match &value {
@@ -435,10 +538,7 @@ impl Node {
                 let targets: Vec<ServerId> = match self.placement.range_home(&miss) {
                     Some(home) if home == self.id => Vec::new(),
                     Some(home) => vec![home],
-                    None => (0..self.placement.nodes)
-                        .map(ServerId)
-                        .filter(|peer| *peer != self.id)
-                        .collect(),
+                    None => self.placement.peers_of(self.id),
                 };
                 if targets.is_empty() {
                     // This node is the authority: absence is knowledge.
@@ -455,6 +555,7 @@ impl Node {
                     FetchGroup {
                         range: miss,
                         waiting: targets.len(),
+                        peers: targets,
                         pairs: Vec::new(),
                         held: Vec::new(),
                     },
@@ -473,17 +574,23 @@ impl Node {
 
     /// One peer's grant arrived. The last one of a fetch installs the
     /// whole range, applies the notifications held for it, and resumes
-    /// the queries that waited.
+    /// the queries that waited. A grant speaks only for the keys its
+    /// sender homes: a scatter-gather reaches every peer, and a peer
+    /// that also holds keys homed elsewhere (a replica of a primary's
+    /// slot) must not overwrite the home's rows with its own.
     fn fetch_landed(
         &mut self,
+        from: Endpoint,
         fetch: u64,
-        pairs: Vec<(Key, Value)>,
+        mut pairs: Vec<(Key, Value)>,
         out: &mut Vec<(Endpoint, NodeMsg)>,
     ) {
         self.stats.subs_established += 1;
         let Some(group) = self.fetches.get_mut(&fetch) else {
             return;
         };
+        let placement = &self.placement;
+        pairs.retain(|(k, _)| from == Endpoint::Server(placement.home(k)));
         group.pairs.extend(pairs);
         group.waiting -= 1;
         if group.waiting > 0 {
@@ -501,6 +608,7 @@ impl Node {
             self.apply_notify(key, value);
         }
         self.engine.set_mem_limit(saved_limit);
+        self.subscriptions.push((group.range, group.peers));
         self.resume_parked(fetch, out);
     }
 

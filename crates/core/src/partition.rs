@@ -5,12 +5,10 @@
 //! is placed by client routing instead — e.g. Twip sends all timeline
 //! checks for user `u` to server `S(u)`.
 //!
-//! The same routing logic is used at two scales: `pequod_net` routes
-//! commands to server *processes* in a distributed deployment, and
-//! [`crate::ShardedEngine`] routes them to single-threaded engine
-//! *shards* within one process. This module lives in `pequod_core` so
-//! both tiers share one implementation; `pequod_net::partition`
-//! re-exports it unchanged.
+//! The same routing logic is used at two scales: `pequod_cluster` maps
+//! keys to the replication slots of server *processes* in a distributed
+//! deployment, and [`crate::ShardedEngine`] routes them to
+//! single-threaded engine *shards* within one process.
 
 use pequod_store::{Key, KeyRange, UpperBound, SEP};
 
@@ -30,6 +28,13 @@ pub trait Partition: Send + Sync {
     /// conservative `None`.
     fn home_of_range(&self, range: &KeyRange) -> Option<ServerId> {
         let _ = range;
+        None
+    }
+
+    /// Every server that homes some key, when the partition knows them;
+    /// a range no single home serves is gathered from these. `None` (the
+    /// default) means every server of the deployment.
+    fn homes(&self) -> Option<Vec<ServerId>> {
         None
     }
 }

@@ -9,9 +9,10 @@
 //! architecture inside one process:
 //!
 //! * Each shard is a worker thread owning one [`Node`] — the very
-//!   §2.4/§3.3 state machine the cluster simulator runs
-//!   ([`crate::node`]): a single-threaded [`Engine`], its subscriber
-//!   list, its parked queries and open fetches. The engine needs no
+//!   §2.4/§3.3 state machine every process of a `pequod_cluster`
+//!   deployment runs ([`crate::node`]): a single-threaded [`Engine`],
+//!   its subscriber list, its subscriptions, its parked queries and
+//!   open fetches. The engine needs no
 //!   locks, exactly like the paper's event-driven server processes.
 //! * The worker is only a transport: receive from the mailbox, call
 //!   [`Node::handle`], route what it returns to peer mailboxes or to
@@ -19,19 +20,21 @@
 //!   single-home fetch or scatter-gather, atomic install, held
 //!   notifications, write forwarding — is decided in the node.
 //! * The shard for a key is chosen by the same [`Partition`] functions
-//!   the distributed tier uses for whole servers (`pequod_net`
-//!   re-exports them from [`crate::partition`]).
+//!   the replicated cluster uses to place keys in its slots
+//!   ([`crate::partition`]).
 //! * A [`MemoryLimit`](crate::config::MemoryLimit) in the config is
 //!   split into even per-shard budgets. Each shard evicts its own LRU
 //!   computed ranges and cached peer replicas (§2.5) — never the rows
-//!   it is the partition's authority for — and the merged `Stats`
+//!   it is the partition's authority for, and a replica it evicts it
+//!   unsubscribes from at its home — and the merged `Stats`
 //!   reply sums footprints and eviction counters node-wide (see
 //!   `docs/MEMORY.md`).
 //!
 //! # Consistency
 //!
 //! A batch is planned by [`Fanout`], the run planner the network
-//! frontend's sharded dispatcher and `pequod_net::ClusterClient` share:
+//! frontend's sharded dispatcher and `pequod_cluster::ClusterClient`
+//! share:
 //! it is split into *runs* of like commands (reads / writes / joins /
 //! stats), and each run is pipelined to all shards at once; the client
 //! waits for every reply before starting the next run. Each shard's
@@ -607,6 +610,46 @@ mod tests {
         s.put(&Key::from("p|bob|0000000120"), &Value::from_static(b"x"));
         assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 2);
         assert!(s.shard_stats(1).notifies_sent >= 1);
+    }
+
+    /// A shard that evicts a replicated range tells its home, which
+    /// stops notifying it: the home's subscriber list and notification
+    /// count stop growing once the subscriber no longer holds the range.
+    #[test]
+    fn an_evicted_replica_unsubscribes_at_its_home() {
+        use crate::config::MemoryLimit;
+        let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
+        let capped = EngineConfig::default().with_mem_limit(MemoryLimit::new(16 * 1024));
+        let mut s = ShardedEngine::new(2, capped, part, &["p|", "s|"]);
+        s.add_join(TIMELINE).unwrap();
+        s.put(&Key::from("s|ann|bob"), &Value::from_static(b"1"));
+        s.put(&Key::from("p|bob|0000000100"), &Value::from_static(b"Hi"));
+        assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 1);
+        let subscribers = |s: &ShardedEngine| s.visit(1, |node| node.subscriber_count()).recv();
+        assert_eq!(subscribers(&s), Ok(1));
+        // Authoritative rows on shard 0 push it past its budget until
+        // the p| replica goes, then leave again.
+        let filler: Vec<Key> = (0..32).map(|i| Key::from(format!("misc|{i:03}"))).collect();
+        for key in &filler {
+            s.put(key, &Value::from(vec![b'x'; 1024]));
+        }
+        for key in &filler {
+            s.remove(key);
+        }
+        assert!(Client::stats(&mut s).base_evictions > 0);
+        assert_eq!(subscribers(&s), Ok(0), "the home still serves the evictor");
+        let sent = s.shard_stats(1).notifies_sent;
+        for t in 0..5u64 {
+            s.put(
+                &Key::from(format!("p|bob|{:010}", 200 + t)),
+                &Value::from_static(b"x"),
+            );
+        }
+        assert_eq!(s.shard_stats(1).notifies_sent, sent);
+        // The next read subscribes again and sees every post.
+        assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 6);
+        assert_eq!(subscribers(&s), Ok(1));
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl RetryPolicy {
 }
 
 /// Deterministic jittered-backoff state shared by the retrying clients.
-pub(crate) struct Backoff {
+pub struct Backoff {
     policy: RetryPolicy,
     rng: u64,
     attempt: u32,
@@ -99,7 +99,8 @@ pub(crate) struct Backoff {
 }
 
 impl Backoff {
-    pub(crate) fn new(policy: RetryPolicy) -> Backoff {
+    /// Fresh backoff state for one operation under `policy`.
+    pub fn new(policy: RetryPolicy) -> Backoff {
         Backoff {
             policy,
             rng: policy.seed | 1,
@@ -112,9 +113,18 @@ impl Backoff {
     /// or backoff budget is exhausted (caller should give up);
     /// otherwise sleeps the jittered backoff and returns `true`.
     pub(crate) fn retry(&mut self) -> bool {
+        let delay = self.next_delay();
+        delay.inspect(|ms| std::thread::sleep(std::time::Duration::from_millis(*ms)));
+        delay.is_some()
+    }
+
+    /// Records a failed attempt and returns how long to back off before
+    /// the next, or `None` once the attempt count or the budget is
+    /// exhausted.
+    pub fn next_delay(&mut self) -> Option<u64> {
         self.attempt += 1;
         if self.attempt >= self.policy.max_attempts {
-            return false;
+            return None;
         }
         let exp = self
             .policy
@@ -130,12 +140,16 @@ impl Backoff {
         x ^= x >> 27;
         self.rng = x;
         let jittered = exp / 2 + x.wrapping_mul(0x2545_f491_4f6c_dd1d) % (exp / 2 + 1);
-        if self.slept_ms + jittered > self.policy.budget_ms {
-            return false;
-        }
-        self.slept_ms += jittered;
-        std::thread::sleep(std::time::Duration::from_millis(jittered));
-        true
+        self.charge(jittered).then_some(jittered)
+    }
+
+    /// Charges a pause that is not a failure (a redirect that taught
+    /// the caller something) to the budget; `false` once it would
+    /// overrun it.
+    pub fn charge(&mut self, ms: u64) -> bool {
+        let fits = self.slept_ms + ms <= self.policy.budget_ms;
+        self.slept_ms += ms * u64::from(fits);
+        fits
     }
 }
 

@@ -1,12 +1,13 @@
 //! Distributed Pequod (§2.4) on the deterministic cluster simulator:
-//! base data lives on a home server; a compute server executes the
+//! base data lives on a home node; a compute node executes the
 //! timeline join, subscribing to the base ranges it needs; updates at
 //! the home flow to the replica as notifications.
 //!
 //! Run with `cargo run --example distributed`.
 
-use pequod::core::{Engine, EngineConfig};
-use pequod::net::{Message, ServerId, ServerNode, SimCluster, SimConfig, TablePartition};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::core::partition::{ServerId, SingleServer, TablePartition};
+use pequod::net::Message;
 use pequod::prelude::*;
 use std::sync::Arc;
 
@@ -14,60 +15,45 @@ const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
 
 fn main() {
-    // Server 0 is home for all base tables; server 1 computes timelines.
+    // Node 0 is home for all base tables; node 1 computes timelines:
+    // the client sends it every read.
     let part = Arc::new(TablePartition::new(ServerId(0)));
-    let nodes = vec![
-        ServerNode::new(
-            ServerId(0),
-            Engine::new(EngineConfig::default()),
-            part.clone(),
-            &["p|", "s|"],
-        ),
-        ServerNode::new(
-            ServerId(1),
-            Engine::new(EngineConfig::default()),
-            part,
-            &["p|", "s|"],
-        ),
-    ];
-    let mut cluster = SimCluster::new(SimConfig::default(), nodes);
-    cluster.add_joins_everywhere(TIMELINE);
+    let cfg = ClusterConfig::new(2, 1).with_partition(part, 2);
+    let mut cluster = ClusterClient::simulated(SimHarness::new(&cfg, 0x5eed, 1))
+        .with_read_router(Arc::new(SingleServer(ServerId(1))));
+    cluster.add_join(TIMELINE).expect("join installs");
 
-    // Writes go to the home server.
-    cluster.put(ServerId(0), "s|ann|bob", "1");
-    cluster.put(ServerId(0), "p|bob|0000000100", "Hi");
+    // Writes go to the home node.
+    cluster.put("s|ann|bob", "1").expect("put");
+    cluster.put("p|bob|0000000100", "Hi").expect("put");
 
-    // The first timeline read on the compute server fetches and
+    // The first timeline read on the compute node fetches and
     // subscribes to ann's subscriptions and bob's posts.
-    let tl = cluster.scan(ServerId(1), KeyRange::prefix("t|ann|"));
-    println!("first read from compute server: {} entries", tl.len());
+    let tl = cluster.scan(KeyRange::prefix("t|ann|")).expect("scan");
+    println!("first read from compute node: {} entries", tl.len());
+    let sim = cluster.sim_mut().expect("simulated");
     println!(
-        "home server granted {} subscriptions",
-        cluster.node(ServerId(0)).subscriber_count()
+        "home node granted {} subscriptions",
+        sim.node(0).subscriber_count()
     );
 
     // A new post written at home propagates via Notify — no refetch.
-    cluster.put(ServerId(0), "p|bob|0000000150", "pushed to the replica");
-    let tl = cluster.scan(ServerId(1), KeyRange::prefix("t|ann|"));
-    println!("after home-server write: {} entries", tl.len());
+    cluster
+        .put("p|bob|0000000150", "pushed to the replica")
+        .expect("put");
+    let tl = cluster.scan(KeyRange::prefix("t|ann|")).expect("scan");
+    println!("after home-node write: {} entries", tl.len());
     for (k, v) in &tl {
         println!("  {k} = {}", String::from_utf8_lossy(v));
     }
     assert_eq!(tl.len(), 2);
+    let sim = cluster.sim_mut().expect("simulated");
     println!(
         "traffic: {} client bytes, {} subscription bytes over {} messages",
-        cluster.traffic.client_bytes, cluster.traffic.subscription_bytes, cluster.traffic.delivered
+        sim.net.traffic.client_bytes, sim.net.traffic.subscription_bytes, sim.net.stats.delivered
     );
     // Demonstrate the request API directly too.
-    cluster.request(
-        7,
-        ServerId(1),
-        Message::Get {
-            id: 1,
-            key: Key::from("t|ann|0000000150|bob"),
-        },
-    );
-    cluster.run_until_quiet();
-    let replies = cluster.take_replies();
-    println!("async reply to client 7: {:?}", replies[0].1.id());
+    let key = Key::from("t|ann|0000000150|bob");
+    let reply = sim.request(7, 1, Message::Get { id: 0, key }, 1_000);
+    println!("reply to client 7: {:?}", reply.id());
 }

@@ -11,8 +11,9 @@
 //! ```
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::core::partition::{ServerId, TablePartition};
 use pequod::db::WriteAround;
-use pequod::net::{ClusterClient, ServerId, ServerNode, SimCluster, SimConfig, TablePartition};
 use pequod::prelude::*;
 use std::sync::Arc;
 
@@ -20,24 +21,13 @@ const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
 
 fn backends() -> Vec<Box<dyn Client>> {
+    // Posts on node 1, every other table on node 0.
     let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-    let nodes = (0..2)
-        .map(|i| {
-            ServerNode::new(
-                ServerId(i),
-                Engine::new_default(),
-                part.clone(),
-                &["p|", "s|", "t|"],
-            )
-        })
-        .collect();
+    let cfg = ClusterConfig::new(2, 1).with_partition(part, 2);
     vec![
         Box::new(Engine::new_default()),
         Box::new(WriteAround::new(Engine::new_default(), &["p|", "s|"])),
-        Box::new(ClusterClient::new(
-            SimCluster::new(SimConfig::default(), nodes),
-            part,
-        )),
+        Box::new(ClusterClient::simulated(SimHarness::new(&cfg, 0x5eed, 1))),
         Box::new(RedisClient::new()),
         Box::new(MemcachedClient::new()),
         Box::new(MiniDbClient::new()),

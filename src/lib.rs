@@ -16,8 +16,12 @@
 //!   [`ShardedEngine`](crate::core::ShardedEngine).
 //! * [`db`] — backing database substrate with NOTIFY-style
 //!   subscriptions and the write-around deployment.
-//! * [`net`] — the distributed tier: wire codec, server nodes,
-//!   deterministic cluster simulator, TCP transport.
+//! * [`net`] — the wire and what carries it: codec, deterministic
+//!   message fabric, the reactor serving edge, TCP client.
+//! * [`cluster`] — the deployment across processes: one §2.4 node per
+//!   process with replicated slots, epoch failover and migration, its
+//!   client, its simulator and its TCP server
+//!   (`pequod-server --cluster`).
 //! * [`persist`] — durable base tables: checksummed write-ahead log,
 //!   snapshots with log truncation, warm restart
 //!   (`pequod-server --data-dir`); computed join ranges are never
@@ -67,8 +71,9 @@
 //!
 //! `pequod::core::ShardedEngine` (N single-threaded engine shards on
 //! worker threads, cross-shard joins kept fresh over in-process
-//! channels), `pequod::net::ClusterClient` (a partitioned cluster
-//! pipelining each batch as one frame per destination server), and the
+//! channels), `pequod::cluster::ClusterClient` (a partitioned,
+//! replicated cluster — over sockets or simulated — pipelining each
+//! batch as one frame per destination node), and the
 //! join-less baseline stores in [`baselines`] plug into the same
 //! function; see `examples/unified_clients.rs`,
 //! `tests/client_conformance.rs`, and `docs/ARCHITECTURE.md`.

@@ -1,24 +1,24 @@
 //! Conformance suite for the unified client API: the same command
 //! script runs against every backend — in-process engine, sharded
-//! multi-core engine, write-around deployment, simulated cluster, and
-//! the three baseline stores — and must produce the identical response
+//! multi-core engine, write-around deployment, simulated replicated
+//! cluster (one replica per slot, and two), and the three baseline
+//! stores — and must produce the identical response
 //! sequence. This is the contract that makes the figure binaries'
 //! `--backend` flag meaningful: any backend that passes here is a
 //! drop-in for any other.
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
 use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response, ShardedEngine};
 use pequod::db::WriteAround;
-use pequod::net::{
-    ClusterClient, ComponentHashPartition, Partition, ServerId, ServerNode, SimCluster, SimConfig,
-    TablePartition,
-};
 use pequod::prelude::*;
 use pequod::telemetry::Recorder;
 use std::sync::Arc;
 
-/// Tables the scripts touch; write-around and cluster deployments treat
-/// them as database-resident / partitioned respectively.
+/// Tables the scripts touch; write-around and sharded deployments treat
+/// them as database-resident / partitioned respectively (a cluster
+/// partitions every base table it meets).
 const TABLES: &[&str] = &["p|", "s|", "t|", "acct|"];
 
 const TIMELINE: &str =
@@ -56,16 +56,33 @@ fn by_user() -> Arc<dyn Partition> {
 /// to be told about every table the scripts touch.
 const HASHED_TABLES: &[&str] = &["p|", "s|", "t|", "acct|", "misc|"];
 
-/// The simulated two-server cluster over `engine()`s.
-fn cluster_of(
+/// A simulated two-node cluster over `engine()`s, one replica of each
+/// of the partition's two slots.
+fn cluster_of(part: Arc<dyn Partition>, engine: impl Fn() -> Engine) -> ClusterClient {
+    replicated_cluster(2, 1, part, 2, engine)
+}
+
+/// A simulated cluster of `nodes` nodes over `engine()`s, `replicas`
+/// replicas of each of `slots` slots placed by `part`.
+fn replicated_cluster(
+    nodes: u32,
+    replicas: usize,
     part: Arc<dyn Partition>,
-    tables: &[&str],
+    slots: u32,
     engine: impl Fn() -> Engine,
 ) -> ClusterClient {
-    let nodes = (0..2)
-        .map(|i| ServerNode::new(ServerId(i), engine(), part.clone(), tables))
-        .collect();
-    ClusterClient::new(SimCluster::new(SimConfig::default(), nodes), part)
+    let cfg = ClusterConfig::new(nodes, replicas).with_partition(part, slots);
+    let engines = (0..nodes).map(|_| engine()).collect();
+    ClusterClient::simulated(SimHarness::with_engines(&cfg, engines, 0x5eed, 1))
+}
+
+/// Three nodes, two replicas of each of six user-hashed slots.
+fn cluster_rf2(engine: impl Fn() -> Engine) -> ClusterClient {
+    let part = Arc::new(ComponentHashPartition {
+        component: 1,
+        servers: 6,
+    });
+    replicated_cluster(3, 2, part, 6, engine)
 }
 
 fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
@@ -96,7 +113,7 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
         ),
         (
             "cluster",
-            Box::new(|| Box::new(cluster_of(by_table(), TABLES, Engine::new_default)) as _),
+            Box::new(|| Box::new(cluster_of(by_table(), Engine::new_default)) as _),
         ),
         (
             "sharded-hash",
@@ -111,7 +128,11 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
         ),
         (
             "cluster-hash",
-            Box::new(|| Box::new(cluster_of(by_user(), HASHED_TABLES, Engine::new_default)) as _),
+            Box::new(|| Box::new(cluster_of(by_user(), Engine::new_default)) as _),
+        ),
+        (
+            "cluster-rf2",
+            Box::new(|| Box::new(cluster_rf2(Engine::new_default)) as _),
         ),
     ];
     if !join_capable_only {
@@ -380,7 +401,9 @@ impl Audited for ShardedEngine {
 
 impl Audited for ClusterClient {
     fn audit(&mut self) -> Vec<String> {
-        self.cluster().check_invariants()
+        let sim = self.sim_mut().expect("a simulated cluster");
+        sim.run_until_quiet();
+        sim.check_invariants()
     }
 }
 
@@ -452,7 +475,7 @@ fn capped_backends_answer_like_uncapped_ones() {
         ),
         (
             "cluster",
-            Box::new(move || Box::new(cluster_of(by_table(), TABLES, node_engine))),
+            Box::new(move || Box::new(cluster_of(by_table(), node_engine))),
         ),
         (
             "sharded-hash",
@@ -460,7 +483,11 @@ fn capped_backends_answer_like_uncapped_ones() {
         ),
         (
             "cluster-hash",
-            Box::new(move || Box::new(cluster_of(by_user(), HASHED_TABLES, node_engine))),
+            Box::new(move || Box::new(cluster_of(by_user(), node_engine))),
+        ),
+        (
+            "cluster-rf2",
+            Box::new(move || Box::new(cluster_rf2(node_engine))),
         ),
     ];
     for (name, make) in deployments {
@@ -540,7 +567,32 @@ fn telemetered_backends() -> Vec<BackendFactory> {
         ),
         (
             "cluster",
-            Box::new(|| Box::new(cluster_of(by_table(), TABLES, telemetered_engine)) as _),
+            Box::new(|| Box::new(cluster_of(by_table(), telemetered_engine)) as _),
+        ),
+        (
+            "sharded-hash",
+            Box::new(|| {
+                let sharded = ShardedEngine::new_with_setup(
+                    2,
+                    EngineConfig::default(),
+                    by_user(),
+                    HASHED_TABLES,
+                    |_, e| {
+                        e.set_recorder(Recorder::enabled());
+                        Ok(())
+                    },
+                )
+                .unwrap_or_else(|e| panic!("sharded setup: {e}"));
+                Box::new(sharded) as Box<dyn Client>
+            }),
+        ),
+        (
+            "cluster-hash",
+            Box::new(|| Box::new(cluster_of(by_user(), telemetered_engine)) as _),
+        ),
+        (
+            "cluster-rf2",
+            Box::new(|| Box::new(cluster_rf2(telemetered_engine)) as _),
         ),
     ]
 }

@@ -3,13 +3,11 @@
 //! workload crates.
 
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
-use pequod::core::partition::ComponentHashPartition;
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::core::partition::{ComponentHashPartition, ServerId, SingleServer, TablePartition};
 use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, ShardedEngine};
 use pequod::db::WriteAround;
-use pequod::net::{
-    FrontendConfig, FrontendServer, ServerId, ServerNode, SimCluster, SimConfig, TablePartition,
-    TcpClient,
-};
+use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
 use pequod::prelude::*;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
 use pequod::workloads::twip::{run_twip, PequodTwip, TwipMix, TwipWorkload};
@@ -95,29 +93,17 @@ fn distributed_matches_single_engine() {
     reference.add_join_text(TIMELINE).unwrap();
     // Cluster: base on 0, compute on 1.
     let part = Arc::new(TablePartition::new(ServerId(0)));
-    let nodes = vec![
-        ServerNode::new(
-            ServerId(0),
-            Engine::new(EngineConfig::default()),
-            part.clone(),
-            &["p|", "s|"],
-        ),
-        ServerNode::new(
-            ServerId(1),
-            Engine::new(EngineConfig::default()),
-            part,
-            &["p|", "s|"],
-        ),
-    ];
-    let mut cluster = SimCluster::new(SimConfig::default(), nodes);
-    cluster.add_joins_everywhere(TIMELINE);
+    let cfg = ClusterConfig::new(2, 1).with_partition(part, 2);
+    let mut cluster = ClusterClient::simulated(SimHarness::new(&cfg, 0x5eed, 1))
+        .with_read_router(Arc::new(SingleServer(ServerId(1))));
+    cluster.add_join(TIMELINE).unwrap();
 
     let mut time = 0u64;
     for u in 0..graph.users() {
         for &p in graph.followees(u) {
             let key = format!("s|u{u:07}|u{p:07}");
             reference.put(key.clone(), "1");
-            cluster.put(ServerId(0), key, "1");
+            cluster.put(key, "1").unwrap();
         }
     }
     for i in 0..300u64 {
@@ -125,12 +111,12 @@ fn distributed_matches_single_engine() {
         let poster = (i * 7) % graph.users() as u64;
         let key = format!("p|u{poster:07}|{time:010}");
         reference.put(key.clone(), "x");
-        cluster.put(ServerId(0), key, "x");
+        cluster.put(key, "x").unwrap();
     }
     for u in (0..graph.users()).step_by(7) {
         let range = KeyRange::prefix(format!("t|u{u:07}|"));
         let want = reference.scan(&range).pairs;
-        let got = cluster.scan(ServerId(1), range);
+        let got = cluster.scan(range).unwrap();
         assert_eq!(got, want, "user {u} timeline diverged");
     }
 }

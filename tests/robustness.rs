@@ -2,10 +2,12 @@
 //! adversarial bytes, the cluster simulator is deterministic, and the
 //! join grammar round-trips through its printer.
 
+use pequod::cluster::{ClusterConfig, SimHarness};
+use pequod::core::partition::{ServerId, TablePartition};
 use pequod::core::{Engine, EngineConfig};
 use pequod::join::JoinSpec;
 use pequod::net::codec::{decode, decode_frame, encode_frame};
-use pequod::net::{Message, ServerId, ServerNode, SimCluster, SimConfig, TablePartition};
+use pequod::net::Message;
 use pequod::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -60,42 +62,51 @@ proptest! {
 fn simulator_is_deterministic() {
     let run = || {
         let part = Arc::new(TablePartition::new(ServerId(0)));
-        let nodes = (0..3)
-            .map(|i| {
-                ServerNode::new(
-                    ServerId(i),
-                    Engine::new(EngineConfig::default()),
-                    part.clone(),
-                    &["p|", "s|"],
-                )
-            })
-            .collect();
-        let mut c = SimCluster::new(
-            SimConfig {
-                notify_jitter_chance: 0.5,
-                notify_jitter: 20,
-                seed: 0xdead,
-                latency: 2,
-            },
-            nodes,
-        );
-        c.add_joins_everywhere(
-            "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>",
-        );
-        for u in 0..10 {
-            c.put(ServerId(0), format!("s|u{u}|star"), "1");
+        let cfg = ClusterConfig::new(3, 1).with_partition(part, 3);
+        let mut c = SimHarness::new(&cfg, 0xdead, 2);
+        c.net.set_notify_jitter(0.5, 20);
+        let call =
+            |c: &mut SimHarness, node: u32, msg: Message| match c.request(0, node, msg, 5_000) {
+                Message::Reply {
+                    pairs, error: None, ..
+                } => pairs,
+                other => panic!("request failed: {other:?}"),
+            };
+        let put = |key: String, value: &'static [u8]| Message::Put {
+            id: 0,
+            key: Key::from(key),
+            value: Value::from_static(value),
+        };
+        let scan = |prefix: &str| Message::Scan {
+            id: 0,
+            range: KeyRange::prefix(prefix),
+        };
+        for node in 0..3 {
+            let text =
+                "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+            call(
+                &mut c,
+                node,
+                Message::AddJoin {
+                    id: 0,
+                    text: text.into(),
+                },
+            );
         }
-        c.scan(ServerId(1), KeyRange::prefix("t|u3|"));
-        c.scan(ServerId(2), KeyRange::prefix("t|u7|"));
+        for u in 0..10 {
+            call(&mut c, 0, put(format!("s|u{u}|star"), b"1"));
+        }
+        call(&mut c, 1, scan("t|u3|"));
+        call(&mut c, 2, scan("t|u7|"));
         for t in 0..30u64 {
-            c.put(ServerId(0), format!("p|star|{t:010}"), "x");
+            call(&mut c, 0, put(format!("p|star|{t:010}"), b"x"));
         }
         c.run_until_quiet();
-        let a = c.scan(ServerId(1), KeyRange::prefix("t|u3|"));
+        let a = call(&mut c, 1, scan("t|u3|"));
         (
             a.len(),
-            c.traffic.delivered,
-            c.traffic.subscription_bytes,
+            c.net.stats.delivered,
+            c.net.traffic.subscription_bytes,
             c.now(),
         )
     };
