@@ -47,8 +47,7 @@
 use pequod_baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod_core::partition::ComponentHashPartition;
-use pequod_core::{Client, Engine, EngineConfig, ShardedEngine};
-use pequod_db::WriteAround;
+use pequod_core::{Client, Engine, EngineConfig, ShardedEngine, WriteAround};
 use pequod_workloads::{GraphConfig, SocialGraph, TwipStrategy};
 use std::sync::Arc;
 
@@ -123,8 +122,8 @@ pub fn sharded_shards() -> u32 {
 ///   partitioned across shards by hashing the second key component
 ///   (user/author), cross-shard joins kept fresh by in-process
 ///   subscriptions.
-/// * `writearound` — an [`Engine`] in front of a database; the listed
-///   `tables` live in the database.
+/// * `writearound` — a [`WriteAround`]: an [`Engine`] in front of a
+///   database node, the listed `tables` living in the database.
 /// * `cluster` — a simulated replicated cluster of `CLUSTER_SERVERS`
 ///   (2) nodes, one replica of each slot, every base table partitioned
 ///   by hashing the second key component, so one user's data

@@ -21,10 +21,13 @@
 //! - **Node-to-node traffic** to peer `p` always leaves on this node's
 //!   own dialed link to `p`, so per-direction FIFO holds and
 //!   replication frames never reorder in transit; `p`'s traffic to us
-//!   arrives on the link `p` dialed. While our link to `p` is down its
-//!   frames are dropped: heartbeats and catch-up subscriptions
-//!   re-converge the replicas, and buffering would only replay stale
-//!   traffic.
+//!   arrives on the link `p` dialed. Until our link to `p` first comes
+//!   up, frames to `p` wait for it (up to `FIRST_LINK_BACKLOG`): a node
+//!   serves before its peers listen, and a `Subscribe` dropped then
+//!   would strand the read waiting on it, since a `Node` never re-sends
+//!   a fetch. While a link that has been up is down, its frames are
+//!   dropped: heartbeats and catch-up subscriptions re-converge the
+//!   replicas, and buffering would only replay stale traffic.
 //! - **Dialers**, one small thread per peer, do the only blocking work:
 //!   `connect` with doubling backoff, then hand the connected socket to
 //!   the reactor ([`Conns::adopt`]) and park until it reports the link
@@ -59,6 +62,10 @@ use std::time::Duration;
 /// Logical-clock granularity: the reactor's tick, ms.
 const TICK_MS: u64 = 5;
 
+/// Frames held for a peer until the first link to it comes up; later
+/// ones are dropped.
+const FIRST_LINK_BACKLOG: usize = 4096;
+
 /// The node, for one call into it. Every update leaves it consistent,
 /// so a panicked holder's guard is recovered rather than propagated.
 fn locked(node: &Mutex<ClusterNode>) -> MutexGuard<'_, ClusterNode> {
@@ -69,6 +76,9 @@ fn locked(node: &Mutex<ClusterNode>) -> MutexGuard<'_, ClusterNode> {
 struct Link {
     /// The link's reactor token; `None` while it is down.
     token: Option<u64>,
+    /// Frames waiting for the link's first connection; `None` once it
+    /// has come up.
+    backlog: Option<Vec<Message>>,
     /// Tells the peer's dialer the link is down: dial again.
     redial: Sender<()>,
 }
@@ -136,6 +146,9 @@ impl Dispatch for ClusterDispatch {
             link.token = conns.adopt(stream);
             if let Some(token) = link.token {
                 conns.send(token, &Message::Hello { node: self.node_id });
+                for frame in link.backlog.take().unwrap_or_default() {
+                    conns.send(token, &frame);
+                }
             } else {
                 let _ = link.redial.send(());
             }
@@ -143,7 +156,19 @@ impl Dispatch for ClusterDispatch {
         while let Some((to, frame)) = self.late.pop_front() {
             let token = match to {
                 ClusterPeer::Client(token) => Some(token),
-                ClusterPeer::Node(peer) => self.links.get(&peer).and_then(|link| link.token),
+                ClusterPeer::Node(peer) => match self.links.get_mut(&peer) {
+                    Some(Link {
+                        token: None,
+                        backlog: Some(backlog),
+                        ..
+                    }) => {
+                        if backlog.len() < FIRST_LINK_BACKLOG {
+                            backlog.push(frame);
+                        }
+                        continue;
+                    }
+                    link => link.and_then(|link| link.token),
+                },
             };
             // A peer whose link is down: dropped (see the module docs).
             let Some(token) = token else { continue };
@@ -273,6 +298,7 @@ impl ClusterServer {
                     peer,
                     Link {
                         token: None,
+                        backlog: Some(Vec::new()),
                         redial,
                     },
                 );

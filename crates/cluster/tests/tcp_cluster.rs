@@ -17,6 +17,7 @@ use pequod_net::Message;
 use pequod_store::{Key, KeyRange};
 use std::io::Write;
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Reserves `n` distinct ephemeral ports by binding and dropping
@@ -197,13 +198,49 @@ fn stuck_reader_wedges_neither_writes_nor_heartbeats() {
     }
 }
 
-/// How many threads of this process carry `name`.
-fn threads_named(name: &str) -> usize {
+/// The `/proc` entries of this process's threads that carry `name`.
+fn tasks_named(name: &str) -> Vec<PathBuf> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == name)
-        .count()
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+            (comm.trim_end() == name).then_some(task)
+        })
+        .collect()
+}
+
+/// How many threads of this process carry `name`.
+fn threads_named(name: &str) -> usize {
+    tasks_named(name).len()
+}
+
+/// Waits until the threads behind `tasks`, which their owner has
+/// joined, have left `/proc/self/task`. A joined thread can still be
+/// listed for a moment: `join` returns when the kernel clears the
+/// exiting thread's id, before it removes the thread's task entry. A
+/// thread nobody joined stays listed and fails the wait with `what`.
+fn wait_reaped(tasks: &[PathBuf], what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while tasks.iter().any(|task| task.exists()) {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runs `f` on a new thread named `name`, joins it, and returns `f`'s
+/// result once that thread has left `/proc/self/task`, so that a count
+/// by `name` sees only the threads `f` started.
+fn spawn_named<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (task, out) = std::thread::Builder::new()
+        .name(name.into())
+        .spawn(|| (std::fs::read_link("/proc/thread-self").unwrap(), f()))
+        .unwrap()
+        .join()
+        .unwrap();
+    // The link reads `<pid>/task/<tid>`.
+    wait_reaped(&[Path::new("/proc").join(task)], "the spawner never exited");
+    out
 }
 
 /// Connections cost a node no threads, and its telemetry carries the
@@ -217,13 +254,10 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
     const SPAWNER: &str = "node-census";
     let cfg = cluster_cfg(2, 2);
     let node_cfg = cfg.clone();
-    let mut server = std::thread::Builder::new()
-        .name(SPAWNER.into())
-        .spawn(move || ClusterServer::spawn(node_cfg, 0, Engine::new_default(), None))
-        .unwrap()
-        .join()
-        .unwrap()
-        .expect("spawn node");
+    let mut server = spawn_named(SPAWNER, move || {
+        ClusterServer::spawn(node_cfg, 0, Engine::new_default(), None)
+    })
+    .expect("spawn node");
     assert_eq!(
         threads_named(SPAWNER),
         3,
@@ -280,6 +314,8 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
         .iter()
         .any(|(k, v)| k == "pequod_conns_active" && v.parse::<u64>().is_ok_and(|n| n >= 301)));
     drop(idle);
+    let node_threads = tasks_named(SPAWNER);
     server.halt();
+    wait_reaped(&node_threads, "a node thread outlived halt");
     assert_eq!(threads_named(SPAWNER), 0, "a node thread outlived halt");
 }

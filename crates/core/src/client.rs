@@ -10,7 +10,7 @@
 //! driver written against `dyn Client` runs unchanged against
 //!
 //! * the in-process [`Engine`] (this crate),
-//! * `pequod_db::WriteAround` (database writes, cached reads),
+//! * [`WriteAround`](crate::WriteAround) (database writes, cached reads),
 //! * `pequod_cluster::ClusterClient` (a partitioned, replicated
 //!   cluster — over sockets or simulated — with per-node batch
 //!   pipelining), and
@@ -18,9 +18,7 @@
 //!
 //! Batching is the point, not an afterthought: a backend that owns a
 //! network (the cluster) turns one `execute_batch` call into one
-//! pipelined round-trip per destination server, and the write-around
-//! deployment delivers database notifications between batches rather
-//! than between every operation.
+//! pipelined round-trip per destination server.
 
 use crate::engine::Engine;
 use pequod_store::{Key, KeyRange, Value};

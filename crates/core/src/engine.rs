@@ -342,14 +342,13 @@ impl Engine {
 
     /// Declares which base keys this engine is the *authority* for.
     ///
-    /// In a sharded or clustered deployment, a partitioned table's rows
-    /// at their home engine are the only copy; base-data eviction must
-    /// not drop them (dropping a *replica* is safe — the home still has
-    /// it, and the next read refetches). The deployment installs its
-    /// partition function here; an engine without an authority predicate
-    /// treats all cached base data as replicas of some backing store
-    /// (the write-around database, a subscription home) and may drop it
-    /// wholesale.
+    /// In a sharded, clustered or write-around deployment, a partitioned
+    /// table's rows at their home engine are the only copy; base-data
+    /// eviction must not drop them (dropping a *replica* is safe — the
+    /// home still has it, and the next read refetches). The deployment
+    /// installs its partition function here; an engine without an
+    /// authority predicate treats all cached base data as replicas of
+    /// some backing store and may drop it wholesale.
     pub fn set_base_authority(&mut self, authority: impl Fn(&Key) -> bool + Send + Sync + 'static) {
         self.base_authority = Some(Arc::new(authority));
     }

@@ -13,11 +13,14 @@
 //! restart context and runs again when its fetches have landed (§3.3).
 //!
 //! [`Node::handle`] consumes one message and hands back the messages to
-//! send; it never blocks and never does I/O. Two hosts drive it:
+//! send; it never blocks and never does I/O. Three hosts drive it:
 //!
 //! * a [`ShardedEngine`](crate::ShardedEngine) worker thread — receive
 //!   from the mailbox, `handle`, route the output to peer mailboxes or
 //!   to the client's reply channel;
+//! * [`WriteAround`](crate::WriteAround) — a cache node and a database
+//!   node on the caller's thread, which carries their messages from a
+//!   queue until none is left;
 //! * `pequod_cluster::ClusterNode` — the replicated deployment's node,
 //!   over TCP or its deterministic simulator. It keeps slots, epochs and
 //!   replication around one `Node`, whose partition is the live slot
@@ -303,12 +306,6 @@ impl Node {
         self.parked.len()
     }
 
-    /// Drops `peer`'s subscriptions overlapping `range`.
-    pub fn unsubscribe(&mut self, peer: ServerId, range: &KeyRange) {
-        self.subscribers
-            .retain(|(r, s)| !(*s == peer && r.overlaps(range)));
-    }
-
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -364,7 +361,7 @@ impl Node {
             }
             NodeMsg::Unsubscribe { range } => {
                 if let Endpoint::Server(peer) = from {
-                    self.unsubscribe(peer, &range);
+                    (self.subscribers).retain(|(r, s)| !(*s == peer && r.overlaps(&range)));
                 }
             }
         }
@@ -632,17 +629,16 @@ impl Node {
 
     /// Serves a subscription: the rows of `range` this node homes (for
     /// those, local absence is knowledge). The range may span nodes, so
-    /// what the scan below claims resident is transient — residency is
-    /// snapshotted and restored, because granting must not change what
-    /// this node believes about keys it does not own — and automatic
-    /// eviction is suspended meanwhile: it could drop rows the restored
-    /// residency still vouches for.
+    /// what the scan below claims resident is transient — granting must
+    /// not change what this node believes about keys it does not own.
+    /// The gaps it marks were uncovered before, so removing exactly them
+    /// afterwards restores the resident set without copying it (at a
+    /// home that takes every write, one range per written key).
+    /// Automatic eviction is suspended meanwhile: it could drop rows the
+    /// restored residency still vouches for.
     fn grant(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
         let saved_limit = self.engine.set_mem_limit(None);
-        let snapshot: Vec<(Key, RangeSet)> = (self.engine.remote.iter())
-            .filter(|(prefix, _)| KeyRange::prefix((*prefix).clone()).overlaps(range))
-            .map(|(prefix, table)| (prefix.clone(), table.resident.clone()))
-            .collect();
+        let mut marked = Vec::new();
         let mut pairs = loop {
             let res = self.engine.scan(range);
             if res.is_complete() {
@@ -650,11 +646,12 @@ impl Node {
             }
             for miss in res.missing {
                 self.engine.mark_resident(&miss);
+                marked.push(miss);
             }
         };
-        for (prefix, resident) in snapshot {
-            if let Some(table) = self.engine.remote.get_mut(&prefix) {
-                table.resident = resident;
+        for gap in &marked {
+            if let Some(table) = self.engine.remote.get_mut(gap.first.table_prefix_bytes()) {
+                table.resident.remove(gap);
             }
         }
         self.engine.set_mem_limit(saved_limit);
@@ -717,7 +714,7 @@ pub fn audit_deployment(audits: &[NodeAudit]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::ComponentHashPartition;
+    use crate::partition::{ComponentHashPartition, TablePartition};
 
     const CLIENT: Endpoint = Endpoint::Client(1);
 
@@ -860,5 +857,88 @@ mod tests {
         handle(&mut nodes[0], Endpoint::Server(ServerId(1)), notify);
         assert_eq!(nodes[0].stats.notifies_applied, 1);
         assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
+    }
+
+    /// Node 1 of two, homing the whole `p|` table.
+    fn post_home() -> Node {
+        let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
+        Node::new(ServerId(1), Engine::new_default(), part, &["p|"]).in_deployment(2)
+    }
+
+    fn subscribe(range: KeyRange) -> NodeMsg {
+        NodeMsg::Subscribe { id: 1, range }
+    }
+
+    /// A peer that subscribes to the same range twice is recorded once,
+    /// and its `Unsubscribe` drops the record.
+    #[test]
+    fn duplicate_subscriptions_collapse() {
+        let mut home = post_home();
+        let peer = Endpoint::Server(ServerId(0));
+        for _ in 0..2 {
+            let out = handle(&mut home, peer, subscribe(KeyRange::prefix("p|")));
+            assert!(matches!(&out[..], [(to, NodeMsg::SubscribeReply { .. })] if *to == peer));
+        }
+        assert_eq!(home.subscriber_count(), 1);
+        assert_eq!(home.stats.subs_granted, 1);
+        let range = KeyRange::prefix("p|");
+        handle(&mut home, peer, NodeMsg::Unsubscribe { range });
+        assert_eq!(home.subscriber_count(), 0);
+    }
+
+    /// A home notifies a subscriber of the writes inside its range, and
+    /// of none outside it; a notification precedes the write's ack.
+    #[test]
+    fn subscriptions_notify_in_range_only() {
+        let mut home = post_home();
+        let peer = Endpoint::Server(ServerId(0));
+        handle(&mut home, peer, subscribe(KeyRange::prefix("p|bob|")));
+        let remove = |key: &str| {
+            let command = Command::Remove(Key::from(key));
+            NodeMsg::Request { id: 2, command }
+        };
+        let notified = |out: &[(Endpoint, NodeMsg)]| -> Vec<(Key, Option<Value>)> {
+            assert!(matches!(out.last(), Some((CLIENT, NodeMsg::Reply { .. }))));
+            (out.iter())
+                .filter_map(|(to, msg)| match msg {
+                    NodeMsg::Notify { key, value } if *to == peer => {
+                        Some((key.clone(), value.clone()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let v = Some(Value::from_static(b"v"));
+        let bob = Key::from("p|bob|100");
+        assert_eq!(notified(&put(&mut home, "p|bob|100")), [(bob.clone(), v)]);
+        assert_eq!(notified(&put(&mut home, "p|liz|100")), []);
+        let out = handle(&mut home, CLIENT, remove("p|bob|100"));
+        assert_eq!(notified(&out), [(bob, None)]);
+        assert_eq!(home.stats.notifies_sent, 2);
+    }
+
+    /// Serving a range that is partly missing marks its gaps resident
+    /// only while the grant scans: afterwards the home's resident set is
+    /// exactly what it was, disjoint ranges included.
+    #[test]
+    fn a_grant_leaves_the_homes_residency_as_it_found_it() {
+        let mut home = post_home();
+        put(&mut home, "p|bob|100");
+        put(&mut home, "p|liz|100");
+        home.engine
+            .install_base(&KeyRange::prefix("p|cat|"), Vec::new());
+        let table = Key::from("p|");
+        let before = home.engine.resident_ranges(&table);
+        assert_eq!(before.len(), 3);
+        let out = handle(
+            &mut home,
+            Endpoint::Server(ServerId(0)),
+            subscribe(KeyRange::prefix("p|")),
+        );
+        let [(_, NodeMsg::SubscribeReply { pairs, .. })] = &out[..] else {
+            panic!("expected one grant, got {out:?}");
+        };
+        assert_eq!(pairs.len(), 2);
+        assert_eq!(home.engine.resident_ranges(&table), before);
     }
 }

@@ -19,6 +19,7 @@ use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, Tc
 use pequod_store::{Key, KeyRange, Value};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -460,13 +461,49 @@ fn burst_deeper_than_the_pipeline_cap_is_fully_served() {
     server.shutdown();
 }
 
-/// How many threads of this process carry `name`.
-fn threads_named(name: &str) -> usize {
+/// The `/proc` entries of this process's threads that carry `name`.
+fn tasks_named(name: &str) -> Vec<PathBuf> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == name)
-        .count()
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+            (comm.trim_end() == name).then_some(task)
+        })
+        .collect()
+}
+
+/// How many threads of this process carry `name`.
+fn threads_named(name: &str) -> usize {
+    tasks_named(name).len()
+}
+
+/// Waits until the threads behind `tasks`, which their owner has
+/// joined, have left `/proc/self/task`. A joined thread can still be
+/// listed for a moment: `join` returns when the kernel clears the
+/// exiting thread's id, before it removes the thread's task entry. A
+/// thread nobody joined stays listed and fails the wait with `what`.
+fn wait_reaped(tasks: &[PathBuf], what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while tasks.iter().any(|task| task.exists()) {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runs `f` on a new thread named `name`, joins it, and returns `f`'s
+/// result once that thread has left `/proc/self/task`, so that a count
+/// by `name` sees only the threads `f` started.
+fn spawn_named<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (task, out) = std::thread::Builder::new()
+        .name(name.into())
+        .spawn(|| (std::fs::read_link("/proc/thread-self").unwrap(), f()))
+        .unwrap()
+        .join()
+        .unwrap();
+    // The link reads `<pid>/task/<tid>`.
+    wait_reaped(&[Path::new("/proc").join(task)], "the spawner never exited");
+    out
 }
 
 /// Frames execute on the reactor thread, with no worker pool behind it.
@@ -481,18 +518,13 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
     // name makes the server's own threads countable, whatever other
     // tests are running.
     const SPAWNER: &str = "census-spawner";
-    let mut server = std::thread::Builder::new()
-        .name(SPAWNER.into())
-        .spawn(|| {
-            single_server(FrontendConfig {
-                max_write_buffer: 2048,
-                stall_timeout_ms: None,
-                ..FrontendConfig::default()
-            })
+    let mut server = spawn_named(SPAWNER, || {
+        single_server(FrontendConfig {
+            max_write_buffer: 2048,
+            stall_timeout_ms: None,
+            ..FrontendConfig::default()
         })
-        .unwrap()
-        .join()
-        .unwrap();
+    });
     assert_eq!(
         threads_named(SPAWNER),
         2,
@@ -530,7 +562,9 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
             .any(|(k, v)| k == "pequod_backpressure_pauses_total" && v != "0"),
         "wire Metrics not answered with the live counters: {metrics:?}"
     );
+    let server_threads = tasks_named(SPAWNER);
     server.shutdown();
+    wait_reaped(&server_threads, "a server thread outlived shutdown");
     assert_eq!(
         threads_named(SPAWNER),
         0,
@@ -651,12 +685,7 @@ fn sharded_server_runs_the_reactor_and_the_ticker_only() {
     // See `paused_connection_starves_nobody_and_shutdown_abandons_it`
     // for why a named spawner makes the server's threads countable.
     const SPAWNER: &str = "sharded-census";
-    let mut server = std::thread::Builder::new()
-        .name(SPAWNER.into())
-        .spawn(two_shard_server)
-        .unwrap()
-        .join()
-        .unwrap();
+    let mut server = spawn_named(SPAWNER, two_shard_server);
     let mut client = TcpClient::connect(server.addr()).unwrap();
     for i in 0..8 {
         client.put(format!("p|u{i}|0000000001"), "v").unwrap();
@@ -667,7 +696,9 @@ fn sharded_server_runs_the_reactor_and_the_ticker_only() {
         2,
         "a sharded server runs the reactor and the ticker, nothing else"
     );
+    let server_threads = tasks_named(SPAWNER);
     server.shutdown();
+    wait_reaped(&server_threads, "a server thread outlived shutdown");
     assert_eq!(
         threads_named(SPAWNER),
         0,

@@ -13,7 +13,7 @@
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ServerId, TablePartition};
-use pequod::db::WriteAround;
+use pequod::core::WriteAround;
 use pequod::prelude::*;
 use std::sync::Arc;
 

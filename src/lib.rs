@@ -12,10 +12,10 @@
 //! * [`join`] — the cache-join language: patterns, slots, containing
 //!   ranges, the Figure 2 grammar.
 //! * [`core`] — the engine: query execution, incremental maintenance,
-//!   invalidation, eviction; key-routing partitions and the multi-core
-//!   [`ShardedEngine`](crate::core::ShardedEngine).
-//! * [`db`] — backing database substrate with NOTIFY-style
-//!   subscriptions and the write-around deployment.
+//!   invalidation, eviction; key-routing partitions, the §2.4
+//!   Subscribe/Notify node, the multi-core
+//!   [`ShardedEngine`](crate::core::ShardedEngine) and the write-around
+//!   deployment [`WriteAround`](crate::core::WriteAround).
 //! * [`net`] — the wire and what carries it: codec, deterministic
 //!   message fabric, the reactor serving edge, TCP client.
 //! * [`cluster`] — the deployment across processes: one §2.4 node per
@@ -65,7 +65,7 @@
 //! assert_eq!(timeline_demo(&mut Engine::new_default()), 1);
 //!
 //! // ...or a cache in front of a database, unchanged.
-//! let mut wa = pequod::db::WriteAround::new(Engine::new_default(), &["p|", "s|"]);
+//! let mut wa = pequod::core::WriteAround::new(Engine::new_default(), &["p|", "s|"]);
 //! assert_eq!(timeline_demo(&mut wa), 1);
 //! ```
 //!
@@ -86,7 +86,6 @@
 pub use pequod_baselines as baselines;
 pub use pequod_cluster as cluster;
 pub use pequod_core as core;
-pub use pequod_db as db;
 pub use pequod_join as join;
 pub use pequod_net as net;
 pub use pequod_persist as persist;

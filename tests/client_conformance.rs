@@ -10,8 +10,9 @@
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response, ShardedEngine};
-use pequod::db::WriteAround;
+use pequod::core::{
+    Client, Command, Engine, EngineConfig, MemoryLimit, Response, ShardedEngine, WriteAround,
+};
 use pequod::prelude::*;
 use pequod::telemetry::Recorder;
 use std::sync::Arc;
@@ -51,6 +52,9 @@ fn by_user() -> Arc<dyn Partition> {
         servers: 2,
     })
 }
+
+/// The tables a write-around deployment keeps in its database.
+const DB_TABLES: &[&str] = &["p|", "s|", "acct|"];
 
 /// A user-partitioned deployment keeps no table on one node, so it has
 /// to be told about every table the scripts touch.
@@ -107,7 +111,7 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
             Box::new(|| {
                 Box::new(WriteAround::new(
                     Engine::new(EngineConfig::default()),
-                    &["p|", "s|", "acct|"],
+                    DB_TABLES,
                 )) as Box<dyn Client>
             }),
         ),
@@ -399,6 +403,12 @@ impl Audited for ShardedEngine {
     }
 }
 
+impl Audited for WriteAround {
+    fn audit(&mut self) -> Vec<String> {
+        self.check_invariants()
+    }
+}
+
 impl Audited for ClusterClient {
     fn audit(&mut self) -> Vec<String> {
         let sim = self.sim_mut().expect("a simulated cluster");
@@ -441,7 +451,8 @@ fn read_everything() -> Vec<Command> {
 /// Recompute transparency (§2.5): a memory-capped deployment must
 /// answer the shared script byte-identically to an uncapped engine, on
 /// every join-capable backend that can run capped — the in-process
-/// engine, the sharded engine (per-shard budgets), and the simulated
+/// engine, the write-around deployment (the cache capped, the database
+/// not), the sharded engine (per-shard budgets), and the simulated
 /// cluster (per-node budgets), partitioned by table and by user. The
 /// cap is calibrated to half of the uncapped engine's footprint on the
 /// same script, so eviction provably fires while the script runs.
@@ -472,6 +483,10 @@ fn capped_backends_answer_like_uncapped_ones() {
         (
             "sharded",
             Box::new(move || Box::new(ShardedEngine::new(2, capped(), by_table(), TABLES))),
+        ),
+        (
+            "writearound",
+            Box::new(move || Box::new(WriteAround::new(Engine::new(capped()), DB_TABLES))),
         ),
         (
             "cluster",
@@ -559,10 +574,7 @@ fn telemetered_backends() -> Vec<BackendFactory> {
         (
             "writearound",
             Box::new(|| {
-                Box::new(WriteAround::new(
-                    telemetered_engine(),
-                    &["p|", "s|", "acct|"],
-                )) as Box<dyn Client>
+                Box::new(WriteAround::new(telemetered_engine(), DB_TABLES)) as Box<dyn Client>
             }),
         ),
         (

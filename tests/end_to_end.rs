@@ -5,8 +5,9 @@
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
 use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ComponentHashPartition, ServerId, SingleServer, TablePartition};
-use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, ShardedEngine};
-use pequod::db::WriteAround;
+use pequod::core::{
+    Engine, EngineConfig, MaterializationMode, MemoryLimit, ShardedEngine, WriteAround,
+};
 use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
 use pequod::prelude::*;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
@@ -70,17 +71,23 @@ fn write_around_with_database() {
     engine.add_join_text(TIMELINE).unwrap();
     let mut wa = WriteAround::new(engine, &["p|", "s|"]);
     for (user, poster) in [("ann", "bob"), ("ann", "liz"), ("cat", "bob")] {
-        wa.write(format!("s|{user}|{poster}"), "1");
+        wa.put(
+            &Key::from(format!("s|{user}|{poster}")),
+            &Value::from_static(b"1"),
+        );
     }
     for (poster, t) in [("bob", 100u64), ("liz", 110), ("bob", 120)] {
-        wa.write(format!("p|{poster}|{t:010}"), "tweet");
+        wa.put(
+            &Key::from(format!("p|{poster}|{t:010}")),
+            &Value::from_static(b"tweet"),
+        );
     }
-    assert_eq!(wa.read(&KeyRange::prefix("t|ann|")).pairs.len(), 3);
-    assert_eq!(wa.read(&KeyRange::prefix("t|cat|")).pairs.len(), 2);
+    assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 3);
+    assert_eq!(wa.scan(&KeyRange::prefix("t|cat|")).len(), 2);
     // DB-side delete flows through.
-    wa.delete(&Key::from("p|bob|0000000100"));
-    assert_eq!(wa.read(&KeyRange::prefix("t|ann|")).pairs.len(), 2);
-    assert!(wa.db.subscription_count() >= 2);
+    wa.remove(&Key::from("p|bob|0000000100"));
+    assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 2);
+    assert!(wa.database().subscriber_count() >= 2);
 }
 
 /// A two-tier simulated cluster serves a Twip workload with the same

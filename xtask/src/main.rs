@@ -79,7 +79,6 @@ const ROOTS: &[(&str, CrateRules)] = &[
     ("crates/persist/src", CrateRules::serving()),
     ("crates/net/src", CrateRules::serving().with_lock_io()),
     ("crates/cluster/src", CrateRules::serving().with_lock_io()),
-    ("crates/db/src", CrateRules::deterministic()),
     ("crates/baselines/src", CrateRules::deterministic()),
     ("src", CrateRules::deterministic()),
     ("crates/workloads/src", CrateRules::relaxed()),
