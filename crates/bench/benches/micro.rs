@@ -8,7 +8,7 @@ use pequod_core::{Engine, EngineConfig};
 use pequod_join::{containing_range, JoinSpec, Pattern, SlotTable};
 use pequod_net::codec::{decode, encode};
 use pequod_net::Message;
-use pequod_store::{Key, KeyRange, Store, StoreConfig};
+use pequod_store::{Key, KeyRange, Store, StoreConfig, Value};
 
 fn store_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -22,7 +22,7 @@ fn store_ops(c: &mut Criterion) {
             for t in 0..100u64 {
                 store.put(
                     Key::from(format!("t|u{u:07}|{t:010}|p")),
-                    bytes::Bytes::from_static(b"tweet"),
+                    Value::from_static(b"tweet"),
                     false,
                 );
             }
@@ -55,7 +55,7 @@ fn store_ops(c: &mut Criterion) {
                 i += 1;
                 store.put(
                     Key::from(format!("t|u{:07}|{:010}|q", i % 2000, 100 + i)),
-                    bytes::Bytes::from_static(b"new"),
+                    Value::from_static(b"new"),
                     false,
                 );
             })
@@ -163,7 +163,7 @@ fn codec_ops(c: &mut Criterion) {
             .map(|i| {
                 (
                     Key::from(format!("t|u0000001|{i:010}|u0000002")),
-                    bytes::Bytes::from_static(b"a tweet of reasonable length"),
+                    Value::from_static(b"a tweet of reasonable length"),
                 )
             })
             .collect(),

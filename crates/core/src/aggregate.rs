@@ -7,7 +7,6 @@
 //! update, and remove; min and max maintain incrementally except when
 //! the current extremum is retracted, which forces recomputation.
 
-use bytes::Bytes;
 use pequod_join::Operator;
 use pequod_store::Value;
 
@@ -20,7 +19,7 @@ pub fn parse_num(v: &[u8]) -> i64 {
 
 /// Formats an integer as a value.
 pub fn fmt_num(n: i64) -> Value {
-    Bytes::from(n.to_string().into_bytes())
+    Value::from(n.to_string().into_bytes())
 }
 
 /// An aggregate accumulator used during fresh join execution.
@@ -94,8 +93,8 @@ mod tests {
 
     #[test]
     fn count_and_sum_fold() {
-        let v1 = Bytes::from_static(b"10");
-        let v2 = Bytes::from_static(b"32");
+        let v1 = Value::from_static(b"10");
+        let v2 = Value::from_static(b"32");
         let mut c = Accumulator::start(Operator::Count, &v1);
         c.fold(&v2);
         assert_eq!(c.finish(), fmt_num(2));
@@ -106,8 +105,8 @@ mod tests {
 
     #[test]
     fn min_max_fold_lexicographically() {
-        let a = Bytes::from_static(b"apple");
-        let b = Bytes::from_static(b"banana");
+        let a = Value::from_static(b"apple");
+        let b = Value::from_static(b"banana");
         let mut m = Accumulator::start(Operator::Min, &b);
         m.fold(&a);
         assert_eq!(m.finish(), a);
@@ -119,6 +118,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not an aggregate")]
     fn copy_is_not_an_aggregate() {
-        Accumulator::start(Operator::Copy, &Bytes::new());
+        Accumulator::start(Operator::Copy, &Value::new());
     }
 }

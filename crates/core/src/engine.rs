@@ -19,7 +19,6 @@ use crate::durable::{Durability, DurableOp};
 use crate::status::{JsState, LoggedMod, StatusMap};
 use crate::types::{EngineError, JoinId, JsId, WriteKind};
 use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
-use bytes::Bytes;
 use pequod_join::{JoinSpec, Operator, SlotSet};
 use pequod_store::{
     Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, UpperBound, Value,
@@ -840,7 +839,7 @@ impl Engine {
                             let (v, shared) = if self.config.value_sharing {
                                 (v, true)
                             } else {
-                                (Bytes::copy_from_slice(&v), false)
+                                (Value::copy_from_slice(&v), false)
                             };
                             self.write(out_key, Some(v), shared);
                         }

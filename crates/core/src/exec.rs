@@ -8,7 +8,6 @@ use crate::engine::{check_residency, Engine, EvictUnit, RemoteTable};
 use crate::status::{JsState, LoggedMod, Segment};
 use crate::types::{CountResult, JsId, ScanResult, WriteKind};
 use crate::updater::UpdaterEntry;
-use bytes::Bytes;
 use pequod_join::{containing_range, Bindings, JoinSpec, Maintenance, Operator, SlotId, SlotSet};
 use pequod_store::{Key, KeyRange, LruTracker, Store, Value};
 use pequod_telemetry::OpKind;
@@ -308,7 +307,7 @@ impl Engine {
         let is_copy = spec.value_op() == Operator::Copy;
         if is_copy && !self.config.value_sharing {
             for (_, v) in &mut outs {
-                *v = Bytes::copy_from_slice(v);
+                *v = Value::copy_from_slice(v);
             }
         }
         let watched = |(k, _): &(Key, Value)| !self.updaters.table_is_quiet(k);

@@ -8,8 +8,9 @@
 //! warmed 500-user Twip engine and fails when a change reintroduces a
 //! per-entry or per-check clone, so the regression shows up here rather
 //! than in a benchmark. It also counts live bytes, to hold the density
-//! of the store's subtable blocks: an appended timeline pair is two
-//! 32-byte handles and should cost little more than those 64 bytes.
+//! of the store's subtable blocks: an appended timeline pair is a
+//! 16-byte value handle and the bytes its key does not share with its
+//! block's neighbours, ≈33 bytes in all.
 //!
 //! The same counters hold what a cold login leaves behind — a status
 //! range, its updater entries, their handles — and what a bulk-loaded
@@ -105,7 +106,7 @@ fn post(poster: u32, time: u64) -> (Key, Value) {
     let text = format!("tweet {time} from {poster}: {}", "lorem ipsum ".repeat(5));
     (
         Key::from(format!("p|{}|{time:010}", user(poster))),
-        Bytes::from(text.into_bytes()),
+        Value::from(text.into_bytes()),
     )
 }
 
@@ -196,11 +197,13 @@ fn an_eager_update_costs_less_than_one_allocation() {
 /// Posts arrive in time order, so every eager update lands at the end of
 /// its timeline's subtable. 2500 posts add 100 pairs to each of the 500
 /// timelines; what stays allocated afterwards, per update, is the pair's
-/// two 32-byte handles, its share of block and directory overhead and
-/// of the growing tail, and a twentieth of the post's own `p|` pair
-/// (the tweet buffers the timelines share were allocated beforehand).
+/// 16-byte value handle and key slot, its share of block and directory
+/// overhead and of the growing tail, and a twentieth of the post's own
+/// `p|` pair (the tweet buffers the timelines share were allocated
+/// beforehand): 32.9 bytes (49.1 while a value was a 32-byte handle,
+/// 67.6 while a pair was two of them).
 #[test]
-fn an_appended_timeline_pair_costs_at_most_80_bytes() {
+fn an_eager_update_leaves_at_most_36_bytes() {
     let (mut engine, start) = warmed_twip();
     let posts: Vec<(Key, Value)> = (0..2500u32)
         .map(|i| post((i * 7) % USERS, start + u64::from(i)))
@@ -215,8 +218,8 @@ fn an_appended_timeline_pair_costs_at_most_80_bytes() {
     assert_eq!(updates, 2500 * u64::from(FOLLOWS));
     let per_update = bytes as f64 / updates as f64;
     assert!(
-        per_update <= 80.0,
-        "{bytes} bytes stayed live after {updates} eager updates = {per_update:.1} each (budget 80)"
+        per_update <= 36.0,
+        "{bytes} bytes stayed live after {updates} eager updates = {per_update:.1} each (budget 36)"
     );
 }
 
@@ -282,13 +285,14 @@ fn binding_a_slot_performs_no_allocation() {
 
 /// The subscription table is flat — one ordered container for all
 /// 10,000 rows: loaded in key order, the rows sit in full blocks, and
-/// what stays allocated per row is its 32-byte value handle, a slot of
+/// what stays allocated per row is its 16-byte value handle, a slot of
 /// the 2 or 3 bytes of `s|user|poster` its block's shared prefix leaves
 /// and their length, plus a thirty-second of a block's directory entry:
-/// 46.1 bytes. (65.9 while a row was two whole handles; a B-tree loaded
-/// in key order leaves every leaf half empty: 122 bytes a row.)
+/// 30.4 bytes. (46.1 while a value was a 32-byte handle, 65.9 while a row
+/// was two of them; a B-tree loaded in key order leaves every leaf half
+/// empty: 122 bytes a row.)
 #[test]
-fn a_bulk_loaded_flat_row_costs_at_most_52_bytes() {
+fn a_bulk_loaded_flat_row_costs_at_most_33_bytes() {
     let mut engine = twip();
     let rows = subscriptions();
     let (bytes, ()) = live_bytes_in(|| {
@@ -299,8 +303,8 @@ fn a_bulk_loaded_flat_row_costs_at_most_52_bytes() {
     assert_eq!(engine.store().audit(), Vec::<String>::new());
     let per_row = bytes as f64 / rows.len() as f64;
     assert!(
-        per_row <= 52.0,
-        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 52)",
+        per_row <= 33.0,
+        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 33)",
         rows.len()
     );
 }
@@ -309,11 +313,12 @@ fn a_bulk_loaded_flat_row_costs_at_most_52_bytes() {
 /// time order: 400 pairs of 30-byte keys, every one of them sharing its
 /// first 16 bytes (`t|u0000012|00000`), over one shared tweet buffer. A
 /// block stores the prefix its keys share once and each key's remaining
-/// bytes apart from its value, so a pair is its 32-byte value handle, a
+/// bytes apart from its value, so a pair is its 16-byte value handle, a
 /// slot of ≈12 key bytes and their length, plus its share of the block
-/// headers: 48.8 bytes (66.2 while a pair was two whole handles).
+/// headers: 33.1 bytes (48.8 while a value was a 32-byte handle, 66.2
+/// while a pair was two of them).
 #[test]
-fn an_appended_timeline_pair_costs_at_most_54_bytes() {
+fn an_appended_timeline_pair_costs_at_most_36_bytes() {
     let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
     // Another timeline first, so that the table itself is not counted.
     store.put(timeline_since(1, 0).first, Value::from_static(b"1"), false);
@@ -333,8 +338,8 @@ fn an_appended_timeline_pair_costs_at_most_54_bytes() {
     assert_eq!(store.audit(), Vec::<String>::new());
     let per_pair = bytes as f64 / pairs.len() as f64;
     assert!(
-        per_pair <= 54.0,
-        "{bytes} bytes stayed live after {} pairs = {per_pair:.1} each (budget 54)",
+        per_pair <= 36.0,
+        "{bytes} bytes stayed live after {} pairs = {per_pair:.1} each (budget 36)",
         pairs.len()
     );
 }
@@ -342,11 +347,11 @@ fn an_appended_timeline_pair_costs_at_most_54_bytes() {
 /// Most subtables of a cold cache hold a pair or two. What one costs
 /// beside its index entries is its directory of one block and that
 /// block's two allocations, the value and the key bytes, which hold only
-/// the key's length byte: a lone key is all prefix. Measured 300.9
-/// (299.9 while a block held whole pairs; almost all of it is the
-/// subtable index and its growth).
+/// the key's length byte: a lone key is all prefix. Measured 292.9 (300.9
+/// while a value was a 32-byte handle, 299.9 while a block held whole
+/// pairs; almost all of it is the subtable index and its growth).
 #[test]
-fn a_one_pair_subtable_costs_at_most_324_bytes() {
+fn a_one_pair_subtable_costs_at_most_322_bytes() {
     let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
     store.put(Key::from("t|"), Value::from_static(b"1"), false);
     let keys: Vec<Key> = (0..1000)
@@ -359,8 +364,8 @@ fn a_one_pair_subtable_costs_at_most_324_bytes() {
     });
     let per_subtable = bytes as f64 / keys.len() as f64;
     assert!(
-        per_subtable <= 324.0,
-        "{bytes} bytes stayed live after {} one-pair subtables = {per_subtable:.1} each (budget 324)",
+        per_subtable <= 322.0,
+        "{bytes} bytes stayed live after {} one-pair subtables = {per_subtable:.1} each (budget 322)",
         keys.len()
     );
 }

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::config::MemoryLimit;
 use pequod_core::{Engine, EngineConfig};
-use pequod_store::{Key, KeyRange, StoreConfig};
+use pequod_store::{Key, KeyRange, StoreConfig, Value};
 
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -227,16 +227,13 @@ fn base_eviction_keeps_authoritative_rows() {
     e.set_base_authority(|key: &Key| key.as_bytes().starts_with(b"p|bob|"));
     e.install_base(
         &KeyRange::prefix("p|bob|"),
-        vec![(
-            Key::from("p|bob|0000000100"),
-            bytes::Bytes::from_static(b"mine"),
-        )],
+        vec![(Key::from("p|bob|0000000100"), Value::from_static(b"mine"))],
     );
     e.install_base(
         &KeyRange::prefix("p|liz|"),
         vec![(
             Key::from("p|liz|0000000200"),
-            bytes::Bytes::from_static(b"replica"),
+            Value::from_static(b"replica"),
         )],
     );
     let evicted = e.evict_to(0);
@@ -262,10 +259,7 @@ fn fully_authoritative_table_is_never_evicted() {
     e.set_base_authority(|_key: &Key| true);
     e.install_base(
         &KeyRange::prefix("p|bob|"),
-        vec![(
-            Key::from("p|bob|0000000100"),
-            bytes::Bytes::from_static(b"mine"),
-        )],
+        vec![(Key::from("p|bob|0000000100"), Value::from_static(b"mine"))],
     );
     let evicted = e.evict_to(0);
     assert_eq!(evicted, 0, "nothing reclaimable, nothing evicted");

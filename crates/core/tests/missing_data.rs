@@ -2,7 +2,7 @@
 //! restart after fetch, residency metadata, and base-data eviction.
 
 use pequod_core::{Engine, EngineConfig};
-use pequod_store::{Key, KeyRange};
+use pequod_store::{Key, KeyRange, Value};
 
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -37,10 +37,7 @@ fn join_over_remote_source_fetches_then_restarts() {
     assert_eq!(e.materialized_ranges(), 0);
 
     // Simulate the fetch (database or home server).
-    let fetched = vec![(
-        Key::from("p|bob|0000000100"),
-        bytes::Bytes::from_static(b"Hi"),
-    )];
+    let fetched = vec![(Key::from("p|bob|0000000100"), Value::from_static(b"Hi"))];
     e.install_base(&res.missing[0], fetched);
 
     // Restarted query completes and materializes.
@@ -80,7 +77,7 @@ fn multiple_missing_sources_reported_together() {
     assert!(res.missing.iter().any(|r| r.first.starts_with(b"s|ann")));
     e.install_base(
         &KeyRange::prefix("s|ann|"),
-        vec![(Key::from("s|ann|bob"), bytes::Bytes::from_static(b"1"))],
+        vec![(Key::from("s|ann|bob"), Value::from_static(b"1"))],
     );
     let res = e.scan(&KeyRange::prefix("t|ann|"));
     assert!(!res.is_complete());
@@ -99,10 +96,7 @@ fn base_eviction_invalidates_dependents_and_refetches() {
     let res = e.scan(&KeyRange::prefix("t|ann|"));
     e.install_base(
         &res.missing[0],
-        vec![(
-            Key::from("p|bob|0000000100"),
-            bytes::Bytes::from_static(b"Hi"),
-        )],
+        vec![(Key::from("p|bob|0000000100"), Value::from_static(b"Hi"))],
     );
     assert!(e.scan(&KeyRange::prefix("t|ann|")).is_complete());
 
@@ -117,10 +111,7 @@ fn base_eviction_invalidates_dependents_and_refetches() {
     assert!(!res.is_complete());
     e.install_base(
         &res.missing[0],
-        vec![(
-            Key::from("p|bob|0000000100"),
-            bytes::Bytes::from_static(b"Hi"),
-        )],
+        vec![(Key::from("p|bob|0000000100"), Value::from_static(b"Hi"))],
     );
     let res = e.scan(&KeyRange::prefix("t|ann|"));
     assert!(res.is_complete());
@@ -174,10 +165,7 @@ fn residency_survives_unrelated_scans() {
     e.mark_remote_table("p|");
     e.install_base(
         &KeyRange::prefix("p|bob|"),
-        vec![(
-            Key::from("p|bob|0000000100"),
-            bytes::Bytes::from_static(b"Hi"),
-        )],
+        vec![(Key::from("p|bob|0000000100"), Value::from_static(b"Hi"))],
     );
     for _ in 0..10 {
         assert!(e.scan(&KeyRange::prefix("p|bob|")).is_complete());

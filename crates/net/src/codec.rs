@@ -407,24 +407,29 @@ impl<'a> Reader<'a> {
         Ok(field)
     }
 
-    fn bytes(&mut self) -> Result<Bytes, CodecError> {
-        self.raw().map(Bytes::copy_from_slice)
-    }
-
     fn key(&mut self) -> Result<Key, CodecError> {
-        Ok(Key::from(self.bytes()?))
+        self.raw().map(Key::from)
     }
 
-    fn opt_bytes(&mut self) -> Result<Option<Bytes>, CodecError> {
+    /// A value field, copied once, straight into its handle.
+    fn value(&mut self) -> Result<Value, CodecError> {
+        self.raw().map(Value::copy_from_slice)
+    }
+
+    /// A presence byte, then `field` if it is set.
+    fn opt<T>(
+        &mut self,
+        field: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
-            _ => Ok(Some(self.bytes()?)),
+            _ => field(self).map(Some),
         }
     }
 
     fn range(&mut self) -> Result<KeyRange, CodecError> {
         let first = self.key()?;
-        let end = self.opt_bytes()?.map(Key::from);
+        let end = self.opt(Self::key)?;
         Ok(range_from_parts(first, end))
     }
 
@@ -436,7 +441,7 @@ impl<'a> Reader<'a> {
         let mut out = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let k = self.key()?;
-            let v = self.bytes()?;
+            let v = self.value()?;
             out.push((k, v));
         }
         Ok(out)
@@ -463,7 +468,7 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
         TAG_PUT => Message::Put {
             id: r.u64()?,
             key: r.key()?,
-            value: r.bytes()?,
+            value: r.value()?,
         },
         TAG_REMOVE => Message::Remove {
             id: r.u64()?,
@@ -496,7 +501,7 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
         },
         TAG_NOTIFY => Message::Notify {
             key: r.key()?,
-            value: r.opt_bytes()?,
+            value: r.opt(Reader::value)?,
         },
         TAG_UNSUBSCRIBE => Message::Unsubscribe { range: r.range()? },
         TAG_COUNT => Message::Count {
@@ -529,7 +534,7 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
             epoch: r.u64()?,
             seq: r.u64()?,
             key: r.key()?,
-            value: r.opt_bytes()?,
+            value: r.opt(Reader::value)?,
         },
         TAG_NOTIFY_ACK => Message::NotifyAck {
             slot: r.u32()?,
@@ -674,7 +679,7 @@ mod tests {
         roundtrip(Message::Put {
             id: 8,
             key: Key::from("p|bob|100"),
-            value: Bytes::from_static(b"Hi"),
+            value: Value::from_static(b"Hi"),
         });
         roundtrip(Message::Remove {
             id: 9,
@@ -695,8 +700,8 @@ mod tests {
         roundtrip(Message::reply(
             13,
             vec![
-                (Key::from("a"), Bytes::from_static(b"1")),
-                (Key::from("b"), Bytes::new()),
+                (Key::from("a"), Value::from_static(b"1")),
+                (Key::from("b"), Value::new()),
             ],
         ));
         roundtrip(Message::error(14, "nope"));
@@ -707,11 +712,11 @@ mod tests {
         roundtrip(Message::SubscribeReply {
             id: 16,
             range: KeyRange::prefix("p|bob|"),
-            pairs: vec![(Key::from("p|bob|1"), Bytes::from_static(b"x"))],
+            pairs: vec![(Key::from("p|bob|1"), Value::from_static(b"x"))],
         });
         roundtrip(Message::Notify {
             key: Key::from("p|bob|1"),
-            value: Some(Bytes::from_static(b"x")),
+            value: Some(Value::from_static(b"x")),
         });
         roundtrip(Message::Notify {
             key: Key::from("p|bob|1"),
@@ -738,7 +743,7 @@ mod tests {
                 Message::Put {
                     id: 3,
                     key: Key::from("k"),
-                    value: Bytes::from_static(b"v"),
+                    value: Value::from_static(b"v"),
                 },
             ],
         });
@@ -758,7 +763,7 @@ mod tests {
             epoch: 2,
             seq: 100,
             key: Key::from("p|bob|100"),
-            value: Some(Bytes::from_static(b"Hi")),
+            value: Some(Value::from_static(b"Hi")),
         });
         roundtrip(Message::NotifySeq {
             slot: 0,
@@ -782,7 +787,7 @@ mod tests {
             epoch: 4,
             upto_seq: 250,
             done: true,
-            pairs: vec![(Key::from("p|bob|1"), Bytes::from_static(b"x"))],
+            pairs: vec![(Key::from("p|bob|1"), Value::from_static(b"x"))],
         });
         roundtrip(Message::SnapshotChunk {
             slot: 1,
@@ -859,7 +864,7 @@ mod tests {
         let msg = Message::Put {
             id: 1,
             key: Key::from("k"),
-            value: Bytes::from_static(b"v"),
+            value: Value::from_static(b"v"),
         };
         let frame = encode_frame(&msg);
         // Feed the frame one byte at a time.
@@ -922,7 +927,7 @@ mod tests {
         roundtrip(Message::Put {
             id: 1,
             key: Key::from(vec![0u8, 0xff, b'|', 0x7f]),
-            value: Bytes::from(vec![0u8; 300]),
+            value: Value::from(vec![0u8; 300]),
         });
     }
 }

@@ -209,7 +209,7 @@ mod tests {
     use super::*;
     use crate::log::{FsyncPolicy, LogWriter};
     use crate::snapshot::write_snapshot;
-    use bytes::Bytes;
+    use pequod_store::Value;
 
     struct Tmp(PathBuf);
     impl Tmp {
@@ -239,10 +239,10 @@ mod tests {
         let t = Tmp::new("snaptail");
         let dir = DataDir::open(&t.0).unwrap();
         let joins = vec!["a|<x> = copy b|<x>".to_string()];
-        let pairs = vec![(Key::from("b|1"), Bytes::from_static(b"one"))];
+        let pairs = vec![(Key::from("b|1"), Value::from_static(b"one"))];
         write_snapshot(&dir.snap_path(3), &joins, &pairs).unwrap();
         let mut w = LogWriter::open_append(dir.wal_path(3), FsyncPolicy::Never).unwrap();
-        let op = DurableOp::Put(Key::from("b|2"), Bytes::from_static(b"two"));
+        let op = DurableOp::Put(Key::from("b|2"), Value::from_static(b"two"));
         w.append(&op).unwrap();
         drop(w);
         let rec = recover(&t.0).unwrap();
@@ -258,7 +258,7 @@ mod tests {
         let t = Tmp::new("oldlogs");
         let dir = DataDir::open(&t.0).unwrap();
         let mut w = LogWriter::open_append(dir.wal_path(1), FsyncPolicy::Never).unwrap();
-        w.append(&DurableOp::Put(Key::from("stale|1"), Bytes::new()))
+        w.append(&DurableOp::Put(Key::from("stale|1"), Value::new()))
             .unwrap();
         drop(w);
         write_snapshot(&dir.snap_path(2), &[], &[]).unwrap();
@@ -283,7 +283,7 @@ mod tests {
     fn corrupt_newest_snapshot_falls_back_to_previous() {
         let t = Tmp::new("fallback");
         let dir = DataDir::open(&t.0).unwrap();
-        let pairs = vec![(Key::from("b|1"), Bytes::from_static(b"keep"))];
+        let pairs = vec![(Key::from("b|1"), Value::from_static(b"keep"))];
         write_snapshot(&dir.snap_path(1), &[], &pairs).unwrap();
         write_snapshot(&dir.snap_path(2), &[], &[]).unwrap();
         let mut bytes = fs::read(dir.snap_path(2)).unwrap();

@@ -185,8 +185,8 @@ pub fn read_log(path: impl AsRef<Path>) -> io::Result<LogTail> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use pequod_store::Key;
+    use pequod_store::Value;
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("pequod-log-{}-{name}", std::process::id()));
@@ -197,8 +197,8 @@ mod tests {
     fn sample_ops() -> Vec<DurableOp> {
         vec![
             DurableOp::AddJoin("a|<x> = copy b|<x>".to_string()),
-            DurableOp::Put(Key::from("b|1"), Bytes::from_static(b"one")),
-            DurableOp::Put(Key::from("b|2"), Bytes::from_static(b"two")),
+            DurableOp::Put(Key::from("b|1"), Value::from_static(b"one")),
+            DurableOp::Put(Key::from("b|2"), Value::from_static(b"two")),
             DurableOp::Remove(Key::from("b|1")),
         ]
     }
@@ -274,7 +274,7 @@ mod tests {
         // record is reachable.
         let (mut w, torn) = LogWriter::open_append_clean(&path, FsyncPolicy::Never).unwrap();
         assert!(torn > 0);
-        let after_crash = DurableOp::Put(Key::from("b|9"), Bytes::from_static(b"post-crash"));
+        let after_crash = DurableOp::Put(Key::from("b|9"), Value::from_static(b"post-crash"));
         w.append(&after_crash).unwrap();
         drop(w);
         let tail = read_log(&path).unwrap();

@@ -410,9 +410,9 @@ pub fn open_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use pequod_core::Client;
     use pequod_store::KeyRange;
+    use pequod_store::Value;
     use std::path::PathBuf;
 
     const TIMELINE: &str =
@@ -506,7 +506,7 @@ mod tests {
         let mut p = Persister::create(&t.0, every(10)).unwrap();
         p.compact(&[], &[]).unwrap();
         for i in 0..35 {
-            let op = DurableOp::Put(Key::from(format!("p|u|{i:010}")), Bytes::from_static(b"x"));
+            let op = DurableOp::Put(Key::from(format!("p|u|{i:010}")), Value::from_static(b"x"));
             assert!(!p.log(&op), "the serving thread never snapshots");
         }
         // The compaction opened generation 1; 35 records / 10 per seal
@@ -534,7 +534,7 @@ mod tests {
     #[test]
     fn finalization_joins_the_folder_and_drop_finishes_its_folds() {
         let t = Tmp::new("join");
-        let pair = |i: u32| (Key::from(format!("p|a|{i:02}")), Bytes::from_static(b"x"));
+        let pair = |i: u32| (Key::from(format!("p|a|{i:02}")), Value::from_static(b"x"));
         let put = |i: u32| {
             let (k, v) = pair(i);
             DurableOp::Put(k, v)
@@ -576,7 +576,7 @@ mod tests {
         let blocker = dir.snap_path(2).with_extension("tmp");
         std::fs::create_dir(&blocker).unwrap();
         let put =
-            |i: u32| DurableOp::Put(Key::from(format!("p|f|{i:02}")), Bytes::from_static(b"v"));
+            |i: u32| DurableOp::Put(Key::from(format!("p|f|{i:02}")), Value::from_static(b"v"));
         for i in 0..5 {
             p.log(&put(i));
         }
@@ -742,13 +742,13 @@ mod tests {
             reference.add_join_text(TIMELINE).unwrap();
             for (u, p) in [("ann", "bob"), ("ann", "liz"), ("cat", "bob")] {
                 let k = Key::from(format!("s|{u}|{p}"));
-                s.put(&k, &Bytes::from_static(b"1"));
-                reference.put(k, Bytes::from_static(b"1"));
+                s.put(&k, &Value::from_static(b"1"));
+                reference.put(k, Value::from_static(b"1"));
             }
             for (p, ts) in [("bob", 100u64), ("liz", 110), ("bob", 120)] {
                 let k = Key::from(format!("p|{p}|{ts:010}"));
-                s.put(&k, &Bytes::from_static(b"tweet"));
-                reference.put(k, Bytes::from_static(b"tweet"));
+                s.put(&k, &Value::from_static(b"tweet"));
+                reference.put(k, Value::from_static(b"tweet"));
             }
             assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 3);
         }

@@ -20,7 +20,7 @@
 
 use crate::crc::crc32;
 use pequod_core::DurableOp;
-use pequod_store::Key;
+use pequod_store::{Key, Value};
 use std::fmt;
 
 /// Maximum accepted record body, to bound allocation on malformed
@@ -140,7 +140,7 @@ fn decode_body(body: &[u8]) -> Result<DurableOp, RecordError> {
     let op = match r.u8()? {
         TAG_PUT => {
             let key = Key::from(r.bytes()?);
-            let value = bytes::Bytes::copy_from_slice(r.bytes()?);
+            let value = Value::copy_from_slice(r.bytes()?);
             DurableOp::Put(key, value)
         }
         TAG_REMOVE => DurableOp::Remove(Key::from(r.bytes()?)),
@@ -185,7 +185,6 @@ pub fn decode_record(buf: &[u8]) -> Result<Option<(DurableOp, usize)>, RecordErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn roundtrip(op: DurableOp) {
         let mut buf = Vec::new();
@@ -199,12 +198,12 @@ mod tests {
     fn all_ops_roundtrip() {
         roundtrip(DurableOp::Put(
             Key::from("p|bob|0000000100"),
-            Bytes::from_static(b"Hi"),
+            Value::from_static(b"Hi"),
         ));
-        roundtrip(DurableOp::Put(Key::from(""), Bytes::new()));
+        roundtrip(DurableOp::Put(Key::from(""), Value::new()));
         roundtrip(DurableOp::Put(
             Key::from(vec![0u8, 0xff, b'|', 0x7f]),
-            Bytes::from(vec![0u8; 300]),
+            Value::from(vec![0u8; 300]),
         ));
         roundtrip(DurableOp::Remove(Key::from("s|ann|bob")));
         roundtrip(DurableOp::AddJoin(
@@ -216,7 +215,7 @@ mod tests {
     fn torn_tail_is_incomplete_not_corrupt() {
         let mut buf = Vec::new();
         encode_record(
-            &DurableOp::Put(Key::from("p|a|1"), Bytes::from_static(b"v")),
+            &DurableOp::Put(Key::from("p|a|1"), Value::from_static(b"v")),
             &mut buf,
         );
         for cut in 0..buf.len() {
@@ -232,7 +231,7 @@ mod tests {
     fn corruption_is_detected() {
         let mut buf = Vec::new();
         encode_record(
-            &DurableOp::Put(Key::from("p|a|1"), Bytes::from_static(b"value")),
+            &DurableOp::Put(Key::from("p|a|1"), Value::from_static(b"value")),
             &mut buf,
         );
         // Any body flip trips the checksum.
@@ -261,7 +260,7 @@ mod tests {
     fn back_to_back_records_consume_exactly() {
         let ops = vec![
             DurableOp::AddJoin("a|<x> = copy b|<x>".to_string()),
-            DurableOp::Put(Key::from("b|1"), Bytes::from_static(b"x")),
+            DurableOp::Put(Key::from("b|1"), Value::from_static(b"x")),
             DurableOp::Remove(Key::from("b|1")),
         ];
         let mut buf = Vec::new();

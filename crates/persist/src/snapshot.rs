@@ -336,7 +336,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData, SnapshotError> {
     let mut r = SnapshotReader::open(path)?;
     let mut pairs = Vec::with_capacity(r.left.min(1 << 16) as usize);
     while let Some((key, value)) = r.next_pair()? {
-        pairs.push((Key::from(key), bytes::Bytes::copy_from_slice(value)));
+        pairs.push((Key::from(key), Value::copy_from_slice(value)));
     }
     Ok(SnapshotData {
         joins: std::mem::take(&mut r.joins),
@@ -347,7 +347,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotData, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -361,9 +360,9 @@ mod tests {
         (
             vec!["t|<u>|<t:10>|<p> = check s|<u>|<p> copy p|<p>|<t:10>".to_string()],
             vec![
-                (Key::from("p|bob|0000000100"), Bytes::from_static(b"Hi")),
-                (Key::from(vec![0u8, 0xff]), Bytes::from(vec![1u8, 2, 3])),
-                (Key::from("s|ann|bob"), Bytes::from_static(b"1")),
+                (Key::from("p|bob|0000000100"), Value::from_static(b"Hi")),
+                (Key::from(vec![0u8, 0xff]), Value::from(vec![1u8, 2, 3])),
+                (Key::from("s|ann|bob"), Value::from_static(b"1")),
             ],
         )
     }
@@ -438,10 +437,10 @@ mod tests {
         let mut pairs: Vec<(Key, Value)> = (0..20_000u32)
             .map(|i| {
                 let value = vec![(i % 251) as u8; (i % 37) as usize];
-                (Key::from(format!("p|{i:08}")), Bytes::from(value))
+                (Key::from(format!("p|{i:08}")), Value::from(value))
             })
             .collect();
-        pairs.push((Key::from("q|big"), Bytes::from(vec![7u8; 3 * CHUNK + 5])));
+        pairs.push((Key::from("q|big"), Value::from(vec![7u8; 3 * CHUNK + 5])));
         write_snapshot(&path, &[], &pairs).unwrap();
         assert_eq!(read_snapshot(&path).unwrap().pairs, pairs);
         let _ = std::fs::remove_file(&path);

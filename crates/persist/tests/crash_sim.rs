@@ -11,10 +11,9 @@
 // Test-only crate: shared helpers sit outside #[test] functions, so
 // clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use bytes::Bytes;
 use pequod_core::{DurableOp, Engine};
 use pequod_persist::{attach, recover, DataDir, FsyncPolicy, PersistOptions};
-use pequod_store::{Key, KeyRange};
+use pequod_store::{Key, KeyRange, Value};
 use std::fs;
 use std::path::PathBuf;
 
@@ -57,7 +56,7 @@ fn script() -> Vec<DurableOp> {
     ] {
         ops.push(DurableOp::Put(
             Key::from(format!("s|{u}|{p}")),
-            Bytes::from_static(b"1"),
+            Value::from_static(b"1"),
         ));
     }
     ops.push(DurableOp::AddJoin(FOLLOWERS.to_string()));
@@ -65,7 +64,7 @@ fn script() -> Vec<DurableOp> {
         let poster = ["bob", "liz", "dan"][(i % 3) as usize];
         ops.push(DurableOp::Put(
             Key::from(format!("p|{poster}|{:010}", 100 + i)),
-            Bytes::from(vec![b'v', (i & 0xff) as u8, 0x00, 0xff]),
+            Value::from(vec![b'v', (i & 0xff) as u8, 0x00, 0xff]),
         ));
         if i % 5 == 4 {
             let victim = ["bob", "liz", "dan"][((i / 5) % 3) as usize];
@@ -78,7 +77,7 @@ fn script() -> Vec<DurableOp> {
             // Overwrite an existing post: replay order matters.
             ops.push(DurableOp::Put(
                 Key::from(format!("p|bob|{:010}", 100 + i - 6)),
-                Bytes::from_static(b"edited"),
+                Value::from_static(b"edited"),
             ));
         }
     }
@@ -99,7 +98,7 @@ fn apply(engine: &mut Engine, ops: &[DurableOp]) {
 
 /// The full observable surface: every base and computed table, scanned
 /// whole, plus counts — byte-identical or bust.
-fn observe(engine: &mut Engine) -> Vec<(Key, Bytes)> {
+fn observe(engine: &mut Engine) -> Vec<(Key, Value)> {
     let mut out = Vec::new();
     for prefix in ["p|", "s|", "t|", "f|"] {
         out.extend(engine.scan(&KeyRange::prefix(prefix)).pairs);
@@ -130,7 +129,7 @@ fn every_truncation_point_recovers_a_clean_prefix() {
     // Reference engines for every possible surviving prefix, built
     // lazily; index k holds the observation after script()[..k].
     let script_ops = script();
-    let mut observations: Vec<Option<Vec<(Key, Bytes)>>> = vec![None; script_ops.len() + 1];
+    let mut observations: Vec<Option<Vec<(Key, Value)>>> = vec![None; script_ops.len() + 1];
 
     let work = Tmp::new("work");
     let wdir = DataDir::open(&work.0).unwrap();

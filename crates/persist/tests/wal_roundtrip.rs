@@ -10,9 +10,9 @@
 // so clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bytes::Bytes;
 use pequod_persist::{decode_record, encode_record, DurableOp};
 use pequod_store::Key;
+use pequod_store::Value;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -24,7 +24,7 @@ fn bytes_strategy() -> impl Strategy<Value = Vec<u8>> {
 fn op_strategy() -> BoxedStrategy<DurableOp> {
     prop_oneof![
         (bytes_strategy(), bytes_strategy())
-            .prop_map(|(k, v)| DurableOp::Put(Key::from(k), Bytes::from(v))),
+            .prop_map(|(k, v)| DurableOp::Put(Key::from(k), Value::from(v))),
         bytes_strategy().prop_map(|k| DurableOp::Remove(Key::from(k))),
         proptest::string::string_regex("[a-z|<>:0-9 =]{0,24}")
             .unwrap()
@@ -142,7 +142,7 @@ proptest! {
 fn oversized_header_is_an_error_not_an_allocation() {
     let mut buf = Vec::new();
     encode_record(
-        &DurableOp::Put(Key::from("p|a|1"), Bytes::from_static(b"v")),
+        &DurableOp::Put(Key::from("p|a|1"), Value::from_static(b"v")),
         &mut buf,
     );
     buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -150,7 +150,7 @@ fn oversized_header_is_an_error_not_an_allocation() {
     // And an in-bounds but wrong length trips the checksum instead.
     let mut buf2 = Vec::new();
     encode_record(
-        &DurableOp::Put(Key::from("p|a|1"), Bytes::from_static(b"v")),
+        &DurableOp::Put(Key::from("p|a|1"), Value::from_static(b"v")),
         &mut buf2,
     );
     encode_record(&DurableOp::Remove(Key::from("p|a|1")), &mut buf2);

@@ -17,7 +17,8 @@
 //! block touches no block.
 //!
 //! * **A block** keeps its keys apart from its values, in two
-//!   allocations. The values are a `Vec` of 32-byte handles. The keys
+//!   allocations. The values are a `Vec` of 16-byte [`Value`] handles
+//!   (a shared value's buffer is not the block's). The keys
 //!   share a prefix — always the longest common prefix of the block's
 //!   first and last key, read off the fence — and each is stored as its
 //!   *remainder* past it, in a *slot*: a length byte, then the remainder
@@ -31,12 +32,15 @@
 //!   remainders only, never the values; a scan rebuilds each key in
 //!   place on the stack for its visitor, with no allocation.
 //!   A key longer than a handle holds in place ([`IN_PLACE`], 30 bytes) is
-//!   kept as its shared handle after the values instead, so visiting it
-//!   allocates nothing either. The prefix and width change only when the
-//!   first, last or longest key does — an append or front insert that
-//!   shares less of the prefix, a front or back removal, a split or
-//!   merge — and then a block's slots are re-encoded: for an ascending
-//!   timeline, once per new leading time digit in the tail block.
+//!   kept as its shared handle instead, in a list of the block's own that
+//!   is made for the first such key and dropped with the last (a block
+//!   of short keys, every Twip block, pays one null pointer for it), so
+//!   visiting it allocates nothing either. The prefix and width change
+//!   only when the first, last or longest key does — an append or front
+//!   insert that shares less of the prefix, a front or back removal, a
+//!   split or merge — and then a block's slots are re-encoded: for an
+//!   ascending timeline, once per new leading time digit in the tail
+//!   block.
 //!
 //! * **Append** — [`Blocks::put`] first compares against the last key.
 //!   A greater key is pushed onto the tail block; a full tail is left
@@ -120,7 +124,7 @@
 //! With whole pairs the bytes bottomed out at 32: below it the per-block
 //! overhead showed (a 56-byte directory entry and an allocator header),
 //! above it the slack in every subtable's tail block did. With
-//! remainders a block's header is 88 bytes and two allocations, and 64
+//! remainders a block's header was 88 bytes and two allocations, and 64
 //! pairs keep 1.3 bytes a pair (2%) fewer than 32; the append and the
 //! cold mid-insert — a search over the slots and up to a block's values
 //! and slots moved — cost 12% and 25% more there, and the shuffled fill,
@@ -171,7 +175,7 @@
 
 use crate::key::Key;
 use crate::range::KeyRange;
-use crate::table::Value;
+use crate::value::Value;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -201,7 +205,7 @@ const CHUNK_BLOCKS: usize = if cfg!(test) { 4 } else { 128 };
 /// At most [`BLOCK_PAIRS`] pairs in key order, keys apart from values,
 /// and each key stored as its remainder past the prefix all of them
 /// share, in a slot as wide as the longest. Two allocations: the key
-/// bytes and the values.
+/// bytes and the values (two more while it holds a long key).
 struct Block {
     /// A copy of the first key. Its first `prefix` bytes begin every key.
     fence: Key,
@@ -210,8 +214,12 @@ struct Block {
     /// to rebuild in place, whose remainder is behind its handle), then
     /// the remainder, zero-padded to `width`.
     keys: Vec<u8>,
-    /// The values in key order, then the long keys' handles in key order.
+    /// The values in key order.
     values: Vec<Value>,
+    /// The long keys' handles in key order; `None` while there are none,
+    /// so that a block of short keys pays one pointer for them.
+    #[allow(clippy::box_collection)]
+    long: Option<Box<Vec<Key>>>,
     /// Length of the shared prefix: always the longest common prefix of
     /// the first and the last key, so it changes only when one of those
     /// does.
@@ -271,10 +279,10 @@ impl Fenced for Block {
         right.relayout(prefix, width);
         self.reserve_slots(self.len() + right.len());
         self.keys.extend_from_slice(&right.keys);
-        let long = self.values.split_off(self.len());
-        self.values.extend(right.values.drain(..right.len()));
-        self.values.extend(long);
         self.values.append(&mut right.values);
+        if let Some(long) = right.long {
+            self.longs_mut().extend(*long);
+        }
         self.len += right.len;
     }
 }
@@ -315,6 +323,21 @@ fn size_class(pairs: usize) -> usize {
     }
 }
 
+/// A block's list of long keys: `None` for an empty one.
+#[allow(clippy::box_collection)]
+fn boxed(long: Vec<Key>) -> Option<Box<Vec<Key>>> {
+    (!long.is_empty()).then(|| Box::new(long))
+}
+
+/// Drops the items whose bit is set in `gone`.
+fn drop_marked<T>(items: &mut Vec<T>, gone: u64) {
+    let mut at = 0;
+    items.retain(|_| {
+        at += 1;
+        gone >> (at - 1) & 1 == 0
+    });
+}
+
 /// Length of the longest common prefix of `a` and `b`.
 fn common_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
@@ -329,11 +352,8 @@ impl Block {
     fn starting_with(key: Key, value: Value, room: usize) -> Block {
         let class = size_class(room);
         let long = key.len() > IN_PLACE;
-        let mut values = Vec::with_capacity(class + usize::from(long));
+        let mut values = Vec::with_capacity(class);
         values.push(value);
-        if long {
-            values.push(key.bytes().clone());
-        }
         let mut keys = Vec::with_capacity(match class {
             1 => 1,
             _ => class * (1 + key.len().min(IN_PLACE) / 2),
@@ -345,6 +365,7 @@ impl Block {
             len: 1,
             keys,
             values,
+            long: long.then(|| Box::new(vec![key.clone()])),
             fence: key,
         }
     }
@@ -375,7 +396,7 @@ impl Block {
             match key.len() > IN_PLACE {
                 true => {
                     keys[at] = LONG;
-                    long.push(key.bytes().clone());
+                    long.push(key.clone());
                 }
                 false => {
                     keys[at] = (key.len() - prefix) as u8;
@@ -386,11 +407,11 @@ impl Block {
             values.push(value);
             fence.get_or_insert(key);
         }
-        values.append(&mut long);
         Block {
             fence: fence.unwrap_or_default(),
             keys,
             values,
+            long: boxed(long),
             prefix: prefix as u32,
             width: width as u8,
             len: m as u8,
@@ -418,12 +439,29 @@ impl Block {
         &self.keys[i * s..(i + 1) * s]
     }
 
+    /// The long keys' handles, in key order.
+    fn longs(&self) -> &[Key] {
+        self.long.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The long keys' handles, to change: a list is made for the first.
+    fn longs_mut(&mut self) -> &mut Vec<Key> {
+        self.long.get_or_insert_with(Box::default)
+    }
+
+    /// Gives up an emptied list of long keys.
+    fn tidy_longs(&mut self) {
+        if self.longs().is_empty() {
+            self.long = None;
+        }
+    }
+
     /// How many keys before `i` are long: where `i`'s handle sits among
     /// theirs, if it is long too. Free when the block holds no handles.
     fn rank(&self, i: usize) -> usize {
-        match self.values.len() == self.len() {
-            true => 0,
-            false => (0..i).filter(|&j| self.slot(j)[0] == LONG).count(),
+        match self.long {
+            None => 0,
+            Some(_) => (0..i).filter(|&j| self.slot(j)[0] == LONG).count(),
         }
     }
 
@@ -440,7 +478,7 @@ impl Block {
     /// A long key's bytes past the prefix, read through its handle.
     #[cold]
     fn long_rest(&self, i: usize) -> &[u8] {
-        &self.values[self.len() + self.rank(i)][self.prefix as usize..]
+        &self.longs()[self.rank(i)].as_bytes()[self.prefix as usize..]
     }
 
     /// Key `i`, rebuilt in place, or its shared handle if it is long.
@@ -462,7 +500,7 @@ impl Block {
         // is copied.
         let copied = head.min(IN_PLACE);
         template[..copied].copy_from_slice(&self.prefix()[..copied]);
-        let mut long = self.len() + self.rank(from);
+        let mut long = self.rank(from);
         let s = self.slot_len();
         (self.keys[from * s..to * s].chunks_exact(s))
             .zip(&self.values[from..to])
@@ -470,7 +508,7 @@ impl Block {
                 let key = match slot[0] {
                     LONG => {
                         long += 1;
-                        Key::from(self.values[long - 1].clone())
+                        self.longs()[long - 1].clone()
                     }
                     n => {
                         let mut bytes = template;
@@ -548,7 +586,7 @@ impl Block {
     /// than the current one: the current width grown by the bytes the
     /// prefix loses, or zero if every key is long.
     fn width_under(&self, to: usize) -> usize {
-        match self.values.len() < 2 * self.len() {
+        match self.longs().len() < self.len() {
             true => usize::from(self.width) + self.prefix as usize - to,
             false => 0,
         }
@@ -579,8 +617,8 @@ impl Block {
             }
         }
         if long {
-            let handle = self.len() + self.rank(at);
-            self.values.insert(handle, key.bytes().clone());
+            let rank = self.rank(at);
+            self.longs_mut().insert(rank, key.clone());
         }
         self.values.insert(at, value);
         self.len += 1;
@@ -603,10 +641,7 @@ impl Block {
         self.keys.resize(end + self.slot_len(), 0);
         self.keys[end] = rest.len() as u8;
         self.keys[end + 1..=end + rest.len()].copy_from_slice(rest);
-        match self.values.len() == held {
-            true => self.values.push(value),
-            false => self.values.insert(held, value),
-        }
+        self.values.push(value);
         self.len += 1;
     }
 
@@ -614,9 +649,11 @@ impl Block {
     /// last key, or its widest remainder, renews its fence, prefix and
     /// width.
     fn remove(&mut self, at: usize) -> Value {
-        let (held, s, n) = (self.len(), self.slot_len(), self.slot(at)[0]);
+        let (s, n) = (self.slot_len(), self.slot(at)[0]);
         if n == LONG {
-            self.values.remove(held + self.rank(at));
+            let rank = self.rank(at);
+            self.longs_mut().remove(rank);
+            self.tidy_longs();
         }
         self.keys.drain(at * s..(at + 1) * s);
         let value = self.values.remove(at);
@@ -647,6 +684,7 @@ impl Block {
             self.len = 0;
             self.keys.clear();
             self.values.clear();
+            self.long = None;
             return held;
         }
         let (mut kept, mut long, mut long_gone) = (0, 0, 0u64);
@@ -662,15 +700,11 @@ impl Block {
             }
         }
         self.keys.truncate(kept * s);
-        let mut at = 0;
-        self.values.retain(|_| {
-            let dropped = match at < held {
-                true => gone >> at,
-                false => long_gone >> (at - held),
-            };
-            at += 1;
-            dropped & 1 == 0
-        });
+        drop_marked(&mut self.values, gone);
+        if let Some(long) = &mut self.long {
+            drop_marked(long, long_gone);
+            self.tidy_longs();
+        }
         self.len = kept as u8;
         self.renew();
         gone.count_ones() as usize
@@ -682,18 +716,19 @@ impl Block {
     fn split_off(&mut self, at: usize) -> Block {
         let (held, s, prefix, width) = (self.len(), self.slot_len(), self.prefix, self.width);
         let fence = self.key(at);
-        let long = self.rank(at);
+        let rank = self.rank(at);
         let keys = self.keys[at * s..].to_vec();
         self.keys.truncate(at * s);
-        let mut values = self.values.split_off(at);
-        self.values
-            .extend(values.drain(held - at..held - at + long));
+        let values = self.values.split_off(at);
+        let long = (self.long.as_mut()).and_then(|long| boxed(long.split_off(rank)));
+        self.tidy_longs();
         self.len = at as u8;
         self.renew();
         let mut upper = Block {
             fence,
             keys,
             values,
+            long,
             prefix,
             width,
             len: (held - at) as u8,
@@ -755,6 +790,9 @@ impl Block {
     fn shrink(&mut self) {
         self.keys.shrink_to_fit();
         self.values.shrink_to_fit();
+        if let Some(long) = &mut self.long {
+            long.shrink_to_fit();
+        }
     }
 
     /// Problems with the encoding itself, which must be sound before a
@@ -787,11 +825,17 @@ impl Block {
         let long = (self.keys.chunks_exact(s))
             .filter(|slot| slot[0] == LONG)
             .count();
-        if self.values.len() != held + long {
+        if self.values.len() != held {
+            return Some(format!("{} values for {held} keys", self.values.len()));
+        }
+        if self.longs().len() != long {
             return Some(format!(
-                "{} handles for {held} keys, {long} long",
-                self.values.len()
+                "{} handles for {long} long keys",
+                self.longs().len()
             ));
+        }
+        if self.long.as_ref().is_some_and(|l| l.is_empty()) {
+            return Some("an empty list of long keys".to_string());
         }
         if widest.unwrap_or(0) != s - 1 {
             return Some(format!(
@@ -1292,12 +1336,12 @@ impl Blocks {
                 }
                 // Within a block keys compare as remainders: they share
                 // its prefix. A long key's handle must start with it.
-                let (mut long, mut last) = (held, None);
+                let (mut long, mut last) = (0, None);
                 for (i, slot) in block.keys.chunks_exact(block.slot_len()).enumerate() {
                     let rest = match slot[0] {
                         LONG => {
                             long += 1;
-                            let handle = &block.values[long - 1];
+                            let handle = &block.longs()[long - 1];
                             if handle.len() <= IN_PLACE || !handle.starts_with(block.prefix()) {
                                 problems.push(format!(
                                     "block {b}: key {handle:?} is held as a long handle under prefix {:?}",
@@ -1306,7 +1350,7 @@ impl Blocks {
                                 last = None;
                                 continue;
                             }
-                            &handle[block.prefix as usize..]
+                            &handle.as_bytes()[block.prefix as usize..]
                         }
                         n => &slot[1..=usize::from(n)],
                     };
@@ -1373,14 +1417,13 @@ impl Chunk {
 mod tests {
     use super::*;
     use crate::range::UpperBound;
-    use bytes::Bytes;
 
     fn key(n: usize) -> Key {
         Key::from(format!("t|ann|{n:06}"))
     }
 
     fn value(n: usize) -> Value {
-        Bytes::from(n.to_string().into_bytes())
+        Value::from(n.to_string().into_bytes())
     }
 
     /// Keys `0, 2, 4, …` appended in order: odd keys stay free for
@@ -1533,6 +1576,10 @@ mod tests {
         let list = only_list(&mut blocks);
         assert_eq!((list.len(), list.capacity()), (1, 1));
         assert!(list[0].values.capacity() <= 4);
+        // A block of short keys has no list of long ones: its header is
+        // the fence, two `Vec`s, one null pointer and three counts.
+        assert!(list[0].long.is_none());
+        assert_eq!(std::mem::size_of::<Block>(), 96);
     }
 
     #[test]

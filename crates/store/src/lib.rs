@@ -6,6 +6,9 @@
 //! * [`Key`] — byte-string keys (in place up to 30 bytes, refcounted
 //!   beyond) with the ordering helpers the cache-join machinery depends
 //!   on (`successor`, `prefix_end`).
+//! * [`Value`] — stored values, in a 16-byte handle: in place up to 14
+//!   bytes, one shared buffer beyond, so a `copy` join's outputs share
+//!   their source's bytes (§4.3).
 //! * [`KeyRange`] / [`UpperBound`] — half-open key ranges; every scan,
 //!   join status range, updater and subscription is one of these.
 //! * [`Store`] / [`Table`] — the layered tree structure of §4.1: a table
@@ -38,6 +41,7 @@ mod range;
 mod range_set;
 mod store;
 mod table;
+mod value;
 
 pub use interval_tree::{IntervalId, IntervalTree};
 pub use key::{Key, SEP};
@@ -45,7 +49,8 @@ pub use lru::{LruHandle, LruTracker};
 pub use range::{KeyRange, UpperBound};
 pub use range_set::RangeSet;
 pub use store::{Store, StoreConfig, StoreStats};
-pub use table::{Table, TableStats, Value};
+pub use table::{Table, TableStats};
+pub use value::Value;
 
 /// Compile-time thread-safety contract: everything an engine owns can
 /// move to a shard worker thread, and the shared-payload types (`Key`,
@@ -69,7 +74,6 @@ const _: () = {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bytes::Bytes;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, VecDeque};
 
@@ -80,6 +84,19 @@ mod proptests {
             0..6,
         )
         .prop_map(Key::from)
+    }
+
+    /// [`key_strat`], and a third of the time that key run out past the
+    /// 30 bytes a key is held in place up to.
+    fn stored_key_strat() -> impl Strategy<Value = Key> {
+        (key_strat(), 0..3usize, 31..40usize).prop_map(|(k, pick, len)| match pick {
+            0 => {
+                let mut long = k.as_bytes().to_vec();
+                long.resize(len, b'z');
+                Key::from(long)
+            }
+            _ => k,
+        })
     }
 
     fn range_strat() -> impl Strategy<Value = KeyRange> {
@@ -139,7 +156,8 @@ mod proptests {
         #[test]
         fn store_matches_btreemap(
             ops in proptest::collection::vec(
-                (0..3u8, key_strat(), proptest::collection::vec(any::<u8>(), 0..4)),
+                // Values from empty to past the 14 bytes held in place.
+                (0..3u8, stored_key_strat(), proptest::collection::vec(any::<u8>(), 0..48)),
                 1..60
             ),
             scan in range_strat()
@@ -149,7 +167,7 @@ mod proptests {
             for (op, key, val) in ops {
                 match op {
                     0 => {
-                        store.put(key.clone(), Bytes::from(val.clone()), false);
+                        store.put(key.clone(), Value::from(val.clone()), false);
                         model.insert(key, val);
                     }
                     1 => {
@@ -326,9 +344,13 @@ mod proptests {
         /// (an empty remainder), the bytes `0x00`, `0xff` and `|`, and —
         /// by the case's `shape` — lengths that straddle the 30 bytes a
         /// key is held in place up to, and 64-byte keys held as shared
-        /// handles. Probes and bounds include keys that share none of a
-        /// block's prefix, sorting below or past all of it, and bounds cut
-        /// inside a prefix.
+        /// handles (a block keeps those in a list of their own, which
+        /// splits, merges and range removals must carry along). Probes and
+        /// bounds include keys that share none of a block's prefix,
+        /// sorting below or past all of it, and bounds cut inside a
+        /// prefix. Values run from one byte to 47, across the 14 a value
+        /// holds in place, so that shared values are split, merged and
+        /// removed too.
         #[test]
         fn subtable_blocks_match_btreemap(
             ops in proptest::collection::vec(
@@ -465,7 +487,9 @@ mod proptests {
                 let puts: Vec<(Key, Value)> = (puts.into_iter())
                     .map(|k| {
                         stamp += 1;
-                        (k, Bytes::from(stamp.to_string().into_bytes()))
+                        let mut value = stamp.to_string().into_bytes();
+                        value.resize(value.len() + stamp as usize % 41, b'v');
+                        (k, Value::from(value))
                     })
                     .collect();
                 if op >= 13 {

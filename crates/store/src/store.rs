@@ -9,8 +9,8 @@
 
 use crate::key::Key;
 use crate::range::KeyRange;
-use crate::table::{Table, TableStats, Value};
-use bytes::Bytes;
+use crate::table::{Table, TableStats};
+use crate::value::Value;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -411,7 +411,7 @@ impl Store {
     pub fn put_str(&mut self, key: &str, value: &str) {
         self.put(
             Key::from(key),
-            Bytes::copy_from_slice(value.as_bytes()),
+            Value::copy_from_slice(value.as_bytes()),
             false,
         );
     }
@@ -466,13 +466,13 @@ mod tests {
     #[test]
     fn stats_track_bytes() {
         let mut s = Store::new_flat();
-        s.put(Key::from("a|1"), Bytes::from_static(b"xyz"), false);
+        s.put(Key::from("a|1"), Value::from_static(b"xyz"), false);
         assert_eq!(s.stats().keys, 1);
         assert_eq!(s.stats().key_bytes, 3);
         assert_eq!(s.stats().logical_value_bytes, 3);
         assert_eq!(s.stats().resident_value_bytes, 3);
         // shared copy: logical grows, resident does not
-        s.put(Key::from("b|1"), Bytes::from_static(b"xyz"), true);
+        s.put(Key::from("b|1"), Value::from_static(b"xyz"), true);
         assert_eq!(s.stats().logical_value_bytes, 6);
         assert_eq!(s.stats().resident_value_bytes, 3);
         s.remove(&Key::from("a|1"), false);
@@ -485,7 +485,7 @@ mod tests {
     /// shared value must leave the original's bytes counted.
     #[test]
     fn removing_a_shared_copy_leaves_the_original_resident() {
-        let tweet = Bytes::from(vec![b'x'; 50]);
+        let tweet = Value::from(vec![b'x'; 50]);
         let mut s = Store::new_flat();
         s.put(Key::from("p|bob|1"), tweet.clone(), false);
         s.put(Key::from("t|ann|1|bob"), tweet.clone(), true);
@@ -524,7 +524,7 @@ mod tests {
             ("u|x", "twice in one run"),
         ]
         .into_iter()
-        .map(|(k, v)| (Key::from(k), Bytes::from_static(v.as_bytes())))
+        .map(|(k, v)| (Key::from(k), Value::from_static(v.as_bytes())))
         .collect();
         let (mut one_by_one, mut as_run) = (sample(), sample());
         let mut want = Vec::new();
@@ -550,8 +550,8 @@ mod tests {
     #[test]
     fn replace_updates_byte_accounting() {
         let mut s = Store::new_flat();
-        s.put(Key::from("a|1"), Bytes::from_static(b"xx"), false);
-        s.put(Key::from("a|1"), Bytes::from_static(b"yyyy"), false);
+        s.put(Key::from("a|1"), Value::from_static(b"xx"), false);
+        s.put(Key::from("a|1"), Value::from_static(b"yyyy"), false);
         assert_eq!(s.stats().keys, 1);
         assert_eq!(s.stats().logical_value_bytes, 4);
         assert_eq!(s.stats().resident_value_bytes, 4);

@@ -16,11 +16,12 @@
 //! each storing its keys apart from its values as remainders past the
 //! prefix they share, in equal slots, where an append is a compare with
 //! the last key and a push, anything else is two binary searches and a
-//! memmove within one block, and a Twip timeline pair costs ≈49 bytes
-//! (≈66 while a pair was two whole handles; ≈120 in a half-full B-tree
-//! leaf). A subtable is one — small, and written almost only at its end
-//! (an eager `copy` update carries the newest timestamp). A flat table is
-//! one too, however large and in whatever order its keys arrive (`s|`
+//! memmove within one block, and a Twip timeline pair costs ≈33 bytes:
+//! a 16-byte [`Value`] handle and its key's remainder (≈49 while a value
+//! was a 32-byte handle, ≈66 while a pair was two of them; ≈120 in a
+//! half-full B-tree leaf). A subtable is one — small, and written almost
+//! only at its end (an eager `copy` update carries the newest
+//! timestamp). A flat table is one too, however large and in whatever order its keys arrive (`s|`
 //! rows are bulk-loaded in key order and then subscribed to at random):
 //! past 128 blocks the directory grows a second level, so a block added
 //! in the middle of a million rows moves one chunk of directory entries,
@@ -33,14 +34,10 @@
 use crate::blocks::Blocks;
 use crate::key::Key;
 use crate::range::KeyRange;
-use bytes::Bytes;
+use crate::value::Value;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeSet;
 use std::ops::Bound;
-
-/// A stored value. Values are refcounted byte strings; the `copy`
-/// operator shares one buffer across many output keys (§4.3).
-pub type Value = Bytes;
 
 enum Repr {
     /// One ordered container for the whole table.
@@ -536,16 +533,16 @@ mod tests {
             "t|liz",
             "t|zed|999|ann",
         ] {
-            t.put(Key::from(k), Bytes::from_static(b"v"));
+            t.put(Key::from(k), Value::from_static(b"v"));
         }
     }
 
     #[test]
     fn flat_basic_ops() {
         let mut t = Table::new_flat();
-        assert!(t.put(Key::from("a|1"), Bytes::from_static(b"x")).is_none());
+        assert!(t.put(Key::from("a|1"), Value::from_static(b"x")).is_none());
         assert_eq!(
-            t.put(Key::from("a|1"), Bytes::from_static(b"y")).as_deref(),
+            t.put(Key::from("a|1"), Value::from_static(b"y")).as_deref(),
             Some(&b"x"[..])
         );
         assert_eq!(t.len(), 1);
@@ -619,8 +616,8 @@ mod tests {
     #[test]
     fn short_keys_route_to_own_subtable() {
         let mut t = Table::new_split(2);
-        t.put(Key::from("t|liz"), Bytes::from_static(b"v"));
-        t.put(Key::from("t|liz|1"), Bytes::from_static(b"w"));
+        t.put(Key::from("t|liz"), Value::from_static(b"v"));
+        t.put(Key::from("t|liz|1"), Value::from_static(b"w"));
         // "t|liz" (2 components) and "t|liz|" are distinct subtables but
         // scans must interleave them correctly.
         assert_eq!(

@@ -11,7 +11,6 @@
 //! under an upper level".
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use bytes::Bytes;
 use pequod_store::{Key, KeyRange, Store, StoreConfig, Value};
 use std::collections::BTreeMap;
 
@@ -31,7 +30,7 @@ struct Pair {
 impl Pair {
     fn put(&mut self, k: Key) {
         self.stamp += 1;
-        let v = Bytes::from(self.stamp.to_string().into_bytes());
+        let v = Value::from(self.stamp.to_string().into_bytes());
         assert_eq!(
             self.store.put(k.clone(), v.clone(), false),
             self.model.insert(k, v)

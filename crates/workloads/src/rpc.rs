@@ -127,16 +127,15 @@ impl RpcMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     #[test]
     fn meter_counts_and_sizes() {
         let mut m = RpcMeter::new();
-        m.put(&Key::from("p|bob|1"), &Bytes::from_static(b"Hi"));
+        m.put(&Key::from("p|bob|1"), &Value::from_static(b"Hi"));
         assert_eq!(m.rpcs, 1);
         let b1 = m.bytes;
         assert!(b1 > 10);
-        m.get_with_reply(&Key::from("k"), Some(&Bytes::from_static(b"v")));
+        m.get_with_reply(&Key::from("k"), Some(&Value::from_static(b"v")));
         assert_eq!(m.rpcs, 3);
         assert!(m.bytes > b1);
     }
@@ -145,8 +144,8 @@ mod tests {
     fn bigger_payloads_cost_more() {
         let mut a = RpcMeter::new();
         let mut b = RpcMeter::new();
-        a.put(&Key::from("k"), &Bytes::from_static(b"x"));
-        b.put(&Key::from("k"), &Bytes::from(vec![b'x'; 1000]));
+        a.put(&Key::from("k"), &Value::from_static(b"x"));
+        b.put(&Key::from("k"), &Value::from(vec![b'x'; 1000]));
         assert!(b.bytes > a.bytes + 900);
     }
 }

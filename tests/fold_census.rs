@@ -6,13 +6,50 @@
 use pequod::core::Engine;
 use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
 use pequod::persist::{attach, recover, FsyncPolicy, PersistOptions};
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-fn fold_threads() -> usize {
+/// The `/proc/self/task` entries of this process's folder threads.
+fn fold_tasks() -> Vec<PathBuf> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == "pequod-fold")
-        .count()
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+            (comm.trim_end() == "pequod-fold").then_some(task)
+        })
+        .collect()
+}
+
+fn fold_threads() -> usize {
+    fold_tasks().len()
+}
+
+/// How many folder threads there are once `want` of them are listed, or
+/// after ten seconds. A thread names itself as it starts, so one just
+/// spawned can be listed under its parent's name for a moment.
+fn fold_threads_settled(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let n = fold_threads();
+        if n == want || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Waits until the threads behind `tasks`, which their owner has
+/// joined, have left `/proc/self/task`. A joined thread can still be
+/// listed for a moment: `join` returns when the kernel clears the
+/// exiting thread's id, before it removes the thread's task entry. A
+/// thread nobody joined stays listed and fails the wait with `what`.
+fn wait_reaped(tasks: &[PathBuf], what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while tasks.iter().any(|task| task.exists()) {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -27,14 +64,16 @@ fn a_durable_server_runs_one_folder_and_none_after_shutdown() {
     attach(&mut engine, &dir, opts).unwrap();
     let mut server =
         FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
-    assert_eq!(fold_threads(), 1);
+    assert_eq!(fold_threads_settled(1), 1);
     // Seals every 16 records fold on that one thread.
     let mut client = TcpClient::connect(server.addr()).unwrap();
     for i in 0..100 {
         client.put(format!("p|u{:02}|{i:010}", i % 7), "v").unwrap();
     }
-    assert_eq!(fold_threads(), 1);
+    let folders = fold_tasks();
+    assert_eq!(folders.len(), 1);
     server.shutdown_finalize();
+    wait_reaped(&folders, "a folder outlived shutdown");
     assert_eq!(fold_threads(), 0, "a folder outlived shutdown");
     let rec = recover(&dir).unwrap();
     assert_eq!((rec.pairs.len(), rec.ops.len()), (100, 0));

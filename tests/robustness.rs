@@ -28,7 +28,7 @@ proptest! {
         let msg = Message::Put {
             id: 9,
             key: Key::from("p|bob|0000000100"),
-            value: bytes::Bytes::from_static(b"fragmented"),
+            value: Value::from_static(b"fragmented"),
         };
         let frame = encode_frame(&msg);
         let split = split.min(frame.len() - 1);

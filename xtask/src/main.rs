@@ -10,6 +10,8 @@
 //!   bench binary's `--json` flag emits against the shared row schema
 //!   (see `bench_index.rs`), so field names can never drift apart
 //!   between binaries again.
+//! * `lines` — the first-party line ledger: non-test lines per source
+//!   root and in total (see `lines.rs`).
 //!
 //! Rules (see `docs/CORRECTNESS.md` for the full contract):
 //!
@@ -54,6 +56,7 @@ use std::path::{Path, PathBuf};
 
 mod bench_index;
 mod lexer;
+mod lines;
 mod rules;
 mod selftest;
 
@@ -92,9 +95,11 @@ fn main() {
         Some("audit") if args.iter().any(|a| a == "--self-test") => selftest::run(),
         Some("audit") => run_audit(),
         Some("bench-index") => bench_index::run(&args[1..]),
+        Some("lines") => lines::run(&args[1..]),
         _ => {
             eprintln!("usage: cargo xtask audit [--self-test]");
             eprintln!("       cargo xtask bench-index [BENCH_*.json ...]");
+            eprintln!("       cargo xtask lines [ROOT]");
             2
         }
     };
