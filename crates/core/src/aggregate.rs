@@ -8,7 +8,7 @@
 //! the current extremum is retracted, which forces recomputation.
 
 use pequod_join::Operator;
-use pequod_store::Value;
+use pequod_store::{Value, ValueRef};
 
 /// Parses a value as a decimal integer; malformed values count as 0
 /// (lenient, like SQL's ignore-NULL aggregates over a stringly store).
@@ -37,12 +37,12 @@ pub enum Accumulator {
 
 impl Accumulator {
     /// Starts an accumulator for `op` from the first contribution.
-    pub fn start(op: Operator, v: &Value) -> Accumulator {
+    pub fn start(op: Operator, v: ValueRef<'_>) -> Accumulator {
         match op {
             Operator::Count => Accumulator::Count(1),
-            Operator::Sum => Accumulator::Sum(parse_num(v)),
-            Operator::Min => Accumulator::Min(v.clone()),
-            Operator::Max => Accumulator::Max(v.clone()),
+            Operator::Sum => Accumulator::Sum(parse_num(&v)),
+            Operator::Min => Accumulator::Min(v.to_value()),
+            Operator::Max => Accumulator::Max(v.to_value()),
             // audit: allow(no-unwrap) — callers gate on is_aggregate();
             // a copy/check operator here is a planner bug, not bad input.
             _ => panic!("not an aggregate operator: {op}"),
@@ -50,18 +50,18 @@ impl Accumulator {
     }
 
     /// Folds another contribution in.
-    pub fn fold(&mut self, v: &Value) {
+    pub fn fold(&mut self, v: ValueRef<'_>) {
         match self {
             Accumulator::Count(n) => *n += 1,
-            Accumulator::Sum(n) => *n += parse_num(v),
+            Accumulator::Sum(n) => *n += parse_num(&v),
             Accumulator::Min(m) => {
-                if v < m {
-                    *m = v.clone();
+                if v.as_bytes() < &m[..] {
+                    *m = v.to_value();
                 }
             }
             Accumulator::Max(m) => {
-                if v > m {
-                    *m = v.clone();
+                if v.as_bytes() > &m[..] {
+                    *m = v.to_value();
                 }
             }
         }
@@ -95,11 +95,11 @@ mod tests {
     fn count_and_sum_fold() {
         let v1 = Value::from_static(b"10");
         let v2 = Value::from_static(b"32");
-        let mut c = Accumulator::start(Operator::Count, &v1);
-        c.fold(&v2);
+        let mut c = Accumulator::start(Operator::Count, v1.view());
+        c.fold(v2.view());
         assert_eq!(c.finish(), fmt_num(2));
-        let mut s = Accumulator::start(Operator::Sum, &v1);
-        s.fold(&v2);
+        let mut s = Accumulator::start(Operator::Sum, v1.view());
+        s.fold(v2.view());
         assert_eq!(s.finish(), fmt_num(42));
     }
 
@@ -107,17 +107,17 @@ mod tests {
     fn min_max_fold_lexicographically() {
         let a = Value::from_static(b"apple");
         let b = Value::from_static(b"banana");
-        let mut m = Accumulator::start(Operator::Min, &b);
-        m.fold(&a);
+        let mut m = Accumulator::start(Operator::Min, b.view());
+        m.fold(a.view());
         assert_eq!(m.finish(), a);
-        let mut m = Accumulator::start(Operator::Max, &a);
-        m.fold(&b);
+        let mut m = Accumulator::start(Operator::Max, a.view());
+        m.fold(b.view());
         assert_eq!(m.finish(), b);
     }
 
     #[test]
     #[should_panic(expected = "not an aggregate")]
     fn copy_is_not_an_aggregate() {
-        Accumulator::start(Operator::Copy, &Value::new());
+        Accumulator::start(Operator::Copy, Value::new().view());
     }
 }

@@ -422,7 +422,7 @@ impl Engine {
         let mut pairs = Vec::new();
         self.store.scan(&KeyRange::all(), |k, v| {
             if durable_base(specs, authority, k) {
-                pairs.push((k.clone(), v.clone()));
+                pairs.push((k.clone(), v.to_value()));
             }
             true
         });
@@ -909,7 +909,7 @@ impl Engine {
                 self.stats.hint_hits += 1;
                 Some(n)
             }
-            None => self.store.peek(&out_key).map(|v| parse_num(v)),
+            None => self.store.peek(&out_key).map(|v| parse_num(&v)),
         };
         let newv = cur.unwrap_or(0) + delta;
         let remove_group = op == Operator::Count && newv <= 0;
@@ -942,7 +942,7 @@ impl Engine {
                 _ => unreachable!(),
             }
         };
-        let cur = self.store.peek(&out_key).cloned();
+        let cur = self.store.peek(&out_key).map(|v| v.to_value());
         self.stats.eager_updates += 1;
         match kind {
             WriteKind::Insert => {
@@ -1067,7 +1067,7 @@ mod tests {
 
         let mut stored = Vec::new();
         e.store()
-            .for_each(|k, v| stored.push((k.clone(), v.clone())));
+            .for_each(|k, v| stored.push((k.clone(), v.to_value())));
         assert!(stored.iter().any(|(k, _)| k.starts_with(b"t|")));
         assert!(stored.iter().any(|(k, _)| k.starts_with(b"r|")));
         let want: Vec<(Key, Value)> = (stored.into_iter())

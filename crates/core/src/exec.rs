@@ -9,7 +9,7 @@ use crate::status::{JsState, LoggedMod, Segment};
 use crate::types::{CountResult, JsId, ScanResult, WriteKind};
 use crate::updater::UpdaterEntry;
 use pequod_join::{containing_range, Bindings, JoinSpec, Maintenance, Operator, SlotId, SlotSet};
-use pequod_store::{Key, KeyRange, LruTracker, Store, Value};
+use pequod_store::{Key, KeyRange, LruTracker, Store, Value, ValueRef};
 use pequod_telemetry::OpKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -41,7 +41,7 @@ impl Engine {
     /// ranges that must be fetched for a complete answer (§3.3).
     pub fn scan(&mut self, range: &KeyRange) -> ScanResult {
         let mut pairs = Vec::new();
-        let missing = self.scan_with(range, |k, v| pairs.push((k.clone(), v.clone())));
+        let missing = self.scan_with(range, |k, v| pairs.push((k.clone(), v.to_value())));
         ScanResult { pairs, missing }
     }
 
@@ -49,14 +49,14 @@ impl Engine {
     /// validates now, visits lazily. Every overlapping join is executed
     /// or validated first; then `visit` sees each pair of the range by
     /// reference, in key order, straight out of the store (or out of the
-    /// merged overlay when a pull join overlaps) — nothing is cloned on
-    /// the caller's behalf. Returns the base ranges that must be fetched
-    /// for a complete answer; pairs are visited even when it is
-    /// non-empty, as `scan` returns them.
+    /// merged overlay when a pull join overlaps), its value lent as a
+    /// [`ValueRef`] — nothing is cloned on the caller's behalf. Returns
+    /// the base ranges that must be fetched for a complete answer; pairs
+    /// are visited even when it is non-empty, as `scan` returns them.
     pub fn scan_with(
         &mut self,
         range: &KeyRange,
-        mut visit: impl FnMut(&Key, &Value),
+        mut visit: impl FnMut(&Key, ValueRef<'_>),
     ) -> Vec<KeyRange> {
         self.stats.scans += 1;
         let timer = self.recorder.timer();
@@ -94,10 +94,10 @@ impl Engine {
             }),
             Some(mut map) => {
                 self.store.scan(range, |k, v| {
-                    map.entry(k.clone()).or_insert_with(|| v.clone());
+                    map.entry(k.clone()).or_insert_with(|| v.to_value());
                     true
                 });
-                map.iter().for_each(|(k, v)| visit(k, v));
+                map.iter().for_each(|(k, v)| visit(k, v.view()));
             }
         }
         // Enforce the memory cap only after the last visit: reads
@@ -352,7 +352,7 @@ impl Engine {
         let count = self.store.remove_range(range, shared, |k, v| {
             let ours = spec.output.matches(k, slots);
             if ours && watched {
-                removed.push((k.clone(), v.clone()));
+                removed.push((k.clone(), v.to_value()));
             }
             ours
         });
@@ -439,7 +439,13 @@ impl Engine {
             paranoid: self.config.paranoid,
             undo: Vec::with_capacity(4),
         };
-        self.exec_level(&mut ctx, 0, &mut slots, value0.as_ref(), missing);
+        self.exec_level(
+            &mut ctx,
+            0,
+            &mut slots,
+            value0.as_ref().map(Value::view),
+            missing,
+        );
         let ExecCtx {
             out,
             aggs,
@@ -468,7 +474,7 @@ impl Engine {
         ctx: &mut ExecCtx<'_>,
         level: usize,
         slots: &mut SlotSet,
-        captured: Option<&Value>,
+        captured: Option<ValueRef<'_>>,
         missing: &mut Vec<KeyRange>,
     ) {
         if level >= ctx.in_place_from {
@@ -486,9 +492,14 @@ impl Engine {
             return;
         };
         for (k, v) in &self.collect_source(ctx.jidx, &crange, missing) {
-            ctx.matching(level, k, v, slots, captured, |ctx, slots, captured| {
-                self.exec_level(ctx, level + 1, slots, captured, missing)
-            });
+            ctx.matching(
+                level,
+                k,
+                v.view(),
+                slots,
+                captured,
+                |ctx, slots, captured| self.exec_level(ctx, level + 1, slots, captured, missing),
+            );
         }
     }
 
@@ -521,13 +532,13 @@ impl Engine {
         if overlay.is_empty() {
             let mut pairs = Vec::new();
             self.store.visit(crange, |k, v| {
-                pairs.push((k.clone(), v.clone()));
+                pairs.push((k.clone(), v.to_value()));
                 true
             });
             return pairs;
         }
         self.store.visit(crange, |k, v| {
-            overlay.entry(k.clone()).or_insert_with(|| v.clone());
+            overlay.entry(k.clone()).or_insert_with(|| v.to_value());
             true
         });
         overlay.into_iter().collect()
@@ -597,7 +608,7 @@ impl Engine {
         match m.kind {
             WriteKind::Insert | WriteKind::Update => {
                 let value = if m.source_idx == vsrc {
-                    match self.store.peek(&m.key).cloned() {
+                    match self.store.peek(&m.key).map(|v| v.to_value()) {
                         Some(v) => Some(v),
                         None => return, // key vanished since logging
                     }
@@ -854,7 +865,7 @@ impl BaseData<'_> {
         ctx: &mut ExecCtx<'_>,
         level: usize,
         slots: &mut SlotSet,
-        captured: Option<&Value>,
+        captured: Option<ValueRef<'_>>,
         missing: &mut Vec<KeyRange>,
     ) {
         if level == ctx.spec.sources.len() {
@@ -931,14 +942,14 @@ impl ExecCtx<'_> {
     /// If source `level`'s pattern matches `key` consistently with
     /// `slots`, runs `nested` under the widened bindings — with `value`
     /// captured if this is the value source — and undoes them.
-    fn matching(
+    fn matching<'v>(
         &mut self,
         level: usize,
         key: &Key,
-        value: &Value,
+        value: ValueRef<'v>,
         slots: &mut SlotSet,
-        captured: Option<&Value>,
-        nested: impl FnOnce(&mut Self, &mut SlotSet, Option<&Value>),
+        captured: Option<ValueRef<'v>>,
+        nested: impl FnOnce(&mut Self, &mut SlotSet, Option<ValueRef<'v>>),
     ) {
         let mark = self.undo.len();
         let pattern = &self.spec.sources[level].pattern;
@@ -956,7 +967,7 @@ impl ExecCtx<'_> {
     }
 
     /// Every source matched: the output pair, if it lies in the clip.
-    fn emit(&mut self, slots: &SlotSet, captured: Option<&Value>) {
+    fn emit(&mut self, slots: &SlotSet, captured: Option<ValueRef<'_>>) {
         let (Some(out_key), Some(v)) = (self.spec.output.expand(slots), captured) else {
             return;
         };
@@ -970,7 +981,7 @@ impl ExecCtx<'_> {
                 .and_modify(|a| a.fold(v))
                 .or_insert_with(|| Accumulator::start(op, v));
         } else {
-            self.out.push((out_key, v.clone()));
+            self.out.push((out_key, v.to_value()));
         }
     }
 }

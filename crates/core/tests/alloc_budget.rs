@@ -8,9 +8,9 @@
 //! warmed 500-user Twip engine and fails when a change reintroduces a
 //! per-entry or per-check clone, so the regression shows up here rather
 //! than in a benchmark. It also counts live bytes, to hold the density
-//! of the store's subtable blocks: an appended timeline pair is a
-//! 16-byte value handle and the bytes its key does not share with its
-//! block's neighbours, ≈33 bytes in all.
+//! of the store's subtable blocks: an appended timeline pair is an
+//! 8-byte pointer to its shared tweet and a slot of the bytes its key
+//! does not share with its block's neighbours, ≈26 bytes in all.
 //!
 //! The same counters hold what a cold login leaves behind — a status
 //! range, its updater entries, their handles — and what a bulk-loaded
@@ -197,13 +197,15 @@ fn an_eager_update_costs_less_than_one_allocation() {
 /// Posts arrive in time order, so every eager update lands at the end of
 /// its timeline's subtable. 2500 posts add 100 pairs to each of the 500
 /// timelines; what stays allocated afterwards, per update, is the pair's
-/// 16-byte value handle and key slot, its share of block and directory
+/// slot (its key's remainder and length, its value's code), an 8-byte
+/// pointer to the shared tweet, its share of block and directory
 /// overhead and of the growing tail, and a twentieth of the post's own
 /// `p|` pair (the tweet buffers the timelines share were allocated
-/// beforehand): 32.9 bytes (49.1 while a value was a 32-byte handle,
-/// 67.6 while a pair was two of them).
+/// beforehand): 25.7 bytes (32.9 while a block held a 16-byte value
+/// handle a pair, 49.1 while a value was a 32-byte handle, 67.6 while a
+/// pair was two of them).
 #[test]
-fn an_eager_update_leaves_at_most_36_bytes() {
+fn an_eager_update_leaves_at_most_28_bytes() {
     let (mut engine, start) = warmed_twip();
     let posts: Vec<(Key, Value)> = (0..2500u32)
         .map(|i| post((i * 7) % USERS, start + u64::from(i)))
@@ -218,8 +220,8 @@ fn an_eager_update_leaves_at_most_36_bytes() {
     assert_eq!(updates, 2500 * u64::from(FOLLOWS));
     let per_update = bytes as f64 / updates as f64;
     assert!(
-        per_update <= 36.0,
-        "{bytes} bytes stayed live after {updates} eager updates = {per_update:.1} each (budget 36)"
+        per_update <= 28.0,
+        "{bytes} bytes stayed live after {updates} eager updates = {per_update:.1} each (budget 28)"
     );
 }
 
@@ -285,14 +287,15 @@ fn binding_a_slot_performs_no_allocation() {
 
 /// The subscription table is flat — one ordered container for all
 /// 10,000 rows: loaded in key order, the rows sit in full blocks, and
-/// what stays allocated per row is its 16-byte value handle, a slot of
-/// the 2 or 3 bytes of `s|user|poster` its block's shared prefix leaves
-/// and their length, plus a thirty-second of a block's directory entry:
-/// 30.4 bytes. (46.1 while a value was a 32-byte handle, 65.9 while a row
-/// was two of them; a B-tree loaded in key order leaves every leaf half
-/// empty: 122 bytes a row.)
+/// what stays allocated per row is one slot — the 2 or 3 bytes of
+/// `s|user|poster` its block's shared prefix leaves and their length,
+/// the value `"1"` and its length — plus a thirty-second of a block's
+/// directory entry; the block has no pointer column: 16.4 bytes. (30.4
+/// while a block held a 16-byte value handle a row, 46.1 while a value
+/// was a 32-byte handle, 65.9 while a row was two of them; a B-tree
+/// loaded in key order leaves every leaf half empty: 122 bytes a row.)
 #[test]
-fn a_bulk_loaded_flat_row_costs_at_most_33_bytes() {
+fn a_bulk_loaded_flat_row_costs_at_most_18_bytes() {
     let mut engine = twip();
     let rows = subscriptions();
     let (bytes, ()) = live_bytes_in(|| {
@@ -303,8 +306,8 @@ fn a_bulk_loaded_flat_row_costs_at_most_33_bytes() {
     assert_eq!(engine.store().audit(), Vec::<String>::new());
     let per_row = bytes as f64 / rows.len() as f64;
     assert!(
-        per_row <= 33.0,
-        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 33)",
+        per_row <= 18.0,
+        "{bytes} bytes stayed live after {} rows = {per_row:.1} each (budget 18)",
         rows.len()
     );
 }
@@ -313,12 +316,14 @@ fn a_bulk_loaded_flat_row_costs_at_most_33_bytes() {
 /// time order: 400 pairs of 30-byte keys, every one of them sharing its
 /// first 16 bytes (`t|u0000012|00000`), over one shared tweet buffer. A
 /// block stores the prefix its keys share once and each key's remaining
-/// bytes apart from its value, so a pair is its 16-byte value handle, a
-/// slot of ≈12 key bytes and their length, plus its share of the block
-/// headers: 33.1 bytes (48.8 while a value was a 32-byte handle, 66.2
-/// while a pair was two of them).
+/// bytes in a slot with its value's code, and the tweet as an 8-byte
+/// pointer in a column of its own, so a pair is a slot of ≈12 key bytes,
+/// their length and the code, the pointer, and its share of the block
+/// headers: 26.1 bytes (33.1 while a block held a 16-byte value handle a
+/// pair, 48.8 while a value was a 32-byte handle, 66.2 while a pair was
+/// two of them).
 #[test]
-fn an_appended_timeline_pair_costs_at_most_36_bytes() {
+fn an_appended_timeline_pair_costs_at_most_29_bytes() {
     let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
     // Another timeline first, so that the table itself is not counted.
     store.put(timeline_since(1, 0).first, Value::from_static(b"1"), false);
@@ -338,20 +343,21 @@ fn an_appended_timeline_pair_costs_at_most_36_bytes() {
     assert_eq!(store.audit(), Vec::<String>::new());
     let per_pair = bytes as f64 / pairs.len() as f64;
     assert!(
-        per_pair <= 36.0,
-        "{bytes} bytes stayed live after {} pairs = {per_pair:.1} each (budget 36)",
+        per_pair <= 29.0,
+        "{bytes} bytes stayed live after {} pairs = {per_pair:.1} each (budget 29)",
         pairs.len()
     );
 }
 
 /// Most subtables of a cold cache hold a pair or two. What one costs
 /// beside its index entries is its directory of one block and that
-/// block's two allocations, the value and the key bytes, which hold only
-/// the key's length byte: a lone key is all prefix. Measured 292.9 (300.9
+/// block's one allocation, its slot: the key's length byte (a lone key is
+/// all prefix) and the in-place value `"1"` with its length. Measured
+/// 278.9 (292.9 while a block held a 16-byte value handle a pair, 300.9
 /// while a value was a 32-byte handle, 299.9 while a block held whole
 /// pairs; almost all of it is the subtable index and its growth).
 #[test]
-fn a_one_pair_subtable_costs_at_most_322_bytes() {
+fn a_one_pair_subtable_costs_at_most_307_bytes() {
     let mut store = Store::new(StoreConfig::flat().with_subtable("t|", 2));
     store.put(Key::from("t|"), Value::from_static(b"1"), false);
     let keys: Vec<Key> = (0..1000)
@@ -364,8 +370,8 @@ fn a_one_pair_subtable_costs_at_most_322_bytes() {
     });
     let per_subtable = bytes as f64 / keys.len() as f64;
     assert!(
-        per_subtable <= 322.0,
-        "{bytes} bytes stayed live after {} one-pair subtables = {per_subtable:.1} each (budget 322)",
+        per_subtable <= 307.0,
+        "{bytes} bytes stayed live after {} one-pair subtables = {per_subtable:.1} each (budget 307)",
         keys.len()
     );
 }

@@ -110,7 +110,7 @@ fn scan_with_visits_scans_pairs_under_a_memory_cap() {
         for u in 0..60u32 {
             let range = KeyRange::prefix(format!("t|u{u:03}|"));
             let mut seen = Vec::new();
-            let missing = streamed.scan_with(&range, |k, v| seen.push((k.clone(), v.clone())));
+            let missing = streamed.scan_with(&range, |k, v| seen.push((k.clone(), v.to_value())));
             let want = collected.scan(&range);
             assert!(missing.is_empty() && want.is_complete());
             assert_eq!(seen, want.pairs, "round {round} user {u}");
@@ -298,7 +298,7 @@ fn stored(e: &Engine, table: &str) -> Vec<String> {
     let mut rows = Vec::new();
     e.store().for_each(|k, v| {
         if k.starts_with(table.as_bytes()) {
-            rows.push(format!("{k}={}", String::from_utf8_lossy(v)));
+            rows.push(format!("{k}={}", String::from_utf8_lossy(&v)));
         }
     });
     rows
@@ -447,3 +447,86 @@ fn split_nth_survives_budgets_smaller_than_the_shard_count() {
         vec![1, 1, 1, 0, 0]
     );
 }
+
+/// What the cap is held against is the logical estimate
+/// (`Engine::memory_bytes`: key and value bytes and the engine's own
+/// bookkeeping), never the layout of the store's blocks, so a layout
+/// change moves no eviction. This pins that: a seeded Twip stream of 600
+/// users under a cap well below its working set, with the estimate and
+/// the eviction count folded into one digest after every operation. The
+/// digest was taken before values moved into their blocks' slots and
+/// pointer columns, and must read the same after any change that only
+/// lays bytes out differently.
+#[test]
+fn the_eviction_trace_does_not_depend_on_the_layout() {
+    const USERS: u64 = 600;
+    const OPS: usize = 2500;
+    // xorshift64*: the stream is a function of the seed alone.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |n: u64| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    };
+    let store = StoreConfig::flat()
+        .with_subtable("t|", 2)
+        .with_subtable("p|", 2);
+    let mut e = Engine::new(EngineConfig {
+        mem_limit: Some(MemoryLimit::new(CAP)),
+        ..EngineConfig::with_store(store)
+    });
+    e.add_join_text(TIMELINE).unwrap();
+    let user = |u: u64| format!("u{u:04}");
+    // A 49-byte tweet, the benchmark's length.
+    let tweet = |p: u64, t: u64| format!("tweet {t:010} from {} padded to forty-nine!", user(p));
+    for u in 0..USERS {
+        for _ in 0..8 {
+            let poster = next(USERS);
+            e.put(format!("s|{}|{}", user(u), user(poster)), "1");
+        }
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |e: &Engine| {
+        let words = [e.memory_bytes() as u64, e.engine_stats().js_evictions];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for time in 0..OPS as u64 {
+        let u = next(USERS);
+        match next(100) {
+            0..=29 => {
+                e.scan(&KeyRange::prefix(format!("t|{}|", user(u))));
+            }
+            30..=84 => {
+                let since = time.saturating_sub(200);
+                let from = format!("t|{}|{since:010}", user(u));
+                e.scan(&KeyRange::new(from, format!("t|{}}}", user(u))));
+            }
+            85..=94 => {
+                let key = format!("p|{}|{time:010}", user(u));
+                e.put(key, tweet(u, time));
+            }
+            _ => {
+                let poster = next(USERS);
+                e.put(format!("s|{}|{}", user(u), user(poster)), "1");
+            }
+        }
+        fold(&e);
+    }
+    let evictions = e.engine_stats().js_evictions;
+    assert!(evictions > 0, "the cap must evict");
+    assert_eq!(
+        (digest, evictions),
+        (DIGEST, EVICTIONS),
+        "the eviction trace moved"
+    );
+}
+
+/// The pinned stream's cap (its uncapped estimate peaks at ≈973 kB) and
+/// what it folds to, measured before values moved into their blocks'
+/// slots and pointer columns.
+const CAP: usize = 400_000;
+const DIGEST: u64 = 0xe5e0_3592_2212_d9f0;
+const EVICTIONS: u64 = 1147;

@@ -346,8 +346,8 @@ impl<'a> ReplyFrame<'a> {
         }
     }
 
-    /// Appends one result pair.
-    pub fn pair(&mut self, key: &Key, value: &Value) {
+    /// Appends one result pair: a stored value's bytes, borrowed.
+    pub fn pair(&mut self, key: &Key, value: &[u8]) {
         put_bytes(self.out, key.as_bytes());
         put_bytes(self.out, value);
         self.pairs += 1;

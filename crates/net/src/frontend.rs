@@ -211,7 +211,7 @@ fn flatten(msg: Message, out: &mut Vec<Message>) {
 /// error frame takes its place.
 fn stream_read(engine: &mut Engine, id: u64, range: &KeyRange, out: &mut Vec<u8>) {
     let mut frame = ReplyFrame::begin(out, id);
-    let missing = engine.scan_with(range, |k, v| frame.pair(k, v));
+    let missing = engine.scan_with(range, |k, v| frame.pair(k, &v));
     if missing.is_empty() {
         frame.finish();
     } else {

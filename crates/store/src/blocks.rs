@@ -16,31 +16,42 @@
 //! copy of its block's first key (the *fence*) so that finding a key's
 //! block touches no block.
 //!
-//! * **A block** keeps its keys apart from its values, in two
-//!   allocations. The values are a `Vec` of 16-byte [`Value`] handles
-//!   (a shared value's buffer is not the block's). The keys
-//!   share a prefix — always the longest common prefix of the block's
-//!   first and last key, read off the fence — and each is stored as its
-//!   *remainder* past it, in a *slot*: a length byte, then the remainder
-//!   zero-padded to the block's width, the longest remainder it holds.
-//!   Slots are one size, so key `i` is at `i` slots in, with no offsets
-//!   to keep, and an append writes one slot. A Twip timeline key
-//!   `t|u0000012|0000012345|u0000034` in a block whose times share their
-//!   leading digits costs ≈12–15 bytes instead of a 32-byte handle (keys
-//!   of one table are mostly of one length, so the padding is mostly
-//!   none). A probe compares the prefix once and then binary-searches the
-//!   remainders only, never the values; a scan rebuilds each key in
-//!   place on the stack for its visitor, with no allocation.
-//!   A key longer than a handle holds in place ([`IN_PLACE`], 30 bytes) is
-//!   kept as its shared handle instead, in a list of the block's own that
-//!   is made for the first such key and dropped with the last (a block
-//!   of short keys, every Twip block, pays one null pointer for it), so
-//!   visiting it allocates nothing either. The prefix and width change
-//!   only when the first, last or longest key does — an append or front
-//!   insert that shares less of the prefix, a front or back removal, a
-//!   split or merge — and then a block's slots are re-encoded: for an
-//!   ascending timeline, once per new leading time digit in the tail
-//!   block.
+//! * **A block** is one *slot* per pair, all of a size, and a column of
+//!   pointers: two allocations at most, one for a block whose values are
+//!   all short. The keys share a prefix — always the longest common
+//!   prefix of the block's first and last key, read off the fence — and
+//!   each is stored as its *remainder* past it: a slot starts with a
+//!   length byte, then the remainder zero-padded to the block's width,
+//!   the longest remainder it holds. Then comes the value, as a *code*
+//!   byte ([`Value::code`]: its length, or [`BOXED`](crate::value::BOXED) past 64 bytes) and,
+//!   for a value of at most [`IN_PLACE`] (14) bytes, the value itself,
+//!   zero-padded to the longest such value in the block. A longer value
+//!   is one shared buffer (§4.3: every timeline showing a tweet points at
+//!   the tweet's one buffer), and the block keeps an 8-byte pointer to it
+//!   in its column, in slot order; a block of short values (every `s|`
+//!   block) has no column and allocates nothing for one. Slots are one
+//!   size, so pair `i` is at `i` slots in, with no offsets to keep, and
+//!   an append writes one slot and pushes at most one pointer. A Twip
+//!   timeline pair `t|u0000012|0000012345|u0000034` → tweet, in a block
+//!   whose times share their leading digits, costs a ≈13–16-byte slot
+//!   and a pointer (keys of one table are mostly of one length, and its
+//!   values of one kind, so the padding is mostly none); a subscription
+//!   row `s|user|poster` → `"1"` a 5–6-byte slot. A probe compares the
+//!   prefix once and then binary-searches the remainders only; a scan
+//!   rebuilds each key in place on the stack for its visitor and lends
+//!   it the value as a [`ValueRef`] — its bytes in the slot, or the
+//!   pointer and its code — so a visit allocates nothing and touches no
+//!   shared buffer or count. A key longer than a handle holds in place
+//!   ([`KEY_IN_PLACE`], 30 bytes) is kept as its shared handle instead,
+//!   in a list of the block's own that is made for the first such key and
+//!   dropped with the last (a block of short keys, every Twip block, pays
+//!   one null pointer for it), so visiting it allocates nothing either.
+//!   The prefix and widths change only when the first, last, longest key
+//!   or longest in-place value does — an append or front insert that
+//!   shares less of the prefix, a front or back removal, a split or
+//!   merge, a rewrite that widens or narrows the values — and then a
+//!   block's slots are re-encoded: for an ascending timeline, once per
+//!   new leading time digit in the tail block.
 //!
 //! * **Append** — [`Blocks::put`] first compares against the last key.
 //!   A greater key is pushed onto the tail block; a full tail is left
@@ -50,8 +61,8 @@
 //!   pays for a whole block. A run of appends that knows its length
 //!   ([`Blocks::put_in_run`]) jumps straight to the class it will end in,
 //!   and a stretch of it past the end is laid out whole blocks at a time
-//!   ([`Blocks::append_run`]: each block's prefix and width read off its
-//!   keys first, each slot written once): a freshly materialized 76-pair
+//!   ([`Blocks::append_run`]: each block's prefix and widths read off its
+//!   pairs first, each slot written once): a freshly materialized 76-pair
 //!   timeline allocates three blocks (32, 32, 16) of two allocations
 //!   each, re-encodes nothing, and its tail is left with room for the
 //!   eager appends that follow.
@@ -129,7 +140,10 @@
 //! cold mid-insert — a search over the slots and up to a block's values
 //! and slots moved — cost 12% and 25% more there, and the shuffled fill,
 //! which splits blocks rather than appending, is the only column 64 wins.
-//! The constant stays at 32: the bytes do not say otherwise.
+//! The constant stays at 32: the bytes do not say otherwise. (Since the
+//! values moved into the slots and a pointer column the header is 96
+//! bytes and a timeline pair ≈26 bytes, `core/tests/alloc_budget.rs`;
+//! the constant was not measured again.)
 //!
 //! **Blocks per chunk.** One flat table of `s|user|poster` rows (28-byte
 //! keys, forty to a user), loaded in key order; then 20,000 new rows
@@ -175,7 +189,7 @@
 
 use crate::key::Key;
 use crate::range::KeyRange;
-use crate::value::Value;
+use crate::value::{Shared, Value, ValueRef, IN_PLACE};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -185,15 +199,15 @@ const BLOCK_PAIRS: usize = 32;
 /// Longest key a [`Key`] holds in place (the handle's own limit): a block
 /// rebuilds such a key from its bytes, and keeps a longer one's shared
 /// handle so that visiting it allocates nothing either.
-const IN_PLACE: usize = 30;
+const KEY_IN_PLACE: usize = 30;
 
-/// The length byte of a key longer than [`IN_PLACE`]: its slot holds no
-/// remainder, its handle is kept after the values.
+/// The length byte of a key longer than [`KEY_IN_PLACE`]: its slot holds
+/// no remainder, its handle is kept in the block's list of long keys.
 const LONG: u8 = 0xff;
 
 // A length byte is never mistaken for the flag, and the pairs a range
 // removal drops fit one `u64` mask.
-const _: () = assert!(IN_PLACE < LONG as usize && BLOCK_PAIRS <= 64);
+const _: () = assert!(KEY_IN_PLACE < LONG as usize && BLOCK_PAIRS <= 64);
 
 /// Most blocks one chunk of the directory holds. This crate's own unit
 /// and model tests build with chunks of four blocks, so that a few
@@ -202,20 +216,26 @@ const _: () = assert!(IN_PLACE < LONG as usize && BLOCK_PAIRS <= 64);
 /// which links the crate as the servers do.
 const CHUNK_BLOCKS: usize = if cfg!(test) { 4 } else { 128 };
 
-/// At most [`BLOCK_PAIRS`] pairs in key order, keys apart from values,
-/// and each key stored as its remainder past the prefix all of them
-/// share, in a slot as wide as the longest. Two allocations: the key
-/// bytes and the values (two more while it holds a long key).
+/// At most [`BLOCK_PAIRS`] pairs in key order, each in one slot: its key
+/// as the remainder past the prefix all of them share, then its value's
+/// code and in-place bytes. Values longer than [`IN_PLACE`] bytes are
+/// pointers in a column of their own. Two allocations while it holds a
+/// shared value, one while it holds none (two more while it holds a long
+/// key).
 struct Block {
     /// A copy of the first key. Its first `prefix` bytes begin every key.
     fence: Key,
-    /// One slot of `width + 1` bytes per key, in key order: the length of
-    /// the key's remainder past the prefix ([`LONG`] for a key too long
-    /// to rebuild in place, whose remainder is behind its handle), then
-    /// the remainder, zero-padded to `width`.
-    keys: Vec<u8>,
-    /// The values in key order.
-    values: Vec<Value>,
+    /// One slot of [`Block::slot_len`] bytes per pair, in key order: the
+    /// length of the key's remainder past the prefix ([`LONG`] for a key
+    /// too long to rebuild in place, whose remainder is behind its
+    /// handle), the remainder zero-padded to `width`; then the value's
+    /// code ([`Value::code`]: its length, or [`BOXED`](crate::value::BOXED)) and, for a value
+    /// of at most [`IN_PLACE`] bytes, its bytes zero-padded to
+    /// `value_width`.
+    slots: Vec<u8>,
+    /// The buffers of the values longer than [`IN_PLACE`] bytes, in key
+    /// order; empty, and unallocated, while there are none.
+    shared: Vec<Shared>,
     /// The long keys' handles in key order; `None` while there are none,
     /// so that a block of short keys pays one pointer for them.
     #[allow(clippy::box_collection)]
@@ -224,11 +244,23 @@ struct Block {
     /// the first and the last key, so it changes only when one of those
     /// does.
     prefix: u32,
-    /// Length of the longest in-place remainder (zero if there is none).
+    /// Length of the longest in-place key remainder (zero if there is
+    /// none).
     width: u8,
+    /// Length of the longest in-place value (zero if there is none).
+    value_width: u8,
     /// Pairs held: never zero, at most [`BLOCK_PAIRS`].
     len: u8,
+    /// Pairs the block is sized for: its slots grow to this many
+    /// slots when they must grow, its pointer column to as many as its
+    /// in-place values leave. At least `len`.
+    room: u8,
 }
+
+// A directory entry, the block's header, stays one and a half cache
+// lines: 32 bytes of fence, two `Vec`s, a pointer and eight bytes of
+// lengths.
+const _: () = assert!(std::mem::size_of::<Block>() <= 96);
 
 /// A run of neighbouring blocks: what moves when the directory of a
 /// large container gains or loses a block.
@@ -275,11 +307,13 @@ impl Fenced for Block {
     fn absorb(&mut self, mut right: Block) {
         let prefix = common_len(self.prefix(), right.prefix());
         let width = self.width_under(prefix).max(right.width_under(prefix));
-        self.relayout(prefix, width);
-        right.relayout(prefix, width);
-        self.reserve_slots(self.len() + right.len());
-        self.keys.extend_from_slice(&right.keys);
-        self.values.append(&mut right.values);
+        let value_width = self.value_width.max(right.value_width).into();
+        self.relayout(prefix, width, value_width);
+        right.relayout(prefix, width, value_width);
+        self.reserve(self.len() + right.len());
+        self.slots.extend_from_slice(&right.slots);
+        self.shared.reserve_exact(right.shared.len());
+        self.shared.append(&mut right.shared);
         if let Some(long) = right.long {
             self.longs_mut().extend(*long);
         }
@@ -343,36 +377,88 @@ fn common_len(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
+/// The in-place bytes a value of code `code` puts in its slot: all of
+/// them up to [`IN_PLACE`], none past (it is a pointer in the column).
+#[inline]
+fn in_place_len(code: u8) -> usize {
+    match usize::from(code) {
+        n if n <= IN_PLACE => n,
+        _ => 0,
+    }
+}
+
+/// True if a value of code `code` is a pointer in the column.
+#[inline]
+fn is_shared(code: u8) -> bool {
+    usize::from(code) > IN_PLACE
+}
+
+/// The value of `slot`, whose code is `v` bytes in and whose pointer, if
+/// it has one, is `column[rank]`.
+#[inline]
+fn view<'a>(slot: &'a [u8], v: usize, column: &'a [Shared], rank: usize) -> ValueRef<'a> {
+    match slot[v] {
+        code if is_shared(code) => ValueRef::shared(code, &column[rank]),
+        n => ValueRef::in_place(&slot[v + 1..=v + usize::from(n)]),
+    }
+}
+
+/// Writes `value`'s code and in-place bytes into the value half of a
+/// slot, `at` bytes in (past the key's length byte and remainder). A
+/// shared value's buffer is not read: writing a tweet's pointer touches
+/// none of its bytes.
+#[inline]
+fn write_value(slot: &mut [u8], at: usize, value: &Value) {
+    let code = value.code();
+    slot[at] = code;
+    if !is_shared(code) {
+        slot[at + 1..=at + usize::from(code)].copy_from_slice(value);
+    }
+}
+
 impl Block {
     /// A block of one pair, with room for `room` (one and the pairs an
     /// ascending run will append after it) rounded up to a size class.
-    /// Its one key is all prefix, so its slot is just a length byte; the
-    /// key bytes are given room for the class at half the key's length a
-    /// key, what a remainder past a shared prefix is about.
+    /// Its one key is all prefix, so its slot is a length byte and the
+    /// value; the slots are given room for the class at half the key's
+    /// length a key, what a remainder past a shared prefix is about.
     fn starting_with(key: Key, value: Value, room: usize) -> Block {
         let class = size_class(room);
-        let long = key.len() > IN_PLACE;
-        let mut values = Vec::with_capacity(class);
-        values.push(value);
-        let mut keys = Vec::with_capacity(match class {
-            1 => 1,
-            _ => class * (1 + key.len().min(IN_PLACE) / 2),
+        let long = key.len() > KEY_IN_PLACE;
+        let value_width = in_place_len(value.code());
+        let slot = 2 + value_width;
+        let mut slots = Vec::with_capacity(match class {
+            1 => slot,
+            _ => class * (slot + key.len().min(KEY_IN_PLACE) / 2),
         });
-        keys.push(if long { LONG } else { 0 });
+        slots.resize(slot, 0);
+        slots[0] = if long { LONG } else { 0 };
+        write_value(&mut slots, 1, &value);
+        let shared = match value.into_shared() {
+            None => Vec::new(),
+            Some(data) => {
+                let mut shared = Vec::with_capacity(class);
+                shared.push(data);
+                shared
+            }
+        };
         Block {
             prefix: key.len() as u32,
             width: 0,
+            value_width: value_width as u8,
             len: 1,
-            keys,
-            values,
+            room: class as u8,
+            slots,
+            shared,
             long: long.then(|| Box::new(vec![key.clone()])),
             fence: key,
         }
     }
 
     /// A block of the next `m` pairs of `run`, which ascend, with room
-    /// for `room` rounded up to a size class: its prefix and width read
-    /// off the keys first, every slot written once. `took` sees each pair.
+    /// for `room` rounded up to a size class: its prefix and widths read
+    /// off the pairs first, every slot written once. `took` sees each
+    /// pair.
     fn built(
         run: &mut std::vec::IntoIter<(Key, Value)>,
         m: usize,
@@ -382,39 +468,49 @@ impl Block {
         let pairs = &run.as_slice()[..m];
         let (first, last) = (&pairs[0].0, &pairs[m - 1].0);
         let prefix = common_len(first.as_bytes(), last.as_bytes());
-        let in_place = pairs.iter().filter(|(k, _)| k.len() <= IN_PLACE);
+        let in_place = pairs.iter().filter(|(k, _)| k.len() <= KEY_IN_PLACE);
         let width = in_place.map(|(k, _)| k.len() - prefix).max().unwrap_or(0);
+        let codes = pairs.iter().map(|(_, v)| v.code());
+        let value_width = codes.clone().map(in_place_len).max().unwrap_or(0);
         let class = size_class(room).max(m);
-        let mut keys = Vec::with_capacity(class * (width + 1));
-        let mut values = Vec::with_capacity(class);
+        let s = width + value_width + 2;
+        let mut slots = Vec::with_capacity(class * s);
+        let mut shared = match codes.filter(|&c| is_shared(c)).count() {
+            0 => Vec::new(),
+            n if n == m => Vec::with_capacity(class),
+            n => Vec::with_capacity(n),
+        };
         let mut long = Vec::new();
         let mut fence = None;
         for (key, value) in run.by_ref().take(m) {
             took(key.len(), value.len());
-            let at = keys.len();
-            keys.resize(at + width + 1, 0);
-            match key.len() > IN_PLACE {
+            let at = slots.len();
+            slots.resize(at + s, 0);
+            match key.len() > KEY_IN_PLACE {
                 true => {
-                    keys[at] = LONG;
+                    slots[at] = LONG;
                     long.push(key.clone());
                 }
                 false => {
-                    keys[at] = (key.len() - prefix) as u8;
-                    keys[at + 1..at + 1 + key.len() - prefix]
+                    slots[at] = (key.len() - prefix) as u8;
+                    slots[at + 1..at + 1 + key.len() - prefix]
                         .copy_from_slice(&key.as_bytes()[prefix..]);
                 }
             }
-            values.push(value);
+            write_value(&mut slots[at..], width + 1, &value);
+            shared.extend(value.into_shared());
             fence.get_or_insert(key);
         }
         Block {
             fence: fence.unwrap_or_default(),
-            keys,
-            values,
+            slots,
+            shared,
             long: boxed(long),
             prefix: prefix as u32,
             width: width as u8,
+            value_width: value_width as u8,
             len: m as u8,
+            room: class as u8,
         }
     }
 
@@ -427,8 +523,16 @@ impl Block {
         &self.fence.as_bytes()[..self.prefix as usize]
     }
 
-    /// Bytes per slot.
+    /// Bytes per slot: the key's length byte and remainder, the value's
+    /// code and in-place bytes.
+    #[inline]
     fn slot_len(&self) -> usize {
+        usize::from(self.width) + usize::from(self.value_width) + 2
+    }
+
+    /// Where a slot's value half starts: its code.
+    #[inline]
+    fn value_offset(&self) -> usize {
         usize::from(self.width) + 1
     }
 
@@ -436,7 +540,12 @@ impl Block {
     #[inline]
     fn slot(&self, i: usize) -> &[u8] {
         let s = self.slot_len();
-        &self.keys[i * s..(i + 1) * s]
+        &self.slots[i * s..(i + 1) * s]
+    }
+
+    /// Value `i`'s code.
+    fn code(&self, i: usize) -> u8 {
+        self.slot(i)[self.value_offset()]
     }
 
     /// The long keys' handles, in key order.
@@ -465,6 +574,17 @@ impl Block {
         }
     }
 
+    /// How many values before `i` are shared: where `i`'s pointer sits in
+    /// the column, if it is shared too. Free when every value is shared
+    /// (a timeline) or none is (a subscription table).
+    fn shared_rank(&self, i: usize) -> usize {
+        match self.shared.len() {
+            0 => 0,
+            n if n == self.len() => i,
+            _ => (0..i).filter(|&j| is_shared(self.code(j))).count(),
+        }
+    }
+
     /// Key `i`'s bytes past the prefix.
     #[inline]
     fn rest(&self, i: usize) -> &[u8] {
@@ -483,41 +603,79 @@ impl Block {
 
     /// Key `i`, rebuilt in place, or its shared handle if it is long.
     fn key(&self, i: usize) -> Key {
-        self.pairs(i, i + 1)
-            .next()
-            .map(|(k, _)| k)
-            .unwrap_or_default()
+        let mut key = Key::default();
+        self.visit(i, i + 1, &mut |k, _| {
+            key = k.clone();
+            false
+        });
+        key
     }
 
-    /// Pairs `from..to` in key order, each key rebuilt in place on the
-    /// stack (a long one's handle shared): no allocation either way. The
-    /// prefix is copied once, into a template each slot completes — its
-    /// padding zeros are the handle's own.
-    fn pairs(&self, from: usize, to: usize) -> impl Iterator<Item = (Key, &Value)> {
+    /// Value `i`, borrowed.
+    fn value(&self, i: usize) -> ValueRef<'_> {
+        let rank = self.shared_rank(i);
+        view(self.slot(i), self.value_offset(), &self.shared, rank)
+    }
+
+    /// Value `i`, taken out of its slot and the column: the slot is left
+    /// holding a stale code, for the caller to overwrite or drop.
+    fn take_value(&mut self, i: usize) -> Value {
+        let code = self.code(i);
+        match is_shared(code) {
+            true => Value::from_shared(code, self.shared.remove(self.shared_rank(i))),
+            false => self.value(i).to_value(),
+        }
+    }
+
+    /// Visits pairs `from..to` in key order until `f` returns `false`,
+    /// each key rebuilt in place on the stack (a long one's handle
+    /// shared) and each value lent: no allocation and no count touched
+    /// either way. The prefix is copied once, into a template each slot
+    /// completes — its padding zeros are the handle's own. Returns
+    /// `false` if `f` ended the visit. (A visit, not an iterator: the key
+    /// is built where `f` borrows it, never moved out of an iterator's
+    /// item, which cost a scan ≈40 % more a pair in a build without
+    /// LTO, the build `pqbench`'s in-process replay runs.)
+    #[inline]
+    fn visit(
+        &self,
+        from: usize,
+        to: usize,
+        f: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
+    ) -> bool {
         let (head, width) = (self.prefix as usize, usize::from(self.width));
-        let mut template = [0u8; IN_PLACE];
-        // Past `IN_PLACE` bytes of prefix every key is long, and no slot
-        // is copied.
-        let copied = head.min(IN_PLACE);
+        let mut template = [0u8; KEY_IN_PLACE];
+        // Past `KEY_IN_PLACE` bytes of prefix every key is long, and no
+        // slot is copied.
+        let copied = head.min(KEY_IN_PLACE);
         template[..copied].copy_from_slice(&self.prefix()[..copied]);
         let mut long = self.rank(from);
-        let s = self.slot_len();
-        (self.keys[from * s..to * s].chunks_exact(s))
-            .zip(&self.values[from..to])
-            .map(move |(slot, value)| {
-                let key = match slot[0] {
-                    LONG => {
-                        long += 1;
-                        self.longs()[long - 1].clone()
-                    }
-                    n => {
-                        let mut bytes = template;
-                        bytes[head..head + width].copy_from_slice(&slot[1..]);
-                        Key::from(&bytes[..head + usize::from(n)])
-                    }
-                };
-                (key, value)
-            })
+        let mut key_of = |slot: &[u8]| match slot[0] {
+            LONG => {
+                long += 1;
+                self.longs()[long - 1].clone()
+            }
+            n => {
+                let mut bytes = template;
+                bytes[head..head + width].copy_from_slice(&slot[1..=width]);
+                Key::from(&bytes[..head + usize::from(n)])
+            }
+        };
+        // Read once, not after every call to `f`.
+        let (s, v, column) = (self.slot_len(), width + 1, &self.shared[..]);
+        let mut slots = self.slots[from * s..to * s].chunks_exact(s);
+        if column.len() == self.len() {
+            // Every value shared, as in a timeline's block: the pointers
+            // step with the slots.
+            return (slots.zip(&column[from..to]))
+                .all(|(slot, data)| f(&key_of(slot), ValueRef::shared(slot[v], data)));
+        }
+        let mut shared = self.shared_rank(from);
+        slots.all(|slot| {
+            let value = view(slot, v, column, shared);
+            shared += usize::from(is_shared(slot[v]));
+            f(&key_of(slot), value)
+        })
     }
 
     /// `key`'s bytes past the prefix, or, for a key that does not start
@@ -572,13 +730,26 @@ impl Block {
         }
     }
 
-    /// Makes room in `keys` for `slots` slots. When it must grow, it grows
-    /// to as many slots as the values have room for.
-    fn reserve_slots(&mut self, slots: usize) {
-        let want = slots * self.slot_len();
-        if want > self.keys.capacity() {
-            let room = self.values.capacity().max(slots) * self.slot_len();
-            self.keys.reserve_exact(room - self.keys.len());
+    /// Makes room for `pairs` slots, and sizes the block for at least
+    /// that many. When the slots must grow, they grow to as many as the
+    /// block is sized for.
+    fn reserve(&mut self, pairs: usize) {
+        self.room = self.room.max(pairs as u8);
+        let want = pairs * self.slot_len();
+        if want > self.slots.capacity() {
+            let room = usize::from(self.room) * self.slot_len();
+            self.slots.reserve_exact(room - self.slots.len());
+        }
+    }
+
+    /// Makes room in the column for one more pointer, after
+    /// [`Block::reserve`] made room for one more pair. When it must grow,
+    /// it grows to as many pointers as the pairs still to come could
+    /// need.
+    fn reserve_shared(&mut self) {
+        if self.shared.len() == self.shared.capacity() {
+            let more = usize::from(self.room) - self.len();
+            self.shared.reserve_exact(more.max(1));
         }
     }
 
@@ -593,21 +764,27 @@ impl Block {
     }
 
     /// Puts a pair at `at`, first re-encoding the slots if `key` does not
-    /// share all of the prefix or needs a wider slot.
+    /// share all of the prefix or needs a wider slot, or `value` does.
     fn insert(&mut self, at: usize, key: Key, value: Value) {
-        let long = key.len() > IN_PLACE;
-        let shared = common_len(self.prefix(), key.as_bytes());
+        // A full block doubles, through the size classes, as a `Vec` would.
+        if self.len() == usize::from(self.room) {
+            self.room = size_class(self.len() + 1) as u8;
+        }
+        let (rank, shared_rank) = (self.rank(at), self.shared_rank(at));
+        let long = key.len() > KEY_IN_PLACE;
+        let common = common_len(self.prefix(), key.as_bytes());
         let rest = match long {
             true => None,
-            false => Some(&key.as_bytes()[shared..]),
+            false => Some(&key.as_bytes()[common..]),
         };
-        let width = rest.map_or(0, <[u8]>::len).max(self.width_under(shared));
-        self.relayout(shared, width);
-        self.reserve_slots(self.len() + 1);
-        let (s, end) = (self.slot_len(), self.keys.len());
-        self.keys.resize(end + s, 0);
-        self.keys.copy_within(at * s..end, (at + 1) * s);
-        let slot = &mut self.keys[at * s..(at + 1) * s];
+        let width = rest.map_or(0, <[u8]>::len).max(self.width_under(common));
+        let value_width = in_place_len(value.code()).max(self.value_width.into());
+        self.relayout(common, width, value_width);
+        self.reserve(self.len() + 1);
+        let (s, end, v) = (self.slot_len(), self.slots.len(), self.value_offset());
+        self.slots.resize(end + s, 0);
+        self.slots.copy_within(at * s..end, (at + 1) * s);
+        let slot = &mut self.slots[at * s..(at + 1) * s];
         slot.fill(0);
         match rest {
             None => slot[0] = LONG,
@@ -616,11 +793,14 @@ impl Block {
                 slot[1..=rest.len()].copy_from_slice(rest);
             }
         }
+        write_value(slot, v, &value);
         if long {
-            let rank = self.rank(at);
             self.longs_mut().insert(rank, key.clone());
         }
-        self.values.insert(at, value);
+        if let Some(data) = value.into_shared() {
+            self.reserve_shared();
+            self.shared.insert(shared_rank, data);
+        }
         self.len += 1;
         if at == 0 {
             self.fence = key;
@@ -629,36 +809,69 @@ impl Block {
 
     /// [`Block::insert`] at the end, for a key past the last: the common
     /// write, and one slot pushed when the key starts with the prefix
-    /// (`prefixed`, as [`Block::after_last`] found) and fits the width.
+    /// (`prefixed`, as [`Block::after_last`] found) and it and the value
+    /// fit the slot.
     fn push(&mut self, key: Key, value: Value, prefixed: bool) {
         let (held, head) = (self.len(), self.prefix as usize);
-        if !prefixed || key.len() > IN_PLACE || key.len() - head > usize::from(self.width) {
+        if !prefixed
+            || key.len() > KEY_IN_PLACE
+            || key.len() - head > usize::from(self.width)
+            || in_place_len(value.code()) > usize::from(self.value_width)
+        {
             return self.insert(held, key, value);
         }
         let rest = &key.as_bytes()[head..];
-        self.reserve_slots(held + 1);
-        let end = self.keys.len();
-        self.keys.resize(end + self.slot_len(), 0);
-        self.keys[end] = rest.len() as u8;
-        self.keys[end + 1..=end + rest.len()].copy_from_slice(rest);
-        self.values.push(value);
+        self.reserve(held + 1);
+        let (end, v) = (self.slots.len(), self.value_offset());
+        self.slots.resize(end + self.slot_len(), 0);
+        self.slots[end] = rest.len() as u8;
+        self.slots[end + 1..=end + rest.len()].copy_from_slice(rest);
+        write_value(&mut self.slots[end..], v, &value);
+        if let Some(data) = value.into_shared() {
+            self.reserve_shared();
+            self.shared.push(data);
+        }
         self.len += 1;
     }
 
+    /// Puts `value` in place of pair `at`'s and returns the one it
+    /// replaces. A slot left without the widest in-place value renews
+    /// the widths.
+    fn replace(&mut self, at: usize, value: Value) -> Value {
+        let value_width = in_place_len(value.code()).max(self.value_width.into());
+        self.relayout(self.prefix as usize, self.width.into(), value_width);
+        let (shared_rank, old_code) = (self.shared_rank(at), self.code(at));
+        let old = self.take_value(at);
+        let (s, v) = (self.slot_len(), self.value_offset());
+        let slot = &mut self.slots[at * s..(at + 1) * s];
+        slot[v..].fill(0);
+        write_value(slot, v, &value);
+        if let Some(data) = value.into_shared() {
+            self.reserve_shared();
+            self.shared.insert(shared_rank, data);
+        }
+        let narrowed = in_place_len(old_code) == usize::from(self.value_width);
+        if narrowed && in_place_len(self.code(at)) < in_place_len(old_code) {
+            self.renew();
+        }
+        old
+    }
+
     /// Takes pair `at` out. A block that keeps pairs but lost its first or
-    /// last key, or its widest remainder, renews its fence, prefix and
-    /// width.
+    /// last key, or its widest key remainder or in-place value, renews
+    /// its fence, prefix and widths.
     fn remove(&mut self, at: usize) -> Value {
-        let (s, n) = (self.slot_len(), self.slot(at)[0]);
+        let (s, n, code) = (self.slot_len(), self.slot(at)[0], self.code(at));
         if n == LONG {
             let rank = self.rank(at);
             self.longs_mut().remove(rank);
             self.tidy_longs();
         }
-        self.keys.drain(at * s..(at + 1) * s);
-        let value = self.values.remove(at);
+        let value = self.take_value(at);
+        self.slots.drain(at * s..(at + 1) * s);
         self.len -= 1;
-        if self.len > 0 && (at == 0 || at == self.len() || n == self.width) {
+        let widest = n == self.width || in_place_len(code) == usize::from(self.value_width);
+        if self.len > 0 && (at == 0 || at == self.len() || widest) {
             self.renew();
         }
         value
@@ -670,37 +883,44 @@ impl Block {
         &mut self,
         from: usize,
         to: usize,
-        doomed: &mut impl FnMut(&Key, &Value) -> bool,
+        doomed: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
     ) -> usize {
-        let mut gone = 0u64;
-        for (at, (key, value)) in (from..).zip(self.pairs(from, to)) {
-            gone |= u64::from(doomed(&key, value)) << at;
-        }
+        let (mut gone, mut at) = (0u64, from);
+        self.visit(from, to, &mut |key, value| {
+            gone |= u64::from(doomed(key, value)) << at;
+            at += 1;
+            true
+        });
         if gone == 0 {
             return 0;
         }
-        let (held, s) = (self.len(), self.slot_len());
+        let (held, s, v) = (self.len(), self.slot_len(), self.value_offset());
         if gone.count_ones() as usize == held {
             self.len = 0;
-            self.keys.clear();
-            self.values.clear();
+            self.slots.clear();
+            self.shared.clear();
             self.long = None;
             return held;
         }
         let (mut kept, mut long, mut long_gone) = (0, 0, 0u64);
+        let (mut shared, mut shared_gone) = (0, 0u64);
         for i in 0..held {
             let dropped = gone >> i & 1 == 1;
-            if self.keys[i * s] == LONG {
+            if self.slots[i * s] == LONG {
                 long_gone |= u64::from(dropped) << long;
                 long += 1;
             }
+            if is_shared(self.slots[i * s + v]) {
+                shared_gone |= u64::from(dropped) << shared;
+                shared += 1;
+            }
             if !dropped {
-                self.keys.copy_within(i * s..(i + 1) * s, kept * s);
+                self.slots.copy_within(i * s..(i + 1) * s, kept * s);
                 kept += 1;
             }
         }
-        self.keys.truncate(kept * s);
-        drop_marked(&mut self.values, gone);
+        self.slots.truncate(kept * s);
+        drop_marked(&mut self.shared, shared_gone);
         if let Some(long) = &mut self.long {
             drop_marked(long, long_gone);
             self.tidy_longs();
@@ -711,60 +931,72 @@ impl Block {
     }
 
     /// Splits pairs `at..` off into a block of their own; each half then
-    /// holds the longest prefix and the narrowest slots its own keys
+    /// holds the longest prefix and the narrowest slots its own pairs
     /// allow.
     fn split_off(&mut self, at: usize) -> Block {
-        let (held, s, prefix, width) = (self.len(), self.slot_len(), self.prefix, self.width);
+        let (held, s, prefix) = (self.len(), self.slot_len(), self.prefix);
         let fence = self.key(at);
-        let rank = self.rank(at);
-        let keys = self.keys[at * s..].to_vec();
-        self.keys.truncate(at * s);
-        let values = self.values.split_off(at);
+        let (rank, shared_rank) = (self.rank(at), self.shared_rank(at));
+        let slots = self.slots[at * s..].to_vec();
+        self.slots.truncate(at * s);
+        let shared = self.shared.split_off(shared_rank);
         let long = (self.long.as_mut()).and_then(|long| boxed(long.split_off(rank)));
         self.tidy_longs();
         self.len = at as u8;
-        self.renew();
         let mut upper = Block {
             fence,
-            keys,
-            values,
+            slots,
+            shared,
             long,
             prefix,
-            width,
+            width: self.width,
+            value_width: self.value_width,
             len: (held - at) as u8,
+            room: (held - at) as u8,
         };
+        self.renew();
         upper.renew();
         upper
     }
 
-    /// Re-derives the fence, the prefix and the width from the keys after
-    /// the first, the last or the widest may have changed.
+    /// Re-derives the fence, the prefix and the widths from the pairs
+    /// after the first key, the last or the widest key or value may have
+    /// changed.
     fn renew(&mut self) {
         let (last, from) = (self.len() - 1, self.prefix as usize);
         let prefix = from + common_len(self.rest(0), self.rest(last));
         // Rebuilt under the old prefix, which every key still starts with.
         self.fence = self.key(0);
-        let widest = (self.keys.chunks_exact(self.slot_len()))
+        let (s, v) = (self.slot_len(), self.value_offset());
+        let slots = self.slots.chunks_exact(s);
+        let widest = (slots.clone())
             .filter(|slot| slot[0] != LONG)
             .map(|slot| usize::from(slot[0]))
             .max();
-        self.relayout(prefix, widest.map_or(0, |w| w + from - prefix));
+        let value_width = slots.map(|slot| in_place_len(slot[v])).max();
+        self.relayout(
+            prefix,
+            widest.map_or(0, |w| w + from - prefix),
+            value_width.unwrap_or(0),
+        );
     }
 
-    /// Re-encodes every slot for a prefix `to` bytes long and slots
-    /// `width` wide: a shorter prefix's lost bytes (taken from the fence)
-    /// go in front of each in-place remainder, a longer one's gained bytes
-    /// are cut from them. Long keys have no remainder to change.
-    fn relayout(&mut self, to: usize, width: usize) {
-        let (from, old) = (self.prefix as usize, self.slot_len());
-        if (to, width) == (from, old - 1) {
+    /// Re-encodes every slot for a prefix `to` bytes long, key remainders
+    /// `width` wide and in-place values `value_width` wide: a shorter
+    /// prefix's lost bytes (taken from the fence) go in front of each
+    /// in-place remainder, a longer one's gained bytes are cut from them,
+    /// and each value's code and bytes move along. Long keys have no
+    /// remainder to change.
+    fn relayout(&mut self, to: usize, width: usize, value_width: usize) {
+        let (from, old, old_v) = (self.prefix as usize, self.slot_len(), self.value_offset());
+        if (to, width, value_width) == (from, self.width.into(), self.value_width.into()) {
             return;
         }
-        let (held, s) = (self.len(), width + 1);
-        let mut slots = [0u8; BLOCK_PAIRS * (IN_PLACE + 1)];
+        let (held, s) = (self.len(), width + value_width + 2);
+        let mut encoded = [0u8; BLOCK_PAIRS * (KEY_IN_PLACE + IN_PLACE + 2)];
         let lost = &self.fence.as_bytes()[to.min(from)..from];
-        for (i, slot) in self.keys.chunks_exact(old).enumerate() {
-            let out = &mut slots[i * s..(i + 1) * s];
+        for (i, slot) in self.slots.chunks_exact(old).enumerate() {
+            let out = &mut encoded[i * s..(i + 1) * s];
             let n = usize::from(slot[0]);
             match slot[0] {
                 LONG => out[0] = LONG,
@@ -779,54 +1011,72 @@ impl Block {
                     out[1..=n - cut].copy_from_slice(&slot[1 + cut..=n]);
                 }
             }
+            let m = in_place_len(slot[old_v]);
+            out[width + 1..=width + 1 + m].copy_from_slice(&slot[old_v..=old_v + m]);
         }
         (self.prefix, self.width) = (to as u32, width as u8);
-        self.keys.clear();
-        self.reserve_slots(held);
-        self.keys.extend_from_slice(&slots[..held * s]);
+        self.value_width = value_width as u8;
+        self.slots.clear();
+        self.reserve(held);
+        self.slots.extend_from_slice(&encoded[..held * s]);
     }
 
-    /// Gives up the spare capacity of both allocations.
+    /// Gives up the spare capacity of every allocation.
     fn shrink(&mut self) {
-        self.keys.shrink_to_fit();
-        self.values.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        self.shared.shrink_to_fit();
         if let Some(long) = &mut self.long {
             long.shrink_to_fit();
         }
+        self.room = self.len;
     }
 
     /// Problems with the encoding itself, which must be sound before a
-    /// key can be rebuilt: the slot count, each length byte and its
-    /// padding, the handle count, the prefix's length and the width.
+    /// pair can be rebuilt: the slot count, each length byte, code and
+    /// padding, the handle and pointer counts, each pointer's buffer, the
+    /// prefix's length and both widths.
     fn malformed(&self) -> Option<String> {
-        let (held, s) = (self.len(), self.slot_len());
-        if self.keys.len() != held * s {
+        let (held, s, v) = (self.len(), self.slot_len(), self.value_offset());
+        if self.slots.len() != held * s {
             return Some(format!(
-                "{} key bytes are not {held} slots of {s}",
-                self.keys.len()
+                "{} slot bytes are not {held} slots of {s}",
+                self.slots.len()
             ));
         }
         if self.prefix as usize > self.fence.len() {
             return Some(format!("a {}-byte prefix outruns its fence", self.prefix));
         }
-        let mut widest = None;
-        for (i, slot) in self.keys.chunks_exact(s).enumerate() {
+        if self.room < self.len {
+            return Some(format!("room for {} of {held} pairs", self.room));
+        }
+        let (mut widest, mut widest_value) = (None, 0);
+        for (i, slot) in self.slots.chunks_exact(s).enumerate() {
             let n = match slot[0] {
                 LONG => 0,
                 n => usize::from(n),
             };
-            if n > s - 1 || slot[1 + n..].iter().any(|&b| b != 0) {
-                return Some(format!("key {i}'s slot {slot:?} is out of shape"));
+            let m = in_place_len(slot[v]);
+            let fits = n <= usize::from(self.width) && m <= usize::from(self.value_width);
+            if !fits || (slot[1 + n..v].iter().chain(&slot[v + 1 + m..])).any(|&b| b != 0) {
+                return Some(format!("pair {i}'s slot {slot:?} is out of shape"));
             }
             if slot[0] != LONG {
                 widest = widest.max(Some(n));
             }
+            widest_value = widest_value.max(m);
         }
-        let long = (self.keys.chunks_exact(s))
-            .filter(|slot| slot[0] == LONG)
-            .count();
-        if self.values.len() != held {
-            return Some(format!("{} values for {held} keys", self.values.len()));
+        let slots = || self.slots.chunks_exact(s);
+        let long = slots().filter(|slot| slot[0] == LONG).count();
+        let shared = slots().filter(|slot| is_shared(slot[v])).count();
+        if self.shared.len() != shared {
+            return Some(format!(
+                "{} pointers for {shared} shared values",
+                self.shared.len()
+            ));
+        }
+        let codes = slots().map(|slot| slot[v]).filter(|&c| is_shared(c));
+        if let Some((code, _)) = codes.zip(&self.shared).find(|(c, data)| !data.holds(*c)) {
+            return Some(format!("a pointer under code {code} holds another form"));
         }
         if self.longs().len() != long {
             return Some(format!(
@@ -837,10 +1087,17 @@ impl Block {
         if self.long.as_ref().is_some_and(|l| l.is_empty()) {
             return Some("an empty list of long keys".to_string());
         }
-        if widest.unwrap_or(0) != s - 1 {
+        if widest.unwrap_or(0) != usize::from(self.width) {
             return Some(format!(
-                "slots {s} bytes wide for a widest remainder of {}",
+                "key remainders {} bytes wide for a widest of {}",
+                self.width,
                 widest.unwrap_or(0)
+            ));
+        }
+        if widest_value != usize::from(self.value_width) {
+            return Some(format!(
+                "values {} bytes wide for a widest of {widest_value}",
+                self.value_width
             ));
         }
         None
@@ -874,8 +1131,8 @@ fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Optio
         match blocks.last_mut() {
             Some(tail) if tail.len() < BLOCK_PAIRS => {
                 let held = tail.len();
-                if tail.values.len() == tail.values.capacity() {
-                    tail.values.reserve_exact(size_class(held + room) - held);
+                if held == usize::from(tail.room) {
+                    tail.room = size_class(held + room) as u8;
                 }
                 tail.push(key, value, prefixed);
             }
@@ -889,7 +1146,7 @@ fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Optio
     let b = entry_for(blocks, &key);
     let block = &mut blocks[b];
     let at = match block.find(key.as_bytes()) {
-        Ok(at) => return Some(std::mem::replace(&mut block.values[at], value)),
+        Ok(at) => return Some(block.replace(at, value)),
         Err(at) => at,
     };
     if block.len() < BLOCK_PAIRS {
@@ -899,11 +1156,12 @@ fn put_in(blocks: &mut Vec<Block>, key: Key, value: Value, room: usize) -> Optio
     } else {
         const HALF: usize = BLOCK_PAIRS / 2;
         let mut upper = block.split_off(HALF);
-        if at < HALF {
-            block.insert(at, key, value);
-        } else {
-            upper.values.reserve_exact(1);
-            upper.insert(at - HALF, key, value);
+        match at < HALF {
+            true => block.insert(at, key, value),
+            false => {
+                upper.room += 1;
+                upper.insert(at - HALF, key, value);
+            }
         }
         // Both halves are sized to fit: most never see a second
         // mid-insert, and one that does doubles again.
@@ -932,7 +1190,7 @@ fn remove_in(blocks: &mut Vec<Block>, key: &Key) -> Option<Value> {
 fn remove_range_in(
     blocks: &mut Vec<Block>,
     range: &KeyRange,
-    doomed: &mut impl FnMut(&Key, &Value) -> bool,
+    doomed: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
 ) -> usize {
     let first = entry_for(blocks, &range.first);
     let mut removed = 0;
@@ -1007,7 +1265,11 @@ enum Walk {
 }
 
 /// [`Blocks::scan`] within one list of blocks.
-fn scan_in(blocks: &[Block], range: &KeyRange, f: &mut impl FnMut(&Key, &Value) -> bool) -> Walk {
+fn scan_in(
+    blocks: &[Block],
+    range: &KeyRange,
+    f: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
+) -> Walk {
     let b = entry_for(blocks, &range.first);
     let Some(block) = blocks.get(b) else {
         return Walk::RanOff;
@@ -1023,10 +1285,8 @@ fn scan_in(blocks: &[Block], range: &KeyRange, f: &mut impl FnMut(&Key, &Value) 
             (Some(bound), None) if block.past_last(bound.as_bytes()) => None,
             (Some(bound), _) => Some(block.below(bound).max(skip)),
         };
-        for (k, v) in block.pairs(skip, cut.unwrap_or(block.len())) {
-            if !f(&k, v) {
-                return Walk::Stopped;
-            }
+        if !block.visit(skip, cut.unwrap_or(block.len()), f) {
+            return Walk::Stopped;
         }
         if cut.is_some() {
             return Walk::Done;
@@ -1158,11 +1418,11 @@ impl Blocks {
     }
 
     /// Looks up a key.
-    pub(crate) fn get(&self, key: &Key) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &Key) -> Option<ValueRef<'_>> {
         let blocks = self.lists(Some(key)).next()?;
         let block = blocks.get(entry_for(blocks, key))?;
         let at = block.find(key.as_bytes()).ok()?;
-        block.values.get(at)
+        Some(block.value(at))
     }
 
     /// Removes a key, returning its value.
@@ -1185,7 +1445,7 @@ impl Blocks {
     pub(crate) fn remove_range(
         &mut self,
         range: &KeyRange,
-        doomed: &mut impl FnMut(&Key, &Value) -> bool,
+        doomed: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
     ) -> usize {
         let chunks = match &mut self.dir {
             Dir::One(blocks) => return remove_range_in(blocks, range, doomed),
@@ -1243,17 +1503,24 @@ impl Blocks {
         Some((first.key(0), last.key(last.len() - 1)))
     }
 
-    /// Every pair in key order, each key rebuilt as [`Block::pairs`]
-    /// does.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Key, &Value)> {
-        self.lists(None)
-            .flatten()
-            .flat_map(|block| block.pairs(0, block.len()))
+    /// Visits every pair in key order, each key rebuilt as
+    /// [`Block::visit`] does.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&Key, ValueRef<'_>)) {
+        for block in self.lists(None).flatten() {
+            block.visit(0, block.len(), &mut |k, v| {
+                f(k, v);
+                true
+            });
+        }
     }
 
     /// Visits the pairs in `range` in key order until the visitor returns
     /// `false`. Returns `false` if the visitor ended the scan.
-    pub(crate) fn scan(&self, range: &KeyRange, f: &mut impl FnMut(&Key, &Value) -> bool) -> bool {
+    pub(crate) fn scan(
+        &self,
+        range: &KeyRange,
+        f: &mut impl FnMut(&Key, ValueRef<'_>) -> bool,
+    ) -> bool {
         for blocks in self.lists(Some(&range.first)) {
             match scan_in(blocks, range, f) {
                 Walk::RanOff => {}
@@ -1268,11 +1535,12 @@ impl Blocks {
     /// block or chunk, none over capacity, keys strictly ascending within
     /// and across blocks and chunks, every fence equal to its block's or
     /// chunk's first key, and an upper level only over two chunks or
-    /// more; and of each block's encoding, one zero-padded slot per key
-    /// as wide as the longest remainder, one handle per long key, every
-    /// key rebuilt in place exactly when it is at most [`IN_PLACE`] bytes
-    /// long, and a prefix that is the longest its first and last key
-    /// share. Returns one message per problem.
+    /// more; and of each block's encoding, one zero-padded slot per pair
+    /// as wide as the longest key remainder and in-place value, one
+    /// handle per long key, one pointer of the right form per shared
+    /// value, every key rebuilt in place exactly when it is at most
+    /// [`KEY_IN_PLACE`] bytes long, and a prefix that is the longest its
+    /// first and last key share. Returns one message per problem.
     pub(crate) fn audit(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if let Dir::Many(chunks) = &self.dir {
@@ -1337,12 +1605,12 @@ impl Blocks {
                 // Within a block keys compare as remainders: they share
                 // its prefix. A long key's handle must start with it.
                 let (mut long, mut last) = (0, None);
-                for (i, slot) in block.keys.chunks_exact(block.slot_len()).enumerate() {
+                for (i, slot) in block.slots.chunks_exact(block.slot_len()).enumerate() {
                     let rest = match slot[0] {
                         LONG => {
                             long += 1;
                             let handle = &block.longs()[long - 1];
-                            if handle.len() <= IN_PLACE || !handle.starts_with(block.prefix()) {
+                            if handle.len() <= KEY_IN_PLACE || !handle.starts_with(block.prefix()) {
                                 problems.push(format!(
                                     "block {b}: key {handle:?} is held as a long handle under prefix {:?}",
                                     Key::from(block.prefix())
@@ -1354,9 +1622,9 @@ impl Blocks {
                         }
                         n => &slot[1..=usize::from(n)],
                     };
-                    if slot[0] != LONG && block.prefix as usize + rest.len() > IN_PLACE {
+                    if slot[0] != LONG && block.prefix as usize + rest.len() > KEY_IN_PLACE {
                         problems.push(format!(
-                            "block {b}: key {:?} is held in place past {IN_PLACE} bytes",
+                            "block {b}: key {:?} is held in place past {KEY_IN_PLACE} bytes",
                             block.key(i)
                         ));
                     }
@@ -1398,7 +1666,7 @@ impl Blocks {
     pub(crate) fn debug_shorten_prefix(&mut self, key: &Key) {
         if let Some(block) = self.block_mut(key).filter(|block| block.prefix > 0) {
             let to = block.prefix as usize - 1;
-            block.relayout(to, block.width_under(to));
+            block.relayout(to, block.width_under(to), block.value_width.into());
         }
     }
 }
@@ -1436,8 +1704,14 @@ mod tests {
         blocks
     }
 
+    fn pairs_of(blocks: &Blocks) -> Vec<(Key, Value)> {
+        let mut pairs = Vec::new();
+        blocks.for_each(|k, v| pairs.push((k.clone(), v.to_value())));
+        pairs
+    }
+
     fn keys_of(blocks: &Blocks) -> Vec<Key> {
-        blocks.iter().map(|(k, _)| k).collect()
+        pairs_of(blocks).into_iter().map(|(k, _)| k).collect()
     }
 
     /// Every block in key order, whatever chunk it is in.
@@ -1487,7 +1761,7 @@ mod tests {
     fn appends_fill_every_block_but_the_tail() {
         let blocks = ascending(3 * BLOCK_PAIRS + 5);
         assert_eq!(fill(&blocks), [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 5]);
-        assert_eq!(blocks.iter().count(), 3 * BLOCK_PAIRS + 5);
+        assert_eq!(pairs_of(&blocks).len(), 3 * BLOCK_PAIRS + 5);
         assert_sound(&blocks);
     }
 
@@ -1500,7 +1774,7 @@ mod tests {
         let capacities = |blocks: &Blocks| -> Vec<usize> {
             blocks_of(blocks)
                 .iter()
-                .map(|b| b.values.capacity())
+                .map(|b| usize::from(b.room))
                 .collect()
         };
         for run in [1, 3, 20, 2 * BLOCK_PAIRS + 12] {
@@ -1550,7 +1824,7 @@ mod tests {
         assert_eq!(keys_of(&blocks), keys_of(&ascending(BLOCK_PAIRS + n)));
         assert_eq!(fill(&blocks), [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 12]);
         let room: Vec<usize> = (blocks_of(&blocks).iter())
-            .map(|b| b.values.capacity())
+            .map(|b| usize::from(b.room))
             .collect();
         assert_eq!(room, [BLOCK_PAIRS, BLOCK_PAIRS, BLOCK_PAIRS, 16]);
         assert_sound(&blocks);
@@ -1575,7 +1849,7 @@ mod tests {
         );
         let list = only_list(&mut blocks);
         assert_eq!((list.len(), list.capacity()), (1, 1));
-        assert!(list[0].values.capacity() <= 4);
+        assert!(list[0].room <= 4);
         // A block of short keys has no list of long ones: its header is
         // the fence, two `Vec`s, one null pointer and three counts.
         assert!(list[0].long.is_none());
@@ -1587,9 +1861,12 @@ mod tests {
         let mut blocks = ascending(2 * BLOCK_PAIRS);
         for n in [0, BLOCK_PAIRS - 1, BLOCK_PAIRS, 2 * BLOCK_PAIRS - 1] {
             assert_eq!(blocks.put(key(2 * n), value(999)), Some(value(n)));
-            assert_eq!(blocks.get(&key(2 * n)), Some(&value(999)));
+            assert_eq!(
+                blocks.get(&key(2 * n)).map(|v| v.to_value()),
+                Some(value(999))
+            );
         }
-        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS);
+        assert_eq!(pairs_of(&blocks).len(), 2 * BLOCK_PAIRS);
         assert_sound(&blocks);
     }
 
@@ -1602,7 +1879,7 @@ mod tests {
             [BLOCK_PAIRS / 2 + 1, BLOCK_PAIRS / 2, BLOCK_PAIRS]
         );
         let room: Vec<usize> = (blocks_of(&blocks).iter())
-            .map(|b| b.values.capacity())
+            .map(|b| usize::from(b.room))
             .collect();
         assert_eq!(room, fill(&blocks), "both halves are sized to fit");
         assert_sound(&blocks);
@@ -1610,7 +1887,7 @@ mod tests {
         let mut blocks = ascending(2 * BLOCK_PAIRS);
         blocks.put(key(BLOCK_PAIRS + 7), value(0));
         blocks.put(key(2 * BLOCK_PAIRS + BLOCK_PAIRS - 1), value(0));
-        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS + 2);
+        assert_eq!(pairs_of(&blocks).len(), 2 * BLOCK_PAIRS + 2);
         assert_sound(&blocks);
         let mut sorted = keys_of(&blocks);
         sorted.sort();
@@ -1707,7 +1984,7 @@ mod tests {
         });
         assert_eq!(removed, 0);
         assert_eq!(offered, (11..=50).map(|n| key(2 * n)).collect::<Vec<_>>());
-        assert_eq!(blocks.iter().count(), 2 * BLOCK_PAIRS + 5);
+        assert_eq!(pairs_of(&blocks).len(), 2 * BLOCK_PAIRS + 5);
         assert_sound(&blocks);
     }
 
@@ -1811,7 +2088,10 @@ mod tests {
             (0..3 * CHUNK + 5).map(|n| key(2 * n)).collect::<Vec<_>>()
         );
         for n in [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4] {
-            assert_eq!(blocks.get(&key(2 * n)), Some(&value(n)));
+            assert_eq!(
+                blocks.get(&key(2 * n)).map(|v| v.to_value()),
+                Some(value(n))
+            );
             assert_eq!(blocks.get(&key(2 * n + 1)), None);
         }
         assert_sound(&blocks);
@@ -1836,7 +2116,7 @@ mod tests {
             let mut blocks = ascending(chunks * CHUNK);
             assert!(blocks.put(key(at), value(0)).is_none());
             assert_eq!(shape(&blocks), want);
-            assert_eq!(blocks.iter().count(), chunks * CHUNK + 1);
+            assert_eq!(pairs_of(&blocks).len(), chunks * CHUNK + 1);
             assert_sound(&blocks);
         }
         // A key between two full chunks starts a chunk of its own.
@@ -1880,7 +2160,7 @@ mod tests {
             assert!(blocks.remove(&key(2 * n)).is_some());
             assert_sound(&blocks);
         }
-        assert_eq!(blocks.iter().count(), 4 * CHUNK / 16);
+        assert_eq!(pairs_of(&blocks).len(), 4 * CHUNK / 16);
         assert!(shape(&blocks).iter().sum::<usize>() <= 4 * CHUNK / 16 / (BLOCK_PAIRS / 4));
         assert!(shape(&blocks).len() < 4, "{:?}", shape(&blocks));
     }
@@ -1897,7 +2177,7 @@ mod tests {
             true
         });
         assert_eq!((removed, offered), (3 * CHUNK + 20, 3 * CHUNK + 20));
-        assert_eq!(blocks.iter().count(), CHUNK - 20);
+        assert_eq!(pairs_of(&blocks).len(), CHUNK - 20);
         assert_eq!(fill(&blocks)[..2], [20, BLOCK_PAIRS - 40 % BLOCK_PAIRS]);
         assert_sound(&blocks);
         // Under a predicate nothing need go, and nothing then moves.
@@ -1920,7 +2200,7 @@ mod tests {
 
         let mut blocks = ascending(BLOCK_PAIRS + 2);
         let tail = &mut only_list(&mut blocks)[1];
-        (tail.len, tail.keys, tail.values) = (0, Vec::new(), Vec::new());
+        (tail.len, tail.slots, tail.shared) = (0, Vec::new(), Vec::new());
         assert!(blocks.audit().iter().any(|m| m.contains("is empty")));
 
         let mut blocks = ascending(BLOCK_PAIRS);
@@ -1949,11 +2229,15 @@ mod tests {
         probes: &[Key],
     ) {
         assert_sound(blocks);
-        let pairs: Vec<(Key, Value)> = blocks.iter().map(|(k, v)| (k, v.clone())).collect();
+        let pairs = pairs_of(blocks);
         let want: Vec<(Key, Value)> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         assert_eq!(pairs, want);
         for probe in probes.iter().chain(model.keys()) {
-            assert_eq!(blocks.get(probe), model.get(probe), "get {probe:?}");
+            assert_eq!(
+                blocks.get(probe).map(|v| v.to_value()),
+                model.get(probe).cloned(),
+                "get {probe:?}"
+            );
             let range = KeyRange::with_bound(probe.clone(), UpperBound::Unbounded);
             let want: Vec<Key> = model
                 .range(probe.clone()..)
@@ -2158,5 +2442,163 @@ mod tests {
         );
         broken(|chunks| chunks.truncate(1), "under an upper level");
         broken(|chunks| chunks.swap(0, 1), "does not ascend");
+    }
+
+    /// A value of `len` bytes, distinct for each `n`.
+    fn sized(n: usize, len: usize) -> Value {
+        let mut bytes = format!("{n}.").into_bytes();
+        bytes.resize(len, b'v');
+        Value::from(bytes)
+    }
+
+    /// The value lengths at every seam the column has: empty, in place up
+    /// to 14 bytes, a shared array from 15 to 64, a box past it.
+    const SEAMS: [usize; 10] = [0, 1, 13, 14, 15, 16, 49, 64, 65, 80];
+
+    /// Where a value lives: its in-place bytes, or the address of the
+    /// shared buffer it reads from.
+    fn lives_at(value: &[u8]) -> Option<*const u8> {
+        (value.len() > IN_PLACE).then_some(value.as_ptr())
+    }
+
+    /// Values of every length from 0 to 80 bytes, mixed inside one block
+    /// and put in every order: each reads back, a shared one from the
+    /// very buffer it was put with, and each block keeps exactly one
+    /// pointer per value past 14 bytes and pads its slots to its longest
+    /// in-place value.
+    #[test]
+    fn values_of_every_length_share_a_block() {
+        for order in 0..3 {
+            let mut blocks = Blocks::new();
+            let mut model = std::collections::BTreeMap::new();
+            for i in 0..=80 {
+                let n = match order {
+                    0 => i,
+                    1 => 80 - i,
+                    _ => (i * 37) % 81,
+                };
+                let value = sized(n, n);
+                let at = lives_at(&value);
+                blocks.put(key(n), value.clone());
+                model.insert(key(n), value);
+                let got = blocks.get(&key(n)).map(|v| lives_at(&v));
+                assert_eq!(got, Some(at), "{n} bytes");
+            }
+            assert_matches(&blocks, &model, &[]);
+            for block in blocks_of(&blocks) {
+                let codes = (0..block.len()).map(|i| block.code(i));
+                let shared = codes.clone().filter(|&c| is_shared(c)).count();
+                assert_eq!(block.shared.len(), shared);
+                let widest = codes.map(in_place_len).max();
+                assert_eq!(usize::from(block.value_width), widest.unwrap_or(0));
+            }
+        }
+    }
+
+    /// A key rewritten with values across the seams flips its slot
+    /// between in place and shared, in the middle and at either end of a
+    /// block, and every rewrite returns the value it replaced; the slots
+    /// narrow again once the widest in-place value is gone.
+    #[test]
+    fn a_rewrite_flips_a_slot_between_in_place_and_shared() {
+        for at in [0, 5, BLOCK_PAIRS - 1] {
+            let mut blocks = ascending(BLOCK_PAIRS);
+            let mut model: std::collections::BTreeMap<Key, Value> =
+                pairs_of(&blocks).into_iter().collect();
+            let mut previous = value(at);
+            for (i, len) in SEAMS.iter().chain(SEAMS.iter().rev()).enumerate() {
+                let next = sized(i, *len);
+                let old = blocks.put(key(2 * at), next.clone());
+                assert_eq!(old, Some(previous), "pair {at}, {len} bytes");
+                model.insert(key(2 * at), next.clone());
+                assert_matches(&blocks, &model, &[]);
+                previous = next;
+            }
+            // The widest value was `value(at)`'s or a rewrite's; after a
+            // shared one the slots are as narrow as the others allow.
+            blocks.put(key(2 * at), sized(0, 70));
+            let block = &blocks_of(&blocks)[0];
+            assert_eq!(usize::from(block.value_width), 2, "pair {at}");
+            assert_eq!(block.shared.len(), 1);
+        }
+    }
+
+    /// A block of in-place values allocates no pointer column; a block of
+    /// shared ones holds one pointer a pair, sized with the block.
+    #[test]
+    fn the_pointer_column_costs_only_what_it_holds() {
+        let markers = ascending(3 * BLOCK_PAIRS);
+        assert!(blocks_of(&markers).iter().all(|b| b.shared.capacity() == 0));
+        let tweet = sized(0, 49);
+        let mut timeline = Blocks::new();
+        for n in 0..BLOCK_PAIRS + 3 {
+            timeline.put(key(n), tweet.clone());
+        }
+        let held: Vec<(usize, usize)> = (blocks_of(&timeline).iter())
+            .map(|b| (b.shared.len(), b.shared.capacity()))
+            .collect();
+        assert_eq!(held, [(BLOCK_PAIRS, BLOCK_PAIRS), (3, 4)]);
+        timeline.for_each(|_, v| assert_eq!(v.as_bytes().as_ptr(), tweet.as_ptr(), "one buffer"));
+    }
+
+    /// Every structural event with values of mixed lengths in play:
+    /// splits of full blocks by mid-inserts, merges and emptied blocks
+    /// from removals and range removals, runs laid out whole blocks at a
+    /// time, and the directory growing past one chunk and folding back,
+    /// each step against a `BTreeMap`.
+    #[test]
+    fn the_value_column_follows_splits_merges_runs_and_chunks() {
+        let mut blocks = Blocks::new();
+        let mut model = std::collections::BTreeMap::new();
+        let len = |n: usize| SEAMS[n % SEAMS.len()];
+        // An ascending run past the end, laid out in whole blocks.
+        let n = CHUNK_BLOCKS * BLOCK_PAIRS / 2;
+        let run: Vec<(Key, Value)> = (0..n).map(|n| (key(4 * n), sized(n, len(n)))).collect();
+        model.extend(run.iter().cloned());
+        let mut run = run.into_iter();
+        assert_eq!(blocks.append_run(&mut run, n, &mut |_, _| {}), n);
+        assert_matches(&blocks, &model, &[]);
+        // Appends past one chunk, then mid-inserts splitting full blocks.
+        for n in n..3 * n {
+            let v = sized(n, len(n + 3));
+            blocks.put_in_run(key(4 * n), v.clone(), 3 * n - n);
+            model.insert(key(4 * n), v);
+        }
+        assert!(matches!(blocks.dir, Dir::Many(_)));
+        for n in (1..3 * n).step_by(7) {
+            let v = sized(n, len(n / 7));
+            blocks.put(key(4 * n + 1), v.clone());
+            model.insert(key(4 * n + 1), v);
+        }
+        assert_matches(&blocks, &model, &[]);
+        // Scattered removals merge neighbours; range removals take some
+        // pairs of a range and whole blocks and chunks of it.
+        for n in (0..3 * n).step_by(3) {
+            assert_eq!(blocks.remove(&key(4 * n)), model.remove(&key(4 * n)));
+        }
+        assert_matches(&blocks, &model, &[]);
+        let doomed =
+            |k: &Key, v: ValueRef<'_>| k.as_bytes()[k.len() - 1].is_multiple_of(2) || v.len() > 14;
+        for (from, to) in [(40, 90), (0, 4 * n), (4 * n, 12 * n)] {
+            let range = KeyRange::new(key(from), key(to));
+            let mut offered = Vec::new();
+            let removed = blocks.remove_range(&range, &mut |k, v| {
+                offered.push((k.clone(), v.to_value()));
+                doomed(k, v)
+            });
+            let want: Vec<(Key, Value)> = (model.range(key(from)..key(to)))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(offered, want);
+            model.retain(|k, v| !(range.contains(k) && doomed(k, v.view())));
+            assert_eq!(
+                removed,
+                want.len() - model.range(key(from)..key(to)).count()
+            );
+            assert_matches(&blocks, &model, &[]);
+        }
+        let rest = KeyRange::with_bound(key(0), UpperBound::Unbounded);
+        blocks.remove_range(&rest, &mut |_, _| true);
+        assert!(blocks.is_empty());
     }
 }

@@ -10,7 +10,7 @@
 use crate::key::Key;
 use crate::range::KeyRange;
 use crate::table::{Table, TableStats};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -198,7 +198,7 @@ impl Store {
 
     /// Visits every live pair, table by table in key order, without
     /// touching the operation counters.
-    pub fn for_each(&self, mut f: impl FnMut(&Key, &Value)) {
+    pub fn for_each(&self, mut f: impl FnMut(&Key, ValueRef<'_>)) {
         for t in self.tables.values() {
             t.for_each(&mut f);
         }
@@ -313,13 +313,13 @@ impl Store {
     }
 
     /// Looks up a key.
-    pub fn get(&mut self, key: &Key) -> Option<&Value> {
+    pub fn get(&mut self, key: &Key) -> Option<ValueRef<'_>> {
         self.stats.gets += 1;
         self.tables.get_mut(key.table_prefix_bytes())?.get(key)
     }
 
     /// Looks up a key without touching statistics.
-    pub fn peek(&self, key: &Key) -> Option<&Value> {
+    pub fn peek(&self, key: &Key) -> Option<ValueRef<'_>> {
         self.tables.get(key.table_prefix_bytes())?.peek(key)
     }
 
@@ -347,7 +347,7 @@ impl Store {
         &mut self,
         range: &KeyRange,
         shared: bool,
-        mut doomed: impl FnMut(&Key, &Value) -> bool,
+        mut doomed: impl FnMut(&Key, ValueRef<'_>) -> bool,
     ) -> usize {
         let (mut key_bytes, mut value_bytes) = (0, 0);
         let mut removed = 0;
@@ -371,7 +371,7 @@ impl Store {
 
     /// Visits pairs in `range` in key order (across table boundaries)
     /// until the visitor returns `false`.
-    pub fn scan(&mut self, range: &KeyRange, mut f: impl FnMut(&Key, &Value) -> bool) {
+    pub fn scan(&mut self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
         if range.is_empty() {
             return;
         }
@@ -393,7 +393,7 @@ impl Store {
     /// `&mut` (as [`Store::peek`] is to [`Store::get`]): a join's forward
     /// execution reads its sources through this, nested one inside the
     /// other, straight out of the store.
-    pub fn visit(&self, range: &KeyRange, mut f: impl FnMut(&Key, &Value) -> bool) {
+    pub fn visit(&self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
         let mut stop = false;
         let walk = (first_table(&self.tables, range), Bound::Unbounded);
         for (prefix, table) in self.tables.range(walk) {

@@ -13,16 +13,21 @@
 //!
 //! Under both layouts the pairs sit in the same container, [`Blocks`]: a
 //! directory of fence keys over dense sorted blocks of at most 32 pairs,
-//! each storing its keys apart from its values as remainders past the
-//! prefix they share, in equal slots, where an append is a compare with
-//! the last key and a push, anything else is two binary searches and a
-//! memmove within one block, and a Twip timeline pair costs ≈33 bytes:
-//! a 16-byte [`Value`] handle and its key's remainder (≈49 while a value
-//! was a 32-byte handle, ≈66 while a pair was two of them; ≈120 in a
-//! half-full B-tree leaf). A subtable is one — small, and written almost
-//! only at its end (an eager `copy` update carries the newest
-//! timestamp). A flat table is one too, however large and in whatever order its keys arrive (`s|`
-//! rows are bulk-loaded in key order and then subscribed to at random):
+//! each storing a pair in one of its equal slots — its key as the
+//! remainder past the prefix the block's keys share, then its value's
+//! length and, up to 14 bytes, the value itself — and each longer value
+//! as an 8-byte pointer to its shared buffer in a column of its own.
+//! An append is a compare with the last key and a push, anything else is
+//! two binary searches and a memmove within one block, and a Twip
+//! timeline pair costs ≈26 bytes: its slot and its pointer (≈33 while a
+//! block held a 16-byte [`Value`] handle a pair, ≈49 while a value was a
+//! 32-byte handle, ≈66 while a pair was two of them; ≈120 in a half-full
+//! B-tree leaf). A read lends each value to its visitor as a
+//! [`ValueRef`]. A subtable is one container — small, and written
+//! almost only at its end (an eager `copy` update carries the newest
+//! timestamp). A flat table is one too, however large and in whatever
+//! order its keys arrive (`s|` rows, a 5–6-byte slot each, are
+//! bulk-loaded in key order and then subscribed to at random):
 //! past 128 blocks the directory grows a second level, so a block added
 //! in the middle of a million rows moves one chunk of directory entries,
 //! not all of them. `blocks.rs` describes the structure and shows the
@@ -34,7 +39,7 @@
 use crate::blocks::Blocks;
 use crate::key::Key;
 use crate::range::KeyRange;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -181,15 +186,13 @@ impl Table {
 
     /// Visits every pair in key order without touching the operation
     /// counters (unlike [`Table::scan`], which is a served read).
-    pub fn for_each(&self, mut f: impl FnMut(&Key, &Value)) {
+    pub fn for_each(&self, mut f: impl FnMut(&Key, ValueRef<'_>)) {
         match &self.repr {
-            Repr::Flat(all) => all.iter().for_each(|(k, v)| f(&k, v)),
+            Repr::Flat(all) => all.for_each(f),
             Repr::Split { subs, order, .. } => {
                 for prefix in order {
                     if let Some(sub) = subs.get(prefix) {
-                        for (k, v) in sub.iter() {
-                            f(&k, v);
-                        }
+                        sub.for_each(&mut f);
                     }
                 }
             }
@@ -361,7 +364,7 @@ impl Table {
     }
 
     /// Looks up a key.
-    pub fn get(&mut self, key: &Key) -> Option<&Value> {
+    pub fn get(&mut self, key: &Key) -> Option<ValueRef<'_>> {
         match &mut self.repr {
             Repr::Flat(all) => all.get(key),
             Repr::Split { depth, subs, .. } => {
@@ -372,7 +375,7 @@ impl Table {
     }
 
     /// Looks up a key without recording stats (no `&mut` required).
-    pub fn peek(&self, key: &Key) -> Option<&Value> {
+    pub fn peek(&self, key: &Key) -> Option<ValueRef<'_>> {
         match &self.repr {
             Repr::Flat(all) => all.get(key),
             Repr::Split { depth, subs, .. } => {
@@ -406,7 +409,7 @@ impl Table {
 
     /// Visits pairs in `range` in key order until the visitor returns
     /// `false`.
-    pub fn scan(&mut self, range: &KeyRange, f: impl FnMut(&Key, &Value) -> bool) {
+    pub fn scan(&mut self, range: &KeyRange, f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
         match self.visit(range, f) {
             Some(Route::Single) => self.stats.single_subtable_scans += 1,
             Some(Route::Cross) => self.stats.cross_subtable_scans += 1,
@@ -420,7 +423,7 @@ impl Table {
     pub(crate) fn visit(
         &self,
         range: &KeyRange,
-        mut f: impl FnMut(&Key, &Value) -> bool,
+        mut f: impl FnMut(&Key, ValueRef<'_>) -> bool,
     ) -> Option<Route> {
         if range.is_empty() {
             return None;
@@ -453,7 +456,7 @@ impl Table {
     pub fn remove_range(
         &mut self,
         range: &KeyRange,
-        mut doomed: impl FnMut(&Key, &Value) -> bool,
+        mut doomed: impl FnMut(&Key, ValueRef<'_>) -> bool,
     ) -> usize {
         if range.is_empty() {
             return 0;
@@ -546,7 +549,10 @@ mod tests {
             Some(&b"x"[..])
         );
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&Key::from("a|1")).map(|v| &v[..]), Some(&b"y"[..]));
+        assert_eq!(
+            t.get(&Key::from("a|1")).map(|v| v.as_bytes()),
+            Some(&b"y"[..])
+        );
         assert_eq!(t.remove(&Key::from("a|1")).as_deref(), Some(&b"y"[..]));
         assert!(t.is_empty());
     }
@@ -559,7 +565,7 @@ mod tests {
         // t|ann, t|bob, t|liz, t|zed => 4 subtables
         assert_eq!(t.subtable_count(), 4);
         assert_eq!(
-            t.get(&Key::from("t|bob|110|ann")).map(|v| &v[..]),
+            t.get(&Key::from("t|bob|110|ann")).map(|v| v.as_bytes()),
             Some(&b"v"[..])
         );
         assert!(t.get(&Key::from("t|bob|999")).is_none());

@@ -49,7 +49,7 @@ impl Pair {
         let mut expected = self.model.iter();
         let mut same = true;
         self.store
-            .for_each(|k, v| same &= expected.next() == Some((k, v)));
+            .for_each(|k, v| same &= expected.next() == Some((k, &v.to_value())));
         assert!(same && expected.next().is_none(), "{what}: a walk differs");
         for boundary in (1..6).map(|c| 2 * c * CHUNK_PAIRS) {
             let range = KeyRange::new(key(boundary.saturating_sub(70)), key(boundary + 70));

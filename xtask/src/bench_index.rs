@@ -317,7 +317,7 @@ pub fn validate_ledger(text: &str, benchmark: &str) -> Result<usize, Vec<String>
 /// Minimal JSON value tree. Only what bench artifacts need: objects,
 /// arrays, strings, numbers, booleans, null.
 #[derive(Debug)]
-enum Json {
+pub(crate) enum Json {
     Object(BTreeMap<String, Json>),
     Array(Vec<Json>),
     String(String),
@@ -327,21 +327,21 @@ enum Json {
 }
 
 impl Json {
-    fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Number(n) => Some(*n),
             _ => None,
         }
     }
 
-    fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s.as_str()),
             _ => None,
         }
     }
 
-    fn as_array(&self) -> Option<&[Json]> {
+    pub(crate) fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(items) => Some(items),
             _ => None,
@@ -349,7 +349,7 @@ impl Json {
     }
 
     /// The member `key` of an object.
-    fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(members) => members.get(key),
             _ => None,
@@ -359,7 +359,7 @@ impl Json {
 
 /// Hand-rolled recursive-descent JSON parser (no registry access, no
 /// serde — same discipline as the rest of the workspace).
-fn parse_json(text: &str) -> Result<Json, String> {
+pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
     let bytes: Vec<char> = text.chars().collect();
     let mut pos = 0usize;
     let v = parse_value(&bytes, &mut pos)?;

@@ -12,6 +12,8 @@
 //!   between binaries again.
 //! * `lines` — the first-party line ledger: non-test lines per source
 //!   root and in total (see `lines.rs`).
+//! * `pairs` — a change against its parent from the end-to-end ledger,
+//!   run by run on the same seeds (see `pairs.rs`).
 //!
 //! Rules (see `docs/CORRECTNESS.md` for the full contract):
 //!
@@ -57,6 +59,7 @@ use std::path::{Path, PathBuf};
 mod bench_index;
 mod lexer;
 mod lines;
+mod pairs;
 mod rules;
 mod selftest;
 
@@ -96,10 +99,12 @@ fn main() {
         Some("audit") => run_audit(),
         Some("bench-index") => bench_index::run(&args[1..]),
         Some("lines") => lines::run(&args[1..]),
+        Some("pairs") => pairs::run(&args[1..]),
         _ => {
             eprintln!("usage: cargo xtask audit [--self-test]");
             eprintln!("       cargo xtask bench-index [BENCH_*.json ...]");
             eprintln!("       cargo xtask lines [ROOT]");
+            eprintln!("       cargo xtask pairs [REV_A REV_B]");
             2
         }
     };
