@@ -24,7 +24,7 @@ use pequod_workloads::twip::{
 use pequod_workloads::SocialGraph;
 
 /// Builds the selected deployment behind the unified client API
-/// (`--backend {engine,sharded,writearound,cluster}`; engine by default).
+/// (`--backend {engine,writearound,cluster}`; engine by default).
 fn backend_client(cfg: EngineConfig, tables: &[&str]) -> Box<dyn Client> {
     let backend = arg_value("--backend").unwrap_or_else(|| "engine".to_string());
     pequod_client_or_exit(&backend, cfg, tables)

@@ -22,13 +22,12 @@
 //!   app-specific backend (sorted-set timelines on Redis, string
 //!   appends on memcached, triggers on the relational engine), with
 //!   system-specific costs modelled in.
-//! * **`--backend {engine,sharded,writearound,cluster,redis,memcached,minidb}`**
+//! * **`--backend {engine,writearound,cluster,redis,memcached,minidb}`**
 //!   (or `--backend all`, or a comma-separated list) — the unified-API
 //!   comparison: every choice is driven through the identical
 //!   `pequod_core::Client` command stream (`ClientTwip`). Pequod
-//!   deployments serve timelines with cache joins (`sharded` spreads
-//!   them over `--shards N` engine shards); join-less stores fall back
-//!   to client-side fan-out. Same driver, same commands, same meter —
+//!   deployments serve timelines with cache joins; join-less stores
+//!   fall back to client-side fan-out. Same driver, same commands, same meter —
 //!   apples to apples. `--json PATH` additionally writes the results as
 //!   a JSON array (the CI bench-smoke artifact).
 

@@ -68,7 +68,7 @@ fn main() {
     let scale = Scale::from_args();
     // The workload is driven through the unified client API, so the
     // materialization comparison runs against any join-capable
-    // deployment: `--backend {engine,sharded,writearound,cluster}`.
+    // deployment: `--backend {engine,writearound,cluster}`.
     let backend = arg_value("--backend").unwrap_or_else(|| "engine".to_string());
     let users = scale.count(1200) as u32;
     let posts = scale.count(1800);

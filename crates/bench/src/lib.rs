@@ -18,9 +18,8 @@
 //! the default finishes in seconds on a laptop while preserving the
 //! paper's ratios (edges/user, op mix, check:post ratios). The
 //! unified-API binaries accept `--backend NAME` where `NAME` is one of
-//! [`TWIP_BACKENDS`] (fig7 also takes `all` or a comma-separated list),
-//! and `--backend sharded` additionally honors `--shards N`
-//! ([`sharded_shards`], default 4). `fig7 --json PATH` writes the
+//! [`TWIP_BACKENDS`] (fig7 also takes `all` or a comma-separated list).
+//! `fig7 --json PATH` writes the
 //! results table as a JSON array — CI's bench-smoke job uses it to
 //! publish a `BENCH_fig7_smoke.json` artifact per commit, so the
 //! performance trajectory of the repo is recorded (`eviction --json`
@@ -47,7 +46,7 @@
 use pequod_baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod_core::partition::ComponentHashPartition;
-use pequod_core::{Client, Engine, EngineConfig, ShardedEngine, WriteAround};
+use pequod_core::{Client, Engine, EngineConfig, WriteAround};
 use pequod_workloads::{GraphConfig, SocialGraph, TwipStrategy};
 use std::sync::Arc;
 
@@ -91,7 +90,6 @@ pub fn arg_value(flag: &str) -> Option<String> {
 /// Every backend the unified-API Twip comparison accepts.
 pub const TWIP_BACKENDS: &[&str] = &[
     "engine",
-    "sharded",
     "writearound",
     "cluster",
     "redis",
@@ -102,26 +100,9 @@ pub const TWIP_BACKENDS: &[&str] = &[
 /// Number of servers in `--backend cluster` deployments.
 const CLUSTER_SERVERS: u32 = 2;
 
-/// Default shard count for `--backend sharded` (override with
-/// `--shards N`).
-const DEFAULT_SHARDS: u32 = 4;
-
-/// The `--shards N` flag for `--backend sharded` deployments
-/// (default `DEFAULT_SHARDS`, i.e. 4).
-pub fn sharded_shards() -> u32 {
-    arg_value("--shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SHARDS)
-}
-
 /// Builds a join-capable Pequod deployment as a unified-API backend.
 ///
 /// * `engine` — one in-process [`Engine`].
-/// * `sharded` — a multi-core [`ShardedEngine`] of `--shards N`
-///   (default 4) single-threaded engine shards, the listed `tables`
-///   partitioned across shards by hashing the second key component
-///   (user/author), cross-shard joins kept fresh by in-process
-///   subscriptions.
 /// * `writearound` — a [`WriteAround`]: an [`Engine`] in front of a
 ///   database node, the listed `tables` living in the database.
 /// * `cluster` — a simulated replicated cluster of `CLUSTER_SERVERS`
@@ -134,19 +115,6 @@ pub fn sharded_shards() -> u32 {
 pub fn pequod_client(name: &str, cfg: EngineConfig, tables: &[&str]) -> Option<Box<dyn Client>> {
     match name {
         "engine" => Some(Box::new(Engine::new(cfg))),
-        "sharded" => {
-            let shards = sharded_shards();
-            let part = Arc::new(ComponentHashPartition {
-                component: 1,
-                servers: shards,
-            });
-            Some(Box::new(ShardedEngine::new(
-                shards as usize,
-                cfg,
-                part,
-                tables,
-            )))
-        }
         "writearound" => Some(Box::new(WriteAround::new(Engine::new(cfg), tables))),
         "cluster" => {
             let part = Arc::new(ComponentHashPartition {
@@ -170,7 +138,7 @@ pub fn pequod_client(name: &str, cfg: EngineConfig, tables: &[&str]) -> Option<B
 /// choices list cannot drift between binaries.
 pub fn pequod_client_or_exit(name: &str, cfg: EngineConfig, tables: &[&str]) -> Box<dyn Client> {
     pequod_client(name, cfg, tables).unwrap_or_else(|| {
-        eprintln!("unknown backend {name:?}; choices: engine, sharded, writearound, cluster");
+        eprintln!("unknown backend {name:?}; choices: engine, writearound, cluster");
         std::process::exit(2);
     })
 }

@@ -189,7 +189,7 @@ impl ClusterClient {
             primaries: (0..cfg.slots)
                 .map(|s| (cfg.initial_replicas(s).first().copied().unwrap_or(0), 0))
                 .collect(),
-            fanout: Fanout::new(cfg.nodes.len(), "cluster"),
+            fanout: Fanout::new(cfg.nodes.len()),
             cfg,
             policy,
             transport: Transport::Tcp(conns),
@@ -534,7 +534,7 @@ impl Client for ClusterClient {
     /// batch answers exactly like the same commands issued one at a
     /// time.
     fn execute_batch(&mut self, commands: Vec<Command>) -> Vec<Response> {
-        split_runs(commands, |c| c)
+        split_runs(commands)
             .into_iter()
             .flat_map(|run| self.execute_run(run))
             .collect()

@@ -3,8 +3,7 @@
 //! A cluster is a fixed list of nodes, a replication factor `R`, and a
 //! partition of the key space into `slots` replication units. Keys map
 //! to slots by a [`Partition`] function — by default the
-//! [`ComponentHashPartition`] the in-process sharded engine routes by,
-//! hashing one key component so that a user's rows share a slot; a
+//! [`ComponentHashPartition`], hashing one key component so that a user's rows share a slot; a
 //! [`TablePartition`](pequod_core::partition::TablePartition) places
 //! whole tables instead. Each slot starts with a deterministic replica
 //! set of `R` nodes (`replicas[0]` is the primary); failover and

@@ -2,14 +2,15 @@
 //! with primary/follower slots, epoch failover, follower catch-up and
 //! live slot migration around it.
 //!
-//! Every process runs one [`pequod_core::Node`] — the same
-//! Subscribe/Notify state machine a `ShardedEngine` shard runs — inside
-//! a [`ClusterNode`] that replicates the slots it holds. A read is
+//! Every process runs one [`pequod_core::Node`] — the §2.4
+//! Subscribe/Notify state machine — inside a [`ClusterNode`] that
+//! replicates the slots it holds. A read is
 //! answered wherever it arrives: base data of slots held elsewhere is
 //! subscribed at their primaries, so joins across slots are computed
 //! where they are read and kept fresh by notifications, across
 //! failovers and migrations. With one replica per slot this is the
-//! paper's deployment exactly; more replicas add the availability the
+//! paper's deployment exactly — and the way one machine uses all its
+//! cores: one process per core; more replicas add the availability the
 //! paper leaves out.
 //!
 //! - [`ClusterConfig`] (`config.rs`) — the static cluster description
@@ -209,6 +210,56 @@ mod tests {
         let tserver = part.server_for_component(b"ann");
         let tl = scan(&mut c, tserver.0, KeyRange::prefix("t|ann|"));
         assert_eq!(tl.len(), 1);
+    }
+
+    /// A node that evicts a replicated range tells its home, which
+    /// stops notifying it: the home's subscriber list and notification
+    /// count stop growing once the subscriber no longer holds the range.
+    #[test]
+    fn an_evicted_replica_unsubscribes_at_its_home() {
+        use pequod_core::{Engine, EngineConfig, MemoryLimit};
+        // Posts homed on node 0, everything else on node 1, which reads
+        // the timelines under a 16 KiB cap.
+        let part = TablePartition::new(ServerId(1)).route("p|", ServerId(0));
+        let cfg = ClusterConfig::new(2, 1).with_partition(Arc::new(part), 2);
+        let capped = EngineConfig::default().with_mem_limit(MemoryLimit::new(16 * 1024));
+        let engines = vec![Engine::new_default(), Engine::new(capped)];
+        let mut c = SimHarness::with_engines(&cfg, engines, 0x5eed, 1);
+        for node in 0..2 {
+            let text = TIMELINE.to_string();
+            call(&mut c, node, Message::AddJoin { id: 0, text });
+        }
+        put(&mut c, 1, "s|ann|bob", "1");
+        put(&mut c, 0, "p|bob|0000000100", "Hi");
+        assert_eq!(scan(&mut c, 1, KeyRange::prefix("t|ann|")).len(), 1);
+        assert_eq!(c.node(0).subscriber_count(), 1);
+        // Authoritative rows on node 1 push it past its budget until the
+        // p| replica goes, then leave again.
+        let filler: Vec<String> = (0..32).map(|i| format!("misc|{i:03}")).collect();
+        for key in &filler {
+            put(&mut c, 1, key.as_str(), &"x".repeat(1024));
+        }
+        for key in &filler {
+            let key = Key::from(key.as_str());
+            call(&mut c, 1, Message::Remove { id: 0, key });
+        }
+        c.run_until_quiet();
+        assert!(c.node(1).engine.engine_stats().base_evictions > 0);
+        assert_eq!(
+            c.node(0).subscriber_count(),
+            0,
+            "the home still serves the evictor"
+        );
+        let sent = c.node(0).node_stats().notifies_sent;
+        for t in 0..5u64 {
+            put(&mut c, 0, format!("p|bob|{:010}", 200 + t), "x");
+        }
+        assert_eq!(c.node(0).node_stats().notifies_sent, sent);
+        // The next read subscribes again and sees every post.
+        assert_eq!(scan(&mut c, 1, KeyRange::prefix("t|ann|")).len(), 6);
+        assert_eq!(c.node(0).subscriber_count(), 1);
+        c.run_until_quiet();
+        assert_eq!(c.check_invariants(), Vec::<String>::new());
     }
 
     #[test]

@@ -72,6 +72,7 @@ use pequod_core::partition::{Partition, ServerId};
 use pequod_core::{
     BackendStats, Command, Endpoint, Engine, JoinId, Node, NodeMsg, NodeStats, Response,
 };
+use pequod_net::frontend::UNSUPPORTED;
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
 use pequod_telemetry::Snapshot;
@@ -346,7 +347,7 @@ fn endpoint(peer: ClusterPeer) -> Endpoint {
 /// The wire form of what a `Node` sends.
 fn wire(msg: NodeMsg) -> Message {
     match msg {
-        NodeMsg::Reply { id, response } => Message::from_response(id, None, response),
+        NodeMsg::Reply { id, response } => Message::from_response(id, response),
         NodeMsg::Subscribe { id, range } => Message::Subscribe { id, range },
         NodeMsg::SubscribeReply { id, range, pairs } => {
             Message::SubscribeReply { id, range, pairs }
@@ -565,6 +566,16 @@ impl ClusterNode {
         let of_slot = |range: &KeyRange| cfg.slot_of_range(range).is_none_or(|s| s == slot);
         self.node.drop_replicas(of_slot, &mut self.node_out);
         self.flush_node(out);
+    }
+
+    /// The `Subscribe`s of open fetches still waiting on `peer`, to send
+    /// again on a link to it that came back: one sent while the link
+    /// was down was lost (see [`Node::resubscribe`]).
+    pub fn resubscribe(&mut self, peer: u32) -> Out {
+        let mut out = Vec::new();
+        (self.node).resubscribe(ServerId(peer), &mut self.node_out);
+        self.flush_node(&mut out);
+        out
     }
 
     /// Sends what the `Node` produced, in order, in wire form. A client
@@ -788,7 +799,13 @@ impl ClusterNode {
                 upto_seq,
                 dropped,
             } => self.on_epoch_change(from, slot, epoch, replicas, upto_seq, dropped, out),
-            Message::Hello { .. } => {} // consumed by the transport driver
+            // A peer's first frame, consumed by the transport driver; a
+            // client's is refused like any other server-to-server frame.
+            Message::Hello { .. } => {
+                if let ClusterPeer::Client(_) = from {
+                    out.push((from, Message::error(0, UNSUPPORTED)));
+                }
+            }
             other => self.hand_to_node(from, other, out),
         }
     }

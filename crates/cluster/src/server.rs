@@ -23,11 +23,12 @@
 //!   replication frames never reorder in transit; `p`'s traffic to us
 //!   arrives on the link `p` dialed. Until our link to `p` first comes
 //!   up, frames to `p` wait for it (up to `FIRST_LINK_BACKLOG`): a node
-//!   serves before its peers listen, and a `Subscribe` dropped then
-//!   would strand the read waiting on it, since a `Node` never re-sends
-//!   a fetch. While a link that has been up is down, its frames are
-//!   dropped: heartbeats and catch-up subscriptions re-converge the
-//!   replicas, and buffering would only replay stale traffic.
+//!   serves before its peers listen. While a link that has been up is
+//!   down, its frames are dropped: heartbeats and catch-up subscriptions
+//!   re-converge the replicas, buffering would only replay stale
+//!   traffic, and when the link comes back the node sends again the
+//!   `Subscribe` of every fetch still waiting on `p`
+//!   ([`ClusterNode::resubscribe`]), so no read is stranded.
 //! - **Dialers**, one small thread per peer, do the only blocking work:
 //!   `connect` with doubling backoff, then hand the connected socket to
 //!   the reactor ([`Conns::adopt`]) and park until it reports the link
@@ -48,6 +49,7 @@
 
 use crate::config::ClusterConfig;
 use crate::node::{ClusterNode, ClusterPeer};
+use pequod_core::node::NodeAudit;
 use pequod_core::Engine;
 use pequod_net::codec::encode_frame_into;
 use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, Message, Waker};
@@ -83,6 +85,16 @@ struct Link {
     redial: Sender<()>,
 }
 
+/// The frames the node owes a client for `msg`: one per id-bearing
+/// request, and one per `Hello`, which it refuses.
+fn owed(msg: &Message) -> usize {
+    match msg {
+        Message::Batch { msgs } => msgs.iter().map(owed).sum(),
+        Message::Hello { .. } => 1,
+        other => usize::from(other.id().is_some()),
+    }
+}
+
 /// Hosts one [`ClusterNode`] on the reactor thread.
 struct ClusterDispatch {
     node: Arc<Mutex<ClusterNode>>,
@@ -114,13 +126,9 @@ impl Dispatch for ClusterDispatch {
             encode_frame_into(&Message::metrics_reply(*id, &snapshot), out);
             return Some(1);
         }
-        // The node owes a client one frame per id-bearing request.
         // Nothing is written back on a peer link: the node's answers to
         // a peer travel on our own dialed link to it, like all the rest.
-        let mut expected = 0;
-        if from == client {
-            msg.for_each_id(&mut |_| expected += 1);
-        }
+        let expected = if from == client { owed(&msg) } else { 0 };
         let outbox = locked(&self.node).handle(from, msg);
         let mut replied = 0;
         for (to, frame) in outbox {
@@ -146,7 +154,13 @@ impl Dispatch for ClusterDispatch {
             link.token = conns.adopt(stream);
             if let Some(token) = link.token {
                 conns.send(token, &Message::Hello { node: self.node_id });
-                for frame in link.backlog.take().unwrap_or_default() {
+                let held = match link.backlog.take() {
+                    Some(backlog) => backlog,
+                    None => (locked(&self.node).resubscribe(peer).into_iter())
+                        .map(|(_, frame)| frame)
+                        .collect(),
+                };
+                for frame in held {
                     conns.send(token, &frame);
                 }
             } else {
@@ -346,6 +360,13 @@ impl ClusterServer {
     /// the node under its mutex, and keeps answering after `halt`.
     pub fn telemetry(&self) -> SnapshotFn {
         self.frontend.telemetry()
+    }
+
+    /// This node's part of a deployment audit
+    /// ([`pequod_core::node::audit_deployment`]); call it on a quiet
+    /// cluster.
+    pub fn audit(&self) -> NodeAudit {
+        locked(&self.node).audit()
     }
 
     /// Graceful shutdown: stop serving (in-flight frames are abandoned,

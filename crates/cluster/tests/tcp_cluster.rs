@@ -5,19 +5,27 @@
 //! the serving-edge properties a node inherits from the reactor: a
 //! client that stops reading wedges nobody, connections cost no
 //! threads, and the serving counters ride the node's telemetry.
+//!
+//! The last three tests are the multi-core deployment under load: three
+//! nodes at replication 1 (one process per core, in production), many
+//! concurrent clients, joins across nodes kept fresh by §2.4
+//! Subscribe/Notify.
 
 // Test-only crate: helpers sit outside #[test] functions, so
 // clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pequod_cluster::{ClusterClient, ClusterConfig, ClusterServer};
-use pequod_core::Engine;
+use pequod_core::node::{audit_deployment, NodeAudit};
+use pequod_core::{Client, Command, Engine, Response};
 use pequod_net::codec::encode_frame;
 use pequod_net::Message;
-use pequod_store::{Key, KeyRange};
+use pequod_store::{Key, KeyRange, Value};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reserves `n` distinct ephemeral ports by binding and dropping
@@ -318,4 +326,243 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
     server.halt();
     wait_reaped(&node_threads, "a node thread outlived halt");
     assert_eq!(threads_named(SPAWNER), 0, "a node thread outlived halt");
+}
+
+const TIMELINE: &str =
+    "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+/// Three nodes at replication 1, serving, their links up.
+fn three_rf1_nodes() -> (ClusterConfig, Vec<ClusterServer>) {
+    let cfg = cluster_cfg(3, 1);
+    let servers = (0..3)
+        .map(|id| {
+            ClusterServer::spawn(cfg.clone(), id, Engine::new_default(), None).expect("spawn node")
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    (cfg, servers)
+}
+
+/// The node that answers reads of `key`: the primary of its slot.
+fn home(cfg: &ClusterConfig, key: &str) -> u32 {
+    cfg.initial_replicas(cfg.slot_of(&Key::from(key)))[0]
+}
+
+/// Polls `count` until it reads `want`. An acknowledged write's
+/// notification and the next read reach a subscriber on different
+/// connections, so a read issued right after the ack may still miss it;
+/// a lost notification never arrives and fails the wait.
+fn converges(mut count: impl FnMut() -> u64, want: u64, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let got = count();
+        if got == want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: {got}, want {want}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Audits the quiet cluster and halts it.
+fn audit_and_halt(servers: &mut [ClusterServer]) {
+    let audits: Vec<NodeAudit> = servers.iter().map(ClusterServer::audit).collect();
+    assert_eq!(audit_deployment(&audits), Vec::<String>::new());
+    for s in servers {
+        s.halt();
+    }
+}
+
+/// Concurrent writers on disjoint key sets, readers counting while the
+/// writes are in flight: no operation may fail, counts never go
+/// backwards, and the final counts equal what was written.
+#[test]
+fn concurrent_writers_and_readers_converge() {
+    const WRITERS: usize = 4;
+    const POSTS_PER_WRITER: u64 = 120;
+    let (cfg, mut servers) = three_rf1_nodes();
+    let done = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let mut c = ClusterClient::connect(cfg.clone());
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let mut last = [0u64; WRITERS];
+                while !done.load(Ordering::Relaxed) {
+                    for (w, prev) in last.iter_mut().enumerate() {
+                        let n = c.count(KeyRange::prefix(format!("p|w{w}|"))).unwrap();
+                        assert!(n >= *prev, "count went backwards: {n} < {prev}");
+                        *prev = n;
+                    }
+                }
+            })
+        })
+        .collect();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let mut c = ClusterClient::connect(cfg.clone());
+            std::thread::spawn(move || {
+                for t in 0..POSTS_PER_WRITER {
+                    c.put(format!("p|w{w}|{t:010}"), "post").unwrap();
+                }
+            })
+        })
+        .collect();
+    for t in writers {
+        t.join().unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    for t in readers {
+        t.join().unwrap();
+    }
+    // A writer's posts are read at their home: exact at once.
+    let mut c = ClusterClient::connect(cfg.clone());
+    for w in 0..WRITERS {
+        let n = c.count(KeyRange::prefix(format!("p|w{w}|"))).unwrap();
+        assert_eq!(n, POSTS_PER_WRITER, "writer {w}'s posts did not all land");
+    }
+    let total = WRITERS as u64 * POSTS_PER_WRITER;
+    assert_eq!(c.count(KeyRange::prefix("p|")).unwrap(), total);
+    audit_and_halt(&mut servers);
+}
+
+/// Writers post into a live cross-node join while readers repeatedly
+/// materialize and re-validate the joined timelines. After the writers
+/// finish, each timeline counts every post of the posters it follows.
+#[test]
+fn concurrent_join_maintenance_converges() {
+    const POSTERS: usize = 4;
+    const POSTS_PER_POSTER: u64 = 60;
+    let (cfg, mut servers) = three_rf1_nodes();
+    let mut c = ClusterClient::connect(cfg.clone());
+    c.add_join(TIMELINE).unwrap();
+    // reader0 follows everyone, reader1 the even posters.
+    for p in 0..POSTERS {
+        c.put(format!("s|reader0|w{p}"), "1").unwrap();
+        if p % 2 == 0 {
+            c.put(format!("s|reader1|w{p}"), "1").unwrap();
+        }
+    }
+    // The timelines are computed away from some of their posters' homes.
+    let timeline_home = |r: usize| home(&cfg, &format!("t|reader{r}|"));
+    assert!((0..POSTERS).any(|p| home(&cfg, &format!("p|w{p}|")) != timeline_home(0)));
+
+    let done = Arc::new(AtomicBool::new(false));
+    let pollers: Vec<_> = (0..2)
+        .map(|r| {
+            let mut c = ClusterClient::connect(cfg.clone());
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let mut last = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    let n = c.count(KeyRange::prefix(format!("t|reader{r}|"))).unwrap();
+                    assert!(n >= last, "timeline shrank: {n} < {last}");
+                    last = n;
+                }
+            })
+        })
+        .collect();
+    let writers: Vec<_> = (0..POSTERS)
+        .map(|p| {
+            let mut c = ClusterClient::connect(cfg.clone());
+            std::thread::spawn(move || {
+                for t in 0..POSTS_PER_POSTER {
+                    c.put(format!("p|w{p}|{t:010}"), "hi").unwrap();
+                }
+            })
+        })
+        .collect();
+    for t in writers {
+        t.join().unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    for t in pollers {
+        t.join().unwrap();
+    }
+    let mut count = |r: &str| c.count(KeyRange::prefix(r)).unwrap();
+    let all = POSTERS as u64 * POSTS_PER_POSTER;
+    converges(|| count("t|reader0|"), all, "reader0 follows everyone");
+    let even = (POSTERS as u64).div_ceil(2) * POSTS_PER_POSTER;
+    converges(
+        || count("t|reader1|"),
+        even,
+        "reader1 follows the even posters",
+    );
+    audit_and_halt(&mut servers);
+}
+
+/// A whole-table read is scatter-gathered from both other nodes, and
+/// the range installs only when the slower grant has landed. Writes
+/// acked at the node that already granted — while the other, preloaded
+/// with ≈30k rows, is still scanning for its grant — reach the reader
+/// as notifications for a range it does not hold yet. They must be kept
+/// and applied once the range installs.
+#[test]
+fn writes_acked_during_a_multi_peer_fetch_are_not_lost() {
+    // The grant's cost grows with the preloaded rows; an unoptimised
+    // build gets a smaller table and a window of about the same width.
+    const PRELOAD: u64 = if cfg!(debug_assertions) {
+        6_000
+    } else {
+        30_000
+    };
+    const WRITES: u64 = 5_000;
+    let (cfg, mut servers) = three_rf1_nodes();
+    // `count p|` is answered by the node homing the bare prefix; the
+    // writer's user and the preloaded user live on the other two.
+    let reader = home(&cfg, "p|");
+    let user_home = |user: &str| home(&cfg, &format!("p|{user}|0"));
+    let users = || (0..).map(|i| format!("u{i}"));
+    let writer_user = users().find(|u| user_home(u) != reader).unwrap();
+    let slow_user = users()
+        .find(|u| user_home(u) != reader && user_home(u) != user_home(&writer_user))
+        .unwrap();
+
+    let mut c = ClusterClient::connect(cfg.clone());
+    let preload: Vec<Command> = (0..PRELOAD)
+        .map(|t| {
+            Command::Put(
+                Key::from(format!("p|{slow_user}|{t:010}")),
+                Value::from_static(b"old post"),
+            )
+        })
+        .collect();
+    assert!(c.execute_batch(preload).iter().all(|r| *r == Response::Ok));
+
+    // The read starts once the writer is a tenth of the way through, so
+    // the writer's node grants at once and the rest of the writes are
+    // acked while the preloaded node is still scanning.
+    let written = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let mut c = ClusterClient::connect(cfg.clone());
+        let written = written.clone();
+        std::thread::spawn(move || {
+            for t in 0..WRITES {
+                c.put(format!("p|{writer_user}|{t:010}"), "new post")
+                    .unwrap();
+                written.store(t + 1, Ordering::Release);
+            }
+        })
+    };
+    while written.load(Ordering::Acquire) < WRITES / 10 {
+        std::thread::yield_now();
+    }
+    let before = written.load(Ordering::Acquire);
+    let during = c.count(KeyRange::prefix("p|")).unwrap();
+    let after = written.load(Ordering::Acquire);
+    writer.join().unwrap();
+
+    // The race this test exists for: writes acked while the fetch was
+    // open. Without them it would pass without exercising anything.
+    assert!(
+        after > before,
+        "no write was acked during the fetch ({before} before it, {after} after)"
+    );
+    assert!(during >= PRELOAD, "the read lost preloaded rows: {during}");
+    converges(
+        || c.count(KeyRange::prefix("p|")).unwrap(),
+        PRELOAD + WRITES,
+        "writes acked while the whole-table fetch was open never arrived",
+    );
+    audit_and_halt(&mut servers);
 }

@@ -63,8 +63,8 @@ pub enum Response {
 
 /// Backend counters reported by [`Command::Stats`].
 ///
-/// Multi-engine backends (the sharded engine, the cluster client)
-/// answer with the *sum* across their engines, so `memory_bytes` is the
+/// Multi-engine backends (the write-around deployment, the cluster
+/// client) answer with the *sum* across their engines, so `memory_bytes` is the
 /// deployment's whole footprint and the eviction counters record total
 /// memory pressure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

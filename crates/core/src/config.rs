@@ -37,8 +37,6 @@ pub enum MaterializationMode {
 /// let limit = MemoryLimit::new(1 << 20); // 1 MiB cap
 /// assert_eq!(limit.high_bytes, 1 << 20);
 /// assert_eq!(MemoryLimit::mb(4).high_bytes, 4 << 20);
-/// // A 1 MiB budget split over 4 shards caps each shard at 256 KiB.
-/// assert_eq!(MemoryLimit::mb(1).split(4).high_bytes, (1 << 20) / 4);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MemoryLimit {
@@ -57,37 +55,6 @@ impl MemoryLimit {
     /// A cap in mebibytes (the unit of the servers' `--mem-limit-mb`).
     pub fn mb(megabytes: usize) -> MemoryLimit {
         MemoryLimit::new(megabytes << 20)
-    }
-
-    /// Splits this budget evenly over `n` engines (per-shard budgets in
-    /// a sharded deployment).
-    ///
-    /// Every engine gets the *floor* share, so up to `n − 1` bytes of
-    /// the budget go unused when it does not divide evenly; use
-    /// [`MemoryLimit::split_nth`] to hand the remainder out.
-    pub fn split(&self, n: usize) -> MemoryLimit {
-        assert!(n > 0, "cannot split a budget over zero engines");
-        MemoryLimit::new(self.high_bytes / n)
-    }
-
-    /// The budget share of engine `index` among `n`, distributing the
-    /// remainder one byte at a time to the lowest-indexed engines so
-    /// the shares sum to **exactly** the node budget — never overshooting
-    /// the cap, never starving the last shard down to a floor share
-    /// smaller than its peers by more than one byte.
-    ///
-    /// ```
-    /// use pequod_core::config::MemoryLimit;
-    ///
-    /// let node = MemoryLimit::new(10);
-    /// let shares: Vec<usize> = (0..3).map(|i| node.split_nth(3, i).high_bytes).collect();
-    /// assert_eq!(shares, vec![4, 3, 3]);           // remainder to the front
-    /// assert_eq!(shares.iter().sum::<usize>(), 10); // exactly the cap
-    /// ```
-    pub fn split_nth(&self, n: usize, index: usize) -> MemoryLimit {
-        assert!(n > 0, "cannot split a budget over zero engines");
-        assert!(index < n, "engine index {index} out of {n}");
-        MemoryLimit::new(self.high_bytes / n + usize::from(index < self.high_bytes % n))
     }
 }
 

@@ -16,7 +16,7 @@
 //! * writes to computed (join-output) tables — recovery replays base
 //!   writes and re-derives; persisting join outputs blindly would risk
 //!   serving stale derived data after a restart,
-//! * replica writes (keys another shard or server is the authority
+//! * replica writes (keys another server is the authority
 //!   for), which the authority's own log already covers, and
 //! * internal maintenance writes (updater output, `install_base`
 //!   fetches), which are derived state by construction.

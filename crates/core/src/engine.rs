@@ -90,7 +90,7 @@ pub struct Engine {
     pub(crate) config: EngineConfig,
     pub(crate) clock: u64,
     pub(crate) stats: EngineStats,
-    /// Partition-aware base-data ownership (sharded/cluster
+    /// Partition-aware base-data ownership (cluster and write-around
     /// deployments); `None` means all cached base data is a replica of
     /// some backing authority and may be dropped wholesale.
     pub(crate) base_authority: Option<BaseAuthority>,
@@ -325,7 +325,7 @@ impl Engine {
     /// This engine's [`BackendStats`](crate::BackendStats) snapshot —
     /// the payload every backend answers to
     /// [`Command::Stats`](crate::Command::Stats). One definition so the
-    /// engine, sharded, write-around, and cluster backends cannot
+    /// engine, write-around, and cluster backends cannot
     /// drift. `Engine`'s `Client::stats` override calls this directly
     /// (never through `execute_batch`), so a `self.stats()` anywhere in
     /// client plumbing — even through a `&mut &mut Engine` receiver —
@@ -341,7 +341,7 @@ impl Engine {
 
     /// Declares which base keys this engine is the *authority* for.
     ///
-    /// In a sharded, clustered or write-around deployment, a partitioned
+    /// In a clustered or write-around deployment, a partitioned
     /// table's rows at their home engine are the only copy; base-data
     /// eviction must not drop them (dropping a *replica* is safe — the
     /// home still has it, and the next read refetches). The deployment
@@ -616,7 +616,7 @@ impl Engine {
     }
 
     /// Every resident range of every remote-marked table (diagnostics
-    /// and the sharded invariant audit).
+    /// and the deployment audit).
     pub fn all_resident_ranges(&self) -> Vec<KeyRange> {
         (self.remote.values())
             .flat_map(|t| t.resident.iter())

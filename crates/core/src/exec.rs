@@ -817,7 +817,7 @@ impl Engine {
         }
         self.invalidate_readers(&range);
         // Output-side dependents: if a join *writes into* the
-        // evicted table (a partitioned output table in a sharded
+        // evicted table (a partitioned output table in a clustered
         // deployment), its materialized ranges lose their rows
         // below and must recompute too.
         for jidx in 0..self.joins.len() {

@@ -1,12 +1,11 @@
-//! One client batch over several destinations: the run planner every
-//! multi-engine backend shares.
+//! One client batch over several destinations: the cluster client's run
+//! planner.
 //!
 //! The paper's client (§2.4) sends each request to the server that owns
 //! its key, pipelines independent requests as one round per destination
 //! and installs joins on every server. This module makes that decision
-//! once, without doing any I/O, for the three hosts that need it: the
-//! blocking [`ShardedHandle`](crate::ShardedHandle), the network
-//! frontend's sharded dispatcher and `pequod_cluster::ClusterClient`.
+//! once, without doing any I/O, for `pequod_cluster::ClusterClient`, the
+//! one host that needs it, on sockets and on the simulator alike.
 //!
 //! * [`split_runs`] cuts a batch into maximal runs of one command class.
 //!   A run is one pipelined round; the next starts only once it is fully
@@ -48,23 +47,18 @@ fn class_of(command: &Command) -> CommandClass {
     }
 }
 
-/// Splits a batch, in order, into maximal runs of one command class —
-/// the one run-splitting rule of every multi-engine backend. A run
-/// executes as one pipelined round per destination and must be fully
+/// Splits a batch, in order, into maximal runs of one command class. A
+/// run executes as one pipelined round per destination and must be fully
 /// answered before the next run starts, so a batch answers exactly like
-/// the same commands issued one at a time. `command_of` names each
-/// item's command.
-pub fn split_runs<T>(
-    items: impl IntoIterator<Item = T>,
-    command_of: impl Fn(&T) -> &Command,
-) -> Vec<Vec<T>> {
-    let mut runs: Vec<Vec<T>> = Vec::new();
+/// the same commands issued one at a time.
+pub fn split_runs(commands: Vec<Command>) -> Vec<Vec<Command>> {
+    let mut runs: Vec<Vec<Command>> = Vec::new();
     let mut run_class = None;
-    for item in items {
-        let class = Some(class_of(command_of(&item)));
+    for command in commands {
+        let class = Some(class_of(&command));
         match runs.last_mut() {
-            Some(run) if class == run_class => run.push(item),
-            _ => runs.push(vec![item]),
+            Some(run) if class == run_class => run.push(command),
+            _ => runs.push(vec![command]),
         }
         run_class = class;
     }
@@ -89,18 +83,14 @@ pub enum Route {
 pub struct Fanout {
     destinations: usize,
     next_id: u64,
-    /// Who failed to answer, in a missing reply's error text.
-    replier: &'static str,
 }
 
 impl Fanout {
-    /// A planner over `destinations` destinations whose first id is 1. A
-    /// command nobody answered reads `no reply from {replier}`.
-    pub fn new(destinations: usize, replier: &'static str) -> Fanout {
+    /// A planner over `destinations` destinations whose first id is 1.
+    pub fn new(destinations: usize) -> Fanout {
         Fanout {
             destinations,
             next_id: 1,
-            replier,
         }
     }
 
@@ -121,7 +111,6 @@ impl Fanout {
             slots: Vec::with_capacity(commands.len()),
             owed: 0,
             destinations: self.destinations,
-            replier: self.replier,
         };
         for command in commands {
             let slot = match route(&command) {
@@ -171,7 +160,6 @@ pub struct PendingRun {
     /// Replies still expected.
     owed: usize,
     destinations: usize,
-    replier: &'static str,
 }
 
 impl PendingRun {
@@ -211,16 +199,16 @@ impl PendingRun {
     /// every destination installed it (else the first error). A command
     /// short of its replies answers an error.
     pub fn finish(self) -> Vec<Response> {
-        let (destinations, replier) = (self.destinations, self.replier);
+        let destinations = self.destinations;
         (self.slots.into_iter())
             .map(|slot| match slot {
                 Answer::One(reply) => {
-                    reply.unwrap_or_else(|| Response::Error(format!("no reply from {replier}")))
+                    reply.unwrap_or_else(|| Response::Error("no reply from cluster".into()))
                 }
                 Answer::All(stats, replies) if replies.len() < destinations => {
                     let what = if stats { "stats" } else { "addjoin" };
                     let got = replies.len();
-                    Response::Error(format!("{what}: {got} of {destinations} shards replied"))
+                    Response::Error(format!("{what}: {got} of {destinations} nodes replied"))
                 }
                 Answer::All(true, replies) => {
                     let mut total = BackendStats::default();
@@ -262,7 +250,7 @@ mod tests {
 
     #[test]
     fn out_of_order_replies_land_in_their_own_slots() {
-        let mut fanout = Fanout::new(3, "shard");
+        let mut fanout = Fanout::new(3);
         let (mut run, sends) =
             fanout.plan(vec![get("d2a"), get("d0b"), get("d2c")], by_first_digit);
         assert_eq!(
@@ -291,11 +279,11 @@ mod tests {
             ),
             (
                 vec![Response::Ok, Response::Ok],
-                error("addjoin: 2 of 3 shards replied"),
+                error("addjoin: 2 of 3 nodes replied"),
             ),
         ];
         for (replies, want) in cases {
-            let mut fanout = Fanout::new(3, "shard");
+            let mut fanout = Fanout::new(3);
             let (mut run, sends) = fanout.plan(vec![join()], by_first_digit);
             assert!(sends.iter().all(|s| s == &vec![(1, join())]));
             for reply in replies {
@@ -313,7 +301,7 @@ mod tests {
                 ..BackendStats::default()
             })
         };
-        let mut fanout = Fanout::new(2, "shard");
+        let mut fanout = Fanout::new(2);
         let (mut run, _) = fanout.plan(vec![Command::Stats], by_first_digit);
         assert!(!run.absorb(1, stats(3)));
         assert!(run.absorb(1, stats(4)));
@@ -327,7 +315,7 @@ mod tests {
 
     #[test]
     fn a_missing_reply_becomes_the_no_reply_error() {
-        let mut fanout = Fanout::new(1, "cluster");
+        let mut fanout = Fanout::new(1);
         let (mut run, _) = fanout.plan(vec![get("d0a"), get("d0b")], by_first_digit);
         assert!(!run.absorb(2, value(b"b")));
         assert_eq!(
@@ -338,7 +326,7 @@ mod tests {
 
     #[test]
     fn ids_are_unique_across_runs_and_follow_command_order() {
-        let mut fanout = Fanout::new(2, "shard");
+        let mut fanout = Fanout::new(2);
         let scan = Command::Scan(KeyRange::prefix("d1"));
         let route = |c: &Command| match c {
             Command::Stats => Route::Answered(Response::Ok),

@@ -36,27 +36,24 @@
 //!   `add_join`, plus remote-table residency ([`Engine::install_base`])
 //!   and eviction.
 //! * [`client`] — the unified [`Client`] trait: one batched
-//!   command/response surface implemented by the engine, the sharded
-//!   engine, the write-around deployment, the cluster client, and the
-//!   comparison systems.
+//!   command/response surface implemented by the engine, the
+//!   write-around deployment, the cluster client, and the comparison
+//!   systems.
 //! * [`partition`] — key-routing (home servers, §2.4), shared between
-//!   the replicated cluster in `pequod_cluster`, the in-process sharded
-//!   engine and the write-around deployment.
+//!   the replicated cluster in `pequod_cluster` and the write-around
+//!   deployment.
 //! * [`node`] — [`Node`]: one server of a partitioned deployment, the
 //!   §2.4 Subscribe/Notify and §3.3 park/restart state machine as a
-//!   transport-agnostic `handle(from, msg) -> out`. Shard threads, the
-//!   write-around deployment and the cluster's nodes all run it.
-//! * [`sharded`] — [`ShardedEngine`]: N nodes, one worker thread each,
-//!   exchanging their messages over in-process channels, so one process
-//!   scales with cores.
+//!   transport-agnostic `handle(from, msg) -> out`. The write-around
+//!   deployment and the cluster's nodes both run it; a deployment uses
+//!   more cores by running more cluster processes, one per core.
 //! * [`write_around`] — [`WriteAround`]: a cache in front of a database
 //!   (§2), as two nodes on the caller's thread — the database is the
 //!   home of its tables and notifies the cache of writes to the ranges
 //!   it subscribed to.
-//! * [`fanout`] — [`Fanout`]: the one run planner of every multi-engine
-//!   backend — runs of like commands, ids, routing or broadcast, and the
-//!   fold of the replies — shared by the sharded engine, the network
-//!   frontend and the simulated cluster's client.
+//! * [`fanout`] — [`Fanout`]: the cluster client's run planner — runs
+//!   of like commands, ids, routing or broadcast, and the fold of the
+//!   replies.
 //! * [`status`] — join status ranges: which output ranges are
 //!   materialized and whether they are valid (§3.2).
 //! * [`updater`] — the interval-tree index of incremental-maintenance
@@ -84,7 +81,6 @@ pub mod fanout;
 pub mod node;
 mod paranoid;
 pub mod partition;
-pub mod sharded;
 pub mod status;
 pub mod types;
 pub mod updater;
@@ -96,7 +92,6 @@ pub use durable::{Durability, DurableOp};
 pub use engine::{BaseAuthority, Engine, EvictUnit, JS_RANGE_OVERHEAD_BYTES};
 pub use fanout::{split_runs, Fanout, PendingRun, Route};
 pub use node::{Endpoint, Node, NodeMsg, NodeStats};
-pub use sharded::{ReplySink, ShardSubmitter, ShardedEngine, ShardedHandle};
 pub use types::{CountResult, EngineError, JoinId, JsId, ScanResult, WriteKind};
 pub use write_around::WriteAround;
 

@@ -13,11 +13,8 @@
 //! restart context and runs again when its fetches have landed (§3.3).
 //!
 //! [`Node::handle`] consumes one message and hands back the messages to
-//! send; it never blocks and never does I/O. Three hosts drive it:
+//! send; it never blocks and never does I/O. Two hosts drive it:
 //!
-//! * a [`ShardedEngine`](crate::ShardedEngine) worker thread — receive
-//!   from the mailbox, `handle`, route the output to peer mailboxes or
-//!   to the client's reply channel;
 //! * [`WriteAround`](crate::WriteAround) — a cache node and a database
 //!   node on the caller's thread, which carries their messages from a
 //!   queue until none is left;
@@ -26,7 +23,8 @@
 //!   replication around one `Node`, whose partition is the live slot
 //!   view: a key is homed at the node holding its slot, else at the
 //!   slot's primary. It maps each [`NodeMsg`] 1:1 onto the wire
-//!   `Message`.
+//!   `Message`. A deployment that uses every core of a machine runs one
+//!   such process per core.
 //!
 //! # What a fetch guarantees
 //!
@@ -42,6 +40,12 @@
 //! the group and applied right after the install, in arrival order.
 //! Every write acknowledged by a home after it granted is therefore in
 //! the installed range — none is dropped for arriving early.
+//!
+//! A `Subscribe` lost on the way (a link that dropped) is sent again when
+//! the host reports the link to that peer back up
+//! ([`Node::resubscribe`]). A fetch group counts each peer's grant once,
+//! so the answer to the original and to the re-sent `Subscribe` cannot
+//! install the range before the other peers have granted.
 //!
 //! A `Notify` for a range this node has evicted (resident nowhere, no
 //! fetch open) is dropped: applying it would leave a replica row that
@@ -164,8 +168,8 @@ struct FetchGroup {
     range: KeyRange,
     /// The peers subscribed at.
     peers: Vec<ServerId>,
-    /// Grants still awaited.
-    waiting: usize,
+    /// The peers whose grant is still awaited.
+    waiting: HashSet<ServerId>,
     pairs: Vec<(Key, Value)>,
     /// Notifications for `range` that arrived before it was installed.
     held: Vec<(Key, Option<Value>)>,
@@ -551,7 +555,7 @@ impl Node {
                     fetch,
                     FetchGroup {
                         range: miss,
-                        waiting: targets.len(),
+                        waiting: targets.iter().copied().collect(),
                         peers: targets,
                         pairs: Vec::new(),
                         held: Vec::new(),
@@ -571,10 +575,12 @@ impl Node {
 
     /// One peer's grant arrived. The last one of a fetch installs the
     /// whole range, applies the notifications held for it, and resumes
-    /// the queries that waited. A grant speaks only for the keys its
-    /// sender homes: a scatter-gather reaches every peer, and a peer
-    /// that also holds keys homed elsewhere (a replica of a primary's
-    /// slot) must not overwrite the home's rows with its own.
+    /// the queries that waited. A second grant from the same peer (the
+    /// answer to a re-sent `Subscribe`) is ignored. A grant speaks only
+    /// for the keys its sender homes: a scatter-gather reaches every
+    /// peer, and a peer that also holds keys homed elsewhere (a replica
+    /// of a primary's slot) must not overwrite the home's rows with its
+    /// own.
     fn fetch_landed(
         &mut self,
         from: Endpoint,
@@ -586,11 +592,16 @@ impl Node {
         let Some(group) = self.fetches.get_mut(&fetch) else {
             return;
         };
+        let Endpoint::Server(peer) = from else {
+            return;
+        };
+        if !group.waiting.remove(&peer) {
+            return;
+        }
         let placement = &self.placement;
-        pairs.retain(|(k, _)| from == Endpoint::Server(placement.home(k)));
+        pairs.retain(|(k, _)| peer == placement.home(k));
         group.pairs.extend(pairs);
-        group.waiting -= 1;
-        if group.waiting > 0 {
+        if !group.waiting.is_empty() {
             return;
         }
         let Some(group) = self.fetches.remove(&fetch) else {
@@ -607,6 +618,20 @@ impl Node {
         self.engine.set_mem_limit(saved_limit);
         self.subscriptions.push((group.range, group.peers));
         self.resume_parked(fetch, out);
+    }
+
+    /// Sends `peer` again the `Subscribe` of every open fetch still
+    /// waiting on its grant, in fetch order. A host calls this when its
+    /// link to `peer` comes back after a drop that may have lost some.
+    pub fn resubscribe(&mut self, peer: ServerId, out: &mut Vec<(Endpoint, NodeMsg)>) {
+        let mut open: Vec<(u64, KeyRange)> = (self.fetches.iter())
+            .filter(|(_, group)| group.waiting.contains(&peer))
+            .map(|(fetch, group)| (*fetch, group.range.clone()))
+            .collect();
+        open.sort_unstable_by_key(|(fetch, _)| *fetch);
+        for (id, range) in open {
+            out.push((Endpoint::Server(peer), NodeMsg::Subscribe { id, range }));
+        }
     }
 
     /// Restarts every parked query whose last outstanding fetch was
@@ -832,6 +857,63 @@ mod tests {
         assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
         assert_eq!(nodes[0].stats.notifies_applied, 1);
 
+        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
+        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
+    }
+
+    /// A `Subscribe` lost with a dropped link is sent again once the
+    /// link is back, and a peer that answers both the original and the
+    /// re-sent one is counted once: the range installs exactly once,
+    /// after every peer has granted, and the read is answered once.
+    #[test]
+    fn a_resent_subscribe_and_a_duplicate_grant_install_once() {
+        let (mut nodes, users) = three_nodes();
+        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
+        let row_a = format!("p|{}|0000000001", users[1]);
+        let row_b = format!("p|{}|0000000001", users[2]);
+        put(&mut nodes[1], &row_a);
+        put(&mut nodes[2], &row_b);
+
+        // The whole-table scan subscribes at both peers; B's copy is lost.
+        let out = scan(&mut nodes[0], 7);
+        let subscribe_to = |peer: ServerId| {
+            let to = Endpoint::Server(peer);
+            (out.iter().find(|(t, _)| *t == to).map(|(_, m)| m.clone())).unwrap()
+        };
+        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
+        let resent = |node: &mut Node, peer: ServerId| {
+            let mut out = Vec::new();
+            node.resubscribe(peer, &mut out);
+            out
+        };
+
+        // A grants, twice: the second changes nothing.
+        let grant_a = handle(&mut nodes[1], Endpoint::Server(reader), to_a.clone());
+        let grant_a = grant_a.into_iter().next().unwrap().1;
+        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a.clone()).is_empty());
+        assert_eq!(resent(&mut nodes[0], a), []);
+        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a.clone()).is_empty());
+        assert_eq!(nodes[0].parked_count(), 1);
+        assert!(!nodes[0].engine.is_resident(&KeyRange::prefix("p|")));
+
+        // The link to B comes back: the same Subscribe goes again.
+        assert_eq!(
+            resent(&mut nodes[0], b),
+            [(Endpoint::Server(b), to_b.clone())]
+        );
+        let grant_b = handle(&mut nodes[2], Endpoint::Server(reader), to_b);
+        let grant_b = grant_b.into_iter().next().unwrap().1;
+        let answered = handle(&mut nodes[0], Endpoint::Server(b), grant_b.clone());
+        let mut want = vec![row_a, row_b];
+        want.sort();
+        assert_eq!(keys_of(&answered, 7), want);
+        assert_eq!(nodes[0].parked_count(), 0);
+
+        // Late duplicates of either grant are ignored.
+        assert!(handle(&mut nodes[0], Endpoint::Server(b), grant_b).is_empty());
+        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a).is_empty());
+        assert_eq!(resent(&mut nodes[0], b), []);
+        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
         let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
         assert_eq!(audit_deployment(&audits), Vec::<String>::new());
     }

@@ -48,7 +48,7 @@
 //!    live, belongs to that `(join, range)`, and is listed exactly once
 //!    (the list is an ownership record, not a hint); and invalidated
 //!    ranges hold no updaters and no pending log.
-//! 6. **Remote residency / home-shard routing** — every cached row of
+//! 6. **Remote residency / home routing** — every cached row of
 //!    a remote-marked table that this engine is not the authority for
 //!    lies inside a tracked resident range (untracked cached rows
 //!    would never be refreshed or evicted).
@@ -246,7 +246,7 @@ impl Engine {
         });
     }
 
-    /// Remote-table residency / home-shard routing (check 6 above).
+    /// Remote-table residency / home routing (check 6 above).
     fn check_remote_residency(&self, v: &mut Vec<String>) {
         for (prefix, remote) in &self.remote {
             let resident = &remote.resident;

@@ -5,10 +5,10 @@
 //! is placed by client routing instead — e.g. Twip sends all timeline
 //! checks for user `u` to server `S(u)`.
 //!
-//! The same routing logic is used at two scales: `pequod_cluster` maps
-//! keys to the replication slots of server *processes* in a distributed
-//! deployment, and [`crate::ShardedEngine`] routes them to
-//! single-threaded engine *shards* within one process.
+//! `pequod_cluster` maps keys to the replication slots of server
+//! *processes* — one per core of a machine, or spread over machines —
+//! and the write-around deployment maps tables to its cache and its
+//! database.
 
 use pequod_store::{Key, KeyRange, UpperBound, SEP};
 

@@ -250,7 +250,7 @@ fn base_eviction_keeps_authoritative_rows() {
 
 #[test]
 fn fully_authoritative_table_is_never_evicted() {
-    // A home shard whose cached rows are all its own: "evicting" the
+    // A home node whose cached rows are all its own: "evicting" the
     // table would free nothing while invalidating every dependent
     // computed range — so the unit is skipped entirely, residency and
     // all, and the eviction counter stays honest.
@@ -271,8 +271,8 @@ fn fully_authoritative_table_is_never_evicted() {
 
 #[test]
 fn evicting_an_output_table_invalidates_its_computed_ranges() {
-    // A deployment that partitions the *output* table (as the sharded
-    // engine does with timelines) marks it remote; evicting its cached
+    // A deployment that partitions the *output* table (as a cluster
+    // whose joins read a partitioned table may) marks it remote; evicting its cached
     // rows must invalidate the join status ranges that own them, or a
     // later read would serve a validated-but-empty range.
     let mut e = Engine::new_default();
@@ -377,75 +377,6 @@ fn evicting_a_chained_joins_source_recomputes_it_and_a_deletion_retracts_it() {
     assert_eq!(count(&mut e), Some(b"5".to_vec()));
     assert_eq!(stored(&e, "t|").len(), 5);
     assert_eq!(e.check_invariants(), Vec::<String>::new());
-}
-
-#[test]
-fn memory_limit_split_shares_evenly() {
-    let share = MemoryLimit::new(1 << 20).split(4);
-    assert_eq!(share, MemoryLimit::new((1 << 20) / 4));
-}
-
-/// `split` hands every shard the floor share: with an uneven budget the
-/// node under-uses at most `n − 1` bytes but may never overshoot its
-/// cap.
-#[test]
-fn split_never_overshoots_an_uneven_budget() {
-    for cap in [1usize << 20, (1 << 20) + 1, (1 << 20) + 7, 1023, 97] {
-        for n in 1..=9usize {
-            let node = MemoryLimit::new(cap);
-            let share = node.split(n);
-            assert!(
-                share.high_bytes * n <= node.high_bytes,
-                "cap {cap} over {n} shards overshoots: {} * {n}",
-                share.high_bytes
-            );
-            assert!(
-                node.high_bytes - share.high_bytes * n < n,
-                "cap {cap} over {n} shards wastes a whole share"
-            );
-        }
-    }
-}
-
-/// `split_nth` distributes the remainder: shares sum to exactly the
-/// node budget, no shard overshoots, and the last shard is never
-/// starved more than one byte below its peers.
-#[test]
-fn split_nth_distributes_the_remainder_exactly() {
-    for cap in [1usize << 20, (1 << 20) + 1, (1 << 20) + 5, 1023, 101, 7] {
-        for n in 1..=8usize {
-            let node = MemoryLimit::new(cap);
-            let shares: Vec<MemoryLimit> = (0..n).map(|i| node.split_nth(n, i)).collect();
-            let high_sum: usize = shares.iter().map(|s| s.high_bytes).sum();
-            assert_eq!(high_sum, node.high_bytes, "cap {cap} over {n} shards");
-            let floor = node.high_bytes / n;
-            for (i, s) in shares.iter().enumerate() {
-                assert!(
-                    s.high_bytes == floor || s.high_bytes == floor + 1,
-                    "cap {cap} over {n}: shard {i} got {}",
-                    s.high_bytes
-                );
-            }
-            // Remainder goes to the front, so the last shard holds the
-            // floor share — starved by at most one byte, never zeroed
-            // out while its peers hold a budget.
-            assert_eq!(shares[n - 1].high_bytes, floor);
-        }
-    }
-}
-
-/// The adversarial corner: a budget smaller than the shard count. Every
-/// byte must still land somewhere, and a front shard gets the data
-/// while the back shards legitimately get a zero budget (the node cap
-/// really is that tiny).
-#[test]
-fn split_nth_survives_budgets_smaller_than_the_shard_count() {
-    let node = MemoryLimit::new(3);
-    let shares: Vec<MemoryLimit> = (0..5).map(|i| node.split_nth(5, i)).collect();
-    assert_eq!(
-        shares.iter().map(|s| s.high_bytes).collect::<Vec<_>>(),
-        vec![1, 1, 1, 0, 0]
-    );
 }
 
 /// What the cap is held against is the logical estimate

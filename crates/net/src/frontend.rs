@@ -2,35 +2,18 @@
 //! plus a backend dispatcher, serving the client protocol on TCP and
 //! (optionally) a unix-domain socket through identical code.
 //!
-//! This module owns one decision: **where a client frame executes**.
-//! Whatever the backend, the frame is handed to a
-//! [`Dispatch`] on the reactor thread; the
-//! two backends here, and the cluster node `pequod_cluster` hosts
-//! through [`FrontendServer::spawn_dispatch`], differ in what `begin`
-//! does with it.
+//! Whatever the backend, a frame is handed to a [`Dispatch`] on the
+//! reactor thread. This module's own dispatcher serves one
+//! single-threaded engine; the cluster node `pequod_cluster` hosts
+//! through [`FrontendServer::spawn_dispatch`] is the other.
 //!
-//! * **Single engine** — on the reactor thread. The dispatcher takes
-//!   the engine lock once per frame, runs the whole frame (every
-//!   request of a `Batch`) and encodes each answer into the
-//!   connection's output buffer as it is produced — a `Scan` or `Get`
-//!   streams its pairs from the store into the reply frame — so there
-//!   is no queue, no second thread, no wake-up and no `Message` per
-//!   reply. The lock is uncontended while serving; it exists so tests
-//!   and shutdown can reach the engine through
-//!   [`FrontendServer::engine`].
-//! * **Sharded engine** — on the owning shard's thread. The dispatcher
-//!   hosts the run planner [`ShardedHandle`](pequod_core::ShardedHandle)
-//!   hosts too ([`pequod_core::fanout`]): a frame's commands split into
-//!   same-class runs, and each run goes onto the engine's per-shard
-//!   queues through one shared [`ShardSubmitter`]. A run's replies must
-//!   all arrive before the next run is submitted, so read-your-writes
-//!   holds within a frame and answers are byte-identical to the single
-//!   engine's. What stays here is the wire: the key a `Get` reply
-//!   echoes, the error for a request that is not client traffic, and
-//!   the encoding. The shards answer through a [`ReplySink`] that
-//!   appends to the dispatcher's reply queue and rings the reactor's
-//!   [`Waker`] when the queue stops being empty; `deliver` drains it.
-//!   No thread sits between the shards and the reactor.
+//! The single-engine dispatcher takes the engine lock once per frame,
+//! runs the whole frame (every request of a `Batch`) and encodes each
+//! answer into the connection's output buffer as it is produced — a
+//! `Scan` or `Get` streams its pairs from the store into the reply frame
+//! — so there is no queue, no second thread, no wake-up and no `Message`
+//! per reply. The lock is uncontended while serving; it exists so tests
+//! and shutdown can reach the engine through [`FrontendServer::engine`].
 //!
 //! Per connection, frames are answered strictly in arrival order; see
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
@@ -38,14 +21,10 @@
 
 use crate::codec::{encode_frame_into, ReplyFrame};
 use crate::message::Message;
-use crate::reactor::{Conns, Dispatch, Reactor, ReactorConfig, Signals, Waker};
-use pequod_core::{
-    split_runs, Command, Engine, Fanout, PendingRun, ReplySink, Response, ShardSubmitter,
-    ShardedEngine,
-};
-use pequod_store::{Key, KeyRange};
+use crate::reactor::{Dispatch, Reactor, ReactorConfig, Signals, Waker};
+use pequod_core::Engine;
+use pequod_store::KeyRange;
 use pequod_telemetry::{process_rss_bytes, Recorder, Snapshot, SnapshotFn};
-use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -184,26 +163,11 @@ impl Default for FrontendConfig {
 }
 
 /// The reply to anything that is not client traffic.
-const UNSUPPORTED: &str = "unsupported on client connection";
+pub const UNSUPPORTED: &str = "unsupported on client connection";
 
 /// The reply to a read that ran into non-resident base data: this
 /// engine serves local data only and has nobody to fetch it from.
 const MISSING_BASE_DATA: &str = "missing base data (no backing store attached)";
-
-/// Appends `msg`'s requests to `out` in wire order with every `Batch`
-/// flattened, nested ones too (the codec bounds the nesting depth): the
-/// sharded backend's slot table. One frame in, one reply per request
-/// out, as on the single engine.
-fn flatten(msg: Message, out: &mut Vec<Message>) {
-    match msg {
-        Message::Batch { msgs } => {
-            for m in msgs {
-                flatten(m, out);
-            }
-        }
-        other => out.push(other),
-    }
-}
 
 /// Answers a `Scan` (or a `Get`, as the scan of one key) by streaming
 /// the pairs out of the engine into a reply frame at the end of `out`.
@@ -280,174 +244,6 @@ impl Dispatch for SingleDispatch {
     }
 }
 
-/// One request of a frame on the sharded backend, in wire order: its
-/// id and the key a `Get` reply echoes, then its encoded reply.
-struct WireSlot {
-    id: u64,
-    key: Option<Key>,
-    reply: Option<Message>,
-}
-
-/// A finished frame's replies, in wire order: every command's slot was
-/// answered when its run finished.
-fn frame_replies(slots: Vec<WireSlot>) -> impl Iterator<Item = Message> {
-    slots.into_iter().filter_map(|s| s.reply)
-}
-
-/// One in-progress frame on the sharded backend: its requests in wire
-/// order, the run at the shards with the slot of each of its commands,
-/// and the runs still to submit.
-struct Job {
-    slots: Vec<WireSlot>,
-    live: Vec<usize>,
-    run: PendingRun,
-    runs: VecDeque<Vec<(usize, Command)>>,
-}
-
-/// Shard replies waiting for the dispatcher's next `deliver`.
-type ReplyQueue = Arc<Mutex<Vec<(u64, Response)>>>;
-
-/// Sharded dispatch: the run-at-a-time state machine over the engine's
-/// per-shard submission queues. All calls happen on the reactor thread;
-/// the shards answer through `sink` into `replies`, where `deliver`
-/// picks the answers up.
-struct ShardedDispatch {
-    submitter: ShardSubmitter,
-    fanout: Fanout,
-    sink: ReplySink,
-    replies: ReplyQueue,
-    /// Answers [`Message::Metrics`] without touching the shard queues.
-    provider: SnapshotFn,
-    /// Connection token → its one in-progress frame (the reactor
-    /// dispatches at most one frame per connection at a time).
-    jobs: HashMap<u64, Job>,
-    /// Id of each command at the shards → its connection's token.
-    owners: HashMap<u64, u64>,
-}
-
-impl ShardedDispatch {
-    /// Submits run `next` (each command with its slot) of connection
-    /// `token`'s frame and files the frame as in flight.
-    fn submit(
-        &mut self,
-        token: u64,
-        slots: Vec<WireSlot>,
-        next: Vec<(usize, Command)>,
-        runs: VecDeque<Vec<(usize, Command)>>,
-    ) {
-        let (live, commands): (Vec<usize>, Vec<Command>) = next.into_iter().unzip();
-        let run = self
-            .submitter
-            .submit(&mut self.fanout, commands, &self.sink);
-        self.owners.extend(run.ids().map(|id| (id, token)));
-        let job = Job {
-            slots,
-            live,
-            run,
-            runs,
-        };
-        self.jobs.insert(token, job);
-    }
-
-    /// Feeds one shard reply back in; returns a completed frame when
-    /// this reply was the last one it waited on.
-    fn absorb(&mut self, id: u64, response: Response) -> Option<(u64, Vec<Message>)> {
-        let token = *self.owners.get(&id)?; // `None`: a closed connection's
-        if !self.jobs.get_mut(&token)?.run.absorb(id, response) {
-            return None;
-        }
-        // The run is complete: format its answers with the single
-        // engine's formatter so they are byte-identical, then submit
-        // the next run, if any.
-        let Job {
-            mut slots,
-            live,
-            run,
-            mut runs,
-        } = self.jobs.remove(&token)?;
-        for id in run.ids() {
-            self.owners.remove(&id);
-        }
-        for (si, response) in live.into_iter().zip(run.finish()) {
-            let slot = &mut slots[si];
-            slot.reply = Some(Message::from_response(slot.id, slot.key.take(), response));
-        }
-        let Some(next) = runs.pop_front() else {
-            return Some((token, frame_replies(slots).collect()));
-        };
-        self.submit(token, slots, next, runs);
-        None
-    }
-}
-
-impl Dispatch for ShardedDispatch {
-    fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize> {
-        // Top-level telemetry requests are answered inline, exactly
-        // like the single-engine path (inside a Batch they fall through
-        // to "unsupported" there too).
-        if let Message::Metrics { id, flight } = msg {
-            encode_frame_into(&Message::metrics_reply(id, &(self.provider)(flight)), out);
-            return Some(1);
-        }
-        let mut msgs = Vec::new();
-        flatten(msg, &mut msgs);
-        // Slots in wire order; the commands among them split into
-        // same-class runs, as every multi-engine backend splits them.
-        let mut slots = Vec::with_capacity(msgs.len());
-        let mut commands: Vec<(usize, Command)> = Vec::new();
-        for m in msgs {
-            let key = match &m {
-                Message::Get { key, .. } => Some(key.clone()),
-                _ => None,
-            };
-            let (id, reply) = match m.into_request() {
-                Ok((id, command)) => {
-                    commands.push((slots.len(), command));
-                    (id, None)
-                }
-                // Server-to-server traffic is not accepted on the
-                // client port (same answer as the single engine).
-                Err(other) => (
-                    0,
-                    Some(Message::error(other.id().unwrap_or(0), UNSUPPORTED)),
-                ),
-            };
-            slots.push(WireSlot { id, key, reply });
-        }
-        let mut runs: VecDeque<_> = split_runs(commands, |(_, c)| c).into();
-        let Some(first) = runs.pop_front() else {
-            let mut n = 0;
-            for reply in frame_replies(slots) {
-                encode_frame_into(&reply, out);
-                n += 1;
-            }
-            return Some(n);
-        };
-        self.submit(token, slots, first, runs);
-        None
-    }
-
-    fn deliver(&mut self, conns: &mut Conns) {
-        let replies = std::mem::take(&mut *self.replies.lock().unwrap_or_else(|p| p.into_inner()));
-        for (id, response) in replies {
-            if let Some((token, frames)) = self.absorb(id, response) {
-                for frame in &frames {
-                    conns.send(token, frame);
-                }
-                conns.complete(token, frames.len());
-            }
-        }
-    }
-
-    fn forget(&mut self, token: u64) {
-        if let Some(job) = self.jobs.remove(&token) {
-            for id in job.run.ids() {
-                self.owners.remove(&id);
-            }
-        }
-    }
-}
-
 /// Counts a tick every `tick_ms` until stopped: the reactor's only
 /// clock (no wall-clock reads on the serving path).
 fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
@@ -460,8 +256,7 @@ fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
 
 /// A running event-driven server: the reactor thread, the ticker, and a
 /// deterministic [`shutdown`](FrontendServer::shutdown). Those two are
-/// its only threads, whatever the backend (a sharded engine's shard
-/// threads belong to the engine).
+/// its only threads, whatever the backend.
 ///
 /// ```no_run
 /// use pequod_core::{Engine, EngineConfig};
@@ -475,10 +270,9 @@ fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
 pub struct FrontendServer {
     addr: SocketAddr,
     unix_path: Option<PathBuf>,
-    /// The backend, when it is one of this crate's two (a hosted
+    /// The backend, when it is this crate's engine (a hosted
     /// dispatcher's owner keeps its own handle on what it serves).
     engine: Option<Arc<Mutex<Engine>>>,
-    sharded: Option<Arc<ShardedEngine>>,
     provider: SnapshotFn,
     signals: Arc<Signals>,
     waker: Waker,
@@ -510,50 +304,6 @@ impl FrontendServer {
             })
         })?;
         server.engine = Some(engine);
-        Ok(server)
-    }
-
-    /// Serves a [`ShardedEngine`] on `addr` through its per-shard
-    /// submission queues: frames execute on the shard threads.
-    pub fn spawn_sharded(
-        addr: impl ToSocketAddrs,
-        sharded: ShardedEngine,
-        cfg: FrontendConfig,
-    ) -> std::io::Result<FrontendServer> {
-        let sharded = Arc::new(sharded);
-        // Shard 0's recorder takes the reactor's own observations.
-        let recorder = sharded.recorders().first().cloned().unwrap_or_default();
-        let snapshot: SnapshotFn = {
-            let sharded = sharded.clone();
-            Arc::new(move |flight| sharded.telemetry_snapshot(flight))
-        };
-        let submitter = sharded.submitter();
-        let mut server = Self::spawn_dispatch(addr, cfg, recorder, snapshot, |provider, waker| {
-            let replies = ReplyQueue::default();
-            let queue = replies.clone();
-            // Runs on the shard threads. One wake-up byte per burst: the
-            // reactor's next `deliver` takes the whole queue.
-            let sink: ReplySink = Arc::new(move |id, response| {
-                let first = {
-                    let mut queue = queue.lock().unwrap_or_else(|p| p.into_inner());
-                    queue.push((id, response));
-                    queue.len() == 1
-                };
-                if first {
-                    waker.wake();
-                }
-            });
-            Box::new(ShardedDispatch {
-                fanout: submitter.fanout(),
-                submitter,
-                sink,
-                replies,
-                provider,
-                jobs: HashMap::new(),
-                owners: HashMap::new(),
-            })
-        })?;
-        server.sharded = Some(sharded);
         Ok(server)
     }
 
@@ -629,7 +379,6 @@ impl FrontendServer {
             addr,
             unix_path: cfg.unix_path,
             engine: None,
-            sharded: None,
             provider,
             signals,
             waker,
@@ -654,23 +403,17 @@ impl FrontendServer {
         self.stats.snapshot()
     }
 
-    /// The server's telemetry provider: backend metrics (engine or
-    /// merged shards) plus the frontend's serving counters, the same
+    /// The server's telemetry provider: backend metrics plus the frontend's serving counters, the same
     /// snapshot [`Message::Metrics`] answers with. `pequod-server`
     /// hands this to the Prometheus scrape listener.
     pub fn telemetry(&self) -> SnapshotFn {
         self.provider.clone()
     }
 
-    /// Shared access to the single-engine backend; `None` when serving
-    /// a [`ShardedEngine`].
+    /// Shared access to the single-engine backend; `None` when hosting
+    /// another [`Dispatch`].
     pub fn engine(&self) -> Option<Arc<Mutex<Engine>>> {
         self.engine.clone()
-    }
-
-    /// The sharded backend, when serving one.
-    pub fn sharded(&self) -> Option<Arc<ShardedEngine>> {
-        self.sharded.clone()
     }
 
     /// Deterministic stop: once this returns, no connection will be
@@ -700,9 +443,6 @@ impl FrontendServer {
         if let Some(Ok(mut engine)) = self.engine.as_ref().map(|e| e.lock()) {
             engine.finalize_durability();
         }
-        if let Some(sharded) = &self.sharded {
-            sharded.finalize_durability();
-        }
     }
 }
 
@@ -718,7 +458,7 @@ mod tests {
     use crate::codec::encode_frame;
     use pequod_core::config::MaterializationMode;
     use pequod_core::EngineConfig;
-    use pequod_store::Value;
+    use pequod_store::{Key, Value};
 
     const TIMELINE: &str =
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";

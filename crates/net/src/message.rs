@@ -317,18 +317,14 @@ impl Message {
         })
     }
 
-    /// The wire reply carrying `response` to request `id`; `key` is the
-    /// key a `Get` reply echoes. Every surface that answers from a
-    /// [`Response`] formats it here, so their bytes cannot diverge.
-    pub fn from_response(id: u64, key: Option<Key>, response: Response) -> Message {
+    /// The wire reply carrying `response` to request `id`. A `Value`
+    /// carries no key for the reply to echo, so a surface answers a wire
+    /// `Get` as the scan of one key instead.
+    pub fn from_response(id: u64, response: Response) -> Message {
         match response {
-            Response::Value(v) => Message::reply(
-                id,
-                v.and_then(|v| key.map(|k| (k, v))).into_iter().collect(),
-            ),
             Response::Pairs(pairs) => Message::reply(id, pairs),
             Response::Count(n) => Message::count_reply(id, n),
-            Response::Ok | Response::Stats(_) => Message::reply(id, vec![]),
+            Response::Value(_) | Response::Ok | Response::Stats(_) => Message::reply(id, vec![]),
             Response::Error(e) => Message::error(id, e),
         }
     }

@@ -11,8 +11,8 @@
 //!   the connection's output buffer: the single engine executes the
 //!   frame right there, on this thread, encoding each answer into the
 //!   buffer as it is produced; a backend whose answers come later, or
-//!   belong to another connection (the sharded engine's shard replies,
-//!   a cluster node's replication traffic and follower-acked writes),
+//!   belong to another connection (a cluster node's replication traffic
+//!   and follower-acked writes),
 //!   hands them over through [`Dispatch::deliver`], once per loop turn,
 //!   and another thread that has something for it rings the [`Waker`];
 //! * a reply is bytes in its connection's output buffer from the moment
@@ -282,7 +282,7 @@ pub(crate) struct Signals {
 
 /// Rings the reactor out of `epoll_wait` from another thread (one byte
 /// on its wakeup pipe). A thread that leaves work where a dispatcher's
-/// [`Dispatch::deliver`] will find it — a shard reply, a freshly dialed
+/// [`Dispatch::deliver`] will find it — a freshly dialed
 /// socket — rings this afterwards; the reactor then runs a loop turn,
 /// and every turn calls `deliver`.
 #[derive(Clone)]
@@ -297,12 +297,12 @@ impl Waker {
 
 /// The hosting contract: a `handle(from, msg) → out` state machine
 /// served by the reactor thread. [`FrontendServer::spawn_dispatch`]
-/// hosts any implementation; the single engine, the sharded engine and
-/// a cluster node are the three in the tree.
+/// hosts any implementation; the single engine and a cluster node are
+/// the two in the tree.
 ///
 /// Every call runs on the reactor thread, so whatever time a call takes
-/// is time no socket is served: the sharded backend only enqueues, the
-/// single engine and a cluster node run the frame to completion (a cold
+/// is time no socket is served: the single engine and a cluster node
+/// run the frame to completion (a cold
 /// recompute or a durability snapshot included — the paper's
 /// single-threaded server makes the same trade). A dispatcher that
 /// shares its state with other threads takes its lock inside a call and
@@ -312,9 +312,8 @@ impl Waker {
 /// Answers produced on other threads need no thread of the
 /// dispatcher's own to bring them over: the producer leaves them where
 /// [`deliver`](Dispatch::deliver) looks and rings the [`Waker`] passed
-/// to [`FrontendServer::spawn_dispatch`]'s `build`. The sharded
-/// backend's shards do exactly that through a reply sink that appends to
-/// the dispatcher's queue and rings once per empty-to-non-empty change.
+/// to [`FrontendServer::spawn_dispatch`]'s `build`. A cluster node's
+/// dialer threads do exactly that with the peer links they connect.
 ///
 /// [`FrontendServer::spawn_dispatch`]: crate::frontend::FrontendServer::spawn_dispatch
 pub trait Dispatch: Send {

@@ -13,7 +13,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pequod_core::{Engine, EngineConfig, ShardedEngine};
+use pequod_core::{Engine, EngineConfig};
 use pequod_net::codec::{encode_frame, FrameDecoder};
 use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient};
 use pequod_store::{Key, KeyRange, Value};
@@ -132,61 +132,6 @@ fn five_thousand_pipelined_connections() {
     assert_eq!(report.reply_errors, 0);
     let stats = server.stats();
     assert!(stats.accepted >= CONNS as u64);
-    server.shutdown();
-}
-
-/// Sharded backend under the same shape: pipelined put+get batches must
-/// keep read-your-writes through the per-shard submission queues.
-#[test]
-fn sharded_pipelined_connections() {
-    let part = Arc::new(pequod_core::partition::ComponentHashPartition {
-        component: 1,
-        servers: 2,
-    });
-    let sharded = ShardedEngine::new(2, EngineConfig::default(), part, &["p|", "s|"]);
-    let mut server =
-        FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default()).unwrap();
-    const CONNS: usize = 1000;
-    const FRAMES: usize = 4;
-    let swarm = Swarm::new(SwarmConfig {
-        conns: CONNS,
-        depth: 4,
-        frames_per_conn: FRAMES,
-        wait_ms: 1_000,
-        max_stalls: 60,
-    });
-    let report = swarm
-        .run(
-            server.addr(),
-            |c, s| {
-                let key = format!("p|u{c}|{s:010}");
-                Message::Batch {
-                    msgs: vec![
-                        Message::Put {
-                            id: (2 * s + 1) as u64,
-                            key: k(&key),
-                            value: v(vec![b's'; 16]),
-                        },
-                        Message::Get {
-                            id: (2 * s + 2) as u64,
-                            key: k(&key),
-                        },
-                    ],
-                }
-            },
-            |c, msg| {
-                let Message::Reply { id, pairs, error } = msg else {
-                    panic!("non-reply frame on connection {c}: {msg:?}");
-                };
-                assert!(error.is_none(), "conn {c} id {id}: server error {error:?}");
-                if id % 2 == 0 {
-                    assert_eq!(pairs.len(), 1, "conn {c} id {id}: get missed its put");
-                }
-            },
-        )
-        .unwrap();
-    assert_eq!(report.replies, (CONNS * FRAMES * 2) as u64);
-    assert_eq!(report.reply_errors, 0);
     server.shutdown();
 }
 
@@ -666,114 +611,4 @@ fn large_scans_flow_through_bounded_buffers() {
     assert_eq!(pairs.len(), 200);
     assert!(pairs.iter().all(|(_, val)| val.len() == 512));
     server.shutdown();
-}
-
-fn two_shard_server() -> FrontendServer {
-    let part = Arc::new(pequod_core::partition::ComponentHashPartition {
-        component: 1,
-        servers: 2,
-    });
-    let sharded = ShardedEngine::new(2, EngineConfig::default(), part, &["p|", "s|"]);
-    FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default()).unwrap()
-}
-
-/// The sharded backend adds no thread to the server's own two: the
-/// shards answer straight into the dispatcher's reply queue and wake
-/// the reactor, so no collector sits between them.
-#[test]
-fn sharded_server_runs_the_reactor_and_the_ticker_only() {
-    // See `paused_connection_starves_nobody_and_shutdown_abandons_it`
-    // for why a named spawner makes the server's threads countable.
-    const SPAWNER: &str = "sharded-census";
-    let mut server = spawn_named(SPAWNER, two_shard_server);
-    let mut client = TcpClient::connect(server.addr()).unwrap();
-    for i in 0..8 {
-        client.put(format!("p|u{i}|0000000001"), "v").unwrap();
-    }
-    assert_eq!(client.count(KeyRange::prefix("p|u3|")).unwrap(), 1);
-    assert_eq!(
-        threads_named(SPAWNER),
-        2,
-        "a sharded server runs the reactor and the ticker, nothing else"
-    );
-    let server_threads = tasks_named(SPAWNER);
-    server.shutdown();
-    wait_reaped(&server_threads, "a server thread outlived shutdown");
-    assert_eq!(
-        threads_named(SPAWNER),
-        0,
-        "a server thread outlived shutdown"
-    );
-}
-
-/// Sends `frame` on a fresh connection and returns the raw bytes of the
-/// first `replies` reply frames.
-fn reply_bytes(addr: std::net::SocketAddr, frame: &Message, replies: usize) -> Vec<u8> {
-    let mut sock = TcpStream::connect(addr).unwrap();
-    sock.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    sock.write_all(&encode_frame(frame)).unwrap();
-    let (mut raw, mut dec, mut seen) = (Vec::new(), FrameDecoder::new(), 0);
-    let mut chunk = [0u8; 16 * 1024];
-    while seen < replies {
-        let n = sock.read(&mut chunk).expect("replies stalled");
-        assert!(n > 0, "closed after {seen} of {replies} replies");
-        raw.extend_from_slice(&chunk[..n]);
-        dec.extend(&chunk[..n]);
-        while dec.next_frame().unwrap().is_some() {
-            seen += 1;
-        }
-    }
-    raw
-}
-
-/// A connection that closes while its frame is still going through the
-/// shards run by run is forgotten: its later shard replies are dropped,
-/// the slot is reclaimed, and the next connection sending the same frame
-/// gets the single engine's bytes.
-#[test]
-fn sharded_dispatch_forgets_a_connection_closed_mid_frame() {
-    // 40 alternating write and read runs, spread over both shards.
-    let frame = Message::Batch {
-        msgs: (0..20u64)
-            .flat_map(|i| {
-                let key = k(&format!("p|u{i}|{i:010}"));
-                [
-                    Message::Put {
-                        id: 2 * i + 1,
-                        key: key.clone(),
-                        value: v(format!("post {i}").into_bytes()),
-                    },
-                    Message::Get { id: 2 * i + 2, key },
-                ]
-            })
-            .collect(),
-    };
-    let mut server = two_shard_server();
-    // A `Metrics` frame is answered inline; the batch behind it is not.
-    // Closing with that first reply unread makes the close a reset, so
-    // the server drops the connection while the batch is in flight
-    // instead of finishing it for a half-closed peer.
-    let mut a = TcpStream::connect(server.addr()).unwrap();
-    let mut burst = encode_frame(&Message::Metrics {
-        id: 99,
-        flight: false,
-    })
-    .to_vec();
-    burst.extend_from_slice(&encode_frame(&frame));
-    a.write_all(&burst).unwrap();
-    a.peek(&mut [0u8; 1]).unwrap();
-    drop(a);
-    assert!(
-        wait_for(10, || server.stats().active == 0),
-        "the reset connection was never forgotten"
-    );
-    let mut reference = single_server(FrontendConfig::default());
-    assert_eq!(
-        reply_bytes(server.addr(), &frame, 40),
-        reply_bytes(reference.addr(), &frame, 40),
-        "replies after a forgotten frame differ from the single engine's"
-    );
-    server.shutdown();
-    reference.shutdown();
 }

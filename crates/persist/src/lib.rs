@@ -51,9 +51,7 @@ pub use dir::{recover, DataDir, Recovered};
 #[doc(hidden)]
 pub use fold::{FoldHook, FoldStep};
 pub use log::{read_log, FsyncPolicy, LogTail, LogWriter};
-pub use persister::{
-    attach, open_sharded, replay, PersistOptions, PersistStats, Persister, RecoveryReport,
-};
+pub use persister::{attach, replay, PersistOptions, PersistStats, Persister, RecoveryReport};
 pub use record::{decode_record, encode_record, RecordError, MAX_RECORD};
 pub use snapshot::{read_snapshot, write_snapshot, SnapshotData, SnapshotError};
 

@@ -1,18 +1,15 @@
-//! Wiring the log to the engine: the [`Persister`] durability sink,
-//! warm-restart recovery ([`attach`]), and the sharded deployment's
-//! per-shard directories ([`open_sharded`]).
+//! Wiring the log to the engine: the [`Persister`] durability sink and
+//! warm-restart recovery ([`attach`]).
 
 use crate::dir::{recover, DataDir, Recovered};
 use crate::fold::{FoldHook, Folder};
 use crate::log::{FsyncPolicy, LogWriter};
 use crate::snapshot::{sync_dir, write_snapshot};
-use pequod_core::partition::Partition;
-use pequod_core::{Durability, DurableOp, Engine, EngineConfig, ShardedEngine};
+use pequod_core::{Durability, DurableOp, Engine};
 use pequod_store::{Key, Value};
 use pequod_telemetry::Recorder;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Tuning for one engine's persistence.
 #[derive(Clone, Copy, Debug)]
@@ -359,58 +356,9 @@ pub fn attach(
     Ok(report)
 }
 
-/// Builds a durable [`ShardedEngine`]: shard `i` recovers from and
-/// logs to `root/shard-i/`, each with its own generations, so the
-/// node's logging parallelism matches its serving parallelism. Only a
-/// shard's *authoritative* writes reach its log (replica notifications
-/// are the home shard's responsibility), so the shard directories are
-/// disjoint and replaying them in any shard order rebuilds the same
-/// base state.
-///
-/// `recorders[i]`, when present, becomes shard `i`'s telemetry sink —
-/// installed before recovery so WAL/snapshot latency is captured from
-/// the first record. The recorders are also registered on the built
-/// engine (see [`ShardedEngine::telemetry_snapshot`]); pass `&[]` for
-/// no telemetry.
-pub fn open_sharded(
-    shards: usize,
-    config: EngineConfig,
-    partition: Arc<dyn Partition>,
-    partitioned_tables: &[&str],
-    root: impl AsRef<Path>,
-    opts: PersistOptions,
-    recorders: &[Recorder],
-) -> Result<ShardedEngine, String> {
-    let root = root.as_ref().to_path_buf();
-    let per_shard: Vec<Recorder> = recorders.to_vec();
-    let setup_recorders = per_shard.clone();
-    let mut built = ShardedEngine::new_with_setup(
-        shards,
-        config,
-        partition,
-        partitioned_tables,
-        move |shard, engine| {
-            if let Some(r) = setup_recorders.get(shard) {
-                engine.set_recorder(r.clone());
-            }
-            let report = attach(engine, root.join(format!("shard-{shard}")), opts)
-                .map_err(|e| format!("shard {shard}: {e}"))?;
-            if let Some(corruption) = &report.corruption {
-                // The damaged log was preserved as wal-G.log.corrupt;
-                // this is the one place the per-shard report surfaces.
-                eprintln!("pequod-persist: shard {shard}: log corruption — {corruption}");
-            }
-            Ok(())
-        },
-    )?;
-    built.set_recorders(per_shard);
-    Ok(built)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pequod_core::Client;
     use pequod_store::KeyRange;
     use pequod_store::Value;
     use std::path::PathBuf;
@@ -714,60 +662,5 @@ mod tests {
         attach(&mut e, &t.0, no_snap()).unwrap();
         assert_eq!(e.count(&KeyRange::prefix("p|a|")), 1);
         assert!(e.get(&Key::from("p|a|0000000001")).is_none());
-    }
-
-    #[test]
-    fn sharded_recovery_answers_like_a_single_engine() {
-        use pequod_core::partition::ComponentHashPartition;
-        let t = Tmp::new("sharded");
-        let part = || {
-            Arc::new(ComponentHashPartition {
-                component: 1,
-                servers: 3,
-            })
-        };
-        let mut reference = Engine::new_default();
-        {
-            let mut s = open_sharded(
-                3,
-                EngineConfig::default(),
-                part(),
-                &["p|", "s|"],
-                &t.0,
-                no_snap(),
-                &[],
-            )
-            .unwrap();
-            s.add_join(TIMELINE).unwrap();
-            reference.add_join_text(TIMELINE).unwrap();
-            for (u, p) in [("ann", "bob"), ("ann", "liz"), ("cat", "bob")] {
-                let k = Key::from(format!("s|{u}|{p}"));
-                s.put(&k, &Value::from_static(b"1"));
-                reference.put(k, Value::from_static(b"1"));
-            }
-            for (p, ts) in [("bob", 100u64), ("liz", 110), ("bob", 120)] {
-                let k = Key::from(format!("p|{p}|{ts:010}"));
-                s.put(&k, &Value::from_static(b"tweet"));
-                reference.put(k, Value::from_static(b"tweet"));
-            }
-            assert_eq!(s.count(&KeyRange::prefix("t|ann|")), 3);
-        }
-        let mut s = open_sharded(
-            3,
-            EngineConfig::default(),
-            part(),
-            &["p|", "s|"],
-            &t.0,
-            no_snap(),
-            &[],
-        )
-        .unwrap();
-        for prefix in ["t|ann|", "t|cat|", "p|", "s|"] {
-            assert_eq!(
-                s.scan(&KeyRange::prefix(prefix)),
-                reference.scan(&KeyRange::prefix(prefix)).pairs,
-                "recovered sharded scan of {prefix} diverged"
-            );
-        }
     }
 }

@@ -23,9 +23,9 @@
 //!
 //! The store is deliberately single-threaded and event-driven, like the
 //! paper's C++ server: one `Store` belongs to one engine; concurrency
-//! lives a level up — `pequod_core::ShardedEngine` moves whole engines
-//! (and therefore whole stores) onto worker threads, and `pequod-net`
-//! runs one engine per server process. That design only needs the types
+//! lives a level up — `pequod-net` runs one engine per server process,
+//! on its reactor thread, and a machine's cores are used by running one
+//! process per core. That design only needs the types
 //! here to be [`Send`] (owned data, movable across threads), never
 //! [`Sync`]; the assertion below pins that contract at compile time.
 
@@ -55,11 +55,11 @@ pub use table::{Table, TableStats};
 pub use value::{Value, ValueRef};
 
 /// Compile-time thread-safety contract: everything an engine owns can
-/// move to a shard worker thread, and the shared-payload types (`Key`,
+/// move to the thread that serves it, and the shared-payload types (`Key`,
 /// `Value`: held in place when short, refcounted via `Arc` beyond) can
 /// additionally be read from many threads. If a change to the store
 /// breaks one of these bounds, this fails to compile rather than
-/// surfacing as a distant trait error in `pequod_core::sharded`.
+/// surfacing as a distant trait error where an engine is hosted.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}

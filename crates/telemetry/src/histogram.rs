@@ -4,7 +4,7 @@
 //! `⌈log₂(v+1)⌉`, plus exact atomic `count`, `sum`, and `max` words.
 //! Writers only ever do relaxed `fetch_add`/`fetch_max`, so concurrent
 //! observation from any number of threads is wait-free and never
-//! loses an event: merged totals across writer threads are *exact*
+//! loses an event: totals across writer threads are *exact*
 //! (the quantiles are bucket-resolution approximations, the counts and
 //! sums are not).
 
@@ -118,7 +118,7 @@ impl Histogram {
     }
 }
 
-/// An owned copy of a [`Histogram`], mergeable across shards.
+/// An owned copy of a [`Histogram`].
 #[derive(Clone, Copy, Debug)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see `bucket_of` for the banding).
@@ -143,18 +143,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds another snapshot in: bucket-wise and total sums, max of
-    /// maxes. Merging per-shard snapshots yields exactly the histogram
-    /// a single shared instance would have recorded.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// The approximate `q`-quantile (0.0–1.0): the inclusive upper
     /// bound of the bucket holding the `⌈q·count⌉`-th sample, capped at
     /// the exact observed max. Returns 0 for an empty histogram.
@@ -256,27 +244,6 @@ mod tests {
         assert_eq!(s.p99(), 0);
         assert_eq!(s.mean(), 0);
         assert!(s.cumulative().is_empty());
-    }
-
-    #[test]
-    fn merge_is_exact_on_totals() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..100u64 {
-            a.observe(v);
-            b.observe(v * 3);
-        }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count, 200);
-        assert_eq!(m.sum, (0..100).sum::<u64>() * 4);
-        assert_eq!(m.max, 297);
-        let whole = Histogram::new();
-        for v in 0..100u64 {
-            whole.observe(v);
-            whole.observe(v * 3);
-        }
-        assert_eq!(m.buckets, whole.snapshot().buckets);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //!
 //! A [`Snapshot`] is an ordered list of named entries (counter, gauge,
 //! or histogram), optionally with labels, plus a dump of the flight
-//! ring. Snapshots from different shards [`merge`](Snapshot::merge) by
-//! matching `(name, labels)`: counters and gauges add, histograms
-//! bucket-merge. Two encoders exist: Prometheus text exposition
+//! ring. Two encoders exist: Prometheus text exposition
 //! ([`to_prometheus`](Snapshot::to_prometheus)) for the HTTP scrape
 //! endpoint, and flat string pairs ([`to_pairs`](Snapshot::to_pairs))
 //! for the `Message::Metrics` wire frame.
@@ -42,7 +40,7 @@ pub struct Entry {
     pub value: Value,
 }
 
-/// A mergeable point-in-time view of a recorder (or several).
+/// A point-in-time view of a recorder.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// Metric entries in emission order.
@@ -77,39 +75,6 @@ impl Snapshot {
             labels: own_labels(labels),
             value: Value::Histogram(h),
         });
-    }
-
-    /// Folds `other` in by `(name, labels)` identity: counters and
-    /// gauges add, histograms bucket-merge, unmatched entries append.
-    /// Gauges add because merged snapshots come from shards whose
-    /// levels (queue depths, bytes) are naturally summed.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for e in &other.entries {
-            let found = self
-                .entries
-                .iter_mut()
-                .find(|m| m.name == e.name && m.labels == e.labels);
-            match found {
-                Some(mine) => match (&mut mine.value, &e.value) {
-                    (Value::Counter(a), Value::Counter(b)) => *a += b,
-                    (Value::Gauge(a), Value::Gauge(b)) => *a += b,
-                    (Value::Histogram(a), Value::Histogram(b)) => a.merge(b),
-                    // Kind mismatch between shards would be a wiring
-                    // bug; keep the first kind rather than panicking
-                    // on a diagnostics path.
-                    _ => {}
-                },
-                None => self.entries.push(e.clone()),
-            }
-        }
-        let mut flight: Vec<FlightEvent> = self
-            .flight
-            .iter()
-            .cloned()
-            .chain(other.flight.iter().cloned())
-            .collect();
-        flight.sort_by_key(|e| (e.at_micros, e.seq));
-        self.flight = flight;
     }
 
     /// Prometheus text exposition format (version 0.0.4): `# TYPE`
@@ -324,21 +289,6 @@ mod tests {
         assert!(text.contains("lat_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("lat_us_sum 6"));
         assert!(text.contains("lat_us_count 2"));
-    }
-
-    #[test]
-    fn merge_adds_matching_and_appends_new() {
-        let mut a = Snapshot::default();
-        a.counter("x", &[("k", "1")], 5);
-        let mut b = Snapshot::default();
-        b.counter("x", &[("k", "1")], 3);
-        b.counter("y", &[], 2);
-        a.merge(&b);
-        assert_eq!(a.entries.len(), 2);
-        match &a.entries[0].value {
-            Value::Counter(v) => assert_eq!(*v, 8),
-            v => panic!("wrong kind {v:?}"),
-        }
     }
 
     #[test]

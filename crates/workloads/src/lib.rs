@@ -33,8 +33,7 @@
 //! [`twip::ClientTwip`] and [`newp::ClientNewp`] drive the same
 //! workloads through the unified `pequod_core::Client` trait, so a
 //! single driver runs unchanged against the in-process engine, the
-//! multi-core sharded engine, the write-around deployment, the
-//! simulated cluster, and the join-less baseline stores (which fall
+//! write-around deployment, the simulated cluster, and the join-less baseline stores (which fall
 //! back to client-side fan-out). This is what gives the figure
 //! binaries their `--backend` flag: same commands, same meter, any
 //! deployment shape.

@@ -3,7 +3,6 @@
 //! ```text
 //! pequod-server [--listen ADDR] [--join 'SPEC'] [--joins-file PATH]
 //!               [--subtable PREFIX:DEPTH] [--mem-limit-mb N]
-//!               [--shards N] [--shard-table PREFIX] [--shard-component C]
 //!               [--data-dir DIR] [--snapshot-every N]
 //!               [--fsync never|always|every:N] [--paranoid]
 //!               [--unix-socket PATH] [--metrics-addr HOST:PORT]
@@ -20,23 +19,13 @@
 //! `--unix-socket PATH` additionally serves the same protocol on a
 //! unix-domain socket, in every mode.
 //!
-//! With `--shards N` (N > 1) the node serves a
-//! [`pequod::core::ShardedEngine`]: N single-threaded engine shards,
-//! keys routed by hashing key component `--shard-component` (default 1,
-//! the user/author component), with every `--shard-table` prefix
-//! (default `p|` and `s|`) partitioned across shards and kept fresh by
-//! in-process subscriptions. Requests execute on the shard that owns
-//! their key, so concurrent clients use every core.
-//!
 //! `--mem-limit-mb N` serves memory-bounded (§2.5): the node evicts
 //! least-recently-used computed ranges (and cached replicas) to keep
 //! its estimated footprint under N MiB, transparently recomputing
-//! evicted data on the next read. With `--shards` the budget is split
-//! evenly across shards. See `docs/MEMORY.md`.
+//! evicted data on the next read. See `docs/MEMORY.md`.
 //!
 //! `--data-dir DIR` serves **durably**: base writes are captured in a
-//! checksummed write-ahead log under DIR (per-shard subdirectories
-//! with `--shards`), snapshots compact the log every
+//! checksummed write-ahead log under DIR, snapshots compact the log every
 //! `--snapshot-every` records (default 65536), and a restart with the
 //! same DIR recovers the base tables and re-derives computed ranges on
 //! first read. `--fsync` picks the power-loss window (a plain process
@@ -54,6 +43,9 @@
 //! migration (see `docs/REPLICATION.md`). Combine with `--data-dir`
 //! for per-node durability; `--listen` overrides this node's address
 //! from the cluster file (useful for tests with ephemeral ports).
+//! This is also how a deployment uses more than one core: one process
+//! per core, `replication = 1`, base tables partitioned across the
+//! processes and joins across them kept fresh by §2.4 Subscribe/Notify.
 //!
 //! `--metrics-addr HOST:PORT` turns telemetry recording on and serves
 //! a Prometheus text scrape at `http://HOST:PORT/metrics` (plus the
@@ -68,15 +60,13 @@
 //! nothing even under `--fsync never`.
 
 use pequod::cluster::{ClusterConfig, ClusterServer};
-use pequod::core::partition::ComponentHashPartition;
-use pequod::core::{Client, Engine, EngineConfig, MemoryLimit, ShardedEngine};
+use pequod::core::{Engine, EngineConfig, MemoryLimit};
 use pequod::net::FrontendServer;
 use pequod::persist::{FsyncPolicy, PersistOptions};
 use pequod::store::StoreConfig;
 use pequod::telemetry::{MetricsServer, Recorder, SnapshotFn};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Set by the SIGTERM handler; the main loop polls it and shuts down
 /// gracefully (final WAL fsync + snapshot) when it flips.
@@ -115,9 +105,6 @@ fn main() {
     let mut joins: Vec<String> = Vec::new();
     let mut store = StoreConfig::flat();
     let mut mem_limit: Option<MemoryLimit> = None;
-    let mut shards: usize = 1;
-    let mut shard_tables: Vec<String> = Vec::new();
-    let mut shard_component: usize = 1;
     let mut data_dir: Option<PathBuf> = None;
     let mut persist_opts = PersistOptions::default();
     let mut paranoid = false;
@@ -155,22 +142,6 @@ fn main() {
                     .expect("--mem-limit-mb needs a positive number of MiB");
                 assert!(mb >= 1, "--mem-limit-mb needs a positive number of MiB");
                 mem_limit = Some(MemoryLimit::mb(mb));
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--shards needs a positive number");
-                assert!(shards >= 1, "--shards needs a positive number");
-            }
-            "--shard-table" => {
-                shard_tables.push(args.next().expect("--shard-table needs a table prefix"));
-            }
-            "--shard-component" => {
-                shard_component = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--shard-component needs a number");
             }
             "--data-dir" => {
                 data_dir = Some(PathBuf::from(
@@ -214,7 +185,6 @@ fn main() {
                     "pequod-server [--listen ADDR] [--join 'SPEC']... \
                      [--joins-file PATH] [--subtable PREFIX:DEPTH]... \
                      [--mem-limit-mb N] \
-                     [--shards N] [--shard-table PREFIX]... [--shard-component C] \
                      [--data-dir DIR] [--snapshot-every N] \
                      [--fsync never|always|every:N] [--paranoid] \
                      [--unix-socket PATH] [--metrics-addr HOST:PORT] \
@@ -235,27 +205,8 @@ fn main() {
         eprintln!("paranoid: deep invariant checking after every operation (slow)");
     }
     if let Some(limit) = mem_limit {
-        eprintln!(
-            "memory-bounded serving: cap {} MiB{}",
-            limit.high_bytes >> 20,
-            if shards > 1 {
-                format!(" split over {shards} shards")
-            } else {
-                String::new()
-            }
-        );
+        eprintln!("memory-bounded serving: cap {} MiB", limit.high_bytes >> 20);
     }
-    let install = |client: &mut dyn Client| {
-        for text in &joins {
-            match client.add_join(text) {
-                Ok(()) => eprintln!("installed join(s) from one spec"),
-                Err(e) => {
-                    eprintln!("bad join: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
     if let Some(dir) = &data_dir {
         eprintln!(
             "durable serving: data dir {} (fsync {}, snapshot every {} records)",
@@ -268,10 +219,6 @@ fn main() {
     }
     let cluster = cluster_file.as_ref().map(|path| {
         let id = node_id.expect("--cluster requires --node-id");
-        assert!(
-            shards == 1,
-            "--cluster serves one engine per node (drop --shards; run more nodes instead)"
-        );
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read cluster file {path}: {e}"));
         let cluster_cfg =
@@ -286,36 +233,41 @@ fn main() {
     });
     // One engine, built one way, for a stand-alone node and a cluster
     // member alike.
-    let single_engine = || {
-        let mut engine = Engine::new(config.clone());
-        if metrics_addr.is_some() {
-            // Before `attach` so the persister clones an enabled
-            // recorder and WAL latency is captured from record one.
-            engine.set_recorder(Recorder::enabled());
-        }
-        if let Some(dir) = &data_dir {
-            let report = pequod::persist::attach(&mut engine, dir, persist_opts)
-                .unwrap_or_else(|e| panic!("cannot recover {}: {e}", dir.display()));
+    let mut engine = Engine::new(config);
+    if metrics_addr.is_some() {
+        // Before `attach` so the persister clones an enabled
+        // recorder and WAL latency is captured from record one.
+        engine.set_recorder(Recorder::enabled());
+    }
+    if let Some(dir) = &data_dir {
+        let report = pequod::persist::attach(&mut engine, dir, persist_opts)
+            .unwrap_or_else(|e| panic!("cannot recover {}: {e}", dir.display()));
+        eprintln!(
+            "recovered generation {}: {} joins, {} snapshot pairs + {} logged records \
+             ({} torn bytes dropped)",
+            report.generation,
+            report.joins,
+            report.snapshot_pairs,
+            report.wal_records,
+            report.bytes_dropped,
+        );
+        if let Some(corruption) = &report.corruption {
             eprintln!(
-                "recovered generation {}: {} joins, {} snapshot pairs + {} logged records \
-                 ({} torn bytes dropped)",
-                report.generation,
-                report.joins,
-                report.snapshot_pairs,
-                report.wal_records,
-                report.bytes_dropped,
+                "WARNING: log corruption (not a clean crash tail) — {corruption}; \
+                 the damaged log was preserved as wal-*.log.corrupt for salvage"
             );
-            if let Some(corruption) = &report.corruption {
-                eprintln!(
-                    "WARNING: log corruption (not a clean crash tail) — {corruption}; \
-                     the damaged log was preserved as wal-*.log.corrupt for salvage"
-                );
+        }
+    }
+    for text in &joins {
+        match engine.add_joins_text(text) {
+            Ok(_) => eprintln!("installed join(s) from one spec"),
+            Err(e) => {
+                eprintln!("bad join: {e}");
+                std::process::exit(2);
             }
         }
-        install(&mut engine);
-        engine
-    };
-    // Every mode gets the same serving edge, and ends up as the same
+    }
+    // Both modes get the same serving edge, and end up as the same
     // three things: an address, a telemetry provider, and the one way
     // it stops (drain, final durability snapshot, fsync).
     let frontend_cfg = pequod::net::FrontendConfig {
@@ -323,73 +275,8 @@ fn main() {
         ..Default::default()
     };
     type Serving = (std::net::SocketAddr, SnapshotFn, Box<dyn FnOnce()>);
-    let stand_alone = |server: std::io::Result<FrontendServer>| -> Serving {
-        let mut server = server.unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
-        (
-            server.addr(),
-            server.telemetry(),
-            Box::new(move || server.shutdown_finalize()),
-        )
-    };
-    let (addr, telemetry, stop): Serving = if shards > 1 {
-        if shard_tables.is_empty() {
-            shard_tables = vec!["p|".to_string(), "s|".to_string()];
-        }
-        let tables: Vec<&str> = shard_tables.iter().map(|s| s.as_str()).collect();
-        let partition = Arc::new(ComponentHashPartition {
-            component: shard_component,
-            servers: shards as u32,
-        });
-        // With telemetry on, every shard gets its own recorder (no
-        // cross-shard contention); snapshots merge them on demand.
-        let recorders: Vec<Recorder> = if metrics_addr.is_some() {
-            (0..shards).map(|_| Recorder::enabled()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut sharded = match &data_dir {
-            Some(dir) => pequod::persist::open_sharded(
-                shards,
-                config,
-                partition,
-                &tables,
-                dir,
-                persist_opts,
-                &recorders,
-            )
-            .unwrap_or_else(|e| panic!("cannot recover shards: {e}")),
-            None if recorders.is_empty() => ShardedEngine::new(shards, config, partition, &tables),
-            None => {
-                let per_shard = recorders.clone();
-                let mut built = ShardedEngine::new_with_setup(
-                    shards,
-                    config,
-                    partition,
-                    &tables,
-                    move |shard, engine| {
-                        if let Some(r) = per_shard.get(shard) {
-                            engine.set_recorder(r.clone());
-                        }
-                        Ok(())
-                    },
-                )
-                .unwrap_or_else(|e| panic!("cannot start shards: {e}"));
-                built.set_recorders(recorders.clone());
-                built
-            }
-        };
-        install(&mut sharded);
-        eprintln!(
-            "serving {shards} shards (tables {shard_tables:?} hashed on component {shard_component})"
-        );
-        stand_alone(FrontendServer::spawn_sharded(
-            &*listen,
-            sharded,
-            frontend_cfg,
-        ))
-    } else if let Some((id, cluster_cfg)) = cluster {
+    let (addr, telemetry, stop): Serving = if let Some((id, cluster_cfg)) = cluster {
         let addr_override = listen_set.then_some(listen.as_str());
-        let engine = single_engine();
         let mut server =
             ClusterServer::spawn_with(cluster_cfg, id, engine, addr_override, frontend_cfg)
                 .unwrap_or_else(|e| panic!("cannot serve cluster node {id}: {e}"));
@@ -399,11 +286,13 @@ fn main() {
             Box::new(move || server.halt()),
         )
     } else {
-        stand_alone(FrontendServer::spawn(
-            &*listen,
-            single_engine(),
-            frontend_cfg,
-        ))
+        let mut server = FrontendServer::spawn(&*listen, engine, frontend_cfg)
+            .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
+        (
+            server.addr(),
+            server.telemetry(),
+            Box::new(move || server.shutdown_finalize()),
+        )
     };
     if let Some(p) = &unix_socket {
         eprintln!("also serving on unix socket {}", p.display());

@@ -13,9 +13,8 @@
 //!   ranges, the Figure 2 grammar.
 //! * [`core`] — the engine: query execution, incremental maintenance,
 //!   invalidation, eviction; key-routing partitions, the §2.4
-//!   Subscribe/Notify node, the multi-core
-//!   [`ShardedEngine`](crate::core::ShardedEngine) and the write-around
-//!   deployment [`WriteAround`](crate::core::WriteAround).
+//!   Subscribe/Notify node and the write-around deployment
+//!   [`WriteAround`](crate::core::WriteAround).
 //! * [`net`] — the wire and what carries it: codec, deterministic
 //!   message fabric, the reactor serving edge, TCP client.
 //! * [`cluster`] — the deployment across processes: one §2.4 node per
@@ -69,9 +68,7 @@
 //! assert_eq!(timeline_demo(&mut wa), 1);
 //! ```
 //!
-//! `pequod::core::ShardedEngine` (N single-threaded engine shards on
-//! worker threads, cross-shard joins kept fresh over in-process
-//! channels), `pequod::cluster::ClusterClient` (a partitioned,
+//! `pequod::cluster::ClusterClient` (a partitioned,
 //! replicated cluster — over sockets or simulated — pipelining each
 //! batch as one frame per destination node), and the
 //! join-less baseline stores in [`baselines`] plug into the same

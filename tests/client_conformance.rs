@@ -1,7 +1,7 @@
 //! Conformance suite for the unified client API: the same command
-//! script runs against every backend — in-process engine, sharded
-//! multi-core engine, write-around deployment, simulated replicated
-//! cluster (one replica per slot, and two), and the three baseline
+//! script runs against every backend — in-process engine, write-around
+//! deployment, simulated replicated cluster (one replica per slot, and
+//! two), and the three baseline
 //! stores — and must produce the identical response
 //! sequence. This is the contract that makes the figure binaries'
 //! `--backend` flag meaningful: any backend that passes here is a
@@ -10,17 +10,10 @@
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
 use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-use pequod::core::{
-    Client, Command, Engine, EngineConfig, MemoryLimit, Response, ShardedEngine, WriteAround,
-};
+use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response, WriteAround};
 use pequod::prelude::*;
 use pequod::telemetry::Recorder;
 use std::sync::Arc;
-
-/// Tables the scripts touch; write-around and sharded deployments treat
-/// them as database-resident / partitioned respectively (a cluster
-/// partitions every base table it meets).
-const TABLES: &[&str] = &["p|", "s|", "t|", "acct|"];
 
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -55,10 +48,6 @@ fn by_user() -> Arc<dyn Partition> {
 
 /// The tables a write-around deployment keeps in its database.
 const DB_TABLES: &[&str] = &["p|", "s|", "acct|"];
-
-/// A user-partitioned deployment keeps no table on one node, so it has
-/// to be told about every table the scripts touch.
-const HASHED_TABLES: &[&str] = &["p|", "s|", "t|", "acct|", "misc|"];
 
 /// A simulated two-node cluster over `engine()`s, one replica of each
 /// of the partition's two slots.
@@ -96,17 +85,6 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
             Box::new(|| Box::new(Engine::new(EngineConfig::default())) as Box<dyn Client>),
         ),
         (
-            "sharded",
-            Box::new(|| {
-                Box::new(ShardedEngine::new(
-                    2,
-                    EngineConfig::default(),
-                    by_table(),
-                    TABLES,
-                )) as Box<dyn Client>
-            }),
-        ),
-        (
             "writearound",
             Box::new(|| {
                 Box::new(WriteAround::new(
@@ -118,17 +96,6 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
         (
             "cluster",
             Box::new(|| Box::new(cluster_of(by_table(), Engine::new_default)) as _),
-        ),
-        (
-            "sharded-hash",
-            Box::new(|| {
-                Box::new(ShardedEngine::new(
-                    2,
-                    EngineConfig::default(),
-                    by_user(),
-                    HASHED_TABLES,
-                )) as Box<dyn Client>
-            }),
         ),
         (
             "cluster-hash",
@@ -197,8 +164,7 @@ fn kv_script() -> Vec<Command> {
     .collect()
 }
 
-/// Reads that span every node of a user-partitioned deployment (the
-/// scans of `core::sharded::tests::cross_shard_ranges_agree_with_engine`):
+/// Reads that span every node of a user-partitioned deployment:
 /// the executing node has to gather all nodes' rows, answer like a
 /// single engine, leave no node's residency poisoned for the sub-range
 /// reads that follow from other nodes, and stay fresh.
@@ -397,12 +363,6 @@ impl Audited for Engine {
     }
 }
 
-impl Audited for ShardedEngine {
-    fn audit(&mut self) -> Vec<String> {
-        self.check_invariants()
-    }
-}
-
 impl Audited for WriteAround {
     fn audit(&mut self) -> Vec<String> {
         self.check_invariants()
@@ -452,8 +412,8 @@ fn read_everything() -> Vec<Command> {
 /// answer the shared script byte-identically to an uncapped engine, on
 /// every join-capable backend that can run capped — the in-process
 /// engine, the write-around deployment (the cache capped, the database
-/// not), the sharded engine (per-shard budgets), and the simulated
-/// cluster (per-node budgets), partitioned by table and by user. The
+/// not), and the simulated cluster (per-node budgets), partitioned by
+/// table and by user. The
 /// cap is calibrated to half of the uncapped engine's footprint on the
 /// same script, so eviction provably fires while the script runs.
 ///
@@ -472,18 +432,14 @@ fn capped_backends_answer_like_uncapped_ones() {
     let want_after = run_script(&mut reference, read_everything());
     let limit = MemoryLimit::new(footprint / 2);
     let capped = move || EngineConfig::default().with_mem_limit(limit);
-    // Cluster nodes are configured explicitly: give each server an even
-    // share of the deployment budget. ShardedEngine splits the node
-    // budget per shard itself.
-    let node_engine = move || Engine::new(EngineConfig::default().with_mem_limit(limit.split(2)));
+    // Cluster nodes are configured explicitly: give each of the two
+    // servers half of the deployment budget.
+    let node_limit = MemoryLimit::new(limit.high_bytes / 2);
+    let node_engine = move || Engine::new(EngineConfig::default().with_mem_limit(node_limit));
 
     type AuditedFactory = (&'static str, Box<dyn Fn() -> Box<dyn Audited>>);
     let deployments: Vec<AuditedFactory> = vec![
         ("engine", Box::new(move || Box::new(Engine::new(capped())))),
-        (
-            "sharded",
-            Box::new(move || Box::new(ShardedEngine::new(2, capped(), by_table(), TABLES))),
-        ),
         (
             "writearound",
             Box::new(move || Box::new(WriteAround::new(Engine::new(capped()), DB_TABLES))),
@@ -491,10 +447,6 @@ fn capped_backends_answer_like_uncapped_ones() {
         (
             "cluster",
             Box::new(move || Box::new(cluster_of(by_table(), node_engine))),
-        ),
-        (
-            "sharded-hash",
-            Box::new(move || Box::new(ShardedEngine::new(2, capped(), by_user(), HASHED_TABLES))),
         ),
         (
             "cluster-hash",
@@ -555,23 +507,6 @@ fn telemetered_backends() -> Vec<BackendFactory> {
             Box::new(|| Box::new(telemetered_engine()) as Box<dyn Client>),
         ),
         (
-            "sharded",
-            Box::new(|| {
-                let sharded = ShardedEngine::new_with_setup(
-                    2,
-                    EngineConfig::default(),
-                    by_table(),
-                    TABLES,
-                    |_, e| {
-                        e.set_recorder(Recorder::enabled());
-                        Ok(())
-                    },
-                )
-                .unwrap_or_else(|e| panic!("sharded setup: {e}"));
-                Box::new(sharded) as Box<dyn Client>
-            }),
-        ),
-        (
             "writearound",
             Box::new(|| {
                 Box::new(WriteAround::new(telemetered_engine(), DB_TABLES)) as Box<dyn Client>
@@ -580,23 +515,6 @@ fn telemetered_backends() -> Vec<BackendFactory> {
         (
             "cluster",
             Box::new(|| Box::new(cluster_of(by_table(), telemetered_engine)) as _),
-        ),
-        (
-            "sharded-hash",
-            Box::new(|| {
-                let sharded = ShardedEngine::new_with_setup(
-                    2,
-                    EngineConfig::default(),
-                    by_user(),
-                    HASHED_TABLES,
-                    |_, e| {
-                        e.set_recorder(Recorder::enabled());
-                        Ok(())
-                    },
-                )
-                .unwrap_or_else(|e| panic!("sharded setup: {e}"));
-                Box::new(sharded) as Box<dyn Client>
-            }),
         ),
         (
             "cluster-hash",

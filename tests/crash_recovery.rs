@@ -7,10 +7,9 @@
 //! operations that survived in the log — torn tail records are
 //! detected by checksum and dropped, everything before them is served.
 //!
-//! Runs the matrix the acceptance criteria name: the single-engine and
-//! sharded backends, each also with `--mem-limit-mb` set (recovery and
-//! eviction compose: a capped recovered node still answers like the
-//! uncapped reference). The byte-exhaustive torn-tail sweep lives in
+//! Runs the single engine with and without `--mem-limit-mb` (recovery
+//! and eviction compose: a capped recovered node still answers like the
+//! uncapped reference), then the replicated cluster. The byte-exhaustive torn-tail sweep lives in
 //! `crates/persist/tests/crash_sim.rs`; this file proves the story
 //! end-to-end through a real process, a real socket, and a real kill.
 
@@ -20,7 +19,7 @@ use pequod::persist::{recover, replay};
 use pequod::prelude::*;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::Duration;
 
@@ -125,23 +124,15 @@ fn post_key(poster: u32, t: u64) -> String {
     format!("p|u{poster:03}|{t:010}")
 }
 
-/// Rebuilds the surviving history from the data directory (or, for a
-/// sharded node, its per-shard subdirectories) into a single reference
-/// engine, through the *production* replay path (`persist::replay`):
-/// snapshot joins + pairs, then the log tail, in order. Shard
-/// directories are disjoint (each shard logs only its authoritative
-/// writes), so any shard order rebuilds the same base state; join
-/// installation is idempotent, so the broadcast `AddJoin` each shard
-/// logged installs once.
-fn reference_from(dirs: &[PathBuf]) -> (Engine, usize) {
+/// Rebuilds the surviving history from the data directory into a
+/// reference engine, through the *production* replay path
+/// (`persist::replay`): snapshot joins + pairs, then the log tail, in
+/// order. Returns it with the number of surviving operations.
+fn reference_from(dir: &Path) -> (Engine, usize) {
     let mut reference = Engine::new_default();
-    let mut surviving_ops = 0usize;
-    for dir in dirs {
-        let rec = recover(dir).unwrap_or_else(|e| panic!("recover {}: {e}", dir.display()));
-        surviving_ops += rec.pairs.len() + rec.ops.len();
-        replay(&mut reference, &rec).unwrap_or_else(|e| panic!("replay {}: {e}", dir.display()));
-    }
-    (reference, surviving_ops)
+    let rec = recover(dir).unwrap_or_else(|e| panic!("recover {}: {e}", dir.display()));
+    replay(&mut reference, &rec).unwrap_or_else(|e| panic!("replay {}: {e}", dir.display()));
+    (reference, rec.pairs.len() + rec.ops.len())
 }
 
 /// FNV-1a over a pair list: the content digest half of the
@@ -202,7 +193,7 @@ fn conformance(client: &mut TcpClient, reference: &mut Engine, label: &str) {
 }
 
 /// One full crash→recover→conform cycle.
-fn crash_and_recover(label: &str, extra_args: &[&str], shard_dirs: usize) {
+fn crash_and_recover(label: &str, extra_args: &[&str]) {
     let tmp = TempDir::new(label);
     let data_dir = tmp.0.join("data");
     let data_dir_s = data_dir.to_str().unwrap().to_string();
@@ -262,16 +253,9 @@ fn crash_and_recover(label: &str, extra_args: &[&str], shard_dirs: usize) {
     // Phase 3: the reference is what the log says survived. Everything
     // the client saw acknowledged must be there (fsync every:8 only
     // matters for power loss; a SIGKILL keeps OS-buffered writes).
-    let dirs: Vec<PathBuf> = if shard_dirs <= 1 {
-        vec![data_dir.clone()]
-    } else {
-        (0..shard_dirs)
-            .map(|s| data_dir.join(format!("shard-{s}")))
-            .collect()
-    };
-    let (mut reference, surviving) = reference_from(&dirs);
+    let (mut reference, surviving) = reference_from(&data_dir);
     // Everything phase 1 acknowledged must be in the log: 24 follow
-    // edges + 48 posts (the join is counted separately per shard).
+    // edges + 48 posts (the join is counted separately).
     assert!(
         surviving >= 72,
         "{label}: only {surviving} ops survived — the acknowledged phase-1 base is missing"
@@ -296,26 +280,12 @@ fn crash_and_recover(label: &str, extra_args: &[&str], shard_dirs: usize) {
 
 #[test]
 fn single_engine_recovers_byte_identically_after_midbatch_kill() {
-    crash_and_recover("single", &[], 1);
+    crash_and_recover("single", &[]);
 }
 
 #[test]
 fn single_engine_with_mem_limit_recovers_byte_identically() {
-    crash_and_recover("single-capped", &["--mem-limit-mb", "1"], 1);
-}
-
-#[test]
-fn sharded_recovers_byte_identically_after_midbatch_kill() {
-    crash_and_recover("sharded", &["--shards", "3"], 3);
-}
-
-#[test]
-fn sharded_with_mem_limit_recovers_byte_identically() {
-    crash_and_recover(
-        "sharded-capped",
-        &["--shards", "3", "--mem-limit-mb", "2"],
-        3,
-    );
+    crash_and_recover("single-capped", &["--mem-limit-mb", "1"]);
 }
 
 // ---------------------------------------------------------------------------
@@ -504,14 +474,9 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
     // durable state through the production replay path, take the
     // highest-epoch membership view per slot, and compare each slot's
     // replicas by row count and FNV digest.
-    let engines: Vec<Engine> = data_dirs
-        .iter()
-        .map(|d| {
-            let (engine, _) = reference_from(&[PathBuf::from(d)]);
-            engine
-        })
+    let mut engines: Vec<Engine> = (data_dirs.iter())
+        .map(|d| reference_from(Path::new(d)).0)
         .collect();
-    let mut engines = engines;
     let mut audited_slots = 0;
     let mut total_rows = 0;
     for slot in 0..cfg.slots {

@@ -4,10 +4,8 @@
 
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
 use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
-use pequod::core::partition::{ComponentHashPartition, ServerId, SingleServer, TablePartition};
-use pequod::core::{
-    Engine, EngineConfig, MaterializationMode, MemoryLimit, ShardedEngine, WriteAround,
-};
+use pequod::core::partition::{ServerId, SingleServer, TablePartition};
+use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, WriteAround};
 use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
 use pequod::prelude::*;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
@@ -157,8 +155,7 @@ fn tcp_server_serves_newp_pages() {
 
 /// Memory-bounded serving over real sockets: a TCP node with a memory
 /// cap (what `pequod-server --mem-limit-mb` configures) evicts under
-/// load yet answers every request exactly like an unbounded node —
-/// single-engine and sharded backends alike.
+/// load yet answers every request exactly like an unbounded node.
 #[test]
 fn tcp_servers_serve_memory_bounded() {
     let limit = MemoryLimit::new(24 * 1024);
@@ -189,7 +186,7 @@ fn tcp_servers_serve_memory_bounded() {
     let want = drive(&mut TcpClient::connect(unbounded.addr()).unwrap());
 
     let capped_cfg = EngineConfig::default().with_mem_limit(limit);
-    let capped = spawn(Engine::new(capped_cfg.clone()));
+    let capped = spawn(Engine::new(capped_cfg));
     let got = drive(&mut TcpClient::connect(capped.addr()).unwrap());
     assert_eq!(got, want, "capped TCP node diverged from unbounded");
     {
@@ -201,26 +198,6 @@ fn tcp_servers_serve_memory_bounded() {
         );
         assert!(engine.memory_bytes() <= limit.high_bytes);
     }
-
-    // The sharded node splits the same budget across its shards.
-    let part = Arc::new(ComponentHashPartition {
-        component: 1,
-        servers: 2,
-    });
-    let sharded = ShardedEngine::new(2, capped_cfg, part, &["p|", "s|"]);
-    let sharded_srv =
-        FrontendServer::spawn_sharded("127.0.0.1:0", sharded, FrontendConfig::default()).unwrap();
-    let got = drive(&mut TcpClient::connect(sharded_srv.addr()).unwrap());
-    assert_eq!(got, want, "capped sharded TCP node diverged from unbounded");
-    let mut handle = sharded_srv
-        .sharded()
-        .expect("sharded backend")
-        .client_handle();
-    let stats = handle.stats();
-    assert!(
-        stats.js_evictions + stats.base_evictions > 0,
-        "sharded cap never triggered"
-    );
 }
 
 /// Eviction under memory pressure: computed ranges are dropped LRU-first

@@ -3,7 +3,8 @@
 //! [`Engine`] driven by the same script, its answers framed here with
 //! `Message::reply` / `count_reply` / `error` — over every serving
 //! surface: the event-driven front-end on TCP and on its unix-domain
-//! socket, for both the single-engine and the sharded backend. A second
+//! socket, for both the single engine and a one-node cluster
+//! (`pequod-server --cluster` at replication 1). A second
 //! set of scenarios checks that a `Batch` frame (nested ones included)
 //! answers exactly like the same requests sent one frame at a time, and
 //! a last one reads the reply stream one byte at a time through a tiny
@@ -16,8 +17,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pequod::core::partition::ComponentHashPartition;
-use pequod::core::{Engine, EngineConfig, ShardedEngine};
+use pequod::cluster::{ClusterConfig, ClusterServer};
+use pequod::core::{Engine, EngineConfig};
 use pequod::net::codec::{encode_frame, FrameDecoder};
 use pequod::net::{FrontendConfig, FrontendServer, Message};
 use pequod::prelude::*;
@@ -26,12 +27,9 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
-
-const TABLES: &[&str] = &["p|", "s|"];
 
 fn k(s: &str) -> Key {
     Key::from(s)
@@ -42,8 +40,8 @@ fn v(s: &str) -> Value {
 }
 
 /// Replies to [`base_script`] — count and digest — as the thread-per-
-/// connection server answered it at the commit that deleted it (single
-/// and sharded alike). The reference must still produce exactly this.
+/// connection server answered it at the commit that deleted it. The
+/// reference must still produce exactly this.
 const BASE_SCRIPT_REPLIES: (usize, u64) = (17, 0xcccb_247b_0d87_0b37);
 
 /// The conformance script: [`base_script`] plus a frame of batches
@@ -81,9 +79,8 @@ fn script() -> Vec<Message> {
     frames
 }
 
-/// Joins, writes, computed reads, counts, removals, batches that split
-/// into multiple same-class runs on the sharded backend, and one
-/// unsupported (server-to-server) message.
+/// Joins, writes, computed reads, counts, removals, batches that mix
+/// writes and reads, and one unsupported (server-to-server) message.
 fn base_script() -> Vec<Message> {
     vec![
         Message::AddJoin {
@@ -126,9 +123,8 @@ fn base_script() -> Vec<Message> {
             id: 8,
             range: KeyRange::prefix("t|ann|"),
         },
-        // Write → read → write → read → count: splits into five
-        // same-class runs on the sharded backend, whose sequencing is
-        // what keeps read-your-writes intact within one frame.
+        // Write → read → write → read → count: read-your-writes must
+        // hold within one frame.
         Message::Batch {
             msgs: vec![
                 Message::Put {
@@ -274,12 +270,31 @@ fn fresh_engine() -> Engine {
     Engine::new(EngineConfig::default())
 }
 
-fn fresh_sharded() -> ShardedEngine {
-    let part = Arc::new(ComponentHashPartition {
-        component: 1,
-        servers: 2,
-    });
-    ShardedEngine::new(2, EngineConfig::default(), part, TABLES)
+/// A backend of a serving surface.
+#[derive(Clone, Copy, Debug)]
+enum Backend {
+    /// `FrontendServer::spawn` over one engine.
+    Engine,
+    /// A one-node, replication-1 `ClusterServer`.
+    Cluster,
+}
+
+/// A fresh `backend` serving on an ephemeral port (and `cfg.unix_path`):
+/// its address and how it stops.
+fn serve(backend: Backend, cfg: FrontendConfig) -> (std::net::SocketAddr, Box<dyn FnOnce()>) {
+    match backend {
+        Backend::Engine => {
+            let mut server = FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg).unwrap();
+            (server.addr(), Box::new(move || server.shutdown()))
+        }
+        Backend::Cluster => {
+            let cluster = ClusterConfig::new(1, 1);
+            let addr = Some("127.0.0.1:0");
+            let mut server =
+                ClusterServer::spawn_with(cluster, 0, fresh_engine(), addr, cfg).unwrap();
+            (server.addr(), Box::new(move || server.halt()))
+        }
+    }
 }
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -293,47 +308,43 @@ fn unix_sock_path() -> PathBuf {
 /// instance (the script mutates state, so surfaces cannot share),
 /// checked against the in-process reference. Returns the reference's
 /// (count, digest).
-fn assert_surfaces_match_reference(sharded: bool, frames: &[Message]) -> (usize, u64) {
+fn assert_surfaces_match_reference(backend: Backend, frames: &[Message]) -> (usize, u64) {
     let want = reference(frames);
-    let spawn = |cfg: FrontendConfig| {
-        if sharded {
-            FrontendServer::spawn_sharded("127.0.0.1:0", fresh_sharded(), cfg).unwrap()
-        } else {
-            FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg).unwrap()
-        }
-    };
     let check = |surface: &str, got: (usize, u64)| {
         println!(
-            "sharded={sharded} {surface}: {} replies, digest {:#018x} (reference {:#018x})",
+            "{backend:?} {surface}: {} replies, digest {:#018x} (reference {:#018x})",
             got.0, got.1, want.1
         );
         assert_eq!(
             got, want,
-            "{surface} (sharded={sharded}) answered differently from the reference"
+            "{surface} ({backend:?}) answered differently from the reference"
         );
     };
     // TCP surface.
     {
-        let mut server = spawn(FrontendConfig::default());
-        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        let (addr, stop) = serve(backend, FrontendConfig::default());
+        let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         check("reactor-tcp", run_script(&mut sock, frames, want.0));
         drop(sock);
-        server.shutdown();
+        stop();
     }
     // Unix-domain socket surface.
     {
         let path = unix_sock_path();
-        let mut server = spawn(FrontendConfig {
-            unix_path: Some(path.clone()),
-            ..FrontendConfig::default()
-        });
+        let (_, stop) = serve(
+            backend,
+            FrontendConfig {
+                unix_path: Some(path.clone()),
+                ..FrontendConfig::default()
+            },
+        );
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         check("reactor-unix", run_script(&mut sock, frames, want.0));
         drop(sock);
-        server.shutdown();
+        stop();
         assert!(!path.exists(), "unix socket file not removed on shutdown");
     }
     want
@@ -349,13 +360,13 @@ fn reference_reproduces_the_recorded_reply_stream() {
 
 #[test]
 fn all_surfaces_match_the_reference_single_engine() {
-    let want = assert_surfaces_match_reference(false, &script());
+    let want = assert_surfaces_match_reference(Backend::Engine, &script());
     assert_eq!(want.0, 22, "script yields 22 replies");
 }
 
 #[test]
-fn all_surfaces_match_the_reference_sharded() {
-    let want = assert_surfaces_match_reference(true, &script());
+fn all_surfaces_match_the_reference_cluster() {
+    let want = assert_surfaces_match_reference(Backend::Cluster, &script());
     assert_eq!(want.0, 22, "script yields 22 replies");
 }
 
@@ -363,11 +374,11 @@ fn all_surfaces_match_the_reference_sharded() {
 fn batch_equals_one_at_a_time_on_every_surface() {
     let batched = script();
     let flat = flattened(&batched);
-    for sharded in [false, true] {
+    for backend in [Backend::Engine, Backend::Cluster] {
         assert_eq!(
-            assert_surfaces_match_reference(sharded, &batched),
-            assert_surfaces_match_reference(sharded, &flat),
-            "batched and one-at-a-time reply streams diverge (sharded={sharded})"
+            assert_surfaces_match_reference(backend, &batched),
+            assert_surfaces_match_reference(backend, &flat),
+            "batched and one-at-a-time reply streams diverge ({backend:?})"
         );
     }
 }
