@@ -68,14 +68,18 @@ fn flat_execute(map: &mut BTreeMap<Key, Value>, name: &str, command: Command) ->
             Response::Ok
         }
         Command::AddJoin(_) => Response::Error(format!("{name}: cache joins are not supported")),
-        Command::Stats => Response::Stats(BackendStats {
-            keys: map.len() as u64,
-            memory_bytes: map
-                .iter()
-                .map(|(k, v)| k.as_bytes().len() + v.len() + 48)
-                .sum::<usize>() as u64,
-            ..BackendStats::default()
-        }),
+    }
+}
+
+/// The counters of the Redis-like and memcached-like clients' flat
+/// store: its pairs, each charged its bytes plus 48 of bookkeeping.
+fn flat_stats(map: &BTreeMap<Key, Value>) -> BackendStats {
+    BackendStats {
+        keys: map.len() as u64,
+        memory_bytes: (map.iter())
+            .map(|(k, v)| k.as_bytes().len() + v.len() + 48)
+            .sum::<usize>() as u64,
+        ..BackendStats::default()
     }
 }
 
@@ -103,6 +107,10 @@ impl Client for RedisClient {
             .map(|c| flat_execute(&mut self.map, "redis", c))
             .collect()
     }
+
+    fn stats(&mut self) -> BackendStats {
+        flat_stats(&self.map)
+    }
 }
 
 /// A memcached-like unified-API backend over the shared flat store.
@@ -128,6 +136,10 @@ impl Client for MemcachedClient {
             .into_iter()
             .map(|c| flat_execute(&mut self.map, "memcached", c))
             .collect()
+    }
+
+    fn stats(&mut self) -> BackendStats {
+        flat_stats(&self.map)
     }
 }
 
@@ -225,13 +237,16 @@ impl Client for MiniDbClient {
                 Command::AddJoin(_) => {
                     Response::Error("minidb: cache joins are not supported".into())
                 }
-                Command::Stats => Response::Stats(BackendStats {
-                    keys: self.db.row_count("kv") as u64,
-                    memory_bytes: self.db.memory_bytes() as u64,
-                    ..BackendStats::default()
-                }),
             })
             .collect()
+    }
+
+    fn stats(&mut self) -> BackendStats {
+        BackendStats {
+            keys: self.db.row_count("kv") as u64,
+            memory_bytes: self.db.memory_bytes() as u64,
+            ..BackendStats::default()
+        }
     }
 }
 

@@ -26,6 +26,7 @@ use pequod_bench::{arg_value, print_table, Scale};
 use pequod_cluster::{ClusterClient, ClusterConfig, ClusterServer};
 use pequod_core::{Engine, EngineConfig};
 use pequod_store::Key;
+use pequod_telemetry::metric;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -53,22 +54,19 @@ fn spawn_node(cfg: &ClusterConfig, id: u32) -> ClusterServer {
         .unwrap_or_else(|e| panic!("spawn node {id}: {e}"))
 }
 
-fn stat_of(pairs: &[(Key, pequod_store::Value)], name: &str) -> u64 {
-    let want = format!("stat|{name}");
-    pairs
-        .iter()
-        .find(|(k, _)| k.as_bytes() == want.as_bytes())
-        .and_then(|(_, v)| std::str::from_utf8(v).ok())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Total catch-up payload streamed by the survivors so far.
 fn catchup_bytes(client: &mut ClusterClient, survivors: &[u32]) -> u64 {
+    let paths =
+        ["snapshot", "delta"].map(|p| format!("pequod_cluster_catchup_bytes_total{{path={p}}}"));
     survivors
         .iter()
-        .filter_map(|&n| client.status(n).ok())
-        .map(|pairs| stat_of(&pairs, "snap_bytes_sent") + stat_of(&pairs, "delta_bytes_sent"))
+        .filter_map(|&n| client.metrics(n).ok())
+        .map(|pairs| {
+            paths
+                .iter()
+                .filter_map(|key| metric(&pairs, key))
+                .sum::<u64>()
+        })
         .sum()
 }
 
@@ -142,8 +140,10 @@ fn main() {
     servers[0] = Some(spawn_node(&cfg, 0));
     let t2 = Instant::now();
     let caught_up = |client: &mut ClusterClient| {
-        client.status(0).map(|pairs| {
-            stat_of(&pairs, "snap_installs") > 0 || stat_of(&pairs, "notifies_applied") > 0
+        client.metrics(0).map(|pairs| {
+            let counted = |name| metric(&pairs, name).is_some_and(|n| n > 0);
+            counted("pequod_cluster_snap_installs_total")
+                || counted("pequod_cluster_notifies_applied_total")
         })
     };
     while !caught_up(&mut client).unwrap_or(false) {

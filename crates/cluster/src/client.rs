@@ -24,6 +24,7 @@
 //! backoff advances virtual time.
 
 use crate::config::ClusterConfig;
+use crate::node::backend_stats_of;
 use crate::sim::SimHarness;
 use bytes::BytesMut;
 use pequod_core::partition::Partition;
@@ -282,8 +283,7 @@ impl ClusterClient {
         self.primaries.get(slot).map_or(0, |p| p.0 as usize)
     }
 
-    /// The one node `command` goes to; `None` for every node (a join)
-    /// or none (stats, answered here).
+    /// The one node `command` goes to; `None` for every node (a join).
     fn destination(&self, command: &Command) -> Option<usize> {
         let read = |key: &Key| match &self.read_router {
             Some(router) => router.home_of(key).0 as usize % self.cfg.nodes.len().max(1),
@@ -293,21 +293,8 @@ impl ClusterClient {
             Command::Get(key) => Some(read(key)),
             Command::Scan(range) | Command::Count(range) => Some(read(&range.first)),
             Command::Put(key, _) | Command::Remove(key) => Some(self.primary_of(key)),
-            Command::AddJoin(_) | Command::Stats => None,
+            Command::AddJoin(_) => None,
         }
-    }
-
-    /// Every live node's engine counters, summed — known only on a
-    /// simulator; the wire has no stats request.
-    fn stats(&mut self) -> Response {
-        let Transport::Sim(sim) = &mut self.transport else {
-            return Response::Error("stats: not served over the wire".into());
-        };
-        let mut total = BackendStats::default();
-        for stats in sim.engine_stats() {
-            total += stats;
-        }
-        Response::Stats(total)
     }
 
     /// Executes one same-class run: one pipelined frame per node, the
@@ -321,20 +308,15 @@ impl ClusterClient {
                 .collect();
             let run: Vec<Command> = todo.iter().map(|&i| commands[i].clone()).collect();
             let dests: Vec<Option<usize>> = run.iter().map(|c| self.destination(c)).collect();
-            let stats = match run.iter().any(|c| matches!(c, Command::Stats)) {
-                true => self.stats(),
-                false => Response::Ok,
-            };
             let mut next = dests.iter();
-            let (mut pending, sends) = self.fanout.plan(run.clone(), |c| match next.next() {
+            let (mut pending, sends) = self.fanout.plan(run.clone(), |_| match next.next() {
                 Some(Some(node)) => Route::One(*node),
-                _ if matches!(c, Command::Stats) => Route::Answered(stats.clone()),
                 _ => Route::All,
             });
             let sends = (sends.into_iter())
                 .map(|s| {
-                    s.into_iter()
-                        .filter_map(|(id, c)| Message::request(id, c))
+                    (s.into_iter())
+                        .map(|(id, c)| Message::request(id, c))
                         .collect()
                 })
                 .collect();
@@ -381,7 +363,7 @@ impl ClusterClient {
                             }
                         }
                         Some(_) => {}
-                        None => again[pos] = !matches!(run[pos], Command::Stats),
+                        None => again[pos] = true,
                     }
                 }
             }
@@ -511,13 +493,17 @@ impl ClusterClient {
         }
     }
 
-    /// A node's replication status and counters, as `(key, value)`
-    /// string pairs (see `ClusterNode::status_pairs`).
-    pub fn status(&mut self, node: u32) -> Result<Vec<(Key, Value)>, ClusterClientError> {
-        match self.admin(node, |id| Message::NodeStatus { id })? {
+    /// Node `node`'s counters: its telemetry snapshot
+    /// (`ClusterNode::telemetry_snapshot`, plus the serving counters on
+    /// sockets) as the flattened `(key, value)` pairs a wire
+    /// [`Message::Metrics`] is answered with; read one with
+    /// `pequod_telemetry::metric`.
+    pub fn metrics(&mut self, node: u32) -> Result<Vec<(String, String)>, ClusterClientError> {
+        let request = |id| Message::Metrics { id, flight: false };
+        match self.admin(node, request)? {
             Message::Reply {
                 pairs, error: None, ..
-            } => Ok(pairs),
+            } => Ok(Message::parse_metrics(pairs)),
             Message::Reply { error: Some(e), .. } => Err(ClusterClientError::Remote(e)),
             other => Err(unexpected(other)),
         }
@@ -538,6 +524,24 @@ impl Client for ClusterClient {
             .into_iter()
             .flat_map(|run| self.execute_run(run))
             .collect()
+    }
+
+    /// Every reachable node's counters, summed: on sockets each node's
+    /// [`ClusterClient::metrics`], on a simulator its
+    /// `ClusterNode::backend_stats` read in place.
+    fn stats(&mut self) -> BackendStats {
+        let per_node = match &self.transport {
+            Transport::Sim(sim) => sim.engine_stats(),
+            Transport::Tcp(_) => (0..self.cfg.nodes.len() as u32)
+                .filter_map(|node| self.metrics(node).ok())
+                .map(|pairs| backend_stats_of(&pairs))
+                .collect(),
+        };
+        let mut total = BackendStats::default();
+        for stats in per_node {
+            total += stats;
+        }
+        total
     }
 }
 
@@ -571,7 +575,7 @@ fn slot_of(cfg: &ClusterConfig, command: &Command) -> u32 {
     match command {
         Command::Scan(range) | Command::Count(range) => cfg.slot_of(&range.first),
         Command::Get(key) | Command::Put(key, _) | Command::Remove(key) => cfg.slot_of(key),
-        Command::AddJoin(_) | Command::Stats => 0,
+        Command::AddJoin(_) => 0,
     }
 }
 
@@ -632,17 +636,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_in_a_batch_observes_the_batch_writes() {
+    fn stats_observe_the_batch_writes() {
         let mut c = two_server_client();
         let out = c.execute_batch(vec![
             Command::Put(Key::from("s|ann|bob"), Value::from_static(b"1")),
             Command::Put(Key::from("p|bob|0000000100"), Value::from_static(b"Hi")),
-            Command::Stats,
         ]);
-        let Response::Stats(stats) = &out[2] else {
-            panic!("expected stats, got {:?}", out[2]);
-        };
-        assert_eq!(stats.keys, 2, "stats snapshot ran before the writes landed");
+        assert_eq!(out, vec![Response::Ok, Response::Ok]);
+        assert_eq!(c.stats().keys, 2, "stats ran before the writes landed");
     }
 
     #[test]

@@ -75,7 +75,7 @@ use pequod_core::{
 use pequod_net::frontend::UNSUPPORTED;
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
-use pequod_telemetry::Snapshot;
+use pequod_telemetry::{metric, Snapshot};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -104,7 +104,31 @@ pub enum ClusterPeer {
 /// Messages to deliver, in order.
 pub type Out = Vec<(ClusterPeer, Message)>;
 
-/// Replication counters, exposed through `NodeStatus`.
+/// The entries under which [`ClusterNode::telemetry_snapshot`] carries
+/// the node's [`BackendStats`]: keys and memory as gauges, the two
+/// eviction counts as counters.
+const BACKEND_METRICS: [&str; 4] = [
+    "pequod_backend_keys",
+    "pequod_backend_memory_bytes",
+    "pequod_backend_js_evictions_total",
+    "pequod_backend_base_evictions_total",
+];
+
+/// The [`BackendStats`] a node's `Metrics` reply carries, from its
+/// flattened pairs; a missing entry reads 0.
+pub(crate) fn backend_stats_of(pairs: &[(String, String)]) -> BackendStats {
+    let [keys, memory_bytes, js_evictions, base_evictions] =
+        BACKEND_METRICS.map(|name| metric(pairs, name).unwrap_or(0));
+    BackendStats {
+        keys,
+        memory_bytes,
+        js_evictions,
+        base_evictions,
+    }
+}
+
+/// Replication counters, each read as one `pequod_cluster_*` entry of
+/// [`ClusterNode::telemetry_snapshot`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterStats {
     /// Client writes applied as primary.
@@ -356,8 +380,7 @@ fn wire(msg: NodeMsg) -> Message {
         NodeMsg::Unsubscribe { range } => Message::Unsubscribe { range },
         // A `Node` sends no requests (it forwards nothing); the arm
         // keeps the map total.
-        NodeMsg::Request { id, command } => Message::request(id, command)
-            .unwrap_or_else(|| Message::error(id, "command has no wire form")),
+        NodeMsg::Request { id, command } => Message::request(id, command),
     }
 }
 
@@ -511,10 +534,14 @@ impl ClusterNode {
 
     /// The engine's counters, the `#` replication metadata rows left
     /// out of the key count.
-    pub fn backend_stats(&mut self) -> BackendStats {
+    pub fn backend_stats(&self) -> BackendStats {
         let mut stats = self.node.engine.backend_stats();
-        let meta = self.node.engine.count(&KeyRange::prefix("#"));
-        stats.keys = stats.keys.saturating_sub(meta as u64);
+        let mut meta = 0;
+        (self.node.engine.store()).scan(&KeyRange::prefix("#"), |_, _| {
+            meta += 1;
+            true
+        });
+        stats.keys = stats.keys.saturating_sub(meta);
         stats
     }
 
@@ -745,10 +772,6 @@ impl ClusterNode {
         match msg {
             Message::Put { id, key, value } => self.client_write(from, id, key, Some(value), out),
             Message::Remove { id, key } => self.client_write(from, id, key, None, out),
-            Message::NodeStatus { id } => {
-                let pairs = self.status_pairs();
-                out.push((from, Message::reply(id, pairs)));
-            }
             Message::Metrics { id, flight } => {
                 let snapshot = self.telemetry_snapshot(flight);
                 out.push((from, Message::metrics_reply(id, &snapshot)));
@@ -1716,12 +1739,22 @@ impl ClusterNode {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// The node's telemetry snapshot: the engine recorder's metrics
-    /// merged with replication counters, catch-up volume, and per-slot
-    /// lag/ack gauges — the content a [`Message::Metrics`] request is
-    /// answered with.
+    /// The node's telemetry snapshot — the content a
+    /// [`Message::Metrics`] request is answered with, and the one view
+    /// of its counters: the engine recorder's metrics, the
+    /// [`BackendStats`] (read under the node's lock whether or not the
+    /// recorder is on, and summed by `ClusterClient`'s `Client::stats`),
+    /// every [`ClusterStats`] field once, and each slot's view — epoch,
+    /// applied sequence number, primary, replica ranks, this node's
+    /// role — with the primary's lag gauge.
     pub fn telemetry_snapshot(&self, include_flight: bool) -> Snapshot {
         let mut snap = self.node.engine.recorder().snapshot(include_flight);
+        let b = self.backend_stats();
+        let [keys, memory, js_evictions, base_evictions] = BACKEND_METRICS;
+        snap.gauge(keys, &[], b.keys);
+        snap.gauge(memory, &[], b.memory_bytes);
+        snap.counter(js_evictions, &[], b.js_evictions);
+        snap.counter(base_evictions, &[], b.base_evictions);
         let s = &self.stats;
         for (name, v) in [
             ("writes_applied", s.writes_applied),
@@ -1735,6 +1768,10 @@ impl ClusterNode {
             ("readmissions", s.readmissions),
             ("migrations", s.migrations),
             ("catchup_subscribes", s.catchup_subscribes),
+            ("delta_ops_sent", s.delta_ops_sent),
+            ("snap_chunks_sent", s.snap_chunks_sent),
+            ("snap_chunks_in", s.snap_chunks_in),
+            ("snap_bytes_in", s.snap_bytes_in),
             ("snap_installs", s.snap_installs),
         ] {
             snap.counter(&format!("pequod_cluster_{name}_total"), &[], v);
@@ -1751,6 +1788,28 @@ impl ClusterNode {
             self.pending.len() as u64,
         );
         for (i, st) in self.slots.iter().enumerate() {
+            let slot = i.to_string();
+            let at = [("slot", slot.as_str())];
+            snap.gauge("pequod_cluster_slot_epoch", &at, st.epoch);
+            snap.gauge("pequod_cluster_slot_applied_seq", &at, st.applied);
+            let primary = u64::from(st.primary());
+            snap.gauge("pequod_cluster_slot_primary", &at, primary);
+            for (rank, node) in st.replicas.iter().enumerate() {
+                let node = node.to_string();
+                let labels = [("slot", slot.as_str()), ("node", node.as_str())];
+                snap.gauge("pequod_cluster_slot_replica", &labels, rank as u64);
+            }
+            let role = if st.primary() == self.id {
+                "primary"
+            } else if st.is_member(self.id) {
+                "follower"
+            } else if self.holds(i as u32) {
+                "learner"
+            } else {
+                "none"
+            };
+            let labels = [("slot", slot.as_str()), ("role", role)];
+            snap.gauge("pequod_cluster_slot_role", &labels, 1);
             if st.primary() != self.id || st.replicas.len() < 2 {
                 continue;
             }
@@ -1765,66 +1824,8 @@ impl ClusterNode {
                 })
                 .max()
                 .unwrap_or(0);
-            let slot = i.to_string();
-            snap.gauge(
-                "pequod_replication_lag_seqs",
-                &[("slot", slot.as_str())],
-                lag,
-            );
+            snap.gauge("pequod_replication_lag_seqs", &at, lag);
         }
         snap
-    }
-
-    /// The `NodeStatus` answer: replication counters plus the per-slot
-    /// view, as ASCII pairs.
-    pub fn status_pairs(&mut self) -> Vec<(Key, Value)> {
-        let s = self.stats;
-        let mut pairs: Vec<(Key, Value)> = [
-            ("catchup_subscribes", s.catchup_subscribes),
-            ("delta_bytes_sent", s.delta_bytes_sent),
-            ("delta_ops_sent", s.delta_ops_sent),
-            ("epoch_changes", s.epoch_changes),
-            ("follower_drops", s.follower_drops),
-            ("migrations", s.migrations),
-            ("node", u64::from(self.id)),
-            ("notifies_applied", s.notifies_applied),
-            ("notifies_sent", s.notifies_sent),
-            ("promotions", s.promotions),
-            ("readmissions", s.readmissions),
-            ("redirects", s.redirects),
-            ("snap_bytes_in", s.snap_bytes_in),
-            ("snap_bytes_sent", s.snap_bytes_sent),
-            ("snap_chunks_in", s.snap_chunks_in),
-            ("snap_chunks_sent", s.snap_chunks_sent),
-            ("snap_installs", s.snap_installs),
-            ("writes_acked", s.writes_acked),
-            ("writes_applied", s.writes_applied),
-        ]
-        .into_iter()
-        .map(|(name, v)| (Key::from(format!("stat|{name}")), ascii(v)))
-        .collect();
-        for slot in 0..self.cfg.slots {
-            let st = &self.slots[slot as usize];
-            let role = if st.primary() == self.id {
-                "primary"
-            } else if st.is_member(self.id) {
-                "follower"
-            } else if self.holds(slot) {
-                "learner"
-            } else {
-                "none"
-            };
-            let replicas: Vec<String> = st.replicas.iter().map(u32::to_string).collect();
-            for (field, v) in [
-                ("applied", ascii(st.applied)),
-                ("epoch", ascii(st.epoch)),
-                ("primary", ascii(st.primary())),
-                ("replicas", ascii(replicas.join(","))),
-                ("role", ascii(role)),
-            ] {
-                pairs.push((Key::from(format!("slot|{slot:02}|{field}")), v));
-            }
-        }
-        pairs
     }
 }

@@ -106,8 +106,8 @@ impl SimHarness {
 
     /// Every live node's engine counters
     /// ([`ClusterNode::backend_stats`]).
-    pub fn engine_stats(&mut self) -> Vec<BackendStats> {
-        (self.nodes.iter_mut().flatten())
+    pub fn engine_stats(&self) -> Vec<BackendStats> {
+        (self.nodes.iter().flatten())
             .map(ClusterNode::backend_stats)
             .collect()
     }
@@ -248,7 +248,6 @@ impl SimHarness {
                 from,
                 to: t,
             },
-            Message::NodeStatus { .. } => Message::NodeStatus { id },
             Message::Metrics { flight, .. } => Message::Metrics { id, flight },
             other => other,
         };

@@ -6,10 +6,11 @@
 // clippy's allow-unwrap-in-tests does not reach them.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pequod_cluster::{ClusterConfig, SimHarness};
+use pequod_cluster::{ClusterConfig, ClusterStats, SimHarness};
 use pequod_core::Engine;
 use pequod_net::{LinkFaults, Message};
 use pequod_store::{Key, Value};
+use pequod_telemetry::metric;
 
 /// FNV-1a over the pair list — replicas of a slot must agree on this
 /// byte-for-byte.
@@ -40,20 +41,10 @@ fn assert_replicas_converged(sim: &mut SimHarness, cfg: &ClusterConfig) -> usize
         let reference = sim.node(primary).slot_pairs(slot);
         total += reference.len();
         // Membership by the primary's own view.
-        let view = sim.node(primary).status_pairs();
-        let want = format!("slot|{slot:02}|replicas");
-        let members: Vec<u32> = view
-            .iter()
-            .find(|(k, _)| k.as_bytes() == want.as_bytes())
-            .map(|(_, v)| {
-                std::str::from_utf8(v)
-                    .unwrap()
-                    .split(',')
-                    .filter_map(|t| t.parse().ok())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let replicas: Vec<u32> = members.into_iter().filter(|&n| sim.is_alive(n)).collect();
+        let view = sim.node(primary).telemetry_snapshot(false).to_pairs();
+        let replicas: Vec<u32> = (0..cfg.nodes.len() as u32)
+            .filter(|n| metric(&view, &replica_key(slot, *n)).is_some() && sim.is_alive(*n))
+            .collect();
         assert!(
             replicas.contains(&primary),
             "slot {slot}: primary {primary} not in its own replica set"
@@ -71,6 +62,12 @@ fn assert_replicas_converged(sim: &mut SimHarness, cfg: &ClusterConfig) -> usize
         }
     }
     total
+}
+
+/// The key of node `n`'s rank in `slot`'s replica list, in a node's
+/// `Metrics` reply.
+fn replica_key(slot: u32, n: u32) -> String {
+    format!("pequod_cluster_slot_replica{{slot={slot},node={n}}}")
 }
 
 /// The contract the TCP driver's in-flight gate rests on: every
@@ -356,4 +353,167 @@ fn restarted_follower_catches_up_with_delta_only() {
     );
     assert_each_request_answered_once(&sim);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A node's `Metrics` reply is the one view of its counters: after a
+/// failover and a catch-up it carries every [`ClusterStats`] field
+/// exactly once, with the struct's value, and every slot's view —
+/// epoch, applied sequence number, primary, replica ranks, role — as
+/// the node's own durable `#epoch`/`#rep` rows record it.
+#[test]
+fn metrics_carry_every_replication_counter_once_and_every_slot() {
+    let cfg = ClusterConfig::new(3, 2);
+    let mut sim = SimHarness::new(&cfg, 9, 1);
+    sim.run_for(100);
+    for i in 0..10 {
+        sim.put_acked(1, format!("p|u{i:02}|a"), "one", 5_000);
+    }
+    sim.kill(0);
+    sim.run_for(3 * cfg.timing.failover_ms);
+    for i in 0..10 {
+        sim.put_acked(1, format!("p|u{i:02}|b"), "two", 5_000);
+    }
+    sim.restart(0, &cfg, Engine::new_default());
+    sim.run_for(3_000);
+    let (mut promoted, mut readmitted, mut caught_up) = (0, 0, 0);
+    for n in 0..3 {
+        let reply = sim.request(
+            7,
+            n,
+            Message::Metrics {
+                id: 0,
+                flight: false,
+            },
+            1_000,
+        );
+        let Message::Reply {
+            pairs, error: None, ..
+        } = reply
+        else {
+            panic!("node {n} answered Metrics with {reply:?}");
+        };
+        let pairs = Message::parse_metrics(pairs);
+        let node = sim.node(n);
+        let ClusterStats {
+            writes_applied,
+            writes_acked,
+            redirects,
+            notifies_sent,
+            notifies_applied,
+            promotions,
+            epoch_changes,
+            follower_drops,
+            readmissions,
+            migrations,
+            catchup_subscribes,
+            delta_ops_sent,
+            delta_bytes_sent,
+            snap_chunks_sent,
+            snap_bytes_sent,
+            snap_chunks_in,
+            snap_bytes_in,
+            snap_installs,
+        } = node.stats;
+        let want = [
+            ("pequod_cluster_writes_applied_total", writes_applied),
+            ("pequod_cluster_writes_acked_total", writes_acked),
+            ("pequod_cluster_redirects_total", redirects),
+            ("pequod_cluster_notifies_sent_total", notifies_sent),
+            ("pequod_cluster_notifies_applied_total", notifies_applied),
+            ("pequod_cluster_failovers_total", promotions),
+            ("pequod_cluster_epoch_changes_total", epoch_changes),
+            ("pequod_cluster_follower_drops_total", follower_drops),
+            ("pequod_cluster_readmissions_total", readmissions),
+            ("pequod_cluster_migrations_total", migrations),
+            (
+                "pequod_cluster_catchup_subscribes_total",
+                catchup_subscribes,
+            ),
+            ("pequod_cluster_delta_ops_sent_total", delta_ops_sent),
+            (
+                "pequod_cluster_catchup_bytes_total{path=delta}",
+                delta_bytes_sent,
+            ),
+            ("pequod_cluster_snap_chunks_sent_total", snap_chunks_sent),
+            (
+                "pequod_cluster_catchup_bytes_total{path=snapshot}",
+                snap_bytes_sent,
+            ),
+            ("pequod_cluster_snap_chunks_in_total", snap_chunks_in),
+            ("pequod_cluster_snap_bytes_in_total", snap_bytes_in),
+            ("pequod_cluster_snap_installs_total", snap_installs),
+        ];
+        for (key, value) in want {
+            let times = pairs.iter().filter(|(k, _)| k == key).count();
+            assert_eq!(times, 1, "node {n}: {key} appears {times} times");
+            assert_eq!(metric(&pairs, key), Some(value), "node {n}: {key}");
+        }
+        // No counter is carried under a second name.
+        let counters: Vec<&str> = (pairs.iter())
+            .map(|(k, _)| k.as_str())
+            .filter(|k| k.starts_with("pequod_cluster_") && k.contains("_total"))
+            .collect();
+        assert_eq!(counters.len(), want.len(), "node {n}: {counters:?}");
+        for slot in 0..cfg.slots {
+            let gauge = |field: &str| {
+                let key = format!("pequod_cluster_slot_{field}{{slot={slot}}}");
+                metric(&pairs, &key).unwrap_or_else(|| panic!("node {n}: no {key}"))
+            };
+            // `#epoch|NN` is "epoch r0,r1,…", `#rep|NN` "applied
+            // log_epoch"; a node that never moved off the configured
+            // view has written neither.
+            let row = |key: String, initial: String| {
+                let value = node.engine.store().get(&Key::from(key));
+                value.map_or(initial, |v| {
+                    String::from_utf8_lossy(v.as_bytes()).into_owned()
+                })
+            };
+            let initial: Vec<String> = (cfg.initial_replicas(slot).iter())
+                .map(u32::to_string)
+                .collect();
+            let epoch_row = row(
+                format!("#epoch|{slot:02}"),
+                format!("0 {}", initial.join(",")),
+            );
+            let (epoch, members) = epoch_row.split_once(' ').expect("epoch row");
+            let members: Vec<u32> = members.split(',').map(|m| m.parse().unwrap()).collect();
+            let rep_row = row(format!("#rep|{slot:02}"), "0 0".into());
+            let applied = rep_row.split(' ').next().expect("rep row");
+            assert_eq!(gauge("epoch").to_string(), epoch, "node {n} slot {slot}");
+            assert_eq!(
+                gauge("applied_seq").to_string(),
+                applied,
+                "node {n} slot {slot}"
+            );
+            assert_eq!(gauge("primary"), u64::from(node.primary_of(slot)));
+            assert_eq!(u64::from(members[0]), gauge("primary"));
+            for m in 0..3 {
+                let rank = members.iter().position(|&r| r == m).map(|r| r as u64);
+                assert_eq!(metric(&pairs, &replica_key(slot, m)), rank, "slot {slot}");
+            }
+            let roles: Vec<&str> = ["primary", "follower", "learner", "none"]
+                .into_iter()
+                .filter(|role| {
+                    let key = format!("pequod_cluster_slot_role{{slot={slot},role={role}}}");
+                    metric(&pairs, &key) == Some(1)
+                })
+                .collect();
+            let allowed: &[&str] = match members.iter().position(|&m| m == n) {
+                Some(0) => &["primary"],
+                Some(_) => &["follower"],
+                None => &["learner", "none"],
+            };
+            assert!(
+                roles.len() == 1 && allowed.contains(&roles[0]),
+                "node {n} slot {slot}: roles {roles:?}, members {members:?}"
+            );
+        }
+        promoted += promotions;
+        readmitted += readmissions;
+        caught_up += delta_ops_sent + snap_chunks_sent;
+    }
+    // The scenario moved the counters this test is about: a failover
+    // and a catch-up, by delta or by snapshot.
+    assert!(promoted > 0 && readmitted > 0 && caught_up > 0);
+    assert_each_request_answered_once(&sim);
 }

@@ -21,6 +21,7 @@ use pequod_core::{Client, Command, Engine, Response};
 use pequod_net::codec::encode_frame;
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
+use pequod_telemetry::metric;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -97,17 +98,7 @@ fn tcp_cluster_replicates_redirects_and_fails_over() {
     let v = client.get("p|u99|post").expect("read back");
     assert_eq!(v.as_deref(), Some(&b"fresh"[..]));
 
-    let promoted: u64 = (1..3)
-        .map(|n| {
-            client
-                .status(n)
-                .expect("status")
-                .iter()
-                .find(|(k, _)| k.as_bytes() == b"stat|promotions")
-                .and_then(|(_, v)| std::str::from_utf8(v).ok()?.parse::<u64>().ok())
-                .unwrap_or(0)
-        })
-        .sum();
+    let promoted: u64 = (1..3).map(|n| failovers(&mut client, n)).sum();
     assert!(promoted > 0, "a follower promoted itself over TCP");
 
     for s in &mut servers[1..] {
@@ -136,16 +127,34 @@ fn graceful_halt_finalizes_and_serves_until_stopped() {
     servers[0].halt();
 }
 
-/// A numeric `stat|*` counter of node `n`.
-fn stat(client: &mut ClusterClient, n: u32, name: &str) -> u64 {
-    let want = format!("stat|{name}");
-    client
-        .status(n)
-        .expect("status")
-        .iter()
-        .find(|(k, _)| k.as_bytes() == want.as_bytes())
-        .and_then(|(_, v)| std::str::from_utf8(v).ok()?.parse().ok())
-        .expect("stat present")
+/// How many times node `n` promoted itself, from its `Metrics` reply.
+fn failovers(client: &mut ClusterClient, n: u32) -> u64 {
+    let metrics = client.metrics(n).expect("metrics");
+    metric(&metrics, "pequod_cluster_failovers_total").expect("failovers counted")
+}
+
+/// `Client::stats` over sockets sums the backend counters each node's
+/// `Metrics` reply carries.
+#[test]
+fn stats_over_tcp_sum_every_node() {
+    const KEYS: u64 = 40;
+    let cfg = cluster_cfg(2, 1);
+    let mut servers: Vec<ClusterServer> = (0..2)
+        .map(|id| {
+            ClusterServer::spawn(cfg.clone(), id, Engine::new_default(), None).expect("spawn node")
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(150));
+    let mut client = ClusterClient::connect(cfg.clone());
+    for i in 0..KEYS {
+        client.put(format!("p|u{i:02}|post"), "x").expect("put");
+    }
+    let stats = Client::stats(&mut client);
+    assert!(stats.keys >= KEYS, "{stats:?}");
+    assert!(stats.memory_bytes > 0, "{stats:?}");
+    for s in &mut servers {
+        s.halt();
+    }
 }
 
 /// The first key of the form `p|wNNN|x` whose slot node 0 leads.
@@ -197,8 +206,8 @@ fn stuck_reader_wedges_neither_writes_nor_heartbeats() {
     );
     // ...and over three failover periods the follower never promotes.
     std::thread::sleep(Duration::from_millis(3 * cfg.timing.failover_ms));
-    assert_eq!(stat(&mut b, 1, "promotions"), 0, "follower failed over");
-    assert_eq!(stat(&mut b, 0, "promotions"), 0);
+    assert_eq!(failovers(&mut b, 1), 0, "follower failed over");
+    assert_eq!(failovers(&mut b, 0), 0);
     assert_eq!(b.get(key).expect("get").as_deref(), Some(&b"fresh"[..]));
     drop(a);
     for s in &mut servers {
@@ -275,8 +284,11 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
     let idle: Vec<TcpStream> = (0..300)
         .map(|_| {
             let mut sock = TcpStream::connect(server.addr()).expect("connect");
-            sock.write_all(&encode_frame(&Message::NodeStatus { id: 1 }))
-                .expect("first frame");
+            let first = Message::Metrics {
+                id: 1,
+                flight: false,
+            };
+            sock.write_all(&encode_frame(&first)).expect("first frame");
             sock
         })
         .collect();
@@ -285,10 +297,7 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let metrics = probe.metrics(false).expect("wire Metrics");
-            let value = metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.parse::<u64>().ok());
+            let value = metric(&metrics, name);
             if value.is_some_and(|v| v >= at_least) {
                 return metrics;
             }
@@ -318,9 +327,7 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
     }
     // The scrape provider is the same snapshot.
     let scrape = (server.telemetry())(false).to_pairs();
-    assert!(scrape
-        .iter()
-        .any(|(k, v)| k == "pequod_conns_active" && v.parse::<u64>().is_ok_and(|n| n >= 301)));
+    assert!(metric(&scrape, "pequod_conns_active").is_some_and(|n| n >= 301));
     drop(idle);
     let node_threads = tasks_named(SPAWNER);
     server.halt();

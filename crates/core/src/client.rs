@@ -40,8 +40,6 @@ pub enum Command {
     /// Install cache joins from their textual form (Figure 2 grammar).
     /// Backends without join support answer [`Response::Error`].
     AddJoin(String),
-    /// Backend counters (key count, resident memory).
-    Stats,
 }
 
 /// The answer to one [`Command`].
@@ -55,13 +53,11 @@ pub enum Response {
     Count(u64),
     /// Answer to a write or join installation that succeeded.
     Ok,
-    /// Answer to [`Command::Stats`].
-    Stats(BackendStats),
     /// The command failed; the payload is a human-readable reason.
     Error(String),
 }
 
-/// Backend counters reported by [`Command::Stats`].
+/// Backend counters reported by [`Client::stats`].
 ///
 /// Multi-engine backends (the write-around deployment, the cluster
 /// client) answer with the *sum* across their engines, so `memory_bytes` is the
@@ -101,10 +97,10 @@ impl std::ops::AddAssign for BackendStats {
 ///
 /// # Adding a backend
 ///
-/// Implement [`Client::backend_name`] and [`Client::execute_batch`];
-/// answer each command with the matching [`Response`] variant (never
-/// drop commands — the response vector must align index-for-index with
-/// the command vector). Run the conformance suite
+/// Implement [`Client::backend_name`], [`Client::execute_batch`] and
+/// [`Client::stats`]; answer each command with the matching
+/// [`Response`] variant (never drop commands — the response vector must
+/// align index-for-index with the command vector). Run the conformance suite
 /// (`tests/client_conformance.rs`) to prove the backend answers the
 /// shared command script identically to the existing ones.
 pub trait Client {
@@ -218,16 +214,9 @@ pub trait Client {
         }
     }
 
-    /// Backend counters.
-    fn stats(&mut self) -> BackendStats {
-        match self.execute(Command::Stats) {
-            Response::Stats(s) => s,
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
-            other => panic!("stats: unexpected response {other:?}"),
-        }
-    }
+    /// Backend counters, read by the backend directly: they are not a
+    /// command of the protocol.
+    fn stats(&mut self) -> BackendStats;
 }
 
 /// The in-process engine is itself a backend: commands apply directly,
@@ -256,25 +245,14 @@ impl Client for Engine {
                     Ok(_) => Response::Ok,
                     Err(e) => Response::Error(e.to_string()),
                 },
-                Command::Stats => Response::Stats(self.backend_stats()),
             })
             .collect()
     }
 
-    /// Overridden to call [`Engine::backend_stats`] directly instead of
-    /// the default `execute_batch(vec![Command::Stats])` round trip.
-    ///
-    /// This closes PR 4's recursion footgun for good: with only the
-    /// default method, a `self.stats()` written inside `execute_batch`
-    /// (where autoref can resolve the call through `&mut &mut Engine`
-    /// to the *trait* method rather than an inherent one) would loop
-    /// `stats → execute → execute_batch → stats` forever. Now every
-    /// resolution of `stats` on an `Engine` — inherent-shadowed or not
-    /// — bottoms out in the non-recursive inherent
-    /// [`Engine::backend_stats`]. The former inherent `Engine::stats`
-    /// was renamed [`Engine::engine_stats`] so the two surfaces can no
-    /// longer be confused; `stats_cannot_recurse` below is the
-    /// regression test.
+    /// [`Engine::backend_stats`]: every resolution of `stats` on an
+    /// `Engine` — through `&mut &mut Engine`, generic or `dyn` — ends
+    /// there (`stats_cannot_recurse` below). The engine's own counters
+    /// are [`Engine::engine_stats`], a different name.
     fn stats(&mut self) -> BackendStats {
         self.backend_stats()
     }
@@ -310,22 +288,17 @@ mod tests {
         assert!(stats.memory_bytes > 0);
     }
 
-    /// Regression test for PR 4's footgun: `Client::stats` on an
-    /// `Engine` must bottom out in the inherent
-    /// [`Engine::backend_stats`], never loop back through
-    /// `execute_batch`. If the override were removed *and* a
-    /// `self.stats()` crept into client plumbing, these calls would
-    /// recurse until stack overflow; they must instead all agree with
-    /// `backend_stats` through every receiver shape — direct, generic
-    /// (monomorphized `&mut Engine`), double-reference, and `dyn`.
+    /// `Client::stats` on an `Engine` must agree with the inherent
+    /// [`Engine::backend_stats`] through every receiver shape — direct,
+    /// generic (monomorphized `&mut Engine`), double-reference, and
+    /// `dyn` — and never resolve to a method that calls back into it.
     #[test]
     fn stats_cannot_recurse() {
         fn via_generic<C: Client>(c: &mut C) -> BackendStats {
             c.stats()
         }
         fn via_double_ref(e: &mut &mut Engine) -> BackendStats {
-            // The receiver shape from the PR 4 note: autoref resolves
-            // through `&mut &mut Engine`.
+            // Autoref resolves through `&mut &mut Engine`.
             e.stats()
         }
         let mut e = Engine::new_default();
@@ -335,8 +308,6 @@ mod tests {
         assert_eq!(via_double_ref(&mut &mut e), want);
         let d: &mut dyn Client = &mut e;
         assert_eq!(d.stats(), want);
-        // And the batched path (the one backend code must use) agrees.
-        assert_eq!(e.execute(Command::Stats), Response::Stats(want));
         // The engine-internal counters are a different surface with a
         // different name — no shadowing, no confusion.
         assert_eq!(e.engine_stats().writes, 1);

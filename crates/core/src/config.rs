@@ -137,8 +137,6 @@ pub struct EngineStats {
     pub join_execs: u64,
     /// Output pairs produced by join executions.
     pub exec_outputs: u64,
-    /// Updater dispatches (store writes that hit at least the tree).
-    pub updater_fires: u64,
     /// Updater fires that maintained nothing: an eager updater whose
     /// output lay outside its status range, or a logged modification
     /// that could reach no output of its range. An updater watches its

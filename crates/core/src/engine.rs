@@ -323,13 +323,9 @@ impl Engine {
     }
 
     /// This engine's [`BackendStats`](crate::BackendStats) snapshot —
-    /// the payload every backend answers to
-    /// [`Command::Stats`](crate::Command::Stats). One definition so the
-    /// engine, write-around, and cluster backends cannot
-    /// drift. `Engine`'s `Client::stats` override calls this directly
-    /// (never through `execute_batch`), so a `self.stats()` anywhere in
-    /// client plumbing — even through a `&mut &mut Engine` receiver —
-    /// can no longer recurse; `tests` below pin that down.
+    /// what every engine-backed [`Client::stats`](crate::Client::stats)
+    /// is made of. One definition so the engine, write-around, and
+    /// cluster backends cannot drift.
     pub fn backend_stats(&self) -> crate::BackendStats {
         crate::BackendStats {
             keys: self.store.stats().keys as u64,
@@ -761,7 +757,6 @@ impl Engine {
         if js.state == JsState::Invalid {
             return; // will be recomputed wholesale at next read
         }
-        self.stats.updater_fires += 1;
         let spec = &self.joins[jidx];
         let op = spec.sources[source_idx].op;
         if op == Operator::Check {
@@ -909,7 +904,7 @@ impl Engine {
                 self.stats.hint_hits += 1;
                 Some(n)
             }
-            None => self.store.peek(&out_key).map(|v| parse_num(&v)),
+            None => self.store.get(&out_key).map(|v| parse_num(&v)),
         };
         let newv = cur.unwrap_or(0) + delta;
         let remove_group = op == Operator::Count && newv <= 0;
@@ -942,7 +937,7 @@ impl Engine {
                 _ => unreachable!(),
             }
         };
-        let cur = self.store.peek(&out_key).map(|v| v.to_value());
+        let cur = self.store.get(&out_key).map(|v| v.to_value());
         self.stats.eager_updates += 1;
         match kind {
             WriteKind::Insert => {
@@ -1023,7 +1018,7 @@ mod tests {
 
         e.put("p|bob|0000000120", "older still");
         assert_eq!(e.engine_stats().spurious_fires, 1);
-        assert!(e.store().peek(&Key::from("t|ann|0000000120|bob")).is_none());
+        assert!(e.store().get(&Key::from("t|ann|0000000120|bob")).is_none());
         // A post inside the range is maintained, not spurious.
         let updates = e.engine_stats().eager_updates;
         e.put("p|bob|0000000300", "newest");

@@ -531,13 +531,13 @@ impl Engine {
         }
         if overlay.is_empty() {
             let mut pairs = Vec::new();
-            self.store.visit(crange, |k, v| {
+            self.store.scan(crange, |k, v| {
                 pairs.push((k.clone(), v.to_value()));
                 true
             });
             return pairs;
         }
-        self.store.visit(crange, |k, v| {
+        self.store.scan(crange, |k, v| {
             overlay.entry(k.clone()).or_insert_with(|| v.to_value());
             true
         });
@@ -608,7 +608,7 @@ impl Engine {
         match m.kind {
             WriteKind::Insert | WriteKind::Update => {
                 let value = if m.source_idx == vsrc {
-                    match self.store.peek(&m.key).map(|v| v.to_value()) {
+                    match self.store.get(&m.key).map(|v| v.to_value()) {
                         Some(v) => Some(v),
                         None => return, // key vanished since logging
                     }
@@ -879,7 +879,7 @@ impl BaseData<'_> {
         };
         check_residency(self.remote, self.lru, &crange, missing);
         let store = self.store;
-        store.visit(&crange, |k, v| {
+        store.scan(&crange, |k, v| {
             ctx.matching(level, k, v, slots, captured, |ctx, slots, captured| {
                 self.exec_level(ctx, level + 1, slots, captured, missing)
             });

@@ -12,17 +12,16 @@
 //!   answered, so a batch answers exactly like the same commands issued
 //!   one at a time.
 //! * [`Fanout::plan`] gives every command of a run an id, in command
-//!   order, and routes it ([`Route`]): to one destination, to all of
-//!   them under one id, or nowhere when the host already has the answer.
-//!   The host sends what the plan lists per destination however its
-//!   transport does.
+//!   order, and routes it ([`Route`]): to one destination, or to all of
+//!   them under one id. The host sends what the plan lists per
+//!   destination however its transport does.
 //! * The returned [`PendingRun`] takes `(id, Response)` replies in any
 //!   order and [`finish`](PendingRun::finish)es into one response per
 //!   command: a single reply passes through, a broadcast folds (a join
-//!   installs only if every destination installed it, stats sum), and a
-//!   reply that never came becomes an error.
+//!   installs only if every destination installed it), and a reply that
+//!   never came becomes an error.
 
-use crate::client::{BackendStats, Command, Response};
+use crate::client::{Command, Response};
 use std::ops::Range;
 
 /// Command classes whose members may share one pipelined run without
@@ -33,9 +32,6 @@ enum CommandClass {
     Read,
     Write,
     Join,
-    /// Stats aggregates across the whole deployment, so it must not
-    /// share a run with commands whose effects it would otherwise miss.
-    Stats,
 }
 
 fn class_of(command: &Command) -> CommandClass {
@@ -43,7 +39,6 @@ fn class_of(command: &Command) -> CommandClass {
         Command::Get(_) | Command::Scan(_) | Command::Count(_) => CommandClass::Read,
         Command::Put(..) | Command::Remove(_) => CommandClass::Write,
         Command::AddJoin(_) => CommandClass::Join,
-        Command::Stats => CommandClass::Stats,
     }
 }
 
@@ -73,8 +68,6 @@ pub enum Route {
     One(usize),
     /// To every destination under one id; the replies fold into one.
     All,
-    /// Nowhere: the host already knows the answer. No id is spent.
-    Answered(Response),
 }
 
 /// The run planner: hands out request ids, unique for its lifetime, and
@@ -107,32 +100,25 @@ impl Fanout {
         let mut sends: Vec<Vec<(u64, Command)>> = vec![Vec::new(); self.destinations];
         let mut run = PendingRun {
             first_id: self.next_id,
-            by_id: Vec::with_capacity(commands.len()),
             slots: Vec::with_capacity(commands.len()),
             owed: 0,
             destinations: self.destinations,
         };
         for command in commands {
             let slot = match route(&command) {
-                Route::Answered(response) => {
-                    run.slots.push(Answer::One(Some(response)));
-                    continue;
-                }
                 Route::One(to) => {
                     sends[to].push((self.next_id, command));
                     run.owed += 1;
                     Answer::One(None)
                 }
                 Route::All => {
-                    let stats = matches!(command, Command::Stats);
                     for to in sends.iter_mut() {
                         to.push((self.next_id, command.clone()));
                     }
                     run.owed += self.destinations;
-                    Answer::All(stats, Vec::with_capacity(self.destinations))
+                    Answer::All(Vec::with_capacity(self.destinations))
                 }
             };
-            run.by_id.push(run.slots.len());
             run.slots.push(slot);
             self.next_id += 1;
         }
@@ -143,19 +129,17 @@ impl Fanout {
 /// One command's answer so far.
 #[derive(Debug)]
 enum Answer {
-    /// A command answered by one reply (or by the host).
+    /// A command answered by one reply.
     One(Option<Response>),
-    /// A broadcast `Stats` (`true`) or `AddJoin`: the replies so far.
-    All(bool, Vec<Response>),
+    /// A broadcast `AddJoin`: the replies so far.
+    All(Vec<Response>),
 }
 
 /// One planned run awaiting its replies: a slot per command, in command
-/// order.
+/// order, the slot of id `first_id + i` at `i`.
 #[derive(Debug)]
 pub struct PendingRun {
     first_id: u64,
-    /// The slot of id `first_id + i`.
-    by_id: Vec<usize>,
     slots: Vec<Answer>,
     /// Replies still expected.
     owed: usize,
@@ -165,13 +149,13 @@ pub struct PendingRun {
 impl PendingRun {
     /// The ids this run's replies carry.
     pub fn ids(&self) -> Range<u64> {
-        self.first_id..self.first_id + self.by_id.len() as u64
+        self.first_id..self.first_id + self.slots.len() as u64
     }
 
     /// Which command of the run (by position) id `id` answers.
     pub fn slot_of(&self, id: u64) -> Option<usize> {
         let offset = usize::try_from(id.checked_sub(self.first_id)?).ok()?;
-        self.by_id.get(offset).copied()
+        (offset < self.slots.len()).then_some(offset)
     }
 
     /// Takes one reply. A reply for another run, or one more than its
@@ -182,7 +166,7 @@ impl PendingRun {
         };
         match &mut self.slots[slot] {
             Answer::One(reply @ None) => *reply = Some(response),
-            Answer::All(_, replies) if replies.len() < self.destinations => replies.push(response),
+            Answer::All(replies) if replies.len() < self.destinations => replies.push(response),
             _ => return self.is_complete(),
         }
         self.owed -= 1;
@@ -195,9 +179,9 @@ impl PendingRun {
     }
 
     /// One response per command, in command order: a single reply as
-    /// it came, a broadcast folded — stats summed, a join `Ok` only if
-    /// every destination installed it (else the first error). A command
-    /// short of its replies answers an error.
+    /// it came, a broadcast folded — a join `Ok` only if every
+    /// destination installed it (else the first error). A command short
+    /// of its replies answers an error.
     pub fn finish(self) -> Vec<Response> {
         let destinations = self.destinations;
         (self.slots.into_iter())
@@ -205,21 +189,11 @@ impl PendingRun {
                 Answer::One(reply) => {
                     reply.unwrap_or_else(|| Response::Error("no reply from cluster".into()))
                 }
-                Answer::All(stats, replies) if replies.len() < destinations => {
-                    let what = if stats { "stats" } else { "addjoin" };
+                Answer::All(replies) if replies.len() < destinations => {
                     let got = replies.len();
-                    Response::Error(format!("{what}: {got} of {destinations} nodes replied"))
+                    Response::Error(format!("addjoin: {got} of {destinations} nodes replied"))
                 }
-                Answer::All(true, replies) => {
-                    let mut total = BackendStats::default();
-                    for r in replies {
-                        if let Response::Stats(s) = r {
-                            total += s;
-                        }
-                    }
-                    Response::Stats(total)
-                }
-                Answer::All(false, replies) => (replies.into_iter())
+                Answer::All(replies) => (replies.into_iter())
                     .find(|r| matches!(r, Response::Error(_)))
                     .unwrap_or(Response::Ok),
             })
@@ -294,23 +268,18 @@ mod tests {
     }
 
     #[test]
-    fn a_broadcast_stats_sums_and_extra_replies_are_ignored() {
-        let stats = |keys| {
-            Response::Stats(BackendStats {
-                keys,
-                ..BackendStats::default()
-            })
-        };
+    fn a_broadcast_ignores_extra_replies() {
+        let error = Response::Error("late".into());
         let mut fanout = Fanout::new(2);
-        let (mut run, _) = fanout.plan(vec![Command::Stats], by_first_digit);
-        assert!(!run.absorb(1, stats(3)));
-        assert!(run.absorb(1, stats(4)));
+        let (mut run, _) = fanout.plan(vec![Command::AddJoin("j".into())], by_first_digit);
+        assert!(!run.absorb(1, Response::Ok));
+        assert!(run.absorb(1, Response::Ok));
         assert!(
-            run.absorb(1, stats(100)),
+            run.absorb(1, error.clone()),
             "a third reply to a 2-way broadcast"
         );
-        assert!(run.absorb(9, stats(100)), "a reply for another run");
-        assert_eq!(run.finish(), vec![stats(7)]);
+        assert!(run.absorb(9, error), "a reply for another run");
+        assert_eq!(run.finish(), vec![Response::Ok]);
     }
 
     #[test]
@@ -329,14 +298,12 @@ mod tests {
         let mut fanout = Fanout::new(2);
         let scan = Command::Scan(KeyRange::prefix("d1"));
         let route = |c: &Command| match c {
-            Command::Stats => Route::Answered(Response::Ok),
             Command::Scan(_) => Route::One(1),
             other => by_first_digit(other),
         };
         let mut seen = Vec::new();
         for run in [
             vec![get("d1a"), scan.clone(), get("d0b")],
-            vec![Command::Stats],
             vec![Command::AddJoin("j".into()), Command::AddJoin("k".into())],
         ] {
             let (pending, sends) = fanout.plan(run.clone(), route);
@@ -344,19 +311,13 @@ mod tests {
             ids.sort_unstable();
             ids.dedup();
             assert_eq!(ids, pending.ids().collect::<Vec<_>>());
-            // Each id answers the command at its position in the run,
-            // the host-answered ones skipped.
-            let wired: Vec<usize> = (0..run.len())
-                .filter(|&i| !matches!(run[i], Command::Stats))
-                .collect();
+            // Each id answers the command at its position in the run.
             let slots: Vec<usize> = pending.ids().filter_map(|id| pending.slot_of(id)).collect();
-            assert_eq!(slots, wired);
+            assert_eq!(slots, (0..run.len()).collect::<Vec<_>>());
+            assert_eq!(pending.slot_of(pending.ids().end), None);
             seen.extend(ids);
         }
         assert_eq!(seen, vec![1, 2, 3, 4, 5]);
         assert_eq!(fanout.plan(vec![get("d0d")], route).0.ids(), 6..7);
-        let (answered, _) = fanout.plan(vec![Command::Stats], route);
-        assert!(answered.is_complete());
-        assert_eq!(answered.finish(), vec![Response::Ok]);
     }
 }

@@ -458,7 +458,6 @@ impl Node {
                 Ok(_) => Response::Ok,
                 Err(e) => Response::Error(e.to_string()),
             },
-            Command::Stats => Response::Stats(self.engine.backend_stats()),
         };
         out.push((from, NodeMsg::Reply { id, response }));
     }

@@ -13,7 +13,7 @@
 //! its ack, so every command after a write — in the same batch too —
 //! sees it.
 
-use crate::client::{Client, Command, Response};
+use crate::client::{BackendStats, Client, Command, Response};
 use crate::engine::Engine;
 use crate::node::{audit_deployment, Endpoint, Node, NodeMsg};
 use crate::partition::{Partition, ServerId, TablePartition};
@@ -108,18 +108,18 @@ impl Client for WriteAround {
                     let home = self.partition.home_of(key);
                     self.execute(home, command)
                 }
-                Command::Stats => {
-                    let mut response = self.execute(CACHE, command);
-                    // The larger count approximates the authoritative
-                    // one without counting cached replicas twice.
-                    if let Response::Stats(stats) = &mut response {
-                        let rows = self.database().engine.backend_stats().keys;
-                        stats.keys = stats.keys.max(rows);
-                    }
-                    response
-                }
                 command => self.execute(CACHE, command),
             })
             .collect()
+    }
+
+    /// The cache's counters, its key count raised to the database's:
+    /// the larger count approximates the authoritative one without
+    /// counting cached replicas twice.
+    fn stats(&mut self) -> BackendStats {
+        let mut stats = self.cache().engine.backend_stats();
+        let rows = self.database().engine.backend_stats().keys;
+        stats.keys = stats.keys.max(rows);
+        stats
     }
 }

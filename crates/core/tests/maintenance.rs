@@ -25,7 +25,7 @@ fn pull_joins_compute_but_never_cache() {
     let tl = keys(&mut e, "t|ann|");
     assert_eq!(tl, vec!["t|ann|0000000100|bob".to_string()]);
     // Nothing cached, no updaters, no status ranges.
-    assert!(e.store().peek(&Key::from("t|ann|0000000100|bob")).is_none());
+    assert!(e.store().get(&Key::from("t|ann|0000000100|bob")).is_none());
     assert_eq!(e.materialized_ranges(), 0);
     assert_eq!(e.updater_entries(), 0);
     // Every read recomputes.
@@ -91,9 +91,9 @@ fn celebrity_join_pull_with_helper_range() {
     // timeline entry and the ct| helper row are in the store.
     assert!(e
         .store()
-        .peek(&Key::from("t|ann|0000000150|stella"))
+        .get(&Key::from("t|ann|0000000150|stella"))
         .is_none());
-    assert!(e.store().peek(&Key::from("ct|0000000150|stella")).is_some());
+    assert!(e.store().get(&Key::from("ct|0000000150|stella")).is_some());
 
     // New celebrity post appears without any timeline maintenance.
     e.put("cp|stella|0000000170", "more");
@@ -197,7 +197,7 @@ fn full_materialization_precomputes_everything() {
     e.add_join_text(TIMELINE).unwrap();
     // Already materialized at install: the store holds the timeline
     // without any scan.
-    assert!(e.store().peek(&Key::from("t|ann|0000000100|bob")).is_some());
+    assert!(e.store().get(&Key::from("t|ann|0000000100|bob")).is_some());
     let execs = e.engine_stats().join_execs;
     assert_eq!(keys(&mut e, "t|ann|").len(), 1);
     assert_eq!(
@@ -208,7 +208,7 @@ fn full_materialization_precomputes_everything() {
     // Subscriptions apply eagerly in full mode.
     e.put("p|liz|0000000090", "early");
     e.put("s|ann|liz", "1");
-    assert!(e.store().peek(&Key::from("t|ann|0000000090|liz")).is_some());
+    assert!(e.store().get(&Key::from("t|ann|0000000090|liz")).is_some());
 }
 
 #[test]
@@ -222,7 +222,7 @@ fn no_materialization_recomputes_every_scan() {
     e.put("s|ann|bob", "1");
     e.put("p|bob|0000000100", "Hi");
     assert_eq!(keys(&mut e, "t|ann|").len(), 1);
-    assert!(e.store().peek(&Key::from("t|ann|0000000100|bob")).is_none());
+    assert!(e.store().get(&Key::from("t|ann|0000000100|bob")).is_none());
     assert_eq!(e.materialized_ranges(), 0);
     let execs = e.engine_stats().join_execs;
     keys(&mut e, "t|ann|");
@@ -244,7 +244,7 @@ fn eager_checks_apply_at_write_time() {
     // With eager checks, the subscription write itself installs the
     // timeline entry.
     e.put("s|ann|liz", "1");
-    assert!(e.store().peek(&Key::from("t|ann|0000000090|liz")).is_some());
+    assert!(e.store().get(&Key::from("t|ann|0000000090|liz")).is_some());
     assert_eq!(e.engine_stats().mods_logged, 0);
 }
 
@@ -324,7 +324,7 @@ fn eviction_of_computed_range_recomputes_on_read() {
     let evicted = e.evict_to(with_timeline / 2);
     assert!(evicted >= 1);
     assert!(e.engine_stats().js_evictions >= 1);
-    assert!(e.store().peek(&Key::from("t|ann|0000000100|bob")).is_none());
+    assert!(e.store().get(&Key::from("t|ann|0000000100|bob")).is_none());
     // Next read recomputes the same answer.
     assert_eq!(keys(&mut e, "t|ann|").len(), 50);
 }

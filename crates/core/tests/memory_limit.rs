@@ -240,8 +240,8 @@ fn base_eviction_keeps_authoritative_rows() {
     assert!(evicted >= 1);
     assert!(e.engine_stats().base_evictions >= 1);
     // The sole copy survives; the replica is dropped.
-    assert!(e.store().peek(&Key::from("p|bob|0000000100")).is_some());
-    assert!(e.store().peek(&Key::from("p|liz|0000000200")).is_none());
+    assert!(e.store().get(&Key::from("p|bob|0000000100")).is_some());
+    assert!(e.store().get(&Key::from("p|liz|0000000200")).is_none());
     // Residency is released either way: both ranges must re-prove
     // themselves on the next read.
     let res = e.scan(&KeyRange::prefix("p|"));
@@ -264,7 +264,7 @@ fn fully_authoritative_table_is_never_evicted() {
     let evicted = e.evict_to(0);
     assert_eq!(evicted, 0, "nothing reclaimable, nothing evicted");
     assert_eq!(e.engine_stats().base_evictions, 0);
-    assert!(e.store().peek(&Key::from("p|bob|0000000100")).is_some());
+    assert!(e.store().get(&Key::from("p|bob|0000000100")).is_some());
     // Residency survives too: the next read needs no re-proving.
     assert!(e.scan(&KeyRange::prefix("p|bob|")).is_complete());
 }

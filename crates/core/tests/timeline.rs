@@ -59,10 +59,7 @@ fn scan_materializes_on_demand() {
     );
     assert_eq!(e.materialized_ranges(), 1);
     // The computed timeline is cached in the store.
-    assert!(e
-        .store()
-        .peek(&Key::from(tkey("ann", 100, "bob")))
-        .is_some());
+    assert!(e.store().get(&Key::from(tkey("ann", 100, "bob"))).is_some());
 }
 
 #[test]

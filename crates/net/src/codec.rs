@@ -64,7 +64,6 @@ const TAG_SNAPSHOT_CHUNK: u8 = 18;
 const TAG_EPOCH_CHANGE: u8 = 19;
 const TAG_NOT_PRIMARY: u8 = 20;
 const TAG_MIGRATE: u8 = 21;
-const TAG_NODE_STATUS: u8 = 22;
 const TAG_METRICS: u8 = 23;
 
 /// Maximum nesting of `Batch` frames, to bound decoder recursion on
@@ -290,10 +289,6 @@ pub fn encode(msg: &Message, buf: &mut (impl BufMut + AsMut<[u8]>)) {
             buf.put_u32_le(*slot);
             buf.put_u32_le(*from);
             buf.put_u32_le(*to);
-        }
-        Message::NodeStatus { id } => {
-            buf.put_u8(TAG_NODE_STATUS);
-            buf.put_u64_le(*id);
         }
         Message::Metrics { id, flight } => {
             buf.put_u8(TAG_METRICS);
@@ -589,7 +584,6 @@ fn decode_at(body: &[u8], depth: u8) -> Result<Message, CodecError> {
             from: r.u32()?,
             to: r.u32()?,
         },
-        TAG_NODE_STATUS => Message::NodeStatus { id: r.u64()? },
         TAG_METRICS => Message::Metrics {
             id: r.u64()?,
             flight: r.u8()? != 0,
@@ -822,7 +816,6 @@ mod tests {
             from: 0,
             to: 2,
         });
-        roundtrip(Message::NodeStatus { id: 20 });
         roundtrip(Message::Metrics {
             id: 21,
             flight: true,

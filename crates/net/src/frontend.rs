@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Serving counters, updated live by the reactor; read them with
-/// [`FrontendStats::snapshot`] (or via
-/// [`FrontendServer::stats`]).
+/// Serving counters, updated live by the reactor; they are read in
+/// [`FrontendServer::telemetry`]'s snapshot, the one a wire
+/// [`Message::Metrics`] gets.
 #[derive(Default)]
 pub struct FrontendStats {
     /// Connections accepted over the server's lifetime (both surfaces).
@@ -61,67 +61,28 @@ pub struct FrontendStats {
     pub codec_errors: AtomicU64,
 }
 
-/// A point-in-time copy of [`FrontendStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontendStatsSnapshot {
-    /// See [`FrontendStats::accepted`].
-    pub accepted: u64,
-    /// See [`FrontendStats::active`].
-    pub active: u64,
-    /// See [`FrontendStats::frames_in`].
-    pub frames_in: u64,
-    /// See [`FrontendStats::replies_out`].
-    pub replies_out: u64,
-    /// See [`FrontendStats::bytes_in`].
-    pub bytes_in: u64,
-    /// See [`FrontendStats::bytes_out`].
-    pub bytes_out: u64,
-    /// See [`FrontendStats::backpressure_pauses`].
-    pub backpressure_pauses: u64,
-    /// See [`FrontendStats::idle_closed`].
-    pub idle_closed: u64,
-    /// See [`FrontendStats::stall_closed`].
-    pub stall_closed: u64,
-    /// See [`FrontendStats::codec_errors`].
-    pub codec_errors: u64,
-}
-
-impl FrontendStats {
-    /// Reads every counter (relaxed; counters are advisory).
-    pub fn snapshot(&self) -> FrontendStatsSnapshot {
-        FrontendStatsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            active: self.active.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            replies_out: self.replies_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            backpressure_pauses: self.backpressure_pauses.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            stall_closed: self.stall_closed.load(Ordering::Relaxed),
-            codec_errors: self.codec_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Appends the frontend's serving counters to a telemetry snapshot so
-/// one scrape covers the engine and the serving path together.
+/// one scrape covers the engine and the serving path together. Each is
+/// read relaxed: the counters are advisory.
 fn mirror_frontend_stats(stats: &FrontendStats, snap: &mut Snapshot) {
-    let s = stats.snapshot();
-    snap.counter("pequod_conns_accepted_total", &[], s.accepted);
-    snap.gauge("pequod_conns_active", &[], s.active);
-    snap.counter("pequod_frames_in_total", &[], s.frames_in);
-    snap.counter("pequod_replies_out_total", &[], s.replies_out);
-    snap.counter("pequod_bytes_in_total", &[], s.bytes_in);
-    snap.counter("pequod_bytes_out_total", &[], s.bytes_out);
-    snap.counter(
-        "pequod_backpressure_pauses_total",
-        &[],
-        s.backpressure_pauses,
-    );
-    snap.counter("pequod_conns_idle_closed_total", &[], s.idle_closed);
-    snap.counter("pequod_conns_stall_closed_total", &[], s.stall_closed);
-    snap.counter("pequod_codec_errors_total", &[], s.codec_errors);
+    let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    snap.counter("pequod_conns_accepted_total", &[], read(&stats.accepted));
+    snap.gauge("pequod_conns_active", &[], read(&stats.active));
+    for (name, counter) in [
+        ("pequod_frames_in_total", &stats.frames_in),
+        ("pequod_replies_out_total", &stats.replies_out),
+        ("pequod_bytes_in_total", &stats.bytes_in),
+        ("pequod_bytes_out_total", &stats.bytes_out),
+        (
+            "pequod_backpressure_pauses_total",
+            &stats.backpressure_pauses,
+        ),
+        ("pequod_conns_idle_closed_total", &stats.idle_closed),
+        ("pequod_conns_stall_closed_total", &stats.stall_closed),
+        ("pequod_codec_errors_total", &stats.codec_errors),
+    ] {
+        snap.counter(name, &[], read(counter));
+    }
 }
 
 /// Tuning for a [`FrontendServer`]. `Default` is production-shaped;
@@ -276,7 +237,6 @@ pub struct FrontendServer {
     provider: SnapshotFn,
     signals: Arc<Signals>,
     waker: Waker,
-    stats: Arc<FrontendStats>,
     reactor_thread: Option<JoinHandle<()>>,
     ticker: Option<JoinHandle<()>>,
 }
@@ -382,7 +342,6 @@ impl FrontendServer {
             provider,
             signals,
             waker,
-            stats,
             reactor_thread,
             ticker,
         })
@@ -396,11 +355,6 @@ impl FrontendServer {
     /// The unix-domain socket path, when one is being served.
     pub fn unix_path(&self) -> Option<&std::path::Path> {
         self.unix_path.as_deref()
-    }
-
-    /// Live serving counters.
-    pub fn stats(&self) -> FrontendStatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// The server's telemetry provider: backend metrics plus the frontend's serving counters, the same

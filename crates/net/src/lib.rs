@@ -43,7 +43,7 @@ pub mod sim;
 pub mod swarm;
 pub mod tcp;
 
-pub use frontend::{FrontendConfig, FrontendServer, FrontendStats, FrontendStatsSnapshot};
+pub use frontend::{FrontendConfig, FrontendServer, FrontendStats};
 pub use message::Message;
 pub use reactor::{Conns, Dispatch, Poller, Waker};
 pub use sim::{FaultStats, LinkFaults, SimNet, TrafficStats};

@@ -6,7 +6,7 @@
 //! installs a subscription at its home server, and the home server
 //! forwards subsequent updates.
 
-use pequod_core::{BackendStats, Command, Response};
+use pequod_core::{Command, Response};
 use pequod_store::{Key, KeyRange, UpperBound, Value};
 
 /// A wire message.
@@ -226,12 +226,6 @@ pub enum Message {
         /// The node joining in its place.
         to: u32,
     },
-    /// Admin: asks a cluster node for its per-slot view and replication
-    /// counters, answered as a [`Message::Reply`] pair list.
-    NodeStatus {
-        /// Request id.
-        id: u64,
-    },
     /// Admin: asks any server for its telemetry snapshot, answered as
     /// a [`Message::Reply`] pair list (flattened metric entries; see
     /// `pequod_telemetry::Snapshot::to_pairs`). With `flight` set the
@@ -264,7 +258,6 @@ impl Message {
             | Message::SubscribeReply { id, .. }
             | Message::NotPrimary { id, .. }
             | Message::Migrate { id, .. }
-            | Message::NodeStatus { id }
             | Message::Metrics { id, .. } => Some(*id),
             Message::Notify { .. }
             | Message::Unsubscribe { .. }
@@ -289,18 +282,16 @@ impl Message {
         }
     }
 
-    /// The wire form of a client command under request `id`; `None` for
-    /// [`Command::Stats`], which has no wire message.
-    pub fn request(id: u64, command: Command) -> Option<Message> {
-        Some(match command {
+    /// The wire form of a client command under request `id`.
+    pub fn request(id: u64, command: Command) -> Message {
+        match command {
             Command::Get(key) => Message::Get { id, key },
             Command::Scan(range) => Message::Scan { id, range },
             Command::Count(range) => Message::Count { id, range },
             Command::Put(key, value) => Message::Put { id, key, value },
             Command::Remove(key) => Message::Remove { id, key },
             Command::AddJoin(text) => Message::AddJoin { id, text },
-            Command::Stats => return None,
-        })
+        }
     }
 
     /// The inverse of [`Message::request`]: the request id and command
@@ -324,7 +315,7 @@ impl Message {
         match response {
             Response::Pairs(pairs) => Message::reply(id, pairs),
             Response::Count(n) => Message::count_reply(id, n),
-            Response::Value(_) | Response::Ok | Response::Stats(_) => Message::reply(id, vec![]),
+            Response::Value(_) | Response::Ok => Message::reply(id, vec![]),
             Response::Error(e) => Message::error(id, e),
         }
     }
@@ -345,7 +336,6 @@ impl Message {
                 None => Response::Error("malformed count reply".into()),
             },
             (None, Command::Put(..) | Command::Remove(_) | Command::AddJoin(_)) => Response::Ok,
-            (None, Command::Stats) => Response::Stats(BackendStats::default()),
         };
         Some((id, response))
     }
@@ -381,6 +371,20 @@ impl Message {
                 .map(|(k, v)| (Key::from(k.as_str()), Value::from(v.into_bytes())))
                 .collect(),
         )
+    }
+
+    /// The inverse of [`Message::metrics_reply`]: a reply's pairs as the
+    /// snapshot's flattened `(key, value)` strings, which
+    /// `pequod_telemetry::metric` reads a counter out of by name.
+    pub fn parse_metrics(pairs: Vec<(Key, Value)>) -> Vec<(String, String)> {
+        (pairs.into_iter())
+            .map(|(k, v)| {
+                (
+                    String::from_utf8_lossy(k.as_bytes()).into_owned(),
+                    String::from_utf8_lossy(&v).into_owned(),
+                )
+            })
+            .collect()
     }
 
     /// The reply to a [`Message::Count`] request.

@@ -344,14 +344,6 @@ impl TcpClient {
     pub fn metrics(&mut self, flight: bool) -> Result<Vec<(String, String)>, ClientError> {
         let id = self.fresh_id();
         let pairs = self.call(Message::Metrics { id, flight })?;
-        Ok(pairs
-            .into_iter()
-            .map(|(k, v)| {
-                (
-                    String::from_utf8_lossy(k.as_bytes()).into_owned(),
-                    String::from_utf8_lossy(&v).into_owned(),
-                )
-            })
-            .collect())
+        Ok(Message::parse_metrics(pairs))
     }
 }

@@ -153,7 +153,6 @@ fn leaf_strategy() -> BoxedStrategy<Message> {
         ),
         (0u64..1000, any::<u32>(), any::<u32>(), any::<u32>())
             .prop_map(|(id, slot, from, to)| Message::Migrate { id, slot, from, to }),
-        (0u64..1000).prop_map(|id| Message::NodeStatus { id }),
     ]
     .boxed()
 }

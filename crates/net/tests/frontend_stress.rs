@@ -17,6 +17,7 @@ use pequod_core::{Engine, EngineConfig};
 use pequod_net::codec::{encode_frame, FrameDecoder};
 use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient};
 use pequod_store::{Key, KeyRange, Value};
+use pequod_telemetry::metric;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -46,6 +47,13 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     cond()
+}
+
+/// `server`'s serving counter `name`, from the telemetry snapshot a
+/// wire `Metrics` request gets.
+fn counter(server: &FrontendServer, name: &str) -> u64 {
+    let pairs = (server.telemetry())(false).to_pairs();
+    metric(&pairs, name).unwrap_or_else(|| panic!("the snapshot lacks {name}"))
 }
 
 /// Reads error-free replies with ids `1..=count`, in that order; a
@@ -130,8 +138,7 @@ fn five_thousand_pipelined_connections() {
         "dropped replies"
     );
     assert_eq!(report.reply_errors, 0);
-    let stats = server.stats();
-    assert!(stats.accepted >= CONNS as u64);
+    assert!(counter(&server, "pequod_conns_accepted_total") >= CONNS as u64);
     server.shutdown();
 }
 
@@ -164,12 +171,11 @@ fn mid_frame_disconnects_leave_server_serving() {
     drop(client);
     // ...and reclaim every slot.
     assert!(
-        wait_for(10, || server.stats().active == 0),
+        wait_for(10, || counter(&server, "pequod_conns_active") == 0),
         "connection slots leaked: {} still active",
-        server.stats().active
+        counter(&server, "pequod_conns_active")
     );
-    let stats = server.stats();
-    assert!(stats.accepted >= 101);
+    assert!(counter(&server, "pequod_conns_accepted_total") >= 101);
     server.shutdown();
 }
 
@@ -204,7 +210,7 @@ fn half_close_right_after_a_frame_still_gets_replies_and_a_clean_close() {
         );
     }
     assert!(
-        wait_for(10, || server.stats().active == 0),
+        wait_for(10, || counter(&server, "pequod_conns_active") == 0),
         "half-closed connections left open"
     );
     server.shutdown();
@@ -223,7 +229,7 @@ fn a_frame_larger_than_the_read_buffer_arrives_whole() {
         client.get("p|big|0000000001").unwrap(),
         Some(Value::from(big))
     );
-    assert_eq!(server.stats().frames_in, 2);
+    assert_eq!(counter(&server, "pequod_frames_in_total"), 2);
     server.shutdown();
 }
 
@@ -259,7 +265,8 @@ fn slow_reader_triggers_backpressure_and_loses_nothing() {
     }
     // Don't read: the server must hit the cap and pause this socket.
     assert!(
-        wait_for(10, || server.stats().backpressure_pauses > 0),
+        wait_for(10, || counter(&server, "pequod_backpressure_pauses_total")
+            > 0),
         "no backpressure pause recorded"
     );
     // Resume reading: every reply arrives, in order.
@@ -320,7 +327,10 @@ fn garbage_frames_get_error_frame_then_close() {
         };
         assert!(error.as_deref().unwrap_or("").starts_with("codec:"));
     }
-    assert!(wait_for(5, || server.stats().codec_errors >= 2));
+    assert!(wait_for(5, || counter(
+        &server,
+        "pequod_codec_errors_total"
+    ) >= 2));
     // The server still serves clean connections.
     let mut client = TcpClient::connect(addr).unwrap();
     client.put("p|ok|0000000001", "fine").unwrap();
@@ -340,10 +350,11 @@ fn idle_timeout_closes_quiet_connections() {
     client.put("p|idle|0000000001", "hello").unwrap();
     // Stop talking; the server must close us.
     assert!(
-        wait_for(10, || server.stats().idle_closed >= 1),
+        wait_for(10, || counter(&server, "pequod_conns_idle_closed_total")
+            >= 1),
         "idle connection never reaped"
     );
-    assert!(wait_for(10, || server.stats().active == 0));
+    assert!(wait_for(10, || counter(&server, "pequod_conns_active") == 0));
     server.shutdown();
 }
 
@@ -373,10 +384,11 @@ fn stall_timeout_closes_stuck_readers() {
     }
     // Never read.
     assert!(
-        wait_for(10, || server.stats().stall_closed >= 1),
+        wait_for(10, || counter(&server, "pequod_conns_stall_closed_total")
+            >= 1),
         "stalled connection never reaped"
     );
-    assert!(wait_for(10, || server.stats().active == 0));
+    assert!(wait_for(10, || counter(&server, "pequod_conns_active") == 0));
     server.shutdown();
 }
 
@@ -492,7 +504,8 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
         .unwrap();
     }
     assert!(
-        wait_for(10, || server.stats().backpressure_pauses > 0),
+        wait_for(10, || counter(&server, "pequod_backpressure_pauses_total")
+            > 0),
         "connection A never hit its write cap"
     );
     assert_eq!(

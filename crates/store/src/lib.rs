@@ -51,7 +51,7 @@ pub use lru::{LruHandle, LruTracker};
 pub use range::{KeyRange, UpperBound};
 pub use range_set::RangeSet;
 pub use store::{Store, StoreConfig, StoreStats};
-pub use table::{Table, TableStats};
+pub use table::Table;
 pub use value::{Value, ValueRef};
 
 /// Compile-time thread-safety contract: everything an engine owns can
@@ -429,7 +429,7 @@ mod proptests {
                         };
                         let want = model.get(&probe).cloned();
                         prop_assert_eq!(store.get(&probe).map(|v| v.to_value()), want.clone());
-                        prop_assert_eq!(store.peek(&probe).map(|v| v.to_value()), want);
+                        prop_assert_eq!(store.get(&probe).map(|v| v.to_value()), want);
                     }
                     8..10 => {
                         // Sometimes into another subtable or the other table.

@@ -9,7 +9,7 @@
 
 use crate::key::Key;
 use crate::range::KeyRange;
-use crate::table::{Table, TableStats};
+use crate::table::Table;
 use crate::value::{Value, ValueRef};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -54,14 +54,6 @@ pub struct StoreStats {
     /// Total bytes of live values counting shared buffers once
     /// (the §4.3 value-sharing optimization makes this smaller).
     pub resident_value_bytes: usize,
-    /// Completed operations.
-    pub puts: u64,
-    /// Completed gets.
-    pub gets: u64,
-    /// Completed removes.
-    pub removes: u64,
-    /// Completed scans.
-    pub scans: u64,
 }
 
 impl StoreStats {
@@ -73,7 +65,6 @@ impl StoreStats {
 
     /// Counts one pair put, over `old` if the key was held already.
     fn wrote(&mut self, key_len: usize, value_len: usize, old: Option<&Value>, shared: bool) {
-        self.puts += 1;
         match old {
             Some(prev) => {
                 self.logical_value_bytes = self.logical_value_bytes - prev.len() + value_len;
@@ -98,7 +89,6 @@ impl StoreStats {
 
     /// Takes `pairs` removed pairs out of the counters.
     fn forget(&mut self, pairs: usize, key_bytes: usize, value_bytes: usize, shared: bool) {
-        self.removes += pairs as u64;
         self.keys -= pairs;
         self.key_bytes -= key_bytes;
         self.logical_value_bytes -= value_bytes;
@@ -158,18 +148,6 @@ impl Store {
         &self.stats
     }
 
-    /// Sums the per-table operation counters.
-    pub fn table_stats(&self) -> TableStats {
-        let mut total = TableStats::default();
-        for t in self.tables.values() {
-            let s = t.stats();
-            total.hash_hits += s.hash_hits;
-            total.single_subtable_scans += s.single_subtable_scans;
-            total.cross_subtable_scans += s.cross_subtable_scans;
-        }
-        total
-    }
-
     /// Live pair count.
     pub fn len(&self) -> usize {
         self.stats.keys
@@ -196,8 +174,7 @@ impl Store {
         self.tables.iter()
     }
 
-    /// Visits every live pair, table by table in key order, without
-    /// touching the operation counters.
+    /// Visits every live pair, table by table in key order.
     pub fn for_each(&self, mut f: impl FnMut(&Key, ValueRef<'_>)) {
         for t in self.tables.values() {
             t.for_each(&mut f);
@@ -313,14 +290,8 @@ impl Store {
     }
 
     /// Looks up a key.
-    pub fn get(&mut self, key: &Key) -> Option<ValueRef<'_>> {
-        self.stats.gets += 1;
-        self.tables.get_mut(key.table_prefix_bytes())?.get(key)
-    }
-
-    /// Looks up a key without touching statistics.
-    pub fn peek(&self, key: &Key) -> Option<ValueRef<'_>> {
-        self.tables.get(key.table_prefix_bytes())?.peek(key)
+    pub fn get(&self, key: &Key) -> Option<ValueRef<'_>> {
+        self.tables.get(key.table_prefix_bytes())?.get(key)
     }
 
     /// Removes a key, returning its value. `shared` is what
@@ -370,37 +341,17 @@ impl Store {
     }
 
     /// Visits pairs in `range` in key order (across table boundaries)
-    /// until the visitor returns `false`.
-    pub fn scan(&mut self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
-        if range.is_empty() {
-            return;
-        }
-        self.stats.scans += 1;
-        let mut stop = false;
-        let walk = (first_table(&self.tables, range), Bound::Unbounded);
-        for (prefix, table) in self.tables.range_mut(walk) {
-            if stop || !range.end.admits(prefix) {
-                break;
-            }
-            table.scan(range, |k, v| {
-                stop = !f(k, v);
-                !stop
-            });
-        }
-    }
-
-    /// [`Store::scan`] without the operation counters, so it needs no
-    /// `&mut` (as [`Store::peek`] is to [`Store::get`]): a join's forward
-    /// execution reads its sources through this, nested one inside the
-    /// other, straight out of the store.
-    pub fn visit(&self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
+    /// until the visitor returns `false`. It needs no `&mut`, so a
+    /// join's forward execution reads its sources through this, nested
+    /// one inside the other, straight out of the store.
+    pub fn scan(&self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
         let mut stop = false;
         let walk = (first_table(&self.tables, range), Bound::Unbounded);
         for (prefix, table) in self.tables.range(walk) {
             if stop || !range.end.admits(prefix) {
                 break;
             }
-            table.visit(range, |k, v| {
+            table.scan(range, |k, v| {
                 stop = !f(k, v);
                 !stop
             });
@@ -421,7 +372,7 @@ impl Store {
 mod tests {
     use super::*;
 
-    fn keys_in(s: &mut Store, range: &KeyRange) -> Vec<String> {
+    fn keys_in(s: &Store, range: &KeyRange) -> Vec<String> {
         let mut keys = Vec::new();
         s.scan(range, |k, _| {
             keys.push(k.to_string());
@@ -448,8 +399,8 @@ mod tests {
 
     #[test]
     fn cross_table_scan_is_globally_ordered() {
-        let mut s = sample();
-        let keys = keys_in(&mut s, &KeyRange::all());
+        let s = sample();
+        let keys = keys_in(&s, &KeyRange::all());
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -458,8 +409,8 @@ mod tests {
 
     #[test]
     fn scan_spanning_two_tables() {
-        let mut s = sample();
-        let keys = keys_in(&mut s, &KeyRange::new("p|liz", "s|ann|c"));
+        let s = sample();
+        let keys = keys_in(&s, &KeyRange::new("p|liz", "s|ann|c"));
         assert_eq!(keys, vec!["p|liz|124", "s|ann|bob"]);
     }
 
@@ -541,9 +492,8 @@ mod tests {
             [0, 5, 6]
         );
         let all = KeyRange::all();
-        assert_eq!(keys_in(&mut as_run, &all), keys_in(&mut one_by_one, &all));
+        assert_eq!(keys_in(&as_run, &all), keys_in(&one_by_one, &all));
         assert_eq!(as_run.memory_bytes(), one_by_one.memory_bytes());
-        assert_eq!(as_run.stats().puts, one_by_one.stats().puts);
         assert_eq!(as_run.audit(), Vec::<String>::new());
     }
 
@@ -559,8 +509,8 @@ mod tests {
 
     #[test]
     fn empty_scan_is_noop() {
-        let mut s = sample();
-        assert!(keys_in(&mut s, &KeyRange::new("z", "a")).is_empty());
-        assert!(keys_in(&mut s, &KeyRange::new("x|", "y|")).is_empty());
+        let s = sample();
+        assert!(keys_in(&s, &KeyRange::new("z", "a")).is_empty());
+        assert!(keys_in(&s, &KeyRange::new("x|", "y|")).is_empty());
     }
 }

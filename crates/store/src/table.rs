@@ -58,22 +58,10 @@ enum Repr {
     },
 }
 
-/// Counters describing how a table's operations were served.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TableStats {
-    /// Point operations that hit the subtable hash index.
-    pub hash_hits: u64,
-    /// Scans served entirely from one subtable.
-    pub single_subtable_scans: u64,
-    /// Scans that crossed subtable boundaries.
-    pub cross_subtable_scans: u64,
-}
-
 /// One logical table of ordered key-value pairs.
 pub struct Table {
     len: usize,
     repr: Repr,
-    stats: TableStats,
     /// Incrementally maintained subtable-index overhead, so memory
     /// accounting (queried after every operation on a memory-bounded
     /// engine) is O(1) instead of walking the prefix index.
@@ -84,14 +72,6 @@ pub struct Table {
 /// stored twice (hash + ordered index) plus map-entry overhead.
 fn index_entry_bytes(prefix: &[u8]) -> usize {
     2 * prefix.len() + 48
-}
-
-/// How a split table served a scan.
-pub(crate) enum Route {
-    /// Entirely from one subtable, found through the hash index.
-    Single,
-    /// By walking the ordered subtable index.
-    Cross,
 }
 
 /// The prefix of the one subtable (of a table split at `depth`) that can
@@ -130,7 +110,6 @@ impl Table {
         Table {
             len: 0,
             repr: Repr::Flat(Blocks::new()),
-            stats: TableStats::default(),
             index_bytes: 0,
         }
     }
@@ -149,7 +128,6 @@ impl Table {
                 subs: HashMap::new(),
                 order: BTreeSet::new(),
             },
-            stats: TableStats::default(),
             index_bytes: 0,
         }
     }
@@ -162,11 +140,6 @@ impl Table {
     /// True if the table holds no pairs.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> TableStats {
-        self.stats
     }
 
     /// Number of subtables (1 for a flat table).
@@ -184,8 +157,7 @@ impl Table {
         self.index_bytes
     }
 
-    /// Visits every pair in key order without touching the operation
-    /// counters (unlike [`Table::scan`], which is a served read).
+    /// Visits every pair in key order.
     pub fn for_each(&self, mut f: impl FnMut(&Key, ValueRef<'_>)) {
         match &self.repr {
             Repr::Flat(all) => all.for_each(f),
@@ -282,7 +254,6 @@ impl Table {
         let old = match &mut self.repr {
             Repr::Flat(all) => all.put(key, value),
             Repr::Split { depth, subs, order } => {
-                self.stats.hash_hits += 1;
                 // Subtables are routed by a borrowed slice of the key;
                 // only a subtable's first pair builds its prefix key.
                 match subs.get_mut(key.component_prefix_bytes(*depth)) {
@@ -327,7 +298,6 @@ impl Table {
         };
         let mut left = n;
         while let Some((first, _)) = run.as_slice()[..left].first() {
-            self.stats.hash_hits += 1;
             let prefix = first.component_prefix(*depth);
             let routed_here =
                 |(k, _): &&(Key, Value)| k.component_prefix_bytes(*depth) == prefix.as_bytes();
@@ -364,18 +334,7 @@ impl Table {
     }
 
     /// Looks up a key.
-    pub fn get(&mut self, key: &Key) -> Option<ValueRef<'_>> {
-        match &mut self.repr {
-            Repr::Flat(all) => all.get(key),
-            Repr::Split { depth, subs, .. } => {
-                self.stats.hash_hits += 1;
-                subs.get(key.component_prefix_bytes(*depth))?.get(key)
-            }
-        }
-    }
-
-    /// Looks up a key without recording stats (no `&mut` required).
-    pub fn peek(&self, key: &Key) -> Option<ValueRef<'_>> {
+    pub fn get(&self, key: &Key) -> Option<ValueRef<'_>> {
         match &self.repr {
             Repr::Flat(all) => all.get(key),
             Repr::Split { depth, subs, .. } => {
@@ -390,7 +349,6 @@ impl Table {
             Repr::Flat(all) => all.remove(key),
             Repr::Split { depth, subs, order } => {
                 let prefix = key.component_prefix_bytes(*depth);
-                self.stats.hash_hits += 1;
                 let sub = subs.get_mut(prefix)?;
                 let removed = sub.remove(key);
                 if removed.is_some() && sub.is_empty() {
@@ -408,44 +366,28 @@ impl Table {
     }
 
     /// Visits pairs in `range` in key order until the visitor returns
-    /// `false`.
-    pub fn scan(&mut self, range: &KeyRange, f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
-        match self.visit(range, f) {
-            Some(Route::Single) => self.stats.single_subtable_scans += 1,
-            Some(Route::Cross) => self.stats.cross_subtable_scans += 1,
-            None => {}
-        }
-    }
-
-    /// [`Table::scan`] without the operation counters, so it needs no
-    /// `&mut` (as [`Table::peek`] is to [`Table::get`]). Returns how a
-    /// split table served it.
-    pub(crate) fn visit(
-        &self,
-        range: &KeyRange,
-        mut f: impl FnMut(&Key, ValueRef<'_>) -> bool,
-    ) -> Option<Route> {
+    /// `false`: from the one subtable the range stays inside, found
+    /// through the hash index, or by walking the ordered subtable index.
+    pub fn scan(&self, range: &KeyRange, mut f: impl FnMut(&Key, ValueRef<'_>) -> bool) {
         if range.is_empty() {
-            return None;
+            return;
         }
         match &self.repr {
             Repr::Flat(all) => {
                 all.scan(range, &mut f);
-                None
             }
             Repr::Split { depth, subs, order } => {
                 if let Some(prefix) = sole_subtable(*depth, range) {
                     if let Some(sub) = subs.get(prefix) {
                         sub.scan(range, &mut f);
                     }
-                    return Some(Route::Single);
+                    return;
                 }
                 for prefix in subtables_touching(order, range) {
                     if subs.get(prefix).is_some_and(|sub| !sub.scan(range, &mut f)) {
                         break;
                     }
                 }
-                Some(Route::Cross)
             }
         }
     }
@@ -517,7 +459,7 @@ impl Table {
 mod tests {
     use super::*;
 
-    fn pairs(t: &mut Table, range: &KeyRange) -> Vec<String> {
+    fn pairs(t: &Table, range: &KeyRange) -> Vec<String> {
         let mut out = Vec::new();
         t.scan(range, |k, _| {
             out.push(k.to_string());
@@ -587,24 +529,26 @@ mod tests {
             KeyRange::new("t|ann|150|bob", "t|zed|999|ann\x00"),
         ];
         for range in &ranges {
-            assert_eq!(
-                pairs(&mut flat, range),
-                pairs(&mut split, range),
-                "{range:?}"
-            );
+            assert_eq!(pairs(&flat, range), pairs(&split, range), "{range:?}");
         }
     }
 
     #[test]
-    fn single_subtable_scan_uses_fast_path() {
+    fn scans_inside_and_across_subtables() {
         let mut t = Table::new_split(2);
         fill(&mut t);
-        t.scan(&KeyRange::prefix("t|ann|"), |_, _| true);
-        assert_eq!(t.stats().single_subtable_scans, 1);
-        t.scan(&KeyRange::new("t|ann|100", "t|ann|150"), |_, _| true);
-        assert_eq!(t.stats().single_subtable_scans, 2);
-        t.scan(&KeyRange::new("t|ann|100", "t|bob|000"), |_, _| true);
-        assert_eq!(t.stats().cross_subtable_scans, 1);
+        assert_eq!(
+            pairs(&t, &KeyRange::prefix("t|ann|")),
+            ["t|ann|100|bob", "t|ann|120|liz", "t|ann|150|bob"]
+        );
+        assert_eq!(
+            pairs(&t, &KeyRange::new("t|ann|100", "t|ann|150")),
+            ["t|ann|100|bob", "t|ann|120|liz"]
+        );
+        assert_eq!(
+            pairs(&t, &KeyRange::new("t|ann|100", "t|bob|000")),
+            ["t|ann|100|bob", "t|ann|120|liz", "t|ann|150|bob"]
+        );
     }
 
     #[test]
@@ -627,7 +571,7 @@ mod tests {
         // "t|liz" (2 components) and "t|liz|" are distinct subtables but
         // scans must interleave them correctly.
         assert_eq!(
-            pairs(&mut t, &KeyRange::new("t|liz", "t|m")),
+            pairs(&t, &KeyRange::new("t|liz", "t|m")),
             vec!["t|liz".to_string(), "t|liz|1".to_string()]
         );
         assert_eq!(t.len(), 2);

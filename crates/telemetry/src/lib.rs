@@ -37,7 +37,7 @@ mod snapshot;
 pub use flight::{Flight, FlightEvent};
 pub use histogram::{Counter, Histogram, HistogramSnapshot, BUCKETS};
 pub use http::MetricsServer;
-pub use snapshot::{escape_label_value, sanitize_name, Entry, Snapshot, Value};
+pub use snapshot::{escape_label_value, metric, sanitize_name, Entry, Snapshot, Value};
 
 /// Produces a snapshot on demand; the argument asks for the flight
 /// ring to be included. Shared by the HTTP scrape endpoint and the

@@ -160,6 +160,14 @@ impl Snapshot {
     }
 }
 
+/// The counter or gauge `key` of flattened pairs ([`Snapshot::to_pairs`],
+/// the shape of a `Metrics` wire reply), where `key` is the pair's key:
+/// `name`, or `name{k=v,...}` with the labels in emission order. `None`
+/// if no pair has that key or its value is not a number.
+pub fn metric(pairs: &[(String, String)], key: &str) -> Option<u64> {
+    pairs.iter().find(|(k, _)| k == key)?.1.parse().ok()
+}
+
 fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
     labels
         .iter()
@@ -316,5 +324,9 @@ mod tests {
         assert!(pairs.contains(&("ops".to_string(), "1".to_string())));
         assert!(pairs.iter().any(|(k, _)| k == "lat{op=put}.p99"));
         assert!(pairs.iter().any(|(k, _)| k == "f|9"));
+        assert_eq!(metric(&pairs, "ops"), Some(1));
+        assert_eq!(metric(&pairs, "lat{op=put}.count"), Some(1));
+        assert_eq!(metric(&pairs, "f|9"), None, "a flight line is no number");
+        assert_eq!(metric(&pairs, "absent"), None);
     }
 }

@@ -1,10 +1,12 @@
 //! Three-node replicated cluster demo: parse a nodes.toml, write
-//! through the cluster client, read back, print a node's status.
+//! through the cluster client, read back, print a node's replication
+//! counters.
 //!
 //! Run the nodes first (or see docs/REPLICATION.md), then:
 //! `cargo run --example cluster_demo -- nodes.toml`
 
 use pequod::cluster::{ClusterClient, ClusterConfig};
+use pequod::telemetry::metric;
 
 fn main() {
     let path = std::env::args()
@@ -25,11 +27,14 @@ fn main() {
             v.map(|b| String::from_utf8_lossy(&b).into_owned())
         );
     }
-    for (k, v) in client.status(0).expect("status") {
-        println!(
-            "{} = {}",
-            String::from_utf8_lossy(k.as_bytes()),
-            String::from_utf8_lossy(&v)
-        );
+    let metrics = client.metrics(0).expect("metrics");
+    for name in [
+        "pequod_cluster_writes_applied_total",
+        "pequod_cluster_writes_acked_total",
+        "pequod_cluster_notifies_sent_total",
+        "pequod_cluster_notifies_applied_total",
+        "pequod_cluster_redirects_total",
+    ] {
+        println!("{name} = {}", metric(&metrics, name).unwrap_or(0));
     }
 }

@@ -297,10 +297,11 @@ fn addjoin_rejection_is_explicit() {
     }
 }
 
-/// Stats is the one command whose payload legitimately differs per
-/// backend; every backend must still answer it with the right variant.
+/// `Client::stats` is the one answer that legitimately differs per
+/// backend, and no command of the protocol: each backend reads its own
+/// counters, which must still see what was written.
 #[test]
-fn stats_answers_with_the_stats_variant() {
+fn every_backend_answers_stats() {
     for (name, make) in backends(false) {
         let mut client = make();
         client.put(&k("p|bob|0000000100"), &v("Hi"));

@@ -8,6 +8,7 @@
 use pequod::cluster::{ClusterClient, ClusterConfig};
 use pequod::net::TcpClient;
 use pequod::prelude::*;
+use pequod::telemetry::metric;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::{Duration, Instant};
@@ -123,10 +124,14 @@ fn a_node_outside_the_followees_slot_serves_their_timeline() {
         assert!(Instant::now() < deadline, "timeline stale: {got:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let status = writer.status(reader_node).expect("status");
-    let role = format!("slot|{:02}|role", slot_of_user("f0"));
-    assert!(
-        (status.iter()).any(|(k, v)| k.as_bytes() == role.as_bytes() && &v[..] == b"none"),
+    let metrics = writer.metrics(reader_node).expect("metrics");
+    let role = format!(
+        "pequod_cluster_slot_role{{slot={},role=none}}",
+        slot_of_user("f0")
+    );
+    assert_eq!(
+        metric(&metrics, &role),
+        Some(1),
         "the reader's node holds no replica of the followees' slot"
     );
     drop(servers);

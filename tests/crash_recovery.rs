@@ -293,6 +293,7 @@ fn single_engine_with_mem_limit_recovers_byte_identically() {
 // ---------------------------------------------------------------------------
 
 use pequod::cluster::{ClusterClient, ClusterConfig};
+use pequod::telemetry::metric;
 use std::collections::HashMap;
 
 /// Reserves `n` distinct ephemeral ports by binding and dropping
@@ -332,16 +333,6 @@ fn sigterm_and_wait(server: &mut Server) -> std::process::ExitStatus {
         .unwrap_or(false);
     assert!(ok, "kill -TERM {pid} failed");
     server.child.wait().expect("wait for SIGTERMed server")
-}
-
-/// Reads a numeric `stat|*` counter out of a node's status pairs.
-fn stat_of(pairs: &[(Key, Value)], name: &str) -> u64 {
-    let want = format!("stat|{name}");
-    pairs
-        .iter()
-        .find(|(k, _)| k.as_bytes() == want.as_bytes())
-        .and_then(|(_, v)| std::str::from_utf8(v).ok()?.parse().ok())
-        .unwrap_or(0)
 }
 
 /// A replicated three-node cluster (RF=2) over real TCP and real
@@ -428,11 +419,14 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let caught_up = loop {
         std::thread::sleep(Duration::from_millis(300));
-        let st = client.status(0).unwrap_or_default();
-        if stat_of(&st, "readmissions") > 0 || stat_of(&st, "notifies_applied") > 0 {
+        let st = client.metrics(0).unwrap_or_default();
+        let counted = |name| metric(&st, name).is_some_and(|n| n > 0);
+        if counted("pequod_cluster_readmissions_total")
+            || counted("pequod_cluster_notifies_applied_total")
+        {
             // Readmitted somewhere; give replication a beat to drain.
             std::thread::sleep(Duration::from_millis(800));
-            break client.status(0).expect("status after catch-up");
+            break client.metrics(0).expect("metrics after catch-up");
         }
         assert!(
             std::time::Instant::now() < deadline,
@@ -440,12 +434,12 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
         );
     };
     assert_eq!(
-        stat_of(&caught_up, "snap_chunks_in"),
-        0,
+        metric(&caught_up, "pequod_cluster_snap_chunks_in_total"),
+        Some(0),
         "warm restart should catch up by delta, not re-fetch snapshots"
     );
     assert!(
-        stat_of(&caught_up, "notifies_applied") > 0,
+        metric(&caught_up, "pequod_cluster_notifies_applied_total").is_some_and(|n| n > 0),
         "the missed writes should arrive as replicated notifies"
     );
 
