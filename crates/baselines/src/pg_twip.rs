@@ -151,8 +151,10 @@ impl PostgresTwip {
         std::hint::black_box(&tokens);
         // The rest of the per-statement engine floor (plan, executor,
         // MVCC, locks) is charged as a calibrated constant.
-        // audit: allow(wall-clock) — the calibrated busy-spin models the
-        // per-statement engine floor, so it must burn real time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the calibrated busy-spin models the per-statement engine floor in real time"
+        )]
         let start = std::time::Instant::now();
         let target = std::time::Duration::from_nanos(PG_STATEMENT_OVERHEAD_NS);
         while start.elapsed() < target {

@@ -38,8 +38,8 @@
 //! for the hot engine paths.
 
 // No first-party unsafe: the whole system is safe Rust over the
-// vendored deps. `cargo xtask audit` additionally requires a SAFETY
-// comment on any future unsafe block an allow here would admit.
+// vendored deps. Clippy's `undocumented_unsafe_blocks` would also want a
+// `SAFETY:` comment on any unsafe block an allow here admitted.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -37,6 +37,11 @@
 //! guarantees per fsync policy.
 
 #![forbid(unsafe_code)]
+// The serving-path rules, on non-test code (docs/CORRECTNESS.md): no
+// unwrap, expect, panic! or todo!, and nothing clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -1133,7 +1133,10 @@ impl ClusterNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the sender, the message's fields, the outbox"
+    )]
     fn on_notify_seq(
         &mut self,
         from: ClusterPeer,
@@ -1273,7 +1276,10 @@ impl ClusterNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the sender, the message's fields, the outbox"
+    )]
     fn on_snapshot_chunk(
         &mut self,
         from: ClusterPeer,
@@ -1335,7 +1341,10 @@ impl ClusterNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the sender, the message's fields, the outbox"
+    )]
     fn on_epoch_change(
         &mut self,
         from: ClusterPeer,

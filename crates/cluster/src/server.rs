@@ -70,6 +70,10 @@ const FIRST_LINK_BACKLOG: usize = 4096;
 
 /// The node, for one call into it. Every update leaves it consistent,
 /// so a panicked holder's guard is recovered rather than propagated.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a guard lasts one call into the node, which returns its outbox; frames are sent after"
+)]
 fn locked(node: &Mutex<ClusterNode>) -> MutexGuard<'_, ClusterNode> {
     node.lock().unwrap_or_else(|p| p.into_inner())
 }

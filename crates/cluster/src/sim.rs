@@ -191,9 +191,11 @@ impl SimHarness {
                                 ledger.entry((to, c, id)).or_default().0 += 1;
                             });
                         }
-                        // audit: allow(wall-clock) — busy-time accounting
-                        // measures real compute per node; simulated time
-                        // stays in `now`.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "busy-time accounting measures real compute per node; \
+                                      simulated time stays in `now`"
+                        )]
                         let start = std::time::Instant::now();
                         let out = node.handle(peer(from), msg);
                         self.busy[to as usize] += start.elapsed();

@@ -6,10 +6,6 @@
 //! the log, and a restart deletes any it recovered for a slot it no
 //! longer holds.
 
-// Test-only crate: helpers sit outside #[test] functions, so clippy's
-// allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_cluster::{ClusterConfig, ClusterNode, SimHarness};
 use pequod_core::{Durability, DurableOp, Engine};
 use pequod_net::Message;

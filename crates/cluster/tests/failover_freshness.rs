@@ -6,10 +6,6 @@
 //! notification arrives late. After each, the timeline must equal a
 //! recompute from the acknowledged base rows.
 
-// Test-only crate: helpers sit outside #[test] functions, so clippy's
-// allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod_core::partition::{ComponentHashPartition, ServerId, SingleServer};
 use pequod_core::Client;

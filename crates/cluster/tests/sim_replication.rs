@@ -2,10 +2,6 @@
 //! replica convergence, fault-injected links, failover with no acked
 //! write lost, live migration, and delta-only restart catch-up.
 
-// Test-only crate: helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_cluster::{ClusterConfig, ClusterStats, SimHarness};
 use pequod_core::Engine;
 use pequod_net::{LinkFaults, Message};

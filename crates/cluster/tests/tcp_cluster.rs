@@ -11,10 +11,6 @@
 //! concurrent clients, joins across nodes kept fresh by §2.4
 //! Subscribe/Notify.
 
-// Test-only crate: helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_cluster::{ClusterClient, ClusterConfig, ClusterServer};
 use pequod_core::node::{audit_deployment, NodeAudit};
 use pequod_core::{Client, Command, Engine, Response};

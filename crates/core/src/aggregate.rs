@@ -43,8 +43,10 @@ impl Accumulator {
             Operator::Sum => Accumulator::Sum(parse_num(&v)),
             Operator::Min => Accumulator::Min(v.to_value()),
             Operator::Max => Accumulator::Max(v.to_value()),
-            // audit: allow(no-unwrap) — callers gate on is_aggregate();
-            // a copy/check operator here is a planner bug, not bad input.
+            #[expect(
+                clippy::panic,
+                reason = "callers gate on is_aggregate(): a copy or check operator is a planner bug"
+            )]
             _ => panic!("not an aggregate operator: {op}"),
         }
     }

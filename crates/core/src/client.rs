@@ -151,9 +151,10 @@ pub trait Client {
     fn get(&mut self, key: &Key) -> Option<Value> {
         match self.execute(Command::Get(key.clone())) {
             Response::Value(v) => v,
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("get: unexpected response {other:?}"),
         }
     }
@@ -162,9 +163,10 @@ pub trait Client {
     fn scan(&mut self, range: &KeyRange) -> Vec<(Key, Value)> {
         match self.execute(Command::Scan(range.clone())) {
             Response::Pairs(p) => p,
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("scan: unexpected response {other:?}"),
         }
     }
@@ -173,9 +175,10 @@ pub trait Client {
     fn count(&mut self, range: &KeyRange) -> u64 {
         match self.execute(Command::Count(range.clone())) {
             Response::Count(n) => n,
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("count: unexpected response {other:?}"),
         }
     }
@@ -184,9 +187,10 @@ pub trait Client {
     fn put(&mut self, key: &Key, value: &Value) {
         match self.execute(Command::Put(key.clone(), value.clone())) {
             Response::Ok => {}
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("put: unexpected response {other:?}"),
         }
     }
@@ -195,9 +199,10 @@ pub trait Client {
     fn remove(&mut self, key: &Key) {
         match self.execute(Command::Remove(key.clone())) {
             Response::Ok => {}
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("remove: unexpected response {other:?}"),
         }
     }
@@ -207,9 +212,10 @@ pub trait Client {
         match self.execute(Command::AddJoin(text.to_string())) {
             Response::Ok => Ok(()),
             Response::Error(e) => Err(e),
-            // audit: allow(no-unwrap) — a backend answering the wrong
-            // response variant is a protocol bug; the convenience wrappers
-            // are documented to abort rather than invent a default.
+            #[expect(
+                clippy::panic,
+                reason = "a wrong response variant is a protocol bug; these wrappers abort on it"
+            )]
             other => panic!("add_join: unexpected response {other:?}"),
         }
     }

@@ -919,7 +919,10 @@ impl Engine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the range, the output key, the operator and the write it folds in"
+    )]
     fn dispatch_extremum(
         &mut self,
         jidx: usize,

@@ -6,7 +6,7 @@
 //! tracker. A bug in any one maintenance path corrupts state silently
 //! and surfaces much later as a wrong answer or a leak. This module is
 //! the other half of the repo's correctness tooling (see
-//! `docs/CORRECTNESS.md` and `cargo xtask audit`): a full
+//! `docs/CORRECTNESS.md` and its clippy lints): a full
 //! cross-recomputation of everything the hot paths keep in O(1).
 //!
 //! [`Engine::check_invariants`] is always compiled — tests call it
@@ -246,25 +246,24 @@ impl Engine {
         });
     }
 
-    /// Remote-table residency / home routing (check 6 above).
+    /// Remote-table residency / home routing (check 6 above). Rows and
+    /// resident ranges both come in key order, so one walk of each does:
+    /// no lookup per row, and the authority asked only about a row that
+    /// no range covers.
     fn check_remote_residency(&self, v: &mut Vec<String>) {
         for (prefix, remote) in &self.remote {
-            let resident = &remote.resident;
-            let table_range = KeyRange::prefix(prefix.clone());
-            for (tprefix, table) in self.store.tables() {
-                if !table_range.contains(tprefix) {
-                    continue;
+            let mut ranges = remote.resident.spans().peekable();
+            self.store.scan(&KeyRange::prefix(prefix.clone()), |k, _| {
+                while ranges.next_if(|(_, end)| !end.admits(k)).is_some() {}
+                let resident = ranges.peek().is_some_and(|(first, _)| *first <= k);
+                if !resident && !self.base_authority.as_ref().is_some_and(|auth| auth(k)) {
+                    v.push(format!(
+                        "remote: cached row {k:?} of table {prefix:?} is outside every \
+                         resident range (it would never be refreshed or evicted)"
+                    ));
                 }
-                table.for_each(|k, _| {
-                    let ours = self.base_authority.as_ref().is_some_and(|auth| auth(k));
-                    if !ours && !resident.contains(k) {
-                        v.push(format!(
-                            "remote: cached row {k:?} of table {prefix:?} is outside every \
-                             resident range (it would never be refreshed or evicted)"
-                        ));
-                    }
-                });
-            }
+                true
+            });
         }
     }
 }
@@ -277,7 +276,7 @@ impl Engine {
 mod tests {
     use crate::config::EngineConfig;
     use crate::engine::{Engine, EvictUnit};
-    use pequod_store::{Key, KeyRange, StoreConfig};
+    use pequod_store::{Key, KeyRange, StoreConfig, Value};
 
     const TIMELINE: &str =
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
@@ -474,5 +473,34 @@ mod tests {
             !v.is_empty() && v.iter().all(|m| m.contains("does not list it")),
             "every index entry must now report the missing back-reference: {v:?}"
         );
+    }
+
+    #[test]
+    fn cached_row_outside_every_resident_range_is_reported() {
+        let mut e = Engine::new(EngineConfig::default());
+        e.set_base_authority(|k| k.starts_with(b"p|own|"));
+        e.mark_remote_table("p|");
+        let row = |k: &str| (Key::from(k), Value::from("v"));
+        e.install_base(&KeyRange::prefix("p|b|"), vec![row("p|b|1")]);
+        e.install_base(&KeyRange::prefix("p|d|"), vec![row("p|d|1")]);
+        e.write(Key::from("p|own|1"), Some(Value::from("v")), false);
+        assert!(
+            e.check_invariants().is_empty(),
+            "resident rows and the authority's own rows are consistent"
+        );
+        // Rows before, between and after the resident ranges, none of
+        // them this engine's own.
+        for k in ["p|a|1", "p|c|1", "p|e|1"] {
+            e.write(Key::from(k), Some(Value::from("v")), false);
+        }
+        let v = e.check_invariants();
+        assert_eq!(v.len(), 3, "one violation per stray row: {v:?}");
+        for k in ["p|a|1", "p|c|1", "p|e|1"] {
+            assert!(
+                v.iter()
+                    .any(|m| m.starts_with("remote:") && m.contains(&format!("{k:?}"))),
+                "the stray row {k} must be reported: {v:?}"
+            );
+        }
     }
 }

@@ -22,9 +22,6 @@
 //! thread, so the tests in this binary can run in parallel without
 //! seeing each other's allocations.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use bytes::Bytes;
 use pequod_core::updater::{UpdaterEntry, UpdaterIndex};
 use pequod_core::{Engine, EngineConfig, JsId};

@@ -2,9 +2,6 @@
 //! limit suspension, authority-aware base eviction, and output-table
 //! eviction invalidating the computed ranges whose rows it drops.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::config::MemoryLimit;
 use pequod_core::{Engine, EngineConfig};
 use pequod_store::{Key, KeyRange, StoreConfig, Value};

@@ -7,9 +7,6 @@
 //! check application, stale-updater teardown, aggregates, and
 //! invalidation, under adversarial schedules.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::config::MemoryLimit;
 use pequod_core::{Engine, EngineConfig, MaterializationMode};
 use pequod_store::{Key, KeyRange, StoreConfig};

@@ -6,9 +6,6 @@
 //! resolving even after their slab cell is reused, and the bookkeeping
 //! audit clean after every step.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::status::{Segment, StatusMap};
 use pequod_core::JsId;
 use pequod_store::{Key, KeyRange, LruTracker, UpperBound};

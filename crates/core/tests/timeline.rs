@@ -2,9 +2,6 @@
 //! dynamic materialization, eager copy maintenance, and lazy
 //! subscription maintenance (§2.2, §3.2).
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::{Engine, EngineConfig};
 use pequod_store::{Key, KeyRange, StoreConfig};
 

@@ -5,9 +5,6 @@
 //! entries, same counters, duplicates dropped, bookkeeping audit clean
 //! after every step.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use bytes::Bytes;
 use pequod_core::updater::{UpdaterEntry, UpdaterHandle, UpdaterIndex};
 use pequod_core::JsId;

@@ -241,13 +241,14 @@ impl JoinSpec {
 
     /// The source whose operator produces the output value (the single
     /// non-`check` source).
-    #[allow(clippy::expect_used)] // see the audit allow below
+    #[expect(
+        clippy::expect_used,
+        reason = "`parse` runs `validate`, which rejects a join without exactly one non-check source"
+    )]
     pub fn value_source(&self) -> usize {
         self.sources
             .iter()
             .position(|s| s.op != Operator::Check)
-            // audit: allow(no-unwrap) — `parse` runs `validate`, which
-            // rejects joins without exactly one non-check source.
             .expect("validated join has a value source")
     }
 

@@ -200,6 +200,10 @@ impl Dispatch for SingleDispatch {
             encode_frame_into(&Message::metrics_reply(id, &(self.provider)(flight)), out);
             return Some(1);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the guard lives while one message executes into `out`; no socket is touched"
+        )]
         let mut engine = self.engine.lock().unwrap_or_else(|p| p.into_inner());
         Some(execute(&mut engine, msg, out))
     }
@@ -392,6 +396,10 @@ impl FrontendServer {
     /// Graceful shutdown plus a final durability snapshot + fsync on
     /// the backend (a no-op without attached persistence) — the
     /// SIGTERM path of `pequod-server`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the reactor has stopped before the lock: no socket is served under the guard"
+    )]
     pub fn shutdown_finalize(&mut self) {
         self.shutdown();
         if let Some(Ok(mut engine)) = self.engine.as_ref().map(|e| e.lock()) {

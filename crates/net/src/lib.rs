@@ -29,9 +29,15 @@
 //!   load tests.
 
 // Unsafe is denied crate-wide; the single exception is the `epoll(7)`
-// FFI shim in `reactor::sys`, which carries `#[allow(unsafe_code)]`
-// plus the SAFETY comments `cargo xtask audit` requires.
+// FFI shim in `reactor::sys`, whose items carry
+// `#[expect(unsafe_code, reason = …)]` and whose every unsafe block a
+// `SAFETY:` comment (clippy's `undocumented_unsafe_blocks`).
 #![deny(unsafe_code)]
+// The serving-path rules, on non-test code (docs/CORRECTNESS.md): no
+// unwrap, expect, panic! or todo!, and nothing clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 pub mod codec;

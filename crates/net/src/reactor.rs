@@ -35,7 +35,8 @@
 //! * time is logical: a ticker thread counts a tick every `tick_ms`,
 //!   idle/write-stall limits are counted in ticks, and the dispatcher
 //!   sees the same clock as milliseconds through [`Dispatch::tick`] (no
-//!   wall-clock reads on the serving path, per `cargo xtask audit`).
+//!   wall-clock reads on the serving path, per clippy's
+//!   `disallowed_methods`).
 //!
 //! Malformed or oversized frames get one error reply, then the
 //! connection is flushed and closed: after a framing error the byte
@@ -57,7 +58,6 @@ use std::sync::Arc;
 /// Raw `epoll(7)` bindings. The kernel ABI is three calls and one
 /// struct; binding them directly keeps the readiness loop free of any
 /// async runtime while staying a few dozen lines.
-#[allow(unsafe_code)]
 mod sys {
     use std::os::raw::c_int;
 
@@ -120,7 +120,7 @@ pub struct Poller {
 
 impl Poller {
     /// Creates an epoll instance (close-on-exec).
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "calls epoll_create1(2)")]
     pub fn new() -> std::io::Result<Poller> {
         // SAFETY: epoll_create1 takes no pointers; the returned fd is
         // owned by this Poller and closed in Drop.
@@ -131,7 +131,7 @@ impl Poller {
         Ok(Poller { epfd })
     }
 
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "calls epoll_ctl(2)")]
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {
         let mut ev = sys::EpollEvent {
             events,
@@ -198,7 +198,7 @@ impl Poller {
     /// Blocks until at least one registered descriptor is ready (or
     /// `timeout_ms` elapses; `-1` waits forever), filling `out`.
     /// Interrupted waits return an empty batch.
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "calls epoll_wait(2)")]
     pub fn wait(&self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> std::io::Result<()> {
         out.clear();
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 512];
@@ -229,7 +229,10 @@ impl Poller {
 }
 
 impl Drop for Poller {
-    #[allow(unsafe_code)]
+    #[expect(
+        unsafe_code,
+        reason = "calls close(2) on the descriptor the poller owns"
+    )]
     fn drop(&mut self) {
         // SAFETY: closing the epoll fd this Poller created and
         // exclusively owns.

@@ -8,10 +8,6 @@
 //! to the copying implementations they replaced, rebuilt here from the
 //! public body codec.
 
-// Test-only crate: proptest strategies sit outside #[test] functions,
-// so clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use bytes::{Buf, BytesMut};
 use pequod_net::codec::{
     decode, decode_frame, encode, encode_frame, encode_frame_into, CodecError, FrameDecoder,

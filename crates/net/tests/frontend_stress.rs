@@ -11,8 +11,6 @@
 //! (connection, sequence) counters, and assertions about timeouts poll
 //! server counters under a deadline instead of sleeping fixed amounts.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_core::{Engine, EngineConfig};
 use pequod_net::codec::{encode_frame, FrameDecoder};
 use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient};

@@ -33,9 +33,14 @@
 //! never-crashed reference).
 
 // No first-party unsafe: the whole system is safe Rust over the
-// vendored deps. `cargo xtask audit` additionally requires a SAFETY
-// comment on any future unsafe block an allow here would admit.
+// vendored deps. Clippy's `undocumented_unsafe_blocks` would also want a
+// `SAFETY:` comment on any unsafe block an allow here admitted.
 #![forbid(unsafe_code)]
+// The serving-path rules, on non-test code (docs/CORRECTNESS.md): no
+// unwrap, expect, panic! or todo!, and nothing clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 pub mod crc;

@@ -211,10 +211,12 @@ impl Drop for Persister {
 impl Durability for Persister {
     fn log(&mut self, op: &DurableOp) -> bool {
         let timer = self.recorder.timer();
+        #[expect(
+            clippy::panic,
+            reason = "a write the WAL cannot record must not be acknowledged: crash the server"
+        )]
         self.writer
             .append(op)
-            // audit: allow(no-unwrap) — durability policy: a write the WAL
-            // cannot record must not be acknowledged, so crash the server.
             .unwrap_or_else(|e| panic!("pequod-persist: WAL append failed: {e}"));
         self.recorder.wal_append(&timer);
         self.stats.records_logged += 1;
@@ -230,19 +232,22 @@ impl Durability for Persister {
     /// the image. A later seal starts a new folder.
     fn snapshot(&mut self, joins: &[String], pairs: &[(Key, Value)]) {
         self.folder.stop();
+        #[expect(
+            clippy::panic,
+            reason = "a failed compaction leaves the generations inconsistent: crashing forces recovery"
+        )]
         self.compact(joins, pairs)
-            // audit: allow(no-unwrap) — a failed compaction leaves WAL and
-            // snapshot generations inconsistent; crashing forces recovery.
             .unwrap_or_else(|e| panic!("pequod-persist: snapshot failed: {e}"));
     }
 
     fn sync(&mut self) {
         let timer = self.recorder.timer();
+        #[expect(
+            clippy::panic,
+            reason = "a sync the caller depends on (shutdown, replication ack) must not fail silently"
+        )]
         self.writer
             .sync()
-            // audit: allow(no-unwrap) — same policy as `log`: a sync the
-            // caller depends on (shutdown, replication ack) must not fail
-            // silently.
             .unwrap_or_else(|e| panic!("pequod-persist: WAL fsync failed: {e}"));
         self.recorder.wal_fsync(&timer);
     }

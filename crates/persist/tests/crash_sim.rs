@@ -8,9 +8,6 @@
 //! process-level half (`tests/crash_recovery.rs` at the workspace
 //! root) SIGKILLs a real `pequod-server` mid-batch over TCP.
 
-// Test-only crate: shared helpers sit outside #[test] functions, so
-// clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_core::{DurableOp, Engine};
 use pequod_persist::{attach, recover, DataDir, FsyncPolicy, PersistOptions};
 use pequod_store::{Key, KeyRange, Value};

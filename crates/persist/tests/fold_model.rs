@@ -15,10 +15,6 @@
 //!
 //! `PROPTEST_CASES` sets the case count (default 24).
 
-// Test-only crate: helpers sit outside #[test] functions, so clippy's
-// allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_core::{Durability, DurableOp, Engine};
 use pequod_persist::{
     read_snapshot, recover, replay, DataDir, FoldStep, FsyncPolicy, PersistOptions, Persister,

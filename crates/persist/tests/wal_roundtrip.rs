@@ -6,10 +6,6 @@
 //! prefix plus an error or `None`, never a panic and never a wrong
 //! record.
 
-// Test-only crate: proptest strategies sit outside #[test] functions,
-// so clippy's allow-unwrap-in-tests does not reach them.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod_persist::{decode_record, encode_record, DurableOp};
 use pequod_store::Key;
 use pequod_store::Value;

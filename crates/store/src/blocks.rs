@@ -238,7 +238,7 @@ struct Block {
     shared: Vec<Shared>,
     /// The long keys' handles in key order; `None` while there are none,
     /// so that a block of short keys pays one pointer for them.
-    #[allow(clippy::box_collection)]
+    #[expect(clippy::box_collection, reason = "one pointer, not a Vec's three")]
     long: Option<Box<Vec<Key>>>,
     /// Length of the shared prefix: always the longest common prefix of
     /// the first and the last key, so it changes only when one of those
@@ -280,7 +280,7 @@ enum Dir {
     One(Vec<Block>),
     /// Two or more chunks. Boxed so that the enum stays the size of the
     /// `Vec` above.
-    #[allow(clippy::box_collection)]
+    #[expect(clippy::box_collection, reason = "keeps the enum one Vec wide")]
     Many(Box<Vec<Chunk>>),
 }
 
@@ -358,7 +358,7 @@ fn size_class(pairs: usize) -> usize {
 }
 
 /// A block's list of long keys: `None` for an empty one.
-#[allow(clippy::box_collection)]
+#[expect(clippy::box_collection, reason = "the type of `Block::long`")]
 fn boxed(long: Vec<Key>) -> Option<Box<Vec<Key>>> {
     (!long.is_empty()).then(|| Box::new(long))
 }
@@ -1501,6 +1501,31 @@ impl Blocks {
         let first = self.lists(None).flatten().next()?;
         let last = self.lists(None).flatten().last()?;
         Some((first.key(0), last.key(last.len() - 1)))
+    }
+
+    /// Pairs, key bytes and value bytes, summed from the slots without
+    /// rebuilding a key: the full walk
+    /// [`Store::audit`](crate::Store::audit) holds its counters against.
+    pub(crate) fn totals(&self) -> (usize, usize, usize) {
+        let (mut pairs, mut key_bytes, mut value_bytes) = (0, 0, 0);
+        for block in self.lists(None).flatten() {
+            let (head, v) = (block.prefix as usize, block.value_offset());
+            let (mut longs, mut shared) = (block.longs().iter(), block.shared.iter());
+            for slot in block.slots.chunks_exact(block.slot_len()) {
+                pairs += 1;
+                key_bytes += match slot[0] {
+                    LONG => longs.next().map_or(0, Key::len),
+                    n => head + usize::from(n),
+                };
+                value_bytes += match slot[v] {
+                    code if is_shared(code) => {
+                        (shared.next()).map_or(0, |data| ValueRef::shared(code, data).len())
+                    }
+                    n => usize::from(n),
+                };
+            }
+        }
+        (pairs, key_bytes, value_bytes)
     }
 
     /// Visits every pair in key order, each key rebuilt as

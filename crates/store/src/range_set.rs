@@ -33,6 +33,12 @@ impl RangeSet {
         self.ranges.is_empty()
     }
 
+    /// The maximal ranges in order, borrowed: each one's first key and
+    /// its end.
+    pub fn spans(&self) -> impl Iterator<Item = (&Key, &UpperBound)> + '_ {
+        self.ranges.iter()
+    }
+
     /// Iterates the maximal ranges in order.
     pub fn iter(&self) -> impl Iterator<Item = KeyRange> + '_ {
         self.ranges.iter().map(|(first, end)| KeyRange {

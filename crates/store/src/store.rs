@@ -198,17 +198,20 @@ impl Store {
             for m in t.audit() {
                 problems.push(format!("table {prefix:?}: {m}"));
             }
-            t.for_each(|k, v| {
-                keys += 1;
-                key_bytes += k.len();
-                logical += v.len();
+            let (pairs, bytes, values) = t.totals();
+            keys += pairs;
+            key_bytes += bytes;
+            logical += values;
+            // Keys ascend (the table's audit checks that), so if the first
+            // and the last belong to the table, every key between them does.
+            for k in t.ends().into_iter().flat_map(|(first, last)| [first, last]) {
                 if k.table_prefix_bytes() != prefix.as_bytes() {
                     problems.push(format!(
                         "key {k:?} filed under table {prefix:?} but belongs to {:?}",
                         k.table_prefix()
                     ));
                 }
-            });
+            }
         }
         if keys != self.stats.keys {
             problems.push(format!(
@@ -512,5 +515,31 @@ mod tests {
         let s = sample();
         assert!(keys_in(&s, &KeyRange::new("z", "a")).is_empty());
         assert!(keys_in(&s, &KeyRange::new("x|", "y|")).is_empty());
+    }
+
+    /// The audit's full walk: the three counters against the pairs, and
+    /// every table's first and last key against the table it is filed
+    /// under, in a flat table and a split one.
+    #[test]
+    fn audit_reports_skewed_counters_and_misfiled_keys() {
+        let mut s = sample();
+        assert_eq!(s.audit(), Vec::<String>::new());
+        s.debug_skew_keys(1);
+        let v = s.audit();
+        assert!(v.len() == 1 && v[0].starts_with("key counter"), "{v:?}");
+        for (table, key) in [("p|", "q|bob|1"), ("t|", "u|ann|1|bob")] {
+            let mut s = sample();
+            if let Some(t) = s.tables.get_mut(table.as_bytes()) {
+                t.put(Key::from(key), Value::from("x"));
+            }
+            s.stats.keys += 1;
+            s.stats.key_bytes += key.len();
+            s.stats.logical_value_bytes += 1;
+            let v = s.audit();
+            assert!(
+                v.len() == 1 && v[0].contains(&format!("{:?} filed under table", Key::from(key))),
+                "{v:?}"
+            );
+        }
     }
 }

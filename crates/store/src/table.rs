@@ -171,6 +171,31 @@ impl Table {
         }
     }
 
+    /// The first and the last key, if any: every key sorts between them.
+    pub(crate) fn ends(&self) -> Option<(Key, Key)> {
+        match &self.repr {
+            Repr::Flat(all) => all.ends(),
+            Repr::Split { subs, order, .. } => {
+                let (first, _) = subs.get(order.first()?)?.ends()?;
+                let (_, last) = subs.get(order.last()?)?.ends()?;
+                Some((first, last))
+            }
+        }
+    }
+
+    /// Pairs, key bytes and value bytes summed over every block (see
+    /// [`Blocks::totals`]).
+    pub(crate) fn totals(&self) -> (usize, usize, usize) {
+        let add = |(p, k, v): (usize, usize, usize), blocks: &Blocks| {
+            let (bp, bk, bv) = blocks.totals();
+            (p + bp, k + bk, v + bv)
+        };
+        match &self.repr {
+            Repr::Flat(all) => add((0, 0, 0), all),
+            Repr::Split { subs, .. } => subs.values().fold((0, 0, 0), add),
+        }
+    }
+
     /// Exhaustive consistency check of the table's O(1) bookkeeping
     /// (pair count, subtable index, index-byte counter) and of the block
     /// structure of the flat table or of every subtable (no empty or

@@ -106,7 +106,7 @@ impl Value {
 
     /// A value of `bytes`, copied once: into the handle when they fit,
     /// otherwise into a shared array, or a buffer of their exact size
-    /// past [`ARRAY`] bytes.
+    /// past 64 bytes.
     #[inline]
     pub fn copy_from_slice(bytes: &[u8]) -> Value {
         match Value::unboxed(bytes) {
@@ -258,7 +258,7 @@ impl AsRef<[u8]> for Value {
 }
 
 impl From<Vec<u8>> for Value {
-    /// Takes the vector's buffer over past [`ARRAY`] bytes (giving up
+    /// Takes the vector's buffer over past 64 bytes (giving up
     /// its spare capacity), so a long value is not copied.
     fn from(bytes: Vec<u8>) -> Value {
         match Value::unboxed(&bytes) {

@@ -10,7 +10,6 @@
 //! directory drained to one chunk that does not fold is "1 chunk(s)
 //! under an upper level".
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 use pequod_store::{Key, KeyRange, Store, StoreConfig, Value};
 use std::collections::BTreeMap;
 

@@ -16,13 +16,19 @@
 //! [`Flight`] ring of recent notable events. [`Recorder::snapshot`]
 //! freezes it all into a [`Snapshot`].
 //!
-//! This is the only first-party crate allowed to call `Instant::now`:
-//! `cargo xtask audit` scopes its wall-clock rule to permit monotonic
-//! reads here and nowhere else, keeping the serving state machines
-//! deterministic while latency measurement stays real. `SystemTime`
-//! remains banned even here — telemetry never needs calendar time.
+//! This is the only serving crate allowed to call `Instant::now`: its
+//! own clippy.toml disallows `SystemTime` alone, so it may read the
+//! monotonic clock where no other serving crate may, keeping the serving
+//! state machines deterministic while latency measurement stays real.
+//! `SystemTime` remains banned even here — telemetry never needs
+//! calendar time.
 
 #![forbid(unsafe_code)]
+// The serving-path rules, on non-test code (docs/CORRECTNESS.md): no
+// unwrap, expect, panic! or todo!, and nothing clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};

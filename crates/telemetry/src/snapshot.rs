@@ -17,7 +17,10 @@ use crate::histogram::HistogramSnapshot;
 /// time, so the per-entry footprint is irrelevant and boxing would
 /// just cost an indirection at every render site.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a few dozen values a scrape; boxing costs every render site"
+)]
 pub enum Value {
     /// Monotonically increasing event count.
     Counter(u64),

@@ -9,14 +9,12 @@ use proptest::string::string_regex;
 
 /// Raw names with characters outside the Prometheus charset.
 fn raw_name() -> impl Strategy<Value = String> {
-    #[allow(clippy::unwrap_used)] // static pattern, checked at test build
     string_regex("[a-zA-Z0-9 .:_/|-]{1,24}").unwrap()
 }
 
 /// Label values exercising every escape case: quote, backslash,
 /// newline, braces, commas, equals.
 fn raw_label() -> impl Strategy<Value = String> {
-    #[allow(clippy::unwrap_used)]
     string_regex("[a-zA-Z0-9\"\\\n=,{} .-]{0,24}").unwrap()
 }
 

@@ -47,8 +47,8 @@
 //! and machines.
 
 // No first-party unsafe: the whole system is safe Rust over the
-// vendored deps. `cargo xtask audit` additionally requires a SAFETY
-// comment on any future unsafe block an allow here would admit.
+// vendored deps. Clippy's `undocumented_unsafe_blocks` would also want a
+// `SAFETY:` comment on any unsafe block an allow here admitted.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

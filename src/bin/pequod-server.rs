@@ -59,6 +59,10 @@
 //! snapshot, and fsyncs before exiting — a rolling restart loses
 //! nothing even under `--fsync never`.
 
+// The wall-clock rule, on non-test code (docs/CORRECTNESS.md): nothing
+// clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::{Engine, EngineConfig, MemoryLimit};
 use pequod::net::FrontendServer;

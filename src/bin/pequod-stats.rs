@@ -23,6 +23,10 @@
 //! consecutive polls divided by the configured `--interval` — the
 //! tool never needs a wall clock.
 
+// The wall-clock rule, on non-test code (docs/CORRECTNESS.md): nothing
+// clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use pequod::net::TcpClient;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -76,9 +76,12 @@
 //! `tests/client_conformance.rs`, and `docs/ARCHITECTURE.md`.
 
 // No first-party unsafe: the whole system is safe Rust over the
-// vendored deps. `cargo xtask audit` additionally requires a SAFETY
-// comment on any future unsafe block an allow here would admit.
+// vendored deps. Clippy's `undocumented_unsafe_blocks` would also want a
+// `SAFETY:` comment on any unsafe block an allow here admitted.
 #![forbid(unsafe_code)]
+// The wall-clock rule, on non-test code (docs/CORRECTNESS.md): nothing
+// clippy.toml disallows.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use pequod_baselines as baselines;
 pub use pequod_cluster as cluster;

@@ -15,8 +15,6 @@
 //! re-encoded frames (the codec is canonical, so this is the wire-byte
 //! stream).
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::{Engine, EngineConfig};
 use pequod::net::codec::{encode_frame, FrameDecoder};
@@ -386,7 +384,6 @@ fn batch_equals_one_at_a_time_on_every_surface() {
 
 /// Shrinks a socket's kernel receive buffer (`SO_RCVBUF`, which std
 /// does not expose) to the smallest the kernel allows.
-#[allow(unsafe_code)]
 fn shrink_receive_buffer(sock: &TcpStream) {
     use std::os::fd::AsRawFd;
     use std::os::raw::{c_int, c_void};

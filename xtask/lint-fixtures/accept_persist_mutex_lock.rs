@@ -1,0 +1,7 @@
+// crate: persist
+// want: pass
+pub fn bump(n: &std::sync::Mutex<u64>) {
+    if let Ok(mut n) = n.lock() {
+        *n += 1;
+    }
+}
