@@ -3,7 +3,8 @@
 //!
 //! Two sweeps, both driven by [`Swarm`] (a single-threaded pipelined
 //! many-connection client over the same `epoll` wrapper the server
-//! uses), against a [`FrontendServer`] on a fresh single [`Engine`]:
+//! uses), against a fresh one-node [`ClusterServer`] — what
+//! `pequod-server` serves without `--cluster`:
 //!
 //! 1. **Open-connection sweep** — 100 → 5000 concurrent pipelined
 //!    connections (scaled by `--scale`, capped by the process fd
@@ -23,8 +24,9 @@
 //! push, so serving capacity is recorded per commit.
 
 use pequod_bench::{arg_value, print_table, Scale};
+use pequod_cluster::{ClusterConfig, ClusterServer};
 use pequod_core::{Engine, EngineConfig};
-use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig};
+use pequod_net::{Message, Swarm, SwarmConfig};
 use pequod_store::{Key, Value};
 use std::time::Instant;
 
@@ -64,12 +66,9 @@ fn fd_limit() -> usize {
 /// Runs one swarm of `conns × frames_per_conn` put/get frames against
 /// a fresh server.
 fn run_one(sweep: &'static str, conns: usize, depth: usize, frames_per_conn: usize) -> Row {
-    let mut server = FrontendServer::spawn(
-        "127.0.0.1:0",
-        Engine::new(EngineConfig::default()),
-        FrontendConfig::default(),
-    )
-    .expect("spawn front-end");
+    let engine = Engine::new(EngineConfig::default());
+    let mut server = ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, Some("127.0.0.1:0"))
+        .expect("spawn server");
     let addr = server.addr();
     let swarm = Swarm::new(SwarmConfig {
         conns,
@@ -101,7 +100,7 @@ fn run_one(sweep: &'static str, conns: usize, depth: usize, frames_per_conn: usi
         )
         .unwrap_or_else(|e| panic!("swarm ({conns} conns, depth {depth}): {e}"));
     let secs = t0.elapsed().as_secs_f64();
-    server.shutdown();
+    server.halt();
     assert_eq!(
         report.reply_errors, 0,
         "server returned error replies under load"

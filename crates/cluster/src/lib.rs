@@ -52,7 +52,7 @@ pub mod sim;
 
 pub use client::{ClusterClient, ClusterClientError};
 pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
-pub use node::{ClusterNode, ClusterPeer, ClusterStats, NO_CLEAN_ADOPT};
+pub use node::{foreign_reserved_key, ClusterNode, ClusterPeer, ClusterStats, NO_CLEAN_ADOPT};
 pub use server::ClusterServer;
 pub use sim::SimHarness;
 
@@ -60,7 +60,7 @@ pub use sim::SimHarness;
 mod tests {
     use super::*;
     use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-    use pequod_net::Message;
+    use pequod_net::{ClientError, Message, TcpClient};
     use pequod_store::{Key, KeyRange, Value};
     use std::sync::Arc;
 
@@ -277,5 +277,65 @@ mod tests {
         assert!(c.net.traffic.subscription_bytes > before);
         assert!(c.net.traffic.client_bytes > 0);
         assert!(c.net.stats.delivered > 4);
+    }
+
+    /// `engine` as the node of a one-node cluster on an ephemeral port:
+    /// what a stand-alone `pequod-server` serves.
+    fn one_node(engine: pequod_core::Engine) -> ClusterServer {
+        let addr = Some("127.0.0.1:0");
+        ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap()
+    }
+
+    #[test]
+    fn tcp_round_trip() {
+        let mut engine = pequod_core::Engine::new_default();
+        engine.add_join_text(TIMELINE).unwrap();
+        let server = one_node(engine);
+        let mut client = TcpClient::connect(server.addr()).unwrap();
+
+        client.put("s|ann|bob", "1").unwrap();
+        client.put("p|bob|0000000100", "Hi").unwrap();
+        let tl = client.scan(KeyRange::prefix("t|ann|")).unwrap();
+        assert_eq!(tl.len(), 1);
+        assert_eq!(&tl[0].1[..], b"Hi");
+        assert_eq!(
+            client.get("t|ann|0000000100|bob").unwrap().as_deref(),
+            Some(&b"Hi"[..])
+        );
+        client.remove("p|bob|0000000100").unwrap();
+        assert!(client.scan(KeyRange::prefix("t|ann|")).unwrap().is_empty());
+
+        // Joins can be installed over the wire too.
+        client
+            .add_join("karma|<a> = count vote|<a>|<id>|<v>")
+            .unwrap();
+        client.put("vote|kat|1|ann", "1").unwrap();
+        assert_eq!(client.get("karma|kat").unwrap().as_deref(), Some(&b"1"[..]));
+        // Bad join text returns a remote error, not a hang.
+        assert!(matches!(
+            client.add_join("nonsense"),
+            Err(ClientError::Remote(_))
+        ));
+    }
+
+    #[test]
+    fn tcp_multiple_clients() {
+        let server = one_node(pequod_core::Engine::new_default());
+        let addr = server.addr();
+        let writers: Vec<_> = (0..4)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut c = TcpClient::connect(addr).unwrap();
+                    for j in 0..25 {
+                        c.put(format!("k|{i}|{j:03}"), "v").unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let mut c = TcpClient::connect(addr).unwrap();
+        assert_eq!(c.scan(KeyRange::prefix("k|")).unwrap().len(), 100);
     }
 }

@@ -11,14 +11,15 @@
 //! # Serving
 //!
 //! Reads, parked queries, fetch groups and Subscribe/Notify are the
-//! `Node`'s: every read is `Node::handle`d, wherever it arrives. The
-//! node's [`Partition`] is the live slot view, so a key is homed here
-//! if this node holds its slot, and at the slot's current primary
-//! otherwise — a read that needs base data of a slot held elsewhere
-//! subscribes at that slot's primary, and a join across slots is
-//! computed where it is read. Every base table is partitioned over the
-//! slots; a join's output table is computed data, placed by where
-//! clients read it. Two rules keep replicas fresh as primaries move:
+//! `Node`'s: every read is `Node::handle`d (a client's `Scan` or `Get`
+//! streamed by `Node::read_with`), wherever it arrives. The node's
+//! [`Partition`] is the live slot view, so a key is homed here if this
+//! node holds its slot, and at the slot's current primary otherwise — a
+//! read that needs base data of a slot held elsewhere subscribes at
+//! that slot's primary, and a join across slots is computed where it is
+//! read. Every base table is partitioned over the slots; a join's
+//! output table is computed data, placed by where clients read it. Two
+//! rules keep replicas fresh as primaries move:
 //!
 //! - when an epoch change moves a slot's primary, a node that does not
 //!   hold the slot forgets its replicas of the slot's keys and
@@ -41,7 +42,8 @@
 //!   every follower (and migration learner). The client is acked only
 //!   after *every* follower acked the sequence number — so any
 //!   follower that later promotes has every acked write. Any other
-//!   node answers a write with [`Message::NotPrimary`].
+//!   node answers a write with [`Message::NotPrimary`]. Alone, a node
+//!   applies it straight to its engine and keeps no catch-up state.
 //! - **Catch-up**: a follower that detects a gap (or restarts) sends
 //!   [`Message::ReplicaSubscribe`] with its last applied sequence and
 //!   the epoch that sequence was written under. The primary replays
@@ -72,11 +74,11 @@ use pequod_core::partition::{Partition, ServerId};
 use pequod_core::{
     BackendStats, Command, Endpoint, Engine, JoinId, Node, NodeMsg, NodeStats, Response,
 };
-use pequod_net::frontend::UNSUPPORTED;
+use pequod_net::codec::{encode_frame_into, ReplyFrame};
 use pequod_net::Message;
-use pequod_store::{Key, KeyRange, Value};
+use pequod_store::{Key, KeyRange, Value, ValueRef};
 use pequod_telemetry::{metric, Snapshot};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,6 +92,9 @@ const SNAP_CHUNK_PAIRS: usize = 4096;
 
 /// The answer to a client command on a `#` meta key.
 const RESERVED: &str = "keys starting with '#' are reserved";
+
+/// The answer to server-to-server traffic on a client connection.
+const UNSUPPORTED: &str = "unsupported on client connection";
 
 /// Who a message came from / goes to. The transport layer maps client
 /// connection identities and node links onto this.
@@ -207,8 +212,9 @@ struct SlotState {
     log_epoch: u64,
     /// Last applied per-slot sequence number.
     applied: u64,
-    /// Recent ops for delta catch-up: `(seq, epoch_assigned, key, value)`.
-    window: Vec<(u64, u64, Key, Option<Value>)>,
+    /// Recent ops for delta catch-up: `(seq, epoch_assigned, key, value)`,
+    /// oldest first.
+    window: VecDeque<(u64, u64, Key, Option<Value>)>,
     /// Primary: cumulative acks per follower.
     follower_acked: HashMap<u32, u64>,
     /// Follower: promote when the clock passes this.
@@ -243,7 +249,7 @@ impl SlotState {
             replicas,
             log_epoch: 0,
             applied: 0,
-            window: Vec::new(),
+            window: VecDeque::new(),
             follower_acked: HashMap::new(),
             hb_deadline: u64::MAX,
             next_hb: 0,
@@ -321,9 +327,56 @@ impl Partition for SlotView {
     }
 }
 
+/// Server-to-server frames: the transport's `Hello` and the replication
+/// protocol. A client that sends one gets one [`UNSUPPORTED`] error.
+pub(crate) fn is_peer_only(msg: &Message) -> bool {
+    matches!(msg, Message::Hello { .. }) || replicated_slot(msg).is_some()
+}
+
+/// The slot a replication frame is about; `None` for any other frame.
+fn replicated_slot(msg: &Message) -> Option<u32> {
+    match msg {
+        Message::ReplicaSubscribe { slot, .. }
+        | Message::NotifySeq { slot, .. }
+        | Message::NotifyAck { slot, .. }
+        | Message::Heartbeat { slot, .. }
+        | Message::SnapshotChunk { slot, .. }
+        | Message::EpochChange { slot, .. } => Some(*slot),
+        _ => None,
+    }
+}
+
+/// Encodes `outbox`'s replies to `client` into `out`, counting them, the rest to `late`.
+fn split_replies(client: ClusterPeer, outbox: Out, out: &mut Vec<u8>, late: &mut Out) -> usize {
+    let mut replied = 0;
+    for (to, frame) in outbox {
+        if to == client {
+            encode_frame_into(&frame, out);
+            replied += 1;
+        } else {
+            late.push((to, frame));
+        }
+    }
+    replied
+}
+
 /// Replication metadata, not user data: `#rep|NN`, `#epoch|NN`.
 fn is_meta(key: &Key) -> bool {
     key.as_bytes().first() == Some(&b'#')
+}
+
+/// The first `#` row of `engine` other than `#rep|N` and `#epoch|N`: a
+/// user key stored before `#` was reserved, on which no node may start.
+pub fn foreign_reserved_key(engine: &Engine) -> Option<Key> {
+    let mut found = None;
+    engine.store().scan(&KeyRange::prefix("#"), |k, _| {
+        let k = k.as_bytes();
+        let n = (k.strip_prefix(b"#rep|")).or_else(|| k.strip_prefix(b"#epoch|"));
+        let ours = n.is_some_and(|n| !n.is_empty() && n.iter().all(u8::is_ascii_digit));
+        found = (!ours).then(|| Key::from(k.to_vec()));
+        ours
+    });
+    found
 }
 
 /// The per-process node: one [`Node`] and the replication of its slots.
@@ -463,8 +516,17 @@ impl ClusterNode {
             node_out: Vec::new(),
             stats: ClusterStats::default(),
         };
-        node.purge_unheld_rows();
+        if node.has_peers() {
+            node.purge_unheld_rows();
+        }
         node
+    }
+
+    /// Whether the deployment has another node. Alone, a node
+    /// partitions no table, and a write goes straight to the engine with
+    /// no window or `#rep` row kept (its slots' `applied` still counts).
+    fn has_peers(&self) -> bool {
+        self.cfg.nodes.len() > 1
     }
 
     /// A node stores a slot's rows only while it holds the slot, so
@@ -495,9 +557,12 @@ impl ClusterNode {
 
     /// Every base table is partitioned over the slots: the first time
     /// this node meets a table, its engine learns that the table's rows
-    /// it does not hold live elsewhere. A join's output table is
-    /// computed data, not partitioned.
+    /// it does not hold live elsewhere. A join's output table (computed
+    /// data) is not partitioned, nor is anything at a one-node cluster.
     fn partition_table(&mut self, key: &Key) {
+        if !self.has_peers() {
+            return;
+        }
         let engine = &mut self.node.engine;
         let table = key.table_prefix();
         if table.is_empty()
@@ -650,10 +715,9 @@ impl ClusterNode {
     fn push_window(&mut self, slot: u32, seq: u64, epoch: u64, key: Key, value: Option<Value>) {
         let max = self.cfg.window.max(1);
         let st = &mut self.slots[slot as usize];
-        st.window.push((seq, epoch, key, value));
-        if st.window.len() > max + 1 {
-            let excess = st.window.len() - (max + 1);
-            st.window.drain(..excess);
+        st.window.push_back((seq, epoch, key, value));
+        while st.window.len() > max + 1 {
+            st.window.pop_front();
         }
     }
 
@@ -769,6 +833,14 @@ impl ClusterNode {
     }
 
     fn dispatch(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
+        if matches!(from, ClusterPeer::Client(_)) && is_peer_only(&msg) {
+            out.push((from, Message::error(0, UNSUPPORTED)));
+            return;
+        }
+        // A peer's frame for a slot there is not: dropped.
+        if replicated_slot(&msg).is_some_and(|slot| slot >= self.cfg.slots) {
+            return;
+        }
         match msg {
             Message::Put { id, key, value } => self.client_write(from, id, key, Some(value), out),
             Message::Remove { id, key } => self.client_write(from, id, key, None, out),
@@ -822,13 +894,8 @@ impl ClusterNode {
                 upto_seq,
                 dropped,
             } => self.on_epoch_change(from, slot, epoch, replicas, upto_seq, dropped, out),
-            // A peer's first frame, consumed by the transport driver; a
-            // client's is refused like any other server-to-server frame.
-            Message::Hello { .. } => {
-                if let ClusterPeer::Client(_) = from {
-                    out.push((from, Message::error(0, UNSUPPORTED)));
-                }
-            }
+            // A peer's first frame, consumed by the transport driver.
+            Message::Hello { .. } => {}
             other => self.hand_to_node(from, other, out),
         }
     }
@@ -836,6 +903,50 @@ impl ClusterNode {
     // ------------------------------------------------------------------
     // Client requests and the §2.4 traffic: the `Node`'s
     // ------------------------------------------------------------------
+
+    /// Serves a frame from client connection `client`: the replies it
+    /// has now are encoded into `out` in request order (their number is
+    /// returned), the rest of its output is appended to `late`. A `Scan`
+    /// or `Get` streams from the store into its reply frame, `#` rows
+    /// skipped, or, incomplete here, leaves no bytes and waits on the
+    /// `Node`'s fetches; anything else goes through `handle`.
+    pub fn serve_client(
+        &mut self,
+        client: u64,
+        msg: Message,
+        out: &mut Vec<u8>,
+        late: &mut Out,
+    ) -> usize {
+        let from = ClusterPeer::Client(client);
+        let (id, range) = match msg {
+            Message::Batch { msgs } => {
+                return (msgs.into_iter())
+                    .map(|m| self.serve_client(client, m, out, late))
+                    .sum();
+            }
+            Message::Scan { id, range } => (id, range),
+            // A wire `Get` is the scan of one key: its reply carries the
+            // pair, key included.
+            Message::Get { id, key } if !is_meta(&key) => (id, KeyRange::single(key)),
+            msg => return split_replies(from, self.handle(from, msg), out, late),
+        };
+        self.partition_table(&range.first);
+        let mut frame = ReplyFrame::begin(out, id);
+        let visit = |k: &Key, v: ValueRef<'_>| {
+            if !is_meta(k) {
+                frame.pair(k, &v);
+            }
+        };
+        let complete = (self.node).read_with(endpoint(from), id, &range, visit, &mut self.node_out);
+        if complete {
+            frame.finish();
+        } else {
+            frame.abandon();
+        }
+        let mut outbox = Vec::new();
+        self.flush_node(&mut outbox);
+        usize::from(complete) + split_replies(from, outbox, out, late)
+    }
 
     /// Hands a read, a join, or subscription traffic to the `Node`.
     fn hand_to_node(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
@@ -926,28 +1037,37 @@ impl ClusterNode {
             self.redirect(from, id, slot, self.id, out);
             return;
         }
-        // The `Node` applies the write at its home and notifies the
-        // key's subscribers; its own acknowledgment gives way to the
-        // replicated one below.
-        self.partition_table(&key);
-        let command = match &value {
-            Some(v) => Command::Put(key.clone(), v.clone()),
-            None => Command::Remove(key.clone()),
-        };
-        let request = NodeMsg::Request { id, command };
-        self.node
-            .handle(endpoint(from), request, &mut self.node_out);
-        self.node_out
-            .retain(|(to, msg)| !(*to == endpoint(from) && matches!(msg, NodeMsg::Reply { .. })));
-        self.flush_node(out);
         let (seq, epoch, followers, learner) = {
             let st = &mut self.slots[slot as usize];
             st.applied += 1;
             st.log_epoch = st.epoch;
             (st.applied, st.epoch, st.replicas[1..].to_vec(), st.learner)
         };
-        self.push_window(slot, seq, epoch, key.clone(), value.clone());
-        self.persist_rep(slot);
+        if self.has_peers() {
+            // The `Node` applies the write at its home and notifies the
+            // key's subscribers; its own acknowledgment gives way to the
+            // replicated one below.
+            self.partition_table(&key);
+            let command = match &value {
+                Some(v) => Command::Put(key.clone(), v.clone()),
+                None => Command::Remove(key.clone()),
+            };
+            let request = NodeMsg::Request { id, command };
+            (self.node).handle(endpoint(from), request, &mut self.node_out);
+            (self.node_out).retain(|(to, msg)| {
+                !(*to == endpoint(from) && matches!(msg, NodeMsg::Reply { .. }))
+            });
+            self.flush_node(out);
+            self.push_window(slot, seq, epoch, key.clone(), value.clone());
+            self.persist_rep(slot);
+        } else {
+            // Alone, nobody can subscribe: the engine applies the write.
+            self.node.stats.commands += 1;
+            match &value {
+                Some(v) => self.node.engine.put(key.clone(), v.clone()),
+                None => self.node.engine.remove(&key),
+            }
+        }
         self.stats.writes_applied += 1;
         let mut targets = followers;
         if let Some(l) = learner {
@@ -1034,7 +1154,7 @@ impl ClusterNode {
         } else if from_seq < applied {
             let st = &self.slots[slot as usize];
             if from_seq == 0 {
-                st.window.first().map(|e| e.0) == Some(1) || applied == 0
+                st.window.front().map(|e| e.0) == Some(1) || applied == 0
             } else {
                 st.window
                     .iter()
@@ -1836,5 +1956,338 @@ impl ClusterNode {
             snap.gauge("pequod_replication_lag_seqs", &at, lag);
         }
         snap
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pequod_core::config::MaterializationMode;
+    use pequod_core::EngineConfig;
+    use pequod_net::codec::encode_frame;
+
+    const TIMELINE: &str =
+        "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+    /// A small Twip engine; `pull` computes timelines on every read
+    /// (the overlay path), otherwise they are materialised.
+    fn twip(pull: bool) -> Engine {
+        let mut engine = Engine::new(EngineConfig {
+            materialization: if pull {
+                MaterializationMode::None
+            } else {
+                EngineConfig::default().materialization
+            },
+            ..EngineConfig::default()
+        });
+        engine.add_joins_text(TIMELINE).unwrap();
+        for poster in ["bob", "cat", "dan"] {
+            engine.put(format!("s|ann|{poster}"), "1");
+            for t in 0..20u64 {
+                engine.put(
+                    format!("p|{poster}|{t:010}"),
+                    format!(
+                        "{poster} says {t}, at some length: {}",
+                        "x".repeat(t as usize)
+                    ),
+                );
+            }
+        }
+        engine
+    }
+
+    /// `engine` as the node of a one-node cluster.
+    fn one_node(engine: Engine) -> ClusterNode {
+        ClusterNode::new(0, ClusterConfig::new(1, 1), engine)
+    }
+
+    /// What the collecting path would have put on the wire.
+    fn collected(engine: &mut Engine, id: u64, range: &KeyRange) -> Vec<u8> {
+        encode_frame(&Message::reply(id, engine.scan(range).pairs)).to_vec()
+    }
+
+    /// Serves `msg` from client 1; returns what went into `out` after
+    /// `prefix` and how many replies that was, and requires that nothing
+    /// else was sent.
+    fn serve(node: &mut ClusterNode, msg: Message) -> (Vec<u8>, usize) {
+        let (mut out, mut late) = (b"earlier replies".to_vec(), Vec::new());
+        let n = node.serve_client(1, msg, &mut out, &mut late);
+        assert!(late.is_empty(), "a one-node cluster sent {late:?}");
+        assert_eq!(&out[..15], b"earlier replies");
+        (out[15..].to_vec(), n)
+    }
+
+    #[test]
+    fn streamed_reads_are_byte_identical_to_collected_replies() {
+        for pull in [false, true] {
+            let ranges = [
+                KeyRange::prefix("t|ann|"), // computed, whole timeline
+                KeyRange::new("t|ann|0000000005", "t|ann|0000000012"),
+                KeyRange::prefix("p|bob|"),    // base data
+                KeyRange::prefix("t|nobody|"), // computed, empty
+                KeyRange::prefix("q|"),        // no such table
+                KeyRange::new("t|z", "t|a"),   // empty range
+                KeyRange::prefix("p|"),        // spans tables
+            ];
+            // Cold on the first pass, warm on the second.
+            let (mut streamed, mut reference) = (one_node(twip(pull)), twip(pull));
+            let commands = streamed.node_stats().commands;
+            for pass in 0..2 {
+                for (i, range) in ranges.iter().enumerate() {
+                    let id = (pass * 100 + i) as u64;
+                    let range = range.clone();
+                    let want = collected(&mut reference, id, &range);
+                    let got = serve(&mut streamed, Message::Scan { id, range });
+                    assert_eq!(got, (want, 1), "pull={pull} pass={pass} range {i}");
+                }
+            }
+            // A Get is the scan of one key, found or not.
+            for key in [
+                "t|ann|0000000003|bob",
+                "p|cat|0000000019",
+                "p|cat|0000000020",
+            ] {
+                let key = Key::from(key);
+                let pairs = reference.get_result(&key).pairs;
+                assert_eq!(pairs.len(), usize::from(!key.as_bytes().ends_with(b"20")));
+                let want = encode_frame(&Message::reply(7, pairs)).to_vec();
+                assert_eq!(serve(&mut streamed, Message::Get { id: 7, key }), (want, 1));
+            }
+            // Each streamed read counts as a command of the `Node`.
+            let reads = 2 * ranges.len() as u64 + 3;
+            assert_eq!(streamed.node_stats().commands, commands + reads);
+        }
+    }
+
+    #[test]
+    fn writes_and_batches_answer_like_their_messages() {
+        let mut node = one_node(twip(false));
+        let frame = Message::Batch {
+            msgs: vec![
+                Message::Put {
+                    id: 1,
+                    key: Key::from("p|bob|0000000100"),
+                    value: Value::from_static(b"new"),
+                },
+                Message::Batch {
+                    msgs: vec![
+                        Message::Count {
+                            id: 2,
+                            range: KeyRange::prefix("t|ann|"),
+                        },
+                        Message::Remove {
+                            id: 3,
+                            key: Key::from("p|bob|0000000100"),
+                        },
+                    ],
+                },
+                Message::AddJoin {
+                    id: 4,
+                    text: "not a join".into(),
+                },
+                Message::Get {
+                    id: 5,
+                    key: Key::from("#rep|00"),
+                },
+                Message::Hello { node: 9 },
+                // Server-to-server, and for a slot there is not.
+                Message::EpochChange {
+                    slot: 200,
+                    epoch: 9,
+                    replicas: vec![5],
+                    upto_seq: 0,
+                    dropped: None,
+                },
+            ],
+        };
+        let mut want = Vec::new();
+        want.extend_from_slice(&encode_frame(&Message::reply(1, vec![])));
+        want.extend_from_slice(&encode_frame(&Message::count_reply(2, 61)));
+        want.extend_from_slice(&encode_frame(&Message::reply(3, vec![])));
+        let err = twip(false).add_joins_text("not a join").unwrap_err();
+        want.extend_from_slice(&encode_frame(&Message::error(4, err.to_string())));
+        want.extend_from_slice(&encode_frame(&Message::error(5, RESERVED)));
+        want.extend_from_slice(&encode_frame(&Message::error(0, UNSUPPORTED)));
+        want.extend_from_slice(&encode_frame(&Message::error(0, UNSUPPORTED)));
+        assert_eq!(serve(&mut node, frame), (want, 7));
+    }
+
+    #[test]
+    fn a_peer_frame_for_a_slot_there_is_not_is_dropped() {
+        let cfg = ClusterConfig::new(2, 2);
+        let mut node = ClusterNode::new(0, cfg, Engine::new(EngineConfig::default()));
+        let peer = ClusterPeer::Node(1);
+        for msg in [
+            Message::EpochChange {
+                slot: 200,
+                epoch: 9,
+                replicas: vec![1],
+                upto_seq: 0,
+                dropped: None,
+            },
+            Message::ReplicaSubscribe {
+                slot: 8,
+                epoch: 0,
+                log_epoch: 0,
+                from_seq: 0,
+            },
+            Message::Heartbeat {
+                slot: u32::MAX,
+                epoch: 0,
+                seq: 0,
+            },
+        ] {
+            assert!(node.handle(peer, msg).is_empty());
+        }
+        assert!((0..8).all(|slot| node.primary_of(slot) == node.config().initial_replicas(slot)[0]));
+    }
+
+    /// A key of the `p|` table homed at `node` of a 2-node, RF=1 cluster.
+    fn post_homed_at(cfg: &ClusterConfig, node: u32) -> Key {
+        (0..)
+            .map(|i| Key::from(format!("p|u{i}|0000000001")))
+            .find(|k| cfg.initial_replicas(cfg.slot_of(k)) == [node])
+            .unwrap()
+    }
+
+    #[test]
+    fn an_incomplete_read_leaves_no_bytes_and_takes_the_fetch_path() {
+        let cfg = ClusterConfig::new(2, 1);
+        let (here, there) = (post_homed_at(&cfg, 0), post_homed_at(&cfg, 1));
+        let mut node = ClusterNode::new(0, cfg, Engine::new(EngineConfig::default()));
+        let value = Value::from_static(b"resident");
+        node.handle(
+            ClusterPeer::Client(1),
+            Message::Put {
+                id: 1,
+                key: here,
+                value,
+            },
+        );
+        // This node's post is resident and the other node's slots are
+        // not: the scan visits the one pair, then meets the gaps. (The
+        // `Get` goes first: the scan's grants make its key resident.)
+        for read in [
+            Message::Get { id: 5, key: there },
+            Message::Scan {
+                id: 6,
+                range: KeyRange::prefix("p|"),
+            },
+        ] {
+            let id = read.id();
+            let prefix = encode_frame(&Message::reply(4, vec![])).to_vec();
+            let (mut out, mut late) = (prefix.clone(), Vec::new());
+            let commands = node.node_stats().commands;
+            let scans = node.engine.engine_stats().scans;
+            assert_eq!(node.serve_client(1, read, &mut out, &mut late), 0);
+            assert_eq!(out, prefix, "an incomplete read left bytes behind");
+            assert_eq!(node.node_stats().commands, commands + 1);
+            // One scan found what is missing; the fetch path did not
+            // scan again before fetching it.
+            assert_eq!(node.engine.engine_stats().scans, scans + 1);
+            // The read parked on subscriptions at the other node; its
+            // grants (empty) answer it, once.
+            let mut replies = Vec::new();
+            for (to, msg) in late {
+                let Message::Subscribe { id: fetch, range } = msg else {
+                    panic!("not a fetch: {msg:?}");
+                };
+                assert_eq!(to, ClusterPeer::Node(1));
+                let pairs = Vec::new();
+                let grant = Message::SubscribeReply {
+                    id: fetch,
+                    range,
+                    pairs,
+                };
+                replies.extend(node.handle(to, grant));
+            }
+            assert!(
+                matches!(
+                    &replies[..],
+                    [(ClusterPeer::Client(1), Message::Reply { error: None, .. })]
+                ),
+                "{replies:?}"
+            );
+            assert_eq!(replies[0].1.id(), id);
+        }
+    }
+
+    /// Writes `n` posts and a follow through `node` as client 1 (only
+    /// the keys whose slot it is primary of), half served from a socket
+    /// and half handled as messages, and reads every timeline back;
+    /// returns how many writes it applied.
+    fn exercise(node: &mut ClusterNode, n: u64) -> u64 {
+        let mut applied = 0;
+        for i in 0..n {
+            let user = format!("u{}", i % 16);
+            for (key, value) in [
+                (format!("s|{user}|u{}", (i + 1) % 16), "1".to_string()),
+                (format!("p|{user}|{i:010}"), format!("post {i}")),
+            ] {
+                let key = Key::from(key);
+                if !node.is_primary(node.config().slot_of(&key)) {
+                    continue;
+                }
+                let put = Message::Put {
+                    id: i,
+                    key,
+                    value: Value::from(value),
+                };
+                if i % 2 == 0 {
+                    node.serve_client(1, put, &mut Vec::new(), &mut Vec::new());
+                } else {
+                    node.handle(ClusterPeer::Client(1), put);
+                }
+                applied += 1;
+            }
+            let range = KeyRange::prefix(format!("t|{user}|"));
+            node.serve_client(
+                1,
+                Message::Scan { id: i, range },
+                &mut Vec::new(),
+                &mut Vec::new(),
+            );
+        }
+        applied
+    }
+
+    /// Replication rows (`#rep|NN`, `#epoch|NN`) in `node`'s store.
+    fn meta_rows(node: &ClusterNode) -> usize {
+        let mut rows = 0;
+        (node.engine.store()).scan(&KeyRange::prefix("#"), |_, _| {
+            rows += 1;
+            true
+        });
+        rows
+    }
+
+    /// Ops held for delta catch-up, over every slot.
+    fn windowed(node: &ClusterNode) -> usize {
+        node.slots.iter().map(|st| st.window.len()).sum()
+    }
+
+    #[test]
+    fn a_one_node_cluster_keeps_no_state_for_peers() {
+        let mut node = one_node(Engine::new(EngineConfig::default()));
+        let text = TIMELINE.to_string();
+        node.handle(ClusterPeer::Client(1), Message::AddJoin { id: 0, text });
+        let applied = exercise(&mut node, 300);
+        assert_eq!(applied, 600);
+        assert_eq!(node.engine.all_resident_ranges(), Vec::<KeyRange>::new());
+        assert_eq!(meta_rows(&node), 0);
+        assert_eq!(windowed(&node), 0);
+        let seqs: u64 = node.slots.iter().map(|st| st.applied).sum();
+        assert_eq!(seqs, applied, "a slot's sequence still counts its writes");
+    }
+
+    #[test]
+    fn a_replicated_primary_keeps_its_catch_up_state() {
+        let mut engine = Engine::new(EngineConfig::default());
+        engine.add_joins_text(TIMELINE).unwrap();
+        let mut node = ClusterNode::new(0, ClusterConfig::new(2, 2), engine);
+        let applied = exercise(&mut node, 300);
+        assert!(applied > 0);
+        assert_eq!(windowed(&node), applied as usize);
+        assert!(meta_rows(&node) > 0, "no #rep row was written");
     }
 }

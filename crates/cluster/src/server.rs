@@ -1,18 +1,23 @@
 //! The TCP deployment driver: one [`ClusterServer`] per cluster node.
 //!
 //! There is no serving loop here. The node's [`ClusterNode`] state
-//! machine is hosted by the same reactor thread that serves a
-//! stand-alone engine ([`FrontendServer::spawn_dispatch`]): this file is
-//! the [`Dispatch`] that maps connections onto [`ClusterPeer`]s and the
-//! node's outbox onto connections, plus the dialer threads.
+//! machine is hosted by `pequod_net`'s reactor thread
+//! ([`FrontendServer::spawn_dispatch`]): this file is the [`Dispatch`]
+//! that maps connections onto [`ClusterPeer`]s and the node's outbox
+//! onto connections, plus the dialer threads. Every `pequod-server` is
+//! one: without `--cluster` it serves a one-node cluster at
+//! replication 1.
 //!
 //! - **Classification.** A connection whose first frame is
-//!   [`Message::Hello`] is a peer link from that node; any other first
-//!   frame makes it a client, whose `ClusterPeer::Client` id is its
-//!   (generation-checked) reactor token.
+//!   [`Message::Hello`] from another node of the config is a peer link
+//!   from that node; any other first frame makes it a client (whose
+//!   server-to-server frames are refused), its `ClusterPeer::Client`
+//!   id its (generation-checked) reactor token.
 //! - **Client frames** stay in flight until the node has produced one
-//!   frame per id-bearing request in them: reads and redirects are
-//!   encoded straight into the connection's buffer, a replicated
+//!   frame per id-bearing request in them
+//!   ([`ClusterNode::serve_client`]): reads and redirects are encoded
+//!   straight into the connection's buffer (a read complete on this
+//!   node streams its pairs from the store), and a replicated
 //!   write's acknowledgment arrives later — from a follower's
 //!   `NotifyAck` on a peer link, or from `tick` — through
 //!   [`Dispatch::deliver`]. Per connection, frames are therefore
@@ -36,7 +41,7 @@
 //!   output is bounded by the write-stall timeout, not by
 //!   `max_write_buffer` — a catch-up legitimately queues a slot's worth
 //!   of `SnapshotChunk`s (see [`Conns::send`]).
-//! - **Time** is the reactor's tick, 5 ms of logical time each (`TICK_MS`).
+//! - **Time** is the reactor's tick (`TICK_MS`, 5 ms; a lone node's is coarser).
 //!
 //! The node sits behind a mutex so [`ClusterServer::telemetry`] and the
 //! halts can reach it; the lock is uncontended while serving and is
@@ -48,13 +53,13 @@
 //! modelling a crash for failover benchmarks.
 
 use crate::config::ClusterConfig;
-use crate::node::{ClusterNode, ClusterPeer};
+use crate::node::{is_peer_only, ClusterNode, ClusterPeer, Out};
 use pequod_core::node::NodeAudit;
 use pequod_core::Engine;
 use pequod_net::codec::encode_frame_into;
 use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, Message, Waker};
 use pequod_telemetry::SnapshotFn;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -90,12 +95,11 @@ struct Link {
 }
 
 /// The frames the node owes a client for `msg`: one per id-bearing
-/// request, and one per `Hello`, which it refuses.
+/// request, and one per server-to-server frame, which it refuses.
 fn owed(msg: &Message) -> usize {
     match msg {
         Message::Batch { msgs } => msgs.iter().map(owed).sum(),
-        Message::Hello { .. } => 1,
-        other => usize::from(other.id().is_some()),
+        other => usize::from(other.id().is_some() || is_peer_only(other)),
     }
 }
 
@@ -115,34 +119,32 @@ struct ClusterDispatch {
     owed: HashMap<u64, (usize, usize)>,
     /// The node's output for connections other than the one being
     /// served, in order, until the next `deliver`.
-    late: VecDeque<(ClusterPeer, Message)>,
+    late: Out,
 }
 
 impl Dispatch for ClusterDispatch {
     fn begin(&mut self, token: u64, msg: Message, out: &mut Vec<u8>) -> Option<usize> {
         let client = ClusterPeer::Client(token);
         let from = *self.peers.entry(token).or_insert(match msg {
-            Message::Hello { node } => ClusterPeer::Node(node),
+            // A `Hello` from a node not in the config is a client's.
+            Message::Hello { node } if self.links.contains_key(&node) => ClusterPeer::Node(node),
             _ => client,
         });
-        if let (true, Message::Metrics { id, flight }) = (from == client, &msg) {
-            let snapshot = (self.provider)(*flight);
-            encode_frame_into(&Message::metrics_reply(*id, &snapshot), out);
+        if from != client {
+            // Nothing is written back on a peer link: the node's answers
+            // to a peer travel on our own dialed link to it, like all
+            // the rest.
+            let outbox = locked(&self.node).handle(from, msg);
+            self.late.extend(outbox);
+            return Some(0);
+        }
+        if let Message::Metrics { id, flight } = msg {
+            let snapshot = (self.provider)(flight);
+            encode_frame_into(&Message::metrics_reply(id, &snapshot), out);
             return Some(1);
         }
-        // Nothing is written back on a peer link: the node's answers to
-        // a peer travel on our own dialed link to it, like all the rest.
-        let expected = if from == client { owed(&msg) } else { 0 };
-        let outbox = locked(&self.node).handle(from, msg);
-        let mut replied = 0;
-        for (to, frame) in outbox {
-            if to == client {
-                encode_frame_into(&frame, out);
-                replied += 1;
-            } else {
-                self.late.push_back((to, frame));
-            }
-        }
+        let expected = owed(&msg);
+        let replied = locked(&self.node).serve_client(token, msg, out, &mut self.late);
         if replied < expected {
             self.owed.insert(token, (expected - replied, expected));
             return None;
@@ -171,7 +173,7 @@ impl Dispatch for ClusterDispatch {
                 let _ = link.redial.send(());
             }
         }
-        while let Some((to, frame)) = self.late.pop_front() {
+        for (to, frame) in self.late.drain(..) {
             let token = match to {
                 ClusterPeer::Client(token) => Some(token),
                 ClusterPeer::Node(peer) => match self.links.get_mut(&peer) {
@@ -302,8 +304,11 @@ impl ClusterServer {
             let node = node.clone();
             Arc::new(move |flight| locked(&node).telemetry_snapshot(flight))
         };
+        // Alone, a node runs no timer: the front-end's coarser tick.
+        let alone = peer_addrs.is_empty();
+        let tick_ms = if alone { frontend.tick_ms } else { TICK_MS };
         let frontend = FrontendConfig {
-            tick_ms: TICK_MS,
+            tick_ms,
             ..frontend
         };
         let mut dialers = Vec::new();
@@ -333,7 +338,7 @@ impl ClusterServer {
                 links,
                 dialed,
                 owed: HashMap::new(),
-                late: VecDeque::new(),
+                late: Vec::new(),
             })
         };
         let frontend =

@@ -1,4 +1,6 @@
-//! Stress and robustness suite for the event-driven frontend: thousands
+//! Stress and robustness suite for the event-driven frontend, hosting
+//! the one server there is — a one-node cluster, as a stand-alone
+//! `pequod-server` runs: thousands
 //! of concurrent pipelined connections, mid-frame disconnects, slow
 //! readers driving backpressure, half-closes racing the read pass,
 //! frames larger than the read buffer, garbage and oversized frames,
@@ -11,9 +13,10 @@
 //! (connection, sequence) counters, and assertions about timeouts poll
 //! server counters under a deadline instead of sleeping fixed amounts.
 
+use pequod_cluster::{ClusterConfig, ClusterServer};
 use pequod_core::{Engine, EngineConfig};
 use pequod_net::codec::{encode_frame, FrameDecoder};
-use pequod_net::{FrontendConfig, FrontendServer, Message, Swarm, SwarmConfig, TcpClient};
+use pequod_net::{FrontendConfig, Message, Swarm, SwarmConfig, TcpClient};
 use pequod_store::{Key, KeyRange, Value};
 use pequod_telemetry::metric;
 use std::io::{Read, Write};
@@ -31,8 +34,14 @@ fn v(bytes: Vec<u8>) -> Value {
     Value::from(bytes)
 }
 
-fn single_server(cfg: FrontendConfig) -> FrontendServer {
-    FrontendServer::spawn("127.0.0.1:0", Engine::new(EngineConfig::default()), cfg).unwrap()
+/// `engine` as the node of a one-node cluster on an ephemeral port.
+fn serve(engine: Engine, cfg: FrontendConfig) -> ClusterServer {
+    let addr = Some("127.0.0.1:0");
+    ClusterServer::spawn_with(ClusterConfig::new(1, 1), 0, engine, addr, cfg).unwrap()
+}
+
+fn single_server(cfg: FrontendConfig) -> ClusterServer {
+    serve(Engine::new(EngineConfig::default()), cfg)
 }
 
 /// Polls `cond` until it holds or `secs` elapse.
@@ -49,7 +58,7 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
 
 /// `server`'s serving counter `name`, from the telemetry snapshot a
 /// wire `Metrics` request gets.
-fn counter(server: &FrontendServer, name: &str) -> u64 {
+fn counter(server: &ClusterServer, name: &str) -> u64 {
     let pairs = (server.telemetry())(false).to_pairs();
     metric(&pairs, name).unwrap_or_else(|| panic!("the snapshot lacks {name}"))
 }
@@ -137,7 +146,7 @@ fn five_thousand_pipelined_connections() {
     );
     assert_eq!(report.reply_errors, 0);
     assert!(counter(&server, "pequod_conns_accepted_total") >= CONNS as u64);
-    server.shutdown();
+    server.halt();
 }
 
 /// Sockets dropped mid-frame must not wedge the reactor or leak
@@ -174,7 +183,7 @@ fn mid_frame_disconnects_leave_server_serving() {
         counter(&server, "pequod_conns_active")
     );
     assert!(counter(&server, "pequod_conns_accepted_total") >= 101);
-    server.shutdown();
+    server.halt();
 }
 
 /// A peer that writes its requests and half-closes at once still gets
@@ -211,7 +220,7 @@ fn half_close_right_after_a_frame_still_gets_replies_and_a_clean_close() {
         wait_for(10, || counter(&server, "pequod_conns_active") == 0),
         "half-closed connections left open"
     );
-    server.shutdown();
+    server.halt();
 }
 
 /// One request frame several times the size of the reactor's read
@@ -228,7 +237,7 @@ fn a_frame_larger_than_the_read_buffer_arrives_whole() {
         Some(Value::from(big))
     );
     assert_eq!(counter(&server, "pequod_frames_in_total"), 2);
-    server.shutdown();
+    server.halt();
 }
 
 /// A reader that stops draining its socket must pause the connection
@@ -269,7 +278,7 @@ fn slow_reader_triggers_backpressure_and_loses_nothing() {
     );
     // Resume reading: every reply arrives, in order.
     expect_replies_in_order(&mut sock, 49);
-    server.shutdown();
+    server.halt();
 }
 
 /// Reads one frame (blocking) then expects EOF/reset.
@@ -332,7 +341,7 @@ fn garbage_frames_get_error_frame_then_close() {
     // The server still serves clean connections.
     let mut client = TcpClient::connect(addr).unwrap();
     client.put("p|ok|0000000001", "fine").unwrap();
-    server.shutdown();
+    server.halt();
 }
 
 /// Idle connections are reaped once the idle timeout is configured.
@@ -353,7 +362,7 @@ fn idle_timeout_closes_quiet_connections() {
         "idle connection never reaped"
     );
     assert!(wait_for(10, || counter(&server, "pequod_conns_active") == 0));
-    server.shutdown();
+    server.halt();
 }
 
 /// A stopped reader with queued replies is a stalled client: reaped by
@@ -387,7 +396,7 @@ fn stall_timeout_closes_stuck_readers() {
         "stalled connection never reaped"
     );
     assert!(wait_for(10, || counter(&server, "pequod_conns_active") == 0));
-    server.shutdown();
+    server.halt();
 }
 
 /// A burst far deeper than `max_pipeline`, delivered in one write, is
@@ -413,7 +422,7 @@ fn burst_deeper_than_the_pipeline_cap_is_fully_served() {
         .unwrap();
     sock.write_all(&burst).unwrap();
     expect_replies_in_order(&mut sock, FRAMES);
-    server.shutdown();
+    server.halt();
 }
 
 /// The `/proc` entries of this process's threads that carry `name`.
@@ -465,7 +474,7 @@ fn spawn_named<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'st
 /// That must not let one connection hold the thread: with A stuck
 /// behind its write cap (a deep pipeline of large scans, never read),
 /// B's requests and a wire `Metrics` are still answered, and
-/// `shutdown()` returns without serving A's backlog.
+/// `halt()` returns without serving A's backlog.
 #[test]
 fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
     // The server's threads are unnamed, and Linux copies a thread's
@@ -483,7 +492,7 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
     assert_eq!(
         threads_named(SPAWNER),
         2,
-        "a single-engine server runs the reactor and the ticker, nothing else"
+        "a one-node server runs the reactor and the ticker, nothing else"
     );
     let addr = server.addr();
     let mut b = TcpClient::connect(addr).unwrap();
@@ -519,7 +528,7 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
         "wire Metrics not answered with the live counters: {metrics:?}"
     );
     let server_threads = tasks_named(SPAWNER);
-    server.shutdown();
+    server.halt();
     wait_reaped(&server_threads, "a server thread outlived shutdown");
     assert_eq!(
         threads_named(SPAWNER),
@@ -554,8 +563,7 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
 fn metrics_carry_the_engines_levels_and_the_resident_set() {
     let mut engine = Engine::new(EngineConfig::default());
     engine.set_recorder(pequod_telemetry::Recorder::enabled());
-    let mut server =
-        FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
+    let mut server = serve(engine, FrontendConfig::default());
     let mut client = TcpClient::connect(server.addr()).unwrap();
     client
         .add_join("t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>")
@@ -577,10 +585,10 @@ fn metrics_carry_the_engines_levels_and_the_resident_set() {
     if std::path::Path::new("/proc/self/status").exists() {
         assert!(level("process.rss_bytes") > level("core.memory.estimate_bytes"));
     }
-    server.shutdown();
+    server.halt();
 }
 
-/// `shutdown()` contract: once it returns, the server answers nothing,
+/// `halt()` contract: once it returns, the server answers nothing,
 /// new connections included.
 #[test]
 fn reactor_shutdown_severs_live_connections() {
@@ -588,7 +596,7 @@ fn reactor_shutdown_severs_live_connections() {
     let addr = server.addr();
     let mut client = TcpClient::connect(addr).unwrap();
     client.put("p|pre|0000000001", "x").unwrap();
-    server.shutdown();
+    server.halt();
     let mut sock = TcpStream::connect(addr);
     // New connections are refused entirely...
     assert!(
@@ -621,5 +629,5 @@ fn large_scans_flow_through_bounded_buffers() {
     let pairs = client.scan(KeyRange::prefix("p|u|")).unwrap();
     assert_eq!(pairs.len(), 200);
     assert!(pairs.iter().all(|(_, val)| val.len() == 512));
-    server.shutdown();
+    server.halt();
 }

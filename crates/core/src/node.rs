@@ -63,7 +63,7 @@
 use crate::client::{Command, Response};
 use crate::engine::Engine;
 use crate::partition::{Partition, ServerId};
-use pequod_store::{Key, KeyRange, RangeSet, Value};
+use pequod_store::{Key, KeyRange, RangeSet, Value, ValueRef};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -161,6 +161,8 @@ struct Parked {
     range: KeyRange,
     outstanding: HashSet<u64>,
     retries: u32,
+    /// What a scan of it already found missing, to fetch before the next.
+    known: Vec<KeyRange>,
 }
 
 /// One missing range being fetched from one or several peers.
@@ -296,7 +298,7 @@ impl Node {
         self.placement.nodes = nodes;
         let (placement, id) = (self.placement.clone(), self.id);
         self.engine
-            .set_base_authority(move |key| placement.home(key) == id);
+            .set_base_authority(move |key| nodes == 1 || placement.home(key) == id);
         self
     }
 
@@ -322,6 +324,34 @@ impl Node {
     /// of the ranges it no longer holds are sent `Unsubscribe`.
     pub fn handle(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
         self.dispatch(from, msg, out);
+        self.release_evicted(out);
+    }
+
+    /// `client`'s read `id` of `range`, run as `handle` runs a `Scan` but
+    /// with its pairs visited (see [`Engine::scan_with`]), not replied.
+    /// `false`: incomplete here, the pairs are void, a reply follows.
+    pub fn read_with(
+        &mut self,
+        client: Endpoint,
+        id: u64,
+        range: &KeyRange,
+        visit: impl FnMut(&Key, ValueRef<'_>),
+        out: &mut Vec<(Endpoint, NodeMsg)>,
+    ) -> bool {
+        let missing = self.engine.scan_with(range, visit);
+        let complete = missing.is_empty();
+        if complete {
+            self.stats.commands += 1;
+        } else {
+            self.execute(client, id, Command::Scan(range.clone()), missing, out);
+        }
+        self.release_evicted(out);
+        complete
+    }
+
+    /// If the engine evicted replicated base data since the last look,
+    /// unsubscribes from the homes of the ranges it no longer holds.
+    fn release_evicted(&mut self, out: &mut Vec<(Endpoint, NodeMsg)>) {
         let evictions = self.engine.engine_stats().base_evictions;
         if evictions != self.seen_evictions {
             self.seen_evictions = evictions;
@@ -331,7 +361,7 @@ impl Node {
 
     fn dispatch(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
         match msg {
-            NodeMsg::Request { id, command } => self.execute(from, id, command, out),
+            NodeMsg::Request { id, command } => self.execute(from, id, command, Vec::new(), out),
             // Nodes send each other no requests, so no replies either.
             NodeMsg::Reply { .. } => {}
             NodeMsg::Subscribe { id, range } => {
@@ -435,6 +465,7 @@ impl Node {
         from: Endpoint,
         id: u64,
         command: Command,
+        known: Vec<KeyRange>,
         out: &mut Vec<(Endpoint, NodeMsg)>,
     ) {
         self.stats.commands += 1;
@@ -445,6 +476,7 @@ impl Node {
             range,
             outstanding: HashSet::new(),
             retries: 0,
+            known,
         };
         let response = match command {
             Command::Get(key) => {
@@ -509,7 +541,9 @@ impl Node {
     /// answered here: only the number leaves the node, never the pairs.
     fn drive_query(&mut self, mut q: Parked, out: &mut Vec<(Endpoint, NodeMsg)>) {
         let response = loop {
-            let missing = if q.kind == QueryKind::Count {
+            let missing = if !q.known.is_empty() {
+                std::mem::take(&mut q.known)
+            } else if q.kind == QueryKind::Count {
                 let res = self.engine.count_result(&q.range);
                 if res.is_complete() {
                     break Response::Count(res.count as u64);

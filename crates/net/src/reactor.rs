@@ -8,13 +8,13 @@
 //! * one thread owns every connection — sockets, incremental frame
 //!   decoders, bounded output buffers — and never blocks on a socket;
 //! * decoded frames are handed to a [`Dispatch`] backend together with
-//!   the connection's output buffer: the single engine executes the
-//!   frame right there, on this thread, encoding each answer into the
-//!   buffer as it is produced; a backend whose answers come later, or
-//!   belong to another connection (a cluster node's replication traffic
-//!   and follower-acked writes),
-//!   hands them over through [`Dispatch::deliver`], once per loop turn,
-//!   and another thread that has something for it rings the [`Waker`];
+//!   the connection's output buffer: the backend executes the frame
+//!   right there, on this thread, encoding each answer into the buffer
+//!   as it is produced; answers that come later, or belong to another
+//!   connection (a cluster node's replication traffic and follower-acked
+//!   writes), it hands over through [`Dispatch::deliver`], once per loop
+//!   turn, and another thread that has something for it rings the
+//!   [`Waker`];
 //! * a reply is bytes in its connection's output buffer from the moment
 //!   it exists, and a turn ends in one `write(2)` of everything the
 //!   turn produced: per readiness event a connection costs one `read`,
@@ -300,14 +300,12 @@ impl Waker {
 
 /// The hosting contract: a `handle(from, msg) → out` state machine
 /// served by the reactor thread. [`FrontendServer::spawn_dispatch`]
-/// hosts any implementation; the single engine and a cluster node are
-/// the two in the tree.
+/// hosts any implementation; a cluster node is the one in the tree.
 ///
 /// Every call runs on the reactor thread, so whatever time a call takes
-/// is time no socket is served: the single engine and a cluster node
-/// run the frame to completion (a cold
-/// recompute or a durability snapshot included — the paper's
-/// single-threaded server makes the same trade). A dispatcher that
+/// is time no socket is served: a cluster node runs the frame to
+/// completion (a cold recompute or a durability snapshot included — the
+/// paper's single-threaded server makes the same trade). A dispatcher that
 /// shares its state with other threads takes its lock inside a call and
 /// releases it before returning: the reactor does socket I/O only
 /// between calls.

@@ -1,19 +1,18 @@
 //! A real Pequod server over TCP: length-prefixed binary frames on a
-//! loopback socket, one engine behind the listener, joins installed
-//! over the wire.
+//! loopback socket, one engine behind the listener — the node of a
+//! one-node cluster, as `pequod-server` runs without `--cluster` —
+//! joins installed over the wire.
 //!
 //! Run with `cargo run --example tcp_demo`.
 
+use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::Engine;
-use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
+use pequod::net::TcpClient;
 use pequod::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = FrontendServer::spawn(
-        "127.0.0.1:0",
-        Engine::new_default(),
-        FrontendConfig::default(),
-    )?;
+    let addr = Some("127.0.0.1:0");
+    let server = ClusterServer::spawn(ClusterConfig::new(1, 1), 0, Engine::new_default(), addr)?;
     println!("pequod server listening on {}", server.addr());
 
     let mut client = TcpClient::connect(server.addr())?;

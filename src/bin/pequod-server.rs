@@ -12,12 +12,13 @@
 //! Speaks the length-prefixed binary protocol of `pequod-net`; use
 //! `pequod::net::TcpClient` (or the `tcp_demo` example) as a client.
 //!
-//! Clients are served by one event-driven epoll thread with
+//! Every server is a cluster node (without `--cluster`, of a one-node
+//! cluster). Clients are served by one event-driven epoll thread with
 //! pipelining, bounded write buffers, and slow-client timeouts (see
-//! `docs/NETWORKING.md`); a single engine — stand-alone or a
-//! `--cluster` member — executes requests on that same thread.
+//! `docs/NETWORKING.md`); the node's engine executes requests on that
+//! same thread. Keys starting with `#` are reserved.
 //! `--unix-socket PATH` additionally serves the same protocol on a
-//! unix-domain socket, in every mode.
+//! unix-domain socket.
 //!
 //! `--mem-limit-mb N` serves memory-bounded (§2.5): the node evicts
 //! least-recently-used computed ranges (and cached replicas) to keep
@@ -30,6 +31,8 @@
 //! same DIR recovers the base tables and re-derives computed ranges on
 //! first read. `--fsync` picks the power-loss window (a plain process
 //! kill never loses acknowledged writes); see `docs/PERSISTENCE.md`.
+//! A DIR holding a `#` key other than replication metadata (stored
+//! before `#` keys were reserved) is refused with exit status 2.
 //!
 //! `--paranoid` turns on deep invariant checking: after every engine
 //! operation the node cross-checks its O(1) counters and index
@@ -43,6 +46,7 @@
 //! migration (see `docs/REPLICATION.md`). Combine with `--data-dir`
 //! for per-node durability; `--listen` overrides this node's address
 //! from the cluster file (useful for tests with ephemeral ports).
+//! One of `--cluster` and `--node-id` without the other is an error.
 //! This is also how a deployment uses more than one core: one process
 //! per core, `replication = 1`, base tables partitioned across the
 //! processes and joins across them kept fresh by §2.4 Subscribe/Notify.
@@ -63,12 +67,11 @@
 // clippy.toml disallows.
 #![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
-use pequod::cluster::{ClusterConfig, ClusterServer};
+use pequod::cluster::{foreign_reserved_key, ClusterConfig, ClusterServer};
 use pequod::core::{Engine, EngineConfig, MemoryLimit};
-use pequod::net::FrontendServer;
 use pequod::persist::{FsyncPolicy, PersistOptions};
 use pequod::store::StoreConfig;
-use pequod::telemetry::{MetricsServer, Recorder, SnapshotFn};
+use pequod::telemetry::{MetricsServer, Recorder};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -192,7 +195,9 @@ fn main() {
                      [--data-dir DIR] [--snapshot-every N] \
                      [--fsync never|always|every:N] [--paranoid] \
                      [--unix-socket PATH] [--metrics-addr HOST:PORT] \
-                     [--cluster nodes.toml --node-id N]"
+                     [--cluster nodes.toml --node-id N]\n\
+                     Without --cluster the server is a one-node cluster. \
+                     Keys starting with '#' are reserved."
                 );
                 return;
             }
@@ -201,6 +206,10 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if node_id.is_some() != cluster_file.is_some() {
+        eprintln!("--cluster and --node-id go together (try --help)");
+        std::process::exit(2);
     }
     let mut config = EngineConfig::with_store(store);
     config.mem_limit = mem_limit;
@@ -221,22 +230,23 @@ fn main() {
                 .map_or("never".to_string(), |n| n.to_string()),
         );
     }
-    let cluster = cluster_file.as_ref().map(|path| {
-        let id = node_id.expect("--cluster requires --node-id");
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read cluster file {path}: {e}"));
-        let cluster_cfg =
-            ClusterConfig::parse(&text).unwrap_or_else(|e| panic!("bad cluster file {path}: {e}"));
-        eprintln!(
-            "replicated cluster node {id} of {} (replication {}, {} slots)",
-            cluster_cfg.nodes.len(),
-            cluster_cfg.replication,
-            cluster_cfg.slots,
-        );
-        (id, cluster_cfg)
-    });
-    // One engine, built one way, for a stand-alone node and a cluster
-    // member alike.
+    // A stand-alone server is node 0 of a one-node cluster.
+    let (id, cluster_cfg) = match (&cluster_file, node_id) {
+        (Some(path), Some(id)) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("cannot read cluster file {path}: {e}"));
+            let cluster_cfg = ClusterConfig::parse(&text)
+                .unwrap_or_else(|e| panic!("bad cluster file {path}: {e}"));
+            eprintln!(
+                "replicated cluster node {id} of {} (replication {}, {} slots)",
+                cluster_cfg.nodes.len(),
+                cluster_cfg.replication,
+                cluster_cfg.slots,
+            );
+            (id, cluster_cfg)
+        }
+        _ => (0, ClusterConfig::new(1, 1)),
+    };
     let mut engine = Engine::new(config);
     if metrics_addr.is_some() {
         // Before `attach` so the persister clones an enabled
@@ -261,6 +271,10 @@ fn main() {
                  the damaged log was preserved as wal-*.log.corrupt for salvage"
             );
         }
+        if let Some(key) = foreign_reserved_key(&engine) {
+            eprintln!("{} holds {key}, but '#' keys are reserved", dir.display());
+            std::process::exit(2);
+        }
     }
     for text in &joins {
         match engine.add_joins_text(text) {
@@ -271,38 +285,21 @@ fn main() {
             }
         }
     }
-    // Both modes get the same serving edge, and end up as the same
-    // three things: an address, a telemetry provider, and the one way
-    // it stops (drain, final durability snapshot, fsync).
     let frontend_cfg = pequod::net::FrontendConfig {
         unix_path: unix_socket.clone(),
         ..Default::default()
     };
-    type Serving = (std::net::SocketAddr, SnapshotFn, Box<dyn FnOnce()>);
-    let (addr, telemetry, stop): Serving = if let Some((id, cluster_cfg)) = cluster {
-        let addr_override = listen_set.then_some(listen.as_str());
-        let mut server =
-            ClusterServer::spawn_with(cluster_cfg, id, engine, addr_override, frontend_cfg)
-                .unwrap_or_else(|e| panic!("cannot serve cluster node {id}: {e}"));
-        (
-            server.addr(),
-            server.telemetry(),
-            Box::new(move || server.halt()),
-        )
-    } else {
-        let mut server = FrontendServer::spawn(&*listen, engine, frontend_cfg)
-            .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
-        (
-            server.addr(),
-            server.telemetry(),
-            Box::new(move || server.shutdown_finalize()),
-        )
-    };
+    // A cluster member listens where its cluster file says, unless told
+    // otherwise; a stand-alone server's config has no address.
+    let listen = (listen_set || cluster_file.is_none()).then_some(listen.as_str());
+    let mut server = ClusterServer::spawn_with(cluster_cfg, id, engine, listen, frontend_cfg)
+        .unwrap_or_else(|e| panic!("cannot serve node {id}: {e}"));
+    let addr = server.addr();
     if let Some(p) = &unix_socket {
         eprintln!("also serving on unix socket {}", p.display());
     }
     let metrics = metrics_addr.as_deref().map(|addr| {
-        let ms = MetricsServer::spawn(addr, telemetry)
+        let ms = MetricsServer::spawn(addr, server.telemetry())
             .unwrap_or_else(|e| panic!("cannot serve metrics on {addr}: {e}"));
         eprintln!("telemetry: scrape http://{}/metrics", ms.local_addr());
         ms
@@ -312,7 +309,7 @@ fn main() {
     // Serve until SIGTERM, then drain and finalize durability so a
     // rolling restart loses nothing.
     wait_for_sigterm();
-    stop();
+    server.halt();
     if let Some(ms) = metrics {
         ms.stop();
     }

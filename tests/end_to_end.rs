@@ -3,11 +3,12 @@
 //! workload crates.
 
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
-use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness};
 use pequod::core::partition::{ServerId, SingleServer, TablePartition};
 use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, WriteAround};
-use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
+use pequod::net::TcpClient;
 use pequod::prelude::*;
+use pequod::telemetry::metric;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
 use pequod::workloads::twip::{run_twip, PequodTwip, TwipMix, TwipWorkload};
 use std::sync::Arc;
@@ -126,6 +127,13 @@ fn distributed_matches_single_engine() {
     }
 }
 
+/// `engine` served over TCP as a stand-alone `pequod-server` serves it:
+/// the node of a one-node cluster.
+fn serve(engine: Engine) -> ClusterServer {
+    let addr = Some("127.0.0.1:0");
+    ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap()
+}
+
 /// The same engine logic works over real TCP.
 #[test]
 fn tcp_server_serves_newp_pages() {
@@ -136,7 +144,7 @@ fn tcp_server_serves_newp_pages() {
     engine
         .add_joins_text(pequod::workloads::newp::NEWP_PAGE_JOINS)
         .unwrap();
-    let server = FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
+    let server = serve(engine);
     let mut c = TcpClient::connect(server.addr()).unwrap();
     c.put("article|n1|0001", "body").unwrap();
     c.put("comment|n1|0001|c1|n2", "hi").unwrap();
@@ -180,24 +188,20 @@ fn tcp_servers_serve_memory_bounded() {
         reads
     };
 
-    let spawn =
-        |engine| FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
-    let unbounded = spawn(Engine::new_default());
+    let unbounded = serve(Engine::new_default());
     let want = drive(&mut TcpClient::connect(unbounded.addr()).unwrap());
 
     let capped_cfg = EngineConfig::default().with_mem_limit(limit);
-    let capped = spawn(Engine::new(capped_cfg));
+    let capped = serve(Engine::new(capped_cfg));
     let got = drive(&mut TcpClient::connect(capped.addr()).unwrap());
     assert_eq!(got, want, "capped TCP node diverged from unbounded");
-    {
-        let engine = capped.engine().expect("single-engine backend");
-        let engine = engine.lock().unwrap();
-        assert!(
-            engine.engine_stats().js_evictions > 0,
-            "cap never triggered"
-        );
-        assert!(engine.memory_bytes() <= limit.high_bytes);
-    }
+    let metrics = (capped.telemetry())(false).to_pairs();
+    let backend = |name| metric(&metrics, name).unwrap_or_else(|| panic!("no {name}"));
+    assert!(
+        backend("pequod_backend_js_evictions_total") > 0,
+        "cap never triggered"
+    );
+    assert!(backend("pequod_backend_memory_bytes") <= limit.high_bytes as u64);
 }
 
 /// Eviction under memory pressure: computed ranges are dropped LRU-first

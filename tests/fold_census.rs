@@ -3,8 +3,9 @@
 //! and the ticker, and graceful shutdown joins it. (One test in this
 //! binary, so no other test's folder is counted.)
 
+use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::Engine;
-use pequod::net::{FrontendConfig, FrontendServer, TcpClient};
+use pequod::net::TcpClient;
 use pequod::persist::{attach, recover, FsyncPolicy, PersistOptions};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -62,8 +63,8 @@ fn a_durable_server_runs_one_folder_and_none_after_shutdown() {
     };
     let mut engine = Engine::new_default();
     attach(&mut engine, &dir, opts).unwrap();
-    let mut server =
-        FrontendServer::spawn("127.0.0.1:0", engine, FrontendConfig::default()).unwrap();
+    let addr = Some("127.0.0.1:0");
+    let mut server = ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap();
     assert_eq!(fold_threads_settled(1), 1);
     // Seals every 16 records fold on that one thread.
     let mut client = TcpClient::connect(server.addr()).unwrap();
@@ -72,7 +73,7 @@ fn a_durable_server_runs_one_folder_and_none_after_shutdown() {
     }
     let folders = fold_tasks();
     assert_eq!(folders.len(), 1);
-    server.shutdown_finalize();
+    server.halt();
     wait_reaped(&folders, "a folder outlived shutdown");
     assert_eq!(fold_threads(), 0, "a folder outlived shutdown");
     let rec = recover(&dir).unwrap();

@@ -3,8 +3,8 @@
 //! [`Engine`] driven by the same script, its answers framed here with
 //! `Message::reply` / `count_reply` / `error` — over every serving
 //! surface: the event-driven front-end on TCP and on its unix-domain
-//! socket, for both the single engine and a one-node cluster
-//! (`pequod-server --cluster` at replication 1). A second
+//! socket, hosting a one-node cluster at replication 1 (what
+//! `pequod-server` serves without `--cluster`). A second
 //! set of scenarios checks that a `Batch` frame (nested ones included)
 //! answers exactly like the same requests sent one frame at a time, and
 //! a last one reads the reply stream one byte at a time through a tiny
@@ -18,7 +18,7 @@
 use pequod::cluster::{ClusterConfig, ClusterServer};
 use pequod::core::{Engine, EngineConfig};
 use pequod::net::codec::{encode_frame, FrameDecoder};
-use pequod::net::{FrontendConfig, FrontendServer, Message};
+use pequod::net::{FrontendConfig, Message};
 use pequod::prelude::*;
 use pequod::telemetry::metric;
 use std::io::{Read, Write};
@@ -269,31 +269,11 @@ fn fresh_engine() -> Engine {
     Engine::new(EngineConfig::default())
 }
 
-/// A backend of a serving surface.
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    /// `FrontendServer::spawn` over one engine.
-    Engine,
-    /// A one-node, replication-1 `ClusterServer`.
-    Cluster,
-}
-
-/// A fresh `backend` serving on an ephemeral port (and `cfg.unix_path`):
-/// its address and how it stops.
-fn serve(backend: Backend, cfg: FrontendConfig) -> (std::net::SocketAddr, Box<dyn FnOnce()>) {
-    match backend {
-        Backend::Engine => {
-            let mut server = FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg).unwrap();
-            (server.addr(), Box::new(move || server.shutdown()))
-        }
-        Backend::Cluster => {
-            let cluster = ClusterConfig::new(1, 1);
-            let addr = Some("127.0.0.1:0");
-            let mut server =
-                ClusterServer::spawn_with(cluster, 0, fresh_engine(), addr, cfg).unwrap();
-            (server.addr(), Box::new(move || server.halt()))
-        }
-    }
+/// A fresh one-node, replication-1 cluster serving on an ephemeral port
+/// (and `cfg.unix_path`).
+fn serve(cfg: FrontendConfig) -> ClusterServer {
+    let addr = Some("127.0.0.1:0");
+    ClusterServer::spawn_with(ClusterConfig::new(1, 1), 0, fresh_engine(), addr, cfg).unwrap()
 }
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -303,47 +283,43 @@ fn unix_sock_path() -> PathBuf {
     std::env::temp_dir().join(format!("pequod-conf-{}-{seq}.sock", std::process::id()))
 }
 
-/// Every serving surface for one backend kind, each on a fresh
-/// instance (the script mutates state, so surfaces cannot share),
-/// checked against the in-process reference. Returns the reference's
-/// (count, digest).
-fn assert_surfaces_match_reference(backend: Backend, frames: &[Message]) -> (usize, u64) {
+/// Every serving surface, each on a fresh server (the script mutates
+/// state, so surfaces cannot share), checked against the in-process
+/// reference. Returns the reference's (count, digest).
+fn assert_surfaces_match_reference(frames: &[Message]) -> (usize, u64) {
     let want = reference(frames);
     let check = |surface: &str, got: (usize, u64)| {
         println!(
-            "{backend:?} {surface}: {} replies, digest {:#018x} (reference {:#018x})",
+            "{surface}: {} replies, digest {:#018x} (reference {:#018x})",
             got.0, got.1, want.1
         );
         assert_eq!(
             got, want,
-            "{surface} ({backend:?}) answered differently from the reference"
+            "{surface} answered differently from the reference"
         );
     };
     // TCP surface.
     {
-        let (addr, stop) = serve(backend, FrontendConfig::default());
-        let mut sock = TcpStream::connect(addr).unwrap();
+        let mut server = serve(FrontendConfig::default());
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
         sock.set_nodelay(true).unwrap();
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         check("reactor-tcp", run_script(&mut sock, frames, want.0));
         drop(sock);
-        stop();
+        server.halt();
     }
     // Unix-domain socket surface.
     {
         let path = unix_sock_path();
-        let (_, stop) = serve(
-            backend,
-            FrontendConfig {
-                unix_path: Some(path.clone()),
-                ..FrontendConfig::default()
-            },
-        );
+        let mut server = serve(FrontendConfig {
+            unix_path: Some(path.clone()),
+            ..FrontendConfig::default()
+        });
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         check("reactor-unix", run_script(&mut sock, frames, want.0));
         drop(sock);
-        stop();
+        server.halt();
         assert!(!path.exists(), "unix socket file not removed on shutdown");
     }
     want
@@ -358,14 +334,8 @@ fn reference_reproduces_the_recorded_reply_stream() {
 }
 
 #[test]
-fn all_surfaces_match_the_reference_single_engine() {
-    let want = assert_surfaces_match_reference(Backend::Engine, &script());
-    assert_eq!(want.0, 22, "script yields 22 replies");
-}
-
-#[test]
 fn all_surfaces_match_the_reference_cluster() {
-    let want = assert_surfaces_match_reference(Backend::Cluster, &script());
+    let want = assert_surfaces_match_reference(&script());
     assert_eq!(want.0, 22, "script yields 22 replies");
 }
 
@@ -373,13 +343,11 @@ fn all_surfaces_match_the_reference_cluster() {
 fn batch_equals_one_at_a_time_on_every_surface() {
     let batched = script();
     let flat = flattened(&batched);
-    for backend in [Backend::Engine, Backend::Cluster] {
-        assert_eq!(
-            assert_surfaces_match_reference(backend, &batched),
-            assert_surfaces_match_reference(backend, &flat),
-            "batched and one-at-a-time reply streams diverge ({backend:?})"
-        );
-    }
+    assert_eq!(
+        assert_surfaces_match_reference(&batched),
+        assert_surfaces_match_reference(&flat),
+        "batched and one-at-a-time reply streams diverge"
+    );
 }
 
 /// Shrinks a socket's kernel receive buffer (`SO_RCVBUF`, which std
@@ -477,25 +445,20 @@ fn trickle_reader_receives_the_reply_stream_byte_for_byte() {
         ..FrontendConfig::default()
     };
     {
-        let mut server = FrontendServer::spawn("127.0.0.1:0", fresh_engine(), cfg.clone()).unwrap();
+        let mut server = serve(cfg.clone());
         let mut sock = TcpStream::connect(server.addr()).unwrap();
         shrink_receive_buffer(&sock);
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         trickle(&mut sock, &script());
         drop(sock);
-        server.shutdown();
+        server.halt();
     }
     {
         let path = unix_sock_path();
-        let mut server = FrontendServer::spawn(
-            "127.0.0.1:0",
-            fresh_engine(),
-            FrontendConfig {
-                unix_path: Some(path.clone()),
-                ..cfg
-            },
-        )
-        .unwrap();
+        let mut server = serve(FrontendConfig {
+            unix_path: Some(path.clone()),
+            ..cfg
+        });
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.set_read_timeout(Some(REPLY_TIMEOUT)).unwrap();
         let bytes = trickle(&mut sock, &bulky_script());
@@ -505,6 +468,6 @@ fn trickle_reader_receives_the_reply_stream_byte_for_byte() {
             "{bytes} reply bytes never filled the socket, so no write was cut short"
         );
         drop(sock);
-        server.shutdown();
+        server.halt();
     }
 }
