@@ -60,7 +60,7 @@ fn catchup_bytes(client: &mut ClusterClient, survivors: &[u32]) -> u64 {
         ["snapshot", "delta"].map(|p| format!("pequod_cluster_catchup_bytes_total{{path={p}}}"));
     survivors
         .iter()
-        .filter_map(|&n| client.metrics(n).ok())
+        .filter_map(|&n| client.metrics(n, false).ok())
         .map(|pairs| {
             paths
                 .iter()
@@ -140,7 +140,7 @@ fn main() {
     servers[0] = Some(spawn_node(&cfg, 0));
     let t2 = Instant::now();
     let caught_up = |client: &mut ClusterClient| {
-        client.metrics(0).map(|pairs| {
+        client.metrics(0, false).map(|pairs| {
             let counted = |name| metric(&pairs, name).is_some_and(|n| n > 0);
             counted("pequod_cluster_snap_installs_total")
                 || counted("pequod_cluster_notifies_applied_total")

@@ -1,5 +1,6 @@
-//! The cluster's client: the unified [`Client`] surface over a
-//! replicated deployment, on sockets or on a [`SimHarness`].
+//! The client of every deployment: the unified [`Client`] surface over
+//! a stand-alone server ([`ClusterConfig::one_node`]) or a replicated
+//! cluster, on sockets or on a [`SimHarness`].
 //!
 //! A batch is planned by [`pequod_core::fanout`], the run planner every
 //! multi-engine backend shares: runs of one command class, each sent as
@@ -13,14 +14,21 @@
 //! answers it whole, gathering what it does not hold from the others
 //! (`pequod_core::Node`). Joins are installed on every node.
 //!
-//! A redirected command, a write a deposed or draining primary refused,
-//! and a command lost to a connection error go again under a
-//! [`RetryPolicy`] (the single-server `TcpClient`'s knobs): jittered
-//! exponential backoff, a bounded attempt count and delay budget, and
-//! the next node tried when a primary refuses connections, so a
-//! failover is discovered within a few attempts. An informative
-//! redirect costs only a short pause — during a failover the survivors
-//! name the dead primary until the epoch bumps. On a simulator the
+//! **One retry rule.** A command goes again only when the node it
+//! reached answered [`Message::NotPrimary`], or when its exchange with
+//! that node failed on I/O (a refused or closed connection; silence on
+//! a simulator). Every `Reply`, with or without an error, is final. A
+//! node sends `NotPrimary` for a write to a slot it does not lead, for a
+//! write arriving while it hands a slot over, and for the writes (or the
+//! migration) it held unacked when it was deposed or migrated the slot
+//! away — each naming the primary under the slot's current epoch.
+//! Resends wait a jittered backoff that doubles from 10 ms to 640 ms,
+//! for at most 16 attempts and a total that covers a failover under the
+//! config's [`ClusterTiming`](crate::ClusterTiming); a redirect that
+//! taught the client a fresher primary costs only a short pause, since
+//! during a failover the survivors name the dead primary until the
+//! epoch bumps. After an I/O failure the next node is tried, so a
+//! crashed primary's survivors redirect the client. On a simulator the
 //! backoff advances virtual time.
 
 use crate::config::ClusterConfig;
@@ -30,7 +38,6 @@ use bytes::BytesMut;
 use pequod_core::partition::Partition;
 use pequod_core::{split_runs, BackendStats, Client, Command, Fanout, Response, Route};
 use pequod_net::codec::{decode_frame, encode_frame};
-use pequod_net::tcp::{Backoff, RetryPolicy};
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
 use std::collections::HashSet;
@@ -69,6 +76,68 @@ const REDIRECT_PAUSE_MS: u64 = 10;
 
 /// Request ids of the admin calls, apart from the planner's.
 const ADMIN_IDS: u64 = 1 << 63;
+
+/// Tries per operation, the first included.
+const MAX_ATTEMPTS: u32 = 16;
+
+/// The first backoff, ms; it doubles per failed attempt.
+const BASE_DELAY_MS: u64 = 10;
+
+/// The longest single backoff, ms.
+const MAX_DELAY_MS: u64 = 640;
+
+/// The least total backoff an operation may spend, ms.
+const MIN_BUDGET_MS: u64 = 5_000;
+
+/// Deterministic jittered backoff for one operation: each failed
+/// attempt waits uniformly between half and all of a delay that doubles
+/// from [`BASE_DELAY_MS`] up to [`MAX_DELAY_MS`], until [`MAX_ATTEMPTS`]
+/// or the budget is spent. The budget counts the pauses, not the wall
+/// clock, so a seed replays the same retries.
+struct Backoff {
+    budget_ms: u64,
+    rng: u64,
+    attempt: u32,
+    slept_ms: u64,
+}
+
+impl Backoff {
+    fn new(budget_ms: u64) -> Backoff {
+        Backoff {
+            budget_ms,
+            rng: 0x7e7,
+            attempt: 0,
+            slept_ms: 0,
+        }
+    }
+
+    /// Records a failed attempt and returns how long to back off before
+    /// the next, or `None` once the attempts or the budget are spent.
+    fn next_delay(&mut self) -> Option<u64> {
+        self.attempt += 1;
+        if self.attempt >= MAX_ATTEMPTS {
+            return None;
+        }
+        let exp = (BASE_DELAY_MS << (self.attempt - 1).min(20)).min(MAX_DELAY_MS);
+        // xorshift64*, then uniform in [exp/2, exp].
+        let mut x = self.rng;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.rng = x;
+        let jittered = exp / 2 + x.wrapping_mul(0x2545_f491_4f6c_dd1d) % (exp / 2 + 1);
+        self.charge(jittered).then_some(jittered)
+    }
+
+    /// Charges a pause that is not a failure (a redirect that taught
+    /// the client something) to the budget; `false` once it would
+    /// overrun it.
+    fn charge(&mut self, ms: u64) -> bool {
+        let fits = self.slept_ms + ms <= self.budget_ms;
+        self.slept_ms += ms * u64::from(fits);
+        fits
+    }
+}
 
 struct Conn {
     stream: TcpStream,
@@ -154,10 +223,12 @@ impl Transport {
     }
 }
 
-/// A client of a replicated cluster. See the [module docs](self).
+/// The client of a stand-alone server or a cluster. See the
+/// [module docs](self).
 pub struct ClusterClient {
     cfg: ClusterConfig,
-    policy: RetryPolicy,
+    /// The total backoff one operation may spend, ms.
+    budget_ms: u64,
     transport: Transport,
     fanout: Fanout,
     /// Per slot, the believed primary and the epoch that taught it.
@@ -167,33 +238,21 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    /// A client for `cfg` with the default cluster retry policy: wider
-    /// than the single-server default, because a failover has to ride
-    /// out the heartbeat timeout (hundreds of ms) plus a possible
-    /// laggard-drop wait before any node can accept the write again.
-    /// Connections are opened lazily, so this never fails.
+    /// A client for `cfg`. An operation's backoff budget rides out a
+    /// failover: the heartbeat timeout of every node in turn plus a
+    /// laggard-drop wait, twice, before any node can accept the write
+    /// again. Connections are opened lazily, so this never fails.
     pub fn connect(cfg: ClusterConfig) -> ClusterClient {
-        let failover_budget =
-            2 * (cfg.nodes.len() as u64 * cfg.timing.failover_ms + cfg.timing.ack_timeout_ms);
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            budget_ms: failover_budget.max(RetryPolicy::default().budget_ms),
-            ..RetryPolicy::default()
-        };
-        ClusterClient::connect_with(cfg, policy)
-    }
-
-    /// A client with an explicit retry policy.
-    pub fn connect_with(cfg: ClusterConfig, policy: RetryPolicy) -> ClusterClient {
-        let conns = (0..cfg.nodes.len()).map(|_| None).collect();
+        let timing = cfg.timing;
+        let failover_ms = cfg.nodes.len() as u64 * timing.failover_ms + timing.ack_timeout_ms;
         ClusterClient {
             primaries: (0..cfg.slots)
                 .map(|s| (cfg.initial_replicas(s).first().copied().unwrap_or(0), 0))
                 .collect(),
             fanout: Fanout::new(cfg.nodes.len()),
+            budget_ms: (2 * failover_ms).max(MIN_BUDGET_MS),
+            transport: Transport::Tcp((0..cfg.nodes.len()).map(|_| None).collect()),
             cfg,
-            policy,
-            transport: Transport::Tcp(conns),
             read_router: None,
             next_admin: ADMIN_IDS,
         }
@@ -301,7 +360,7 @@ impl ClusterClient {
     /// replies matched by id, then again for whatever must be retried.
     fn execute_run(&mut self, commands: Vec<Command>) -> Vec<Response> {
         let mut answers: Vec<Option<Response>> = vec![None; commands.len()];
-        let mut backoff = Backoff::new(self.policy);
+        let mut backoff = Backoff::new(self.budget_ms);
         loop {
             let todo: Vec<usize> = (0..commands.len())
                 .filter(|&i| answers[i].is_none())
@@ -333,12 +392,6 @@ impl ClusterClient {
                     } => {
                         again[pos] = true;
                         learned |= self.learn_redirect(slot, epoch, node);
-                    }
-                    // A deposed or draining primary refuses a write; the
-                    // epoch change that follows teaches the new one.
-                    Message::Reply { error: Some(e), .. } if is_write(&run[pos]) => {
-                        again[pos] = true;
-                        error = Some(e);
                     }
                     reply => {
                         if let Some((id, response)) = reply.into_response(&run[pos]) {
@@ -466,7 +519,7 @@ impl ClusterClient {
     /// set, `to` joins it, with a snapshot + dual-notify handoff in
     /// between. Blocks until the migration completes or fails.
     pub fn migrate(&mut self, slot: u32, from: u32, to: u32) -> Result<(), ClusterClientError> {
-        let mut backoff = Backoff::new(self.policy);
+        let mut backoff = Backoff::new(self.budget_ms);
         loop {
             let node = self.primaries.get(slot as usize).map_or(0, |p| p.0);
             let (error, pause) =
@@ -474,16 +527,16 @@ impl ClusterClient {
                     Ok(Message::Reply { error: None, .. }) => return Ok(()),
                     Ok(Message::NotPrimary {
                         slot, epoch, node, ..
-                    }) if self.learn_redirect(slot, epoch, node) => {
-                        let pause = backoff
-                            .charge(REDIRECT_PAUSE_MS)
-                            .then_some(REDIRECT_PAUSE_MS);
+                    }) => {
+                        let pause = match self.learn_redirect(slot, epoch, node) {
+                            true => {
+                                (backoff.charge(REDIRECT_PAUSE_MS)).then_some(REDIRECT_PAUSE_MS)
+                            }
+                            false => backoff.next_delay(),
+                        };
                         (unexpected("redirects"), pause)
                     }
-                    Ok(Message::Reply { error: Some(e), .. }) => {
-                        (ClusterClientError::Remote(e), backoff.next_delay())
-                    }
-                    Ok(other) => (unexpected(other), backoff.next_delay()),
+                    Ok(reply) => return Err(unexpected_reply(reply)),
                     Err(e) => (e, backoff.next_delay()),
                 };
             match pause {
@@ -495,17 +548,20 @@ impl ClusterClient {
 
     /// Node `node`'s counters: its telemetry snapshot
     /// (`ClusterNode::telemetry_snapshot`, plus the serving counters on
-    /// sockets) as the flattened `(key, value)` pairs a wire
+    /// sockets, and with `flight` the flight recorder's `f|<seq>`
+    /// lines) as the flattened `(key, value)` pairs a wire
     /// [`Message::Metrics`] is answered with; read one with
     /// `pequod_telemetry::metric`.
-    pub fn metrics(&mut self, node: u32) -> Result<Vec<(String, String)>, ClusterClientError> {
-        let request = |id| Message::Metrics { id, flight: false };
-        match self.admin(node, request)? {
+    pub fn metrics(
+        &mut self,
+        node: u32,
+        flight: bool,
+    ) -> Result<Vec<(String, String)>, ClusterClientError> {
+        match self.admin(node, |id| Message::Metrics { id, flight })? {
             Message::Reply {
                 pairs, error: None, ..
             } => Ok(Message::parse_metrics(pairs)),
-            Message::Reply { error: Some(e), .. } => Err(ClusterClientError::Remote(e)),
-            other => Err(unexpected(other)),
+            reply => Err(unexpected_reply(reply)),
         }
     }
 }
@@ -533,7 +589,7 @@ impl Client for ClusterClient {
         let per_node = match &self.transport {
             Transport::Sim(sim) => sim.engine_stats(),
             Transport::Tcp(_) => (0..self.cfg.nodes.len() as u32)
-                .filter_map(|node| self.metrics(node).ok())
+                .filter_map(|node| self.metrics(node, false).ok())
                 .map(|pairs| backend_stats_of(&pairs))
                 .collect(),
         };
@@ -566,10 +622,6 @@ fn send_frame<'c>(
     Ok(conn)
 }
 
-fn is_write(command: &Command) -> bool {
-    matches!(command, Command::Put(..) | Command::Remove(_))
-}
-
 /// The slot a routed command's key belongs to.
 fn slot_of(cfg: &ClusterConfig, command: &Command) -> u32 {
     match command {
@@ -581,6 +633,14 @@ fn slot_of(cfg: &ClusterConfig, command: &Command) -> u32 {
 
 fn unexpected<T: std::fmt::Debug>(response: T) -> ClusterClientError {
     ClusterClientError::Remote(format!("unexpected response {response:?}"))
+}
+
+/// An error `Reply` as its message; any other answer as unexpected.
+fn unexpected_reply(reply: Message) -> ClusterClientError {
+    match reply {
+        Message::Reply { error: Some(e), .. } => ClusterClientError::Remote(e),
+        other => unexpected(other),
+    }
 }
 
 #[cfg(test)]

@@ -95,6 +95,18 @@ impl ClusterConfig {
         }
     }
 
+    /// The stand-alone deployment: [`ClusterConfig::new(1, 1)`](ClusterConfig::new)
+    /// with node 0 at `addr` — what `pequod-server` serves without
+    /// `--cluster`, and what a client of such a server connects with.
+    pub fn one_node(addr: impl ToString) -> ClusterConfig {
+        let addr = addr.to_string();
+        let nodes = vec![NodeSpec { id: 0, addr }];
+        ClusterConfig {
+            nodes,
+            ..ClusterConfig::new(1, 1)
+        }
+    }
+
     /// The same cluster with its keys placed by `partition` into
     /// `slots` slots: the slot of a key is `partition.home_of(key)`
     /// modulo `slots`.

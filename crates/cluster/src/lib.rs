@@ -20,18 +20,21 @@
 //!   Transport-agnostic: `handle(peer, msg) -> outbox` plus a
 //!   logical-clock `tick`.
 //! - [`SimHarness`] (`sim.rs`) — a deterministic in-memory cluster over
-//!   [`pequod_net::SimNet`] with seeded fault injection, per-class wire
-//!   bytes and per-node busy time, used by the protocol tests, the
-//!   conformance suite and the Figure 10 experiment.
+//!   [`SimNet`], a seeded message fabric with per-link faults
+//!   ([`LinkFaults`]), `Notify` jitter and per-class wire bytes, plus
+//!   per-node busy time; used by the protocol tests, the conformance
+//!   suite and the Figure 10 experiment.
 //! - [`ClusterServer`] (`server.rs`) — the TCP deployment: the node
 //!   hosted on `pequod_net`'s reactor thread (a
 //!   [`pequod_net::Dispatch`]; client connections and peer links are
 //!   both reactor connections) and one dialer thread per peer with
 //!   bounded backoff.
-//! - [`ClusterClient`] (`client.rs`) — the unified
-//!   [`pequod_core::Client`] over a cluster, on sockets or on a
-//!   `SimHarness`: batches planned by `pequod_core::fanout`, writes
-//!   sent to their slot's primary as `NotPrimary` redirects teach it.
+//! - [`ClusterClient`] (`client.rs`) — the one client, of a stand-alone
+//!   server ([`ClusterConfig::one_node`]) and of a cluster alike: the
+//!   unified [`pequod_core::Client`] on sockets or on a `SimHarness`,
+//!   batches planned by `pequod_core::fanout`, writes sent to their
+//!   slot's primary as `NotPrimary` redirects teach it. It resends a
+//!   request only on `NotPrimary` or an I/O failure.
 //!
 //! See `docs/REPLICATION.md` for the protocol walk-through and the
 //! guarantees per fsync policy.
@@ -54,13 +57,13 @@ pub use client::{ClusterClient, ClusterClientError};
 pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
 pub use node::{foreign_reserved_key, ClusterNode, ClusterPeer, ClusterStats, NO_CLEAN_ADOPT};
 pub use server::ClusterServer;
-pub use sim::SimHarness;
+pub use sim::{FaultStats, LinkFaults, SimHarness, SimNet, TrafficStats};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-    use pequod_net::{ClientError, Message, TcpClient};
+    use pequod_net::Message;
     use pequod_store::{Key, KeyRange, Value};
     use std::sync::Arc;
 
@@ -286,12 +289,17 @@ mod tests {
         ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap()
     }
 
+    /// A client of the one-node server at `addr`.
+    fn client(addr: std::net::SocketAddr) -> ClusterClient {
+        ClusterClient::connect(ClusterConfig::one_node(addr))
+    }
+
     #[test]
     fn tcp_round_trip() {
         let mut engine = pequod_core::Engine::new_default();
         engine.add_join_text(TIMELINE).unwrap();
         let server = one_node(engine);
-        let mut client = TcpClient::connect(server.addr()).unwrap();
+        let mut client = client(server.addr());
 
         client.put("s|ann|bob", "1").unwrap();
         client.put("p|bob|0000000100", "Hi").unwrap();
@@ -314,7 +322,7 @@ mod tests {
         // Bad join text returns a remote error, not a hang.
         assert!(matches!(
             client.add_join("nonsense"),
-            Err(ClientError::Remote(_))
+            Err(ClusterClientError::Remote(_))
         ));
     }
 
@@ -325,7 +333,7 @@ mod tests {
         let writers: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let mut c = TcpClient::connect(addr).unwrap();
+                    let mut c = client(addr);
                     for j in 0..25 {
                         c.put(format!("k|{i}|{j:03}"), "v").unwrap();
                     }
@@ -335,7 +343,7 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        let mut c = TcpClient::connect(addr).unwrap();
+        let mut c = client(addr);
         assert_eq!(c.scan(KeyRange::prefix("k|")).unwrap().len(), 100);
     }
 }

@@ -55,7 +55,10 @@
 //!   by replica position so the first live follower wins. Promotion
 //!   bumps the epoch and broadcasts [`Message::EpochChange`]; a deposed
 //!   primary that comes back re-requests admission and is added back
-//!   (another epoch bump).
+//!   (another epoch bump). A primary that is deposed, or migrates a slot
+//!   away, answers the slot's unacked writes (and a migration it was
+//!   running) with [`Message::NotPrimary`] naming the new primary, so a
+//!   client resends them there; an error `Reply` is always final.
 //! - **Migration** (install → dual-notify → flip → drop): the primary
 //!   snapshots the slot to a learner, mirrors every new write to it,
 //!   and once the learner is caught up bumps the epoch with the learner
@@ -786,16 +789,18 @@ impl ClusterNode {
         self.persist_rep(slot);
     }
 
-    fn fail_pending(&mut self, slot: u32, reason: &str, out: &mut Out) {
+    /// Sends every unacked write of `slot` back to its client as a
+    /// `NotPrimary` naming the slot's primary under the current epoch,
+    /// where the client resends it.
+    fn fail_pending(&mut self, slot: u32, out: &mut Out) {
         let (failed, kept): (Vec<PendingWrite>, _) = std::mem::take(&mut self.pending)
             .into_iter()
             .partition(|p| p.slot == slot);
         self.pending = kept;
-        out.extend(
-            failed
-                .into_iter()
-                .map(|p| (p.client, Message::error(p.id, reason))),
-        );
+        let primary = self.primary_of(slot);
+        for p in failed {
+            self.redirect(p.client, p.id, slot, primary, out);
+        }
     }
 
     fn maybe_ack_pending(&mut self, slot: u32, out: &mut Out) {
@@ -1502,13 +1507,14 @@ impl ClusterNode {
         self.persist_epoch(slot, out);
         if was_primary && new_primary != self.id {
             // Deposed mid-flight: unacked writes go back to the client,
-            // and so does a migration only a primary can finish.
-            self.fail_pending(slot, "primary deposed; retry", out);
+            // and so does a migration only a primary can finish, each
+            // redirected to the new primary.
+            self.fail_pending(slot, out);
             let st = &mut self.slots[slot as usize];
             if let Some(mig) = st.migration.take() {
                 st.learner = None;
                 st.flip_armed = false;
-                out.push((mig.client, Message::error(mig.id, "primary deposed; retry")));
+                self.redirect(mig.client, mig.id, slot, new_primary, out);
             }
         }
         if dropped == Some(self.id) {
@@ -1630,7 +1636,7 @@ impl ClusterNode {
         if mig.from == self.id {
             // We migrated ourselves away: the learner took our replica
             // position (possibly the primacy); drop our copy.
-            self.fail_pending(slot, "slot migrated away; retry", out);
+            self.fail_pending(slot, out);
             self.drop_slot_data(slot, out);
             let st = &mut self.slots[slot as usize];
             st.log_epoch = st.epoch;

@@ -14,7 +14,8 @@
 //!   server-to-server frames are refused), its `ClusterPeer::Client`
 //!   id its (generation-checked) reactor token.
 //! - **Client frames** stay in flight until the node has produced one
-//!   frame per id-bearing request in them
+//!   frame per id-bearing request in them — a `Reply` or a
+//!   `NotPrimary`, which both carry the request's id
 //!   ([`ClusterNode::serve_client`]): reads and redirects are encoded
 //!   straight into the connection's buffer (a read complete on this
 //!   node streams its pairs from the store), and a replicated

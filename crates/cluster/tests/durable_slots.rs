@@ -6,7 +6,7 @@
 //! the log, and a restart deletes any it recovered for a slot it no
 //! longer holds.
 
-use pequod_cluster::{ClusterConfig, ClusterNode, SimHarness};
+use pequod_cluster::{ClusterClient, ClusterConfig, ClusterNode, SimHarness};
 use pequod_core::{Durability, DurableOp, Engine};
 use pequod_net::Message;
 use pequod_persist::{read_snapshot, DataDir, FsyncPolicy, PersistOptions, Persister};
@@ -86,9 +86,13 @@ fn a_migration_folds_to_what_each_node_scans() {
     let (engines, persisters): (Vec<Engine>, Vec<_>) = dirs.iter().map(|d| durable(d)).unzip();
     let mut sim = SimHarness::with_engines(&cfg, engines, 77, 1);
     sim.run_for(100);
+    let mut client = ClusterClient::simulated(sim);
     for i in 0..40 {
-        sim.put_acked(1, format!("p|u{i:02}|post"), format!("r{i}"), 5_000);
+        client
+            .put(format!("p|u{i:02}|post"), format!("r{i}"))
+            .expect("put");
     }
+    let sim = client.sim_mut().expect("simulated");
     sim.run_for(200);
     // Move slot 0's follower to the node outside its set: the learner
     // takes authority, the source hands it back.
@@ -108,6 +112,7 @@ fn a_migration_folds_to_what_each_node_scans() {
     );
     let mut done = false;
     for round in 0..200 {
+        let sim = client.sim_mut().expect("simulated");
         sim.run_for(25);
         done = sim
             .take_replies(9)
@@ -117,17 +122,19 @@ fn a_migration_folds_to_what_each_node_scans() {
             break;
         }
         if round % 4 == 0 {
-            sim.put_acked(1, format!("p|u{:02}|mig{round}", round % 40), "live", 5_000);
+            let key = format!("p|u{:02}|mig{round}", round % 40);
+            client.put(key, "live").expect("put");
         }
     }
     assert!(done, "migration never completed");
+    let sim = client.sim_mut().expect("simulated");
     sim.run_for(500);
     assert!(sim.node(follower).slot_pairs(slot).is_empty());
     assert!(!sim.node(spare).slot_pairs(slot).is_empty());
     for n in 0..4u32 {
         assert_fold_matches_scan(sim.node(n), &persisters[n as usize], &dirs[n as usize]);
     }
-    drop(sim);
+    drop(client);
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -6,10 +6,9 @@
 //! notification arrives late. After each, the timeline must equal a
 //! recompute from the acknowledged base rows.
 
-use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod_cluster::{ClusterClient, ClusterConfig, LinkFaults, SimHarness};
 use pequod_core::partition::{ComponentHashPartition, ServerId, SingleServer};
 use pequod_core::Client;
-use pequod_net::LinkFaults;
 use pequod_store::{Key, KeyRange, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -13,10 +13,10 @@
 //! (connection, sequence) counters, and assertions about timeouts poll
 //! server counters under a deadline instead of sleeping fixed amounts.
 
-use pequod_cluster::{ClusterConfig, ClusterServer};
+use pequod_cluster::{ClusterClient, ClusterConfig, ClusterServer};
 use pequod_core::{Engine, EngineConfig};
 use pequod_net::codec::{encode_frame, FrameDecoder};
-use pequod_net::{FrontendConfig, Message, Swarm, SwarmConfig, TcpClient};
+use pequod_net::{FrontendConfig, Message, Swarm, SwarmConfig};
 use pequod_store::{Key, KeyRange, Value};
 use pequod_telemetry::metric;
 use std::io::{Read, Write};
@@ -42,6 +42,11 @@ fn serve(engine: Engine, cfg: FrontendConfig) -> ClusterServer {
 
 fn single_server(cfg: FrontendConfig) -> ClusterServer {
     serve(Engine::new(EngineConfig::default()), cfg)
+}
+
+/// A client of the one-node server at `addr`.
+fn connect(addr: std::net::SocketAddr) -> ClusterClient {
+    ClusterClient::connect(ClusterConfig::one_node(addr))
 }
 
 /// Polls `cond` until it holds or `secs` elapse.
@@ -169,7 +174,7 @@ fn mid_frame_disconnects_leave_server_serving() {
         drop(sock);
     }
     // The server must still answer normally...
-    let mut client = TcpClient::connect(addr).unwrap();
+    let mut client = connect(addr);
     client.put("p|ok|0000000001", "fine").unwrap();
     assert_eq!(
         client.get("p|ok|0000000001").unwrap(),
@@ -230,7 +235,7 @@ fn half_close_right_after_a_frame_still_gets_replies_and_a_clean_close() {
 fn a_frame_larger_than_the_read_buffer_arrives_whole() {
     let mut server = single_server(FrontendConfig::default());
     let big: Vec<u8> = (0..200 * 1024u32).map(|i| (i % 251) as u8).collect();
-    let mut client = TcpClient::connect(server.addr()).unwrap();
+    let mut client = connect(server.addr());
     client.put("p|big|0000000001", big.clone()).unwrap();
     assert_eq!(
         client.get("p|big|0000000001").unwrap(),
@@ -339,7 +344,7 @@ fn garbage_frames_get_error_frame_then_close() {
         "pequod_codec_errors_total"
     ) >= 2));
     // The server still serves clean connections.
-    let mut client = TcpClient::connect(addr).unwrap();
+    let mut client = connect(addr);
     client.put("p|ok|0000000001", "fine").unwrap();
     server.halt();
 }
@@ -353,7 +358,7 @@ fn idle_timeout_closes_quiet_connections() {
         stall_timeout_ms: None,
         ..FrontendConfig::default()
     });
-    let mut client = TcpClient::connect(server.addr()).unwrap();
+    let mut client = connect(server.addr());
     client.put("p|idle|0000000001", "hello").unwrap();
     // Stop talking; the server must close us.
     assert!(
@@ -495,7 +500,7 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
         "a one-node server runs the reactor and the ticker, nothing else"
     );
     let addr = server.addr();
-    let mut b = TcpClient::connect(addr).unwrap();
+    let mut b = connect(addr);
     for i in 0..64 {
         b.put(format!("p|big|{i:010}"), vec![b'z'; 4096]).unwrap();
     }
@@ -520,7 +525,7 @@ fn paused_connection_starves_nobody_and_shutdown_abandons_it() {
         Some(4096),
         "connection B starved behind A"
     );
-    let metrics = b.metrics(false).unwrap();
+    let metrics = b.metrics(0, false).unwrap();
     assert!(
         metrics
             .iter()
@@ -564,14 +569,14 @@ fn metrics_carry_the_engines_levels_and_the_resident_set() {
     let mut engine = Engine::new(EngineConfig::default());
     engine.set_recorder(pequod_telemetry::Recorder::enabled());
     let mut server = serve(engine, FrontendConfig::default());
-    let mut client = TcpClient::connect(server.addr()).unwrap();
+    let mut client = connect(server.addr());
     client
         .add_join("t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>")
         .unwrap();
     client.put("s|ann|bob", "1").unwrap();
     client.put("p|bob|0000000100", "hi").unwrap();
     assert_eq!(client.scan(KeyRange::prefix("t|ann|")).unwrap().len(), 1);
-    let metrics = client.metrics(false).unwrap();
+    let metrics = client.metrics(0, false).unwrap();
     let level = |name: &str| -> u64 {
         let found = metrics.iter().find(|(k, _)| k == name);
         let (_, v) = found.unwrap_or_else(|| panic!("no {name} in {metrics:?}"));
@@ -594,7 +599,7 @@ fn metrics_carry_the_engines_levels_and_the_resident_set() {
 fn reactor_shutdown_severs_live_connections() {
     let mut server = single_server(FrontendConfig::default());
     let addr = server.addr();
-    let mut client = TcpClient::connect(addr).unwrap();
+    let mut client = connect(addr);
     client.put("p|pre|0000000001", "x").unwrap();
     server.halt();
     let mut sock = TcpStream::connect(addr);
@@ -622,7 +627,7 @@ fn large_scans_flow_through_bounded_buffers() {
         max_write_buffer: 4096,
         ..FrontendConfig::default()
     });
-    let mut client = TcpClient::connect(server.addr()).unwrap();
+    let mut client = connect(server.addr());
     for i in 0..200 {
         client.put(format!("p|u|{i:010}"), vec![b'v'; 512]).unwrap();
     }

@@ -2,11 +2,30 @@
 //! replica convergence, fault-injected links, failover with no acked
 //! write lost, live migration, and delta-only restart catch-up.
 
-use pequod_cluster::{ClusterConfig, ClusterStats, SimHarness};
+use pequod_cluster::{ClusterClient, ClusterConfig, ClusterStats, LinkFaults, SimHarness};
 use pequod_core::Engine;
-use pequod_net::{LinkFaults, Message};
-use pequod_store::{Key, Value};
+use pequod_net::Message;
+use pequod_store::{Key, KeyRange, Value};
 use pequod_telemetry::metric;
+
+const TIMELINE: &str =
+    "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
+
+/// The harness `client` drives.
+fn harness(client: &mut ClusterClient) -> &mut SimHarness {
+    client.sim_mut().expect("a simulated client")
+}
+
+/// A client driving `sim`, after 100 quiet virtual ms.
+fn driving(mut sim: SimHarness) -> ClusterClient {
+    sim.run_for(100);
+    ClusterClient::simulated(sim)
+}
+
+/// Writes `value` at `key` through `client`, panicking unless acked.
+fn put(client: &mut ClusterClient, key: impl Into<Key>, value: impl Into<Value>) {
+    client.put(key, value).expect("an acknowledged write");
+}
 
 /// FNV-1a over the pair list — replicas of a slot must agree on this
 /// byte-for-byte.
@@ -83,57 +102,58 @@ fn assert_each_request_answered_once(sim: &SimHarness) {
 #[test]
 fn writes_replicate_to_followers_byte_identically() {
     let cfg = ClusterConfig::new(3, 2);
-    let mut sim = SimHarness::new(&cfg, 0x5eed, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 0x5eed, 1));
     for i in 0..40 {
-        sim.put_acked(1, format!("p|u{i:02}|post"), format!("body-{i}"), 2_000);
+        put(&mut client, format!("p|u{i:02}|post"), format!("body-{i}"));
     }
+    let sim = harness(&mut client);
     sim.run_for(300);
-    let total = assert_replicas_converged(&mut sim, &cfg);
+    let total = assert_replicas_converged(sim, &cfg);
     assert_eq!(total, 40, "every acked write is visible somewhere");
     // Spot-check a read through the client path.
-    let v = sim.get_value(2, "p|u07|post", 1_000);
+    let v = client.get("p|u07|post").expect("get");
     assert_eq!(v.as_deref(), Some(&b"body-7"[..]));
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(harness(&mut client));
 }
 
 #[test]
 fn lossy_duplicating_reordering_links_still_converge() {
     let cfg = ClusterConfig::new(3, 2);
     for seed in [1u64, 2, 3] {
-        let mut sim = SimHarness::new(&cfg, seed, 1);
-        sim.run_for(100);
+        let mut client = driving(SimHarness::new(&cfg, seed, 1));
+        let sim = harness(&mut client);
         sim.net
             .set_default_faults(LinkFaults::lossy(0.05, 0.05, 0.05));
         for i in 0..30 {
-            sim.put_acked(1, format!("p|u{i:02}|x"), format!("v{i}"), 20_000);
+            put(&mut client, format!("p|u{i:02}|x"), format!("v{i}"));
         }
         // Heal the fabric and let catch-up repair whatever the faults
         // tore (dropped notifies, lost acks, spurious laggard drops).
+        let sim = harness(&mut client);
         sim.net.set_default_faults(LinkFaults::default());
         sim.run_for(3_000);
-        let total = assert_replicas_converged(&mut sim, &cfg);
+        let total = assert_replicas_converged(sim, &cfg);
         assert_eq!(total, 30, "seed {seed}: all writes survive a lossy fabric");
         assert!(
             sim.net.stats.dropped + sim.net.stats.duplicated + sim.net.stats.reordered > 0,
             "seed {seed}: the fault injector actually fired"
         );
-        assert_each_request_answered_once(&sim);
+        assert_each_request_answered_once(sim);
     }
 }
 
 #[test]
 fn killed_primary_fails_over_and_loses_no_acked_write() {
     let cfg = ClusterConfig::new(3, 2);
-    let mut sim = SimHarness::new(&cfg, 42, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 42, 1));
     let mut acked = Vec::new();
     for i in 0..30 {
         let key = format!("p|u{i:02}|post");
-        sim.put_acked(1, key.clone(), format!("payload-{i}"), 5_000);
+        put(&mut client, key.clone(), format!("payload-{i}"));
         acked.push((key, format!("payload-{i}")));
     }
     // SIGKILL equivalent: node 0 vanishes mid-cluster.
+    let sim = harness(&mut client);
     sim.kill(0);
     // Staggered failover: first follower waits failover_ms, so well
     // within 3 periods every slot has a live primary.
@@ -148,47 +168,48 @@ fn killed_primary_fails_over_and_loses_no_acked_write() {
     // Every acked write must still be readable — the all-follower ack
     // rule guarantees any promoted follower already had it.
     for (key, want) in &acked {
-        let got = sim.get_value(2, key.as_str(), 2_000);
+        let got = client.get(key.as_str()).expect("get");
         assert_eq!(
             got.as_deref(),
             Some(want.as_bytes()),
             "acked write {key} lost in failover"
         );
     }
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(harness(&mut client));
 }
 
 #[test]
 fn killed_node_rejoins_and_is_readmitted() {
     let cfg = ClusterConfig::new(3, 2);
-    let mut sim = SimHarness::new(&cfg, 9, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 9, 1));
     for i in 0..10 {
-        sim.put_acked(1, format!("p|u{i:02}|a"), "one", 5_000);
+        put(&mut client, format!("p|u{i:02}|a"), "one");
     }
+    let sim = harness(&mut client);
     sim.kill(0);
     sim.run_for(3 * cfg.timing.failover_ms);
     for i in 0..10 {
-        sim.put_acked(1, format!("p|u{i:02}|b"), "two", 5_000);
+        put(&mut client, format!("p|u{i:02}|b"), "two");
     }
     // The node restarts cold (crash dropped its volatile state).
+    let sim = harness(&mut client);
     sim.restart(0, &cfg, Engine::new_default());
     sim.run_for(3_000);
-    let total = assert_replicas_converged(&mut sim, &cfg);
+    let total = assert_replicas_converged(sim, &cfg);
     assert_eq!(total, 20);
     let readmitted: u64 = (0..3).map(|n| sim.node(n).stats.readmissions).sum();
     assert!(readmitted > 0, "the returned node was re-admitted");
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(sim);
 }
 
 #[test]
 fn live_migration_preserves_every_row() {
     let cfg = ClusterConfig::new(4, 2);
-    let mut sim = SimHarness::new(&cfg, 77, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 77, 1));
     for i in 0..40 {
-        sim.put_acked(1, format!("p|u{i:02}|post"), format!("r{i}"), 5_000);
+        put(&mut client, format!("p|u{i:02}|post"), format!("r{i}"));
     }
+    let sim = harness(&mut client);
     sim.run_for(200);
     // Pick a slot and move its follower to the node outside the set.
     let slot = 0u32;
@@ -207,9 +228,9 @@ fn live_migration_preserves_every_row() {
         },
     );
     // Keep writing into the slot *during* the migration.
-    let mut extra = 0;
     let mut done = false;
     for round in 0..200 {
+        let sim = harness(&mut client);
         sim.run_for(25);
         // During: the primary's copy stays authoritative and intact.
         let during = sim.node(primary).slot_pairs(slot);
@@ -226,12 +247,15 @@ fn live_migration_preserves_every_row() {
         }
         if round % 4 == 0 {
             // Writes keyed so some land in the migrating slot.
-            sim.put_acked(1, format!("p|u{:02}|mig{round}", round % 40), "live", 5_000);
-            extra += 1;
+            put(
+                &mut client,
+                format!("p|u{:02}|mig{round}", round % 40),
+                "live",
+            );
         }
     }
     assert!(done, "migration never completed");
-    let _ = extra;
+    let sim = harness(&mut client);
     sim.run_for(500);
     // After: the learner is a full member, the source holds nothing.
     let after_primary = sim.node(primary).slot_pairs(slot);
@@ -254,22 +278,22 @@ fn live_migration_preserves_every_row() {
         "migration source kept its copy"
     );
     assert_eq!(sim.node(primary).stats.migrations, 1);
-    let total = assert_replicas_converged(&mut sim, &cfg);
+    let total = assert_replicas_converged(sim, &cfg);
     assert!(total >= 40);
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(sim);
 }
 
 /// A primary partitioned away mid-migration is deposed by its follower
 /// and, once the partition heals, learns it: the admin that asked for
-/// the migration is owed an answer all the same.
+/// the migration is redirected to the new primary.
 #[test]
 fn deposed_primary_answers_the_migration_it_was_running() {
     let cfg = ClusterConfig::new(4, 2);
-    let mut sim = SimHarness::new(&cfg, 5, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 5, 1));
     for i in 0..20 {
-        sim.put_acked(1, format!("p|u{i:02}|post"), "row", 5_000);
+        put(&mut client, format!("p|u{i:02}|post"), "row");
     }
+    let sim = harness(&mut client);
     let slot = 0u32;
     let replicas = cfg.initial_replicas(slot);
     let (primary, follower) = (replicas[0], replicas[1]);
@@ -296,10 +320,69 @@ fn deposed_primary_answers_the_migration_it_was_running() {
     assert_eq!(sim.node(primary).primary_of(slot), follower, "deposed");
     let answers: Vec<Message> = sim.take_replies(9);
     assert!(
-        matches!(answers[..], [Message::Reply { id: rid, error: Some(_), .. }] if rid == id),
-        "the deposed primary owes the admin one error reply: {answers:?}"
+        matches!(answers[..], [Message::NotPrimary { id: rid, node, .. }] if rid == id && node == follower),
+        "the deposed primary owes the admin one redirect to {follower}: {answers:?}"
     );
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(sim);
+}
+
+/// A primary cut off from its follower while a write waits for the
+/// follower's ack is deposed; once the link heals it learns so and
+/// sends the write back as a redirect to the new primary, where the
+/// client's resend lands.
+#[test]
+fn a_deposed_primary_redirects_its_unacked_write() {
+    let cfg = ClusterConfig::new(2, 2);
+    let mut client = driving(SimHarness::new(&cfg, 3, 1));
+    let key = Key::from("p|u01|post");
+    let slot = cfg.slot_of(&key);
+    let replicas = cfg.initial_replicas(slot);
+    let (primary, follower) = (replicas[0], replicas[1]);
+    let sim = harness(&mut client);
+    let link = |sim: &mut SimHarness, faults: LinkFaults| {
+        sim.net.set_link_faults(primary, follower, faults);
+        sim.net.set_link_faults(follower, primary, faults);
+    };
+    let cut = LinkFaults {
+        drop_chance: 1.0,
+        ..LinkFaults::default()
+    };
+    link(sim, cut);
+    let value = Value::from("v");
+    let write = Message::Put {
+        id: 0,
+        key: key.clone(),
+        value: value.clone(),
+    };
+    let id = sim.client_send(9, primary, write);
+    // Cut off until the follower promotes itself, well inside the
+    // primary's ack timeout (which would drop the follower instead).
+    let deadline = sim.now() + 2 * cfg.timing.failover_ms;
+    while sim.node(follower).primary_of(slot) != follower {
+        assert!(sim.now() < deadline, "the follower never promoted itself");
+        sim.run_for(1);
+    }
+    assert!(
+        sim.take_replies(9).is_empty(),
+        "the write was answered while unacked"
+    );
+    link(sim, LinkFaults::default());
+    sim.run_for(500);
+    assert_eq!(sim.node(primary).primary_of(slot), follower, "deposed");
+    let answers = sim.take_replies(9);
+    assert!(
+        matches!(answers[..], [Message::NotPrimary { id: rid, node, .. }] if rid == id && node == follower),
+        "the deposed primary redirects its unacked write to {follower}: {answers:?}"
+    );
+    // The client's same write lands at the new primary.
+    put(&mut client, key.clone(), value.clone());
+    let sim = harness(&mut client);
+    let held = sim.node(follower).slot_pairs(slot);
+    assert!(held.contains(&(key.clone(), value.clone())), "{held:?}");
+    assert_eq!(client.get(key).expect("get"), Some(value));
+    let sim = harness(&mut client);
+    sim.run_for(500);
+    assert_each_request_answered_once(sim);
 }
 
 #[test]
@@ -319,23 +402,24 @@ fn restarted_follower_catches_up_with_delta_only() {
     let cfg = ClusterConfig::new(2, 2);
     let dirs = [root.join("n0"), root.join("n1")];
     let engines = vec![mkengine(&dirs[0]), mkengine(&dirs[1])];
-    let mut sim = SimHarness::with_engines(&cfg, engines, 11, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::with_engines(&cfg, engines, 11, 1));
     for i in 0..20 {
-        sim.put_acked(1, format!("p|u{i:02}|seed"), "pre", 5_000);
+        put(&mut client, format!("p|u{i:02}|seed"), "pre");
     }
+    let sim = harness(&mut client);
     sim.run_for(200);
     // Flush the follower's durable state, then crash it.
     sim.node(1).engine.finalize_durability();
     sim.kill(1);
     // Writes continue: the primary drops the laggard and serves solo.
     for i in 0..8 {
-        sim.put_acked(1, format!("p|u{i:02}|after"), "post", 10_000);
+        put(&mut client, format!("p|u{i:02}|after"), "post");
     }
     // Warm restart from its own durable state.
+    let sim = harness(&mut client);
     sim.restart(1, &cfg, mkengine(&dirs[1]));
     sim.run_for(3_000);
-    let total = assert_replicas_converged(&mut sim, &cfg);
+    let total = assert_replicas_converged(sim, &cfg);
     assert_eq!(total, 28);
     let st = sim.node(1).stats;
     assert_eq!(
@@ -347,8 +431,90 @@ fn restarted_follower_catches_up_with_delta_only() {
         st.notifies_applied >= 8,
         "the missed writes arrived as a window replay"
     );
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(sim);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// FNV-1a over the `Debug` form of `parts`, in order.
+fn digest_of(parts: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for part in parts {
+        for b in part.bytes().chain([0xff]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// One seeded run — 3 nodes at RF=2, lossy links, `Notify` jitter, a
+/// client's writes and timeline reads, a node killed with reads parked
+/// on its fetches, then restarted — digested: every live node's slot contents and counters (nothing
+/// measured in wall time), the fabric's traffic and fault counters, the
+/// sorted reply ledger, and what the reads returned.
+fn seeded_run(seed: u64) -> u64 {
+    let cfg = ClusterConfig::new(3, 2);
+    let mut client = driving(SimHarness::new(&cfg, seed, 1));
+    let sim = harness(&mut client);
+    sim.net
+        .set_default_faults(LinkFaults::lossy(0.05, 0.05, 0.05));
+    sim.net.set_notify_jitter(0.3, 7);
+    let mut parts = Vec::new();
+    client.add_join(TIMELINE).expect("join");
+    let mut step = |client: &mut ClusterClient, i: u64| {
+        let (user, poster) = (i % 5, (i * 3 + 1) % 5);
+        put(client, format!("s|u{user}|u{poster}"), "1");
+        put(client, format!("p|u{poster}|{i:010}"), format!("post {i}"));
+        let timeline = client.scan(KeyRange::prefix(format!("t|u{user}|")));
+        parts.push(format!("{timeline:?}"));
+    };
+    for i in 0..15 {
+        step(&mut client, i);
+    }
+    // Reads parked on fetches at node 0 when it dies: the failover
+    // restarts them, in an order no hash map may decide.
+    let sim = harness(&mut client);
+    for user in 5..40 {
+        let range = KeyRange::prefix(format!("t|u{user}|"));
+        sim.client_send(9, 2, Message::Scan { id: 0, range });
+    }
+    sim.run_for(1);
+    sim.kill(0);
+    for i in 15..30 {
+        step(&mut client, i);
+    }
+    let sim = harness(&mut client);
+    sim.restart(0, &cfg, Engine::new_default());
+    sim.net.set_default_faults(LinkFaults::default());
+    sim.run_for(3_000);
+    for n in 0..3 {
+        let node = sim.node(n);
+        for slot in 0..cfg.slots {
+            parts.push(format!("{:?}", node.slot_pairs(slot)));
+        }
+        let counters = node.telemetry_snapshot(false).to_pairs();
+        parts.push(format!("{counters:?}"));
+    }
+    parts.push(format!("{:?} {:?}", sim.net.traffic, sim.net.stats));
+    parts.push(format!("{:?}", sim.take_replies(9)));
+    let mut ledger: Vec<_> = sim.reply_ledger().iter().collect();
+    ledger.sort();
+    parts.push(format!("{ledger:?}"));
+    digest_of(&parts)
+}
+
+/// A seed reproduces a run: no hash map whose iteration order reaches
+/// a message, a counter or a reply (each new map gets new keys from
+/// `RandomState`, so two runs in one process differ if one does).
+#[test]
+fn a_seed_reproduces_a_run() {
+    let digest = seeded_run(0x5eed);
+    assert_eq!(seeded_run(0x5eed), digest);
+    assert_ne!(
+        seeded_run(0x5eee),
+        digest,
+        "the digest does not see the seed"
+    );
 }
 
 /// A node's `Metrics` reply is the one view of its counters: after a
@@ -359,16 +525,17 @@ fn restarted_follower_catches_up_with_delta_only() {
 #[test]
 fn metrics_carry_every_replication_counter_once_and_every_slot() {
     let cfg = ClusterConfig::new(3, 2);
-    let mut sim = SimHarness::new(&cfg, 9, 1);
-    sim.run_for(100);
+    let mut client = driving(SimHarness::new(&cfg, 9, 1));
     for i in 0..10 {
-        sim.put_acked(1, format!("p|u{i:02}|a"), "one", 5_000);
+        put(&mut client, format!("p|u{i:02}|a"), "one");
     }
+    let sim = harness(&mut client);
     sim.kill(0);
     sim.run_for(3 * cfg.timing.failover_ms);
     for i in 0..10 {
-        sim.put_acked(1, format!("p|u{i:02}|b"), "two", 5_000);
+        put(&mut client, format!("p|u{i:02}|b"), "two");
     }
+    let sim = harness(&mut client);
     sim.restart(0, &cfg, Engine::new_default());
     sim.run_for(3_000);
     let (mut promoted, mut readmitted, mut caught_up) = (0, 0, 0);
@@ -511,5 +678,5 @@ fn metrics_carry_every_replication_counter_once_and_every_slot() {
     // The scenario moved the counters this test is about: a failover
     // and a catch-up, by delta or by snapshot.
     assert!(promoted > 0 && readmitted > 0 && caught_up > 0);
-    assert_each_request_answered_once(&sim);
+    assert_each_request_answered_once(sim);
 }

@@ -125,7 +125,7 @@ fn graceful_halt_finalizes_and_serves_until_stopped() {
 
 /// How many times node `n` promoted itself, from its `Metrics` reply.
 fn failovers(client: &mut ClusterClient, n: u32) -> u64 {
-    let metrics = client.metrics(n).expect("metrics");
+    let metrics = client.metrics(n, false).expect("metrics");
     metric(&metrics, "pequod_cluster_failovers_total").expect("failovers counted")
 }
 
@@ -288,11 +288,11 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
             sock
         })
         .collect();
-    let mut probe = pequod_net::TcpClient::connect(server.addr()).expect("connect");
-    let wait_for = |name: &str, at_least: u64, probe: &mut pequod_net::TcpClient| {
+    let mut probe = ClusterClient::connect(ClusterConfig::one_node(server.addr()));
+    let wait_for = |name: &str, at_least: u64, probe: &mut ClusterClient| {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let metrics = probe.metrics(false).expect("wire Metrics");
+            let metrics = probe.metrics(0, false).expect("wire Metrics");
             let value = metric(&metrics, name);
             if value.is_some_and(|v| v >= at_least) {
                 return metrics;

@@ -13,17 +13,13 @@
 //!   subscription traffic, replication traffic).
 //! * [`codec`] — a hand-rolled binary wire format with length-prefixed
 //!   framing.
-//! * [`SimNet`] — a deterministic in-process message fabric: per-hop
-//!   latency, seeded per-link faults and `Notify` jitter, and wire
-//!   bytes counted per message class. `pequod_cluster::SimHarness`
-//!   runs whole clusters on it.
-//! * [`FrontendServer`] / [`TcpClient`] — the real socket transport:
-//!   the tree's one serving loop (one epoll thread; TCP plus an
-//!   optional unix-domain socket) and a blocking client. What answers
-//!   the frames is a [`Dispatch`] hosted on that thread through
-//!   [`FrontendServer::spawn_dispatch`]: `pequod_cluster`'s node, on
-//!   client connections and node-to-node links alike. Every server is
-//!   a cluster node; a stand-alone one is a one-node cluster.
+//! * [`FrontendServer`] — the socket transport: the tree's one serving
+//!   loop (one epoll thread; TCP plus an optional unix-domain socket).
+//!   What answers the frames is a [`Dispatch`] hosted on that thread
+//!   through [`FrontendServer::spawn_dispatch`]: `pequod_cluster`'s
+//!   node, on client connections and node-to-node links alike. Every
+//!   server is a cluster node; a stand-alone one is a one-node cluster,
+//!   and `pequod_cluster::ClusterClient` is the client of every one.
 //! * [`Swarm`] — many concurrent TCP clients driving one server, for
 //!   load tests.
 
@@ -44,13 +40,9 @@ pub mod frontend;
 pub mod message;
 mod outbuf;
 pub mod reactor;
-pub mod sim;
 pub mod swarm;
-pub mod tcp;
 
 pub use frontend::{FrontendConfig, FrontendServer, FrontendStats};
 pub use message::Message;
 pub use reactor::{Conns, Dispatch, Poller, Waker};
-pub use sim::{FaultStats, LinkFaults, SimNet, TrafficStats};
 pub use swarm::{Swarm, SwarmConfig, SwarmReport};
-pub use tcp::{ClientError, RetryPolicy, TcpClient};

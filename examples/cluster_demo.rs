@@ -27,7 +27,7 @@ fn main() {
             v.map(|b| String::from_utf8_lossy(&b).into_owned())
         );
     }
-    let metrics = client.metrics(0).expect("metrics");
+    let metrics = client.metrics(0, false).expect("metrics");
     for name in [
         "pequod_cluster_writes_applied_total",
         "pequod_cluster_writes_acked_total",

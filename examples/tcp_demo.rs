@@ -5,9 +5,8 @@
 //!
 //! Run with `cargo run --example tcp_demo`.
 
-use pequod::cluster::{ClusterConfig, ClusterServer};
+use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer};
 use pequod::core::Engine;
-use pequod::net::TcpClient;
 use pequod::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = ClusterServer::spawn(ClusterConfig::new(1, 1), 0, Engine::new_default(), addr)?;
     println!("pequod server listening on {}", server.addr());
 
-    let mut client = TcpClient::connect(server.addr())?;
+    let mut client = ClusterClient::connect(ClusterConfig::one_node(server.addr()));
     client.add_join(
         "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>",
     )?;
@@ -29,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(timeline.len(), 1);
 
     // A second client sees the same cache.
-    let mut other = TcpClient::connect(server.addr())?;
+    let mut other = ClusterClient::connect(ClusterConfig::one_node(server.addr()));
     let v = other.get("t|ann|0000000100|bob")?;
     println!(
         "second connection read: {:?}",

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! Speaks the length-prefixed binary protocol of `pequod-net`; use
-//! `pequod::net::TcpClient` (or the `tcp_demo` example) as a client.
+//! `pequod::cluster::ClusterClient` (see the `tcp_demo` example) as a
+//! client — of a stand-alone server, over
+//! `ClusterConfig::one_node(addr)`.
 //!
 //! Every server is a cluster node (without `--cluster`, of a one-node
 //! cluster). Clients are served by one event-driven epoll thread with
@@ -230,7 +232,7 @@ fn main() {
                 .map_or("never".to_string(), |n| n.to_string()),
         );
     }
-    // A stand-alone server is node 0 of a one-node cluster.
+    // A stand-alone server is node 0 of a one-node cluster at `listen`.
     let (id, cluster_cfg) = match (&cluster_file, node_id) {
         (Some(path), Some(id)) => {
             let text = std::fs::read_to_string(path)
@@ -245,7 +247,7 @@ fn main() {
             );
             (id, cluster_cfg)
         }
-        _ => (0, ClusterConfig::new(1, 1)),
+        _ => (0, ClusterConfig::one_node(&listen)),
     };
     let mut engine = Engine::new(config);
     if metrics_addr.is_some() {
@@ -290,8 +292,8 @@ fn main() {
         ..Default::default()
     };
     // A cluster member listens where its cluster file says, unless told
-    // otherwise; a stand-alone server's config has no address.
-    let listen = (listen_set || cluster_file.is_none()).then_some(listen.as_str());
+    // otherwise; a stand-alone server's config already holds `listen`.
+    let listen = (listen_set && cluster_file.is_some()).then_some(listen.as_str());
     let mut server = ClusterServer::spawn_with(cluster_cfg, id, engine, listen, frontend_cfg)
         .unwrap_or_else(|e| panic!("cannot serve node {id}: {e}"));
     let addr = server.addr();

@@ -9,8 +9,8 @@
 //! `--metrics-addr` Prometheus scrape renders — and redraws a terminal
 //! table: scalar counters and gauges with per-interval rates, and one
 //! row per latency histogram (count, rate, p50/p90/p99/max in µs).
-//! Works against every serving surface: the reactor front-end, the
-//! legacy threads model, and a replicated cluster node.
+//! Works against every server: a stand-alone one and any node of a
+//! cluster answer the same frame.
 //!
 //! `--json` prints one snapshot as a JSON object and exits; `--flight`
 //! dumps the server's flight recorder (recent evictions, failovers,
@@ -27,7 +27,7 @@
 // clippy.toml disallows.
 #![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
-use pequod::net::TcpClient;
+use pequod::cluster::{ClusterClient, ClusterConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -73,10 +73,9 @@ fn main() {
     // One-shot by default for the machine-readable modes; the live
     // table refreshes until interrupted.
     let polls = count.unwrap_or(if json || flight { 1 } else { u64::MAX });
-    let mut client = TcpClient::connect(&*addr).unwrap_or_else(|e| {
-        eprintln!("pequod-stats: cannot connect to {addr}: {e}");
-        std::process::exit(1);
-    });
+    // The node at `addr`, whichever deployment it belongs to, as the one
+    // node of a client's config: connected at the first poll.
+    let mut client = ClusterClient::connect(ClusterConfig::one_node(&addr));
     let mut prev: BTreeMap<String, f64> = BTreeMap::new();
     let mut poll = 0u64;
     while poll < polls {
@@ -84,7 +83,7 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_secs_f64(interval_secs));
         }
         poll += 1;
-        let pairs = match client.metrics(flight) {
+        let pairs = match client.metrics(0, flight) {
             Ok(pairs) => pairs,
             Err(e) => {
                 eprintln!("pequod-stats: {addr}: {e}");

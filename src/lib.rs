@@ -15,12 +15,12 @@
 //!   invalidation, eviction; key-routing partitions, the §2.4
 //!   Subscribe/Notify node and the write-around deployment
 //!   [`WriteAround`](crate::core::WriteAround).
-//! * [`net`] — the wire and what carries it: codec, deterministic
-//!   message fabric, the reactor serving edge, TCP client.
+//! * [`net`] — the wire and what carries it: codec and the reactor
+//!   serving edge.
 //! * [`cluster`] — the deployment across processes: one §2.4 node per
-//!   process with replicated slots, epoch failover and migration, its
-//!   client, its simulator and its TCP server
-//!   (`pequod-server --cluster`).
+//!   process with replicated slots, epoch failover and migration, the
+//!   one client of every server, its simulator over a seeded message
+//!   fabric and its TCP server (`pequod-server`).
 //! * [`persist`] — durable base tables: checksummed write-ahead log,
 //!   snapshots with log truncation, warm restart
 //!   (`pequod-server --data-dir`); computed join ranges are never

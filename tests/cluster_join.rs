@@ -6,11 +6,12 @@
 //! new posts are notified.
 
 use pequod::cluster::{ClusterClient, ClusterConfig};
-use pequod::net::TcpClient;
+use pequod::core::partition::{ServerId, SingleServer};
 use pequod::prelude::*;
 use pequod::telemetry::metric;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command as Proc, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TIMELINE: &str =
@@ -99,9 +100,9 @@ fn a_node_outside_the_followees_slot_serves_their_timeline() {
             .expect("post");
         want.push((format!("t|ann|{time}|{f}"), format!("post by {f}")));
     }
-    let addr = cfg.addr_of(reader_node).expect("reader address");
-    let mut reader = TcpClient::connect(addr).expect("connect to the reader's node");
-    let read = |reader: &mut TcpClient| -> Vec<(String, String)> {
+    let mut reader = ClusterClient::connect(cfg.clone())
+        .with_read_router(Arc::new(SingleServer(ServerId(reader_node))));
+    let read = |reader: &mut ClusterClient| -> Vec<(String, String)> {
         (reader.scan(KeyRange::prefix("t|ann|")).expect("timeline"))
             .into_iter()
             .map(|(k, v)| (k.to_string(), String::from_utf8_lossy(&v).into_owned()))
@@ -124,7 +125,7 @@ fn a_node_outside_the_followees_slot_serves_their_timeline() {
         assert!(Instant::now() < deadline, "timeline stale: {got:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let metrics = writer.metrics(reader_node).expect("metrics");
+    let metrics = writer.metrics(reader_node, false).expect("metrics");
     let role = format!(
         "pequod_cluster_slot_role{{slot={},role=none}}",
         slot_of_user("f0")

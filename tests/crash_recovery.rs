@@ -13,12 +13,12 @@
 //! `crates/persist/tests/crash_sim.rs`; this file proves the story
 //! end-to-end through a real process, a real socket, and a real kill.
 
+use pequod::cluster::{ClusterClient, ClusterConfig};
 use pequod::core::Engine;
-use pequod::net::TcpClient;
 use pequod::persist::{recover, replay};
 use pequod::prelude::*;
 use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::Duration;
@@ -97,10 +97,10 @@ impl Server {
         Server { child, addr }
     }
 
-    fn connect(&self) -> TcpClient {
+    fn connect(&self) -> ClusterClient {
         for _ in 0..50 {
-            if let Ok(c) = TcpClient::connect(self.addr) {
-                return c;
+            if TcpStream::connect(self.addr).is_ok() {
+                return ClusterClient::connect(ClusterConfig::one_node(self.addr));
             }
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -160,7 +160,7 @@ fn digest(pairs: &[(Key, Value)]) -> u64 {
 /// and in-process against the reference: every table whole, per-user
 /// timelines (computed — these rebuild lazily on the recovered node),
 /// counts, and point reads.
-fn conformance(client: &mut TcpClient, reference: &mut Engine, label: &str) {
+fn conformance(client: &mut ClusterClient, reference: &mut Engine, label: &str) {
     for prefix in ["p|", "s|", "t|"] {
         let got = client.scan(KeyRange::prefix(prefix)).unwrap();
         let want = reference.scan(&KeyRange::prefix(prefix)).pairs;
@@ -228,9 +228,10 @@ fn crash_and_recover(label: &str, extra_args: &[&str]) {
     // removes; a second thread SIGKILLs the server mid-stream.
     let addr = server.addr;
     let writer = std::thread::spawn(move || {
-        let Ok(mut c) = TcpClient::connect(addr) else {
+        if TcpStream::connect(addr).is_err() {
             return 0u32;
-        };
+        }
+        let mut c = ClusterClient::connect(ClusterConfig::one_node(addr));
         let mut acked = 0u32;
         for i in 0..200_000u64 {
             let poster = (i % 8) as u32;
@@ -292,7 +293,6 @@ fn single_engine_with_mem_limit_recovers_byte_identically() {
 // Replicated cluster: kill a node, lose nothing.
 // ---------------------------------------------------------------------------
 
-use pequod::cluster::{ClusterClient, ClusterConfig};
 use pequod::telemetry::metric;
 use std::collections::HashMap;
 
@@ -372,7 +372,7 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
 
     let mut client = ClusterClient::connect(cfg.clone());
     let mut acked: HashMap<String, String> = HashMap::new();
-    let put_acked = |client: &mut ClusterClient, acked: &mut HashMap<String, String>, i: u64| {
+    let put_row = |client: &mut ClusterClient, acked: &mut HashMap<String, String>, i: u64| {
         let key = format!("p|u{:03}|{:010}", i % 12, 1000 + i);
         let value = format!("row-{i}");
         client
@@ -383,7 +383,7 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
 
     // Phase 1: a pre-crash base, fully acknowledged.
     for i in 0..300 {
-        put_acked(&mut client, &mut acked, i);
+        put_row(&mut client, &mut acked, i);
     }
 
     // Phase 2: SIGKILL node 0 — primary of several slots — then keep
@@ -394,7 +394,7 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
         s.kill();
     }
     for i in 300..600 {
-        put_acked(&mut client, &mut acked, i);
+        put_row(&mut client, &mut acked, i);
     }
 
     // No acked write lost: every row is readable from the survivors.
@@ -419,14 +419,14 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let caught_up = loop {
         std::thread::sleep(Duration::from_millis(300));
-        let st = client.metrics(0).unwrap_or_default();
+        let st = client.metrics(0, false).unwrap_or_default();
         let counted = |name| metric(&st, name).is_some_and(|n| n > 0);
         if counted("pequod_cluster_readmissions_total")
             || counted("pequod_cluster_notifies_applied_total")
         {
             // Readmitted somewhere; give replication a beat to drain.
             std::thread::sleep(Duration::from_millis(800));
-            break client.metrics(0).expect("metrics after catch-up");
+            break client.metrics(0, false).expect("metrics after catch-up");
         }
         assert!(
             std::time::Instant::now() < deadline,
@@ -450,7 +450,7 @@ fn cluster_kill_primary_loses_no_acked_write_and_catches_up_by_delta() {
     servers[1] = Some(spawn_cluster_node(&cluster_file_s, 1, &data_dirs[1]));
     std::thread::sleep(Duration::from_millis(500));
     for i in 600..650 {
-        put_acked(&mut client, &mut acked, i);
+        put_row(&mut client, &mut acked, i);
     }
     for (key, want) in &acked {
         let got = client.get(key.clone()).expect("get after rolling restart");

@@ -6,7 +6,6 @@ use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip
 use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness};
 use pequod::core::partition::{ServerId, SingleServer, TablePartition};
 use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, WriteAround};
-use pequod::net::TcpClient;
 use pequod::prelude::*;
 use pequod::telemetry::metric;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
@@ -134,6 +133,11 @@ fn serve(engine: Engine) -> ClusterServer {
     ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap()
 }
 
+/// A client of `server`.
+fn connect(server: &ClusterServer) -> ClusterClient {
+    ClusterClient::connect(ClusterConfig::one_node(server.addr()))
+}
+
 /// The same engine logic works over real TCP.
 #[test]
 fn tcp_server_serves_newp_pages() {
@@ -145,7 +149,7 @@ fn tcp_server_serves_newp_pages() {
         .add_joins_text(pequod::workloads::newp::NEWP_PAGE_JOINS)
         .unwrap();
     let server = serve(engine);
-    let mut c = TcpClient::connect(server.addr()).unwrap();
+    let mut c = connect(&server);
     c.put("article|n1|0001", "body").unwrap();
     c.put("comment|n1|0001|c1|n2", "hi").unwrap();
     c.put("vote|n1|0001|n9", "1").unwrap();
@@ -167,7 +171,7 @@ fn tcp_server_serves_newp_pages() {
 #[test]
 fn tcp_servers_serve_memory_bounded() {
     let limit = MemoryLimit::new(24 * 1024);
-    let drive = |c: &mut TcpClient| -> Vec<Vec<(Key, Value)>> {
+    let drive = |c: &mut ClusterClient| -> Vec<Vec<(Key, Value)>> {
         c.add_join(TIMELINE).unwrap();
         for u in 0..40u32 {
             c.put(format!("s|u{u:07}|u0000099"), "1").unwrap();
@@ -189,11 +193,11 @@ fn tcp_servers_serve_memory_bounded() {
     };
 
     let unbounded = serve(Engine::new_default());
-    let want = drive(&mut TcpClient::connect(unbounded.addr()).unwrap());
+    let want = drive(&mut connect(&unbounded));
 
     let capped_cfg = EngineConfig::default().with_mem_limit(limit);
     let capped = serve(Engine::new(capped_cfg));
-    let got = drive(&mut TcpClient::connect(capped.addr()).unwrap());
+    let got = drive(&mut connect(&capped));
     assert_eq!(got, want, "capped TCP node diverged from unbounded");
     let metrics = (capped.telemetry())(false).to_pairs();
     let backend = |name| metric(&metrics, name).unwrap_or_else(|| panic!("no {name}"));

@@ -3,9 +3,8 @@
 //! and the ticker, and graceful shutdown joins it. (One test in this
 //! binary, so no other test's folder is counted.)
 
-use pequod::cluster::{ClusterConfig, ClusterServer};
+use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer};
 use pequod::core::Engine;
-use pequod::net::TcpClient;
 use pequod::persist::{attach, recover, FsyncPolicy, PersistOptions};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -67,7 +66,7 @@ fn a_durable_server_runs_one_folder_and_none_after_shutdown() {
     let mut server = ClusterServer::spawn(ClusterConfig::new(1, 1), 0, engine, addr).unwrap();
     assert_eq!(fold_threads_settled(1), 1);
     // Seals every 16 records fold on that one thread.
-    let mut client = TcpClient::connect(server.addr()).unwrap();
+    let mut client = ClusterClient::connect(ClusterConfig::one_node(server.addr()));
     for i in 0..100 {
         client.put(format!("p|u{:02}|{i:010}", i % 7), "v").unwrap();
     }

@@ -4,9 +4,10 @@
 //! names a member of a `--cluster` file: either flag alone is a usage
 //! error.
 
+use pequod::cluster::{ClusterClient, ClusterClientError, ClusterConfig};
 use pequod::core::Engine;
 use pequod::net::codec::{encode_frame, FrameDecoder};
-use pequod::net::{ClientError, Message, TcpClient};
+use pequod::net::Message;
 use pequod::persist::{attach, PersistOptions};
 use pequod::telemetry::metric;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -44,12 +45,22 @@ fn spawn() -> (Server, String) {
     (Server(child), addr.trim().to_string())
 }
 
+/// A client of the stand-alone server at `addr`.
+fn connect(addr: &str) -> ClusterClient {
+    ClusterClient::connect(ClusterConfig::one_node(addr))
+}
+
+/// Whether `result` is the refusal of a reserved key.
+fn reserved<T>(result: Result<T, ClusterClientError>) -> bool {
+    matches!(result, Err(ClusterClientError::Remote(e)) if e.contains("reserved"))
+}
+
 #[test]
 fn a_stand_alone_server_is_the_primary_of_every_slot() {
     let (_server, addr) = spawn();
-    let mut client = TcpClient::connect(&addr).expect("connect");
+    let mut client = connect(&addr);
     client.put("p|bob|0000000001", "hi").expect("put");
-    let metrics = client.metrics(false).expect("metrics");
+    let metrics = client.metrics(0, false).expect("metrics");
     for slot in 0..8 {
         let role = format!("pequod_cluster_slot_role{{slot={slot},role=primary}}");
         assert_eq!(metric(&metrics, &role), Some(1), "{role} in {metrics:?}");
@@ -60,11 +71,26 @@ fn a_stand_alone_server_is_the_primary_of_every_slot() {
 #[test]
 fn a_stand_alone_server_reserves_hash_keys() {
     let (_server, addr) = spawn();
-    let mut client = TcpClient::connect(&addr).expect("connect");
-    let reserved = |result: Result<(), ClientError>| matches!(result, Err(ClientError::Remote(e)) if e.contains("reserved"));
+    let mut client = connect(&addr);
     assert!(reserved(client.put("#rep|00", "1")));
-    assert!(reserved(client.get("#epoch|00").map(drop)));
+    assert!(reserved(client.get("#epoch|00")));
     assert!(reserved(client.remove("#x")));
+}
+
+/// An error reply is final: a write the server refuses is not sent
+/// again, as if a deposed primary had refused it.
+#[test]
+fn a_refused_write_is_sent_once() {
+    let (_server, addr) = spawn();
+    let mut client = connect(&addr);
+    let frames_in = |client: &mut ClusterClient| {
+        let metrics = client.metrics(0, false).expect("metrics");
+        metric(&metrics, "pequod_frames_in_total").expect("a frame counter")
+    };
+    let before = frames_in(&mut client);
+    assert!(reserved(client.put("#rep|00", "1")));
+    // The put's one frame and this `Metrics` request.
+    assert_eq!(frames_in(&mut client) - before, 2);
 }
 
 #[test]
@@ -128,7 +154,7 @@ fn a_stand_alone_server_has_no_peers() {
     }
     // Still serving, and a write is acknowledged at once: no follower
     // was added for it to wait on.
-    let mut client = TcpClient::connect(&addr).expect("connect");
+    let mut client = connect(&addr);
     for slot_key in ["p|a|1", "p|b|1", "p|c|1", "p|d|1", "s|a|b", "s|c|d"] {
         client.put(slot_key, "v").expect("put");
     }
