@@ -96,6 +96,18 @@ pub struct TrafficStats {
 struct Rng(u64);
 
 impl Rng {
+    /// A generator seeded with `seed` through splitmix64's mix, a
+    /// bijection on `u64`: distinct seeds start distinct streams. The
+    /// one seed the mix takes to 0, where xorshift would stay, starts
+    /// from a fixed non-zero state instead.
+    fn seeded(seed: u64) -> Rng {
+        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        Rng(if z == 0 { 0x9e37_79b9_7f4a_7c15 } else { z })
+    }
+
     fn next(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
@@ -155,7 +167,7 @@ impl SimNet {
             queue: BinaryHeap::new(),
             payloads: HashMap::new(),
             seq: 0,
-            rng: Rng(seed | 1),
+            rng: Rng::seeded(seed),
             latency,
             default_faults: LinkFaults::default(),
             faults: HashMap::new(),

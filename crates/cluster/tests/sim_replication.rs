@@ -2,7 +2,7 @@
 //! replica convergence, fault-injected links, failover with no acked
 //! write lost, live migration, and delta-only restart catch-up.
 
-use pequod_cluster::{ClusterClient, ClusterConfig, ClusterStats, LinkFaults, SimHarness};
+use pequod_cluster::{ClusterClient, ClusterConfig, ClusterStats, LinkFaults, SimHarness, SimNet};
 use pequod_core::Engine;
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
@@ -140,6 +140,42 @@ fn lossy_duplicating_reordering_links_still_converge() {
         );
         assert_each_request_answered_once(sim);
     }
+}
+
+/// What a lossy fabric decides for one fixed send sequence under
+/// `seed`: the order the surviving copies arrive in (each by its request
+/// id) and the drop, duplicate and reorder counts.
+fn fabric_decisions(seed: u64) -> (Vec<u64>, [u64; 3]) {
+    let mut net = SimNet::new(seed, 1);
+    net.set_default_faults(LinkFaults::lossy(0.2, 0.2, 0.2));
+    for id in 0..200 {
+        let key = Key::from(format!("p|u{id:03}|x"));
+        net.send(id, 0, 1, Message::Get { id, key });
+    }
+    let arrived = (net.take_due(u64::MAX).into_iter())
+        .map(|(_, _, msg)| match msg {
+            Message::Get { id, .. } => id,
+            other => panic!("the fabric made up {other:?}"),
+        })
+        .collect();
+    let stats = &net.stats;
+    (arrived, [stats.dropped, stats.duplicated, stats.reordered])
+}
+
+/// Every seed is its own fabric, neighbouring seeds 2k and 2k+1
+/// included.
+#[test]
+fn neighbouring_seeds_make_different_fault_decisions() {
+    let (two, three) = (fabric_decisions(2), fabric_decisions(3));
+    assert_eq!(two, fabric_decisions(2), "a seed replays its own decisions");
+    assert_ne!(two.0, three.0, "seeds 2 and 3 deliver differently");
+    for (fault, (a, b)) in ["drop", "duplicate", "reorder"]
+        .iter()
+        .zip(two.1.iter().zip(&three.1))
+    {
+        assert!(*a > 0 && *b > 0, "{fault}s happen under both seeds");
+    }
+    assert_ne!(two.1, three.1, "seeds 2 and 3 count different faults");
 }
 
 #[test]

@@ -18,7 +18,7 @@ use crate::config::{EngineConfig, EngineStats, MaterializationMode, MemoryLimit}
 use crate::durable::{Durability, DurableOp};
 use crate::status::{JsState, LoggedMod, StatusMap};
 use crate::types::{EngineError, JoinId, JsId, WriteKind};
-use crate::updater::{OutputHint, UpdaterHandle, UpdaterIndex};
+use crate::updater::{OutputHint, UpdaterEntry, UpdaterHandle, UpdaterIndex};
 use pequod_join::{JoinSpec, Operator, SlotSet};
 use pequod_store::{
     Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, UpperBound, Value,
@@ -103,7 +103,16 @@ pub struct Engine {
     /// Cached per-table rate handles so the hot path never takes the
     /// recorder's registration mutex.
     pub(crate) rate_handles: HashMap<Key, RateHandle>,
+    /// The eager `copy` outputs of a write's fan-out bound for tables no
+    /// join watches, kept between writes so that collecting them
+    /// allocates nothing.
+    batch: Vec<(Key, Value)>,
 }
+
+/// Entries a write's fan-out dispatches before it puts the outputs
+/// collected so far: the batch kept between writes then holds a few
+/// hundred pairs, where a top poster's post would hold thousands.
+const FANOUT_CHUNK: usize = 256;
 
 /// Marks a remote table's cached base data as just used, registering it
 /// with the LRU list if no live cell tracks it (first read, or first
@@ -186,6 +195,7 @@ impl Engine {
             durability: None,
             recorder: Recorder::disabled(),
             rate_handles: HashMap::new(),
+            batch: Vec::new(),
         }
     }
 
@@ -720,34 +730,60 @@ impl Engine {
         if self.updaters.table_is_quiet(key) {
             return;
         }
-        // Stab once, keeping handles only: dispatch may mutate the index,
-        // and an entry freed meanwhile no longer resolves through its
-        // handle and is skipped. Entries are read in place, never copied.
-        // All scratch state lives in this frame, because dispatch
-        // re-enters `write` for the output keys of chained joins.
-        let work = self.updaters.stab(key);
+        // Stab once, copying the entries out of their nodes' arrays:
+        // dispatch may change the index, and an entry freed meanwhile is
+        // skipped — which needs a lookup only once something was freed.
+        // A chained join's write, nested in this one, finds the batch
+        // taken and starts its own.
+        let work = self.updaters.stab_entries(key);
         if work.is_empty() {
             return;
         }
         self.recorder.observe_fanout(work.len() as u64);
+        let removals = self.updaters.removals();
         let mut matched: Vec<SourceMatch> = Vec::new();
-        for h in work {
-            self.dispatch(h, &mut matched, key, old, new, kind);
+        let mut batch = std::mem::take(&mut self.batch);
+        for chunk in work.chunks(FANOUT_CHUNK) {
+            for (h, e) in chunk {
+                if self.updaters.removals() != removals && self.updaters.get(*h).is_none() {
+                    continue;
+                }
+                self.dispatch(*h, e, &mut matched, &mut batch, key, old, new, kind);
+            }
+            self.put_batch(&mut batch);
         }
+        self.batch = batch;
     }
 
+    /// Stores the eager `copy` outputs collected for tables no join
+    /// watches, in the order they were collected: one store call, each
+    /// pair counted as the write it is. Nothing is notified, because
+    /// nothing watches them; and since every other dispatch path puts
+    /// the batch first, the store goes through the same states in the
+    /// same order as if each had been written on its own.
+    fn put_batch(&mut self, batch: &mut Vec<(Key, Value)>) {
+        if batch.is_empty() {
+            return;
+        }
+        self.stats.writes += batch.len() as u64;
+        self.store.put_batch(batch, self.config.value_sharing);
+    }
+
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the entry, the write it sees, and the write's scratch state"
+    )]
     fn dispatch(
         &mut self,
         h: UpdaterHandle,
+        e: &UpdaterEntry,
         matched: &mut Vec<SourceMatch>,
+        batch: &mut Vec<(Key, Value)>,
         key: &Key,
         old: Option<&Value>,
         new: Option<&Value>,
         kind: WriteKind,
     ) {
-        let Some(e) = self.updaters.get(h) else {
-            return;
-        };
         let (jidx, source_idx, jsid) = (e.join as usize, e.source_idx as usize, e.js);
         let Some(js) = self.status[jidx].get(jsid) else {
             // Stale updater for a torn-down range: drop it.
@@ -760,31 +796,8 @@ impl Engine {
         let spec = &self.joins[jidx];
         let op = spec.sources[source_idx].op;
         if op == Operator::Check {
-            let m = LoggedMod {
-                source_idx,
-                key: key.clone(),
-                kind,
-            };
-            // Logging waits for the range's next read; a join reading the
-            // range's outputs causes none, so with one watching, apply now.
-            let lazy = self.config.lazy_checks
-                && self.config.materialization != MaterializationMode::Full
-                && self.updaters.table_is_quiet(&js.first);
-            if lazy {
-                let limit = self.config.pending_log_limit;
-                let Some(js) = self.status[jidx].get_mut(jsid) else {
-                    return;
-                };
-                js.pending.push(m);
-                self.stats.mods_logged += 1;
-                if js.pending.len() > limit {
-                    self.complete_invalidate(jidx, jsid);
-                }
-            } else if self.apply_pending(jidx, jsid) {
-                // What was logged while the table was quiet went first.
-                self.apply_logged_mod(jidx, jsid, &m);
-            }
-            return;
+            self.put_batch(batch);
+            return self.dispatch_check(jidx, jsid, source_idx, key, kind);
         }
         // Eager sources: the output key this write maintains is the
         // entry's captured slots united with the written key's. The key
@@ -824,44 +837,90 @@ impl Engine {
             self.stats.spurious_fires += 1;
             return;
         }
-        match op {
-            Operator::Copy => match target {
-                Some(out_key) => {
-                    self.stats.eager_updates += 1;
-                    match kind {
-                        WriteKind::Insert | WriteKind::Update => {
-                            let Some(v) = new.cloned() else { return };
-                            let (v, shared) = if self.config.value_sharing {
-                                (v, true)
-                            } else {
-                                (Value::copy_from_slice(&v), false)
-                            };
-                            self.write(out_key, Some(v), shared);
-                        }
-                        WriteKind::Remove => self.write(out_key, None, self.config.value_sharing),
+        match (op, target) {
+            (Operator::Copy, Some(out_key)) => {
+                self.stats.eager_updates += 1;
+                let sharing = self.config.value_sharing;
+                let value = match (kind, new) {
+                    (WriteKind::Remove, _) => None,
+                    (_, Some(v)) if sharing => Some(v.clone()),
+                    (_, Some(v)) => Some(Value::copy_from_slice(v)),
+                    (_, None) => return,
+                };
+                match value {
+                    Some(v) if self.updaters.table_is_quiet(&out_key) => batch.push((out_key, v)),
+                    value => {
+                        self.put_batch(batch);
+                        self.write(out_key, value, sharing);
                     }
                 }
-                None => {
-                    // The copy source alone does not determine the output
-                    // key (copy listed before a check, as in the celebrity
-                    // join): fall back to the general re-derivation path.
-                    let m = LoggedMod {
-                        source_idx,
-                        key: key.clone(),
-                        kind,
-                    };
-                    self.apply_logged_mod(jidx, jsid, &m);
+            }
+            // The copy source alone does not determine the output key
+            // (copy listed before a check, as in the celebrity join):
+            // fall back to the general re-derivation path.
+            (Operator::Copy, None) => {
+                self.put_batch(batch);
+                let m = LoggedMod {
+                    source_idx,
+                    key: key.clone(),
+                    kind,
+                };
+                self.apply_logged_mod(jidx, jsid, &m);
+            }
+            (_, target) => {
+                self.put_batch(batch);
+                match target {
+                    Some(out_key) if matches!(op, Operator::Count | Operator::Sum) => {
+                        self.dispatch_numeric_agg(h, out_key, op, old, new, kind)
+                    }
+                    Some(out_key) => {
+                        self.dispatch_extremum(jidx, jsid, out_key, op, old, new, kind)
+                    }
+                    // An aggregate whose group key is underdetermined
+                    // recomputes lazily.
+                    None => self.complete_invalidate(jidx, jsid),
                 }
-            },
-            // An aggregate whose group key is underdetermined recomputes
-            // lazily.
-            _ => match target {
-                Some(out_key) if matches!(op, Operator::Count | Operator::Sum) => {
-                    self.dispatch_numeric_agg(h, out_key, op, old, new, kind)
-                }
-                Some(out_key) => self.dispatch_extremum(jidx, jsid, out_key, op, old, new, kind),
-                None => self.complete_invalidate(jidx, jsid),
-            },
+            }
+        }
+    }
+
+    /// A `check` source changed under a valid range: the modification is
+    /// logged for the range's next read, or applied now if a join reads
+    /// the range's outputs.
+    fn dispatch_check(
+        &mut self,
+        jidx: usize,
+        jsid: JsId,
+        source_idx: usize,
+        key: &Key,
+        kind: WriteKind,
+    ) {
+        let Some(js) = self.status[jidx].get(jsid) else {
+            return;
+        };
+        let m = LoggedMod {
+            source_idx,
+            key: key.clone(),
+            kind,
+        };
+        // Logging waits for the range's next read; a join reading the
+        // range's outputs causes none, so with one watching, apply now.
+        let lazy = self.config.lazy_checks
+            && self.config.materialization != MaterializationMode::Full
+            && self.updaters.table_is_quiet(&js.first);
+        if lazy {
+            let limit = self.config.pending_log_limit;
+            let Some(js) = self.status[jidx].get_mut(jsid) else {
+                return;
+            };
+            js.pending.push(m);
+            self.stats.mods_logged += 1;
+            if js.pending.len() > limit {
+                self.complete_invalidate(jidx, jsid);
+            }
+        } else if self.apply_pending(jidx, jsid) {
+            // What was logged while the table was quiet went first.
+            self.apply_logged_mod(jidx, jsid, &m);
         }
     }
 

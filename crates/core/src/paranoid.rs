@@ -39,8 +39,9 @@
 //!    and the free list, id generations, and range disjointness
 //!    ([`StatusMap::audit`](crate::status::StatusMap::audit)).
 //! 4. **Updater index bookkeeping** — each node's recorded length vs
-//!    its chain links, the entry slab vs its free list, and the
-//!    entry/node/per-table counters vs a tree walk
+//!    its entry array, its holes vs its places, every entry's cell
+//!    pointing back at its place, the cell slab vs its free list, and
+//!    the entry/node/per-table counters vs a tree walk
 //!    ([`UpdaterIndex::audit`](crate::updater::UpdaterIndex::audit)).
 //! 5. **Subscription symmetry**, both directions — every live updater
 //!    entry maintains a live *valid* range that lists its handle (else

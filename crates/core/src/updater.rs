@@ -32,7 +32,8 @@ pub struct OutputHint {
 /// One maintenance registration: join + source + context slot bindings +
 /// target join status range. An entry owns no allocation unless its
 /// bindings outgrow their handle (see [`Bindings`]), so a follower
-/// chained onto a poster's source range costs one slab cell.
+/// coalesced onto a poster's source range costs one place in that
+/// range's entry array.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UpdaterEntry {
     /// Index of the join being maintained ([`JoinId`](crate::JoinId)'s
@@ -46,43 +47,179 @@ pub struct UpdaterEntry {
     pub js: JsId,
 }
 
-/// An exact reference to one installed [`UpdaterEntry`]: a slot of the
-/// index's entry slab plus the generation the slot had when the entry
-/// was installed. The owning join status range keeps the handles of its
-/// own entries (`JsRange::updaters`), so tearing the range down removes
-/// exactly those entries in O(1) each, however many other ranges watch
-/// the same source range. A handle whose entry was removed is *stale*:
-/// every lookup through it returns `None`, even after the slot has been
-/// reused for another entry, because reuse bumps the generation.
+/// An exact reference to one installed [`UpdaterEntry`]: a cell of the
+/// index's cell slab, which records where the entry sits, plus the
+/// generation the cell had when the entry was installed (kept with the
+/// entry, and with the cell while it is free). The owning join
+/// status range keeps the handles of its own entries
+/// (`JsRange::updaters`), so tearing the range down removes exactly
+/// those entries in O(1) each, however many other ranges watch the same
+/// source range. A handle whose entry was removed is *stale*: every
+/// lookup through it returns `None`, even after the cell has been reused
+/// for another entry, because reuse bumps the generation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct UpdaterHandle {
     slot: u32,
     gen: u32,
 }
 
-/// End-of-chain marker for slab indices (never a cell: `slots.get(NIL)`
-/// is `None`).
+/// `Cell::at` of a cell on the free list.
 const NIL: u32 = u32::MAX;
 
-/// One cell of the entry slab. Live cells of one node form a
-/// doubly-linked chain, newest first: installing touches the chain's
-/// head and nothing else of it.
-struct Slot {
-    /// Bumped on every removal, so stale handles never resolve.
-    gen: u32,
-    prev: u32,
-    next: u32,
-    /// The tree node (distinct source range) this entry sits on.
+/// Where one entry sits: its node and its place in the node's array.
+/// Only removal and the handle lookups use it; a stab reads the arrays.
+/// A handle resolves only if the place it finds holds that very handle,
+/// so the cell keeps no generation, and packs to 12 bytes.
+#[derive(Clone, Copy)]
+#[repr(Rust, packed(4))]
+struct Cell {
+    /// Index into the node's `placed`; [`NIL`] while the cell is free.
+    at: u32,
+    /// The tree node (distinct source range) the entry sits on.
     node: IntervalId,
-    /// `None` while the cell is on the free list.
+}
+
+impl Cell {
+    /// Where the entry is: its node, and its place there (a copy: the
+    /// fields of a packed struct cannot be borrowed).
+    fn at(self) -> (IntervalId, usize) {
+        (self.node, self.at as usize)
+    }
+}
+
+/// One place of a node's entry array: an entry with its own handle, or
+/// a hole a removal left (`entry` is `None`).
+struct Placed {
+    handle: UpdaterHandle,
     entry: Option<UpdaterEntry>,
 }
 
+/// A place whose entry has gone.
+const HOLE: Placed = Placed {
+    handle: UpdaterHandle { slot: NIL, gen: 0 },
+    entry: None,
+};
+
 /// The entries coalesced onto one distinct source range: the tree
-/// node's payload. `head` is the newest.
-struct Chain {
-    head: u32,
-    len: u32,
+/// node's payload. A write to the range reads them in one pass over
+/// [`Node::placed`], in installation order.
+enum Node {
+    /// The only entry, held in the tree node itself: a source range one
+    /// status range watches (a user's own subscriptions, for a
+    /// timeline) costs no allocation. Removing it empties the node.
+    One(Placed),
+    /// Every node that has had a second entry. An entry is always
+    /// placed at the end, and a removal leaves a hole where the entry
+    /// was, so the entries stay in installation order; `live` counts
+    /// them. The node closes its holes up, keeping the order, once they
+    /// are more than a quarter of the places, and before its array would
+    /// grow if they are an eighth.
+    Many { placed: Vec<Placed>, live: u32 },
+}
+
+impl Node {
+    fn placed(&self) -> &[Placed] {
+        match self {
+            Node::One(only) => std::slice::from_ref(only),
+            Node::Many { placed, .. } => placed,
+        }
+    }
+
+    /// Entries that are not holes.
+    fn live(&self) -> u32 {
+        match self {
+            Node::One(only) => u32::from(only.entry.is_some()),
+            Node::Many { live, .. } => *live,
+        }
+    }
+
+    /// The node's live entries with their handles, in installation
+    /// order.
+    fn entries(&self) -> impl Iterator<Item = (UpdaterHandle, &UpdaterEntry)> {
+        (self.placed().iter()).filter_map(|p| Some((p.handle, p.entry.as_ref()?)))
+    }
+
+    /// Places an entry at the end and returns its place.
+    fn push(&mut self, next: Placed, cells: &mut [Cell]) -> usize {
+        match self {
+            Node::Many { placed, live } => {
+                // A full array with an eighth of its places holes closes
+                // them up instead of growing, so that churn (timelines
+                // evicted and recomputed, leaving and rejoining their
+                // posters' nodes) reuses the places it frees.
+                let len = placed.len();
+                if len == placed.capacity() && 8 * (len - *live as usize) >= len {
+                    close_up(placed, cells);
+                }
+                // A large array grows by an eighth, not by doubling: a
+                // poster's node holds an entry per follower timeline, and
+                // its spare places are resident. A small one doubles, so
+                // that a login joining many small nodes seldom
+                // reallocates.
+                if placed.len() == placed.capacity() {
+                    let len = placed.len();
+                    placed.reserve_exact(if len < 32 { len } else { len / 8 });
+                }
+                *live += 1;
+                placed.push(next);
+                placed.len() - 1
+            }
+            Node::One(only) => {
+                let mut placed = Vec::with_capacity(2);
+                placed.extend([std::mem::replace(only, HOLE), next]);
+                *self = Node::Many { placed, live: 2 };
+                1
+            }
+        }
+    }
+
+    /// Takes the entry at `at` out, leaving a hole (none at the end of
+    /// the array: the array shortens). Closes the holes up, keeping the
+    /// entries' order, once they are more than a quarter of the places,
+    /// and tells each moved entry's cell its new place: a compaction
+    /// moves fewer than three entries for each removal since the last.
+    fn take(&mut self, at: usize, cells: &mut [Cell]) -> Option<UpdaterEntry> {
+        let (placed, live) = match self {
+            Node::One(only) => return (at == 0).then(|| only.entry.take()).flatten(),
+            Node::Many { placed, live } => (placed, live),
+        };
+        let entry = placed.get_mut(at)?.entry.take()?;
+        *live -= 1;
+        if at + 1 == placed.len() {
+            placed.pop();
+        }
+        if 4 * (placed.len() - *live as usize) > placed.len() {
+            close_up(placed, cells);
+        }
+        Some(entry)
+    }
+}
+
+/// Closes a node array's holes up, keeping its entries' order, and tells
+/// each moved entry's cell its new place. The array keeps its capacity
+/// for the entries to come.
+fn close_up(placed: &mut Vec<Placed>, cells: &mut [Cell]) {
+    placed.retain(|p| p.entry.is_some());
+    for (at, p) in placed.iter().enumerate() {
+        if let Some(c) = cells.get_mut(p.handle.slot as usize) {
+            c.at = at as u32;
+        }
+    }
+}
+
+/// A handle for a new entry: a free cell of the slab at the generation
+/// after its last entry's, or one past the slab's end.
+fn issue(cells: &[Cell], free: &mut Vec<UpdaterHandle>) -> UpdaterHandle {
+    match free.pop() {
+        Some(last) => UpdaterHandle {
+            slot: last.slot,
+            gen: last.gen.wrapping_add(1),
+        },
+        None => UpdaterHandle {
+            slot: cells.len() as u32,
+            gen: 0,
+        },
+    }
 }
 
 /// The live-node counter of `table`, if the table was ever watched.
@@ -93,21 +230,27 @@ fn watchers<'a>(per_table: &'a mut [(Key, usize)], table: &[u8]) -> Option<&'a m
 
 /// The engine-wide updater index.
 ///
-/// The interval tree holds one node per distinct source range; the
-/// entries live in one engine-wide slab and are chained per node, so a
-/// node costs the same whether it carries one entry or thousands, and
-/// installing onto or removing from a known node never walks the tree
-/// or the node's other entries. A source range nobody watches yet costs
-/// one hash of the range (the coalescing map) and a treap descent to
-/// install, and the same to remove: the tree's nodes are slab cells
-/// named by their ids, so nothing else is looked up or allocated.
+/// The interval tree holds one node per distinct source range, and each
+/// node keeps its entries in one array, in installation order, so a
+/// write to a range watched by thousands of status ranges reads their
+/// entries in one sequential pass. A handle names a small cell holding
+/// the entry's node and place, so removing an entry through its handle
+/// is O(1), amortized over the compactions its hole brings on. A source
+/// range nobody watches yet costs one hash of the range (the coalescing
+/// map) and a treap descent to install, and the same to remove: the
+/// tree's nodes are slab cells named by their ids, so nothing else is
+/// looked up.
 #[derive(Default)]
 pub struct UpdaterIndex {
-    tree: IntervalTree<Chain>,
-    slots: Vec<Slot>,
-    free_slots: Vec<u32>,
+    tree: IntervalTree<Node>,
+    cells: Vec<Cell>,
+    /// The free cells, each with the handle of the last entry it held.
+    free_cells: Vec<UpdaterHandle>,
     by_range: HashMap<KeyRange, IntervalId>,
     entries: usize,
+    /// Entries ever removed: a caller holding entries read out of the
+    /// index can tell whether any of them may since have gone.
+    removals: u64,
     /// Output hints of the entries that have one, dropped with them.
     hints: HashMap<UpdaterHandle, OutputHint>,
     /// Live node count per table prefix: lets the write path skip the
@@ -133,6 +276,13 @@ impl UpdaterIndex {
         self.entries
     }
 
+    /// Number of entries ever removed. While it stands still, every
+    /// entry read out of the index (by [`UpdaterIndex::stab_entries`])
+    /// is still installed.
+    pub fn removals(&self) -> u64 {
+        self.removals
+    }
+
     /// Installs an updater for `range`, coalescing with an existing node
     /// covering exactly the same range, and returns its handle.
     ///
@@ -147,21 +297,27 @@ impl UpdaterIndex {
         entry: UpdaterEntry,
         siblings: &[UpdaterHandle],
     ) -> Option<UpdaterHandle> {
-        let node = match self.by_range.entry(range) {
+        let (node, handle, at) = match self.by_range.entry(range) {
             Entry::Occupied(known) => {
                 let node = *known.get();
-                let on_node = |h: &UpdaterHandle| {
-                    let cell = self.slots.get(h.slot as usize);
-                    cell.filter(|s| s.gen == h.gen && s.node == node)
+                let on_node = |h: &&UpdaterHandle| {
+                    (self.cells.get(h.slot as usize)).is_some_and(|c| c.at().0 == node)
                 };
-                if siblings
-                    .iter()
-                    .filter_map(on_node)
-                    .any(|s| s.entry.as_ref() == Some(&entry))
-                {
+                let held = siblings.iter().filter(on_node).filter_map(|&h| self.get(h));
+                if held.into_iter().any(|e| *e == entry) {
                     return None;
                 }
-                node
+                // The coalescing map names live nodes only.
+                let on = self.tree.get_mut(node)?;
+                let handle = issue(&self.cells, &mut self.free_cells);
+                let at = on.push(
+                    Placed {
+                        handle,
+                        entry: Some(entry),
+                    },
+                    &mut self.cells,
+                );
+                (node, handle, at)
             }
             Entry::Vacant(unknown) => {
                 let range = unknown.key();
@@ -170,33 +326,25 @@ impl UpdaterIndex {
                     Some(n) => *n += 1,
                     None => self.per_table.push((range.first.table_prefix(), 1)),
                 }
-                let node = self.tree.insert(range.clone(), Chain { head: NIL, len: 0 });
-                *unknown.insert(node)
+                let handle = issue(&self.cells, &mut self.free_cells);
+                let only = Placed {
+                    handle,
+                    entry: Some(entry),
+                };
+                let node = self.tree.insert(range.clone(), Node::One(only));
+                (*unknown.insert(node), handle, 0)
             }
         };
-        // Push onto the front of the node's chain (the coalescing map
-        // names live nodes only).
-        let chain = self.tree.get_mut(node)?;
-        let slot = self.free_slots.pop().unwrap_or(self.slots.len() as u32);
-        let next = std::mem::replace(&mut chain.head, slot);
-        chain.len += 1;
-        let cell = Slot {
-            gen: self.slots.get(slot as usize).map_or(0, |s| s.gen),
-            prev: NIL,
-            next,
+        let cell = Cell {
+            at: at as u32,
             node,
-            entry: Some(entry),
         };
-        let gen = cell.gen;
-        match self.slots.get_mut(slot as usize) {
-            Some(s) => *s = cell,
-            None => self.slots.push(cell),
-        }
-        if let Some(older) = self.slots.get_mut(next as usize) {
-            older.prev = slot;
+        match self.cells.get_mut(handle.slot as usize) {
+            Some(c) => *c = cell,
+            None => self.cells.push(cell),
         }
         self.entries += 1;
-        Some(UpdaterHandle { slot, gen })
+        Some(handle)
     }
 
     /// True if no updater watches any range of `key`'s table. Ranges are
@@ -208,13 +356,11 @@ impl UpdaterIndex {
         !self.per_table.iter().any(watched)
     }
 
-    fn slot(&self, h: UpdaterHandle) -> Option<&Slot> {
-        self.slots.get(h.slot as usize).filter(|s| s.gen == h.gen)
-    }
-
     /// The entry behind a handle; `None` if the handle is stale.
     pub fn get(&self, h: UpdaterHandle) -> Option<&UpdaterEntry> {
-        self.slot(h)?.entry.as_ref()
+        let (node, at) = self.cells.get(h.slot as usize)?.at();
+        let place = self.tree.get(node)?.placed().get(at)?;
+        place.entry.as_ref().filter(|_| place.handle == h)
     }
 
     /// The output hint kept for the entry behind `h`, if any.
@@ -231,27 +377,25 @@ impl UpdaterIndex {
         };
     }
 
-    /// Appends the handles of every entry chained on `node`, in
-    /// installation order.
-    fn push_chain(&self, chain: &Chain, out: &mut Vec<UpdaterHandle>) {
-        let from = out.len();
-        out.reserve(chain.len as usize);
-        let mut cur = chain.head;
-        while let Some(s) = self.slots.get(cur as usize) {
-            out.push(UpdaterHandle {
-                slot: cur,
-                gen: s.gen,
-            });
-            cur = s.next;
-        }
-        out[from..].reverse();
+    /// Every entry whose source range contains `key`, with its handle:
+    /// node by node, each node's in installation order, copied out of
+    /// the node's array in one pass. The write path dispatches from this
+    /// copy, because dispatching may change the index.
+    pub fn stab_entries(&self, key: &Key) -> Vec<(UpdaterHandle, UpdaterEntry)> {
+        let mut out = Vec::new();
+        self.tree.stab(key, |_, _, on| {
+            out.reserve(on.live() as usize);
+            out.extend(on.entries().map(|(h, e)| (h, e.clone())));
+        });
+        out
     }
 
-    /// Handles of every entry whose source range contains `key`.
+    /// Handles of every entry whose source range contains `key`, in the
+    /// order [`UpdaterIndex::stab_entries`] gives them.
     pub fn stab(&self, key: &Key) -> Vec<UpdaterHandle> {
         let mut out = Vec::new();
         self.tree
-            .stab(key, |_, _, chain| self.push_chain(chain, &mut out));
+            .stab(key, |_, _, on| out.extend(on.entries().map(|(h, _)| h)));
         out
     }
 
@@ -259,36 +403,30 @@ impl UpdaterIndex {
     pub fn overlapping(&self, range: &KeyRange) -> Vec<UpdaterHandle> {
         let mut out = Vec::new();
         self.tree
-            .overlapping(range, |_, _, chain| self.push_chain(chain, &mut out));
+            .overlapping(range, |_, _, on| out.extend(on.entries().map(|(h, _)| h)));
         out
     }
 
-    /// Removes the entry behind `h` in O(1), dropping its node when the
-    /// chain empties. Returns the entry; `None` if the handle is stale.
+    /// Removes the entry behind `h` in O(1) (amortized over the
+    /// compactions its hole brings on), dropping its node when the node
+    /// empties. Returns the entry; `None` if the handle is stale.
     pub fn remove(&mut self, h: UpdaterHandle) -> Option<UpdaterEntry> {
-        let s = self
-            .slots
-            .get_mut(h.slot as usize)
-            .filter(|s| s.gen == h.gen)?;
-        let entry = s.entry.take()?;
-        s.gen = s.gen.wrapping_add(1);
-        let (prev, next, node) = (s.prev, s.next, s.node);
-        if let Some(older) = self.slots.get_mut(next as usize) {
-            older.prev = prev;
+        self.get(h)?;
+        let (node, at) = self.cells.get(h.slot as usize)?.at();
+        // A live cell names a live node and a place holding its entry.
+        let on = self.tree.get_mut(node)?;
+        let entry = on.take(at, &mut self.cells)?;
+        let emptied = on.live() == 0;
+        if let Some(cell) = self.cells.get_mut(h.slot as usize) {
+            cell.at = NIL;
         }
-        self.free_slots.push(h.slot);
+        self.free_cells.push(h);
         self.entries -= 1;
+        self.removals += 1;
         if !self.hints.is_empty() {
             self.hints.remove(&h);
         }
-        // A live entry sits on a live node.
-        let chain = self.tree.get_mut(node)?;
-        chain.len -= 1;
-        match self.slots.get_mut(prev as usize) {
-            Some(newer) => newer.next = next,
-            None => chain.head = next,
-        }
-        if chain.len == 0 {
+        if emptied {
             if let Some((range, _)) = self.tree.remove(node) {
                 self.by_range.remove(&range);
                 if let Some(n) = watchers(&mut self.per_table, range.first.table_prefix_bytes()) {
@@ -333,14 +471,9 @@ impl UpdaterIndex {
     /// Visits every `(handle, source range, entry)` triple for
     /// bookkeeping or debugging.
     pub fn for_each(&self, mut f: impl FnMut(UpdaterHandle, &KeyRange, &UpdaterEntry)) {
-        let mut chain = Vec::new();
-        self.tree.for_each(|_, range, on_node| {
-            chain.clear();
-            self.push_chain(on_node, &mut chain);
-            for &h in &chain {
-                if let Some(e) = self.get(h) {
-                    f(h, range, e);
-                }
+        self.tree.for_each(|_, range, on| {
+            for (h, e) in on.entries() {
+                f(h, range, e);
             }
         });
     }
@@ -351,33 +484,38 @@ impl UpdaterIndex {
         self.node_count() * 96 + self.entry_count() * 64
     }
 
-    /// Test-only hook: skews the recorded chain length of the node
-    /// holding `h` so tests can prove the audit notices a length that
-    /// disagrees with its links. Not part of the public API.
+    /// Test-only hook: skews the recorded live-entry count of the node
+    /// holding `h` so tests can prove the audit notices a count that
+    /// disagrees with the node's array. Not part of the public API.
     #[doc(hidden)]
     pub fn debug_skew_node_len(&mut self, h: UpdaterHandle, delta: u32) {
-        if let Some(chain) = self
-            .slot(h)
-            .map(|s| s.node)
-            .and_then(|n| self.tree.get_mut(n))
-        {
-            chain.len += delta;
+        let cell = self.cells.get(h.slot as usize).copied();
+        if let Some(on) = cell.and_then(|c| self.tree.get_mut(c.at().0)) {
+            if let Node::One(only) = on {
+                let placed = vec![std::mem::replace(only, HOLE)];
+                *on = Node::Many { placed, live: 1 };
+            }
+            if let Node::Many { live, .. } = on {
+                *live += delta;
+            }
         }
     }
 
     /// Exhaustive consistency check of the index's O(1) bookkeeping
-    /// against a full walk: the tree's own shape, every node's recorded
-    /// length against its chain links, the entry slab's live cells and
-    /// free list, the entry counter, and the coalescing map and
-    /// per-table counters. Used
-    /// by the paranoid invariant checker (`Engine::check_invariants`).
+    /// against a full walk: the tree's own shape; every node's recorded
+    /// live count against its array (the node's chain of entries), and
+    /// its holes no more than a quarter of its places; every entry's cell
+    /// pointing back at its place; the cell slab's live cells and free
+    /// list; the entry
+    /// counter; and the coalescing map and per-table counters. Used by
+    /// the paranoid invariant checker (`Engine::check_invariants`).
     /// Returns one message per problem; empty means consistent.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = self.tree.audit();
         let mut chained = 0usize;
         let mut nodes = 0usize;
         let mut per_table: HashMap<Key, usize> = HashMap::new();
-        self.tree.for_each(|node, range, n| {
+        self.tree.for_each(|node, range, on| {
             nodes += 1;
             *per_table.entry(range.first.table_prefix()).or_insert(0) += 1;
             if self.by_range.get(range) != Some(&node) {
@@ -385,57 +523,56 @@ impl UpdaterIndex {
                     "coalescing map does not point {range:?} at its node {node:?}"
                 ));
             }
-            // Walk the chain for `len` steps: it must stay on live cells
-            // of this node, link back consistently, and end exactly
-            // there (an empty node should have been dropped).
-            let (mut cur, mut prev, mut walked) = (n.head, NIL, 0);
-            while walked < n.len && cur != NIL {
-                let cell = self.slots.get(cur as usize);
-                let Some(s) = cell.filter(|s| s.entry.is_some() && s.node == node) else {
-                    problems.push(format!(
-                        "node {node:?} chain reaches cell {cur}, which is not a live cell of it"
-                    ));
-                    return;
-                };
-                if s.prev != prev {
-                    problems.push(format!("cell {cur} on node {node:?} has broken links"));
-                    return;
+            let mut walked = 0u32;
+            for (at, p) in on.placed().iter().enumerate() {
+                if p.entry.is_none() {
+                    continue;
                 }
                 walked += 1;
-                (prev, cur) = (cur, s.next);
+                let cell = self.cells.get(p.handle.slot as usize).copied();
+                let home = |c: Cell| c.at() == (node, at);
+                if !cell.is_some_and(home) {
+                    problems.push(format!(
+                        "entry {at} of node {node:?} carries {:?}, whose cell does not point \
+                         back at it",
+                        p.handle
+                    ));
+                }
             }
             chained += walked as usize;
-            if n.len == 0 || walked != n.len || cur != NIL {
+            if on.live() == 0 || walked != on.live() {
                 problems.push(format!(
                     "node {node:?} ({range:?}) records length {} but its chain does not close \
-                     there ({walked} walked)",
-                    n.len
+                     there ({walked} live entries in its array)",
+                    on.live()
+                ));
+            }
+            let holes = on.placed().len() - walked as usize;
+            if 4 * holes > on.placed().len() {
+                problems.push(format!(
+                    "node {node:?} ({range:?}) keeps {holes} holes beside {walked} entries"
                 ));
             }
         });
-        let live = self.slots.iter().filter(|s| s.entry.is_some()).count();
+        let live = self.cells.iter().filter(|c| c.at != NIL).count();
         if chained != self.entries || live != self.entries {
             problems.push(format!(
-                "updater entry counter is {} but chains hold {chained} and the slab {live}",
+                "updater entry counter is {} but the nodes hold {chained} and the cell slab {live}",
                 self.entries
             ));
         }
-        let mut free = self.free_slots.clone();
+        let mut free: Vec<u32> = self.free_cells.iter().map(|h| h.slot).collect();
         free.sort_unstable();
         free.dedup();
-        let vacant = |i: &u32| {
-            self.slots
-                .get(*i as usize)
-                .is_some_and(|s| s.entry.is_none())
-        };
-        if free.len() != self.free_slots.len()
-            || free.len() + live != self.slots.len()
+        let vacant = |i: &u32| self.cells.get(*i as usize).is_some_and(|c| c.at == NIL);
+        if free.len() != self.free_cells.len()
+            || free.len() + live != self.cells.len()
             || !free.iter().all(vacant)
         {
             problems.push(format!(
-                "entry free list ({} cells) is not exactly the slab's {} vacant cells",
-                self.free_slots.len(),
-                self.slots.len() - live
+                "cell free list ({} cells) is not exactly the slab's {} vacant cells",
+                self.free_cells.len(),
+                self.cells.len() - live
             ));
         }
         if let Some(h) = self.hints.keys().find(|&&h| self.get(h).is_none()) {
@@ -473,11 +610,14 @@ mod tests {
         }
     }
 
-    /// The point of the layout: links, node, join, source, status range
-    /// and the bindings' handle, with nothing on the heap behind them.
+    /// The point of the layout: an entry's place in its node's array is
+    /// its join, source, status range, the bindings' handle and its own
+    /// handle, with nothing on the heap behind them, and the cell that
+    /// finds it for removal is 12 bytes: 68 in all.
     #[test]
     fn an_entry_is_one_small_cell() {
-        assert!(std::mem::size_of::<Slot>() <= 72);
+        assert!(std::mem::size_of::<Placed>() <= 56);
+        assert!(std::mem::size_of::<Cell>() <= 12);
     }
 
     fn r(a: &str, b: &str) -> KeyRange {

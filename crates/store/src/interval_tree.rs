@@ -275,6 +275,11 @@ impl<V> IntervalTree<V> {
         }
     }
 
+    /// Returns the value stored under `id`.
+    pub fn get(&self, id: IntervalId) -> Option<&V> {
+        self.find(id).map(|node| &node.value)
+    }
+
     /// Returns a mutable reference to the value stored under `id`.
     pub fn get_mut(&mut self, id: IntervalId) -> Option<&mut V> {
         match self.cells.get_mut(id.cell() as usize)? {

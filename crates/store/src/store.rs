@@ -292,6 +292,29 @@ impl Store {
         replaced
     }
 
+    /// [`Store::put`] for every pair of `batch`, in its order, whatever
+    /// that order is, leaving `batch` empty: one table lookup per stretch
+    /// of the batch that stays in one table, and the counters written
+    /// back once. An eager fan-out is such a batch: one pair at the end
+    /// of each of many timelines' subtables, where [`Table::put`]
+    /// appends.
+    pub fn put_batch(&mut self, batch: &mut Vec<(Key, Value)>, shared: bool) {
+        let mut stats = self.stats;
+        let mut pairs = batch.drain(..);
+        while let Some((first, _)) = pairs.as_slice().first() {
+            let prefix = first.table_prefix();
+            let in_table = |(k, _): &&(Key, Value)| k.table_prefix_bytes() == prefix.as_bytes();
+            let stretch = pairs.as_slice().iter().take_while(in_table).count();
+            let table = table_mut(&mut self.tables, &self.config, prefix);
+            for (key, value) in pairs.by_ref().take(stretch) {
+                let (key_len, value_len) = (key.len(), value.len());
+                let old = table.put(key, value);
+                stats.wrote(key_len, value_len, old.as_ref(), shared);
+            }
+        }
+        self.stats = stats;
+    }
+
     /// Looks up a key.
     pub fn get(&self, key: &Key) -> Option<ValueRef<'_>> {
         self.tables.get(key.table_prefix_bytes())?.get(key)
@@ -498,6 +521,41 @@ mod tests {
         assert_eq!(keys_in(&as_run, &all), keys_in(&one_by_one, &all));
         assert_eq!(as_run.memory_bytes(), one_by_one.memory_bytes());
         assert_eq!(as_run.audit(), Vec::<String>::new());
+    }
+
+    /// A batch, like a run, goes in exactly as its pairs would one by
+    /// one, shared or not: here one pair at the end of each of several
+    /// subtables, as an eager fan-out writes them, then pairs that
+    /// replace, arrive out of order, or open a table.
+    #[test]
+    fn put_batch_is_put_for_every_pair() {
+        let tweet = Value::from(vec![b'x'; 40]);
+        let pairs: Vec<(Key, Value)> = [
+            "t|ann|200|bob",
+            "t|liz|200|bob",
+            "t|zed|200|bob",
+            "t|ann|100|bob",
+            "t|ann|105|bob",
+            "u|x",
+            "p|bob|100",
+            "t|ann|210|bob",
+        ]
+        .into_iter()
+        .map(|k| (Key::from(k), tweet.clone()))
+        .collect();
+        for shared in [false, true] {
+            let (mut one_by_one, mut as_batch) = (sample(), sample());
+            for (k, v) in pairs.iter().cloned() {
+                one_by_one.put(k, v, shared);
+            }
+            as_batch.put_batch(&mut pairs.clone(), shared);
+            let all = KeyRange::all();
+            assert_eq!(keys_in(&as_batch, &all), keys_in(&one_by_one, &all));
+            let stats = |s: &Store| format!("{:?}", s.stats());
+            assert_eq!(stats(&as_batch), stats(&one_by_one));
+            assert_eq!(as_batch.memory_bytes(), one_by_one.memory_bytes());
+            assert_eq!(as_batch.audit(), Vec::<String>::new());
+        }
     }
 
     #[test]
