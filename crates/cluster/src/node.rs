@@ -282,9 +282,10 @@ impl SlotState {
 /// slot, at the slot's primary otherwise, and a `#` meta key always
 /// here. The node's base-authority predicate — hence WAL coverage and
 /// eviction safety — is "homed here", read without locking. The atomics
-/// are written and read only by whoever holds the `ClusterNode` (its
-/// one thread, or the TCP server's mutex), so `Relaxed` publishes
-/// nothing across threads.
+/// are written and read only by the thread that owns the `ClusterNode`
+/// (the simulator's, or the TCP server's reactor thread, which `halt`
+/// joins before it takes the node back), so `Relaxed` publishes nothing
+/// across threads.
 struct SlotView {
     me: u32,
     cfg: ClusterConfig,
@@ -1877,8 +1878,8 @@ impl ClusterNode {
     /// The node's telemetry snapshot — the content a
     /// [`Message::Metrics`] request is answered with, and the one view
     /// of its counters: the engine recorder's metrics, the
-    /// [`BackendStats`] (read under the node's lock whether or not the
-    /// recorder is on, and summed by `ClusterClient`'s `Client::stats`),
+    /// [`BackendStats`] (read from the node whether or not the recorder
+    /// is on, and summed by `ClusterClient`'s `Client::stats`),
     /// every [`ClusterStats`] field once, and each slot's view — epoch,
     /// applied sequence number, primary, replica ranks, this node's
     /// role — with the primary's lag gauge.

@@ -44,26 +44,27 @@
 //!   of `SnapshotChunk`s (see [`Conns::send`]).
 //! - **Time** is the reactor's tick (`TICK_MS`, 5 ms; a lone node's is coarser).
 //!
-//! The node sits behind a mutex so [`ClusterServer::telemetry`] and the
-//! halts can reach it; the lock is uncontended while serving and is
-//! released before the reactor touches a socket.
+//! The node is the reactor thread's. Another thread that wants a
+//! snapshot ([`ClusterServer::telemetry`]) or an audit of it posts the
+//! request and a reply channel to the inbox the dialers post their
+//! sockets to, and rings the [`Waker`]; the next `deliver` answers.
 //!
 //! Shutdown comes in two flavors: [`ClusterServer::halt`] stops serving
-//! and finalizes durability (final snapshot + fsync — the graceful
-//! SIGTERM path), while [`ClusterServer::halt_abrupt`] just stops,
-//! modelling a crash for failover benchmarks.
+//! and finalizes durability on the node the reactor thread hands back
+//! (final snapshot + fsync — the graceful SIGTERM path), while
+//! [`ClusterServer::halt_abrupt`] drops it, modelling a crash.
 
 use crate::config::ClusterConfig;
 use crate::node::{is_peer_only, ClusterNode, ClusterPeer, Out};
 use pequod_core::node::NodeAudit;
 use pequod_core::Engine;
 use pequod_net::codec::encode_frame_into;
-use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, Message, Waker};
-use pequod_telemetry::SnapshotFn;
+use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, FrontendStats, Message, Waker};
+use pequod_telemetry::{Recorder, Snapshot, SnapshotFn};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -74,14 +75,15 @@ const TICK_MS: u64 = 5;
 /// ones are dropped.
 const FIRST_LINK_BACKLOG: usize = 4096;
 
-/// The node, for one call into it. Every update leaves it consistent,
-/// so a panicked holder's guard is recovered rather than propagated.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a guard lasts one call into the node, which returns its outbox; frames are sent after"
-)]
-fn locked(node: &Mutex<ClusterNode>) -> MutexGuard<'_, ClusterNode> {
-    node.lock().unwrap_or_else(|p| p.into_inner())
+/// What other threads leave for the reactor thread, which takes it in
+/// `deliver`.
+enum Inbox {
+    /// A socket a dialer connected to a peer, for the reactor to adopt.
+    Dialed(u32, TcpStream),
+    /// A telemetry snapshot (with the flight ring or not) is wanted.
+    Snapshot(bool, Sender<Snapshot>),
+    /// The node's part of a deployment audit is wanted.
+    Audit(Sender<NodeAudit>),
 }
 
 /// This node's dialed link to one peer.
@@ -104,23 +106,54 @@ fn owed(msg: &Message) -> usize {
     }
 }
 
-/// Hosts one [`ClusterNode`] on the reactor thread.
+/// Hosts one [`ClusterNode`] on the reactor thread, which owns it.
 struct ClusterDispatch {
-    node: Arc<Mutex<ClusterNode>>,
-    node_id: u32,
-    /// Answers a client's top-level [`Message::Metrics`]: the node's
-    /// snapshot plus the reactor's serving counters.
-    provider: SnapshotFn,
+    node: ClusterNode,
+    /// The reactor's serving counters, mirrored into every snapshot.
+    stats: Arc<FrontendStats>,
     /// Who each accepted connection is, decided by its first frame.
     peers: HashMap<u64, ClusterPeer>,
     links: HashMap<u32, Link>,
-    /// Sockets the dialers connected, for the reactor to adopt.
-    dialed: Receiver<(u32, TcpStream)>,
+    /// Dialed sockets and other threads' requests.
+    inbox: Receiver<Inbox>,
     /// Client frames in flight: token → (replies still owed, in all).
     owed: HashMap<u64, (usize, usize)>,
     /// The node's output for connections other than the one being
     /// served, in order, until the next `deliver`.
     late: Out,
+}
+
+impl ClusterDispatch {
+    /// The node's telemetry plus the reactor's serving counters: what a
+    /// wire [`Message::Metrics`] and [`ClusterServer::telemetry`] get.
+    fn snapshot(&self, flight: bool) -> Snapshot {
+        let mut snap = self.node.telemetry_snapshot(flight);
+        self.stats.mirror(&mut snap);
+        snap
+    }
+
+    /// Makes a socket a dialer connected our link to `peer`.
+    fn adopt(&mut self, conns: &mut Conns, peer: u32, stream: TcpStream) {
+        let Some(link) = self.links.get_mut(&peer) else {
+            return;
+        };
+        link.token = conns.adopt(stream);
+        let Some(token) = link.token else {
+            let _ = link.redial.send(());
+            return;
+        };
+        let node = self.node.node_id();
+        conns.send(token, &Message::Hello { node });
+        let held = match link.backlog.take() {
+            Some(backlog) => backlog,
+            None => (self.node.resubscribe(peer).into_iter())
+                .map(|(_, frame)| frame)
+                .collect(),
+        };
+        for frame in held {
+            conns.send(token, &frame);
+        }
+    }
 }
 
 impl Dispatch for ClusterDispatch {
@@ -135,17 +168,16 @@ impl Dispatch for ClusterDispatch {
             // Nothing is written back on a peer link: the node's answers
             // to a peer travel on our own dialed link to it, like all
             // the rest.
-            let outbox = locked(&self.node).handle(from, msg);
+            let outbox = self.node.handle(from, msg);
             self.late.extend(outbox);
             return Some(0);
         }
         if let Message::Metrics { id, flight } = msg {
-            let snapshot = (self.provider)(flight);
-            encode_frame_into(&Message::metrics_reply(id, &snapshot), out);
+            encode_frame_into(&Message::metrics_reply(id, &self.snapshot(flight)), out);
             return Some(1);
         }
         let expected = owed(&msg);
-        let replied = locked(&self.node).serve_client(token, msg, out, &mut self.late);
+        let replied = self.node.serve_client(token, msg, out, &mut self.late);
         if replied < expected {
             self.owed.insert(token, (expected - replied, expected));
             return None;
@@ -154,24 +186,12 @@ impl Dispatch for ClusterDispatch {
     }
 
     fn deliver(&mut self, conns: &mut Conns) {
-        while let Ok((peer, stream)) = self.dialed.try_recv() {
-            let Some(link) = self.links.get_mut(&peer) else {
-                continue;
-            };
-            link.token = conns.adopt(stream);
-            if let Some(token) = link.token {
-                conns.send(token, &Message::Hello { node: self.node_id });
-                let held = match link.backlog.take() {
-                    Some(backlog) => backlog,
-                    None => (locked(&self.node).resubscribe(peer).into_iter())
-                        .map(|(_, frame)| frame)
-                        .collect(),
-                };
-                for frame in held {
-                    conns.send(token, &frame);
-                }
-            } else {
-                let _ = link.redial.send(());
+        while let Ok(item) = self.inbox.try_recv() {
+            // A reader that gave up waiting is no concern of ours.
+            match item {
+                Inbox::Dialed(peer, stream) => self.adopt(conns, peer, stream),
+                Inbox::Snapshot(flight, reply) => drop(reply.send(self.snapshot(flight))),
+                Inbox::Audit(reply) => drop(reply.send(self.node.audit())),
             }
         }
         for (to, frame) in self.late.drain(..) {
@@ -205,7 +225,7 @@ impl Dispatch for ClusterDispatch {
     }
 
     fn tick(&mut self, now_ms: u64) {
-        let outbox = locked(&self.node).tick(now_ms);
+        let outbox = self.node.tick(now_ms);
         self.late.extend(outbox);
     }
 
@@ -223,20 +243,20 @@ impl Dispatch for ClusterDispatch {
 /// Keeps one outbound link to `peer` up: connect (doubling backoff up to
 /// `max_backoff_ms`), hand the socket to the reactor, sleep until the
 /// reactor says the link closed, again. Returns once the dispatcher —
-/// the other end of both channels — is gone.
+/// the other end of `redial` — is gone.
 fn dial_peer(
     peer: u32,
     addr: &str,
     max_backoff_ms: u64,
     redial: Receiver<()>,
-    dialed: Sender<(u32, TcpStream)>,
+    inbox: Sender<Inbox>,
     waker: Waker,
 ) {
     let mut backoff_ms = 10u64;
     loop {
         if let Ok(stream) = TcpStream::connect(addr) {
             backoff_ms = 10;
-            let _ = dialed.send((peer, stream));
+            let _ = inbox.send(Inbox::Dialed(peer, stream));
             waker.wake();
             if redial.recv().is_err() {
                 return;
@@ -251,13 +271,28 @@ fn dial_peer(
     }
 }
 
+/// Asks the reactor thread for something of its node and waits for the
+/// answer; `None` once the dispatcher is gone — a halt drops the inbox
+/// and every request still in it, so no caller waits on a halted node.
+fn ask<T>(
+    inbox: &Sender<Inbox>,
+    waker: &Waker,
+    request: impl FnOnce(Sender<T>) -> Inbox,
+) -> Option<T> {
+    let (reply, answer) = channel();
+    inbox.send(request(reply)).ok()?;
+    waker.wake();
+    answer.recv().ok()
+}
+
 /// A running replicated node.
 pub struct ClusterServer {
-    node_id: u32,
-    node: Arc<Mutex<ClusterNode>>,
-    frontend: FrontendServer,
+    frontend: FrontendServer<ClusterDispatch>,
     dialers: Vec<JoinHandle<()>>,
-    halted: bool,
+    /// The dispatcher's inbox, for requests from other threads.
+    inbox: Sender<Inbox>,
+    /// The engine's recorder, which outlives the node.
+    recorder: Recorder,
 }
 
 impl ClusterServer {
@@ -300,11 +335,7 @@ impl ClusterServer {
             .filter_map(|peer| Some((peer, cfg.addr_of(peer)?.to_string())))
             .collect();
         let recorder = engine.recorder().clone();
-        let node = Arc::new(Mutex::new(ClusterNode::new(node_id, cfg, engine)));
-        let snapshot: SnapshotFn = {
-            let node = node.clone();
-            Arc::new(move |flight| locked(&node).telemetry_snapshot(flight))
-        };
+        let node = ClusterNode::new(node_id, cfg, engine);
         // Alone, a node runs no timer: the front-end's coarser tick.
         let alone = peer_addrs.is_empty();
         let tick_ms = if alone { frontend.tick_ms } else { TICK_MS };
@@ -312,9 +343,9 @@ impl ClusterServer {
             tick_ms,
             ..frontend
         };
+        let (sender, inbox) = channel();
         let mut dialers = Vec::new();
-        let build = |provider, waker: Waker| -> Box<dyn Dispatch> {
-            let (dialed_tx, dialed) = channel();
+        let build = |stats, waker: Waker| {
             let mut links = HashMap::new();
             for (peer, addr) in peer_addrs {
                 let (redial, redial_rx) = channel();
@@ -326,30 +357,28 @@ impl ClusterServer {
                         redial,
                     },
                 );
-                let (dialed_tx, waker) = (dialed_tx.clone(), waker.clone());
+                let (sender, waker) = (sender.clone(), waker.clone());
                 dialers.push(std::thread::spawn(move || {
-                    dial_peer(peer, &addr, max_backoff_ms, redial_rx, dialed_tx, waker)
+                    dial_peer(peer, &addr, max_backoff_ms, redial_rx, sender, waker)
                 }));
             }
-            Box::new(ClusterDispatch {
-                node: node.clone(),
-                node_id,
-                provider,
+            ClusterDispatch {
+                node,
+                stats,
                 peers: HashMap::new(),
                 links,
-                dialed,
+                inbox,
                 owed: HashMap::new(),
                 late: Vec::new(),
-            })
+            }
         };
         let frontend =
-            FrontendServer::spawn_dispatch(&*bind_addr, frontend, recorder, snapshot, build)?;
+            FrontendServer::spawn_dispatch(&*bind_addr, frontend, recorder.clone(), build)?;
         Ok(ClusterServer {
-            node_id,
-            node,
             frontend,
             dialers,
-            halted: false,
+            inbox: sender,
+            recorder,
         })
     }
 
@@ -358,54 +387,51 @@ impl ClusterServer {
         self.frontend.addr()
     }
 
-    /// This node's id.
-    pub fn node_id(&self) -> u32 {
-        self.node_id
-    }
-
-    /// A telemetry provider answering with
-    /// [`ClusterNode::telemetry_snapshot`] (engine metrics plus
-    /// replication counters and lag gauges) and the reactor's serving
-    /// counters — the snapshot a wire `Metrics` request gets. It reads
-    /// the node under its mutex, and keeps answering after `halt`.
+    /// A telemetry provider answering with the snapshot a wire `Metrics`
+    /// request gets: [`ClusterNode::telemetry_snapshot`] (engine metrics
+    /// plus replication counters and lag gauges) and the reactor's
+    /// serving counters. Each call asks the reactor thread, which owns
+    /// the node, through its inbox. Once the server has halted it
+    /// answers at once with the engine recorder's own snapshot.
     pub fn telemetry(&self) -> SnapshotFn {
-        self.frontend.telemetry()
+        let (inbox, waker) = (self.inbox.clone(), self.frontend.waker());
+        let recorder = self.recorder.clone();
+        Arc::new(move |flight| {
+            ask(&inbox, &waker, |reply| Inbox::Snapshot(flight, reply))
+                .unwrap_or_else(|| recorder.snapshot(flight))
+        })
     }
 
     /// This node's part of a deployment audit
-    /// ([`pequod_core::node::audit_deployment`]); call it on a quiet
-    /// cluster.
+    /// ([`pequod_core::node::audit_deployment`]), taken on the reactor
+    /// thread; call it on a quiet cluster that is still serving.
+    #[expect(
+        clippy::panic,
+        reason = "a halted server has no node left to audit: asking is a caller's bug"
+    )]
     pub fn audit(&self) -> NodeAudit {
-        locked(&self.node).audit()
+        ask(&self.inbox, &self.frontend.waker(), Inbox::Audit)
+            .unwrap_or_else(|| panic!("audit of a halted cluster node"))
     }
 
     /// Graceful shutdown: stop serving (in-flight frames are abandoned,
     /// every thread is joined), then take a final durability snapshot
-    /// and fsync. Idempotent.
+    /// and fsync on the node the reactor thread hands back. Idempotent.
     pub fn halt(&mut self) {
-        if self.stop() {
-            locked(&self.node).engine.finalize_durability();
+        if let Some(mut dispatch) = self.frontend.shutdown() {
+            dispatch.node.engine.finalize_durability();
         }
+        self.halt_abrupt();
     }
 
     /// Abrupt shutdown (no finalization): models a crash for failover
     /// tests and benchmarks — recovery must come from the WAL.
     pub fn halt_abrupt(&mut self) {
-        self.stop();
-    }
-
-    /// Stops serving; `false` if an earlier halt already did.
-    fn stop(&mut self) -> bool {
-        if std::mem::replace(&mut self.halted, true) {
-            return false;
-        }
-        // The reactor thread takes the dispatcher with it, which hangs
-        // up on the dialers.
-        self.frontend.shutdown();
+        // Dropping the dispatcher, node and all, hangs up on the dialers.
+        drop(self.frontend.shutdown());
         for dialer in self.dialers.drain(..) {
             let _ = dialer.join();
         }
-        true
     }
 }
 

@@ -256,11 +256,6 @@ impl SimNet {
         self.enqueue(at, from, to, msg);
     }
 
-    /// Arrival time of the earliest in-flight message, if any.
-    pub fn next_at(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((at, _))| *at)
-    }
-
     /// True when nothing is in flight.
     pub fn is_quiet(&self) -> bool {
         self.queue.is_empty()

@@ -22,7 +22,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Reserves `n` distinct ephemeral ports by binding and dropping
@@ -329,6 +329,102 @@ fn connections_cost_no_threads_and_show_in_the_metrics() {
     server.halt();
     wait_reaped(&node_threads, "a node thread outlived halt");
     assert_eq!(threads_named(SPAWNER), 0, "a node thread outlived halt");
+}
+
+/// Telemetry readers on other threads reach the node through the
+/// reactor's inbox: four scrapers reading while four clients write each
+/// see the applied-writes counter present and never falling, the last
+/// reading covers every acked write, scraping starts no thread, and a
+/// scrape after `halt` answers at once.
+#[test]
+fn scrapes_from_other_threads_see_the_node_while_it_serves() {
+    const SPAWNER: &str = "scrape-census";
+    const SCRAPER: &str = "scraper";
+    const WRITERS: u64 = 4;
+    const WRITES: u64 = 100;
+    const APPLIED: &str = "pequod_cluster_writes_applied_total";
+    let mut server = spawn_named(SPAWNER, || {
+        ClusterServer::spawn(
+            ClusterConfig::new(1, 1),
+            0,
+            Engine::new_default(),
+            Some("127.0.0.1:0"),
+        )
+    })
+    .expect("spawn node");
+    assert_eq!(
+        threads_named(SPAWNER),
+        2,
+        "a one-node cluster runs the reactor and the ticker"
+    );
+    let done = Arc::new(AtomicBool::new(false));
+    // Every scraper has read once before the first write.
+    let started = Arc::new(Barrier::new(5));
+    let scrapers: Vec<_> = (0..4)
+        .map(|_| {
+            let (scrape, done) = (server.telemetry(), done.clone());
+            let started = started.clone();
+            std::thread::Builder::new()
+                .name(SCRAPER.into())
+                .spawn(move || {
+                    let mut last = 0;
+                    let mut readings = 0u64;
+                    loop {
+                        // Read `done` first: the reading after it is
+                        // taken once every write was acked.
+                        let finished = done.load(Ordering::Acquire);
+                        let pairs = scrape(false).to_pairs();
+                        readings += 1;
+                        if readings == 1 {
+                            started.wait();
+                        }
+                        let applied = metric(&pairs, APPLIED)
+                            .unwrap_or_else(|| panic!("a scrape lacks {APPLIED}"));
+                        assert!(applied >= last, "{APPLIED} fell from {last} to {applied}");
+                        last = applied;
+                        if finished {
+                            return (last, readings);
+                        }
+                    }
+                })
+                .expect("spawn scraper")
+        })
+        .collect();
+    started.wait();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let mut c = ClusterClient::connect(ClusterConfig::one_node(server.addr()));
+            std::thread::spawn(move || {
+                for t in 0..WRITES {
+                    c.put(format!("p|w{w}|{t:010}"), "post").unwrap();
+                }
+            })
+        })
+        .collect();
+    for t in writers {
+        t.join().unwrap();
+    }
+    assert_eq!(threads_named(SPAWNER), 2, "a scrape started a node thread");
+    assert_eq!(threads_named(SCRAPER), 4, "a scrape started a thread");
+    done.store(true, Ordering::Release);
+    for t in scrapers {
+        let (last, readings) = t.join().unwrap();
+        assert!(
+            last >= WRITERS * WRITES,
+            "the last of {readings} readings saw {last} writes applied, {} acked",
+            WRITERS * WRITES
+        );
+    }
+    let scrape = server.telemetry();
+    server.halt();
+    let halted = Instant::now();
+    scrape(false);
+    (server.telemetry())(false);
+    assert!(
+        halted.elapsed() < Duration::from_secs(1),
+        "a scrape of a halted node took {:?}",
+        halted.elapsed()
+    );
 }
 
 const TIMELINE: &str =

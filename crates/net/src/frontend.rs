@@ -8,14 +8,15 @@
 //! reply. This crate hosts a dispatcher and executes nothing itself;
 //! the one dispatcher is `pequod_cluster`'s node, hosted through
 //! [`FrontendServer::spawn_dispatch`] — a stand-alone `pequod-server`
-//! is a one-node cluster.
+//! is a one-node cluster. The reactor thread owns the dispatcher while
+//! it serves and hands it back at [`FrontendServer::shutdown`].
 //!
 //! Per connection, frames are answered strictly in arrival order; see
 //! the [`reactor`](crate::reactor) module docs for the pipelining,
 //! backpressure, and timeout rules.
 
 use crate::reactor::{Dispatch, Reactor, ReactorConfig, Signals, Waker};
-use pequod_telemetry::{process_rss_bytes, Recorder, Snapshot, SnapshotFn};
+use pequod_telemetry::{process_rss_bytes, Recorder, Snapshot};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -23,8 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Serving counters, updated live by the reactor; they are read in
-/// [`FrontendServer::telemetry`]'s snapshot, the one a wire
+/// Serving counters, updated live by the reactor and handed to the
+/// dispatcher's `build`, which [`mirror`](FrontendStats::mirror)s them
+/// into the snapshot a wire
 /// [`Message::Metrics`](crate::Message::Metrics) gets.
 #[derive(Default)]
 pub struct FrontendStats {
@@ -52,27 +54,31 @@ pub struct FrontendStats {
     pub codec_errors: AtomicU64,
 }
 
-/// Appends the frontend's serving counters to a telemetry snapshot so
-/// one scrape covers the engine and the serving path together. Each is
-/// read relaxed: the counters are advisory.
-fn mirror_frontend_stats(stats: &FrontendStats, snap: &mut Snapshot) {
-    let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-    snap.counter("pequod_conns_accepted_total", &[], read(&stats.accepted));
-    snap.gauge("pequod_conns_active", &[], read(&stats.active));
-    for (name, counter) in [
-        ("pequod_frames_in_total", &stats.frames_in),
-        ("pequod_replies_out_total", &stats.replies_out),
-        ("pequod_bytes_in_total", &stats.bytes_in),
-        ("pequod_bytes_out_total", &stats.bytes_out),
-        (
-            "pequod_backpressure_pauses_total",
-            &stats.backpressure_pauses,
-        ),
-        ("pequod_conns_idle_closed_total", &stats.idle_closed),
-        ("pequod_conns_stall_closed_total", &stats.stall_closed),
-        ("pequod_codec_errors_total", &stats.codec_errors),
-    ] {
-        snap.counter(name, &[], read(counter));
+impl FrontendStats {
+    /// Appends the serving counters and the process's resident size to
+    /// a telemetry snapshot, so one scrape covers the backend and the
+    /// serving path together. Each counter is read relaxed: they are
+    /// advisory.
+    pub fn mirror(&self, snap: &mut Snapshot) {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        snap.counter("pequod_conns_accepted_total", &[], read(&self.accepted));
+        snap.gauge("pequod_conns_active", &[], read(&self.active));
+        for (name, counter) in [
+            ("pequod_frames_in_total", &self.frames_in),
+            ("pequod_replies_out_total", &self.replies_out),
+            ("pequod_bytes_in_total", &self.bytes_in),
+            ("pequod_bytes_out_total", &self.bytes_out),
+            (
+                "pequod_backpressure_pauses_total",
+                &self.backpressure_pauses,
+            ),
+            ("pequod_conns_idle_closed_total", &self.idle_closed),
+            ("pequod_conns_stall_closed_total", &self.stall_closed),
+            ("pequod_codec_errors_total", &self.codec_errors),
+        ] {
+            snap.counter(name, &[], read(counter));
+        }
+        snap.gauge("process.rss_bytes", &[], process_rss_bytes());
     }
 }
 
@@ -124,39 +130,39 @@ fn ticker_loop(signals: Arc<Signals>, tick_ms: u64, waker: Waker) {
     }
 }
 
-/// A running event-driven server: the reactor thread, the ticker, and a
-/// deterministic [`shutdown`](FrontendServer::shutdown). Those two are
-/// its only threads, whatever the backend.
-pub struct FrontendServer {
+/// A running event-driven server: the reactor thread, which owns the
+/// dispatcher `D`, the ticker, and a deterministic
+/// [`shutdown`](FrontendServer::shutdown). Those two are its only
+/// threads, whatever the backend.
+pub struct FrontendServer<D> {
     addr: SocketAddr,
     unix_path: Option<PathBuf>,
-    provider: SnapshotFn,
     signals: Arc<Signals>,
     waker: Waker,
-    reactor_thread: Option<JoinHandle<()>>,
+    reactor_thread: Option<JoinHandle<D>>,
     ticker: Option<JoinHandle<()>>,
 }
 
-impl FrontendServer {
-    /// Hosts any [`Dispatch`] on `addr` (and `cfg.unix_path`): the
+impl<D> FrontendServer<D> {
+    /// Hosts a [`Dispatch`] on `addr` (and `cfg.unix_path`): the
     /// reactor thread, its ticker, the bounded buffers, timeouts and
     /// serving counters are the same whatever executes the frames.
     ///
     /// `recorder` takes the reactor's observations (dispatch latency,
-    /// queue depth, flight events). `snapshot` is the backend's own
-    /// telemetry; the server's provider — what
-    /// [`telemetry`](FrontendServer::telemetry) returns and what a
-    /// dispatcher should answer a wire
-    /// [`Message::Metrics`](crate::Message::Metrics) with — is that plus
-    /// the serving counters, and is handed to `build` together with the
-    /// reactor's [`Waker`].
+    /// queue depth, flight events). `build` makes the dispatcher from
+    /// the serving counters, which it should
+    /// [`mirror`](FrontendStats::mirror) into its answer to a wire
+    /// [`Message::Metrics`](crate::Message::Metrics), and the reactor's
+    /// [`Waker`].
     pub fn spawn_dispatch(
         addr: impl ToSocketAddrs,
         cfg: FrontendConfig,
         recorder: Recorder,
-        snapshot: SnapshotFn,
-        build: impl FnOnce(SnapshotFn, Waker) -> Box<dyn Dispatch>,
-    ) -> std::io::Result<FrontendServer> {
+        build: impl FnOnce(Arc<FrontendStats>, Waker) -> D,
+    ) -> std::io::Result<FrontendServer<D>>
+    where
+        D: Dispatch + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let unix = match &cfg.unix_path {
@@ -170,17 +176,7 @@ impl FrontendServer {
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         let waker = Waker(Arc::new(wake_tx));
         let stats = Arc::new(FrontendStats::default());
-        // One scrape covers the backend and the serving path together.
-        let provider: SnapshotFn = {
-            let stats = stats.clone();
-            Arc::new(move |flight| {
-                let mut snap = snapshot(flight);
-                mirror_frontend_stats(&stats, &mut snap);
-                snap.gauge("process.rss_bytes", &[], process_rss_bytes());
-                snap
-            })
-        };
-        let dispatch = build(provider.clone(), waker.clone());
+        let dispatch = build(stats.clone(), waker.clone());
         let tick_ms = cfg.tick_ms.max(1);
         let to_ticks = |ms: Option<u64>| ms.map(|m| m.div_ceil(tick_ms).max(1));
         let rcfg = ReactorConfig {
@@ -210,7 +206,6 @@ impl FrontendServer {
         Ok(FrontendServer {
             addr,
             unix_path: cfg.unix_path,
-            provider,
             signals,
             waker,
             reactor_thread,
@@ -223,40 +218,34 @@ impl FrontendServer {
         self.addr
     }
 
-    /// The unix-domain socket path, when one is being served.
-    pub fn unix_path(&self) -> Option<&std::path::Path> {
-        self.unix_path.as_deref()
-    }
-
-    /// The server's telemetry provider: backend metrics plus the
-    /// frontend's serving counters, the same snapshot
-    /// [`Message::Metrics`](crate::Message::Metrics) answers with.
-    /// `pequod-server` hands this to the Prometheus scrape listener.
-    pub fn telemetry(&self) -> SnapshotFn {
-        self.provider.clone()
+    /// The reactor's [`Waker`], the one `build` was given: another
+    /// thread that leaves work where the dispatcher's
+    /// [`deliver`](Dispatch::deliver) looks rings it.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 
     /// Deterministic stop: once this returns, no connection will be
     /// served another byte — accepted-but-unserved connections are
     /// refused (closed), in-flight frames are abandoned, and every
-    /// frontend thread has exited.
-    pub fn shutdown(&mut self) {
-        let Some(reactor) = self.reactor_thread.take() else {
-            return; // already stopped
-        };
+    /// frontend thread has exited. Returns the dispatcher the reactor
+    /// thread owned; `None` if an earlier call already took it.
+    pub fn shutdown(&mut self) -> Option<D> {
+        let reactor = self.reactor_thread.take()?;
         self.signals.stop.store(true, Ordering::Relaxed);
         self.waker.wake();
-        let _ = reactor.join();
+        let dispatch = reactor.join().ok();
         if let Some(t) = self.ticker.take() {
             let _ = t.join();
         }
         if let Some(p) = &self.unix_path {
             let _ = std::fs::remove_file(p);
         }
+        dispatch
     }
 }
 
-impl Drop for FrontendServer {
+impl<D> Drop for FrontendServer<D> {
     fn drop(&mut self) {
         self.shutdown();
     }

@@ -285,9 +285,9 @@ pub(crate) struct Signals {
 
 /// Rings the reactor out of `epoll_wait` from another thread (one byte
 /// on its wakeup pipe). A thread that leaves work where a dispatcher's
-/// [`Dispatch::deliver`] will find it — a freshly dialed
-/// socket — rings this afterwards; the reactor then runs a loop turn,
-/// and every turn calls `deliver`.
+/// [`Dispatch::deliver`] will find it — a freshly dialed socket, a
+/// request for a telemetry snapshot — rings this afterwards; the
+/// reactor then runs a loop turn, and every turn calls `deliver`.
 #[derive(Clone)]
 pub struct Waker(pub(crate) Arc<UnixStream>);
 
@@ -300,23 +300,24 @@ impl Waker {
 
 /// The hosting contract: a `handle(from, msg) → out` state machine
 /// served by the reactor thread. [`FrontendServer::spawn_dispatch`]
-/// hosts any implementation; a cluster node is the one in the tree.
+/// hosts an implementation; a cluster node is the one in the tree.
 ///
-/// Every call runs on the reactor thread, so whatever time a call takes
-/// is time no socket is served: a cluster node runs the frame to
-/// completion (a cold recompute or a durability snapshot included — the
-/// paper's single-threaded server makes the same trade). A dispatcher that
-/// shares its state with other threads takes its lock inside a call and
-/// releases it before returning: the reactor does socket I/O only
-/// between calls.
+/// The reactor thread owns the dispatcher, and every call runs on it,
+/// so whatever time a call takes is time no socket is served: a cluster
+/// node runs the frame to completion (a cold recompute or a durability
+/// snapshot included — the paper's single-threaded server makes the
+/// same trade). Its state is the thread's alone: no other thread reads
+/// it while it serves, and [`FrontendServer::shutdown`] hands it back.
 ///
-/// Answers produced on other threads need no thread of the
-/// dispatcher's own to bring them over: the producer leaves them where
+/// Work from other threads needs no thread of the dispatcher's own to
+/// bring it over: the other thread leaves it where
 /// [`deliver`](Dispatch::deliver) looks and rings the [`Waker`] passed
 /// to [`FrontendServer::spawn_dispatch`]'s `build`. A cluster node's
-/// dialer threads do exactly that with the peer links they connect.
+/// dialer threads do exactly that with the peer links they connect, and
+/// its telemetry readers with their snapshot requests.
 ///
 /// [`FrontendServer::spawn_dispatch`]: crate::frontend::FrontendServer::spawn_dispatch
+/// [`FrontendServer::shutdown`]: crate::frontend::FrontendServer::shutdown
 pub trait Dispatch: Send {
     /// Begins executing one frame from connection `token`; `out` is that
     /// connection's output buffer, the reply sink. `begin` may append
@@ -667,30 +668,31 @@ impl Conns {
     }
 }
 
-/// The serving loop: owns the listeners and every connection; runs on
-/// one dedicated thread until [`Signals::stop`] is raised.
-pub(crate) struct Reactor {
+/// The serving loop: owns the listeners, every connection and the
+/// dispatcher; runs on one dedicated thread until [`Signals::stop`] is
+/// raised.
+pub(crate) struct Reactor<D> {
     conns: Conns,
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
     signals: Arc<Signals>,
     wake_rx: UnixStream,
-    dispatch: Box<dyn Dispatch>,
+    dispatch: D,
     /// Logical milliseconds since start: `tick_ms` per tick.
     now_ms: u64,
     rdbuf: Box<[u8]>,
 }
 
-impl Reactor {
+impl<D: Dispatch> Reactor<D> {
     pub(crate) fn new(
         tcp: TcpListener,
         unix: Option<UnixListener>,
         signals: Arc<Signals>,
         wake_rx: UnixStream,
-        dispatch: Box<dyn Dispatch>,
+        dispatch: D,
         cfg: ReactorConfig,
         stats: Arc<FrontendStats>,
-    ) -> std::io::Result<Reactor> {
+    ) -> std::io::Result<Reactor<D>> {
         let poller = Poller::new()?;
         tcp.set_nonblocking(true)?;
         poller.register(tcp.as_raw_fd(), TOKEN_TCP, true, false)?;
@@ -720,9 +722,10 @@ impl Reactor {
         })
     }
 
-    /// Runs until stopped. A loop-level poller failure also exits:
-    /// nothing can be served without readiness notifications.
-    pub(crate) fn run(mut self) {
+    /// Runs until stopped, then returns the dispatcher. A loop-level
+    /// poller failure also exits: nothing can be served without
+    /// readiness notifications.
+    pub(crate) fn run(mut self) -> D {
         let mut events: Vec<PollEvent> = Vec::with_capacity(512);
         loop {
             // With connections waiting for a turn, only collect what is
@@ -761,6 +764,7 @@ impl Reactor {
             self.conns.cfg.recorder.observe_turn(&turn);
         }
         self.teardown();
+        self.dispatch
     }
 
     fn drain_wake(&mut self) {
@@ -803,16 +807,15 @@ impl Reactor {
     }
 
     fn on_conn_event(&mut self, token: u64, ev: PollEvent) {
-        let Reactor { conns, rdbuf, .. } = self;
         let Conns {
             slots, cfg, stats, ..
-        } = conns;
+        } = &mut self.conns;
         let Some((idx, conn)) = live(slots, token) else {
             return; // stale event for a closed/recycled slot
         };
         let mut outcome = IoOutcome::Keep;
         if ev.readable {
-            outcome = conn_read(conn, cfg, stats, rdbuf);
+            outcome = conn_read(conn, cfg, stats, &mut self.rdbuf);
         }
         if ev.writable && matches!(outcome, IoOutcome::Keep) {
             outcome = conn_flush(conn, stats);
@@ -829,102 +832,76 @@ impl Reactor {
     /// queue, flush, refill the queue from buffered bytes, sync poller
     /// interests with the backpressure gate, close drained connections.
     fn pump(&mut self, idx: usize) {
-        {
-            let Reactor {
-                conns, dispatch, ..
-            } = self;
-            let Conns {
-                slots, cfg, stats, ..
-            } = conns;
-            let Some(conn) = slots[idx].as_mut() else {
-                return;
-            };
-            while conn.can_dispatch(cfg) {
-                let Some(msg) = conn.pending.pop_front() else {
-                    break;
-                };
-                conn.inflight = true;
-                conn.dispatch_timer = cfg.recorder.timer();
-                cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
-                match dispatch.begin(conn.token, msg, conn.out.sink()) {
-                    Some(replies) => {
-                        conn.dispatched(cfg);
-                        stats
-                            .replies_out
-                            .fetch_add(replies as u64, Ordering::Relaxed);
-                    }
-                    None => break, // completed later, through `deliver`
-                }
-            }
-        }
-        enum Action {
-            None,
-            Close,
-            Modify(RawFd, u64, bool, bool),
-        }
-        let action = {
-            let Conns {
-                slots,
-                cfg,
-                stats,
-                ready,
-                ..
-            } = &mut self.conns;
-            let Some(conn) = slots[idx].as_mut() else {
-                return;
-            };
-            // The turn's one write: everything it produced goes out
-            // now, without waiting for a writability event.
-            if matches!(conn_flush(conn, stats), IoOutcome::Close) {
-                self.close_conn(idx);
-                return;
-            }
-            // Dispatching made room in the pending queue: top it up
-            // from bytes the pipeline cap left in the decoder (reads
-            // top it up too, so it is as full as it can be whenever a
-            // turn starts). The turn can then end with frames still
-            // dispatchable — more were buffered than one turn takes, or
-            // the flush reopened the gate after the peer had already
-            // sent everything. No socket event would bring this
-            // connection back, so the run queue does.
-            parse_frames(conn, cfg, stats);
-            if !conn.queued && conn.can_dispatch(cfg) && !conn.pending.is_empty() {
-                conn.queued = true;
-                ready.push(idx);
-            }
-            if (conn.saw_eof || conn.close_after_flush) && conn.drained() {
-                Action::Close
-            } else {
-                let want_r = conn.wants_read(cfg);
-                let want_w = conn.wants_write();
-                if want_r != conn.reg_read || want_w != conn.reg_write {
-                    if conn.reg_read && !want_r && !conn.saw_eof && !conn.poisoned {
-                        stats.backpressure_pauses.fetch_add(1, Ordering::Relaxed);
-                        cfg.recorder.flight("backpressure", || {
-                            format!(
-                                "conn {} reads paused ({} bytes unsent, {} pending)",
-                                conn.token,
-                                conn.out.len(),
-                                conn.pending.len()
-                            )
-                        });
-                    }
-                    conn.reg_read = want_r;
-                    conn.reg_write = want_w;
-                    Action::Modify(conn.sock.fd(), conn.token, want_r, want_w)
-                } else {
-                    Action::None
-                }
-            }
+        let Conns {
+            poller,
+            slots,
+            cfg,
+            stats,
+            ready,
+            ..
+        } = &mut self.conns;
+        let Some(conn) = slots[idx].as_mut() else {
+            return;
         };
-        match action {
-            Action::None => {}
-            Action::Close => self.close_conn(idx),
-            Action::Modify(fd, token, r, w) => {
-                if self.conns.poller.modify(fd, token, r, w).is_err() {
-                    self.close_conn(idx);
+        while conn.can_dispatch(cfg) {
+            let Some(msg) = conn.pending.pop_front() else {
+                break;
+            };
+            conn.inflight = true;
+            conn.dispatch_timer = cfg.recorder.timer();
+            cfg.recorder.observe_queue_depth(conn.pending.len() as u64);
+            match self.dispatch.begin(conn.token, msg, conn.out.sink()) {
+                Some(replies) => {
+                    conn.dispatched(cfg);
+                    stats
+                        .replies_out
+                        .fetch_add(replies as u64, Ordering::Relaxed);
                 }
+                None => break, // completed later, through `deliver`
             }
+        }
+        // The turn's one write: everything it produced goes out now,
+        // without waiting for a writability event.
+        if matches!(conn_flush(conn, stats), IoOutcome::Close) {
+            self.close_conn(idx);
+            return;
+        }
+        // Dispatching made room in the pending queue: top it up from
+        // bytes the pipeline cap left in the decoder (reads top it up
+        // too, so it is as full as it can be whenever a turn starts).
+        // The turn can then end with frames still dispatchable — more
+        // were buffered than one turn takes, or the flush reopened the
+        // gate after the peer had already sent everything. No socket
+        // event would bring this connection back, so the run queue does.
+        parse_frames(conn, cfg, stats);
+        if !conn.queued && conn.can_dispatch(cfg) && !conn.pending.is_empty() {
+            conn.queued = true;
+            ready.push(idx);
+        }
+        let want_r = conn.wants_read(cfg);
+        let want_w = conn.wants_write();
+        let close = if (conn.saw_eof || conn.close_after_flush) && conn.drained() {
+            true
+        } else if want_r != conn.reg_read || want_w != conn.reg_write {
+            if conn.reg_read && !want_r && !conn.saw_eof && !conn.poisoned {
+                stats.backpressure_pauses.fetch_add(1, Ordering::Relaxed);
+                cfg.recorder.flight("backpressure", || {
+                    format!(
+                        "conn {} reads paused ({} bytes unsent, {} pending)",
+                        conn.token,
+                        conn.out.len(),
+                        conn.pending.len()
+                    )
+                });
+            }
+            conn.reg_read = want_r;
+            conn.reg_write = want_w;
+            (poller.modify(conn.sock.fd(), conn.token, want_r, want_w)).is_err()
+        } else {
+            false
+        };
+        if close {
+            self.close_conn(idx);
         }
     }
 
@@ -938,35 +915,33 @@ impl Reactor {
             let Some(conn) = slots[idx].as_mut() else {
                 continue;
             };
-            {
-                if conn.read_since_tick || conn.wrote_since_tick {
-                    conn.idle_ticks = 0;
-                } else {
-                    conn.idle_ticks += 1;
-                }
-                if conn.wants_write() && !conn.wrote_since_tick {
-                    conn.stall_ticks += 1;
-                } else {
-                    conn.stall_ticks = 0;
-                }
-                conn.read_since_tick = false;
-                conn.wrote_since_tick = false;
-                let stalled = matches!(cfg.stall_timeout_ticks, Some(t) if conn.stall_ticks >= t);
-                // Only a truly quiet connection is "idle": one waiting
-                // on the engine or with queued work is not.
-                let idle = matches!(cfg.idle_timeout_ticks, Some(t) if conn.idle_ticks >= t)
-                    && conn.drained();
-                let (closed, kind, why) = if stalled {
-                    (&stats.stall_closed, "stall_close", "write-stalled")
-                } else if idle {
-                    (&stats.idle_closed, "idle_close", "idle")
-                } else {
-                    continue;
-                };
-                closed.fetch_add(1, Ordering::Relaxed);
-                cfg.recorder
-                    .flight(kind, || format!("conn slot {idx} {why}"));
+            if conn.read_since_tick || conn.wrote_since_tick {
+                conn.idle_ticks = 0;
+            } else {
+                conn.idle_ticks += 1;
             }
+            if conn.wants_write() && !conn.wrote_since_tick {
+                conn.stall_ticks += 1;
+            } else {
+                conn.stall_ticks = 0;
+            }
+            conn.read_since_tick = false;
+            conn.wrote_since_tick = false;
+            let stalled = matches!(cfg.stall_timeout_ticks, Some(t) if conn.stall_ticks >= t);
+            // Only a truly quiet connection is "idle": one waiting on
+            // the engine or with queued work is not.
+            let idle =
+                matches!(cfg.idle_timeout_ticks, Some(t) if conn.idle_ticks >= t) && conn.drained();
+            let (closed, kind, why) = if stalled {
+                (&stats.stall_closed, "stall_close", "write-stalled")
+            } else if idle {
+                (&stats.idle_closed, "idle_close", "idle")
+            } else {
+                continue;
+            };
+            closed.fetch_add(1, Ordering::Relaxed);
+            cfg.recorder
+                .flight(kind, || format!("conn slot {idx} {why}"));
             self.close_conn(idx);
         }
         self.now_ms += self.conns.cfg.tick_ms;

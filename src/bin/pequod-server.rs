@@ -308,11 +308,12 @@ fn main() {
     });
     // Tests parse the address off this line: keep it the tail.
     eprintln!("pequod-server listening on {addr}");
-    // Serve until SIGTERM, then drain and finalize durability so a
-    // rolling restart loses nothing.
+    // Serve until SIGTERM, then stop the scrapes, so none meets a halted
+    // node, and drain and finalize durability so a rolling restart
+    // loses nothing.
     wait_for_sigterm();
-    server.halt();
     if let Some(ms) = metrics {
         ms.stop();
     }
+    server.halt();
 }
