@@ -1877,14 +1877,18 @@ impl ClusterNode {
 
     /// The node's telemetry snapshot — the content a
     /// [`Message::Metrics`] request is answered with, and the one view
-    /// of its counters: the engine recorder's metrics, the
-    /// [`BackendStats`] (read from the node whether or not the recorder
-    /// is on, and summed by `ClusterClient`'s `Client::stats`),
+    /// of its counters: the engine recorder's metrics, the engine's
+    /// levels ([`Engine::append_levels`](pequod_core::Engine::append_levels))
+    /// and [`BackendStats`] (both read from the node whether or not the
+    /// recorder is on; the latter summed by `ClusterClient`'s
+    /// `Client::stats`),
     /// every [`ClusterStats`] field once, and each slot's view — epoch,
     /// applied sequence number, primary, replica ranks, this node's
     /// role — with the primary's lag gauge.
     pub fn telemetry_snapshot(&self, include_flight: bool) -> Snapshot {
-        let mut snap = self.node.engine.recorder().snapshot(include_flight);
+        let engine = &self.node.engine;
+        let mut snap = engine.recorder().snapshot(include_flight);
+        engine.append_levels(&mut snap);
         let b = self.backend_stats();
         let [keys, memory, js_evictions, base_evictions] = BACKEND_METRICS;
         snap.gauge(keys, &[], b.keys);

@@ -23,7 +23,7 @@ use pequod_join::{JoinSpec, Operator, SlotSet};
 use pequod_store::{
     Key, KeyRange, LruHandle, LruTracker, RangeSet, Store, StoreStats, UpperBound, Value,
 };
-use pequod_telemetry::{OpKind, RateHandle, Recorder, Timer};
+use pequod_telemetry::{OpKind, RateHandle, Recorder, Snapshot, Timer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -221,21 +221,25 @@ impl Engine {
         &self.recorder
     }
 
-    /// Records one completed public operation and, after it, the levels
-    /// a live server is watched by: the memory estimate a limit is held
-    /// against and the counts it is made of. A disabled recorder makes
-    /// both no-ops.
+    /// Records one completed public operation; a no-op on a disabled
+    /// recorder.
     pub(crate) fn observed(&self, kind: OpKind, timer: &Timer) {
         self.recorder.observe_op(kind, timer);
-        if self.recorder.is_enabled() {
-            self.recorder.set_engine_levels([
-                self.memory_bytes() as u64,
-                self.updaters.entry_count() as u64,
-                self.updaters.node_count() as u64,
-                self.materialized_ranges() as u64,
-                self.store.stats().keys as u64,
-                self.stats.spurious_fires,
-            ]);
+    }
+
+    /// Appends the levels a live server is watched by to `snap`, read
+    /// now: the memory estimate a limit is held against, the counts it
+    /// is made of, and how many updater fires so far maintained nothing.
+    pub fn append_levels(&self, snap: &mut Snapshot) {
+        for (name, level) in [
+            ("core.memory.estimate_bytes", self.memory_bytes() as u64),
+            ("core.updater.entries", self.updaters.entry_count() as u64),
+            ("core.updater.nodes", self.updaters.node_count() as u64),
+            ("core.status.ranges", self.materialized_ranges() as u64),
+            ("store.keys", self.store.stats().keys as u64),
+            ("core.updater.spurious_fires", self.stats.spurious_fires),
+        ] {
+            snap.gauge(name, &[], level);
         }
     }
 
@@ -1088,7 +1092,9 @@ mod tests {
         assert_eq!(e.engine_stats().spurious_fires, 1);
         assert_eq!(e.scan(&since).pairs.len(), 2);
 
-        let exported = e.recorder().snapshot(false).to_pairs();
+        let mut exported = e.recorder().snapshot(false);
+        e.append_levels(&mut exported);
+        let exported = exported.to_pairs();
         let fires = exported
             .iter()
             .find(|(name, _)| name == "core.updater.spurious_fires");

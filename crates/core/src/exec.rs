@@ -764,7 +764,7 @@ impl Engine {
                 }
                 self.teardown_jsrange(jidx as usize, jsid, true);
                 self.stats.js_evictions += 1;
-                self.recorder.evicted_js(|| match extent {
+                self.recorder.flight("evict_js", || match extent {
                     Some(r) => format!("join {jidx} range {r:?}"),
                     None => format!("join {jidx} js {jsid:?}"),
                 });
@@ -775,8 +775,7 @@ impl Engine {
                     return false;
                 };
                 self.stats.base_evictions += 1;
-                self.recorder
-                    .evicted_base(|| format!("table {prefix} ({rows} rows)"));
+                (self.recorder).flight("evict_base", || format!("table {prefix} ({rows} rows)"));
                 true
             }
         }

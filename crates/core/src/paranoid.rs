@@ -444,19 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn node_length_disagreeing_with_chain_is_reported() {
+    fn misplaced_updater_cell_is_reported() {
         let mut e = materialized_engine();
         let id = e.status[0].iter().next().expect("one range").id;
         let h = e.status[0].get(id).expect("range is live").updaters[0];
-        e.updaters.debug_skew_node_len(h, 1);
+        e.updaters.debug_misplace_cell(h);
         let v = e.check_invariants();
         assert!(
-            !v.is_empty() && v.iter().all(|m| m.starts_with("updaters:")),
-            "a skewed node length must surface as updater-index violations: {v:?}"
-        );
-        assert!(
-            v.iter().any(|m| m.contains("chain does not close")),
-            "unexpected messages: {v:?}"
+            v.iter()
+                .any(|m| m.starts_with("updaters:") && m.contains("does not point back")),
+            "a misplaced cell must surface as an updater-index violation: {v:?}"
         );
     }
 

@@ -87,70 +87,43 @@ impl Cell {
     }
 }
 
-/// One place of a node's entry array: an entry with its own handle, or
-/// a hole a removal left (`entry` is `None`).
+/// One place of a node's entry array: an entry with its own handle.
 struct Placed {
     handle: UpdaterHandle,
-    entry: Option<UpdaterEntry>,
+    entry: UpdaterEntry,
 }
-
-/// A place whose entry has gone.
-const HOLE: Placed = Placed {
-    handle: UpdaterHandle { slot: NIL, gen: 0 },
-    entry: None,
-};
 
 /// The entries coalesced onto one distinct source range: the tree
 /// node's payload. A write to the range reads them in one pass over
-/// [`Node::placed`], in installation order.
+/// [`Node::placed`]. Their order is unspecified: a removal moves the
+/// last entry into the place it frees.
 enum Node {
     /// The only entry, held in the tree node itself: a source range one
     /// status range watches (a user's own subscriptions, for a
     /// timeline) costs no allocation. Removing it empties the node.
     One(Placed),
-    /// Every node that has had a second entry. An entry is always
-    /// placed at the end, and a removal leaves a hole where the entry
-    /// was, so the entries stay in installation order; `live` counts
-    /// them. The node closes its holes up, keeping the order, once they
-    /// are more than a quarter of the places, and before its array would
-    /// grow if they are an eighth.
-    Many { placed: Vec<Placed>, live: u32 },
+    /// Every node that has had a second entry; never empty while in
+    /// the tree.
+    Many(Vec<Placed>),
 }
 
 impl Node {
     fn placed(&self) -> &[Placed] {
         match self {
             Node::One(only) => std::slice::from_ref(only),
-            Node::Many { placed, .. } => placed,
+            Node::Many(placed) => placed,
         }
     }
 
-    /// Entries that are not holes.
-    fn live(&self) -> u32 {
-        match self {
-            Node::One(only) => u32::from(only.entry.is_some()),
-            Node::Many { live, .. } => *live,
-        }
-    }
-
-    /// The node's live entries with their handles, in installation
-    /// order.
+    /// The node's entries with their handles.
     fn entries(&self) -> impl Iterator<Item = (UpdaterHandle, &UpdaterEntry)> {
-        (self.placed().iter()).filter_map(|p| Some((p.handle, p.entry.as_ref()?)))
+        self.placed().iter().map(|p| (p.handle, &p.entry))
     }
 
     /// Places an entry at the end and returns its place.
-    fn push(&mut self, next: Placed, cells: &mut [Cell]) -> usize {
+    fn push(&mut self, next: Placed) -> usize {
         match self {
-            Node::Many { placed, live } => {
-                // A full array with an eighth of its places holes closes
-                // them up instead of growing, so that churn (timelines
-                // evicted and recomputed, leaving and rejoining their
-                // posters' nodes) reuses the places it frees.
-                let len = placed.len();
-                if len == placed.capacity() && 8 * (len - *live as usize) >= len {
-                    close_up(placed, cells);
-                }
+            Node::Many(placed) => {
                 // A large array grows by an eighth, not by doubling: a
                 // poster's node holds an entry per follower timeline, and
                 // its spare places are resident. A small one doubles, so
@@ -160,49 +133,43 @@ impl Node {
                     let len = placed.len();
                     placed.reserve_exact(if len < 32 { len } else { len / 8 });
                 }
-                *live += 1;
                 placed.push(next);
                 placed.len() - 1
             }
-            Node::One(only) => {
+            Node::One(_) => {
                 let mut placed = Vec::with_capacity(2);
-                placed.extend([std::mem::replace(only, HOLE), next]);
-                *self = Node::Many { placed, live: 2 };
+                if let Node::One(only) = std::mem::replace(self, Node::Many(Vec::new())) {
+                    placed.push(only);
+                }
+                placed.push(next);
+                *self = Node::Many(placed);
                 1
             }
         }
     }
 
-    /// Takes the entry at `at` out, leaving a hole (none at the end of
-    /// the array: the array shortens). Closes the holes up, keeping the
-    /// entries' order, once they are more than a quarter of the places,
-    /// and tells each moved entry's cell its new place: a compaction
-    /// moves fewer than three entries for each removal since the last.
+    /// Takes the entry at `at` out of a node that keeps others, in
+    /// O(1): the last entry moves into its place, and that entry's cell
+    /// is told so.
     fn take(&mut self, at: usize, cells: &mut [Cell]) -> Option<UpdaterEntry> {
-        let (placed, live) = match self {
-            Node::One(only) => return (at == 0).then(|| only.entry.take()).flatten(),
-            Node::Many { placed, live } => (placed, live),
+        let placed = match self {
+            Node::Many(placed) if at < placed.len() => placed,
+            _ => return None,
         };
-        let entry = placed.get_mut(at)?.entry.take()?;
-        *live -= 1;
-        if at + 1 == placed.len() {
-            placed.pop();
+        let gone = placed.swap_remove(at);
+        if let Some(moved) = placed.get(at) {
+            if let Some(c) = cells.get_mut(moved.handle.slot as usize) {
+                c.at = at as u32;
+            }
         }
-        if 4 * (placed.len() - *live as usize) > placed.len() {
-            close_up(placed, cells);
-        }
-        Some(entry)
+        Some(gone.entry)
     }
-}
 
-/// Closes a node array's holes up, keeping its entries' order, and tells
-/// each moved entry's cell its new place. The array keeps its capacity
-/// for the entries to come.
-fn close_up(placed: &mut Vec<Placed>, cells: &mut [Cell]) {
-    placed.retain(|p| p.entry.is_some());
-    for (at, p) in placed.iter().enumerate() {
-        if let Some(c) = cells.get_mut(p.handle.slot as usize) {
-            c.at = at as u32;
+    /// The only entry of a node taken out of the tree.
+    fn into_only(self) -> Option<UpdaterEntry> {
+        match self {
+            Node::One(only) => Some(only.entry),
+            Node::Many(mut placed) => placed.pop().map(|p| p.entry),
         }
     }
 }
@@ -231,11 +198,10 @@ fn watchers<'a>(per_table: &'a mut [(Key, usize)], table: &[u8]) -> Option<&'a m
 /// The engine-wide updater index.
 ///
 /// The interval tree holds one node per distinct source range, and each
-/// node keeps its entries in one array, in installation order, so a
-/// write to a range watched by thousands of status ranges reads their
-/// entries in one sequential pass. A handle names a small cell holding
-/// the entry's node and place, so removing an entry through its handle
-/// is O(1), amortized over the compactions its hole brings on. A source
+/// node keeps its entries in one array, so a write to a range watched by
+/// thousands of status ranges reads their entries in one sequential
+/// pass. A handle names a small cell holding the entry's node and place,
+/// so removing an entry through its handle is O(1). A source
 /// range nobody watches yet costs one hash of the range (the coalescing
 /// map) and a treap descent to install, and the same to remove: the
 /// tree's nodes are slab cells named by their ids, so nothing else is
@@ -310,13 +276,7 @@ impl UpdaterIndex {
                 // The coalescing map names live nodes only.
                 let on = self.tree.get_mut(node)?;
                 let handle = issue(&self.cells, &mut self.free_cells);
-                let at = on.push(
-                    Placed {
-                        handle,
-                        entry: Some(entry),
-                    },
-                    &mut self.cells,
-                );
+                let at = on.push(Placed { handle, entry });
                 (node, handle, at)
             }
             Entry::Vacant(unknown) => {
@@ -327,11 +287,7 @@ impl UpdaterIndex {
                     None => self.per_table.push((range.first.table_prefix(), 1)),
                 }
                 let handle = issue(&self.cells, &mut self.free_cells);
-                let only = Placed {
-                    handle,
-                    entry: Some(entry),
-                };
-                let node = self.tree.insert(range.clone(), Node::One(only));
+                let node = (self.tree).insert(range.clone(), Node::One(Placed { handle, entry }));
                 (*unknown.insert(node), handle, 0)
             }
         };
@@ -360,7 +316,7 @@ impl UpdaterIndex {
     pub fn get(&self, h: UpdaterHandle) -> Option<&UpdaterEntry> {
         let (node, at) = self.cells.get(h.slot as usize)?.at();
         let place = self.tree.get(node)?.placed().get(at)?;
-        place.entry.as_ref().filter(|_| place.handle == h)
+        (place.handle == h).then_some(&place.entry)
     }
 
     /// The output hint kept for the entry behind `h`, if any.
@@ -378,13 +334,13 @@ impl UpdaterIndex {
     }
 
     /// Every entry whose source range contains `key`, with its handle:
-    /// node by node, each node's in installation order, copied out of
-    /// the node's array in one pass. The write path dispatches from this
-    /// copy, because dispatching may change the index.
+    /// node by node, in no specified order, copied out of each node's
+    /// array in one pass. The write path dispatches from this copy,
+    /// because dispatching may change the index.
     pub fn stab_entries(&self, key: &Key) -> Vec<(UpdaterHandle, UpdaterEntry)> {
         let mut out = Vec::new();
         self.tree.stab(key, |_, _, on| {
-            out.reserve(on.live() as usize);
+            out.reserve(on.placed().len());
             out.extend(on.entries().map(|(h, e)| (h, e.clone())));
         });
         out
@@ -407,16 +363,24 @@ impl UpdaterIndex {
         out
     }
 
-    /// Removes the entry behind `h` in O(1) (amortized over the
-    /// compactions its hole brings on), dropping its node when the node
-    /// empties. Returns the entry; `None` if the handle is stale.
+    /// Removes the entry behind `h` in O(1), dropping its node when it
+    /// was the node's only entry. Returns the entry; `None` if the
+    /// handle is stale.
     pub fn remove(&mut self, h: UpdaterHandle) -> Option<UpdaterEntry> {
         self.get(h)?;
         let (node, at) = self.cells.get(h.slot as usize)?.at();
         // A live cell names a live node and a place holding its entry.
         let on = self.tree.get_mut(node)?;
-        let entry = on.take(at, &mut self.cells)?;
-        let emptied = on.live() == 0;
+        let entry = if on.placed().len() > 1 {
+            on.take(at, &mut self.cells)?
+        } else {
+            let (range, on) = self.tree.remove(node)?;
+            self.by_range.remove(&range);
+            if let Some(n) = watchers(&mut self.per_table, range.first.table_prefix_bytes()) {
+                *n -= 1;
+            }
+            on.into_only()?
+        };
         if let Some(cell) = self.cells.get_mut(h.slot as usize) {
             cell.at = NIL;
         }
@@ -425,14 +389,6 @@ impl UpdaterIndex {
         self.removals += 1;
         if !self.hints.is_empty() {
             self.hints.remove(&h);
-        }
-        if emptied {
-            if let Some((range, _)) = self.tree.remove(node) {
-                self.by_range.remove(&range);
-                if let Some(n) = watchers(&mut self.per_table, range.first.table_prefix_bytes()) {
-                    *n -= 1;
-                }
-            }
         }
         Some(entry)
     }
@@ -484,35 +440,16 @@ impl UpdaterIndex {
         self.node_count() * 96 + self.entry_count() * 64
     }
 
-    /// Test-only hook: skews the recorded live-entry count of the node
-    /// holding `h` so tests can prove the audit notices a count that
-    /// disagrees with the node's array. Not part of the public API.
-    #[doc(hidden)]
-    pub fn debug_skew_node_len(&mut self, h: UpdaterHandle, delta: u32) {
-        let cell = self.cells.get(h.slot as usize).copied();
-        if let Some(on) = cell.and_then(|c| self.tree.get_mut(c.at().0)) {
-            if let Node::One(only) = on {
-                let placed = vec![std::mem::replace(only, HOLE)];
-                *on = Node::Many { placed, live: 1 };
-            }
-            if let Node::Many { live, .. } = on {
-                *live += delta;
-            }
-        }
-    }
-
     /// Exhaustive consistency check of the index's O(1) bookkeeping
-    /// against a full walk: the tree's own shape; every node's recorded
-    /// live count against its array (the node's chain of entries), and
-    /// its holes no more than a quarter of its places; every entry's cell
-    /// pointing back at its place; the cell slab's live cells and free
-    /// list; the entry
+    /// against a full walk: the tree's own shape; every node holding at
+    /// least one entry, and every entry's cell pointing back at its
+    /// place; the cell slab's live cells and free list; the entry
     /// counter; and the coalescing map and per-table counters. Used by
     /// the paranoid invariant checker (`Engine::check_invariants`).
     /// Returns one message per problem; empty means consistent.
     pub fn audit(&self) -> Vec<String> {
         let mut problems = self.tree.audit();
-        let mut chained = 0usize;
+        let mut held = 0usize;
         let mut nodes = 0usize;
         let mut per_table: HashMap<Key, usize> = HashMap::new();
         self.tree.for_each(|node, range, on| {
@@ -523,12 +460,10 @@ impl UpdaterIndex {
                     "coalescing map does not point {range:?} at its node {node:?}"
                 ));
             }
-            let mut walked = 0u32;
+            if on.placed().is_empty() {
+                problems.push(format!("node {node:?} ({range:?}) holds no entries"));
+            }
             for (at, p) in on.placed().iter().enumerate() {
-                if p.entry.is_none() {
-                    continue;
-                }
-                walked += 1;
                 let cell = self.cells.get(p.handle.slot as usize).copied();
                 let home = |c: Cell| c.at() == (node, at);
                 if !cell.is_some_and(home) {
@@ -539,25 +474,12 @@ impl UpdaterIndex {
                     ));
                 }
             }
-            chained += walked as usize;
-            if on.live() == 0 || walked != on.live() {
-                problems.push(format!(
-                    "node {node:?} ({range:?}) records length {} but its chain does not close \
-                     there ({walked} live entries in its array)",
-                    on.live()
-                ));
-            }
-            let holes = on.placed().len() - walked as usize;
-            if 4 * holes > on.placed().len() {
-                problems.push(format!(
-                    "node {node:?} ({range:?}) keeps {holes} holes beside {walked} entries"
-                ));
-            }
+            held += on.placed().len();
         });
         let live = self.cells.iter().filter(|c| c.at != NIL).count();
-        if chained != self.entries || live != self.entries {
+        if held != self.entries || live != self.entries {
             problems.push(format!(
-                "updater entry counter is {} but the nodes hold {chained} and the cell slab {live}",
+                "updater entry counter is {} but the nodes hold {held} and the cell slab {live}",
                 self.entries
             ));
         }
@@ -723,16 +645,27 @@ mod tests {
         assert_eq!(idx.audit(), Vec::<String>::new());
     }
 
+    impl UpdaterIndex {
+        /// Points the cell of `h` one place past its entry, so tests can
+        /// prove the audit notices an entry its cell does not point back
+        /// at.
+        pub(crate) fn debug_misplace_cell(&mut self, h: UpdaterHandle) {
+            if let Some(c) = self.cells.get_mut(h.slot as usize) {
+                c.at += 1;
+            }
+        }
+    }
+
     #[test]
-    fn audit_reports_a_length_that_disagrees_with_the_chain() {
+    fn audit_reports_a_cell_that_does_not_point_back() {
         let mut idx = UpdaterIndex::new();
         let a = idx.install(r("p|bob|", "p|bob}"), entry(1), &[]).unwrap();
         idx.install(r("p|bob|", "p|bob}"), entry(2), &[]).unwrap();
-        idx.debug_skew_node_len(a, 1);
+        idx.debug_misplace_cell(a);
         let v = idx.audit();
         assert!(
-            v.iter().any(|m| m.contains("chain does not close")),
-            "skewed node length must be reported: {v:?}"
+            v.iter().any(|m| m.contains("does not point back")),
+            "a misplaced cell must be reported: {v:?}"
         );
     }
 }

@@ -2,8 +2,9 @@
 //! remove-by-owner-handles / remove-by-predicate / stab sequences over a
 //! handful of source ranges (so nodes coalesce heavily) must agree with
 //! a naive list of `(owner, range, entry)` triples — same stabbed
-//! entries, each source range's in installation order, same counters,
-//! duplicates dropped, bookkeeping audit clean after every step.
+//! entries (in no specified order), same counters, duplicates dropped,
+//! bookkeeping audit clean after every step. `PROPTEST_CASES` sets the
+//! case count (default 128).
 
 use bytes::Bytes;
 use pequod_core::updater::{UpdaterEntry, UpdaterHandle, UpdaterIndex};
@@ -158,22 +159,6 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                 got.sort();
                 want.sort();
                 prop_assert_eq!(got, want, "stab at {:?}", key);
-                // Each source range's entries come in installation order,
-                // whatever was removed and installed again before.
-                let mut range_of = Vec::new();
-                idx.for_each(|h, r, _| range_of.push((h, r.clone())));
-                for (at, range) in ranges.iter().enumerate() {
-                    let on_range = |h: &UpdaterHandle| range_of.contains(&(*h, range.clone()));
-                    let got: Vec<String> = (idx.stab(&key).iter())
-                        .filter(|h| on_range(h))
-                        .map(|&h| describe(idx.get(h).expect("stabbed handles are live")))
-                        .collect();
-                    let want: Vec<String> = (model.iter())
-                        .filter(|m| m.range == at && range.contains(&key))
-                        .map(|m| describe(&m.entry))
-                        .collect();
-                    prop_assert_eq!(got, want, "stab at {:?}, range {:?}", key, range);
-                }
             }
         }
         let mut live_ranges: Vec<usize> = model.iter().map(|m| m.range).collect();
@@ -204,8 +189,15 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(128)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn index_matches_naive_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
@@ -213,40 +205,12 @@ proptest! {
     }
 }
 
-#[test]
-fn stab_visits_a_coalesced_node_in_install_order() {
-    let mut idx = UpdaterIndex::new();
-    let mut owned = Vec::new();
-    for js in 0..50u32 {
-        let entry = UpdaterEntry {
-            join: 0,
-            js: JsId { slot: js, gen: 0 },
-            source_idx: 1,
-            slots: slots(3),
-        };
-        owned.push(idx.install(KeyRange::prefix("p|a|"), entry, &[]).unwrap());
-    }
-    // Remove from the middle, the head and the tail of the chain.
-    for i in [25usize, 0, 49] {
-        idx.remove(owned[i]).unwrap();
-    }
-    let order: Vec<u32> = idx
-        .stab(&Key::from("p|a|1"))
-        .into_iter()
-        .map(|h| idx.get(h).unwrap().js.slot)
-        .collect();
-    let want: Vec<u32> = (1..49).filter(|&js| js != 25).collect();
-    assert_eq!(order, want);
-    assert_eq!(idx.node_count(), 1);
-    assert_eq!(idx.audit(), Vec::<String>::new());
-}
-
 /// One node of 2,400 entries, thinned from the middle outwards until
-/// 400 are left: the removals leave holes, and the array compacts on the
-/// way, moving entries, yet every remaining handle finds its own entry
-/// and the node is stabbed in installation order; then new entries take
-/// the freed cells and go after the old ones, and every removed handle
-/// stays stale while every other finds its own entry.
+/// 400 are left: each removal moves the node's last entry into the place
+/// it frees, yet every remaining handle finds its own entry and a stab
+/// finds exactly the entries kept; then new entries take the freed
+/// cells, and every removed handle stays stale while every other finds
+/// its own entry.
 #[test]
 fn a_large_node_thinned_from_the_middle_keeps_its_handles_exact() {
     const ENTRIES: u32 = 2400;
@@ -262,12 +226,16 @@ fn a_large_node_thinned_from_the_middle_keeps_its_handles_exact() {
         .map(|js| idx.install(range.clone(), entry(js), &[]).unwrap())
         .collect();
     let mut kept: Vec<bool> = vec![true; ENTRIES as usize];
-    let check = |idx: &UpdaterIndex, kept: &[bool]| {
-        let want: Vec<u32> = (0..ENTRIES).filter(|&js| kept[js as usize]).collect();
-        let stabbed: Vec<u32> = (idx.stab(&Key::from("p|a|1")).into_iter())
+    let stabbed = |idx: &UpdaterIndex| {
+        let mut js: Vec<u32> = (idx.stab(&Key::from("p|a|1")).into_iter())
             .map(|h| idx.get(h).unwrap().js.slot)
             .collect();
-        assert_eq!(stabbed, want, "the node is stabbed in installation order");
+        js.sort_unstable();
+        js
+    };
+    let check = |idx: &UpdaterIndex, kept: &[bool]| {
+        let want: Vec<u32> = (0..ENTRIES).filter(|&js| kept[js as usize]).collect();
+        assert_eq!(stabbed(idx), want, "a stab finds the entries kept");
         for (js, &h) in handles.iter().enumerate() {
             let found = idx.get(h).map(|e| e.js.slot);
             assert_eq!(found, kept[js].then_some(js as u32), "handle of entry {js}");
@@ -295,13 +263,10 @@ fn a_large_node_thinned_from_the_middle_keeps_its_handles_exact() {
     let fresh: Vec<UpdaterHandle> = (ENTRIES..2 * ENTRIES)
         .map(|js| idx.install(range.clone(), entry(js), &[]).unwrap())
         .collect();
-    let stabbed: Vec<u32> = (idx.stab(&Key::from("p|a|1")).into_iter())
-        .map(|h| idx.get(h).unwrap().js.slot)
-        .collect();
     let want: Vec<u32> = (0..2 * ENTRIES)
         .filter(|&js| js >= ENTRIES || kept[js as usize])
         .collect();
-    assert_eq!(stabbed, want, "the fresh entries come after the old ones");
+    assert_eq!(stabbed(&idx), want, "kept and fresh entries");
     for (js, &h) in handles.iter().enumerate() {
         match kept[js] {
             true => assert_eq!(idx.get(h).map(|e| e.js.slot), Some(js as u32)),

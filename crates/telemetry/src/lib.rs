@@ -9,7 +9,7 @@
 //!
 //! The recorder carries a fixed schema covering every layer of the
 //! system: per-op counts and latency histograms, join-notify fan-out,
-//! LRU hits/misses/evictions, per-range read/write rate counters (fuel
+//! LRU hits/misses, per-range read/write rate counters (fuel
 //! for future adaptive freshness policies), WAL append/fsync latency,
 //! snapshot bytes, reactor dispatch latency, queue depths and longest
 //! loop turn — plus a
@@ -164,8 +164,6 @@ struct Inner {
     fanout: Histogram,
     lru_hits: Counter,
     lru_misses: Counter,
-    evict_js: Counter,
-    evict_base: Counter,
     rate_slots: Vec<RateSlot>,
     /// `(name, slot)` registrations, guarded; read only at
     /// registration and snapshot time.
@@ -180,24 +178,8 @@ struct Inner {
     queue_depth: Histogram,
     /// Longest reactor loop turn since the last snapshot, µs.
     turn_us_max: AtomicU64,
-    /// The engine's levels as of its last operation, in the order of
-    /// [`ENGINE_LEVELS`].
-    engine_levels: [AtomicU64; ENGINE_LEVELS.len()],
     flight: Flight,
 }
-
-/// Gauge names of the levels an engine publishes after each operation
-/// ([`Recorder::set_engine_levels`]): its memory estimate — what a
-/// memory limit is compared with — and the counts behind it, and how
-/// many updater fires so far maintained nothing.
-pub const ENGINE_LEVELS: [&str; 6] = [
-    "core.memory.estimate_bytes",
-    "core.updater.entries",
-    "core.updater.nodes",
-    "core.status.ranges",
-    "store.keys",
-    "core.updater.spurious_fires",
-];
 
 /// The process's resident set in bytes, from the `VmRSS:` line of
 /// `/proc/self/status` (which the kernel gives in kB, whatever its page
@@ -233,8 +215,6 @@ impl Recorder {
             fanout: Histogram::new(),
             lru_hits: Counter::new(),
             lru_misses: Counter::new(),
-            evict_js: Counter::new(),
-            evict_base: Counter::new(),
             rate_slots: (0..RATE_SLOTS).map(|_| RateSlot::default()).collect(),
             rate_names: Mutex::new(Vec::new()),
             rate_next: AtomicU64::new(1),
@@ -246,7 +226,6 @@ impl Recorder {
             dispatch: Histogram::new(),
             queue_depth: Histogram::new(),
             turn_us_max: AtomicU64::new(0),
-            engine_levels: std::array::from_fn(|_| AtomicU64::new(0)),
             flight: Flight::new(flight_cap),
         })))
     }
@@ -324,29 +303,8 @@ impl Recorder {
         }
     }
 
-    /// One join-state range evicted; captured in the flight ring.
-    /// The detail closure only runs when enabled.
-    pub fn evicted_js(&self, detail: impl FnOnce() -> String) {
-        if let Some(inner) = &self.0 {
-            inner.evict_js.inc();
-            inner
-                .flight
-                .push(self.uptime_micros(), "evict_js", detail());
-        }
-    }
-
-    /// One base range evicted; captured in the flight ring.
-    pub fn evicted_base(&self, detail: impl FnOnce() -> String) {
-        if let Some(inner) = &self.0 {
-            inner.evict_base.inc();
-            inner
-                .flight
-                .push(self.uptime_micros(), "evict_base", detail());
-        }
-    }
-
-    /// Pushes an arbitrary flight event (failovers, backpressure
-    /// trips…). The detail closure only runs when enabled.
+    /// Pushes an arbitrary flight event (evictions, failovers,
+    /// backpressure trips…). The detail closure only runs when enabled.
     pub fn flight(&self, kind: &'static str, detail: impl FnOnce() -> String) {
         if let Some(inner) = &self.0 {
             inner.flight.push(self.uptime_micros(), kind, detail());
@@ -443,16 +401,6 @@ impl Recorder {
         }
     }
 
-    /// Publishes the engine's levels, in the order of [`ENGINE_LEVELS`];
-    /// each snapshot reports the last ones published.
-    #[inline]
-    pub fn set_engine_levels(&self, levels: [u64; ENGINE_LEVELS.len()]) {
-        let Some(inner) = &self.0 else { return };
-        for (held, level) in inner.engine_levels.iter().zip(levels) {
-            held.store(level, Ordering::Relaxed);
-        }
-    }
-
     /// Freezes the full metric schema into a [`Snapshot`]. Disabled
     /// recorders return an empty snapshot. The flight ring is included
     /// only when `include_flight` is set (dumps can be large). Taking a
@@ -477,16 +425,6 @@ impl Recorder {
         s.histogram("pequod_join_fanout", &[], inner.fanout.snapshot());
         s.counter("pequod_lru_hits_total", &[], inner.lru_hits.get());
         s.counter("pequod_lru_misses_total", &[], inner.lru_misses.get());
-        s.counter(
-            "pequod_evictions_total",
-            &[("kind", "js")],
-            inner.evict_js.get(),
-        );
-        s.counter(
-            "pequod_evictions_total",
-            &[("kind", "base")],
-            inner.evict_base.get(),
-        );
         {
             let names = match inner.rate_names.lock() {
                 Ok(g) => g,
@@ -519,9 +457,6 @@ impl Recorder {
         s.histogram("pequod_queue_depth", &[], inner.queue_depth.snapshot());
         let longest_turn = inner.turn_us_max.swap(0, Ordering::Relaxed);
         s.gauge("net.reactor.turn_us_max", &[], longest_turn);
-        for (name, level) in ENGINE_LEVELS.iter().zip(&inner.engine_levels) {
-            s.gauge(name, &[], level.load(Ordering::Relaxed));
-        }
         s.counter("pequod_flight_events_total", &[], inner.flight.total());
         if include_flight {
             s.flight = inner.flight.dump();
@@ -543,8 +478,7 @@ mod tests {
         r.observe_op(OpKind::Scan, &t);
         r.lru_hit();
         r.observe_fanout(10);
-        r.evicted_js(|| panic!("detail closure must not run when disabled"));
-        r.flight("x", || panic!("must not run"));
+        r.flight("x", || panic!("detail closure must not run when disabled"));
         let handle = r.rate_handle("t|");
         handle.read();
         let s = r.snapshot(true);
