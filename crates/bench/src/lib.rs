@@ -44,9 +44,9 @@
 #![warn(missing_docs)]
 
 use pequod_baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
 use pequod_core::partition::ComponentHashPartition;
-use pequod_core::{Client, Engine, EngineConfig, WriteAround};
+use pequod_core::{Client, Engine, EngineConfig};
 use pequod_workloads::{GraphConfig, SocialGraph, TwipStrategy};
 use std::sync::Arc;
 

@@ -32,11 +32,12 @@
 //! backoff advances virtual time.
 
 use crate::config::ClusterConfig;
+use crate::fanout::{split_runs, Fanout, Route};
 use crate::node::backend_stats_of;
 use crate::sim::SimHarness;
 use bytes::BytesMut;
 use pequod_core::partition::Partition;
-use pequod_core::{split_runs, BackendStats, Client, Command, Fanout, Response, Route};
+use pequod_core::{BackendStats, Client, Command, Response};
 use pequod_net::codec::{decode_frame, encode_frame};
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};

@@ -21,8 +21,7 @@
 //!   installs only if every destination installed it), and a reply that
 //!   never came becomes an error.
 
-use crate::client::{Command, Response};
-use std::ops::Range;
+use pequod_core::{Command, Response};
 
 /// Command classes whose members may share one pipelined run without
 /// changing observable results: reads don't mutate client-visible
@@ -148,7 +147,8 @@ pub struct PendingRun {
 
 impl PendingRun {
     /// The ids this run's replies carry.
-    pub fn ids(&self) -> Range<u64> {
+    #[cfg(test)]
+    pub fn ids(&self) -> std::ops::Range<u64> {
         self.first_id..self.first_id + self.slots.len() as u64
     }
 

@@ -52,17 +52,24 @@ pub mod config;
 pub mod node;
 pub mod server;
 pub mod sim;
+pub mod subscription;
+pub mod write_around;
+
+mod fanout;
 
 pub use client::{ClusterClient, ClusterClientError};
 pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
 pub use node::{foreign_reserved_key, ClusterNode, ClusterPeer, ClusterStats, NO_CLEAN_ADOPT};
 pub use server::ClusterServer;
 pub use sim::{FaultStats, LinkFaults, SimHarness, SimNet, TrafficStats};
+pub use subscription::{audit_deployment, Node, NodeAudit, NodeStats};
+pub use write_around::WriteAround;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
+    use pequod_core::{Client, Command, Engine, EngineConfig, Response};
     use pequod_net::Message;
     use pequod_store::{Key, KeyRange, Value};
     use std::sync::Arc;
@@ -225,7 +232,7 @@ mod tests {
     /// count stop growing once the subscriber no longer holds the range.
     #[test]
     fn an_evicted_replica_unsubscribes_at_its_home() {
-        use pequod_core::{Engine, EngineConfig, MemoryLimit};
+        use pequod_core::MemoryLimit;
         // Posts homed on node 0, everything else on node 1, which reads
         // the timelines under a 16 KiB cap.
         let part = TablePartition::new(ServerId(1)).route("p|", ServerId(0));
@@ -345,5 +352,90 @@ mod tests {
         }
         let mut c = client(addr);
         assert_eq!(c.scan(KeyRange::prefix("k|")).unwrap().len(), 100);
+    }
+
+    // The write-around deployment end to end, through the `Client` API
+    // and the counters of its two nodes.
+
+    fn twip() -> WriteAround {
+        let mut engine = Engine::new(EngineConfig::default());
+        engine.add_join_text(TIMELINE).unwrap();
+        WriteAround::new(engine, &["p|", "s|"])
+    }
+
+    fn db_put(wa: &mut WriteAround, key: &str, value: &'static str) {
+        Client::put(wa, &Key::from(key), &Value::from_static(value.as_bytes()));
+    }
+
+    #[test]
+    fn write_around_timeline_end_to_end() {
+        let mut wa = twip();
+
+        // Application writes go to the database only.
+        db_put(&mut wa, "s|ann|bob", "1");
+        db_put(&mut wa, "p|bob|0000000100", "Hi");
+        assert_eq!(wa.cache().engine.store_stats().keys, 0);
+
+        // A timeline read pulls base data from the database and computes.
+        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 1);
+        let fetches = wa.cache().stats.subs_established;
+        assert!(fetches >= 2); // subscriptions + posts
+
+        // A later database write is forwarded by a Notify and
+        // incrementally maintained — no further fetches.
+        db_put(&mut wa, "p|bob|0000000120", "again");
+        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 2);
+        assert_eq!(wa.cache().stats.subs_established, fetches);
+    }
+
+    #[test]
+    fn write_around_deletion_propagates() {
+        let mut wa = twip();
+        db_put(&mut wa, "s|ann|bob", "1");
+        db_put(&mut wa, "p|bob|0000000100", "Hi");
+        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 1);
+        wa.remove(&Key::from("p|bob|0000000100"));
+        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 0);
+    }
+
+    #[test]
+    fn client_api_batches_and_counts_server_side() {
+        let mut wa = twip();
+        let responses = wa.execute_batch(vec![
+            Command::Put(Key::from("s|ann|bob"), Value::from_static(b"1")),
+            Command::Put(Key::from("p|bob|0000000100"), Value::from_static(b"Hi")),
+            // A read inside the batch observes the batch's own writes.
+            Command::Count(KeyRange::prefix("t|ann|")),
+            Command::Get(Key::from("t|ann|0000000100|bob")),
+        ]);
+        assert_eq!(responses[0], Response::Ok);
+        assert_eq!(responses[2], Response::Count(1));
+        assert_eq!(
+            responses[3],
+            Response::Value(Some(Value::from_static(b"Hi")))
+        );
+        // A write-only batch has reached the cache when it returns.
+        let applied = wa.cache().stats.notifies_applied;
+        wa.execute_batch(vec![Command::Put(
+            Key::from("p|bob|0000000120"),
+            Value::from_static(b"again"),
+        )]);
+        assert_eq!(wa.cache().stats.notifies_applied, applied + 1);
+        assert_eq!(Client::count(&mut wa, &KeyRange::prefix("t|ann|")), 2);
+    }
+
+    #[test]
+    fn write_around_point_reads() {
+        let mut wa = WriteAround::new(Engine::new(EngineConfig::default()), &["acct|"]);
+        db_put(&mut wa, "acct|ann", "1000");
+        assert_eq!(
+            wa.get(&Key::from("acct|ann")).as_deref(),
+            Some(&b"1000"[..])
+        );
+        assert_eq!(wa.get(&Key::from("acct|zed")), None);
+        // Cached now: a database update still reaches the cache by notify.
+        db_put(&mut wa, "acct|ann", "900");
+        assert_eq!(wa.get(&Key::from("acct|ann")).as_deref(), Some(&b"900"[..]));
+        assert_eq!(wa.cache().stats.notifies_applied, 1);
     }
 }

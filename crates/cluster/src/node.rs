@@ -73,10 +73,9 @@
 //! survives restarts for free.
 
 use crate::config::ClusterConfig;
+use crate::subscription::{Endpoint, Node, NodeMsg, NodeStats};
 use pequod_core::partition::{Partition, ServerId};
-use pequod_core::{
-    BackendStats, Command, Endpoint, Engine, JoinId, Node, NodeMsg, NodeStats, Response,
-};
+use pequod_core::{BackendStats, Command, Engine, JoinId, Response};
 use pequod_net::codec::{encode_frame_into, ReplyFrame};
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value, ValueRef};

@@ -56,7 +56,7 @@
 
 use crate::config::ClusterConfig;
 use crate::node::{is_peer_only, ClusterNode, ClusterPeer, Out};
-use pequod_core::node::NodeAudit;
+use crate::subscription::NodeAudit;
 use pequod_core::Engine;
 use pequod_net::codec::encode_frame_into;
 use pequod_net::{Conns, Dispatch, FrontendConfig, FrontendServer, FrontendStats, Message, Waker};

@@ -23,7 +23,7 @@
 
 use crate::config::ClusterConfig;
 use crate::node::{ClusterNode, ClusterPeer};
-use pequod_core::node::NodeAudit;
+use crate::subscription::NodeAudit;
 use pequod_core::{BackendStats, Engine};
 use pequod_net::codec::encode_frame;
 use pequod_net::Message;
@@ -381,7 +381,7 @@ impl SimHarness {
     /// on a quiet network; empty means consistent.
     pub fn check_invariants(&self) -> Vec<String> {
         let audits: Vec<NodeAudit> = self.nodes.iter().flatten().map(|n| n.audit()).collect();
-        pequod_core::node::audit_deployment(&audits)
+        crate::subscription::audit_deployment(&audits)
     }
 
     /// Borrows a live node (panics in tests if it was killed).

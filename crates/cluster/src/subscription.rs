@@ -60,9 +60,8 @@
 //! home's late traffic out, and [`Node::drop_replicas`] forgets what
 //! the old home served so the next read subscribes at the new one.
 
-use crate::client::{Command, Response};
-use crate::engine::Engine;
-use crate::partition::{Partition, ServerId};
+use pequod_core::partition::{Partition, ServerId};
+use pequod_core::{Command, Engine, Response};
 use pequod_store::{Key, KeyRange, RangeSet, Value, ValueRef};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -708,9 +707,7 @@ impl Node {
             }
         };
         for gap in &marked {
-            if let Some(table) = self.engine.remote.get_mut(gap.first.table_prefix_bytes()) {
-                table.resident.remove(gap);
-            }
+            self.engine.unmark_resident(gap);
         }
         self.engine.set_mem_limit(saved_limit);
         pairs.retain(|(k, _)| self.placement.home(k) == self.id);
@@ -772,7 +769,7 @@ pub fn audit_deployment(audits: &[NodeAudit]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{ComponentHashPartition, TablePartition};
+    use pequod_core::partition::{ComponentHashPartition, TablePartition};
 
     const CLIENT: Endpoint = Endpoint::Client(1);
 

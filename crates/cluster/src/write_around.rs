@@ -13,10 +13,9 @@
 //! its ack, so every command after a write — in the same batch too —
 //! sees it.
 
-use crate::client::{BackendStats, Client, Command, Response};
-use crate::engine::Engine;
-use crate::node::{audit_deployment, Endpoint, Node, NodeMsg};
-use crate::partition::{Partition, ServerId, TablePartition};
+use crate::subscription::{audit_deployment, Endpoint, Node, NodeMsg};
+use pequod_core::partition::{Partition, ServerId, TablePartition};
+use pequod_core::{BackendStats, Client, Command, Engine, Response};
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -11,8 +11,7 @@
 //! concurrent clients, joins across nodes kept fresh by §2.4
 //! Subscribe/Notify.
 
-use pequod_cluster::{ClusterClient, ClusterConfig, ClusterServer};
-use pequod_core::node::{audit_deployment, NodeAudit};
+use pequod_cluster::{audit_deployment, ClusterClient, ClusterConfig, ClusterServer, NodeAudit};
 use pequod_core::{Client, Command, Engine, Response};
 use pequod_net::codec::encode_frame;
 use pequod_net::Message;

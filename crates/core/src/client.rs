@@ -10,7 +10,7 @@
 //! driver written against `dyn Client` runs unchanged against
 //!
 //! * the in-process [`Engine`] (this crate),
-//! * [`WriteAround`](crate::WriteAround) (database writes, cached reads),
+//! * `pequod_cluster::WriteAround` (database writes, cached reads),
 //! * `pequod_cluster::ClusterClient` (a partitioned, replicated
 //!   cluster — over sockets or simulated — with per-node batch
 //!   pipelining), and

@@ -591,6 +591,14 @@ impl Engine {
         }
     }
 
+    /// The inverse of [`Engine::mark_resident`]: `range` of a remote
+    /// table is no longer resident. Its rows, if any, are left alone.
+    pub fn unmark_resident(&mut self, range: &KeyRange) {
+        if let Some(table) = self.remote.get_mut(range.first.table_prefix_bytes()) {
+            table.resident.remove(range);
+        }
+    }
+
     /// Installs fetched base data: writes the pairs (running normal
     /// incremental maintenance) and marks the whole fetched range
     /// resident.

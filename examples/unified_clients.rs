@@ -11,9 +11,8 @@
 //! ```
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
 use pequod::core::partition::{ServerId, TablePartition};
-use pequod::core::WriteAround;
 use pequod::prelude::*;
 use std::sync::Arc;
 

@@ -64,7 +64,7 @@
 //! assert_eq!(timeline_demo(&mut Engine::new_default()), 1);
 //!
 //! // ...or a cache in front of a database, unchanged.
-//! let mut wa = pequod::core::WriteAround::new(Engine::new_default(), &["p|", "s|"]);
+//! let mut wa = pequod::cluster::WriteAround::new(Engine::new_default(), &["p|", "s|"]);
 //! assert_eq!(timeline_demo(&mut wa), 1);
 //! ```
 //!

@@ -8,9 +8,9 @@
 //! drop-in for any other.
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
 use pequod::core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response, WriteAround};
+use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response};
 use pequod::prelude::*;
 use pequod::telemetry::Recorder;
 use std::sync::Arc;

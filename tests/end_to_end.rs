@@ -3,9 +3,9 @@
 //! workload crates.
 
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
-use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness};
+use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness, WriteAround};
 use pequod::core::partition::{ServerId, SingleServer, TablePartition};
-use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit, WriteAround};
+use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit};
 use pequod::prelude::*;
 use pequod::telemetry::metric;
 use pequod::workloads::graph::{GraphConfig, SocialGraph};
