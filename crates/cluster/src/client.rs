@@ -2,17 +2,19 @@
 //! a stand-alone server ([`ClusterConfig::one_node`]) or a replicated
 //! cluster, on sockets or on a [`SimHarness`].
 //!
-//! A batch is planned by [`pequod_core::fanout`], the run planner every
-//! multi-engine backend shares: runs of one command class, each sent as
-//! **one pipelined frame per node**, replies matched back by request
-//! id. Writes go to the primary of their key's slot, learned from
+//! A batch is cut into runs of one command class, each sent as **one
+//! pipelined frame per node** and fully answered before the next run
+//! starts, so a batch answers exactly like the same commands issued one
+//! at a time. Every command of a run has its own request id; a join is
+//! sent to every node under one id and installs only if every node
+//! installed it. Writes go to the primary of their key's slot, learned from
 //! [`Message::NotPrimary`] redirects (a redirect carries the slot's
 //! epoch, so stale hints never overwrite fresher ones). Reads go to the
 //! primary of their first key's slot unless a read router places them
 //! ([`ClusterClient::with_read_router`] — the paper sends all of user
 //! *u*'s timeline checks to server *S(u)*); the node a read reaches
 //! answers it whole, gathering what it does not hold from the others
-//! (`pequod_core::Node`). Joins are installed on every node.
+//! ([`Node`](crate::Node)). Joins are installed on every node.
 //!
 //! **One retry rule.** A command goes again only when the node it
 //! reached answered [`Message::NotPrimary`], or when its exchange with
@@ -32,7 +34,6 @@
 //! backoff advances virtual time.
 
 use crate::config::ClusterConfig;
-use crate::fanout::{split_runs, Fanout, Route};
 use crate::node::backend_stats_of;
 use crate::sim::SimHarness;
 use bytes::BytesMut;
@@ -368,18 +369,7 @@ impl ClusterClient {
                 .collect();
             let run: Vec<Command> = todo.iter().map(|&i| commands[i].clone()).collect();
             let dests: Vec<Option<usize>> = run.iter().map(|c| self.destination(c)).collect();
-            let mut next = dests.iter();
-            let (mut pending, sends) = self.fanout.plan(run.clone(), |_| match next.next() {
-                Some(Some(node)) => Route::One(*node),
-                _ => Route::All,
-            });
-            let sends = (sends.into_iter())
-                .map(|s| {
-                    (s.into_iter())
-                        .map(|(id, c)| Message::request(id, c))
-                        .collect()
-                })
-                .collect();
+            let (mut pending, sends) = self.fanout.plan(run.clone(), &dests);
             let (replies, failed) = self.exchange(sends);
             let mut again = vec![false; run.len()];
             let (mut learned, mut error) = (false, None);
@@ -572,7 +562,7 @@ impl Client for ClusterClient {
         "cluster"
     }
 
-    /// A run of one command class ([`split_runs`]) goes out as one frame
+    /// A run of one command class (`split_runs`) goes out as one frame
     /// per node and is fully answered before the next starts, so a
     /// batch answers exactly like the same commands issued one at a
     /// time.
@@ -641,6 +631,175 @@ fn unexpected_reply(reply: Message) -> ClusterClientError {
     match reply {
         Message::Reply { error: Some(e), .. } => ClusterClientError::Remote(e),
         other => unexpected(other),
+    }
+}
+
+// ----------------------------------------------------------------------
+// The run planner
+// ----------------------------------------------------------------------
+
+/// Command classes whose members may share one pipelined run without
+/// changing observable results: reads don't mutate client-visible
+/// state, and writes aren't observed until the next read.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CommandClass {
+    Read,
+    Write,
+    Join,
+}
+
+fn class_of(command: &Command) -> CommandClass {
+    match command {
+        Command::Get(_) | Command::Scan(_) | Command::Count(_) => CommandClass::Read,
+        Command::Put(..) | Command::Remove(_) => CommandClass::Write,
+        Command::AddJoin(_) => CommandClass::Join,
+    }
+}
+
+/// Splits a batch, in order, into maximal runs of one command class. A
+/// run executes as one pipelined round per destination and must be fully
+/// answered before the next run starts, so a batch answers exactly like
+/// the same commands issued one at a time.
+fn split_runs(commands: Vec<Command>) -> Vec<Vec<Command>> {
+    let mut runs: Vec<Vec<Command>> = Vec::new();
+    let mut run_class = None;
+    for command in commands {
+        let class = Some(class_of(&command));
+        match runs.last_mut() {
+            Some(run) if class == run_class => run.push(command),
+            _ => runs.push(vec![command]),
+        }
+        run_class = class;
+    }
+    runs
+}
+
+/// The run planner: hands out request ids, unique for its lifetime, and
+/// plans each run over a fixed set of destinations.
+struct Fanout {
+    destinations: usize,
+    next_id: u64,
+}
+
+impl Fanout {
+    /// A planner over `destinations` destinations whose first id is 1.
+    fn new(destinations: usize) -> Fanout {
+        Fanout {
+            destinations,
+            next_id: 1,
+        }
+    }
+
+    /// Plans one same-class run (see [`split_runs`]): ids in command
+    /// order, each command sent to its destination in `dests` (`None`:
+    /// to every one, under one id). Returns the run awaiting its replies
+    /// and, per destination, the requests to send there in command order
+    /// — empty for a destination nothing goes to.
+    fn plan(
+        &mut self,
+        commands: Vec<Command>,
+        dests: &[Option<usize>],
+    ) -> (PendingRun, Vec<Vec<Message>>) {
+        let mut sends: Vec<Vec<Message>> = vec![Vec::new(); self.destinations];
+        let mut run = PendingRun {
+            first_id: self.next_id,
+            slots: Vec::with_capacity(commands.len()),
+            owed: 0,
+            destinations: self.destinations,
+        };
+        for (command, dest) in commands.into_iter().zip(dests) {
+            let slot = match dest {
+                Some(to) => {
+                    sends[*to].push(Message::request(self.next_id, command));
+                    run.owed += 1;
+                    Answer::One(None)
+                }
+                None => {
+                    for to in sends.iter_mut() {
+                        to.push(Message::request(self.next_id, command.clone()));
+                    }
+                    run.owed += self.destinations;
+                    Answer::All(Vec::with_capacity(self.destinations))
+                }
+            };
+            run.slots.push(slot);
+            self.next_id += 1;
+        }
+        (run, sends)
+    }
+}
+
+/// One command's answer so far.
+enum Answer {
+    /// A command answered by one reply.
+    One(Option<Response>),
+    /// A broadcast `AddJoin`: the replies so far.
+    All(Vec<Response>),
+}
+
+/// One planned run awaiting its replies: a slot per command, in command
+/// order, the slot of id `first_id + i` at `i`.
+struct PendingRun {
+    first_id: u64,
+    slots: Vec<Answer>,
+    /// Replies still expected.
+    owed: usize,
+    destinations: usize,
+}
+
+impl PendingRun {
+    /// The ids this run's replies carry.
+    #[cfg(test)]
+    fn ids(&self) -> std::ops::Range<u64> {
+        self.first_id..self.first_id + self.slots.len() as u64
+    }
+
+    /// Which command of the run (by position) id `id` answers.
+    fn slot_of(&self, id: u64) -> Option<usize> {
+        let offset = usize::try_from(id.checked_sub(self.first_id)?).ok()?;
+        (offset < self.slots.len()).then_some(offset)
+    }
+
+    /// Takes one reply. A reply for another run, or one more than its
+    /// command is owed, is ignored. Returns whether every reply is in.
+    fn absorb(&mut self, id: u64, response: Response) -> bool {
+        let Some(slot) = self.slot_of(id) else {
+            return self.is_complete();
+        };
+        match &mut self.slots[slot] {
+            Answer::One(reply @ None) => *reply = Some(response),
+            Answer::All(replies) if replies.len() < self.destinations => replies.push(response),
+            _ => return self.is_complete(),
+        }
+        self.owed -= 1;
+        self.is_complete()
+    }
+
+    /// Whether every reply is in.
+    fn is_complete(&self) -> bool {
+        self.owed == 0
+    }
+
+    /// One response per command, in command order: a single reply as
+    /// it came, a broadcast folded — a join `Ok` only if every
+    /// destination installed it (else the first error). A command short
+    /// of its replies answers an error.
+    fn finish(self) -> Vec<Response> {
+        let destinations = self.destinations;
+        (self.slots.into_iter())
+            .map(|slot| match slot {
+                Answer::One(reply) => {
+                    reply.unwrap_or_else(|| Response::Error("no reply from cluster".into()))
+                }
+                Answer::All(replies) if replies.len() < destinations => {
+                    let got = replies.len();
+                    Response::Error(format!("addjoin: {got} of {destinations} nodes replied"))
+                }
+                Answer::All(replies) => (replies.into_iter())
+                    .find(|r| matches!(r, Response::Error(_)))
+                    .unwrap_or(Response::Ok),
+            })
+            .collect()
     }
 }
 
@@ -727,5 +886,145 @@ mod tests {
             leftover.iter().any(|m| m.id() == Some(u64::MAX)),
             "client 7's reply was drained by the batch client"
         );
+    }
+
+    // The run planner on its own: ids, destinations, and the fold of the
+    // replies.
+
+    fn get(k: &str) -> Command {
+        Command::Get(Key::from(k))
+    }
+
+    fn value(v: &'static [u8]) -> Response {
+        Response::Value(Some(Value::from_static(v)))
+    }
+
+    /// Routes `Get("d<n>…")` to destination n and broadcasts the rest.
+    fn by_first_digit(command: &Command) -> Option<usize> {
+        match command {
+            Command::Get(key) => Some(usize::from(key.as_bytes()[1] - b'0')),
+            _ => None,
+        }
+    }
+
+    /// Plans `run` with each command's destination given by `route`.
+    fn plan(
+        fanout: &mut Fanout,
+        run: Vec<Command>,
+        route: impl Fn(&Command) -> Option<usize>,
+    ) -> (PendingRun, Vec<Vec<Message>>) {
+        let dests: Vec<Option<usize>> = run.iter().map(route).collect();
+        fanout.plan(run, &dests)
+    }
+
+    /// The request `command` goes out as under `id`.
+    fn sent(id: u64, command: Command) -> Message {
+        Message::request(id, command)
+    }
+
+    #[test]
+    fn out_of_order_replies_land_in_their_own_slots() {
+        let mut fanout = Fanout::new(3);
+        let (mut run, sends) = plan(
+            &mut fanout,
+            vec![get("d2a"), get("d0b"), get("d2c")],
+            by_first_digit,
+        );
+        assert_eq!(
+            sends,
+            vec![
+                vec![sent(2, get("d0b"))],
+                vec![],
+                vec![sent(1, get("d2a")), sent(3, get("d2c"))]
+            ]
+        );
+        assert!(!run.absorb(3, value(b"c")));
+        assert!(!run.absorb(1, value(b"a")));
+        assert!(run.absorb(2, value(b"b")));
+        assert_eq!(run.finish(), vec![value(b"a"), value(b"b"), value(b"c")]);
+    }
+
+    #[test]
+    fn a_broadcast_folds_by_the_join_rule() {
+        let join = || Command::AddJoin("j".into());
+        let error = |e: &str| Response::Error(e.into());
+        let cases: [(Vec<Response>, Response); 3] = [
+            (vec![Response::Ok; 3], Response::Ok),
+            (
+                vec![Response::Ok, error("bad"), error("worse")],
+                error("bad"),
+            ),
+            (
+                vec![Response::Ok, Response::Ok],
+                error("addjoin: 2 of 3 nodes replied"),
+            ),
+        ];
+        for (replies, want) in cases {
+            let mut fanout = Fanout::new(3);
+            let (mut run, sends) = plan(&mut fanout, vec![join()], by_first_digit);
+            assert!(sends.iter().all(|s| s == &vec![sent(1, join())]));
+            for reply in replies {
+                run.absorb(1, reply);
+            }
+            assert_eq!(run.finish(), vec![want]);
+        }
+    }
+
+    #[test]
+    fn a_broadcast_ignores_extra_replies() {
+        let error = Response::Error("late".into());
+        let mut fanout = Fanout::new(2);
+        let (mut run, _) = plan(
+            &mut fanout,
+            vec![Command::AddJoin("j".into())],
+            by_first_digit,
+        );
+        assert!(!run.absorb(1, Response::Ok));
+        assert!(run.absorb(1, Response::Ok));
+        assert!(
+            run.absorb(1, error.clone()),
+            "a third reply to a 2-way broadcast"
+        );
+        assert!(run.absorb(9, error), "a reply for another run");
+        assert_eq!(run.finish(), vec![Response::Ok]);
+    }
+
+    #[test]
+    fn a_missing_reply_becomes_the_no_reply_error() {
+        let mut fanout = Fanout::new(1);
+        let (mut run, _) = plan(&mut fanout, vec![get("d0a"), get("d0b")], by_first_digit);
+        assert!(!run.absorb(2, value(b"b")));
+        assert_eq!(
+            run.finish(),
+            vec![Response::Error("no reply from cluster".into()), value(b"b")]
+        );
+    }
+
+    #[test]
+    fn ids_are_unique_across_runs_and_follow_command_order() {
+        let mut fanout = Fanout::new(2);
+        let scan = Command::Scan(KeyRange::prefix("d1"));
+        let route = |c: &Command| match c {
+            Command::Scan(_) => Some(1),
+            other => by_first_digit(other),
+        };
+        let mut seen = Vec::new();
+        for run in [
+            vec![get("d1a"), scan.clone(), get("d0b")],
+            vec![Command::AddJoin("j".into()), Command::AddJoin("k".into())],
+        ] {
+            let (pending, sends) = plan(&mut fanout, run.clone(), route);
+            let mut ids: Vec<u64> = sends.iter().flatten().filter_map(Message::id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids, pending.ids().collect::<Vec<_>>());
+            // Each id answers the command at its position in the run.
+            let slots: Vec<usize> = pending.ids().filter_map(|id| pending.slot_of(id)).collect();
+            assert_eq!(slots, (0..run.len()).collect::<Vec<_>>());
+            assert_eq!(pending.slot_of(pending.ids().end), None);
+            seen.extend(ids);
+        }
+        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
+        assert_eq!(plan(&mut fanout, vec![get("d0d")], route).0.ids(), 6..7);
     }
 }

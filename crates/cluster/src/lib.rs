@@ -2,8 +2,9 @@
 //! with primary/follower slots, epoch failover, follower catch-up and
 //! live slot migration around it.
 //!
-//! Every process runs one [`pequod_core::Node`] — the §2.4
-//! Subscribe/Notify state machine — inside a [`ClusterNode`] that
+//! Every process runs one [`Node`] — the §2.4 Subscribe/Notify state
+//! machine, speaking the wire [`Message`](pequod_net::Message) like
+//! everything else here — inside a [`ClusterNode`] that
 //! replicates the slots it holds. A read is
 //! answered wherever it arrives: base data of slots held elsewhere is
 //! subscribed at their primaries, so joins across slots are computed
@@ -13,6 +14,12 @@
 //! cores: one process per core; more replicas add the availability the
 //! paper leaves out.
 //!
+//! - [`Node`] (`subscription.rs`) — one server of a partitioned
+//!   deployment: Subscribe/Notify, fetch groups, park and restart
+//!   (§2.4, §3.3). `handle(peer, msg, out)`, no I/O.
+//! - [`WriteAround`] (`write_around.rs`) — a cache [`Node`] in front of
+//!   a database `Node` on the caller's thread (§2), a [`pequod_core::Client`]
+//!   backend of its own.
 //! - [`ClusterConfig`] (`config.rs`) — the static cluster description
 //!   (`nodes.toml`): node list, replication factor, the partition of
 //!   keys into slots, timing.
@@ -32,7 +39,7 @@
 //! - [`ClusterClient`] (`client.rs`) — the one client, of a stand-alone
 //!   server ([`ClusterConfig::one_node`]) and of a cluster alike: the
 //!   unified [`pequod_core::Client`] on sockets or on a `SimHarness`,
-//!   batches planned by `pequod_core::fanout`, writes sent to their
+//!   batches cut into runs of one frame per node, writes sent to their
 //!   slot's primary as `NotPrimary` redirects teach it. It resends a
 //!   request only on `NotPrimary` or an I/O failure.
 //!
@@ -54,8 +61,6 @@ pub mod server;
 pub mod sim;
 pub mod subscription;
 pub mod write_around;
-
-mod fanout;
 
 pub use client::{ClusterClient, ClusterClientError};
 pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
@@ -157,6 +162,27 @@ mod tests {
         );
         let tl = scan(&mut c, 1, KeyRange::prefix("t|ann|"));
         assert_eq!(tl.len(), 1);
+
+        // Each node's `Metrics` reply carries its `Node`'s counters.
+        for node in 0..2 {
+            let metrics = Message::Metrics {
+                id: 0,
+                flight: false,
+            };
+            let pairs = Message::parse_metrics(call(&mut c, node, metrics));
+            let s = c.node(node).node_stats();
+            for (name, want) in [
+                ("commands", s.commands),
+                ("parked", s.parked),
+                ("subs_granted", s.subs_granted),
+                ("subs_established", s.subs_established),
+                ("notifies_sent", s.notifies_sent),
+                ("notifies_applied", s.notifies_applied),
+            ] {
+                let got = pequod_telemetry::metric(&pairs, &format!("pequod_node_{name}_total"));
+                assert_eq!(got, Some(want), "node {node}: {name}");
+            }
+        }
     }
 
     /// A write sent to a node that is not its slot's primary is

@@ -1,5 +1,5 @@
 //! One process of a replicated deployment: a [`ClusterNode`] is the
-//! §2.4 server, [`pequod_core::Node`], with slot replication around it.
+//! §2.4 server, [`Node`], with slot replication around it.
 //!
 //! The node is transport-agnostic — [`ClusterNode::handle`] consumes one
 //! wire message from a peer and returns the messages to send in
@@ -24,7 +24,7 @@
 //! - when an epoch change moves a slot's primary, a node that does not
 //!   hold the slot forgets its replicas of the slot's keys and
 //!   unsubscribes, so its next read subscribes again at the new
-//!   primary ([`pequod_core::Node::drop_replicas`]);
+//!   primary ([`Node::drop_replicas`]);
 //! - a `Notify` (or a grant) from a node that is not the key's home —
 //!   a deposed primary's late traffic — is dropped by the `Node`.
 //!
@@ -73,10 +73,11 @@
 //! survives restarts for free.
 
 use crate::config::ClusterConfig;
-use crate::subscription::{Endpoint, Node, NodeMsg, NodeStats};
+use crate::subscription::{Node, NodeStats};
 use pequod_core::partition::{Partition, ServerId};
-use pequod_core::{BackendStats, Command, Engine, JoinId, Response};
+use pequod_core::{BackendStats, Engine, JoinId};
 use pequod_net::codec::{encode_frame_into, ReplyFrame};
+use pequod_net::message::COUNT_KEY;
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value, ValueRef};
 use pequod_telemetry::{metric, Snapshot};
@@ -363,6 +364,20 @@ fn split_replies(client: ClusterPeer, outbox: Out, out: &mut Vec<u8>, late: &mut
     replied
 }
 
+/// Runs `f`, a call into the `Node` that appends its messages to `out`.
+/// A client never sees the `#` meta rows: they leave its replies here
+/// (a count's `#count` pair is the answer, not a row).
+fn hide_meta<R>(out: &mut Out, f: impl FnOnce(&mut Out) -> R) -> R {
+    let first = out.len();
+    let result = f(out);
+    for (to, msg) in &mut out[first..] {
+        if let (ClusterPeer::Client(_), Message::Reply { pairs, .. }) = (to, msg) {
+            pairs.retain(|(k, _)| !is_meta(k) || k.as_bytes() == COUNT_KEY.as_bytes());
+        }
+    }
+    result
+}
+
 /// Replication metadata, not user data: `#rep|NN`, `#epoch|NN`.
 fn is_meta(key: &Key) -> bool {
     key.as_bytes().first() == Some(&b'#')
@@ -396,8 +411,6 @@ pub struct ClusterNode {
     pending: Vec<PendingWrite>,
     now: u64,
     booted: bool,
-    /// The `Node`'s output, between its `handle` and the wire.
-    node_out: Vec<(Endpoint, NodeMsg)>,
     /// Replication counters.
     pub stats: ClusterStats,
 }
@@ -413,30 +426,6 @@ impl Deref for ClusterNode {
 impl DerefMut for ClusterNode {
     fn deref_mut(&mut self) -> &mut Node {
         &mut self.node
-    }
-}
-
-/// The `Node` endpoint of a transport peer.
-fn endpoint(peer: ClusterPeer) -> Endpoint {
-    match peer {
-        ClusterPeer::Client(c) => Endpoint::Client(c),
-        ClusterPeer::Node(n) => Endpoint::Server(ServerId(n)),
-    }
-}
-
-/// The wire form of what a `Node` sends.
-fn wire(msg: NodeMsg) -> Message {
-    match msg {
-        NodeMsg::Reply { id, response } => Message::from_response(id, response),
-        NodeMsg::Subscribe { id, range } => Message::Subscribe { id, range },
-        NodeMsg::SubscribeReply { id, range, pairs } => {
-            Message::SubscribeReply { id, range, pairs }
-        }
-        NodeMsg::Notify { key, value } => Message::Notify { key, value },
-        NodeMsg::Unsubscribe { range } => Message::Unsubscribe { range },
-        // A `Node` sends no requests (it forwards nothing); the arm
-        // keeps the map total.
-        NodeMsg::Request { id, command } => Message::request(id, command),
     }
 }
 
@@ -516,7 +505,6 @@ impl ClusterNode {
             pending: Vec::new(),
             now: 0,
             booted: false,
-            node_out: Vec::new(),
             stats: ClusterStats::default(),
         };
         if node.has_peers() {
@@ -659,8 +647,7 @@ impl ClusterNode {
     fn forget_slot(&mut self, slot: u32, out: &mut Out) {
         let cfg = &self.cfg;
         let of_slot = |range: &KeyRange| cfg.slot_of_range(range).is_none_or(|s| s == slot);
-        self.node.drop_replicas(of_slot, &mut self.node_out);
-        self.flush_node(out);
+        hide_meta(out, |out| self.node.drop_replicas(of_slot, out));
     }
 
     /// The `Subscribe`s of open fetches still waiting on `peer`, to send
@@ -668,30 +655,8 @@ impl ClusterNode {
     /// was down was lost (see [`Node::resubscribe`]).
     pub fn resubscribe(&mut self, peer: u32) -> Out {
         let mut out = Vec::new();
-        (self.node).resubscribe(ServerId(peer), &mut self.node_out);
-        self.flush_node(&mut out);
+        self.node.resubscribe(ServerId(peer), &mut out);
         out
-    }
-
-    /// Sends what the `Node` produced, in order, in wire form. A client
-    /// never sees the `#` meta rows.
-    fn flush_node(&mut self, out: &mut Out) {
-        for (to, mut msg) in self.node_out.drain(..) {
-            let to = match to {
-                Endpoint::Client(c) => {
-                    if let NodeMsg::Reply {
-                        response: Response::Pairs(pairs),
-                        ..
-                    } = &mut msg
-                    {
-                        pairs.retain(|(k, _)| !is_meta(k));
-                    }
-                    ClusterPeer::Client(c)
-                }
-                Endpoint::Server(n) => ClusterPeer::Node(n.0),
-            };
-            out.push((to, wire(msg)));
-        }
     }
 
     fn persist_rep(&mut self, slot: u32) {
@@ -942,66 +907,35 @@ impl ClusterNode {
                 frame.pair(k, &v);
             }
         };
-        let complete = (self.node).read_with(endpoint(from), id, &range, visit, &mut self.node_out);
+        let mut outbox = Vec::new();
+        let complete = hide_meta(&mut outbox, |outbox| {
+            (self.node).read_with(from, id, &range, visit, outbox)
+        });
         if complete {
             frame.finish();
         } else {
             frame.abandon();
         }
-        let mut outbox = Vec::new();
-        self.flush_node(&mut outbox);
         usize::from(complete) + split_replies(from, outbox, out, late)
     }
 
     /// Hands a read, a join, or subscription traffic to the `Node`.
     fn hand_to_node(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
-        let msg = match msg {
-            Message::Get { id, key } if is_meta(&key) => {
-                out.push((from, Message::error(id, RESERVED)));
-                return;
+        match &msg {
+            Message::Get { id, key } if is_meta(key) => {
+                return out.push((from, Message::error(*id, RESERVED)));
             }
-            // A wire `Get` is the scan of one key: its reply carries the
-            // pair, key included.
-            Message::Get { id, key } => {
-                self.partition_table(&key);
-                let command = Command::Scan(KeyRange::single(key));
-                NodeMsg::Request { id, command }
+            Message::Get { key, .. } => self.partition_table(key),
+            Message::Scan { range, .. } | Message::Count { range, .. } => {
+                self.partition_table(&range.first)
             }
-            Message::Subscribe { id, range } => NodeMsg::Subscribe { id, range },
-            Message::SubscribeReply { id, range, pairs } => {
-                NodeMsg::SubscribeReply { id, range, pairs }
-            }
-            Message::Notify { key, value } => NodeMsg::Notify { key, value },
-            Message::Unsubscribe { range } => NodeMsg::Unsubscribe { range },
-            // Nodes send each other no requests; a stray answer is dropped.
-            Message::Reply { .. } | Message::NotPrimary { .. } => return,
-            other => match other.into_request() {
-                Ok((id, command)) => {
-                    if let Command::Scan(range) | Command::Count(range) = &command {
-                        self.partition_table(&range.first);
-                    }
-                    NodeMsg::Request { id, command }
-                }
-                Err(other) => {
-                    if let Some(id) = other.id() {
-                        out.push((from, Message::error(id, "not a request")));
-                    }
-                    return;
-                }
-            },
-        };
-        let joined = matches!(
-            msg,
-            NodeMsg::Request {
-                command: Command::AddJoin(_),
-                ..
-            }
-        );
-        self.node.handle(endpoint(from), msg, &mut self.node_out);
+            _ => {}
+        }
+        let joined = matches!(msg, Message::AddJoin { .. });
+        hide_meta(out, |out| self.node.handle(from, msg, out));
         if joined {
             self.partition_join_sources();
         }
-        self.flush_node(out);
     }
 
     fn redirect(&mut self, from: ClusterPeer, id: u64, slot: u32, node: u32, out: &mut Out) {
@@ -1048,26 +982,17 @@ impl ClusterNode {
             st.log_epoch = st.epoch;
             (st.applied, st.epoch, st.replicas[1..].to_vec(), st.learner)
         };
+        self.node.stats.commands += 1;
         if self.has_peers() {
             // The `Node` applies the write at its home and notifies the
-            // key's subscribers; its own acknowledgment gives way to the
-            // replicated one below.
+            // key's subscribers; the acknowledgment is the replicated
+            // one below.
             self.partition_table(&key);
-            let command = match &value {
-                Some(v) => Command::Put(key.clone(), v.clone()),
-                None => Command::Remove(key.clone()),
-            };
-            let request = NodeMsg::Request { id, command };
-            (self.node).handle(endpoint(from), request, &mut self.node_out);
-            (self.node_out).retain(|(to, msg)| {
-                !(*to == endpoint(from) && matches!(msg, NodeMsg::Reply { .. }))
-            });
-            self.flush_node(out);
+            self.node.write(key.clone(), value.clone(), out);
             self.push_window(slot, seq, epoch, key.clone(), value.clone());
             self.persist_rep(slot);
         } else {
             // Alone, nobody can subscribe: the engine applies the write.
-            self.node.stats.commands += 1;
             match &value {
                 Some(v) => self.node.engine.put(key.clone(), v.clone()),
                 None => self.node.engine.remove(&key),
@@ -1880,8 +1805,9 @@ impl ClusterNode {
     /// levels ([`Engine::append_levels`](pequod_core::Engine::append_levels))
     /// and [`BackendStats`] (both read from the node whether or not the
     /// recorder is on; the latter summed by `ClusterClient`'s
-    /// `Client::stats`),
-    /// every [`ClusterStats`] field once, and each slot's view — epoch,
+    /// `Client::stats`), every [`NodeStats`] field once as
+    /// `pequod_node_*_total`, every [`ClusterStats`] field once, and
+    /// each slot's view — epoch,
     /// applied sequence number, primary, replica ranks, this node's
     /// role — with the primary's lag gauge.
     pub fn telemetry_snapshot(&self, include_flight: bool) -> Snapshot {
@@ -1894,6 +1820,17 @@ impl ClusterNode {
         snap.gauge(memory, &[], b.memory_bytes);
         snap.counter(js_evictions, &[], b.js_evictions);
         snap.counter(base_evictions, &[], b.base_evictions);
+        let n = &self.node.stats;
+        for (name, v) in [
+            ("commands", n.commands),
+            ("parked", n.parked),
+            ("subs_granted", n.subs_granted),
+            ("subs_established", n.subs_established),
+            ("notifies_sent", n.notifies_sent),
+            ("notifies_applied", n.notifies_applied),
+        ] {
+            snap.counter(&format!("pequod_node_{name}_total"), &[], v);
+        }
         let s = &self.stats;
         for (name, v) in [
             ("writes_applied", s.writes_applied),
@@ -1972,7 +1909,9 @@ impl ClusterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subscription::{audit_deployment, NodeAudit};
     use pequod_core::config::MaterializationMode;
+    use pequod_core::partition::{ComponentHashPartition, TablePartition};
     use pequod_core::EngineConfig;
     use pequod_net::codec::encode_frame;
 
@@ -2299,5 +2238,294 @@ mod tests {
         assert!(applied > 0);
         assert_eq!(windowed(&node), applied as usize);
         assert!(meta_rows(&node) > 0, "no #rep row was written");
+    }
+
+    // The §2.4 `Node` on its own, driven message by message: three
+    // nodes under a component-hash partition, or a home of the `p|`
+    // table and one peer.
+
+    const CLIENT: ClusterPeer = ClusterPeer::Client(1);
+
+    /// Three nodes under a component-hash partition, and one user homed
+    /// on each.
+    fn three_nodes() -> (Vec<Node>, Vec<String>) {
+        let part = Arc::new(ComponentHashPartition {
+            component: 1,
+            servers: 3,
+        });
+        let nodes = (0..3)
+            .map(|i| {
+                Node::new(ServerId(i), Engine::new_default(), part.clone(), &["p|"])
+                    .in_deployment(3)
+            })
+            .collect();
+        let user_on = |node: u32| {
+            (0..)
+                .map(|i| format!("u{i}"))
+                .find(|u| part.home_of(&Key::from(format!("p|{u}|0"))) == ServerId(node))
+                .unwrap()
+        };
+        (nodes, (0..3).map(user_on).collect())
+    }
+
+    fn handle(node: &mut Node, from: ClusterPeer, msg: Message) -> Out {
+        let mut out = Vec::new();
+        node.handle(from, msg, &mut out);
+        out
+    }
+
+    fn put(node: &mut Node, key: &str) -> Out {
+        let (key, value) = (Key::from(key), Value::from_static(b"v"));
+        handle(node, CLIENT, Message::Put { id: 1, key, value })
+    }
+
+    fn scan(node: &mut Node, id: u64) -> Out {
+        let range = KeyRange::prefix("p|");
+        handle(node, CLIENT, Message::Scan { id, range })
+    }
+
+    fn keys_of(reply: &[(ClusterPeer, Message)], id: u64) -> Vec<String> {
+        match reply {
+            [(
+                CLIENT,
+                Message::Reply {
+                    id: rid,
+                    pairs,
+                    error: None,
+                },
+            )] if *rid == id => pairs.iter().map(|(k, _)| k.to_string()).collect(),
+            other => panic!("expected the pairs of request {id}, got {other:?}"),
+        }
+    }
+
+    /// A write acknowledged by a peer that has already granted its part
+    /// of a scatter-gather, while another peer's grant is still
+    /// outstanding, reaches the subscriber as a `Notify` for a range it
+    /// does not hold yet. It must survive until the range installs.
+    #[test]
+    fn notify_inside_an_open_fetch_is_held_not_dropped() {
+        let (mut nodes, users) = three_nodes();
+        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
+        let old_a = format!("p|{}|0000000001", users[1]);
+        let new_a = format!("p|{}|0000000002", users[1]);
+        let old_b = format!("p|{}|0000000001", users[2]);
+        put(&mut nodes[1], &old_a);
+        put(&mut nodes[2], &old_b);
+
+        // The whole-table scan parks on one fetch subscribed at both peers.
+        let out = scan(&mut nodes[0], 7);
+        let subscribe_to = |peer: ServerId| {
+            let to = ClusterPeer::Node(peer.0);
+            let mut sent = out.iter().filter(|(t, _)| *t == to).map(|(_, m)| m.clone());
+            match (sent.next(), sent.next()) {
+                (Some(m @ Message::Subscribe { .. }), None) => m,
+                other => panic!("expected one Subscribe to {peer:?}, got {other:?}"),
+            }
+        };
+        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
+        assert_eq!(out.len(), 2);
+        assert_eq!(nodes[0].parked_count(), 1);
+
+        // A grants; the reader still waits on B.
+        let mut grant_a = handle(&mut nodes[1], ClusterPeer::Node(reader.0), to_a);
+        let (_, grant_a) = grant_a.pop().unwrap();
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(a.0), grant_a).is_empty());
+
+        // A write at A is acknowledged: its notification precedes the ack.
+        let mut acked = put(&mut nodes[1], &new_a);
+        let ack = acked.pop().unwrap();
+        assert!(matches!(
+            ack,
+            (
+                CLIENT,
+                Message::Reply {
+                    ref pairs,
+                    error: None,
+                    ..
+                }
+            ) if pairs.is_empty()
+        ));
+        let (to, notify) = acked.pop().unwrap();
+        assert_eq!(to, ClusterPeer::Node(reader.0));
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(a.0), notify).is_empty());
+
+        // B grants: the range installs, the held write with it, and the
+        // parked scan answers with all three rows.
+        let mut grant_b = handle(&mut nodes[2], ClusterPeer::Node(reader.0), to_b);
+        let (_, grant_b) = grant_b.pop().unwrap();
+        let answered = handle(&mut nodes[0], ClusterPeer::Node(b.0), grant_b);
+        let mut want = vec![old_a, new_a, old_b];
+        want.sort();
+        assert_eq!(keys_of(&answered, 7), want);
+        assert_eq!(nodes[0].parked_count(), 0);
+        // So does the scan that follows, now without a fetch.
+        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
+        assert_eq!(nodes[0].stats.notifies_applied, 1);
+
+        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
+        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
+    }
+
+    /// A `Subscribe` lost with a dropped link is sent again once the
+    /// link is back, and a peer that answers both the original and the
+    /// re-sent one is counted once: the range installs exactly once,
+    /// after every peer has granted, and the read is answered once.
+    #[test]
+    fn a_resent_subscribe_and_a_duplicate_grant_install_once() {
+        let (mut nodes, users) = three_nodes();
+        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
+        let row_a = format!("p|{}|0000000001", users[1]);
+        let row_b = format!("p|{}|0000000001", users[2]);
+        put(&mut nodes[1], &row_a);
+        put(&mut nodes[2], &row_b);
+
+        // The whole-table scan subscribes at both peers; B's copy is lost.
+        let out = scan(&mut nodes[0], 7);
+        let subscribe_to = |peer: ServerId| {
+            let to = ClusterPeer::Node(peer.0);
+            (out.iter().find(|(t, _)| *t == to).map(|(_, m)| m.clone())).unwrap()
+        };
+        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
+        let resent = |node: &mut Node, peer: ServerId| {
+            let mut out = Vec::new();
+            node.resubscribe(peer, &mut out);
+            out
+        };
+
+        // A grants, twice: the second changes nothing.
+        let grant_a = handle(&mut nodes[1], ClusterPeer::Node(reader.0), to_a.clone());
+        let grant_a = grant_a.into_iter().next().unwrap().1;
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(a.0), grant_a.clone()).is_empty());
+        assert_eq!(resent(&mut nodes[0], a), []);
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(a.0), grant_a.clone()).is_empty());
+        assert_eq!(nodes[0].parked_count(), 1);
+        assert!(!nodes[0].engine.is_resident(&KeyRange::prefix("p|")));
+
+        // The link to B comes back: the same Subscribe goes again.
+        assert_eq!(
+            resent(&mut nodes[0], b),
+            [(ClusterPeer::Node(b.0), to_b.clone())]
+        );
+        let grant_b = handle(&mut nodes[2], ClusterPeer::Node(reader.0), to_b);
+        let grant_b = grant_b.into_iter().next().unwrap().1;
+        let answered = handle(&mut nodes[0], ClusterPeer::Node(b.0), grant_b.clone());
+        let mut want = vec![row_a, row_b];
+        want.sort();
+        assert_eq!(keys_of(&answered, 7), want);
+        assert_eq!(nodes[0].parked_count(), 0);
+
+        // Late duplicates of either grant are ignored.
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(b.0), grant_b).is_empty());
+        assert!(handle(&mut nodes[0], ClusterPeer::Node(a.0), grant_a).is_empty());
+        assert_eq!(resent(&mut nodes[0], b), []);
+        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
+        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
+        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
+    }
+
+    /// A notification for a range this node no longer holds (evicted,
+    /// no fetch open) is dropped rather than re-cached as an untracked
+    /// row; one for a resident range is applied.
+    #[test]
+    fn notify_outside_every_resident_range_is_dropped() {
+        let (mut nodes, users) = three_nodes();
+        let key = Key::from(format!("p|{}|0000000001", users[1]));
+        let value = Some(Value::from_static(b"v"));
+        let notify = Message::Notify {
+            key: key.clone(),
+            value,
+        };
+        handle(&mut nodes[0], ClusterPeer::Node(1), notify.clone());
+        assert_eq!(nodes[0].stats.notifies_applied, 0);
+        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
+        nodes[0]
+            .engine
+            .install_base(&KeyRange::single(key), Vec::new());
+        handle(&mut nodes[0], ClusterPeer::Node(1), notify);
+        assert_eq!(nodes[0].stats.notifies_applied, 1);
+        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
+    }
+
+    /// Node 1 of two, homing the whole `p|` table.
+    fn post_home() -> Node {
+        let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
+        Node::new(ServerId(1), Engine::new_default(), part, &["p|"]).in_deployment(2)
+    }
+
+    fn subscribe(range: KeyRange) -> Message {
+        Message::Subscribe { id: 1, range }
+    }
+
+    /// A peer that subscribes to the same range twice is recorded once,
+    /// and its `Unsubscribe` drops the record.
+    #[test]
+    fn duplicate_subscriptions_collapse() {
+        let mut home = post_home();
+        let peer = ClusterPeer::Node(0);
+        for _ in 0..2 {
+            let out = handle(&mut home, peer, subscribe(KeyRange::prefix("p|")));
+            assert!(matches!(&out[..], [(to, Message::SubscribeReply { .. })] if *to == peer));
+        }
+        assert_eq!(home.subscriber_count(), 1);
+        assert_eq!(home.stats.subs_granted, 1);
+        let range = KeyRange::prefix("p|");
+        handle(&mut home, peer, Message::Unsubscribe { range });
+        assert_eq!(home.subscriber_count(), 0);
+    }
+
+    /// A home notifies a subscriber of the writes inside its range, and
+    /// of none outside it; a notification precedes the write's ack.
+    #[test]
+    fn subscriptions_notify_in_range_only() {
+        let mut home = post_home();
+        let peer = ClusterPeer::Node(0);
+        handle(&mut home, peer, subscribe(KeyRange::prefix("p|bob|")));
+        let remove = |key: &str| Message::Remove {
+            id: 2,
+            key: Key::from(key),
+        };
+        let notified = |out: &[(ClusterPeer, Message)]| -> Vec<(Key, Option<Value>)> {
+            assert!(matches!(out.last(), Some((CLIENT, Message::Reply { .. }))));
+            (out.iter())
+                .filter_map(|(to, msg)| match msg {
+                    Message::Notify { key, value } if *to == peer => {
+                        Some((key.clone(), value.clone()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let v = Some(Value::from_static(b"v"));
+        let bob = Key::from("p|bob|100");
+        assert_eq!(notified(&put(&mut home, "p|bob|100")), [(bob.clone(), v)]);
+        assert_eq!(notified(&put(&mut home, "p|liz|100")), []);
+        let out = handle(&mut home, CLIENT, remove("p|bob|100"));
+        assert_eq!(notified(&out), [(bob, None)]);
+        assert_eq!(home.stats.notifies_sent, 2);
+    }
+
+    /// Serving a range that is partly missing marks its gaps resident
+    /// only while the grant scans: afterwards the home's resident set is
+    /// exactly what it was, disjoint ranges included.
+    #[test]
+    fn a_grant_leaves_the_homes_residency_as_it_found_it() {
+        let mut home = post_home();
+        put(&mut home, "p|bob|100");
+        put(&mut home, "p|liz|100");
+        home.engine
+            .install_base(&KeyRange::prefix("p|cat|"), Vec::new());
+        let table = Key::from("p|");
+        let before = home.engine.resident_ranges(&table);
+        assert_eq!(before.len(), 3);
+        let out = handle(
+            &mut home,
+            ClusterPeer::Node(0),
+            subscribe(KeyRange::prefix("p|")),
+        );
+        let [(_, Message::SubscribeReply { pairs, .. })] = &out[..] else {
+            panic!("expected one grant, got {out:?}");
+        };
+        assert_eq!(pairs.len(), 2);
+        assert_eq!(home.engine.resident_ranges(&table), before);
     }
 }

@@ -403,7 +403,7 @@ impl ClusterServer {
     }
 
     /// This node's part of a deployment audit
-    /// ([`pequod_core::node::audit_deployment`]), taken on the reactor
+    /// ([`audit_deployment`](crate::audit_deployment)), taken on the reactor
     /// thread; call it on a quiet cluster that is still serving.
     #[expect(
         clippy::panic,

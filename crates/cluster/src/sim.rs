@@ -376,7 +376,7 @@ impl SimHarness {
     }
 
     /// Audits the live nodes as one deployment
-    /// ([`pequod_core::node::audit_deployment`]): every engine's deep
+    /// ([`audit_deployment`](crate::audit_deployment)): every engine's deep
     /// invariant check plus node-to-node subscription symmetry. Call it
     /// on a quiet network; empty means consistent.
     pub fn check_invariants(&self) -> Vec<String> {

@@ -12,19 +12,19 @@
 //! ordinary updaters. A query that runs into missing data parks with a
 //! restart context and runs again when its fetches have landed (§3.3).
 //!
-//! [`Node::handle`] consumes one message and hands back the messages to
-//! send; it never blocks and never does I/O. Two hosts drive it:
+//! [`Node::handle`] consumes one wire [`Message`] and appends the
+//! messages to send to the caller's [`Out`]; it never blocks and never
+//! does I/O. Two hosts drive it:
 //!
 //! * [`WriteAround`](crate::WriteAround) — a cache node and a database
 //!   node on the caller's thread, which carries their messages from a
 //!   queue until none is left;
-//! * `pequod_cluster::ClusterNode` — the replicated deployment's node,
-//!   over TCP or its deterministic simulator. It keeps slots, epochs and
-//!   replication around one `Node`, whose partition is the live slot
-//!   view: a key is homed at the node holding its slot, else at the
-//!   slot's primary. It maps each [`NodeMsg`] 1:1 onto the wire
-//!   `Message`. A deployment that uses every core of a machine runs one
-//!   such process per core.
+//! * [`ClusterNode`](crate::ClusterNode) — the replicated deployment's
+//!   node, over TCP or its deterministic simulator. It keeps slots,
+//!   epochs and replication around one `Node`, whose partition is the
+//!   live slot view: a key is homed at the node holding its slot, else
+//!   at the slot's primary. A deployment that uses every core of a
+//!   machine runs one such process per core.
 //!
 //! # What a fetch guarantees
 //!
@@ -59,74 +59,23 @@
 //! replicated cluster's failover and migration), it keeps a deposed
 //! home's late traffic out, and [`Node::drop_replicas`] forgets what
 //! the old home served so the next read subscribes at the new one.
+//!
+//! The node's unit tests drive it message by message beside the
+//! `ClusterNode`'s, in `node.rs`.
 
+use crate::node::{ClusterPeer, Out};
 use pequod_core::partition::{Partition, ServerId};
-use pequod_core::{Command, Engine, Response};
+use pequod_core::Engine;
+use pequod_net::Message;
 use pequod_store::{Key, KeyRange, RangeSet, Value, ValueRef};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Give up on a query after this many fetch-and-restart rounds.
 const MAX_RETRIES: u32 = 16;
 
-/// A message source or destination.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Endpoint {
-    /// An application client, by whatever token its host knows it.
-    Client(u64),
-    /// Another node of the deployment.
-    Server(ServerId),
-}
-
-/// What nodes, and their clients, say to each other.
-#[derive(Clone, Debug, PartialEq)]
-pub enum NodeMsg {
-    /// A client command.
-    Request {
-        /// Request id, echoed in the reply.
-        id: u64,
-        /// The command.
-        command: Command,
-    },
-    /// The answer to a `Request`.
-    Reply {
-        /// The request this answers.
-        id: u64,
-        /// Its response.
-        response: Response,
-    },
-    /// Peer → home: send `range`'s rows and every later update to them.
-    Subscribe {
-        /// The fetch this belongs to, echoed in the reply.
-        id: u64,
-        /// The base range wanted.
-        range: KeyRange,
-    },
-    /// Home → peer: the rows of `range` the home is the authority for.
-    SubscribeReply {
-        /// The `Subscribe` this answers.
-        id: u64,
-        /// The subscribed range.
-        range: KeyRange,
-        /// Its current contents at this home.
-        pairs: Vec<(Key, Value)>,
-    },
-    /// Home → subscriber: a write to a subscribed range.
-    Notify {
-        /// The written key.
-        key: Key,
-        /// New value, or `None` for a removal.
-        value: Option<Value>,
-    },
-    /// Subscriber → home: stop notifying me of `range`; I no longer
-    /// hold it.
-    Unsubscribe {
-        /// The range given up.
-        range: KeyRange,
-    },
-}
-
-/// Per-node counters.
+/// Per-node counters, each read as one `pequod_node_*_total` entry of
+/// [`ClusterNode::telemetry_snapshot`](crate::ClusterNode::telemetry_snapshot).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Requests handled (failed ones included).
@@ -143,20 +92,13 @@ pub struct NodeStats {
     pub notifies_applied: u64,
 }
 
-/// What a parked query replies with once its range is complete.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QueryKind {
-    Get,
-    Scan,
-    Count,
-}
-
 /// A query and its restart context (§3.3). `outstanding` holds the
 /// fetch groups it waits on.
 struct Parked {
-    client: Endpoint,
+    client: ClusterPeer,
     id: u64,
-    kind: QueryKind,
+    /// A count: only the number leaves the node, never the pairs.
+    count: bool,
     range: KeyRange,
     outstanding: HashSet<u64>,
     retries: u32,
@@ -248,8 +190,8 @@ pub struct Node {
     /// checked against residency.
     seen_evictions: u64,
     parked: Vec<Parked>,
-    /// Open fetches by id.
-    fetches: HashMap<u64, FetchGroup>,
+    /// Open fetches, in id order.
+    fetches: BTreeMap<u64, FetchGroup>,
     next_id: u64,
 }
 
@@ -280,7 +222,7 @@ impl Node {
             subscriptions: Vec::new(),
             seen_evictions: 0,
             parked: Vec::new(),
-            fetches: HashMap::new(),
+            fetches: BTreeMap::new(),
             next_id: 1,
         }
         .in_deployment(id.0 + 1)
@@ -319,9 +261,11 @@ impl Node {
 
     /// Handles one message, appending the messages to send, in sending
     /// order, to `out` (a buffer the host can reuse from call to call).
-    /// If the engine evicted replicated base data meanwhile, the homes
-    /// of the ranges it no longer holds are sent `Unsubscribe`.
-    pub fn handle(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
+    /// A `Get` is answered as the scan of its one key: a reply carries
+    /// pairs, so the key rides along with its value. If the engine
+    /// evicted replicated base data meanwhile, the homes of the ranges
+    /// it no longer holds are sent `Unsubscribe`.
+    pub fn handle(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
         self.dispatch(from, msg, out);
         self.release_evicted(out);
     }
@@ -331,18 +275,18 @@ impl Node {
     /// `false`: incomplete here, the pairs are void, a reply follows.
     pub fn read_with(
         &mut self,
-        client: Endpoint,
+        client: ClusterPeer,
         id: u64,
         range: &KeyRange,
         visit: impl FnMut(&Key, ValueRef<'_>),
-        out: &mut Vec<(Endpoint, NodeMsg)>,
+        out: &mut Out,
     ) -> bool {
         let missing = self.engine.scan_with(range, visit);
         let complete = missing.is_empty();
         if complete {
             self.stats.commands += 1;
         } else {
-            self.execute(client, id, Command::Scan(range.clone()), missing, out);
+            self.query(client, id, false, range.clone(), missing, out);
         }
         self.release_evicted(out);
         complete
@@ -350,7 +294,7 @@ impl Node {
 
     /// If the engine evicted replicated base data since the last look,
     /// unsubscribes from the homes of the ranges it no longer holds.
-    fn release_evicted(&mut self, out: &mut Vec<(Endpoint, NodeMsg)>) {
+    fn release_evicted(&mut self, out: &mut Out) {
         let evictions = self.engine.engine_stats().base_evictions;
         if evictions != self.seen_evictions {
             self.seen_evictions = evictions;
@@ -358,29 +302,42 @@ impl Node {
         }
     }
 
-    fn dispatch(&mut self, from: Endpoint, msg: NodeMsg, out: &mut Vec<(Endpoint, NodeMsg)>) {
+    fn dispatch(&mut self, from: ClusterPeer, msg: Message, out: &mut Out) {
         match msg {
-            NodeMsg::Request { id, command } => self.execute(from, id, command, Vec::new(), out),
-            // Nodes send each other no requests, so no replies either.
-            NodeMsg::Reply { .. } => {}
-            NodeMsg::Subscribe { id, range } => {
-                let Endpoint::Server(peer) = from else {
-                    let response = Response::Error("subscribe is server-to-server".into());
-                    return out.push((from, NodeMsg::Reply { id, response }));
+            Message::Get { id, key } => {
+                self.query(from, id, false, KeyRange::single(key), Vec::new(), out)
+            }
+            Message::Scan { id, range } => self.query(from, id, false, range, Vec::new(), out),
+            Message::Count { id, range } => self.query(from, id, true, range, Vec::new(), out),
+            Message::Put { id, key, value } => self.answer_write(from, id, key, Some(value), out),
+            Message::Remove { id, key } => self.answer_write(from, id, key, None, out),
+            Message::AddJoin { id, text } => {
+                self.stats.commands += 1;
+                let reply = match self.engine.add_joins_text(&text) {
+                    Ok(_) => Message::reply(id, Vec::new()),
+                    Err(e) => Message::error(id, e.to_string()),
+                };
+                out.push((from, reply));
+            }
+            Message::Subscribe { id, range } => {
+                let ClusterPeer::Node(peer) = from else {
+                    let reply = Message::error(id, "subscribe is server-to-server");
+                    return out.push((from, reply));
                 };
                 let pairs = self.grant(&range);
+                let peer = ServerId(peer);
                 if !self.subscribers.contains(&(range.clone(), peer)) {
                     self.subscribers.push((range.clone(), peer));
                     self.stats.subs_granted += 1;
                 }
-                out.push((from, NodeMsg::SubscribeReply { id, range, pairs }));
+                out.push((from, Message::SubscribeReply { id, range, pairs }));
             }
-            NodeMsg::SubscribeReply { id, pairs, .. } => self.fetch_landed(from, id, pairs, out),
-            NodeMsg::Notify { key, value } => {
+            Message::SubscribeReply { id, pairs, .. } => self.fetch_landed(from, id, pairs, out),
+            Message::Notify { key, value } => {
                 // Only the key's home speaks for it: a node that was
                 // its home once (a deposed primary) may still be
                 // notifying.
-                if from != Endpoint::Server(self.placement.home(&key)) {
+                if from != ClusterPeer::Node(self.placement.home(&key).0) {
                     return;
                 }
                 for group in self.fetches.values_mut() {
@@ -392,18 +349,21 @@ impl Node {
                     self.apply_notify(key, value);
                 }
             }
-            NodeMsg::Unsubscribe { range } => {
-                if let Endpoint::Server(peer) = from {
-                    (self.subscribers).retain(|(r, s)| !(*s == peer && r.overlaps(&range)));
+            Message::Unsubscribe { range } => {
+                if let ClusterPeer::Node(peer) = from {
+                    (self.subscribers).retain(|(r, s)| !(s.0 == peer && r.overlaps(&range)));
                 }
             }
+            // Nodes send each other no requests, so no replies either;
+            // the replication and admin frames are the host's.
+            _ => {}
         }
     }
 
     /// Tells the homes of every subscribed range this node no longer
     /// holds (evicted, or forgotten by [`Node::drop_replicas`]) to stop
     /// notifying it.
-    fn release_unresident(&mut self, out: &mut Vec<(Endpoint, NodeMsg)>) {
+    fn release_unresident(&mut self, out: &mut Out) {
         let Node {
             engine,
             subscriptions,
@@ -415,7 +375,7 @@ impl Node {
             }
             for peer in peers {
                 let range = range.clone();
-                out.push((Endpoint::Server(*peer), NodeMsg::Unsubscribe { range }));
+                out.push((ClusterPeer::Node(peer.0), Message::Unsubscribe { range }));
             }
             false
         });
@@ -424,14 +384,10 @@ impl Node {
     /// Forgets the replicas of every resident range `moved` names —
     /// their whole tables' replicated rows, which recompute and refetch
     /// on their next read — unsubscribes from their homes, and restarts
-    /// the queries waiting on fetches of such ranges. A host calls this
-    /// when the home of some keys changes under the partition, so that
-    /// the next read subscribes again at the new home.
-    pub fn drop_replicas(
-        &mut self,
-        moved: impl Fn(&KeyRange) -> bool,
-        out: &mut Vec<(Endpoint, NodeMsg)>,
-    ) {
+    /// the queries waiting on fetches of such ranges, in fetch order. A
+    /// host calls this when the home of some keys changes under the
+    /// partition, so that the next read subscribes again at the new home.
+    pub fn drop_replicas(&mut self, moved: impl Fn(&KeyRange) -> bool, out: &mut Out) {
         let mut tables: Vec<Key> = (self.engine.all_resident_ranges().iter())
             .filter(|r| moved(r))
             .map(|r| r.first.table_prefix())
@@ -442,90 +398,87 @@ impl Node {
             self.engine.forget_replicas(table);
         }
         self.release_unresident(out);
-        let mut stale: Vec<u64> = (self.fetches.iter())
+        let stale: Vec<u64> = (self.fetches.iter())
             .filter(|(_, group)| moved(&group.range))
             .map(|(fetch, _)| *fetch)
             .collect();
-        // In id order, so the restarted queries' traffic repeats run to run.
-        stale.sort_unstable();
         for fetch in stale {
             if let Some(group) = self.fetches.remove(&fetch) {
                 for peer in group.peers {
                     let range = group.range.clone();
-                    out.push((Endpoint::Server(peer), NodeMsg::Unsubscribe { range }));
+                    out.push((ClusterPeer::Node(peer.0), Message::Unsubscribe { range }));
                 }
             }
             self.resume_parked(fetch, out);
         }
     }
 
-    fn execute(
+    /// Runs `client`'s read `id` of `range` — a count, or a scan — that
+    /// already knows `known` to be missing.
+    fn query(
         &mut self,
-        from: Endpoint,
+        client: ClusterPeer,
         id: u64,
-        command: Command,
+        count: bool,
+        range: KeyRange,
         known: Vec<KeyRange>,
-        out: &mut Vec<(Endpoint, NodeMsg)>,
+        out: &mut Out,
     ) {
         self.stats.commands += 1;
-        let query = |kind, range| Parked {
-            client: from,
+        let q = Parked {
+            client,
             id,
-            kind,
+            count,
             range,
             outstanding: HashSet::new(),
             retries: 0,
             known,
         };
-        let response = match command {
-            Command::Get(key) => {
-                return self.drive_query(query(QueryKind::Get, KeyRange::single(key)), out)
-            }
-            Command::Scan(range) => return self.drive_query(query(QueryKind::Scan, range), out),
-            Command::Count(range) => return self.drive_query(query(QueryKind::Count, range), out),
-            Command::Put(key, value) => return self.write(from, id, key, Some(value), out),
-            Command::Remove(key) => return self.write(from, id, key, None, out),
-            Command::AddJoin(text) => match self.engine.add_joins_text(&text) {
-                Ok(_) => Response::Ok,
-                Err(e) => Response::Error(e.to_string()),
-            },
-        };
-        out.push((from, NodeMsg::Reply { id, response }));
+        self.drive_query(q, out);
     }
 
-    /// A write, at its key's home (every host routes writes there; one
-    /// elsewhere is refused): made resident (this node is its
-    /// authority), applied with normal incremental maintenance, and sent
-    /// to every subscriber. The notifications precede the
-    /// acknowledgment in the output, so on an ordered transport a
-    /// command issued after the ack finds them already delivered.
-    fn write(
+    /// A client's write: refused unless this node is its key's home
+    /// (every host routes writes there), else applied by
+    /// [`Node::write`] and acknowledged after its notifications.
+    fn answer_write(
         &mut self,
-        from: Endpoint,
+        from: ClusterPeer,
         id: u64,
         key: Key,
         value: Option<Value>,
-        out: &mut Vec<(Endpoint, NodeMsg)>,
+        out: &mut Out,
     ) {
+        self.stats.commands += 1;
         if self.placement.home(&key) != self.id {
-            let response = Response::Error("a write goes to its key's home".into());
-            return out.push((from, NodeMsg::Reply { id, response }));
+            return out.push((from, Message::error(id, "a write goes to its key's home")));
         }
+        self.write(key, value, out);
+        out.push((from, Message::reply(id, Vec::new())));
+    }
+
+    /// A write at its key's home, which is its authority: made resident,
+    /// applied with normal incremental maintenance, and sent as one
+    /// `Notify` to each subscriber of a range holding it, in subscription
+    /// order (followed by any `Unsubscribe` the write's evictions call
+    /// for). The caller acknowledges the write after these, so on an
+    /// ordered transport a command issued after the ack finds them
+    /// already delivered.
+    pub fn write(&mut self, key: Key, value: Option<Value>, out: &mut Out) {
         self.engine.mark_resident(&KeyRange::single(key.clone()));
         match &value {
             Some(v) => self.engine.put(key.clone(), v.clone()),
             None => self.engine.remove(&key),
         }
-        let mut notified: HashSet<ServerId> = HashSet::new();
+        let first = out.len();
         for (range, peer) in &self.subscribers {
-            if range.contains(&key) && notified.insert(*peer) {
+            let to = ClusterPeer::Node(peer.0);
+            if range.contains(&key) && !out[first..].iter().any(|(sent, _)| *sent == to) {
                 self.stats.notifies_sent += 1;
                 let (key, value) = (key.clone(), value.clone());
-                out.push((Endpoint::Server(*peer), NodeMsg::Notify { key, value }));
+                out.push((to, Message::Notify { key, value }));
             }
         }
-        let response = Response::Ok;
-        out.push((from, NodeMsg::Reply { id, response }));
+        self.release_evicted(out);
     }
 
     fn apply_notify(&mut self, key: Key, value: Option<Value>) {
@@ -538,31 +491,26 @@ impl Node {
 
     /// Runs a query until it completes or parks on fetches. Counts are
     /// answered here: only the number leaves the node, never the pairs.
-    fn drive_query(&mut self, mut q: Parked, out: &mut Vec<(Endpoint, NodeMsg)>) {
-        let response = loop {
+    fn drive_query(&mut self, mut q: Parked, out: &mut Out) {
+        let reply = loop {
             let missing = if !q.known.is_empty() {
                 std::mem::take(&mut q.known)
-            } else if q.kind == QueryKind::Count {
+            } else if q.count {
                 let res = self.engine.count_result(&q.range);
                 if res.is_complete() {
-                    break Response::Count(res.count as u64);
+                    break Message::count_reply(q.id, res.count as u64);
                 }
                 res.missing
             } else {
                 let res = self.engine.scan(&q.range);
                 if res.is_complete() {
-                    break match q.kind {
-                        QueryKind::Get => {
-                            Response::Value(res.pairs.into_iter().next().map(|(_, v)| v))
-                        }
-                        _ => Response::Pairs(res.pairs),
-                    };
+                    break Message::reply(q.id, res.pairs);
                 }
                 res.missing
             };
             q.retries += 1;
             if q.retries > MAX_RETRIES {
-                break Response::Error("query exceeded fetch retries".into());
+                break Message::error(q.id, "query exceeded fetch retries");
             }
             for miss in missing {
                 // A provably single-homed range is fetched from its
@@ -581,7 +529,7 @@ impl Node {
                 let fetch = self.fresh_id();
                 for peer in &targets {
                     let (id, range) = (fetch, miss.clone());
-                    out.push((Endpoint::Server(*peer), NodeMsg::Subscribe { id, range }));
+                    out.push((ClusterPeer::Node(peer.0), Message::Subscribe { id, range }));
                 }
                 self.fetches.insert(
                     fetch,
@@ -602,7 +550,7 @@ impl Node {
             }
             // Everything missing was local: run again at once.
         };
-        out.push((q.client, NodeMsg::Reply { id: q.id, response }));
+        out.push((q.client, reply));
     }
 
     /// One peer's grant arrived. The last one of a fetch installs the
@@ -615,18 +563,19 @@ impl Node {
     /// own.
     fn fetch_landed(
         &mut self,
-        from: Endpoint,
+        from: ClusterPeer,
         fetch: u64,
         mut pairs: Vec<(Key, Value)>,
-        out: &mut Vec<(Endpoint, NodeMsg)>,
+        out: &mut Out,
     ) {
         self.stats.subs_established += 1;
         let Some(group) = self.fetches.get_mut(&fetch) else {
             return;
         };
-        let Endpoint::Server(peer) = from else {
+        let ClusterPeer::Node(peer) = from else {
             return;
         };
+        let peer = ServerId(peer);
         if !group.waiting.remove(&peer) {
             return;
         }
@@ -655,20 +604,18 @@ impl Node {
     /// Sends `peer` again the `Subscribe` of every open fetch still
     /// waiting on its grant, in fetch order. A host calls this when its
     /// link to `peer` comes back after a drop that may have lost some.
-    pub fn resubscribe(&mut self, peer: ServerId, out: &mut Vec<(Endpoint, NodeMsg)>) {
-        let mut open: Vec<(u64, KeyRange)> = (self.fetches.iter())
-            .filter(|(_, group)| group.waiting.contains(&peer))
-            .map(|(fetch, group)| (*fetch, group.range.clone()))
-            .collect();
-        open.sort_unstable_by_key(|(fetch, _)| *fetch);
-        for (id, range) in open {
-            out.push((Endpoint::Server(peer), NodeMsg::Subscribe { id, range }));
+    pub fn resubscribe(&mut self, peer: ServerId, out: &mut Out) {
+        for (fetch, group) in &self.fetches {
+            if group.waiting.contains(&peer) {
+                let (id, range) = (*fetch, group.range.clone());
+                out.push((ClusterPeer::Node(peer.0), Message::Subscribe { id, range }));
+            }
         }
     }
 
     /// Restarts every parked query whose last outstanding fetch was
     /// `fetch`.
-    fn resume_parked(&mut self, fetch: u64, out: &mut Vec<(Endpoint, NodeMsg)>) {
+    fn resume_parked(&mut self, fetch: u64, out: &mut Out) {
         let mut ready = Vec::new();
         let mut i = 0;
         while i < self.parked.len() {
@@ -764,293 +711,4 @@ pub fn audit_deployment(audits: &[NodeAudit]) -> Vec<String> {
         }
     }
     v
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pequod_core::partition::{ComponentHashPartition, TablePartition};
-
-    const CLIENT: Endpoint = Endpoint::Client(1);
-
-    /// Three nodes under a component-hash partition, and one user homed
-    /// on each.
-    fn three_nodes() -> (Vec<Node>, Vec<String>) {
-        let part = Arc::new(ComponentHashPartition {
-            component: 1,
-            servers: 3,
-        });
-        let nodes = (0..3)
-            .map(|i| {
-                Node::new(ServerId(i), Engine::new_default(), part.clone(), &["p|"])
-                    .in_deployment(3)
-            })
-            .collect();
-        let user_on = |node: u32| {
-            (0..)
-                .map(|i| format!("u{i}"))
-                .find(|u| part.home_of(&Key::from(format!("p|{u}|0"))) == ServerId(node))
-                .unwrap()
-        };
-        (nodes, (0..3).map(user_on).collect())
-    }
-
-    fn handle(node: &mut Node, from: Endpoint, msg: NodeMsg) -> Vec<(Endpoint, NodeMsg)> {
-        let mut out = Vec::new();
-        node.handle(from, msg, &mut out);
-        out
-    }
-
-    fn put(node: &mut Node, key: &str) -> Vec<(Endpoint, NodeMsg)> {
-        let command = Command::Put(Key::from(key), Value::from_static(b"v"));
-        handle(node, CLIENT, NodeMsg::Request { id: 1, command })
-    }
-
-    fn scan(node: &mut Node, id: u64) -> Vec<(Endpoint, NodeMsg)> {
-        let command = Command::Scan(KeyRange::prefix("p|"));
-        handle(node, CLIENT, NodeMsg::Request { id, command })
-    }
-
-    fn keys_of(reply: &[(Endpoint, NodeMsg)], id: u64) -> Vec<String> {
-        match reply {
-            [(
-                CLIENT,
-                NodeMsg::Reply {
-                    id: rid,
-                    response: Response::Pairs(pairs),
-                },
-            )] if *rid == id => pairs.iter().map(|(k, _)| k.to_string()).collect(),
-            other => panic!("expected the pairs of request {id}, got {other:?}"),
-        }
-    }
-
-    /// A write acknowledged by a peer that has already granted its part
-    /// of a scatter-gather, while another peer's grant is still
-    /// outstanding, reaches the subscriber as a `Notify` for a range it
-    /// does not hold yet. It must survive until the range installs.
-    #[test]
-    fn notify_inside_an_open_fetch_is_held_not_dropped() {
-        let (mut nodes, users) = three_nodes();
-        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
-        let old_a = format!("p|{}|0000000001", users[1]);
-        let new_a = format!("p|{}|0000000002", users[1]);
-        let old_b = format!("p|{}|0000000001", users[2]);
-        put(&mut nodes[1], &old_a);
-        put(&mut nodes[2], &old_b);
-
-        // The whole-table scan parks on one fetch subscribed at both peers.
-        let out = scan(&mut nodes[0], 7);
-        let subscribe_to = |peer: ServerId| {
-            let to = Endpoint::Server(peer);
-            let mut sent = out.iter().filter(|(t, _)| *t == to).map(|(_, m)| m.clone());
-            match (sent.next(), sent.next()) {
-                (Some(m @ NodeMsg::Subscribe { .. }), None) => m,
-                other => panic!("expected one Subscribe to {peer:?}, got {other:?}"),
-            }
-        };
-        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
-        assert_eq!(out.len(), 2);
-        assert_eq!(nodes[0].parked_count(), 1);
-
-        // A grants; the reader still waits on B.
-        let mut grant_a = handle(&mut nodes[1], Endpoint::Server(reader), to_a);
-        let (_, grant_a) = grant_a.pop().unwrap();
-        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a).is_empty());
-
-        // A write at A is acknowledged: its notification precedes the ack.
-        let mut acked = put(&mut nodes[1], &new_a);
-        let ack = acked.pop().unwrap();
-        assert!(matches!(
-            ack,
-            (
-                CLIENT,
-                NodeMsg::Reply {
-                    response: Response::Ok,
-                    ..
-                }
-            )
-        ));
-        let (to, notify) = acked.pop().unwrap();
-        assert_eq!(to, Endpoint::Server(reader));
-        assert!(handle(&mut nodes[0], Endpoint::Server(a), notify).is_empty());
-
-        // B grants: the range installs, the held write with it, and the
-        // parked scan answers with all three rows.
-        let mut grant_b = handle(&mut nodes[2], Endpoint::Server(reader), to_b);
-        let (_, grant_b) = grant_b.pop().unwrap();
-        let answered = handle(&mut nodes[0], Endpoint::Server(b), grant_b);
-        let mut want = vec![old_a, new_a, old_b];
-        want.sort();
-        assert_eq!(keys_of(&answered, 7), want);
-        assert_eq!(nodes[0].parked_count(), 0);
-        // So does the scan that follows, now without a fetch.
-        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
-        assert_eq!(nodes[0].stats.notifies_applied, 1);
-
-        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
-        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
-    }
-
-    /// A `Subscribe` lost with a dropped link is sent again once the
-    /// link is back, and a peer that answers both the original and the
-    /// re-sent one is counted once: the range installs exactly once,
-    /// after every peer has granted, and the read is answered once.
-    #[test]
-    fn a_resent_subscribe_and_a_duplicate_grant_install_once() {
-        let (mut nodes, users) = three_nodes();
-        let (reader, a, b) = (ServerId(0), ServerId(1), ServerId(2));
-        let row_a = format!("p|{}|0000000001", users[1]);
-        let row_b = format!("p|{}|0000000001", users[2]);
-        put(&mut nodes[1], &row_a);
-        put(&mut nodes[2], &row_b);
-
-        // The whole-table scan subscribes at both peers; B's copy is lost.
-        let out = scan(&mut nodes[0], 7);
-        let subscribe_to = |peer: ServerId| {
-            let to = Endpoint::Server(peer);
-            (out.iter().find(|(t, _)| *t == to).map(|(_, m)| m.clone())).unwrap()
-        };
-        let (to_a, to_b) = (subscribe_to(a), subscribe_to(b));
-        let resent = |node: &mut Node, peer: ServerId| {
-            let mut out = Vec::new();
-            node.resubscribe(peer, &mut out);
-            out
-        };
-
-        // A grants, twice: the second changes nothing.
-        let grant_a = handle(&mut nodes[1], Endpoint::Server(reader), to_a.clone());
-        let grant_a = grant_a.into_iter().next().unwrap().1;
-        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a.clone()).is_empty());
-        assert_eq!(resent(&mut nodes[0], a), []);
-        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a.clone()).is_empty());
-        assert_eq!(nodes[0].parked_count(), 1);
-        assert!(!nodes[0].engine.is_resident(&KeyRange::prefix("p|")));
-
-        // The link to B comes back: the same Subscribe goes again.
-        assert_eq!(
-            resent(&mut nodes[0], b),
-            [(Endpoint::Server(b), to_b.clone())]
-        );
-        let grant_b = handle(&mut nodes[2], Endpoint::Server(reader), to_b);
-        let grant_b = grant_b.into_iter().next().unwrap().1;
-        let answered = handle(&mut nodes[0], Endpoint::Server(b), grant_b.clone());
-        let mut want = vec![row_a, row_b];
-        want.sort();
-        assert_eq!(keys_of(&answered, 7), want);
-        assert_eq!(nodes[0].parked_count(), 0);
-
-        // Late duplicates of either grant are ignored.
-        assert!(handle(&mut nodes[0], Endpoint::Server(b), grant_b).is_empty());
-        assert!(handle(&mut nodes[0], Endpoint::Server(a), grant_a).is_empty());
-        assert_eq!(resent(&mut nodes[0], b), []);
-        assert_eq!(keys_of(&scan(&mut nodes[0], 8), 8), want);
-        let audits: Vec<NodeAudit> = nodes.iter().map(Node::audit).collect();
-        assert_eq!(audit_deployment(&audits), Vec::<String>::new());
-    }
-
-    /// A notification for a range this node no longer holds (evicted,
-    /// no fetch open) is dropped rather than re-cached as an untracked
-    /// row; one for a resident range is applied.
-    #[test]
-    fn notify_outside_every_resident_range_is_dropped() {
-        let (mut nodes, users) = three_nodes();
-        let key = Key::from(format!("p|{}|0000000001", users[1]));
-        let value = Some(Value::from_static(b"v"));
-        let notify = NodeMsg::Notify {
-            key: key.clone(),
-            value,
-        };
-        handle(&mut nodes[0], Endpoint::Server(ServerId(1)), notify.clone());
-        assert_eq!(nodes[0].stats.notifies_applied, 0);
-        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
-        nodes[0]
-            .engine
-            .install_base(&KeyRange::single(key), Vec::new());
-        handle(&mut nodes[0], Endpoint::Server(ServerId(1)), notify);
-        assert_eq!(nodes[0].stats.notifies_applied, 1);
-        assert_eq!(nodes[0].engine.check_invariants(), Vec::<String>::new());
-    }
-
-    /// Node 1 of two, homing the whole `p|` table.
-    fn post_home() -> Node {
-        let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-        Node::new(ServerId(1), Engine::new_default(), part, &["p|"]).in_deployment(2)
-    }
-
-    fn subscribe(range: KeyRange) -> NodeMsg {
-        NodeMsg::Subscribe { id: 1, range }
-    }
-
-    /// A peer that subscribes to the same range twice is recorded once,
-    /// and its `Unsubscribe` drops the record.
-    #[test]
-    fn duplicate_subscriptions_collapse() {
-        let mut home = post_home();
-        let peer = Endpoint::Server(ServerId(0));
-        for _ in 0..2 {
-            let out = handle(&mut home, peer, subscribe(KeyRange::prefix("p|")));
-            assert!(matches!(&out[..], [(to, NodeMsg::SubscribeReply { .. })] if *to == peer));
-        }
-        assert_eq!(home.subscriber_count(), 1);
-        assert_eq!(home.stats.subs_granted, 1);
-        let range = KeyRange::prefix("p|");
-        handle(&mut home, peer, NodeMsg::Unsubscribe { range });
-        assert_eq!(home.subscriber_count(), 0);
-    }
-
-    /// A home notifies a subscriber of the writes inside its range, and
-    /// of none outside it; a notification precedes the write's ack.
-    #[test]
-    fn subscriptions_notify_in_range_only() {
-        let mut home = post_home();
-        let peer = Endpoint::Server(ServerId(0));
-        handle(&mut home, peer, subscribe(KeyRange::prefix("p|bob|")));
-        let remove = |key: &str| {
-            let command = Command::Remove(Key::from(key));
-            NodeMsg::Request { id: 2, command }
-        };
-        let notified = |out: &[(Endpoint, NodeMsg)]| -> Vec<(Key, Option<Value>)> {
-            assert!(matches!(out.last(), Some((CLIENT, NodeMsg::Reply { .. }))));
-            (out.iter())
-                .filter_map(|(to, msg)| match msg {
-                    NodeMsg::Notify { key, value } if *to == peer => {
-                        Some((key.clone(), value.clone()))
-                    }
-                    _ => None,
-                })
-                .collect()
-        };
-        let v = Some(Value::from_static(b"v"));
-        let bob = Key::from("p|bob|100");
-        assert_eq!(notified(&put(&mut home, "p|bob|100")), [(bob.clone(), v)]);
-        assert_eq!(notified(&put(&mut home, "p|liz|100")), []);
-        let out = handle(&mut home, CLIENT, remove("p|bob|100"));
-        assert_eq!(notified(&out), [(bob, None)]);
-        assert_eq!(home.stats.notifies_sent, 2);
-    }
-
-    /// Serving a range that is partly missing marks its gaps resident
-    /// only while the grant scans: afterwards the home's resident set is
-    /// exactly what it was, disjoint ranges included.
-    #[test]
-    fn a_grant_leaves_the_homes_residency_as_it_found_it() {
-        let mut home = post_home();
-        put(&mut home, "p|bob|100");
-        put(&mut home, "p|liz|100");
-        home.engine
-            .install_base(&KeyRange::prefix("p|cat|"), Vec::new());
-        let table = Key::from("p|");
-        let before = home.engine.resident_ranges(&table);
-        assert_eq!(before.len(), 3);
-        let out = handle(
-            &mut home,
-            Endpoint::Server(ServerId(0)),
-            subscribe(KeyRange::prefix("p|")),
-        );
-        let [(_, NodeMsg::SubscribeReply { pairs, .. })] = &out[..] else {
-            panic!("expected one grant, got {out:?}");
-        };
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(home.engine.resident_ranges(&table), before);
-    }
 }

@@ -13,9 +13,11 @@
 //! its ack, so every command after a write — in the same batch too —
 //! sees it.
 
-use crate::subscription::{audit_deployment, Endpoint, Node, NodeMsg};
+use crate::node::{ClusterPeer, Out};
+use crate::subscription::{audit_deployment, Node};
 use pequod_core::partition::{Partition, ServerId, TablePartition};
 use pequod_core::{BackendStats, Client, Command, Engine, Response};
+use pequod_net::Message;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -28,9 +30,9 @@ pub struct WriteAround {
     /// The cache, then the database.
     nodes: [Node; 2],
     partition: Arc<TablePartition>,
-    /// Messages in flight: destination, sender, message.
-    queue: VecDeque<(ServerId, Endpoint, NodeMsg)>,
-    out: Vec<(Endpoint, NodeMsg)>,
+    /// Messages in flight: destination node, sender, message.
+    queue: VecDeque<(u32, ClusterPeer, Message)>,
+    out: Out,
 }
 
 impl WriteAround {
@@ -69,20 +71,22 @@ impl WriteAround {
     }
 
     /// Sends `command` to node `to`, then carries the nodes' messages to
-    /// each other until none is left, and returns the reply.
+    /// each other until none is left, and returns the reply, read as the
+    /// answer to `command`.
     fn execute(&mut self, to: ServerId, command: Command) -> Response {
         let mut reply = None;
-        let request = NodeMsg::Request { id: 0, command };
-        self.queue.push_back((to, Endpoint::Client(0), request));
+        let request = Message::request(0, command.clone());
+        self.queue
+            .push_back((to.0, ClusterPeer::Client(0), request));
         while let Some((to, from, msg)) = self.queue.pop_front() {
-            self.nodes[to.0 as usize].handle(from, msg, &mut self.out);
+            self.nodes[to as usize].handle(from, msg, &mut self.out);
             for (dest, msg) in self.out.drain(..) {
                 match dest {
-                    Endpoint::Server(peer) => {
-                        self.queue.push_back((peer, Endpoint::Server(to), msg))
+                    ClusterPeer::Node(peer) => {
+                        self.queue.push_back((peer, ClusterPeer::Node(to), msg))
                     }
-                    Endpoint::Client(_) => {
-                        if let NodeMsg::Reply { response, .. } = msg {
+                    ClusterPeer::Client(_) => {
+                        if let Some((_, response)) = msg.into_response(&command) {
                             reply = Some(response);
                         }
                     }

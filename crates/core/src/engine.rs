@@ -382,11 +382,6 @@ impl Engine {
         self.durability.take()
     }
 
-    /// True if a durability sink is installed.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Flushes buffered WAL records to stable storage
     /// ([`Durability::sync`]), regardless of the sink's fsync policy.
     /// No-op without a sink.

@@ -191,12 +191,6 @@ impl Engine {
         CountResult { count, missing }
     }
 
-    /// Validates (materializes) joins overlapping `range` without
-    /// returning data; used to warm caches.
-    pub fn validate_range(&mut self, range: &KeyRange) -> Vec<KeyRange> {
-        self.scan(range).missing
-    }
-
     pub(crate) fn is_pull(&self, jidx: usize) -> bool {
         self.config.materialization == MaterializationMode::None
             || matches!(self.joins[jidx].maintenance, Maintenance::Pull)

@@ -23,7 +23,6 @@ use crate::pattern::{Pattern, PatternError};
 use crate::slots::{SlotId, SlotTable};
 use pequod_store::KeyRange;
 use std::fmt;
-use std::time::Duration;
 
 /// A source operator (Figure 2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,14 +89,6 @@ pub enum Maintenance {
     /// of engine ticks (the paper's `snapshot T`, with ticks standing in
     /// for seconds so simulations stay deterministic).
     Snapshot(u64),
-}
-
-impl Maintenance {
-    /// Converts a wall-clock snapshot duration to ticks at one tick per
-    /// millisecond, the convention used by the TCP server.
-    pub fn snapshot_from_duration(d: Duration) -> Maintenance {
-        Maintenance::Snapshot(d.as_millis() as u64)
-    }
 }
 
 /// One source of a join: an operator applied to a key pattern.

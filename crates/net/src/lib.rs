@@ -1,11 +1,11 @@
 //! `pequod-net` — the wire and what carries it.
 //!
 //! Pequod's servers (§2.4) are not implemented here. The partitioned
-//! server is [`pequod_core::Node`], one transport-agnostic
-//! `handle(from, msg) -> out` state machine that
-//! `pequod_cluster::ClusterNode` runs, with replication around it, as
-//! one process of a deployment. This crate adds the wire and what
-//! carries it.
+//! server is `pequod_cluster::Node`, one transport-agnostic
+//! `handle(from, msg, out)` state machine over this crate's
+//! [`Message`] that `pequod_cluster::ClusterNode` runs, with
+//! replication around it, as one process of a deployment. This crate
+//! adds the wire and what carries it.
 //!
 //! Components:
 //!

@@ -225,11 +225,6 @@ impl ClientNewp {
         self.meter.set_cost(cost_ns, per_kb_ns);
         self.rpc_cost = (cost_ns, per_kb_ns);
     }
-
-    /// The wrapped backend (stats, direct inspection).
-    pub fn client_mut(&mut self) -> &mut dyn Client {
-        &mut *self.client
-    }
 }
 
 impl NewpBackend for ClientNewp {

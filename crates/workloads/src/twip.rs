@@ -260,11 +260,6 @@ impl ClientTwip {
         self.rpc_cost = (cost_ns, per_kb_ns);
     }
 
-    /// The wrapped backend (stats, direct inspection).
-    pub fn client_mut(&mut self) -> &mut dyn Client {
-        &mut *self.client
-    }
-
     fn reverse_key(poster: u32, user: u32) -> String {
         format!("rs|{}|{}", user_name(poster), user_name(user))
     }

@@ -12,15 +12,15 @@
 //! * [`join`] — the cache-join language: patterns, slots, containing
 //!   ranges, the Figure 2 grammar.
 //! * [`core`] — the engine: query execution, incremental maintenance,
-//!   invalidation, eviction; key-routing partitions, the §2.4
-//!   Subscribe/Notify node and the write-around deployment
-//!   [`WriteAround`](crate::core::WriteAround).
+//!   invalidation, eviction; key-routing partitions.
 //! * [`net`] — the wire and what carries it: codec and the reactor
 //!   serving edge.
-//! * [`cluster`] — the deployment across processes: one §2.4 node per
-//!   process with replicated slots, epoch failover and migration, the
-//!   one client of every server, its simulator over a seeded message
-//!   fabric and its TCP server (`pequod-server`).
+//! * [`cluster`] — the deployments: the §2.4 Subscribe/Notify node,
+//!   the write-around deployment
+//!   [`WriteAround`](crate::cluster::WriteAround), and across processes
+//!   one §2.4 node per process with replicated slots, epoch failover
+//!   and migration, the one client of every server, its simulator over
+//!   a seeded message fabric and its TCP server (`pequod-server`).
 //! * [`persist`] — durable base tables: checksummed write-ahead log,
 //!   snapshots with log truncation, warm restart
 //!   (`pequod-server --data-dir`); computed join ranges are never
