@@ -21,7 +21,7 @@
 
 use pequod_bench::{print_table, twip_graph, Scale};
 use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
-use pequod_core::partition::{ComponentHashPartition, Partition, ServerId};
+use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, SingleServer};
 use pequod_core::{Client, Engine, EngineConfig};
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, StoreConfig, Value};
@@ -29,24 +29,6 @@ use pequod_workloads::twip::{post_key, sub_key, user_name, TIMELINE_JOIN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Base tables (p|, s|) are homed on server 0; compute servers 1..=k
-/// serve timelines for users hashed to them.
-struct Fig10Partition {
-    base: ServerId,
-}
-
-impl Partition for Fig10Partition {
-    fn home_of(&self, _key: &Key) -> ServerId {
-        self.base
-    }
-
-    /// Every range has the one home; without this proof a compute
-    /// server would gather each missing range from all its peers.
-    fn home_of_range(&self, _range: &KeyRange) -> Option<ServerId> {
-        Some(self.base)
-    }
-}
 
 /// Client-side read routing (§2.4): all of user `u`'s timeline checks
 /// go to compute server `1 + S(u)`.
@@ -63,7 +45,10 @@ impl Partition for ComputeRouter {
 
 fn run_cluster(compute_servers: u32, users: u32, scale: &Scale) -> (f64, f64, u64, [u64; 2]) {
     let graph = twip_graph(users, 0xf10);
-    let part = Arc::new(Fig10Partition { base: ServerId(0) });
+    // Base tables (p|, s|) are homed on server 0, which proves every
+    // range single-homed; compute servers 1..=k serve timelines for
+    // users hashed to them.
+    let part = Arc::new(SingleServer(ServerId(0)));
     let user_router = ComponentHashPartition {
         component: 1,
         servers: compute_servers,

@@ -44,7 +44,7 @@
 #![warn(missing_docs)]
 
 use pequod_baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
+use pequod_cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod_core::partition::ComponentHashPartition;
 use pequod_core::{Client, Engine, EngineConfig};
 use pequod_workloads::{GraphConfig, SocialGraph, TwipStrategy};
@@ -103,8 +103,9 @@ const CLUSTER_SERVERS: u32 = 2;
 /// Builds a join-capable Pequod deployment as a unified-API backend.
 ///
 /// * `engine` — one in-process [`Engine`].
-/// * `writearound` — a [`WriteAround`]: an [`Engine`] in front of a
-///   database node, the listed `tables` living in the database.
+/// * `writearound` — [`ClusterClient::write_around`]: an [`Engine`]
+///   in front of a database node, the listed `tables` living in the
+///   database.
 /// * `cluster` — a simulated replicated cluster of `CLUSTER_SERVERS`
 ///   (2) nodes, one replica of each slot, every base table partitioned
 ///   by hashing the second key component, so one user's data
@@ -115,7 +116,10 @@ const CLUSTER_SERVERS: u32 = 2;
 pub fn pequod_client(name: &str, cfg: EngineConfig, tables: &[&str]) -> Option<Box<dyn Client>> {
     match name {
         "engine" => Some(Box::new(Engine::new(cfg))),
-        "writearound" => Some(Box::new(WriteAround::new(Engine::new(cfg), tables))),
+        "writearound" => Some(Box::new(ClusterClient::write_around(
+            Engine::new(cfg),
+            tables,
+        ))),
         "cluster" => {
             let part = Arc::new(ComponentHashPartition {
                 component: 1,
@@ -237,7 +241,13 @@ mod tests {
     fn backend_factory_builds_every_choice() {
         for name in TWIP_BACKENDS {
             let (client, _) = twip_client(name, EngineConfig::default()).expect("known backend");
-            assert_eq!(client.backend_name(), *name);
+            // The write-around deployment is a two-node cluster.
+            let want = if *name == "writearound" {
+                "cluster"
+            } else {
+                name
+            };
+            assert_eq!(client.backend_name(), want);
         }
         assert!(twip_client("nope", EngineConfig::default()).is_none());
     }

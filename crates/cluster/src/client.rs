@@ -1,6 +1,7 @@
 //! The client of every deployment: the unified [`Client`] surface over
 //! a stand-alone server ([`ClusterConfig::one_node`]) or a replicated
-//! cluster, on sockets or on a [`SimHarness`].
+//! cluster, on sockets or on a [`SimHarness`] — the write-around
+//! deployment ([`ClusterClient::write_around`]) among them.
 //!
 //! A batch is cut into runs of one command class, each sent as **one
 //! pipelined frame per node** and fully answered before the next run
@@ -37,8 +38,8 @@ use crate::config::ClusterConfig;
 use crate::node::backend_stats_of;
 use crate::sim::SimHarness;
 use bytes::BytesMut;
-use pequod_core::partition::Partition;
-use pequod_core::{BackendStats, Client, Command, Response};
+use pequod_core::partition::{Partition, ServerId, SingleServer, TablePartition};
+use pequod_core::{BackendStats, Client, Command, Engine, Response};
 use pequod_net::codec::{decode_frame, encode_frame};
 use pequod_net::Message;
 use pequod_store::{Key, KeyRange, Value};
@@ -266,6 +267,24 @@ impl ClusterClient {
         let mut client = ClusterClient::connect(sim.config().clone());
         client.transport = Transport::Sim(Box::new(sim));
         client
+    }
+
+    /// The write-around deployment (§2): a database that notifies the
+    /// cache of each write, as a simulated two-node cluster. Node 0, the
+    /// cache, runs over `cache` and homes every table not in
+    /// `db_tables`; node 1, the database, runs over an uncapped engine
+    /// of its own and homes the listed tables (e.g. `["p|", "s|"]` for
+    /// Twip). Writes go to their table's home; every read goes to the
+    /// cache, which fetches and subscribes to the database ranges it
+    /// misses (§3.3).
+    pub fn write_around(cache: Engine, db_tables: &[&str]) -> ClusterClient {
+        let part = (db_tables.iter()).fold(TablePartition::new(ServerId(0)), |p, table| {
+            p.route(*table, ServerId(1))
+        });
+        let cfg = ClusterConfig::new(2, 1).with_partition(Arc::new(part), 2);
+        let engines = vec![cache, Engine::new_default()];
+        ClusterClient::simulated(SimHarness::with_engines(&cfg, engines, 0x5eed, 1))
+            .with_read_router(Arc::new(SingleServer(ServerId(0))))
     }
 
     /// Routes reads by `router` instead of by slot (§2.4: computed data

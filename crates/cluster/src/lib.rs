@@ -17,9 +17,6 @@
 //! - [`Node`] (`subscription.rs`) — one server of a partitioned
 //!   deployment: Subscribe/Notify, fetch groups, park and restart
 //!   (§2.4, §3.3). `handle(peer, msg, out)`, no I/O.
-//! - [`WriteAround`] (`write_around.rs`) — a cache [`Node`] in front of
-//!   a database `Node` on the caller's thread (§2), a [`pequod_core::Client`]
-//!   backend of its own.
 //! - [`ClusterConfig`] (`config.rs`) — the static cluster description
 //!   (`nodes.toml`): node list, replication factor, the partition of
 //!   keys into slots, timing.
@@ -41,7 +38,10 @@
 //!   unified [`pequod_core::Client`] on sockets or on a `SimHarness`,
 //!   batches cut into runs of one frame per node, writes sent to their
 //!   slot's primary as `NotPrimary` redirects teach it. It resends a
-//!   request only on `NotPrimary` or an I/O failure.
+//!   request only on `NotPrimary` or an I/O failure. The write-around
+//!   deployment (§2) is one of its clusters:
+//!   [`ClusterClient::write_around`] puts a cache node in front of a
+//!   database node that notifies it of each write.
 //!
 //! See `docs/REPLICATION.md` for the protocol walk-through and the
 //! guarantees per fsync policy.
@@ -60,7 +60,6 @@ pub mod node;
 pub mod server;
 pub mod sim;
 pub mod subscription;
-pub mod write_around;
 
 pub use client::{ClusterClient, ClusterClientError};
 pub use config::{ClusterConfig, ClusterTiming, NodeSpec};
@@ -68,13 +67,12 @@ pub use node::{foreign_reserved_key, ClusterNode, ClusterPeer, ClusterStats, NO_
 pub use server::ClusterServer;
 pub use sim::{FaultStats, LinkFaults, SimHarness, SimNet, TrafficStats};
 pub use subscription::{audit_deployment, Node, NodeAudit, NodeStats};
-pub use write_around::WriteAround;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pequod_core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
-    use pequod_core::{Client, Command, Engine, EngineConfig, Response};
+    use pequod_core::{Client, Command, Engine, EngineConfig, MaterializationMode, Response};
     use pequod_net::Message;
     use pequod_store::{Key, KeyRange, Value};
     use std::sync::Arc;
@@ -383,14 +381,24 @@ mod tests {
     // The write-around deployment end to end, through the `Client` API
     // and the counters of its two nodes.
 
-    fn twip() -> WriteAround {
+    fn twip() -> ClusterClient {
         let mut engine = Engine::new(EngineConfig::default());
         engine.add_join_text(TIMELINE).unwrap();
-        WriteAround::new(engine, &["p|", "s|"])
+        ClusterClient::write_around(engine, &["p|", "s|"])
     }
 
-    fn db_put(wa: &mut WriteAround, key: &str, value: &'static str) {
+    /// Node `id` of a write-around deployment: 0 the cache, 1 the
+    /// database.
+    fn wa_node(wa: &mut ClusterClient, id: u32) -> &mut ClusterNode {
+        wa.sim_mut().unwrap().node(id)
+    }
+
+    fn db_put(wa: &mut ClusterClient, key: &str, value: &'static str) {
         Client::put(wa, &Key::from(key), &Value::from_static(value.as_bytes()));
+    }
+
+    fn wa_scan(wa: &mut ClusterClient, prefix: &str) -> Vec<(Key, Value)> {
+        Client::scan(wa, &KeyRange::prefix(prefix))
     }
 
     #[test]
@@ -400,18 +408,18 @@ mod tests {
         // Application writes go to the database only.
         db_put(&mut wa, "s|ann|bob", "1");
         db_put(&mut wa, "p|bob|0000000100", "Hi");
-        assert_eq!(wa.cache().engine.store_stats().keys, 0);
+        assert_eq!(wa_node(&mut wa, 0).backend_stats().keys, 0);
 
         // A timeline read pulls base data from the database and computes.
-        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 1);
-        let fetches = wa.cache().stats.subs_established;
+        assert_eq!(wa_scan(&mut wa, "t|ann|").len(), 1);
+        let fetches = wa_node(&mut wa, 0).node_stats().subs_established;
         assert!(fetches >= 2); // subscriptions + posts
 
         // A later database write is forwarded by a Notify and
         // incrementally maintained — no further fetches.
         db_put(&mut wa, "p|bob|0000000120", "again");
-        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 2);
-        assert_eq!(wa.cache().stats.subs_established, fetches);
+        assert_eq!(wa_scan(&mut wa, "t|ann|").len(), 2);
+        assert_eq!(wa_node(&mut wa, 0).node_stats().subs_established, fetches);
     }
 
     #[test]
@@ -419,9 +427,9 @@ mod tests {
         let mut wa = twip();
         db_put(&mut wa, "s|ann|bob", "1");
         db_put(&mut wa, "p|bob|0000000100", "Hi");
-        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 1);
-        wa.remove(&Key::from("p|bob|0000000100"));
-        assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 0);
+        assert_eq!(wa_scan(&mut wa, "t|ann|").len(), 1);
+        Client::remove(&mut wa, &Key::from("p|bob|0000000100"));
+        assert_eq!(wa_scan(&mut wa, "t|ann|").len(), 0);
     }
 
     #[test]
@@ -441,27 +449,74 @@ mod tests {
             Response::Value(Some(Value::from_static(b"Hi")))
         );
         // A write-only batch has reached the cache when it returns.
-        let applied = wa.cache().stats.notifies_applied;
+        let applied = wa_node(&mut wa, 0).node_stats().notifies_applied;
         wa.execute_batch(vec![Command::Put(
             Key::from("p|bob|0000000120"),
             Value::from_static(b"again"),
         )]);
-        assert_eq!(wa.cache().stats.notifies_applied, applied + 1);
+        assert_eq!(
+            wa_node(&mut wa, 0).node_stats().notifies_applied,
+            applied + 1
+        );
         assert_eq!(Client::count(&mut wa, &KeyRange::prefix("t|ann|")), 2);
+    }
+
+    /// The database homes base tables and nothing else: the timeline
+    /// join the client installs on both nodes stays inert there, even
+    /// with the cache materializing every join in full, and a write to
+    /// a database table leaves no row in the cache until a read needs it.
+    #[test]
+    fn the_write_around_database_never_computes() {
+        let full = EngineConfig {
+            materialization: MaterializationMode::Full,
+            ..EngineConfig::default()
+        };
+        let mut reference = Engine::new(full.clone());
+        let mut wa = ClusterClient::write_around(Engine::new(full), &["p|", "s|"]);
+        let put = |key: &str, value: &'static str| {
+            Command::Put(Key::from(key), Value::from_static(value.as_bytes()))
+        };
+        let writes = vec![
+            Command::AddJoin(TIMELINE.to_string()),
+            put("s|ann|bob", "1"),
+            put("s|ann|liz", "1"),
+            put("s|cat|bob", "1"),
+            put("p|bob|0000000100", "Hi"),
+            put("p|liz|0000000110", "hello"),
+        ];
+        assert_eq!(
+            wa.execute_batch(writes.clone()),
+            reference.execute_batch(writes)
+        );
+        assert_eq!(wa_node(&mut wa, 0).backend_stats().keys, 0);
+        let reads = vec![
+            Command::Scan(KeyRange::prefix("t|ann|")),
+            Command::Count(KeyRange::prefix("t|cat|")),
+            put("p|bob|0000000120", "again"),
+            Command::Remove(Key::from("p|liz|0000000110")),
+            Command::Scan(KeyRange::prefix("t|ann|")),
+            Command::Get(Key::from("t|cat|0000000120|bob")),
+            Command::Count(KeyRange::prefix("t|")),
+        ];
+        assert_eq!(
+            wa.execute_batch(reads.clone()),
+            reference.execute_batch(reads)
+        );
+        assert_eq!(wa_node(&mut wa, 1).engine.materialized_ranges(), 0);
+        assert!(wa_node(&mut wa, 0).engine.materialized_ranges() > 0);
     }
 
     #[test]
     fn write_around_point_reads() {
-        let mut wa = WriteAround::new(Engine::new(EngineConfig::default()), &["acct|"]);
+        let engine = Engine::new(EngineConfig::default());
+        let mut wa = ClusterClient::write_around(engine, &["acct|"]);
         db_put(&mut wa, "acct|ann", "1000");
-        assert_eq!(
-            wa.get(&Key::from("acct|ann")).as_deref(),
-            Some(&b"1000"[..])
-        );
-        assert_eq!(wa.get(&Key::from("acct|zed")), None);
+        let get = |wa: &mut ClusterClient, key: &str| Client::get(wa, &Key::from(key));
+        assert_eq!(get(&mut wa, "acct|ann").as_deref(), Some(&b"1000"[..]));
+        assert_eq!(get(&mut wa, "acct|zed"), None);
         // Cached now: a database update still reaches the cache by notify.
         db_put(&mut wa, "acct|ann", "900");
-        assert_eq!(wa.get(&Key::from("acct|ann")).as_deref(), Some(&b"900"[..]));
-        assert_eq!(wa.cache().stats.notifies_applied, 1);
+        assert_eq!(get(&mut wa, "acct|ann").as_deref(), Some(&b"900"[..]));
+        assert_eq!(wa_node(&mut wa, 0).node_stats().notifies_applied, 1);
     }
 }

@@ -76,6 +76,7 @@ use crate::config::ClusterConfig;
 use crate::subscription::{Node, NodeStats};
 use pequod_core::partition::{Partition, ServerId};
 use pequod_core::{BackendStats, Engine, JoinId};
+use pequod_join::{parse_joins, JoinSpec};
 use pequod_net::codec::{encode_frame_into, ReplyFrame};
 use pequod_net::message::COUNT_KEY;
 use pequod_net::Message;
@@ -494,8 +495,7 @@ impl ClusterNode {
             }
             slots.push(st);
         }
-        let nodes = cfg.nodes.len() as u32;
-        let node = Node::new(ServerId(id), engine, view.clone(), &[]).in_deployment(nodes);
+        let node = Node::new(ServerId(id), cfg.nodes.len() as u32, engine, view.clone());
         let mut node = ClusterNode {
             id,
             cfg,
@@ -569,12 +569,26 @@ impl ClusterNode {
     /// Partitions the tables every installed join reads.
     fn partition_join_sources(&mut self) {
         let engine = &self.node.engine;
-        let sources: Vec<Key> = (0..engine.join_count() as u32)
-            .flat_map(|j| engine.join(JoinId(j)).sources.iter())
-            .map(|source| source.pattern.key_space().first.table_prefix())
+        let specs: Vec<JoinSpec> = (0..engine.join_count() as u32)
+            .map(|j| engine.join(JoinId(j)).clone())
             .collect();
-        for table in &sources {
-            self.partition_table(table);
+        self.partition_sources(&specs);
+    }
+
+    /// Partitions the tables `specs` read, apart from those they
+    /// compute. A join is partitioned before the engine installs it: one
+    /// materialized at install (`MaterializationMode::Full`) must find
+    /// its sources missing here, not empty.
+    fn partition_sources(&mut self, specs: &[JoinSpec]) {
+        for source in specs.iter().flat_map(|spec| &spec.sources) {
+            let table = source.pattern.key_space().first.table_prefix();
+            let space = KeyRange::prefix(table.clone());
+            if !specs
+                .iter()
+                .any(|spec| spec.output_range().overlaps(&space))
+            {
+                self.partition_table(&table);
+            }
         }
     }
 
@@ -931,11 +945,11 @@ impl ClusterNode {
             }
             _ => {}
         }
-        let joined = matches!(msg, Message::AddJoin { .. });
-        hide_meta(out, |out| self.node.handle(from, msg, out));
-        if joined {
-            self.partition_join_sources();
+        if let Message::AddJoin { text, .. } = &msg {
+            // Text that does not parse is refused by the engine.
+            self.partition_sources(&parse_joins(text).unwrap_or_default());
         }
+        hide_meta(out, |out| self.node.handle(from, msg, out));
     }
 
     fn redirect(&mut self, from: ClusterPeer, id: u64, slot: u32, node: u32, out: &mut Out) {
@@ -2254,10 +2268,7 @@ mod tests {
             servers: 3,
         });
         let nodes = (0..3)
-            .map(|i| {
-                Node::new(ServerId(i), Engine::new_default(), part.clone(), &["p|"])
-                    .in_deployment(3)
-            })
+            .map(|i| Node::new(ServerId(i), 3, posts_remote(), part.clone()))
             .collect();
         let user_on = |node: u32| {
             (0..)
@@ -2266,6 +2277,13 @@ mod tests {
                 .unwrap()
         };
         (nodes, (0..3).map(user_on).collect())
+    }
+
+    /// An engine whose `p|` table is spread over the deployment.
+    fn posts_remote() -> Engine {
+        let mut engine = Engine::new_default();
+        engine.mark_remote_table("p|");
+        engine
     }
 
     fn handle(node: &mut Node, from: ClusterPeer, msg: Message) -> Out {
@@ -2449,7 +2467,7 @@ mod tests {
     /// Node 1 of two, homing the whole `p|` table.
     fn post_home() -> Node {
         let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
-        Node::new(ServerId(1), Engine::new_default(), part, &["p|"]).in_deployment(2)
+        Node::new(ServerId(1), 2, posts_remote(), part)
     }
 
     fn subscribe(range: KeyRange) -> Message {

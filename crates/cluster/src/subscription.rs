@@ -14,17 +14,14 @@
 //!
 //! [`Node::handle`] consumes one wire [`Message`] and appends the
 //! messages to send to the caller's [`Out`]; it never blocks and never
-//! does I/O. Two hosts drive it:
-//!
-//! * [`WriteAround`](crate::WriteAround) — a cache node and a database
-//!   node on the caller's thread, which carries their messages from a
-//!   queue until none is left;
-//! * [`ClusterNode`](crate::ClusterNode) — the replicated deployment's
-//!   node, over TCP or its deterministic simulator. It keeps slots,
-//!   epochs and replication around one `Node`, whose partition is the
-//!   live slot view: a key is homed at the node holding its slot, else
-//!   at the slot's primary. A deployment that uses every core of a
-//!   machine runs one such process per core.
+//! does I/O. One host drives it: [`ClusterNode`](crate::ClusterNode),
+//! the replicated deployment's node, over TCP or its deterministic
+//! simulator. It keeps slots, epochs and replication around one `Node`,
+//! whose partition is the live slot view: a key is homed at the node
+//! holding its slot, else at the slot's primary. A deployment that uses
+//! every core of a machine runs one such process per core, and the
+//! write-around deployment (§2) is two of them
+//! ([`ClusterClient::write_around`](crate::ClusterClient::write_around)).
 //!
 //! # What a fetch guarantees
 //!
@@ -119,8 +116,7 @@ struct FetchGroup {
 }
 
 /// Who homes what: the partition function over a deployment of `nodes`
-/// nodes (ids `0..nodes`, a partition's `ServerId(s)` meaning node
-/// `s % nodes`).
+/// nodes (ids `0..nodes`; the partition returns node ids).
 #[derive(Clone)]
 struct Placement {
     partition: Arc<dyn Partition>,
@@ -129,7 +125,7 @@ struct Placement {
 
 impl Placement {
     fn home(&self, key: &Key) -> ServerId {
-        ServerId(self.partition.home_of(key).0 % self.nodes)
+        self.partition.home_of(key)
     }
 
     /// The one node that homes every key of `range`, when that can be
@@ -139,20 +135,14 @@ impl Placement {
         if *range == KeyRange::single(range.first.clone()) {
             return Some(self.home(&range.first));
         }
-        let home = self.partition.home_of_range(range)?;
-        Some(ServerId(home.0 % self.nodes))
+        self.partition.home_of_range(range)
     }
 
     /// The nodes other than `me` that home some key: whom a range that
     /// may span nodes is gathered from.
     fn peers_of(&self, me: ServerId) -> Vec<ServerId> {
-        let mut homes: Vec<ServerId> = match self.partition.homes() {
-            Some(homes) => homes
-                .into_iter()
-                .map(|h| ServerId(h.0 % self.nodes))
-                .collect(),
-            None => (0..self.nodes).map(ServerId).collect(),
-        };
+        let mut homes =
+            (self.partition.homes()).unwrap_or_else(|| (0..self.nodes).map(ServerId).collect());
         homes.sort_unstable();
         homes.dedup();
         homes.retain(|home| *home != me);
@@ -196,28 +186,29 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates node `id`. `partitioned_tables` lists the base-table
-    /// prefixes spread over the deployment: the engine treats them as
-    /// remote and resolves residency through `partition`. The host
-    /// says how many nodes there are with [`Node::in_deployment`]; until
-    /// then the node assumes the smallest deployment that contains it.
+    /// Creates node `id` of a deployment of `nodes` nodes (ids
+    /// `0..nodes`), homing what `partition` places on it: the peers a
+    /// scatter-gather reaches, and the keys this node is the authority
+    /// for. The host tells the engine which tables are spread over the
+    /// deployment ([`Engine::mark_remote_table`]). Memory-bounded serving
+    /// (§2.5) may evict replicated base data — its home still has it and
+    /// the next read re-subscribes — but never the authoritative rows,
+    /// which are the only copy.
     pub fn new(
         id: ServerId,
+        nodes: u32,
         mut engine: Engine,
         partition: Arc<dyn Partition>,
-        partitioned_tables: &[&str],
     ) -> Node {
-        for t in partitioned_tables {
-            engine.mark_remote_table(*t);
-        }
+        assert!(id.0 < nodes, "node id outside its deployment");
+        let placement = Placement { partition, nodes };
+        let authority = placement.clone();
+        engine.set_base_authority(move |key| nodes == 1 || authority.home(key) == id);
         Node {
             id,
             engine,
             stats: NodeStats::default(),
-            placement: Placement {
-                partition,
-                nodes: id.0 + 1,
-            },
+            placement,
             subscribers: Vec::new(),
             subscriptions: Vec::new(),
             seen_evictions: 0,
@@ -225,22 +216,6 @@ impl Node {
             fetches: BTreeMap::new(),
             next_id: 1,
         }
-        .in_deployment(id.0 + 1)
-    }
-
-    /// Places the node in a deployment of `nodes` nodes (ids
-    /// `0..nodes`): the peers a scatter-gather reaches, and the keys
-    /// this node is the authority for. Memory-bounded serving (§2.5)
-    /// may evict replicated base data — its home still has it and the
-    /// next read re-subscribes — but never the authoritative rows,
-    /// which are the only copy.
-    pub fn in_deployment(mut self, nodes: u32) -> Node {
-        assert!(self.id.0 < nodes, "node id outside its deployment");
-        self.placement.nodes = nodes;
-        let (placement, id) = (self.placement.clone(), self.id);
-        self.engine
-            .set_base_authority(move |key| nodes == 1 || placement.home(key) == id);
-        self
     }
 
     /// Number of ranges peers replicate from this node.

@@ -10,10 +10,10 @@
 //! driver written against `dyn Client` runs unchanged against
 //!
 //! * the in-process [`Engine`] (this crate),
-//! * `pequod_cluster::WriteAround` (database writes, cached reads),
 //! * `pequod_cluster::ClusterClient` (a partitioned, replicated
 //!   cluster — over sockets or simulated — with per-node batch
-//!   pipelining), and
+//!   pipelining; the write-around deployment, database writes and
+//!   cached reads, is its `write_around`), and
 //! * the comparison systems in `pequod_baselines`.
 //!
 //! Batching is the point, not an afterthought: a backend that owns a

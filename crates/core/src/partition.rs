@@ -6,9 +6,10 @@
 //! checks for user `u` to server `S(u)`.
 //!
 //! `pequod_cluster` maps keys to the replication slots of server
-//! *processes* — one per core of a machine, or spread over machines —
-//! and the write-around deployment maps tables to its cache and its
-//! database.
+//! *processes* — one per core of a machine, or spread over machines.
+//! The write-around deployment is such a cluster of two, whose
+//! [`TablePartition`] homes the database tables on the database node
+//! and every other table on the cache node.
 
 use pequod_store::{Key, KeyRange, UpperBound, SEP};
 

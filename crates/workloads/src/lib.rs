@@ -59,7 +59,7 @@ pub mod twip;
 pub mod zipf;
 
 pub use graph::{GraphConfig, SocialGraph};
-pub use newp::{run_newp, ClientNewp, NewpBackend, NewpConfig, NewpRunStats, PequodNewp};
+pub use newp::{run_newp, ClientNewp, NewpConfig, NewpRunStats};
 pub use rpc::RpcMeter;
 pub use twip::{
     run_twip, ClientTwip, PequodTwip, TwipBackend, TwipMix, TwipOp, TwipRunStats, TwipStrategy,

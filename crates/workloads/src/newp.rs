@@ -15,7 +15,7 @@
 //! article, its rank, its comments, and each commenter's karma).
 
 use crate::rpc::RpcMeter;
-use pequod_core::{Client, Engine};
+use pequod_core::Client;
 use pequod_store::{Key, KeyRange, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,151 +46,12 @@ pub fn article_id(a: u32) -> String {
     format!("{a:07}")
 }
 
-/// The operations of a Newp serving system.
-pub trait NewpBackend {
-    /// System name.
-    fn name(&self) -> &'static str;
-    /// Renders an article page; returns the number of data items read.
-    fn read_article(&mut self, author: u32, id: u32) -> usize;
-    /// Records a vote.
-    fn vote(&mut self, author: u32, id: u32, voter: u32);
-    /// Adds a comment.
-    fn comment(&mut self, author: u32, id: u32, cid: u32, commenter: u32, text: &str);
-    /// Loads a pre-population row without metering.
-    fn load(&mut self, key: String, value: &str);
-    /// RPCs issued.
-    fn rpcs(&self) -> u64;
-    /// Resets the RPC meter.
-    fn reset_meter(&mut self);
-}
-
-/// Newp on Pequod, in either configuration.
-pub struct PequodNewp {
-    /// The engine.
-    pub engine: Engine,
-    meter: RpcMeter,
-    interleaved: bool,
-    rpc_cost: (u64, u64),
-}
-
-impl PequodNewp {
-    /// Creates the backend; `interleaved` selects the Figure 1 page
-    /// joins versus separate per-range reads.
-    pub fn new(mut engine: Engine, interleaved: bool) -> PequodNewp {
-        engine.add_joins_text(NEWP_BASE_JOINS).expect("base joins");
-        if interleaved {
-            engine.add_joins_text(NEWP_PAGE_JOINS).expect("page joins");
-        }
-        PequodNewp {
-            engine,
-            meter: RpcMeter::new(),
-            interleaved,
-            rpc_cost: (
-                crate::rpc::DEFAULT_RPC_COST_NS,
-                crate::rpc::DEFAULT_RPC_COST_PER_KB_NS,
-            ),
-        }
-    }
-
-    /// Overrides the RPC cost model (0 measures pure engine work).
-    pub fn set_rpc_cost(&mut self, cost_ns: u64, per_kb_ns: u64) {
-        self.meter.set_cost(cost_ns, per_kb_ns);
-        self.rpc_cost = (cost_ns, per_kb_ns);
-    }
-}
-
-impl NewpBackend for PequodNewp {
-    fn name(&self) -> &'static str {
-        if self.interleaved {
-            "pequod-interleaved"
-        } else {
-            "pequod-separate"
-        }
-    }
-
-    fn read_article(&mut self, author: u32, id: u32) -> usize {
-        let author_s = user(author);
-        let id_s = article_id(id);
-        if self.interleaved {
-            // One scan returns the article, rank, comments, and karma.
-            let range = KeyRange::prefix(format!("page|{author_s}|{id_s}|"));
-            let res = self.engine.scan(&range);
-            self.meter.scan_with_reply(&range.first, &res.pairs);
-            res.pairs.len()
-        } else {
-            // Separate reads: article, rank, comments, then karma per
-            // commenter (two round trips; many RPCs).
-            let mut items = 0;
-            let akey = Key::from(format!("article|{author_s}|{id_s}"));
-            let a = self.engine.get(&akey);
-            self.meter.get_with_reply(&akey, a.as_ref());
-            items += a.is_some() as usize;
-            let rkey = Key::from(format!("rank|{author_s}|{id_s}"));
-            let r = self.engine.get(&rkey);
-            self.meter.get_with_reply(&rkey, r.as_ref());
-            items += r.is_some() as usize;
-            let crange = KeyRange::prefix(format!("comment|{author_s}|{id_s}|"));
-            let comments = self.engine.scan(&crange);
-            self.meter.scan_with_reply(&crange.first, &comments.pairs);
-            items += comments.pairs.len();
-            for (ckey, _) in &comments.pairs {
-                // last component is the commenter
-                let commenter = ckey.components().last().unwrap().to_vec();
-                let kkey = Key::from([b"karma|".as_slice(), &commenter].concat());
-                let k = self.engine.get(&kkey);
-                self.meter.get_with_reply(&kkey, k.as_ref());
-                items += k.is_some() as usize;
-            }
-            items
-        }
-    }
-
-    fn vote(&mut self, author: u32, id: u32, voter: u32) {
-        let key = Key::from(format!(
-            "vote|{}|{}|{}",
-            user(author),
-            article_id(id),
-            user(voter)
-        ));
-        let value = pequod_store::Value::from_static(b"1");
-        self.meter.put(&key, &value);
-        self.engine.put(key, value);
-    }
-
-    fn comment(&mut self, author: u32, id: u32, cid: u32, commenter: u32, text: &str) {
-        let key = Key::from(format!(
-            "comment|{}|{}|{cid:06}|{}",
-            user(author),
-            article_id(id),
-            user(commenter)
-        ));
-        let value = pequod_store::Value::from(text.as_bytes().to_vec());
-        self.meter.put(&key, &value);
-        self.engine.put(key, value);
-    }
-
-    fn load(&mut self, key: String, value: &str) {
-        self.engine.put(key, value.to_string());
-    }
-
-    fn rpcs(&self) -> u64 {
-        self.meter.rpcs
-    }
-
-    fn reset_meter(&mut self) {
-        self.meter = RpcMeter::new();
-        self.meter.set_cost(self.rpc_cost.0, self.rpc_cost.1);
-    }
-}
-
 /// Newp driven through the unified [`Client`] API: the same driver runs
 /// against the in-process engine, the write-around deployment, or the
 /// simulated cluster (Newp needs cache joins, so join-less baselines
-/// are out of scope). Interleaved or separate configurations mirror
-/// [`PequodNewp`].
+/// are out of scope), in either configuration.
 pub struct ClientNewp {
     client: Box<dyn Client>,
-    name: &'static str,
     meter: RpcMeter,
     interleaved: bool,
     rpc_cost: (u64, u64),
@@ -209,7 +70,6 @@ impl ClientNewp {
                 .expect("backend rejected the Newp page joins");
         }
         ClientNewp {
-            name: client.backend_name(),
             client,
             meter: RpcMeter::new(),
             interleaved,
@@ -225,22 +85,20 @@ impl ClientNewp {
         self.meter.set_cost(cost_ns, per_kb_ns);
         self.rpc_cost = (cost_ns, per_kb_ns);
     }
-}
 
-impl NewpBackend for ClientNewp {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn read_article(&mut self, author: u32, id: u32) -> usize {
+    /// Renders an article page; returns the number of data items read.
+    pub fn read_article(&mut self, author: u32, id: u32) -> usize {
         let author_s = user(author);
         let id_s = article_id(id);
         if self.interleaved {
+            // One scan returns the article, rank, comments, and karma.
             let range = KeyRange::prefix(format!("page|{author_s}|{id_s}|"));
             let pairs = self.client.scan(&range);
             self.meter.scan_with_reply(&range.first, &pairs);
             pairs.len()
         } else {
+            // Separate reads: article, rank, comments, then karma per
+            // commenter (two round trips; many RPCs).
             let mut items = 0;
             let akey = Key::from(format!("article|{author_s}|{id_s}"));
             let a = self.client.get(&akey);
@@ -255,6 +113,7 @@ impl NewpBackend for ClientNewp {
             self.meter.scan_with_reply(&crange.first, &comments);
             items += comments.len();
             for (ckey, _) in &comments {
+                // The last component is the commenter.
                 let commenter = ckey.components().last().unwrap().to_vec();
                 let kkey = Key::from([b"karma|".as_slice(), &commenter].concat());
                 let k = self.client.get(&kkey);
@@ -265,7 +124,8 @@ impl NewpBackend for ClientNewp {
         }
     }
 
-    fn vote(&mut self, author: u32, id: u32, voter: u32) {
+    /// Records a vote.
+    pub fn vote(&mut self, author: u32, id: u32, voter: u32) {
         let key = Key::from(format!(
             "vote|{}|{}|{}",
             user(author),
@@ -277,7 +137,8 @@ impl NewpBackend for ClientNewp {
         self.client.put(&key, &value);
     }
 
-    fn comment(&mut self, author: u32, id: u32, cid: u32, commenter: u32, text: &str) {
+    /// Adds a comment.
+    pub fn comment(&mut self, author: u32, id: u32, cid: u32, commenter: u32, text: &str) {
         let key = Key::from(format!(
             "comment|{}|{}|{cid:06}|{}",
             user(author),
@@ -289,16 +150,19 @@ impl NewpBackend for ClientNewp {
         self.client.put(&key, &value);
     }
 
-    fn load(&mut self, key: String, value: &str) {
+    /// Loads a pre-population row without metering.
+    pub fn load(&mut self, key: String, value: &str) {
         self.client
             .put(&Key::from(key), &Value::from(value.as_bytes().to_vec()));
     }
 
-    fn rpcs(&self) -> u64 {
+    /// RPCs issued.
+    pub fn rpcs(&self) -> u64 {
         self.meter.rpcs
     }
 
-    fn reset_meter(&mut self) {
+    /// Resets the RPC meter.
+    pub fn reset_meter(&mut self) {
         self.meter = RpcMeter::new();
         self.meter.set_cost(self.rpc_cost.0, self.rpc_cost.1);
     }
@@ -363,7 +227,7 @@ pub fn author_of(article: u32, users: u32) -> u32 {
 /// Pre-populates and runs Newp sessions: each session reads a random
 /// article, votes with probability `vote_rate`, and comments with
 /// probability `comment_rate` (§5.4).
-pub fn run_newp(backend: &mut dyn NewpBackend, cfg: &NewpConfig) -> NewpRunStats {
+pub fn run_newp(backend: &mut ClientNewp, cfg: &NewpConfig) -> NewpRunStats {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Pre-population (untimed).
     for a in 0..cfg.articles {
@@ -424,7 +288,7 @@ pub fn run_newp(backend: &mut dyn NewpBackend, cfg: &NewpConfig) -> NewpRunStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pequod_core::EngineConfig;
+    use pequod_core::{Engine, EngineConfig};
 
     fn tiny() -> NewpConfig {
         NewpConfig {
@@ -439,12 +303,24 @@ mod tests {
         }
     }
 
+    fn over_engine(interleaved: bool) -> ClientNewp {
+        ClientNewp::new(Box::new(Engine::new(EngineConfig::default())), interleaved)
+    }
+
+    /// An article's `page|` range, its keys as text.
+    fn page_keys(b: &mut ClientNewp, author: &str, id: &str) -> Vec<(String, Value)> {
+        let range = KeyRange::prefix(format!("page|{author}|{id}|"));
+        (b.client.scan(&range).into_iter())
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
+    }
+
     #[test]
     fn interleaved_and_separate_read_the_same_data() {
         let cfg = tiny();
-        let mut il = PequodNewp::new(Engine::new(EngineConfig::default()), true);
+        let mut il = over_engine(true);
         let s1 = run_newp(&mut il, &cfg);
-        let mut sep = PequodNewp::new(Engine::new(EngineConfig::default()), false);
+        let mut sep = over_engine(false);
         let s2 = run_newp(&mut sep, &cfg);
         assert_eq!(s1.sessions, s2.sessions);
         // Interleaved pages contain the same logical items: article +
@@ -463,31 +339,19 @@ mod tests {
     }
 
     #[test]
-    fn unified_newp_driver_matches_direct_backend() {
-        let cfg = tiny();
-        let mut direct = PequodNewp::new(Engine::new(EngineConfig::default()), true);
-        let s_direct = run_newp(&mut direct, &cfg);
-        let mut unified = ClientNewp::new(Box::new(Engine::new(EngineConfig::default())), true);
-        let s_unified = run_newp(&mut unified, &cfg);
-        assert_eq!(s_direct.sessions, s_unified.sessions);
-        assert_eq!(s_direct.items_read, s_unified.items_read);
-        assert_eq!(s_direct.rpcs, s_unified.rpcs);
-    }
-
-    #[test]
     fn page_scan_contains_all_item_classes() {
-        let mut b = PequodNewp::new(Engine::new(EngineConfig::default()), true);
+        let mut b = over_engine(true);
         b.load("article|n000001|0000003".into(), "the article");
         b.load("comment|n000001|0000003|000001|n000002".into(), "hi");
         b.load("vote|n000001|0000003|n000005".into(), "1");
-        b.load("vote|n000002|0000009|n000005".into(), "1"); // commenter's karma
-                                                            // commenter n000002 has an article with a vote? karma counts
-                                                            // votes on n000002's articles:
+        // The commenter's karma: a vote on one of n000002's articles.
+        b.load("vote|n000002|0000009|n000005".into(), "1");
         let items = b.read_article(1, 3);
         // a, r, c, k = 4 items
         assert_eq!(items, 4);
-        let page = b.engine.scan(&KeyRange::prefix("page|n000001|0000003|"));
-        let keys: Vec<String> = page.pairs.iter().map(|(k, _)| k.to_string()).collect();
+        let keys: Vec<String> = (page_keys(&mut b, "n000001", "0000003").into_iter())
+            .map(|(k, _)| k)
+            .collect();
         assert!(keys.iter().any(|k| k.ends_with("|a")));
         assert!(keys.iter().any(|k| k.ends_with("|r")));
         assert!(keys.iter().any(|k| k.contains("|c|")));
@@ -496,16 +360,14 @@ mod tests {
 
     #[test]
     fn votes_update_rank_and_karma_in_pages() {
-        let mut b = PequodNewp::new(Engine::new(EngineConfig::default()), true);
+        let mut b = over_engine(true);
         b.load("article|n000001|0000003".into(), "the article");
         b.read_article(1, 3);
         b.vote(1, 3, 7);
         b.vote(1, 3, 8);
-        let page = b.engine.scan(&KeyRange::prefix("page|n000001|0000003|"));
-        let rank = page
-            .pairs
-            .iter()
-            .find(|(k, _)| k.to_string().ends_with("|r"))
+        let page = page_keys(&mut b, "n000001", "0000003");
+        let rank = (page.iter())
+            .find(|(k, _)| k.ends_with("|r"))
             .expect("rank row");
         assert_eq!(&rank.1[..], b"2");
     }

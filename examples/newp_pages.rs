@@ -7,27 +7,34 @@
 
 use pequod::core::Engine;
 use pequod::prelude::*;
-use pequod::workloads::newp::{NewpBackend, PequodNewp};
+use pequod::workloads::newp::{NEWP_BASE_JOINS, NEWP_PAGE_JOINS};
+
+/// `voter` votes for `author`'s article `article`.
+fn vote(site: &mut Engine, author: &str, article: &str, voter: &str) {
+    site.put(format!("vote|{author}|{article}|{voter}"), "1");
+}
 
 fn main() {
-    let mut site = PequodNewp::new(Engine::new(EngineConfig::default()), true);
+    let mut site = Engine::new(EngineConfig::default());
+    site.add_joins_text(NEWP_BASE_JOINS).unwrap();
+    site.add_joins_text(NEWP_PAGE_JOINS).unwrap();
 
     // kat authors an article; people vote and comment.
-    site.load(
-        "article|n000007|0000001".into(),
+    site.put(
+        "article|n000007|0000001",
         "Cache joins considered delightful",
     );
-    site.vote(7, 1, 21);
-    site.vote(7, 1, 22);
-    site.comment(7, 1, 1, 42, "great read!");
+    vote(&mut site, "n000007", "0000001", "n000021");
+    vote(&mut site, "n000007", "0000001", "n000022");
+    site.put("comment|n000007|0000001|000001|n000042", "great read!");
     // commenter 42's karma comes from votes on their own article
-    site.load("article|n000042|0000009".into(), "An older post");
-    site.vote(42, 9, 7);
-    site.vote(42, 9, 21);
-    site.vote(42, 9, 22);
+    site.put("article|n000042|0000009", "An older post");
+    for voter in ["n000007", "n000021", "n000022"] {
+        vote(&mut site, "n000042", "0000009", voter);
+    }
 
     // One ordered scan renders the whole page.
-    let page = site.engine.scan(&KeyRange::prefix("page|n000007|0000001|"));
+    let page = site.scan(&KeyRange::prefix("page|n000007|0000001|"));
     println!("page|n000007|0000001| scan:");
     for (k, v) in &page.pairs {
         println!("  {k} = {}", String::from_utf8_lossy(v));
@@ -36,11 +43,8 @@ fn main() {
     assert_eq!(page.pairs.len(), 4);
 
     // A new vote updates the rank *inside the page* incrementally.
-    site.vote(7, 1, 23);
-    let rank = site
-        .engine
-        .get(&Key::from("page|n000007|0000001|r"))
-        .unwrap();
+    vote(&mut site, "n000007", "0000001", "n000023");
+    let rank = site.get(&Key::from("page|n000007|0000001|r")).unwrap();
     println!(
         "\nafter one more vote, rank = {}",
         String::from_utf8_lossy(&rank)
@@ -49,11 +53,8 @@ fn main() {
 
     // And a vote on the commenter's own article updates their karma in
     // every page where they commented.
-    site.vote(42, 9, 23);
-    let karma = site
-        .engine
-        .get(&Key::from("page|n000007|0000001|k|000001|n000042"))
-        .unwrap();
+    vote(&mut site, "n000042", "0000009", "n000023");
+    let karma = (site.get(&Key::from("page|n000007|0000001|k|000001|n000042"))).unwrap();
     println!(
         "commenter karma on the page = {}",
         String::from_utf8_lossy(&karma)

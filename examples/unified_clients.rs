@@ -11,7 +11,7 @@
 //! ```
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ServerId, TablePartition};
 use pequod::prelude::*;
 use std::sync::Arc;
@@ -19,17 +19,23 @@ use std::sync::Arc;
 const TIMELINE: &str =
     "t|<user>|<time:10>|<poster> = check s|<user>|<poster> copy p|<poster>|<time:10>";
 
-fn backends() -> Vec<Box<dyn Client>> {
+/// Each backend with the name its row is printed under: the
+/// write-around deployment is a cluster too.
+fn backends() -> Vec<(&'static str, Box<dyn Client>)> {
     // Posts on node 1, every other table on node 0.
     let part = Arc::new(TablePartition::new(ServerId(0)).route("p|", ServerId(1)));
     let cfg = ClusterConfig::new(2, 1).with_partition(part, 2);
+    let write_around = ClusterClient::write_around(Engine::new_default(), &["p|", "s|"]);
     vec![
-        Box::new(Engine::new_default()),
-        Box::new(WriteAround::new(Engine::new_default(), &["p|", "s|"])),
-        Box::new(ClusterClient::simulated(SimHarness::new(&cfg, 0x5eed, 1))),
-        Box::new(RedisClient::new()),
-        Box::new(MemcachedClient::new()),
-        Box::new(MiniDbClient::new()),
+        ("engine", Box::new(Engine::new_default())),
+        ("writearound", Box::new(write_around)),
+        (
+            "cluster",
+            Box::new(ClusterClient::simulated(SimHarness::new(&cfg, 0x5eed, 1))),
+        ),
+        ("redis", Box::new(RedisClient::new())),
+        ("memcached", Box::new(MemcachedClient::new())),
+        ("minidb", Box::new(MiniDbClient::new())),
     ]
 }
 
@@ -42,8 +48,7 @@ fn main() {
         Command::Get(Key::from("p|bob|0000000100")),
     ];
     println!("script: {} commands, batched\n", script.len());
-    for mut client in backends() {
-        let name = client.backend_name();
+    for (name, mut client) in backends() {
         // The join only installs on Pequod-family backends; the rest
         // answer with an explicit error and keep serving KV traffic.
         let joins = match client.add_join(TIMELINE) {

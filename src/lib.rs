@@ -15,12 +15,12 @@
 //!   invalidation, eviction; key-routing partitions.
 //! * [`net`] — the wire and what carries it: codec and the reactor
 //!   serving edge.
-//! * [`cluster`] — the deployments: the §2.4 Subscribe/Notify node,
-//!   the write-around deployment
-//!   [`WriteAround`](crate::cluster::WriteAround), and across processes
-//!   one §2.4 node per process with replicated slots, epoch failover
-//!   and migration, the one client of every server, its simulator over
-//!   a seeded message fabric and its TCP server (`pequod-server`).
+//! * [`cluster`] — the deployments: one §2.4 Subscribe/Notify node per
+//!   process with replicated slots, epoch failover and migration, the
+//!   one client of every server, its simulator over a seeded message
+//!   fabric and its TCP server (`pequod-server`); the write-around
+//!   deployment is a two-node cluster
+//!   ([`ClusterClient::write_around`](crate::cluster::ClusterClient::write_around)).
 //! * [`persist`] — durable base tables: checksummed write-ahead log,
 //!   snapshots with log truncation, warm restart
 //!   (`pequod-server --data-dir`); computed join ranges are never
@@ -64,7 +64,7 @@
 //! assert_eq!(timeline_demo(&mut Engine::new_default()), 1);
 //!
 //! // ...or a cache in front of a database, unchanged.
-//! let mut wa = pequod::cluster::WriteAround::new(Engine::new_default(), &["p|", "s|"]);
+//! let mut wa = pequod::cluster::ClusterClient::write_around(Engine::new_default(), &["p|", "s|"]);
 //! assert_eq!(timeline_demo(&mut wa), 1);
 //! ```
 //!

@@ -8,7 +8,7 @@
 //! drop-in for any other.
 
 use pequod::baselines::{MemcachedClient, MiniDbClient, RedisClient};
-use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness, WriteAround};
+use pequod::cluster::{ClusterClient, ClusterConfig, SimHarness};
 use pequod::core::partition::{ComponentHashPartition, Partition, ServerId, TablePartition};
 use pequod::core::{Client, Command, Engine, EngineConfig, MemoryLimit, Response};
 use pequod::prelude::*;
@@ -27,8 +27,9 @@ fn v(s: &str) -> Value {
 }
 
 /// A named factory, so each scenario starts from a fresh instance. The
-/// name is the backend's, plus a `-hash` suffix for the deployments
-/// partitioned by user instead of by table.
+/// name is the backend's, plus a suffix naming the deployment: `-hash`
+/// partitioned by user instead of by table, `-rf2` replicated twice,
+/// `-writearound` a cache node in front of a database node.
 type BackendFactory = (&'static str, Box<dyn Fn() -> Box<dyn Client>>);
 
 /// Two nodes split by table: posts homed on node 1, the rest on node
@@ -85,12 +86,10 @@ fn backends(join_capable_only: bool) -> Vec<BackendFactory> {
             Box::new(|| Box::new(Engine::new(EngineConfig::default())) as Box<dyn Client>),
         ),
         (
-            "writearound",
+            "cluster-writearound",
             Box::new(|| {
-                Box::new(WriteAround::new(
-                    Engine::new(EngineConfig::default()),
-                    DB_TABLES,
-                )) as Box<dyn Client>
+                let cache = Engine::new(EngineConfig::default());
+                Box::new(ClusterClient::write_around(cache, DB_TABLES)) as _
             }),
         ),
         (
@@ -364,12 +363,6 @@ impl Audited for Engine {
     }
 }
 
-impl Audited for WriteAround {
-    fn audit(&mut self) -> Vec<String> {
-        self.check_invariants()
-    }
-}
-
 impl Audited for ClusterClient {
     fn audit(&mut self) -> Vec<String> {
         let sim = self.sim_mut().expect("a simulated cluster");
@@ -442,8 +435,13 @@ fn capped_backends_answer_like_uncapped_ones() {
     let deployments: Vec<AuditedFactory> = vec![
         ("engine", Box::new(move || Box::new(Engine::new(capped())))),
         (
-            "writearound",
-            Box::new(move || Box::new(WriteAround::new(Engine::new(capped()), DB_TABLES))),
+            "cluster-writearound",
+            Box::new(move || {
+                Box::new(ClusterClient::write_around(
+                    Engine::new(capped()),
+                    DB_TABLES,
+                ))
+            }),
         ),
         (
             "cluster",
@@ -508,9 +506,9 @@ fn telemetered_backends() -> Vec<BackendFactory> {
             Box::new(|| Box::new(telemetered_engine()) as Box<dyn Client>),
         ),
         (
-            "writearound",
+            "cluster-writearound",
             Box::new(|| {
-                Box::new(WriteAround::new(telemetered_engine(), DB_TABLES)) as Box<dyn Client>
+                Box::new(ClusterClient::write_around(telemetered_engine(), DB_TABLES)) as _
             }),
         ),
         (

@@ -3,7 +3,7 @@
 //! workload crates.
 
 use pequod::baselines::{ClientPequodTwip, MemcachedTwip, PostgresTwip, RedisTwip};
-use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness, WriteAround};
+use pequod::cluster::{ClusterClient, ClusterConfig, ClusterServer, SimHarness};
 use pequod::core::partition::{ServerId, SingleServer, TablePartition};
 use pequod::core::{Engine, EngineConfig, MaterializationMode, MemoryLimit};
 use pequod::prelude::*;
@@ -67,25 +67,20 @@ fn all_five_systems_agree_on_twip() {
 fn write_around_with_database() {
     let mut engine = Engine::new(EngineConfig::default());
     engine.add_join_text(TIMELINE).unwrap();
-    let mut wa = WriteAround::new(engine, &["p|", "s|"]);
+    let mut wa = ClusterClient::write_around(engine, &["p|", "s|"]);
     for (user, poster) in [("ann", "bob"), ("ann", "liz"), ("cat", "bob")] {
-        wa.put(
-            &Key::from(format!("s|{user}|{poster}")),
-            &Value::from_static(b"1"),
-        );
+        wa.put(format!("s|{user}|{poster}"), "1").unwrap();
     }
     for (poster, t) in [("bob", 100u64), ("liz", 110), ("bob", 120)] {
-        wa.put(
-            &Key::from(format!("p|{poster}|{t:010}")),
-            &Value::from_static(b"tweet"),
-        );
+        wa.put(format!("p|{poster}|{t:010}"), "tweet").unwrap();
     }
-    assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 3);
-    assert_eq!(wa.scan(&KeyRange::prefix("t|cat|")).len(), 2);
+    assert_eq!(wa.scan(KeyRange::prefix("t|ann|")).unwrap().len(), 3);
+    assert_eq!(wa.scan(KeyRange::prefix("t|cat|")).unwrap().len(), 2);
     // DB-side delete flows through.
-    wa.remove(&Key::from("p|bob|0000000100"));
-    assert_eq!(wa.scan(&KeyRange::prefix("t|ann|")).len(), 2);
-    assert!(wa.database().subscriber_count() >= 2);
+    wa.remove("p|bob|0000000100").unwrap();
+    assert_eq!(wa.scan(KeyRange::prefix("t|ann|")).unwrap().len(), 2);
+    let database = wa.sim_mut().unwrap().node(1);
+    assert!(database.subscriber_count() >= 2);
 }
 
 /// A two-tier simulated cluster serves a Twip workload with the same
