@@ -308,7 +308,7 @@ mod tests {
     }
 
     /// An article's `page|` range, its keys as text.
-    fn page_keys(b: &mut ClientNewp, author: &str, id: &str) -> Vec<(String, Value)> {
+    fn page(b: &mut ClientNewp, author: &str, id: &str) -> Vec<(String, Value)> {
         let range = KeyRange::prefix(format!("page|{author}|{id}|"));
         (b.client.scan(&range).into_iter())
             .map(|(k, v)| (k.to_string(), v))
@@ -349,7 +349,7 @@ mod tests {
         let items = b.read_article(1, 3);
         // a, r, c, k = 4 items
         assert_eq!(items, 4);
-        let keys: Vec<String> = (page_keys(&mut b, "n000001", "0000003").into_iter())
+        let keys: Vec<String> = (page(&mut b, "n000001", "0000003").into_iter())
             .map(|(k, _)| k)
             .collect();
         assert!(keys.iter().any(|k| k.ends_with("|a")));
@@ -365,7 +365,7 @@ mod tests {
         b.read_article(1, 3);
         b.vote(1, 3, 7);
         b.vote(1, 3, 8);
-        let page = page_keys(&mut b, "n000001", "0000003");
+        let page = page(&mut b, "n000001", "0000003");
         let rank = (page.iter())
             .find(|(k, _)| k.ends_with("|r"))
             .expect("rank row");

@@ -54,7 +54,8 @@ fn main() {
     // And a vote on the commenter's own article updates their karma in
     // every page where they commented.
     vote(&mut site, "n000042", "0000009", "n000023");
-    let karma = (site.get(&Key::from("page|n000007|0000001|k|000001|n000042"))).unwrap();
+    let karma = site.get(&Key::from("page|n000007|0000001|k|000001|n000042"));
+    let karma = karma.unwrap();
     println!(
         "commenter karma on the page = {}",
         String::from_utf8_lossy(&karma)
